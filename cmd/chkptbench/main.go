@@ -22,9 +22,9 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/markov"
@@ -62,40 +62,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	// fail reports an output-file error and forces a failing exit code from
-	// the deferred profile writers below.
-	fail := func(err error) {
+	closing := cli.Closer("chkptbench", stderr, &code)
+	stopProfiles, err := cli.StartProfiles(*cpuPro, *memPro)
+	if err != nil {
 		fmt.Fprintln(stderr, "chkptbench:", err)
-		if code == 0 {
-			code = 1
-		}
+		return 1
 	}
-	if *cpuPro != "" {
-		f, err := os.Create(*cpuPro)
-		if err != nil {
-			fmt.Fprintln(stderr, "chkptbench:", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			fmt.Fprintln(stderr, "chkptbench:", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-		}()
-	}
-	if *memPro != "" {
-		defer func() {
-			runtime.GC()
-			if err := obs.WriteFile(*memPro, pprof.WriteHeapProfile); err != nil {
-				fail(err)
-			}
-		}()
-	}
+	defer closing(stopProfiles)
 	b := markov.PaperBaseline
 	b.Lambda1 = *lambda
 	b.WM = *wm
@@ -111,15 +84,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var observer obs.Observer
 	if *telAddr != "" {
 		agg := telemetry.New(telemetry.Config{Nproc: 64})
-		stopTick := agg.Start()
-		defer stopTick()
-		srv, err := telemetry.NewServer(*telAddr, agg)
+		stopTelemetry, err := cli.StartTelemetry("chkptbench", stderr, agg, *telAddr, false, 0)
 		if err != nil {
 			fmt.Fprintln(stderr, "chkptbench:", err)
 			return 1
 		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "chkptbench: telemetry at %s/metrics\n", srv.URL())
+		defer closing(stopTelemetry)
 		observer = agg
 	}
 

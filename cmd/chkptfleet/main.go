@@ -29,7 +29,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -40,11 +39,10 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/fleet"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/storage"
-	"repro/internal/storage/wal"
 	"repro/internal/telemetry"
 )
 
@@ -100,56 +98,28 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) (code i
 		return 2
 	}
 
-	// fail reports a flush/teardown error and forces a failing exit code
-	// from the deferred close paths below.
-	fail := func(err error) {
-		fmt.Fprintln(stderr, "chkptfleet:", err)
-		if code == 0 {
-			code = 1
-		}
-	}
+	closing := cli.Closer("chkptfleet", stderr, &code)
 
-	var store storage.Store
-	var walStore *wal.Store
-	switch {
-	case *storeKind == "mem":
-		// fleet default: per-run in-memory store
-	case strings.HasPrefix(*storeKind, "wal:"):
-		ws, err := wal.Open(strings.TrimPrefix(*storeKind, "wal:"), wal.Options{})
-		if err != nil {
-			fmt.Fprintln(stderr, "chkptfleet:", err)
-			return 1
-		}
-		defer func() {
-			if err := ws.Close(); err != nil {
-				fail(err)
-			}
-		}()
-		walStore = ws
-		store = ws
-	default:
-		fileStore, err := storage.NewFile(*storeKind)
-		if err != nil {
-			fmt.Fprintln(stderr, "chkptfleet:", err)
-			return 1
-		}
-		store = fileStore
+	store, err := cli.OpenStore(*storeKind)
+	if err == nil && store.Incremental != nil {
+		// Delta chains only delete newest-first, and under a job Namespace
+		// the chaos scrub can only order a chain by instance, not by age.
+		err = fmt.Errorf("%w: -store incremental is not supported by the fleet (use mem, wal:DIR, or a directory)", cli.ErrUsage)
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "chkptfleet:", err)
+		return cli.ExitCode(err)
+	}
+	defer closing(store.Close)
 
 	var observers []obs.Observer
 	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
+		stream, err := cli.OpenEventStream(*eventsOut)
 		if err != nil {
 			fmt.Fprintln(stderr, "chkptfleet:", err)
 			return 1
 		}
-		stream := obs.NewStreamWriter(bufferedFile{bufio.NewWriterSize(f, 64<<10), f})
-		stream.AutoFlush(200 * time.Millisecond)
-		defer func() {
-			if err := stream.Close(); err != nil {
-				fail(err)
-			}
-		}()
+		defer closing(stream.Close)
 		observers = append(observers, stream)
 	}
 
@@ -162,37 +132,17 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) (code i
 			Counters: counters,
 			Sink:     observer,
 		}
-		if walStore != nil {
-			tcfg.WALStats = walStore.Stats
+		if store.WAL != nil {
+			tcfg.WALStats = store.WAL.Stats
 		}
 		agg := telemetry.New(tcfg)
 		observer = obs.Multi(observer, agg)
-		stopTick := agg.Start()
-		if *telAddr != "" {
-			srv, err := telemetry.NewServer(*telAddr, agg)
-			if err != nil {
-				fmt.Fprintln(stderr, "chkptfleet:", err)
-				stopTick()
-				return 1
-			}
-			fmt.Fprintf(stderr, "chkptfleet: telemetry at %s/metrics\n", srv.URL())
-			defer func() {
-				if err := srv.Close(); err != nil {
-					fail(err)
-				}
-			}()
+		stopTelemetry, err := cli.StartTelemetry("chkptfleet", stderr, agg, *telAddr, *dash, 0)
+		if err != nil {
+			fmt.Fprintln(stderr, "chkptfleet:", err)
+			return 1
 		}
-		var stopDash func()
-		if *dash {
-			stopDash = telemetry.NewDashboard(agg, stderr).RunUntil()
-		}
-		defer func() {
-			stopTick()
-			agg.Tick() // close the final partial window
-			if stopDash != nil {
-				stopDash()
-			}
-		}()
+		defer closing(stopTelemetry)
 	}
 
 	e := fleet.New(fleet.Config{
@@ -212,7 +162,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) (code i
 			Cooldown:         *brkCool,
 		},
 		RetryBudgetPerJob: *retryBudg,
-		Store:             store,
+		Store:             store.Store,
 		NoPrune:           *noPrune,
 		DrainTimeout:      *drainTmo,
 		JobTimeout:        *jobTmo,
@@ -247,11 +197,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) (code i
 	}
 	rep, err := e.Run()
 	fmt.Fprint(stdout, rep.String())
-	if walStore != nil {
-		st := walStore.Stats()
-		fmt.Fprintf(stdout, "wal store: %d save(s) in %d group commit(s), %d rotation(s), %d compaction(s), %d recovered, %dB torn tail truncated\n",
-			st.Saves, st.Batches, st.Rotations, st.Compactions, st.Recovered, st.TruncatedBytes)
-	}
+	store.PrintStats(stdout)
 	if err != nil {
 		// Conservation violation: an admitted job is missing from the
 		// taxonomy — a silent loss. Never exit 0 on that.
@@ -299,12 +245,3 @@ func parseTenants(s string) ([]fleet.TenantConfig, error) {
 	}
 	return out, nil
 }
-
-// bufferedFile routes stream writes through a bufio buffer while letting
-// StreamWriter.Close flush it and close the underlying file.
-type bufferedFile struct {
-	*bufio.Writer
-	f *os.File
-}
-
-func (b bufferedFile) Close() error { return b.f.Close() }

@@ -121,6 +121,22 @@ func TestBadFlagsExitTwo(t *testing.T) {
 	}
 }
 
+// The fleet has no incremental store kind; the spec used to fall through to
+// the file store and silently create ./incremental.
+func TestIncrementalStoreRejected(t *testing.T) {
+	code, _, stderr := runFleet(t, "-jobs", "2", "-store", "incremental")
+	if code != 2 || !strings.Contains(stderr, "-store incremental is not supported") {
+		t.Fatalf("exit = %d stderr=%q, want usage error 2", code, stderr)
+	}
+	if _, err := os.Stat("incremental"); err == nil {
+		os.RemoveAll("incremental")
+		t.Fatal("a file store was created in ./incremental")
+	}
+	if code, _, stderr := runFleet(t, "-jobs", "2", "-store", "wal:"); code != 2 {
+		t.Fatalf("malformed wal: spec exit = %d stderr=%q, want 2", code, stderr)
+	}
+}
+
 func TestParseTenants(t *testing.T) {
 	got, err := parseTenants("batch:8:3, interactive::0.5 ,best-effort")
 	if err != nil {

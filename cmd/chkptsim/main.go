@@ -49,18 +49,16 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/mpl"
@@ -68,8 +66,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/recovery"
 	"repro/internal/sim"
-	"repro/internal/storage"
-	"repro/internal/storage/wal"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/zigzag"
@@ -143,41 +139,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	// fail reports an output-file error and forces a failing exit code
-	// from inside the deferred flush/close paths below.
-	fail := func(err error) {
+	closing := cli.Closer("chkptsim", stderr, &code)
+	stopProfiles, err := cli.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
 		fmt.Fprintln(stderr, "chkptsim:", err)
-		if code == 0 {
-			code = 1
-		}
+		return 1
 	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(stderr, "chkptsim:", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			fmt.Fprintln(stderr, "chkptsim:", err)
-			return 1
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-		}()
-	}
-	if *memProfile != "" {
-		// Deferred so the profile reflects the completed (or failed) run.
-		defer func() {
-			runtime.GC()
-			if err := obs.WriteFile(*memProfile, pprof.WriteHeapProfile); err != nil {
-				fail(err)
-			}
-		}()
-	}
+	defer closing(stopProfiles)
 
 	reg := metrics.NewRegistry()
 	parseTimer := reg.Timer("chkptsim.parse").Start()
@@ -222,29 +190,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *traceOut != "" {
 		rec = obs.NewRecorder()
 	}
-	var stream *obs.StreamWriter
-	if *eventsOut != "" {
-		f, err := os.Create(*eventsOut)
-		if err != nil {
-			fmt.Fprintln(stderr, "chkptsim:", err)
-			return 1
-		}
-		// Buffered for hot-path cheapness, auto-flushed so a kill -9 still
-		// leaves a parseable JSONL prefix on disk; Close does the final
-		// flush, closes the file, and surfaces errors from every stage.
-		stream = obs.NewStreamWriter(bufferedFile{bufio.NewWriterSize(f, 64<<10), f})
-		stream.AutoFlush(200 * time.Millisecond)
-		defer func() {
-			if err := stream.Close(); err != nil {
-				fail(err)
-			}
-		}()
-	}
 	var observers []obs.Observer
 	if rec != nil {
 		observers = append(observers, rec)
 	}
-	if stream != nil {
+	if *eventsOut != "" {
+		stream, err := cli.OpenEventStream(*eventsOut)
+		if err != nil {
+			fmt.Fprintln(stderr, "chkptsim:", err)
+			return 1
+		}
+		defer closing(stream.Close)
 		observers = append(observers, stream)
 	}
 	cfg.Observer = obs.Multi(observers...)
@@ -265,80 +221,31 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			LagThreshold: *telLag,
 		})
 		cfg.Observer = obs.Multi(cfg.Observer, agg)
-		stopTick := agg.Start()
-		if *telAddr != "" {
-			srv, err := telemetry.NewServer(*telAddr, agg)
-			if err != nil {
-				fmt.Fprintln(stderr, "chkptsim:", err)
-				stopTick()
-				return 1
-			}
-			fmt.Fprintf(stderr, "chkptsim: telemetry at %s/metrics\n", srv.URL())
-			defer func() {
-				if err := srv.Close(); err != nil {
-					fail(err)
-				}
-			}()
+		stopTelemetry, err := cli.StartTelemetry("chkptsim", stderr, agg, *telAddr, *dash, *telLinger)
+		if err != nil {
+			fmt.Fprintln(stderr, "chkptsim:", err)
+			return 1
 		}
-		var stopDash func()
-		if *dash {
-			stopDash = telemetry.NewDashboard(agg, stderr).RunUntil()
-		}
-		defer func() {
-			stopTick()
-			agg.Tick() // close the final partial window
-			if stopDash != nil {
-				stopDash()
-			}
-			if *telAddr != "" && *telLinger > 0 {
-				time.Sleep(*telLinger)
-			}
-		}()
+		defer closing(stopTelemetry)
 	}
 	if rec != nil {
 		// Written in a defer: a failing run should still leave a timeline
 		// of everything up to the failure.
-		defer func() {
-			if err := obs.WriteFile(*traceOut, rec.WriteChromeTrace); err != nil {
-				fail(err)
-			}
-		}()
+		defer closing(func() error { return obs.WriteFile(*traceOut, rec.WriteChromeTrace) })
 	}
-	var incStore *storage.Incremental
-	var walStore *wal.Store
-	switch {
-	case *storeKind == "mem":
-		// default in-memory store
-	case *storeKind == "incremental":
-		incStore = storage.NewIncremental(0)
-		cfg.Store = incStore
-	case strings.HasPrefix(*storeKind, "wal:"):
-		ws, err := wal.Open(strings.TrimPrefix(*storeKind, "wal:"), wal.Options{})
-		if err != nil {
-			fmt.Fprintln(stderr, "chkptsim:", err)
-			return 1
-		}
-		defer ws.Close()
-		walStore = ws
-		cfg.Store = ws
-		if agg != nil {
-			agg.SetWALStats(ws.Stats)
-		}
-	default:
-		fileStore, err := storage.NewFile(*storeKind)
-		if err != nil {
-			fmt.Fprintln(stderr, "chkptsim:", err)
-			return 1
-		}
-		cfg.Store = fileStore
+	store, err := cli.OpenStore(*storeKind)
+	if err != nil {
+		fmt.Fprintln(stderr, "chkptsim:", err)
+		return cli.ExitCode(err)
+	}
+	defer closing(store.Close)
+	cfg.Store = store.Store
+	if agg != nil && store.WAL != nil {
+		agg.SetWALStats(store.WAL.Stats)
 	}
 	var chaosStore *chaos.Store
 	if *faultRate > 0 {
-		inner := cfg.Store
-		if inner == nil {
-			inner = storage.NewMemory()
-		}
-		chaosStore = chaos.New(inner, *chaosSeed, chaos.DefaultRates(*faultRate), cfg.Observer)
+		chaosStore = chaos.New(cfg.Store, *chaosSeed, chaos.DefaultRates(*faultRate), cfg.Observer)
 		cfg.Store = chaosStore
 	}
 	if *crashRate > 0 {
@@ -422,15 +329,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if *virtual {
 		fmt.Fprintf(stdout, "virtual makespan: %.4f s\n", res.VTime)
 	}
-	if incStore != nil {
-		st := incStore.Stats()
-		fmt.Fprintf(stdout, "incremental store: %dB full + %dB delta\n", st.FullBytes, st.DeltaBytes)
-	}
-	if walStore != nil {
-		st := walStore.Stats()
-		fmt.Fprintf(stdout, "wal store: %d save(s) in %d group commit(s), %d rotation(s), %d compaction(s), %d recovered, %dB torn tail truncated\n",
-			st.Saves, st.Batches, st.Rotations, st.Compactions, st.Recovered, st.TruncatedBytes)
-	}
+	store.PrintStats(stdout)
 	if chaosStore != nil {
 		st := chaosStore.Stats()
 		fmt.Fprintf(stdout, "chaos: %d fault(s): %d write, %d read, %d torn (%d repaired), %d bit-flip\n",
@@ -480,15 +379,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	return 0
 }
-
-// bufferedFile routes stream writes through a bufio buffer while letting
-// StreamWriter.Close flush it and close the underlying file.
-type bufferedFile struct {
-	*bufio.Writer
-	f *os.File
-}
-
-func (b bufferedFile) Close() error { return b.f.Close() }
 
 func readSource(path string) (string, error) {
 	if path == "-" {

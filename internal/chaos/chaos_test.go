@@ -144,7 +144,7 @@ func TestScrubSurvivesNamespacedProcNumbers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.corrupt[key{32, 1, 1}] = "bit flip"
+	c.corrupt[storage.Key{Proc: 32, CFGIndex: 1, Instance: 1}] = "bit flip"
 	rep, err := c.Scrub()
 	if err != nil {
 		t.Fatalf("scrub over namespaced procs: %v", err)
@@ -169,7 +169,7 @@ func TestScrubTruncatesNewestFirstOverDeltaChain(t *testing.T) {
 		}
 	}
 	// Mark instance 1 corrupt by hand (rates were zero above).
-	c.corrupt[key{0, 1, 1}] = "bit flip"
+	c.corrupt[storage.Key{Proc: 0, CFGIndex: 1, Instance: 1}] = "bit flip"
 	rep, err := c.Scrub()
 	if err != nil {
 		t.Fatal(err)

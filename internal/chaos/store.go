@@ -94,11 +94,9 @@ func className(class int) string {
 	}
 }
 
-type key struct{ proc, index, instance int }
-
 type opKey struct {
 	class int
-	k     key
+	k     storage.Key
 }
 
 // Store wraps a storage.Store with seeded fault injection. The inner store
@@ -117,7 +115,7 @@ type Store struct {
 	obsv  obs.Observer // nil: no fault events
 
 	mu       sync.Mutex
-	corrupt  map[key]string // marked-unreadable keys -> reason
+	corrupt  map[storage.Key]string // marked-unreadable keys -> reason
 	attempts map[opKey]uint64
 	stats    Stats
 }
@@ -133,17 +131,17 @@ func New(inner storage.Store, seed int64, rates Rates, obsv obs.Observer) *Store
 		rates:    rates,
 		seed:     seed,
 		obsv:     obsv,
-		corrupt:  make(map[key]string),
+		corrupt:  make(map[storage.Key]string),
 		attempts: make(map[opKey]uint64),
 	}
 }
 
 // mix is a splitmix64-style finalizer over the decision inputs. Each
 // (seed, class, key, attempt) tuple gets an independent uniform draw.
-func mix(seed int64, class int, k key, attempt uint64) uint64 {
+func mix(seed int64, class int, k storage.Key, attempt uint64) uint64 {
 	x := uint64(seed)
 	x ^= uint64(class) * 0x9e3779b97f4a7c15
-	x ^= uint64(uint32(k.proc))<<42 ^ uint64(uint32(k.index))<<21 ^ uint64(uint32(k.instance))
+	x ^= uint64(uint32(k.Proc))<<42 ^ uint64(uint32(k.CFGIndex))<<21 ^ uint64(uint32(k.Instance))
 	x ^= attempt * 0xbf58476d1ce4e5b9
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -153,7 +151,7 @@ func mix(seed int64, class int, k key, attempt uint64) uint64 {
 
 // roll draws the next decision value for (class, key), advancing the
 // per-key attempt counter so retries of the same operation re-roll.
-func (c *Store) roll(class int, k key) uint64 {
+func (c *Store) roll(class int, k storage.Key) uint64 {
 	ok := opKey{class, k}
 	attempt := c.attempts[ok]
 	c.attempts[ok] = attempt + 1
@@ -169,20 +167,20 @@ func hit(h uint64, rate float64) bool {
 }
 
 // fault records an injected fault and publishes it.
-func (c *Store) fault(class int, k key, count *int64) {
+func (c *Store) fault(class int, k storage.Key, count *int64) {
 	*count++
 	if c.obsv != nil {
 		c.obsv.OnEvent(obs.Event{
-			Kind: obs.KindFault, Proc: k.proc, Inc: -1,
+			Kind: obs.KindFault, Proc: k.Proc, Inc: -1,
 			Tag:   className(class),
-			Label: fmt.Sprintf("index=%d instance=%d", k.index, k.instance),
+			Label: fmt.Sprintf("index=%d instance=%d", k.CFGIndex, k.Instance),
 		})
 	}
 }
 
 // latency sleeps a deterministic per-operation fraction of MaxLatency.
 // Called without the lock held.
-func (c *Store) latency(k key) {
+func (c *Store) latency(k storage.Key) {
 	if c.rates.MaxLatency <= 0 {
 		return
 	}
@@ -194,7 +192,7 @@ func (c *Store) latency(k key) {
 
 // Save implements storage.Store.
 func (c *Store) Save(s storage.Snapshot) error {
-	k := key{s.Proc, s.CFGIndex, s.Instance}
+	k := s.Key()
 	c.latency(k)
 	c.mu.Lock()
 	if _, marked := c.corrupt[k]; marked {
@@ -209,8 +207,7 @@ func (c *Store) Save(s storage.Snapshot) error {
 	if hit(c.roll(classWrite, k), c.rates.WriteError) {
 		c.fault(classWrite, k, &c.stats.WriteErrors)
 		c.mu.Unlock()
-		return fmt.Errorf("%w: chaos: injected write error: proc=%d index=%d instance=%d",
-			storage.ErrTransient, k.proc, k.index, k.instance)
+		return fmt.Errorf("%w: chaos: injected write error: %s", storage.ErrTransient, k)
 	}
 	torn := hit(c.roll(classTorn, k), c.rates.TornWrite)
 	flip := !torn && hit(c.roll(classFlip, k), c.rates.BitFlip)
@@ -224,8 +221,7 @@ func (c *Store) Save(s storage.Snapshot) error {
 		c.corrupt[k] = "torn write"
 		c.fault(classTorn, k, &c.stats.TornWrites)
 		c.mu.Unlock()
-		return fmt.Errorf("%w: chaos: torn write: proc=%d index=%d instance=%d",
-			storage.ErrTransient, k.proc, k.index, k.instance)
+		return fmt.Errorf("%w: chaos: torn write: %s", storage.ErrTransient, k)
 	}
 	if flip {
 		c.mu.Lock()
@@ -237,24 +233,22 @@ func (c *Store) Save(s storage.Snapshot) error {
 }
 
 // readFault rolls the read-error and corruption checks for key k.
-func (c *Store) readFault(k key) error {
+func (c *Store) readFault(k storage.Key) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if hit(c.roll(classRead, k), c.rates.ReadError) {
 		c.fault(classRead, k, &c.stats.ReadErrors)
-		return fmt.Errorf("%w: chaos: injected read error: proc=%d index=%d instance=%d",
-			storage.ErrTransient, k.proc, k.index, k.instance)
+		return fmt.Errorf("%w: chaos: injected read error: %s", storage.ErrTransient, k)
 	}
 	if reason, marked := c.corrupt[k]; marked {
-		return fmt.Errorf("%w: chaos: %s: proc=%d index=%d instance=%d",
-			storage.ErrCorrupt, reason, k.proc, k.index, k.instance)
+		return fmt.Errorf("%w: chaos: %s: %s", storage.ErrCorrupt, reason, k)
 	}
 	return nil
 }
 
 // Get implements storage.Store.
 func (c *Store) Get(proc, cfgIndex, instance int) (storage.Snapshot, error) {
-	k := key{proc, cfgIndex, instance}
+	k := storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: instance}
 	c.latency(k)
 	if err := c.readFault(k); err != nil {
 		return storage.Snapshot{}, err
@@ -265,10 +259,11 @@ func (c *Store) Get(proc, cfgIndex, instance int) (storage.Snapshot, error) {
 // Latest implements storage.Store. The fault roll keys on (proc, index)
 // alone — instance -1 — so retries of the same Latest re-roll coherently.
 func (c *Store) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
-	c.latency(key{proc, cfgIndex, -1})
+	rollKey := storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: -1}
+	c.latency(rollKey)
 	c.mu.Lock()
-	if hit(c.roll(classRead, key{proc, cfgIndex, -1}), c.rates.ReadError) {
-		c.fault(classRead, key{proc, cfgIndex, -1}, &c.stats.ReadErrors)
+	if hit(c.roll(classRead, rollKey), c.rates.ReadError) {
+		c.fault(classRead, rollKey, &c.stats.ReadErrors)
 		c.mu.Unlock()
 		return storage.Snapshot{}, fmt.Errorf("%w: chaos: injected read error: proc=%d index=%d",
 			storage.ErrTransient, proc, cfgIndex)
@@ -279,11 +274,10 @@ func (c *Store) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
 		return s, err
 	}
 	c.mu.Lock()
-	reason, marked := c.corrupt[key{proc, cfgIndex, s.Instance}]
+	reason, marked := c.corrupt[s.Key()]
 	c.mu.Unlock()
 	if marked {
-		return storage.Snapshot{}, fmt.Errorf("%w: chaos: %s: proc=%d index=%d instance=%d",
-			storage.ErrCorrupt, reason, proc, cfgIndex, s.Instance)
+		return storage.Snapshot{}, fmt.Errorf("%w: chaos: %s: %s", storage.ErrCorrupt, reason, s.Key())
 	}
 	return s, nil
 }
@@ -294,10 +288,9 @@ func (c *Store) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
 func (c *Store) List(proc int) ([]storage.Snapshot, error) {
 	c.mu.Lock()
 	for k, reason := range c.corrupt {
-		if k.proc == proc {
+		if k.Proc == proc {
 			c.mu.Unlock()
-			return nil, fmt.Errorf("%w: chaos: %s: proc=%d index=%d instance=%d",
-				storage.ErrCorrupt, reason, k.proc, k.index, k.instance)
+			return nil, fmt.Errorf("%w: chaos: %s: %s", storage.ErrCorrupt, reason, k)
 		}
 	}
 	c.mu.Unlock()
@@ -309,7 +302,7 @@ func (c *Store) Indexes(n int) ([]int, error) { return c.inner.Indexes(n) }
 
 // Delete implements storage.Store.
 func (c *Store) Delete(proc, cfgIndex, instance int) error {
-	k := key{proc, cfgIndex, instance}
+	k := storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: instance}
 	c.mu.Lock()
 	delete(c.corrupt, k)
 	c.mu.Unlock()
@@ -328,7 +321,7 @@ func (c *Store) Scrub() (storage.ScrubReport, error) {
 	var rep storage.ScrubReport
 	pending := make(map[int]int) // proc -> marked keys remaining
 	for k := range c.corrupt {
-		pending[k.proc]++
+		pending[k.Proc]++
 	}
 	procs := make([]int, 0, len(pending))
 	for p := range pending {
@@ -358,14 +351,12 @@ func (c *Store) Scrub() (storage.ScrubReport, error) {
 			if pending[p] == 0 {
 				break
 			}
-			k := key{p, s.CFGIndex, s.Instance}
+			k := s.Key()
 			if err := c.inner.Delete(p, s.CFGIndex, s.Instance); err != nil {
 				return rep, err
 			}
 			if reason, marked := c.corrupt[k]; marked {
-				rep.Quarantined = append(rep.Quarantined, storage.SnapshotRef{
-					Proc: p, CFGIndex: s.CFGIndex, Instance: s.Instance, Reason: reason,
-				})
+				rep.Quarantined = append(rep.Quarantined, storage.SnapshotRef{Key: k, Reason: reason})
 				delete(c.corrupt, k)
 				pending[p]--
 			} else {
@@ -375,10 +366,8 @@ func (c *Store) Scrub() (storage.ScrubReport, error) {
 		// Marks with no backing snapshot (deleted out of band): clear them
 		// so they stop failing reads.
 		for k, reason := range c.corrupt {
-			if k.proc == p {
-				rep.Quarantined = append(rep.Quarantined, storage.SnapshotRef{
-					Proc: p, CFGIndex: k.index, Instance: k.instance, Reason: reason,
-				})
+			if k.Proc == p {
+				rep.Quarantined = append(rep.Quarantined, storage.SnapshotRef{Key: k, Reason: reason})
 				delete(c.corrupt, k)
 			}
 		}

@@ -3,6 +3,7 @@ package chaos
 import (
 	"sync"
 
+	"repro/internal/storage"
 	"repro/internal/storage/wal"
 )
 
@@ -67,7 +68,7 @@ func (wi *WALInjector) Decide(op wal.Op, shard int, seq uint64, size int) wal.Fa
 	// Key the draw on (shard, op, seq): one independent stream per consult
 	// point. mix()'s attempt slot carries seq so long runs do not wrap the
 	// 32-bit key fields.
-	k := key{proc: shard, index: int(op), instance: 0}
+	k := storage.Key{Proc: shard, CFGIndex: int(op)}
 	var f wal.Fault
 
 	h := mix(wi.seed, classWALCrash, k, seq)

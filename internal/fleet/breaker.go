@@ -287,14 +287,9 @@ func (b *Breaker) Delete(proc, cfgIndex, instance int) error {
 // quarantine reaches durable backends through the fleet's full wrapper
 // chain (Namespace → Breaker → chaos/store). It runs under the breaker
 // protocol like any other operation: a browned-out store sheds scrubs too.
-func (b *Breaker) Scrub() (storage.ScrubReport, error) {
-	scr, ok := b.inner.(storage.Scrubber)
-	if !ok {
-		return storage.ScrubReport{}, nil
-	}
-	var rep storage.ScrubReport
-	err := b.do(func() (err error) {
-		rep, err = scr.Scrub()
+func (b *Breaker) Scrub() (rep storage.ScrubReport, err error) {
+	err = b.do(func() (err error) {
+		rep, err = storage.Scrub(b.inner)
 		return err
 	})
 	return rep, err

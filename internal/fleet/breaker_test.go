@@ -218,7 +218,7 @@ func (s *scrubbableStore) Scrub() (storage.ScrubReport, error) {
 func TestBreakerForwardsScrubber(t *testing.T) {
 	inner := &scrubbableStore{
 		Store: storage.NewMemory(),
-		marks: []storage.SnapshotRef{{Proc: 3, CFGIndex: 1, Instance: 0, Reason: "bit flip"}},
+		marks: []storage.SnapshotRef{{Key: storage.Key{Proc: 3, CFGIndex: 1}, Reason: "bit flip"}},
 	}
 	clk := &fakeClock{}
 	b := newTestBreaker(inner, clk, nil, nil)

@@ -73,41 +73,3 @@ func TestGaugesConcurrent(t *testing.T) {
 		t.Errorf("g = %g out of range", got)
 	}
 }
-
-// TestRegistryHistogramBoundsConflict is the regression test for
-// Registry.Histogram silently ignoring bounds on every call after the
-// first: conflicting bounds must panic, matching or absent bounds must
-// return the existing histogram.
-func TestRegistryHistogramBoundsConflict(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("x", 1, 2, 3)
-	if got := r.Histogram("x"); got != h {
-		t.Error("no-bounds call did not return the existing histogram")
-	}
-	if got := r.Histogram("x", 1, 2, 3); got != h {
-		t.Error("matching-bounds call did not return the existing histogram")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("conflicting bounds did not panic")
-		}
-	}()
-	r.Histogram("x", 1, 2, 4)
-}
-
-// TestRegistryHistogramDefaultThenExplicit: a histogram created with
-// default buckets then re-requested with explicitly equal bounds is not a
-// conflict; a different explicit set is.
-func TestRegistryHistogramDefaultThenExplicit(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("y") // DefaultBuckets
-	if got := r.Histogram("y", DefaultBuckets...); got != h {
-		t.Error("explicit DefaultBuckets treated as a conflict")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("conflicting bounds did not panic")
-		}
-	}()
-	r.Histogram("y", 10, 20)
-}

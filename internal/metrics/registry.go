@@ -1,30 +1,25 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
 )
 
-// Registry is a named-timer and named-histogram registry in the style of
-// OPA's metrics package: callers ask for a metric by name, lazily creating
-// it, and export a consistent snapshot at the end of a run. Command-line
-// tools use it to time pipeline stages (parse, transform, run) alongside
-// the runtime's counters. The zero value is not usable; construct with
+// Registry is a named-timer registry in the style of OPA's metrics
+// package: callers ask for a timer by name, lazily creating it, and export
+// a consistent snapshot at the end of a run. Command-line tools use it to
+// time pipeline stages (parse, transform, run) alongside the runtime's
+// counters. The zero value is not usable; construct with
 // NewRegistry. All methods are safe for concurrent use.
 type Registry struct {
 	mu     sync.Mutex
 	timers map[string]*Timer
-	hists  map[string]*Histogram
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		timers: make(map[string]*Timer),
-		hists:  make(map[string]*Histogram),
-	}
+	return &Registry{timers: make(map[string]*Timer)}
 }
 
 // Timer returns the named timer, creating it on first use.
@@ -39,43 +34,7 @@ func (r *Registry) Timer(name string) *Timer {
 	return t
 }
 
-// Histogram returns the named histogram, creating it with the given bounds
-// (DefaultBuckets when empty) on first use. Calling again with no bounds
-// returns the existing histogram whatever its bounds; calling again WITH
-// bounds panics unless they match the existing ones exactly — silently
-// ignoring them would hand the caller buckets it did not ask for, and the
-// mismatch would only surface (if ever) as a merge failure far from the
-// bug.
-func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		h = NewHistogram(bounds...)
-		r.hists[name] = h
-		return h
-	}
-	if len(bounds) > 0 && !equalBounds(h.bounds, bounds) {
-		panic(fmt.Sprintf("metrics: histogram %q exists with bounds %v, requested %v",
-			name, h.bounds, bounds))
-	}
-	return h
-}
-
-// equalBounds reports whether two bound slices are identical.
-func equalBounds(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Snapshot exports every metric, timers sorted by name.
+// Snapshot exports every timer, sorted by name.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -85,19 +44,12 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		s.Timers = append(s.Timers, TimerSnapshot{Name: name, Elapsed: elapsed, Count: count})
 	}
 	sort.Slice(s.Timers, func(i, j int) bool { return s.Timers[i].Name < s.Timers[j].Name })
-	if len(r.hists) > 0 {
-		s.Hists = make(map[string]HistSnapshot, len(r.hists))
-		for name, h := range r.hists {
-			s.Hists[name] = h.Snapshot()
-		}
-	}
 	return s
 }
 
 // RegistrySnapshot is a consistent export of a Registry.
 type RegistrySnapshot struct {
 	Timers []TimerSnapshot
-	Hists  map[string]HistSnapshot
 }
 
 // TimerSnapshot is one exported timer.

@@ -85,9 +85,6 @@ func WriteMetricsJSONL(w io.Writer, meta RunMeta, m metrics.Snapshot, reg metric
 	if err := writeHistLines(enc, m.Hists); err != nil {
 		return err
 	}
-	if err := writeHistLines(enc, reg.Hists); err != nil {
-		return err
-	}
 	for _, t := range reg.Timers {
 		line := metricsLine{Type: "timer", Name: t.Name, NS: t.Elapsed.Nanoseconds(), Count: t.Count}
 		if err := enc.Encode(line); err != nil {

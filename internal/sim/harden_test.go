@@ -54,7 +54,7 @@ func TestExhaustedSaveBecomesCrashAndRecovers(t *testing.T) {
 	flaky := &flakyStore{Store: storage.NewMemory(), fails: 2}
 	res := runOK(t, p, 4, func(c *Config) {
 		c.Store = flaky
-		c.MaxStoreAttempts = 1
+		c.Retry = &RetryPolicy{MaxAttempts: 1}
 		c.MaxRestarts = 5
 	})
 	if res.Restarts < 1 {

@@ -89,19 +89,13 @@ type Config struct {
 	// MaxRestarts bounds recovery attempts (default: one more than the
 	// total number of scheduled failures).
 	MaxRestarts int
-	// MaxStoreAttempts bounds the attempts per stable-storage operation
-	// when the store reports transient faults (storage.ErrTransient);
-	// attempts back off exponentially with jitter. 0 selects the default
-	// (6); 1 disables retry. A checkpoint save that exhausts its attempts
-	// crashes the saving process, turning a storage outage into an
-	// ordinary recovery instead of a failed run. Shorthand for
-	// Retry.MaxAttempts; ignored when Retry is set.
-	MaxStoreAttempts int
-	// Retry, when non-nil, fully specifies the storage retry layer —
-	// attempt cap, backoff shape, jitter, and an optional shared
-	// RetryBudget (fleet drivers use the budget to bound retries across
-	// many concurrent jobs). Nil falls back to MaxStoreAttempts with
-	// default backoff.
+	// Retry, when non-nil, specifies the storage retry layer applied when
+	// the store reports transient faults (storage.ErrTransient) — attempt
+	// cap, backoff shape, jitter, and an optional shared RetryBudget (fleet
+	// drivers use the budget to bound retries across many concurrent
+	// jobs). Nil selects the RetryPolicy defaults. A checkpoint save that
+	// exhausts its attempts crashes the saving process, turning a storage
+	// outage into an ordinary recovery instead of a failed run.
 	Retry *RetryPolicy
 	// Cancel, when non-nil, requests early termination when closed: the
 	// run stops at the next incarnation boundary — or aborts the current
@@ -249,7 +243,7 @@ func Run(cfg Config) (*Result, error) {
 	// Every runtime access to stable storage goes through the retry
 	// wrapper; Result.Store and Scrub still see the caller's store
 	// directly. The seed only perturbs backoff jitter, never results.
-	policy := RetryPolicy{MaxAttempts: cfg.MaxStoreAttempts}
+	var policy RetryPolicy
 	if cfg.Retry != nil {
 		policy = *cfg.Retry
 	}
@@ -476,19 +470,28 @@ func Run(cfg Config) (*Result, error) {
 		case err != nil:
 			return nil, err
 		}
-		if scr, ok := st.(storage.Scrubber); ok {
-			rep, err := scr.Scrub()
-			if err != nil {
-				return nil, err
+		// Work lost to this rollback: every event a process executed past
+		// the checkpoint it returns to, counted on its own clock component
+		// (which orders its local events totally).
+		lost := 0
+		for p, pr := range procs {
+			lost += int(pr.clock[p])
+			if line != nil {
+				lost -= int(line.Snapshots[p].Clock[p])
 			}
-			if q := len(rep.Quarantined); q > 0 || rep.TempFiles > 0 {
-				counters.Inc(MetricScrubQuarantined, q)
-				if cfg.Observer != nil {
-					cfg.Observer.OnEvent(obs.Event{
-						Kind: obs.KindScrub, Proc: -1, Inc: incarnation,
-						Label: fmt.Sprintf("quarantined %d snapshot(s), removed %d temp file(s)", q, rep.TempFiles),
-					})
-				}
+		}
+		counters.IncRestartedEvents(lost)
+		rep, err := storage.Scrub(st)
+		if err != nil {
+			return nil, err
+		}
+		if q := len(rep.Quarantined); q > 0 || rep.TempFiles > 0 {
+			counters.Inc(MetricScrubQuarantined, q)
+			if cfg.Observer != nil {
+				cfg.Observer.OnEvent(obs.Event{
+					Kind: obs.KindScrub, Proc: -1, Inc: incarnation,
+					Label: fmt.Sprintf("quarantined %d snapshot(s), removed %d temp file(s)", q, rep.TempFiles),
+				})
 			}
 		}
 		if line != nil && line.Degraded > 0 {

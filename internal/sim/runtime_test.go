@@ -175,6 +175,29 @@ func TestFailureBeforeAnyCheckpointRestartsFromScratch(t *testing.T) {
 	}
 }
 
+// RestartedEvents is the work a rollback throws away: each process's own
+// clock ticks past the checkpoint it returns to (all of them on a
+// from-scratch restart).
+func TestRestartedEventsCountsLostWork(t *testing.T) {
+	p := corpus.JacobiFig1(4)
+	if got := runOK(t, p, 4).Metrics.RestartedEvents; got != 0 {
+		t.Errorf("failure-free run: RestartedEvents = %d, want 0", got)
+	}
+	failed := runOK(t, p, 4, func(c *Config) {
+		c.Failures = []Failure{{Proc: 1, AfterEvents: 8}}
+	})
+	if failed.Restarts != 1 || failed.Metrics.RestartedEvents <= 0 {
+		t.Errorf("one failure: restarts = %d, RestartedEvents = %d, want 1 and > 0",
+			failed.Restarts, failed.Metrics.RestartedEvents)
+	}
+	scratch := runOK(t, p, 4, func(c *Config) {
+		c.Failures = []Failure{{Proc: 0, AfterEvents: 1}} // before first chkpt
+	})
+	if scratch.Metrics.RestartedEvents <= 0 {
+		t.Errorf("from-scratch restart: RestartedEvents = %d, want > 0", scratch.Metrics.RestartedEvents)
+	}
+}
+
 func TestMultipleFailures(t *testing.T) {
 	p := corpus.JacobiFig1(5)
 	clean := runOK(t, p, 4)

@@ -2,13 +2,11 @@ package storage
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -79,7 +77,7 @@ func (f *File) Save(s Snapshot) error {
 	if _, err := os.Stat(path); err == nil {
 		return fmt.Errorf("%w: %s", ErrDuplicate, filepath.Base(path))
 	}
-	body, err := json.Marshal(s)
+	body, err := EncodeSnapshot(s)
 	if err != nil {
 		return fmt.Errorf("storage: encode snapshot: %w", err)
 	}
@@ -161,8 +159,8 @@ func (f *File) load(path string) (Snapshot, error) {
 		return Snapshot{}, fmt.Errorf("%w: %s crc %08x != %08x",
 			ErrCorrupt, filepath.Base(path), got, want)
 	}
-	var s Snapshot
-	if err := json.Unmarshal(body, &s); err != nil {
+	s, err := DecodeSnapshot(body)
+	if err != nil {
 		return Snapshot{}, fmt.Errorf("%w: %s undecodable: %v", ErrCorrupt, filepath.Base(path), err)
 	}
 	return s, nil
@@ -207,9 +205,7 @@ func (f *File) Scrub() (ScrubReport, error) {
 		if err := os.Rename(filepath.Join(f.dir, name), filepath.Join(qdir, name)); err != nil {
 			return rep, fmt.Errorf("storage: scrub quarantine %s: %w", name, err)
 		}
-		rep.Quarantined = append(rep.Quarantined, SnapshotRef{
-			Proc: proc, CFGIndex: index, Instance: instance, Reason: lerr.Error(),
-		})
+		rep.Quarantined = append(rep.Quarantined, SnapshotRef{Key{proc, index, instance}, lerr.Error()})
 	}
 	if len(rep.Quarantined) > 0 || rep.TempFiles > 0 {
 		if err := syncDir(f.dir); err != nil {
@@ -257,23 +253,17 @@ func (f *File) List(proc int) ([]Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: list dir: %w", err)
 	}
-	type pi struct{ index, instance int }
-	var keys []pi
+	var keys []Key
 	for _, e := range entries {
 		p, i, k, ok := parseName(e.Name())
 		if ok && p == proc {
-			keys = append(keys, pi{i, k})
+			keys = append(keys, Key{p, i, k})
 		}
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].index != keys[b].index {
-			return keys[a].index < keys[b].index
-		}
-		return keys[a].instance < keys[b].instance
-	})
+	SortKeys(keys)
 	out := make([]Snapshot, 0, len(keys))
 	for _, k := range keys {
-		s, err := f.load(f.path(proc, k.index, k.instance))
+		s, err := f.load(f.path(proc, k.CFGIndex, k.Instance))
 		if err != nil {
 			return nil, err
 		}
@@ -304,23 +294,11 @@ func (f *File) Indexes(n int) ([]int, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: list dir: %w", err)
 	}
-	count := make(map[int]map[int]bool)
+	var keys []Key
 	for _, e := range entries {
-		p, i, _, ok := parseName(e.Name())
-		if !ok {
-			continue
-		}
-		if count[i] == nil {
-			count[i] = make(map[int]bool)
-		}
-		count[i][p] = true
-	}
-	var out []int
-	for idx, procs := range count {
-		if len(procs) == n {
-			out = append(out, idx)
+		if p, i, k, ok := parseName(e.Name()); ok {
+			keys = append(keys, Key{p, i, k})
 		}
 	}
-	sort.Ints(out)
-	return out, nil
+	return CommonIndexes(n, keys), nil
 }

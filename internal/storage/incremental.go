@@ -1,10 +1,8 @@
 package storage
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"sync"
 )
 
@@ -29,7 +27,7 @@ type Incremental struct {
 	// recs holds the raw records in per-process temporal order.
 	recs map[int][]record
 	// byKey indexes records by (proc, index, instance).
-	byKey map[key]int // position within recs[proc]
+	byKey map[Key]int // position within recs[proc]
 
 	fullBytes  int
 	deltaBytes int
@@ -61,21 +59,21 @@ func NewIncremental(fullEvery int) *Incremental {
 	return &Incremental{
 		fullEvery: fullEvery,
 		recs:      make(map[int][]record),
-		byKey:     make(map[key]int),
+		byKey:     make(map[Key]int),
 	}
 }
 
-// snapshotCRC fingerprints a fully reconstructed snapshot. JSON encoding
-// sorts map keys, so the fingerprint is deterministic. A nil variable map
-// is normalized to empty: delta reconstruction always rebuilds a concrete
-// map, and the fingerprint must not depend on that representation detail.
+// snapshotCRC fingerprints a fully reconstructed snapshot by its
+// (deterministic) EncodeSnapshot bytes. A nil variable map is normalized
+// to empty: delta reconstruction always rebuilds a concrete map, and the
+// fingerprint must not depend on that representation detail.
 func snapshotCRC(s Snapshot) uint32 {
 	if s.Vars == nil {
 		s.Vars = map[string]int{}
 	}
-	b, err := json.Marshal(s)
+	b, err := EncodeSnapshot(s)
 	if err != nil {
-		// Snapshot contains only maps, slices, and scalars; Marshal cannot
+		// Snapshot contains only maps, slices, and scalars; encoding cannot
 		// fail on it. Guard anyway so a future field cannot silently
 		// disable verification.
 		panic(fmt.Sprintf("storage: snapshot not encodable: %v", err))
@@ -87,9 +85,9 @@ func snapshotCRC(s Snapshot) uint32 {
 func (inc *Incremental) Save(s Snapshot) error {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	k := key{s.Proc, s.CFGIndex, s.Instance}
+	k := s.Key()
 	if _, dup := inc.byKey[k]; dup {
-		return fmt.Errorf("%w: proc=%d index=%d instance=%d", ErrDuplicate, s.Proc, s.CFGIndex, s.Instance)
+		return fmt.Errorf("%w: %s", ErrDuplicate, k)
 	}
 	chain := inc.recs[s.Proc]
 	full := len(chain)%inc.fullEvery == 0
@@ -160,8 +158,8 @@ func (inc *Incremental) reconstructLocked(proc, pos int) (Snapshot, error) {
 		out.Vars = merged
 	}
 	if got := snapshotCRC(out); got != chain[pos].crc {
-		return Snapshot{}, fmt.Errorf("%w: proc=%d index=%d instance=%d reconstruction crc %08x != %08x (damaged delta chain)",
-			ErrCorrupt, proc, chain[pos].snap.CFGIndex, chain[pos].snap.Instance, got, chain[pos].crc)
+		return Snapshot{}, fmt.Errorf("%w: %s reconstruction crc %08x != %08x (damaged delta chain)",
+			ErrCorrupt, chain[pos].snap.Key(), got, chain[pos].crc)
 	}
 	return out, nil
 }
@@ -170,9 +168,10 @@ func (inc *Incremental) reconstructLocked(proc, pos int) (Snapshot, error) {
 func (inc *Incremental) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	pos, ok := inc.byKey[key{proc, cfgIndex, instance}]
+	k := Key{proc, cfgIndex, instance}
+	pos, ok := inc.byKey[k]
 	if !ok {
-		return Snapshot{}, fmt.Errorf("%w: proc=%d index=%d instance=%d", ErrNotFound, proc, cfgIndex, instance)
+		return Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
 	return inc.reconstructLocked(proc, pos)
 }
@@ -184,8 +183,8 @@ func (inc *Incremental) Latest(proc, cfgIndex int) (Snapshot, error) {
 	best := -1
 	bestInst := -1
 	for k, pos := range inc.byKey {
-		if k.proc == proc && k.index == cfgIndex && k.instance > bestInst {
-			bestInst = k.instance
+		if k.Proc == proc && k.CFGIndex == cfgIndex && k.Instance > bestInst {
+			bestInst = k.Instance
 			best = pos
 		}
 	}
@@ -208,12 +207,7 @@ func (inc *Incremental) List(proc int) ([]Snapshot, error) {
 		}
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].CFGIndex != out[j].CFGIndex {
-			return out[i].CFGIndex < out[j].CFGIndex
-		}
-		return out[i].Instance < out[j].Instance
-	})
+	SortSnapshots(out)
 	return out, nil
 }
 
@@ -221,21 +215,11 @@ func (inc *Incremental) List(proc int) ([]Snapshot, error) {
 func (inc *Incremental) Indexes(n int) ([]int, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	count := make(map[int]map[int]bool)
+	keys := make([]Key, 0, len(inc.byKey))
 	for k := range inc.byKey {
-		if count[k.index] == nil {
-			count[k.index] = make(map[int]bool)
-		}
-		count[k.index][k.proc] = true
+		keys = append(keys, k)
 	}
-	var out []int
-	for idx, procs := range count {
-		if len(procs) == n {
-			out = append(out, idx)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
+	return CommonIndexes(n, keys), nil
 }
 
 // Delete implements Store. Only the TAIL of a process's chain can be
@@ -244,10 +228,10 @@ func (inc *Incremental) Indexes(n int) ([]int, error) {
 func (inc *Incremental) Delete(proc, cfgIndex, instance int) error {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	k := key{proc, cfgIndex, instance}
+	k := Key{proc, cfgIndex, instance}
 	pos, ok := inc.byKey[k]
 	if !ok {
-		return fmt.Errorf("%w: proc=%d index=%d instance=%d", ErrNotFound, proc, cfgIndex, instance)
+		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
 	chain := inc.recs[proc]
 	if pos != len(chain)-1 {
@@ -267,9 +251,10 @@ func (inc *Incremental) Delete(proc, cfgIndex, instance int) error {
 func (inc *Incremental) Tamper(proc, cfgIndex, instance int, mutate func(vars map[string]int)) error {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	pos, ok := inc.byKey[key{proc, cfgIndex, instance}]
+	k := Key{proc, cfgIndex, instance}
+	pos, ok := inc.byKey[k]
 	if !ok {
-		return fmt.Errorf("%w: proc=%d index=%d instance=%d", ErrNotFound, proc, cfgIndex, instance)
+		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
 	mutate(inc.recs[proc][pos].snap.Vars)
 	return nil
@@ -296,14 +281,10 @@ func (inc *Incremental) Scrub() (ScrubReport, error) {
 			continue
 		}
 		for pos := cut; pos < len(chain); pos++ {
-			s := chain[pos].snap
-			k := key{proc, s.CFGIndex, s.Instance}
+			k := chain[pos].snap.Key()
 			delete(inc.byKey, k)
 			if _, err := inc.reconstructLocked(proc, pos); err != nil {
-				rep.Quarantined = append(rep.Quarantined, SnapshotRef{
-					Proc: proc, CFGIndex: s.CFGIndex, Instance: s.Instance,
-					Reason: err.Error(),
-				})
+				rep.Quarantined = append(rep.Quarantined, SnapshotRef{k, err.Error()})
 			} else {
 				rep.Collateral++
 			}

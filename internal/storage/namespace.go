@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Namespace is a per-job view of a shared Store. A fleet runs thousands of
 // jobs against one backing store; every job numbers its processes 0..n-1
@@ -115,28 +112,17 @@ func (ns *Namespace) Indexes(n int) ([]int, error) {
 	if n <= 0 || n > ns.nproc {
 		return nil, fmt.Errorf("storage: namespace Indexes(%d) outside job size %d", n, ns.nproc)
 	}
-	counts := make(map[int]int)
+	var keys []Key
 	for p := 0; p < n; p++ {
 		snaps, err := ns.inner.List(p + ns.base)
 		if err != nil {
 			return nil, err
 		}
-		seen := make(map[int]bool)
 		for _, s := range snaps {
-			if !seen[s.CFGIndex] {
-				seen[s.CFGIndex] = true
-				counts[s.CFGIndex]++
-			}
+			keys = append(keys, s.Key())
 		}
 	}
-	var out []int
-	for idx, c := range counts {
-		if c == n {
-			out = append(out, idx)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
+	return CommonIndexes(n, keys), nil
 }
 
 // Delete implements Store.
@@ -153,14 +139,9 @@ func (ns *Namespace) Delete(proc, cfgIndex, instance int) error {
 // process range come back in local numbering, and quarantines outside it
 // are counted as Collateral rather than listed, so a job never sees
 // another job's key space. When the backing store is not a Scrubber the
-// scrub is a clean no-op, preserving the old behaviour for memory-backed
-// fleets.
+// scrub is a clean no-op (memory-backed fleets).
 func (ns *Namespace) Scrub() (ScrubReport, error) {
-	scr, ok := ns.inner.(Scrubber)
-	if !ok {
-		return ScrubReport{}, nil
-	}
-	rep, err := scr.Scrub()
+	rep, err := Scrub(ns.inner)
 	if err != nil {
 		return ScrubReport{}, err
 	}

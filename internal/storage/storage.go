@@ -9,6 +9,7 @@
 package storage
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -72,6 +73,78 @@ func (s Snapshot) clone() Snapshot {
 	return c
 }
 
+// Key names one checkpoint: Definition 2.3's (process, CFG checkpoint
+// index, instance). Every store indexes by it, and its order — Less — is
+// the order List returns and scrub reports are sorted in.
+type Key struct{ Proc, CFGIndex, Instance int }
+
+// Key returns the key s is stored under.
+func (s Snapshot) Key() Key { return Key{s.Proc, s.CFGIndex, s.Instance} }
+
+// Less orders keys lexicographically by (Proc, CFGIndex, Instance); among
+// the keys of one process that is the (CFGIndex, Instance) order of List.
+func (k Key) Less(o Key) bool {
+	if k.Proc != o.Proc {
+		return k.Proc < o.Proc
+	}
+	if k.CFGIndex != o.CFGIndex {
+		return k.CFGIndex < o.CFGIndex
+	}
+	return k.Instance < o.Instance
+}
+
+func (k Key) String() string {
+	return fmt.Sprintf("proc=%d index=%d instance=%d", k.Proc, k.CFGIndex, k.Instance)
+}
+
+// SortKeys sorts keys in Less order.
+func SortKeys(keys []Key) {
+	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
+}
+
+// SortSnapshots sorts snaps by key, the order List promises.
+func SortSnapshots(snaps []Snapshot) {
+	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Key().Less(snaps[j].Key()) })
+}
+
+// CommonIndexes returns, sorted, the CFG checkpoint indexes that occur in
+// keys under exactly n distinct processes — the candidate straight cuts of
+// an n-process application whose keys these are. Instances are ignored, and
+// a key counts whether or not its snapshot still loads: finding that out is
+// the recovery ladder's job.
+func CommonIndexes(n int, keys []Key) []int {
+	procs := make(map[int]map[int]bool) // index -> processes holding it
+	for _, k := range keys {
+		if procs[k.CFGIndex] == nil {
+			procs[k.CFGIndex] = make(map[int]bool)
+		}
+		procs[k.CFGIndex][k.Proc] = true
+	}
+	var out []int
+	for idx, ps := range procs {
+		if len(ps) == n {
+			out = append(out, idx)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// EncodeSnapshot and DecodeSnapshot are the snapshot body format of every
+// persistent store (.ckpt files, WAL put records, the incremental store's
+// reconstruction checksum): encoding/json, map keys sorted, so the bytes
+// are a deterministic function of the snapshot. Integrity framing (CRC,
+// length) is the store's own; a DecodeSnapshot error means the body inside
+// an intact frame is not a snapshot, which callers report as ErrCorrupt.
+func EncodeSnapshot(s Snapshot) ([]byte, error) { return json.Marshal(s) }
+
+// DecodeSnapshot inverts EncodeSnapshot.
+func DecodeSnapshot(body []byte) (Snapshot, error) {
+	var s Snapshot
+	err := json.Unmarshal(body, &s)
+	return s, err
+}
+
 // Store is the stable-storage interface used by the runtime and the
 // recovery machinery.
 type Store interface {
@@ -126,9 +199,7 @@ var ErrFsync = errors.New("storage: fsync failed")
 // SnapshotRef names one snapshot without carrying its state — used by
 // scrub reports to identify what was quarantined.
 type SnapshotRef struct {
-	Proc     int
-	CFGIndex int
-	Instance int
+	Key
 	// Reason is a human-readable cause (crc mismatch, torn write, broken
 	// delta chain, ...).
 	Reason string
@@ -156,13 +227,21 @@ type Scrubber interface {
 	Scrub() (ScrubReport, error)
 }
 
-type key struct{ proc, index, instance int }
+// Scrub scrubs st when it is a Scrubber and reports a clean no-op when it
+// is not (the memory store verifies nothing). Wrappers and the runtime
+// reach a store's scrub through here rather than asserting themselves.
+func Scrub(st Store) (ScrubReport, error) {
+	if scr, ok := st.(Scrubber); ok {
+		return scr.Scrub()
+	}
+	return ScrubReport{}, nil
+}
 
 // Memory is an in-memory Store safe for concurrent use. The zero value is
 // ready to use.
 type Memory struct {
 	mu    sync.Mutex
-	snaps map[key]Snapshot
+	snaps map[Key]Snapshot
 }
 
 var _ Store = (*Memory)(nil)
@@ -175,11 +254,11 @@ func (m *Memory) Save(s Snapshot) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.snaps == nil {
-		m.snaps = make(map[key]Snapshot)
+		m.snaps = make(map[Key]Snapshot)
 	}
-	k := key{s.Proc, s.CFGIndex, s.Instance}
+	k := s.Key()
 	if _, ok := m.snaps[k]; ok {
-		return fmt.Errorf("%w: proc=%d index=%d instance=%d", ErrDuplicate, s.Proc, s.CFGIndex, s.Instance)
+		return fmt.Errorf("%w: %s", ErrDuplicate, k)
 	}
 	m.snaps[k] = s.clone()
 	return nil
@@ -191,7 +270,7 @@ func (m *Memory) Latest(proc, cfgIndex int) (Snapshot, error) {
 	defer m.mu.Unlock()
 	best, found := Snapshot{}, false
 	for k, s := range m.snaps {
-		if k.proc == proc && k.index == cfgIndex && (!found || k.instance > best.Instance) {
+		if k.Proc == proc && k.CFGIndex == cfgIndex && (!found || k.Instance > best.Instance) {
 			best, found = s, true
 		}
 	}
@@ -205,9 +284,10 @@ func (m *Memory) Latest(proc, cfgIndex int) (Snapshot, error) {
 func (m *Memory) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s, ok := m.snaps[key{proc, cfgIndex, instance}]
+	k := Key{proc, cfgIndex, instance}
+	s, ok := m.snaps[k]
 	if !ok {
-		return Snapshot{}, fmt.Errorf("%w: proc=%d index=%d instance=%d", ErrNotFound, proc, cfgIndex, instance)
+		return Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
 	return s.clone(), nil
 }
@@ -218,16 +298,11 @@ func (m *Memory) List(proc int) ([]Snapshot, error) {
 	defer m.mu.Unlock()
 	var out []Snapshot
 	for k, s := range m.snaps {
-		if k.proc == proc {
+		if k.Proc == proc {
 			out = append(out, s.clone())
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].CFGIndex != out[j].CFGIndex {
-			return out[i].CFGIndex < out[j].CFGIndex
-		}
-		return out[i].Instance < out[j].Instance
-	})
+	SortSnapshots(out)
 	return out, nil
 }
 
@@ -235,31 +310,20 @@ func (m *Memory) List(proc int) ([]Snapshot, error) {
 func (m *Memory) Indexes(n int) ([]int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// count[index] = set of procs having it.
-	count := make(map[int]map[int]bool)
+	keys := make([]Key, 0, len(m.snaps))
 	for k := range m.snaps {
-		if count[k.index] == nil {
-			count[k.index] = make(map[int]bool)
-		}
-		count[k.index][k.proc] = true
+		keys = append(keys, k)
 	}
-	var out []int
-	for idx, procs := range count {
-		if len(procs) == n {
-			out = append(out, idx)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
+	return CommonIndexes(n, keys), nil
 }
 
 // Delete implements Store.
 func (m *Memory) Delete(proc, cfgIndex, instance int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := key{proc, cfgIndex, instance}
+	k := Key{proc, cfgIndex, instance}
 	if _, ok := m.snaps[k]; !ok {
-		return fmt.Errorf("%w: proc=%d index=%d instance=%d", ErrNotFound, proc, cfgIndex, instance)
+		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
 	delete(m.snaps, k)
 	return nil

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/storage"
 )
 
 // manifest is the per-shard source of truth for which segment files exist
@@ -266,7 +268,7 @@ func (sh *shard) compactLocked(force bool) error {
 
 	// Gather live records in sealed segments, in deterministic key order.
 	type liveRec struct {
-		key recKey
+		key storage.Key
 		l   loc
 	}
 	var lives []liveRec
@@ -275,28 +277,19 @@ func (sh *shard) compactLocked(force bool) error {
 			lives = append(lives, liveRec{k, l})
 		}
 	}
-	sortRecs := func(a, b recKey) bool {
-		if a.proc != b.proc {
-			return a.proc < b.proc
-		}
-		if a.index != b.index {
-			return a.index < b.index
-		}
-		return a.instance < b.instance
-	}
-	sort.Slice(lives, func(i, j int) bool { return sortRecs(lives[i].key, lives[j].key) })
-	var marks []recKey
+	sort.Slice(lives, func(i, j int) bool { return lives[i].key.Less(lives[j].key) })
+	var marks []storage.Key
 	for k := range sh.corrupt {
 		marks = append(marks, k)
 	}
-	sort.Slice(marks, func(i, j int) bool { return sortRecs(marks[i], marks[j]) })
+	storage.SortKeys(marks)
 
 	// Write the compacted segment: copy live frames verbatim (their CRC
 	// travels with them — compaction cannot launder corruption), then
 	// re-emit quarantine marks.
 	var (
 		buf     []byte
-		newLocs = make(map[recKey]loc, len(lives))
+		newLocs = make(map[storage.Key]loc, len(lives))
 	)
 	for _, lr := range lives {
 		f := sh.files[lr.l.seg]

@@ -78,21 +78,21 @@ func runCrashWorkload(t *testing.T, si *scriptInjector) {
 		t.Fatalf("Open: %v", err)
 	}
 
-	acked := map[recKey]bool{}        // Save returned nil
-	deleted := map[recKey]bool{}      // Delete returned nil
-	delAttempted := map[recKey]bool{} // Delete issued — acked or not, the
+	acked := map[storage.Key]bool{}        // Save returned nil
+	deleted := map[storage.Key]bool{}      // Delete returned nil
+	delAttempted := map[storage.Key]bool{} // Delete issued — acked or not, the
 	// tombstone may have been fsynced before the crash killed the ack
 	const n = 120
 	for i := 0; i < n; i++ {
-		k := recKey{i % 2, i / 2, 0}
-		if err := w.Save(snap(k.proc, k.index, k.instance)); err == nil {
+		k := key(i%2, i/2, 0)
+		if err := w.Save(snap(k.Proc, k.CFGIndex, k.Instance)); err == nil {
 			acked[k] = true
 		} else if !errors.Is(err, ErrCrashed) {
 			t.Fatalf("Save(%v) failed with non-crash error: %v", k, err)
 		}
 		if i%5 == 4 {
-			dk := recKey{(i - 2) % 2, (i - 2) / 2, 0}
-			err := w.Delete(dk.proc, dk.index, dk.instance)
+			dk := key((i-2)%2, (i-2)/2, 0)
+			err := w.Delete(dk.Proc, dk.CFGIndex, dk.Instance)
 			if err == nil {
 				delete(acked, dk)
 				deleted[dk] = true
@@ -114,7 +114,7 @@ func runCrashWorkload(t *testing.T, si *scriptInjector) {
 	defer w2.Close()
 
 	for k := range acked {
-		s, err := w2.Get(k.proc, k.index, k.instance)
+		s, err := w2.Get(k.Proc, k.CFGIndex, k.Instance)
 		if err != nil {
 			if delAttempted[k] && errors.Is(err, storage.ErrNotFound) {
 				// An unacked Delete's tombstone beat the crash to disk.
@@ -122,30 +122,30 @@ func runCrashWorkload(t *testing.T, si *scriptInjector) {
 			}
 			t.Fatalf("ACKED save %v lost after crash+reopen (injector fired=%v): %v", k, si.fired, err)
 		}
-		if want := k.proc*1000 + k.index*10 + k.instance; s.Vars["x"] != want {
+		if want := k.Proc*1000 + k.CFGIndex*10 + k.Instance; s.Vars["x"] != want {
 			t.Fatalf("acked save %v recovered with wrong body: %+v", k, s)
 		}
 	}
 	for k := range deleted {
-		if _, err := w2.Get(k.proc, k.index, k.instance); !errors.Is(err, storage.ErrNotFound) {
+		if _, err := w2.Get(k.Proc, k.CFGIndex, k.Instance); !errors.Is(err, storage.ErrNotFound) {
 			t.Fatalf("ACKED delete %v resurrected after crash+reopen: %v", k, err)
 		}
 	}
 	// Unacked keys: absent is fine (the crash beat the fsync); present must
 	// be fully intact (the fsync beat the crash) — never torn, never wrong.
 	for i := 0; i < n; i++ {
-		k := recKey{i % 2, i / 2, 0}
+		k := key(i%2, i/2, 0)
 		if acked[k] || deleted[k] {
 			continue
 		}
-		s, err := w2.Get(k.proc, k.index, k.instance)
+		s, err := w2.Get(k.Proc, k.CFGIndex, k.Instance)
 		if err != nil {
 			if errors.Is(err, storage.ErrNotFound) || errors.Is(err, storage.ErrCorrupt) {
 				continue
 			}
 			t.Fatalf("unacked key %v read failed oddly: %v", k, err)
 		}
-		if want := k.proc*1000 + k.index*10 + k.instance; s.Vars["x"] != want {
+		if want := k.Proc*1000 + k.CFGIndex*10 + k.Instance; s.Vars["x"] != want {
 			t.Fatalf("unacked key %v served torn/wrong bytes: %+v", k, s)
 		}
 	}
@@ -162,9 +162,9 @@ func TestInjectedFlipServedAsCorrupt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ackedKeys []recKey
+		var ackedKeys []storage.Key
 		for i := 0; i < 10; i++ {
-			k := recKey{0, i, 0}
+			k := key(0, i, 0)
 			if err := w.Save(snap(0, i, 0)); err != nil {
 				t.Fatalf("Save under flip injection must still ack: %v", err)
 			}
@@ -176,10 +176,10 @@ func TestInjectedFlipServedAsCorrupt(t *testing.T) {
 		countCorrupt := func(w *Store) int {
 			n := 0
 			for _, k := range ackedKeys {
-				s, err := w.Get(k.proc, k.index, k.instance)
+				s, err := w.Get(k.Proc, k.CFGIndex, k.Instance)
 				switch {
 				case err == nil:
-					if want := k.index * 10; s.Vars["x"] != want {
+					if want := k.CFGIndex * 10; s.Vars["x"] != want {
 						t.Fatalf("flip served as valid data: %+v", s)
 					}
 				case errors.Is(err, storage.ErrCorrupt):

@@ -25,7 +25,7 @@ func fuzzPut(proc, index, instance int) []byte {
 	if err != nil {
 		panic(err)
 	}
-	return encodeFrame(kindPut, recKey{proc: proc, index: index, instance: instance}, body)
+	return encodeFrame(kindPut, key(proc, index, instance), body)
 }
 
 // FuzzWALRecover feeds arbitrary bytes to the WAL as the contents of a
@@ -53,9 +53,9 @@ func FuzzWALRecover(f *testing.F) {
 	f.Add(flipped)
 	two := append(append([]byte(nil), valid...), fuzzPut(2, 3, 1)...)
 	f.Add(two)
-	tomb := append(append([]byte(nil), valid...), encodeFrame(kindTomb, recKey{proc: 0, index: 1, instance: 0}, nil)...)
+	tomb := append(append([]byte(nil), valid...), encodeFrame(kindTomb, key(0, 1, 0), nil)...)
 	f.Add(tomb)
-	f.Add(encodeFrame(kindMark, recKey{proc: 5, index: 0, instance: 2}, []byte("prior quarantine")))
+	f.Add(encodeFrame(kindMark, key(5, 0, 2), []byte("prior quarantine")))
 	huge := append([]byte(nil), valid...)
 	binary.BigEndian.PutUint32(huge[4:], 1<<30) // length field past maxPayload
 	f.Add(huge)
@@ -81,11 +81,11 @@ func FuzzWALRecover(f *testing.F) {
 		if err != nil {
 			t.Fatalf("recovery failed on a lone active segment: %v", err)
 		}
-		check := func(w *Store) (indexed, quarantined map[recKey]bool) {
+		check := func(w *Store) (indexed, quarantined map[storage.Key]bool) {
 			sh := w.shards[0]
 			sh.mu.Lock()
-			indexed = make(map[recKey]bool, len(sh.index))
-			quarantined = make(map[recKey]bool, len(sh.corrupt))
+			indexed = make(map[storage.Key]bool, len(sh.index))
+			quarantined = make(map[storage.Key]bool, len(sh.corrupt))
 			for k := range sh.index {
 				indexed[k] = true
 			}
@@ -94,16 +94,16 @@ func FuzzWALRecover(f *testing.F) {
 			}
 			sh.mu.Unlock()
 			for k := range indexed {
-				s, err := w.Get(k.proc, k.index, k.instance)
+				s, err := w.Get(k.Proc, k.CFGIndex, k.Instance)
 				if err != nil {
 					t.Fatalf("indexed key %+v unreadable: %v", k, err)
 				}
-				if s.Proc != k.proc || s.CFGIndex != k.index || s.Instance != k.instance {
+				if s.Proc != k.Proc || s.CFGIndex != k.CFGIndex || s.Instance != k.Instance {
 					t.Fatalf("key %+v served snapshot for %d/%d/%d", k, s.Proc, s.CFGIndex, s.Instance)
 				}
 			}
 			for k := range quarantined {
-				if _, err := w.Get(k.proc, k.index, k.instance); !errors.Is(err, storage.ErrCorrupt) {
+				if _, err := w.Get(k.Proc, k.CFGIndex, k.Instance); !errors.Is(err, storage.ErrCorrupt) {
 					t.Fatalf("quarantined key %+v = %v, want ErrCorrupt", k, err)
 				}
 			}

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 
@@ -38,12 +37,6 @@ const (
 	kindCorruptRegion = 0xFF
 )
 
-type recKey struct{ proc, index, instance int }
-
-func (k recKey) String() string {
-	return fmt.Sprintf("proc=%d index=%d instance=%d", k.proc, k.index, k.instance)
-}
-
 // loc names one frame inside a shard's segment chain.
 type loc struct {
 	seg  uint64
@@ -52,12 +45,12 @@ type loc struct {
 }
 
 // encodeFrame builds one complete frame for (kind, key, body).
-func encodeFrame(kind byte, k recKey, body []byte) []byte {
+func encodeFrame(kind byte, k storage.Key, body []byte) []byte {
 	payload := make([]byte, payloadHead+len(body))
 	payload[0] = kind
-	binary.BigEndian.PutUint32(payload[1:], uint32(int32(k.proc)))
-	binary.BigEndian.PutUint32(payload[5:], uint32(int32(k.index)))
-	binary.BigEndian.PutUint32(payload[9:], uint32(int32(k.instance)))
+	binary.BigEndian.PutUint32(payload[1:], uint32(int32(k.Proc)))
+	binary.BigEndian.PutUint32(payload[5:], uint32(int32(k.CFGIndex)))
+	binary.BigEndian.PutUint32(payload[9:], uint32(int32(k.Instance)))
 	copy(payload[payloadHead:], body)
 
 	frame := make([]byte, frameHeader+len(payload))
@@ -69,30 +62,30 @@ func encodeFrame(kind byte, k recKey, body []byte) []byte {
 }
 
 // parsePayload splits a CRC-verified payload into its parts.
-func parsePayload(payload []byte) (kind byte, k recKey, body []byte, ok bool) {
+func parsePayload(payload []byte) (kind byte, k storage.Key, body []byte, ok bool) {
 	if len(payload) < payloadHead {
-		return 0, recKey{}, nil, false
+		return 0, storage.Key{}, nil, false
 	}
 	kind = payload[0]
 	if kind != kindPut && kind != kindTomb && kind != kindMark {
-		return 0, recKey{}, nil, false
+		return 0, storage.Key{}, nil, false
 	}
-	k = recKey{
-		proc:     int(int32(binary.BigEndian.Uint32(payload[1:]))),
-		index:    int(int32(binary.BigEndian.Uint32(payload[5:]))),
-		instance: int(int32(binary.BigEndian.Uint32(payload[9:]))),
+	k = storage.Key{
+		Proc:     int(int32(binary.BigEndian.Uint32(payload[1:]))),
+		CFGIndex: int(int32(binary.BigEndian.Uint32(payload[5:]))),
+		Instance: int(int32(binary.BigEndian.Uint32(payload[9:]))),
 	}
 	return kind, k, payload[payloadHead:], true
 }
 
 // decodeSnapshot unmarshals a put body, cross-checking the embedded key
 // against the frame key so an index bug can never alias snapshots.
-func decodeSnapshot(k recKey, body []byte) (storage.Snapshot, error) {
-	var s storage.Snapshot
-	if err := json.Unmarshal(body, &s); err != nil {
+func decodeSnapshot(k storage.Key, body []byte) (storage.Snapshot, error) {
+	s, err := storage.DecodeSnapshot(body)
+	if err != nil {
 		return storage.Snapshot{}, fmt.Errorf("%w: %s: undecodable body: %v", storage.ErrCorrupt, k, err)
 	}
-	if s.Proc != k.proc || s.CFGIndex != k.index || s.Instance != k.instance {
+	if s.Key() != k {
 		return storage.Snapshot{}, fmt.Errorf("%w: %s: body names %d/%d/%d", storage.ErrCorrupt,
 			k, s.Proc, s.CFGIndex, s.Instance)
 	}
@@ -104,7 +97,7 @@ type recEvent struct {
 	off    int64
 	size   int
 	kind   byte // kindPut / kindTomb / kindMark / kindCorruptRegion
-	key    recKey
+	key    storage.Key
 	keyOK  bool   // corrupt regions: the header still named a plausible key
 	reason string // corrupt regions and markers: why
 }

@@ -5,16 +5,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"sync"
 
 	"repro/internal/storage"
-	"sync"
 )
 
 // commitReq is one mutation in flight to a shard's committer.
 type commitReq struct {
 	kind  byte // kindPut or kindTomb
-	key   recKey
+	key   storage.Key
 	frame []byte
 	done  chan error
 }
@@ -37,8 +36,8 @@ type shard struct {
 	syncedSize int64 // active bytes covered by the last successful fsync
 	nextSeg    uint64
 	// Index state.
-	index   map[recKey]loc
-	corrupt map[recKey]string
+	index   map[storage.Key]loc
+	corrupt map[storage.Key]string
 	// Injection.
 	injSeq uint64
 }
@@ -140,7 +139,7 @@ func (sh *shard) commit(batch []*commitReq) {
 		accepted []staged
 		buf      []byte
 		flipOK   [][2]int
-		inBatch  = make(map[recKey]byte)
+		inBatch  = make(map[storage.Key]byte)
 	)
 	for _, r := range batch {
 		if err := sh.validateLocked(r, inBatch); err != nil {
@@ -201,7 +200,7 @@ func (sh *shard) commit(batch []*commitReq) {
 }
 
 // validateLocked enforces Save/Delete semantics before bytes are staged.
-func (sh *shard) validateLocked(r *commitReq, inBatch map[recKey]byte) error {
+func (sh *shard) validateLocked(r *commitReq, inBatch map[storage.Key]byte) error {
 	_, live := sh.index[r.key]
 	_, marked := sh.corrupt[r.key]
 	if k, ok := inBatch[r.key]; ok {
@@ -273,7 +272,7 @@ var fsyncFile = func(f *os.File) error { return f.Sync() }
 // readLocked loads and CRC-verifies the record at l. A record that fails
 // verification here was acknowledged and then damaged on media (an
 // injected bit flip): the key is quarantined on the spot.
-func (sh *shard) readLocked(k recKey, l loc) (storage.Snapshot, error) {
+func (sh *shard) readLocked(k storage.Key, l loc) (storage.Snapshot, error) {
 	f := sh.files[l.seg]
 	if f == nil {
 		return storage.Snapshot{}, fmt.Errorf("wal: %s: segment %d not open", k, l.seg)
@@ -291,7 +290,7 @@ func (sh *shard) readLocked(k recKey, l loc) (storage.Snapshot, error) {
 	return decodeSnapshot(k, buf[frameHeader+payloadHead:])
 }
 
-func (sh *shard) get(k recKey) (storage.Snapshot, error) {
+func (sh *shard) get(k storage.Key) (storage.Snapshot, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if reason, marked := sh.corrupt[k]; marked {
@@ -307,14 +306,14 @@ func (sh *shard) get(k recKey) (storage.Snapshot, error) {
 func (sh *shard) latest(proc, cfgIndex int) (storage.Snapshot, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	best, bestCorrupt, found := recKey{}, "", false
+	best, bestCorrupt, found := storage.Key{}, "", false
 	for k := range sh.index {
-		if k.proc == proc && k.index == cfgIndex && (!found || k.instance > best.instance) {
+		if k.Proc == proc && k.CFGIndex == cfgIndex && (!found || k.Instance > best.Instance) {
 			best, bestCorrupt, found = k, "", true
 		}
 	}
 	for k, reason := range sh.corrupt {
-		if k.proc == proc && k.index == cfgIndex && (!found || k.instance > best.instance) {
+		if k.Proc == proc && k.CFGIndex == cfgIndex && (!found || k.Instance > best.Instance) {
 			best, bestCorrupt, found = k, reason, true
 		}
 	}
@@ -331,22 +330,17 @@ func (sh *shard) list(proc int) ([]storage.Snapshot, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for k, reason := range sh.corrupt {
-		if k.proc == proc {
+		if k.Proc == proc {
 			return nil, fmt.Errorf("%w: %s: %s", storage.ErrCorrupt, k, reason)
 		}
 	}
-	var keys []recKey
+	var keys []storage.Key
 	for k := range sh.index {
-		if k.proc == proc {
+		if k.Proc == proc {
 			keys = append(keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].index != keys[j].index {
-			return keys[i].index < keys[j].index
-		}
-		return keys[i].instance < keys[j].instance
-	})
+	storage.SortKeys(keys)
 	out := make([]storage.Snapshot, 0, len(keys))
 	for _, k := range keys {
 		s, err := sh.readLocked(k, sh.index[k])
@@ -366,20 +360,11 @@ func (sh *shard) scrub(rep *storage.ScrubReport) error {
 	if len(sh.corrupt) == 0 {
 		return nil
 	}
-	keys := make([]recKey, 0, len(sh.corrupt))
+	keys := make([]storage.Key, 0, len(sh.corrupt))
 	for k := range sh.corrupt {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.proc != b.proc {
-			return a.proc < b.proc
-		}
-		if a.index != b.index {
-			return a.index < b.index
-		}
-		return a.instance < b.instance
-	})
+	storage.SortKeys(keys)
 	var buf []byte
 	for _, k := range keys {
 		buf = append(buf, encodeFrame(kindTomb, k, nil)...)
@@ -388,9 +373,7 @@ func (sh *shard) scrub(rep *storage.ScrubReport) error {
 		return err
 	}
 	for _, k := range keys {
-		rep.Quarantined = append(rep.Quarantined, storage.SnapshotRef{
-			Proc: k.proc, CFGIndex: k.index, Instance: k.instance, Reason: sh.corrupt[k],
-		})
+		rep.Quarantined = append(rep.Quarantined, storage.SnapshotRef{Key: k, Reason: sh.corrupt[k]})
 		delete(sh.corrupt, k)
 		delete(sh.index, k)
 	}
@@ -418,8 +401,8 @@ func openShard(w *Store, id int) (*shard, error) {
 		reqCh:   make(chan *commitReq, 4*w.opts.MaxBatch),
 		files:   make(map[uint64]*os.File),
 		sizes:   make(map[uint64]int64),
-		index:   make(map[recKey]loc),
-		corrupt: make(map[recKey]string),
+		index:   make(map[storage.Key]loc),
+		corrupt: make(map[storage.Key]string),
 	}
 	man, err := sh.loadManifest()
 	if err != nil {

@@ -24,7 +24,6 @@
 package wal
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -184,11 +183,11 @@ func (w *Store) Save(s storage.Snapshot) error {
 	if err := w.checkAlive(); err != nil {
 		return err
 	}
-	body, err := json.Marshal(s)
+	body, err := storage.EncodeSnapshot(s)
 	if err != nil {
 		return fmt.Errorf("wal: encode snapshot: %w", err)
 	}
-	k := recKey{s.Proc, s.CFGIndex, s.Instance}
+	k := s.Key()
 	return w.submit(&commitReq{
 		kind:  kindPut,
 		key:   k,
@@ -201,7 +200,7 @@ func (w *Store) Delete(proc, cfgIndex, instance int) error {
 	if err := w.checkAlive(); err != nil {
 		return err
 	}
-	k := recKey{proc, cfgIndex, instance}
+	k := storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: instance}
 	return w.submit(&commitReq{
 		kind:  kindTomb,
 		key:   k,
@@ -212,7 +211,7 @@ func (w *Store) Delete(proc, cfgIndex, instance int) error {
 // submit hands one mutation to its shard's committer and waits for the ack.
 func (w *Store) submit(req *commitReq) error {
 	req.done = make(chan error, 1)
-	sh := w.shardFor(req.key.proc, req.key.index)
+	sh := w.shardFor(req.key.Proc, req.key.CFGIndex)
 	w.closeMu.RLock()
 	if w.closed {
 		w.closeMu.RUnlock()
@@ -229,7 +228,7 @@ func (w *Store) Get(proc, cfgIndex, instance int) (storage.Snapshot, error) {
 		return storage.Snapshot{}, err
 	}
 	sh := w.shardFor(proc, cfgIndex)
-	return sh.get(recKey{proc, cfgIndex, instance})
+	return sh.get(storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: instance})
 }
 
 // Latest implements storage.Store. Like the chaos wrapper it is strict: if
@@ -259,12 +258,7 @@ func (w *Store) List(proc int) ([]storage.Snapshot, error) {
 		}
 		out = append(out, part...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].CFGIndex != out[j].CFGIndex {
-			return out[i].CFGIndex < out[j].CFGIndex
-		}
-		return out[i].Instance < out[j].Instance
-	})
+	storage.SortSnapshots(out)
 	return out, nil
 }
 
@@ -276,31 +270,18 @@ func (w *Store) Indexes(n int) ([]int, error) {
 	if err := w.checkAlive(); err != nil {
 		return nil, err
 	}
-	count := make(map[int]map[int]bool)
-	add := func(k recKey) {
-		if count[k.index] == nil {
-			count[k.index] = make(map[int]bool)
-		}
-		count[k.index][k.proc] = true
-	}
+	var keys []storage.Key
 	for _, sh := range w.shards {
 		sh.mu.Lock()
 		for k := range sh.index {
-			add(k)
+			keys = append(keys, k)
 		}
 		for k := range sh.corrupt {
-			add(k)
+			keys = append(keys, k)
 		}
 		sh.mu.Unlock()
 	}
-	var out []int
-	for idx, procs := range count {
-		if len(procs) == n {
-			out = append(out, idx)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
+	return storage.CommonIndexes(n, keys), nil
 }
 
 // Scrub implements storage.Scrubber: every quarantined key is durably
@@ -317,14 +298,7 @@ func (w *Store) Scrub() (storage.ScrubReport, error) {
 		}
 	}
 	sort.Slice(rep.Quarantined, func(i, j int) bool {
-		a, b := rep.Quarantined[i], rep.Quarantined[j]
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		if a.CFGIndex != b.CFGIndex {
-			return a.CFGIndex < b.CFGIndex
-		}
-		return a.Instance < b.Instance
+		return rep.Quarantined[i].Key.Less(rep.Quarantined[j].Key)
 	})
 	return rep, nil
 }

@@ -23,6 +23,10 @@ func snap(proc, index, instance int) storage.Snapshot {
 	}
 }
 
+func key(proc, index, instance int) storage.Key {
+	return storage.Key{Proc: proc, CFGIndex: index, Instance: instance}
+}
+
 func mustOpen(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
 	w, err := Open(dir, opts)
@@ -208,7 +212,7 @@ func TestInteriorCorruptionQuarantined(t *testing.T) {
 	var victim loc
 	sh := w.shards[0]
 	sh.mu.Lock()
-	victim = sh.index[recKey{0, 4, 0}]
+	victim = sh.index[key(0, 4, 0)]
 	sh.mu.Unlock()
 	w.Close()
 
@@ -280,7 +284,7 @@ func TestQuarantineMarkSurvivesReopen(t *testing.T) {
 	// Damage index 1's body on disk while the store is open.
 	sh := w2.shards[0]
 	sh.mu.Lock()
-	l := sh.index[recKey{0, 1, 0}]
+	l := sh.index[key(0, 1, 0)]
 	f := sh.files[l.seg]
 	if _, err := f.WriteAt([]byte{0xFF}, l.off+frameHeader+payloadHead+2); err != nil {
 		sh.mu.Unlock()
@@ -352,7 +356,7 @@ func TestOrphanSegmentsDeleted(t *testing.T) {
 	}
 	w.Close()
 	orphan := filepath.Join(dir, "s0-77.seg")
-	if err := os.WriteFile(orphan, encodeFrame(kindPut, recKey{9, 9, 9}, []byte(`{"proc":9,"cfgIndex":9,"instance":9}`)), 0o644); err != nil {
+	if err := os.WriteFile(orphan, encodeFrame(kindPut, key(9, 9, 9), []byte(`{"proc":9,"cfgIndex":9,"instance":9}`)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	w2 := mustOpen(t, dir, Options{Shards: 1})
