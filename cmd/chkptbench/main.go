@@ -248,8 +248,8 @@ func runEmpirical(stdout, stderr io.Writer, workUnits, workers int, o obs.Observ
 }
 
 // printHist emits one protocol's distribution as a plot-safe comment line,
-// followed by a one-line percentile summary interpolated from the same
-// buckets via the sketch CDF (the numbers a live scrape would show).
+// followed by a one-line percentile summary at the precision a live scrape
+// shows.
 func printHist(w io.Writer, n int, proto, name string, m metrics.Snapshot) {
 	h, ok := m.Hists[name]
 	if !ok || h.Count == 0 {
@@ -257,9 +257,8 @@ func printHist(w io.Writer, n int, proto, name string, m metrics.Snapshot) {
 		return
 	}
 	fmt.Fprintf(w, "# hist n=%d %s %s %s\n", n, proto, name, h)
-	sk := metrics.SketchFromHist(h)
 	fmt.Fprintf(w, "# pXX n=%d %s %s p50=%.6g p95=%.6g p99=%.6g\n",
-		n, proto, name, sk.Quantile(0.50), sk.Quantile(0.95), sk.Quantile(0.99))
+		n, proto, name, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))
 }
 
 // jacobiWithWork is the Figure 1 Jacobi exchange with a heavy per-iteration

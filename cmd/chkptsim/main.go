@@ -147,8 +147,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	defer closing(stopProfiles)
 
-	reg := metrics.NewRegistry()
-	parseTimer := reg.Timer("chkptsim.parse").Start()
+	started := time.Now()
 	src, err := readSource(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(stderr, "chkptsim:", err)
@@ -159,16 +158,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "chkptsim:", err)
 		return 1
 	}
-	parseTimer.Stop()
+	parseTime := time.Since(started)
+	var transformTime time.Duration
 	if *transform {
-		transformTimer := reg.Timer("chkptsim.transform").Start()
+		started = time.Now()
 		rep, err := core.Transform(prog, core.DefaultConfig)
 		if err != nil {
 			fmt.Fprintln(stderr, "chkptsim:", err)
 			return 1
 		}
 		prog = rep.Program
-		transformTimer.Stop()
+		transformTime = time.Since(started)
 	}
 
 	cfg := sim.Config{
@@ -292,9 +292,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return 2
 	}
 
-	runTimer := reg.Timer("chkptsim.run").Start()
+	started = time.Now()
 	res, err := sim.Run(cfg)
-	runTimer.Stop()
+	runTime := time.Since(started)
 	if err != nil {
 		fmt.Fprintln(stderr, "chkptsim:", err)
 		return 1
@@ -309,8 +309,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			RolledBack: res.RolledBack,
 			VTime:      res.VTime,
 		}
+		// Sorted by name, the order the "timer" lines have always had.
+		stages := []obs.StageTiming{
+			{Name: "chkptsim.parse", Elapsed: parseTime},
+			{Name: "chkptsim.run", Elapsed: runTime},
+		}
+		if *transform {
+			stages = append(stages, obs.StageTiming{Name: "chkptsim.transform", Elapsed: transformTime})
+		}
 		err := obs.WriteFile(*metricsOut, func(w io.Writer) error {
-			return obs.WriteMetricsJSONL(w, meta, res.Metrics, reg.Snapshot())
+			return obs.WriteMetricsJSONL(w, meta, res.Metrics, stages)
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "chkptsim:", err)

@@ -18,13 +18,13 @@ import (
 // Counters accumulates protocol-relevant event counts for one run. The zero
 // value is ready to use and all methods are safe for concurrent use.
 //
-// The fixed fields are plain atomics and the named counters live in a
-// sharded map with per-shard RW locks, so the hot increment paths — every
-// message send in the simulator goes through one — never contend on a
-// single mutex. Each field is individually exact; a Snapshot taken while
-// writers are active may interleave fields from slightly different moments
-// (the runtime only snapshots at quiescent points, where the copy is
-// exact).
+// The fixed fields are plain atomics and everything named — custom
+// counters, gauges, distributions — lives in one sharded map with per-shard
+// RW locks, so the hot paths (every message send and every checkpoint save
+// in the simulator goes through one) never contend on a single mutex. Each
+// field is individually exact; a Snapshot taken while writers are active
+// may interleave fields from slightly different moments (the runtime only
+// snapshots at quiescent points, where the copy is exact).
 type Counters struct {
 	appMessages     atomic.Int64
 	ctrlMessages    atomic.Int64
@@ -35,153 +35,72 @@ type Counters struct {
 	restartedEvents atomic.Int64
 	blocked         atomic.Int64 // nanoseconds
 
-	custom customMap
-	gauges gaugeMap
-
-	hmu   sync.Mutex
-	hists map[string]*Histogram
+	named cellMap
 }
 
-// customShards is the stripe count of the named-counter map. Small powers
-// of two beyond the typical core count stop cross-core increments of
-// *different* names from serializing on one lock.
-const customShards = 16
+// cellShards is the stripe count of the named-cell map. Small powers of
+// two beyond the typical core count stop cross-core updates of *different*
+// names from serializing on one lock.
+const cellShards = 16
 
-// customMap is a name → counter map striped across customShards shards.
-// The common case (the name already exists) takes a shard read-lock and an
-// atomic add; the write-lock is only held to insert a new name.
-type customMap struct {
-	shards [customShards]struct {
+// cellKind separates the three namespaces sharing the map, so a counter, a
+// gauge and a distribution may carry the same name.
+type cellKind uint8
+
+const (
+	kindCounter cellKind = iota
+	kindGauge
+	kindDist
+	numKinds
+)
+
+// cell is one named slot. Counters and gauges use n (a gauge stores its
+// float64 bits); distributions use dist, set once at creation.
+type cell struct {
+	n    atomic.Int64
+	dist *Sketch
+}
+
+// cellMap is a (kind, name) → cell map striped across cellShards shards.
+// The common case (the name already exists) takes a shard read-lock; the
+// write-lock is only held to insert a new name. Each shard keys one plain
+// string map per kind: a struct key would cost the lookup the runtime's
+// string-map fast path, measured at +40% on Inc.
+type cellMap struct {
+	shards [cellShards]struct {
 		mu sync.RWMutex
-		m  map[string]*atomic.Int64
+		m  [numKinds]map[string]*cell
 	}
 }
 
-// shard picks the stripe for a name (FNV-1a).
-func (c *customMap) shard(name string) *struct {
-	mu sync.RWMutex
-	m  map[string]*atomic.Int64
-} {
-	h := uint32(2166136261)
+// get returns the cell for (kind, name), creating it on first use.
+func (c *cellMap) get(kind cellKind, name string) *cell {
+	h := uint32(2166136261) // FNV-1a
 	for i := 0; i < len(name); i++ {
 		h ^= uint32(name[i])
 		h *= 16777619
 	}
-	return &c.shards[h%customShards]
-}
-
-// counter returns the cell for name, creating it on first use.
-func (c *customMap) counter(name string) *atomic.Int64 {
-	s := c.shard(name)
+	s := &c.shards[h%cellShards]
 	s.mu.RLock()
-	v := s.m[name]
+	v := s.m[kind][name]
 	s.mu.RUnlock()
 	if v != nil {
 		return v
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if v = s.m[name]; v != nil {
+	if v = s.m[kind][name]; v != nil {
 		return v
 	}
-	if s.m == nil {
-		s.m = make(map[string]*atomic.Int64)
+	if s.m[kind] == nil {
+		s.m[kind] = make(map[string]*cell)
 	}
-	v = new(atomic.Int64)
-	s.m[name] = v
+	v = new(cell)
+	if kind == kindDist {
+		v.dist = NewSketch()
+	}
+	s.m[kind][name] = v
 	return v
-}
-
-// reset drops every named counter.
-func (c *customMap) reset() {
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		s.m = nil
-		s.mu.Unlock()
-	}
-}
-
-// snapshot copies all named counters into one map (nil when empty).
-func (c *customMap) snapshot() map[string]int64 {
-	var out map[string]int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.RLock()
-		for k, v := range s.m {
-			if out == nil {
-				out = make(map[string]int64)
-			}
-			out[k] = v.Load()
-		}
-		s.mu.RUnlock()
-	}
-	return out
-}
-
-// gaugeMap is a name → float64 gauge map striped like customMap. Gauges
-// carry "current value" readings (checkpoint lag, last-save virtual time)
-// rather than monotone totals; the live exposition layer renders them as
-// Prometheus gauges.
-type gaugeMap struct {
-	shards [customShards]struct {
-		mu sync.RWMutex
-		m  map[string]*atomic.Uint64 // float64 bits
-	}
-}
-
-// cell returns the gauge cell for name, creating it on first use.
-func (g *gaugeMap) cell(name string) *atomic.Uint64 {
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
-	}
-	s := &g.shards[h%customShards]
-	s.mu.RLock()
-	v := s.m[name]
-	s.mu.RUnlock()
-	if v != nil {
-		return v
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v = s.m[name]; v != nil {
-		return v
-	}
-	if s.m == nil {
-		s.m = make(map[string]*atomic.Uint64)
-	}
-	v = new(atomic.Uint64)
-	s.m[name] = v
-	return v
-}
-
-// reset drops every gauge.
-func (g *gaugeMap) reset() {
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.Lock()
-		s.m = nil
-		s.mu.Unlock()
-	}
-}
-
-// snapshot copies all gauges into one map (nil when empty).
-func (g *gaugeMap) snapshot() map[string]float64 {
-	var out map[string]float64
-	for i := range g.shards {
-		s := &g.shards[i]
-		s.mu.RLock()
-		for k, v := range s.m {
-			if out == nil {
-				out = make(map[string]float64)
-			}
-			out[k] = math.Float64frombits(v.Load())
-		}
-		s.mu.RUnlock()
-	}
-	return out
 }
 
 // IncAppMessages records n application (payload) messages.
@@ -213,19 +132,17 @@ func (c *Counters) AddBlocked(d time.Duration) { c.blocked.Add(int64(d)) }
 
 // Inc bumps a named custom counter.
 func (c *Counters) Inc(name string, n int) {
-	c.custom.counter(name).Add(int64(n))
+	c.named.get(kindCounter, name).n.Add(int64(n))
 }
 
 // Max raises a named custom counter to v if v exceeds its current value —
 // a high-watermark gauge (queue depths, backlog peaks) exported through the
-// same custom-counter channel as Inc. Note Merge adds custom counters, so
-// merging snapshots turns a watermark into a sum; aggregate watermarks
-// across runs by taking the max of the per-run snapshots instead.
+// same custom-counter channel as Inc.
 func (c *Counters) Max(name string, v int64) {
-	cell := c.custom.counter(name)
+	n := &c.named.get(kindCounter, name).n
 	for {
-		cur := cell.Load()
-		if v <= cur || cell.CompareAndSwap(cur, v) {
+		cur := n.Load()
+		if v <= cur || n.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -236,94 +153,21 @@ func (c *Counters) Max(name string, v int64) {
 // read-lock plus one atomic store, cheap enough for instrumentation points
 // inside the runtime.
 func (c *Counters) SetGauge(name string, v float64) {
-	c.gauges.cell(name).Store(math.Float64bits(v))
+	c.named.get(kindGauge, name).n.Store(int64(math.Float64bits(v)))
 }
 
 // Gauge reads a named gauge (0 when never set).
 func (c *Counters) Gauge(name string) float64 {
-	return math.Float64frombits(c.gauges.cell(name).Load())
+	return math.Float64frombits(uint64(c.named.get(kindGauge, name).n.Load()))
 }
 
 // ObserveHist records one observation in the named distribution, creating
-// it with DefaultBuckets on first use. Distributions turn the totals above
-// into per-event shapes: how long each barrier stall was, not just their
-// sum.
+// it with DefaultSketchBounds on first use. Distributions turn the totals
+// above into per-event shapes: how long each barrier stall was, not just
+// their sum. On an existing name this is a shard read-lock plus the
+// sketch's atomics, and allocates nothing.
 func (c *Counters) ObserveHist(name string, v float64) {
-	c.hmu.Lock()
-	if c.hists == nil {
-		c.hists = make(map[string]*Histogram)
-	}
-	h, ok := c.hists[name]
-	if !ok {
-		h = NewHistogram()
-		c.hists[name] = h
-	}
-	c.hmu.Unlock()
-	h.Observe(v)
-}
-
-// Reset zeroes every counter and distribution so the Counters can be
-// reused across incarnations or benchmark repetitions without
-// reallocation by callers holding a reference.
-func (c *Counters) Reset() {
-	c.appMessages.Store(0)
-	c.ctrlMessages.Store(0)
-	c.ctrlBytes.Store(0)
-	c.checkpoints.Store(0)
-	c.forced.Store(0)
-	c.rollbacks.Store(0)
-	c.restartedEvents.Store(0)
-	c.blocked.Store(0)
-	c.custom.reset()
-	c.gauges.reset()
-	c.hmu.Lock()
-	c.hists = nil
-	c.hmu.Unlock()
-}
-
-// Merge folds a snapshot into the counters: totals add, distributions
-// merge bucket-by-bucket. It aggregates per-run snapshots into whole-sweep
-// statistics. Merging histograms with different bucket bounds fails.
-func (c *Counters) Merge(s Snapshot) error {
-	c.appMessages.Add(s.AppMessages)
-	c.ctrlMessages.Add(s.CtrlMessages)
-	c.ctrlBytes.Add(s.CtrlBytes)
-	c.checkpoints.Add(s.Checkpoints)
-	c.forced.Add(s.Forced)
-	c.rollbacks.Add(s.Rollbacks)
-	c.restartedEvents.Add(s.RestartedEvents)
-	c.blocked.Add(int64(s.Blocked))
-	for k, v := range s.Custom {
-		c.custom.counter(k).Add(v)
-	}
-	// Gauges are point-in-time readings, so "adding" them is meaningless;
-	// merged snapshots keep the maximum, which is both deterministic under
-	// parallel merges and the useful aggregate for lag/watermark gauges.
-	for k, v := range s.Gauges {
-		cell := c.gauges.cell(k)
-		for {
-			old := cell.Load()
-			if v <= math.Float64frombits(old) || cell.CompareAndSwap(old, math.Float64bits(v)) {
-				break
-			}
-		}
-	}
-	for name, hs := range s.Hists {
-		c.hmu.Lock()
-		if c.hists == nil {
-			c.hists = make(map[string]*Histogram, len(s.Hists))
-		}
-		h, ok := c.hists[name]
-		if !ok {
-			h = NewHistogram(hs.Bounds...)
-			c.hists[name] = h
-		}
-		c.hmu.Unlock()
-		if err := h.merge(hs); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-	}
-	return nil
+	c.named.get(kindDist, name).dist.Observe(v)
 }
 
 // Snapshot is an immutable copy of the counters.
@@ -338,11 +182,12 @@ type Snapshot struct {
 	Blocked         time.Duration
 	Custom          map[string]int64
 	Gauges          map[string]float64
-	Hists           map[string]HistSnapshot
+	Hists           map[string]SketchSnapshot
 }
 
-// Snapshot returns a copy of all counters. Each field is read atomically;
-// see the Counters doc for the cross-field caveat under concurrent writes.
+// Snapshot returns a copy of all counters; each of the three maps is nil
+// when nothing of its kind was recorded. Each field is read atomically; see
+// the Counters doc for the cross-field caveat under concurrent writes.
 func (c *Counters) Snapshot() Snapshot {
 	s := Snapshot{
 		AppMessages:     c.appMessages.Load(),
@@ -354,57 +199,86 @@ func (c *Counters) Snapshot() Snapshot {
 		RestartedEvents: c.restartedEvents.Load(),
 		Blocked:         time.Duration(c.blocked.Load()),
 	}
-	s.Custom = c.custom.snapshot()
-	s.Gauges = c.gauges.snapshot()
-	c.hmu.Lock()
-	if len(c.hists) > 0 {
-		s.Hists = make(map[string]HistSnapshot, len(c.hists))
-		for k, h := range c.hists {
-			s.Hists[k] = h.Snapshot()
+	for i := range c.named.shards {
+		sh := &c.named.shards[i]
+		sh.mu.RLock()
+		for name, v := range sh.m[kindCounter] {
+			if s.Custom == nil {
+				s.Custom = make(map[string]int64)
+			}
+			s.Custom[name] = v.n.Load()
 		}
+		for name, v := range sh.m[kindGauge] {
+			if s.Gauges == nil {
+				s.Gauges = make(map[string]float64)
+			}
+			s.Gauges[name] = math.Float64frombits(uint64(v.n.Load()))
+		}
+		for name, v := range sh.m[kindDist] {
+			if s.Hists == nil {
+				s.Hists = make(map[string]SketchSnapshot)
+			}
+			s.Hists[name] = v.dist.Snapshot()
+		}
+		sh.mu.RUnlock()
 	}
-	c.hmu.Unlock()
 	return s
+}
+
+// FixedCounter is one fixed counter under its export name.
+type FixedCounter struct {
+	Name  string
+	Value int64
+}
+
+// Fixed lists the fixed counters in export order. Every exporter — String,
+// the metrics JSONL "counters" line, the Prometheus counter tap and its
+// rates — ranges over this list, so it is the one place a fixed counter is
+// named.
+func (s Snapshot) Fixed() []FixedCounter {
+	return []FixedCounter{
+		{"app_messages", s.AppMessages},
+		{"ctrl_messages", s.CtrlMessages},
+		{"ctrl_bytes", s.CtrlBytes},
+		{"checkpoints", s.Checkpoints},
+		{"forced", s.Forced},
+		{"rollbacks", s.Rollbacks},
+		{"restarted_events", s.RestartedEvents},
+		{"blocked_ns", int64(s.Blocked)},
+	}
 }
 
 // TotalCheckpoints is voluntary plus forced checkpoints.
 func (s Snapshot) TotalCheckpoints() int64 { return s.Checkpoints + s.Forced }
 
-// String renders the snapshot as a single human-readable line.
+// String renders the snapshot as a single human-readable line: the fixed
+// counters in export order, then custom counters, gauges and distributions,
+// each group sorted by name.
 func (s Snapshot) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "app=%d ctrl=%d ctrlBytes=%d ckpt=%d forced=%d rollbacks=%d replayed=%d blocked=%s",
-		s.AppMessages, s.CtrlMessages, s.CtrlBytes, s.Checkpoints, s.Forced,
-		s.Rollbacks, s.RestartedEvents, s.Blocked)
-	if len(s.Custom) > 0 {
-		keys := make([]string, 0, len(s.Custom))
-		for k := range s.Custom {
-			keys = append(keys, k)
+	for i, f := range s.Fixed() {
+		if i > 0 {
+			sb.WriteByte(' ')
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&sb, " %s=%d", k, s.Custom[k])
-		}
+		fmt.Fprintf(&sb, "%s=%d", f.Name, f.Value)
 	}
-	if len(s.Gauges) > 0 {
-		keys := make([]string, 0, len(s.Gauges))
-		for k := range s.Gauges {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&sb, " %s=%g", k, s.Gauges[k])
-		}
+	for _, k := range sortedNames(s.Custom) {
+		fmt.Fprintf(&sb, " %s=%d", k, s.Custom[k])
 	}
-	if len(s.Hists) > 0 {
-		keys := make([]string, 0, len(s.Hists))
-		for k := range s.Hists {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&sb, " %s{%s}", k, s.Hists[k])
-		}
+	for _, k := range sortedNames(s.Gauges) {
+		fmt.Fprintf(&sb, " %s=%g", k, s.Gauges[k])
+	}
+	for _, k := range sortedNames(s.Hists) {
+		fmt.Fprintf(&sb, " %s{%s}", k, s.Hists[k])
 	}
 	return sb.String()
+}
+
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for k := range m {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	return names
 }

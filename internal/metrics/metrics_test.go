@@ -64,9 +64,74 @@ func TestMaxIsHighWatermark(t *testing.T) {
 	if got := c.Snapshot().Custom["other"]; got != 0 {
 		t.Fatalf("Max(0) = %d, want 0", got)
 	}
-	c.Reset()
-	if got := c.Snapshot().Custom["depth"]; got != 0 {
-		t.Fatalf("watermark survived Reset: %d", got)
+}
+
+// TestFixedNamesAndOrder pins the one fixed-counter table: the export names
+// and their order are an output contract of every exporter.
+func TestFixedNamesAndOrder(t *testing.T) {
+	var c Counters
+	c.IncAppMessages(1)
+	c.IncCtrlMessages(2, 3)
+	c.IncCheckpoints(4)
+	c.IncForced(5)
+	c.IncRollbacks(6)
+	c.IncRestartedEvents(7)
+	c.AddBlocked(8)
+	want := []FixedCounter{
+		{"app_messages", 1}, {"ctrl_messages", 2}, {"ctrl_bytes", 6}, {"checkpoints", 4},
+		{"forced", 5}, {"rollbacks", 6}, {"restarted_events", 7}, {"blocked_ns", 8},
+	}
+	got := c.Snapshot().Fixed()
+	if len(got) != len(want) {
+		t.Fatalf("Fixed() = %v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("Fixed()[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if s := c.Snapshot().String(); !strings.HasPrefix(s, "app_messages=1 ctrl_messages=2 ctrl_bytes=6 ") || !strings.HasSuffix(s, " blocked_ns=8") {
+		t.Errorf("String() = %q", s)
+	}
+}
+
+func TestGauges(t *testing.T) {
+	c := &Counters{}
+	if got := c.Gauge("lag"); got != 0 {
+		t.Errorf("unset gauge = %g", got)
+	}
+	c.SetGauge("lag", 1.5)
+	c.SetGauge("lag", 0.25) // gauges overwrite, unlike counters
+	c.SetGauge("watermark", 7)
+	c.Inc("lag", 3) // a counter may share a gauge's name
+	if got := c.Gauge("lag"); got != 0.25 {
+		t.Errorf("lag = %g, want 0.25", got)
+	}
+	s := c.Snapshot()
+	if s.Gauges["lag"] != 0.25 || s.Gauges["watermark"] != 7 || s.Custom["lag"] != 3 {
+		t.Errorf("snapshot gauges = %v, custom = %v", s.Gauges, s.Custom)
+	}
+	if !strings.Contains(s.String(), "lag=0.25") {
+		t.Errorf("String() = %q, want lag gauge", s.String())
+	}
+}
+
+func TestGaugesConcurrent(t *testing.T) {
+	c := &Counters{}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				c.SetGauge("g", float64(i))
+				c.SetGauge("h", float64(g))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := c.Gauge("g"); got < 0 || got > 499 {
+		t.Errorf("g = %g out of range", got)
 	}
 }
 

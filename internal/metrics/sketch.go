@@ -7,28 +7,29 @@ import (
 	"sync/atomic"
 )
 
-// Sketch is a mergeable streaming quantile sketch: a fixed-bucket CDF over
-// log-spaced bounds with purely atomic state. Observe is lock-free and
-// allocation-free, so the live telemetry aggregator can feed it from the
-// runtime's hot observer path; quantiles are estimated mid-run from the
-// bucket CDF with linear interpolation inside the winning bucket, without
-// retaining raw samples. Sketches built with the same bounds merge exactly
-// (counts add), which makes per-shard or per-run sketches composable the
-// same way fixed-bucket histograms are.
+// Sketch is the one distribution type: a fixed-bucket histogram over
+// log-spaced bounds with purely atomic state. Observations land in the
+// first bucket whose upper bound is >= the value; values above the last
+// bound land in an implicit overflow bucket. Observe is lock-free and
+// allocation-free, so both Counters.ObserveHist and the live telemetry
+// aggregator can feed it from the runtime's hot paths; quantiles are
+// estimated mid-run from the bucket CDF with linear interpolation inside
+// the winning bucket, without retaining raw samples.
 //
 // The zero value is not usable; construct with NewSketch.
 type Sketch struct {
 	bounds []float64 // ascending upper bounds
 	counts []atomic.Int64
-	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits
 	min    atomic.Uint64 // float64 bits, +Inf when empty
 	max    atomic.Uint64 // float64 bits, -Inf when empty
 }
 
 // DefaultSketchBounds is a log-spaced series, eight buckets per decade from
-// 1e-6 to 1e6 — a ~15% worst-case relative quantile error over the same
-// twelve decades DefaultBuckets spans, at 97 buckets.
+// 1e-6 to 1e6 (97 bounds) — a ~15% worst-case relative quantile error over
+// twelve decades, wide enough for observations in any unit the runtime
+// records (milliseconds of wall time, virtual seconds, counts). Sketches
+// and their snapshots alias it, so it must never be written.
 var DefaultSketchBounds = defaultSketchBounds()
 
 func defaultSketchBounds() []float64 {
@@ -46,6 +47,10 @@ func defaultSketchBounds() []float64 {
 func NewSketch(bounds ...float64) *Sketch {
 	if len(bounds) == 0 {
 		bounds = DefaultSketchBounds
+	} else {
+		// The sketch's bounds are immutable from here on (snapshots alias
+		// them), so a caller's slice is copied once.
+		bounds = append([]float64(nil), bounds...)
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
@@ -53,7 +58,7 @@ func NewSketch(bounds ...float64) *Sketch {
 		}
 	}
 	s := &Sketch{
-		bounds: append([]float64(nil), bounds...),
+		bounds: bounds,
 		counts: make([]atomic.Int64, len(bounds)+1),
 	}
 	s.min.Store(math.Float64bits(math.Inf(1)))
@@ -61,14 +66,14 @@ func NewSketch(bounds ...float64) *Sketch {
 	return s
 }
 
-// Observe records one value. Lock-free, allocation-free.
+// Observe records one value. Lock-free, allocation-free. The bucket count
+// goes last: it is the only count there is, so a concurrent Snapshot that
+// counts an observation also sees extremes and a sum that include it.
 func (s *Sketch) Observe(v float64) {
-	i := sort.SearchFloat64s(s.bounds, v)
-	s.counts[i].Add(1)
-	s.count.Add(1)
 	addFloat(&s.sum, v)
 	minFloat(&s.min, v)
 	maxFloat(&s.max, v)
+	s.counts[sort.SearchFloat64s(s.bounds, v)].Add(1)
 }
 
 // addFloat atomically adds v to the float64 stored as bits in a.
@@ -102,55 +107,27 @@ func maxFloat(a *atomic.Uint64, v float64) {
 	}
 }
 
-// Snapshot returns a copy of the sketch state. Concurrent observers may
-// land between field reads (same caveat as Counters.Snapshot); each field
-// is individually exact.
+// Snapshot returns a copy of the sketch state; Bounds aliases the sketch's
+// immutable bounds. Count is the sum of the copied bucket counts, so the
+// CDF is always coherent with its total; under concurrent observers Sum,
+// Min and Max may already include a few observations Count does not (same
+// caveat as Counters.Snapshot). An empty sketch reports Min = Max = 0: the
+// ±Inf sentinels never leave the type, so every snapshot is JSON-encodable.
 func (s *Sketch) Snapshot() SketchSnapshot {
 	out := SketchSnapshot{
-		Bounds: append([]float64(nil), s.bounds...),
+		Bounds: s.bounds,
 		Counts: make([]int64, len(s.counts)),
-		Count:  s.count.Load(),
-		Sum:    math.Float64frombits(s.sum.Load()),
-		Min:    math.Float64frombits(s.min.Load()),
-		Max:    math.Float64frombits(s.max.Load()),
 	}
 	for i := range s.counts {
 		out.Counts[i] = s.counts[i].Load()
+		out.Count += out.Counts[i]
+	}
+	if out.Count > 0 {
+		out.Sum = math.Float64frombits(s.sum.Load())
+		out.Min = math.Float64frombits(s.min.Load())
+		out.Max = math.Float64frombits(s.max.Load())
 	}
 	return out
-}
-
-// Merge folds a snapshot into the sketch. The snapshot must share bounds.
-func (s *Sketch) Merge(o SketchSnapshot) error {
-	if len(o.Bounds) != len(s.bounds) {
-		return fmt.Errorf("metrics: merging sketches with %d vs %d buckets", len(o.Bounds), len(s.bounds))
-	}
-	for i, b := range o.Bounds {
-		if b != s.bounds[i] {
-			return fmt.Errorf("metrics: merging sketches with different bounds at %d: %g vs %g", i, b, s.bounds[i])
-		}
-	}
-	for i, c := range o.Counts {
-		s.counts[i].Add(c)
-	}
-	s.count.Add(o.Count)
-	addFloat(&s.sum, o.Sum)
-	if o.Count > 0 {
-		minFloat(&s.min, o.Min)
-		maxFloat(&s.max, o.Max)
-	}
-	return nil
-}
-
-// Reset zeroes the sketch for reuse.
-func (s *Sketch) Reset() {
-	for i := range s.counts {
-		s.counts[i].Store(0)
-	}
-	s.count.Store(0)
-	s.sum.Store(0)
-	s.min.Store(math.Float64bits(math.Inf(1)))
-	s.max.Store(math.Float64bits(math.Inf(-1)))
 }
 
 // SketchSnapshot is an immutable copy of a sketch — structurally a CDF: the
@@ -162,16 +139,6 @@ type SketchSnapshot struct {
 	Sum    float64   `json:"sum"`
 	Min    float64   `json:"min"`
 	Max    float64   `json:"max"`
-}
-
-// SketchFromHist reinterprets a fixed-bucket histogram snapshot as a sketch
-// CDF — the two share bucket semantics — so interpolated quantiles are
-// available for every distribution the runtime already records.
-func SketchFromHist(h HistSnapshot) SketchSnapshot {
-	return SketchSnapshot{
-		Bounds: h.Bounds, Counts: h.Counts,
-		Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max,
-	}
 }
 
 // Mean returns the average observation (0 when empty).
@@ -225,4 +192,13 @@ func (s SketchSnapshot) bucketEdges(i int) (lo, hi float64) {
 		hi = math.Max(s.Max, s.Bounds[len(s.Bounds)-1])
 	}
 	return lo, hi
+}
+
+// String renders a compact one-line summary.
+func (s SketchSnapshot) String() string {
+	if s.Count == 0 {
+		return "count=0"
+	}
+	return fmt.Sprintf("count=%d mean=%.4g p50=%.4g p95=%.4g p99=%.4g min=%.4g max=%.4g",
+		s.Count, s.Mean(), s.Quantile(0.50), s.Quantile(0.95), s.Quantile(0.99), s.Min, s.Max)
 }

@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -18,24 +21,21 @@ type RunMeta struct {
 	VTime      float64 `json:"vtime,omitempty"`
 }
 
-// metricsLine is one line of the metrics JSONL stream; Type discriminates:
-// "run" (metadata), "counters", "histogram", "timer".
+// StageTiming is one timed stage of a command-line run (parse, transform,
+// run), exported as a "timer" line.
+type StageTiming struct {
+	Name    string
+	Elapsed time.Duration
+}
+
+// metricsLine is one "run", "histogram" or "timer" line of the metrics
+// JSONL stream; Type discriminates. The "counters" line is written by
+// writeCountersLine.
 type metricsLine struct {
 	Type string `json:"type"`
 
 	// run
 	*RunMeta `json:",omitempty"`
-
-	// counters
-	AppMessages     *int64           `json:"app_messages,omitempty"`
-	CtrlMessages    *int64           `json:"ctrl_messages,omitempty"`
-	CtrlBytes       *int64           `json:"ctrl_bytes,omitempty"`
-	Checkpoints     *int64           `json:"checkpoints,omitempty"`
-	Forced          *int64           `json:"forced,omitempty"`
-	Rollbacks       *int64           `json:"rollbacks,omitempty"`
-	RestartedEvents *int64           `json:"restarted_events,omitempty"`
-	BlockedNS       *int64           `json:"blocked_ns,omitempty"`
-	Custom          map[string]int64 `json:"custom,omitempty"`
 
 	// histogram and timer
 	Name string `json:"name,omitempty"`
@@ -58,55 +58,22 @@ type metricsLine struct {
 
 // WriteMetricsJSONL exports a run's metrics as a JSONL stream: one "run"
 // line, one "counters" line, one "histogram" line per distribution (sorted
-// by name), and one "timer" line per registry timer. A nil registry
-// snapshot is fine — callers without stage timers pass
-// metrics.RegistrySnapshot{}.
-func WriteMetricsJSONL(w io.Writer, meta RunMeta, m metrics.Snapshot, reg metrics.RegistrySnapshot) error {
+// by name), and one "timer" line per stage, in the order given.
+func WriteMetricsJSONL(w io.Writer, meta RunMeta, m metrics.Snapshot, stages []StageTiming) error {
 	enc := json.NewEncoder(w)
 	if err := enc.Encode(metricsLine{Type: "run", RunMeta: &meta}); err != nil {
 		return err
 	}
-	blocked := m.Blocked.Nanoseconds()
-	counters := metricsLine{
-		Type:            "counters",
-		AppMessages:     &m.AppMessages,
-		CtrlMessages:    &m.CtrlMessages,
-		CtrlBytes:       &m.CtrlBytes,
-		Checkpoints:     &m.Checkpoints,
-		Forced:          &m.Forced,
-		Rollbacks:       &m.Rollbacks,
-		RestartedEvents: &m.RestartedEvents,
-		BlockedNS:       &blocked,
-		Custom:          m.Custom,
-	}
-	if err := enc.Encode(counters); err != nil {
+	if err := writeCountersLine(w, m); err != nil {
 		return err
 	}
-	if err := writeHistLines(enc, m.Hists); err != nil {
-		return err
-	}
-	for _, t := range reg.Timers {
-		line := metricsLine{Type: "timer", Name: t.Name, NS: t.Elapsed.Nanoseconds(), Count: t.Count}
-		if err := enc.Encode(line); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writeHistLines(enc *json.Encoder, hists map[string]metrics.HistSnapshot) error {
-	names := make([]string, 0, len(hists))
-	for name := range hists {
+	names := make([]string, 0, len(m.Hists))
+	for name := range m.Hists {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		h := hists[name]
-		if h.Count == 0 {
-			// Never observed: Min/Max are infinities, which JSON cannot
-			// carry; emit an explicitly empty distribution instead.
-			h.Min, h.Max = 0, 0
-		}
+		h := m.Hists[name]
 		line := metricsLine{
 			Type: "histogram", Name: name,
 			Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max,
@@ -117,5 +84,33 @@ func writeHistLines(enc *json.Encoder, hists map[string]metrics.HistSnapshot) er
 			return err
 		}
 	}
+	for _, st := range stages {
+		line := metricsLine{Type: "timer", Name: st.Name, NS: st.Elapsed.Nanoseconds(), Count: 1}
+		if err := enc.Encode(line); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// writeCountersLine writes the "counters" line: every fixed counter under
+// its metrics.Snapshot.Fixed name and in that order, zero or not, then the
+// custom counters as one sorted "custom" object when there are any.
+func writeCountersLine(w io.Writer, m metrics.Snapshot) error {
+	var b bytes.Buffer
+	b.WriteString(`{"type":"counters"`)
+	for _, f := range m.Fixed() {
+		fmt.Fprintf(&b, ",%q:%d", f.Name, f.Value)
+	}
+	if len(m.Custom) > 0 {
+		custom, err := json.Marshal(m.Custom)
+		if err != nil {
+			return err
+		}
+		b.WriteString(`,"custom":`)
+		b.Write(custom)
+	}
+	b.WriteString("}\n")
+	_, err := w.Write(b.Bytes())
+	return err
 }

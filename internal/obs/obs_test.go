@@ -203,14 +203,11 @@ func TestWriteMetricsJSONL(t *testing.T) {
 	c.Inc("custom_thing", 2)
 	c.ObserveHist("stall_v", 0.5)
 	c.ObserveHist("stall_v", 1.5)
-	reg := metrics.NewRegistry()
-	tm := reg.Timer("sim.run")
-	tm.Start()
-	tm.Stop()
+	stages := []StageTiming{{Name: "sim.run", Elapsed: 3 * time.Millisecond}}
 
 	var buf bytes.Buffer
 	meta := RunMeta{Program: "p", Protocol: "appl", Nproc: 4, Restarts: 1}
-	if err := WriteMetricsJSONL(&buf, meta, c.Snapshot(), reg.Snapshot()); err != nil {
+	if err := WriteMetricsJSONL(&buf, meta, c.Snapshot(), stages); err != nil {
 		t.Fatal(err)
 	}
 	types := map[string]int{}
@@ -233,9 +230,42 @@ func TestWriteMetricsJSONL(t *testing.T) {
 			if m["name"] == "stall_v" && m["count"] != float64(2) {
 				t.Errorf("histogram line = %q", line)
 			}
+		case "timer":
+			if line != `{"type":"timer","name":"sim.run","count":1,"ns":3000000}` {
+				t.Errorf("timer line = %q", line)
+			}
 		}
 	}
 	if types["run"] != 1 || types["counters"] != 1 || types["histogram"] != 1 || types["timer"] != 1 {
 		t.Errorf("line types = %v", types)
+	}
+}
+
+// TestCountersLineKeysFollowFixed: the "counters" line carries "type", then
+// exactly metrics.Snapshot.Fixed()'s names in its order (zero or not), then
+// "custom" — so a new fixed counter reaches the stream with no edit here.
+func TestCountersLineKeysFollowFixed(t *testing.T) {
+	var c metrics.Counters
+	c.Inc("zz", 1)
+	c.Inc("aa", 2)
+	snap := c.Snapshot()
+	var buf bytes.Buffer
+	if err := WriteMetricsJSONL(&buf, RunMeta{}, snap, nil); err != nil {
+		t.Fatal(err)
+	}
+	line := strings.Split(buf.String(), "\n")[1]
+	want := `{"type":"counters"`
+	for _, f := range snap.Fixed() {
+		want += `,"` + f.Name + `":0`
+	}
+	want += `,"custom":{"aa":2,"zz":1}}`
+	if line != want {
+		t.Errorf("counters line = %s\nwant            %s", line, want)
+	}
+	// Byte-for-byte the line the stream has always carried.
+	const legacy = `{"type":"counters","app_messages":0,"ctrl_messages":0,"ctrl_bytes":0,"checkpoints":0,` +
+		`"forced":0,"rollbacks":0,"restarted_events":0,"blocked_ns":0,"custom":{"aa":2,"zz":1}}`
+	if line != legacy {
+		t.Errorf("counters line = %s\nlegacy          %s", line, legacy)
 	}
 }

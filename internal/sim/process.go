@@ -17,7 +17,7 @@ import (
 	"repro/internal/vclock"
 )
 
-// Histogram names the runtime records through metrics.Counters.ObserveHist.
+// Distribution names the runtime records through metrics.Counters.ObserveHist.
 // They are part of the metrics-stream contract (obs.WriteMetricsJSONL), so
 // protocol comparisons can report distributions, not just totals.
 const (
@@ -45,14 +45,6 @@ const (
 	MetricPruneBytesSaved  = "prune_bytes_saved"
 	MetricPruneVarsDropped = "prune_vars_dropped"
 )
-
-// GaugeLastSaveVPrefix + rank names the per-process gauge holding the
-// virtual time of the process's most recent completed checkpoint save —
-// the raw signal behind the telemetry layer's checkpoint-lag computation
-// (lag = current virtual time − last save). Runs without Config.Time
-// report 0, which still marks "has saved at least once" via the gauge's
-// presence.
-const GaugeLastSaveVPrefix = "chkpt_last_save_vs_p"
 
 // ErrProcFailed is the injected-failure signal.
 var ErrProcFailed = errors.New("sim: process failed (injected)")
@@ -387,7 +379,6 @@ func (p *Proc) takeCheckpoint(idx int, manifest []string) error {
 	p.lastSaveNS = p.now().Sub(saveStart).Nanoseconds()
 	p.counters.ObserveHist(HistChkptSaveMS, float64(p.lastSaveNS)/1e6)
 	p.counters.IncCheckpoints(1)
-	p.counters.SetGauge(GaugeLastSaveVPrefix+strconv.Itoa(p.rank), p.vtime)
 	return p.record(trace.Event{
 		Kind:  trace.KindCheckpoint,
 		Chkpt: trace.Checkpoint{CFGIndex: idx, Instance: instance},

@@ -7,6 +7,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // TestConfigCountersLiveTap: a caller-supplied Counters is the run's real
@@ -31,18 +32,17 @@ func TestConfigCountersLiveTap(t *testing.T) {
 }
 
 // TestChkptEventsCarrySaveDuration: every checkpoint observer event holds
-// the wall time its save took, and each saving process publishes a
-// last-save virtual-time gauge — the raw signals live telemetry turns into
-// save-latency percentiles and checkpoint lag.
+// the wall time its save took and the virtual time it completed at — the
+// raw signals live telemetry turns into save-latency percentiles and each
+// process's last-save time and checkpoint lag.
 func TestChkptEventsCarrySaveDuration(t *testing.T) {
 	rec := obs.NewRecorder()
+	agg := telemetry.New(telemetry.Config{Nproc: 4})
 	tm := sim.PaperTimeModel
-	counters := &metrics.Counters{}
 	_, err := sim.Run(sim.Config{
 		Program:  corpus.JacobiFig1(3),
 		Nproc:    4,
-		Observer: rec,
-		Counters: counters,
+		Observer: obs.Multi(rec, agg),
 		Time:     &tm,
 	})
 	if err != nil {
@@ -61,15 +61,13 @@ func TestChkptEventsCarrySaveDuration(t *testing.T) {
 	if chkpts == 0 {
 		t.Fatal("no checkpoint events observed")
 	}
-	gauges := counters.Snapshot().Gauges
-	for p := 0; p < 4; p++ {
-		name := sim.GaugeLastSaveVPrefix + string(rune('0'+p))
-		v, ok := gauges[name]
-		if !ok {
-			t.Fatalf("gauge %s missing: %v", name, gauges)
-		}
-		if v <= 0 {
-			t.Errorf("gauge %s = %g, want a positive virtual save time", name, v)
+	procs := agg.Snapshot().Procs
+	if len(procs) != 4 {
+		t.Fatalf("aggregator rows = %d, want 4", len(procs))
+	}
+	for _, ps := range procs {
+		if ps.LastSaveV <= 0 {
+			t.Errorf("proc %d LastSaveV = %g, want a positive virtual save time", ps.Proc, ps.LastSaveV)
 		}
 	}
 }

@@ -172,7 +172,9 @@ func (sh *shard) commit(batch []*commitReq) {
 		return
 	}
 
-	// The fsync landed: apply index updates and acknowledge.
+	// The fsync landed: count the batch (before any waiter can observe its
+	// ack and read Stats), apply index updates and acknowledge.
+	sh.w.batches.Add(1)
 	seg := sh.segs[len(sh.segs)-1]
 	for _, s := range accepted {
 		k := s.req.key
@@ -187,7 +189,6 @@ func (sh *shard) commit(batch []*commitReq) {
 		}
 		s.req.done <- nil
 	}
-	sh.w.batches.Add(1)
 
 	if sh.activeSize >= sh.w.opts.MaxSegmentBytes {
 		if err := sh.rotateLocked(); err != nil {

@@ -488,15 +488,10 @@ func (a *Aggregator) emit(e obs.Event) {
 // counterDeltas computes per-field deltas between two counter snapshots,
 // folding fixed fields and custom counters into one named map.
 func counterDeltas(prev, cur metrics.Snapshot) map[string]int64 {
-	d := map[string]int64{
-		"app_messages":     cur.AppMessages - prev.AppMessages,
-		"ctrl_messages":    cur.CtrlMessages - prev.CtrlMessages,
-		"ctrl_bytes":       cur.CtrlBytes - prev.CtrlBytes,
-		"checkpoints":      cur.Checkpoints - prev.Checkpoints,
-		"forced":           cur.Forced - prev.Forced,
-		"rollbacks":        cur.Rollbacks - prev.Rollbacks,
-		"restarted_events": cur.RestartedEvents - prev.RestartedEvents,
-		"blocked_ns":       int64(cur.Blocked - prev.Blocked),
+	was := prev.Fixed()
+	d := make(map[string]int64, len(was)+len(cur.Custom))
+	for i, c := range cur.Fixed() {
+		d[c.Name] = c.Value - was[i].Value
 	}
 	for k, v := range cur.Custom {
 		d[k] = v - prev.Custom[k]

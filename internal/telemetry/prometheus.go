@@ -202,8 +202,10 @@ func WriteProm(w io.Writer, s Snapshot) error {
 	// Omitted entirely when no tap is configured.
 	if s.HasCounters {
 		ctr := pw.family("chkptsim_counter_total", "counter", "Protocol counters sampled from the run's metrics tap, by name.")
-		for _, nv := range sortedFixed(s.Counters) {
-			ctr.add(label("name", nv.name), float64(nv.value))
+		fixed := s.Counters.Fixed()
+		sort.Slice(fixed, func(i, j int) bool { return fixed[i].Name < fixed[j].Name })
+		for _, c := range fixed {
+			ctr.add(label("name", c.Name), float64(c.Value))
 		}
 		for _, k := range sortedKeys(s.Counters.Custom) {
 			ctr.add(label("name", sanitizeName(k)), float64(s.Counters.Custom[k]))
@@ -219,7 +221,7 @@ func WriteProm(w io.Writer, s Snapshot) error {
 		for _, k := range sortedKeys(s.Counters.Hists) {
 			addSketch(pw, "chkptsim_hist_"+sanitizeName(k),
 				"Run histogram "+k+" sampled from the metrics tap.",
-				metrics.SketchFromHist(s.Counters.Hists[k]))
+				s.Counters.Hists[k])
 		}
 	}
 
@@ -270,34 +272,6 @@ func WriteProm(w io.Writer, s Snapshot) error {
 	}
 
 	return pw.render(w)
-}
-
-type namedInt struct {
-	name  string
-	value int64
-}
-
-// fixedCounterValues names the fixed Counters fields for exposition.
-func fixedCounterValues(s metrics.Snapshot) map[string]int64 {
-	return map[string]int64{
-		"app_messages":     s.AppMessages,
-		"ctrl_messages":    s.CtrlMessages,
-		"ctrl_bytes":       s.CtrlBytes,
-		"checkpoints":      s.Checkpoints,
-		"forced":           s.Forced,
-		"rollbacks":        s.Rollbacks,
-		"restarted_events": s.RestartedEvents,
-		"blocked_ns":       int64(s.Blocked),
-	}
-}
-
-func sortedFixed(s metrics.Snapshot) []namedInt {
-	m := fixedCounterValues(s)
-	out := make([]namedInt, 0, len(m))
-	for _, k := range sortedKeys(m) {
-		out = append(out, namedInt{k, m[k]})
-	}
-	return out
 }
 
 func boolGauge(b bool) float64 {

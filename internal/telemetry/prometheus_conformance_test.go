@@ -399,7 +399,7 @@ func TestPromConformanceWithCounters(t *testing.T) {
 	ctr := &metrics.Counters{}
 	ctr.IncAppMessages(42)
 	ctr.Inc("weird name\"with\\specials\n", 7)
-	ctr.SetGauge("chkpt_last_save_vs_p0", 1.25)
+	ctr.SetGauge("fleet_active_jobs", 3)
 	ctr.ObserveHist("save ms", 3.5)
 	a := telemetry.New(telemetry.Config{Counters: ctr, Window: time.Hour})
 	a.OnEvent(obs.Event{Kind: obs.KindCompute, Proc: 0})

@@ -124,9 +124,9 @@ func TestServerScrapeDuringIngest(t *testing.T) {
 	<-done
 }
 
-// TestSnapshotJSONEncodableWhenEmpty: a fresh aggregator's sketches carry
-// ±Inf min/max sentinels; the snapshot must zero them or json.Marshal fails
-// and /snapshot.json serves an empty body.
+// TestSnapshotJSONEncodableWhenEmpty: a never-observed sketch snapshots as
+// all zeros (its ±Inf min/max sentinels stay inside metrics.Sketch), so a
+// fresh aggregator's /snapshot.json encodes.
 func TestSnapshotJSONEncodableWhenEmpty(t *testing.T) {
 	a := telemetry.New(telemetry.Config{Window: time.Hour, Counters: &metrics.Counters{}})
 	a.Tick() // sample the (empty) counters tap, histograms included

@@ -83,15 +83,6 @@ type Snapshot struct {
 	WAL    wal.Stats `json:"wal"`
 }
 
-// finiteSketch zeroes the ±Inf min/max sentinels of an empty sketch so the
-// snapshot stays JSON-encodable (encoding/json rejects non-finite floats).
-func finiteSketch(s metrics.SketchSnapshot) metrics.SketchSnapshot {
-	if s.Count == 0 {
-		s.Min, s.Max = 0, 0
-	}
-	return s
-}
-
 // quantiles summarizes a sketch snapshot.
 func quantiles(s metrics.SketchSnapshot) Quantiles {
 	return Quantiles{
@@ -177,9 +168,9 @@ func (a *Aggregator) Snapshot() Snapshot {
 		s.Procs = append(s.Procs, ps)
 	}
 
-	s.SaveSketch = finiteSketch(a.saveMS.Snapshot())
-	s.BlockSketch = finiteSketch(a.blockMS.Snapshot())
-	s.StallSketch = finiteSketch(a.stallV.Snapshot())
+	s.SaveSketch = a.saveMS.Snapshot()
+	s.BlockSketch = a.blockMS.Snapshot()
+	s.StallSketch = a.stallV.Snapshot()
 	s.SaveMS = quantiles(s.SaveSketch)
 	s.BlockMS = quantiles(s.BlockSketch)
 	s.StallV = quantiles(s.StallSketch)
@@ -195,18 +186,6 @@ func (a *Aggregator) Snapshot() Snapshot {
 	if a.cfg.Counters != nil {
 		s.HasCounters = true
 		s.Counters = a.prevCtr
-		if len(s.Counters.Hists) > 0 {
-			// Empty registry histograms carry the same non-finite
-			// sentinels; copy-and-zero rather than mutating the shared map.
-			hs := make(map[string]metrics.HistSnapshot, len(s.Counters.Hists))
-			for k, h := range s.Counters.Hists {
-				if h.Count == 0 {
-					h.Min, h.Max = 0, 0
-				}
-				hs[k] = h
-			}
-			s.Counters.Hists = hs
-		}
 		if len(a.ctrDelta) > 0 {
 			lastNS := int64(a.cfg.Window)
 			if a.ringLen > 0 {

@@ -7,8 +7,8 @@
 #                         count), the Figure 8/9 analytic series, the
 #                         absorbing-chain solver;
 #   BENCH_simcore.json  — the simulator hot paths: transport round trip,
-#                         delivery queue, counters contention, transform
-#                         pipeline, end-to-end failure/recovery runs;
+#                         delivery queue, counters contention, end-to-end
+#                         failure/recovery runs;
 #   BENCH_pipeline.json — the offline analysis pipeline: the aggregate
 #                         transform benchmark its perf targets are pinned
 #                         against (≤1,200 allocs/op and ≥3× wall over the
@@ -48,7 +48,7 @@ run_set sweeps \
 
 # Simulator core: per-message hot paths and end-to-end runs.
 run_set simcore \
-    'BenchmarkTransportRoundTrip|BenchmarkQueuePushPop|BenchmarkCountersInc|BenchmarkTransformPipeline$|BenchmarkRuntimeFailureRecovery|BenchmarkMessagesPerCheckpoint' \
+    'BenchmarkTransportRoundTrip|BenchmarkQueuePushPop|BenchmarkCountersInc|BenchmarkRuntimeFailureRecovery|BenchmarkMessagesPerCheckpoint' \
     BENCH_simcore.json \
     ./internal/sim/ ./internal/metrics/ .
 
