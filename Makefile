@@ -45,6 +45,7 @@ fuzz:
 	$(GO) test -fuzz FuzzStraightCutTheorem -fuzztime $(FUZZTIME) ./internal/verify
 	$(GO) test -fuzz FuzzLivenessPrune -fuzztime $(FUZZTIME) ./internal/verify
 	$(GO) test -fuzz FuzzWALRecover -fuzztime $(FUZZTIME) ./internal/storage/wal
+	$(GO) test -fuzz FuzzSnapshotCodec -fuzztime $(FUZZTIME) ./internal/storage
 
 # telemetry runs the live-telemetry smoke: chkptsim serving /metrics on an
 # ephemeral port, scraped end-to-end by cmd/telemetryprobe.

@@ -13,6 +13,8 @@ package sim
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/cfg"
 	"repro/internal/liveness"
@@ -72,6 +74,7 @@ type Instr struct {
 	Expr   mpl.Expr // assign value, work amount, peer expression, or branch condition
 	Target int      // jump / branch-false target pc
 	Index  int      // chkpt: straight-cut index i
+	Label  string   // assign, chkpt: the event label ("x=", "C_2"), set by Compile
 }
 
 // Code is a compiled program.
@@ -103,7 +106,43 @@ func Compile(p *mpl.Program) (*Code, error) {
 		return nil, err
 	}
 	c.emit(Instr{Op: OpHalt, StmtID: -1})
+	c.labelInstrs()
 	return c, nil
+}
+
+// chkptLabelPrefix starts the event label of a checkpoint: "C_<index>".
+const chkptLabelPrefix = "C_"
+
+// labelInstrs sets Label on every assign and chkpt instruction, so the
+// runtime builds no string per executed event. All labels are cut from one
+// string: compiling pays one allocation for them, however many there are.
+func (c *Code) labelInstrs() {
+	size := 0
+	for _, in := range c.Instrs {
+		switch in.Op {
+		case OpAssign:
+			size += len(in.Var) + 1
+		case OpChkpt:
+			size += len(chkptLabelPrefix) + 20 // room for any int
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for i := range c.Instrs {
+		in := &c.Instrs[i]
+		start := b.Len()
+		switch in.Op {
+		case OpAssign:
+			b.WriteString(in.Var)
+			b.WriteByte('=')
+		case OpChkpt:
+			b.WriteString(chkptLabelPrefix)
+			b.WriteString(strconv.Itoa(in.Index))
+		default:
+			continue
+		}
+		in.Label = b.String()[start:]
+	}
 }
 
 func (c *Code) emit(i Instr) int {

@@ -76,7 +76,10 @@ type Proc struct {
 	obsv     obs.Observer // nil: observability off
 	inc      int          // incarnation this process belongs to
 
-	env       *mpl.Env
+	env *mpl.Env
+	// pruned is the variable map of the last manifest-pruned checkpoint,
+	// refilled for the next one.
+	pruned    map[string]int
 	pc        int
 	clock     vclock.VC
 	sendSeq   []int
@@ -291,7 +294,7 @@ func (p *Proc) emit(e obs.Event) {
 // known, so they always persist everything. Application chkpt statements go
 // through appCheckpoint, which prunes to the site's manifest.
 func (p *Proc) TakeCheckpoint(idx int) error {
-	return p.takeCheckpoint(idx, nil)
+	return p.takeCheckpoint(idx, nil, chkptLabelPrefix+strconv.Itoa(idx))
 }
 
 // appCheckpoint takes the checkpoint for an application chkpt instruction,
@@ -302,14 +305,16 @@ func (p *Proc) appCheckpoint(in Instr) error {
 	if !p.noPrune {
 		manifest = p.code.Manifests[in.StmtID]
 	}
-	return p.takeCheckpoint(in.Index, manifest)
+	return p.takeCheckpoint(in.Index, manifest, in.Label)
 }
 
 // takeCheckpoint persists a snapshot holding exactly the manifest variables
 // (nil manifest = the whole environment). Pruned variables restore to their
 // declared initial value — safe because liveness proved every path from
-// this site redefines them before any use.
-func (p *Proc) takeCheckpoint(idx int, manifest []string) error {
+// this site redefines them before any use. The snapshot lends the store the
+// process's live clock, counters and variable map: Store.Save holds on to
+// none of them once it returns.
+func (p *Proc) takeCheckpoint(idx int, manifest []string, label string) error {
 	instance := p.instances[idx]
 	p.instances[idx] = instance + 1
 	p.clock.Tick(p.rank)
@@ -319,19 +324,17 @@ func (p *Proc) takeCheckpoint(idx int, manifest []string) error {
 		}
 	}
 
-	resume := p.resumePC()
-	var vars map[string]int
-	if manifest == nil {
-		vars = make(map[string]int, len(p.env.Vars))
-		for k, v := range p.env.Vars {
-			vars[k] = v
-		}
-	} else {
+	vars := p.env.Vars
+	if manifest != nil {
 		fullBytes := 0
 		for k := range p.env.Vars {
 			fullBytes += len(k) + 8
 		}
-		vars = make(map[string]int, len(manifest))
+		if p.pruned == nil {
+			p.pruned = make(map[string]int, len(manifest))
+		}
+		clear(p.pruned)
+		vars = p.pruned
 		prunedBytes := 0
 		for _, name := range manifest {
 			if v, ok := p.env.Vars[name]; ok {
@@ -343,20 +346,16 @@ func (p *Proc) takeCheckpoint(idx int, manifest []string) error {
 		p.counters.Inc(MetricPruneBytesSaved, fullBytes-prunedBytes)
 		p.counters.Inc(MetricPruneVarsDropped, len(p.env.Vars)-len(vars))
 	}
-	instances := make(map[int]int, len(p.instances))
-	for k, v := range p.instances {
-		instances[k] = v
-	}
 	snap := storage.Snapshot{
 		Proc:      p.rank,
 		CFGIndex:  idx,
 		Instance:  instance,
-		Clock:     p.clock.Clone(),
+		Clock:     p.clock,
 		Vars:      vars,
-		PC:        strconv.Itoa(resume),
-		SendSeqs:  append([]int(nil), p.sendSeq...),
-		RecvSeqs:  append([]int(nil), p.recvSeq...),
-		Instances: instances,
+		PC:        strconv.Itoa(p.resumePC()),
+		SendSeqs:  p.sendSeq,
+		RecvSeqs:  p.recvSeq,
+		Instances: p.instances,
 		VTime:     p.vtime,
 		Manifest:  manifest,
 	}
@@ -382,7 +381,7 @@ func (p *Proc) takeCheckpoint(idx int, manifest []string) error {
 	return p.record(trace.Event{
 		Kind:  trace.KindCheckpoint,
 		Chkpt: trace.Checkpoint{CFGIndex: idx, Instance: instance},
-		Label: "C_" + strconv.Itoa(idx),
+		Label: label,
 	})
 }
 
@@ -512,7 +511,7 @@ func (p *Proc) run() error {
 				}
 			}
 			p.clock.Tick(p.rank)
-			if err := p.record(trace.Event{Kind: trace.KindCompute, Label: in.Var + "="}); err != nil {
+			if err := p.record(trace.Event{Kind: trace.KindCompute, Label: in.Label}); err != nil {
 				return err
 			}
 			p.pc++

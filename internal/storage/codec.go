@@ -1,0 +1,250 @@
+package storage
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+
+	"repro/internal/vclock"
+)
+
+// The snapshot body is the format of every persistent store (.ckpt files,
+// WAL put records, the incremental store's reconstruction checksum).
+// AppendSnapshot is the only function that writes a Snapshot's fields to
+// bytes and DecodeSnapshot the only one that reads them. Integrity framing
+// (CRC, length) is the store's own; a DecodeSnapshot error means the body
+// inside an intact frame is not a snapshot, which callers report as
+// ErrCorrupt.
+//
+// Layout, version 1 (uv = unsigned LEB128 varint, sv = zig-zag varint,
+// str = uv byte count + bytes, len = uv holding 0 for a nil slice or map and
+// n+1 for one of n elements, so nil and empty both round-trip):
+//
+//	byte  version (1)
+//	sv    Proc, CFGIndex, Instance
+//	len   Clock      then uv per component
+//	len   Vars       then (str name, sv value) per variable, names ascending
+//	str   PC
+//	len   SendSeqs   then sv per peer
+//	len   RecvSeqs   then sv per peer
+//	len   Instances  then (sv index, sv count) per entry, indexes ascending
+//	u64   VTime      IEEE-754 bits, big-endian
+//	len   Manifest   then str per name
+//
+// Names and indexes are sorted and every varint is minimal, so the bytes are
+// a deterministic function of the snapshot (the incremental store's checksum
+// depends on that) and exactly one body decodes to any given snapshot.
+const snapshotVersion = 1
+
+// AppendSnapshot appends the body of s to dst and returns the extended
+// slice. It allocates nothing when dst has room and s holds at most
+// sortScratch variables and instance counters.
+func AppendSnapshot(dst []byte, s Snapshot) []byte {
+	dst = append(dst, snapshotVersion)
+	dst = binary.AppendVarint(dst, int64(s.Proc))
+	dst = binary.AppendVarint(dst, int64(s.CFGIndex))
+	dst = binary.AppendVarint(dst, int64(s.Instance))
+
+	dst = appendLen(dst, len(s.Clock), s.Clock == nil)
+	for _, c := range s.Clock {
+		dst = binary.AppendUvarint(dst, c)
+	}
+
+	dst = appendLen(dst, len(s.Vars), s.Vars == nil)
+	var nameBuf [sortScratch]string
+	names := nameBuf[:0]
+	for name := range s.Vars {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		dst = appendString(dst, name)
+		dst = binary.AppendVarint(dst, int64(s.Vars[name]))
+	}
+
+	dst = appendString(dst, s.PC)
+	dst = appendInts(dst, s.SendSeqs)
+	dst = appendInts(dst, s.RecvSeqs)
+
+	dst = appendLen(dst, len(s.Instances), s.Instances == nil)
+	var idxBuf [sortScratch]int
+	idxs := idxBuf[:0]
+	for idx := range s.Instances {
+		idxs = append(idxs, idx)
+	}
+	slices.Sort(idxs)
+	for _, idx := range idxs {
+		dst = binary.AppendVarint(dst, int64(idx))
+		dst = binary.AppendVarint(dst, int64(s.Instances[idx]))
+	}
+
+	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(s.VTime))
+
+	dst = appendLen(dst, len(s.Manifest), s.Manifest == nil)
+	for _, name := range s.Manifest {
+		dst = appendString(dst, name)
+	}
+	return dst
+}
+
+// sortScratch is how many map keys AppendSnapshot sorts on its own stack.
+const sortScratch = 32
+
+func appendLen(dst []byte, n int, isNil bool) []byte {
+	if isNil {
+		return append(dst, 0)
+	}
+	return binary.AppendUvarint(dst, uint64(n)+1)
+}
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+func appendInts(dst []byte, v []int) []byte {
+	dst = appendLen(dst, len(v), v == nil)
+	for _, x := range v {
+		dst = binary.AppendVarint(dst, int64(x))
+	}
+	return dst
+}
+
+// EncodeSnapshot returns the body of s in a fresh slice.
+func EncodeSnapshot(s Snapshot) []byte { return AppendSnapshot(nil, s) }
+
+// DecodeSnapshot inverts AppendSnapshot. The result shares no memory with
+// body, so the caller may reuse the buffer at once. Any body AppendSnapshot
+// could not have produced — another version byte, a truncated or over-long
+// body, a non-minimal varint, names or indexes out of order — is an error,
+// and every declared length is checked against the bytes that remain before
+// anything is allocated for it.
+func DecodeSnapshot(body []byte) (Snapshot, error) {
+	if len(body) == 0 || body[0] != snapshotVersion {
+		return Snapshot{}, errors.New("storage: snapshot body: unknown version")
+	}
+	// One copy backs every string of the result.
+	d := decoder{text: string(body), rest: body[1:]}
+	var s Snapshot
+	s.Proc, s.CFGIndex, s.Instance = d.int(), d.int(), d.int()
+
+	if n, ok := d.count(1); ok {
+		s.Clock = make(vclock.VC, n)
+		for i := range s.Clock {
+			s.Clock[i] = d.uvarint()
+		}
+	}
+	if n, ok := d.count(2); ok {
+		s.Vars = make(map[string]int, n)
+		prev := ""
+		for i := 0; i < n && d.err == nil; i++ {
+			name := d.str()
+			if i > 0 && name <= prev {
+				d.fail("variable names out of order")
+			}
+			s.Vars[name], prev = d.int(), name
+		}
+	}
+	s.PC = d.str()
+	s.SendSeqs = d.ints()
+	s.RecvSeqs = d.ints()
+	if n, ok := d.count(2); ok {
+		s.Instances = make(map[int]int, n)
+		prev := 0
+		for i := 0; i < n && d.err == nil; i++ {
+			idx := d.int()
+			if i > 0 && idx <= prev {
+				d.fail("instance indexes out of order")
+			}
+			s.Instances[idx], prev = d.int(), idx
+		}
+	}
+	if len(d.rest) < 8 {
+		d.fail("truncated")
+	} else {
+		s.VTime = math.Float64frombits(binary.BigEndian.Uint64(d.rest))
+		d.rest = d.rest[8:]
+	}
+	if n, ok := d.count(1); ok {
+		s.Manifest = make([]string, n)
+		for i := range s.Manifest {
+			s.Manifest[i] = d.str()
+		}
+	}
+	if d.err == nil && len(d.rest) != 0 {
+		d.fail(fmt.Sprintf("%d trailing bytes", len(d.rest)))
+	}
+	if d.err != nil {
+		return Snapshot{}, d.err
+	}
+	return s, nil
+}
+
+// decoder reads a body front to back. The first failure sticks: every later
+// read returns zero values, so DecodeSnapshot checks err once at the end.
+type decoder struct {
+	text string // the whole body, for substrings
+	rest []byte // the unread tail of it
+	err  error
+}
+
+func (d *decoder) fail(why string) {
+	if d.err == nil {
+		d.err = errors.New("storage: snapshot body: " + why)
+		d.rest = nil
+	}
+}
+
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.rest)
+	if n <= 0 || (n > 1 && d.rest[n-1] == 0) {
+		d.fail("bad varint")
+		return 0
+	}
+	d.rest = d.rest[n:]
+	return v
+}
+
+func (d *decoder) int() int {
+	u := d.uvarint()
+	return int(int64(u>>1) ^ -int64(u&1))
+}
+
+// count reads a nil-aware length whose elements occupy at least elemBytes
+// each; ok is false for a nil slice or map, and after a failure.
+func (d *decoder) count(elemBytes int) (n int, ok bool) {
+	u := d.uvarint()
+	if u == 0 {
+		return 0, false
+	}
+	if u-1 > uint64(len(d.rest)/elemBytes) {
+		d.fail("length exceeds body")
+		return 0, false
+	}
+	return int(u - 1), true
+}
+
+func (d *decoder) str() string {
+	n := d.uvarint()
+	if n > uint64(len(d.rest)) {
+		d.fail("length exceeds body")
+		return ""
+	}
+	off := len(d.text) - len(d.rest)
+	d.rest = d.rest[n:]
+	return d.text[off : off+int(n)]
+}
+
+func (d *decoder) ints() []int {
+	n, ok := d.count(1)
+	if !ok {
+		return nil
+	}
+	v := make([]int, n)
+	for i := range v {
+		v[i] = d.int()
+	}
+	return v
+}

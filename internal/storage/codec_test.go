@@ -1,0 +1,337 @@
+package storage
+
+import (
+	"bytes"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/vclock"
+)
+
+var (
+	goldenFull = Snapshot{
+		Proc: 1, CFGIndex: 2, Instance: 3,
+		Clock:    vclock.VC{4, 9, 0},
+		Vars:     map[string]int{"x": 7, "iter": 2, "y": -1},
+		PC:       "s12",
+		SendSeqs: []int{1, 0, 2}, RecvSeqs: []int{0, 0, 1},
+		Instances: map[int]int{1: 4, 2: 3},
+		VTime:     1.25,
+	}
+	goldenPruned = Snapshot{
+		Proc: 0, CFGIndex: 2, Instance: 4,
+		Clock:    vclock.VC{4, 9, 0},
+		Vars:     map[string]int{"iter": 2, "x": 7},
+		PC:       "s12",
+		SendSeqs: []int{1, 0, 2}, RecvSeqs: []int{0, 0, 1},
+		Instances: map[int]int{1: 4, 2: 3},
+		VTime:     1.25,
+		Manifest:  []string{"iter", "x"},
+	}
+)
+
+// The snapshot body is a persistent format: its bytes are pinned, so a
+// change to them is a decision (a new version byte), not an accident.
+func TestEncodeSnapshotGolden(t *testing.T) {
+	tests := []struct {
+		name string
+		snap Snapshot
+		want string
+	}{
+		{"full", goldenFull, "01020406040409000404697465720401780e01790103733132040200040400000203020804063ff400000000000000"},
+		{"manifest-carrying", goldenPruned, "01000408040409000304697465720401780e03733132040200040400000203020804063ff40000000000000304697465720178"},
+	}
+	for _, tt := range tests {
+		body := EncodeSnapshot(tt.snap)
+		if got := hex.EncodeToString(body); got != tt.want {
+			t.Errorf("%s: body =\n%s\nwant\n%s", tt.name, got, tt.want)
+		}
+		back, err := DecodeSnapshot(body)
+		if err != nil || !reflect.DeepEqual(back, tt.snap) {
+			t.Errorf("%s: round trip = %+v, %v", tt.name, back, err)
+		}
+	}
+}
+
+func TestSnapshotCodecRoundTrip(t *testing.T) {
+	many := make(map[string]int, 200)
+	manyInst := make(map[int]int, 200)
+	for i := 0; i < 200; i++ {
+		many[fmt.Sprintf("v%03d", i)] = i * i
+		manyInst[i-100] = i
+	}
+	tests := []struct {
+		name string
+		snap Snapshot
+	}{
+		{"zero value: every slice and map nil", Snapshot{}},
+		{"every slice and map empty, 0-width clock", Snapshot{
+			Clock: vclock.VC{}, Vars: map[string]int{}, SendSeqs: []int{}, RecvSeqs: []int{},
+			Instances: map[int]int{}, Manifest: []string{},
+		}},
+		{"nil Vars under an empty manifest", Snapshot{Clock: vclock.VC{1}, Manifest: []string{}}},
+		{"negative values", Snapshot{
+			Proc: -1, CFGIndex: -2, Instance: -3,
+			Vars:     map[string]int{"a": math.MinInt64, "b": -1, "c": math.MaxInt64},
+			SendSeqs: []int{-5}, RecvSeqs: []int{math.MinInt64},
+			Instances: map[int]int{-7: -8, 0: 0, 7: 8},
+			VTime:     -0.5,
+		}},
+		{"more than 127 variables and instances", Snapshot{
+			Proc: 1 << 40, Clock: vclock.VC{math.MaxUint64, 0, 1 << 63},
+			Vars: many, Instances: manyInst, PC: "s300",
+		}},
+		{"names that are not identifiers", Snapshot{
+			Vars: map[string]int{"": 1, "reduce$tmp": 2, "\x00\xff": 3}, PC: "",
+			Manifest: []string{"", "é", "reduce$tmp"},
+		}},
+		{"full", goldenFull},
+		{"manifest-carrying", goldenPruned},
+	}
+	for _, tt := range tests {
+		body := EncodeSnapshot(tt.snap)
+		back, err := DecodeSnapshot(body)
+		if err != nil || !reflect.DeepEqual(back, tt.snap) {
+			t.Errorf("%s: round trip = %+v, %v\nwant %+v", tt.name, back, err, tt.snap)
+			continue
+		}
+		// The decoded snapshot shares no memory with the body it came from:
+		// stores reuse their read buffers.
+		again := append([]byte(nil), body...)
+		for i := range body {
+			body[i] = 0xAA
+		}
+		if !reflect.DeepEqual(back, tt.snap) {
+			t.Errorf("%s: scribbling over the body changed the decoded snapshot: %+v", tt.name, back)
+		}
+		// Map iteration order must not reach the bytes.
+		for i := 0; i < 8; i++ {
+			if !bytes.Equal(EncodeSnapshot(tt.snap), again) {
+				t.Fatalf("%s: encoding is not deterministic", tt.name)
+			}
+		}
+		if !bytes.Equal(AppendSnapshot([]byte("prefix"), tt.snap)[6:], again) {
+			t.Errorf("%s: AppendSnapshot after a prefix differs from EncodeSnapshot", tt.name)
+		}
+	}
+}
+
+// Every proper prefix of a body, a body with bytes after it, and a body of
+// another version fail to decode: an error and a zero Snapshot, never a
+// panic or a half-filled one.
+func TestDecodeSnapshotRejectsDamage(t *testing.T) {
+	for _, snap := range []Snapshot{goldenFull, goldenPruned, {}} {
+		body := EncodeSnapshot(snap)
+		for cut := 0; cut < len(body); cut++ {
+			if got, err := DecodeSnapshot(body[:cut]); err == nil || !reflect.DeepEqual(got, Snapshot{}) {
+				t.Fatalf("%v truncated to %d of %d bytes decoded: %+v, %v", snap.Key(), cut, len(body), got, err)
+			}
+		}
+		if got, err := DecodeSnapshot(append(body[:len(body):len(body)], 0)); err == nil || !reflect.DeepEqual(got, Snapshot{}) {
+			t.Errorf("%v with a trailing byte decoded: %+v, %v", snap.Key(), got, err)
+		}
+		for _, version := range []byte{0, snapshotVersion + 1, '{'} {
+			bad := append([]byte{version}, body[1:]...)
+			if got, err := DecodeSnapshot(bad); err == nil || !reflect.DeepEqual(got, Snapshot{}) {
+				t.Errorf("%v with version byte %#x decoded: %+v, %v", snap.Key(), version, got, err)
+			}
+		}
+	}
+	if _, err := DecodeSnapshot([]byte(`{"proc":1,"cfgIndex":2,"instance":3}`)); err == nil {
+		t.Error("DecodeSnapshot accepted a JSON body")
+	}
+	// One body per snapshot: what AppendSnapshot would not write is refused.
+	head := []byte{snapshotVersion, 0, 0, 0, 0} // key 0/0/0, nil clock
+	for name, tail := range map[string][]byte{
+		"non-minimal varint":  {0x80, 0x00},
+		"names out of order":  {3, 1, 'b', 0, 1, 'a', 0},
+		"duplicate name":      {3, 1, 'a', 0, 1, 'a', 0},
+		"length beyond body":  {0xff, 0xff, 0xff, 0xff, 0x0f},
+		"varint overflows 64": {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+	} {
+		if _, err := DecodeSnapshot(append(head[:len(head):len(head)], tail...)); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+}
+
+// A declared length is checked against the bytes that remain before
+// anything is allocated for it.
+func TestDecodeSnapshotBoundsAllocation(t *testing.T) {
+	head := []byte{snapshotVersion, 0, 0, 0}
+	huge := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01} // 2^48-ish elements
+	bodies := [][]byte{
+		append(head[:4:4], huge...),                                                   // clock
+		append(append(head[:4:4], 0), huge...),                                        // vars
+		append(append(head[:4:4], 0, 0), huge...),                                     // pc
+		append(append(head[:4:4], 0, 0, 0), huge...),                                  // sendSeqs
+		append(append(head[:4:4], 0, 0, 0, 0, 0), huge...),                            // instances
+		append(append(head[:4:4], 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), huge...), // manifest
+	}
+	for i, body := range bodies {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeSnapshot(body)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("body %d: decoded", i)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+			t.Errorf("body %d (%d bytes): decode allocated %d bytes", i, len(body), got)
+		}
+	}
+}
+
+func TestAppendSnapshotIntoReusedBufferDoesNotAllocate(t *testing.T) {
+	for _, snap := range []Snapshot{goldenFull, goldenPruned} {
+		buf := make([]byte, 0, 512)
+		if n := testing.AllocsPerRun(100, func() { buf = AppendSnapshot(buf[:0], snap) }); n != 0 {
+			t.Errorf("%v: AppendSnapshot into a reused buffer = %v allocs/op, want 0", snap.Key(), n)
+		}
+	}
+}
+
+// fuzzSnapshot builds a snapshot from fuzz inputs: blob feeds every number,
+// names every string, and shape decides which slices and maps are nil.
+func fuzzSnapshot(blob []byte, names string, shape uint8, vtime float64) Snapshot {
+	next := func() int {
+		if len(blob) == 0 {
+			return 0
+		}
+		v := int(int8(blob[0]))
+		blob = blob[1:]
+		return v * v * v * 1021
+	}
+	name := func() string {
+		n := min(len(names), 1+len(names)/3)
+		s := names[:n]
+		names = names[n:]
+		return s
+	}
+	s := Snapshot{Proc: next(), CFGIndex: next(), Instance: next(), PC: name(), VTime: vtime}
+	n := len(blob) % 5
+	if shape&1 != 0 {
+		s.Clock = make(vclock.VC, n)
+		for i := range s.Clock {
+			s.Clock[i] = uint64(next())
+		}
+	}
+	if shape&2 != 0 {
+		s.Vars = make(map[string]int, n)
+		for i := 0; i < n; i++ {
+			s.Vars[name()] = next()
+		}
+	}
+	if shape&4 != 0 {
+		s.SendSeqs = make([]int, n)
+		for i := range s.SendSeqs {
+			s.SendSeqs[i] = next()
+		}
+	}
+	if shape&8 != 0 {
+		s.RecvSeqs = []int{next()}
+	}
+	if shape&16 != 0 {
+		s.Instances = make(map[int]int, n)
+		for i := 0; i < n; i++ {
+			s.Instances[next()] = next()
+		}
+	}
+	if shape&32 != 0 {
+		s.Manifest = make([]string, n)
+		for i := range s.Manifest {
+			s.Manifest[i] = name()
+		}
+	}
+	return s
+}
+
+// FuzzSnapshotCodec holds the codec to its three promises on any input:
+// decode(encode(s)) == s for any snapshot; decoding arbitrary bytes never
+// panics and never allocates more than a constant factor of the body's
+// length; and a body that decodes is the one body its snapshot encodes to.
+// Run with `go test -fuzz FuzzSnapshotCodec ./internal/storage`; the
+// committed corpus under testdata/fuzz runs under plain `go test`.
+func FuzzSnapshotCodec(f *testing.F) {
+	f.Add(EncodeSnapshot(goldenFull), "xiterys12", uint8(0xff), 1.25)
+	f.Add(EncodeSnapshot(goldenPruned), "", uint8(0), 0.0)
+	f.Add(EncodeSnapshot(Snapshot{}), "a", uint8(2), math.Inf(-1))
+	f.Add([]byte(`{"proc":1,"cfgIndex":2,"instance":3}`), "reduce$tmp", uint8(0x2a), -0.0)
+	f.Add([]byte{snapshotVersion, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}, "names", uint8(0x15), 1e300)
+
+	f.Fuzz(func(t *testing.T, blob []byte, names string, shape uint8, vtime float64) {
+		if vtime != vtime {
+			vtime = 0 // NaN != NaN: DeepEqual could not confirm the round trip
+		}
+		s := fuzzSnapshot(blob, names, shape, vtime)
+		body := EncodeSnapshot(s)
+		back, err := DecodeSnapshot(body)
+		if err != nil || !reflect.DeepEqual(back, s) {
+			t.Fatalf("decode(encode(s)) = %+v, %v\nwant %+v", back, err, s)
+		}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := DecodeSnapshot(blob)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16+256*uint64(len(blob)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(blob), grew)
+		}
+		if err != nil {
+			if !reflect.DeepEqual(got, Snapshot{}) {
+				t.Fatalf("failed decode returned a partial snapshot: %+v", got)
+			}
+			return
+		}
+		if again := EncodeSnapshot(got); !bytes.Equal(again, blob) {
+			t.Fatalf("encode(decode(b)) = %x\nb = %x", again, blob)
+		}
+	})
+}
+
+var codecSink Snapshot
+
+// BenchmarkSnapshotCodec is the codec alone: encode into a reused buffer,
+// decode from a fixed body, for the full and the manifest-pruned shape of
+// BenchmarkSaveBytesPruned.
+func BenchmarkSnapshotCodec(b *testing.B) {
+	full := Snapshot{
+		Proc: 0, CFGIndex: 1, Instance: 1_000_000,
+		Clock: vclock.VC{1_000_001, 0, 0, 0},
+		Vars: map[string]int{"acc": 1_000_000, "halo_l": 1_000_000, "halo_r": 1_000_001, "iter": 1_000_000,
+			"grid0": 1_000_000, "grid1": 1_000_001, "grid2": 1_000_002, "grid3": 1_000_003,
+			"grid4": 1_000_004, "grid5": 1_000_005, "grid6": 1_000_006, "grid7": 1_000_007},
+		PC: "s1000000",
+	}
+	pruned := full
+	pruned.Manifest = []string{"acc", "halo_l", "halo_r", "iter"}
+	pruned.Vars = map[string]int{"acc": 1_000_000, "halo_l": 1_000_000, "halo_r": 1_000_001, "iter": 1_000_000}
+	for _, shape := range []struct {
+		name string
+		snap Snapshot
+	}{{"full", full}, {"pruned", pruned}} {
+		body := EncodeSnapshot(shape.snap)
+		b.Run("encode/"+shape.name, func(b *testing.B) {
+			buf := make([]byte, 0, 2*len(body))
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				buf = AppendSnapshot(buf[:0], shape.snap)
+			}
+		})
+		b.Run("decode/"+shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				var err error
+				if codecSink, err = DecodeSnapshot(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -13,7 +13,7 @@ import (
 )
 
 // File is a durable Store that writes each snapshot as one file under a
-// directory, framed as [4-byte big-endian CRC32][JSON body]. Writes go
+// directory, framed as [4-byte big-endian CRC32][snapshot body]. Writes go
 // through a temp file + fsync + rename + directory fsync, so neither a
 // torn snapshot nor a lost acknowledged checkpoint can survive a host
 // crash. Reads verify the CRC so silent corruption surfaces as ErrCorrupt
@@ -77,13 +77,9 @@ func (f *File) Save(s Snapshot) error {
 	if _, err := os.Stat(path); err == nil {
 		return fmt.Errorf("%w: %s", ErrDuplicate, filepath.Base(path))
 	}
-	body, err := EncodeSnapshot(s)
-	if err != nil {
-		return fmt.Errorf("storage: encode snapshot: %w", err)
-	}
-	frame := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(frame[:4], crc32.ChecksumIEEE(body))
-	copy(frame[4:], body)
+	// The body is encoded straight behind the space reserved for its CRC.
+	frame := AppendSnapshot(make([]byte, 4, 256), s)
+	binary.BigEndian.PutUint32(frame[:4], crc32.ChecksumIEEE(frame[4:]))
 
 	tmp, err := os.CreateTemp(f.dir, ".tmp-ckpt-*")
 	if err != nil {

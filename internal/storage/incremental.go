@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"sync"
 )
 
@@ -31,6 +32,9 @@ type Incremental struct {
 
 	fullBytes  int
 	deltaBytes int
+
+	// crcBuf is the scratch body checksumLocked encodes into.
+	crcBuf []byte
 }
 
 // record is one stored checkpoint, possibly a delta.
@@ -63,22 +67,20 @@ func NewIncremental(fullEvery int) *Incremental {
 	}
 }
 
-// snapshotCRC fingerprints a fully reconstructed snapshot by its
-// (deterministic) EncodeSnapshot bytes. A nil variable map is normalized
+// emptyVars stands in for a nil variable map in checksumLocked; never
+// written.
+var emptyVars = map[string]int{}
+
+// checksumLocked fingerprints a fully reconstructed snapshot by its
+// (deterministic) AppendSnapshot bytes. A nil variable map is normalized
 // to empty: delta reconstruction always rebuilds a concrete map, and the
 // fingerprint must not depend on that representation detail.
-func snapshotCRC(s Snapshot) uint32 {
+func (inc *Incremental) checksumLocked(s Snapshot) uint32 {
 	if s.Vars == nil {
-		s.Vars = map[string]int{}
+		s.Vars = emptyVars
 	}
-	b, err := EncodeSnapshot(s)
-	if err != nil {
-		// Snapshot contains only maps, slices, and scalars; encoding cannot
-		// fail on it. Guard anyway so a future field cannot silently
-		// disable verification.
-		panic(fmt.Sprintf("storage: snapshot not encodable: %v", err))
-	}
-	return crc32.ChecksumIEEE(b)
+	inc.crcBuf = AppendSnapshot(inc.crcBuf[:0], s)
+	return crc32.ChecksumIEEE(inc.crcBuf)
 }
 
 // Save implements Store.
@@ -90,37 +92,37 @@ func (inc *Incremental) Save(s Snapshot) error {
 		return fmt.Errorf("%w: %s", ErrDuplicate, k)
 	}
 	chain := inc.recs[s.Proc]
-	full := len(chain)%inc.fullEvery == 0
-	rec := record{snap: s.clone(), crc: snapshotCRC(s)}
-	storeFull := full || len(chain) == 0
-	var prev Snapshot
+	rec := record{crc: inc.checksumLocked(s)}
+	storeFull := len(chain)%inc.fullEvery == 0
+	var prev map[string]int
 	if !storeFull {
 		// Delta against the previous record's reconstructed state. If the
 		// previous record turns out to be corrupt, do not chain onto it:
 		// store a full record instead so new checkpoints stay readable
 		// even on a damaged chain (self-healing writes).
 		var err error
-		prev, err = inc.reconstructLocked(s.Proc, len(chain)-1)
+		prev, err = inc.varsAtLocked(s.Proc, len(chain)-1)
 		if err != nil {
 			storeFull = true
 		}
 	}
 	if storeFull {
+		rec.snap = s.clone()
 		inc.fullBytes += approxSize(rec.snap.Vars)
 	} else {
 		deltaVars := make(map[string]int)
 		for name, v := range s.Vars {
-			if pv, ok := prev.Vars[name]; !ok || pv != v {
+			if pv, ok := prev[name]; !ok || pv != v {
 				deltaVars[name] = v
 			}
 		}
-		for name := range prev.Vars {
+		for name := range prev {
 			if _, ok := s.Vars[name]; !ok {
 				rec.removedVars = append(rec.removedVars, name)
 			}
 		}
 		rec.delta = true
-		rec.snap.Vars = deltaVars
+		rec.snap = s.cloneWithVars(deltaVars)
 		inc.deltaBytes += approxSize(deltaVars)
 	}
 	inc.byKey[k] = len(chain)
@@ -128,40 +130,66 @@ func (inc *Incremental) Save(s Snapshot) error {
 	return nil
 }
 
-// reconstructLocked rebuilds the full snapshot at position pos of proc's
-// chain by replaying deltas from the nearest full record, then verifies
-// the result against the checksum taken at save time. A mismatch anywhere
-// in the chain (a flipped bit in a base record corrupts every dependent
-// reconstruction) returns ErrCorrupt.
-func (inc *Incremental) reconstructLocked(proc, pos int) (Snapshot, error) {
+// apply advances vars — the reconstructed variable state just before r,
+// owned by the caller — to the state at r, in place for a delta.
+func (r *record) apply(vars map[string]int) map[string]int {
+	if !r.delta {
+		return maps.Clone(r.snap.Vars)
+	}
+	if vars == nil {
+		vars = make(map[string]int, len(r.snap.Vars))
+	}
+	for k, v := range r.snap.Vars {
+		vars[k] = v
+	}
+	for _, k := range r.removedVars {
+		delete(vars, k)
+	}
+	return vars
+}
+
+// verifyLocked checks vars, the reconstructed variable state at r, against
+// the checksum taken when r was saved. A mismatch anywhere in the chain (a
+// flipped bit in a base record corrupts every dependent reconstruction)
+// returns ErrCorrupt.
+func (inc *Incremental) verifyLocked(r *record, vars map[string]int) error {
+	// Non-Vars fields always come from the target record.
+	view := r.snap
+	view.Vars = vars
+	if got := inc.checksumLocked(view); got != r.crc {
+		return fmt.Errorf("%w: %s reconstruction crc %08x != %08x (damaged delta chain)",
+			ErrCorrupt, r.snap.Key(), got, r.crc)
+	}
+	return nil
+}
+
+// varsAtLocked rebuilds the variable state at position pos of proc's chain
+// by replaying deltas from the nearest full record into one map, then
+// verifies it. The map is the caller's.
+func (inc *Incremental) varsAtLocked(proc, pos int) (map[string]int, error) {
 	chain := inc.recs[proc]
 	start := pos
 	for start > 0 && chain[start].delta {
 		start--
 	}
-	out := chain[start].snap.clone()
-	for i := start + 1; i <= pos; i++ {
-		r := chain[i]
-		// Non-Vars fields always come from the target record.
-		vars := out.Vars
-		out = r.snap.clone()
-		merged := make(map[string]int, len(vars)+len(out.Vars))
-		for k, v := range vars {
-			merged[k] = v
-		}
-		for k, v := range r.snap.Vars {
-			merged[k] = v
-		}
-		for _, k := range r.removedVars {
-			delete(merged, k)
-		}
-		out.Vars = merged
+	var vars map[string]int
+	for i := start; i <= pos; i++ {
+		vars = chain[i].apply(vars)
 	}
-	if got := snapshotCRC(out); got != chain[pos].crc {
-		return Snapshot{}, fmt.Errorf("%w: %s reconstruction crc %08x != %08x (damaged delta chain)",
-			ErrCorrupt, chain[pos].snap.Key(), got, chain[pos].crc)
+	if err := inc.verifyLocked(&chain[pos], vars); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return vars, nil
+}
+
+// reconstructLocked rebuilds and verifies the full snapshot at position pos
+// of proc's chain; the result is a private copy.
+func (inc *Incremental) reconstructLocked(proc, pos int) (Snapshot, error) {
+	vars, err := inc.varsAtLocked(proc, pos)
+	if err != nil {
+		return Snapshot{}, err
+	}
+	return inc.recs[proc][pos].snap.cloneWithVars(vars), nil
 }
 
 // Get implements Store.
@@ -198,14 +226,18 @@ func (inc *Incremental) Latest(proc, cfgIndex int) (Snapshot, error) {
 func (inc *Incremental) List(proc int) ([]Snapshot, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
+	// One forward pass: vars is the state at pos, updated in place from
+	// record to record, and every position is verified as Get would.
 	chain := inc.recs[proc]
 	out := make([]Snapshot, 0, len(chain))
+	var vars map[string]int
 	for pos := range chain {
-		s, err := inc.reconstructLocked(proc, pos)
-		if err != nil {
+		r := &chain[pos]
+		vars = r.apply(vars)
+		if err := inc.verifyLocked(r, vars); err != nil {
 			return nil, err
 		}
-		out = append(out, s)
+		out = append(out, r.snap.cloneWithVars(maps.Clone(vars)))
 	}
 	SortSnapshots(out)
 	return out, nil
@@ -270,26 +302,30 @@ func (inc *Incremental) Scrub() (ScrubReport, error) {
 	defer inc.mu.Unlock()
 	var rep ScrubReport
 	for proc, chain := range inc.recs {
+		// One forward pass verifies every position, as List does.
 		cut := -1
+		var vars map[string]int
 		for pos := range chain {
-			if _, err := inc.reconstructLocked(proc, pos); err != nil {
+			r := &chain[pos]
+			vars = r.apply(vars)
+			err := inc.verifyLocked(r, vars)
+			if err != nil && cut < 0 {
 				cut = pos
-				break
 			}
-		}
-		if cut < 0 {
-			continue
-		}
-		for pos := cut; pos < len(chain); pos++ {
-			k := chain[pos].snap.Key()
+			if cut < 0 {
+				continue
+			}
+			k := r.snap.Key()
 			delete(inc.byKey, k)
-			if _, err := inc.reconstructLocked(proc, pos); err != nil {
+			if err != nil {
 				rep.Quarantined = append(rep.Quarantined, SnapshotRef{k, err.Error()})
 			} else {
 				rep.Collateral++
 			}
 		}
-		inc.recs[proc] = chain[:cut]
+		if cut >= 0 {
+			inc.recs[proc] = chain[:cut]
+		}
 	}
 	return rep, nil
 }

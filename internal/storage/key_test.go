@@ -1,14 +1,11 @@
 package storage
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"repro/internal/vclock"
 )
 
 func TestKeyLess(t *testing.T) {
@@ -98,88 +95,53 @@ func TestIndexesCountsCorruptButPresentKey(t *testing.T) {
 	}
 }
 
-var (
-	goldenFull = Snapshot{
-		Proc: 1, CFGIndex: 2, Instance: 3,
-		Clock:    vclock.VC{4, 9, 0},
-		Vars:     map[string]int{"x": 7, "iter": 2, "y": -1},
-		PC:       "s12",
-		SendSeqs: []int{1, 0, 2}, RecvSeqs: []int{0, 0, 1},
-		Instances: map[int]int{1: 4, 2: 3},
-		VTime:     1.25,
-	}
-	goldenPruned = Snapshot{
-		Proc: 0, CFGIndex: 2, Instance: 4,
-		Clock:    vclock.VC{4, 9, 0},
-		Vars:     map[string]int{"iter": 2, "x": 7},
-		PC:       "s12",
-		SendSeqs: []int{1, 0, 2}, RecvSeqs: []int{0, 0, 1},
-		Instances: map[int]int{1: 4, 2: 3},
-		VTime:     1.25,
-		Manifest:  []string{"iter", "x"},
-	}
-)
-
-// The snapshot body is a persistent format: .ckpt files and WAL segments
-// written by earlier revisions must stay readable, so its bytes are pinned.
-func TestEncodeSnapshotGolden(t *testing.T) {
-	tests := []struct {
-		name string
-		snap Snapshot
-		want string
-	}{
-		{"full", goldenFull,
-			`{"proc":1,"cfgIndex":2,"instance":3,"clock":[4,9,0],"vars":{"iter":2,"x":7,"y":-1},"pc":"s12","sendSeqs":[1,0,2],"recvSeqs":[0,0,1],"instances":{"1":4,"2":3},"vtime":1.25}`},
-		{"manifest-carrying", goldenPruned,
-			`{"proc":0,"cfgIndex":2,"instance":4,"clock":[4,9,0],"vars":{"iter":2,"x":7},"pc":"s12","sendSeqs":[1,0,2],"recvSeqs":[0,0,1],"instances":{"1":4,"2":3},"vtime":1.25,"manifest":["iter","x"]}`},
-	}
-	for _, tt := range tests {
-		body, err := EncodeSnapshot(tt.snap)
+// testdata/prechange holds .ckpt files written by the file store when the
+// snapshot body was JSON. That body was deleted, not carried (DESIGN
+// decision 21): an old file is an intact frame around a body of an unknown
+// version, so it reads as ErrCorrupt, Scrub quarantines it, and the key is
+// free for replay to save again.
+func TestFileStoreRejectsLegacyJSONFixture(t *testing.T) {
+	dir := t.TempDir()
+	for _, s := range []Snapshot{goldenFull, goldenPruned} {
+		name := filepath.Base((&File{}).path(s.Proc, s.CFGIndex, s.Instance))
+		old, err := os.ReadFile(filepath.Join("testdata", "prechange", name))
 		if err != nil {
-			t.Fatalf("%s: %v", tt.name, err)
-		}
-		if string(body) != tt.want {
-			t.Errorf("%s: body =\n%s\nwant\n%s", tt.name, body, tt.want)
-		}
-		back, err := DecodeSnapshot(body)
-		if err != nil || !reflect.DeepEqual(back, tt.snap) {
-			t.Errorf("%s: round trip = %+v, %v", tt.name, back, err)
-		}
-	}
-	if _, err := DecodeSnapshot([]byte(`{"proc":`)); err == nil {
-		t.Error("DecodeSnapshot accepted a truncated body")
-	}
-}
-
-// testdata/prechange holds .ckpt files written by the file store before
-// EncodeSnapshot existed. They must still load, and saving the same
-// snapshots today must produce the same bytes.
-func TestFileStoreReadsPreChangeFixture(t *testing.T) {
-	old, err := NewFile(filepath.Join("testdata", "prechange"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []Snapshot{goldenFull, goldenPruned} {
-		got, err := old.Get(want.Proc, want.CFGIndex, want.Instance)
-		if err != nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("fixture %v = %+v, %v", want.Key(), got, err)
-		}
-		if err := fresh.Save(want); err != nil {
 			t.Fatal(err)
 		}
-		name := filepath.Base(old.path(want.Proc, want.CFGIndex, want.Instance))
-		was, err1 := os.ReadFile(filepath.Join(old.dir, name))
-		now, err2 := os.ReadFile(filepath.Join(fresh.dir, name))
-		if err1 != nil || err2 != nil || !bytes.Equal(was, now) {
-			t.Errorf("%s: re-saved bytes differ from the fixture (%v, %v)", name, err1, err2)
+		if err := os.WriteFile(filepath.Join(dir, name), old, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if idx, err := old.Indexes(2); err != nil || !reflect.DeepEqual(idx, []int{2}) {
+	fs, err := NewFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Snapshot{goldenFull, goldenPruned} {
+		if got, err := fs.Get(s.Proc, s.CFGIndex, s.Instance); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("legacy fixture %v = %+v, %v; want ErrCorrupt", s.Key(), got, err)
+		}
+	}
+	if _, err := fs.List(goldenFull.Proc); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("List over a legacy fixture: err = %v, want ErrCorrupt", err)
+	}
+	// The keys still count as present: the recovery ladder finds the damage.
+	if idx, err := fs.Indexes(2); err != nil || !reflect.DeepEqual(idx, []int{2}) {
 		t.Errorf("fixture Indexes(2) = %v, %v; want [2]", idx, err)
+	}
+	rep, err := fs.Scrub()
+	if err != nil || len(rep.Quarantined) != 2 {
+		t.Fatalf("Scrub = %+v, %v; want both fixtures quarantined", rep, err)
+	}
+	for _, s := range []Snapshot{goldenFull, goldenPruned} {
+		if _, err := fs.Get(s.Proc, s.CFGIndex, s.Instance); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("%v after scrub: err = %v, want ErrNotFound", s.Key(), err)
+		}
+		if err := fs.Save(s); err != nil {
+			t.Fatalf("re-save of %v after scrub: %v", s.Key(), err)
+		}
+		if got, err := fs.Get(s.Proc, s.CFGIndex, s.Instance); err != nil || !reflect.DeepEqual(got, s) {
+			t.Fatalf("%v re-saved = %+v, %v", s.Key(), got, err)
+		}
 	}
 }
 

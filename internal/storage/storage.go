@@ -9,9 +9,10 @@
 package storage
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -20,56 +21,47 @@ import (
 
 // Snapshot is the saved state of one process at one checkpoint.
 type Snapshot struct {
-	Proc     int            `json:"proc"`
-	CFGIndex int            `json:"cfgIndex"` // the i of C_{p,i}
-	Instance int            `json:"instance"` // invocation count of the statement
-	Clock    vclock.VC      `json:"clock"`    // vector clock at checkpoint time
-	Vars     map[string]int `json:"vars"`     // process variable state
-	PC       string         `json:"pc"`       // resume label (statement id)
+	Proc     int
+	CFGIndex int            // the i of C_{p,i}
+	Instance int            // invocation count of the statement
+	Clock    vclock.VC      // vector clock at checkpoint time
+	Vars     map[string]int // process variable state
+	PC       string         // resume label (statement id)
 	// SendSeqs / RecvSeqs record per-peer channel sequence numbers so that a
 	// restarted process resumes FIFO numbering correctly.
-	SendSeqs []int `json:"sendSeqs"`
-	RecvSeqs []int `json:"recvSeqs"`
+	SendSeqs []int
+	RecvSeqs []int
 	// Instances records the per-index checkpoint instance counters at
 	// checkpoint time, so a restarted process numbers subsequent
 	// checkpoints correctly.
-	Instances map[int]int `json:"instances,omitempty"`
+	Instances map[int]int
 	// VTime is the process's virtual clock at checkpoint time (0 when
 	// virtual-time accounting is off).
-	VTime float64 `json:"vtime,omitempty"`
+	VTime float64
 	// Manifest, when non-nil, records that Vars was pruned to exactly these
 	// live variables (sorted); every other variable restores to its declared
-	// initial value. nil means a full, unpruned environment (the legacy
-	// format). The manifest travels inside the snapshot, so it is covered by
-	// the same CRC as the payload it describes.
-	Manifest []string `json:"manifest,omitempty"`
+	// initial value. nil means a full, unpruned environment. The manifest
+	// travels inside the snapshot, so it is covered by the same CRC as the
+	// payload it describes.
+	Manifest []string
 }
 
-// clone returns a deep copy so stores never alias caller memory.
+// clone returns a deep copy: what a store keeps of a saved snapshot, and
+// what it hands out on a read, shares no memory with the caller's.
 func (s Snapshot) clone() Snapshot {
+	return s.cloneWithVars(maps.Clone(s.Vars))
+}
+
+// cloneWithVars returns a deep copy of every field of s but Vars, which
+// becomes vars: the copy takes the map over.
+func (s Snapshot) cloneWithVars(vars map[string]int) Snapshot {
 	c := s
 	c.Clock = s.Clock.Clone()
-	if s.Vars != nil {
-		c.Vars = make(map[string]int, len(s.Vars))
-		for k, v := range s.Vars {
-			c.Vars[k] = v
-		}
-	}
-	if s.SendSeqs != nil {
-		c.SendSeqs = append([]int(nil), s.SendSeqs...)
-	}
-	if s.RecvSeqs != nil {
-		c.RecvSeqs = append([]int(nil), s.RecvSeqs...)
-	}
-	if s.Instances != nil {
-		c.Instances = make(map[int]int, len(s.Instances))
-		for k, v := range s.Instances {
-			c.Instances[k] = v
-		}
-	}
-	if s.Manifest != nil {
-		c.Manifest = append([]string(nil), s.Manifest...)
-	}
+	c.Vars = vars
+	c.SendSeqs = slices.Clone(s.SendSeqs)
+	c.RecvSeqs = slices.Clone(s.RecvSeqs)
+	c.Instances = maps.Clone(s.Instances)
+	c.Manifest = slices.Clone(s.Manifest)
 	return c
 }
 
@@ -130,26 +122,18 @@ func CommonIndexes(n int, keys []Key) []int {
 	return out
 }
 
-// EncodeSnapshot and DecodeSnapshot are the snapshot body format of every
-// persistent store (.ckpt files, WAL put records, the incremental store's
-// reconstruction checksum): encoding/json, map keys sorted, so the bytes
-// are a deterministic function of the snapshot. Integrity framing (CRC,
-// length) is the store's own; a DecodeSnapshot error means the body inside
-// an intact frame is not a snapshot, which callers report as ErrCorrupt.
-func EncodeSnapshot(s Snapshot) ([]byte, error) { return json.Marshal(s) }
-
-// DecodeSnapshot inverts EncodeSnapshot.
-func DecodeSnapshot(body []byte) (Snapshot, error) {
-	var s Snapshot
-	err := json.Unmarshal(body, &s)
-	return s, err
-}
-
 // Store is the stable-storage interface used by the runtime and the
 // recovery machinery.
 type Store interface {
 	// Save persists one snapshot. Saving the same (proc, index, instance)
 	// twice is an error: checkpoints are immutable once taken.
+	//
+	// Save borrows s: once it returns — with or without an error — the store
+	// holds no reference to any map or slice of s, having copied or
+	// serialised what it keeps, so the caller may go on mutating them (the
+	// runtime lends its live clock, sequence counters and environment). A
+	// wrapper forwards s synchronously and retains nothing. Reads return
+	// private copies: mutating a returned snapshot changes no later read.
 	Save(s Snapshot) error
 	// Latest returns the snapshot with the highest instance for
 	// (proc, cfgIndex), or ErrNotFound.

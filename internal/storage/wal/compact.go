@@ -309,7 +309,7 @@ func (sh *shard) compactLocked(force bool) error {
 		buf = append(buf, frame...)
 	}
 	for _, k := range marks {
-		buf = append(buf, encodeFrame(kindMark, k, []byte(sh.corrupt[k]))...)
+		buf = appendFrame(buf, kindMark, k, []byte(sh.corrupt[k]))
 	}
 
 	if ft := sh.consult(OpSegCreate, len(buf)); ft.Kill != KillNone {

@@ -18,14 +18,10 @@ import (
 func fuzzPut(proc, index, instance int) []byte {
 	clk := vclock.New(proc + 1)
 	clk[proc] = uint64(instance + 1)
-	body, err := json.Marshal(storage.Snapshot{
+	return appendFrame(nil, kindPut, key(proc, index, instance), storage.EncodeSnapshot(storage.Snapshot{
 		Proc: proc, CFGIndex: index, Instance: instance,
 		Clock: clk, Vars: map[string]int{"x": 42}, PC: "s0",
-	})
-	if err != nil {
-		panic(err)
-	}
-	return encodeFrame(kindPut, key(proc, index, instance), body)
+	}))
 }
 
 // FuzzWALRecover feeds arbitrary bytes to the WAL as the contents of a
@@ -53,9 +49,9 @@ func FuzzWALRecover(f *testing.F) {
 	f.Add(flipped)
 	two := append(append([]byte(nil), valid...), fuzzPut(2, 3, 1)...)
 	f.Add(two)
-	tomb := append(append([]byte(nil), valid...), encodeFrame(kindTomb, key(0, 1, 0), nil)...)
+	tomb := append(append([]byte(nil), valid...), appendFrame(nil, kindTomb, key(0, 1, 0), nil)...)
 	f.Add(tomb)
-	f.Add(encodeFrame(kindMark, key(5, 0, 2), []byte("prior quarantine")))
+	f.Add(appendFrame(nil, kindMark, key(5, 0, 2), []byte("prior quarantine")))
 	huge := append([]byte(nil), valid...)
 	binary.BigEndian.PutUint32(huge[4:], 1<<30) // length field past maxPayload
 	f.Add(huge)

@@ -18,8 +18,8 @@ import (
 // The key fields live inside the CRC-covered payload, so a record is either
 // served whole and verified or not served at all: recovery can never
 // attribute a damaged body to the wrong checkpoint. The body is the
-// JSON-encoded storage.Snapshot for puts, empty for tombstones, and a
-// human-readable reason for quarantine markers.
+// storage.AppendSnapshot encoding of the snapshot for puts, empty for
+// tombstones, and a human-readable reason for quarantine markers.
 const (
 	frameMagic  = 0x57414C31 // "WAL1"
 	frameHeader = 12         // magic + length + crc
@@ -44,21 +44,30 @@ type loc struct {
 	size int // full frame size, header included
 }
 
-// encodeFrame builds one complete frame for (kind, key, body).
-func encodeFrame(kind byte, k storage.Key, body []byte) []byte {
-	payload := make([]byte, payloadHead+len(body))
-	payload[0] = kind
-	binary.BigEndian.PutUint32(payload[1:], uint32(int32(k.Proc)))
-	binary.BigEndian.PutUint32(payload[5:], uint32(int32(k.CFGIndex)))
-	binary.BigEndian.PutUint32(payload[9:], uint32(int32(k.Instance)))
-	copy(payload[payloadHead:], body)
+// beginFrame appends the header space and the kind and key of one frame to
+// dst; the caller appends the body behind it and calls finishFrame.
+func beginFrame(dst []byte, kind byte, k storage.Key) []byte {
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = append(dst, kind)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(k.Proc)))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(k.CFGIndex)))
+	return binary.BigEndian.AppendUint32(dst, uint32(int32(k.Instance)))
+}
 
-	frame := make([]byte, frameHeader+len(payload))
-	binary.BigEndian.PutUint32(frame[0:], frameMagic)
-	binary.BigEndian.PutUint32(frame[4:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[8:], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeader:], payload)
-	return frame
+// finishFrame fills in the header of the frame begun at dst[start:] once
+// its payload is complete.
+func finishFrame(dst []byte, start int) []byte {
+	payload := dst[start+frameHeader:]
+	binary.BigEndian.PutUint32(dst[start:], frameMagic)
+	binary.BigEndian.PutUint32(dst[start+4:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[start+8:], crc32.ChecksumIEEE(payload))
+	return dst
+}
+
+// appendFrame appends one complete frame for (kind, key, body) to dst.
+func appendFrame(dst []byte, kind byte, k storage.Key, body []byte) []byte {
+	start := len(dst)
+	return finishFrame(append(beginFrame(dst, kind, k), body...), start)
 }
 
 // parsePayload splits a CRC-verified payload into its parts.

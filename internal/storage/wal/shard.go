@@ -38,6 +38,8 @@ type shard struct {
 	// Index state.
 	index   map[storage.Key]loc
 	corrupt map[storage.Key]string
+	// readBuf is the frame buffer readLocked reuses.
+	readBuf []byte
 	// Injection.
 	injSeq uint64
 }
@@ -278,7 +280,12 @@ func (sh *shard) readLocked(k storage.Key, l loc) (storage.Snapshot, error) {
 	if f == nil {
 		return storage.Snapshot{}, fmt.Errorf("wal: %s: segment %d not open", k, l.seg)
 	}
-	buf := make([]byte, l.size)
+	// DecodeSnapshot's result shares no memory with the bytes it read, so
+	// one buffer per shard serves every read.
+	if cap(sh.readBuf) < l.size {
+		sh.readBuf = make([]byte, l.size)
+	}
+	buf := sh.readBuf[:l.size]
 	if _, err := f.ReadAt(buf, l.off); err != nil {
 		return storage.Snapshot{}, fmt.Errorf("wal: read %s: %w", k, err)
 	}
@@ -368,7 +375,7 @@ func (sh *shard) scrub(rep *storage.ScrubReport) error {
 	storage.SortKeys(keys)
 	var buf []byte
 	for _, k := range keys {
-		buf = append(buf, encodeFrame(kindTomb, k, nil)...)
+		buf = appendFrame(buf, kindTomb, k, nil)
 	}
 	if err := sh.appendLocked(buf, nil); err != nil {
 		return err

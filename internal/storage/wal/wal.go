@@ -183,16 +183,11 @@ func (w *Store) Save(s storage.Snapshot) error {
 	if err := w.checkAlive(); err != nil {
 		return err
 	}
-	body, err := storage.EncodeSnapshot(s)
-	if err != nil {
-		return fmt.Errorf("wal: encode snapshot: %w", err)
-	}
+	// The body is encoded straight into its frame; s is not referenced
+	// past this line.
 	k := s.Key()
-	return w.submit(&commitReq{
-		kind:  kindPut,
-		key:   k,
-		frame: encodeFrame(kindPut, k, body),
-	})
+	frame := storage.AppendSnapshot(beginFrame(make([]byte, 0, 256), kindPut, k), s)
+	return w.submit(&commitReq{kind: kindPut, key: k, frame: finishFrame(frame, 0)})
 }
 
 // Delete implements storage.Store: a durable tombstone append.
@@ -204,7 +199,7 @@ func (w *Store) Delete(proc, cfgIndex, instance int) error {
 	return w.submit(&commitReq{
 		kind:  kindTomb,
 		key:   k,
-		frame: encodeFrame(kindTomb, k, nil),
+		frame: appendFrame(nil, kindTomb, k, nil),
 	})
 }
 

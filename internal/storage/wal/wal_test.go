@@ -356,7 +356,7 @@ func TestOrphanSegmentsDeleted(t *testing.T) {
 	}
 	w.Close()
 	orphan := filepath.Join(dir, "s0-77.seg")
-	if err := os.WriteFile(orphan, encodeFrame(kindPut, key(9, 9, 9), []byte(`{"proc":9,"cfgIndex":9,"instance":9}`)), 0o644); err != nil {
+	if err := os.WriteFile(orphan, appendFrame(nil, kindPut, key(9, 9, 9), storage.EncodeSnapshot(snap(9, 9, 9))), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	w2 := mustOpen(t, dir, Options{Shards: 1})

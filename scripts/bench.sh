@@ -75,10 +75,11 @@ run_set fleet \
 
 # Durable stores: 1000-job aggregate save throughput (the WAL's group
 # commit vs the file store's fsync-per-save), uncontended save latency, and
-# the liveness-pruned vs full-environment payload/latency comparison.
+# the liveness-pruned vs full-environment payload/latency comparison, and
+# the snapshot codec alone (encode into a reused buffer, decode).
 run_set store \
-    'BenchmarkStoreAggregateSave|BenchmarkStoreSingleSave|BenchmarkSaveBytesPruned' \
+    'BenchmarkStoreAggregateSave|BenchmarkStoreSingleSave|BenchmarkSaveBytesPruned|BenchmarkSnapshotCodec' \
     BENCH_store.json \
-    .
+    . ./internal/storage/
 
 echo 'bench OK'

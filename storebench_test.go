@@ -10,7 +10,6 @@ package repro_test
 // where batching cannot help and only the per-save protocol differs.
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -126,10 +125,7 @@ func BenchmarkSaveBytesPruned(b *testing.B) {
 			b.Run(kind+"/"+mode, func(b *testing.B) {
 				st := benchStore(b, kind)
 				pruned := mode == "pruned"
-				sample, err := json.Marshal(pruneBenchSnap(0, 1_000_000, pruned))
-				if err != nil {
-					b.Fatal(err)
-				}
+				sample := storage.EncodeSnapshot(pruneBenchSnap(0, 1_000_000, pruned))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
