@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt bench chaos netchaos walchaos verify fuzz telemetry fleet prune
+.PHONY: all build vet test race check fmt loc bench chaos netchaos walchaos verify fuzz telemetry fleet prune
 
 all: check
 
@@ -22,6 +22,11 @@ check:
 
 fmt:
 	gofmt -w .
+
+# loc prints the size a simplicity PR is compared by: non-test Go lines
+# outside benchmark/, per package and in total.
+loc:
+	./scripts/loc.sh
 
 # bench runs the benchmark harness and writes BENCH_sweeps.json /
 # BENCH_simcore.json, the perf trajectory baseline. BENCHTIME=<d|Nx>

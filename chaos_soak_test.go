@@ -15,7 +15,6 @@ package repro_test
 
 import (
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -26,7 +25,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/storage"
 	"repro/internal/storage/wal"
 )
 
@@ -34,7 +32,12 @@ func TestChaosSoak(t *testing.T) {
 	// -short trims the matrix to a few seeds rather than skipping; the
 	// per-seed convergence checks all still run, and fleetAssertions sees
 	// the shrunken count and skips only the fleet-wide coverage bars.
-	defSeeds := 24
+	// 36, not fewer: among seeds 0–23 only seed 6 ever degrades, and only
+	// when its process 0 wins a save-versus-crash race in incarnation 0,
+	// which it loses in 10–25 % of runs on a busy box. Seeds 24, 33 and 35
+	// degrade whatever the interleaving.
+	const fullSeeds = 36
+	defSeeds := fullSeeds
 	if testing.Short() {
 		defSeeds = 4
 	}
@@ -63,10 +66,10 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	// Fleet-wide aggregates: individual seeds may draw empty schedules or
-	// dodge every fault, but across the default 24 seeds the machinery
+	// dodge every fault, but across the default seeds the machinery
 	// must fire.
 	seeds := int64(soakSeeds(t, defSeeds))
-	checkFleet := fleetAssertions(t, int(seeds), 24)
+	checkFleet := fleetAssertions(t, int(seeds), fullSeeds)
 	var (
 		mu                                                      sync.Mutex
 		totalFaults, totalRetries, totalDegraded, totalRestarts int64
@@ -84,26 +87,7 @@ func TestChaosSoak(t *testing.T) {
 		for seed := int64(0); seed < seeds; seed++ {
 			t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 				t.Parallel()
-				var inner storage.Store
-				switch seed % 4 {
-				case 0:
-					inner = storage.NewMemory()
-				case 1:
-					inner = storage.NewIncremental(4)
-				case 2:
-					fs, err := storage.NewFile(filepath.Join(t.TempDir(), "ckpt"))
-					if err != nil {
-						t.Fatal(err)
-					}
-					inner = fs
-				default:
-					ws, err := wal.Open(filepath.Join(t.TempDir(), "wal"), wal.Options{Shards: 4})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer ws.Close()
-					inner = ws
-				}
+				inner := openTestStore(t, storeKinds[seed%4], 4, wal.Options{Shards: 4})
 				rates := chaos.DefaultRates(0.12)
 				if seed%2 == 1 {
 					// Rot-heavy profile: with a large fraction of snapshots damaged

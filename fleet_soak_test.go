@@ -189,11 +189,7 @@ func TestFleetSoak(t *testing.T) {
 	// vs Saves is not an invariant here because scrub tombstones commit
 	// in batches of their own.)
 	t.Run("walstore", func(t *testing.T) {
-		ws, err := wal.Open(t.TempDir(), wal.Options{Shards: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ws.Close()
+		ws := openTestStore(t, "wal", 0, wal.Options{Shards: 8}).(*wal.Store)
 		cfg := chaosCfg(4242)
 		cfg.Store = ws
 		rep := runScenario(t, cfg)

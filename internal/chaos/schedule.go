@@ -21,9 +21,6 @@ type ScheduleConfig struct {
 	// MaxEvents bounds the crash point: AfterEvents is drawn uniformly
 	// from [1, MaxEvents]. Default 40.
 	MaxEvents int
-	// MaxTime bounds virtual crash times for VCrashSchedule: At is drawn
-	// uniformly from (0, MaxTime]. Default 10.
-	MaxTime float64
 }
 
 func (cfg *ScheduleConfig) defaults() {
@@ -32,9 +29,6 @@ func (cfg *ScheduleConfig) defaults() {
 	}
 	if cfg.MaxEvents <= 0 {
 		cfg.MaxEvents = 40
-	}
-	if cfg.MaxTime <= 0 {
-		cfg.MaxTime = 10
 	}
 }
 
@@ -76,33 +70,6 @@ func CrashSchedule(seed int64, cfg ScheduleConfig) []sim.Crash {
 				Inc:         inc,
 				Proc:        perm[i],
 				AfterEvents: 1 + rng.Intn(cfg.MaxEvents),
-			})
-		}
-	}
-	return out
-}
-
-// VCrashSchedule is CrashSchedule in virtual time: crash points are drawn
-// from (0, MaxTime] instead of event counts. Requires sim.Config.Time on
-// the run that consumes it.
-func VCrashSchedule(seed int64, cfg ScheduleConfig) []sim.VCrash {
-	cfg.defaults()
-	if cfg.Nproc <= 0 {
-		return nil
-	}
-	rng := rand.New(rand.NewSource(seed))
-	var out []sim.VCrash
-	for inc := 0; inc < cfg.MaxIncarnations; inc++ {
-		m := poisson(rng, cfg.Lambda)
-		if m > cfg.Nproc {
-			m = cfg.Nproc
-		}
-		perm := rng.Perm(cfg.Nproc)
-		for i := 0; i < m; i++ {
-			out = append(out, sim.VCrash{
-				Inc:  inc,
-				Proc: perm[i],
-				At:   cfg.MaxTime * (1 - rng.Float64()),
 			})
 		}
 	}

@@ -63,20 +63,3 @@ func TestCrashScheduleZeroLambdaIsEmpty(t *testing.T) {
 		t.Fatalf("nproc=0 schedule = %v, want nil", s)
 	}
 }
-
-func TestVCrashScheduleShape(t *testing.T) {
-	cfg := ScheduleConfig{Nproc: 3, Lambda: 1, MaxIncarnations: 2, MaxTime: 5}
-	a := VCrashSchedule(7, cfg)
-	b := VCrashSchedule(7, cfg)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed diverged")
-	}
-	for _, c := range a {
-		if c.Proc < 0 || c.Proc >= cfg.Nproc || c.Inc < 0 || c.Inc >= cfg.MaxIncarnations {
-			t.Fatalf("out of range: %+v", c)
-		}
-		if c.At <= 0 || c.At > cfg.MaxTime {
-			t.Fatalf("At %v out of (0,%v]", c.At, cfg.MaxTime)
-		}
-	}
-}

@@ -106,8 +106,7 @@ type opKey struct {
 // (a file store's namespace, an incremental store's delta chains).
 //
 // Store implements storage.Scrubber: Scrub removes marked keys from the
-// inner store (newest-first per process, honoring tail-only deletion of
-// delta-encoded stores) so replay can regenerate them.
+// inner store so replay can regenerate them.
 type Store struct {
 	inner storage.Store
 	rates Rates
@@ -300,6 +299,10 @@ func (c *Store) List(proc int) ([]storage.Snapshot, error) {
 // Indexes implements storage.Store.
 func (c *Store) Indexes(n int) ([]int, error) { return c.inner.Indexes(n) }
 
+// Keys implements storage.KeyLister: like Indexes it injects nothing, and
+// a marked key is still a key.
+func (c *Store) Keys(proc int) ([]storage.Key, error) { return storage.Keys(c.inner, proc) }
+
 // Delete implements storage.Store.
 func (c *Store) Delete(proc, cfgIndex, instance int) error {
 	k := storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: instance}
@@ -311,10 +314,8 @@ func (c *Store) Delete(proc, cfgIndex, instance int) error {
 
 // Scrub implements storage.Scrubber: it removes every marked key from the
 // inner store so replay can regenerate it. Removal runs newest-first per
-// process (by the process's own vector-clock component, its local total
-// order) down to the oldest marked key, because delta-encoded inner stores
-// only allow tail deletion; still-healthy snapshots removed on the way
-// down are counted as collateral.
+// process (storage.SortNewestFirst) down to the oldest marked key;
+// still-healthy snapshots removed on the way down are counted as collateral.
 func (c *Store) Scrub() (storage.ScrubReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -333,20 +334,7 @@ func (c *Store) Scrub() (storage.ScrubReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		// Newest-first by the process's own clock component. Under a
-		// Namespace the proc number is fleet-global while each snapshot's
-		// clock is job-local, so component p may not exist; fall back to
-		// instance order there (fine: delta-encoded stores, the reason for
-		// newest-first, are never namespaced in the fleet).
-		newness := func(s storage.Snapshot) uint64 {
-			if p < len(s.Clock) {
-				return s.Clock[p]
-			}
-			return uint64(s.Instance)
-		}
-		sort.Slice(snaps, func(i, j int) bool {
-			return newness(snaps[i]) > newness(snaps[j])
-		})
+		storage.SortNewestFirst(p, snaps)
 		for _, s := range snaps {
 			if pending[p] == 0 {
 				break

@@ -228,71 +228,59 @@ func (b *Breaker) trip(why string) {
 	b.transition(StateOpen, why)
 }
 
-// do wraps one store operation with the breaker protocol.
-func (b *Breaker) do(f func() error) error {
+// guard runs one store operation under the breaker protocol.
+func guard[T any](b *Breaker, f func() (T, error)) (v T, err error) {
 	probe, err := b.before()
 	if err != nil {
-		return err
+		return v, err
 	}
-	opErr := f()
-	b.after(probe, opErr)
-	return opErr
+	v, err = f()
+	b.after(probe, err)
+	return v, err
+}
+
+// guard0 is guard for an operation that returns only an error.
+func guard0(b *Breaker, f func() error) error {
+	_, err := guard(b, func() (struct{}, error) { return struct{}{}, f() })
+	return err
 }
 
 func (b *Breaker) Save(s storage.Snapshot) error {
-	return b.do(func() error { return b.inner.Save(s) })
+	return guard0(b, func() error { return b.inner.Save(s) })
 }
 
 func (b *Breaker) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
-	var s storage.Snapshot
-	err := b.do(func() (err error) {
-		s, err = b.inner.Latest(proc, cfgIndex)
-		return err
-	})
-	return s, err
+	return guard(b, func() (storage.Snapshot, error) { return b.inner.Latest(proc, cfgIndex) })
 }
 
 func (b *Breaker) Get(proc, cfgIndex, instance int) (storage.Snapshot, error) {
-	var s storage.Snapshot
-	err := b.do(func() (err error) {
-		s, err = b.inner.Get(proc, cfgIndex, instance)
-		return err
-	})
-	return s, err
+	return guard(b, func() (storage.Snapshot, error) { return b.inner.Get(proc, cfgIndex, instance) })
 }
 
 func (b *Breaker) List(proc int) ([]storage.Snapshot, error) {
-	var out []storage.Snapshot
-	err := b.do(func() (err error) {
-		out, err = b.inner.List(proc)
-		return err
-	})
-	return out, err
+	return guard(b, func() ([]storage.Snapshot, error) { return b.inner.List(proc) })
 }
 
 func (b *Breaker) Indexes(n int) ([]int, error) {
-	var out []int
-	err := b.do(func() (err error) {
-		out, err = b.inner.Indexes(n)
-		return err
-	})
-	return out, err
+	return guard(b, func() ([]int, error) { return b.inner.Indexes(n) })
 }
 
 func (b *Breaker) Delete(proc, cfgIndex, instance int) error {
-	return b.do(func() error { return b.inner.Delete(proc, cfgIndex, instance) })
+	return guard0(b, func() error { return b.inner.Delete(proc, cfgIndex, instance) })
+}
+
+// Keys forwards storage.KeyLister, so a job's Namespace.Indexes names its
+// keys without loading them.
+func (b *Breaker) Keys(proc int) ([]storage.Key, error) {
+	return guard(b, func() ([]storage.Key, error) { return storage.Keys(b.inner, proc) })
 }
 
 // Scrub forwards storage.Scrubber when the wrapped store implements it, so
 // quarantine reaches durable backends through the fleet's full wrapper
 // chain (Namespace → Breaker → chaos/store). It runs under the breaker
 // protocol like any other operation: a browned-out store sheds scrubs too.
-func (b *Breaker) Scrub() (rep storage.ScrubReport, err error) {
-	err = b.do(func() (err error) {
-		rep, err = storage.Scrub(b.inner)
-		return err
-	})
-	return rep, err
+func (b *Breaker) Scrub() (storage.ScrubReport, error) {
+	return guard(b, func() (storage.ScrubReport, error) { return storage.Scrub(b.inner) })
 }
 
 var _ storage.Scrubber = (*Breaker)(nil)

@@ -1,5 +1,5 @@
 // Package recovery chooses recovery lines from stable storage after a
-// failure.
+// failure, and takes the storage back to the chosen line (Rollback).
 //
 // For the paper's application-driven scheme the recovery line is a
 // straight cut: the i-th checkpoint of every process (Definition 2.2/2.3).

@@ -179,9 +179,17 @@ func TestCrashValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{
 		Program: p, Nproc: 3, Timeout: 5 * time.Second,
-		VCrashes: []VCrash{{Inc: 0, Proc: 1, At: 1}},
+		Crashes: []Crash{{Inc: -1, Proc: 1, AfterEvents: 1}},
 	}); err == nil {
-		t.Error("VCrashes without Config.Time accepted")
+		t.Error("negative crash incarnation accepted")
+	}
+	// The schedule is resolved once, before incarnation 0: an entry for an
+	// incarnation the run may never reach is still checked.
+	if _, err := Run(Config{
+		Program: p, Nproc: 3, Timeout: 5 * time.Second,
+		Failures: []Failure{{Proc: 0, AfterEvents: -1}, {Proc: 9, AfterEvents: 1}},
+	}); err == nil {
+		t.Error("out-of-range failure proc in a later incarnation accepted")
 	}
 }
 

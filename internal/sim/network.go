@@ -172,9 +172,6 @@ func NewNetwork(n int) *Network {
 	return net
 }
 
-// N returns the process count.
-func (net *Network) N() int { return net.n }
-
 // Send delivers an application message (asynchronous, FIFO) and logs it
 // for potential rollback re-injection. The sender-based log records the
 // message before it touches the (possibly lossy) transport: recovery

@@ -126,39 +126,19 @@ type Proc struct {
 	protoState any
 }
 
-// newProc builds a fresh process at the program start.
-func newProc(rank int, code *Code, net *Network, tr *trace.Trace, st storage.Store,
-	counters *metrics.Counters, hooks Hooks, input func(rank, i int) int,
-	maxSteps, failAfter int, time *TimeModel, vfailAt float64,
-	obsv obs.Observer, inc int) *Proc {
-	n := net.N()
-	p := &Proc{
-		rank:      rank,
-		n:         n,
-		code:      code,
-		net:       net,
-		tr:        tr,
-		store:     st,
-		counters:  counters,
-		hooks:     hooks,
-		obsv:      obsv,
-		inc:       inc,
-		clock:     vclock.New(n),
-		sendSeq:   make([]int, n),
-		recvSeq:   make([]int, n),
-		instances: make(map[int]int),
-		maxSteps:  maxSteps,
-		failAfter: failAfter,
-		time:      time,
-		vfailAt:   vfailAt,
-		workLeft:  -1,
-	}
+// init completes a Proc whose configuration fields are set into a process
+// at the program start: zero clock and counters, fresh environment.
+func (p *Proc) init(input func(rank, i int) int) {
+	p.clock = vclock.New(p.n)
+	p.sendSeq = make([]int, p.n)
+	p.recvSeq = make([]int, p.n)
+	p.instances = make(map[int]int)
+	p.workLeft = -1
 	var inputFn func(int) int
 	if input != nil {
-		inputFn = func(i int) int { return input(rank, i) }
+		inputFn = func(i int) int { return input(p.rank, i) }
 	}
-	p.env = mpl.NewEnv(code.Prog, rank, n, inputFn)
-	return p
+	p.env = mpl.NewEnv(p.code.Prog, p.rank, p.n, inputFn)
 }
 
 // now reads the process's wall-clock source (Config.WallClock pin, or the

@@ -153,16 +153,16 @@ func newRetryStore(inner storage.Store, policy RetryPolicy, seed int64, counters
 	}
 }
 
-// do runs op with retry-on-transient. It returns the final error, still
-// matching storage.ErrTransient when every attempt failed transiently.
-func (r *retryStore) do(op string, f func() error) error {
-	var err error
+// retry runs one store operation with retry-on-transient. It returns the
+// final error, still matching storage.ErrTransient when every attempt failed
+// transiently.
+func retry[T any](r *retryStore, op string, f func() (T, error)) (v T, err error) {
 	for attempt := 0; attempt < r.policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			if b := r.policy.Budget; b != nil && !b.AllowRetry(op) {
 				r.counters.Inc(MetricStoreRetryDenied, 1)
 				r.counters.Inc(MetricStoreRetryExhausted, 1)
-				return fmt.Errorf("sim: storage %s retry budget exhausted after %d attempts: %w", op, attempt, err)
+				return v, fmt.Errorf("sim: storage %s retry budget exhausted after %d attempts: %w", op, attempt, err)
 			}
 			r.counters.Inc(MetricStoreRetries, 1)
 			if r.obsv != nil {
@@ -173,13 +173,19 @@ func (r *retryStore) do(op string, f func() error) error {
 			}
 			stdtime.Sleep(r.jittered(r.policy.Backoff(attempt)))
 		}
-		err = f()
+		v, err = f()
 		if err == nil || !errors.Is(err, storage.ErrTransient) {
-			return err
+			return v, err
 		}
 	}
 	r.counters.Inc(MetricStoreRetryExhausted, 1)
-	return fmt.Errorf("sim: storage %s failed after %d attempts: %w", op, r.policy.MaxAttempts, err)
+	return v, fmt.Errorf("sim: storage %s failed after %d attempts: %w", op, r.policy.MaxAttempts, err)
+}
+
+// retry0 is retry for an operation that returns only an error.
+func retry0(r *retryStore, op string, f func() error) error {
+	_, err := retry(r, op, func() (struct{}, error) { return struct{}{}, f() })
+	return err
 }
 
 // jittered perturbs d by ±JitterFrac so synchronized retries from many
@@ -195,45 +201,32 @@ func (r *retryStore) jittered(d stdtime.Duration) stdtime.Duration {
 }
 
 func (r *retryStore) Save(s storage.Snapshot) error {
-	return r.do("save", func() error { return r.inner.Save(s) })
+	return retry0(r, "save", func() error { return r.inner.Save(s) })
 }
 
 func (r *retryStore) Get(proc, cfgIndex, instance int) (storage.Snapshot, error) {
-	var s storage.Snapshot
-	err := r.do("get", func() (err error) {
-		s, err = r.inner.Get(proc, cfgIndex, instance)
-		return err
-	})
-	return s, err
+	return retry(r, "get", func() (storage.Snapshot, error) { return r.inner.Get(proc, cfgIndex, instance) })
 }
 
 func (r *retryStore) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
-	var s storage.Snapshot
-	err := r.do("latest", func() (err error) {
-		s, err = r.inner.Latest(proc, cfgIndex)
-		return err
-	})
-	return s, err
+	return retry(r, "latest", func() (storage.Snapshot, error) { return r.inner.Latest(proc, cfgIndex) })
 }
 
 func (r *retryStore) List(proc int) ([]storage.Snapshot, error) {
-	var out []storage.Snapshot
-	err := r.do("list", func() (err error) {
-		out, err = r.inner.List(proc)
-		return err
-	})
-	return out, err
+	return retry(r, "list", func() ([]storage.Snapshot, error) { return r.inner.List(proc) })
 }
 
 func (r *retryStore) Indexes(n int) ([]int, error) {
-	var out []int
-	err := r.do("indexes", func() (err error) {
-		out, err = r.inner.Indexes(n)
-		return err
-	})
-	return out, err
+	return retry(r, "indexes", func() ([]int, error) { return r.inner.Indexes(n) })
 }
 
 func (r *retryStore) Delete(proc, cfgIndex, instance int) error {
-	return r.do("delete", func() error { return r.inner.Delete(proc, cfgIndex, instance) })
+	return retry0(r, "delete", func() error { return r.inner.Delete(proc, cfgIndex, instance) })
+}
+
+// Scrub implements storage.Scrubber, so the pre-rollback scrub is retried
+// and budgeted like every other call of the run (a store that cannot scrub
+// reports a clean no-op).
+func (r *retryStore) Scrub() (storage.ScrubReport, error) {
+	return retry(r, "scrub", func() (storage.ScrubReport, error) { return storage.Scrub(r.inner) })
 }

@@ -3,8 +3,8 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -35,14 +35,6 @@ type Crash struct {
 	Inc         int // incarnation the crash applies to
 	Proc        int
 	AfterEvents int
-}
-
-// VCrash is Crash in virtual time: process Proc fails when its virtual
-// clock reaches At during incarnation Inc (requires Config.Time).
-type VCrash struct {
-	Inc  int
-	Proc int
-	At   float64
 }
 
 // ErrCanceled reports a run stopped early because Config.Cancel closed.
@@ -83,9 +75,6 @@ type Config struct {
 	// Crash. When several triggers name the same process in the same
 	// incarnation, the earliest event count wins.
 	Crashes []Crash
-	// VCrashes schedules additional virtual-time crashes by incarnation
-	// (requires Time); the earliest time wins on collision.
-	VCrashes []VCrash
 	// MaxRestarts bounds recovery attempts (default: one more than the
 	// total number of scheduled failures).
 	MaxRestarts int
@@ -172,8 +161,83 @@ type Result struct {
 	VTime  float64
 }
 
+// trigger is one process's injected crash in one incarnation: after that
+// many local events, or when its virtual clock reaches atV. A negative
+// field never fires.
+type trigger struct {
+	afterEvents int
+	atV         float64
+}
+
+// crashPlan maps (incarnation, process) to the trigger armed there.
+type crashPlan map[[2]int]trigger
+
+func (pl crashPlan) at(inc, proc int) trigger {
+	if t, ok := pl[[2]int{inc, proc}]; ok {
+		return t
+	}
+	return trigger{-1, -1}
+}
+
+// resolveCrashes validates cfg's failure schedules and merges them into one
+// plan. When several event counts are armed for the same process in the
+// same incarnation, the earliest wins.
+func resolveCrashes(cfg Config) (crashPlan, error) {
+	plan := crashPlan{}
+	arm := func(kind string, inc, proc, afterEvents int, atV float64) error {
+		if proc < 0 || proc >= cfg.Nproc {
+			return fmt.Errorf("sim: %s names process %d of %d", kind, proc, cfg.Nproc)
+		}
+		if inc < 0 {
+			return fmt.Errorf("sim: %s names incarnation %d", kind, inc)
+		}
+		t := plan.at(inc, proc)
+		if afterEvents >= 0 && (t.afterEvents < 0 || afterEvents < t.afterEvents) {
+			t.afterEvents = afterEvents
+		}
+		if atV >= 0 {
+			t.atV = atV
+		}
+		plan[[2]int{inc, proc}] = t
+		return nil
+	}
+	for k, f := range cfg.Failures {
+		if err := arm("failure", k, f.Proc, f.AfterEvents, -1); err != nil {
+			return nil, err
+		}
+	}
+	for k, f := range cfg.VFailures {
+		if cfg.Time == nil {
+			return nil, errors.New("sim: VFailures require Config.Time")
+		}
+		if err := arm("vfailure", k, f.Proc, -1, f.At); err != nil {
+			return nil, err
+		}
+	}
+	for _, c := range cfg.Crashes {
+		if err := arm("crash", c.Inc, c.Proc, c.AfterEvents, -1); err != nil {
+			return nil, err
+		}
+	}
+	return plan, nil
+}
+
+// run is what the incarnations of one Run call share.
+type run struct {
+	cfg  Config // defaults resolved
+	code *Code
+	plan crashPlan
+	net  *Network
+	// store is the one handle every runtime access to stable storage goes
+	// through — saves, recovery-line selection, scrub and discard alike —
+	// so all of them are retried and budgeted the same way. Result.Store
+	// is still the caller's own.
+	store *retryStore
+}
+
 // Run executes the program to completion under the configured protocol and
-// failure schedule.
+// failure schedule: one incarnation after another, each rolled back to a
+// recovery line when a process fails, until one completes.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Program == nil || cfg.Nproc <= 0 {
 		return nil, errors.New("sim: Config requires Program and positive Nproc")
@@ -182,198 +246,174 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	hooksFactory := cfg.Hooks
-	if hooksFactory == nil {
-		hooksFactory = NoProtocol
+	plan, err := resolveCrashes(cfg)
+	if err != nil {
+		return nil, err
 	}
-	st := cfg.Store
-	if st == nil {
-		st = storage.NewMemory()
+	if cfg.Hooks == nil {
+		cfg.Hooks = NoProtocol
 	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 1 << 20
+	if cfg.Store == nil {
+		cfg.Store = storage.NewMemory()
 	}
-	maxRestarts := cfg.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = len(cfg.Failures) + len(cfg.VFailures) +
-			len(cfg.Crashes) + len(cfg.VCrashes) + 1
+	if cfg.MaxSteps <= 0 {
+		cfg.MaxSteps = 1 << 20
 	}
-	for _, c := range cfg.Crashes {
-		if c.Proc < 0 || c.Proc >= cfg.Nproc {
-			return nil, fmt.Errorf("sim: crash names process %d of %d", c.Proc, cfg.Nproc)
-		}
-		if c.Inc < 0 {
-			return nil, fmt.Errorf("sim: crash names incarnation %d", c.Inc)
-		}
+	if cfg.MaxRestarts <= 0 {
+		cfg.MaxRestarts = len(cfg.Failures) + len(cfg.VFailures) + len(cfg.Crashes) + 1
 	}
-	for _, c := range cfg.VCrashes {
-		if c.Proc < 0 || c.Proc >= cfg.Nproc {
-			return nil, fmt.Errorf("sim: vcrash names process %d of %d", c.Proc, cfg.Nproc)
-		}
-		if c.Inc < 0 {
-			return nil, fmt.Errorf("sim: vcrash names incarnation %d", c.Inc)
-		}
-		if cfg.Time == nil {
-			return nil, errors.New("sim: VCrashes require Config.Time")
-		}
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 30 * time.Second
 	}
-	chooseLine := cfg.Recover
-	if chooseLine == nil {
-		chooseLine = recovery.StraightCut
+	if cfg.Counters == nil {
+		cfg.Counters = &metrics.Counters{}
 	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-
-	n := cfg.Nproc
-	net := NewNetwork(n)
-	counters := cfg.Counters
-	if counters == nil {
-		counters = &metrics.Counters{}
-	}
+	net := NewNetwork(cfg.Nproc)
 	if cfg.Net != nil {
-		net.harden(*cfg.Net, counters, cfg.Observer, cfg.Jitter+0x7f4a7c15)
+		net.harden(*cfg.Net, cfg.Counters, cfg.Observer, cfg.Jitter+0x7f4a7c15)
 		// Stop retransmit timers and orphan delayed deliveries once the
 		// run is over, whatever path it exits by.
 		defer net.tr.shutdown()
 	}
-	res := &Result{Store: st}
-	// Every runtime access to stable storage goes through the retry
-	// wrapper; Result.Store and Scrub still see the caller's store
-	// directly. The seed only perturbs backoff jitter, never results.
+	// The seed only perturbs backoff jitter, never results.
 	var policy RetryPolicy
 	if cfg.Retry != nil {
 		policy = *cfg.Retry
 	}
-	rst := newRetryStore(st, policy, cfg.Jitter+0x5bd1e995, counters, cfg.Observer)
+	r := &run{cfg: cfg, code: code, plan: plan, net: net,
+		store: newRetryStore(cfg.Store, policy, cfg.Jitter+0x5bd1e995, cfg.Counters, cfg.Observer)}
 
+	res := &Result{Store: cfg.Store}
 	var line *recovery.Line // nil = start from scratch
 	var restartV float64    // wall (virtual) time at which the restart begins
-	for incarnation := 0; ; incarnation++ {
-		if cfg.Cancel != nil {
-			select {
-			case <-cfg.Cancel:
-				return nil, ErrCanceled
-			default:
-			}
+	for inc := 0; ; inc++ {
+		select {
+		case <-cfg.Cancel: // never ready when nil
+			return nil, ErrCanceled
+		default:
 		}
-		var tr *trace.Trace
-		if !cfg.DisableTrace {
-			tr = trace.NewTrace(n)
+		procs, err := r.start(inc, line, restartV)
+		if err != nil {
+			return nil, err
 		}
-		failAfter := make([]int, n)
-		vfailAt := make([]float64, n)
-		for p := range failAfter {
-			failAfter[p] = -1
-			vfailAt[p] = -1
+		failure, err := r.wait(inc, procs)
+		if err != nil {
+			return nil, err
 		}
-		if incarnation < len(cfg.Failures) {
-			f := cfg.Failures[incarnation]
-			if f.Proc < 0 || f.Proc >= n {
-				return nil, fmt.Errorf("sim: failure names process %d of %d", f.Proc, n)
-			}
-			failAfter[f.Proc] = f.AfterEvents
+		if failure == nil {
+			res.finish(procs)
+			res.Metrics = cfg.Counters.Snapshot()
+			return res, nil
 		}
-		if incarnation < len(cfg.VFailures) {
-			f := cfg.VFailures[incarnation]
-			if f.Proc < 0 || f.Proc >= n {
-				return nil, fmt.Errorf("sim: vfailure names process %d of %d", f.Proc, n)
+		// If virtual time is on, the restart begins at the wall time the
+		// application had reached, plus the recovery overhead R — lost
+		// work is then re-paid by the replay, exactly as in the §4 model.
+		if cfg.Time != nil {
+			for _, p := range procs {
+				restartV = max(restartV, p.vtime)
 			}
-			if cfg.Time == nil {
-				return nil, errors.New("sim: VFailures require Config.Time")
-			}
-			vfailAt[f.Proc] = f.At
+			restartV += cfg.Time.Recovery
 		}
-		for _, c := range cfg.Crashes {
-			if c.Inc != incarnation {
-				continue
-			}
-			if failAfter[c.Proc] < 0 || c.AfterEvents < failAfter[c.Proc] {
-				failAfter[c.Proc] = c.AfterEvents
-			}
+		res.Restarts++
+		cfg.Counters.IncRollbacks(cfg.Nproc)
+		r.emit(obs.KindRollback, inc, restartV, "%v", failure)
+		if res.Restarts > cfg.MaxRestarts {
+			return nil, fmt.Errorf("sim: exceeded %d restarts: %w", cfg.MaxRestarts, failure)
 		}
-		for _, c := range cfg.VCrashes {
-			if c.Inc != incarnation {
-				continue
-			}
-			if vfailAt[c.Proc] < 0 || c.At < vfailAt[c.Proc] {
-				vfailAt[c.Proc] = c.At
-			}
+		if line, err = r.rollback(inc, procs, restartV); err != nil {
+			return nil, err
 		}
+		if line != nil {
+			res.RolledBack += line.Rollbacks
+		}
+	}
+}
 
-		procs := make([]*Proc, n)
-		for r := 0; r < n; r++ {
-			procs[r] = newProc(r, code, net, tr, rst, counters, hooksFactory(r, n),
-				cfg.Input, maxSteps, failAfter[r], cfg.Time, vfailAt[r],
-				cfg.Observer, incarnation)
-			procs[r].noPrune = cfg.NoPrune
-			if cfg.Jitter != 0 {
-				procs[r].jitter = rand.New(rand.NewSource(cfg.Jitter + int64(r)*7919 + int64(incarnation)))
-			}
-			if cfg.WallClock != nil {
-				procs[r].wallNow = cfg.WallClock
-			}
-			if line != nil {
-				if err := procs[r].restore(line.Snapshots[r]); err != nil {
-					return nil, err
-				}
-			}
-			if restartV > 0 && procs[r].vtime < restartV {
-				procs[r].vtime = restartV
-			}
-		}
+// emit publishes a run-level lifecycle event; with no observer the label
+// is never built.
+func (r *run) emit(kind obs.Kind, inc int, vtime float64, format string, args ...any) {
+	if o := r.cfg.Observer; o != nil {
+		o.OnEvent(obs.Event{Kind: kind, Proc: -1, Inc: inc, VTime: vtime, Label: fmt.Sprintf(format, args...)})
+	}
+}
 
-		errs := make(chan error, n)
-		for _, p := range procs {
-			p := p
-			go func() { errs <- p.run() }()
+// start builds incarnation inc's processes: fresh at the program start, or
+// restored from line, with the incarnation's crash triggers armed.
+func (r *run) start(inc int, line *recovery.Line, restartV float64) ([]*Proc, error) {
+	cfg, n := &r.cfg, r.cfg.Nproc
+	var tr *trace.Trace
+	if !cfg.DisableTrace {
+		tr = trace.NewTrace(n)
+	}
+	procs := make([]*Proc, n)
+	for rank := range procs {
+		trig := r.plan.at(inc, rank)
+		p := &Proc{
+			rank: rank, n: n, code: r.code, net: r.net, tr: tr, store: r.store,
+			counters: cfg.Counters, hooks: cfg.Hooks(rank, n), obsv: cfg.Observer, inc: inc,
+			maxSteps: cfg.MaxSteps, failAfter: trig.afterEvents,
+			time: cfg.Time, vfailAt: trig.atV,
+			wallNow: cfg.WallClock, noPrune: cfg.NoPrune,
 		}
-		var timedOut atomic.Bool
-		watchdog := time.AfterFunc(timeout, func() {
-			timedOut.Store(true)
+		if cfg.Jitter != 0 {
+			p.jitter = rand.New(rand.NewSource(cfg.Jitter + int64(rank)*7919 + int64(inc)))
+		}
+		p.init(cfg.Input)
+		if line != nil {
+			if err := p.restore(line.Snapshots[rank]); err != nil {
+				return nil, err
+			}
+		}
+		p.vtime = max(p.vtime, restartV)
+		procs[rank] = p
+	}
+	return procs, nil
+}
+
+// wait runs the processes of incarnation inc to their end. failure is the
+// process failure (injected crash, exhausted save, heartbeat suspicion)
+// that calls for a rollback; err ends the run.
+func (r *run) wait(inc int, procs []*Proc) (failure, err error) {
+	cfg, net := &r.cfg, r.net
+	errs := make(chan error, len(procs))
+	for _, p := range procs {
+		go func() { errs <- p.run() }()
+	}
+	// The heartbeat failure detector (hardened networks only) converts
+	// a silently lost peer — an unhealed partition, total ack loss —
+	// into the same abort→recover path as an injected crash.
+	var suspectErr atomic.Pointer[error]
+	stopDetector := net.startDetector(func(peer int, silence time.Duration) {
+		err := fmt.Errorf("heartbeat: process %d silent for %v: %w",
+			peer, silence.Round(time.Millisecond), ErrProcFailed)
+		if suspectErr.CompareAndSwap(nil, &err) {
+			cfg.Counters.Inc(MetricHBSuspects, 1)
+			if cfg.Observer != nil {
+				cfg.Observer.OnEvent(obs.Event{
+					Kind: obs.KindSuspect, Proc: peer, Inc: inc,
+					Label: err.Error(),
+				})
+			}
 			net.Abort()
-		})
-		// Cancellation watcher: a drain request aborts the incarnation the
-		// same way a watchdog or failure detector does — blocked receivers
-		// wake with ErrAborted — and the run returns ErrCanceled below.
-		var canceled atomic.Bool
-		var stopCancelWatch chan struct{}
-		if cfg.Cancel != nil {
-			stopCancelWatch = make(chan struct{})
-			go func() {
-				select {
-				case <-cfg.Cancel:
-					canceled.Store(true)
-					net.Abort()
-				case <-stopCancelWatch:
-				}
-			}()
 		}
-		// The heartbeat failure detector (hardened networks only) converts
-		// a silently lost peer — an unhealed partition, total ack loss —
-		// into the same abort→recover path as an injected crash.
-		inc := incarnation
-		var suspectErr atomic.Pointer[error]
-		stopDetector := net.startDetector(func(peer int, silence time.Duration) {
-			err := fmt.Errorf("heartbeat: process %d silent for %v: %w",
-				peer, silence.Round(time.Millisecond), ErrProcFailed)
-			if suspectErr.CompareAndSwap(nil, &err) {
-				counters.Inc(MetricHBSuspects, 1)
-				if cfg.Observer != nil {
-					cfg.Observer.OnEvent(obs.Event{
-						Kind: obs.KindSuspect, Proc: peer, Inc: inc,
-						Label: err.Error(),
-					})
-				}
-				net.Abort()
-			}
-		})
-		var failure error
-		var fatal error
-		for i := 0; i < n; i++ {
-			err := <-errs
+	})
+	// A watchdog expiry or a drain request aborts the incarnation the same
+	// way a failure does: blocked receivers wake with ErrAborted and every
+	// process still reports in.
+	watchdog := time.NewTimer(cfg.Timeout)
+	cancel := cfg.Cancel // never ready when nil
+	var timedOut, canceled bool
+	var fatal error
+	for left := len(procs); left > 0; {
+		select {
+		case <-watchdog.C:
+			timedOut = true
+			net.Abort()
+		case <-cancel:
+			canceled, cancel = true, nil
+			net.Abort()
+		case err := <-errs:
+			left--
 			switch {
 			case err == nil:
 			case errors.Is(err, ErrProcFailed):
@@ -390,213 +430,77 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 		}
-		watchdog.Stop()
-		stopDetector()
-		if stopCancelWatch != nil {
-			close(stopCancelWatch)
-		}
-		if fatal == nil && canceled.Load() {
-			// Park the job: keep the store as-is (checkpoints saved so far
-			// form the resume point) and report the cancellation, which
-			// takes precedence over any concurrent failure or timeout.
-			return nil, ErrCanceled
-		}
-		if failure == nil {
-			if susp := suspectErr.Load(); susp != nil {
-				// Every process exited with ErrAborted because the detector
-				// pulled the plug: the suspicion is the failure.
-				failure = *susp
-			}
-		}
-		if fatal != nil {
-			return nil, fatal
-		}
-		if timedOut.Load() && failure == nil {
-			return nil, fmt.Errorf("sim: deadlock: no progress within %v", timeout)
-		}
-		if failure == nil {
-			// Clean completion.
-			res.Trace = tr
-			res.FinalVars = make([]map[string]int, n)
-			res.VTimes = make([]float64, n)
-			for r, p := range procs {
-				vars := make(map[string]int, len(p.env.Vars))
-				for k, v := range p.env.Vars {
-					vars[k] = v
-				}
-				res.FinalVars[r] = vars
-				res.VTimes[r] = p.vtime
-				if p.vtime > res.VTime {
-					res.VTime = p.vtime
-				}
-			}
-			res.Metrics = counters.Snapshot()
-			return res, nil
-		}
+	}
+	watchdog.Stop()
+	stopDetector()
+	if fatal != nil {
+		return nil, fatal
+	}
+	if canceled {
+		// Park the job: keep the store as-is (checkpoints saved so far
+		// form the resume point) and report the cancellation, which
+		// takes precedence over any concurrent failure or timeout.
+		return nil, ErrCanceled
+	}
+	if susp := suspectErr.Load(); failure == nil && susp != nil {
+		// Every process exited with ErrAborted because the detector
+		// pulled the plug: the suspicion is the failure.
+		failure = *susp
+	}
+	if timedOut && failure == nil {
+		return nil, fmt.Errorf("sim: deadlock: no progress within %v", cfg.Timeout)
+	}
+	return failure, nil
+}
 
-		// Failure path: recover. If virtual time is on, the restart begins
-		// at the wall time the application had reached, plus the recovery
-		// overhead R — lost work is then re-paid by the replay, exactly as
-		// in the §4 model.
-		if cfg.Time != nil {
-			maxV := restartV
-			for _, p := range procs {
-				if p.vtime > maxV {
-					maxV = p.vtime
-				}
-			}
-			restartV = maxV + cfg.Time.Recovery
-		}
-		res.Restarts++
-		counters.IncRollbacks(n)
-		if cfg.Observer != nil {
-			cfg.Observer.OnEvent(obs.Event{
-				Kind: obs.KindRollback, Proc: -1, Inc: incarnation,
-				VTime: restartV, Label: failure.Error(),
-			})
-		}
-		if res.Restarts > maxRestarts {
-			return nil, fmt.Errorf("sim: exceeded %d restarts: %w", maxRestarts, failure)
-		}
-		// Choose the line BEFORE scrubbing: selection must see corrupt
-		// snapshots fail to load so Line.Degraded reports how far recovery
-		// fell. Scrubbing afterwards clears the damaged keys from the
-		// namespace, so the replay can regenerate them without tripping
-		// over duplicates.
-		line, err = chooseLine(rst, n)
-		switch {
-		case errors.Is(err, recovery.ErrNoRecoveryLine):
-			line = nil // restart from scratch
-		case err != nil:
-			return nil, err
-		}
-		// Work lost to this rollback: every event a process executed past
-		// the checkpoint it returns to, counted on its own clock component
-		// (which orders its local events totally).
-		lost := 0
-		for p, pr := range procs {
-			lost += int(pr.clock[p])
-			if line != nil {
-				lost -= int(line.Snapshots[p].Clock[p])
-			}
-		}
-		counters.IncRestartedEvents(lost)
-		rep, err := storage.Scrub(st)
-		if err != nil {
-			return nil, err
-		}
-		if q := len(rep.Quarantined); q > 0 || rep.TempFiles > 0 {
-			counters.Inc(MetricScrubQuarantined, q)
-			if cfg.Observer != nil {
-				cfg.Observer.OnEvent(obs.Event{
-					Kind: obs.KindScrub, Proc: -1, Inc: incarnation,
-					Label: fmt.Sprintf("quarantined %d snapshot(s), removed %d temp file(s)", q, rep.TempFiles),
-				})
-			}
-		}
-		if line != nil && line.Degraded > 0 {
-			counters.Inc(MetricRecoveryDegraded, line.Degraded)
-			if cfg.Observer != nil {
-				cfg.Observer.OnEvent(obs.Event{
-					Kind: obs.KindDegraded, Proc: -1, Inc: incarnation,
-					Label: fmt.Sprintf("recovery skipped %d candidate cut(s)", line.Degraded),
-				})
-			}
-		}
-		if cfg.Observer != nil {
-			label := "from scratch"
-			if line != nil {
-				label = fmt.Sprintf("%d process(es) rolled back to recovery line", line.Rollbacks)
-			}
-			cfg.Observer.OnEvent(obs.Event{
-				Kind: obs.KindRestart, Proc: -1, Inc: incarnation + 1,
-				VTime: restartV, Label: label,
-			})
-		}
+// finish fills in what the processes of a cleanly completed incarnation
+// leave behind.
+func (res *Result) finish(procs []*Proc) {
+	res.Trace = procs[0].tr
+	res.FinalVars = make([]map[string]int, len(procs))
+	res.VTimes = make([]float64, len(procs))
+	for rank, p := range procs {
+		res.FinalVars[rank] = maps.Clone(p.env.Vars)
+		res.VTimes[rank] = p.vtime
+		res.VTime = max(res.VTime, p.vtime)
+	}
+}
+
+// rollback takes the application back to a recovery line after incarnation
+// inc failed: recovery.Rollback does the store work (select → scrub →
+// discard, DESIGN decision 22), and what it found is published here, in
+// the order scrub → degraded → restart, before the channels are rebuilt at
+// the line. A nil line restarts from the initial state.
+func (r *run) rollback(inc int, procs []*Proc, restartV float64) (*recovery.Line, error) {
+	rb, err := recovery.Rollback(r.store, len(procs), r.cfg.Recover)
+	if err != nil {
+		return nil, err
+	}
+	line := rb.Line
+	// Work lost to this rollback: every event a process executed past
+	// the checkpoint it returns to, counted on its own clock component
+	// (which orders its local events totally).
+	lost := 0
+	for p, pr := range procs {
+		lost += int(pr.clock[p])
 		if line != nil {
-			res.RolledBack += line.Rollbacks
-			if err := pruneStore(rst, line); err != nil {
-				return nil, err
-			}
-			sendSeq, recvSeq := seqMatrices(line, n)
-			net.ResetForRecovery(sendSeq, recvSeq)
-		} else {
-			if err := clearStore(rst, n); err != nil {
-				return nil, err
-			}
-			zero := make([][]int, n)
-			for i := range zero {
-				zero[i] = make([]int, n)
-			}
-			net.ResetForRecovery(zero, zero)
+			lost -= int(line.Snapshots[p].Clock[p])
 		}
 	}
-}
-
-// seqMatrices extracts the per-channel send/receive sequence numbers at
-// the recovery line.
-func seqMatrices(line *recovery.Line, n int) (sendSeq, recvSeq [][]int) {
-	sendSeq = make([][]int, n)
-	recvSeq = make([][]int, n)
-	for p := 0; p < n; p++ {
-		sendSeq[p] = append([]int(nil), line.Snapshots[p].SendSeqs...)
-		recvSeq[p] = append([]int(nil), line.Snapshots[p].RecvSeqs...)
-		if sendSeq[p] == nil {
-			sendSeq[p] = make([]int, n)
-		}
-		if recvSeq[p] == nil {
-			recvSeq[p] = make([]int, n)
-		}
+	r.cfg.Counters.IncRestartedEvents(lost)
+	if q := len(rb.Scrub.Quarantined); q > 0 || rb.Scrub.TempFiles > 0 {
+		r.cfg.Counters.Inc(MetricScrubQuarantined, q)
+		r.emit(obs.KindScrub, inc, 0, "quarantined %d snapshot(s), removed %d temp file(s)", q, rb.Scrub.TempFiles)
 	}
-	return sendSeq, recvSeq
-}
-
-// pruneStore deletes snapshots taken after the recovery line: the
-// rolled-back execution will regenerate them deterministically. Per
-// process, "after" is decided by the process's own vector-clock component,
-// which orders its local events totally. Deletion runs newest-first so
-// delta-encoded stores (storage.Incremental) can unwind their chains.
-func pruneStore(st storage.Store, line *recovery.Line) error {
-	for p, restore := range line.Snapshots {
-		snaps, err := st.List(p)
-		if err != nil {
-			return err
+	if line == nil {
+		r.emit(obs.KindRestart, inc+1, restartV, "from scratch")
+	} else {
+		if line.Degraded > 0 {
+			r.cfg.Counters.Inc(MetricRecoveryDegraded, line.Degraded)
+			r.emit(obs.KindDegraded, inc, 0, "recovery skipped %d candidate cut(s)", line.Degraded)
 		}
-		cutTick := restore.Clock[p]
-		var doomed []storage.Snapshot
-		for _, s := range snaps {
-			if s.Clock[p] > cutTick {
-				doomed = append(doomed, s)
-			}
-		}
-		sort.Slice(doomed, func(i, j int) bool {
-			return doomed[i].Clock[p] > doomed[j].Clock[p]
-		})
-		for _, s := range doomed {
-			if err := st.Delete(p, s.CFGIndex, s.Instance); err != nil {
-				return err
-			}
-		}
+		r.emit(obs.KindRestart, inc+1, restartV, "%d process(es) rolled back to recovery line", line.Rollbacks)
 	}
-	return nil
-}
-
-// clearStore removes every snapshot (restart from scratch), newest-first
-// per process for delta-encoded stores.
-func clearStore(st storage.Store, n int) error {
-	for p := 0; p < n; p++ {
-		snaps, err := st.List(p)
-		if err != nil {
-			return err
-		}
-		sort.Slice(snaps, func(i, j int) bool {
-			return snaps[i].Clock[p] > snaps[j].Clock[p]
-		})
-		for _, s := range snaps {
-			if err := st.Delete(p, s.CFGIndex, s.Instance); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	r.net.ResetForRecovery(rb.SendSeq, rb.RecvSeq)
+	return line, nil
 }

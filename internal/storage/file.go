@@ -220,19 +220,41 @@ func (f *File) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 	return f.load(f.path(proc, cfgIndex, instance))
 }
 
+// keysLocked parses the directory's file names into keys: those of proc,
+// or every key when proc < 0.
+func (f *File) keysLocked(proc int) ([]Key, error) {
+	entries, err := os.ReadDir(f.dir)
+	if err != nil {
+		return nil, fmt.Errorf("storage: list dir: %w", err)
+	}
+	var keys []Key
+	for _, e := range entries {
+		if p, i, k, ok := parseName(e.Name()); ok && (proc < 0 || p == proc) {
+			keys = append(keys, Key{p, i, k})
+		}
+	}
+	return keys, nil
+}
+
+// Keys implements KeyLister: a damaged file still names its checkpoint.
+func (f *File) Keys(proc int) ([]Key, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.keysLocked(proc)
+}
+
 // Latest implements Store.
 func (f *File) Latest(proc, cfgIndex int) (Snapshot, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	entries, err := os.ReadDir(f.dir)
+	keys, err := f.keysLocked(proc)
 	if err != nil {
-		return Snapshot{}, fmt.Errorf("storage: list dir: %w", err)
+		return Snapshot{}, err
 	}
 	best := -1
-	for _, e := range entries {
-		p, i, k, ok := parseName(e.Name())
-		if ok && p == proc && i == cfgIndex && k > best {
-			best = k
+	for _, k := range keys {
+		if k.CFGIndex == cfgIndex && k.Instance > best {
+			best = k.Instance
 		}
 	}
 	if best < 0 {
@@ -245,16 +267,9 @@ func (f *File) Latest(proc, cfgIndex int) (Snapshot, error) {
 func (f *File) List(proc int) ([]Snapshot, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	entries, err := os.ReadDir(f.dir)
+	keys, err := f.keysLocked(proc)
 	if err != nil {
-		return nil, fmt.Errorf("storage: list dir: %w", err)
-	}
-	var keys []Key
-	for _, e := range entries {
-		p, i, k, ok := parseName(e.Name())
-		if ok && p == proc {
-			keys = append(keys, Key{p, i, k})
-		}
+		return nil, err
 	}
 	SortKeys(keys)
 	out := make([]Snapshot, 0, len(keys))
@@ -286,15 +301,9 @@ func (f *File) Delete(proc, cfgIndex, instance int) error {
 func (f *File) Indexes(n int) ([]int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	entries, err := os.ReadDir(f.dir)
+	keys, err := f.keysLocked(-1)
 	if err != nil {
-		return nil, fmt.Errorf("storage: list dir: %w", err)
-	}
-	var keys []Key
-	for _, e := range entries {
-		if p, i, k, ok := parseName(e.Name()); ok {
-			keys = append(keys, Key{p, i, k})
-		}
+		return nil, err
 	}
 	return CommonIndexes(n, keys), nil
 }

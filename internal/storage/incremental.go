@@ -254,6 +254,18 @@ func (inc *Incremental) Indexes(n int) ([]int, error) {
 	return CommonIndexes(n, keys), nil
 }
 
+// Keys implements KeyLister: a record names its checkpoint even when its
+// chain no longer verifies.
+func (inc *Incremental) Keys(proc int) ([]Key, error) {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	keys := make([]Key, len(inc.recs[proc]))
+	for i := range keys {
+		keys[i] = inc.recs[proc][i].snap.Key()
+	}
+	return keys, nil
+}
+
 // Delete implements Store. Only the TAIL of a process's chain can be
 // deleted (rollback pruning deletes newest-first), because removing an
 // interior delta would corrupt later reconstructions.

@@ -107,20 +107,19 @@ func (ns *Namespace) List(proc int) ([]Snapshot, error) {
 // Indexes implements Store: the candidate straight cuts of THIS job only.
 // The backing store's own Indexes would mix every job's processes into one
 // count, so the intersection is rebuilt here from the job's per-process
-// listings.
+// keys — which count whether or not their snapshots still load, as on
+// every unwrapped store.
 func (ns *Namespace) Indexes(n int) ([]int, error) {
 	if n <= 0 || n > ns.nproc {
 		return nil, fmt.Errorf("storage: namespace Indexes(%d) outside job size %d", n, ns.nproc)
 	}
 	var keys []Key
 	for p := 0; p < n; p++ {
-		snaps, err := ns.inner.List(p + ns.base)
+		ks, err := Keys(ns.inner, p+ns.base)
 		if err != nil {
 			return nil, err
 		}
-		for _, s := range snaps {
-			keys = append(keys, s.Key())
-		}
+		keys = append(keys, ks...)
 	}
 	return CommonIndexes(n, keys), nil
 }

@@ -268,3 +268,70 @@ func TestNamespaceScrubNonScrubberInner(t *testing.T) {
 		t.Fatalf("no-op scrub returned non-empty report: %+v", rep)
 	}
 }
+
+// A damaged checkpoint is still a key: Namespace.Indexes must name the cut
+// and leave finding out that it no longer loads to the recovery ladder, as
+// every unwrapped store's Indexes does (DESIGN decision 19). Building the
+// key set from the strict List turned one damaged record into ErrCorrupt
+// for the whole selection.
+func TestNamespaceIndexesCountsDamagedKey(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := NewIncremental(4)
+	damage := map[string]func(k Key){
+		"file": func(k Key) {
+			if err := os.WriteFile(fs.path(k.Proc, k.CFGIndex, k.Instance), []byte("rot"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"incremental": func(k Key) {
+			if err := inc.Tamper(k.Proc, k.CFGIndex, k.Instance, func(v map[string]int) { v["x"]++ }); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for kind, inner := range map[string]Store{"file": fs, "incremental": inc} {
+		ns, err := NewNamespace(inner, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < 2; p++ {
+			for inst := 0; inst < 2; inst++ {
+				if err := ns.Save(nsSnap(p, 1, inst, inst+1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		damage[kind](Key{Proc: 2 + 1, CFGIndex: 1, Instance: 1})
+		if _, err := ns.Get(1, 1, 1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: Get of damaged snapshot: err = %v, want ErrCorrupt", kind, err)
+		}
+		if _, err := ns.List(1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: List stays strict: err = %v, want ErrCorrupt", kind, err)
+		}
+		if got, err := ns.Indexes(2); err != nil || !reflect.DeepEqual(got, []int{1}) {
+			t.Errorf("%s: Indexes(2) = %v, %v; want [1]", kind, got, err)
+		}
+	}
+}
+
+// Keys falls back to List for a store that cannot name its keys on its own.
+func TestKeysFallsBackToList(t *testing.T) {
+	mem := NewMemory()
+	for _, s := range []Snapshot{nsSnap(0, 1, 0, 1), nsSnap(0, 2, 0, 2), nsSnap(1, 1, 0, 1)} {
+		if err := mem.Save(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []Key{{0, 1, 0}, {0, 2, 0}}
+	for name, st := range map[string]Store{"lister": mem, "list only": struct{ Store }{mem}} {
+		got, err := Keys(st, 0)
+		SortKeys(got)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Keys = %v, %v; want %v", name, got, err, want)
+		}
+	}
+}

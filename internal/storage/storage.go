@@ -99,6 +99,23 @@ func SortSnapshots(snaps []Snapshot) {
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Key().Less(snaps[j].Key()) })
 }
 
+// SortNewestFirst sorts the snapshots of one process newest first: by
+// Clock[proc], the component that orders a process's own events totally.
+// Rollback and scrub delete in this order because a delta-encoded store
+// (Incremental) only gives up the tail of a chain. Under a Namespace proc
+// is fleet-global while the clocks are job-local, so the component may not
+// exist; instance order stands in there (delta-encoded stores are never
+// namespaced, and the others delete in any order).
+func SortNewestFirst(proc int, snaps []Snapshot) {
+	age := func(s Snapshot) uint64 {
+		if proc < len(s.Clock) {
+			return s.Clock[proc]
+		}
+		return uint64(s.Instance)
+	}
+	sort.Slice(snaps, func(i, j int) bool { return age(snaps[i]) > age(snaps[j]) })
+}
+
 // CommonIndexes returns, sorted, the CFG checkpoint indexes that occur in
 // keys under exactly n distinct processes — the candidate straight cuts of
 // an n-process application whose keys these are. Instances are ignored, and
@@ -221,6 +238,31 @@ func Scrub(st Store) (ScrubReport, error) {
 	return ScrubReport{}, nil
 }
 
+// KeyLister is implemented by stores that can name a process's checkpoints
+// without loading them. A key is listed whether or not its snapshot still
+// loads, which the strict List cannot promise.
+type KeyLister interface {
+	Keys(proc int) ([]Key, error)
+}
+
+// Keys returns, in no particular order, the key of every checkpoint of proc
+// that st holds: from a KeyLister without reading a body, else from List
+// (which fails when any snapshot of proc is damaged).
+func Keys(st Store, proc int) ([]Key, error) {
+	if kl, ok := st.(KeyLister); ok {
+		return kl.Keys(proc)
+	}
+	snaps, err := st.List(proc)
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]Key, len(snaps))
+	for i, s := range snaps {
+		keys[i] = s.Key()
+	}
+	return keys, nil
+}
+
 // Memory is an in-memory Store safe for concurrent use. The zero value is
 // ready to use.
 type Memory struct {
@@ -299,6 +341,19 @@ func (m *Memory) Indexes(n int) ([]int, error) {
 		keys = append(keys, k)
 	}
 	return CommonIndexes(n, keys), nil
+}
+
+// Keys implements KeyLister.
+func (m *Memory) Keys(proc int) ([]Key, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var keys []Key
+	for k := range m.snaps {
+		if k.Proc == proc {
+			keys = append(keys, k)
+		}
+	}
+	return keys, nil
 }
 
 // Delete implements Store.

@@ -262,6 +262,16 @@ func (w *Store) List(proc int) ([]storage.Snapshot, error) {
 // out via ErrCorrupt when it tries to load one — mirroring how the chaos
 // wrapper's inner store keeps clean copies of marked keys.
 func (w *Store) Indexes(n int) ([]int, error) {
+	keys, err := w.keys(-1)
+	return storage.CommonIndexes(n, keys), err
+}
+
+// Keys implements storage.KeyLister from the in-memory index.
+func (w *Store) Keys(proc int) ([]storage.Key, error) { return w.keys(proc) }
+
+// keys lists the live and the quarantined keys of proc, or of every
+// process when proc < 0.
+func (w *Store) keys(proc int) ([]storage.Key, error) {
 	if err := w.checkAlive(); err != nil {
 		return nil, err
 	}
@@ -269,14 +279,18 @@ func (w *Store) Indexes(n int) ([]int, error) {
 	for _, sh := range w.shards {
 		sh.mu.Lock()
 		for k := range sh.index {
-			keys = append(keys, k)
+			if proc < 0 || k.Proc == proc {
+				keys = append(keys, k)
+			}
 		}
 		for k := range sh.corrupt {
-			keys = append(keys, k)
+			if proc < 0 || k.Proc == proc {
+				keys = append(keys, k)
+			}
 		}
 		sh.mu.Unlock()
 	}
-	return storage.CommonIndexes(n, keys), nil
+	return keys, nil
 }
 
 // Scrub implements storage.Scrubber: every quarantined key is durably

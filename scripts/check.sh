@@ -13,6 +13,9 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+echo '>> code size (scripts/loc.sh)'
+./scripts/loc.sh | tail -n 1
+
 echo '>> go vet ./...'
 go vet ./...
 

@@ -1,0 +1,17 @@
+#!/bin/sh
+# Size of the code a simplicity PR is judged on: lines (wc -l, comments and
+# blanks included) of non-test Go files outside benchmark/, per package and
+# in total. Compare the total with the previous PR's entry in CHANGES.md.
+set -eu
+
+cd "$(dirname "$0")/.."
+
+git ls-files -co --exclude-standard '*.go' |
+    grep -v -e '_test\.go$' -e '^benchmark/' |
+    while read -r f; do
+        [ -f "$f" ] && printf '%s %s\n' "$(dirname "$f")" "$(wc -l <"$f")"
+    done |
+    awk '{ n[$1] += $2; total += $2 }
+         END { for (p in n) printf "%7d  %s\n", n[p], p | "sort -k2"
+               close("sort -k2")
+               printf "%7d  total\n", total }'

@@ -19,30 +19,6 @@ import (
 	"repro/internal/vclock"
 )
 
-func benchStore(b *testing.B, kind string) storage.Store {
-	b.Helper()
-	switch kind {
-	case "wal":
-		ws, err := wal.Open(b.TempDir(), wal.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { ws.Close() })
-		return ws
-	case "file":
-		fs, err := storage.NewFile(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return fs
-	case "incremental":
-		return storage.NewIncremental(8)
-	default:
-		b.Fatalf("unknown store kind %q", kind)
-		return nil
-	}
-}
-
 func benchSnap(proc, instance int) storage.Snapshot {
 	clk := vclock.New(4)
 	clk[0] = uint64(instance + 1)
@@ -61,7 +37,7 @@ func BenchmarkStoreAggregateSave(b *testing.B) {
 	const jobs = 1000
 	for _, kind := range []string{"wal", "file"} {
 		b.Run(kind, func(b *testing.B) {
-			st := benchStore(b, kind)
+			st := openTestStore(b, kind, 8, wal.Options{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -123,7 +99,7 @@ func BenchmarkSaveBytesPruned(b *testing.B) {
 	for _, kind := range []string{"file", "incremental", "wal"} {
 		for _, mode := range []string{"full", "pruned"} {
 			b.Run(kind+"/"+mode, func(b *testing.B) {
-				st := benchStore(b, kind)
+				st := openTestStore(b, kind, 8, wal.Options{})
 				pruned := mode == "pruned"
 				sample := storage.EncodeSnapshot(pruneBenchSnap(0, 1_000_000, pruned))
 				b.ReportAllocs()
@@ -149,7 +125,7 @@ func BenchmarkSaveBytesPruned(b *testing.B) {
 func BenchmarkStoreSingleSave(b *testing.B) {
 	for _, kind := range []string{"wal", "file"} {
 		b.Run(kind, func(b *testing.B) {
-			st := benchStore(b, kind)
+			st := openTestStore(b, kind, 8, wal.Options{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
