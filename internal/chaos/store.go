@@ -312,14 +312,18 @@ func (c *Store) Delete(proc, cfgIndex, instance int) error {
 	return c.inner.Delete(proc, cfgIndex, instance)
 }
 
-// Scrub implements storage.Scrubber: it removes every marked key from the
-// inner store so replay can regenerate it. Removal runs newest-first per
-// process (storage.SortNewestFirst) down to the oldest marked key;
-// still-healthy snapshots removed on the way down are counted as collateral.
+// Scrub implements storage.Scrubber: the inner store scrubs what is really
+// damaged, and then every marked key is removed from it so replay can
+// regenerate it. Removal runs newest-first per process
+// (storage.SortNewestFirst) down to the oldest marked key; still-healthy
+// snapshots removed on the way down are counted as collateral.
 func (c *Store) Scrub() (storage.ScrubReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var rep storage.ScrubReport
+	rep, err := storage.Scrub(c.inner)
+	if err != nil {
+		return rep, err
+	}
 	pending := make(map[int]int) // proc -> marked keys remaining
 	for k := range c.corrupt {
 		pending[k.Proc]++

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/storage"
 )
@@ -27,8 +28,15 @@ type Rolled struct {
 //     so that snapshots which fail to load count in Line.Degraded.
 //     ErrNoRecoveryLine is not an error here: it selects the initial state.
 //  2. scrub, so damaged keys stop colliding with what replay regenerates;
-//  3. discard every snapshot taken after the line — every snapshot when
-//     there is no line — newest first per process.
+//  3. discard every checkpoint taken after the line — every checkpoint when
+//     there is no line — by key, newest first per process.
+//
+// "After the line" is read off the line itself: the member at of process p
+// carries p's per-index instance counters including its own checkpoint
+// (storage.Snapshot.Instances), so key k of p is doomed exactly when
+// k.Instance >= at.Instances[k.CFGIndex], and no other snapshot is loaded.
+// A line whose member lacks those counters is refused before the store is
+// touched: discarding by it would take the line itself.
 //
 // It needs no crashed incarnation in front of it: called on a populated
 // store it is the entry point of a cold-start resume.
@@ -42,34 +50,37 @@ func Rollback(st storage.Store, n int, choose func(storage.Store, int) (*Line, e
 	} else if err != nil {
 		return nil, err
 	}
+	if line != nil {
+		for _, at := range line.Snapshots {
+			if at.Instances[at.CFGIndex] != at.Instance+1 {
+				return nil, fmt.Errorf("recovery: line member %s carries instance counter %d, want %d",
+					at.Key(), at.Instances[at.CFGIndex], at.Instance+1)
+			}
+		}
+	}
 	out := &Rolled{Line: line, SendSeq: make([][]int, n), RecvSeq: make([][]int, n)}
 	if out.Scrub, err = storage.Scrub(st); err != nil {
 		return nil, err
 	}
 	for p := 0; p < n; p++ {
 		out.SendSeq[p], out.RecvSeq[p] = make([]int, n), make([]int, n)
-		snaps, err := st.List(p)
-		if err != nil {
-			return nil, err
-		}
-		doomed := snaps
+		var kept map[int]int // nil, without a line, keeps nothing
 		if line != nil {
-			// "After the line" is decided on p's own clock component, which
-			// orders its local events totally.
 			at := line.Snapshots[p]
 			copy(out.SendSeq[p], at.SendSeqs)
 			copy(out.RecvSeq[p], at.RecvSeqs)
-			doomed = snaps[:0]
-			for _, s := range snaps {
-				if s.Clock[p] > at.Clock[p] {
-					doomed = append(doomed, s)
-				}
-			}
+			kept = at.Instances
 		}
-		storage.SortNewestFirst(p, doomed)
-		for _, s := range doomed {
-			if err := st.Delete(p, s.CFGIndex, s.Instance); err != nil {
-				return nil, err
+		keys, err := storage.Keys(st, p)
+		if err != nil {
+			return nil, err
+		}
+		// Keys come in save order from a store that minds (KeyLister).
+		for i := len(keys) - 1; i >= 0; i-- {
+			if k := keys[i]; k.Instance >= kept[k.CFGIndex] {
+				if err := st.Delete(p, k.CFGIndex, k.Instance); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}

@@ -1,13 +1,17 @@
 package recovery_test
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/mpl"
 	"repro/internal/recovery"
+	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/storage/wal"
 )
@@ -99,11 +103,16 @@ func TestRollback(t *testing.T) {
 					if p == 1 {
 						saved = append(saved[:len(saved):len(saved)], ahead)
 					}
+					// As in the runtime, the counters a snapshot carries count
+					// every save up to and including its own.
+					instances := map[int]int{}
 					for tick, k := range saved {
+						instances[k.CFGIndex] = k.Instance + 1
 						s := storage.Snapshot{
 							Proc: p, CFGIndex: k.CFGIndex, Instance: k.Instance,
 							Clock: make([]uint64, 2), Vars: map[string]int{"x": tick},
 							SendSeqs: []int{tick, 10 * tick}, RecvSeqs: []int{20 * tick, tick},
+							Instances: instances,
 						}
 						s.Clock[p] = uint64(tick + 1)
 						into := inner
@@ -166,5 +175,250 @@ func TestRollback(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// A snapshot that does not carry its instance counters cannot say what was
+// saved after it. Rollback must refuse such a line before it scrubs or
+// deletes anything: by the discard rule it would doom the line itself.
+func TestRollbackRefusesLineWithoutCounters(t *testing.T) {
+	for kind, st := range rollbackStores(t) {
+		t.Run(kind, func(t *testing.T) {
+			var want [2][]storage.Key
+			for p := 0; p < 2; p++ {
+				for inst := 0; inst < 3; inst++ {
+					s := storage.Snapshot{Proc: p, CFGIndex: 1, Instance: inst, Clock: make([]uint64, 2)}
+					s.Clock[p] = uint64(inst + 1)
+					if p == 0 || inst < 2 {
+						// Process 1's newest snapshot, the line's member,
+						// is the one without counters.
+						s.Instances = map[int]int{1: inst + 1}
+					}
+					if err := st.Save(s); err != nil {
+						t.Fatal(err)
+					}
+					want[p] = append(want[p], s.Key())
+				}
+			}
+			rb, err := recovery.Rollback(st, 2, nil)
+			if err == nil {
+				t.Fatalf("rollback accepted line %+v", rb.Line)
+			}
+			for p := range want {
+				got, err := storage.Keys(st, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				storage.SortKeys(got)
+				if fmt.Sprint(got) != fmt.Sprint(want[p]) {
+					t.Errorf("proc %d holds %v after the refusal, want %v", p, got, want[p])
+				}
+			}
+		})
+	}
+}
+
+// twoSiteJacobi is Figure 1's Jacobi with a second checkpoint after the
+// exchange, so that every process saves under two CFG indexes in
+// alternation and both families of straight cuts are recovery lines.
+func twoSiteJacobi(iters int) *mpl.Program {
+	return mpl.NewBuilder("jacobi_two_sites").
+		Const("MAXITER", iters).
+		Vars("x", "xl", "xr", "iter").
+		Assign("x", mpl.Add(mpl.Rank(), mpl.Int(1))).
+		Assign("iter", mpl.Int(0)).
+		While(mpl.Lt(mpl.V("iter"), mpl.V("MAXITER")), func(b *mpl.Builder) {
+			b.Chkpt()
+			b.Send(mpl.Sub(mpl.Rank(), mpl.Int(1)), "x")
+			b.Send(mpl.Add(mpl.Rank(), mpl.Int(1)), "x")
+			b.Recv(mpl.Sub(mpl.Rank(), mpl.Int(1)), "xl")
+			b.Recv(mpl.Add(mpl.Rank(), mpl.Int(1)), "xr")
+			b.Chkpt()
+			b.Assign("x", mpl.Div(mpl.Add(mpl.Add(mpl.V("x"), mpl.V("xl")), mpl.V("xr")), mpl.Int(3)))
+			b.Assign("iter", mpl.Add(mpl.V("iter"), mpl.Int(1)))
+		}).
+		MustProgram()
+}
+
+// rotting routes the saves rot names through a chaos wrapper that flips
+// every save it sees, and everything else straight to the wrapper's store.
+type rotting struct {
+	*chaos.Store
+	inner storage.Store
+	rot   func(storage.Key) bool
+}
+
+func (r rotting) Save(s storage.Snapshot) error {
+	if r.rot(s.Key()) {
+		return r.Store.Save(s)
+	}
+	return r.inner.Save(s)
+}
+
+// The discard rule reads "saved after the line" off the line member's
+// instance counters. Before every rollback of real crash runs, the set it
+// dooms must be the set the rule it replaced doomed: every snapshot whose
+// own clock component is past the line member's.
+func TestDiscardByCountersMatchesDiscardByClock(t *testing.T) {
+	const n = 3
+	crashes := []sim.Crash{{Inc: 0, Proc: 1, AfterEvents: 40}, {Inc: 1, Proc: 2, AfterEvents: 6}}
+	cases := []struct {
+		name     string
+		rot      func(storage.Key) bool
+		degraded bool // some rollback must skip a candidate cut
+		scratch  bool // some rollback must find no line
+	}{
+		{name: "clean", rot: func(storage.Key) bool { return false }},
+		{name: "degraded", rot: func(k storage.Key) bool { return k.Proc == 0 && k.Instance >= 3 }, degraded: true},
+		{name: "from scratch", rot: func(k storage.Key) bool { return k.Proc == 0 }, scratch: true},
+	}
+	prog := twoSiteJacobi(8)
+	clean, err := sim.Run(sim.Config{Program: prog, Nproc: n, DisableTrace: true, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		for kind, inner := range rollbackStores(t) {
+			t.Run(tc.name+"/"+kind, func(t *testing.T) {
+				rollbacks, sawDegraded, sawScratch, doomedTotal := 0, false, false, 0
+				compare := func(st storage.Store, n int) (*recovery.Line, error) {
+					line, err := recovery.StraightCut(st, n)
+					if err != nil && !errors.Is(err, recovery.ErrNoRecoveryLine) {
+						return nil, err
+					}
+					rollbacks++
+					sawScratch = sawScratch || line == nil
+					sawDegraded = sawDegraded || (line != nil && line.Degraded > 0)
+					// Rollback scrubs before it discards; List needs it too.
+					if _, err := storage.Scrub(st); err != nil {
+						return nil, err
+					}
+					for p := 0; p < n; p++ {
+						snaps, err := st.List(p)
+						if err != nil {
+							return nil, err
+						}
+						keys, err := storage.Keys(st, p)
+						if err != nil {
+							return nil, err
+						}
+						var byClock, byCounters []storage.Key
+						for _, s := range snaps {
+							if line == nil || s.Clock[p] > line.Snapshots[p].Clock[p] {
+								byClock = append(byClock, s.Key())
+							}
+						}
+						for _, k := range keys {
+							if line == nil || k.Instance >= line.Snapshots[p].Instances[k.CFGIndex] {
+								byCounters = append(byCounters, k)
+							}
+						}
+						storage.SortKeys(byClock)
+						storage.SortKeys(byCounters)
+						if fmt.Sprint(byClock) != fmt.Sprint(byCounters) {
+							t.Errorf("rollback %d, proc %d: clock rule dooms %v, counter rule dooms %v", rollbacks, p, byClock, byCounters)
+						}
+						doomedTotal += len(byCounters)
+					}
+					return line, err
+				}
+				res, err := sim.Run(sim.Config{
+					Program: prog, Nproc: n, DisableTrace: true, Timeout: 10 * time.Second,
+					Store:   rotting{chaos.New(inner, 1, chaos.Rates{BitFlip: 1}, nil), inner, tc.rot},
+					Crashes: crashes, Recover: compare,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res.FinalVars, clean.FinalVars) {
+					t.Errorf("final state %v, want %v", res.FinalVars, clean.FinalVars)
+				}
+				if rollbacks != len(crashes) || doomedTotal == 0 {
+					t.Errorf("%d rollbacks dooming %d snapshots; want %d rollbacks and a non-empty discard", rollbacks, doomedTotal, len(crashes))
+				}
+				if tc.degraded && !sawDegraded {
+					t.Error("no rollback chose a degraded line")
+				}
+				if tc.scratch && !sawScratch {
+					t.Error("no rollback restarted from scratch")
+				}
+			})
+		}
+	}
+}
+
+// bodyReads counts the calls through it that load a snapshot body.
+type bodyReads struct {
+	*wal.Store
+	n int
+}
+
+func (b *bodyReads) Get(proc, cfgIndex, instance int) (storage.Snapshot, error) {
+	b.n++
+	return b.Store.Get(proc, cfgIndex, instance)
+}
+
+func (b *bodyReads) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
+	b.n++
+	return b.Store.Latest(proc, cfgIndex)
+}
+
+func (b *bodyReads) List(proc int) ([]storage.Snapshot, error) {
+	b.n++
+	return b.Store.List(proc)
+}
+
+// Over a WAL, rollback decodes the snapshots selection looks at and nothing
+// else: the discard names its keys from the index and reads "after the
+// line" off the line's own members. Pinned twice — no body read once the
+// line is chosen, and, with the line given, fewer allocated objects than
+// there are checkpoints in the log (decoding one costs five).
+func TestRollbackOverWALDecodesOnlyTheLine(t *testing.T) {
+	const n, each = 2, 64
+	ws, err := wal.Open(t.TempDir(), wal.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.Close()
+	for p := 0; p < n; p++ {
+		saved := each
+		if p == 1 {
+			saved += 3 // process 1 ran ahead of the last common cut
+		}
+		for inst := 0; inst < saved; inst++ {
+			s := storage.Snapshot{
+				Proc: p, CFGIndex: 1, Instance: inst, Clock: make([]uint64, n),
+				Vars: map[string]int{"x": inst}, Instances: map[int]int{1: inst + 1},
+			}
+			s.Clock[p] = uint64(inst + 1)
+			if err := ws.Save(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := &bodyReads{Store: ws}
+	selected := -1
+	rb, err := recovery.Rollback(st, n, func(st storage.Store, n int) (*recovery.Line, error) {
+		line, err := recovery.StraightCut(st, n)
+		selected = st.(*bodyReads).n
+		return line, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.n != selected {
+		t.Errorf("%d snapshot reads after the line was chosen, want none", st.n-selected)
+	}
+	if keys, _ := ws.Keys(1); len(keys) != each {
+		t.Errorf("process 1 keeps %d checkpoints, want %d", len(keys), each)
+	}
+	given := func(storage.Store, int) (*recovery.Line, error) { return rb.Line, nil }
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := recovery.Rollback(st, n, given); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= n*each {
+		t.Errorf("rollback at the line allocates %v objects over %d checkpoints", allocs, n*each)
 	}
 }

@@ -224,6 +224,12 @@ func (r *retryStore) Delete(proc, cfgIndex, instance int) error {
 	return retry0(r, "delete", func() error { return r.inner.Delete(proc, cfgIndex, instance) })
 }
 
+// Keys implements storage.KeyLister, so rollback names what to discard
+// through the retry layer without loading it.
+func (r *retryStore) Keys(proc int) ([]storage.Key, error) {
+	return retry(r, "keys", func() ([]storage.Key, error) { return storage.Keys(r.inner, proc) })
+}
+
 // Scrub implements storage.Scrubber, so the pre-rollback scrub is retried
 // and budgeted like every other call of the run (a store that cannot scrub
 // reports a clean no-op).

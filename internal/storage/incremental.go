@@ -210,8 +210,8 @@ func (inc *Incremental) Latest(proc, cfgIndex int) (Snapshot, error) {
 	defer inc.mu.Unlock()
 	best := -1
 	bestInst := -1
-	for k, pos := range inc.byKey {
-		if k.Proc == proc && k.CFGIndex == cfgIndex && k.Instance > bestInst {
+	for pos := range inc.recs[proc] {
+		if k := inc.recs[proc][pos].snap.Key(); k.CFGIndex == cfgIndex && k.Instance > bestInst {
 			bestInst = k.Instance
 			best = pos
 		}
@@ -254,8 +254,8 @@ func (inc *Incremental) Indexes(n int) ([]int, error) {
 	return CommonIndexes(n, keys), nil
 }
 
-// Keys implements KeyLister: a record names its checkpoint even when its
-// chain no longer verifies.
+// Keys implements KeyLister, in save order: a record names its checkpoint
+// even when its chain no longer verifies.
 func (inc *Incremental) Keys(proc int) ([]Key, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()

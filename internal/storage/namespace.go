@@ -124,6 +124,23 @@ func (ns *Namespace) Indexes(n int) ([]int, error) {
 	return CommonIndexes(n, keys), nil
 }
 
+// Keys implements KeyLister in the job's own numbering and the backing
+// store's order, so that rollback through a namespace names what to discard
+// without loading it.
+func (ns *Namespace) Keys(proc int) ([]Key, error) {
+	if err := ns.check(proc); err != nil {
+		return nil, err
+	}
+	keys, err := Keys(ns.inner, proc+ns.base)
+	if err != nil {
+		return nil, err
+	}
+	for i := range keys {
+		keys[i].Proc -= ns.base
+	}
+	return keys, nil
+}
+
 // Delete implements Store.
 func (ns *Namespace) Delete(proc, cfgIndex, instance int) error {
 	if err := ns.check(proc); err != nil {
@@ -157,3 +174,4 @@ func (ns *Namespace) Scrub() (ScrubReport, error) {
 }
 
 var _ Scrubber = (*Namespace)(nil)
+var _ KeyLister = (*Namespace)(nil)

@@ -33,7 +33,10 @@ type Snapshot struct {
 	RecvSeqs []int
 	// Instances records the per-index checkpoint instance counters at
 	// checkpoint time, so a restarted process numbers subsequent
-	// checkpoints correctly.
+	// checkpoints correctly. The counters include this checkpoint:
+	// Instances[CFGIndex] == Instance+1. Rollback relies on that — a key
+	// (i, k) of this process was saved after this snapshot exactly when
+	// k >= Instances[i] — and refuses a line whose member breaks it.
 	Instances map[int]int
 	// VTime is the process's virtual clock at checkpoint time (0 when
 	// virtual-time accounting is off).
@@ -101,11 +104,11 @@ func SortSnapshots(snaps []Snapshot) {
 
 // SortNewestFirst sorts the snapshots of one process newest first: by
 // Clock[proc], the component that orders a process's own events totally.
-// Rollback and scrub delete in this order because a delta-encoded store
-// (Incremental) only gives up the tail of a chain. Under a Namespace proc
-// is fleet-global while the clocks are job-local, so the component may not
-// exist; instance order stands in there (delta-encoded stores are never
-// namespaced, and the others delete in any order).
+// Scrub deletes in this order, and Keys derives save order from it,
+// because a delta-encoded store (Incremental) only gives up the tail of a
+// chain. Under a Namespace proc is fleet-global while the clocks are
+// job-local, so the component may not exist; instance order stands in there
+// (the others delete in any order).
 func SortNewestFirst(proc int, snaps []Snapshot) {
 	age := func(s Snapshot) uint64 {
 		if proc < len(s.Clock) {
@@ -240,14 +243,19 @@ func Scrub(st Store) (ScrubReport, error) {
 
 // KeyLister is implemented by stores that can name a process's checkpoints
 // without loading them. A key is listed whether or not its snapshot still
-// loads, which the strict List cannot promise.
+// loads, which the strict List cannot promise. The slice is the caller's.
+// A store whose deletes are order-sensitive (Incremental gives up only the
+// tail of a chain) returns the keys in save order, so that deleting in
+// reverse is always legal; any other store returns them in any order. A
+// wrapper forwards the order it was given.
 type KeyLister interface {
 	Keys(proc int) ([]Key, error)
 }
 
-// Keys returns, in no particular order, the key of every checkpoint of proc
-// that st holds: from a KeyLister without reading a body, else from List
-// (which fails when any snapshot of proc is damaged).
+// Keys returns the key of every checkpoint of proc that st holds, in the
+// order KeyLister promises: from a KeyLister without reading a body, else
+// from List (which fails when any snapshot of proc is damaged), oldest
+// first by the snapshots' own clocks.
 func Keys(st Store, proc int) ([]Key, error) {
 	if kl, ok := st.(KeyLister); ok {
 		return kl.Keys(proc)
@@ -256,9 +264,10 @@ func Keys(st Store, proc int) ([]Key, error) {
 	if err != nil {
 		return nil, err
 	}
+	SortNewestFirst(proc, snaps)
 	keys := make([]Key, len(snaps))
 	for i, s := range snaps {
-		keys[i] = s.Key()
+		keys[len(snaps)-1-i] = s.Key()
 	}
 	return keys, nil
 }
@@ -266,8 +275,10 @@ func Keys(st Store, proc int) ([]Key, error) {
 // Memory is an in-memory Store safe for concurrent use. The zero value is
 // ready to use.
 type Memory struct {
-	mu    sync.Mutex
-	snaps map[Key]Snapshot
+	mu sync.Mutex
+	// snaps is grouped by process, so the per-process reads of one job walk
+	// only that process's keys however many jobs share the store.
+	snaps map[int]map[Key]Snapshot
 }
 
 var _ Store = (*Memory)(nil)
@@ -279,14 +290,19 @@ func NewMemory() *Memory { return &Memory{} }
 func (m *Memory) Save(s Snapshot) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.snaps == nil {
-		m.snaps = make(map[Key]Snapshot)
-	}
 	k := s.Key()
-	if _, ok := m.snaps[k]; ok {
+	snaps := m.snaps[k.Proc]
+	if _, ok := snaps[k]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, k)
 	}
-	m.snaps[k] = s.clone()
+	if snaps == nil {
+		if m.snaps == nil {
+			m.snaps = make(map[int]map[Key]Snapshot)
+		}
+		snaps = make(map[Key]Snapshot)
+		m.snaps[k.Proc] = snaps
+	}
+	snaps[k] = s.clone()
 	return nil
 }
 
@@ -295,8 +311,8 @@ func (m *Memory) Latest(proc, cfgIndex int) (Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	best, found := Snapshot{}, false
-	for k, s := range m.snaps {
-		if k.Proc == proc && k.CFGIndex == cfgIndex && (!found || k.Instance > best.Instance) {
+	for k, s := range m.snaps[proc] {
+		if k.CFGIndex == cfgIndex && (!found || k.Instance > best.Instance) {
 			best, found = s, true
 		}
 	}
@@ -311,7 +327,7 @@ func (m *Memory) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	k := Key{proc, cfgIndex, instance}
-	s, ok := m.snaps[k]
+	s, ok := m.snaps[proc][k]
 	if !ok {
 		return Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
@@ -322,11 +338,9 @@ func (m *Memory) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 func (m *Memory) List(proc int) ([]Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []Snapshot
-	for k, s := range m.snaps {
-		if k.Proc == proc {
-			out = append(out, s.clone())
-		}
+	out := make([]Snapshot, 0, len(m.snaps[proc]))
+	for _, s := range m.snaps[proc] {
+		out = append(out, s.clone())
 	}
 	SortSnapshots(out)
 	return out, nil
@@ -336,9 +350,11 @@ func (m *Memory) List(proc int) ([]Snapshot, error) {
 func (m *Memory) Indexes(n int) ([]int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	keys := make([]Key, 0, len(m.snaps))
-	for k := range m.snaps {
-		keys = append(keys, k)
+	var keys []Key
+	for _, snaps := range m.snaps {
+		for k := range snaps {
+			keys = append(keys, k)
+		}
 	}
 	return CommonIndexes(n, keys), nil
 }
@@ -347,11 +363,9 @@ func (m *Memory) Indexes(n int) ([]int, error) {
 func (m *Memory) Keys(proc int) ([]Key, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var keys []Key
-	for k := range m.snaps {
-		if k.Proc == proc {
-			keys = append(keys, k)
-		}
+	keys := make([]Key, 0, len(m.snaps[proc]))
+	for k := range m.snaps[proc] {
+		keys = append(keys, k)
 	}
 	return keys, nil
 }
@@ -361,10 +375,10 @@ func (m *Memory) Delete(proc, cfgIndex, instance int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	k := Key{proc, cfgIndex, instance}
-	if _, ok := m.snaps[k]; !ok {
+	if _, ok := m.snaps[proc][k]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
-	delete(m.snaps, k)
+	delete(m.snaps[proc], k)
 	return nil
 }
 
@@ -372,5 +386,9 @@ func (m *Memory) Delete(proc, cfgIndex, instance int) error {
 func (m *Memory) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.snaps)
+	n := 0
+	for _, snaps := range m.snaps {
+		n += len(snaps)
+	}
+	return n
 }

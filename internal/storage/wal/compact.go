@@ -234,9 +234,11 @@ func (sh *shard) sealedDeadBytesLocked() int64 {
 	for _, seg := range sh.segs[:len(sh.segs)-1] {
 		total += sh.sizes[seg]
 	}
-	for _, l := range sh.index {
-		if l.seg != activeSeg {
-			live += int64(l.size)
+	for _, locs := range sh.index {
+		for _, l := range locs {
+			if l.seg != activeSeg {
+				live += int64(l.size)
+			}
 		}
 	}
 	return total - live
@@ -272,9 +274,11 @@ func (sh *shard) compactLocked(force bool) error {
 		l   loc
 	}
 	var lives []liveRec
-	for k, l := range sh.index {
-		if l.seg != activeSeg {
-			lives = append(lives, liveRec{k, l})
+	for _, locs := range sh.index {
+		for k, l := range locs {
+			if l.seg != activeSeg {
+				lives = append(lives, liveRec{k, l})
+			}
 		}
 	}
 	sort.Slice(lives, func(i, j int) bool { return lives[i].key.Less(lives[j].key) })
@@ -301,7 +305,7 @@ func (sh *shard) compactLocked(force bool) error {
 			// Damaged since it was indexed (an injected flip): quarantine
 			// instead of copying garbage forward as a "valid" record.
 			sh.corrupt[lr.key] = "crc mismatch at compaction"
-			delete(sh.index, lr.key)
+			sh.index.del(lr.key)
 			marks = append(marks, lr.key)
 			continue
 		}
@@ -339,7 +343,7 @@ func (sh *shard) compactLocked(force bool) error {
 	sh.sizes[newSeg] = int64(len(buf))
 	sh.nextSeg = newSeg + 1
 	for k, l := range newLocs {
-		sh.index[k] = l
+		sh.index.put(k, l)
 	}
 	sh.w.compactions.Add(1)
 

@@ -80,10 +80,12 @@ func FuzzWALRecover(f *testing.F) {
 		check := func(w *Store) (indexed, quarantined map[storage.Key]bool) {
 			sh := w.shards[0]
 			sh.mu.Lock()
-			indexed = make(map[storage.Key]bool, len(sh.index))
+			indexed = make(map[storage.Key]bool)
 			quarantined = make(map[storage.Key]bool, len(sh.corrupt))
-			for k := range sh.index {
-				indexed[k] = true
+			for _, locs := range sh.index {
+				for k := range locs {
+					indexed[k] = true
+				}
 			}
 			for k := range sh.corrupt {
 				quarantined[k] = true

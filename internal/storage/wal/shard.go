@@ -10,12 +10,47 @@ import (
 	"repro/internal/storage"
 )
 
-// commitReq is one mutation in flight to a shard's committer.
+// commitReq is one mutation in flight to a shard's committer. Requests are
+// recycled through reqPool with their frame buffer and their done channel.
+// Ownership: the submitter's until it is enqueued, the committer's until
+// its one acknowledgement — the committer's last touch of a request is the
+// send on done — and the submitter's again once done is received.
 type commitReq struct {
 	kind  byte // kindPut or kindTomb
 	key   storage.Key
 	frame []byte
-	done  chan error
+	done  chan error // capacity 1: the ack never blocks the committer
+}
+
+var reqPool = sync.Pool{New: func() any {
+	return &commitReq{frame: make([]byte, 0, 256), done: make(chan error, 1)}
+}}
+
+// keyIndex locates a shard's live records, grouped by process: the reads of
+// one job walk only that job's keys, however many jobs the log has held.
+type keyIndex map[int]map[storage.Key]loc
+
+func (ix keyIndex) get(k storage.Key) (loc, bool) {
+	l, ok := ix[k.Proc][k]
+	return l, ok
+}
+
+func (ix keyIndex) put(k storage.Key, l loc) {
+	locs := ix[k.Proc]
+	if locs == nil {
+		locs = make(map[storage.Key]loc)
+		ix[k.Proc] = locs
+	}
+	locs[k] = l
+}
+
+func (ix keyIndex) del(k storage.Key) { delete(ix[k.Proc], k) }
+
+// staged is one accepted request of the batch being committed, and the
+// offset of its frame within the batch buffer.
+type staged struct {
+	req *commitReq
+	off int64
 }
 
 // shard is one independent append log: a chain of segment files named by a
@@ -36,10 +71,17 @@ type shard struct {
 	syncedSize int64 // active bytes covered by the last successful fsync
 	nextSeg    uint64
 	// Index state.
-	index   map[storage.Key]loc
+	index   keyIndex
 	corrupt map[storage.Key]string
 	// readBuf is the frame buffer readLocked reuses.
 	readBuf []byte
+	// Scratch of commit, reset per batch under mu; batch is the committer
+	// goroutine's own.
+	batch    []*commitReq
+	accepted []staged
+	buf      []byte
+	flipOK   [][2]int
+	inBatch  map[storage.Key]byte
 	// Injection.
 	injSeq uint64
 }
@@ -92,22 +134,22 @@ func (sh *shard) crash(op Op, keep int) error {
 func (sh *shard) commitLoop() {
 	defer sh.w.wg.Done()
 	for req := range sh.reqCh {
-		batch := []*commitReq{req}
-		for len(batch) < sh.w.opts.MaxBatch {
+		sh.batch = append(sh.batch[:0], req)
+		for len(sh.batch) < sh.w.opts.MaxBatch {
 			select {
 			case r, ok := <-sh.reqCh:
 				if !ok {
-					sh.commit(batch)
+					sh.commit(sh.batch)
 					sh.failRemaining()
 					return
 				}
-				batch = append(batch, r)
+				sh.batch = append(sh.batch, r)
 			default:
 				goto full
 			}
 		}
 	full:
-		sh.commit(batch)
+		sh.commit(sh.batch)
 	}
 	sh.failRemaining()
 }
@@ -133,16 +175,8 @@ func (sh *shard) commit(batch []*commitReq) {
 
 	// Validate each request against the index plus what this same batch
 	// already staged; rejected requests are acked now and excluded.
-	type staged struct {
-		req *commitReq
-		off int64 // offset within the batch buffer
-	}
-	var (
-		accepted []staged
-		buf      []byte
-		flipOK   [][2]int
-		inBatch  = make(map[storage.Key]byte)
-	)
+	accepted, buf, flipOK, inBatch := sh.accepted[:0], sh.buf[:0], sh.flipOK[:0], sh.inBatch
+	clear(inBatch)
 	for _, r := range batch {
 		if err := sh.validateLocked(r, inBatch); err != nil {
 			r.done <- err
@@ -162,6 +196,7 @@ func (sh *shard) commit(batch []*commitReq) {
 		}
 		buf = append(buf, r.frame...)
 	}
+	sh.accepted, sh.buf, sh.flipOK = accepted, buf, flipOK
 	if len(accepted) == 0 {
 		return
 	}
@@ -182,11 +217,11 @@ func (sh *shard) commit(batch []*commitReq) {
 		k := s.req.key
 		switch s.req.kind {
 		case kindPut:
-			sh.index[k] = loc{seg: seg, off: base + s.off, size: len(s.req.frame)}
+			sh.index.put(k, loc{seg: seg, off: base + s.off, size: len(s.req.frame)})
 			delete(sh.corrupt, k)
 			sh.w.saves.Add(1)
 		case kindTomb:
-			delete(sh.index, k)
+			sh.index.del(k)
 			delete(sh.corrupt, k)
 		}
 		s.req.done <- nil
@@ -204,7 +239,7 @@ func (sh *shard) commit(batch []*commitReq) {
 
 // validateLocked enforces Save/Delete semantics before bytes are staged.
 func (sh *shard) validateLocked(r *commitReq, inBatch map[storage.Key]byte) error {
-	_, live := sh.index[r.key]
+	_, live := sh.index.get(r.key)
 	_, marked := sh.corrupt[r.key]
 	if k, ok := inBatch[r.key]; ok {
 		live = k == kindPut
@@ -292,7 +327,7 @@ func (sh *shard) readLocked(k storage.Key, l loc) (storage.Snapshot, error) {
 	ev, _, ok := parseRecordAt(buf, 0)
 	if !ok || ev.kind != kindPut || ev.key != k {
 		sh.corrupt[k] = "crc mismatch at read"
-		delete(sh.index, k)
+		sh.index.del(k)
 		return storage.Snapshot{}, fmt.Errorf("%w: %s: record failed verification", storage.ErrCorrupt, k)
 	}
 	return decodeSnapshot(k, buf[frameHeader+payloadHead:])
@@ -304,7 +339,7 @@ func (sh *shard) get(k storage.Key) (storage.Snapshot, error) {
 	if reason, marked := sh.corrupt[k]; marked {
 		return storage.Snapshot{}, fmt.Errorf("%w: %s: %s", storage.ErrCorrupt, k, reason)
 	}
-	l, ok := sh.index[k]
+	l, ok := sh.index.get(k)
 	if !ok {
 		return storage.Snapshot{}, fmt.Errorf("%w: %s", storage.ErrNotFound, k)
 	}
@@ -314,10 +349,10 @@ func (sh *shard) get(k storage.Key) (storage.Snapshot, error) {
 func (sh *shard) latest(proc, cfgIndex int) (storage.Snapshot, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	best, bestCorrupt, found := storage.Key{}, "", false
-	for k := range sh.index {
-		if k.Proc == proc && k.CFGIndex == cfgIndex && (!found || k.Instance > best.Instance) {
-			best, bestCorrupt, found = k, "", true
+	best, bestLoc, bestCorrupt, found := storage.Key{}, loc{}, "", false
+	for k, l := range sh.index[proc] {
+		if k.CFGIndex == cfgIndex && (!found || k.Instance > best.Instance) {
+			best, bestLoc, bestCorrupt, found = k, l, "", true
 		}
 	}
 	for k, reason := range sh.corrupt {
@@ -331,7 +366,7 @@ func (sh *shard) latest(proc, cfgIndex int) (storage.Snapshot, error) {
 	if bestCorrupt != "" {
 		return storage.Snapshot{}, fmt.Errorf("%w: %s: %s", storage.ErrCorrupt, best, bestCorrupt)
 	}
-	return sh.readLocked(best, sh.index[best])
+	return sh.readLocked(best, bestLoc)
 }
 
 func (sh *shard) list(proc int) ([]storage.Snapshot, error) {
@@ -342,16 +377,15 @@ func (sh *shard) list(proc int) ([]storage.Snapshot, error) {
 			return nil, fmt.Errorf("%w: %s: %s", storage.ErrCorrupt, k, reason)
 		}
 	}
-	var keys []storage.Key
-	for k := range sh.index {
-		if k.Proc == proc {
-			keys = append(keys, k)
-		}
+	locs := sh.index[proc]
+	keys := make([]storage.Key, 0, len(locs))
+	for k := range locs {
+		keys = append(keys, k)
 	}
 	storage.SortKeys(keys)
 	out := make([]storage.Snapshot, 0, len(keys))
 	for _, k := range keys {
-		s, err := sh.readLocked(k, sh.index[k])
+		s, err := sh.readLocked(k, locs[k])
 		if err != nil {
 			return nil, err
 		}
@@ -383,7 +417,7 @@ func (sh *shard) scrub(rep *storage.ScrubReport) error {
 	for _, k := range keys {
 		rep.Quarantined = append(rep.Quarantined, storage.SnapshotRef{Key: k, Reason: sh.corrupt[k]})
 		delete(sh.corrupt, k)
-		delete(sh.index, k)
+		sh.index.del(k)
 	}
 	return nil
 }
@@ -409,8 +443,9 @@ func openShard(w *Store, id int) (*shard, error) {
 		reqCh:   make(chan *commitReq, 4*w.opts.MaxBatch),
 		files:   make(map[uint64]*os.File),
 		sizes:   make(map[uint64]int64),
-		index:   make(map[storage.Key]loc),
+		index:   make(keyIndex),
 		corrupt: make(map[storage.Key]string),
+		inBatch: make(map[storage.Key]byte),
 	}
 	man, err := sh.loadManifest()
 	if err != nil {
@@ -480,22 +515,22 @@ func (sh *shard) recoverSegment(seg uint64, last bool) error {
 		}
 		switch ev.kind {
 		case kindPut:
-			sh.index[ev.key] = loc{seg: seg, off: ev.off, size: ev.size}
+			sh.index.put(ev.key, loc{seg: seg, off: ev.off, size: ev.size})
 			delete(sh.corrupt, ev.key)
 			sh.w.recovered++
 		case kindTomb:
-			delete(sh.index, ev.key)
+			sh.index.del(ev.key)
 			delete(sh.corrupt, ev.key)
 			sh.w.recovered++
 		case kindMark:
 			sh.corrupt[ev.key] = ev.reason
-			delete(sh.index, ev.key)
+			sh.index.del(ev.key)
 			sh.w.recovered++
 			sh.w.quarOnOpen++
 		case kindCorruptRegion:
 			if ev.keyOK {
 				sh.corrupt[ev.key] = ev.reason
-				delete(sh.index, ev.key)
+				sh.index.del(ev.key)
 				sh.w.quarOnOpen++
 			}
 		}

@@ -183,11 +183,12 @@ func (w *Store) Save(s storage.Snapshot) error {
 	if err := w.checkAlive(); err != nil {
 		return err
 	}
-	// The body is encoded straight into its frame; s is not referenced
-	// past this line.
-	k := s.Key()
-	frame := storage.AppendSnapshot(beginFrame(make([]byte, 0, 256), kindPut, k), s)
-	return w.submit(&commitReq{kind: kindPut, key: k, frame: finishFrame(frame, 0)})
+	// The body is encoded straight into the request's frame; s is not
+	// referenced past this line.
+	req := reqPool.Get().(*commitReq)
+	req.kind, req.key = kindPut, s.Key()
+	req.frame = finishFrame(storage.AppendSnapshot(beginFrame(req.frame[:0], kindPut, req.key), s), 0)
+	return w.submit(req)
 }
 
 // Delete implements storage.Store: a durable tombstone append.
@@ -195,17 +196,18 @@ func (w *Store) Delete(proc, cfgIndex, instance int) error {
 	if err := w.checkAlive(); err != nil {
 		return err
 	}
-	k := storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: instance}
-	return w.submit(&commitReq{
-		kind:  kindTomb,
-		key:   k,
-		frame: appendFrame(nil, kindTomb, k, nil),
-	})
+	req := reqPool.Get().(*commitReq)
+	req.kind, req.key = kindTomb, storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: instance}
+	req.frame = appendFrame(req.frame[:0], kindTomb, req.key, nil)
+	return w.submit(req)
 }
 
-// submit hands one mutation to its shard's committer and waits for the ack.
+// submit hands one mutation to its shard's committer, waits for the ack
+// and recycles the request: every enqueued request is acknowledged exactly
+// once (commit, a dead store, failRemaining), so after the receive — or
+// when it was never enqueued — nothing else holds it.
 func (w *Store) submit(req *commitReq) error {
-	req.done = make(chan error, 1)
+	defer reqPool.Put(req)
 	sh := w.shardFor(req.key.Proc, req.key.CFGIndex)
 	w.closeMu.RLock()
 	if w.closed {
@@ -278,9 +280,15 @@ func (w *Store) keys(proc int) ([]storage.Key, error) {
 	var keys []storage.Key
 	for _, sh := range w.shards {
 		sh.mu.Lock()
-		for k := range sh.index {
-			if proc < 0 || k.Proc == proc {
+		if proc >= 0 {
+			for k := range sh.index[proc] {
 				keys = append(keys, k)
+			}
+		} else {
+			for _, locs := range sh.index {
+				for k := range locs {
+					keys = append(keys, k)
+				}
 			}
 		}
 		for k := range sh.corrupt {

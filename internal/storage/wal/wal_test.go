@@ -212,7 +212,7 @@ func TestInteriorCorruptionQuarantined(t *testing.T) {
 	var victim loc
 	sh := w.shards[0]
 	sh.mu.Lock()
-	victim = sh.index[key(0, 4, 0)]
+	victim, _ = sh.index.get(key(0, 4, 0))
 	sh.mu.Unlock()
 	w.Close()
 
@@ -284,7 +284,7 @@ func TestQuarantineMarkSurvivesReopen(t *testing.T) {
 	// Damage index 1's body on disk while the store is open.
 	sh := w2.shards[0]
 	sh.mu.Lock()
-	l := sh.index[key(0, 1, 0)]
+	l, _ := sh.index.get(key(0, 1, 0))
 	f := sh.files[l.seg]
 	if _, err := f.WriteAt([]byte{0xFF}, l.off+frameHeader+payloadHead+2); err != nil {
 		sh.mu.Unlock()

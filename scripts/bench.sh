@@ -76,9 +76,11 @@ run_set fleet \
 # Durable stores: 1000-job aggregate save throughput (the WAL's group
 # commit vs the file store's fsync-per-save), uncontended save latency, and
 # the liveness-pruned vs full-environment payload/latency comparison, and
-# the snapshot codec alone (encode into a reused buffer, decode).
+# the snapshot codec alone (encode into a reused buffer, decode), and one
+# job's rollback on a WAL holding 1k vs 64k checkpoints of other jobs (the
+# ratio must stay within 2×).
 run_set store \
-    'BenchmarkStoreAggregateSave|BenchmarkStoreSingleSave|BenchmarkSaveBytesPruned|BenchmarkSnapshotCodec' \
+    'BenchmarkStoreAggregateSave|BenchmarkStoreSingleSave|BenchmarkSaveBytesPruned|BenchmarkSnapshotCodec|BenchmarkWALSelectLongLog' \
     BENCH_store.json \
     . ./internal/storage/
 

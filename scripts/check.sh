@@ -51,6 +51,11 @@ echo '>> prune smoke (scripts/prune_smoke.sh)'
 if [ "${CHECK_BENCH:-0}" = "1" ]; then
     echo '>> bench harness (CHECK_BENCH=1)'
     ./scripts/bench.sh
+    # The spine as a correctness smoke: non-zero exit on any output
+    # mismatch or leaked goroutine; its numbers are not gated here.
+    echo '>> spine smoke (go run ./benchmark, durable-wal and fleet-wal)'
+    go run ./benchmark -workload durable-wal -seed 1 -seconds 3
+    go run ./benchmark -workload fleet-wal -seed 1 -seconds 3
 fi
 
 echo 'OK'

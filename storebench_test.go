@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/recovery"
 	"repro/internal/storage"
 	"repro/internal/storage/wal"
 	"repro/internal/vclock"
@@ -131,6 +132,59 @@ func BenchmarkStoreSingleSave(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := st.Save(benchSnap(0, i)); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWALSelectLongLog measures what a rollback costs one job on a
+// long-lived shared log: select the recovery line of a 4-process job with
+// 64 checkpoints per process, scrub, and name what to discard (nothing —
+// the store is already at the line, so every iteration does the same work),
+// on a WAL that also holds `foreign` checkpoints of other jobs. The shard
+// indexes are per process, so the 64k figure must stay within 2× of the 1k
+// one; before they were, selection walked every key the log ever held.
+func BenchmarkWALSelectLongLog(b *testing.B) {
+	const nproc, each = 4, 64
+	for _, foreign := range []int{1 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("foreign=%dk", foreign>>10), func(b *testing.B) {
+			ws := openTestStore(b, "wal", 0, wal.Options{})
+			save := func(proc, instance int) {
+				s := benchSnap(proc, instance)
+				s.Instances = map[int]int{1: instance + 1}
+				if err := ws.Save(s); err != nil {
+					b.Error(err)
+				}
+			}
+			// Foreign jobs fill the process numbers from nproc up, 256 savers
+			// at a time so that group commit carries the set-up.
+			var wg sync.WaitGroup
+			for g := 0; g < 256; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := g; i < foreign; i += 256 {
+						save(nproc+i/each, i%each)
+					}
+				}(g)
+			}
+			wg.Wait()
+			for p := 0; p < nproc; p++ {
+				for i := 0; i < each; i++ {
+					save(p, i)
+				}
+			}
+			job, err := storage.NewNamespace(ws, 0, nproc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rb, err := recovery.Rollback(job, nproc, nil)
+				if err != nil || rb.Line == nil {
+					b.Fatalf("rollback: %+v, %v", rb, err)
 				}
 			}
 		})
