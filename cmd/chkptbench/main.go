@@ -78,9 +78,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	// Live telemetry across the runtime figures: one aggregator taps every
-	// measurement run (the sweep's runs share it — rates and sketches are
-	// fleet-wide, which is exactly what a mid-sweep scrape wants). The
-	// analytic figures spawn no runtime, so their scrapes show zero events.
+	// measurement run's events (the sweep's runs share it — totals and rates
+	// are fleet-wide, which is exactly what a mid-sweep scrape wants). It
+	// has no counters tap — each run keeps its own Counters for the figure's
+	// table — and distributions come from the tap, so the endpoint serves
+	// events, rates, per-process state and health, no latency histograms.
+	// The analytic figures spawn no runtime: their scrapes show zero events.
 	var observer obs.Observer
 	if *telAddr != "" {
 		agg := telemetry.New(telemetry.Config{Nproc: 64})
@@ -238,11 +241,11 @@ func runEmpirical(stdout, stderr io.Writer, workUnits, workers int, o obs.Observ
 		// Where the overhead comes from: per-protocol distributions. The
 		// coordination-free scheme never stalls, so its stall histogram is
 		// empty by construction — that asymmetry IS the result.
-		printHist(&sb, n, "appl", sim.HistBarrierStallV, appl.Metrics)
-		printHist(&sb, n, "sas", sim.HistBarrierStallV, sas.Metrics)
-		printHist(&sb, n, "cl", sim.HistBarrierStallV, cl.Metrics)
-		printHist(&sb, n, "appl", sim.HistChkptSaveMS, appl.Metrics)
-		printHist(&sb, n, "sas", sim.HistChkptSaveMS, sas.Metrics)
+		printHist(&sb, n, "appl", metrics.HistBarrierStallV, appl.Metrics)
+		printHist(&sb, n, "sas", metrics.HistBarrierStallV, sas.Metrics)
+		printHist(&sb, n, "cl", metrics.HistBarrierStallV, cl.Metrics)
+		printHist(&sb, n, "appl", metrics.HistChkptSaveMS, appl.Metrics)
+		printHist(&sb, n, "sas", metrics.HistChkptSaveMS, sas.Metrics)
 		return sb.String(), nil
 	})
 }

@@ -123,6 +123,8 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) (code i
 		observers = append(observers, stream)
 	}
 
+	// One Counters is every job's metrics sink and the aggregator's tap:
+	// the fleet-wide save / block distributions it shows are these.
 	counters := &metrics.Counters{}
 	observer := obs.Multi(observers...)
 	if *telAddr != "" || *dash {

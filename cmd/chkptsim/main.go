@@ -207,8 +207,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	// Live telemetry: the aggregator joins the observer fan-out (so chaos
 	// layers built below publish into it too), samples the run's counters
-	// every window, and pushes detector verdicts back into the recorder
-	// and event stream — never into itself.
+	// every window — its save / block / stall distributions are theirs —
+	// and pushes detector verdicts back into the recorder and event stream,
+	// never into itself.
 	var agg *telemetry.Aggregator
 	if *telAddr != "" || *dash {
 		counters := &metrics.Counters{}

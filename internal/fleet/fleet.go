@@ -23,7 +23,8 @@
 //     probes through the half-open state close it again;
 //   - graceful drain: stop admissions, let in-flight jobs finish inside a
 //     deadline, then cancel the rest — sim.ErrCanceled parks them with
-//     their checkpoints intact for a later resume;
+//     their checkpoints intact (nothing re-admits a parked job yet:
+//     ROADMAP item 5);
 //   - a strict terminal taxonomy: every admitted job lands in EXACTLY one
 //     of succeeded / infra_failed / business_failed / parked. Report.
 //     Conserved() checks admitted == Σ buckets; the chaos soaks assert it

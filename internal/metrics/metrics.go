@@ -248,6 +248,22 @@ func (s Snapshot) Fixed() []FixedCounter {
 	}
 }
 
+// The three distributions the runtime records through ObserveHist, named
+// here once: sim writes them, and the metrics stream, /metrics (under
+// chkptsim_hist_<name>) and the telemetry dashboard read them from Hists.
+const (
+	// HistBlockedWallMS is wall-clock milliseconds a process spent blocked
+	// on protocol coordination, one observation per wait.
+	HistBlockedWallMS = "blocked_wall_ms"
+	// HistBarrierStallV is virtual seconds a process's clock jumped while
+	// waiting for protocol control traffic — the §4 coordination cost M as
+	// a per-stall distribution (only recorded when the run prices time).
+	HistBarrierStallV = "barrier_stall_vs"
+	// HistChkptSaveMS is wall-clock milliseconds per checkpoint persisted
+	// to stable storage.
+	HistChkptSaveMS = "chkpt_save_ms"
+)
+
 // TotalCheckpoints is voluntary plus forced checkpoints.
 func (s Snapshot) TotalCheckpoints() int64 { return s.Checkpoints + s.Forced }
 

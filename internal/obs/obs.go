@@ -20,10 +20,7 @@
 //
 // Each line is one JSON object:
 //
-//	kind    string  event kind: send, recv, chkpt, compute, block,
-//	                rollback, restart, halt, fault, retry, scrub, degraded,
-//	                netfault, suspect, backlog, heal, stall, storm, lag,
-//	                admit, reject, jobdone, breaker, drain
+//	kind    string  event kind, by its name in kindNames (Kind.String)
 //	proc    int     process rank; -1 for run-level events
 //	inc     int     incarnation (0 until the first recovery)
 //	seq     int     position in the (inc, proc) local history
@@ -34,7 +31,7 @@
 //	tag     string  protocol tag for control traffic ("ctrl", marker tags)
 //	msg     object  {"from","to","seq"} for send/recv
 //	chkpt   object  {"index","instance"} for chkpt
-//	dur_ns  int64   blocked wall time for block events
+//	dur_ns  int64   wall time blocked (block) or spent saving (chkpt)
 //	vdur    float64 blocked virtual time for block events
 //
 // Zero-valued optional fields are omitted. Lines are ordered by
@@ -42,56 +39,89 @@
 // deterministic programs; StreamWriter emits arrival order.
 package obs
 
-// Kind names an event class in the exported streams. String values, not
-// iota: the JSONL schema is a contract with external tools.
-type Kind string
+import (
+	"encoding/json"
+	"slices"
+)
+
+// Kind is an event class: a small integer consumers index fixed arrays by,
+// spelled in the exported streams by its kindNames row. Zero is not a kind.
+type Kind uint8
 
 // Event kinds. The first four mirror the trace package's local-history
 // kinds; the rest are runtime lifecycle events that an in-memory trace
 // never sees (they concern incarnations, not one local history).
 const (
-	KindCompute  Kind = "compute"
-	KindSend     Kind = "send"
-	KindRecv     Kind = "recv"
-	KindChkpt    Kind = "chkpt"
-	KindBlock    Kind = "block"
-	KindRollback Kind = "rollback"
-	KindRestart  Kind = "restart"
-	KindHalt     Kind = "halt"
-	// Robustness kinds: the chaos layer and the hardened runtime publish
-	// every injected fault, every storage retry, every scrub quarantine,
-	// and every degraded recovery-line fallback so fault handling is as
-	// observable as the happy path.
-	KindFault    Kind = "fault"    // injected storage fault (Tag: fault class)
-	KindRetry    Kind = "retry"    // operation retried: storage (Tag: op) or transport retransmit (Tag: "retransmit")
-	KindScrub    Kind = "scrub"    // scrub pass quarantined corrupt snapshots
-	KindDegraded Kind = "degraded" // recovery fell back below the best straight cut
-	// Network-chaos kinds: the link-level fault injector and the hardened
-	// transport publish every injected network fault, heartbeat suspicion,
-	// queue-backlog watermark crossing, and partition heal.
-	KindNetFault Kind = "netfault" // injected network fault (Tag: drop/dup/reorder/delay/partition)
-	KindSuspect  Kind = "suspect"  // heartbeat failure detector suspected a silent peer
-	KindBacklog  Kind = "backlog"  // a channel queue crossed the configured backlog watermark
-	KindHeal     Kind = "heal"     // a directed partition window closed (first frame through)
+	KindCompute Kind = iota + 1
+	KindSend
+	KindRecv
+	KindChkpt
+	KindBlock
+	KindRollback
+	KindRestart
+	KindHalt
+	// Robustness kinds, from the chaos layer and the hardened runtime: fault
+	// handling is as observable as the happy path.
+	KindFault    // injected storage fault (Tag: fault class)
+	KindRetry    // operation retried: storage (Tag: op) or transport retransmit (Tag: "retransmit")
+	KindScrub    // scrub pass quarantined corrupt snapshots
+	KindDegraded // recovery fell back below the best straight cut
+	// Network-chaos kinds, from the link-level fault injector and the
+	// hardened transport.
+	KindNetFault // injected network fault (Tag: drop/dup/reorder/delay/partition)
+	KindSuspect  // heartbeat failure detector suspected a silent peer
+	KindBacklog  // a channel queue crossed the configured backlog watermark
+	KindHeal     // a directed partition window closed (first frame through)
 	// Health kinds: the live telemetry aggregator (internal/telemetry)
-	// publishes its detector verdicts back into the event stream so the
-	// flight recorder captures WHEN the run went unhealthy, not just that
-	// it did.
-	KindStall Kind = "stall" // no forward progress from a process for N aggregation windows
-	KindStorm Kind = "storm" // rollback storm: repeated rollbacks within the detector's horizon
-	KindLag   Kind = "lag"   // checkpoint lag: virtual time since a process's last completed save crossed the threshold
-	// Fleet kinds: the fleet engine (internal/fleet) publishes job
-	// admissions, rejections, terminal classifications, circuit-breaker
-	// transitions, and drain lifecycle into the same stream, so one
-	// recorder or telemetry aggregator sees the whole fleet's story. Fleet
-	// events carry Proc = -1 (they concern jobs, not a job's processes)
-	// and the job id in Inc where meaningful.
-	KindAdmit   Kind = "admit"   // job admitted (Tag: tenant)
-	KindReject  Kind = "reject"  // admission rejected (Tag: tenant, Label: reason)
-	KindJobDone Kind = "jobdone" // admitted job reached a terminal bucket (Tag: bucket)
-	KindBreaker Kind = "breaker" // circuit breaker transition (Label: from->to)
-	KindDrain   Kind = "drain"   // drain lifecycle (Label: begin/park/done)
+	// publishes its detector verdicts back into the stream, so the flight
+	// recorder captures WHEN the run went unhealthy, not just that it did.
+	KindStall // no forward progress from a process for N aggregation windows
+	KindStorm // rollback storm: repeated rollbacks within the detector's horizon
+	KindLag   // checkpoint lag: virtual time since a process's last completed save crossed the threshold
+	// Fleet kinds, from the fleet engine (internal/fleet), so one recorder
+	// or telemetry aggregator sees the whole fleet's story. Fleet events
+	// carry Proc = -1 (they concern jobs, not a job's processes) and the
+	// job id in Inc where meaningful.
+	KindAdmit   // job admitted (Tag: tenant)
+	KindReject  // admission rejected (Tag: tenant, Label: reason)
+	KindJobDone // admitted job reached a terminal bucket (Tag: bucket)
+	KindBreaker // circuit breaker transition (Label: from->to)
+	KindDrain   // drain lifecycle (Label: begin/park/done)
+
+	NumKinds // one past the last kind: the length of an array indexed by Kind
 )
+
+// kindNames is the one place a kind is spelled: the JSONL "kind" field, the
+// /snapshot.json keys and the Prometheus kind label all reach it through
+// String. Slot 0 names whatever is not a kind: zero, a value past the table.
+var kindNames = [NumKinds]string{
+	0: "other", KindCompute: "compute", KindSend: "send", KindRecv: "recv",
+	KindChkpt: "chkpt", KindBlock: "block", KindRollback: "rollback",
+	KindRestart: "restart", KindHalt: "halt", KindFault: "fault",
+	KindRetry: "retry", KindScrub: "scrub", KindDegraded: "degraded",
+	KindNetFault: "netfault", KindSuspect: "suspect", KindBacklog: "backlog",
+	KindHeal: "heal", KindStall: "stall", KindStorm: "storm", KindLag: "lag",
+	KindAdmit: "admit", KindReject: "reject", KindJobDone: "jobdone",
+	KindBreaker: "breaker", KindDrain: "drain",
+}
+
+// String returns the kind's exported name ("other" for what is not a kind).
+func (k Kind) String() string {
+	if k >= NumKinds {
+		k = 0
+	}
+	return kindNames[k]
+}
+
+// MarshalText spells the kind by name in JSON and every other text codec.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads a name back. Like every consumer of kinds it is total
+// against a newer producer: a name outside the table reads as zero.
+func (k *Kind) UnmarshalText(text []byte) error {
+	*k = Kind(max(0, slices.Index(kindNames[:], string(text))))
+	return nil
+}
 
 // MsgRef identifies an application message (sender, receiver, per-channel
 // sequence number).
@@ -108,28 +138,64 @@ type ChkptRef struct {
 	Instance int `json:"instance"`
 }
 
-// Event is one observed runtime event. Producers fill the semantic fields;
-// Seq and WallNS are stamped by the consuming Recorder/StreamWriter so
-// producers stay free of clock and ordering concerns.
+// Event is one observed runtime event, a flat value a producer builds
+// without allocating. Producers fill the semantic fields; Seq and WallNS
+// are stamped by the consuming Recorder/StreamWriter so producers stay free
+// of clock and ordering concerns. Msg means something on send and recv
+// events only, Chkpt on chkpt events only, and only those export them.
+// VClock is lent, as a snapshot is to Store.Save: it is the producer's live
+// clock, valid until OnEvent returns. An observer that keeps an event past
+// that point clones the clock first (Recorder does).
 type Event struct {
-	Kind   Kind      `json:"kind"`
-	Proc   int       `json:"proc"`
-	Inc    int       `json:"inc"`
-	Seq    int       `json:"seq"`
-	VClock []uint64  `json:"vclock,omitempty"`
-	VTime  float64   `json:"vtime,omitempty"`
-	WallNS int64     `json:"wall_ns,omitempty"`
-	Label  string    `json:"label,omitempty"`
-	Tag    string    `json:"tag,omitempty"`
-	Msg    *MsgRef   `json:"msg,omitempty"`
-	Chkpt  *ChkptRef `json:"chkpt,omitempty"`
-	DurNS  int64     `json:"dur_ns,omitempty"`
-	VDur   float64   `json:"vdur,omitempty"`
+	Kind   Kind     `json:"kind"`
+	Proc   int      `json:"proc"`
+	Inc    int      `json:"inc"`
+	Seq    int      `json:"seq"`
+	VClock []uint64 `json:"vclock,omitempty"`
+	VTime  float64  `json:"vtime,omitempty"`
+	WallNS int64    `json:"wall_ns,omitempty"`
+	Label  string   `json:"label,omitempty"`
+	Tag    string   `json:"tag,omitempty"`
+	Msg    MsgRef   `json:"msg"`
+	Chkpt  ChkptRef `json:"chkpt"`
+	DurNS  int64    `json:"dur_ns,omitempty"`
+	VDur   float64  `json:"vdur,omitempty"`
+}
+
+// line is an Event as the schema above has it, msg and chkpt present exactly
+// when Kind gives them meaning. The embedded copy supplies kind … tag; its
+// last four fields are hidden by the outer ones, so that the two references,
+// as omittable pointers into that copy, keep their place in the line.
+type line struct {
+	fields
+	Msg   *MsgRef   `json:"msg,omitempty"`
+	Chkpt *ChkptRef `json:"chkpt,omitempty"`
+	DurNS int64     `json:"dur_ns,omitempty"`
+	VDur  float64   `json:"vdur,omitempty"`
+}
+
+type fields Event // Event without MarshalJSON
+
+func (l *line) set(e Event) {
+	*l = line{fields: fields(e), DurNS: e.DurNS, VDur: e.VDur}
+	switch e.Kind {
+	case KindSend, KindRecv:
+		l.Msg = &l.fields.Msg
+	case KindChkpt:
+		l.Chkpt = &l.fields.Chkpt
+	}
+}
+
+// MarshalJSON writes the event as its line.
+func (e Event) MarshalJSON() ([]byte, error) {
+	var l line
+	l.set(e)
+	return json.Marshal(&l)
 }
 
 // Observer receives runtime events as they happen. Implementations must be
 // safe for concurrent use: every process goroutine publishes through the
-// same observer.
+// same observer, and an event's VClock is only lent (see Event).
 type Observer interface {
 	OnEvent(Event)
 }

@@ -15,9 +15,9 @@ import (
 // block, and a recovery cycle.
 func feed(o Observer) {
 	o.OnEvent(Event{Kind: KindCompute, Proc: 0, VClock: []uint64{1, 0}, Label: "x="})
-	o.OnEvent(Event{Kind: KindSend, Proc: 0, VClock: []uint64{2, 0}, VTime: 0.001, Msg: &MsgRef{From: 0, To: 1, Seq: 0}})
-	o.OnEvent(Event{Kind: KindRecv, Proc: 1, VClock: []uint64{2, 1}, VTime: 0.002, Msg: &MsgRef{From: 0, To: 1, Seq: 0}})
-	o.OnEvent(Event{Kind: KindChkpt, Proc: 1, VClock: []uint64{2, 2}, VTime: 0.003, Chkpt: &ChkptRef{Index: 0, Instance: 0}, Label: "C_0"})
+	o.OnEvent(Event{Kind: KindSend, Proc: 0, VClock: []uint64{2, 0}, VTime: 0.001, Msg: MsgRef{From: 0, To: 1, Seq: 0}})
+	o.OnEvent(Event{Kind: KindRecv, Proc: 1, VClock: []uint64{2, 1}, VTime: 0.002, Msg: MsgRef{From: 0, To: 1, Seq: 0}})
+	o.OnEvent(Event{Kind: KindChkpt, Proc: 1, VClock: []uint64{2, 2}, VTime: 0.003, Chkpt: ChkptRef{Index: 0, Instance: 0}, Label: "C_0"})
 	o.OnEvent(Event{Kind: KindBlock, Proc: 0, VTime: 0.004, Tag: "ctrl", DurNS: 1500, VDur: 0.003})
 	o.OnEvent(Event{Kind: KindRollback, Proc: -1, Label: "proc 1 failed"})
 	o.OnEvent(Event{Kind: KindRestart, Proc: -1, Inc: 1})
@@ -101,7 +101,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			t.Fatalf("bad line %q: %v", line, err)
 		}
-		if e.Kind == "" {
+		if e.Kind == 0 {
 			t.Errorf("line without kind: %q", line)
 		}
 		if strings.Contains(line, "wall_ns") {
@@ -267,5 +267,64 @@ func TestCountersLineKeysFollowFixed(t *testing.T) {
 		`"forced":0,"rollbacks":0,"restarted_events":0,"blocked_ns":0,"custom":{"aa":2,"zz":1}}`
 	if line != legacy {
 		t.Errorf("counters line = %s\nlegacy          %s", line, legacy)
+	}
+}
+
+// TestKindTable: every kind, and the "other" slot, has a unique non-empty
+// name that survives a text round trip; whatever is not a kind is "other".
+func TestKindTable(t *testing.T) {
+	seen := map[string]Kind{}
+	for k := Kind(0); k < NumKinds; k++ {
+		name := k.String()
+		if prev, dup := seen[name]; dup || name == "" {
+			t.Errorf("kind %d named %q (also kind %d)", k, name, prev)
+		}
+		seen[name] = k
+		text, err := k.MarshalText()
+		var back Kind
+		if err != nil || back.UnmarshalText(text) != nil || back != k {
+			t.Errorf("kind %d: text %q (%v) reads back as %d", k, text, err, back)
+		}
+	}
+	if seen["other"] != 0 || NumKinds.String() != "other" || Kind(255).String() != "other" {
+		t.Errorf("not-a-kind names: slot 0 %q, sentinel %q, 255 %q", Kind(0), NumKinds, Kind(255))
+	}
+	k := KindSend
+	if err := k.UnmarshalText([]byte("mystery")); err != nil || k != 0 {
+		t.Errorf("unknown name read as %d, %v; want the zero Kind", k, err)
+	}
+}
+
+// TestEventWireFormat pins the JSONL line byte for byte — field order,
+// which kinds carry msg and chkpt (zero-valued or not), omitted zeros, HTML
+// escaping — to what the stream looked like while msg and chkpt were
+// pointers and Kind a string.
+func TestEventWireFormat(t *testing.T) {
+	for _, tt := range []struct {
+		e    Event
+		want string
+	}{
+		{Event{Kind: KindChkpt, Proc: 1, Inc: 2, VClock: []uint64{2, 2}, VTime: 0.003, Label: "C_<0>", Chkpt: ChkptRef{Index: 3, Instance: 1}, DurNS: 1500},
+			`{"kind":"chkpt","proc":1,"inc":2,"seq":0,"vclock":[2,2],"vtime":0.003,"wall_ns":7,"label":"C_\u003c0\u003e","chkpt":{"index":3,"instance":1},"dur_ns":1500}`},
+		{Event{Kind: KindSend, VClock: []uint64{2, 0}, Msg: MsgRef{From: 0, To: 1, Seq: 4}},
+			`{"kind":"send","proc":0,"inc":0,"seq":0,"vclock":[2,0],"wall_ns":7,"msg":{"from":0,"to":1,"seq":4}}`},
+		{Event{Kind: KindRecv, Proc: 1},
+			`{"kind":"recv","proc":1,"inc":0,"seq":0,"wall_ns":7,"msg":{"from":0,"to":0,"seq":0}}`},
+		{Event{Kind: KindBlock, Tag: "ctrl", DurNS: 1500, VDur: 1e-7, Msg: MsgRef{To: 9}, Chkpt: ChkptRef{Index: 9}},
+			`{"kind":"block","proc":0,"inc":0,"seq":0,"wall_ns":7,"tag":"ctrl","dur_ns":1500,"vdur":1e-7}`},
+		{Event{Kind: KindBreaker, Proc: -1, Label: "closed->open"},
+			`{"kind":"breaker","proc":-1,"inc":0,"seq":0,"wall_ns":7,"label":"closed-\u003eopen"}`},
+	} {
+		var buf bytes.Buffer
+		s := NewStreamWriter(&buf)
+		s.Now = func() int64 { return 7 }
+		s.OnEvent(tt.e)
+		if got := strings.TrimSuffix(buf.String(), "\n"); got != tt.want || s.Err() != nil {
+			t.Errorf("line (err %v)\n got: %s\nwant: %s", s.Err(), got, tt.want)
+		}
+		var back Event
+		if err := json.Unmarshal(buf.Bytes(), &back); err != nil || back.Kind != tt.e.Kind || back.Label != tt.e.Label {
+			t.Errorf("line does not read back: %v, %+v", err, back)
+		}
 	}
 }

@@ -59,12 +59,6 @@ func timebase(events []Event) func(Event) float64 {
 // process (-1) gets track 0, ranks shift up by one.
 func tid(proc int) int { return proc + 1 }
 
-// flowID names the send→recv arrow of one application message. Inc is part
-// of the key: a replayed message after recovery is a fresh arrow.
-func flowID(inc int, m *MsgRef) string {
-	return fmt.Sprintf("m%d.%d.%d.%d", inc, m.From, m.To, m.Seq)
-}
-
 // WriteChromeTrace exports the recorded run in Chrome trace-event JSON.
 // Each incarnation is one trace process ("pid"), each simulated process
 // one thread: restarts therefore appear as separate process groups.
@@ -103,7 +97,8 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 
 	const pointDur = 1.0 // µs width of point-like slices
 	for _, e := range events {
-		base := chromeEvent{TS: ts(e), PID: e.Inc, TID: tid(e.Proc)}
+		ev := chromeEvent{TS: ts(e), PID: e.Inc, TID: tid(e.Proc)}
+		flow := ev // the arrow end that follows a send or recv slice
 		args := map[string]any{"seq": e.Seq}
 		if len(e.VClock) > 0 {
 			args["vclock"] = e.VClock
@@ -113,37 +108,24 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		}
 		switch e.Kind {
 		case KindChkpt:
-			ev := base
 			ev.Ph, ev.S, ev.Cat = "i", "t", "chkpt"
 			ev.Name = e.Label
-			if ev.Name == "" && e.Chkpt != nil {
+			if ev.Name == "" {
 				ev.Name = fmt.Sprintf("C_%d", e.Chkpt.Index)
 			}
-			if e.Chkpt != nil {
-				args["index"], args["instance"] = e.Chkpt.Index, e.Chkpt.Instance
+			args["index"], args["instance"] = e.Chkpt.Index, e.Chkpt.Instance
+		case KindSend, KindRecv:
+			ev.Ph, ev.Dur, ev.Cat = "X", pointDur, "msg"
+			// One arrow per message and incarnation: a replayed message
+			// after recovery is a fresh arrow.
+			flow.ID = fmt.Sprintf("m%d.%d.%d.%d", e.Inc, e.Msg.From, e.Msg.To, e.Msg.Seq)
+			flow.Name, flow.Cat = "msg", "msg"
+			if e.Kind == KindSend {
+				ev.Name, flow.Ph = fmt.Sprintf("send→%d", e.Msg.To), "s"
+			} else {
+				ev.Name, flow.Ph, flow.BP = fmt.Sprintf("recv←%d", e.Msg.From), "f", "e"
 			}
-			ev.Args = args
-			out = append(out, ev)
-		case KindSend:
-			ev := base
-			ev.Ph, ev.Dur, ev.Cat = "X", pointDur, "msg"
-			ev.Name = fmt.Sprintf("send→%d", e.Msg.To)
-			ev.Args = args
-			out = append(out, ev)
-			flow := base
-			flow.Ph, flow.ID, flow.Name, flow.Cat = "s", flowID(e.Inc, e.Msg), "msg", "msg"
-			out = append(out, flow)
-		case KindRecv:
-			ev := base
-			ev.Ph, ev.Dur, ev.Cat = "X", pointDur, "msg"
-			ev.Name = fmt.Sprintf("recv←%d", e.Msg.From)
-			ev.Args = args
-			out = append(out, ev)
-			flow := base
-			flow.Ph, flow.ID, flow.Name, flow.Cat, flow.BP = "f", flowID(e.Inc, e.Msg), "msg", "msg", "e"
-			out = append(out, flow)
 		case KindBlock:
-			ev := base
 			ev.Ph, ev.Cat = "X", "block"
 			ev.Name = "blocked"
 			if e.Tag != "" {
@@ -158,29 +140,23 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			default:
 				ev.Dur = pointDur
 			}
-			ev.Args = args
-			out = append(out, ev)
 		case KindRollback, KindRestart:
-			ev := base
 			ev.Ph, ev.S, ev.Cat = "i", "g", "recovery"
-			ev.Name = string(e.Kind)
-			ev.Args = args
-			out = append(out, ev)
+			ev.Name = e.Kind.String()
 		case KindHalt:
-			ev := base
 			ev.Ph, ev.S, ev.Cat = "i", "t", "lifecycle"
 			ev.Name = "halt"
-			ev.Args = args
-			out = append(out, ev)
 		default: // compute and future kinds: a plain slice
-			ev := base
 			ev.Ph, ev.Dur, ev.Cat = "X", pointDur, "compute"
 			ev.Name = e.Label
 			if ev.Name == "" {
-				ev.Name = string(e.Kind)
+				ev.Name = e.Kind.String()
 			}
-			ev.Args = args
-			out = append(out, ev)
+		}
+		ev.Args = args
+		out = append(out, ev)
+		if flow.Ph != "" {
+			out = append(out, flow)
 		}
 	}
 

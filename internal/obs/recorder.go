@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -12,7 +13,6 @@ import (
 // stamps. Callers must hold their own lock around stamp.
 type stamper struct {
 	start time.Time
-	now   func() int64 // wall ns supplier; nil = real clock
 	seqs  map[[2]int]int
 }
 
@@ -50,8 +50,9 @@ func NewRecorder() *Recorder {
 	return &Recorder{st: newStamper()}
 }
 
-// OnEvent implements Observer.
+// OnEvent implements Observer, keeping a copy of the lent clock.
 func (r *Recorder) OnEvent(e Event) {
+	e.VClock = slices.Clone(e.VClock)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.st.stamp(&e, r.Now)
@@ -117,6 +118,7 @@ type StreamWriter struct {
 	st  stamper
 	w   io.Writer
 	enc *json.Encoder
+	out line // the event being written: encoded in place, nothing boxed
 	err error
 	// Now mirrors Recorder.Now.
 	Now func() int64
@@ -142,7 +144,8 @@ func (s *StreamWriter) OnEvent(e Event) {
 	if s.err != nil {
 		return
 	}
-	s.err = s.enc.Encode(e)
+	s.out.set(e)
+	s.err = s.enc.Encode(&s.out)
 }
 
 // Err returns the first write error, if any.

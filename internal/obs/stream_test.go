@@ -64,7 +64,7 @@ func TestStreamWriterAutoFlush(t *testing.T) {
 	s := NewStreamWriter(bw)
 	stop := s.AutoFlush(5 * time.Millisecond)
 	defer stop()
-	s.OnEvent(Event{Kind: KindChkpt, Chkpt: &ChkptRef{Index: 1}})
+	s.OnEvent(Event{Kind: KindChkpt, Chkpt: ChkptRef{Index: 1}})
 
 	deadline := time.Now().Add(2 * time.Second)
 	for {

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -81,10 +82,10 @@ func TestEmpiricalOverheadProperties(t *testing.T) {
 	}
 }
 
-// TestVFailureWithProtocolFreeScheme ensures the virtual-time failure path
-// composes with the coordination-free scheme end to end: the crash costs
-// lost work plus R and the answer is unchanged.
-func TestVFailureWithProtocolFreeScheme(t *testing.T) {
+// TestTimedFailureWithProtocolFreeScheme ensures a crash under the paper's
+// time model composes with the coordination-free scheme end to end: the
+// crash costs lost work plus R and the answer is unchanged.
+func TestTimedFailureWithProtocolFreeScheme(t *testing.T) {
 	tm := sim.PaperTimeModel
 	prog := corpus.JacobiFig1(3)
 	clean, err := sim.Run(sim.Config{Program: prog, Nproc: 3, Time: &tm, Timeout: 20 * time.Second})
@@ -93,8 +94,8 @@ func TestVFailureWithProtocolFreeScheme(t *testing.T) {
 	}
 	failed, err := sim.Run(sim.Config{
 		Program: prog, Nproc: 3, Time: &tm,
-		VFailures: []sim.VFailure{{Proc: 1, At: clean.VTime * 0.6}},
-		Timeout:   20 * time.Second,
+		Failures: []sim.Failure{{Proc: 1, AfterEvents: len(clean.Trace.History(1)) * 6 / 10}},
+		Timeout:  20 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,10 @@ func TestVFailureWithProtocolFreeScheme(t *testing.T) {
 	if failed.Restarts != 1 {
 		t.Fatalf("restarts = %d", failed.Restarts)
 	}
-	if failed.VTime <= clean.VTime {
-		t.Errorf("failure run cheaper than clean: %v <= %v", failed.VTime, clean.VTime)
+	if failed.VTime < clean.VTime+tm.Recovery {
+		t.Errorf("failed VTime = %v, want >= clean %v + R %v", failed.VTime, clean.VTime, tm.Recovery)
+	}
+	if !reflect.DeepEqual(clean.FinalVars, failed.FinalVars) {
+		t.Error("failed run diverged")
 	}
 }

@@ -71,4 +71,14 @@ proc {
 	if len(snaps) == 0 {
 		t.Error("canceled run lost its checkpoint: store empty for proc 0")
 	}
+
+	// Parked is not yet resumable (ROADMAP item 5): a later Run over the
+	// same store starts at incarnation 0 from the initial state, and its
+	// first checkpoint collides with the one left behind. The PR that lands
+	// cold-start resume inverts this: the second run picks up at the parked
+	// run's recovery line.
+	_, err = Run(Config{Program: p, Nproc: 2, Store: st, Timeout: 5 * time.Second})
+	if !errors.Is(err, storage.ErrDuplicate) {
+		t.Errorf("second Run over the parked store: err = %v, want storage.ErrDuplicate", err)
+	}
 }

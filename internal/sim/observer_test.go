@@ -1,12 +1,18 @@
 package sim_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -54,15 +60,28 @@ func TestObserverMirrorsTrace(t *testing.T) {
 	if got[obs.KindRollback] != 0 || got[obs.KindRestart] != 0 {
 		t.Errorf("clean run has recovery events: %v", got)
 	}
+	// Recorder order is (inc, proc, seq) and a halt is a process's last
+	// event, so a process's recorded events line up with its history. The
+	// clock was lent by the live process: what the recorder kept must be
+	// the clock of that event, not of a later one.
+	next := make([]int, 4)
 	for _, e := range rec.Events() {
 		if e.Inc != 0 {
 			t.Fatalf("clean run event in incarnation %d: %+v", e.Inc, e)
 		}
-		if e.Kind == obs.KindSend && e.Msg == nil {
-			t.Fatalf("send without msg ref: %+v", e)
+		if e.Kind == obs.KindHalt {
+			continue
 		}
-		if e.Kind == obs.KindChkpt && (e.Chkpt == nil || len(e.VClock) != 4) {
-			t.Fatalf("chkpt missing ref or clock: %+v", e)
+		te := res.Trace.History(e.Proc)[next[e.Proc]]
+		next[e.Proc]++
+		if !te.Clock.Equal(e.VClock) {
+			t.Fatalf("clock %v, trace has %v: %+v", e.VClock, te.Clock, e)
+		}
+		if e.Msg != obs.MsgRef(te.Msg) {
+			t.Fatalf("msg ref %+v, trace has %+v", e.Msg, te.Msg)
+		}
+		if want := (obs.ChkptRef{Index: te.Chkpt.CFGIndex, Instance: te.Chkpt.Instance}); e.Chkpt != want {
+			t.Fatalf("chkpt ref %+v, want %+v", e.Chkpt, want)
 		}
 	}
 }
@@ -125,16 +144,16 @@ func TestBlockedTimeAccounting(t *testing.T) {
 	if res.Metrics.Blocked <= 0 {
 		t.Error("SaS run recorded no blocked wall time")
 	}
-	wall, okWall := res.Metrics.Hists[sim.HistBlockedWallMS]
+	wall, okWall := res.Metrics.Hists[metrics.HistBlockedWallMS]
 	if !okWall || wall.Count == 0 {
-		t.Errorf("no %s distribution: %v", sim.HistBlockedWallMS, res.Metrics.Hists)
+		t.Errorf("no %s distribution: %v", metrics.HistBlockedWallMS, res.Metrics.Hists)
 	}
-	stall, okStall := res.Metrics.Hists[sim.HistBarrierStallV]
+	stall, okStall := res.Metrics.Hists[metrics.HistBarrierStallV]
 	if !okStall || stall.Count == 0 {
-		t.Errorf("no %s distribution: %v", sim.HistBarrierStallV, res.Metrics.Hists)
+		t.Errorf("no %s distribution: %v", metrics.HistBarrierStallV, res.Metrics.Hists)
 	}
-	if save := res.Metrics.Hists[sim.HistChkptSaveMS]; save.Count != res.Metrics.TotalCheckpoints() {
-		t.Errorf("%s count = %d, want %d checkpoints", sim.HistChkptSaveMS, save.Count, res.Metrics.TotalCheckpoints())
+	if save := res.Metrics.Hists[metrics.HistChkptSaveMS]; save.Count != res.Metrics.TotalCheckpoints() {
+		t.Errorf("%s count = %d, want %d checkpoints", metrics.HistChkptSaveMS, save.Count, res.Metrics.TotalCheckpoints())
 	}
 	blocks := 0
 	for _, e := range rec.Events() {
@@ -156,7 +175,63 @@ func TestBlockedTimeAccounting(t *testing.T) {
 	if free.Metrics.Blocked != 0 {
 		t.Errorf("appl-driven blocked = %v, want 0", free.Metrics.Blocked)
 	}
-	if _, ok := free.Metrics.Hists[sim.HistBarrierStallV]; ok {
+	if _, ok := free.Metrics.Hists[metrics.HistBarrierStallV]; ok {
 		t.Error("appl-driven run recorded barrier stalls")
+	}
+}
+
+// TestLentClocksSurviveCrashAndRestore is the borrow rule of obs.Event under
+// the runtime itself: four processes lend their live clocks to a recorder
+// (which keeps events), a stream (which encodes them on the spot) and the
+// aggregator, one crashes, all restore. Afterwards the clocks the recorder
+// kept must be the ones the stream wrote at the time; under -race this is
+// also what would catch an observer reading a lent clock after OnEvent
+// returned.
+func TestLentClocksSurviveCrashAndRestore(t *testing.T) {
+	rec := obs.NewRecorder()
+	var buf bytes.Buffer
+	stream := obs.NewStreamWriter(&buf)
+	agg := telemetry.New(telemetry.Config{Nproc: 4})
+	res, err := sim.Run(sim.Config{
+		Program: corpus.JacobiFig1(6), Nproc: 4, Timeout: 20 * time.Second,
+		Failures: []sim.Failure{{Proc: 2, AfterEvents: 14}},
+		Observer: obs.Multi(rec, stream, agg),
+	})
+	if err != nil || stream.Err() != nil {
+		t.Fatal(err, stream.Err())
+	}
+	if res.Restarts != 1 {
+		t.Errorf("restarts = %d, want 1", res.Restarts)
+	}
+	// Both stamp seq per (inc, proc) in arrival order, and a process's
+	// events arrive at both in its own program order.
+	type id struct{ inc, proc, seq int }
+	written := map[id]obs.Event{}
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var e obs.Event
+		if err := dec.Decode(&e); err != nil {
+			t.Fatal(err)
+		}
+		written[id{e.Inc, e.Proc, e.Seq}] = e
+	}
+	kept := rec.Events()
+	if len(kept) != len(written) || int64(len(kept)) != agg.Snapshot().Total {
+		t.Fatalf("recorder kept %d events, stream wrote %d, aggregator counted %d",
+			len(kept), len(written), agg.Snapshot().Total)
+	}
+	clocks := 0
+	for _, e := range kept {
+		w := written[id{e.Inc, e.Proc, e.Seq}]
+		if w.Kind != e.Kind || !slices.Equal(w.VClock, e.VClock) {
+			t.Fatalf("recorder kept %s %v, the stream wrote %s %v (inc %d proc %d seq %d)",
+				e.Kind, e.VClock, w.Kind, w.VClock, e.Inc, e.Proc, e.Seq)
+		}
+		if len(e.VClock) > 0 {
+			clocks++
+		}
+	}
+	if clocks == 0 {
+		t.Fatal("no event carried a clock")
 	}
 }

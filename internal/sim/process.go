@@ -17,22 +17,6 @@ import (
 	"repro/internal/vclock"
 )
 
-// Distribution names the runtime records through metrics.Counters.ObserveHist.
-// They are part of the metrics-stream contract (obs.WriteMetricsJSONL), so
-// protocol comparisons can report distributions, not just totals.
-const (
-	// HistBlockedWallMS is wall-clock milliseconds a process spent blocked
-	// on protocol coordination (RecvCtrl), one observation per wait.
-	HistBlockedWallMS = "blocked_wall_ms"
-	// HistBarrierStallV is virtual seconds a process's clock jumped while
-	// waiting for protocol control traffic — the §4 coordination cost M as
-	// a per-stall distribution (only recorded under Config.Time).
-	HistBarrierStallV = "barrier_stall_vs"
-	// HistChkptSaveMS is wall-clock milliseconds per checkpoint persisted
-	// to stable storage.
-	HistChkptSaveMS = "chkpt_save_ms"
-)
-
 // Liveness-pruning counter names. Each manifest-pruned checkpoint save adds
 // what a full-environment snapshot of the same state would have cost
 // (MetricPruneBytesFull), how many of those bytes the manifest dropped
@@ -93,9 +77,8 @@ type Proc struct {
 	midRecv    bool
 	atBoundary bool // between instructions (OnStep/OnCtrl/marker phase)
 
-	time    *TimeModel // nil: no virtual-time accounting
-	vtime   float64
-	vfailAt float64 // crash when vtime reaches this; <0 = never
+	time  *TimeModel // nil: no virtual-time accounting
+	vtime float64
 	// workLeft/workQuantum slice a running work(N) instruction into
 	// preemptible chunks so boundary polling sees intermediate virtual
 	// times (a work instruction is otherwise atomic). -1 = no work in
@@ -106,8 +89,7 @@ type Proc struct {
 	workQuantum int
 
 	// lastSaveNS is the wall duration of the most recent checkpoint save,
-	// stashed so record can attach it to the checkpoint's observer event
-	// (live telemetry derives save-latency percentiles from it).
+	// stashed so record can attach it to the checkpoint's observer event.
 	lastSaveNS int64
 	// wallNow is the wall-clock source for duration measurements
 	// (Config.WallClock; nil means time.Now).
@@ -221,8 +203,14 @@ func (p *Proc) restore(s storage.Snapshot) error {
 	return nil
 }
 
+// obsKind spells a local-history kind as the event stream does.
+var obsKind = [...]obs.Kind{
+	trace.KindCompute: obs.KindCompute, trace.KindSend: obs.KindSend,
+	trace.KindRecv: obs.KindRecv, trace.KindCheckpoint: obs.KindChkpt,
+}
+
 // record appends an event to the trace (when tracing), publishes it to the
-// observer, and applies the failure trigger.
+// observer — lending it the live clock — and applies the failure trigger.
 func (p *Proc) record(e trace.Event) error {
 	if p.tr != nil {
 		e.Proc = p.rank
@@ -230,22 +218,11 @@ func (p *Proc) record(e trace.Event) error {
 		p.tr.Append(e)
 	}
 	if p.obsv != nil {
-		oe := obs.Event{Label: e.Label}
-		switch e.Kind {
-		case trace.KindSend:
-			oe.Kind = obs.KindSend
-			oe.Msg = &obs.MsgRef{From: e.Msg.From, To: e.Msg.To, Seq: e.Msg.Seq}
-		case trace.KindRecv:
-			oe.Kind = obs.KindRecv
-			oe.Msg = &obs.MsgRef{From: e.Msg.From, To: e.Msg.To, Seq: e.Msg.Seq}
-		case trace.KindCheckpoint:
-			oe.Kind = obs.KindChkpt
-			oe.Chkpt = &obs.ChkptRef{Index: e.Chkpt.CFGIndex, Instance: e.Chkpt.Instance}
+		oe := obs.Event{Kind: obsKind[e.Kind], Label: e.Label, VClock: p.clock, Msg: obs.MsgRef(e.Msg)}
+		if e.Kind == trace.KindCheckpoint {
+			oe.Chkpt = obs.ChkptRef{Index: e.Chkpt.CFGIndex, Instance: e.Chkpt.Instance}
 			oe.DurNS = p.lastSaveNS
-		default:
-			oe.Kind = obs.KindCompute
 		}
-		oe.VClock = append([]uint64(nil), p.clock...)
 		p.emit(oe)
 	}
 	p.events++
@@ -299,9 +276,7 @@ func (p *Proc) takeCheckpoint(idx int, manifest []string, label string) error {
 	p.instances[idx] = instance + 1
 	p.clock.Tick(p.rank)
 	if p.time != nil {
-		if err := p.advance(p.time.CheckpointOverhead); err != nil {
-			return err
-		}
+		p.advance(p.time.CheckpointOverhead)
 	}
 
 	vars := p.env.Vars
@@ -356,7 +331,7 @@ func (p *Proc) takeCheckpoint(idx int, manifest []string, label string) error {
 		return err
 	}
 	p.lastSaveNS = p.now().Sub(saveStart).Nanoseconds()
-	p.counters.ObserveHist(HistChkptSaveMS, float64(p.lastSaveNS)/1e6)
+	p.counters.ObserveHist(metrics.HistChkptSaveMS, float64(p.lastSaveNS)/1e6)
 	p.counters.IncCheckpoints(1)
 	return p.record(trace.Event{
 		Kind:  trace.KindCheckpoint,
@@ -369,22 +344,14 @@ func (p *Proc) takeCheckpoint(idx int, manifest []string, label string) error {
 // It pays the same virtual-time setup cost as an application send.
 func (p *Proc) SendCtrl(to int, tag string, payload []int) error {
 	p.counters.IncCtrlMessages(1, 8)
-	arrive, err := p.chargeSend()
-	if err != nil {
-		return err
-	}
-	p.net.SendCtrl(Message{Kind: MsgCtrl, From: p.rank, To: to, Tag: tag, Piggyback: payload, ArriveV: arrive})
+	p.net.SendCtrl(Message{Kind: MsgCtrl, From: p.rank, To: to, Tag: tag, Piggyback: payload, ArriveV: p.chargeSend()})
 	return nil
 }
 
 // SendMarker sends an in-band marker on the (rank, to) channel.
 func (p *Proc) SendMarker(to int, tag string, payload []int) error {
 	p.counters.IncCtrlMessages(1, 8)
-	arrive, err := p.chargeSend()
-	if err != nil {
-		return err
-	}
-	p.net.SendMarker(Message{Kind: MsgMarker, From: p.rank, To: to, Tag: tag, Piggyback: payload, ArriveV: arrive})
+	p.net.SendMarker(Message{Kind: MsgMarker, From: p.rank, To: to, Tag: tag, Piggyback: payload, ArriveV: p.chargeSend()})
 	return nil
 }
 
@@ -401,14 +368,12 @@ func (p *Proc) RecvCtrl() (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	if err := p.syncTo(m.ArriveV); err != nil {
-		return Message{}, err
-	}
+	p.syncTo(m.ArriveV)
 	blocked := p.now().Sub(start)
 	p.counters.AddBlocked(blocked)
-	p.counters.ObserveHist(HistBlockedWallMS, float64(blocked.Nanoseconds())/1e6)
+	p.counters.ObserveHist(metrics.HistBlockedWallMS, float64(blocked.Nanoseconds())/1e6)
 	if p.time != nil {
-		p.counters.ObserveHist(HistBarrierStallV, p.vtime-v0)
+		p.counters.ObserveHist(metrics.HistBarrierStallV, p.vtime-v0)
 	}
 	p.emit(obs.Event{Kind: obs.KindBlock, Tag: "ctrl", DurNS: blocked.Nanoseconds(), VDur: p.vtime - v0})
 	return m, nil
@@ -416,12 +381,11 @@ func (p *Proc) RecvCtrl() (Message, error) {
 
 // PollMarker removes a leading marker from the inbound (from, rank)
 // channel, if one is at the head (protocol halt drains — the process is
-// virtually idle, so the clock advances to the marker's arrival; a
-// virtual-time crash cannot trigger here, the application already halted).
+// virtually idle, so the clock advances to the marker's arrival).
 func (p *Proc) PollMarker(from int) (Message, bool) {
 	m, ok := p.net.PollMarker(from, p.rank, math.Inf(1))
-	if ok && p.time != nil && m.ArriveV > p.vtime {
-		p.vtime = m.ArriveV
+	if ok {
+		p.syncTo(m.ArriveV)
 	}
 	return m, ok
 }
@@ -486,9 +450,7 @@ func (p *Proc) run() error {
 			}
 			p.env.Vars[in.Var] = v
 			if p.time != nil {
-				if err := p.advance(p.time.Compute); err != nil {
-					return err
-				}
+				p.advance(p.time.Compute)
 			}
 			p.clock.Tick(p.rank)
 			if err := p.record(trace.Event{Kind: trace.KindCompute, Label: in.Label}); err != nil {
@@ -512,9 +474,7 @@ func (p *Proc) run() error {
 				if chunk > p.workLeft {
 					chunk = p.workLeft
 				}
-				if err := p.advance(float64(chunk) * p.time.Compute); err != nil {
-					return err
-				}
+				p.advance(float64(chunk) * p.time.Compute)
 				p.workLeft -= chunk
 			} else {
 				p.workLeft = 0
@@ -629,7 +589,7 @@ func (p *Proc) run() error {
 				p.pc = in.Target
 			}
 		case OpHalt:
-			p.emit(obs.Event{Kind: obs.KindHalt, VClock: append([]uint64(nil), p.clock...)})
+			p.emit(obs.Event{Kind: obs.KindHalt, VClock: p.clock})
 			return p.hooks.OnHalt(p)
 		default:
 			return fmt.Errorf("sim: process %d: unknown opcode %v", p.rank, in.Op)
@@ -646,10 +606,7 @@ func (p *Proc) sendApp(dest, value int) error {
 	seq := p.sendSeq[dest]
 	p.sendSeq[dest] = seq + 1
 	p.clock.Tick(p.rank)
-	arrive, err := p.chargeSend()
-	if err != nil {
-		return err
-	}
+	arrive := p.chargeSend()
 	m := Message{
 		Kind:      MsgApp,
 		From:      p.rank,
@@ -679,9 +636,7 @@ func (p *Proc) recvApp(src int, varName string) error {
 		if err != nil {
 			return err
 		}
-		if err := p.syncTo(m.ArriveV); err != nil {
-			return err
-		}
+		p.syncTo(m.ArriveV)
 		if m.Kind == MsgMarker {
 			if err := p.hooks.OnMarker(p, m); err != nil {
 				return err

@@ -39,8 +39,9 @@ type Crash struct {
 
 // ErrCanceled reports a run stopped early because Config.Cancel closed.
 // The store still holds every checkpoint saved so far: the job is parked,
-// not lost, and a later Run over the same store resumes from its recovery
-// line.
+// not lost. Nothing resumes it yet: every Run starts at incarnation 0 from
+// the initial state, so a second Run over the same store fails at its first
+// checkpoint with storage.ErrDuplicate (cold-start resume: ROADMAP item 5).
 var ErrCanceled = errors.New("sim: run canceled")
 
 // RecoveryFunc chooses the recovery line after a failure. The default is
@@ -68,9 +69,6 @@ type Config struct {
 	Failures []Failure
 	// Time enables virtual-time accounting with the given cost model.
 	Time *TimeModel
-	// VFailures[k] crashes a process when its virtual clock reaches the
-	// given time during incarnation k (requires Time).
-	VFailures []VFailure
 	// Crashes schedules additional crashes by (incarnation, process); see
 	// Crash. When several triggers name the same process in the same
 	// incarnation, the earliest event count wins.
@@ -90,8 +88,8 @@ type Config struct {
 	// run stops at the next incarnation boundary — or aborts the current
 	// incarnation mid-flight — and returns ErrCanceled. Checkpoints
 	// already saved remain in the store, so a canceled job is *parked*,
-	// not lost: a later run over the same store resumes from its recovery
-	// line. Fleet drain uses this to checkpoint-and-park in-flight jobs.
+	// not lost; see ErrCanceled for what a later run over that store does
+	// today. Fleet drain uses this to checkpoint-and-park in-flight jobs.
 	Cancel <-chan struct{}
 	// Recover chooses the recovery line (default recovery.StraightCut).
 	Recover RecoveryFunc
@@ -161,22 +159,17 @@ type Result struct {
 	VTime  float64
 }
 
-// trigger is one process's injected crash in one incarnation: after that
-// many local events, or when its virtual clock reaches atV. A negative
-// field never fires.
-type trigger struct {
-	afterEvents int
-	atV         float64
-}
+// crashPlan maps (incarnation, process) to the local event count after
+// which the process crashes there.
+type crashPlan map[[2]int]int
 
-// crashPlan maps (incarnation, process) to the trigger armed there.
-type crashPlan map[[2]int]trigger
-
-func (pl crashPlan) at(inc, proc int) trigger {
-	if t, ok := pl[[2]int{inc, proc}]; ok {
-		return t
+// at returns the event count armed for proc in incarnation inc, negative
+// (never fires) when there is none.
+func (pl crashPlan) at(inc, proc int) int {
+	if after, ok := pl[[2]int{inc, proc}]; ok {
+		return after
 	}
-	return trigger{-1, -1}
+	return -1
 }
 
 // resolveCrashes validates cfg's failure schedules and merges them into one
@@ -184,38 +177,25 @@ func (pl crashPlan) at(inc, proc int) trigger {
 // same incarnation, the earliest wins.
 func resolveCrashes(cfg Config) (crashPlan, error) {
 	plan := crashPlan{}
-	arm := func(kind string, inc, proc, afterEvents int, atV float64) error {
+	arm := func(kind string, inc, proc, afterEvents int) error {
 		if proc < 0 || proc >= cfg.Nproc {
 			return fmt.Errorf("sim: %s names process %d of %d", kind, proc, cfg.Nproc)
 		}
 		if inc < 0 {
 			return fmt.Errorf("sim: %s names incarnation %d", kind, inc)
 		}
-		t := plan.at(inc, proc)
-		if afterEvents >= 0 && (t.afterEvents < 0 || afterEvents < t.afterEvents) {
-			t.afterEvents = afterEvents
+		if armed := plan.at(inc, proc); afterEvents >= 0 && (armed < 0 || afterEvents < armed) {
+			plan[[2]int{inc, proc}] = afterEvents
 		}
-		if atV >= 0 {
-			t.atV = atV
-		}
-		plan[[2]int{inc, proc}] = t
 		return nil
 	}
 	for k, f := range cfg.Failures {
-		if err := arm("failure", k, f.Proc, f.AfterEvents, -1); err != nil {
-			return nil, err
-		}
-	}
-	for k, f := range cfg.VFailures {
-		if cfg.Time == nil {
-			return nil, errors.New("sim: VFailures require Config.Time")
-		}
-		if err := arm("vfailure", k, f.Proc, -1, f.At); err != nil {
+		if err := arm("failure", k, f.Proc, f.AfterEvents); err != nil {
 			return nil, err
 		}
 	}
 	for _, c := range cfg.Crashes {
-		if err := arm("crash", c.Inc, c.Proc, c.AfterEvents, -1); err != nil {
+		if err := arm("crash", c.Inc, c.Proc, c.AfterEvents); err != nil {
 			return nil, err
 		}
 	}
@@ -260,7 +240,7 @@ func Run(cfg Config) (*Result, error) {
 		cfg.MaxSteps = 1 << 20
 	}
 	if cfg.MaxRestarts <= 0 {
-		cfg.MaxRestarts = len(cfg.Failures) + len(cfg.VFailures) + len(cfg.Crashes) + 1
+		cfg.MaxRestarts = len(cfg.Failures) + len(cfg.Crashes) + 1
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
@@ -347,13 +327,11 @@ func (r *run) start(inc int, line *recovery.Line, restartV float64) ([]*Proc, er
 	}
 	procs := make([]*Proc, n)
 	for rank := range procs {
-		trig := r.plan.at(inc, rank)
 		p := &Proc{
 			rank: rank, n: n, code: r.code, net: r.net, tr: tr, store: r.store,
 			counters: cfg.Counters, hooks: cfg.Hooks(rank, n), obsv: cfg.Observer, inc: inc,
-			maxSteps: cfg.MaxSteps, failAfter: trig.afterEvents,
-			time: cfg.Time, vfailAt: trig.atV,
-			wallNow: cfg.WallClock, noPrune: cfg.NoPrune,
+			maxSteps: cfg.MaxSteps, failAfter: r.plan.at(inc, rank),
+			time: cfg.Time, wallNow: cfg.WallClock, noPrune: cfg.NoPrune,
 		}
 		if cfg.Jitter != 0 {
 			p.jitter = rand.New(rand.NewSource(cfg.Jitter + int64(rank)*7919 + int64(inc)))

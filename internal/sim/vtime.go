@@ -43,67 +43,29 @@ var PaperTimeModel = TimeModel{
 	Recovery:           3.32,
 }
 
-// VFailure schedules a crash in virtual time: the process fails when its
-// virtual clock reaches At. Like Failures, entry k applies to
-// incarnation k.
-type VFailure struct {
-	Proc int
-	At   float64
-}
-
-// advance adds d to the process clock and applies the virtual-time failure
-// trigger.
-func (p *Proc) advance(d float64) error {
-	if p.time == nil {
-		return nil
+// advance adds d to the process clock.
+func (p *Proc) advance(d float64) {
+	if p.time != nil {
+		p.vtime += d
 	}
-	p.vtime += d
-	return p.checkVFail()
 }
 
 // syncTo raises the clock to at least t (message arrival).
-func (p *Proc) syncTo(t float64) error {
-	if p.time == nil {
-		return nil
-	}
-	if t > p.vtime {
+func (p *Proc) syncTo(t float64) {
+	if p.time != nil && t > p.vtime {
 		p.vtime = t
 	}
-	return p.checkVFail()
-}
-
-func (p *Proc) checkVFail() error {
-	if p.vfailAt >= 0 && p.vtime >= p.vfailAt {
-		p.vfailAt = -1
-		return &procFailure{proc: p.rank, vtime: p.vtime}
-	}
-	return nil
 }
 
 // VTime returns the process's current virtual clock.
 func (p *Proc) VTime() float64 { return p.vtime }
 
-// procFailure wraps ErrProcFailed with the virtual time of the crash so
-// the runtime can restart the application at failure time + R.
-type procFailure struct {
-	proc  int
-	vtime float64
-}
-
-func (e *procFailure) Error() string {
-	return ErrProcFailed.Error()
-}
-
-func (e *procFailure) Unwrap() error { return ErrProcFailed }
-
-// arrival computes a message's availability time at the receiver, charging
-// the sender's clock with the setup cost first. Returns the arrival time.
-func (p *Proc) chargeSend() (float64, error) {
+// chargeSend charges the sender's clock with the setup cost and returns the
+// message's availability time at the receiver.
+func (p *Proc) chargeSend() float64 {
 	if p.time == nil {
-		return 0, nil
+		return 0
 	}
-	if err := p.advance(p.time.Setup); err != nil {
-		return 0, err
-	}
-	return p.vtime + p.time.Delay, nil
+	p.advance(p.time.Setup)
+	return p.vtime + p.time.Delay
 }

@@ -137,7 +137,10 @@ func stripCheckpoints(p *mpl.Program) {
 	p.Body = fix(p.Body)
 }
 
-func TestVFailureTriggersRecoveryAndPaysForIt(t *testing.T) {
+// TestFailureUnderTimePaysForRecovery: a crash halfway through a priced run
+// is recovered from, leaves the answer unchanged, and costs the makespan at
+// least the recovery overhead R on top of the clean run.
+func TestFailureUnderTimePaysForRecovery(t *testing.T) {
 	p := corpus.JacobiFig1(4)
 	tm := &TimeModel{Compute: 1, Setup: 0.1, Delay: 0.1, CheckpointOverhead: 2, Recovery: 9}
 	clean, err := Run(Config{Program: p, Nproc: 3, Time: tm, Timeout: 10 * time.Second})
@@ -145,11 +148,11 @@ func TestVFailureTriggersRecoveryAndPaysForIt(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed, err := Run(Config{
-		Program:   p,
-		Nproc:     3,
-		Time:      tm,
-		VFailures: []VFailure{{Proc: 1, At: clean.VTime / 2}},
-		Timeout:   10 * time.Second,
+		Program:  p,
+		Nproc:    3,
+		Time:     tm,
+		Failures: []Failure{{Proc: 1, AfterEvents: len(clean.Trace.History(1)) / 2}},
+		Timeout:  10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,25 +161,13 @@ func TestVFailureTriggersRecoveryAndPaysForIt(t *testing.T) {
 		t.Fatalf("restarts = %d, want 1", failed.Restarts)
 	}
 	if !reflect.DeepEqual(clean.FinalVars, failed.FinalVars) {
-		t.Error("vfailure run diverged")
+		t.Error("failed run diverged")
 	}
 	// The failed run must cost at least the clean time plus R (lost work
 	// and recovery are re-paid).
 	if failed.VTime < clean.VTime+tm.Recovery {
 		t.Errorf("failed VTime = %v, want >= clean %v + R %v",
 			failed.VTime, clean.VTime, tm.Recovery)
-	}
-}
-
-func TestVFailureRequiresTimeModel(t *testing.T) {
-	_, err := Run(Config{
-		Program:   corpus.JacobiFig1(1),
-		Nproc:     2,
-		VFailures: []VFailure{{Proc: 0, At: 1}},
-		Timeout:   5 * time.Second,
-	})
-	if err == nil {
-		t.Fatal("VFailures without Time accepted")
 	}
 }
 

@@ -2,16 +2,17 @@
 // turns runs into post-mortem artifacts, this package answers "what is the
 // run doing RIGHT NOW". An Aggregator taps the same obs.Observer fan-out
 // as the flight recorder (wire it with obs.Multi) and keeps only O(1)
-// online state: per-kind event totals, per-process progress, fixed-size
-// rings of per-window deltas, and mergeable quantile sketches for save /
-// block / stall latencies — no raw samples are retained. The exposition
+// online state: per-kind event totals, per-process progress and fixed-size
+// rings of per-window deltas — no raw samples are retained. Distributions
+// (save / block / stall latencies) are not derived from events: they come
+// from the run's metrics.Counters tap, sampled every window. The exposition
 // server (Server) renders that state as Prometheus text, JSON snapshots,
 // and a health endpoint; the Dashboard renders it as a live ANSI view.
 //
 // The hot path — OnEvent, called for every runtime event from every
-// process goroutine — is lock-free: atomic counters, atomic per-process
-// cells, and atomic sketch buckets. The cold path (Tick, Snapshot) takes a
-// mutex; it runs once per aggregation window (default 250ms).
+// process goroutine — is lock-free: atomic counters and atomic per-process
+// cells. The cold path (Tick, Snapshot) takes a mutex; it runs once per
+// aggregation window (default 250ms).
 //
 // Tick also runs the health detectors:
 //
@@ -38,111 +39,10 @@ import (
 	"repro/internal/storage/wal"
 )
 
-// kindIndex maps an event kind to its slot in the fixed counter array.
-// Unknown kinds share a slot rather than allocating, keeping OnEvent
-// total-alloc-free even against newer producers.
-const (
-	kiCompute = iota
-	kiSend
-	kiRecv
-	kiChkpt
-	kiBlock
-	kiRollback
-	kiRestart
-	kiHalt
-	kiFault
-	kiRetry
-	kiScrub
-	kiDegraded
-	kiNetFault
-	kiSuspect
-	kiBacklog
-	kiHeal
-	kiStall
-	kiStorm
-	kiLag
-	kiAdmit
-	kiReject
-	kiJobDone
-	kiBreaker
-	kiDrain
-	kiOther
-	nKinds
-)
-
-// kindNames indexes slot → kind label for exports.
-var kindNames = [nKinds]string{
-	kiCompute: string(obs.KindCompute), kiSend: string(obs.KindSend),
-	kiRecv: string(obs.KindRecv), kiChkpt: string(obs.KindChkpt),
-	kiBlock: string(obs.KindBlock), kiRollback: string(obs.KindRollback),
-	kiRestart: string(obs.KindRestart), kiHalt: string(obs.KindHalt),
-	kiFault: string(obs.KindFault), kiRetry: string(obs.KindRetry),
-	kiScrub: string(obs.KindScrub), kiDegraded: string(obs.KindDegraded),
-	kiNetFault: string(obs.KindNetFault), kiSuspect: string(obs.KindSuspect),
-	kiBacklog: string(obs.KindBacklog), kiHeal: string(obs.KindHeal),
-	kiStall: string(obs.KindStall), kiStorm: string(obs.KindStorm),
-	kiLag: string(obs.KindLag), kiAdmit: string(obs.KindAdmit),
-	kiReject: string(obs.KindReject), kiJobDone: string(obs.KindJobDone),
-	kiBreaker: string(obs.KindBreaker), kiDrain: string(obs.KindDrain),
-	kiOther: "other",
-}
-
-// kindIndex returns the counter slot for a kind. A string switch compiles
-// to hashing without allocation, keeping the hot path clean.
-func kindIndex(k obs.Kind) int {
-	switch k {
-	case obs.KindCompute:
-		return kiCompute
-	case obs.KindSend:
-		return kiSend
-	case obs.KindRecv:
-		return kiRecv
-	case obs.KindChkpt:
-		return kiChkpt
-	case obs.KindBlock:
-		return kiBlock
-	case obs.KindRollback:
-		return kiRollback
-	case obs.KindRestart:
-		return kiRestart
-	case obs.KindHalt:
-		return kiHalt
-	case obs.KindFault:
-		return kiFault
-	case obs.KindRetry:
-		return kiRetry
-	case obs.KindScrub:
-		return kiScrub
-	case obs.KindDegraded:
-		return kiDegraded
-	case obs.KindNetFault:
-		return kiNetFault
-	case obs.KindSuspect:
-		return kiSuspect
-	case obs.KindBacklog:
-		return kiBacklog
-	case obs.KindHeal:
-		return kiHeal
-	case obs.KindStall:
-		return kiStall
-	case obs.KindStorm:
-		return kiStorm
-	case obs.KindLag:
-		return kiLag
-	case obs.KindAdmit:
-		return kiAdmit
-	case obs.KindReject:
-		return kiReject
-	case obs.KindJobDone:
-		return kiJobDone
-	case obs.KindBreaker:
-		return kiBreaker
-	case obs.KindDrain:
-		return kiDrain
-	default:
-		return kiOther
-	}
-}
+// kindOther is the slot of the per-kind arrays for an event whose Kind is
+// not one: values at or past obs.NumKinds fold into it rather than index
+// out of range, keeping OnEvent total against newer producers.
+const kindOther obs.Kind = 0
 
 // Config configures an Aggregator. The zero value of every field selects a
 // sensible default.
@@ -156,7 +56,8 @@ type Config struct {
 	// (the detector and rate horizon). Default 240 (one minute at 250ms).
 	Rings int
 	// Counters, when set, is sampled every window: per-counter deltas and
-	// rates appear alongside the event-derived state. Point it at the
+	// rates appear alongside the event-derived state, and the save / block
+	// / stall distributions are read from its Hists. Point it at the
 	// sim.Config.Counters tap.
 	Counters *metrics.Counters
 	// Sink receives detector verdicts as obs events. Wire the recorder
@@ -223,7 +124,7 @@ type procCell struct {
 
 // window is one ring slot: per-kind event deltas for one closed window.
 type window struct {
-	kinds  [nKinds]int64
+	kinds  [obs.NumKinds]int64
 	events int64
 	durNS  int64
 }
@@ -235,14 +136,10 @@ type Aggregator struct {
 	cfg Config
 
 	start time.Time
-	kinds [nKinds]atomic.Int64
+	kinds [obs.NumKinds]atomic.Int64
 	total atomic.Int64
 	procs []procCell
 	run   procCell // events with out-of-range ranks (run-level, proc -1)
-
-	saveMS  *metrics.Sketch // checkpoint save wall latency, ms
-	blockMS *metrics.Sketch // coordination block wall latency, ms
-	stallV  *metrics.Sketch // coordination stall, virtual seconds
 
 	// Health counters (atomic: read by Snapshot without mu).
 	stalls    atomic.Int64
@@ -255,7 +152,7 @@ type Aggregator struct {
 	ringHead int      // next slot to write
 	ticks    int64
 	lastTick time.Time
-	lastCum  [nKinds]int64 // cumulative kind counts at the previous tick
+	lastCum  [obs.NumKinds]int64 // cumulative kind counts at the previous tick
 	inStorm  bool
 	prevCtr  metrics.Snapshot // previous counters sample
 	ctrDelta map[string]int64 // last-window deltas of counter fields
@@ -269,9 +166,6 @@ func New(cfg Config) *Aggregator {
 		cfg:      cfg,
 		start:    time.Now(),
 		procs:    make([]procCell, cfg.Nproc),
-		saveMS:   metrics.NewSketch(),
-		blockMS:  metrics.NewSketch(),
-		stallV:   metrics.NewSketch(),
 		ring:     make([]window, cfg.Rings),
 		walStats: cfg.WALStats,
 	}
@@ -292,7 +186,10 @@ func (a *Aggregator) SetWALStats(fn func() wal.Stats) {
 // OnEvent implements obs.Observer — the hot path. Purely atomic: no locks,
 // no allocation.
 func (a *Aggregator) OnEvent(e obs.Event) {
-	ki := kindIndex(e.Kind)
+	ki := e.Kind
+	if ki >= obs.NumKinds {
+		ki = kindOther
+	}
 	a.kinds[ki].Add(1)
 	a.total.Add(1)
 
@@ -305,17 +202,8 @@ func (a *Aggregator) OnEvent(e obs.Event) {
 	cell.lastKind.Store(int64(ki))
 	storeMaxFloat(&cell.vtime, e.VTime)
 
-	switch ki {
-	case kiChkpt:
+	if ki == obs.KindChkpt {
 		cell.lastSaveV.Store(floatBits(e.VTime))
-		if e.DurNS > 0 {
-			a.saveMS.Observe(float64(e.DurNS) / 1e6)
-		}
-	case kiBlock:
-		a.blockMS.Observe(float64(e.DurNS) / 1e6)
-		if e.VDur > 0 {
-			a.stallV.Observe(e.VDur)
-		}
 	}
 }
 
@@ -405,7 +293,7 @@ func (a *Aggregator) detectStalls() {
 			cell.stalled = false
 			continue
 		}
-		if int(cell.lastKind.Load()) == kiHalt {
+		if obs.Kind(cell.lastKind.Load()) == obs.KindHalt {
 			cell.quietWindows = 0
 			cell.stalled = false
 			continue // halted: silence is completion, not a stall
@@ -431,7 +319,7 @@ func (a *Aggregator) detectStorm() {
 	var rollbacks int64
 	for i := 0; i < a.ringLen && i < a.cfg.StormWindows; i++ {
 		slot := (a.ringHead - 1 - i + len(a.ring)*2) % len(a.ring)
-		rollbacks += a.ring[slot].kinds[kiRollback]
+		rollbacks += a.ring[slot].kinds[obs.KindRollback]
 	}
 	switch {
 	case rollbacks >= int64(a.cfg.StormRollbacks) && !a.inStorm:

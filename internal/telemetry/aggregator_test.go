@@ -44,11 +44,13 @@ func kindsOf(rec *obs.Recorder) map[obs.Kind]int {
 }
 
 func TestAggregatorCountsRatesAndProcs(t *testing.T) {
-	a, _ := manual(nil)
+	ctr := &metrics.Counters{}
+	a, _ := manual(func(c *telemetry.Config) { c.Counters = ctr })
+	ctr.ObserveHist(metrics.HistChkptSaveMS, 3)
 	for i := 0; i < 10; i++ {
 		a.OnEvent(obs.Event{Kind: obs.KindCompute, Proc: i % 2, VTime: float64(i)})
 	}
-	a.OnEvent(obs.Event{Kind: obs.KindSend, Proc: 0, Msg: &obs.MsgRef{From: 0, To: 1}})
+	a.OnEvent(obs.Event{Kind: obs.KindSend, Proc: 0, Msg: obs.MsgRef{From: 0, To: 1}})
 	a.OnEvent(obs.Event{Kind: obs.KindChkpt, Proc: 1, Inc: 2, VTime: 12, DurNS: 3e6})
 	a.OnEvent(obs.Event{Kind: obs.KindChkpt, Proc: -1}) // run-level: no proc row
 	a.Tick()
@@ -71,7 +73,7 @@ func TestAggregatorCountsRatesAndProcs(t *testing.T) {
 		t.Errorf("proc 1 row wrong: %+v", p1)
 	}
 	if s.SaveMS.Count != 1 || s.SaveMS.P50 < 2 || s.SaveMS.P50 > 4 {
-		t.Errorf("save sketch not fed from chkpt DurNS: %+v", s.SaveMS)
+		t.Errorf("save quantiles not read from the tap's %s: %+v", metrics.HistChkptSaveMS, s.SaveMS)
 	}
 	if s.Ticks != 1 {
 		t.Errorf("ticks = %d", s.Ticks)
@@ -240,16 +242,41 @@ func TestLagDisabledByDefault(t *testing.T) {
 	}
 }
 
+// TestBlockSketches: the block and stall quantiles are the tap's
+// blocked_wall_ms and barrier_stall_vs distributions as of the last tick.
 func TestBlockSketches(t *testing.T) {
-	a, _ := manual(nil)
-	a.OnEvent(obs.Event{Kind: obs.KindBlock, Proc: 0, DurNS: 5e6, VDur: 0.25})
-	a.OnEvent(obs.Event{Kind: obs.KindBlock, Proc: 1, DurNS: 10e6, VDur: 0.5})
+	ctr := &metrics.Counters{}
+	a, _ := manual(func(c *telemetry.Config) { c.Counters = ctr })
+	for _, ms := range []float64{5, 10} {
+		ctr.ObserveHist(metrics.HistBlockedWallMS, ms)
+		ctr.ObserveHist(metrics.HistBarrierStallV, ms/20)
+	}
+	a.Tick()
 	s := a.Snapshot()
 	if s.BlockMS.Count != 2 || s.BlockMS.Max < 9 {
-		t.Errorf("block sketch: %+v", s.BlockMS)
+		t.Errorf("block quantiles: %+v", s.BlockMS)
 	}
 	if s.StallV.Count != 2 || s.StallV.Max < 0.4 {
-		t.Errorf("stall sketch: %+v", s.StallV)
+		t.Errorf("stall quantiles: %+v", s.StallV)
+	}
+}
+
+// TestNoTapNoQuantiles: distributions come from the tap and from nowhere
+// else. Without one, events that carry durations still count as events,
+// and the quantiles stay empty rather than being rebuilt from them.
+func TestNoTapNoQuantiles(t *testing.T) {
+	a, _ := manual(nil)
+	a.OnEvent(obs.Event{Kind: obs.KindChkpt, Proc: 0, DurNS: 3e6})
+	a.OnEvent(obs.Event{Kind: obs.KindBlock, Proc: 1, DurNS: 5e6, VDur: 0.25})
+	a.Tick()
+	s := a.Snapshot()
+	if s.Kinds["chkpt"] != 1 || s.Kinds["block"] != 1 {
+		t.Fatalf("events not counted: %v", s.Kinds)
+	}
+	var empty telemetry.Quantiles
+	if s.HasCounters || s.SaveMS != empty || s.BlockMS != empty || s.StallV != empty {
+		t.Errorf("tapless aggregator reports quantiles: save %+v block %+v stall %+v",
+			s.SaveMS, s.BlockMS, s.StallV)
 	}
 }
 
@@ -287,6 +314,27 @@ func TestOutOfRangeProcFoldsToRunLevel(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeKindFoldsToOther: a Kind that is not one — zero, the
+// sentinel, a newer producer's — counts under "other" without indexing out
+// of range and without allocating.
+func TestOutOfRangeKindFoldsToOther(t *testing.T) {
+	a, _ := manual(nil)
+	strays := []obs.Kind{0, obs.NumKinds, obs.NumKinds + 3, 255}
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, k := range strays {
+			a.OnEvent(obs.Event{Kind: k, Proc: 1})
+		}
+	})
+	a.Tick()
+	s := a.Snapshot()
+	if allocs != 0 || len(s.Kinds) != 1 || s.Kinds["other"] != s.Total || s.Total == 0 {
+		t.Errorf("allocs = %v, kinds = %v, total = %d; want everything under \"other\" at 0 allocs", allocs, s.Kinds, s.Total)
+	}
+	if len(s.Procs) != 1 || s.Procs[0].LastKind != "other" || s.LastWindow["other"] != s.Total {
+		t.Errorf("proc row %+v, last window %v", s.Procs, s.LastWindow)
+	}
+}
+
 func TestStartTicks(t *testing.T) {
 	a := telemetry.New(telemetry.Config{Window: time.Millisecond})
 	stop := a.Start()
@@ -306,37 +354,45 @@ func TestStartTicks(t *testing.T) {
 	}
 }
 
-// jobStream deterministically replays job j's synthetic event stream into
-// each observer: computes, checkpoints with known save latencies, blocks,
-// and a rollback — the kinds the fleet aggregator merges across jobs.
-func jobStream(j int, sinks ...obs.Observer) {
-	emit := func(e obs.Event) {
-		for _, s := range sinks {
-			s.OnEvent(e)
+// jobStream deterministically replays job j's synthetic run — computes,
+// checkpoints with known save latencies, a block, a rollback: what the
+// fleet aggregator merges across jobs — as the runtime publishes one:
+// events to the observer, latencies to every counters tap.
+func jobStream(j int, o obs.Observer, taps ...*metrics.Counters) {
+	observe := func(name string, v float64) {
+		for _, c := range taps {
+			c.ObserveHist(name, v)
 		}
 	}
 	for i := 0; i < 50+j; i++ {
-		emit(obs.Event{Kind: obs.KindCompute, Proc: i % 3, VTime: float64(i)})
+		o.OnEvent(obs.Event{Kind: obs.KindCompute, Proc: i % 3, VTime: float64(i)})
 	}
 	for i := 0; i < 5; i++ {
-		emit(obs.Event{Kind: obs.KindChkpt, Proc: i % 3, DurNS: int64(j+1) * 1e6})
+		observe(metrics.HistChkptSaveMS, float64(j+1))
+		o.OnEvent(obs.Event{Kind: obs.KindChkpt, Proc: i % 3, DurNS: int64(j+1) * 1e6})
 	}
-	emit(obs.Event{Kind: obs.KindBlock, Proc: j % 3, DurNS: 2e6, VDur: 0.1})
-	emit(obs.Event{Kind: obs.KindRollback, Proc: -1})
-	emit(obs.Event{Kind: obs.KindJobDone, Proc: -1, Inc: j, Tag: "succeeded"})
+	observe(metrics.HistBlockedWallMS, 2)
+	o.OnEvent(obs.Event{Kind: obs.KindBlock, Proc: j % 3, DurNS: 2e6, VDur: 0.1})
+	o.OnEvent(obs.Event{Kind: obs.KindRollback, Proc: -1})
+	o.OnEvent(obs.Event{Kind: obs.KindJobDone, Proc: -1, Inc: j, Tag: "succeeded"})
 }
 
 // TestMultiObserverMergeEqualsPerJobSum is the fleet wiring contract: one
-// aggregator tapped by N concurrent job observers must end up with exactly
-// the merged counters and quantile-sketch populations that N isolated
-// per-job aggregators sum to. Nothing may be lost or double-counted under
-// concurrency.
+// aggregator over one counters tap, fed by N concurrent jobs, must end up
+// with exactly the merged counters and quantile-sketch populations that N
+// isolated per-job aggregators sum to. Nothing may be lost or
+// double-counted under concurrency.
 func TestMultiObserverMergeEqualsPerJobSum(t *testing.T) {
 	const jobs = 16
-	shared := telemetry.New(telemetry.Config{Nproc: 3, Window: time.Hour})
+	tapped := func() (*telemetry.Aggregator, *metrics.Counters) {
+		ctr := &metrics.Counters{}
+		return telemetry.New(telemetry.Config{Nproc: 3, Window: time.Hour, Counters: ctr}), ctr
+	}
+	shared, sharedTap := tapped()
 	solo := make([]*telemetry.Aggregator, jobs)
+	soloTap := make([]*metrics.Counters, jobs)
 	for j := range solo {
-		solo[j] = telemetry.New(telemetry.Config{Nproc: 3, Window: time.Hour})
+		solo[j], soloTap[j] = tapped()
 	}
 
 	var wg sync.WaitGroup
@@ -346,7 +402,8 @@ func TestMultiObserverMergeEqualsPerJobSum(t *testing.T) {
 			defer wg.Done()
 			// Each job feeds its own aggregator AND the shared one through
 			// the same fan-out a fleet job's sim.Config.Observer uses.
-			jobStream(j, obs.Multi(solo[j], shared))
+			jobStream(j, obs.Multi(solo[j], shared), soloTap[j], sharedTap)
+			solo[j].Tick()
 		}(j)
 	}
 	wg.Wait()
@@ -396,7 +453,8 @@ func TestMultiObserverMergeEqualsPerJobSum(t *testing.T) {
 // the sum each run reports for itself.
 func TestMultiObserverMergeFromRealRuns(t *testing.T) {
 	const jobs = 4
-	shared := telemetry.New(telemetry.Config{Nproc: 3, Window: time.Hour})
+	tap := &metrics.Counters{}
+	shared := telemetry.New(telemetry.Config{Nproc: 3, Window: time.Hour, Counters: tap})
 	var wantChkpts atomic.Int64
 	var wg sync.WaitGroup
 	for j := 0; j < jobs; j++ {
@@ -407,6 +465,7 @@ func TestMultiObserverMergeFromRealRuns(t *testing.T) {
 				Program: corpus.JacobiFig1(3), Nproc: 3,
 				Store:    storage.NewMemory(),
 				Observer: obs.Multi(shared),
+				Counters: tap,
 				Timeout:  30 * time.Second,
 				Jitter:   int64(j + 1),
 			})
@@ -414,7 +473,7 @@ func TestMultiObserverMergeFromRealRuns(t *testing.T) {
 				t.Errorf("job %d: %v", j, err)
 				return
 			}
-			wantChkpts.Add(res.Metrics.Checkpoints)
+			wantChkpts.Add(int64(len(res.Trace.Checkpoints())))
 		}(j)
 	}
 	wg.Wait()

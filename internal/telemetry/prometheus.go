@@ -194,10 +194,6 @@ func WriteProm(w io.Writer, s Snapshot) error {
 	f = pw.family("chkptsim_healthy", "gauge", "1 when no process is stalled and no storm is in progress.")
 	f.add("", boolGauge(s.Healthy()))
 
-	addSketch(pw, "chkptsim_save_latency_ms", "Checkpoint save wall latency in milliseconds.", s.SaveSketch)
-	addSketch(pw, "chkptsim_block_latency_ms", "Coordination block wall latency in milliseconds.", s.BlockSketch)
-	addSketch(pw, "chkptsim_block_stall_vseconds", "Coordination stall in virtual seconds.", s.StallSketch)
-
 	// Counters tap: fixed fields, custom counters, gauges, histograms.
 	// Omitted entirely when no tap is configured.
 	if s.HasCounters {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -331,7 +332,7 @@ func loadedAggregator() *telemetry.Aggregator {
 		obs.KindBlock, obs.KindRollback, obs.KindRestart, obs.KindHalt,
 		obs.KindFault, obs.KindRetry, obs.KindScrub, obs.KindDegraded,
 		obs.KindNetFault, obs.KindSuspect, obs.KindBacklog, obs.KindHeal,
-		obs.Kind("mystery"),
+		obs.NumKinds + 3, // not a kind: a newer producer's
 	}
 	for i, k := range kinds {
 		a.OnEvent(obs.Event{Kind: k, Proc: i % 4, Inc: i % 3, VTime: float64(i), DurNS: int64(i+1) * 1e6, VDur: float64(i) / 10})
@@ -359,9 +360,7 @@ func TestPromConformance(t *testing.T) {
 		"chkptsim_proc_vtime_seconds", "chkptsim_proc_checkpoint_lag_vseconds",
 		"chkptsim_proc_stalled", "chkptsim_health_stalls_total",
 		"chkptsim_health_storms_total", "chkptsim_health_lag_alerts_total",
-		"chkptsim_health_in_storm", "chkptsim_healthy",
-		"chkptsim_save_latency_ms", "chkptsim_block_latency_ms",
-		"chkptsim_block_stall_vseconds", "chkptsim_ticks_total",
+		"chkptsim_health_in_storm", "chkptsim_healthy", "chkptsim_ticks_total",
 	} {
 		if fams[want] == nil {
 			t.Errorf("family %s missing from exposition", want)
@@ -374,7 +373,7 @@ func TestPromConformance(t *testing.T) {
 		found := false
 		for _, s := range f.samples {
 			if s.labels["kind"] == "other" {
-				found = true // the unknown "mystery" kind folds into other
+				found = true // the out-of-range kind folds into other
 			}
 		}
 		if !found {
@@ -401,8 +400,13 @@ func TestPromConformanceWithCounters(t *testing.T) {
 	ctr.Inc("weird name\"with\\specials\n", 7)
 	ctr.SetGauge("fleet_active_jobs", 3)
 	ctr.ObserveHist("save ms", 3.5)
+	ctr.ObserveHist(metrics.HistChkptSaveMS, 1.5)
+	ctr.ObserveHist(metrics.HistBlockedWallMS, 2.5)
+	ctr.ObserveHist(metrics.HistBarrierStallV, 0.5)
 	a := telemetry.New(telemetry.Config{Counters: ctr, Window: time.Hour})
 	a.OnEvent(obs.Event{Kind: obs.KindCompute, Proc: 0})
+	a.OnEvent(obs.Event{Kind: obs.KindChkpt, Proc: 0, DurNS: 1.5e6})
+	a.OnEvent(obs.Event{Kind: obs.KindBlock, Proc: 0, DurNS: 2.5e6, VDur: 0.5})
 	a.Tick()
 	var buf bytes.Buffer
 	if err := telemetry.WriteProm(&buf, a.Snapshot()); err != nil {
@@ -416,6 +420,21 @@ func TestPromConformanceWithCounters(t *testing.T) {
 		if fams[want] == nil {
 			t.Errorf("family %s missing", want)
 		}
+	}
+	// One home per distribution: the runtime's three are histogram families
+	// under their tap names and nowhere else, whatever the events carried.
+	var hists []string
+	for name, f := range fams {
+		if f.typ == "histogram" {
+			hists = append(hists, name)
+		}
+	}
+	sort.Strings(hists)
+	if want := []string{
+		"chkptsim_hist_" + metrics.HistBarrierStallV, "chkptsim_hist_" + metrics.HistBlockedWallMS,
+		"chkptsim_hist_" + metrics.HistChkptSaveMS, "chkptsim_hist_save_ms",
+	}; !reflect.DeepEqual(hists, want) {
+		t.Errorf("histogram families = %v, want %v", hists, want)
 	}
 	var appTotal, weird float64
 	for _, s := range fams["chkptsim_counter_total"].samples {

@@ -124,9 +124,9 @@ func TestServerScrapeDuringIngest(t *testing.T) {
 	<-done
 }
 
-// TestSnapshotJSONEncodableWhenEmpty: a never-observed sketch snapshots as
-// all zeros (its ±Inf min/max sentinels stay inside metrics.Sketch), so a
-// fresh aggregator's /snapshot.json encodes.
+// TestSnapshotJSONEncodableWhenEmpty: a fresh aggregator's /snapshot.json
+// encodes, and a distribution the tap has not recorded yet summarizes as
+// all zeros.
 func TestSnapshotJSONEncodableWhenEmpty(t *testing.T) {
 	a := telemetry.New(telemetry.Config{Window: time.Hour, Counters: &metrics.Counters{}})
 	a.Tick() // sample the (empty) counters tap, histograms included
@@ -138,7 +138,7 @@ func TestSnapshotJSONEncodableWhenEmpty(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.SaveMS.Count != 0 || back.SaveSketch.Min != 0 || back.SaveSketch.Max != 0 {
-		t.Errorf("empty sketch sentinels leaked: %+v", back.SaveSketch)
+	if back.SaveMS != (telemetry.Quantiles{}) {
+		t.Errorf("quantiles of an unrecorded distribution: %+v", back.SaveMS)
 	}
 }

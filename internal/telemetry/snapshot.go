@@ -58,14 +58,12 @@ type Snapshot struct {
 
 	Procs []ProcStatus `json:"procs"`
 
+	// Percentile summaries of the tap's chkpt_save_ms, blocked_wall_ms and
+	// barrier_stall_vs distributions (the distributions themselves are
+	// Counters.Hists); empty without a tap.
 	SaveMS  Quantiles `json:"save_ms"`
 	BlockMS Quantiles `json:"block_ms"`
 	StallV  Quantiles `json:"stall_v"`
-
-	// Full sketches for merging and external analysis.
-	SaveSketch  metrics.SketchSnapshot `json:"save_sketch"`
-	BlockSketch metrics.SketchSnapshot `json:"block_sketch"`
-	StallSketch metrics.SketchSnapshot `json:"stall_sketch"`
 
 	Health Health `json:"health"`
 
@@ -83,7 +81,8 @@ type Snapshot struct {
 	WAL    wal.Stats `json:"wal"`
 }
 
-// quantiles summarizes a sketch snapshot.
+// quantiles summarizes a sketch snapshot (all zero for the zero snapshot: a
+// name the tap never recorded).
 func quantiles(s metrics.SketchSnapshot) Quantiles {
 	return Quantiles{
 		Count: s.Count,
@@ -105,18 +104,18 @@ func (a *Aggregator) Snapshot() Snapshot {
 		WindowSec:  a.cfg.Window.Seconds(),
 		Ticks:      a.ticks,
 		Total:      a.total.Load(),
-		Kinds:      make(map[string]int64, nKinds),
-		Rates:      make(map[string]float64, nKinds),
-		LastWindow: make(map[string]int64, nKinds),
+		Kinds:      make(map[string]int64, obs.NumKinds),
+		Rates:      make(map[string]float64, obs.NumKinds),
+		LastWindow: make(map[string]int64, obs.NumKinds),
 	}
 	for i := range a.kinds {
 		if v := a.kinds[i].Load(); v > 0 {
-			s.Kinds[kindNames[i]] = v
+			s.Kinds[obs.Kind(i).String()] = v
 		}
 	}
 
 	// Rates over the retained ring horizon.
-	var horizon [nKinds]int64
+	var horizon [obs.NumKinds]int64
 	var horizonNS int64
 	for i := 0; i < a.ringLen; i++ {
 		slot := (a.ringHead - 1 - i + 2*len(a.ring)) % len(a.ring)
@@ -129,7 +128,7 @@ func (a *Aggregator) Snapshot() Snapshot {
 		sec := float64(horizonNS) / 1e9
 		for k, v := range horizon {
 			if v > 0 {
-				s.Rates[kindNames[k]] = float64(v) / sec
+				s.Rates[obs.Kind(k).String()] = float64(v) / sec
 			}
 		}
 	}
@@ -137,7 +136,7 @@ func (a *Aggregator) Snapshot() Snapshot {
 		last := (a.ringHead - 1 + len(a.ring)) % len(a.ring)
 		for k, v := range a.ring[last].kinds {
 			if v > 0 {
-				s.LastWindow[kindNames[k]] = v
+				s.LastWindow[obs.Kind(k).String()] = v
 			}
 		}
 	}
@@ -150,16 +149,16 @@ func (a *Aggregator) Snapshot() Snapshot {
 		if ev == 0 {
 			continue
 		}
-		ki := int(cell.lastKind.Load())
+		ki := obs.Kind(cell.lastKind.Load())
 		ps := ProcStatus{
 			Proc:      p,
 			Events:    ev,
 			Inc:       int(cell.inc.Load()),
-			LastKind:  kindNames[ki],
+			LastKind:  ki.String(),
 			VTime:     floatFrom(cell.vtime.Load()),
 			LastSaveV: floatFrom(cell.lastSaveV.Load()),
 			Stalled:   cell.stalled,
-			Halted:    ki == kiHalt,
+			Halted:    ki == obs.KindHalt,
 		}
 		ps.Lag = ps.VTime - ps.LastSaveV
 		if ps.Stalled {
@@ -167,13 +166,6 @@ func (a *Aggregator) Snapshot() Snapshot {
 		}
 		s.Procs = append(s.Procs, ps)
 	}
-
-	s.SaveSketch = a.saveMS.Snapshot()
-	s.BlockSketch = a.blockMS.Snapshot()
-	s.StallSketch = a.stallV.Snapshot()
-	s.SaveMS = quantiles(s.SaveSketch)
-	s.BlockMS = quantiles(s.BlockSketch)
-	s.StallV = quantiles(s.StallSketch)
 
 	s.Health = Health{
 		Stalls:       a.stalls.Load(),
@@ -186,6 +178,9 @@ func (a *Aggregator) Snapshot() Snapshot {
 	if a.cfg.Counters != nil {
 		s.HasCounters = true
 		s.Counters = a.prevCtr
+		s.SaveMS = quantiles(s.Counters.Hists[metrics.HistChkptSaveMS])
+		s.BlockMS = quantiles(s.Counters.Hists[metrics.HistBlockedWallMS])
+		s.StallV = quantiles(s.Counters.Hists[metrics.HistBarrierStallV])
 		if len(a.ctrDelta) > 0 {
 			lastNS := int64(a.cfg.Window)
 			if a.ringLen > 0 {

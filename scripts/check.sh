@@ -53,9 +53,12 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
     ./scripts/bench.sh
     # The spine as a correctness smoke: non-zero exit on any output
     # mismatch or leaked goroutine; its numbers are not gated here.
-    echo '>> spine smoke (go run ./benchmark, durable-wal and fleet-wal)'
+    # The traced run is the one place the real runtime's event tap drives
+    # benchmark/trace.go's observers.
+    echo '>> spine smoke (go run ./benchmark, durable-wal, fleet-wal, traced interp-mem)'
     go run ./benchmark -workload durable-wal -seed 1 -seconds 3
     go run ./benchmark -workload fleet-wal -seed 1 -seconds 3
+    go run ./benchmark -workload interp-mem -seed 1 -seconds 3 -trace
 fi
 
 echo 'OK'
