@@ -410,6 +410,8 @@ func (e *Engine) runJob(jobID int, jobSeed int64, tenant string, business bool) 
 		Observer: cfg.Observer,
 		Counters: cfg.Counters,
 		Retry:    &sim.RetryPolicy{},
+
+		DisableTrace: true, // nothing reads a job's Result.Trace
 	}
 	if b := e.budgets[tenant]; b != nil {
 		// Assigned only when present: a nil *RetryBudget boxed into the

@@ -150,7 +150,7 @@ type Network struct {
 	tr *transport
 
 	mu  sync.Mutex
-	log [][][]Message // [from][to] append-only log of app messages
+	log [][][]Message // [from][to] log of app messages, Seq ascending
 }
 
 // NewNetwork creates the fully connected network for n processes.
@@ -270,19 +270,23 @@ func (net *Network) ResetForRecovery(sendSeq, recvSeq [][]int) {
 	defer net.mu.Unlock()
 	for p := 0; p < net.n; p++ {
 		for q := 0; q < net.n; q++ {
-			var inflight []Message
-			var keepLog []Message
-			for _, m := range net.log[p][q] {
-				if m.Seq >= sendSeq[p][q] {
-					continue // will be regenerated by replay
-				}
-				keepLog = append(keepLog, m)
-				if m.Seq >= recvSeq[q][p] {
-					inflight = append(inflight, m)
-				}
+			// Sequence numbers ascend along a channel's log: what replay
+			// regenerates is a suffix of it, and what is in flight a suffix
+			// of the rest. The log is cut in place, the dropped tail zeroed
+			// so that it pins no clocks; the queue copies what it is handed.
+			log := net.log[p][q]
+			keep := len(log)
+			for keep > 0 && log[keep-1].Seq >= sendSeq[p][q] {
+				keep--
 			}
-			net.log[p][q] = keepLog
-			net.chans[p][q].reset(inflight)
+			clear(log[keep:])
+			log = log[:keep]
+			inflight := keep
+			for inflight > 0 && log[inflight-1].Seq >= recvSeq[q][p] {
+				inflight--
+			}
+			net.log[p][q] = log
+			net.chans[p][q].reset(log[inflight:])
 		}
 		net.ctrl[p].reset(nil)
 	}

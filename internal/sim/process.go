@@ -69,6 +69,9 @@ type Proc struct {
 	sendSeq   []int
 	recvSeq   []int
 	instances map[int]int
+	// clockSlab is the unused tail of the chunk stampClock cuts message
+	// clocks from.
+	clockSlab []uint64
 
 	steps      int
 	maxSteps   int
@@ -171,21 +174,24 @@ func (p *Proc) resumePC() int {
 	return p.pc + 1
 }
 
-// restore rewinds the process to a snapshot.
+// restore rewinds the process to a snapshot, refilling the clock and maps
+// init built. s is copied, never adopted: the recovery line it belongs to
+// came through the Config.Recover hook, which may keep it.
 func (p *Proc) restore(s storage.Snapshot) error {
 	pc, err := strconv.Atoi(s.PC)
 	if err != nil {
 		return fmt.Errorf("sim: bad snapshot pc %q: %w", s.PC, err)
 	}
+	if len(s.Clock) != len(p.clock) {
+		return fmt.Errorf("sim: snapshot clock of width %d for a %d-process run", len(s.Clock), len(p.clock))
+	}
 	p.pc = pc
-	p.clock = s.Clock.Clone()
-	if s.Manifest == nil {
-		p.env.Vars = make(map[string]int, len(s.Vars))
-	} else {
+	copy(p.clock, s.Clock)
+	clear(p.env.Vars)
+	if s.Manifest != nil {
 		// Pruned snapshot: reconstruct dead variables to their declared
 		// initial value (zero, matching mpl.NewEnv), then overlay the
 		// manifest variables the snapshot actually carries.
-		p.env.Vars = make(map[string]int, len(p.code.Prog.Vars))
 		for _, name := range p.code.Prog.Vars {
 			p.env.Vars[name] = 0
 		}
@@ -195,7 +201,7 @@ func (p *Proc) restore(s storage.Snapshot) error {
 	}
 	copy(p.sendSeq, s.SendSeqs)
 	copy(p.recvSeq, s.RecvSeqs)
-	p.instances = make(map[int]int, len(s.Instances))
+	clear(p.instances)
 	for k, v := range s.Instances {
 		p.instances[k] = v
 	}
@@ -601,6 +607,26 @@ func (p *Proc) evalErr(in Instr, err error) error {
 	return fmt.Errorf("sim: process %d at pc %d (stmt #%d): %w", p.rank, p.pc, in.StmtID, err)
 }
 
+// slabClocks is how many message clocks one slab chunk holds. A process
+// leaves at most slabClocks-1 unused, which a job of ten messages must not
+// notice.
+const slabClocks = 8
+
+// stampClock returns a copy of the current clock for an outgoing message,
+// cut from the process's slab. A stamp is written here once and only read
+// afterwards (the receiver merges it), and no chunk is recycled, so stamps
+// need no lifetime protocol; Network.log keeps every message of the run, so
+// a chunk pins nothing a per-message clone would not.
+func (p *Proc) stampClock() vclock.VC {
+	if len(p.clockSlab) < p.n {
+		p.clockSlab = make([]uint64, slabClocks*p.n)
+	}
+	stamp := p.clockSlab[:p.n:p.n]
+	p.clockSlab = p.clockSlab[p.n:]
+	copy(stamp, p.clock)
+	return stamp
+}
+
 // sendApp sends one application message to dest.
 func (p *Proc) sendApp(dest, value int) error {
 	seq := p.sendSeq[dest]
@@ -613,7 +639,7 @@ func (p *Proc) sendApp(dest, value int) error {
 		To:        dest,
 		Seq:       seq,
 		Value:     value,
-		Clock:     p.clock.Clone(),
+		Clock:     p.stampClock(),
 		Piggyback: p.hooks.BeforeSend(p, dest),
 		ArriveV:   arrive,
 	}

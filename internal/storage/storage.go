@@ -1,11 +1,15 @@
 // Package storage provides the stable-storage abstraction that
-// checkpointing protocols write checkpoints to and restart reads them from.
-// Two implementations are provided: a concurrency-safe in-memory store used
-// by the simulator and tests, and a file-backed store with CRC integrity
-// verification for durable use. Both index checkpoints by (process,
-// CFG checkpoint index, instance) exactly as the paper's Definition 2.3
-// requires so that the straight cut R_i — the latest i-th checkpoint of
-// every process — can be recovered after a failure.
+// checkpointing protocols write checkpoints to and restart reads them from:
+// a concurrency-safe in-memory store (Memory, the default everywhere), a
+// delta-encoding one (Incremental), a file-backed one with CRC integrity
+// verification (File) and, in package wal, a group-committed log. All index
+// checkpoints by (process, CFG checkpoint index, instance) exactly as the
+// paper's Definition 2.3 requires so that the straight cut R_i — the latest
+// i-th checkpoint of every process — can be recovered after a failure.
+//
+// What a store retains of a snapshot is its AppendSnapshot body (codec.go),
+// framed on disk or, in Memory, in a byte arena; reads decode it. Only
+// Incremental keeps cloned Snapshots: it diffs their variable maps.
 package storage
 
 import (
@@ -49,8 +53,9 @@ type Snapshot struct {
 	Manifest []string
 }
 
-// clone returns a deep copy: what a store keeps of a saved snapshot, and
-// what it hands out on a read, shares no memory with the caller's.
+// clone returns a deep copy: what the incremental store keeps of a saved
+// snapshot, and what it hands out on a read, shares no memory with the
+// caller's.
 func (s Snapshot) clone() Snapshot {
 	return s.cloneWithVars(maps.Clone(s.Vars))
 }
@@ -274,11 +279,51 @@ func Keys(st Store, proc int) ([]Key, error) {
 
 // Memory is an in-memory Store safe for concurrent use. The zero value is
 // ready to use.
+//
+// Like every other store it retains the AppendSnapshot body of what it is
+// handed, not a Snapshot: reads decode, and DecodeSnapshot shares nothing
+// with its input, so Store.Save's borrow contract holds by construction.
+// Bodies live in per-process append-only arenas whose chunks are never
+// regrown or recycled, so a body's sub-slice stays valid while the index
+// names it. Delete drops the index entry only; the bytes go when no entry
+// refers to their chunk any more (a rollback discards a few bodies per
+// process, and a job's store is dropped whole).
 type Memory struct {
-	mu sync.Mutex
-	// snaps is grouped by process, so the per-process reads of one job walk
-	// only that process's keys however many jobs share the store.
-	snaps map[int]map[Key]Snapshot
+	mu    sync.Mutex
+	procs map[int]memProc
+	buf   []byte // scratch Save encodes into: the arena places a body by its size
+}
+
+// memProc holds one process's checkpoints, so the per-process reads of one
+// job walk only that process's keys however many jobs share the store.
+type memProc struct {
+	bodies map[Key][]byte // each a capacity-clipped sub-slice of a chunk
+	chunk  []byte         // the arena's current chunk; its length is what is used
+}
+
+// Arena chunks double from 1 KB (a fleet job's handful of checkpoints) to
+// 16 KB (one allocation per ~100 saves); a larger body is allocated alone.
+const (
+	arenaChunkMin = 1 << 10
+	arenaChunkMax = 16 << 10
+)
+
+// keep copies body into the arena and returns the copy.
+func (mp *memProc) keep(body []byte) []byte {
+	if len(body) > cap(mp.chunk)-len(mp.chunk) {
+		if len(body) > arenaChunkMax {
+			return slices.Clone(body)
+		}
+		// A fresh chunk: append would move every body saved before.
+		size := max(arenaChunkMin, min(2*cap(mp.chunk), arenaChunkMax))
+		for size < len(body) {
+			size *= 2
+		}
+		mp.chunk = make([]byte, 0, size)
+	}
+	off := len(mp.chunk)
+	mp.chunk = append(mp.chunk, body...)
+	return mp.chunk[off:len(mp.chunk):len(mp.chunk)]
 }
 
 var _ Store = (*Memory)(nil)
@@ -291,56 +336,72 @@ func (m *Memory) Save(s Snapshot) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	k := s.Key()
-	snaps := m.snaps[k.Proc]
-	if _, ok := snaps[k]; ok {
+	mp := m.procs[k.Proc]
+	if _, ok := mp.bodies[k]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, k)
 	}
-	if snaps == nil {
-		if m.snaps == nil {
-			m.snaps = make(map[int]map[Key]Snapshot)
+	if mp.bodies == nil {
+		if m.procs == nil {
+			m.procs = make(map[int]memProc)
 		}
-		snaps = make(map[Key]Snapshot)
-		m.snaps[k.Proc] = snaps
+		mp.bodies = make(map[Key][]byte)
 	}
-	snaps[k] = s.clone()
+	m.buf = AppendSnapshot(m.buf[:0], s)
+	mp.bodies[k] = mp.keep(m.buf)
+	m.procs[k.Proc] = mp
 	return nil
+}
+
+// decode reads back the checkpoint stored under k, or ErrNotFound. A body
+// that does not decode was damaged in memory after Save wrote it.
+func (mp memProc) decode(k Key) (Snapshot, error) {
+	body, ok := mp.bodies[k]
+	if !ok {
+		return Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, k)
+	}
+	s, err := DecodeSnapshot(body)
+	if err != nil {
+		return Snapshot{}, fmt.Errorf("%w: %s: %v", ErrCorrupt, k, err)
+	}
+	return s, nil
 }
 
 // Latest implements Store.
 func (m *Memory) Latest(proc, cfgIndex int) (Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	best, found := Snapshot{}, false
-	for k, s := range m.snaps[proc] {
+	mp := m.procs[proc]
+	best, found := Key{}, false
+	for k := range mp.bodies {
 		if k.CFGIndex == cfgIndex && (!found || k.Instance > best.Instance) {
-			best, found = s, true
+			best, found = k, true
 		}
 	}
 	if !found {
 		return Snapshot{}, fmt.Errorf("%w: proc=%d index=%d", ErrNotFound, proc, cfgIndex)
 	}
-	return best.clone(), nil
+	return mp.decode(best)
 }
 
 // Get implements Store.
 func (m *Memory) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := Key{proc, cfgIndex, instance}
-	s, ok := m.snaps[proc][k]
-	if !ok {
-		return Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, k)
-	}
-	return s.clone(), nil
+	return m.procs[proc].decode(Key{proc, cfgIndex, instance})
 }
 
 // List implements Store.
 func (m *Memory) List(proc int) ([]Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Snapshot, 0, len(m.snaps[proc]))
-	for _, s := range m.snaps[proc] {
-		out = append(out, s.clone())
+	mp := m.procs[proc]
+	out := make([]Snapshot, 0, len(mp.bodies))
+	for k := range mp.bodies {
+		s, err := mp.decode(k)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
 	}
 	SortSnapshots(out)
 	return out, nil
@@ -351,8 +412,8 @@ func (m *Memory) Indexes(n int) ([]int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var keys []Key
-	for _, snaps := range m.snaps {
-		for k := range snaps {
+	for _, mp := range m.procs {
+		for k := range mp.bodies {
 			keys = append(keys, k)
 		}
 	}
@@ -363,8 +424,9 @@ func (m *Memory) Indexes(n int) ([]int, error) {
 func (m *Memory) Keys(proc int) ([]Key, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	keys := make([]Key, 0, len(m.snaps[proc]))
-	for k := range m.snaps[proc] {
+	bodies := m.procs[proc].bodies
+	keys := make([]Key, 0, len(bodies))
+	for k := range bodies {
 		keys = append(keys, k)
 	}
 	return keys, nil
@@ -375,10 +437,11 @@ func (m *Memory) Delete(proc, cfgIndex, instance int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	k := Key{proc, cfgIndex, instance}
-	if _, ok := m.snaps[proc][k]; !ok {
+	bodies := m.procs[proc].bodies
+	if _, ok := bodies[k]; !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
-	delete(m.snaps[proc], k)
+	delete(bodies, k)
 	return nil
 }
 
@@ -387,8 +450,8 @@ func (m *Memory) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for _, snaps := range m.snaps {
-		n += len(snaps)
+	for _, mp := range m.procs {
+		n += len(mp.bodies)
 	}
 	return n
 }

@@ -323,11 +323,53 @@ func TestMemoryConcurrentSaves(t *testing.T) {
 	}
 }
 
+// A steady-state memory Save allocates nothing of its own: the body is
+// encoded into the store's scratch and copied into the process's arena.
+// What is left is amortized — a 16 KB chunk per ~250 of these bodies and
+// the index map's growth — and a chunk is never regrown: that would copy,
+// and pin, everything saved before.
+func TestMemorySaveSteadyStateAllocs(t *testing.T) {
+	m := NewMemory()
+	s := sampleSnap(0, 1, 0)
+	save := func() {
+		s.Instance++
+		if err := m.Save(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 512; i++ {
+		save()
+	}
+	const batch = 2000
+	perSave := testing.AllocsPerRun(5, func() {
+		for i := 0; i < batch; i++ {
+			save()
+		}
+	}) / batch
+	if perSave > 0.1 {
+		t.Errorf("steady-state Save allocates %.3f objects amortized, want <= 0.1", perSave)
+	}
+	if c := cap(m.procs[0].chunk); c != arenaChunkMax {
+		t.Errorf("current chunk holds %d bytes after %d saves, want the %d cap", c, m.Len(), arenaChunkMax)
+	}
+	for k, body := range m.procs[0].bodies {
+		if cap(body) != len(body) {
+			t.Fatalf("%s: body has spare capacity %d, an append would reach its arena neighbour", k, cap(body)-len(body))
+		}
+	}
+}
+
+// BenchmarkMemorySave measures Save alone: one snapshot value is lent over
+// and over, as the runtime lends its live state.
 func BenchmarkMemorySave(b *testing.B) {
 	m := NewMemory()
+	s := sampleSnap(0, 1, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = m.Save(sampleSnap(0, 1, i))
+		s.Instance = i
+		if err := m.Save(s); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -17,6 +17,9 @@
 #                         place) for regression attribution, and the
 #                         generated large-program scaling run.
 #
+# Usage: scripts/bench.sh [set ...] runs the named sets (see ALL below) and
+# rewrites only their files; with no argument it runs them all.
+#
 # BENCHTIME overrides -benchtime (default 1x: one measured iteration, the
 # smoke setting CI uses; use e.g. BENCHTIME=2s locally for stable numbers).
 set -eu
@@ -24,6 +27,17 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BENCHTIME="${BENCHTIME:-1x}"
+ALL="sweeps simcore pipeline telemetry fleet store"
+SETS="${*:-$ALL}"
+for s in $SETS; do
+    case " $ALL " in
+    *" $s "*) ;;
+    *)
+        echo "bench.sh: unknown set '$s' (have: $ALL)" >&2
+        exit 2
+        ;;
+    esac
+done
 
 echo ">> building benchjson"
 go build -o /tmp/benchjson.$$ ./cmd/benchjson
@@ -32,6 +46,10 @@ trap 'rm -f /tmp/benchjson.$$ /tmp/bench_out.$$' EXIT
 run_set() {
     name="$1" pattern="$2" out="$3"
     shift 3
+    case " $SETS " in
+    *" $name "*) ;;
+    *) return 0 ;;
+    esac
     echo ">> bench set $name (-bench '$pattern' -benchtime $BENCHTIME)"
     go test -run '^$' -bench "$pattern" -benchmem -benchtime "$BENCHTIME" "$@" \
         | tee /tmp/bench_out.$$
@@ -73,12 +91,13 @@ run_set fleet \
     BENCH_fleet.json \
     ./internal/fleet/
 
-# Durable stores: 1000-job aggregate save throughput (the WAL's group
-# commit vs the file store's fsync-per-save), uncontended save latency, and
-# the liveness-pruned vs full-environment payload/latency comparison, and
-# the snapshot codec alone (encode into a reused buffer, decode), and one
-# job's rollback on a WAL holding 1k vs 64k checkpoints of other jobs (the
-# ratio must stay within 2×).
+# Stores: 1000-job aggregate save throughput (the WAL's group commit vs the
+# file store's fsync-per-save), uncontended save latency, the
+# liveness-pruned vs full-environment payload/latency comparison on all four
+# kinds from one lent snapshot (memory and wal must stay 0 allocs/op), the
+# snapshot codec alone (encode into a reused buffer, decode), and one job's
+# rollback on a WAL holding 1k vs 64k checkpoints of other jobs (the ratio
+# must stay within 2×).
 run_set store \
     'BenchmarkStoreAggregateSave|BenchmarkStoreSingleSave|BenchmarkSaveBytesPruned|BenchmarkSnapshotCodec|BenchmarkWALSelectLongLog' \
     BENCH_store.json \

@@ -93,20 +93,28 @@ func pruneBenchSnap(proc, instance int, pruned bool) storage.Snapshot {
 // manifest-pruned checkpoints against full-environment ones, per store
 // kind. payload_B/op is the serialized snapshot size each save persists;
 // for the incremental store delta_B/op additionally shows how much smaller
-// the delta chain gets when dead variables never enter it. BENCH_store.json
-// records the results via scripts/bench.sh; `-no-prune` on the CLIs
-// reproduces the full-lane byte counts end to end.
+// the delta chain gets when dead variables never enter it. One snapshot is
+// lent to every save, as the runtime lends its live state, every value
+// moved on since the last: allocs/op is the store's own, and 0 on the
+// memory store and the WAL is the contract. BENCH_store.json records the
+// results via scripts/bench.sh; `-no-prune` on the CLIs reproduces the
+// full-lane byte counts end to end.
 func BenchmarkSaveBytesPruned(b *testing.B) {
-	for _, kind := range []string{"file", "incremental", "wal"} {
+	for _, kind := range storeKinds {
 		for _, mode := range []string{"full", "pruned"} {
 			b.Run(kind+"/"+mode, func(b *testing.B) {
 				st := openTestStore(b, kind, 8, wal.Options{})
 				pruned := mode == "pruned"
 				sample := storage.EncodeSnapshot(pruneBenchSnap(0, 1_000_000, pruned))
+				s := pruneBenchSnap(0, 0, pruned)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := st.Save(pruneBenchSnap(0, i, pruned)); err != nil {
+					s.Instance, s.Clock[0] = i, uint64(i+1)
+					for name := range s.Vars {
+						s.Vars[name]++
+					}
+					if err := st.Save(s); err != nil {
 						b.Fatal(err)
 					}
 				}
