@@ -19,7 +19,7 @@ type VarTable struct {
 
 // NewVarTable builds the table for a program.
 func NewVarTable(p *mpl.Program) *VarTable {
-	t := &VarTable{Index: make(map[string]int, len(p.Vars))}
+	t := &VarTable{Index: make(map[string]int, len(p.Vars)), Names: make([]string, 0, len(p.Vars))}
 	for _, v := range p.Vars {
 		t.Slot(v)
 	}

@@ -29,7 +29,8 @@ package liveness
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
@@ -45,14 +46,10 @@ type Result struct {
 	// variables live at (i.e. just after) that checkpoint. This is the
 	// snapshot manifest for the site: persisting exactly these variables
 	// and restoring the rest to zero is equivalent to a full-env snapshot.
+	// A site where nothing is live has a nil manifest; all manifests are
+	// cut from one slice, each capped at its length. The diagnostic
+	// exit-observes-nothing solution is not part of a Result: see ReadLive.
 	Live map[int][]string
-	// ReadLive is the same analysis solved with the exit node live in
-	// NOTHING: a variable is read-live at a site only when some path
-	// actually reads it before redefining it. Live − ReadLive are the
-	// variables a manifest keeps solely through the everything-is-
-	// observable exit rule — useful when explaining why pruning kept a
-	// variable that no statement ever reads again.
-	ReadLive map[int][]string
 }
 
 // ManifestFor returns the live set for a checkpoint statement id, or nil
@@ -66,23 +63,46 @@ func Compute(p *mpl.Program) (*Result, error) { return ComputeCached(p, nil) }
 // itself holds no state across calls; the cache only serves cfg.BuildCached
 // — pass nil to build fresh).
 func ComputeCached(p *mpl.Program, c *cfg.BuildCache) (*Result, error) {
+	tbl, live, err := solve(p, c, true)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Table: tbl, Live: live}, nil
+}
+
+// ReadLive is the analysis solved with the exit node live in NOTHING: a
+// variable is read-live at a site only when some path actually reads it
+// before redefining it. Live − ReadLive are the variables a manifest keeps
+// solely through the everything-is-observable exit rule — useful when
+// explaining why pruning kept a variable that no statement ever reads
+// again. No manifest depends on it, so it is solved only when asked for.
+func ReadLive(p *mpl.Program) (map[int][]string, error) {
+	_, sets, err := solve(p, nil, false)
+	return sets, err
+}
+
+// solve runs the analysis with the exit node live in every variable
+// (exitAll) or in none, and returns the sorted live names per checkpoint
+// statement id. It allocates per program, not per CFG node or per site:
+// every bit set is carved from one slab, every manifest from one slice.
+func solve(p *mpl.Program, c *cfg.BuildCache, exitAll bool) (*dataflow.VarTable, map[int][]string, error) {
 	g, err := cfg.BuildCached(p, c)
 	if err != nil {
-		return nil, fmt.Errorf("liveness: %w", err)
+		return nil, nil, fmt.Errorf("liveness: %w", err)
 	}
 	tbl := dataflow.NewVarTable(p)
 	nvars := tbl.Len()
 	nnodes := len(g.Nodes)
 
-	// Per-node use/def sets, then the backward fixpoint over liveIn.
-	use := make([]cfg.Bitset, nnodes)
-	def := make([]cfg.Bitset, nnodes)
-	liveIn := make([]cfg.Bitset, nnodes)
-	for id := 0; id < nnodes; id++ {
-		use[id] = cfg.NewBitset(nvars)
-		def[id] = cfg.NewBitset(nvars)
-		liveIn[id] = cfg.NewBitset(nvars)
-	}
+	// One slab: the use, def and live-in set of every node, then the
+	// fixpoint's two scratch sets.
+	words := (nvars + 63) / 64
+	slab := make([]uint64, (3*nnodes+2)*words)
+	set := func(i int) cfg.Bitset { return slab[i*words : (i+1)*words] }
+	use := func(id int) cfg.Bitset { return set(3 * id) }
+	def := func(id int) cfg.Bitset { return set(3*id + 1) }
+	liveIn := func(id int) cfg.Bitset { return set(3*id + 2) }
+	out, tmp := set(3*nnodes), set(3*nnodes+1)
 	addUses := func(set cfg.Bitset, e mpl.Expr) {
 		mpl.WalkExpr(e, func(x mpl.Expr) bool {
 			if id, ok := x.(*mpl.Ident); ok {
@@ -93,40 +113,41 @@ func ComputeCached(p *mpl.Program, c *cfg.BuildCache) (*Result, error) {
 			return true
 		})
 	}
+
 	for _, n := range g.Nodes {
 		switch n.Kind {
 		case cfg.KindCompute:
 			switch st := n.Stmt.(type) {
 			case *mpl.Assign:
-				addUses(use[n.ID], st.X)
-				def[n.ID].Set(tbl.Index[st.Name])
+				addUses(use(n.ID), st.X)
+				def(n.ID).Set(tbl.Index[st.Name])
 			case *mpl.Work:
-				addUses(use[n.ID], st.Amount)
+				addUses(use(n.ID), st.Amount)
 			}
 		case cfg.KindBranch:
 			switch st := n.Stmt.(type) {
 			case *mpl.While:
-				addUses(use[n.ID], st.Cond)
+				addUses(use(n.ID), st.Cond)
 			case *mpl.If:
-				addUses(use[n.ID], st.Cond)
+				addUses(use(n.ID), st.Cond)
 			}
 		case cfg.KindSend:
 			st := n.Stmt.(*mpl.Send)
-			addUses(use[n.ID], st.Dest)
-			use[n.ID].Set(tbl.Index[st.Var])
+			addUses(use(n.ID), st.Dest)
+			use(n.ID).Set(tbl.Index[st.Var])
 		case cfg.KindRecv:
 			// Guarded-boundary no-op receives keep the old value: no kill,
 			// no use of the target (see the package comment).
 			st := n.Stmt.(*mpl.Recv)
-			addUses(use[n.ID], st.Src)
+			addUses(use(n.ID), st.Src)
 		case cfg.KindBcast:
 			st := n.Stmt.(*mpl.Bcast)
-			addUses(use[n.ID], st.Root)
-			use[n.ID].Set(tbl.Index[st.Var])
+			addUses(use(n.ID), st.Root)
+			use(n.ID).Set(tbl.Index[st.Var])
 		case cfg.KindReduce:
 			st := n.Stmt.(*mpl.Reduce)
-			addUses(use[n.ID], st.Root)
-			use[n.ID].Set(tbl.Index[st.Var])
+			addUses(use(n.ID), st.Root)
+			use(n.ID).Set(tbl.Index[st.Var])
 		case cfg.KindEntry, cfg.KindExit, cfg.KindChkpt:
 			// No uses, no defs.
 		}
@@ -138,73 +159,66 @@ func ComputeCached(p *mpl.Program, c *cfg.BuildCache) (*Result, error) {
 	// A checkpoint node has no use/def, so its live-out equals its live-in;
 	// that set — the variables observable after the checkpoint resumes — is
 	// the site's manifest.
-	solve := func(exitAll bool) map[int][]string {
-		for id := 0; id < nnodes; id++ {
-			liveIn[id].Zero()
+	if exitAll {
+		// Exit is live in everything: the final environment is the
+		// program's observable output.
+		for slot := 0; slot < nvars; slot++ {
+			liveIn(g.Exit).Set(slot)
 		}
-		if exitAll {
-			// Exit is live in everything: the final environment is the
-			// program's observable output.
-			for slot := 0; slot < nvars; slot++ {
-				liveIn[g.Exit].Set(slot)
-			}
-		}
-		out := cfg.NewBitset(nvars)
-		tmp := cfg.NewBitset(nvars)
-		for changed := true; changed; {
-			changed = false
-			for id := nnodes - 1; id >= 0; id-- {
-				if id == g.Exit {
-					continue
-				}
-				out.Zero()
-				for _, e := range g.Succs(id) {
-					out.UnionWith(liveIn[e.To])
-				}
-				tmp.CopyFrom(out)
-				tmp.AndNotWith(def[id])
-				tmp.UnionWith(use[id])
-				if !tmp.Equal(liveIn[id]) {
-					liveIn[id].CopyFrom(tmp)
-					changed = true
-				}
-			}
-		}
-		sets := make(map[int][]string)
-		for _, n := range g.Nodes {
-			if n.Kind != cfg.KindChkpt {
+	}
+	for changed := true; changed; {
+		changed = false
+		for id := nnodes - 1; id >= 0; id-- {
+			if id == g.Exit {
 				continue
 			}
-			var names []string
-			for slot := 0; slot < nvars; slot++ {
-				if liveIn[n.ID].Has(slot) {
-					names = append(names, tbl.Names[slot])
+			out.Zero()
+			for _, e := range g.Succs(id) {
+				out.UnionWith(liveIn(e.To))
+			}
+			tmp.CopyFrom(out)
+			tmp.AndNotWith(def(id))
+			tmp.UnionWith(use(id))
+			if !tmp.Equal(liveIn(id)) {
+				liveIn(id).CopyFrom(tmp)
+				changed = true
+			}
+		}
+	}
+
+	// Manifests list names in sorted order: the slots are put in name order
+	// once and every site walks them, instead of sorting at every site.
+	order := make([]int, nvars)
+	for slot := range order {
+		order[slot] = slot
+	}
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(tbl.Names[a], tbl.Names[b]) })
+	nsites, total := 0, 0
+	for _, n := range g.Nodes {
+		if n.Kind == cfg.KindChkpt {
+			nsites++
+			total += liveIn(n.ID).Count()
+		}
+	}
+	sets := make(map[int][]string, nsites)
+	names := make([]string, total)
+	for _, n := range g.Nodes {
+		if n.Kind != cfg.KindChkpt {
+			continue
+		}
+		// A site where nothing is live keeps a nil manifest, not an empty
+		// one.
+		var manifest []string
+		if live := liveIn(n.ID); live.Count() > 0 {
+			manifest = names[:0:live.Count()]
+			for _, slot := range order {
+				if live.Has(slot) {
+					manifest = append(manifest, tbl.Names[slot])
 				}
 			}
-			sort.Strings(names)
-			sets[n.Stmt.ID()] = names
+			names = names[len(manifest):]
 		}
-		return sets
+		sets[n.Stmt.ID()] = manifest
 	}
-
-	return &Result{Table: tbl, Live: solve(true), ReadLive: solve(false)}, nil
-}
-
-// Prune returns the subset of vars named by manifest (nil manifest returns
-// a copy of vars — "persist everything"). The result is always a fresh map.
-func Prune(vars map[string]int, manifest []string) map[string]int {
-	if manifest == nil {
-		out := make(map[string]int, len(vars))
-		for k, v := range vars {
-			out[k] = v
-		}
-		return out
-	}
-	out := make(map[string]int, len(manifest))
-	for _, name := range manifest {
-		if v, ok := vars[name]; ok {
-			out[name] = v
-		}
-	}
-	return out
+	return tbl, sets, nil
 }

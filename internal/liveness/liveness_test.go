@@ -162,6 +162,10 @@ func TestComputeLiveSets(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Compute: %v", err)
 			}
+			readLive, err := ReadLive(tc.prog)
+			if err != nil {
+				t.Fatalf("ReadLive: %v", err)
+			}
 			ids := chkptIDs(tc.prog)
 			if len(ids) != len(tc.want) {
 				t.Fatalf("program has %d checkpoint sites, test expects %d", len(ids), len(tc.want))
@@ -173,31 +177,10 @@ func TestComputeLiveSets(t *testing.T) {
 				if got := res.ManifestFor(id); !reflect.DeepEqual(got, tc.want[i]) {
 					t.Errorf("site %d (stmt #%d): live set %v, want %v", i, id, got, tc.want[i])
 				}
-				if got := res.ReadLive[id]; !reflect.DeepEqual(got, tc.wantRead[i]) {
+				if got := readLive[id]; !reflect.DeepEqual(got, tc.wantRead[i]) {
 					t.Errorf("site %d (stmt #%d): read-live set %v, want %v", i, id, got, tc.wantRead[i])
 				}
 			}
 		})
-	}
-}
-
-func TestPrune(t *testing.T) {
-	vars := map[string]int{"a": 1, "b": 2, "c": 3}
-	got := Prune(vars, []string{"a", "c"})
-	if want := map[string]int{"a": 1, "c": 3}; !reflect.DeepEqual(got, want) {
-		t.Errorf("Prune = %v, want %v", got, want)
-	}
-	// nil manifest means "persist everything", as a fresh copy.
-	full := Prune(vars, nil)
-	if !reflect.DeepEqual(full, vars) {
-		t.Errorf("Prune(nil) = %v, want %v", full, vars)
-	}
-	full["a"] = 99
-	if vars["a"] != 1 {
-		t.Error("Prune(nil) must copy, not alias")
-	}
-	// A manifest name missing from vars is skipped, not zero-filled.
-	if got := Prune(map[string]int{"a": 1}, []string{"a", "z"}); len(got) != 1 {
-		t.Errorf("Prune with unknown name = %v, want only a", got)
 	}
 }

@@ -198,38 +198,42 @@ func (b *Builder) MustProgram() *Program {
 // ~constant and ~program-sized allocation counts in Phase III, which
 // clones per Transform.
 func Clone(p *Program) *Program {
-	var m cloneMem
-	m.count(p.Body)
-	m.assigns = make([]Assign, 0, m.nAssign)
-	m.works = make([]Work, 0, m.nWork)
-	m.sends = make([]Send, 0, m.nSend)
-	m.recvs = make([]Recv, 0, m.nRecv)
-	m.bcasts = make([]Bcast, 0, m.nBcast)
-	m.reduces = make([]Reduce, 0, m.nReduce)
-	m.chkpts = make([]Chkpt, 0, m.nChkpt)
-	m.whiles = make([]While, 0, m.nWhile)
-	m.ifs = make([]If, 0, m.nIf)
-	m.intLits = make([]IntLit, 0, m.nIntLit)
-	m.idents = make([]Ident, 0, m.nIdent)
-	m.calls = make([]Call, 0, m.nCall)
-	m.unaries = make([]Unary, 0, m.nUnary)
-	m.binaries = make([]Binary, 0, m.nBinary)
-	m.stmts = make([]Stmt, m.nStmtSlot)
-	m.exprs = make([]Expr, m.nExprSlot)
+	var n nodeCount
+	n.body(p.Body)
+	m := nodeMem{
+		assigns:  make([]Assign, 0, n.assigns),
+		works:    make([]Work, 0, n.works),
+		sends:    make([]Send, 0, n.sends),
+		recvs:    make([]Recv, 0, n.recvs),
+		bcasts:   make([]Bcast, 0, n.bcasts),
+		reduces:  make([]Reduce, 0, n.reduces),
+		chkpts:   make([]Chkpt, 0, n.chkpts),
+		whiles:   make([]While, 0, n.whiles),
+		ifs:      make([]If, 0, n.ifs),
+		intLits:  make([]IntLit, 0, n.intLits),
+		idents:   make([]Ident, 0, n.idents),
+		calls:    make([]Call, 0, n.calls),
+		unaries:  make([]Unary, 0, n.unaries),
+		binaries: make([]Binary, 0, n.binaries),
+		stmts:    make([]Stmt, 0, n.stmtSlots),
+		exprs:    make([]Expr, 0, n.exprSlots),
+	}
 	return &Program{
 		Name:   p.Name,
 		Consts: append([]Const(nil), p.Consts...),
 		Vars:   append([]string(nil), p.Vars...),
-		Body:   m.body(p.Body),
+		Body:   m.cloneBody(p.Body),
 	}
 }
 
-// cloneMem holds one Clone call's slabs and their fill offsets.
-type cloneMem struct {
-	nAssign, nWork, nSend, nRecv, nBcast, nReduce, nChkpt, nWhile, nIf int
-	nIntLit, nIdent, nCall, nUnary, nBinary                            int
-	nStmtSlot, nExprSlot                                               int // total body / call-arg slots
-
+// nodeMem is the memory a program's AST lives in: one chunk per concrete
+// node type, plus the chunks block bodies and call arguments are cut from.
+// Clone sizes every chunk exactly with a counting pass; the parser cannot
+// know the counts and lets cut grow them. Either way a chunk is append-only
+// and never regrown — a full one is replaced by a fresh one — so a node
+// pointer or body slice handed out stays valid for as long as anything
+// refers to it, and nothing needs to say when a program is done with.
+type nodeMem struct {
 	assigns  []Assign
 	works    []Work
 	sends    []Send
@@ -244,149 +248,164 @@ type cloneMem struct {
 	calls    []Call
 	unaries  []Unary
 	binaries []Binary
-	stmts    []Stmt
-	exprs    []Expr
-	stmtOff  int
-	exprOff  int
+	stmts    []Stmt // block bodies
+	exprs    []Expr // call arguments
 }
 
-func (m *cloneMem) count(body []Stmt) {
-	m.nStmtSlot += len(body)
+// Chunk sizes when cut has to grow one: small programs pay for a handful
+// of nodes per type, large ones settle at a chunk per maxChunk nodes.
+const (
+	firstChunk = 4
+	maxChunk   = 256
+)
+
+// cut returns n zeroed elements from the end of *chunk, replacing the chunk
+// by a fresh one of double the capacity when they do not fit. The result's
+// capacity is its length, so appending to it reallocates instead of
+// bleeding into whatever is cut next (a sibling block, say).
+func cut[T any](chunk *[]T, n int) []T {
+	if cap(*chunk)-len(*chunk) < n {
+		size := min(max(2*cap(*chunk), firstChunk), maxChunk)
+		*chunk = make([]T, 0, max(size, n))
+	}
+	off := len(*chunk)
+	*chunk = (*chunk)[:off+n]
+	return (*chunk)[off : off+n : off+n]
+}
+
+// newNode places v in *chunk and returns its address.
+func newNode[T any](chunk *[]T, v T) *T {
+	p := &cut(chunk, 1)[0]
+	*p = v
+	return p
+}
+
+// nodeCount is Clone's counting pass: how many nodes of each type, and how
+// many body and argument slots, a program has.
+type nodeCount struct {
+	assigns, works, sends, recvs, bcasts, reduces, chkpts, whiles, ifs int
+	intLits, idents, calls, unaries, binaries                          int
+	stmtSlots, exprSlots                                               int
+}
+
+func (n *nodeCount) body(body []Stmt) {
+	n.stmtSlots += len(body)
 	for _, s := range body {
 		switch st := s.(type) {
 		case *Assign:
-			m.nAssign++
-			m.countExpr(st.X)
+			n.assigns++
+			n.expr(st.X)
 		case *Work:
-			m.nWork++
-			m.countExpr(st.Amount)
+			n.works++
+			n.expr(st.Amount)
 		case *Send:
-			m.nSend++
-			m.countExpr(st.Dest)
+			n.sends++
+			n.expr(st.Dest)
 		case *Recv:
-			m.nRecv++
-			m.countExpr(st.Src)
+			n.recvs++
+			n.expr(st.Src)
 		case *Bcast:
-			m.nBcast++
-			m.countExpr(st.Root)
+			n.bcasts++
+			n.expr(st.Root)
 		case *Reduce:
-			m.nReduce++
-			m.countExpr(st.Root)
+			n.reduces++
+			n.expr(st.Root)
 		case *Chkpt:
-			m.nChkpt++
+			n.chkpts++
 		case *While:
-			m.nWhile++
-			m.countExpr(st.Cond)
-			m.count(st.Body)
+			n.whiles++
+			n.expr(st.Cond)
+			n.body(st.Body)
 		case *If:
-			m.nIf++
-			m.countExpr(st.Cond)
-			m.count(st.Then)
-			m.count(st.Else)
+			n.ifs++
+			n.expr(st.Cond)
+			n.body(st.Then)
+			n.body(st.Else)
 		default:
 			panic("mpl: Clone: unknown statement type")
 		}
 	}
 }
 
-func (m *cloneMem) countExpr(e Expr) {
+func (n *nodeCount) expr(e Expr) {
 	switch x := e.(type) {
 	case nil:
 	case *IntLit:
-		m.nIntLit++
+		n.intLits++
 	case *Ident:
-		m.nIdent++
+		n.idents++
 	case *Call:
-		m.nCall++
-		m.nExprSlot += len(x.Args)
+		n.calls++
+		n.exprSlots += len(x.Args)
 		for _, a := range x.Args {
-			m.countExpr(a)
+			n.expr(a)
 		}
 	case *Unary:
-		m.nUnary++
-		m.countExpr(x.X)
+		n.unaries++
+		n.expr(x.X)
 	case *Binary:
-		m.nBinary++
-		m.countExpr(x.L)
-		m.countExpr(x.R)
+		n.binaries++
+		n.expr(x.L)
+		n.expr(x.R)
 	default:
 		panic("mpl: Clone: unknown expression type")
 	}
 }
 
-// body carves a full-capacity subslice for the statement list (appends to
-// it later therefore reallocate rather than bleed into a sibling block)
-// and fills it.
-func (m *cloneMem) body(body []Stmt) []Stmt {
+func (m *nodeMem) cloneBody(body []Stmt) []Stmt {
 	if body == nil {
 		return nil
 	}
-	out := m.stmts[m.stmtOff : m.stmtOff+len(body) : m.stmtOff+len(body)]
-	m.stmtOff += len(body)
+	out := cut(&m.stmts, len(body))
 	for i, s := range body {
-		out[i] = m.stmt(s)
+		out[i] = m.cloneStmt(s)
 	}
 	return out
 }
 
-func (m *cloneMem) stmt(s Stmt) Stmt {
+func (m *nodeMem) cloneStmt(s Stmt) Stmt {
 	switch st := s.(type) {
 	case *Assign:
-		m.assigns = append(m.assigns, Assign{StmtBase: st.StmtBase, Name: st.Name, X: m.expr(st.X)})
-		return &m.assigns[len(m.assigns)-1]
+		return newNode(&m.assigns, Assign{StmtBase: st.StmtBase, Name: st.Name, X: m.cloneExpr(st.X)})
 	case *Work:
-		m.works = append(m.works, Work{StmtBase: st.StmtBase, Amount: m.expr(st.Amount)})
-		return &m.works[len(m.works)-1]
+		return newNode(&m.works, Work{StmtBase: st.StmtBase, Amount: m.cloneExpr(st.Amount)})
 	case *Send:
-		m.sends = append(m.sends, Send{StmtBase: st.StmtBase, Dest: m.expr(st.Dest), Var: st.Var})
-		return &m.sends[len(m.sends)-1]
+		return newNode(&m.sends, Send{StmtBase: st.StmtBase, Dest: m.cloneExpr(st.Dest), Var: st.Var})
 	case *Recv:
-		m.recvs = append(m.recvs, Recv{StmtBase: st.StmtBase, Src: m.expr(st.Src), Var: st.Var})
-		return &m.recvs[len(m.recvs)-1]
+		return newNode(&m.recvs, Recv{StmtBase: st.StmtBase, Src: m.cloneExpr(st.Src), Var: st.Var})
 	case *Bcast:
-		m.bcasts = append(m.bcasts, Bcast{StmtBase: st.StmtBase, Root: m.expr(st.Root), Var: st.Var})
-		return &m.bcasts[len(m.bcasts)-1]
+		return newNode(&m.bcasts, Bcast{StmtBase: st.StmtBase, Root: m.cloneExpr(st.Root), Var: st.Var})
 	case *Reduce:
-		m.reduces = append(m.reduces, Reduce{StmtBase: st.StmtBase, Root: m.expr(st.Root), Var: st.Var})
-		return &m.reduces[len(m.reduces)-1]
+		return newNode(&m.reduces, Reduce{StmtBase: st.StmtBase, Root: m.cloneExpr(st.Root), Var: st.Var})
 	case *Chkpt:
-		m.chkpts = append(m.chkpts, Chkpt{StmtBase: st.StmtBase})
-		return &m.chkpts[len(m.chkpts)-1]
+		return newNode(&m.chkpts, Chkpt{StmtBase: st.StmtBase})
 	case *While:
-		m.whiles = append(m.whiles, While{StmtBase: st.StmtBase, Cond: m.expr(st.Cond), Body: m.body(st.Body)})
-		return &m.whiles[len(m.whiles)-1]
+		return newNode(&m.whiles, While{StmtBase: st.StmtBase, Cond: m.cloneExpr(st.Cond), Body: m.cloneBody(st.Body)})
 	case *If:
-		m.ifs = append(m.ifs, If{StmtBase: st.StmtBase, Cond: m.expr(st.Cond), Then: m.body(st.Then), Else: m.body(st.Else)})
-		return &m.ifs[len(m.ifs)-1]
+		return newNode(&m.ifs, If{StmtBase: st.StmtBase, Cond: m.cloneExpr(st.Cond), Then: m.cloneBody(st.Then), Else: m.cloneBody(st.Else)})
 	default:
 		panic("mpl: Clone: unknown statement type")
 	}
 }
 
-func (m *cloneMem) expr(e Expr) Expr {
+func (m *nodeMem) cloneExpr(e Expr) Expr {
 	switch x := e.(type) {
 	case nil:
 		return nil
 	case *IntLit:
-		m.intLits = append(m.intLits, IntLit{Value: x.Value})
-		return &m.intLits[len(m.intLits)-1]
+		return newNode(&m.intLits, IntLit{Value: x.Value})
 	case *Ident:
-		m.idents = append(m.idents, Ident{Name: x.Name})
-		return &m.idents[len(m.idents)-1]
+		return newNode(&m.idents, Ident{Name: x.Name})
 	case *Call:
-		args := m.exprs[m.exprOff : m.exprOff+len(x.Args) : m.exprOff+len(x.Args)]
-		m.exprOff += len(x.Args)
+		args := cut(&m.exprs, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = m.expr(a)
+			args[i] = m.cloneExpr(a)
 		}
-		m.calls = append(m.calls, Call{Name: x.Name, Args: args})
-		return &m.calls[len(m.calls)-1]
+		return newNode(&m.calls, Call{Name: x.Name, Args: args})
 	case *Unary:
-		m.unaries = append(m.unaries, Unary{Op: x.Op, X: m.expr(x.X)})
-		return &m.unaries[len(m.unaries)-1]
+		return newNode(&m.unaries, Unary{Op: x.Op, X: m.cloneExpr(x.X)})
 	case *Binary:
-		m.binaries = append(m.binaries, Binary{Op: x.Op, L: m.expr(x.L), R: m.expr(x.R)})
-		return &m.binaries[len(m.binaries)-1]
+		return newNode(&m.binaries, Binary{Op: x.Op, L: m.cloneExpr(x.L), R: m.cloneExpr(x.R)})
 	default:
 		panic("mpl: Clone: unknown expression type")
 	}

@@ -5,29 +5,38 @@ import (
 	"testing"
 )
 
+// parseFuzzSeeds is FuzzMPLParse's seed corpus, shared with the lexer
+// differential (TestLexerMatchesReference).
+var parseFuzzSeeds = []string{
+	"",
+	"program p\nproc { }",
+	"program p\nvar x\nproc { x = 1 }",
+	jacobiSrc,
+	"program p\nconst K = -3\nvar a, b\nproc { while a < K { chkpt } }",
+	"program p\nvar v\nproc { bcast(0, v)\nif rank % 2 == 0 { send(rank + 1, v) } else { recv(rank - 1, v) } }",
+	"program p\nvar x\nproc { x = input(rank) % (nproc - 1) }",
+	"program p\nproc { chkpt\nchkpt\nchkpt }",
+	"program p\nvar x\nproc { if rank == 0 { x = 1 } else if rank == 1 { x = 2 } else { x = 3 } }",
+	"program \xff\nproc { }",
+	"program p\nproc { while 1 { } }",
+	"program p # comment\nproc { } # trailing",
+	// Deep nesting: blocks, parentheses and unary operators together.
+	"program p\nvar x\nproc { " + strings.Repeat("while 1 { ", 40) + "x = " + strings.Repeat("-(", 200) + "1" +
+		strings.Repeat(")", 200) + strings.Repeat(" }", 40) + " }",
+}
+
 // FuzzMPLParse checks the parser's crash-freedom and, when parsing succeeds,
 // the print/reparse fixpoint: Format(Parse(x)) must itself parse to a
-// program that formats identically. Run with `go test -fuzz FuzzMPLParse`;
-// the seed corpus runs under plain `go test`.
+// program that formats identically. Its second property is the lexer
+// differential: on every input the in-place lexer yields the token stream,
+// or the first error, of the []rune reference it replaced. Run with
+// `go test -fuzz FuzzMPLParse`; the seed corpus runs under plain `go test`.
 func FuzzMPLParse(f *testing.F) {
-	seeds := []string{
-		"",
-		"program p\nproc { }",
-		"program p\nvar x\nproc { x = 1 }",
-		jacobiSrc,
-		"program p\nconst K = -3\nvar a, b\nproc { while a < K { chkpt } }",
-		"program p\nvar v\nproc { bcast(0, v)\nif rank % 2 == 0 { send(rank + 1, v) } else { recv(rank - 1, v) } }",
-		"program p\nvar x\nproc { x = input(rank) % (nproc - 1) }",
-		"program p\nproc { chkpt\nchkpt\nchkpt }",
-		"program p\nvar x\nproc { if rank == 0 { x = 1 } else if rank == 1 { x = 2 } else { x = 3 } }",
-		"program \xff\nproc { }",
-		"program p\nproc { while 1 { } }",
-		"program p # comment\nproc { } # trailing",
-	}
-	for _, s := range seeds {
+	for _, s := range parseFuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		assertLexesLikeReference(t, src)
 		p1, err := Parse(src)
 		if err != nil {
 			return // rejection is fine; crashing is not

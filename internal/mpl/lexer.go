@@ -3,18 +3,22 @@ package mpl
 import (
 	"fmt"
 	"unicode"
+	"unicode/utf8"
 )
 
-// lexer scans MPL source into tokens. Comments run from '#' to end of line.
+// lexer scans MPL source into tokens, in place: the source string is never
+// copied, and every Token.Text is a substring of it. Comments run from '#'
+// to end of line. Columns count runes, and every invalid UTF-8 byte is one
+// U+FFFD column.
 type lexer struct {
-	src  []rune
-	off  int
+	src  string
+	off  int // byte offset of the next rune
 	line int
 	col  int
 }
 
-func newLexer(src string) *lexer {
-	return &lexer{src: []rune(src), line: 1, col: 1}
+func newLexer(src string) lexer {
+	return lexer{src: src, line: 1, col: 1}
 }
 
 // SyntaxError reports a lexical or parse error with its position.
@@ -28,145 +32,117 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("mpl: %s: %s", e.Pos, e.Msg)
 }
 
-func (l *lexer) errorf(pos Pos, format string, args ...any) error {
-	return &SyntaxError{Pos: pos, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (l *lexer) peek() rune {
+// peek returns the rune at the scan position and its width in bytes, or
+// (0, 0) at end of input.
+func (l *lexer) peek() (rune, int) {
 	if l.off >= len(l.src) {
-		return 0
+		return 0, 0
 	}
-	return l.src[l.off]
+	if c := l.src[l.off]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[l.off:])
 }
 
-func (l *lexer) advance() rune {
-	r := l.src[l.off]
-	l.off++
+// advance steps over the rune peek returned.
+func (l *lexer) advance(r rune, width int) {
+	l.off += width
 	if r == '\n' {
 		l.line++
 		l.col = 1
 	} else {
 		l.col++
 	}
-	return r
 }
 
-func (l *lexer) skipSpaceAndComments() {
-	for l.off < len(l.src) {
-		r := l.peek()
-		switch {
-		case r == '#':
-			for l.off < len(l.src) && l.peek() != '\n' {
-				l.advance()
-			}
-		case unicode.IsSpace(r):
-			l.advance()
-		default:
-			return
-		}
+// skipWhile advances over the run of runes satisfying ok.
+func (l *lexer) skipWhile(ok func(rune) bool) {
+	for r, w := l.peek(); w > 0 && ok(r); r, w = l.peek() {
+		l.advance(r, w)
 	}
 }
+
+func isIdentRune(r rune) bool { return r == '_' || unicode.IsLetter(r) || unicode.IsDigit(r) }
+func notNewline(r rune) bool  { return r != '\n' }
 
 // next returns the next token.
 func (l *lexer) next() (Token, error) {
-	l.skipSpaceAndComments()
+	r, w := l.peek()
+	for w > 0 && (r == '#' || unicode.IsSpace(r)) {
+		if r == '#' {
+			l.skipWhile(notNewline)
+		} else {
+			l.advance(r, w)
+		}
+		r, w = l.peek()
+	}
 	pos := Pos{Line: l.line, Col: l.col}
-	if l.off >= len(l.src) {
+	if w == 0 {
 		return Token{Kind: TokenEOF, Pos: pos}, nil
 	}
-	r := l.peek()
+	start := l.off
 	switch {
 	case unicode.IsLetter(r) || r == '_':
-		start := l.off
-		for l.off < len(l.src) && (unicode.IsLetter(l.peek()) || unicode.IsDigit(l.peek()) || l.peek() == '_') {
-			l.advance()
-		}
-		text := string(l.src[start:l.off])
+		l.skipWhile(isIdentRune)
+		text := l.src[start:l.off]
 		kind := TokenIdent
 		if keywords[text] {
 			kind = TokenKeyword
 		}
 		return Token{Kind: kind, Text: text, Pos: pos}, nil
 	case unicode.IsDigit(r):
-		start := l.off
-		for l.off < len(l.src) && unicode.IsDigit(l.peek()) {
-			l.advance()
-		}
-		return Token{Kind: TokenInt, Text: string(l.src[start:l.off]), Pos: pos}, nil
+		l.skipWhile(unicode.IsDigit)
+		return Token{Kind: TokenInt, Text: l.src[start:l.off], Pos: pos}, nil
 	}
 
-	two := func(second rune, yes, no TokenKind, yesText, noText string) (Token, error) {
-		l.advance()
-		if l.peek() == second {
-			l.advance()
-			return Token{Kind: yes, Text: yesText, Pos: pos}, nil
-		}
-		if no == 0 {
-			return Token{}, l.errorf(pos, "unexpected character %q", string(r))
-		}
-		return Token{Kind: no, Text: noText, Pos: pos}, nil
-	}
-
+	l.advance(r, w)
+	kind := TokenKind(0)
 	switch r {
 	case '{':
-		l.advance()
-		return Token{Kind: TokenLBrace, Text: "{", Pos: pos}, nil
+		kind = TokenLBrace
 	case '}':
-		l.advance()
-		return Token{Kind: TokenRBrace, Text: "}", Pos: pos}, nil
+		kind = TokenRBrace
 	case '(':
-		l.advance()
-		return Token{Kind: TokenLParen, Text: "(", Pos: pos}, nil
+		kind = TokenLParen
 	case ')':
-		l.advance()
-		return Token{Kind: TokenRParen, Text: ")", Pos: pos}, nil
+		kind = TokenRParen
 	case ',':
-		l.advance()
-		return Token{Kind: TokenComma, Text: ",", Pos: pos}, nil
+		kind = TokenComma
 	case '+':
-		l.advance()
-		return Token{Kind: TokenPlus, Text: "+", Pos: pos}, nil
+		kind = TokenPlus
 	case '-':
-		l.advance()
-		return Token{Kind: TokenMinus, Text: "-", Pos: pos}, nil
+		kind = TokenMinus
 	case '*':
-		l.advance()
-		return Token{Kind: TokenStar, Text: "*", Pos: pos}, nil
+		kind = TokenStar
 	case '/':
-		l.advance()
-		return Token{Kind: TokenSlash, Text: "/", Pos: pos}, nil
+		kind = TokenSlash
 	case '%':
-		l.advance()
-		return Token{Kind: TokenPct, Text: "%", Pos: pos}, nil
+		kind = TokenPct
 	case '=':
-		return two('=', TokenEq, TokenAssign, "==", "=")
+		kind = l.two('=', TokenEq, TokenAssign)
 	case '!':
-		return two('=', TokenNeq, TokenNot, "!=", "!")
+		kind = l.two('=', TokenNeq, TokenNot)
 	case '<':
-		return two('=', TokenLe, TokenLt, "<=", "<")
+		kind = l.two('=', TokenLe, TokenLt)
 	case '>':
-		return two('=', TokenGe, TokenGt, ">=", ">")
+		kind = l.two('=', TokenGe, TokenGt)
 	case '&':
-		return two('&', TokenAnd, 0, "&&", "")
+		kind = l.two('&', TokenAnd, 0)
 	case '|':
-		return two('|', TokenOr, 0, "||", "")
-	default:
-		return Token{}, l.errorf(pos, "unexpected character %q", string(r))
+		kind = l.two('|', TokenOr, 0)
 	}
+	if kind == 0 {
+		return Token{}, &SyntaxError{Pos: pos, Msg: fmt.Sprintf("unexpected character %q", string(r))}
+	}
+	return Token{Kind: kind, Text: l.src[start:l.off], Pos: pos}, nil
 }
 
-// lexAll scans the whole input, returning the token stream ending in EOF.
-func lexAll(src string) ([]Token, error) {
-	l := newLexer(src)
-	var toks []Token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == TokenEOF {
-			return toks, nil
-		}
+// two resolves a one-or-two-character operator whose first character has
+// been consumed: yes when second follows (and is consumed), else no.
+func (l *lexer) two(second rune, yes, no TokenKind) TokenKind {
+	if r, w := l.peek(); w > 0 && r == second {
+		l.advance(r, w)
+		return yes
 	}
+	return no
 }

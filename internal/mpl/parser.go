@@ -5,15 +5,30 @@ import (
 	"strconv"
 )
 
+// maxDepth bounds how deep Parse lets statements, unary operators,
+// parentheses and call arguments nest, and how long an operator chain may
+// grow at any one level. The parser and every walker behind it (Format,
+// Clone, cfg, Eval) recurse per level of the tree, and a Go stack overflow
+// is fatal, not an error — so hostile input is refused here. Real programs
+// nest less than 20 deep; 10,000 levels is about 10 MB of parser stack.
+const maxDepth = 10000
+
 // Parse parses MPL source into a checked Program. Statement IDs are
-// assigned in source order starting at 0.
+// assigned in source order starting at 0. The first error in source order
+// is the one reported.
+//
+// The program's names are substrings of src and its nodes are cut from
+// shared chunks: a Program keeps its source text alive (a few KB), and a
+// chunk lives as long as any node in it.
 func Parse(src string) (*Program, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := parser{lex: newLexer(src)}
+	p.advance()
 	prog, err := p.parseProgram()
+	if p.lexErr != nil {
+		// Whatever the parser made of the token it could not read, the
+		// error is the lexer's.
+		return nil, p.lexErr
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -24,20 +39,46 @@ func Parse(src string) (*Program, error) {
 }
 
 type parser struct {
-	toks   []Token
-	pos    int
+	lex    lexer
+	tok    Token // the one token of look-ahead
+	lexErr error // set once the lexer fails; tok is then an end of input, for good
 	nextID int
+	depth  int // current nesting, at most maxDepth
+
+	mem   nodeMem
+	stmts []Stmt // statements of the open blocks, innermost last
+	args  []Expr // arguments of the open calls, innermost last
 }
 
-func (p *parser) cur() Token { return p.toks[p.pos] }
-func (p *parser) advance()   { p.pos++ }
+func (p *parser) advance() {
+	if p.lexErr != nil {
+		return
+	}
+	p.tok, p.lexErr = p.lex.next()
+	if p.lexErr != nil {
+		p.tok = Token{Kind: TokenEOF}
+	}
+}
 
 func (p *parser) errorf(format string, args ...any) error {
-	return &SyntaxError{Pos: p.cur().Pos, Msg: fmt.Sprintf(format, args...)}
+	return &SyntaxError{Pos: p.tok.Pos, Msg: fmt.Sprintf(format, args...)}
+}
+
+// enter descends one nesting level; the caller leaves it with p.depth--.
+func (p *parser) enter() error {
+	if p.depth >= maxDepth {
+		return p.errTooDeep()
+	}
+	p.depth++
+	return nil
+}
+
+func (p *parser) errTooDeep() error {
+	return p.errorf("nesting or operator chain deeper than %d levels", maxDepth)
 }
 
 func (p *parser) expect(kind TokenKind, what string) (Token, error) {
-	t := p.cur()
+	t := p.tok
 	if t.Kind != kind {
 		return Token{}, p.errorf("expected %s, found %s", what, t)
 	}
@@ -46,17 +87,30 @@ func (p *parser) expect(kind TokenKind, what string) (Token, error) {
 }
 
 func (p *parser) expectKeyword(kw string) error {
-	t := p.cur()
-	if t.Kind != TokenKeyword || t.Text != kw {
-		return p.errorf("expected %q, found %s", kw, t)
+	if !p.atKeyword(kw) {
+		return p.errorf("expected %q, found %s", kw, p.tok)
 	}
 	p.advance()
 	return nil
 }
 
 func (p *parser) atKeyword(kw string) bool {
-	t := p.cur()
-	return t.Kind == TokenKeyword && t.Text == kw
+	return p.tok.Kind == TokenKeyword && p.tok.Text == kw
+}
+
+// intLit consumes an integer literal. One that does not fit an int is an
+// error at the literal itself, so it is converted before the next token is
+// read.
+func (p *parser) intLit() (int, error) {
+	if p.tok.Kind != TokenInt {
+		return 0, p.errorf("expected integer literal, found %s", p.tok)
+	}
+	v, err := strconv.Atoi(p.tok.Text)
+	if err != nil {
+		return 0, p.errorf("bad integer %q", p.tok.Text)
+	}
+	p.advance()
+	return v, nil
 }
 
 func (p *parser) newBase(pos Pos) StmtBase {
@@ -87,17 +141,13 @@ func (p *parser) parseProgram() (*Program, error) {
 				return nil, err
 			}
 			neg := false
-			if p.cur().Kind == TokenMinus {
+			if p.tok.Kind == TokenMinus {
 				neg = true
 				p.advance()
 			}
-			lit, err := p.expect(TokenInt, "integer literal")
+			v, err := p.intLit()
 			if err != nil {
 				return nil, err
-			}
-			v, err := strconv.Atoi(lit.Text)
-			if err != nil {
-				return nil, p.errorf("bad integer %q", lit.Text)
 			}
 			if neg {
 				v = -v
@@ -111,7 +161,7 @@ func (p *parser) parseProgram() (*Program, error) {
 					return nil, err
 				}
 				prog.Vars = append(prog.Vars, id.Text)
-				if p.cur().Kind != TokenComma {
+				if p.tok.Kind != TokenComma {
 					break
 				}
 				p.advance()
@@ -128,32 +178,57 @@ func (p *parser) parseProgram() (*Program, error) {
 			}
 			return prog, nil
 		default:
-			return nil, p.errorf("expected declaration or proc block, found %s", p.cur())
+			return nil, p.errorf("expected declaration or proc block, found %s", p.tok)
 		}
 	}
+}
+
+// copyOut moves the top of a parser stack — one block's statements, one
+// call's arguments — into an exactly-sized cut of *chunk and pops it. An
+// empty list stays nil.
+func copyOut[T any](chunk *[]T, stack *[]T, mark int) []T {
+	top := (*stack)[mark:]
+	*stack = (*stack)[:mark]
+	if len(top) == 0 {
+		return nil
+	}
+	out := cut(chunk, len(top))
+	copy(out, top)
+	return out
 }
 
 func (p *parser) parseBlock() ([]Stmt, error) {
 	if _, err := p.expect(TokenLBrace, `"{"`); err != nil {
 		return nil, err
 	}
-	var stmts []Stmt
-	for p.cur().Kind != TokenRBrace {
-		if p.cur().Kind == TokenEOF {
+	mark := len(p.stmts)
+	for p.tok.Kind != TokenRBrace {
+		if p.tok.Kind == TokenEOF {
 			return nil, p.errorf(`unexpected end of input, expected "}"`)
 		}
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		stmts = append(stmts, s)
+		p.stmts = append(p.stmts, s)
 	}
 	p.advance() // consume }
-	return stmts, nil
+	return copyOut(&p.mem.stmts, &p.stmts, mark), nil
 }
 
+// parseStmt parses one statement, one nesting level down.
 func (p *parser) parseStmt() (Stmt, error) {
-	t := p.cur()
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	s, err := p.parseOneStmt()
+	p.depth--
+	return s, err
+}
+
+func (p *parser) parseOneStmt() (Stmt, error) {
+	t := p.tok
+	m := &p.mem
 	switch {
 	case t.Kind == TokenIdent:
 		// assignment
@@ -166,11 +241,11 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Assign{StmtBase: base, Name: t.Text, X: x}, nil
+		return newNode(&m.assigns, Assign{StmtBase: base, Name: t.Text, X: x}), nil
 	case p.atKeyword("chkpt"):
 		base := p.newBase(t.Pos)
 		p.advance()
-		return &Chkpt{StmtBase: base}, nil
+		return newNode(&m.chkpts, Chkpt{StmtBase: base}), nil
 	case p.atKeyword("send"), p.atKeyword("recv"), p.atKeyword("bcast"), p.atKeyword("reduce"):
 		kw := t.Text
 		base := p.newBase(t.Pos)
@@ -194,13 +269,13 @@ func (p *parser) parseStmt() (Stmt, error) {
 		}
 		switch kw {
 		case "send":
-			return &Send{StmtBase: base, Dest: peer, Var: v.Text}, nil
+			return newNode(&m.sends, Send{StmtBase: base, Dest: peer, Var: v.Text}), nil
 		case "recv":
-			return &Recv{StmtBase: base, Src: peer, Var: v.Text}, nil
+			return newNode(&m.recvs, Recv{StmtBase: base, Src: peer, Var: v.Text}), nil
 		case "bcast":
-			return &Bcast{StmtBase: base, Root: peer, Var: v.Text}, nil
+			return newNode(&m.bcasts, Bcast{StmtBase: base, Root: peer, Var: v.Text}), nil
 		default:
-			return &Reduce{StmtBase: base, Root: peer, Var: v.Text}, nil
+			return newNode(&m.reduces, Reduce{StmtBase: base, Root: peer, Var: v.Text}), nil
 		}
 	case p.atKeyword("work"):
 		base := p.newBase(t.Pos)
@@ -215,7 +290,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(TokenRParen, `")"`); err != nil {
 			return nil, err
 		}
-		return &Work{StmtBase: base, Amount: amt}, nil
+		return newNode(&m.works, Work{StmtBase: base, Amount: amt}), nil
 	case p.atKeyword("while"):
 		base := p.newBase(t.Pos)
 		p.advance()
@@ -227,7 +302,7 @@ func (p *parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &While{StmtBase: base, Cond: cond, Body: body}, nil
+		return newNode(&m.whiles, While{StmtBase: base, Cond: cond, Body: body}), nil
 	case p.atKeyword("if"):
 		base := p.newBase(t.Pos)
 		p.advance()
@@ -248,7 +323,8 @@ func (p *parser) parseStmt() (Stmt, error) {
 				if err != nil {
 					return nil, err
 				}
-				els = []Stmt{s}
+				els = cut(&m.stmts, 1)
+				els[0] = s
 			} else {
 				els, err = p.parseBlock()
 				if err != nil {
@@ -256,10 +332,28 @@ func (p *parser) parseStmt() (Stmt, error) {
 				}
 			}
 		}
-		return &If{StmtBase: base, Cond: cond, Then: then, Else: els}, nil
+		return newNode(&m.ifs, If{StmtBase: base, Cond: cond, Then: then, Else: els}), nil
 	default:
 		return nil, p.errorf("expected statement, found %s", t)
 	}
+}
+
+// Binary operator precedence levels, lowest first; 0 is "not a binary
+// operator".
+const (
+	precOr = iota + 1
+	precAnd
+	precCmp
+	precAdd
+	precMul
+)
+
+var binPrec = [TokenNot + 1]int{
+	TokenOr:  precOr,
+	TokenAnd: precAnd,
+	TokenEq:  precCmp, TokenNeq: precCmp, TokenLt: precCmp, TokenLe: precCmp, TokenGt: precCmp, TokenGe: precCmp,
+	TokenPlus: precAdd, TokenMinus: precAdd,
+	TokenStar: precMul, TokenSlash: precMul, TokenPct: precMul,
 }
 
 // Expression grammar (precedence climbing, lowest first):
@@ -271,170 +365,92 @@ func (p *parser) parseStmt() (Stmt, error) {
 //	mul:   unary (("*"|"/"|"%") unary)*
 //	unary: ("-"|"!") unary | primary
 //	primary: INT | IDENT | IDENT "(" args ")" | "(" expr ")"
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(precOr) }
 
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
+// parseBinary parses the grammar level whose operators have precedence
+// prec: operands from the next level up, left-associative.
+func (p *parser) parseBinary(prec int) (Expr, error) {
+	if prec > precMul {
+		return p.parseUnary()
+	}
+	l, err := p.parseBinary(prec + 1)
 	if err != nil {
 		return nil, err
 	}
-	for p.cur().Kind == TokenOr {
+	// Every operator of the chain puts l one level deeper in the tree.
+	for n := 1; binPrec[p.tok.Kind] == prec; n++ {
+		if p.depth+n > maxDepth {
+			return nil, p.errTooDeep()
+		}
+		op := p.tok.Text
 		p.advance()
-		r, err := p.parseAnd()
+		r, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		l = &Binary{Op: "||", L: l, R: r}
+		l = newNode(&p.mem.binaries, Binary{Op: op, L: l, R: r})
+		if prec == precCmp {
+			break // comparisons do not chain
+		}
 	}
 	return l, nil
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseCmp()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().Kind == TokenAnd {
-		p.advance()
-		r, err := p.parseCmp()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: "&&", L: l, R: r}
-	}
-	return l, nil
-}
-
-var cmpOps = map[TokenKind]string{
-	TokenEq:  "==",
-	TokenNeq: "!=",
-	TokenLt:  "<",
-	TokenLe:  "<=",
-	TokenGt:  ">",
-	TokenGe:  ">=",
-}
-
-func (p *parser) parseCmp() (Expr, error) {
-	l, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	if op, ok := cmpOps[p.cur().Kind]; ok {
-		p.advance()
-		r, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		return &Binary{Op: op, L: l, R: r}, nil
-	}
-	return l, nil
-}
-
-func (p *parser) parseAdd() (Expr, error) {
-	l, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.cur().Kind {
-		case TokenPlus:
-			op = "+"
-		case TokenMinus:
-			op = "-"
-		default:
-			return l, nil
-		}
-		p.advance()
-		r, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: op, L: l, R: r}
-	}
-}
-
-func (p *parser) parseMul() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch p.cur().Kind {
-		case TokenStar:
-			op = "*"
-		case TokenSlash:
-			op = "/"
-		case TokenPct:
-			op = "%"
-		default:
-			return l, nil
-		}
-		p.advance()
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &Binary{Op: op, L: l, R: r}
-	}
-}
-
+// parseUnary parses a unary expression, one nesting level down: every
+// cycle of the expression grammar (operators, parentheses, call arguments)
+// passes through here.
 func (p *parser) parseUnary() (Expr, error) {
-	switch p.cur().Kind {
-	case TokenMinus:
-		p.advance()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "-", X: x}, nil
-	case TokenNot:
-		p.advance()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "!", X: x}, nil
-	default:
-		return p.parsePrimary()
+	if err := p.enter(); err != nil {
+		return nil, err
 	}
+	var x Expr
+	var err error
+	if p.tok.Kind == TokenMinus || p.tok.Kind == TokenNot {
+		op := p.tok.Text
+		p.advance()
+		if x, err = p.parseUnary(); err == nil {
+			x = newNode(&p.mem.unaries, Unary{Op: op, X: x})
+		}
+	} else {
+		x, err = p.parsePrimary()
+	}
+	p.depth--
+	return x, err
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
-	t := p.cur()
+	t := p.tok
 	switch t.Kind {
 	case TokenInt:
-		p.advance()
-		v, err := strconv.Atoi(t.Text)
+		v, err := p.intLit()
 		if err != nil {
-			return nil, p.errorf("bad integer %q", t.Text)
+			return nil, err
 		}
-		return &IntLit{Value: v}, nil
+		return newNode(&p.mem.intLits, IntLit{Value: v}), nil
 	case TokenIdent:
 		p.advance()
-		if p.cur().Kind == TokenLParen {
-			p.advance()
-			var args []Expr
-			if p.cur().Kind != TokenRParen {
-				for {
-					a, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					args = append(args, a)
-					if p.cur().Kind != TokenComma {
-						break
-					}
-					p.advance()
-				}
-			}
-			if _, err := p.expect(TokenRParen, `")"`); err != nil {
-				return nil, err
-			}
-			return &Call{Name: t.Text, Args: args}, nil
+		if p.tok.Kind != TokenLParen {
+			return newNode(&p.mem.idents, Ident{Name: t.Text}), nil
 		}
-		return &Ident{Name: t.Text}, nil
+		p.advance()
+		mark := len(p.args)
+		if p.tok.Kind != TokenRParen {
+			for {
+				a, err := p.parseExpr()
+				if err != nil {
+					return nil, err
+				}
+				p.args = append(p.args, a)
+				if p.tok.Kind != TokenComma {
+					break
+				}
+				p.advance()
+			}
+		}
+		if _, err := p.expect(TokenRParen, `")"`); err != nil {
+			return nil, err
+		}
+		return newNode(&p.mem.calls, Call{Name: t.Text, Args: copyOut(&p.mem.exprs, &p.args, mark)}), nil
 	case TokenLParen:
 		p.advance()
 		x, err := p.parseExpr()

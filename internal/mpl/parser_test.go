@@ -193,15 +193,29 @@ func TestParseErrors(t *testing.T) {
 		name string
 		src  string
 		want string // substring of the error
+		pos  string // exact "line:col" of the error, when it matters
 	}{
-		{"missing program", "var x\nproc {}", `expected "program"`},
-		{"missing proc", "program p\nvar x", "expected declaration or proc"},
-		{"unclosed block", "program p\nproc { x = 1", "unexpected end of input"},
-		{"bad stmt", "program p\nproc { 42 }", "expected statement"},
-		{"missing paren", "program p\nvar x\nproc { send(1 x) }", `expected ","`},
-		{"trailing junk", "program p\nproc {} extra", "expected end of input"},
-		{"missing cond", "program p\nproc { while { } }", "expected expression"},
-		{"send needs var", "program p\nproc { send(0, 1) }", "variable name"},
+		{"missing program", "var x\nproc {}", `expected "program"`, ""},
+		{"missing proc", "program p\nvar x", "expected declaration or proc", ""},
+		{"unclosed block", "program p\nproc { x = 1", "unexpected end of input", ""},
+		{"bad stmt", "program p\nproc { 42 }", "expected statement", ""},
+		{"missing paren", "program p\nvar x\nproc { send(1 x) }", `expected ","`, ""},
+		{"trailing junk", "program p\nproc {} extra", "expected end of input", ""},
+		{"missing cond", "program p\nproc { while { } }", "expected expression", ""},
+		{"send needs var", "program p\nproc { send(0, 1) }", "variable name", ""},
+		// The first error in source order wins, whichever layer finds it.
+		{"syntax error before lexical error", "program p\nvar x\nproc { x = = 1 \n $ }", "expected expression", "3:12"},
+		{"lexical error before syntax error", "program p\nvar x\nproc { x = $ \n = }", `unexpected character "$"`, "3:12"},
+		// A lexical error surfaces as itself, not as whatever the parser
+		// would make of the token it could not read.
+		{"trailing garbage", "program p\nproc { } $", `unexpected character "$"`, "2:10"},
+		{"garbage where a block must close", "program p\nproc { chkpt\n  @", `unexpected character "@"`, "3:3"},
+		// A literal that does not fit an int is reported where it stands,
+		// not at the token after it.
+		{"bad integer", "program p\nvar x\nproc { x = 99999999999999999999\n}", `bad integer "99999999999999999999"`, "3:12"},
+		{"bad integer constant", "program p\nconst K = 99999999999999999999\nvar x\nproc { }", `bad integer "99999999999999999999"`, "2:11"},
+		{"bad integer before lexical error", "program p\nvar x\nproc { x = 99999999999999999999 $ }", "bad integer", "3:12"},
+		{"non-ASCII digit", "program p\nvar x\nproc { x = ٣ }", `bad integer "٣"`, "3:12"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -211,6 +225,16 @@ func TestParseErrors(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tt.want) {
 				t.Errorf("error = %q, want substring %q", err, tt.want)
+			}
+			if tt.pos == "" {
+				return
+			}
+			var se *SyntaxError
+			if !asSyntaxError(err, &se) {
+				t.Fatalf("error type = %T, want *SyntaxError", err)
+			}
+			if se.Pos.String() != tt.pos {
+				t.Errorf("error at %s, want %s: %v", se.Pos, tt.pos, err)
 			}
 		})
 	}
@@ -284,6 +308,27 @@ proc {
 	}
 }
 
+// TestFormatGoldens holds Parse and Format to bytes committed before either
+// was rewritten: each golden is what Format printed, at the commit before
+// the in-place lexer and the single-buffer printer, for a transformed
+// program (internal/core's TestPipelineOutputMatchesGoldens regenerates
+// them through the whole pipeline). Parsing one and printing it again must
+// give the same bytes back.
+func TestFormatGoldens(t *testing.T) {
+	for name, golden := range goldenSources(t) {
+		p, err := Parse(golden)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := Format(p); got != golden {
+			t.Errorf("%s: Format(Parse(golden)) differs from the golden\ngot:\n%s\nwant:\n%s", name, got, golden)
+		}
+		if got := Format(Clone(p)); got != golden {
+			t.Errorf("%s: Format(Clone(Parse(golden))) differs from the golden", name)
+		}
+	}
+}
+
 func TestCloneIsDeep(t *testing.T) {
 	p, err := Parse(jacobiSrc)
 	if err != nil {
@@ -316,5 +361,68 @@ func TestFindStmt(t *testing.T) {
 	}
 	if p.FindStmt(9999) != nil {
 		t.Error("FindStmt(9999) should be nil")
+	}
+}
+
+// TestParseDepthLimit feeds Parse the shapes that make a recursive-descent
+// parser (and the recursive walkers behind it) recurse once per level, each
+// at the deepest nesting it accepts and one level past it: the first must
+// parse, the second must come back as a *SyntaxError — not as Go's fatal,
+// unrecoverable stack overflow, which is what unbounded input used to buy.
+func TestParseDepthLimit(t *testing.T) {
+	stmt := func(s string) string { return "program p\nvar x\nproc { " + s + " }" }
+	shapes := []struct {
+		name string
+		gen  func(n int) string
+		// limit is the largest n Parse accepts: maxDepth less the levels
+		// the shape spends outside its repeated part (the statement holding
+		// an expression, the operand or condition at the bottom).
+		limit int
+		// walk says Format's output stays linear in n, so the walkers can
+		// be run on the accepted program too.
+		walk bool
+	}{
+		{"parentheses", func(n int) string {
+			return stmt("x = " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n))
+		}, maxDepth - 2, true},
+		{"unary operators", func(n int) string {
+			return stmt("x = " + strings.Repeat("- ", n) + "1")
+		}, maxDepth - 2, true},
+		{"operator chain", func(n int) string {
+			return stmt("x = 1" + strings.Repeat("+1", n))
+		}, maxDepth - 1, true},
+		{"nested while", func(n int) string {
+			return stmt(strings.Repeat("while 1 { ", n) + strings.Repeat("} ", n))
+		}, maxDepth - 1, false},
+		{"else-if chain", func(n int) string {
+			return stmt("if 1 { }" + strings.Repeat(" else if 1 { }", n-1))
+		}, maxDepth - 1, false},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			p, err := Parse(sh.gen(sh.limit))
+			if err != nil {
+				t.Fatalf("n = %d (the limit) rejected: %v", sh.limit, err)
+			}
+			if sh.walk {
+				x := Clone(p).Body[0].(*Assign).X
+				if _, err := Eval(x, &Env{Nproc: 1}); err != nil {
+					t.Errorf("Eval at the limit: %v", err)
+				}
+				if _, err := Parse(Format(p)); err != nil {
+					t.Errorf("Format's output at the limit does not reparse: %v", err)
+				}
+			}
+			for _, n := range []int{sh.limit + 1, 40 * maxDepth} {
+				_, err := Parse(sh.gen(n))
+				var se *SyntaxError
+				if !asSyntaxError(err, &se) {
+					t.Fatalf("n = %d: error %v (%T), want a *SyntaxError", n, err, err)
+				}
+				if !strings.Contains(se.Msg, "deeper than") {
+					t.Errorf("n = %d: error %q does not name the depth limit", n, se)
+				}
+			}
+		})
 	}
 }

@@ -9,101 +9,137 @@ import (
 // structurally identical program (statement IDs are reassigned in source
 // order). The checkpoint placement phase uses Format to emit the
 // transformed program.
+//
+// The program is walked twice, first only to measure: the output is built
+// in one exactly-sized buffer, and no expression or number is rendered to a
+// string of its own on the way.
 func Format(p *Program) string {
-	var sb strings.Builder
-	sb.WriteString("program ")
-	sb.WriteString(p.Name)
-	sb.WriteString("\n")
+	pr := printer{measuring: true}
+	pr.program(p)
+	pr.sb.Grow(pr.size)
+	pr.measuring = false
+	pr.program(p)
+	return pr.sb.String()
+}
+
+// printer is the output of Format and ExprString: a builder, or — while
+// measuring — only the number of bytes it would have been given.
+type printer struct {
+	sb        strings.Builder
+	measuring bool
+	size      int
+}
+
+func (pr *printer) str(s string) {
+	if pr.measuring {
+		pr.size += len(s)
+		return
+	}
+	pr.sb.WriteString(s)
+}
+
+func (pr *printer) int(v int) {
+	var digits [20]byte // room for any int64
+	b := strconv.AppendInt(digits[:0], int64(v), 10)
+	if pr.measuring {
+		pr.size += len(b)
+		return
+	}
+	pr.sb.Write(b)
+}
+
+func (pr *printer) program(p *Program) {
+	pr.str("program ")
+	pr.str(p.Name)
+	pr.str("\n")
 	if len(p.Consts) > 0 {
-		sb.WriteString("\n")
+		pr.str("\n")
 		for _, c := range p.Consts {
-			sb.WriteString("const ")
-			sb.WriteString(c.Name)
-			sb.WriteString(" = ")
-			sb.WriteString(strconv.Itoa(c.Value))
-			sb.WriteString("\n")
+			pr.str("const ")
+			pr.str(c.Name)
+			pr.str(" = ")
+			pr.int(c.Value)
+			pr.str("\n")
 		}
 	}
 	if len(p.Vars) > 0 {
-		sb.WriteString("\nvar ")
-		sb.WriteString(strings.Join(p.Vars, ", "))
-		sb.WriteString("\n")
+		pr.str("\nvar ")
+		for i, v := range p.Vars {
+			if i > 0 {
+				pr.str(", ")
+			}
+			pr.str(v)
+		}
+		pr.str("\n")
 	}
-	sb.WriteString("\nproc {\n")
-	formatBody(&sb, p.Body, 1)
-	sb.WriteString("}\n")
-	return sb.String()
+	pr.str("\nproc {\n")
+	pr.body(p.Body, 1)
+	pr.str("}\n")
 }
 
-func indent(sb *strings.Builder, depth int) {
+func (pr *printer) indent(depth int) {
 	for i := 0; i < depth; i++ {
-		sb.WriteString("    ")
+		pr.str("    ")
 	}
 }
 
-func formatBody(sb *strings.Builder, body []Stmt, depth int) {
+func (pr *printer) body(body []Stmt, depth int) {
 	for _, s := range body {
-		formatStmt(sb, s, depth)
+		pr.stmt(s, depth)
 	}
 }
 
-func formatStmt(sb *strings.Builder, s Stmt, depth int) {
-	indent(sb, depth)
+// message prints "<op>(<peer>, <buf>)", the shape of all four
+// communication statements.
+func (pr *printer) message(op string, peer Expr, buf string) {
+	pr.str(op)
+	pr.expr(peer, 0)
+	pr.str(", ")
+	pr.str(buf)
+	pr.str(")\n")
+}
+
+func (pr *printer) stmt(s Stmt, depth int) {
+	pr.indent(depth)
 	switch st := s.(type) {
 	case *Assign:
-		sb.WriteString(st.Name)
-		sb.WriteString(" = ")
-		sb.WriteString(ExprString(st.X))
-		sb.WriteString("\n")
+		pr.str(st.Name)
+		pr.str(" = ")
+		pr.expr(st.X, 0)
+		pr.str("\n")
 	case *Work:
-		sb.WriteString("work(")
-		sb.WriteString(ExprString(st.Amount))
-		sb.WriteString(")\n")
+		pr.str("work(")
+		pr.expr(st.Amount, 0)
+		pr.str(")\n")
 	case *Send:
-		sb.WriteString("send(")
-		sb.WriteString(ExprString(st.Dest))
-		sb.WriteString(", ")
-		sb.WriteString(st.Var)
-		sb.WriteString(")\n")
+		pr.message("send(", st.Dest, st.Var)
 	case *Recv:
-		sb.WriteString("recv(")
-		sb.WriteString(ExprString(st.Src))
-		sb.WriteString(", ")
-		sb.WriteString(st.Var)
-		sb.WriteString(")\n")
+		pr.message("recv(", st.Src, st.Var)
 	case *Bcast:
-		sb.WriteString("bcast(")
-		sb.WriteString(ExprString(st.Root))
-		sb.WriteString(", ")
-		sb.WriteString(st.Var)
-		sb.WriteString(")\n")
+		pr.message("bcast(", st.Root, st.Var)
 	case *Reduce:
-		sb.WriteString("reduce(")
-		sb.WriteString(ExprString(st.Root))
-		sb.WriteString(", ")
-		sb.WriteString(st.Var)
-		sb.WriteString(")\n")
+		pr.message("reduce(", st.Root, st.Var)
 	case *Chkpt:
-		sb.WriteString("chkpt\n")
+		pr.str("chkpt\n")
 	case *While:
-		sb.WriteString("while ")
-		sb.WriteString(ExprString(st.Cond))
-		sb.WriteString(" {\n")
-		formatBody(sb, st.Body, depth+1)
-		indent(sb, depth)
-		sb.WriteString("}\n")
+		pr.str("while ")
+		pr.expr(st.Cond, 0)
+		pr.str(" {\n")
+		pr.body(st.Body, depth+1)
+		pr.indent(depth)
+		pr.str("}\n")
 	case *If:
-		sb.WriteString("if ")
-		sb.WriteString(ExprString(st.Cond))
-		sb.WriteString(" {\n")
-		formatBody(sb, st.Then, depth+1)
-		indent(sb, depth)
+		pr.str("if ")
+		pr.expr(st.Cond, 0)
+		pr.str(" {\n")
+		pr.body(st.Then, depth+1)
+		pr.indent(depth)
 		if len(st.Else) > 0 {
-			sb.WriteString("} else {\n")
-			formatBody(sb, st.Else, depth+1)
-			indent(sb, depth)
+			pr.str("} else {\n")
+			pr.body(st.Else, depth+1)
+			pr.indent(depth)
 		}
-		sb.WriteString("}\n")
+		pr.str("}\n")
 	}
 }
 
@@ -132,45 +168,45 @@ func exprPrec(e Expr) int {
 
 // ExprString renders an expression with minimal parentheses.
 func ExprString(e Expr) string {
-	var sb strings.Builder
-	writeExpr(&sb, e, 0)
-	return sb.String()
+	var pr printer
+	pr.expr(e, 0)
+	return pr.sb.String()
 }
 
-func writeExpr(sb *strings.Builder, e Expr, parentPrec int) {
+func (pr *printer) expr(e Expr, parentPrec int) {
 	prec := exprPrec(e)
 	needParens := prec < parentPrec
 	if needParens {
-		sb.WriteByte('(')
+		pr.str("(")
 	}
 	switch x := e.(type) {
 	case *IntLit:
-		sb.WriteString(strconv.Itoa(x.Value))
+		pr.int(x.Value)
 	case *Ident:
-		sb.WriteString(x.Name)
+		pr.str(x.Name)
 	case *Call:
-		sb.WriteString(x.Name)
-		sb.WriteByte('(')
+		pr.str(x.Name)
+		pr.str("(")
 		for i, a := range x.Args {
 			if i > 0 {
-				sb.WriteString(", ")
+				pr.str(", ")
 			}
-			writeExpr(sb, a, 0)
+			pr.expr(a, 0)
 		}
-		sb.WriteByte(')')
+		pr.str(")")
 	case *Unary:
-		sb.WriteString(x.Op)
-		writeExpr(sb, x.X, prec)
+		pr.str(x.Op)
+		pr.expr(x.X, prec)
 	case *Binary:
 		// Left associative: the right child needs strictly higher precedence
 		// to avoid parens.
-		writeExpr(sb, x.L, prec)
-		sb.WriteByte(' ')
-		sb.WriteString(x.Op)
-		sb.WriteByte(' ')
-		writeExpr(sb, x.R, prec+1)
+		pr.expr(x.L, prec)
+		pr.str(" ")
+		pr.str(x.Op)
+		pr.str(" ")
+		pr.expr(x.R, prec+1)
 	}
 	if needParens {
-		sb.WriteByte(')')
+		pr.str(")")
 	}
 }

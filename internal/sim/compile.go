@@ -102,6 +102,7 @@ func Compile(p *mpl.Program) (*Code, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	c := &Code{Prog: p, Enum: enum, Manifests: live.Live}
+	c.Instrs = make([]Instr, 0, instrCount(p.Body)+1) // +1: the halt
 	if err := c.compileBody(p.Body); err != nil {
 		return nil, err
 	}
@@ -143,6 +144,23 @@ func (c *Code) labelInstrs() {
 		}
 		in.Label = b.String()[start:]
 	}
+}
+
+// instrCount returns how many instructions compileBody emits for body.
+func instrCount(body []mpl.Stmt) int {
+	n := len(body)
+	for _, s := range body {
+		switch st := s.(type) {
+		case *mpl.While:
+			n += 1 + instrCount(st.Body) // the back jump
+		case *mpl.If:
+			n += instrCount(st.Then)
+			if len(st.Else) > 0 {
+				n += 1 + instrCount(st.Else) // the jump over the else arm
+			}
+		}
+	}
+	return n
 }
 
 func (c *Code) emit(i Instr) int {

@@ -181,6 +181,11 @@ func TestCompileWholeCorpus(t *testing.T) {
 			if code.Instrs[len(code.Instrs)-1].Op != OpHalt {
 				t.Error("program does not end in halt")
 			}
+			// Compile sizes Instrs with a counting walk before emitting:
+			// the count must be the number emitted.
+			if cap(code.Instrs) != len(code.Instrs) {
+				t.Errorf("%d instructions in an array sized for %d", len(code.Instrs), cap(code.Instrs))
+			}
 		})
 	}
 }

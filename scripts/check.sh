@@ -61,11 +61,13 @@ if [ "${CHECK_BENCH:-0}" = "1" ]; then
     # The spine as a correctness smoke: non-zero exit on any output
     # mismatch or leaked goroutine; its numbers are not gated here.
     # The traced run is the one place the real runtime's event tap drives
-    # benchmark/trace.go's observers.
-    echo '>> spine smoke (go run ./benchmark, durable-wal, fleet-wal, traced interp-mem)'
+    # benchmark/trace.go's observers; analysis-large's output check is the
+    # only end-to-end guard on Parse -> Transform -> Compile -> Format.
+    echo '>> spine smoke (go run ./benchmark, durable-wal, fleet-wal, traced interp-mem, analysis-large)'
     go run ./benchmark -workload durable-wal -seed 1 -seconds 3
     go run ./benchmark -workload fleet-wal -seed 1 -seconds 3
     go run ./benchmark -workload interp-mem -seed 1 -seconds 3 -trace
+    go run ./benchmark -workload analysis-large -seed 1 -seconds 3
 fi
 
 echo 'OK'
