@@ -94,21 +94,31 @@ func StraightCut(st storage.Store, n int) (*Line, error) {
 	if len(indexes) == 0 {
 		return nil, ErrNoRecoveryLine
 	}
-	var best []storage.Snapshot
+	// cut is the candidate being loaded; it becomes best by trading places
+	// with it, so selection allocates two cuts however many it probes.
+	var best, cut []storage.Snapshot
 	bestScore := uint64(0)
 	degraded := 0
 	for _, idx := range indexes {
+		if cut == nil {
+			cut = make([]storage.Snapshot, n)
+		}
 		// Common frontier: the minimum of the per-process latest
 		// instances. A process whose frontier is unreadable (its newest
 		// instance is corrupt) leaves the frontier to the others; the
-		// probe below discovers its deepest loadable instance.
+		// probe below discovers its deepest loadable instance. What Latest
+		// loaded stays in cut, so that a member at the frontier is read
+		// once: cut[p] is a snapshot of instance cut[p].Instance, or
+		// nothing when that is -1.
 		k := -1
 		anyFrontier := false
 		for p := 0; p < n; p++ {
 			latest, err := st.Latest(p, idx)
 			if err != nil {
+				cut[p] = storage.Snapshot{Instance: -1}
 				continue
 			}
+			cut[p] = latest
 			anyFrontier = true
 			if k < 0 || latest.Instance < k {
 				k = latest.Instance
@@ -121,13 +131,15 @@ func StraightCut(st storage.Store, n int) (*Line, error) {
 		}
 		// Probe instances from the frontier downward until a fully
 		// loadable cut appears; each failed (idx, instance) candidate is
-		// one degradation step.
+		// one degradation step. Only a process that ran ahead of the
+		// frontier, or a probe below it, needs another read.
 		found := false
-		var cut []storage.Snapshot
 		for probes := 0; k >= 0 && probes < maxInstanceProbe; k, probes = k-1, probes+1 {
-			cut = make([]storage.Snapshot, n)
 			ok := true
 			for p := 0; p < n; p++ {
+				if cut[p].Instance == k {
+					continue
+				}
 				s, err := st.Get(p, idx, k)
 				if err != nil {
 					// Corrupt, quarantined, or skipped instance (the
@@ -154,7 +166,7 @@ func StraightCut(st storage.Store, n int) (*Line, error) {
 			}
 		}
 		if best == nil || score > bestScore {
-			best = cut
+			best, cut = cut, best
 			bestScore = score
 		}
 	}

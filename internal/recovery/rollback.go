@@ -58,12 +58,16 @@ func Rollback(st storage.Store, n int, choose func(storage.Store, int) (*Line, e
 			}
 		}
 	}
-	out := &Rolled{Line: line, SendSeq: make([][]int, n), RecvSeq: make([][]int, n)}
+	// Both matrices come out of two allocations, every header and row
+	// capacity-clipped: an append to one reallocates instead of reaching
+	// the next.
+	rows, cells := make([][]int, 2*n), make([]int, 2*n*n)
+	out := &Rolled{Line: line, SendSeq: rows[:n:n], RecvSeq: rows[n:]}
 	if out.Scrub, err = storage.Scrub(st); err != nil {
 		return nil, err
 	}
 	for p := 0; p < n; p++ {
-		out.SendSeq[p], out.RecvSeq[p] = make([]int, n), make([]int, n)
+		out.SendSeq[p], out.RecvSeq[p], cells = cells[:n:n], cells[n:2*n:2*n], cells[2*n:]
 		var kept map[int]int // nil, without a line, keeps nothing
 		if line != nil {
 			at := line.Snapshots[p]

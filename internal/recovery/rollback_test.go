@@ -422,3 +422,81 @@ func TestRollbackOverWALDecodesOnlyTheLine(t *testing.T) {
 		t.Errorf("rollback at the line allocates %v objects over %d checkpoints", allocs, n*each)
 	}
 }
+
+// Selection reads each member of a cut once: the snapshot Latest returned
+// while the frontier was being found IS the member when its process sits at
+// the frontier, and only a process that ran ahead of it costs a second read
+// (2n before Latest's result was kept). The name ends in Allocs so that the
+// plain-build allocation step runs it: a body read is a decode.
+func TestStraightCutReadsEachMemberOnceAllocs(t *testing.T) {
+	const n, each = 4, 3
+	for _, tc := range []struct {
+		name  string
+		ahead []int // processes that saved one more instance than the rest
+	}{
+		{"everyone at the frontier", nil},
+		{"one process ahead", []int{2}},
+		{"all but one ahead", []int{0, 1, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws, err := wal.Open(t.TempDir(), wal.Options{Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ws.Close()
+			saved := [n]int{each, each, each, each}
+			for _, p := range tc.ahead {
+				saved[p]++
+			}
+			for p := 0; p < n; p++ {
+				for inst := 0; inst < saved[p]; inst++ {
+					s := storage.Snapshot{
+						Proc: p, CFGIndex: 1, Instance: inst, Clock: make([]uint64, n),
+						SendSeqs: []int{inst, inst, inst, inst}, RecvSeqs: make([]int, n),
+						Instances: map[int]int{1: inst + 1},
+					}
+					s.Clock[p] = uint64(inst + 1)
+					if err := ws.Save(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			st := &bodyReads{Store: ws}
+			line, err := recovery.StraightCut(st, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p, s := range line.Snapshots {
+				if want := (storage.Key{Proc: p, CFGIndex: 1, Instance: each - 1}); s.Key() != want {
+					t.Errorf("member %d is %s, want %s", p, s.Key(), want)
+				}
+			}
+			if want := n + len(tc.ahead); st.n != want || line.Degraded != 0 {
+				t.Errorf("%d body reads (degraded %d), want %d: one per member and one more per process ahead", st.n, line.Degraded, want)
+			}
+			// The matrices Rollback hands the network come out of one slab:
+			// every header and row ends where its capacity does.
+			rb, err := recovery.Rollback(st, n, func(storage.Store, int) (*recovery.Line, error) { return line, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range [][][]int{rb.SendSeq, rb.RecvSeq} {
+				if len(m) != n || cap(m) != n {
+					t.Fatalf("matrix of %d rows, capacity %d; want both %d", len(m), cap(m), n)
+				}
+				for p, row := range m {
+					if len(row) != n || cap(row) != n {
+						t.Errorf("row %d: len %d cap %d, want both %d", p, len(row), cap(row), n)
+					}
+				}
+			}
+			for p := range rb.SendSeq {
+				for q := range rb.SendSeq[p] {
+					if rb.SendSeq[p][q] != each-1 || rb.RecvSeq[p][q] != 0 {
+						t.Fatalf("SendSeq[%d][%d] = %d, RecvSeq = %d; want %d and 0", p, q, rb.SendSeq[p][q], rb.RecvSeq[p][q], each-1)
+					}
+				}
+			}
+		})
+	}
+}

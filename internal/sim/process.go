@@ -112,16 +112,31 @@ type Proc struct {
 }
 
 // init completes a Proc whose configuration fields are set into a process
-// at the program start: zero clock and counters, fresh environment.
+// at the program start: zero clock and counters, every declared variable 0.
+// A Proc that inherited a predecessor's memory (run.start) gets there by
+// refilling it, whatever state the predecessor crashed in.
 func (p *Proc) init(input func(rank, i int) int) {
+	p.workLeft = -1
+	if p.env != nil {
+		clear(p.clock)
+		clear(p.sendSeq)
+		clear(p.recvSeq)
+		clear(p.instances)
+		clear(p.env.Vars) // a crash mid-reduce leaves reduceTmpVar behind
+		for _, name := range p.code.Prog.Vars {
+			p.env.Vars[name] = 0
+		}
+		return
+	}
 	p.clock = vclock.New(p.n)
 	p.sendSeq = make([]int, p.n)
 	p.recvSeq = make([]int, p.n)
 	p.instances = make(map[int]int)
-	p.workLeft = -1
+	// The closure holds the rank, not the Proc: it serves every incarnation.
 	var inputFn func(int) int
 	if input != nil {
-		inputFn = func(i int) int { return input(p.rank, i) }
+		rank := p.rank
+		inputFn = func(i int) int { return input(rank, i) }
 	}
 	p.env = mpl.NewEnv(p.code.Prog, p.rank, p.n, inputFn)
 }

@@ -266,14 +266,14 @@ func Run(cfg Config) (*Result, error) {
 	res := &Result{Store: cfg.Store}
 	var line *recovery.Line // nil = start from scratch
 	var restartV float64    // wall (virtual) time at which the restart begins
+	var procs []*Proc       // the incarnation that ran last
 	for inc := 0; ; inc++ {
 		select {
 		case <-cfg.Cancel: // never ready when nil
 			return nil, ErrCanceled
 		default:
 		}
-		procs, err := r.start(inc, line, restartV)
-		if err != nil {
+		if procs, err = r.start(inc, procs, line, restartV); err != nil {
 			return nil, err
 		}
 		failure, err := r.wait(inc, procs)
@@ -318,15 +318,25 @@ func (r *run) emit(kind obs.Kind, inc int, vtime float64, format string, args ..
 }
 
 // start builds incarnation inc's processes: fresh at the program start, or
-// restored from line, with the incarnation's crash triggers armed.
-func (r *run) start(inc int, line *recovery.Line, restartV float64) ([]*Proc, error) {
+// restored from line, with the incarnation's crash triggers armed. Each
+// takes over the memory of its predecessor in prev, the incarnation that
+// just failed (nil at incarnation 0) — environment, clock, sequence counters,
+// instance map, what is left of the clock slab — and init refills it. That is
+// safe because wait returned only after every goroutine of prev had reported
+// in and rollback has read their clocks: nothing runs on that memory any
+// more, stores and observers were only ever lent it, and what init finds it
+// overwrites, never trusts. Hooks and protocol state are built anew.
+func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64) ([]*Proc, error) {
 	cfg, n := &r.cfg, r.cfg.Nproc
 	var tr *trace.Trace
 	if !cfg.DisableTrace {
 		tr = trace.NewTrace(n)
 	}
-	procs := make([]*Proc, n)
-	for rank := range procs {
+	procs := prev
+	if procs == nil {
+		procs = make([]*Proc, n)
+	}
+	for rank, old := range procs {
 		p := &Proc{
 			rank: rank, n: n, code: r.code, net: r.net, tr: tr, store: r.store,
 			counters: cfg.Counters, hooks: cfg.Hooks(rank, n), obsv: cfg.Observer, inc: inc,
@@ -335,6 +345,10 @@ func (r *run) start(inc int, line *recovery.Line, restartV float64) ([]*Proc, er
 		}
 		if cfg.Jitter != 0 {
 			p.jitter = rand.New(rand.NewSource(cfg.Jitter + int64(rank)*7919 + int64(inc)))
+		}
+		if old != nil {
+			p.env, p.pruned, p.clockSlab = old.env, old.pruned, old.clockSlab
+			p.clock, p.sendSeq, p.recvSeq, p.instances = old.clock, old.sendSeq, old.recvSeq, old.instances
 		}
 		p.init(cfg.Input)
 		if line != nil {

@@ -40,8 +40,15 @@ const snapshotVersion = 1
 
 // AppendSnapshot appends the body of s to dst and returns the extended
 // slice. It allocates nothing when dst has room and s holds at most
-// sortScratch variables and instance counters.
+// sortScratch variables and instance counters. The body is three runs — head
+// (version … Clock), variables, tail (PC … Manifest) — so that the
+// incremental store, which keeps variables apart from the rest, can put a
+// body together again around a reconstructed variable map.
 func AppendSnapshot(dst []byte, s Snapshot) []byte {
+	return appendTail(appendVars(appendHead(dst, s), s.Vars), s)
+}
+
+func appendHead(dst []byte, s Snapshot) []byte {
 	dst = append(dst, snapshotVersion)
 	dst = binary.AppendVarint(dst, int64(s.Proc))
 	dst = binary.AppendVarint(dst, int64(s.CFGIndex))
@@ -51,19 +58,25 @@ func AppendSnapshot(dst []byte, s Snapshot) []byte {
 	for _, c := range s.Clock {
 		dst = binary.AppendUvarint(dst, c)
 	}
+	return dst
+}
 
-	dst = appendLen(dst, len(s.Vars), s.Vars == nil)
+func appendVars(dst []byte, vars map[string]int) []byte {
+	dst = appendLen(dst, len(vars), vars == nil)
 	var nameBuf [sortScratch]string
 	names := nameBuf[:0]
-	for name := range s.Vars {
+	for name := range vars {
 		names = append(names, name)
 	}
 	slices.Sort(names)
 	for _, name := range names {
 		dst = appendString(dst, name)
-		dst = binary.AppendVarint(dst, int64(s.Vars[name]))
+		dst = binary.AppendVarint(dst, int64(vars[name]))
 	}
+	return dst
+}
 
+func appendTail(dst []byte, s Snapshot) []byte {
 	dst = appendString(dst, s.PC)
 	dst = appendInts(dst, s.SendSeqs)
 	dst = appendInts(dst, s.RecvSeqs)

@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"hash/crc32"
-	"maps"
 	"sync"
 )
 
@@ -15,6 +14,15 @@ import (
 // full to bound reconstruction chains. Readers always receive fully
 // reconstructed snapshots; the delta encoding is invisible outside.
 //
+// What it retains of a snapshot is flat: the AppendSnapshot body without its
+// variable run, in a per-process byte arena, and the variables that changed
+// as (name, value) pairs cut from a per-process slab — no map, no Snapshot.
+// A variable map exists only while a chain is replayed, in one scratch map
+// the store owns: it is filled and read under the store's lock and never
+// handed out, so it needs no lifetime protocol. A read encodes that map
+// between the record's head and tail and decodes the body, so what it
+// returns is a private copy by construction, as in Memory.
+//
 // Every record carries a CRC of the fully reconstructed snapshot, taken at
 // save time. Reconstruction re-verifies it, so damage anywhere in a delta
 // chain — in particular a corrupt base record — surfaces as ErrCorrupt on
@@ -25,30 +33,58 @@ type Incremental struct {
 	mu sync.Mutex
 	// FullEvery is the full-snapshot period (default 8 when 0).
 	fullEvery int
-	// recs holds the raw records in per-process temporal order.
-	recs map[int][]record
+	procs     map[int]*incProc
 	// byKey indexes records by (proc, index, instance).
-	byKey map[Key]int // position within recs[proc]
+	byKey map[Key]int // position within the process's chain
 
 	fullBytes  int
 	deltaBytes int
 
-	// crcBuf is the scratch body checksumLocked encodes into.
-	crcBuf []byte
+	// Scratch, meaningful only while mu is held: the variable state a replay
+	// has reached, the body (Save: then frame) being encoded, and the pairs
+	// of the record Save is cutting.
+	vars  map[string]int
+	buf   []byte
+	pairs []nameVal
+}
+
+// incProc holds one process's records and the memory they are cut from.
+type incProc struct {
+	chain  []record // in save order
+	frames arena[byte]
+	pairs  arena[nameVal]
+}
+
+// pairChunkMin is the first pair chunk: a few full records of a small
+// program, 768 bytes.
+const pairChunkMin = 32
+
+// nameVal is one variable of a record. The name is the saver's own string:
+// strings are immutable, so sharing it borrows nothing.
+type nameVal struct {
+	name string
+	val  int
 }
 
 // record is one stored checkpoint, possibly a delta.
 type record struct {
-	snap  Snapshot // for deltas, Vars holds only changed/new variables
+	key   Key
 	delta bool
-	// removedVars lists variables that disappeared relative to the base
-	// (MPL variables never disappear, but the store does not rely on
-	// that).
-	removedVars []string
-	// crc is the checksum of the fully reconstructed snapshot this record
-	// represents, computed at save time and re-verified on every
-	// reconstruction.
+	// nilVars marks a full record whose snapshot had a nil variable map, so
+	// that a read gives nil back (a delta always reconstructs a map).
+	nilVars bool
+	// crc is the checksum of the fully reconstructed snapshot's body,
+	// computed at save time and re-verified on every reconstruction.
 	crc uint32
+	// frame is the body without its variable run: head (version … Clock),
+	// of length head, then tail (PC … Manifest).
+	frame []byte
+	head  int
+	// vars holds every variable of a full record and the changed or new
+	// ones of a delta; removed names those that disappeared relative to
+	// the base (MPL variables never disappear, but manifests of different
+	// sites differ). Both are capacity-clipped cuts of the pair slab.
+	vars, removed []nameVal
 }
 
 var _ Store = (*Incremental)(nil)
@@ -62,25 +98,22 @@ func NewIncremental(fullEvery int) *Incremental {
 	}
 	return &Incremental{
 		fullEvery: fullEvery,
-		recs:      make(map[int][]record),
+		procs:     make(map[int]*incProc),
 		byKey:     make(map[Key]int),
+		vars:      make(map[string]int),
 	}
 }
 
-// emptyVars stands in for a nil variable map in checksumLocked; never
+// emptyVars stands in for a nil variable map in a record's checksum; never
 // written.
 var emptyVars = map[string]int{}
 
-// checksumLocked fingerprints a fully reconstructed snapshot by its
-// (deterministic) AppendSnapshot bytes. A nil variable map is normalized
-// to empty: delta reconstruction always rebuilds a concrete map, and the
-// fingerprint must not depend on that representation detail.
-func (inc *Incremental) checksumLocked(s Snapshot) uint32 {
-	if s.Vars == nil {
-		s.Vars = emptyVars
+// chainLocked returns proc's records, nil when it has saved none.
+func (inc *Incremental) chainLocked(proc int) []record {
+	if p := inc.procs[proc]; p != nil {
+		return p.chain
 	}
-	inc.crcBuf = AppendSnapshot(inc.crcBuf[:0], s)
-	return crc32.ChecksumIEEE(inc.crcBuf)
+	return nil
 }
 
 // Save implements Store.
@@ -91,105 +124,127 @@ func (inc *Incremental) Save(s Snapshot) error {
 	if _, dup := inc.byKey[k]; dup {
 		return fmt.Errorf("%w: %s", ErrDuplicate, k)
 	}
-	chain := inc.recs[s.Proc]
-	rec := record{crc: inc.checksumLocked(s)}
-	storeFull := len(chain)%inc.fullEvery == 0
-	var prev map[string]int
-	if !storeFull {
+	p := inc.procs[s.Proc]
+	if p == nil {
+		p = &incProc{}
+		inc.procs[s.Proc] = p
+	}
+	// The checksum is over the whole body, with a nil variable map
+	// normalized to empty: reconstruction always rebuilds a concrete map,
+	// and the fingerprint must not depend on that representation detail.
+	vars := s.Vars
+	if vars == nil {
+		vars = emptyVars
+	}
+	buf := appendHead(inc.buf[:0], s)
+	head := len(buf)
+	buf = appendVars(buf, vars)
+	tail := len(buf)
+	buf = appendTail(buf, s)
+	inc.buf = buf
+	rec := record{
+		key: k, crc: crc32.ChecksumIEEE(buf), head: head,
+		frame: p.frames.keep(arenaChunkMin, buf[:head], buf[tail:]),
+		delta: len(p.chain)%inc.fullEvery != 0,
+	}
+	if rec.delta {
 		// Delta against the previous record's reconstructed state. If the
 		// previous record turns out to be corrupt, do not chain onto it:
 		// store a full record instead so new checkpoints stay readable
 		// even on a damaged chain (self-healing writes).
-		var err error
-		prev, err = inc.varsAtLocked(s.Proc, len(chain)-1)
-		if err != nil {
-			storeFull = true
+		if inc.verifyLocked(inc.replayLocked(p.chain, len(p.chain)-1)) != nil {
+			rec.delta = false
 		}
 	}
-	if storeFull {
-		rec.snap = s.clone()
-		inc.fullBytes += approxSize(rec.snap.Vars)
+	if !rec.delta {
+		// A full record is a delta against nothing.
+		clear(inc.vars)
+		rec.nilVars = s.Vars == nil
+	}
+	pairs := inc.pairs[:0]
+	for name, v := range s.Vars {
+		if pv, ok := inc.vars[name]; !ok || pv != v {
+			pairs = append(pairs, nameVal{name, v})
+		}
+	}
+	changed := len(pairs)
+	for name := range inc.vars {
+		if _, ok := s.Vars[name]; !ok {
+			pairs = append(pairs, nameVal{name: name})
+		}
+	}
+	inc.pairs = pairs
+	kept := p.pairs.keep(pairChunkMin, pairs)
+	rec.vars, rec.removed = kept[:changed:changed], kept[changed:]
+	if rec.delta {
+		inc.deltaBytes += approxSize(rec.vars)
 	} else {
-		deltaVars := make(map[string]int)
-		for name, v := range s.Vars {
-			if pv, ok := prev[name]; !ok || pv != v {
-				deltaVars[name] = v
-			}
-		}
-		for name := range prev {
-			if _, ok := s.Vars[name]; !ok {
-				rec.removedVars = append(rec.removedVars, name)
-			}
-		}
-		rec.delta = true
-		rec.snap = s.cloneWithVars(deltaVars)
-		inc.deltaBytes += approxSize(deltaVars)
+		inc.fullBytes += approxSize(rec.vars)
 	}
-	inc.byKey[k] = len(chain)
-	inc.recs[s.Proc] = append(chain, rec)
+	inc.byKey[k] = len(p.chain)
+	p.chain = append(p.chain, rec)
 	return nil
 }
 
-// apply advances vars — the reconstructed variable state just before r,
-// owned by the caller — to the state at r, in place for a delta.
-func (r *record) apply(vars map[string]int) map[string]int {
+// applyLocked advances the scratch map — the reconstructed variable state
+// just before r — to the state at r.
+func (inc *Incremental) applyLocked(r *record) {
 	if !r.delta {
-		return maps.Clone(r.snap.Vars)
+		clear(inc.vars)
 	}
-	if vars == nil {
-		vars = make(map[string]int, len(r.snap.Vars))
+	for _, nv := range r.vars {
+		inc.vars[nv.name] = nv.val
 	}
-	for k, v := range r.snap.Vars {
-		vars[k] = v
+	for _, nv := range r.removed {
+		delete(inc.vars, nv.name)
 	}
-	for _, k := range r.removedVars {
-		delete(vars, k)
-	}
-	return vars
 }
 
-// verifyLocked checks vars, the reconstructed variable state at r, against
+// verifyLocked puts r's body together in the scratch buffer around the
+// scratch map, which must hold the variable state at r, and checks it against
 // the checksum taken when r was saved. A mismatch anywhere in the chain (a
 // flipped bit in a base record corrupts every dependent reconstruction)
 // returns ErrCorrupt.
-func (inc *Incremental) verifyLocked(r *record, vars map[string]int) error {
-	// Non-Vars fields always come from the target record.
-	view := r.snap
-	view.Vars = vars
-	if got := inc.checksumLocked(view); got != r.crc {
+func (inc *Incremental) verifyLocked(r *record) error {
+	buf := append(inc.buf[:0], r.frame[:r.head]...)
+	buf = appendVars(buf, inc.vars)
+	inc.buf = append(buf, r.frame[r.head:]...)
+	if got := crc32.ChecksumIEEE(inc.buf); got != r.crc {
 		return fmt.Errorf("%w: %s reconstruction crc %08x != %08x (damaged delta chain)",
-			ErrCorrupt, r.snap.Key(), got, r.crc)
+			ErrCorrupt, r.key, got, r.crc)
 	}
 	return nil
 }
 
-// varsAtLocked rebuilds the variable state at position pos of proc's chain
-// by replaying deltas from the nearest full record into one map, then
-// verifies it. The map is the caller's.
-func (inc *Incremental) varsAtLocked(proc, pos int) (map[string]int, error) {
-	chain := inc.recs[proc]
+// snapshotLocked returns the snapshot of r, given its variable state in the
+// scratch map, by decoding the body verifyLocked just checked: a private
+// copy, DecodeSnapshot shares nothing with its input.
+func (inc *Incremental) snapshotLocked(r *record) (Snapshot, error) {
+	if err := inc.verifyLocked(r); err != nil {
+		return Snapshot{}, err
+	}
+	s, err := DecodeSnapshot(inc.buf)
+	if err != nil {
+		return Snapshot{}, fmt.Errorf("%w: %s: %v", ErrCorrupt, r.key, err)
+	}
+	if r.nilVars {
+		s.Vars = nil
+	}
+	return s, nil
+}
+
+// replayLocked rebuilds the variable state at position pos of chain in the
+// scratch map, replaying deltas from the nearest full record, and returns
+// the record there, yet to be verified.
+func (inc *Incremental) replayLocked(chain []record, pos int) *record {
 	start := pos
 	for start > 0 && chain[start].delta {
 		start--
 	}
-	var vars map[string]int
 	for i := start; i <= pos; i++ {
-		vars = chain[i].apply(vars)
+		inc.applyLocked(&chain[i])
 	}
-	if err := inc.verifyLocked(&chain[pos], vars); err != nil {
-		return nil, err
-	}
-	return vars, nil
-}
-
-// reconstructLocked rebuilds and verifies the full snapshot at position pos
-// of proc's chain; the result is a private copy.
-func (inc *Incremental) reconstructLocked(proc, pos int) (Snapshot, error) {
-	vars, err := inc.varsAtLocked(proc, pos)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	return inc.recs[proc][pos].snap.cloneWithVars(vars), nil
+	return &chain[pos]
 }
 
 // Get implements Store.
@@ -201,17 +256,18 @@ func (inc *Incremental) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 	if !ok {
 		return Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
-	return inc.reconstructLocked(proc, pos)
+	return inc.snapshotLocked(inc.replayLocked(inc.procs[proc].chain, pos))
 }
 
 // Latest implements Store.
 func (inc *Incremental) Latest(proc, cfgIndex int) (Snapshot, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
+	chain := inc.chainLocked(proc)
 	best := -1
 	bestInst := -1
-	for pos := range inc.recs[proc] {
-		if k := inc.recs[proc][pos].snap.Key(); k.CFGIndex == cfgIndex && k.Instance > bestInst {
+	for pos := range chain {
+		if k := chain[pos].key; k.CFGIndex == cfgIndex && k.Instance > bestInst {
 			bestInst = k.Instance
 			best = pos
 		}
@@ -219,25 +275,25 @@ func (inc *Incremental) Latest(proc, cfgIndex int) (Snapshot, error) {
 	if best < 0 {
 		return Snapshot{}, fmt.Errorf("%w: proc=%d index=%d", ErrNotFound, proc, cfgIndex)
 	}
-	return inc.reconstructLocked(proc, best)
+	return inc.snapshotLocked(inc.replayLocked(chain, best))
 }
 
 // List implements Store.
 func (inc *Incremental) List(proc int) ([]Snapshot, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	// One forward pass: vars is the state at pos, updated in place from
+	// One forward pass: the scratch map is the state at pos, advanced from
 	// record to record, and every position is verified as Get would.
-	chain := inc.recs[proc]
+	chain := inc.chainLocked(proc)
 	out := make([]Snapshot, 0, len(chain))
-	var vars map[string]int
 	for pos := range chain {
 		r := &chain[pos]
-		vars = r.apply(vars)
-		if err := inc.verifyLocked(r, vars); err != nil {
+		inc.applyLocked(r)
+		s, err := inc.snapshotLocked(r)
+		if err != nil {
 			return nil, err
 		}
-		out = append(out, r.snap.cloneWithVars(maps.Clone(vars)))
+		out = append(out, s)
 	}
 	SortSnapshots(out)
 	return out, nil
@@ -259,9 +315,10 @@ func (inc *Incremental) Indexes(n int) ([]int, error) {
 func (inc *Incremental) Keys(proc int) ([]Key, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	keys := make([]Key, len(inc.recs[proc]))
+	chain := inc.chainLocked(proc)
+	keys := make([]Key, len(chain))
 	for i := range keys {
-		keys[i] = inc.recs[proc][i].snap.Key()
+		keys[i] = chain[i].key
 	}
 	return keys, nil
 }
@@ -277,21 +334,30 @@ func (inc *Incremental) Delete(proc, cfgIndex, instance int) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
-	chain := inc.recs[proc]
-	if pos != len(chain)-1 {
-		return fmt.Errorf("storage: incremental delete must be newest-first: record %d of %d", pos, len(chain))
+	p := inc.procs[proc]
+	if pos != len(p.chain)-1 {
+		return fmt.Errorf("storage: incremental delete must be newest-first: record %d of %d", pos, len(p.chain))
 	}
-	inc.recs[proc] = chain[:pos]
+	p.truncate(pos)
 	delete(inc.byKey, k)
 	return nil
 }
 
-// Tamper mutates the raw stored variable map of one record WITHOUT
-// updating its integrity checksum — a fault-injection hook for chaos and
-// corruption tests that simulates bit rot inside a persisted record. For a
-// delta record the map holds only the delta; for a full record (a delta
-// chain's base) it holds the whole state, so tampering with it poisons
-// every reconstruction chained on top.
+// truncate drops the records from position pos up, zeroing them: a record
+// left in the backing array would pin its frame's and its pairs' chunks
+// until a later save happened to overwrite the slot.
+func (p *incProc) truncate(pos int) {
+	clear(p.chain[pos:])
+	p.chain = p.chain[:pos]
+}
+
+// Tamper mutates the raw stored variables of one record WITHOUT updating
+// its integrity checksum — a fault-injection hook for chaos and corruption
+// tests that simulates bit rot inside a persisted record. mutate sees them
+// as a map, written back when it returns. For a delta record the map holds
+// only the delta; for a full record (a delta chain's base) it holds the
+// whole state, so tampering with it poisons every reconstruction chained on
+// top.
 func (inc *Incremental) Tamper(proc, cfgIndex, instance int, mutate func(vars map[string]int)) error {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
@@ -300,7 +366,21 @@ func (inc *Incremental) Tamper(proc, cfgIndex, instance int, mutate func(vars ma
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
-	mutate(inc.recs[proc][pos].snap.Vars)
+	r := &inc.procs[proc].chain[pos]
+	var vars map[string]int
+	if !r.nilVars {
+		vars = make(map[string]int, len(r.vars))
+		for _, nv := range r.vars {
+			vars[nv.name] = nv.val
+		}
+	}
+	mutate(vars)
+	// In place when they fit; a longer list reallocates, the cut's clipped
+	// capacity keeps it off the neighbouring record's pairs.
+	r.vars = r.vars[:0]
+	for name, v := range vars {
+		r.vars = append(r.vars, nameVal{name, v})
+	}
 	return nil
 }
 
@@ -313,37 +393,35 @@ func (inc *Incremental) Scrub() (ScrubReport, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	var rep ScrubReport
-	for proc, chain := range inc.recs {
+	for _, p := range inc.procs {
 		// One forward pass verifies every position, as List does.
 		cut := -1
-		var vars map[string]int
-		for pos := range chain {
-			r := &chain[pos]
-			vars = r.apply(vars)
-			err := inc.verifyLocked(r, vars)
+		for pos := range p.chain {
+			r := &p.chain[pos]
+			inc.applyLocked(r)
+			err := inc.verifyLocked(r)
 			if err != nil && cut < 0 {
 				cut = pos
 			}
 			if cut < 0 {
 				continue
 			}
-			k := r.snap.Key()
-			delete(inc.byKey, k)
+			delete(inc.byKey, r.key)
 			if err != nil {
-				rep.Quarantined = append(rep.Quarantined, SnapshotRef{k, err.Error()})
+				rep.Quarantined = append(rep.Quarantined, SnapshotRef{r.key, err.Error()})
 			} else {
 				rep.Collateral++
 			}
 		}
 		if cut >= 0 {
-			inc.recs[proc] = chain[:cut]
+			p.truncate(cut)
 		}
 	}
 	return rep, nil
 }
 
-// SizeStats reports the approximate stored variable-map bytes, full vs
-// delta — the savings incremental checkpointing exists for.
+// SizeStats reports the approximate stored variable bytes, full vs delta —
+// the savings incremental checkpointing exists for.
 type SizeStats struct {
 	FullBytes  int
 	DeltaBytes int
@@ -356,12 +434,12 @@ func (inc *Incremental) Stats() SizeStats {
 	return SizeStats{FullBytes: inc.fullBytes, DeltaBytes: inc.deltaBytes}
 }
 
-// approxSize estimates the serialized size of a variable map (names plus
-// 8-byte values).
-func approxSize(vars map[string]int) int {
+// approxSize estimates the serialized size of a record's variables (names
+// plus 8-byte values).
+func approxSize(vars []nameVal) int {
 	n := 0
-	for name := range vars {
-		n += len(name) + 8
+	for _, nv := range vars {
+		n += len(nv.name) + 8
 	}
 	return n
 }

@@ -8,14 +8,14 @@
 // i-th checkpoint of every process — can be recovered after a failure.
 //
 // What a store retains of a snapshot is its AppendSnapshot body (codec.go),
-// framed on disk or, in Memory, in a byte arena; reads decode it. Only
-// Incremental keeps cloned Snapshots: it diffs their variable maps.
+// framed on disk or, in Memory, in a byte arena; reads decode it. Incremental
+// keeps the body's variable run apart, as the (name, value) pairs that
+// changed, and encodes a reconstructed map in its place before decoding.
 package storage
 
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"sync"
@@ -51,26 +51,6 @@ type Snapshot struct {
 	// travels inside the snapshot, so it is covered by the same CRC as the
 	// payload it describes.
 	Manifest []string
-}
-
-// clone returns a deep copy: what the incremental store keeps of a saved
-// snapshot, and what it hands out on a read, shares no memory with the
-// caller's.
-func (s Snapshot) clone() Snapshot {
-	return s.cloneWithVars(maps.Clone(s.Vars))
-}
-
-// cloneWithVars returns a deep copy of every field of s but Vars, which
-// becomes vars: the copy takes the map over.
-func (s Snapshot) cloneWithVars(vars map[string]int) Snapshot {
-	c := s
-	c.Clock = s.Clock.Clone()
-	c.Vars = vars
-	c.SendSeqs = slices.Clone(s.SendSeqs)
-	c.RecvSeqs = slices.Clone(s.RecvSeqs)
-	c.Instances = maps.Clone(s.Instances)
-	c.Manifest = slices.Clone(s.Manifest)
-	return c
 }
 
 // Key names one checkpoint: Definition 2.3's (process, CFG checkpoint
@@ -297,33 +277,52 @@ type Memory struct {
 // memProc holds one process's checkpoints, so the per-process reads of one
 // job walk only that process's keys however many jobs share the store.
 type memProc struct {
-	bodies map[Key][]byte // each a capacity-clipped sub-slice of a chunk
-	chunk  []byte         // the arena's current chunk; its length is what is used
+	bodies map[Key][]byte // each kept in the arena
+	arena[byte]
 }
 
-// Arena chunks double from 1 KB (a fleet job's handful of checkpoints) to
-// 16 KB (one allocation per ~100 saves); a larger body is allocated alone.
+// arena is append-only memory for what a store retains of one process. Its
+// chunks are never regrown or recycled — append would move everything kept
+// before — so what keep returns stays valid while something refers to it, and
+// a chunk goes when nothing refers into it any more.
+type arena[T any] struct {
+	chunk []T // the current chunk; its length is what is used
+}
+
+// Byte arena chunks double from 1 KB (a fleet job's handful of checkpoints)
+// to 16 KB (one allocation per ~100 saves); arenaChunkSpan is that ratio for
+// every arena.
 const (
-	arenaChunkMin = 1 << 10
-	arenaChunkMax = 16 << 10
+	arenaChunkMin  = 1 << 10
+	arenaChunkSpan = 16
+	arenaChunkMax  = arenaChunkSpan * arenaChunkMin
 )
 
-// keep copies body into the arena and returns the copy.
-func (mp *memProc) keep(body []byte) []byte {
-	if len(body) > cap(mp.chunk)-len(mp.chunk) {
-		if len(body) > arenaChunkMax {
-			return slices.Clone(body)
+// keep copies parts end to end into the arena and returns the copy, its
+// capacity clipped so that an append to it reallocates instead of reaching
+// what is kept next. The first chunk holds first elements; more than the
+// largest chunk holds are allocated alone.
+func (a *arena[T]) keep(first int, parts ...[]T) []T {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n > cap(a.chunk)-len(a.chunk) {
+		if n > arenaChunkSpan*first {
+			return slices.Concat(parts...)
 		}
-		// A fresh chunk: append would move every body saved before.
-		size := max(arenaChunkMin, min(2*cap(mp.chunk), arenaChunkMax))
-		for size < len(body) {
+		// A fresh chunk: append would move everything kept before.
+		size := max(first, min(2*cap(a.chunk), arenaChunkSpan*first))
+		for size < n {
 			size *= 2
 		}
-		mp.chunk = make([]byte, 0, size)
+		a.chunk = make([]T, 0, size)
 	}
-	off := len(mp.chunk)
-	mp.chunk = append(mp.chunk, body...)
-	return mp.chunk[off:len(mp.chunk):len(mp.chunk)]
+	off := len(a.chunk)
+	for _, p := range parts {
+		a.chunk = append(a.chunk, p...)
+	}
+	return a.chunk[off:len(a.chunk):len(a.chunk)]
 }
 
 var _ Store = (*Memory)(nil)
@@ -347,7 +346,7 @@ func (m *Memory) Save(s Snapshot) error {
 		mp.bodies = make(map[Key][]byte)
 	}
 	m.buf = AppendSnapshot(m.buf[:0], s)
-	mp.bodies[k] = mp.keep(m.buf)
+	mp.bodies[k] = mp.keep(arenaChunkMin, m.buf)
 	m.procs[k.Proc] = mp
 	return nil
 }
