@@ -1,13 +1,15 @@
 package attr
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"repro/internal/mpl"
+)
 
 // This file is the solver's memoized fast path. CanMatch enumerates
 // (n, p, q) triples and re-evaluates both path attributes and both
 // parameter expressions inside the innermost loop — a tree-walking Eval
-// per probe. Phase II calls CanMatch once per send×receive pair per
-// fixpoint round, so the same per-node predicates and parameters are
-// re-evaluated thousands of times across a Transform.
+// per probe — and Phase II calls it once per send×receive pair.
 //
 // A Table precomputes, once per node, everything CanMatch ever asks about
 // it: a per-n bitmask of the ranks where the path attribute holds, and a
@@ -15,102 +17,142 @@ import "math/bits"
 // a pair with pure bit iteration and array lookups — no Eval calls — and
 // is exactly equivalent to CanMatch (asserted by TestTableEquivalence).
 
-// tableNoValue marks a rank where the parameter imposes no equation:
-// wildcard parameters everywhere, and ranks where evaluation errs (EvalAt
-// reports ok=false, which CanMatch treats as "no constraint").
-const tableNoValue = int64(-1 << 62)
+// Parameter values are stored as int8. A rank is in [0, 64) — hi ≤ 64 is
+// the representation's limit — so a value outside that range can equal no
+// rank, and the two negative codes cannot collide with a value that can:
+//
+//	tableNoValue — no equation at this rank: wildcard parameters
+//	               everywhere, and ranks where evaluation errs (EvalAt
+//	               reports ok=false, which CanMatch treats as "no
+//	               constraint");
+//	tableNever   — the parameter evaluates, to something no rank equals
+//	               (rank-1 at rank 0, nproc, a large constant): an equation
+//	               nothing satisfies, NOT the absence of one.
+const (
+	tableNoValue = int8(-1)
+	tableNever   = int8(-2)
+)
 
 // Table is the precomputed view of one node's (path attribute, parameter)
-// pair over the solver's bounded enumeration.
+// pair over the solver's bounded enumeration. Tables of one batch may share
+// rows; a Table is read-only once built.
 type Table struct {
 	lo, hi int
-	// back packs the whole table into one allocation: the first hi-lo+1
-	// entries are hold bitmasks (back[n-lo] bit p set ⇔ predicate holds at
-	// (p, n), stored as int64), followed by the value rows at stride hi
-	// (value at (p, n) is back[(hi-lo+1)+(n-lo)*hi+p]).
-	back []int64
+	// hold[n-lo] has bit p set ⇔ the predicate holds at (p, n).
+	hold []uint64
+	// val is triangular: the row for n holds the n values at p < n, rows in
+	// n order (see valRow).
+	val []int8
 }
 
-// holdMask returns the predicate bitmask for row i = n-lo.
-func (t *Table) holdMask(i int) uint64 { return uint64(t.back[i]) }
+// tableSize returns the lengths of hold and val for the bounds.
+func tableSize(lo, hi int) (rows, vals int) {
+	return hi - lo + 1, (hi*(hi+1) - lo*(lo-1)) / 2
+}
 
-// valRow returns the parameter-value row for row i = n-lo.
-func (t *Table) valRow(i int) []int64 {
-	off := (t.hi - t.lo + 1) + i*t.hi
-	return t.back[off : off+t.hi]
+// valRow returns the parameter-value row for row i (n = lo+i).
+func (t *Table) valRow(i int) []int8 {
+	n := t.lo + i
+	off := (n*(n-1) - t.lo*(t.lo-1)) / 2
+	return t.val[off : off+n]
 }
 
 // Table precomputes pr and param over the solver's bounds. It returns nil
 // when the bounds exceed the 64-rank bitmask representation (MaxProcs >
 // 64); callers fall back to CanMatch.
 func (s Solver) Table(pr Predicate, param Param) *Table {
-	t := &Table{}
-	if !s.TableInto(pr, param, t) {
+	ts := s.Tables([]Predicate{pr}, []Param{param}, []int{0})
+	if ts == nil {
 		return nil
 	}
-	return t
+	return &ts[0]
 }
 
-// SlabTables returns n empty Tables whose backings are carved from one
-// shared allocation sized for this solver's bounds — two allocations for
-// the whole batch instead of two per table. Fill them with TableInto. The
-// result is nil when the bounds exceed the table representation (callers
-// fall back to CanMatch anyway).
-func (s Solver) SlabTables(n int) []Table {
+// Tables precomputes one Table per entry of nodes, for the pair
+// (prs[nodes[i]], params[nodes[i]]) — the matcher's batch, one table per
+// communication node. Equal predicates share one set of hold masks and
+// equal parameters one set of value rows: the communication statements of
+// an SPMD program sit under a handful of rank guards and address a handful
+// of neighbours, so most of the batch is found, not evaluated, and the
+// whole of it costs four allocations. The result is nil when the bounds
+// exceed the table representation (callers fall back to CanMatch).
+func (s Solver) Tables(prs []Predicate, params []Param, nodes []int) []Table {
 	lo, hi := s.bounds()
-	if hi > 64 || n <= 0 {
+	if hi > 64 || len(nodes) == 0 {
 		return nil
 	}
-	k := hi - lo + 1
-	need := k + k*hi
-	back := make([]int64, n*need)
-	ts := make([]Table, n)
-	for i := range ts {
-		ts[i] = Table{back: back[i*need : i*need : (i+1)*need]}
+	// same[i] / same[k+i] is the first entry with i's predicate / parameter.
+	k := len(nodes)
+	same := make([]int, 2*k)
+	npr, nparam := 0, 0
+	for i, node := range nodes {
+		j := 0
+		for !equalPredicates(prs[nodes[j]], prs[node]) {
+			j++
+		}
+		if same[i] = j; j == i {
+			npr++
+		}
+		for j = 0; !equalParams(params[nodes[j]], params[node]); j++ {
+		}
+		if same[k+i] = j; j == i {
+			nparam++
+		}
+	}
+	rows, vals := tableSize(lo, hi)
+	hold, val := make([]uint64, npr*rows), make([]int8, nparam*vals)
+	ts := make([]Table, k)
+	for i, node := range nodes {
+		t := &ts[i]
+		t.lo, t.hi = lo, hi
+		if j := same[i]; j < i {
+			t.hold = ts[j].hold
+		} else {
+			t.hold, hold = hold[:rows:rows], hold[rows:]
+			for n := lo; n <= hi; n++ {
+				for p := 0; p < n; p++ {
+					if prs[node].HoldsAt(p, n) {
+						t.hold[n-lo] |= 1 << uint(p)
+					}
+				}
+			}
+		}
+		if j := same[k+i]; j < i {
+			t.val = ts[j].val
+			continue
+		}
+		t.val, val = val[:vals:vals], val[vals:]
+		for n := lo; n <= hi; n++ {
+			row := t.valRow(n - lo)
+			for p := range row {
+				switch v, ok := params[node].EvalAt(p, n); {
+				case !ok:
+					row[p] = tableNoValue
+				case v < 0 || v >= 64:
+					row[p] = tableNever
+				default:
+					row[p] = int8(v)
+				}
+			}
+		}
 	}
 	return ts
 }
 
-// TableInto is Table into caller-owned storage: it fills *t, reusing
-// t.back when it is large enough, and reports whether the bounds fit the
-// table representation. Callers batching many tables (the matcher builds
-// one per communication node) can slab-allocate the Table values
-// themselves (SlabTables) and pay no per-table allocation at all.
-func (s Solver) TableInto(pr Predicate, param Param, t *Table) bool {
-	lo, hi := s.bounds()
-	if hi > 64 {
+func equalPredicates(a, b Predicate) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	k := hi - lo + 1
-	need := k + k*hi
-	t.lo, t.hi = lo, hi
-	if cap(t.back) >= need {
-		t.back = t.back[:need]
-	} else {
-		t.back = make([]int64, need)
-	}
-	for n := lo; n <= hi; n++ {
-		i := n - lo
-		row := t.valRow(i)
-		var mask uint64
-		for p := 0; p < n; p++ {
-			if pr.HoldsAt(p, n) {
-				mask |= 1 << uint(p)
-			}
-			if v, ok := param.EvalAt(p, n); ok {
-				row[p] = int64(v)
-			} else {
-				row[p] = tableNoValue
-			}
+	for i := range a {
+		if a[i].Want != b[i].Want || !mpl.EqualExpr(a[i].Cond, b[i].Cond) {
+			return false
 		}
-		// Slots past n are never consulted (mask bits only cover p < n);
-		// zero them anyway so a reused backing yields a deterministic table.
-		for p := n; p < hi; p++ {
-			row[p] = 0
-		}
-		t.back[i] = int64(mask)
 	}
 	return true
+}
+
+func equalParams(a, b Param) bool {
+	return a.Wildcard == b.Wildcard && mpl.EqualExpr(a.Expr, b.Expr)
 }
 
 // CanMatchTables is CanMatch over precomputed tables: ∃ n, ∃ p ≠ q with
@@ -119,8 +161,8 @@ func (s Solver) TableInto(pr Predicate, param Param, t *Table) bool {
 // at q — where a wildcard or erroring parameter imposes no equation. Both
 // tables must come from the same Solver bounds.
 func CanMatchTables(send, recv *Table) bool {
-	for i := 0; i <= send.hi-send.lo; i++ {
-		sh, rh := send.holdMask(i), recv.holdMask(i)
+	for i, sh := range send.hold {
+		rh := recv.hold[i]
 		if sh == 0 || rh == 0 {
 			continue
 		}
@@ -133,10 +175,10 @@ func CanMatchTables(send, recv *Table) bool {
 				if q == p {
 					continue
 				}
-				if d != tableNoValue && d != int64(q) {
+				if d != tableNoValue && d != int8(q) {
 					continue
 				}
-				if src := rv[q]; src != tableNoValue && src != int64(p) {
+				if src := rv[q]; src != tableNoValue && src != int8(p) {
 					continue
 				}
 				return true

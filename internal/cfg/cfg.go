@@ -9,6 +9,9 @@
 // The package provides the standard analyses the paper relies on:
 // dominators, backward-edge detection (loops), reachability and path
 // extraction, and enumeration of checkpoint indexes (the C_i of §2).
+// What a structured program makes a matter of reading the AST — which edges
+// are backward, which statements dominate which — is read off it (Edge.Back,
+// DomChain); the dominator sets stay as the independent derivation.
 package cfg
 
 import (
@@ -61,7 +64,7 @@ func (k NodeKind) String() string {
 }
 
 // EdgeKind classifies control edges.
-type EdgeKind int
+type EdgeKind uint8
 
 // Edge kinds. Branch nodes emit True/False edges; everything else emits Seq.
 const (
@@ -84,11 +87,15 @@ func (k EdgeKind) String() string {
 	}
 }
 
-// Edge is a directed control edge.
+// Edge is a directed control edge. Back marks a backward edge — one from
+// the end of a while body to the loop's header — and is set as the edge is
+// built: in a structured program those are exactly the edges whose target
+// dominates their source (§2), which BackEdges derives independently.
 type Edge struct {
 	From int
 	To   int
 	Kind EdgeKind
+	Back bool
 }
 
 // Node is one CFG node.
@@ -120,32 +127,29 @@ type Graph struct {
 	Entry int
 	Exit  int
 
-	// Grouped adjacency, built once after construction: succEdges[id] and
-	// predEdges[id] are subslices of two shared backing arrays, so Succs
-	// and Preds are allocation-free.
-	succEdges [][]Edge
-	predEdges [][]Edge
+	// Grouped adjacency, built once after construction: the edges leaving
+	// node id are succs[succOff[id]:succOff[id+1]], those entering it
+	// preds[predOff[id]:predOff[id+1]], so Succs and Preds are
+	// allocation-free.
+	succs, preds     []Edge
+	succOff, predOff []int32
 
 	// Cached analyses. A Graph is immutable after Build, so dominator sets
-	// and back edges are computed at most once; the sync.Once guards make
-	// the caches safe under concurrent read-only use (parallel analysis).
+	// and the back edges derived from them are computed at most once; the
+	// sync.Once guards make the caches safe under concurrent read-only use.
 	domOnce  sync.Once
 	dom      []Bitset
 	backOnce sync.Once
 	back     []Edge
-
-	// cache is the BuildCache this graph was carved from (nil for plain
-	// Build); the lazy analyses reuse its buffers too.
-	cache *BuildCache
 }
 
 // Succs returns the edges leaving node id. The returned slice is shared —
 // callers must not modify it.
-func (g *Graph) Succs(id int) []Edge { return g.succEdges[id] }
+func (g *Graph) Succs(id int) []Edge { return g.succs[g.succOff[id]:g.succOff[id+1]] }
 
 // Preds returns the edges entering node id. The returned slice is shared —
 // callers must not modify it.
-func (g *Graph) Preds(id int) []Edge { return g.predEdges[id] }
+func (g *Graph) Preds(id int) []Edge { return g.preds[g.predOff[id]:g.predOff[id+1]] }
 
 // NodeByStmtID returns the node for a statement id, or nil.
 func (g *Graph) NodeByStmtID(stmtID int) *Node {
@@ -191,47 +195,6 @@ type dangling struct {
 	kind EdgeKind
 }
 
-// BuildCache recycles CFG construction buffers across repeated builds —
-// the fixpoint driver in place rebuilds the CFG every round, and without
-// reuse each rebuild pays the full slab/adjacency/dominator allocation
-// bill again. A graph produced by BuildCached aliases its cache's
-// buffers, so it is valid only until the next BuildCached call with the
-// same cache; callers that need a graph to outlive the cache (or build
-// concurrently) pass nil. Not safe for concurrent use.
-type BuildCache struct {
-	slab        []Node
-	nodes       []*Node
-	edges       []Edge
-	deg         []int
-	edgeBacking []Edge
-	adj         [][]Edge
-	spare       [][]dangling
-
-	// Lazy-analysis buffers (Dominators / BackEdges).
-	domWords []uint64
-	dom      []Bitset
-	meet     Bitset
-	back     []Edge
-}
-
-// grown returns buf with length 0 and capacity ≥ n, reusing its backing
-// array when possible. Contents are garbage; callers append.
-func grown[T any](buf []T, n int) []T {
-	if cap(buf) >= n {
-		return buf[:0]
-	}
-	return make([]T, 0, n)
-}
-
-// grownLen returns buf with length exactly n, reusing its backing array
-// when possible. Contents are garbage; callers must overwrite every entry.
-func grownLen[T any](buf []T, n int) []T {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]T, n)
-}
-
 // take returns a length-1 frontier holding d, reusing a recycled backing
 // when one is available. An empty freelist is refilled in bulk: one slab
 // carved into fixed-capacity slots, so deep if/while nests cost one
@@ -271,78 +234,84 @@ func (b *builder) newNode(kind NodeKind, stmt mpl.Stmt) int {
 	return id
 }
 
-func (b *builder) addEdge(from, to int, kind EdgeKind) {
-	b.g.Edges = append(b.g.Edges, Edge{From: from, To: to, Kind: kind})
+// connect closes every dangling edge of frontier on node to.
+func (b *builder) connect(frontier []dangling, to int, back bool) {
+	for _, d := range frontier {
+		b.g.Edges = append(b.g.Edges, Edge{From: d.from, To: to, Kind: d.kind, Back: back})
+	}
 }
 
-// finalize builds the grouped adjacency in two counting passes over Edges:
-// one backing array per direction, subsliced per node, so construction does
-// no per-node slice growth and Succs/Preds are allocation-free afterwards.
-// Edge order within a node's Succs/Preds follows Edges order, matching the
-// insertion order the incremental construction used to produce.
-func (g *Graph) finalize(c *BuildCache) {
+// finalize builds the grouped adjacency: Edges by source and by target,
+// the edge order within a node's Succs/Preds following Edges order.
+func (g *Graph) finalize() {
 	n := len(g.Nodes)
-	c.deg = grownLen(c.deg, 2*n)
-	deg := c.deg
-	for i := range deg {
-		deg[i] = 0
+	g.succOff, g.succs = GroupBy(n, g.Edges, func(e Edge) int { return e.From })
+	g.predOff, g.preds = GroupBy(n, g.Edges, func(e Edge) int { return e.To })
+}
+
+// GroupBy sorts items by key — a node id in [0, n) — keeping the order of
+// equal keys (a counting sort), and returns the groups' offsets: those with
+// key k are grouped[off[k]:off[k+1]].
+func GroupBy[T any](n int, items []T, key func(T) int) (off []int32, grouped []T) {
+	// Counted two slots up, off[k+1] is where k's group starts; filling the
+	// groups advances each to its end, which is where off[k+1] has to point.
+	off = make([]int32, n+2)
+	for _, it := range items {
+		off[key(it)+2]++
 	}
-	outDeg, inDeg := deg[:n], deg[n:]
-	for _, e := range g.Edges {
-		outDeg[e.From]++
-		inDeg[e.To]++
+	for i := 2; i < n+2; i++ {
+		off[i] += off[i-1]
 	}
-	c.edgeBacking = grownLen(c.edgeBacking, 2*len(g.Edges))
-	edgeBacking := c.edgeBacking
-	succBacking, predBacking := edgeBacking[:len(g.Edges)], edgeBacking[len(g.Edges):]
-	c.adj = grownLen(c.adj, 2*n)
-	adj := c.adj
-	g.succEdges, g.predEdges = adj[:n], adj[n:]
-	off := 0
-	for id := 0; id < n; id++ {
-		g.succEdges[id] = succBacking[off : off : off+outDeg[id]]
-		off += outDeg[id]
+	grouped = make([]T, len(items))
+	for _, it := range items {
+		k := key(it) + 1
+		grouped[off[k]] = it
+		off[k]++
 	}
-	off = 0
-	for id := 0; id < n; id++ {
-		g.predEdges[id] = predBacking[off : off : off+inDeg[id]]
-		off += inDeg[id]
-	}
-	for _, e := range g.Edges {
-		g.succEdges[e.From] = append(g.succEdges[e.From], e)
-		g.predEdges[e.To] = append(g.predEdges[e.To], e)
-	}
+	return off[:n+1], grouped
 }
 
 // Build constructs the CFG of a program. Each statement yields exactly one
 // node; while and if statements yield branch nodes whose True edge enters
 // the body/then and whose False edge leaves the loop / enters the else.
-func Build(p *mpl.Program) (*Graph, error) { return BuildCached(p, nil) }
+func Build(p *mpl.Program) (*Graph, error) { return build(p, false) }
 
-// BuildCached is Build with recycled construction buffers. The returned
-// graph aliases the cache and is invalidated by the next BuildCached call
-// with the same cache — see BuildCache. A nil cache builds fresh.
-func BuildCached(p *mpl.Program, c *BuildCache) (*Graph, error) {
-	if c == nil {
-		c = &BuildCache{}
+// BuildSkeleton is Build over the program with its checkpoint statements
+// left out: the part of the CFG that inserting, moving and removing
+// checkpoints cannot change. Nodes are numbered in program order, as in
+// Build.
+func BuildSkeleton(p *mpl.Program) (*Graph, error) { return build(p, true) }
+
+// countNodes counts the statements of body that get a node.
+func countNodes(body []mpl.Stmt, skeleton bool) int {
+	n := 0
+	for _, s := range body {
+		switch st := s.(type) {
+		case *mpl.Chkpt:
+			if skeleton {
+				continue
+			}
+		case *mpl.While:
+			n += countNodes(st.Body, skeleton)
+		case *mpl.If:
+			n += countNodes(st.Then, skeleton) + countNodes(st.Else, skeleton)
+		}
+		n++
 	}
-	nstmt := p.StmtCount() + 2
+	return n
+}
+
+func build(p *mpl.Program, skeleton bool) (*Graph, error) {
+	nstmt := countNodes(p.Body, skeleton) + 2
 	b := &builder{
 		g: &Graph{
-			Nodes: grown(c.nodes, nstmt),
-			Edges: grown(c.edges, nstmt+nstmt/2),
-			cache: c,
+			Nodes: make([]*Node, 0, nstmt),
+			Edges: make([]Edge, 0, nstmt+nstmt/2),
 		},
-		slab:  grown(c.slab, nstmt),
-		spare: c.spare,
+		slab: make([]Node, 0, nstmt),
 	}
 	entry := b.newNode(KindEntry, nil)
 	b.g.Entry = entry
-	connect := func(frontier []dangling, to int) {
-		for _, d := range frontier {
-			b.addEdge(d.from, to, d.kind)
-		}
-	}
 
 	var buildBody func(body []mpl.Stmt, frontier []dangling) ([]dangling, error)
 	buildBody = func(body []mpl.Stmt, frontier []dangling) ([]dangling, error) {
@@ -360,6 +329,9 @@ func BuildCached(p *mpl.Program, c *BuildCache) (*Graph, error) {
 			case *mpl.Reduce:
 				kind = KindReduce
 			case *mpl.Chkpt:
+				if skeleton {
+					continue
+				}
 				kind = KindChkpt
 			case *mpl.While, *mpl.If:
 				kind = KindBranch
@@ -367,7 +339,7 @@ func BuildCached(p *mpl.Program, c *BuildCache) (*Graph, error) {
 				return nil, fmt.Errorf("cfg: unknown statement type %T", s)
 			}
 			id := b.newNode(kind, s)
-			connect(frontier, id)
+			b.connect(frontier, id, false)
 			switch st := s.(type) {
 			case *mpl.While:
 				bodyEnd, err := buildBody(st.Body, b.take(dangling{id, EdgeTrue}))
@@ -375,7 +347,7 @@ func BuildCached(p *mpl.Program, c *BuildCache) (*Graph, error) {
 					return nil, err
 				}
 				// Backward edges to the loop header.
-				connect(bodyEnd, id)
+				b.connect(bodyEnd, id, true)
 				b.recycle(bodyEnd)
 				frontier = append(frontier[:0], dangling{id, EdgeFalse})
 			case *mpl.If:
@@ -410,10 +382,8 @@ func BuildCached(p *mpl.Program, c *BuildCache) (*Graph, error) {
 	}
 	exit := b.newNode(KindExit, nil)
 	b.g.Exit = exit
-	connect(frontier, exit)
-	b.g.finalize(c)
-	// Hand the (possibly regrown) buffers back for the next build.
-	c.slab, c.nodes, c.edges, c.spare = b.slab, b.g.Nodes, b.g.Edges, b.spare
+	b.connect(frontier, exit, false)
+	b.g.finalize()
 	return b.g, nil
 }
 
@@ -433,24 +403,9 @@ func (g *Graph) Dominators() []Bitset {
 func (g *Graph) computeDominators() {
 	n := len(g.Nodes)
 	words := (n + 63) / 64
-	var backing []uint64
-	var dom []Bitset
-	var meet Bitset
-	if c := g.cache; c != nil {
-		c.domWords = grownLen(c.domWords, n*words)
-		backing = c.domWords
-		for i := range backing {
-			backing[i] = 0
-		}
-		c.dom = grownLen(c.dom, n)
-		dom = c.dom
-		c.meet = Bitset(grownLen([]uint64(c.meet), words))
-		meet = c.meet
-	} else {
-		backing = make([]uint64, n*words)
-		dom = make([]Bitset, n)
-		meet = NewBitset(n)
-	}
+	backing := make([]uint64, n*words)
+	dom := make([]Bitset, n)
+	meet := NewBitset(n)
 	for v := range dom {
 		dom[v] = Bitset(backing[v*words : (v+1)*words])
 		if v == g.Entry {
@@ -468,7 +423,7 @@ func (g *Graph) computeDominators() {
 			if v == g.Entry {
 				continue
 			}
-			preds := g.predEdges[v]
+			preds := g.Preds(v)
 			if len(preds) == 0 {
 				// Unreachable node: dominated by everything (vacuous).
 				continue
@@ -491,44 +446,50 @@ func (g *Graph) computeDominators() {
 func Dominates(dom []Bitset, a, b int) bool { return dom[b].Has(a) }
 
 // BackEdges returns the edges ⟨a,b⟩ where b dominates a — the loop edges of
-// the graph (§2's backward edges). The result is cached; callers must not
-// modify it.
+// the graph (§2's backward edges), derived from the dominator sets. The
+// analyses read Edge.Back instead; this is the independent derivation the
+// tests hold that flag to, and what DOT renders. The result is cached;
+// callers must not modify it.
 func (g *Graph) BackEdges() []Edge {
 	g.backOnce.Do(func() {
 		dom := g.Dominators()
-		cnt := 0
-		for _, e := range g.Edges {
-			if Dominates(dom, e.To, e.From) {
-				cnt++
-			}
-		}
-		if cnt == 0 {
-			return
-		}
-		if c := g.cache; c != nil {
-			g.back = grown(c.back, cnt)
-		} else {
-			g.back = make([]Edge, 0, cnt)
-		}
 		for _, e := range g.Edges {
 			if Dominates(dom, e.To, e.From) {
 				g.back = append(g.back, e)
 			}
 		}
-		if c := g.cache; c != nil {
-			c.back = g.back
-		}
 	})
 	return g.back
 }
 
-// IsBackEdge reports whether e is a backward control edge (its target
-// dominates its source). It answers from the cached dominator sets in O(1),
-// replacing the map[Edge]bool sets the path searches used to rebuild per
-// query.
-func (g *Graph) IsBackEdge(e Edge) bool {
-	dom := g.Dominators()
-	return dom[e.From].Has(e.To)
+// DomChain appends to dst the statements of body whose nodes dominate the
+// node of statement target, outermost first, and reports whether target
+// was found. In a structured program that is a walk, not a data-flow
+// problem: a statement is dominated by the statements in front of it in its
+// list — checkpoints included — then by the while or if that encloses the
+// list, and so on outward. (A branch's inner statements dominate nothing
+// behind the branch.) Graph.Dominators is the independent derivation.
+func DomChain(dst []mpl.Stmt, body []mpl.Stmt, target int) ([]mpl.Stmt, bool) {
+	mark := len(dst)
+	for _, s := range body {
+		if s.ID() == target {
+			return dst, true
+		}
+		dst = append(dst, s)
+		var found bool
+		switch st := s.(type) {
+		case *mpl.While:
+			dst, found = DomChain(dst, st.Body, target)
+		case *mpl.If:
+			if dst, found = DomChain(dst, st.Then, target); !found {
+				dst, found = DomChain(dst, st.Else, target)
+			}
+		}
+		if found {
+			return dst, true
+		}
+	}
+	return dst[:mark], false
 }
 
 // NaturalLoop returns the node set of the natural loop of back edge ⟨a,b⟩:

@@ -1,6 +1,8 @@
 package cfg
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -428,7 +430,89 @@ func TestBuildAllCorpus(t *testing.T) {
 			if got, want := len(g.Nodes)-2, p.StmtCount(); got != want {
 				t.Errorf("stmt nodes = %d, program stmts = %d", got, want)
 			}
+			checkStructure(t, p, g)
 		})
+	}
+}
+
+// checkStructure holds what Build reads off the AST — which edges are
+// backward, which statements dominate which, what the skeleton is — to
+// the independent derivations: the dominator sets, and Build on a copy of
+// the program with its checkpoints deleted.
+func checkStructure(t *testing.T, p *mpl.Program, g *Graph) {
+	t.Helper()
+	dom := g.Dominators()
+	nback := 0
+	for _, e := range g.Edges {
+		if e.Back != Dominates(dom, e.To, e.From) {
+			t.Errorf("edge %d→%d: Back = %v, target dominates source = %v", e.From, e.To, e.Back, !e.Back)
+		}
+		if e.Back {
+			nback++
+		}
+	}
+	if got := len(g.BackEdges()); got != nback {
+		t.Errorf("BackEdges() = %d edges, %d marked Back", got, nback)
+	}
+	for _, n := range g.Nodes {
+		if n.Stmt == nil {
+			continue
+		}
+		// The strict dominators of n other than the entry, outermost first.
+		var want []int
+		for _, d := range dom[n.ID].AppendMembers(nil) {
+			if d != n.ID && d != g.Entry {
+				want = append(want, d)
+			}
+		}
+		sort.Slice(want, func(i, j int) bool { return Dominates(dom, want[i], want[j]) })
+		chain, ok := DomChain(nil, p.Body, n.Stmt.ID())
+		if !ok || len(chain) != len(want) {
+			t.Fatalf("DomChain(%s) = %d statements (found %v), dominator sets give %d", n.Label(), len(chain), ok, len(want))
+		}
+		for i, s := range chain {
+			if g.Nodes[want[i]].Stmt.ID() != s.ID() {
+				t.Fatalf("DomChain(%s)[%d] = %s, dominator sets give %s", n.Label(), i, mpl.DescribeStmt(s), g.Nodes[want[i]].Label())
+			}
+		}
+	}
+
+	bare := mpl.Clone(p)
+	var strip func(body []mpl.Stmt) []mpl.Stmt
+	strip = func(body []mpl.Stmt) []mpl.Stmt {
+		out := body[:0]
+		for _, s := range body {
+			switch st := s.(type) {
+			case *mpl.Chkpt:
+				continue
+			case *mpl.While:
+				st.Body = strip(st.Body)
+			case *mpl.If:
+				st.Then, st.Else = strip(st.Then), strip(st.Else)
+			}
+			out = append(out, s)
+		}
+		return out
+	}
+	bare.Body = strip(bare.Body)
+	want, err := Build(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := BuildSkeleton(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sk.Edges, want.Edges) || len(sk.Nodes) != len(want.Nodes) {
+		t.Fatalf("BuildSkeleton differs from Build without checkpoints:\n%v\n%v", sk.Edges, want.Edges)
+	}
+	for i, n := range sk.Nodes {
+		if w := want.Nodes[i]; n.Kind != w.Kind || n.ID != w.ID || (n.Stmt != nil && n.Stmt.ID() != w.Stmt.ID()) {
+			t.Fatalf("skeleton node %d = %s, want %s", i, n.Label(), w.Label())
+		}
+		if !reflect.DeepEqual(sk.Succs(i), want.Succs(i)) || !reflect.DeepEqual(sk.Preds(i), want.Preds(i)) {
+			t.Fatalf("skeleton node %d: adjacency differs", i)
+		}
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 
 // FuzzCFGBuild checks that any program the parser and checker admit builds
 // a structurally sound CFG: Build never panics, every edge stays in range,
-// the exit is reachable from the entry, dominators compute, and checkpoint
-// enumeration either succeeds with positive indexes or reports a
-// well-formed ambiguity error. Run with `go test -fuzz FuzzCFGBuild`; the
+// the exit is reachable from the entry, dominators compute and agree with
+// what Build read off the AST (back edges, dominator chains, the skeleton),
+// and checkpoint enumeration either succeeds with positive indexes or
+// reports a well-formed ambiguity error. Run with `go test -fuzz FuzzCFGBuild`; the
 // seed corpus runs under plain `go test`.
 func FuzzCFGBuild(f *testing.F) {
 	seeds := []string{
@@ -53,6 +54,7 @@ func FuzzCFGBuild(f *testing.F) {
 		if !Dominates(dom, g.Entry, g.Exit) {
 			t.Fatal("entry does not dominate exit")
 		}
+		checkStructure(t, p, g)
 		enum, err := Enumerate(p)
 		if err != nil {
 			var amb *AmbiguousError

@@ -1,8 +1,12 @@
 package core_test
 
 import (
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -74,37 +78,125 @@ func TestPipelineEndsAllocs(t *testing.T) {
 	}
 }
 
-// TestPipelineOutputMatchesGoldens holds the whole pipeline to the bytes it
-// produced at the commit before the ends were rewritten: the goldens under
-// internal/mpl/testdata are that commit's Format output for these three
-// transformed programs (package mpl's own tests check they are a fixpoint
-// of Parse and Format).
-func TestPipelineOutputMatchesGoldens(t *testing.T) {
-	for name, p := range map[string]*mpl.Program{
-		"jacobi_transformed":       corpus.JacobiFig2(64),
-		"stencil2d_transformed":    corpus.Stencil2D(3, 2),
-		"genlarge_1_6_transformed": verify.GenerateLarge(1, 6),
+// TestTransformAllocs pins what core.Transform allocates on the two
+// programs the four runtime workloads of the benchmark compile once per
+// job, where the pipeline is a fixed share of the job that may only fall.
+// The ceilings are the counts before Phase III kept a skeleton (121 and
+// 129); it measures 106 and 116 since.
+func TestTransformAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		prog *mpl.Program
+		max  float64
+	}{
+		{corpus.JacobiFig2(64), 121},
+		{corpus.Stencil2D(3, 2), 129},
 	} {
-		want, err := os.ReadFile(filepath.Join("..", "mpl", "testdata", name+".golden"))
-		if err != nil {
-			t.Fatal(err)
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := core.Transform(tc.prog, core.DefaultConfig); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("core.Transform(%s): %.0f allocs/call (ceiling %.0f)", tc.prog.Name, got, tc.max)
+		if got > tc.max {
+			t.Errorf("core.Transform(%s) allocates %.0f times per call, ceiling %.0f", tc.prog.Name, got, tc.max)
 		}
+	}
+}
+
+// update rewrites testdata/pipeline.golden from the code under test. The
+// file is the parent commit's output: regenerate it only in a PR whose
+// point is to change what the pipeline emits.
+var update = flag.Bool("update", false, "rewrite testdata/pipeline.golden")
+
+// TestPipelineOutputMatchesGoldens holds the whole pipeline to the bytes it
+// produced before Phase III stopped rebuilding Ĝ every round: one golden
+// file with, per program, a header recording the fixpoint's shape
+// (iterations, moves, orderings, initial violations) and the Format output
+// of the transformed, compiled program. The programs are every corpus
+// program, the eight analysis-large shapes and a hundred generated ones.
+// Three of them also have a golden under internal/mpl/testdata (package
+// mpl's own tests check those are a fixpoint of Parse and Format).
+func TestPipelineOutputMatchesGoldens(t *testing.T) {
+	type named struct {
+		name string
+		p    *mpl.Program
+	}
+	var progs []named
+	for name, p := range corpus.All() {
+		progs = append(progs, named{name, p})
+	}
+	sort.Slice(progs, func(i, j int) bool { return progs[i].name < progs[j].name })
+	progs = append(progs, named{"jacobi_transformed", corpus.JacobiFig2(64)})
+	for seed := int64(1); seed <= 8; seed++ {
+		progs = append(progs, named{fmt.Sprintf("genlarge_%d_6", seed), verify.GenerateLarge(seed, 6)})
+	}
+	for seed := int64(1); seed <= 100; seed++ {
+		progs = append(progs, named{fmt.Sprintf("gen_%d", seed), verify.Generate(seed)})
+	}
+	mplGoldens := map[string]string{
+		"jacobi_transformed": "jacobi_transformed",
+		"stencil2d":          "stencil2d_transformed",
+		"genlarge_1_6":       "genlarge_1_6_transformed",
+	}
+
+	var got strings.Builder
+	for _, np := range progs {
 		// Through source, as chkptc does: Format → Parse → Transform →
 		// Compile → Format.
-		parsed, err := mpl.Parse(mpl.Format(p))
+		parsed, err := mpl.Parse(mpl.Format(np.p))
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", np.name, err)
 		}
 		rep, err := core.Transform(parsed, core.DefaultConfig)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", np.name, err)
 		}
 		code, err := sim.Compile(rep.Program)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", np.name, err)
 		}
-		if got := mpl.Format(code.Prog); got != string(want) {
-			t.Errorf("%s: pipeline output differs from the golden\ngot:\n%s\nwant:\n%s", name, got, want)
+		out := mpl.Format(code.Prog)
+		ph := rep.Phase3
+		fmt.Fprintf(&got, "=== %s iterations=%d moves=%d orderings=%d initial_violations=%d\n%s",
+			np.name, ph.Iterations, len(ph.Moves), len(ph.Orderings), len(ph.InitialViolations), out)
+		if file, ok := mplGoldens[np.name]; ok {
+			want, err := os.ReadFile(filepath.Join("..", "mpl", "testdata", file+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != string(want) {
+				t.Errorf("%s: pipeline output differs from %s.golden\ngot:\n%s\nwant:\n%s", np.name, file, out, want)
+			}
 		}
 	}
+
+	path := filepath.Join("testdata", "pipeline.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() == string(want) {
+		return
+	}
+	// Name the first program whose section differs instead of dumping 118.
+	gs, ws := strings.SplitAfter(got.String(), "\n=== "), strings.SplitAfter(string(want), "\n=== ")
+	for i := range gs {
+		if i >= len(ws) || gs[i] != ws[i] {
+			w := "(missing)"
+			if i < len(ws) {
+				w = ws[i]
+			}
+			t.Fatalf("pipeline output differs from %s at section %d\ngot:\n%s\nwant:\n%s", path, i, gs[i], w)
+		}
+	}
+	t.Fatalf("pipeline output is a strict prefix of %s", path)
 }

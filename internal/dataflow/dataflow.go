@@ -92,43 +92,10 @@ func sameAbstract(a, b mpl.Expr) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	if structEqual(a, b) {
+	if mpl.EqualExpr(a, b) {
 		return true
 	}
 	return mpl.ExprString(a) == mpl.ExprString(b)
-}
-
-func structEqual(a, b mpl.Expr) bool {
-	if a == b {
-		return true
-	}
-	switch x := a.(type) {
-	case *mpl.IntLit:
-		y, ok := b.(*mpl.IntLit)
-		return ok && x.Value == y.Value
-	case *mpl.Ident:
-		y, ok := b.(*mpl.Ident)
-		return ok && x.Name == y.Name
-	case *mpl.Call:
-		y, ok := b.(*mpl.Call)
-		if !ok || x.Name != y.Name || len(x.Args) != len(y.Args) {
-			return false
-		}
-		for i := range x.Args {
-			if !structEqual(x.Args[i], y.Args[i]) {
-				return false
-			}
-		}
-		return true
-	case *mpl.Unary:
-		y, ok := b.(*mpl.Unary)
-		return ok && x.Op == y.Op && structEqual(x.X, y.X)
-	case *mpl.Binary:
-		y, ok := b.(*mpl.Binary)
-		return ok && x.Op == y.Op && structEqual(x.L, y.L) && structEqual(x.R, y.R)
-	default:
-		return false
-	}
 }
 
 func (s state) equal(o state) bool {

@@ -296,33 +296,56 @@ func countChkpts(body []mpl.Stmt) int {
 // (two chkpts with no intervening statement), which checkpoint movement
 // can produce. It returns the number of statements removed. The program is
 // mutated.
-func Coalesce(p *mpl.Program) int {
-	removed := 0
-	var fix func(body []mpl.Stmt) []mpl.Stmt
-	fix = func(body []mpl.Stmt) []mpl.Stmt {
-		out := body[:0]
-		prevChkpt := false
-		for _, s := range body {
-			if _, ok := s.(*mpl.Chkpt); ok {
-				if prevChkpt {
-					removed++
-					continue
-				}
-				prevChkpt = true
-			} else {
-				prevChkpt = false
-				switch st := s.(type) {
-				case *mpl.While:
-					st.Body = fix(st.Body)
-				case *mpl.If:
-					st.Then = fix(st.Then)
-					st.Else = fix(st.Else)
-				}
-			}
-			out = append(out, s)
+func Coalesce(p *mpl.Program) int { return coalesce(&p.Body, nil) }
+
+// CoalesceUndoable is Coalesce that can be taken back: undo restores every
+// statement list Coalesce shortened, provided nothing else has touched the
+// program in between.
+func CoalesceUndoable(p *mpl.Program) (removed int, undo func()) {
+	var saved []savedList
+	removed = coalesce(&p.Body, &saved)
+	return removed, func() {
+		for _, sv := range saved {
+			*sv.list = append((*sv.list)[:0], sv.stmts...)
 		}
-		return out
 	}
-	p.Body = fix(p.Body)
+}
+
+// savedList is a statement list as it was before coalesce shortened it.
+type savedList struct {
+	list  *[]mpl.Stmt
+	stmts []mpl.Stmt
+}
+
+// coalesce compacts *list in place. The removed statements stay in the
+// backing array past the new length only until something overwrites them,
+// so with saved non-nil each list is copied before its first removal.
+func coalesce(list *[]mpl.Stmt, saved *[]savedList) int {
+	body := *list
+	removed := 0
+	out := body[:0]
+	prevChkpt := false
+	for i, s := range body {
+		if _, ok := s.(*mpl.Chkpt); ok {
+			if prevChkpt {
+				if saved != nil && len(out) == i { // nothing removed from this list yet
+					*saved = append(*saved, savedList{list, append([]mpl.Stmt(nil), body...)})
+				}
+				removed++
+				continue
+			}
+			prevChkpt = true
+		} else {
+			prevChkpt = false
+			switch st := s.(type) {
+			case *mpl.While:
+				removed += coalesce(&st.Body, saved)
+			case *mpl.If:
+				removed += coalesce(&st.Then, saved) + coalesce(&st.Else, saved)
+			}
+		}
+		out = append(out, s)
+	}
+	*list = out
 	return removed
 }

@@ -303,6 +303,54 @@ proc {
 	}
 }
 
+// TestCoalesceUndoable: undo puts back exactly the statements Coalesce
+// dropped, where they were — three in a row, at a list's end, in nested
+// lists — and the same statement values, not copies.
+func TestCoalesceUndoable(t *testing.T) {
+	p := mustParse(t, `
+program dup
+var x
+proc {
+    chkpt
+    chkpt
+    chkpt
+    x = 1
+    while x < 3 {
+        if x == 1 {
+            x = x + 1
+            chkpt
+            chkpt
+        } else {
+            chkpt
+        }
+        chkpt
+        chkpt
+    }
+    chkpt
+}
+`)
+	before := mpl.Format(p)
+	var stmts []mpl.Stmt
+	mpl.Walk(p.Body, func(s mpl.Stmt) bool { stmts = append(stmts, s); return true })
+
+	removed, undo := CoalesceUndoable(p)
+	if removed != 4 || countChkptStmts(p) != 5 {
+		t.Fatalf("removed %d, %d checkpoints left; want 4 and 5", removed, countChkptStmts(p))
+	}
+	undo()
+	if got := mpl.Format(p); got != before {
+		t.Fatalf("undo did not restore the program\ngot:\n%s\nwant:\n%s", got, before)
+	}
+	i := 0
+	mpl.Walk(p.Body, func(s mpl.Stmt) bool {
+		if s != stmts[i] {
+			t.Errorf("statement %d is %s, was %s", i, mpl.DescribeStmt(s), mpl.DescribeStmt(stmts[i]))
+		}
+		i++
+		return true
+	})
+}
+
 func TestCoalesceKeepsSeparatedCheckpoints(t *testing.T) {
 	p := corpus.JacobiFig1(2)
 	if removed := Coalesce(p); removed != 0 {

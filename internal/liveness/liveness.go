@@ -56,14 +56,9 @@ type Result struct {
 // when the site is unknown (callers treat nil as "persist everything").
 func (r *Result) ManifestFor(stmtID int) []string { return r.Live[stmtID] }
 
-// Compute runs the analysis on a program. See ComputeCached.
-func Compute(p *mpl.Program) (*Result, error) { return ComputeCached(p, nil) }
-
-// ComputeCached is Compute with a recycled CFG build cache (the analysis
-// itself holds no state across calls; the cache only serves cfg.BuildCached
-// — pass nil to build fresh).
-func ComputeCached(p *mpl.Program, c *cfg.BuildCache) (*Result, error) {
-	tbl, live, err := solve(p, c, true)
+// Compute runs the analysis on a program.
+func Compute(p *mpl.Program) (*Result, error) {
+	tbl, live, err := solve(p, true)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +72,7 @@ func ComputeCached(p *mpl.Program, c *cfg.BuildCache) (*Result, error) {
 // explaining why pruning kept a variable that no statement ever reads
 // again. No manifest depends on it, so it is solved only when asked for.
 func ReadLive(p *mpl.Program) (map[int][]string, error) {
-	_, sets, err := solve(p, nil, false)
+	_, sets, err := solve(p, false)
 	return sets, err
 }
 
@@ -85,8 +80,8 @@ func ReadLive(p *mpl.Program) (map[int][]string, error) {
 // (exitAll) or in none, and returns the sorted live names per checkpoint
 // statement id. It allocates per program, not per CFG node or per site:
 // every bit set is carved from one slab, every manifest from one slice.
-func solve(p *mpl.Program, c *cfg.BuildCache, exitAll bool) (*dataflow.VarTable, map[int][]string, error) {
-	g, err := cfg.BuildCached(p, c)
+func solve(p *mpl.Program, exitAll bool) (*dataflow.VarTable, map[int][]string, error) {
+	g, err := cfg.Build(p)
 	if err != nil {
 		return nil, nil, fmt.Errorf("liveness: %w", err)
 	}

@@ -23,6 +23,10 @@
 // Compatibility is decided through precomputed attr.Tables — one per
 // communication node, built once per Match call — so the send×receive
 // scan performs no expression evaluation (see internal/attr/table.go).
+//
+// Nothing here looks at checkpoint statements, so g may equally be the
+// program's skeleton (cfg.BuildSkeleton): Phase III matches once on that
+// and keeps the result for all of its rounds.
 package match
 
 import (
@@ -54,11 +58,15 @@ type Extended struct {
 	// send/recv/bcast/reduce nodes (the zero Param elsewhere).
 	Params []attr.Param
 
-	msgFrom [][]int // send node id -> recv node ids
+	// Messages grouped by sender: those of send s are
+	// bySend[sendOff[s]:sendOff[s+1]], in Messages order.
+	sendOff []int32
+	bySend  []MessageEdge
 
-	arena   *cfg.Arena      // optional round-scoped scratch source (may be nil)
+	arena   *cfg.Arena      // optional scratch and closure-set source (may be nil)
 	scratch *witnessScratch // lazily built; serial use only
 	reach   []*reachSets    // memoized per-source causal closures
+	bfs     *bfsScratch     // closureBFS's buffers on the serial path
 }
 
 // Options configures the matcher.
@@ -70,63 +78,11 @@ type Options struct {
 	// paper's one-to-one DFS rule. Useful for worst-case analyses; see the
 	// package comment for why it is not the default.
 	Liberal bool
-	// Arena, when non-nil, supplies round-scoped scratch buffers for the
-	// path searches over the result. The Extended is then only valid until
-	// the arena's next Reset. A nil arena means plain allocation.
+	// Arena, when non-nil, supplies the scratch buffers and closure sets of
+	// the path searches over the result. The Extended is then only valid
+	// until the arena's next Reset. A nil arena means plain allocation.
 	Arena *cfg.Arena
-	// Cache, when non-nil, reuses Phase II state across repeated Match
-	// calls on successive revisions of one program — Phase III's fixpoint
-	// rounds. See RoundCache for the validity contract.
-	Cache *RoundCache
 }
-
-// RoundCache carries Phase II state across Phase III's fixpoint rounds.
-//
-// Solver tables are memoized by statement id, which is sound because the
-// rounds only add, move, or remove checkpoint statements: communication
-// statements keep their path attributes and resolved parameters, and
-// checkpoint statements have no tables. Everything else in the cache is
-// plain buffer reuse, cleared and recomputed each round (path attributes
-// of moved checkpoints DO change, so they are never carried over).
-//
-// A RoundCache is tied to one program lineage and one solver
-// configuration; the Extended built with it is invalidated by the next
-// Match call using the same cache. The zero value is ready to use. Not
-// safe for concurrent Match calls.
-type RoundCache struct {
-	attrs      map[int]attr.Predicate
-	branchCtx  map[int][2]attr.Predicate // per-branch then/else (or loop-body) context conjunctions
-	tables     map[int]*attr.Table       // noTable marks a cached nil (wide-bounds fallback)
-	tableSlab  []attr.Table              // shared-backing storage for the cached tables
-	tableUsed  int                       // tableSlab entries consumed
-	pathAttr   []attr.Predicate
-	params     []attr.Param
-	msgFrom    [][]int
-	nodeTables []*attr.Table
-	reach      []*reachSets
-	messages   []MessageEdge
-	sends      []int
-	recvs      []int
-}
-
-// grown returns buf resized to n, reusing its backing when possible; all
-// n entries are zeroed either way.
-func grown[T any](buf []T, n int) []T {
-	if cap(buf) >= n {
-		buf = buf[:n]
-		var zero T
-		for i := range buf {
-			buf[i] = zero
-		}
-		return buf
-	}
-	return make([]T, n)
-}
-
-// noTable is the cached-nil sentinel for RoundCache.tables: the solver
-// bounds exceeded the table representation, so canMatch falls back to the
-// exact enumeration. A sentinel beats a second "present" map.
-var noTable = &attr.Table{}
 
 func (o Options) solver() attr.Solver {
 	if o.Solver == (attr.Solver{}) {
@@ -150,51 +106,39 @@ func BuildExtended(p *mpl.Program, opts Options) (*Extended, error) {
 // existing data-flow result.
 func Match(p *mpl.Program, g *cfg.Graph, df *dataflow.Result, opts Options) (*Extended, error) {
 	n := len(g.Nodes)
-	x := &Extended{G: g, arena: opts.Arena}
-	var attrs map[int]attr.Predicate
-	if c := opts.Cache; c != nil {
-		c.pathAttr = grown(c.pathAttr, n)
-		c.params = grown(c.params, n)
-		c.reach = grown(c.reach, n)
-		// msgFrom keeps the per-send inner backings across rounds: entries
-		// are truncated, not nilled, so re-appending the round's message
-		// edges stops allocating once capacities warm up.
-		if cap(c.msgFrom) < n {
-			grownOuter := make([][]int, n)
-			copy(grownOuter, c.msgFrom)
-			c.msgFrom = grownOuter
-		}
-		c.msgFrom = c.msgFrom[:n]
-		for i := range c.msgFrom {
-			c.msgFrom[i] = c.msgFrom[i][:0]
-		}
-		x.PathAttr, x.Params, x.msgFrom, x.reach = c.pathAttr, c.params, c.msgFrom, c.reach
-		if c.messages == nil {
-			c.messages = make([]MessageEdge, 0, 32)
-		}
-		x.Messages = c.messages[:0]
-		if c.attrs == nil {
-			c.attrs = make(map[int]attr.Predicate, p.StmtCount())
-			c.branchCtx = make(map[int][2]attr.Predicate)
-		} else {
-			clear(c.attrs)
-		}
-		attributesInto(p, df, c.attrs, c.branchCtx)
-		attrs = c.attrs
-	} else {
-		x.PathAttr = make([]attr.Predicate, n)
-		x.Params = make([]attr.Param, n)
-		x.msgFrom = make([][]int, n)
-		// Path attributes from the structured AST: every statement inherits
-		// the ID-dependent branch constraints of its enclosing conditionals.
-		attrs = Attributes(p, df)
+	x := &Extended{
+		G:        g,
+		PathAttr: make([]attr.Predicate, n),
+		Params:   make([]attr.Param, n),
+		arena:    opts.Arena,
 	}
+	// Path attributes from the structured AST: every statement inherits
+	// the ID-dependent branch constraints of its enclosing conditionals.
+	// Nodes are in program order, so one walk fills them; a statement g has
+	// no node for (a checkpoint, when g is a skeleton) is passed over.
+	next := g.Entry + 1
+	walkAttrs(p.Body, nil, df, func(s mpl.Stmt, ctx attr.Predicate) {
+		if next < n && g.Nodes[next].Stmt != nil && g.Nodes[next].Stmt.ID() == s.ID() {
+			x.PathAttr[next] = ctx
+			next++
+		}
+	})
+	if next != g.Exit {
+		return nil, fmt.Errorf("match: graph has %d statement nodes, program %q matched %d", g.Exit-1, p.Name, next-1)
+	}
+	// Resolved parameters per node; sends then receives, in node order.
+	nsend, nrecv := 0, 0
 	for _, nd := range g.Nodes {
-		if nd.Stmt != nil {
-			x.PathAttr[nd.ID] = attrs[nd.Stmt.ID()]
+		switch nd.Kind {
+		case cfg.KindSend:
+			nsend++
+		case cfg.KindRecv:
+			nrecv++
 		}
 	}
-	// Resolved parameters per node.
+	comm := make([]int, nsend+nrecv)
+	x.Messages = make([]MessageEdge, 0, nrecv+8)
+	sends, recvs := comm[:0:nsend], comm[nsend:nsend]
 	for _, nd := range g.Nodes {
 		switch nd.Kind {
 		case cfg.KindSend, cfg.KindRecv, cfg.KindBcast, cfg.KindReduce:
@@ -203,82 +147,27 @@ func Match(p *mpl.Program, g *cfg.Graph, df *dataflow.Result, opts Options) (*Ex
 				return nil, fmt.Errorf("match: no resolved parameter for %s", nd.Label())
 			}
 			x.Params[nd.ID] = param
+			if nd.Kind == cfg.KindSend {
+				sends = append(sends, nd.ID)
+			} else if nd.Kind == cfg.KindRecv {
+				recvs = append(recvs, nd.ID)
+			}
 		}
 	}
 
+	// Precompute the per-node satisfiability tables, one per entry of comm;
+	// the pair scan below then runs without a single expression evaluation.
+	// There are none when the solver bounds exceed the table
+	// representation, in which case canMatch falls back to the exact
+	// enumeration.
 	solver := opts.solver()
-	var sends, recvs []int
-	if c := opts.Cache; c != nil {
-		if c.sends == nil {
-			// Presize: growing from nil costs a log₂ ladder of appends on
-			// the very first round of every Transform.
-			c.sends = make([]int, 0, 16)
-			c.recvs = make([]int, 0, 16)
+	tables := solver.Tables(x.PathAttr, x.Params, comm)
+	// canMatch takes positions in sends and recvs, not node ids.
+	canMatch := func(si, ri int) bool {
+		if tables != nil {
+			return attr.CanMatchTables(&tables[si], &tables[nsend+ri])
 		}
-		c.sends = g.AppendNodesOfKind(cfg.KindSend, c.sends[:0])
-		c.recvs = g.AppendNodesOfKind(cfg.KindRecv, c.recvs[:0])
-		sends, recvs = c.sends, c.recvs
-	} else {
-		sends = g.NodesOfKind(cfg.KindSend)
-		recvs = g.NodesOfKind(cfg.KindRecv)
-	}
-
-	// Precompute the per-node satisfiability tables; the pair scan below
-	// then runs without a single expression evaluation. Tables are nil
-	// when the solver bounds exceed their representation, in which case
-	// canMatch falls back to the exact enumeration. With a cache, tables
-	// are memoized by statement id across fixpoint rounds (communication
-	// statements never move or change attributes during Phase III).
-	var tables []*attr.Table
-	if c := opts.Cache; c != nil {
-		c.nodeTables = grown(c.nodeTables, n)
-		tables = c.nodeTables
-		if c.tables == nil {
-			// One comm statement can be both matched sides (bcast/reduce),
-			// so sends+recvs bounds the table count; the slab must never
-			// regrow — the map holds pointers into it.
-			// Exact size: tableFor runs once per send and once per recv.
-			c.tables = make(map[int]*attr.Table, len(sends)+len(recvs))
-			c.tableSlab = solver.SlabTables(len(sends) + len(recvs))
-		}
-	} else {
-		tables = make([]*attr.Table, n)
-	}
-	tableFor := func(node int) *attr.Table {
-		if c := opts.Cache; c != nil {
-			sid := g.Nodes[node].Stmt.ID()
-			if t, ok := c.tables[sid]; ok {
-				if t == noTable {
-					return nil
-				}
-				return t
-			}
-			var t *attr.Table
-			if c.tableUsed < len(c.tableSlab) {
-				t = &c.tableSlab[c.tableUsed]
-				c.tableUsed++
-			} else {
-				t = &attr.Table{}
-			}
-			if !solver.TableInto(x.PathAttr[node], x.Params[node], t) {
-				c.tables[sid] = noTable
-				return nil
-			}
-			c.tables[sid] = t
-			return t
-		}
-		return solver.Table(x.PathAttr[node], x.Params[node])
-	}
-	for _, s := range sends {
-		tables[s] = tableFor(s)
-	}
-	for _, r := range recvs {
-		tables[r] = tableFor(r)
-	}
-	canMatch := func(s, r int) bool {
-		if st, rt := tables[s], tables[r]; st != nil && rt != nil {
-			return attr.CanMatchTables(st, rt)
-		}
+		s, r := sends[si], recvs[ri]
 		return solver.CanMatch(x.PathAttr[s], x.Params[s], x.PathAttr[r], x.Params[r])
 	}
 
@@ -288,11 +177,11 @@ func Match(p *mpl.Program, g *cfg.Graph, df *dataflow.Result, opts Options) (*Ex
 	// structured builder), and for each, find candidate sends whose
 	// attributes do not contradict. Regular sends match at most once
 	// unless Liberal; irregular endpoints always match freely.
-	for _, r := range recvs {
+	for ri, r := range recvs {
 		src := x.Params[r]
-		for _, s := range sends {
+		for si, s := range sends {
 			dest := x.Params[s]
-			if !canMatch(s, r) {
+			if !canMatch(si, ri) {
 				continue
 			}
 			if !opts.Liberal && !dest.Wildcard && !src.Wildcard {
@@ -318,12 +207,12 @@ func Match(p *mpl.Program, g *cfg.Graph, df *dataflow.Result, opts Options) (*Ex
 		for _, m := range x.Messages {
 			matchedRecvs.Set(m.Recv)
 		}
-		for _, r := range recvs {
+		for ri, r := range recvs {
 			if matchedRecvs.Has(r) {
 				continue
 			}
-			for _, s := range sends {
-				if canMatch(s, r) {
+			for si, s := range sends {
+				if canMatch(si, ri) {
 					x.addMessage(s, r)
 				}
 			}
@@ -339,21 +228,26 @@ func Match(p *mpl.Program, g *cfg.Graph, df *dataflow.Result, opts Options) (*Ex
 			x.addMessage(nd.ID, nd.ID)
 		}
 	}
-	if c := opts.Cache; c != nil {
-		// Keep the (possibly grown) message backing for the next round.
-		c.messages = x.Messages
-	}
+
+	x.sendOff, x.bySend = cfg.GroupBy(n, x.Messages, func(m MessageEdge) int { return m.Send })
 	return x, nil
 }
 
 func (x *Extended) addMessage(s, r int) {
 	x.Messages = append(x.Messages, MessageEdge{Send: s, Recv: r})
-	x.msgFrom[s] = append(x.msgFrom[s], r)
 }
+
+// msgFrom returns the message edges leaving send node s. The slice is
+// shared; callers must not modify it.
+func (x *Extended) msgFrom(s int) []MessageEdge { return x.bySend[x.sendOff[s]:x.sendOff[s+1]] }
 
 // MessagesFrom returns the receive nodes matched with send node s.
 func (x *Extended) MessagesFrom(s int) []int {
-	return append([]int(nil), x.msgFrom[s]...)
+	var out []int
+	for _, m := range x.msgFrom(s) {
+		out = append(out, m.Recv)
+	}
+	return out
 }
 
 // MessageEdgesAsCFG converts the message edges to cfg.Edge values for DOT
@@ -373,59 +267,30 @@ func (x *Extended) MessageEdgesAsCFG() []cfg.Edge {
 // ID-dependent branches").
 func Attributes(p *mpl.Program, df *dataflow.Result) map[int]attr.Predicate {
 	out := make(map[int]attr.Predicate, p.StmtCount())
-	attributesInto(p, df, out, nil)
+	walkAttrs(p.Body, nil, df, func(s mpl.Stmt, ctx attr.Predicate) { out[s.ID()] = ctx })
 	return out
 }
 
-// attributesInto computes Attributes into an existing (cleared) map,
-// letting the fixpoint rounds reuse one map's buckets.
-//
-// The per-statement attribute map must be rebuilt each round — checkpoint
-// statements move between branch scopes, changing their path attributes.
-// The conjunction PER BRANCH, however, is round-invariant: branch
-// statements never move and the data-flow result is shared, so the inner
-// context of each ID-dependent While/If is the same predicate every round.
-// A non-nil ctxCache memoizes those conjunctions by branch statement id,
-// making rounds after the first allocation-free here.
-func attributesInto(p *mpl.Program, df *dataflow.Result, out map[int]attr.Predicate, ctxCache map[int][2]attr.Predicate) {
-	attrWalk(p.Body, nil, df, out, ctxCache)
-}
-
-// attrWalk is attributesInto's recursion as a top-level function — the
-// self-capturing closure it used to be escaped to the heap on every
-// fixpoint round.
-func attrWalk(body []mpl.Stmt, ctx attr.Predicate, df *dataflow.Result, out map[int]attr.Predicate, ctxCache map[int][2]attr.Predicate) {
+// walkAttrs calls visit with every statement of body, in program order, and
+// the path attribute it executes under; ctx is the attribute of body itself.
+func walkAttrs(body []mpl.Stmt, ctx attr.Predicate, df *dataflow.Result, visit func(mpl.Stmt, attr.Predicate)) {
 	for _, s := range body {
-		out[s.ID()] = ctx
+		visit(s, ctx)
 		switch st := s.(type) {
 		case *mpl.While:
 			inner := ctx
 			if bi := df.Branches[st.ID()]; bi.IDDependent {
-				if v, ok := ctxCache[st.ID()]; ok {
-					inner = v[0]
-				} else {
-					inner = ctx.And(attr.Constraint{Cond: bi.Resolved, Want: true})
-					if ctxCache != nil {
-						ctxCache[st.ID()] = [2]attr.Predicate{inner, nil}
-					}
-				}
+				inner = ctx.And(attr.Constraint{Cond: bi.Resolved, Want: true})
 			}
-			attrWalk(st.Body, inner, df, out, ctxCache)
+			walkAttrs(st.Body, inner, df, visit)
 		case *mpl.If:
 			thenCtx, elseCtx := ctx, ctx
 			if bi := df.Branches[st.ID()]; bi.IDDependent {
-				if v, ok := ctxCache[st.ID()]; ok {
-					thenCtx, elseCtx = v[0], v[1]
-				} else {
-					thenCtx = ctx.And(attr.Constraint{Cond: bi.Resolved, Want: true})
-					elseCtx = ctx.And(attr.Constraint{Cond: bi.Resolved, Want: false})
-					if ctxCache != nil {
-						ctxCache[st.ID()] = [2]attr.Predicate{thenCtx, elseCtx}
-					}
-				}
+				thenCtx = ctx.And(attr.Constraint{Cond: bi.Resolved, Want: true})
+				elseCtx = ctx.And(attr.Constraint{Cond: bi.Resolved, Want: false})
 			}
-			attrWalk(st.Then, thenCtx, df, out, ctxCache)
-			attrWalk(st.Else, elseCtx, df, out, ctxCache)
+			walkAttrs(st.Then, thenCtx, df, visit)
+			walkAttrs(st.Else, elseCtx, df, visit)
 		}
 	}
 }

@@ -438,3 +438,43 @@ func BenchmarkFindCausalPath(b *testing.B) {
 		}
 	}
 }
+
+// TestPrecomputeReachParallelMatchesSerial drives the fan-out branch of
+// PrecomputeReach, which programs of the corpus's size stay below the
+// threshold of: every node of a few-hundred-node program as a source, the
+// closures filled by four workers, against the lazily filled serial ones.
+func TestPrecomputeReachParallelMatchesSerial(t *testing.T) {
+	b := mpl.NewBuilder("wide")
+	b.Vars("a", "tmp", "j")
+	for k := 0; k < 30; k++ {
+		b.Assign("j", mpl.Int(0))
+		b.While(mpl.Lt(mpl.V("j"), mpl.Int(2)), func(b *mpl.Builder) {
+			b.Chkpt()
+			b.Send(mpl.Mod(mpl.Add(mpl.Rank(), mpl.Int(1)), mpl.Nproc()), "a")
+			b.Recv(mpl.Mod(mpl.Sub(mpl.Rank(), mpl.Int(1)), mpl.Nproc()), "tmp")
+			b.Assign("j", mpl.Add(mpl.V("j"), mpl.Int(1)))
+		})
+	}
+	p := b.MustProgram()
+	serial, parallel := buildExt(t, p, Options{}), buildExt(t, p, Options{Arena: &cfg.Arena{}})
+	n := len(serial.G.Nodes)
+	sources := make([]int, n)
+	for i := range sources {
+		sources[i] = i
+	}
+	if err := parallel.PrecomputeReach(sources, 4); err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < n; a++ {
+		for _, acyclic := range []bool{false, true} {
+			if !serial.ReachableExtended(a, acyclic).Equal(parallel.ReachableExtended(a, acyclic)) {
+				t.Fatalf("node %d (acyclic %v): reach differs", a, acyclic)
+			}
+		}
+		for b := 0; b < n; b++ {
+			if serial.CausallyReaches(a, b) != parallel.CausallyReaches(a, b) || serial.CausalNeedsBack(a, b) != parallel.CausalNeedsBack(a, b) {
+				t.Fatalf("causal closure of %d differs at %d", a, b)
+			}
+		}
+	}
+}

@@ -113,7 +113,7 @@ func (x *Extended) witnessBFS(a, b int, allowBack bool) *CausalPath {
 		}
 		node, msg := st>>1, st&1
 		for _, e := range g.Succs(node) {
-			isBack := g.IsBackEdge(e)
+			isBack := e.Back
 			if isBack && !allowBack {
 				continue
 			}
@@ -126,14 +126,14 @@ func (x *Extended) witnessBFS(a, b int, allowBack bool) *CausalPath {
 			sc.step[nst] = PathStep{From: e.From, To: e.To, IsBack: isBack}
 			queue = append(queue, nst)
 		}
-		for _, r := range x.msgFrom[node] {
-			nst := r<<1 | 1
+		for _, m := range x.msgFrom(node) {
+			nst := m.Recv<<1 | 1
 			if sc.seen.Has(nst) {
 				continue
 			}
 			sc.seen.Set(nst)
 			sc.prev[nst] = st
-			sc.step[nst] = PathStep{From: node, To: r, IsMessage: true}
+			sc.step[nst] = PathStep{From: node, To: m.Recv, IsMessage: true}
 			queue = append(queue, nst)
 		}
 	}
@@ -174,40 +174,42 @@ func (p *CausalPath) ContainsNode(id int) bool {
 
 // ---- memoized closures ----
 
+// bfsScratch is closureBFS's visited set and queue over the product graph.
+type bfsScratch struct {
+	seen  cfg.Bitset
+	queue []int
+}
+
+func (x *Extended) newBFSScratch() *bfsScratch {
+	n := 2 * len(x.G.Nodes)
+	return &bfsScratch{seen: x.arena.Bits(n), queue: x.arena.Ints(n)}
+}
+
 // reachFor returns the memoized closure of source node a, computing it on
 // first use. Not safe for concurrent callers on a cache miss; parallel
 // users warm the cache through PrecomputeReach first.
 func (x *Extended) reachFor(a int) *reachSets {
-	if x.reach == nil {
-		x.reach = make([]*reachSets, len(x.G.Nodes))
+	if x.reach == nil || x.reach[a] == nil {
+		x.PrecomputeReach([]int{a}, 1) // serial: cannot fail
 	}
-	if rs := x.reach[a]; rs != nil {
-		return rs
-	}
-	rs := x.computeReach(a)
-	x.reach[a] = rs
+	return x.reach[a]
+}
+
+// carveReach gives rs its four sets.
+func (x *Extended) carveReach(rs *reachSets) *reachSets {
+	n := len(x.G.Nodes)
+	rs.any, rs.msg, rs.anyNB, rs.msgNB = x.arena.Bits(n), x.arena.Bits(n), x.arena.Bits(n), x.arena.Bits(n)
 	return rs
 }
 
-// computeReach runs the two closure BFS passes for one source. It uses
-// only local state (plus the graph's immutable caches), so PrecomputeReach
-// may call it from parallel workers.
-func (x *Extended) computeReach(a int) *reachSets {
-	n := len(x.G.Nodes)
-	words := (n + 63) / 64
-	backing := make([]uint64, 4*words)
-	rs := &reachSets{
-		any:   cfg.Bitset(backing[0*words : 1*words]),
-		msg:   cfg.Bitset(backing[1*words : 2*words]),
-		anyNB: cfg.Bitset(backing[2*words : 3*words]),
-		msgNB: cfg.Bitset(backing[3*words : 4*words]),
-	}
-	seen := cfg.NewBitset(2 * n)
-	queue := make([]int, 0, 2*n)
-	x.closureBFS(a, true, seen, queue, rs.any, rs.msg)
-	seen.Zero()
-	x.closureBFS(a, false, seen, queue, rs.anyNB, rs.msgNB)
-	return rs
+// fillReach runs the two closure passes for one source. It touches only rs
+// and sc (plus the immutable graph), so PrecomputeReach may call it from
+// parallel workers.
+func (x *Extended) fillReach(a int, rs *reachSets, sc *bfsScratch) {
+	sc.seen.Zero()
+	x.closureBFS(a, true, sc.seen, sc.queue, rs.any, rs.msg)
+	sc.seen.Zero()
+	x.closureBFS(a, false, sc.seen, sc.queue, rs.anyNB, rs.msgNB)
 }
 
 // closureBFS floods the product graph from (a, no-message-yet) and writes
@@ -223,7 +225,7 @@ func (x *Extended) closureBFS(a int, allowBack bool, seen cfg.Bitset, queue []in
 		st := queue[qi]
 		node, msg := st>>1, st&1
 		for _, e := range g.Succs(node) {
-			if !allowBack && g.IsBackEdge(e) {
+			if e.Back && !allowBack {
 				continue
 			}
 			nst := e.To<<1 | msg
@@ -236,12 +238,12 @@ func (x *Extended) closureBFS(a int, allowBack bool, seen cfg.Bitset, queue []in
 				queue = append(queue, nst)
 			}
 		}
-		for _, r := range x.msgFrom[node] {
-			nst := r<<1 | 1
+		for _, m := range x.msgFrom(node) {
+			nst := m.Recv<<1 | 1
 			if !seen.Has(nst) {
 				seen.Set(nst)
-				anySet.Set(r)
-				msgSet.Set(r)
+				anySet.Set(m.Recv)
+				msgSet.Set(m.Recv)
 				queue = append(queue, nst)
 			}
 		}
@@ -279,25 +281,21 @@ func (x *Extended) ReachableExtended(a int, acyclic bool) cfg.Bitset {
 // concurrent-safe, so PrecomputeReach carves serially and the workers only
 // fill disjoint buffers.
 type reachJob struct {
-	src   int
-	rs    *reachSets
-	seen  cfg.Bitset
-	queue []int
+	src int
+	rs  *reachSets
+	sc  *bfsScratch
 }
 
-// PrecomputeReach fills the closure cache for the given source nodes,
-// fanning the per-source BFS passes across at most workers goroutines
-// (par.Workers semantics: 0 = GOMAXPROCS, 1 = serial). Each source's
-// closure is deterministic, so the cache — and everything answered from
-// it — is identical for every worker count.
+// PrecomputeReach fills the closure cache for those of the given source
+// nodes it does not hold yet, fanning the per-source BFS passes across at
+// most workers goroutines (par.Workers semantics: 0 = GOMAXPROCS, 1 =
+// serial). Each source's closure is deterministic, so the cache — and
+// everything answered from it — is identical for every worker count.
 func (x *Extended) PrecomputeReach(sources []int, workers int) error {
 	n := len(x.G.Nodes)
 	if x.reach == nil {
 		x.reach = make([]*reachSets, n)
 	}
-	// Warm the graph's lazy analyses (dominators, back edges) serially so
-	// the workers only read.
-	x.G.BackEdges()
 	missing := 0
 	for _, src := range sources {
 		if x.reach[src] == nil {
@@ -314,55 +312,30 @@ func (x *Extended) PrecomputeReach(sources []int, workers int) error {
 	if workers != 1 && missing*2*n < parallelReachThreshold {
 		workers = 1
 	}
+	slab := make([]reachSets, missing)
 	if workers == 1 {
-		seen := x.arena.Bits(2 * n)
-		queue := x.arena.Ints(2 * n)
-		slab := x.newReachSlab(missing)
+		if x.bfs == nil {
+			x.bfs = x.newBFSScratch()
+		}
 		for _, src := range sources {
-			if x.reach[src] != nil {
-				continue
+			if x.reach[src] == nil {
+				x.reach[src] = x.carveReach(&slab[0])
+				slab = slab[1:]
+				x.fillReach(src, x.reach[src], x.bfs)
 			}
-			rs := x.carveReach(slab)
-			slab = slab[1:]
-			seen.Zero()
-			x.closureBFS(src, true, seen, queue, rs.any, rs.msg)
-			seen.Zero()
-			x.closureBFS(src, false, seen, queue, rs.anyNB, rs.msgNB)
-			x.reach[src] = rs
 		}
 		return nil
 	}
-	slab := x.newReachSlab(missing)
 	jobs := make([]reachJob, 0, missing)
 	for _, src := range sources {
-		if x.reach[src] != nil {
-			continue
+		if x.reach[src] == nil {
+			x.reach[src] = x.carveReach(&slab[0])
+			slab = slab[1:]
+			jobs = append(jobs, reachJob{src: src, rs: x.reach[src], sc: x.newBFSScratch()})
 		}
-		rs := x.carveReach(slab)
-		slab = slab[1:]
-		jobs = append(jobs, reachJob{src: src, rs: rs, seen: x.arena.Bits(2 * n), queue: x.arena.Ints(2 * n)})
-		x.reach[src] = rs
 	}
 	return par.ForEach(context.Background(), workers, jobs, func(_ context.Context, _ int, j reachJob) error {
-		x.closureBFS(j.src, true, j.seen, j.queue, j.rs.any, j.rs.msg)
-		j.seen.Zero()
-		x.closureBFS(j.src, false, j.seen, j.queue, j.rs.anyNB, j.rs.msgNB)
+		x.fillReach(j.src, j.rs, j.sc)
 		return nil
 	})
-}
-
-// newReachSlab allocates k reachSets structs in one block; carveReach
-// claims the first entry and carves its four bitsets from the arena.
-func (x *Extended) newReachSlab(k int) []reachSets {
-	return make([]reachSets, k)
-}
-
-func (x *Extended) carveReach(slab []reachSets) *reachSets {
-	n := len(x.G.Nodes)
-	rs := &slab[0]
-	rs.any = x.arena.Bits(n)
-	rs.msg = x.arena.Bits(n)
-	rs.anyNB = x.arena.Bits(n)
-	rs.msgNB = x.arena.Bits(n)
-	return rs
 }

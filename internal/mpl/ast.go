@@ -218,6 +218,41 @@ func WalkExpr(e Expr, fn func(Expr) bool) bool {
 	return true
 }
 
+// EqualExpr reports whether a and b are the same expression: the same node,
+// or trees of the same shape, operators, names and literal values.
+func EqualExpr(a, b Expr) bool {
+	if a == b {
+		return true
+	}
+	switch x := a.(type) {
+	case *IntLit:
+		y, ok := b.(*IntLit)
+		return ok && x.Value == y.Value
+	case *Ident:
+		y, ok := b.(*Ident)
+		return ok && x.Name == y.Name
+	case *Call:
+		y, ok := b.(*Call)
+		if !ok || x.Name != y.Name || len(x.Args) != len(y.Args) {
+			return false
+		}
+		for i := range x.Args {
+			if !EqualExpr(x.Args[i], y.Args[i]) {
+				return false
+			}
+		}
+		return true
+	case *Unary:
+		y, ok := b.(*Unary)
+		return ok && x.Op == y.Op && EqualExpr(x.X, y.X)
+	case *Binary:
+		y, ok := b.(*Binary)
+		return ok && x.Op == y.Op && EqualExpr(x.L, y.L) && EqualExpr(x.R, y.R)
+	default:
+		return false
+	}
+}
+
 // FindStmt returns the statement with the given id, or nil.
 func (p *Program) FindStmt(id int) Stmt {
 	var found Stmt

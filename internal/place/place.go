@@ -27,7 +27,6 @@ import (
 	"strconv"
 
 	"repro/internal/cfg"
-	"repro/internal/dataflow"
 	"repro/internal/insert"
 	"repro/internal/match"
 	"repro/internal/mpl"
@@ -35,7 +34,8 @@ import (
 
 // Options configures Phase III.
 type Options struct {
-	// Match configures Phase II (the matcher runs each fixpoint round).
+	// Match configures Phase II (the matcher runs once per call, on the
+	// program's skeleton).
 	Match match.Options
 	// PreserveLoops keeps checkpoints inside loops when every violating
 	// path crosses a loop boundary (back edge), recording an ordering
@@ -48,8 +48,8 @@ type Options struct {
 	// goroutines (par.Workers semantics: 0 = GOMAXPROCS, 1 = serial). The
 	// result is identical for every worker count.
 	Workers int
-	// Arena, when non-nil, supplies round-scoped scratch buffers reused
-	// across fixpoint rounds (reset at each round boundary).
+	// Arena, when non-nil, supplies the call's scratch buffers and closure
+	// sets (reset once, when the call starts).
 	Arena *cfg.Arena
 	// AssumeOwned lets Ensure mutate the input program directly instead of
 	// cloning it first — for callers (like core.Transform) that already
@@ -96,7 +96,9 @@ type Ordering struct {
 
 // Result reports the transformation.
 type Result struct {
-	// Program is the transformed program (the input is never mutated).
+	// Program is the transformed program: a copy, the input left as it
+	// was — unless Options.AssumeOwned, under which it is the input itself,
+	// transformed in place.
 	Program *mpl.Program
 	// InitialViolations are the Condition-1 breaches of the input program
 	// (empty when the program was already safe).
@@ -118,128 +120,58 @@ type Result struct {
 	Residual []Violation
 }
 
-// analysis is one round's view of the program.
+// analysis is one round's view of the program: where its checkpoints sit
+// on the skeleton, and what Condition 1 says about them. One value serves
+// every round of an Ensure call, each overwriting the last; Ensure copies
+// what it keeps (InitialViolations, the final Orderings).
 type analysis struct {
-	enum       *cfg.Enumeration
-	ext        *match.Extended
-	cutNodes   []int       // chkpt CFG node ids grouped by straight-cut index
-	cutOff     []int       // group i is cutNodes[cutOff[i]:cutOff[i+1]]
+	enum       cfg.Enumeration
+	cks        []ckpt      // the checkpoint statements, in program order
+	sources    []int       // skeleton nodes whose closures the round reads
 	violations []Violation // movable violations (honoring PreserveLoops)
 	orderings  []Ordering  // loop-preserved pairs
-	firstFrom  int         // CFG node id of violations[0].FromStmt's node
-	firstTo    int         // CFG node id of violations[0].ToStmt's node
+	firstFrom  int         // position in cks of violations[0].FromStmt
+	firstTo    int         // position in cks of violations[0].ToStmt
 }
 
-// nodes returns the CFG node ids of straight cut S_i, in node-id order.
-func (a *analysis) nodes(i int) []int { return a.cutNodes[a.cutOff[i]:a.cutOff[i+1]] }
-
-// analyzeScratch carries one Ensure call's reusable analysis buffers across
-// fixpoint rounds. Each analyze call with the same scratch overwrites the
-// previous round's analysis in place — callers that must keep a round's
-// results past the next call (the cleanup probe, Check) pass nil for fresh
-// allocations, and Ensure snapshots InitialViolations before round two.
-type analyzeScratch struct {
-	a          analysis
-	enum       cfg.Enumeration
-	build      cfg.BuildCache
-	cutNodes   []int
-	cutOff     []int
-	cursor     []int
-	violations []Violation
-	orderings  []Ordering
-}
-
-// grownInts returns buf resized to n zeroed entries, reusing its backing
-// array when it is large enough.
-func grownInts(buf []int, n int) []int {
-	if cap(buf) >= n {
-		buf = buf[:n]
-		for i := range buf {
-			buf[i] = 0
+// analyze runs enumeration + Condition 1 on the current program, over the
+// skeleton built once for the call: one walk puts every checkpoint in its
+// gap, and the quadratic pair query over each straight cut's members is
+// answered by bit tests on the closures memoised per skeleton node. Only
+// closures no earlier round asked for are computed — fanned across
+// Options.Workers goroutines, each source independent, results keyed by
+// node id so the outcome is identical for any worker count.
+func (sk *skeleton) analyze(p *mpl.Program, a *analysis, opts Options) error {
+	if err := cfg.EnumerateInto(p, &a.enum); err != nil {
+		return fmt.Errorf("place: %w", err)
+	}
+	if err := sk.place(p, a); err != nil {
+		return err
+	}
+	a.sources = a.sources[:0]
+	for i, c := range a.cks {
+		if node := int(sk.gaps[c.gap].node); i == 0 || node != a.sources[len(a.sources)-1] {
+			a.sources = append(a.sources, node)
 		}
-		return buf
 	}
-	return make([]int, n)
-}
-
-// analyze runs enumeration + Phase II + Condition 1 on the current program.
-//
-// The data-flow result df is computed once per Ensure and reused across
-// every fixpoint round: Phase III only inserts, moves, and removes
-// checkpoint statements, which carry no assignments, branches, or
-// communication parameters, so reaching definitions and resolved
-// parameters of all other statements are unaffected. A nil df makes
-// analyze compute its own (the verification-only path).
-//
-// Condition 1 is a quadratic pair query over each straight cut's members.
-// Instead of a fresh path search per pair, the per-source causal closures
-// are precomputed once — fanned across Options.Workers goroutines, each
-// source independent, results keyed by node id so the outcome is identical
-// for any worker count — and the pair loop reads the memoized sets.
-func analyze(p *mpl.Program, df *dataflow.Result, opts Options, sc *analyzeScratch) (*analysis, error) {
-	if sc == nil {
-		sc = &analyzeScratch{}
+	if err := sk.ext.PrecomputeReach(a.sources, opts.Workers); err != nil {
+		return fmt.Errorf("place: %w", err)
 	}
-	if err := cfg.EnumerateInto(p, &sc.enum); err != nil {
-		return nil, fmt.Errorf("place: %w", err)
-	}
-	if df == nil {
-		df = dataflow.Analyze(p)
-	}
-	g, err := cfg.BuildCached(p, &sc.build)
-	if err != nil {
-		return nil, err
-	}
-	mopts := opts.Match
-	mopts.Arena = opts.Arena
-	ext, err := match.Match(p, g, df, mopts)
-	if err != nil {
-		return nil, err
-	}
-	a := &sc.a
-	*a = analysis{enum: &sc.enum, ext: ext}
-
-	// Bucket the checkpoint CFG nodes by straight-cut index with a counting
-	// sort into one flat array: group i is cutNodes[cutOff[i]:cutOff[i+1]].
-	// Node-id order within each group and index order across groups are
-	// inherent to the two passes, so the pair scan below visits violations
-	// in the same deterministic order a sorted per-index map would — with
-	// no map, no sort, and buffers reused across rounds.
-	m := sc.enum.Count
-	sc.cutOff = grownInts(sc.cutOff, m+2)
-	total := 0
-	for _, nd := range g.Nodes {
-		if nd.Kind != cfg.KindChkpt {
-			continue
-		}
-		sc.cutOff[sc.enum.Index[nd.Stmt.ID()]+1]++
-		total++
-	}
-	for i := 1; i < m+2; i++ {
-		sc.cutOff[i] += sc.cutOff[i-1]
-	}
-	sc.cutNodes = grownInts(sc.cutNodes, total)
-	sc.cursor = grownInts(sc.cursor, m+2)
-	copy(sc.cursor, sc.cutOff)
-	for _, nd := range g.Nodes {
-		if nd.Kind != cfg.KindChkpt {
-			continue
-		}
-		idx := sc.enum.Index[nd.Stmt.ID()]
-		sc.cutNodes[sc.cursor[idx]] = nd.ID
-		sc.cursor[idx]++
-	}
-	a.cutNodes, a.cutOff = sc.cutNodes, sc.cutOff
-	a.violations = sc.violations[:0]
-	a.orderings = sc.orderings[:0]
-
-	if err := ext.PrecomputeReach(sc.cutNodes, opts.Workers); err != nil {
-		return nil, fmt.Errorf("place: %w", err)
-	}
-	for i := 1; i <= m; i++ {
-		nodes := a.nodes(i)
-		for _, from := range nodes {
-			for _, to := range nodes {
+	a.violations, a.orderings = a.violations[:0], a.orderings[:0]
+	// Straight cuts in index order, members in program order on both sides:
+	// cks is in program order, so filtering it by index visits the pairs in
+	// the order a per-index grouping would, with nothing to build.
+	for i := 1; i <= a.enum.Count; i++ {
+		for fi := range a.cks {
+			from := &a.cks[fi]
+			if from.index != i {
+				continue
+			}
+			for ti := range a.cks {
+				to := &a.cks[ti]
+				if to.index != i {
+					continue
+				}
 				// from == to is NOT skipped: a single checkpoint statement
 				// shared by all ranks can causally reach itself through a
 				// message round-trip (e.g. rank 1's instance sends a reply
@@ -247,35 +179,37 @@ func analyze(p *mpl.Program, df *dataflow.Result, opts Options, sc *analyzeScrat
 				// which violates Condition 1 exactly like a two-statement
 				// pair. Causal reachability demands at least one message
 				// edge, so the trivial empty path never matches.
-				if !ext.CausallyReaches(from, to) {
+				reaches, acyclic := sk.causal(from, to)
+				if !reaches {
 					continue
 				}
-				needsBack := ext.CausalNeedsBack(from, to)
-				fromStmt := ext.G.Nodes[from].Stmt.ID()
-				toStmt := ext.G.Nodes[to].Stmt.ID()
-				if opts.PreserveLoops && needsBack {
+				if opts.PreserveLoops && !acyclic {
 					a.orderings = append(a.orderings, Ordering{
-						Index: i, EarlierStmt: fromStmt, LaterStmt: toStmt,
+						Index: i, EarlierStmt: from.stmt, LaterStmt: to.stmt,
 					})
 					continue
 				}
-				v := Violation{Index: i, FromStmt: fromStmt, ToStmt: toStmt, ViaBackEdge: needsBack}
 				if len(a.violations) == 0 {
-					a.firstFrom = from
-					a.firstTo = to
+					a.firstFrom, a.firstTo = fi, ti
 				}
-				a.violations = append(a.violations, v)
+				a.violations = append(a.violations, Violation{
+					Index: i, FromStmt: from.stmt, ToStmt: to.stmt, ViaBackEdge: !acyclic,
+				})
 			}
 		}
 	}
-	sc.violations, sc.orderings = a.violations, a.orderings
-	return a, nil
+	return nil
 }
 
 // Ensure runs Phase III on a program (which must already contain
 // checkpoints; run Phase I first otherwise) and returns the transformed
 // program plus the full transformation report.
-func Ensure(p *mpl.Program, opts Options) (*Result, error) {
+func Ensure(p *mpl.Program, opts Options) (*Result, error) { return ensureTapped(p, opts, nil) }
+
+// ensureTapped is Ensure with a tap on every analysed round — the program
+// as the round saw it and the round's findings — for the test that holds
+// each round, not only the result, to the rebuild-every-round reference.
+func ensureTapped(p *mpl.Program, opts Options, tap func(*mpl.Program, *analysis)) (*Result, error) {
 	prog := p
 	if !opts.AssumeOwned {
 		prog = mpl.Clone(p)
@@ -288,33 +222,38 @@ func Ensure(p *mpl.Program, opts Options) (*Result, error) {
 	}
 	res.EqualizedStmts = append(res.EqualizedStmts, eq...)
 
-	// Data flow is invariant across the fixpoint: rounds only add, move,
-	// or remove checkpoint statements, which carry no assignments,
-	// branches, or parameters. Analyze once, reuse every round. The match
-	// cache likewise carries solver tables and scratch buffers from round
-	// to round (sound for the same reason; see match.RoundCache).
-	df := dataflow.Analyze(prog)
-	if opts.Match.Cache == nil {
-		opts.Match.Cache = &match.RoundCache{}
-	}
-
-	sc := &analyzeScratch{}
+	// Everything but the checkpoints' positions is invariant across the
+	// fixpoint — rounds only add, move, or remove checkpoint statements,
+	// which carry no assignments, branches, parameters or message edges —
+	// so data flow, the CFG of the other statements, Phase II and the
+	// causal closures are computed once, here, and every round is a walk
+	// over the program and a scan over that (see skeleton).
 	opts.Arena.Reset()
-	first, err := analyze(prog, df, opts, sc)
+	sk, err := newSkeleton(prog, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Snapshot: the next analyze round overwrites the scratch-backed slice.
-	res.InitialViolations = append([]Violation(nil), first.violations...)
+	cur := &analysis{}
+	round := func(prog *mpl.Program, a *analysis) error {
+		err := sk.analyze(prog, a, opts)
+		if err == nil && tap != nil {
+			tap(prog, a)
+		}
+		return err
+	}
+	if err := round(prog, cur); err != nil {
+		return nil, err
+	}
+	// Snapshot: the next round overwrites the slice.
+	res.InitialViolations = append([]Violation(nil), cur.violations...)
 
-	cur := first
 	for iter := 0; ; iter++ {
 		if iter >= opts.maxIter() {
 			// Return the partial transformation so callers can inspect the
 			// stuck state; the error still signals failure.
 			res.Program = prog
 			res.Orderings = dedupOrderings(cur.orderings)
-			res.Enumeration = cur.enum
+			res.Enumeration = &cur.enum
 			res.Residual = cur.violations
 			return res, fmt.Errorf("place: no fixpoint after %d iterations (%d violations remain)",
 				iter, len(cur.violations))
@@ -323,7 +262,7 @@ func Ensure(p *mpl.Program, opts Options) (*Result, error) {
 		if len(cur.violations) == 0 {
 			break
 		}
-		moves, err := applyMoves(prog, cur, opts)
+		moves, err := sk.applyMoves(prog, cur, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -341,55 +280,43 @@ func Ensure(p *mpl.Program, opts Options) (*Result, error) {
 		}
 		res.EqualizedStmts = append(res.EqualizedStmts, eq...)
 
-		opts.Arena.Reset()
-		cur, err = analyze(prog, df, opts, sc)
-		if err != nil {
+		if err := round(prog, cur); err != nil {
 			return nil, err
 		}
 	}
 
 	// Cleanup: coalescing adjacent duplicate checkpoints must not
-	// reintroduce violations or imbalance; verify on a clone and keep the
-	// cleaned program only if it stays safe. Skip the clone (and the extra
-	// analysis round) entirely when no adjacent duplicates exist — the
-	// common case, and the clone was a measurable share of the pipeline's
-	// allocations.
+	// reintroduce violations or imbalance (which the round's enumeration
+	// refuses): coalesce, look, and take it back if it did. Skipped when no
+	// adjacent duplicates exist — the common case.
 	if hasAdjacentChkpts(prog.Body) {
-		cleaned := mpl.Clone(prog)
-		if removed := insert.Coalesce(cleaned); removed > 0 {
-			if eq, err := insert.Equalize(cleaned); err == nil && len(eq) == 0 {
-				// A fresh scratch so a rejected cleanup does not clobber
-				// cur's scratch-backed enumeration and orderings — but the
-				// CFG build buffers are donated (header copy): cur's graph
-				// is never touched again (only cur.orderings and cur.enum
-				// are read below).
-				opts.Arena.Reset()
-				probe := &analyzeScratch{build: sc.build}
-				sc.build = cfg.BuildCache{}
-				if after, err := analyze(cleaned, df, opts, probe); err == nil && len(after.violations) == 0 {
-					prog = cleaned
-					cur = after
-					res.CoalescedStmts = removed
-				}
+		removed, undo := insert.CoalesceUndoable(prog)
+		if err := round(prog, cur); err == nil && len(cur.violations) == 0 {
+			res.CoalescedStmts = removed
+		} else {
+			undo()
+			if err := sk.analyze(prog, cur, opts); err != nil {
+				return nil, err
 			}
 		}
 	}
 
 	res.Program = prog
 	res.Orderings = dedupOrderings(cur.orderings)
-	res.Enumeration = cur.enum
+	res.Enumeration = &cur.enum
 	return res, nil
 }
 
+// dedupOrderings copies a round's orderings out of its reused buffer,
+// dropping repeats. The pair scan emits them in index-then-program order,
+// so a repeat could only be the entry just written.
 func dedupOrderings(in []Ordering) []Ordering {
 	if len(in) == 0 {
 		return nil
 	}
-	seen := make(map[Ordering]bool, len(in))
-	var out []Ordering
+	out := make([]Ordering, 0, len(in))
 	for _, o := range in {
-		if !seen[o] {
-			seen[o] = true
+		if len(out) == 0 || out[len(out)-1] != o {
 			out = append(out, o)
 		}
 	}
@@ -414,65 +341,46 @@ func dedupOrderings(in []Ordering) []Ordering {
 // checkpoint leaves its branch, equalization regrows it); gathering the
 // whole cut converges and is what the repeated application of Step 2
 // produces anyway once loop positions are all reachable via back edges.
-func applyMoves(prog *mpl.Program, a *analysis, opts Options) ([]Move, error) {
-	g := a.ext.G
-	toNode := a.firstTo
-	fromNode := a.firstFrom
+func (sk *skeleton) applyMoves(prog *mpl.Program, a *analysis, opts Options) ([]Move, error) {
+	from, to := a.firstFrom, a.firstTo
 	index := a.violations[0].Index
 
-	var moveStmts []int // checkpoint statements to relocate
-	var reach cfg.Bitset
-	if opts.PreserveLoops {
-		moveStmts = []int{g.Nodes[toNode].Stmt.ID()}
-		reach = a.ext.ReachableExtended(fromNode, true)
-	} else {
-		for _, n := range a.nodes(index) {
-			moveStmts = append(moveStmts, g.Nodes[n].Stmt.ID())
+	// The checkpoints to relocate, which in base mode are also the ones
+	// whose reach decides where to: positions in cks.
+	movers := []int{to}
+	sources := []int{from}
+	if !opts.PreserveLoops {
+		movers = movers[:0]
+		for i, c := range a.cks {
+			if c.index == index {
+				movers = append(movers, i)
+			}
 		}
-		// Union into a fresh set — ReachableExtended returns the shared
-		// memoized closures, which must stay unmodified.
-		reach = cfg.NewBitset(len(g.Nodes))
-		for _, n := range a.nodes(index) {
-			reach.UnionWith(a.ext.ReachableExtended(n, false))
+		sources = movers
+	}
+	reached := func(s mpl.Stmt) bool {
+		for _, src := range sources {
+			if sk.reaches(a, &a.cks[src], s, opts.PreserveLoops) {
+				return true
+			}
 		}
+		return false
 	}
 
-	// Dominator chain of toNode, ordered from entry outward. Dominance is
-	// a total order on the chain, so sorting by "dominates" is sound.
-	dom := g.Dominators()
-	chain := dom[toNode].AppendMembers(nil)
-	k := 0
-	for _, n := range chain {
-		if n != toNode && n != g.Entry {
-			chain[k] = n
-			k++
-		}
-	}
-	chain = chain[:k]
-	// Insertion sort by dominance (a total order on a dominator chain);
-	// sort.Slice's reflection-based swapper allocated every round.
-	for i := 1; i < len(chain); i++ {
-		for j := i; j > 0 && cfg.Dominates(dom, chain[j], chain[j-1]); j-- {
-			chain[j], chain[j-1] = chain[j-1], chain[j]
-		}
-	}
-
-	// Walk the chain from the deepest (closest to C_B) position upward and
-	// take the first edge ⟨a,b⟩ whose upstream endpoint the violators
-	// cannot reach — the minimal movement satisfying the paper's
-	// condition. The ENTRY node is the final fallback: nothing reaches it.
-	for k := len(chain) - 1; k >= 0; k-- {
-		b := chain[k]
-		aNode := g.Entry
-		if k > 0 {
-			aNode = chain[k-1]
-		}
-		if reach.Has(aNode) {
+	// Dominator chain of C_i^B, ordered from entry outward, read off the
+	// AST. Walk it from the deepest (closest to C_B) position upward and
+	// take the first edge ⟨a,b⟩ whose upstream endpoint the violators cannot
+	// reach — the minimal movement satisfying the paper's condition. The
+	// ENTRY node is the final fallback: nothing reaches it.
+	sk.chain, _ = cfg.DomChain(sk.chain[:0], prog.Body, a.cks[to].stmt)
+	for k := len(sk.chain) - 1; k >= 0; k-- {
+		if k > 0 && reached(sk.chain[k-1]) {
 			continue
 		}
-		targetStmt := g.Nodes[b].Stmt.ID()
+		targetStmt := sk.chain[k].ID()
 		var moves []Move
-		for _, ck := range moveStmts {
+		for _, m := range movers {
+			ck := a.cks[m].stmt
 			if ck == targetStmt {
 				continue
 			}
@@ -484,7 +392,7 @@ func applyMoves(prog *mpl.Program, a *analysis, opts Options) ([]Move, error) {
 				ChkptStmt:  moved,
 				Index:      index,
 				BeforeStmt: targetStmt,
-				Reason:     moveReason(index, moved, g.Nodes[fromNode].Stmt.ID(), targetStmt),
+				Reason:     moveReason(index, moved, a.cks[from].stmt, targetStmt),
 			})
 		}
 		return moves, nil
@@ -619,8 +527,12 @@ func insertBefore(p *mpl.Program, targetID int, stmt mpl.Stmt) bool {
 // the violations and loop-preserved orderings. It is the verification-only
 // entry point (e.g. for programs the user believes are already safe).
 func Check(p *mpl.Program, opts Options) (violations []Violation, orderings []Ordering, err error) {
-	a, err := analyze(p, nil, opts, nil)
+	sk, err := newSkeleton(p, opts)
 	if err != nil {
+		return nil, nil, err
+	}
+	a := &analysis{}
+	if err := sk.analyze(p, a, opts); err != nil {
 		return nil, nil, err
 	}
 	return a.violations, dedupOrderings(a.orderings), nil

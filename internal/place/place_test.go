@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/corpus"
+	"repro/internal/insert"
 	"repro/internal/mpl"
 )
 
@@ -361,5 +362,77 @@ func BenchmarkCheckCorpus(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestSkeletonMismatchIsAnError: the skeleton is only valid for the program
+// it was built from plus or minus checkpoint statements, and every round
+// checks that on its walk — a statement added, dropped or swapped is an
+// error from the round, not an answer read off stale closures.
+func TestSkeletonMismatchIsAnError(t *testing.T) {
+	edits := map[string]func(w *mpl.While){
+		"added":   func(w *mpl.While) { w.Body = append(w.Body, &mpl.Work{Amount: mpl.Int(1)}) },
+		"dropped": func(w *mpl.While) { w.Body = w.Body[:len(w.Body)-1] },
+		"swapped": func(w *mpl.While) { n := len(w.Body); w.Body[n-1], w.Body[n-2] = w.Body[n-2], w.Body[n-1] },
+	}
+	for name, edit := range edits {
+		p := corpus.JacobiFig2(3)
+		sk, err := newSkeleton(p, DefaultOptions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := &analysis{}
+		if err := sk.analyze(p, a, DefaultOptions); err != nil {
+			t.Fatalf("unedited program: %v", err)
+		}
+		mpl.Walk(p.Body, func(s mpl.Stmt) bool {
+			if w, ok := s.(*mpl.While); ok {
+				edit(w)
+			}
+			return true
+		})
+		if err := sk.analyze(p, a, DefaultOptions); err == nil || !strings.Contains(err.Error(), "no longer its skeleton") {
+			t.Errorf("%s statement: err = %v, want a skeleton mismatch", name, err)
+		}
+	}
+}
+
+// TestRoundAllocs pins what a round costs once the skeleton stands (DESIGN
+// decision 17): analysing a program a second time allocates nothing — no
+// graph, no solver table, no bitset, no enumeration map — and the round
+// after a move only what the closures of the gaps no earlier round looked
+// from take out of the arena.
+func TestRoundAllocs(t *testing.T) {
+	p := mpl.Clone(generatedPrograms(t)["genlarge_1"])
+	if _, err := insert.Equalize(p); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{PreserveLoops: true, Arena: &cfg.Arena{}}
+	sk, err := newSkeleton(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &analysis{}
+	round := func() {
+		if err := sk.analyze(p, a, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round()
+	if len(a.violations) == 0 {
+		t.Fatal("genlarge_1 has nothing to move")
+	}
+	if got := testing.AllocsPerRun(10, round); got != 0 {
+		t.Errorf("a repeated round allocates %.0f times, want 0", got)
+	}
+	moved := testing.AllocsPerRun(1, func() {
+		if _, err := sk.applyMoves(p, a, opts); err != nil {
+			t.Fatal(err)
+		}
+		round()
+	})
+	t.Logf("move + round: %.0f allocs", moved)
+	if moved > 8 {
+		t.Errorf("a move and the round after it allocate %.0f times, ceiling 8", moved)
 	}
 }
