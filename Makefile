@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt loc bench chaos netchaos walchaos verify fuzz telemetry fleet prune
+.PHONY: all build vet test race check fmt loc bench spine chaos netchaos walchaos verify fuzz telemetry fleet prune
 
 all: check
 
@@ -33,6 +33,22 @@ loc:
 # overrides -benchtime (default 1x: smoke; use e.g. 2s for stable numbers).
 bench:
 	BENCHTIME=$(BENCHTIME) ./scripts/bench.sh
+
+# spine runs the end-to-end benchmark as a correctness smoke: non-zero exit
+# on any output mismatch or leaked goroutine; its numbers are not gated here
+# (ROADMAP item 1). The traced interp-mem run is the one place the real
+# runtime's event tap drives benchmark/trace.go's observers; analysis-large's
+# output check (the formatted, compiled program of all 8 sources equals the
+# set-up's) is the only end-to-end guard on Parse -> Transform -> Compile ->
+# Format; crash-storm-inc's (exactly 4 restarts, FinalVars equal to
+# verify.Machine's) the only one on delta-chain recovery across four
+# incarnations. CI's bench-smoke and CHECK_BENCH=1 scripts/check.sh call this.
+spine:
+	$(GO) run ./benchmark -workload durable-wal -seed 1 -seconds 3
+	$(GO) run ./benchmark -workload fleet-wal -seed 1 -seconds 3
+	$(GO) run ./benchmark -workload interp-mem -seed 1 -seconds 3 -trace
+	$(GO) run ./benchmark -workload analysis-large -seed 1 -seconds 3
+	$(GO) run ./benchmark -workload crash-storm-inc -seed 1 -seconds 3
 
 # verify runs the generative correctness harness: 100 random programs
 # through the full pipeline, systematic schedule exploration, theorem

@@ -87,7 +87,7 @@ func TestChaosSoak(t *testing.T) {
 		for seed := int64(0); seed < seeds; seed++ {
 			t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 				t.Parallel()
-				inner := openTestStore(t, storeKinds[seed%4], 4, wal.Options{Shards: 4})
+				inner := openTestStore(t, storeKinds[seed%4], 4, wal.Options{})
 				rates := chaos.DefaultRates(0.12)
 				if seed%2 == 1 {
 					// Rot-heavy profile: with a large fraction of snapshots damaged

@@ -189,7 +189,7 @@ func TestFleetSoak(t *testing.T) {
 	// vs Saves is not an invariant here because scrub tombstones commit
 	// in batches of their own.)
 	t.Run("walstore", func(t *testing.T) {
-		ws := openTestStore(t, "wal", 0, wal.Options{Shards: 8}).(*wal.Store)
+		ws := openTestStore(t, "wal", 0, wal.Options{}).(*wal.Store)
 		cfg := chaosCfg(4242)
 		cfg.Store = ws
 		rep := runScenario(t, cfg)

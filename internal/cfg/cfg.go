@@ -151,16 +151,6 @@ func (g *Graph) Succs(id int) []Edge { return g.succs[g.succOff[id]:g.succOff[id
 // callers must not modify it.
 func (g *Graph) Preds(id int) []Edge { return g.preds[g.predOff[id]:g.predOff[id+1]] }
 
-// NodeByStmtID returns the node for a statement id, or nil.
-func (g *Graph) NodeByStmtID(stmtID int) *Node {
-	for _, n := range g.Nodes {
-		if n.Stmt != nil && n.Stmt.ID() == stmtID {
-			return n
-		}
-	}
-	return nil
-}
-
 // NodesOfKind returns the ids of all nodes with the given kind, in id order.
 func (g *Graph) NodesOfKind(kind NodeKind) []int {
 	return g.AppendNodesOfKind(kind, nil)

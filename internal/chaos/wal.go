@@ -22,12 +22,6 @@ type WALRates struct {
 	FlipRate float64
 }
 
-// DefaultWALRates spreads one knob: crashes at the full rate, flips at
-// half, mirroring DefaultRates' split between loud and silent faults.
-func DefaultWALRates(rate float64) WALRates {
-	return WALRates{CrashRate: rate, FlipRate: rate / 2}
-}
-
 // WALStats counts the faults a WALInjector injected.
 type WALStats struct {
 	Kills     int64 // crash points fired (the store is dead after the first)
@@ -36,11 +30,11 @@ type WALStats struct {
 }
 
 // WALInjector is a seeded, hash-deterministic wal.Injector. Every decision
-// is a pure function of (seed, fault class, shard, op, consult sequence) —
-// the same scheme as the storage and network injectors, so goroutine
+// is a pure function of (seed, fault class, op, consult sequence) — the
+// same scheme as the storage and network injectors, so goroutine
 // interleaving cannot perturb which consult faults. Because the WAL store
-// serializes consults per shard under its shard mutex, one seed replays
-// one fault pattern exactly.
+// serializes consults under its mutex, one seed replays one fault pattern
+// exactly.
 type WALInjector struct {
 	seed  int64
 	rates WALRates
@@ -64,16 +58,18 @@ const (
 )
 
 // Decide implements wal.Injector.
-func (wi *WALInjector) Decide(op wal.Op, shard int, seq uint64, size int) wal.Fault {
-	// Key the draw on (shard, op, seq): one independent stream per consult
-	// point. mix()'s attempt slot carries seq so long runs do not wrap the
-	// 32-bit key fields.
-	k := storage.Key{Proc: shard, CFGIndex: int(op)}
+func (wi *WALInjector) Decide(op wal.Op, seq uint64, size int) wal.Fault {
+	// Key the draw on (op, seq): one independent stream per consult point.
+	// mix()'s attempt slot carries seq so long runs do not wrap the 32-bit
+	// key fields.
+	k := storage.Key{CFGIndex: int(op)}
 	var f wal.Fault
 
 	h := mix(wi.seed, classWALCrash, k, seq)
 	if hit(h, wi.rates.CrashRate) {
-		if h&(1<<60) != 0 {
+		// A middle bit: hit() spends the top ones, which are all zero at the
+		// soak's rates.
+		if h&(1<<32) != 0 {
 			f.Kill = wal.KillBefore
 		} else {
 			f.Kill = wal.KillAfter

@@ -13,11 +13,9 @@ func TestWALInjectorDeterminism(t *testing.T) {
 	decide := func() []wal.Fault {
 		wi := NewWALInjector(42, WALRates{CrashRate: 0.1, FlipRate: 0.1})
 		var out []wal.Fault
-		for shard := 0; shard < 4; shard++ {
-			for seq := uint64(0); seq < 200; seq++ {
-				out = append(out, wi.Decide(wal.OpAppend, shard, seq, 512))
-				out = append(out, wi.Decide(wal.OpSync, shard, seq, 0))
-			}
+		for seq := uint64(0); seq < 800; seq++ {
+			out = append(out, wi.Decide(wal.OpAppend, seq, 512))
+			out = append(out, wi.Decide(wal.OpSync, seq, 0))
 		}
 		return out
 	}
@@ -36,7 +34,7 @@ func TestWALInjectorSeedsDiffer(t *testing.T) {
 		wi := NewWALInjector(seed, WALRates{CrashRate: 0.2, FlipRate: 0.2})
 		var out []wal.Fault
 		for seq := uint64(0); seq < 500; seq++ {
-			out = append(out, wi.Decide(wal.OpAppend, 0, seq, 256))
+			out = append(out, wi.Decide(wal.OpAppend, seq, 256))
 		}
 		return out
 	}
@@ -59,7 +57,7 @@ func TestWALInjectorRates(t *testing.T) {
 	wi := NewWALInjector(7, WALRates{CrashRate: 0.05, FlipRate: 0.1})
 	kills, flips := 0, 0
 	for seq := uint64(0); seq < n; seq++ {
-		f := wi.Decide(wal.OpAppend, 0, seq, 1024)
+		f := wi.Decide(wal.OpAppend, seq, 1024)
 		if f.Kill != wal.KillNone {
 			kills++
 		}
@@ -87,7 +85,7 @@ func TestWALInjectorRates(t *testing.T) {
 func TestWALInjectorZeroRates(t *testing.T) {
 	wi := NewWALInjector(3, WALRates{})
 	for seq := uint64(0); seq < 1000; seq++ {
-		if f := wi.Decide(wal.OpAppend, 0, seq, 128); f != (wal.Fault{}) {
+		if f := wi.Decide(wal.OpAppend, seq, 128); f != (wal.Fault{}) {
 			t.Fatalf("zero-rate injector faulted: %+v", f)
 		}
 	}

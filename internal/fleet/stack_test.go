@@ -60,7 +60,7 @@ func TestOptionalInterfacesVisibleThroughEveryStack(t *testing.T) {
 			return fs
 		},
 		"wal": func(t *testing.T) storage.Store {
-			ws, err := wal.Open(t.TempDir(), wal.Options{Shards: 2})
+			ws, err := wal.Open(t.TempDir(), wal.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

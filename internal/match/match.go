@@ -241,15 +241,6 @@ func (x *Extended) addMessage(s, r int) {
 // shared; callers must not modify it.
 func (x *Extended) msgFrom(s int) []MessageEdge { return x.bySend[x.sendOff[s]:x.sendOff[s+1]] }
 
-// MessagesFrom returns the receive nodes matched with send node s.
-func (x *Extended) MessagesFrom(s int) []int {
-	var out []int
-	for _, m := range x.msgFrom(s) {
-		out = append(out, m.Recv)
-	}
-	return out
-}
-
 // MessageEdgesAsCFG converts the message edges to cfg.Edge values for DOT
 // rendering.
 func (x *Extended) MessageEdgesAsCFG() []cfg.Edge {

@@ -25,7 +25,7 @@ func rollbackStores(t *testing.T) map[string]storage.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := wal.Open(filepath.Join(t.TempDir(), "wal"), wal.Options{Shards: 2})
+	ws, err := wal.Open(filepath.Join(t.TempDir(), "wal"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func (b *bodyReads) List(proc int) ([]storage.Snapshot, error) {
 // there are checkpoints in the log (decoding one costs five).
 func TestRollbackOverWALDecodesOnlyTheLine(t *testing.T) {
 	const n, each = 2, 64
-	ws, err := wal.Open(t.TempDir(), wal.Options{Shards: 2})
+	ws, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestStraightCutReadsEachMemberOnceAllocs(t *testing.T) {
 		{"all but one ahead", []int{0, 1, 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ws, err := wal.Open(t.TempDir(), wal.Options{Shards: 2})
+			ws, err := wal.Open(t.TempDir(), wal.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

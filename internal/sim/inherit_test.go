@@ -102,7 +102,7 @@ func TestRestartFromScratchAfterInheritance(t *testing.T) {
 			return fs
 		},
 		"wal": func() storage.Store {
-			ws, err := wal.Open(t.TempDir(), wal.Options{Shards: 2})
+			ws, err := wal.Open(t.TempDir(), wal.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

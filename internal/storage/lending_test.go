@@ -26,7 +26,7 @@ func lendingStores(t *testing.T) map[string]storage.Store {
 		return fs
 	}
 	newWAL := func() storage.Store {
-		ws, err := wal.Open(t.TempDir(), wal.Options{Shards: 2})
+		ws, err := wal.Open(t.TempDir(), wal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

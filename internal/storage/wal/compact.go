@@ -14,10 +14,9 @@ import (
 	"repro/internal/storage"
 )
 
-// manifest is the per-shard source of truth for which segment files exist
-// and in what order they replay. It is replaced atomically (temp + fsync +
-// rename + dir fsync), which makes it the commit point for rotation and
-// compaction:
+// manifest is the source of truth for which segment files exist and in
+// what order they replay. It is replaced atomically (temp + fsync + rename +
+// dir fsync), which makes it the commit point for rotation and compaction:
 //
 //   - A segment file NOT named by the manifest is an orphan from an
 //     interrupted compaction or an externally damaged rotation; it is
@@ -33,17 +32,43 @@ type manifest struct {
 	Next     uint64   `json:"next"`     // next segment id to allocate
 }
 
-// loadManifest returns nil (no error) when the shard has never been
+const (
+	manifestName = "log.manifest"
+	segFormat    = "log-%d.seg"
+)
+
+func segName(id uint64) string { return fmt.Sprintf(segFormat, id) }
+
+func (w *Store) segPath(id uint64) string { return filepath.Join(w.dir, segName(id)) }
+func (w *Store) manifestPath() string     { return filepath.Join(w.dir, manifestName) }
+
+// scanDir lists the log's own segment files. A segment or manifest file
+// under any other name — the s<k>-<n>.seg / s<k>.manifest of the sharded
+// layout this log replaced, say — holds acknowledged records Open would not
+// replay and cleanOrphans must never eat: the directory is refused.
+func (w *Store) scanDir() (own []string, err error) {
+	entries, err := os.ReadDir(w.dir)
+	if err != nil {
+		return nil, fmt.Errorf("list dir: %w", err)
+	}
+	for _, e := range entries {
+		name := e.Name()
+		var id uint64
+		if _, err := fmt.Sscanf(name, segFormat, &id); err == nil && name == segName(id) {
+			own = append(own, name)
+		} else if strings.HasSuffix(name, ".seg") || (strings.HasSuffix(name, ".manifest") && name != manifestName) {
+			return nil, fmt.Errorf("%s is not a file of this log (another layout's?)", filepath.Join(w.dir, name))
+		}
+	}
+	return own, nil
+}
+
+// loadManifest returns nil (no error) when the log has never been
 // bootstrapped. The manifest file is CRC-framed like every other record:
 // [crc32 u32 BE][JSON].
-func (sh *shard) loadManifest() (*manifest, error) {
-	data, err := os.ReadFile(sh.manifestPath())
+func (w *Store) loadManifest() (*manifest, error) {
+	data, err := os.ReadFile(w.manifestPath())
 	if errors.Is(err, os.ErrNotExist) {
-		// No manifest: any segment files present are foreign damage, not a
-		// crash this protocol can produce (the manifest always lands first).
-		if sh.hasSegFiles() {
-			return nil, fmt.Errorf("segment files exist but manifest is missing")
-		}
 		return nil, nil
 	}
 	if err != nil {
@@ -64,7 +89,7 @@ func (sh *shard) loadManifest() (*manifest, error) {
 
 // writeManifest replaces the manifest atomically. When consulted is true
 // the injector sees the write and rename as separate crash points.
-func (sh *shard) writeManifest(m manifest, consulted bool) error {
+func (w *Store) writeManifest(m manifest, consulted bool) error {
 	body, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("encode manifest: %w", err)
@@ -74,29 +99,29 @@ func (sh *shard) writeManifest(m manifest, consulted bool) error {
 	copy(frame[4:], body)
 
 	if consulted {
-		if ft := sh.consult(OpManifestWrite, len(frame)); ft.Kill != KillNone {
-			return sh.crash(OpManifestWrite, 0)
+		if ft := w.consult(OpManifestWrite, len(frame)); ft.Kill != KillNone {
+			return w.crash(OpManifestWrite, 0)
 		}
 	}
-	tmp := sh.manifestPath() + ".tmp"
+	tmp := w.manifestPath() + ".tmp"
 	if err := writeFileSync(tmp, frame); err != nil {
 		return fmt.Errorf("write manifest: %w", err)
 	}
 	if consulted {
-		if ft := sh.consult(OpManifestRename, 0); ft.Kill == KillBefore {
-			return sh.crash(OpManifestRename, 0)
+		if ft := w.consult(OpManifestRename, 0); ft.Kill == KillBefore {
+			return w.crash(OpManifestRename, 0)
 		}
 	}
-	if err := os.Rename(tmp, sh.manifestPath()); err != nil {
+	if err := os.Rename(tmp, w.manifestPath()); err != nil {
 		return fmt.Errorf("publish manifest: %w", err)
 	}
-	if err := sh.syncShardDir(consulted); err != nil {
+	if err := w.syncDir(consulted); err != nil {
 		return err
 	}
 	if consulted {
-		if ft := sh.consult(OpManifestRename, 0); ft.Kill == KillAfter {
+		if ft := w.consult(OpManifestRename, 0); ft.Kill == KillAfter {
 			// The rename IS durable; only the ack path dies.
-			return sh.crash(OpManifestRename, 0)
+			return w.crash(OpManifestRename, 0)
 		}
 	}
 	return nil
@@ -118,13 +143,13 @@ func writeFileSync(path string, data []byte) error {
 	return f.Close()
 }
 
-func (sh *shard) syncShardDir(consulted bool) error {
+func (w *Store) syncDir(consulted bool) error {
 	if consulted {
-		if ft := sh.consult(OpDirSync, 0); ft.Kill == KillBefore {
-			return sh.crash(OpDirSync, 0)
+		if ft := w.consult(OpDirSync, 0); ft.Kill == KillBefore {
+			return w.crash(OpDirSync, 0)
 		}
 	}
-	d, err := os.Open(sh.w.dir)
+	d, err := os.Open(w.dir)
 	if err != nil {
 		return fmt.Errorf("open dir: %w", err)
 	}
@@ -136,48 +161,26 @@ func (sh *shard) syncShardDir(consulted bool) error {
 		return fmt.Errorf("sync dir: %w", err)
 	}
 	if consulted {
-		if ft := sh.consult(OpDirSync, 0); ft.Kill == KillAfter {
-			return sh.crash(OpDirSync, 0)
+		if ft := w.consult(OpDirSync, 0); ft.Kill == KillAfter {
+			return w.crash(OpDirSync, 0)
 		}
 	}
 	return nil
 }
 
-// hasSegFiles reports whether any segment file of this shard exists.
-func (sh *shard) hasSegFiles() bool {
-	entries, err := os.ReadDir(sh.w.dir)
-	if err != nil {
-		return false
-	}
-	prefix := fmt.Sprintf("s%d-", sh.id)
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), prefix) && strings.HasSuffix(e.Name(), ".seg") {
-			return true
-		}
-	}
-	return false
-}
-
-// cleanOrphans deletes this shard's files that the manifest does not name:
-// segments from interrupted compactions and leftover temp manifests.
-func (sh *shard) cleanOrphans(m manifest) error {
+// cleanOrphans deletes the log's own files that the manifest does not
+// name: segments from interrupted compactions and a leftover temp manifest.
+func (w *Store) cleanOrphans(m manifest, own []string) error {
 	listed := make(map[string]bool, len(m.Segments))
 	for _, seg := range m.Segments {
-		listed[filepath.Base(sh.segPath(seg))] = true
+		listed[segName(seg)] = true
 	}
-	entries, err := os.ReadDir(sh.w.dir)
-	if err != nil {
-		return fmt.Errorf("list dir: %w", err)
-	}
-	prefix := fmt.Sprintf("s%d-", sh.id)
-	tmpName := filepath.Base(sh.manifestPath()) + ".tmp"
-	for _, e := range entries {
-		name := e.Name()
-		isSeg := strings.HasPrefix(name, prefix) && strings.HasSuffix(name, ".seg")
-		if (isSeg && !listed[name]) || name == tmpName {
-			if err := os.Remove(filepath.Join(sh.w.dir, name)); err != nil {
-				return fmt.Errorf("remove orphan %s: %w", name, err)
-			}
+	for _, name := range append(own, manifestName+".tmp") {
+		if listed[name] {
+			continue
+		}
+		if err := os.Remove(filepath.Join(w.dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("remove orphan %s: %w", name, err)
 		}
 	}
 	return nil
@@ -189,35 +192,35 @@ func (sh *shard) cleanOrphans(m manifest) error {
 //	before rename  → old manifest, orphan tmp: nothing changed
 //	after rename   → manifest names a missing last segment: recovered empty
 //	after create   → fully rotated
-func (sh *shard) rotateLocked() error {
-	newSeg := sh.nextSeg
-	m := manifest{Segments: append(append([]uint64(nil), sh.segs...), newSeg), Next: newSeg + 1}
-	if err := sh.writeManifest(m, true); err != nil {
+func (w *Store) rotateLocked() error {
+	newSeg := w.nextSeg
+	m := manifest{Segments: append(append([]uint64(nil), w.segs...), newSeg), Next: newSeg + 1}
+	if err := w.writeManifest(m, true); err != nil {
 		return err
 	}
-	if ft := sh.consult(OpSegCreate, 0); ft.Kill == KillBefore {
-		return sh.crash(OpSegCreate, 0)
+	if ft := w.consult(OpSegCreate, 0); ft.Kill == KillBefore {
+		return w.crash(OpSegCreate, 0)
 	}
-	f, err := os.OpenFile(sh.segPath(newSeg), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(w.segPath(newSeg), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("create segment %d: %w", newSeg, err)
 	}
-	if err := sh.syncShardDir(false); err != nil {
+	if err := w.syncDir(false); err != nil {
 		f.Close()
 		return err
 	}
-	sh.sizes[sh.segs[len(sh.segs)-1]] = sh.activeSize
-	sh.segs = append(sh.segs, newSeg)
-	sh.files[newSeg] = f
-	sh.nextSeg = newSeg + 1
-	sh.sizes[newSeg] = 0
-	sh.activeSize, sh.syncedSize = 0, 0
-	sh.w.rotations.Add(1)
-	if ft := sh.consult(OpSegCreate, 0); ft.Kill == KillAfter {
-		return sh.crash(OpSegCreate, 0)
+	w.sizes[w.segs[len(w.segs)-1]] = w.activeSize
+	w.segs = append(w.segs, newSeg)
+	w.files[newSeg] = f
+	w.nextSeg = newSeg + 1
+	w.sizes[newSeg] = 0
+	w.activeSize, w.syncedSize = 0, 0
+	w.rotations.Add(1)
+	if ft := w.consult(OpSegCreate, 0); ft.Kill == KillAfter {
+		return w.crash(OpSegCreate, 0)
 	}
-	if !sh.w.opts.NoAutoCompact && sh.sealedDeadBytesLocked() >= sh.w.opts.CompactMinDeadBytes {
-		return sh.compactLocked(false)
+	if !w.opts.NoAutoCompact && w.sealedDeadBytesLocked() >= w.opts.CompactMinDeadBytes {
+		return w.compactLocked(false)
 	}
 	return nil
 }
@@ -225,16 +228,16 @@ func (sh *shard) rotateLocked() error {
 // sealedDeadBytesLocked is the garbage volume in sealed segments: total
 // sealed bytes minus the live records and quarantine marks still pointing
 // into them.
-func (sh *shard) sealedDeadBytesLocked() int64 {
-	if len(sh.segs) < 2 {
+func (w *Store) sealedDeadBytesLocked() int64 {
+	if len(w.segs) < 2 {
 		return 0
 	}
-	activeSeg := sh.segs[len(sh.segs)-1]
+	activeSeg := w.segs[len(w.segs)-1]
 	var total, live int64
-	for _, seg := range sh.segs[:len(sh.segs)-1] {
-		total += sh.sizes[seg]
+	for _, seg := range w.segs[:len(w.segs)-1] {
+		total += w.sizes[seg]
 	}
-	for _, locs := range sh.index {
+	for _, locs := range w.index {
 		for _, l := range locs {
 			if l.seg != activeSeg {
 				live += int64(l.size)
@@ -258,15 +261,15 @@ func (sh *shard) sealedDeadBytesLocked() int64 {
 // manifest rename, so a crash beforehand leaves it an orphan (deleted on
 // open) and the old segments authoritative; a crash after the rename but
 // before the retirements leaves the old files orphans (deleted on open).
-func (sh *shard) compactLocked(force bool) error {
-	if len(sh.segs) < 2 {
+func (w *Store) compactLocked(force bool) error {
+	if len(w.segs) < 2 {
 		return nil // nothing sealed
 	}
-	if !force && sh.sealedDeadBytesLocked() <= 0 {
+	if !force && w.sealedDeadBytesLocked() <= 0 {
 		return nil
 	}
-	activeSeg := sh.segs[len(sh.segs)-1]
-	newSeg := sh.nextSeg
+	activeSeg := w.segs[len(w.segs)-1]
+	newSeg := w.nextSeg
 
 	// Gather live records in sealed segments, in deterministic key order.
 	type liveRec struct {
@@ -274,7 +277,7 @@ func (sh *shard) compactLocked(force bool) error {
 		l   loc
 	}
 	var lives []liveRec
-	for _, locs := range sh.index {
+	for _, locs := range w.index {
 		for k, l := range locs {
 			if l.seg != activeSeg {
 				lives = append(lives, liveRec{k, l})
@@ -283,7 +286,7 @@ func (sh *shard) compactLocked(force bool) error {
 	}
 	sort.Slice(lives, func(i, j int) bool { return lives[i].key.Less(lives[j].key) })
 	var marks []storage.Key
-	for k := range sh.corrupt {
+	for k := range w.corrupt {
 		marks = append(marks, k)
 	}
 	storage.SortKeys(marks)
@@ -296,7 +299,7 @@ func (sh *shard) compactLocked(force bool) error {
 		newLocs = make(map[storage.Key]loc, len(lives))
 	)
 	for _, lr := range lives {
-		f := sh.files[lr.l.seg]
+		f := w.files[lr.l.seg]
 		frame := make([]byte, lr.l.size)
 		if _, err := f.ReadAt(frame, lr.l.off); err != nil {
 			return fmt.Errorf("compact read %s: %w", lr.key, err)
@@ -304,8 +307,8 @@ func (sh *shard) compactLocked(force bool) error {
 		if ev, _, ok := parseRecordAt(frame, 0); !ok || ev.key != lr.key {
 			// Damaged since it was indexed (an injected flip): quarantine
 			// instead of copying garbage forward as a "valid" record.
-			sh.corrupt[lr.key] = "crc mismatch at compaction"
-			sh.index.del(lr.key)
+			w.corrupt[lr.key] = "crc mismatch at compaction"
+			w.index.del(lr.key)
 			marks = append(marks, lr.key)
 			continue
 		}
@@ -313,58 +316,58 @@ func (sh *shard) compactLocked(force bool) error {
 		buf = append(buf, frame...)
 	}
 	for _, k := range marks {
-		buf = appendFrame(buf, kindMark, k, []byte(sh.corrupt[k]))
+		buf = appendFrame(buf, kindMark, k, []byte(w.corrupt[k]))
 	}
 
-	if ft := sh.consult(OpSegCreate, len(buf)); ft.Kill != KillNone {
-		return sh.crash(OpSegCreate, 0)
+	if ft := w.consult(OpSegCreate, len(buf)); ft.Kill != KillNone {
+		return w.crash(OpSegCreate, 0)
 	}
-	if err := writeFileSync(sh.segPath(newSeg), buf); err != nil {
+	if err := writeFileSync(w.segPath(newSeg), buf); err != nil {
 		return fmt.Errorf("write compacted segment %d: %w", newSeg, err)
 	}
-	if err := sh.syncShardDir(false); err != nil {
+	if err := w.syncDir(false); err != nil {
 		return err
 	}
 
 	// Commit point: the manifest now names [compacted, active].
 	m := manifest{Segments: []uint64{newSeg, activeSeg}, Next: newSeg + 1}
-	if err := sh.writeManifest(m, true); err != nil {
+	if err := w.writeManifest(m, true); err != nil {
 		return err
 	}
 
 	// Swap in-memory state, then retire the old files.
-	retired := append([]uint64(nil), sh.segs[:len(sh.segs)-1]...)
-	f, err := os.OpenFile(sh.segPath(newSeg), os.O_RDWR, 0o644)
+	retired := append([]uint64(nil), w.segs[:len(w.segs)-1]...)
+	f, err := os.OpenFile(w.segPath(newSeg), os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("reopen compacted segment %d: %w", newSeg, err)
 	}
-	sh.segs = []uint64{newSeg, activeSeg}
-	sh.files[newSeg] = f
-	sh.sizes[newSeg] = int64(len(buf))
-	sh.nextSeg = newSeg + 1
+	w.segs = []uint64{newSeg, activeSeg}
+	w.files[newSeg] = f
+	w.sizes[newSeg] = int64(len(buf))
+	w.nextSeg = newSeg + 1
 	for k, l := range newLocs {
-		sh.index.put(k, l)
+		w.index.put(k, l)
 	}
-	sh.w.compactions.Add(1)
+	w.compactions.Add(1)
 
-	if ft := sh.consult(OpRetire, 0); ft.Kill == KillBefore {
-		return sh.crash(OpRetire, 0)
+	if ft := w.consult(OpRetire, 0); ft.Kill == KillBefore {
+		return w.crash(OpRetire, 0)
 	}
 	for _, seg := range retired {
-		if old := sh.files[seg]; old != nil {
+		if old := w.files[seg]; old != nil {
 			old.Close()
 		}
-		delete(sh.files, seg)
-		delete(sh.sizes, seg)
-		if err := os.Remove(sh.segPath(seg)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		delete(w.files, seg)
+		delete(w.sizes, seg)
+		if err := os.Remove(w.segPath(seg)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return fmt.Errorf("retire segment %d: %w", seg, err)
 		}
 	}
-	if err := sh.syncShardDir(false); err != nil {
+	if err := w.syncDir(false); err != nil {
 		return err
 	}
-	if ft := sh.consult(OpRetire, 0); ft.Kill == KillAfter {
-		return sh.crash(OpRetire, 0)
+	if ft := w.consult(OpRetire, 0); ft.Kill == KillAfter {
+		return w.crash(OpRetire, 0)
 	}
 	return nil
 }

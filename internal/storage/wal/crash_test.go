@@ -9,8 +9,8 @@ import (
 	"repro/internal/storage"
 )
 
-// scriptInjector fires one scripted fault at a given per-shard consult
-// sequence number, recording whether it triggered.
+// scriptInjector fires one scripted fault at a given consult sequence
+// number, recording whether it triggered.
 type scriptInjector struct {
 	mu    sync.Mutex
 	op    Op
@@ -20,7 +20,7 @@ type scriptInjector struct {
 	fired bool
 }
 
-func (si *scriptInjector) Decide(op Op, shard int, seq uint64, size int) Fault {
+func (si *scriptInjector) Decide(op Op, seq uint64, size int) Fault {
 	si.mu.Lock()
 	defer si.mu.Unlock()
 	if si.fired {
@@ -72,7 +72,7 @@ func TestCrashAtRotationAndCompaction(t *testing.T) {
 func runCrashWorkload(t *testing.T, si *scriptInjector) {
 	t.Helper()
 	dir := t.TempDir()
-	opts := Options{Shards: 1, MaxSegmentBytes: 2 << 10, CompactMinDeadBytes: 1 << 10, Injector: si}
+	opts := Options{MaxSegmentBytes: 2 << 10, CompactMinDeadBytes: 1 << 10, Injector: si}
 	w, err := Open(dir, opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -107,7 +107,7 @@ func runCrashWorkload(t *testing.T, si *scriptInjector) {
 	crashed := w.Killed()
 	w.Close()
 
-	w2, err := Open(dir, Options{Shards: 1})
+	w2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen after crash (fired=%v crashed=%v): %v", si.fired, crashed, err)
 	}
@@ -158,7 +158,7 @@ func TestInjectedFlipServedAsCorrupt(t *testing.T) {
 	for step := uint64(0); step < 10; step++ {
 		si := &scriptInjector{op: OpAppend, seq: step, fault: Fault{Flip: true, FlipAt: 3}}
 		dir := t.TempDir()
-		w, err := Open(dir, Options{Shards: 1, Injector: si})
+		w, err := Open(dir, Options{Injector: si})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestInjectedFlipServedAsCorrupt(t *testing.T) {
 			t.Fatalf("step %d: %d corrupt keys live, want exactly 1", step, live)
 		}
 		w.Close()
-		w2, err := Open(dir, Options{Shards: 1})
+		w2, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("reopen over flipped record: %v", err)
 		}

@@ -25,7 +25,7 @@ func fuzzPut(proc, index, instance int) []byte {
 }
 
 // FuzzWALRecover feeds arbitrary bytes to the WAL as the contents of a
-// shard's single (active) segment and requires recovery to hold its two
+// log's single (active) segment and requires recovery to hold its two
 // promises on ANY input:
 //
 //  1. Open never panics and never fails — a lone active segment can only
@@ -66,31 +66,30 @@ func FuzzWALRecover(f *testing.F) {
 		frame := make([]byte, 4+len(body))
 		binary.BigEndian.PutUint32(frame, crc32.ChecksumIEEE(body))
 		copy(frame[4:], body)
-		if err := os.WriteFile(filepath.Join(dir, "s0.manifest"), frame, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "log.manifest"), frame, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "s0-0.seg"), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "log-0.seg"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 
-		w, err := Open(dir, Options{Shards: 1})
+		w, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("recovery failed on a lone active segment: %v", err)
 		}
 		check := func(w *Store) (indexed, quarantined map[storage.Key]bool) {
-			sh := w.shards[0]
-			sh.mu.Lock()
+			w.mu.Lock()
 			indexed = make(map[storage.Key]bool)
-			quarantined = make(map[storage.Key]bool, len(sh.corrupt))
-			for _, locs := range sh.index {
+			quarantined = make(map[storage.Key]bool, len(w.corrupt))
+			for _, locs := range w.index {
 				for k := range locs {
 					indexed[k] = true
 				}
 			}
-			for k := range sh.corrupt {
+			for k := range w.corrupt {
 				quarantined[k] = true
 			}
-			sh.mu.Unlock()
+			w.mu.Unlock()
 			for k := range indexed {
 				s, err := w.Get(k.Proc, k.CFGIndex, k.Instance)
 				if err != nil {
@@ -113,7 +112,7 @@ func FuzzWALRecover(f *testing.F) {
 		}
 
 		// Idempotence: recovery over its own repair output changes nothing.
-		w2, err := Open(dir, Options{Shards: 1})
+		w2, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("second recovery failed: %v", err)
 		}

@@ -9,9 +9,9 @@ package wal
 // effect lands — which is how the walchaos soak drives the log through
 // every crash window without forking processes.
 //
-// Consults happen under the owning shard's mutex, so a deterministic
-// injector (internal/chaos.WALInjector) sees one well-ordered stream of
-// decisions per shard regardless of goroutine scheduling.
+// Consults happen under the store's mutex, so a deterministic injector
+// (internal/chaos.WALInjector) sees one well-ordered stream of decisions
+// regardless of goroutine scheduling.
 
 // Op identifies the durability side effect being attempted.
 type Op int
@@ -23,7 +23,7 @@ const (
 	OpAppend Op = iota
 	// OpSync: fsync of the active segment after an append.
 	OpSync
-	// OpDirSync: fsync of the shard directory after create/rename/retire.
+	// OpDirSync: fsync of the log directory after create/rename/retire.
 	OpDirSync
 	// OpSegCreate: a fresh active segment file is about to be created.
 	OpSegCreate
@@ -78,8 +78,8 @@ type Fault struct {
 	FlipAt int
 }
 
-// Injector decides faults. seq is a per-shard monotone consult counter;
+// Injector decides faults. seq is the store's monotone consult counter;
 // size is the byte count at stake (0 when not meaningful for the op).
 type Injector interface {
-	Decide(op Op, shard int, seq uint64, size int) Fault
+	Decide(op Op, seq uint64, size int) Fault
 }

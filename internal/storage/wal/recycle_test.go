@@ -13,11 +13,11 @@ import (
 
 // A steady-state Save allocates nothing of its own: the request, its frame
 // buffer and its ack channel are recycled, and the committer stages the
-// batch in per-shard scratch. The bound leaves room for the index map's
+// batch in the store's scratch. The bound leaves room for the index map's
 // amortized growth and for the pool losing an entry to a GC cycle (or to
 // the race detector, which drops a quarter of all Puts).
 func TestSaveSteadyStateAllocs(t *testing.T) {
-	w := mustOpen(t, t.TempDir(), Options{Shards: 1})
+	w := mustOpen(t, t.TempDir(), Options{})
 	s := snap(0, 1, 0)
 	save := func() {
 		s.Instance++
@@ -46,7 +46,7 @@ func TestRecycledRequestsSurviveCloseAndKill(t *testing.T) {
 			if end == "kill" {
 				si = &scriptInjector{anyOp: true, seq: 60, fault: Fault{Kill: KillBefore}}
 			}
-			w, err := Open(dir, Options{Shards: 2, MaxBatch: 4, Injector: si})
+			w, err := Open(dir, Options{MaxBatch: 4, Injector: si})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,7 +112,7 @@ func TestRecycledRequestsSurviveCloseAndKill(t *testing.T) {
 			}
 			wg.Wait()
 
-			re := mustOpen(t, dir, Options{Shards: 2})
+			re := mustOpen(t, dir, Options{})
 			for k := range live {
 				s, err := re.Get(k.Proc, k.CFGIndex, k.Instance)
 				want := snap(k.Proc, k.CFGIndex, k.Instance)

@@ -37,7 +37,7 @@ const (
 	kindCorruptRegion = 0xFF
 )
 
-// loc names one frame inside a shard's segment chain.
+// loc names one frame inside the segment chain.
 type loc struct {
 	seg  uint64
 	off  int64
@@ -191,7 +191,7 @@ func corruptEvent(data []byte, start, end int) recEvent {
 // scanSegment walks one segment's bytes, yielding valid records and
 // damaged regions in log order. tornStart >= 0 reports a trailing
 // INCOMPLETE frame (a torn tail): the caller truncates it when the segment
-// is the shard's active tail, and quarantines it otherwise (a sealed
+// is the log's active tail, and quarantines it otherwise (a sealed
 // segment was fsynced whole, so a short tail there is real damage, not an
 // interrupted append).
 func scanSegment(data []byte) (events []recEvent, tornStart int64) {

@@ -1,9 +1,9 @@
-// Package wal is a sharded, log-structured storage.Store: concurrent Saves
-// are batched into group-committed appends (one fsync amortized over a
-// batch) on per-shard append-only segment files with per-record CRC +
-// length framing. Sharded in-memory indexes are rebuilt by scanning the
-// segments on open; background compaction rewrites live records into fresh
-// segments and atomically retires old ones through a manifest/rename
+// Package wal is a log-structured storage.Store: one append-only chain of
+// segment files with per-record CRC + length framing, written by one
+// committer that batches concurrent Saves into group-committed appends (one
+// fsync amortized over a batch). The in-memory index is rebuilt by scanning
+// the segments on open; compaction rewrites live records into a fresh
+// segment and atomically retires old ones through a manifest/rename
 // protocol.
 //
 // Recovery of the log itself is crash-safe by construction:
@@ -17,17 +17,16 @@
 //     storage.ErrCorrupt / Scrubber path instead of aborting or — worse —
 //     silently dropping it.
 //   - Mid-rotation and mid-compaction crashes resolve via the manifest:
-//     the per-shard manifest is replaced by atomic rename, segment files
-//     not named by it are orphans and deleted, and the manifest is written
-//     BEFORE a new segment file is created so an acknowledged record can
-//     never sit in a file the manifest does not know.
+//     it is replaced by atomic rename, segment files not named by it are
+//     orphans and deleted, and it is written BEFORE a new segment file is
+//     created so an acknowledged record can never sit in a file the
+//     manifest does not know.
 package wal
 
 import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -46,15 +45,12 @@ var ErrCrashed = errors.New("wal: store crashed")
 
 // Options configures Open. The zero value is ready for production use.
 type Options struct {
-	// Shards is the number of independent append logs (default 8). Keys
-	// are placed by hash of (proc, cfgIndex) so Latest stays single-shard.
-	Shards int
 	// MaxSegmentBytes rotates the active segment at this size (default 8 MiB).
 	MaxSegmentBytes int64
 	// MaxBatch caps how many Saves one group commit absorbs (default 128).
 	MaxBatch int
-	// CompactMinDeadBytes triggers auto-compaction of a shard's sealed
-	// segments once they hold at least this many dead bytes (default 1 MiB).
+	// CompactMinDeadBytes triggers auto-compaction of the sealed segments
+	// once they hold at least this many dead bytes (default 1 MiB).
 	CompactMinDeadBytes int64
 	// NoAutoCompact disables compaction after rotation; Compact() still works.
 	NoAutoCompact bool
@@ -64,9 +60,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 8
-	}
 	if o.MaxSegmentBytes <= 0 {
 		o.MaxSegmentBytes = 8 << 20
 	}
@@ -94,19 +87,44 @@ type Stats struct {
 	QuarantinedOnOpen int64 `json:"quarantined_on_open"`
 }
 
-// Store is the sharded group-commit log. It implements storage.Store and
-// storage.Scrubber.
+// Store is the group-commit log: a chain of segment files named by a
+// manifest, an in-memory index of the latest live record per key, and one
+// committer goroutine that commits batches of mutations. It implements
+// storage.Store and storage.Scrubber.
 type Store struct {
-	dir    string
-	opts   Options
-	shards []*shard
+	dir  string
+	opts Options
 
 	killed     atomic.Bool
 	killReason atomic.Value // string
 
-	closeMu sync.RWMutex
-	closed  bool
-	wg      sync.WaitGroup
+	closeMu       sync.RWMutex
+	closed        bool
+	reqCh         chan *commitReq // 4×MaxBatch: savers queue the next batches while one fsyncs
+	committerDone chan struct{}
+
+	mu sync.Mutex
+	// Durable state (all guarded by mu).
+	segs       []uint64 // segment ids in replay order; last is active
+	files      map[uint64]*os.File
+	sizes      map[uint64]int64
+	activeSize int64
+	syncedSize int64 // active bytes covered by the last successful fsync
+	nextSeg    uint64
+	// Index state.
+	index   keyIndex
+	corrupt map[storage.Key]string
+	// readBuf is the frame buffer readLocked reuses.
+	readBuf []byte
+	// Scratch of commit, reset per batch under mu; batch is the committer
+	// goroutine's own.
+	batch    []*commitReq
+	accepted []staged
+	buf      []byte
+	flipOK   [][2]int
+	inBatch  map[storage.Key]byte
+	// Injection.
+	injSeq uint64
 
 	saves       atomic.Int64
 	batches     atomic.Int64
@@ -120,42 +138,33 @@ type Store struct {
 var _ storage.Store = (*Store)(nil)
 var _ storage.Scrubber = (*Store)(nil)
 
-// Open creates (if needed) the store directory, recovers every shard's log
-// — truncating torn tails, quarantining damaged interior records, deleting
+// Open creates (if needed) the store directory, recovers the log —
+// truncating a torn tail, quarantining damaged interior records, deleting
 // orphan files from interrupted rotations/compactions — and starts the
-// per-shard group-commit goroutines.
+// group-commit goroutine. A directory holding segment or manifest files of
+// another layout is refused before anything in it is touched.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create dir: %w", err)
 	}
-	w := &Store{dir: dir, opts: opts}
-	w.shards = make([]*shard, opts.Shards)
-	for i := range w.shards {
-		sh, err := openShard(w, i)
-		if err != nil {
-			for _, prev := range w.shards[:i] {
-				prev.closeFiles()
-			}
-			return nil, fmt.Errorf("wal: shard %d: %w", i, err)
-		}
-		w.shards[i] = sh
+	w := &Store{
+		dir:           dir,
+		opts:          opts,
+		reqCh:         make(chan *commitReq, 4*opts.MaxBatch),
+		committerDone: make(chan struct{}),
+		files:         make(map[uint64]*os.File),
+		sizes:         make(map[uint64]int64),
+		index:         make(keyIndex),
+		corrupt:       make(map[storage.Key]string),
+		inBatch:       make(map[storage.Key]byte),
 	}
-	for _, sh := range w.shards {
-		w.wg.Add(1)
-		go sh.commitLoop()
+	if err := w.recoverLog(); err != nil {
+		w.closeFiles()
+		return nil, fmt.Errorf("wal: %w", err)
 	}
+	go w.commitLoop()
 	return w, nil
-}
-
-func (w *Store) shardFor(proc, index int) *shard {
-	// splitmix64-style finalizer over the (proc, index) pair: all instances
-	// of one key — and therefore one Latest — live in one shard.
-	x := uint64(uint32(proc))<<32 | uint64(uint32(index))
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return w.shards[x%uint64(len(w.shards))]
 }
 
 // kill poisons the store: every subsequent operation fails ErrCrashed
@@ -202,19 +211,18 @@ func (w *Store) Delete(proc, cfgIndex, instance int) error {
 	return w.submit(req)
 }
 
-// submit hands one mutation to its shard's committer, waits for the ack
-// and recycles the request: every enqueued request is acknowledged exactly
+// submit hands one mutation to the committer, waits for the ack and
+// recycles the request: every enqueued request is acknowledged exactly
 // once (commit, a dead store, failRemaining), so after the receive — or
 // when it was never enqueued — nothing else holds it.
 func (w *Store) submit(req *commitReq) error {
 	defer reqPool.Put(req)
-	sh := w.shardFor(req.key.Proc, req.key.CFGIndex)
 	w.closeMu.RLock()
 	if w.closed {
 		w.closeMu.RUnlock()
 		return ErrClosed
 	}
-	sh.reqCh <- req
+	w.reqCh <- req
 	w.closeMu.RUnlock()
 	return <-req.done
 }
@@ -224,8 +232,17 @@ func (w *Store) Get(proc, cfgIndex, instance int) (storage.Snapshot, error) {
 	if err := w.checkAlive(); err != nil {
 		return storage.Snapshot{}, err
 	}
-	sh := w.shardFor(proc, cfgIndex)
-	return sh.get(storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: instance})
+	k := storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: instance}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if reason, marked := w.corrupt[k]; marked {
+		return storage.Snapshot{}, fmt.Errorf("%w: %s: %s", storage.ErrCorrupt, k, reason)
+	}
+	l, ok := w.index.get(k)
+	if !ok {
+		return storage.Snapshot{}, fmt.Errorf("%w: %s", storage.ErrNotFound, k)
+	}
+	return w.readLocked(k, l)
 }
 
 // Latest implements storage.Store. Like the chaos wrapper it is strict: if
@@ -236,8 +253,26 @@ func (w *Store) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
 	if err := w.checkAlive(); err != nil {
 		return storage.Snapshot{}, err
 	}
-	sh := w.shardFor(proc, cfgIndex)
-	return sh.latest(proc, cfgIndex)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	best, bestLoc, bestCorrupt, found := storage.Key{}, loc{}, "", false
+	for k, l := range w.index[proc] {
+		if k.CFGIndex == cfgIndex && (!found || k.Instance > best.Instance) {
+			best, bestLoc, bestCorrupt, found = k, l, "", true
+		}
+	}
+	for k, reason := range w.corrupt {
+		if k.Proc == proc && k.CFGIndex == cfgIndex && (!found || k.Instance > best.Instance) {
+			best, bestCorrupt, found = k, reason, true
+		}
+	}
+	if !found {
+		return storage.Snapshot{}, fmt.Errorf("%w: proc=%d index=%d", storage.ErrNotFound, proc, cfgIndex)
+	}
+	if bestCorrupt != "" {
+		return storage.Snapshot{}, fmt.Errorf("%w: %s: %s", storage.ErrCorrupt, best, bestCorrupt)
+	}
+	return w.readLocked(best, bestLoc)
 }
 
 // List implements storage.Store. It is strict the way the chaos wrapper
@@ -247,15 +282,27 @@ func (w *Store) List(proc int) ([]storage.Snapshot, error) {
 	if err := w.checkAlive(); err != nil {
 		return nil, err
 	}
-	var out []storage.Snapshot
-	for _, sh := range w.shards {
-		part, err := sh.list(proc)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for k, reason := range w.corrupt {
+		if k.Proc == proc {
+			return nil, fmt.Errorf("%w: %s: %s", storage.ErrCorrupt, k, reason)
+		}
+	}
+	locs := w.index[proc]
+	keys := make([]storage.Key, 0, len(locs))
+	for k := range locs {
+		keys = append(keys, k)
+	}
+	storage.SortKeys(keys)
+	out := make([]storage.Snapshot, 0, len(keys))
+	for _, k := range keys {
+		s, err := w.readLocked(k, locs[k])
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, part...)
+		out = append(out, s)
 	}
-	storage.SortSnapshots(out)
 	return out, nil
 }
 
@@ -277,26 +324,24 @@ func (w *Store) keys(proc int) ([]storage.Key, error) {
 	if err := w.checkAlive(); err != nil {
 		return nil, err
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	var keys []storage.Key
-	for _, sh := range w.shards {
-		sh.mu.Lock()
-		if proc >= 0 {
-			for k := range sh.index[proc] {
-				keys = append(keys, k)
-			}
-		} else {
-			for _, locs := range sh.index {
-				for k := range locs {
-					keys = append(keys, k)
-				}
-			}
+	if proc >= 0 {
+		for k := range w.index[proc] {
+			keys = append(keys, k)
 		}
-		for k := range sh.corrupt {
-			if proc < 0 || k.Proc == proc {
+	} else {
+		for _, locs := range w.index {
+			for k := range locs {
 				keys = append(keys, k)
 			}
 		}
-		sh.mu.Unlock()
+	}
+	for k := range w.corrupt {
+		if proc < 0 || k.Proc == proc {
+			keys = append(keys, k)
+		}
 	}
 	return keys, nil
 }
@@ -309,34 +354,42 @@ func (w *Store) Scrub() (storage.ScrubReport, error) {
 	if err := w.checkAlive(); err != nil {
 		return rep, err
 	}
-	for _, sh := range w.shards {
-		if err := sh.scrub(&rep); err != nil {
-			return rep, err
-		}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.corrupt) == 0 {
+		return rep, nil
 	}
-	sort.Slice(rep.Quarantined, func(i, j int) bool {
-		return rep.Quarantined[i].Key.Less(rep.Quarantined[j].Key)
-	})
+	keys := make([]storage.Key, 0, len(w.corrupt))
+	for k := range w.corrupt {
+		keys = append(keys, k)
+	}
+	storage.SortKeys(keys)
+	var buf []byte
+	for _, k := range keys {
+		buf = appendFrame(buf, kindTomb, k, nil)
+	}
+	if err := w.appendLocked(buf, nil); err != nil {
+		return rep, err
+	}
+	for _, k := range keys {
+		rep.Quarantined = append(rep.Quarantined, storage.SnapshotRef{Key: k, Reason: w.corrupt[k]})
+		delete(w.corrupt, k)
+		w.index.del(k)
+	}
 	return rep, nil
 }
 
-// Compact rewrites every shard's sealed segments down to live records.
+// Compact rewrites the sealed segments down to live records.
 func (w *Store) Compact() error {
 	if err := w.checkAlive(); err != nil {
 		return err
 	}
-	for _, sh := range w.shards {
-		sh.mu.Lock()
-		err := sh.compactLocked(true)
-		sh.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.compactLocked(true)
 }
 
-// Close stops the committers and releases file handles. A killed store
+// Close stops the committer and releases file handles. A killed store
 // can still be Closed; pending Saves fail ErrClosed or ErrCrashed.
 func (w *Store) Close() error {
 	w.closeMu.Lock()
@@ -345,17 +398,22 @@ func (w *Store) Close() error {
 		return nil
 	}
 	w.closed = true
-	for _, sh := range w.shards {
-		close(sh.reqCh)
-	}
+	close(w.reqCh)
 	w.closeMu.Unlock()
-	w.wg.Wait()
+	<-w.committerDone
+	return w.closeFiles()
+}
+
+func (w *Store) closeFiles() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	var first error
-	for _, sh := range w.shards {
-		if err := sh.closeFiles(); err != nil && first == nil {
+	for _, f := range w.files {
+		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
+	w.files = map[uint64]*os.File{}
 	return first
 }
 

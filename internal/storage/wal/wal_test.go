@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 	"repro/internal/vclock"
@@ -38,7 +41,7 @@ func mustOpen(t *testing.T, dir string, opts Options) *Store {
 }
 
 func TestRoundTrip(t *testing.T) {
-	w := mustOpen(t, t.TempDir(), Options{Shards: 4})
+	w := mustOpen(t, t.TempDir(), Options{})
 	for p := 0; p < 3; p++ {
 		for i := 0; i < 4; i++ {
 			for k := 0; k < 2; k++ {
@@ -95,7 +98,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestReopenRecoversEverything(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{Shards: 4})
+	w := mustOpen(t, dir, Options{})
 	const n = 200
 	for i := 0; i < n; i++ {
 		if err := w.Save(snap(i%5, i/5, 0)); err != nil {
@@ -109,7 +112,7 @@ func TestReopenRecoversEverything(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	w2 := mustOpen(t, dir, Options{Shards: 4})
+	w2 := mustOpen(t, dir, Options{})
 	if _, err := w2.Get(0, 0, 0); !errors.Is(err, storage.ErrNotFound) {
 		t.Fatalf("deleted key resurrected after reopen: %v", err)
 	}
@@ -128,8 +131,48 @@ func TestReopenRecoversEverything(t *testing.T) {
 	}
 }
 
+// TestConcurrentProcessesShareAnFsync is the durable-wal shape: every
+// process writes its i-th checkpoint at about the same moment. The first
+// fsync is held until all four saves are in its batch or queued behind it,
+// so the rest ride one more group commit — two fsyncs for four saves at most.
+func TestConcurrentProcessesShareAnFsync(t *testing.T) {
+	orig := fsyncFile
+	defer func() { fsyncFile = orig }()
+
+	w := mustOpen(t, t.TempDir(), Options{})
+	const savers = 4
+	var first sync.Once
+	fsyncFile = func(f *os.File) error {
+		first.Do(func() {
+			// The seam runs on the committer, which owns w.batch.
+			for deadline := time.Now().Add(5 * time.Second); len(w.batch)+len(w.reqCh) < savers && time.Now().Before(deadline); {
+				time.Sleep(100 * time.Microsecond)
+			}
+		})
+		return orig(f)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, savers)
+	for p := 0; p < savers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			errs[p] = w.Save(snap(p, 1, 0))
+		}(p)
+	}
+	wg.Wait()
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("Save by proc %d: %v", p, err)
+		}
+	}
+	if st := w.Stats(); st.Saves != savers || st.Batches > 2 {
+		t.Fatalf("%d saves took %d fsyncs, want at most 2", st.Saves, st.Batches)
+	}
+}
+
 func TestGroupCommitBatches(t *testing.T) {
-	w := mustOpen(t, t.TempDir(), Options{Shards: 1, MaxBatch: 64})
+	w := mustOpen(t, t.TempDir(), Options{})
 	const n = 256
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -161,7 +204,7 @@ func TestGroupCommitBatches(t *testing.T) {
 // frame and keep every record before it.
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{Shards: 1})
+	w := mustOpen(t, dir, Options{})
 	for i := 0; i < 10; i++ {
 		if err := w.Save(snap(0, i, 0)); err != nil {
 			t.Fatalf("Save: %v", err)
@@ -169,7 +212,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	w.Close()
 
-	path := filepath.Join(dir, "s0-0.seg")
+	path := filepath.Join(dir, "log-0.seg")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +222,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2 := mustOpen(t, dir, Options{Shards: 1})
+	w2 := mustOpen(t, dir, Options{})
 	if w2.Stats().TruncatedBytes == 0 {
 		t.Fatal("no torn tail truncated")
 	}
@@ -203,20 +246,19 @@ func TestTornTailTruncated(t *testing.T) {
 // recovery, not serve the damaged bytes, not drop the key silently.
 func TestInteriorCorruptionQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{Shards: 1})
+	w := mustOpen(t, dir, Options{})
 	for i := 0; i < 10; i++ {
 		if err := w.Save(snap(0, i, 0)); err != nil {
 			t.Fatalf("Save: %v", err)
 		}
 	}
 	var victim loc
-	sh := w.shards[0]
-	sh.mu.Lock()
-	victim, _ = sh.index.get(key(0, 4, 0))
-	sh.mu.Unlock()
+	w.mu.Lock()
+	victim, _ = w.index.get(key(0, 4, 0))
+	w.mu.Unlock()
 	w.Close()
 
-	path := filepath.Join(dir, "s0-0.seg")
+	path := filepath.Join(dir, "log-0.seg")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +269,7 @@ func TestInteriorCorruptionQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2 := mustOpen(t, dir, Options{Shards: 1})
+	w2 := mustOpen(t, dir, Options{})
 	if _, err := w2.Get(0, 4, 0); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("damaged record Get = %v, want ErrCorrupt", err)
 	}
@@ -262,7 +304,7 @@ func TestInteriorCorruptionQuarantined(t *testing.T) {
 	w2.Close()
 
 	// The scrub is durable: the mark must not resurrect on reopen.
-	w3 := mustOpen(t, dir, Options{Shards: 1})
+	w3 := mustOpen(t, dir, Options{})
 	if s, err := w3.Get(0, 4, 0); err != nil || s.Vars["x"] != 40 {
 		t.Fatalf("regenerated record after reopen = %+v, %v", s, err)
 	}
@@ -273,29 +315,28 @@ func TestInteriorCorruptionQuarantined(t *testing.T) {
 // the mark from the damaged bytes still in the log.
 func TestQuarantineMarkSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{Shards: 1})
+	w := mustOpen(t, dir, Options{})
 	for i := 0; i < 3; i++ {
 		if err := w.Save(snap(0, i, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	w.Close()
-	w2 := mustOpen(t, dir, Options{Shards: 1})
+	w2 := mustOpen(t, dir, Options{})
 	// Damage index 1's body on disk while the store is open.
-	sh := w2.shards[0]
-	sh.mu.Lock()
-	l, _ := sh.index.get(key(0, 1, 0))
-	f := sh.files[l.seg]
+	w2.mu.Lock()
+	l, _ := w2.index.get(key(0, 1, 0))
+	f := w2.files[l.seg]
 	if _, err := f.WriteAt([]byte{0xFF}, l.off+frameHeader+payloadHead+2); err != nil {
-		sh.mu.Unlock()
+		w2.mu.Unlock()
 		t.Fatal(err)
 	}
-	sh.mu.Unlock()
+	w2.mu.Unlock()
 	if _, err := w2.Get(0, 1, 0); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("Get rotted = %v, want ErrCorrupt", err)
 	}
 	w2.Close()
-	w3 := mustOpen(t, dir, Options{Shards: 1})
+	w3 := mustOpen(t, dir, Options{})
 	if _, err := w3.Get(0, 1, 0); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("rot mark lost across reopen: %v", err)
 	}
@@ -304,7 +345,7 @@ func TestQuarantineMarkSurvivesReopen(t *testing.T) {
 func TestRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segments force rotations; compaction auto-triggers on dead bytes.
-	w := mustOpen(t, dir, Options{Shards: 2, MaxSegmentBytes: 4 << 10, CompactMinDeadBytes: 2 << 10})
+	w := mustOpen(t, dir, Options{MaxSegmentBytes: 4 << 10, CompactMinDeadBytes: 2 << 10})
 	const n = 300
 	for i := 0; i < n; i++ {
 		if err := w.Save(snap(i%3, i/3, 0)); err != nil {
@@ -332,7 +373,7 @@ func TestRotationAndCompaction(t *testing.T) {
 	}
 	w.Close()
 
-	w2 := mustOpen(t, dir, Options{Shards: 2})
+	w2 := mustOpen(t, dir, Options{})
 	for i := 0; i < n; i++ {
 		p, idx := i%3, i/3
 		_, err := w2.Get(p, idx, 0)
@@ -350,16 +391,16 @@ func TestRotationAndCompaction(t *testing.T) {
 // (an interrupted compaction's output) are removed on open.
 func TestOrphanSegmentsDeleted(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{Shards: 1})
+	w := mustOpen(t, dir, Options{})
 	if err := w.Save(snap(0, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-	orphan := filepath.Join(dir, "s0-77.seg")
+	orphan := filepath.Join(dir, "log-77.seg")
 	if err := os.WriteFile(orphan, appendFrame(nil, kindPut, key(9, 9, 9), storage.EncodeSnapshot(snap(9, 9, 9))), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w2 := mustOpen(t, dir, Options{Shards: 1})
+	w2 := mustOpen(t, dir, Options{})
 	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("orphan segment survived open: %v", err)
 	}
@@ -368,26 +409,84 @@ func TestOrphanSegmentsDeleted(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesShardedDirectory: segment and manifest files the log would
+// not replay hold somebody's acknowledged checkpoints. Before the log was
+// one log a directory did not record its shard count: opening with two
+// shards a log written with eight succeeded and silently served 4 of 16
+// acknowledged checkpoints (Indexes(16) = []). Now Open fails, names the
+// file, and leaves every byte where it was — with or without a log of its
+// own beside the foreign files.
+func TestOpenRefusesShardedDirectory(t *testing.T) {
+	for _, ownLog := range []bool{true, false} {
+		dir := t.TempDir()
+		if ownLog {
+			w := mustOpen(t, dir, Options{})
+			if err := w.Save(snap(0, 0, 0)); err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+		}
+		foreign := map[string][]byte{
+			"s3-0.seg":    appendFrame(nil, kindPut, key(1, 2, 0), storage.EncodeSnapshot(snap(1, 2, 0))),
+			"s3.manifest": []byte("another shard's manifest"),
+		}
+		for name, data := range foreign {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := readDirBytes(t, dir)
+
+		w, err := Open(dir, Options{})
+		if err == nil {
+			w.Close()
+			t.Fatalf("ownLog=%v: Open succeeded over a sharded directory", ownLog)
+		}
+		if !strings.Contains(err.Error(), "s3-0.seg") && !strings.Contains(err.Error(), "s3.manifest") {
+			t.Errorf("ownLog=%v: error names no foreign file: %v", ownLog, err)
+		}
+		if after := readDirBytes(t, dir); !reflect.DeepEqual(before, after) {
+			t.Errorf("ownLog=%v: a refused Open changed the directory: %d files before, %d after", ownLog, len(before), len(after))
+		}
+	}
+}
+
+func readDirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
 // TestManifestNamesMissingLastSegment: a rotation crash window — manifest
 // renamed, segment file never created — recovers as an empty active
 // segment.
 func TestManifestNamesMissingLastSegment(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{Shards: 1})
+	w := mustOpen(t, dir, Options{})
 	if err := w.Save(snap(0, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	sh := w.shards[0]
-	sh.mu.Lock()
-	m := manifest{Segments: append(append([]uint64(nil), sh.segs...), sh.nextSeg), Next: sh.nextSeg + 1}
-	err := sh.writeManifest(m, false)
-	sh.mu.Unlock()
+	w.mu.Lock()
+	m := manifest{Segments: append(append([]uint64(nil), w.segs...), w.nextSeg), Next: w.nextSeg + 1}
+	err := w.writeManifest(m, false)
+	w.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
 
-	w2 := mustOpen(t, dir, Options{Shards: 1})
+	w2 := mustOpen(t, dir, Options{})
 	if _, err := w2.Get(0, 0, 0); err != nil {
 		t.Fatalf("record lost across rotation crash window: %v", err)
 	}
@@ -400,7 +499,7 @@ func TestManifestNamesMissingLastSegment(t *testing.T) {
 // (a non-last manifest segment missing) must fail open loudly.
 func TestMissingInteriorSegmentFatal(t *testing.T) {
 	dir := t.TempDir()
-	w := mustOpen(t, dir, Options{Shards: 1, MaxSegmentBytes: 1 << 10})
+	w := mustOpen(t, dir, Options{MaxSegmentBytes: 1 << 10})
 	for i := 0; i < 50; i++ {
 		if err := w.Save(snap(0, i, 0)); err != nil {
 			t.Fatal(err)
@@ -410,10 +509,10 @@ func TestMissingInteriorSegmentFatal(t *testing.T) {
 		t.Fatal("test needs at least one rotation")
 	}
 	w.Close()
-	if err := os.Remove(filepath.Join(dir, "s0-0.seg")); err != nil {
+	if err := os.Remove(filepath.Join(dir, "log-0.seg")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{Shards: 1}); err == nil {
+	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("Open succeeded with an interior segment missing")
 	}
 }
@@ -426,7 +525,7 @@ func TestFsyncGatePoisonsStore(t *testing.T) {
 	orig := fsyncFile
 	defer func() { fsyncFile = orig }()
 
-	w := mustOpen(t, t.TempDir(), Options{Shards: 1})
+	w := mustOpen(t, t.TempDir(), Options{})
 	if err := w.Save(snap(0, 0, 0)); err != nil {
 		t.Fatal(err)
 	}

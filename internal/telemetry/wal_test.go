@@ -101,7 +101,7 @@ func TestWALStatsAbsent(t *testing.T) {
 // open-after-construction path the chkptsim binary uses — and checks the
 // sampled counters move with store activity.
 func TestWALStatsLive(t *testing.T) {
-	ws, err := wal.Open(t.TempDir(), wal.Options{Shards: 2})
+	ws, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

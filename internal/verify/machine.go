@@ -236,12 +236,6 @@ func (m *Machine) Enabled() []int {
 	return out
 }
 
-// Deadlocked reports a stuck global state: not all processes halted, yet
-// none is enabled.
-func (m *Machine) Deadlocked() bool {
-	return !m.Done() && len(m.Enabled()) == 0
-}
-
 // Dependent reports whether the visible operations processes p and q are
 // parked at may not commute: one is the send and the other the receive on
 // the same channel. All other pairs of enabled transitions are independent

@@ -58,19 +58,8 @@ echo '>> prune smoke (scripts/prune_smoke.sh)'
 if [ "${CHECK_BENCH:-0}" = "1" ]; then
     echo '>> bench harness (CHECK_BENCH=1)'
     ./scripts/bench.sh
-    # The spine as a correctness smoke: non-zero exit on any output
-    # mismatch or leaked goroutine; its numbers are not gated here.
-    # The traced run is the one place the real runtime's event tap drives
-    # benchmark/trace.go's observers; analysis-large's output check is the
-    # only end-to-end guard on Parse -> Transform -> Compile -> Format, and
-    # crash-storm-inc's (exactly 4 restarts, the reference FinalVars) the
-    # only one on delta-chain recovery across four incarnations.
-    echo '>> spine smoke (go run ./benchmark, all five: durable-wal, fleet-wal, traced interp-mem, analysis-large, crash-storm-inc)'
-    go run ./benchmark -workload durable-wal -seed 1 -seconds 3
-    go run ./benchmark -workload fleet-wal -seed 1 -seconds 3
-    go run ./benchmark -workload interp-mem -seed 1 -seconds 3 -trace
-    go run ./benchmark -workload analysis-large -seed 1 -seconds 3
-    go run ./benchmark -workload crash-storm-inc -seed 1 -seconds 3
+    echo '>> spine smoke (make spine: all five workloads, interp-mem traced)'
+    make spine
 fi
 
 echo 'OK'

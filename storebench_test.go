@@ -150,9 +150,9 @@ func BenchmarkStoreSingleSave(b *testing.B) {
 // long-lived shared log: select the recovery line of a 4-process job with
 // 64 checkpoints per process, scrub, and name what to discard (nothing —
 // the store is already at the line, so every iteration does the same work),
-// on a WAL that also holds `foreign` checkpoints of other jobs. The shard
-// indexes are per process, so the 64k figure must stay within 2× of the 1k
-// one; before they were, selection walked every key the log ever held.
+// on a WAL that also holds `foreign` checkpoints of other jobs. The index
+// is per process, so the 64k figure must stay within 2× of the 1k one;
+// before it was, selection walked every key the log ever held.
 func BenchmarkWALSelectLongLog(b *testing.B) {
 	const nproc, each = 4, 64
 	for _, foreign := range []int{1 << 10, 64 << 10} {

@@ -15,8 +15,7 @@ package repro_test
 //
 // Across >= 24 seeds (SOAK_SEEDS overrides; -short trims) with -race via
 // `make walchaos`. One seed replays one fault schedule exactly: the
-// injector is hash-deterministic and the store serializes consults
-// per shard.
+// injector is hash-deterministic and the store serializes consults.
 
 import (
 	"errors"
@@ -116,6 +115,24 @@ func (l *walLedger) verify(t *testing.T, w *wal.Store, seed int64, round int) []
 	return corrupt
 }
 
+// killLog remembers the last kill its injector decided. The store consults
+// under its mutex and stops consulting once dead, so when a round ends with
+// the store killed, that decision is the crash point that took effect (an
+// earlier "after" drawn at a before-only consult, say, was ignored).
+type killLog struct {
+	wal.Injector
+	op   wal.Op
+	kill wal.Kill
+}
+
+func (kl *killLog) Decide(op wal.Op, seq uint64, size int) wal.Fault {
+	f := kl.Injector.Decide(op, seq, size)
+	if f.Kill != wal.KillNone {
+		kl.op, kl.kill = op, f.Kill
+	}
+	return f
+}
+
 func TestWALChaosSoak(t *testing.T) {
 	defSeeds := 24
 	if testing.Short() {
@@ -129,6 +146,7 @@ func TestWALChaosSoak(t *testing.T) {
 		aggFlips   int64
 		aggReopens int64
 		aggAcked   int64
+		killedAt   [wal.OpRetire + 1][wal.KillAfter + 1]int // effective crash points
 	)
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -136,10 +154,9 @@ func TestWALChaosSoak(t *testing.T) {
 			dir := t.TempDir()
 			ledger := newWALLedger()
 			const (
-				rounds     = 12
-				writers    = 4
-				perWriter  = 40
-				shardCount = 4
+				rounds    = 12
+				writers   = 4
+				perWriter = 40
 			)
 			var kills, flips, reopens int64
 			next := 0 // next fresh key ordinal
@@ -151,10 +168,20 @@ func TestWALChaosSoak(t *testing.T) {
 					CrashRate: 0.004,
 					FlipRate:  0.002,
 				})
+				kl := &killLog{Injector: inj}
+				// Tiny segments force rotation + compaction under fire; odd
+				// rounds rotate and compact on every batch, because the
+				// manifest protocol's crash points are consulted an order of
+				// magnitude less often than append and fsync and the coverage
+				// bar below wants each of them killed both ways.
+				segBytes := int64(1 << 10)
+				if round%2 == 1 {
+					segBytes = 1
+				}
 				w, err := wal.Open(dir, wal.Options{
-					Shards:          shardCount,
-					MaxSegmentBytes: 8 << 10, // tiny: force rotation + compaction under fire
-					Injector:        inj,
+					MaxSegmentBytes:     segBytes,
+					CompactMinDeadBytes: 1,
+					Injector:            kl,
 				})
 				if err != nil {
 					t.Fatalf("seed %d round %d: recovery failed to open the damaged log: %v", seed, round, err)
@@ -167,9 +194,9 @@ func TestWALChaosSoak(t *testing.T) {
 				corrupt := ledger.verify(t, w, seed, round)
 				// Scrub every other round: quarantined keys become durable
 				// tombstones (and must STAY gone after later reopens). A kill
-				// can land mid-scrub, tombstoning some shards but not others,
-				// so mark the keys delete-attempted FIRST — then a partially
-				// landed tombstone reads as an ordinary unacked delete.
+				// can land mid-scrub with the tombstones on disk and no ack,
+				// so mark the keys delete-attempted FIRST — then a landed
+				// tombstone reads as an ordinary unacked delete.
 				if round%2 == 1 && len(corrupt) > 0 {
 					ledger.mu.Lock()
 					for _, k := range corrupt {
@@ -189,7 +216,9 @@ func TestWALChaosSoak(t *testing.T) {
 				}
 
 				// Concurrent workload: each writer owns a disjoint key range;
-				// every fifth key is deleted right after saving.
+				// every fifth key is deleted right after saving, and after
+				// every fourth save the writer compacts the log under the
+				// others' feet.
 				base := next
 				next += writers * perWriter
 				var wg sync.WaitGroup
@@ -212,6 +241,13 @@ func TestWALChaosSoak(t *testing.T) {
 							default:
 								t.Errorf("seed %d round %d: Save(%v) failed oddly: %v", seed, round, k, err)
 								return
+							}
+							if ord%4 == 3 {
+								if err := w.Compact(); errors.Is(err, wal.ErrCrashed) {
+									return
+								} else if err != nil {
+									t.Errorf("seed %d round %d: Compact failed oddly: %v", seed, round, err)
+								}
 							}
 							if ord%5 == 4 {
 								derr := w.Delete(k.proc, k.index, k.instance)
@@ -241,11 +277,16 @@ func TestWALChaosSoak(t *testing.T) {
 				kills += st.Kills
 				flips += st.Flips
 				w.Close()
+				if w.Killed() {
+					aggMu.Lock()
+					killedAt[kl.op][kl.kill]++
+					aggMu.Unlock()
+				}
 			}
 
 			// Final recovery with NO injector: everything the ledger holds
 			// must verify clean one last time.
-			w, err := wal.Open(dir, wal.Options{Shards: shardCount})
+			w, err := wal.Open(dir, wal.Options{})
 			if err != nil {
 				t.Fatalf("seed %d: final recovery failed: %v", seed, err)
 			}
@@ -275,8 +316,8 @@ func TestWALChaosSoak(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-		t.Logf("walchaos soak: acked=%d kills=%d flips=%d reopens=%d across %d seeds",
-			aggAcked, aggKills, aggFlips, aggReopens, seeds)
+		t.Logf("walchaos soak: acked=%d kills=%d flips=%d reopens=%d across %d seeds; crash points by op [none before after]: %v",
+			aggAcked, aggKills, aggFlips, aggReopens, seeds, killedAt)
 		if fleetAssertions(t, seeds, defSeeds) && !testing.Short() {
 			// The matrix is vacuous if the machinery never fired.
 			if aggKills == 0 {
@@ -290,6 +331,12 @@ func TestWALChaosSoak(t *testing.T) {
 			}
 			if aggAcked < 1000 {
 				t.Errorf("only %d live acked checkpoints verified, want >= 1000", aggAcked)
+			}
+			for op, at := range killedAt {
+				if at[wal.KillBefore] == 0 || at[wal.KillAfter] == 0 {
+					t.Errorf("%s killed %d times before and %d after across the full matrix, want both",
+						wal.Op(op), at[wal.KillBefore], at[wal.KillAfter])
+				}
 			}
 		}
 	})
