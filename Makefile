@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check fmt loc bench spine chaos netchaos walchaos verify fuzz telemetry fleet prune
+.PHONY: all build vet test race check fmt loc reach bench spine chaos netchaos walchaos verify fuzz telemetry fleet prune
 
 all: check
 
@@ -27,6 +27,12 @@ fmt:
 # outside benchmark/, per package and in total.
 loc:
 	./scripts/loc.sh
+
+# reach prints the non-test functions under internal/ that neither the
+# benchmark's five workloads nor any CLI feature calls (coverage-instrumented
+# binaries, one GOCOVERDIR, ~35 s): where a simplicity PR starts looking.
+reach:
+	./scripts/reach.sh
 
 # bench runs the benchmark harness and writes BENCH_sweeps.json /
 # BENCH_simcore.json, the perf trajectory baseline. BENCHTIME=<d|Nx>

@@ -12,7 +12,7 @@
 //	           [-net-fault-rate 0.02] [-business-rate 0.01]
 //	           [-breaker-threshold 5] [-breaker-cooldown 50ms]
 //	           [-retry-budget 4] [-drain-timeout 30s] [-job-timeout 30s]
-//	           [-drain-after 0] [-store mem|wal:DIR|DIR] [-events-out fleet.jsonl]
+//	           [-drain-after 0] [-store mem|wal:DIR] [-events-out fleet.jsonl]
 //	           [-telemetry-addr 127.0.0.1:9464] [-telemetry-window 250ms]
 //	           [-dash] [-q]
 //
@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) (code i
 		drainTmo   = fs.Duration("drain-timeout", 30*time.Second, "how long drain waits for in-flight jobs before cancel-parking them")
 		jobTmo     = fs.Duration("job-timeout", 30*time.Second, "per-job watchdog timeout")
 		drainAfter = fs.Duration("drain-after", 0, "begin graceful drain after this long (0 = only on signal/stream end)")
-		storeKind  = fs.String("store", "mem", "shared stable storage: mem, wal:DIR (durable group-commit log), or a directory path for the file store")
+		storeKind  = fs.String("store", "mem", "shared stable storage: mem or wal:DIR (the durable group-commit log rooted at DIR)")
 		noPrune    = fs.Bool("no-prune", false, "persist full variable environments instead of liveness-minimized checkpoint manifests")
 		eventsOut  = fs.String("events-out", "", "stream structured JSONL fleet+runtime events to this file")
 		telAddr    = fs.String("telemetry-addr", "", "serve live telemetry on this address: /metrics, /snapshot.json, /healthz")
@@ -104,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) (code i
 	if err == nil && store.Incremental != nil {
 		// Delta chains only delete newest-first, and under a job Namespace
 		// the chaos scrub can only order a chain by instance, not by age.
-		err = fmt.Errorf("%w: -store incremental is not supported by the fleet (use mem, wal:DIR, or a directory)", cli.ErrUsage)
+		err = fmt.Errorf("%w: -store incremental is not supported by the fleet (use mem or wal:DIR)", cli.ErrUsage)
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, "chkptfleet:", err)

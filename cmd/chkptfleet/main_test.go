@@ -69,11 +69,9 @@ func TestDrainAfterTimerCutsStreamShort(t *testing.T) {
 	}
 }
 
-func TestEventsOutAndFileStore(t *testing.T) {
-	dir := t.TempDir()
-	events := dir + "/fleet.jsonl"
-	code, out, stderr := runFleet(t,
-		"-jobs", "5", "-seed", "2", "-store", dir+"/snaps", "-events-out", events)
+func TestEventsOut(t *testing.T) {
+	events := t.TempDir() + "/fleet.jsonl"
+	code, out, stderr := runFleet(t, "-jobs", "5", "-seed", "2", "-events-out", events)
 	if code != 0 {
 		t.Fatalf("exit = %d\nstdout:\n%s\nstderr:\n%s", code, out, stderr)
 	}
@@ -85,11 +83,6 @@ func TestEventsOutAndFileStore(t *testing.T) {
 		if !strings.Contains(string(b), kind) {
 			t.Errorf("events stream missing %s events", kind)
 		}
-	}
-	// The file store persisted namespaced snapshots.
-	fis, err := os.ReadDir(dir + "/snaps")
-	if err != nil || len(fis) == 0 {
-		t.Fatalf("file store empty: %v (%d entries)", err, len(fis))
 	}
 }
 
@@ -121,19 +114,22 @@ func TestBadFlagsExitTwo(t *testing.T) {
 	}
 }
 
-// The fleet has no incremental store kind; the spec used to fall through to
-// the file store and silently create ./incremental.
+// The fleet has no incremental store kind, and a bare path — the deleted
+// file store's spelling — opens nothing: the durable store is wal:DIR.
 func TestIncrementalStoreRejected(t *testing.T) {
 	code, _, stderr := runFleet(t, "-jobs", "2", "-store", "incremental")
 	if code != 2 || !strings.Contains(stderr, "-store incremental is not supported") {
 		t.Fatalf("exit = %d stderr=%q, want usage error 2", code, stderr)
 	}
-	if _, err := os.Stat("incremental"); err == nil {
-		os.RemoveAll("incremental")
-		t.Fatal("a file store was created in ./incremental")
-	}
 	if code, _, stderr := runFleet(t, "-jobs", "2", "-store", "wal:"); code != 2 {
 		t.Fatalf("malformed wal: spec exit = %d stderr=%q, want 2", code, stderr)
+	}
+	dir := t.TempDir() + "/snaps"
+	if code, _, stderr := runFleet(t, "-jobs", "2", "-store", dir); code != 2 || !strings.Contains(stderr, "wal:") {
+		t.Fatalf("bare path exit = %d stderr=%q, want 2 and the wal: spelling", code, stderr)
+	}
+	if _, err := os.Stat(dir); err == nil {
+		t.Fatalf("a refused -store spec created %s", dir)
 	}
 }
 

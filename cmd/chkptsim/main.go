@@ -107,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		verify     = fs.Bool("verify", true, "verify that every straight cut of the trace is a recovery line")
 		noPrune    = fs.Bool("no-prune", false, "persist full variable environments instead of liveness-minimized checkpoint manifests")
 		interval   = fs.Int("uncoord-interval", 10, "uncoordinated mode: local events between checkpoints")
-		storeKind  = fs.String("store", "mem", "stable storage: mem, incremental, wal:DIR (durable group-commit log), or a directory path for the file store")
+		storeKind  = fs.String("store", "mem", "stable storage: mem, incremental, or wal:DIR (the durable group-commit log rooted at DIR)")
 		zz         = fs.Bool("zigzag", false, "run the Netzer-Xu Z-cycle analysis on the recorded trace and report useless checkpoints")
 		traceOut   = fs.String("trace-out", "", "write the run as Chrome trace-event JSON (open in ui.perfetto.dev or chrome://tracing)")
 		eventsOut  = fs.String("events-out", "", "stream structured JSONL runtime events to this file as they happen")
@@ -136,6 +136,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "usage: chkptsim [flags] program.mpl (use - for stdin)")
 		fs.PrintDefaults()
+		return 2
+	}
+	netFaults := *dropRate > 0 || *dupRate > 0 || *reorderRt > 0 || *partitions != ""
+	if *protoName == "cl" && (len(failures) > 0 || *crashRate > 0 || *faultRate > 0 || netFaults) {
+		fmt.Fprintln(stderr, "chkptsim: -protocol cl cannot run with a crash source (-fail, -chaos-crash-rate, -storage-fault-rate, -net-*): its round state does not survive a rollback yet (ROADMAP item 13)")
 		return 2
 	}
 
@@ -255,7 +260,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		})
 	}
 	var netChaos *chaos.Network
-	if *dropRate > 0 || *dupRate > 0 || *reorderRt > 0 || *partitions != "" {
+	if netFaults {
 		parts, err := chaos.ParsePartitions(*partitions)
 		if err != nil {
 			fmt.Fprintln(stderr, "chkptsim:", err)

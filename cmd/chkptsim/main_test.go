@@ -110,7 +110,7 @@ func TestProtocols(t *testing.T) {
 
 func TestStoreKinds(t *testing.T) {
 	path := writeTemp(t, fig2Src)
-	for _, store := range []string{"mem", "incremental", t.TempDir(), "wal:" + t.TempDir()} {
+	for _, store := range []string{"mem", "incremental", "wal:" + t.TempDir()} {
 		var out, errb strings.Builder
 		code := run([]string{"-n", "4", "-transform", "-store", store, "-fail", "1:8", path}, &out, &errb)
 		if code != 0 {
@@ -149,6 +149,38 @@ func TestBadUsage(t *testing.T) {
 	}
 	if code := run([]string{"-fail", "nonsense", writeTemp(t, fig2Src)}, &out, &errb); code != 2 {
 		t.Errorf("bad failure spec exit = %d, want 2", code)
+	}
+	// A bare path was the deleted file store's spelling: refused, naming wal:DIR.
+	errb.Reset()
+	dir := filepath.Join(t.TempDir(), "snaps")
+	if code := run([]string{"-store", dir, writeTemp(t, fig2Src)}, &out, &errb); code != 2 || !strings.Contains(errb.String(), "wal:") {
+		t.Errorf("bare -store path exit = %d stderr=%q, want 2 and the wal: spelling", code, errb.String())
+	}
+	if _, err := os.Stat(dir); err == nil {
+		t.Errorf("a refused -store spec created %s", dir)
+	}
+}
+
+// Chandy–Lamport's round state lives in hooks that are rebuilt per
+// incarnation, so after a rollback the ranks disagree on how many rounds
+// exist and the run fails at halt (ROADMAP item 13). Until that state is in
+// the snapshot, every crash source is refused up front.
+func TestCLRefusesCrashSources(t *testing.T) {
+	path := writeTemp(t, fig2Src)
+	for _, crash := range [][]string{
+		{"-fail", "1:8"},
+		{"-chaos-crash-rate", "1"},
+		{"-storage-fault-rate", "0.1"},
+		{"-net-drop-rate", "0.1"},
+		{"-net-dup-rate", "0.1"},
+		{"-net-reorder-rate", "0.1"},
+		{"-net-partition", "0>1@0ms+50ms"},
+	} {
+		var out, errb strings.Builder
+		args := append([]string{"-n", "4", "-transform", "-protocol", "cl"}, append(crash, path)...)
+		if code := run(args, &out, &errb); code != 2 || !strings.Contains(errb.String(), "ROADMAP") {
+			t.Errorf("%v: exit = %d stderr=%q, want 2 and a pointer to ROADMAP", crash, code, errb.String())
+		}
 	}
 }
 

@@ -103,7 +103,7 @@ type opKey struct {
 // only ever holds CLEAN snapshots: corruption is tracked as marks at the
 // wrapper level and surfaces as storage.ErrCorrupt on reads, simulating
 // checksum detection without poisoning the inner store's own structures
-// (a file store's namespace, an incremental store's delta chains).
+// (a log's records, an incremental store's delta chains).
 //
 // Store implements storage.Scrubber: Scrub removes marked keys from the
 // inner store so replay can regenerate them.

@@ -47,8 +47,7 @@ func Closer(name string, stderr io.Writer, code *int) func(step func() error) {
 }
 
 // Store is an opened -store spec. Incremental and WAL are set for the
-// kinds that report statistics; both are nil for the memory and file
-// stores.
+// kinds that report statistics; both are nil for the memory store.
 type Store struct {
 	Store       storage.Store
 	Incremental *storage.Incremental
@@ -60,31 +59,24 @@ type Store struct {
 //	mem          a fresh in-memory store
 //	incremental  an in-memory delta-encoding store
 //	wal:DIR      the durable group-commit log rooted at DIR
-//	DIR          the file store rooted at DIR
 //
-// An empty spec or an empty wal: directory is ErrUsage.
+// Anything else is ErrUsage, a bare path included: a directory is only ever
+// opened as a log when the spec says wal:.
 func OpenStore(spec string) (*Store, error) {
-	dir, isWAL := strings.CutPrefix(spec, "wal:")
-	switch {
-	case dir == "":
-		return nil, fmt.Errorf("%w: -store %q names no directory", ErrUsage, spec)
-	case isWAL:
-		ws, err := wal.Open(dir, wal.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return &Store{Store: ws, WAL: ws}, nil
+	switch dir, isWAL := strings.CutPrefix(spec, "wal:"); {
 	case spec == "mem":
 		return &Store{Store: storage.NewMemory()}, nil
 	case spec == "incremental":
 		inc := storage.NewIncremental(0)
 		return &Store{Store: inc, Incremental: inc}, nil
+	case isWAL && dir != "":
+		ws, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			return nil, err
+		}
+		return &Store{Store: ws, WAL: ws}, nil
 	}
-	fs, err := storage.NewFile(spec)
-	if err != nil {
-		return nil, err
-	}
-	return &Store{Store: fs}, nil
+	return nil, fmt.Errorf("%w: -store %q is not mem, incremental or wal:DIR (the durable store is the log: spell a directory wal:DIR)", ErrUsage, spec)
 }
 
 // Close releases the store (the WAL's committers and file handles; the

@@ -26,11 +26,12 @@ func TestOpenStoreSpecs(t *testing.T) {
 		{spec: "mem", wantType: &storage.Memory{}},
 		{spec: "incremental", wantType: &storage.Incremental{}, statsLine: "incremental store: "},
 		{spec: "wal:" + filepath.Join(dir, "log"), wantType: &wal.Store{}, statsLine: "wal store: "},
-		{spec: filepath.Join(dir, "snaps"), wantType: &storage.File{}},
 		{spec: "wal:", usage: true},
 		{spec: "", usage: true},
 		{spec: "wal:" + filepath.Join(blocked, "log")},
-		{spec: filepath.Join(blocked, "snaps")},
+		// A bare path was the file store's spelling: refused, never opened as a log.
+		{spec: filepath.Join(dir, "snaps"), usage: true},
+		{spec: "file:" + dir, usage: true},
 	}
 	for _, tt := range tests {
 		st, err := OpenStore(tt.spec)
@@ -40,6 +41,8 @@ func TestOpenStoreSpecs(t *testing.T) {
 				t.Errorf("OpenStore(%q) succeeded, want an error", tt.spec)
 			} else if got := errors.Is(err, ErrUsage); got != tt.usage {
 				t.Errorf("OpenStore(%q): errors.Is(%v, ErrUsage) = %v, want %v", tt.spec, err, got, tt.usage)
+			} else if tt.usage && !strings.Contains(err.Error(), "wal:") {
+				t.Errorf("OpenStore(%q): %v does not name the wal: spelling", tt.spec, err)
 			}
 			continue
 		}
@@ -70,8 +73,6 @@ func typeName(st storage.Store) string {
 		return "memory"
 	case *storage.Incremental:
 		return "incremental"
-	case *storage.File:
-		return "file"
 	case *wal.Store:
 		return "wal"
 	}

@@ -44,10 +44,6 @@ type Config struct {
 	// SkipInsert disables Phase I entirely (the program must already
 	// contain checkpoint statements).
 	SkipInsert bool
-	// Workers fans Phase III's per-checkpoint-node reachability analysis
-	// across goroutines (0 = GOMAXPROCS, 1 = serial). The transformed
-	// program and full report are identical for every worker count.
-	Workers int
 }
 
 // DefaultConfig is the recommended configuration.
@@ -104,7 +100,6 @@ func Transform(p *mpl.Program, conf Config) (*Report, error) {
 		Match:         conf.Match,
 		PreserveLoops: conf.PreserveLoops,
 		MaxIterations: conf.MaxIterations,
-		Workers:       conf.Workers,
 		// One arena per Transform: every fixpoint round re-carves its
 		// scratch from the same backing storage instead of allocating.
 		Arena: &cfg.Arena{},

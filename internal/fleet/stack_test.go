@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -52,13 +51,6 @@ func TestOptionalInterfacesVisibleThroughEveryStack(t *testing.T) {
 	kinds := map[string]func(t *testing.T) storage.Store{
 		"memory":      func(*testing.T) storage.Store { return storage.NewMemory() },
 		"incremental": func(*testing.T) storage.Store { return storage.NewIncremental(4) },
-		"file": func(t *testing.T) storage.Store {
-			fs, err := storage.NewFile(filepath.Join(t.TempDir(), "ckpt"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fs
-		},
 		"wal": func(t *testing.T) storage.Store {
 			ws, err := wal.Open(t.TempDir(), wal.Options{})
 			if err != nil {

@@ -63,10 +63,9 @@ type Extended struct {
 	sendOff []int32
 	bySend  []MessageEdge
 
-	arena   *cfg.Arena      // optional scratch and closure-set source (may be nil)
-	scratch *witnessScratch // lazily built; serial use only
-	reach   []*reachSets    // memoized per-source causal closures
-	bfs     *bfsScratch     // closureBFS's buffers on the serial path
+	arena *cfg.Arena   // optional scratch and closure-set source (may be nil)
+	reach []*reachSets // memoized per-source causal closures
+	bfs   *bfsScratch  // closureBFS's buffers, built on first use
 }
 
 // Options configures the matcher.

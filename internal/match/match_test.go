@@ -284,35 +284,24 @@ func TestCausalPathJacobiFig2(t *testing.T) {
 	evenChk, oddChk := chks[0], chks[1]
 	// Even checkpoints before sending; odd checkpoints after receiving:
 	// a back-edge-free causal path even→odd must exist.
-	fwd := x.FindCausalPath(evenChk, oddChk)
-	if fwd == nil {
+	if !x.CausallyReaches(evenChk, oddChk) {
 		t.Fatal("no causal path even→odd checkpoint")
 	}
-	if fwd.HasBackEdge {
-		t.Errorf("even→odd path should not need a back edge: %v", fwd.Nodes)
-	}
-	msgCount := 0
-	for _, s := range fwd.Steps {
-		if s.IsMessage {
-			msgCount++
-		}
-	}
-	if msgCount == 0 {
-		t.Error("causal path must use a message edge")
+	if x.CausalNeedsBack(evenChk, oddChk) {
+		t.Error("even→odd path should not need a back edge")
 	}
 	// odd→even causality exists only across loop iterations (back edge).
-	rev := x.FindCausalPath(oddChk, evenChk)
-	if rev == nil {
+	if !x.CausallyReaches(oddChk, evenChk) {
 		t.Fatal("no causal path odd→even checkpoint (expected one via loop)")
 	}
-	if !rev.HasBackEdge {
-		t.Errorf("odd→even path must traverse a back edge: %v", rev.Nodes)
+	if !x.CausalNeedsBack(oddChk, evenChk) {
+		t.Error("odd→even path must traverse a back edge")
 	}
 }
 
 func TestCausalPathRequiresMessage(t *testing.T) {
 	// Program with checkpoints on both branches but NO messages at all: no
-	// causal path may be reported even though control paths exist.
+	// causal path may be reported even where control paths exist.
 	src := `
 program nomsg
 var x
@@ -330,9 +319,15 @@ proc {
 		t.Fatal(err)
 	}
 	x := buildExt(t, p, Options{})
-	chks := nodesOf(x, cfg.KindChkpt)
-	if got := x.FindCausalPath(chks[0], chks[1]); got != nil {
-		t.Errorf("message-free program has causal path: %v", got.Nodes)
+	for _, chk := range nodesOf(x, cfg.KindChkpt) {
+		if x.ReachableExtended(chk, false).Count() < 2 {
+			t.Fatalf("checkpoint %d reaches nothing by control edges", chk)
+		}
+		for b := range x.G.Nodes {
+			if x.CausallyReaches(chk, b) {
+				t.Errorf("message-free program has a causal path %d→%d", chk, b)
+			}
+		}
 	}
 }
 
@@ -342,15 +337,11 @@ func TestCausalPathSelfViaLoop(t *testing.T) {
 	p := corpus.JacobiFig1(2)
 	x := buildExt(t, p, Options{})
 	chk := nodesOf(x, cfg.KindChkpt)[0]
-	got := x.FindCausalPath(chk, chk)
-	if got == nil {
+	if !x.CausallyReaches(chk, chk) {
 		t.Fatal("no self causal path through loop")
 	}
-	if !got.HasBackEdge {
+	if !x.CausalNeedsBack(chk, chk) {
 		t.Error("self path must use the loop back edge")
-	}
-	if !got.ContainsNode(chk) {
-		t.Error("path must contain the checkpoint")
 	}
 }
 
@@ -419,62 +410,6 @@ func BenchmarkBuildExtendedJacobi(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildExtended(p, Options{}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFindCausalPath(b *testing.B) {
-	p := corpus.JacobiFig2(3)
-	x, err := BuildExtended(p, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	chks := x.G.NodesOfKind(cfg.KindChkpt)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if x.FindCausalPath(chks[0], chks[1]) == nil {
-			b.Fatal("no path")
-		}
-	}
-}
-
-// TestPrecomputeReachParallelMatchesSerial drives the fan-out branch of
-// PrecomputeReach, which programs of the corpus's size stay below the
-// threshold of: every node of a few-hundred-node program as a source, the
-// closures filled by four workers, against the lazily filled serial ones.
-func TestPrecomputeReachParallelMatchesSerial(t *testing.T) {
-	b := mpl.NewBuilder("wide")
-	b.Vars("a", "tmp", "j")
-	for k := 0; k < 30; k++ {
-		b.Assign("j", mpl.Int(0))
-		b.While(mpl.Lt(mpl.V("j"), mpl.Int(2)), func(b *mpl.Builder) {
-			b.Chkpt()
-			b.Send(mpl.Mod(mpl.Add(mpl.Rank(), mpl.Int(1)), mpl.Nproc()), "a")
-			b.Recv(mpl.Mod(mpl.Sub(mpl.Rank(), mpl.Int(1)), mpl.Nproc()), "tmp")
-			b.Assign("j", mpl.Add(mpl.V("j"), mpl.Int(1)))
-		})
-	}
-	p := b.MustProgram()
-	serial, parallel := buildExt(t, p, Options{}), buildExt(t, p, Options{Arena: &cfg.Arena{}})
-	n := len(serial.G.Nodes)
-	sources := make([]int, n)
-	for i := range sources {
-		sources[i] = i
-	}
-	if err := parallel.PrecomputeReach(sources, 4); err != nil {
-		t.Fatal(err)
-	}
-	for a := 0; a < n; a++ {
-		for _, acyclic := range []bool{false, true} {
-			if !serial.ReachableExtended(a, acyclic).Equal(parallel.ReachableExtended(a, acyclic)) {
-				t.Fatalf("node %d (acyclic %v): reach differs", a, acyclic)
-			}
-		}
-		for b := 0; b < n; b++ {
-			if serial.CausallyReaches(a, b) != parallel.CausallyReaches(a, b) || serial.CausalNeedsBack(a, b) != parallel.CausalNeedsBack(a, b) {
-				t.Fatalf("causal closure of %d differs at %d", a, b)
-			}
 		}
 	}
 }

@@ -44,10 +44,6 @@ type Options struct {
 	// MaxIterations bounds the move-reanalyze fixpoint. Zero means the
 	// default (100).
 	MaxIterations int
-	// Workers fans the per-checkpoint-node reachability analysis across
-	// goroutines (par.Workers semantics: 0 = GOMAXPROCS, 1 = serial). The
-	// result is identical for every worker count.
-	Workers int
 	// Arena, when non-nil, supplies the call's scratch buffers and closure
 	// sets (reset once, when the call starts).
 	Arena *cfg.Arena
@@ -138,9 +134,7 @@ type analysis struct {
 // skeleton built once for the call: one walk puts every checkpoint in its
 // gap, and the quadratic pair query over each straight cut's members is
 // answered by bit tests on the closures memoised per skeleton node. Only
-// closures no earlier round asked for are computed — fanned across
-// Options.Workers goroutines, each source independent, results keyed by
-// node id so the outcome is identical for any worker count.
+// closures no earlier round asked for are computed.
 func (sk *skeleton) analyze(p *mpl.Program, a *analysis, opts Options) error {
 	if err := cfg.EnumerateInto(p, &a.enum); err != nil {
 		return fmt.Errorf("place: %w", err)
@@ -154,9 +148,7 @@ func (sk *skeleton) analyze(p *mpl.Program, a *analysis, opts Options) error {
 			a.sources = append(a.sources, node)
 		}
 	}
-	if err := sk.ext.PrecomputeReach(a.sources, opts.Workers); err != nil {
-		return fmt.Errorf("place: %w", err)
-	}
+	sk.ext.PrecomputeReach(a.sources)
 	a.violations, a.orderings = a.violations[:0], a.orderings[:0]
 	// Straight cuts in index order, members in program order on both sides:
 	// cks is in program order, so filtering it by index visits the pairs in

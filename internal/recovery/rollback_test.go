@@ -3,7 +3,6 @@ package recovery_test
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -21,17 +20,13 @@ import (
 // over it deleted tail-first.
 func rollbackStores(t *testing.T) map[string]storage.Store {
 	t.Helper()
-	fs, err := storage.NewFile(filepath.Join(t.TempDir(), "ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := wal.Open(filepath.Join(t.TempDir(), "wal"), wal.Options{})
+	ws, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ws.Close() })
 	return map[string]storage.Store{
-		"memory": storage.NewMemory(), "file": fs, "incremental": storage.NewIncremental(2), "wal": ws,
+		"memory": storage.NewMemory(), "incremental": storage.NewIncremental(2), "wal": ws,
 	}
 }
 

@@ -94,13 +94,6 @@ func TestRestartFromScratchAfterInheritance(t *testing.T) {
 	stores := map[string]func() storage.Store{
 		"memory":      func() storage.Store { return storage.NewMemory() },
 		"incremental": func() storage.Store { return storage.NewIncremental(3) },
-		"file": func() storage.Store {
-			fs, err := storage.NewFile(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fs
-		},
 		"wal": func() storage.Store {
 			ws, err := wal.Open(t.TempDir(), wal.Options{})
 			if err != nil {

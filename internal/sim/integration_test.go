@@ -9,6 +9,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/mpl"
 	"repro/internal/storage"
+	"repro/internal/storage/wal"
 	"repro/internal/trace"
 )
 
@@ -21,14 +22,15 @@ func mustParseProg(t *testing.T, src string) *mpl.Program {
 	return p
 }
 
-// TestFileBackedStoreRecovery runs the full crash/recover cycle against
-// the durable file store: checkpoints are written as CRC-framed files and
-// read back for the restart.
-func TestFileBackedStoreRecovery(t *testing.T) {
-	st, err := storage.NewFile(t.TempDir())
+// TestDurableStoreRecovery runs the full crash/recover cycle against the
+// durable store: checkpoints are written as CRC-framed log records and read
+// back for the restart.
+func TestDurableStoreRecovery(t *testing.T) {
+	st, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	p := corpus.JacobiFig1(4)
 	clean := runOK(t, p, 4)
 	failed := runOK(t, p, 4, func(c *Config) {
@@ -39,7 +41,7 @@ func TestFileBackedStoreRecovery(t *testing.T) {
 		t.Fatalf("restarts = %d", failed.Restarts)
 	}
 	if !reflect.DeepEqual(clean.FinalVars, failed.FinalVars) {
-		t.Errorf("file-store recovery diverged")
+		t.Errorf("durable-store recovery diverged")
 	}
 	// The store holds complete straight cuts.
 	indexes, err := st.Indexes(4)
@@ -47,7 +49,7 @@ func TestFileBackedStoreRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(indexes) == 0 {
-		t.Error("no complete indexes in file store")
+		t.Error("no complete indexes in the log")
 	}
 }
 

@@ -480,9 +480,9 @@ func (r *run) rollback(inc int, procs []*Proc, restartV float64) (*recovery.Line
 		}
 	}
 	r.cfg.Counters.IncRestartedEvents(lost)
-	if q := len(rb.Scrub.Quarantined); q > 0 || rb.Scrub.TempFiles > 0 {
+	if q := len(rb.Scrub.Quarantined); q > 0 {
 		r.cfg.Counters.Inc(MetricScrubQuarantined, q)
-		r.emit(obs.KindScrub, inc, 0, "quarantined %d snapshot(s), removed %d temp file(s)", q, rb.Scrub.TempFiles)
+		r.emit(obs.KindScrub, inc, 0, "quarantined %d snapshot(s)", q)
 	}
 	if line == nil {
 		r.emit(obs.KindRestart, inc+1, restartV, "from scratch")

@@ -2,8 +2,6 @@ package storage
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/vclock"
@@ -14,96 +12,6 @@ func snap(proc, index, instance int, vars map[string]int) Snapshot {
 		Proc: proc, CFGIndex: index, Instance: instance,
 		Clock: vclock.VC{uint64(instance + 1), uint64(instance + 1)},
 		Vars:  vars, PC: "0",
-	}
-}
-
-func TestFileCorruptionSurfacesTypedError(t *testing.T) {
-	dir := t.TempDir()
-	f, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Save(snap(0, 1, 0, map[string]int{"x": 7})); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "p0_i1_k0.ckpt")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip one bit in the body: the CRC must catch it.
-	raw[len(raw)-1] ^= 0x01
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Get(0, 1, 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Get on bit-flipped file = %v, want ErrCorrupt", err)
-	}
-	if _, err := f.Latest(0, 1); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Latest on bit-flipped file = %v, want ErrCorrupt", err)
-	}
-	// Truncation (a torn write on a store without atomic rename).
-	if err := os.WriteFile(path, raw[:2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Get(0, 1, 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Get on truncated file = %v, want ErrCorrupt", err)
-	}
-}
-
-func TestFileScrubQuarantinesCorruptAndCleansTemp(t *testing.T) {
-	dir := t.TempDir()
-	f, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 3; k++ {
-		if err := f.Save(snap(0, 1, k, map[string]int{"x": k})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Damage the newest instance and plant an abandoned temp file.
-	path := filepath.Join(dir, "p0_i1_k2.ckpt")
-	if err := os.WriteFile(path, []byte("xx"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ".tmp-ckpt-123"), []byte("partial"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := f.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Quarantined) != 1 || rep.TempFiles != 1 {
-		t.Fatalf("scrub report = %+v, want 1 quarantined + 1 temp file", rep)
-	}
-	q := rep.Quarantined[0]
-	if q.Proc != 0 || q.CFGIndex != 1 || q.Instance != 2 {
-		t.Fatalf("quarantined %+v, want p0 i1 k2", q)
-	}
-	// The damaged file moved aside, the namespace healed: Latest falls to
-	// the older instance and the key can be saved again.
-	if _, err := os.Stat(filepath.Join(dir, quarantineDir, "p0_i1_k2.ckpt")); err != nil {
-		t.Fatalf("quarantined file not preserved: %v", err)
-	}
-	latest, err := f.Latest(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if latest.Instance != 1 {
-		t.Fatalf("latest after scrub = instance %d, want 1", latest.Instance)
-	}
-	if err := f.Save(snap(0, 1, 2, map[string]int{"x": 99})); err != nil {
-		t.Fatalf("re-save of quarantined key: %v", err)
-	}
-	// A clean store scrubs to an empty report.
-	rep, err = f.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Quarantined) != 0 || rep.TempFiles != 0 {
-		t.Fatalf("second scrub = %+v, want empty", rep)
 	}
 }
 

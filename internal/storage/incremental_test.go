@@ -8,11 +8,6 @@ import (
 	"repro/internal/vclock"
 )
 
-func TestIncrementalStoreConformance(t *testing.T) {
-	storeUnderTest(t, "incremental", func(t *testing.T) Store { return NewIncremental(3) })
-	storeUnderTest(t, "incremental-every1", func(t *testing.T) Store { return NewIncremental(1) })
-}
-
 // varySnap builds a snapshot where only a few variables change between
 // instances, the case incremental checkpointing wins on.
 func varySnap(proc, index, instance int) Snapshot {

@@ -2,8 +2,6 @@ package storage
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -111,56 +109,6 @@ func TestIndexesCountsCorruptButPresentKey(t *testing.T) {
 	got, err := inc.Indexes(2)
 	if err != nil || !reflect.DeepEqual(got, []int{1}) {
 		t.Errorf("Indexes(2) = %v, %v; want [1]", got, err)
-	}
-}
-
-// testdata/prechange holds .ckpt files written by the file store when the
-// snapshot body was JSON. That body was deleted, not carried (DESIGN
-// decision 21): an old file is an intact frame around a body of an unknown
-// version, so it reads as ErrCorrupt, Scrub quarantines it, and the key is
-// free for replay to save again.
-func TestFileStoreRejectsLegacyJSONFixture(t *testing.T) {
-	dir := t.TempDir()
-	for _, s := range []Snapshot{goldenFull, goldenPruned} {
-		name := filepath.Base((&File{}).path(s.Proc, s.CFGIndex, s.Instance))
-		old, err := os.ReadFile(filepath.Join("testdata", "prechange", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), old, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fs, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []Snapshot{goldenFull, goldenPruned} {
-		if got, err := fs.Get(s.Proc, s.CFGIndex, s.Instance); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("legacy fixture %v = %+v, %v; want ErrCorrupt", s.Key(), got, err)
-		}
-	}
-	if _, err := fs.List(goldenFull.Proc); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("List over a legacy fixture: err = %v, want ErrCorrupt", err)
-	}
-	// The keys still count as present: the recovery ladder finds the damage.
-	if idx, err := fs.Indexes(2); err != nil || !reflect.DeepEqual(idx, []int{2}) {
-		t.Errorf("fixture Indexes(2) = %v, %v; want [2]", idx, err)
-	}
-	rep, err := fs.Scrub()
-	if err != nil || len(rep.Quarantined) != 2 {
-		t.Fatalf("Scrub = %+v, %v; want both fixtures quarantined", rep, err)
-	}
-	for _, s := range []Snapshot{goldenFull, goldenPruned} {
-		if _, err := fs.Get(s.Proc, s.CFGIndex, s.Instance); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("%v after scrub: err = %v, want ErrNotFound", s.Key(), err)
-		}
-		if err := fs.Save(s); err != nil {
-			t.Fatalf("re-save of %v after scrub: %v", s.Key(), err)
-		}
-		if got, err := fs.Get(s.Proc, s.CFGIndex, s.Instance); err != nil || !reflect.DeepEqual(got, s) {
-			t.Fatalf("%v re-saved = %+v, %v", s.Key(), got, err)
-		}
 	}
 }
 

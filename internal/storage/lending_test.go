@@ -13,18 +13,11 @@ import (
 	"repro/internal/vclock"
 )
 
-// lendingStores builds every Store the runtime can be handed: the four
+// lendingStores builds every Store the runtime can be handed: the three
 // kinds, each also behind a Namespace, and the chaos wrapper (no faults, so
 // every operation reaches the inner store).
 func lendingStores(t *testing.T) map[string]storage.Store {
 	t.Helper()
-	newFile := func() storage.Store {
-		fs, err := storage.NewFile(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fs
-	}
 	newWAL := func() storage.Store {
 		ws, err := wal.Open(t.TempDir(), wal.Options{})
 		if err != nil {
@@ -36,7 +29,6 @@ func lendingStores(t *testing.T) map[string]storage.Store {
 	kinds := map[string]func() storage.Store{
 		"memory":      func() storage.Store { return storage.NewMemory() },
 		"incremental": func() storage.Store { return storage.NewIncremental(4) },
-		"file":        newFile,
 		"wal":         newWAL,
 	}
 	stores := map[string]storage.Store{

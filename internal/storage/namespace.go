@@ -11,9 +11,7 @@ import "fmt"
 // the job's process numbers into a disjoint range of the backing store
 // (job*nproc .. job*nproc+nproc-1) on the way in and shifts them back on
 // the way out, so each job sees a private store while sharing the backing
-// store's durability, contention, and fault behaviour. Over the file store
-// the ranges map to disjoint p<N> filename families, so jobs cannot
-// clobber each other's checkpoint files either.
+// store's durability, contention, and fault behaviour.
 //
 // Namespace forwards the Scrubber interface when the backing store
 // implements it. A scrub only quarantines records that FAIL integrity
@@ -161,7 +159,7 @@ func (ns *Namespace) Scrub() (ScrubReport, error) {
 	if err != nil {
 		return ScrubReport{}, err
 	}
-	out := ScrubReport{Collateral: rep.Collateral, TempFiles: rep.TempFiles}
+	out := ScrubReport{Collateral: rep.Collateral}
 	for _, ref := range rep.Quarantined {
 		if ref.Proc >= ns.base && ref.Proc < ns.base+ns.nproc {
 			ref.Proc -= ns.base

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"errors"
-	"os"
 	"reflect"
 	"testing"
 
@@ -28,13 +27,7 @@ func TestNamespaceTwoJobsOneStore(t *testing.T) {
 		inner func(t *testing.T) Store
 	}{
 		{"memory", func(t *testing.T) Store { return NewMemory() }},
-		{"file", func(t *testing.T) Store {
-			st, err := NewFile(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st
-		}},
+		{"incremental", func(t *testing.T) Store { return NewIncremental(4) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inner := tc.inner(t)
@@ -163,11 +156,7 @@ func TestNamespaceRejectsOutOfRange(t *testing.T) {
 // quarantine through A's namespace WITHOUT touching job B's healthy
 // state, and A's report must come back in A's own process numbering.
 func TestNamespaceForwardsScrubber(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := NewIncremental(4)
 	jobA, err := NewNamespace(st, 0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -184,9 +173,8 @@ func TestNamespaceForwardsScrubber(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Damage job A's proc-1 snapshot on disk (backing proc number 1).
-	damagePath := st.path(1, 0, 0)
-	if err := os.WriteFile(damagePath, []byte("rotted beyond recognition"), 0o644); err != nil {
+	// Damage job A's proc-1 snapshot (backing proc number 1).
+	if err := st.Tamper(1, 0, 0, func(v map[string]int) { v["x"]++ }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -224,17 +212,14 @@ func TestNamespaceForwardsScrubber(t *testing.T) {
 // through job A, heals the shared store but is reported to A only as
 // collateral — B's key space never appears in A's report.
 func TestNamespaceScrubScopesReport(t *testing.T) {
-	st, err := NewFile(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := NewIncremental(4)
 	jobA, _ := NewNamespace(st, 0, 2)
 	jobB, _ := NewNamespace(st, 1, 2)
 	if err := jobB.Save(nsSnap(0, 0, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Damage job B's proc-0 snapshot (backing proc 2).
-	if err := os.WriteFile(st.path(2, 0, 0), []byte("garbage"), 0o644); err != nil {
+	if err := st.Tamper(2, 0, 0, func(v map[string]int) { v["x"]++ }); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := jobA.Scrub()
@@ -264,7 +249,7 @@ func TestNamespaceScrubNonScrubberInner(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Scrub over non-scrubber inner: %v", err)
 	}
-	if len(rep.Quarantined) != 0 || rep.Collateral != 0 || rep.TempFiles != 0 {
+	if len(rep.Quarantined) != 0 || rep.Collateral != 0 {
 		t.Fatalf("no-op scrub returned non-empty report: %+v", rep)
 	}
 }
@@ -275,46 +260,29 @@ func TestNamespaceScrubNonScrubberInner(t *testing.T) {
 // key set from the strict List turned one damaged record into ErrCorrupt
 // for the whole selection.
 func TestNamespaceIndexesCountsDamagedKey(t *testing.T) {
-	dir := t.TempDir()
-	fs, err := NewFile(dir)
+	inc := NewIncremental(4)
+	ns, err := NewNamespace(inc, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := NewIncremental(4)
-	damage := map[string]func(k Key){
-		"file": func(k Key) {
-			if err := os.WriteFile(fs.path(k.Proc, k.CFGIndex, k.Instance), []byte("rot"), 0o644); err != nil {
+	for p := 0; p < 2; p++ {
+		for inst := 0; inst < 2; inst++ {
+			if err := ns.Save(nsSnap(p, 1, inst, inst+1)); err != nil {
 				t.Fatal(err)
 			}
-		},
-		"incremental": func(k Key) {
-			if err := inc.Tamper(k.Proc, k.CFGIndex, k.Instance, func(v map[string]int) { v["x"]++ }); err != nil {
-				t.Fatal(err)
-			}
-		},
+		}
 	}
-	for kind, inner := range map[string]Store{"file": fs, "incremental": inc} {
-		ns, err := NewNamespace(inner, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for p := 0; p < 2; p++ {
-			for inst := 0; inst < 2; inst++ {
-				if err := ns.Save(nsSnap(p, 1, inst, inst+1)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		damage[kind](Key{Proc: 2 + 1, CFGIndex: 1, Instance: 1})
-		if _, err := ns.Get(1, 1, 1); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: Get of damaged snapshot: err = %v, want ErrCorrupt", kind, err)
-		}
-		if _, err := ns.List(1); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: List stays strict: err = %v, want ErrCorrupt", kind, err)
-		}
-		if got, err := ns.Indexes(2); err != nil || !reflect.DeepEqual(got, []int{1}) {
-			t.Errorf("%s: Indexes(2) = %v, %v; want [1]", kind, got, err)
-		}
+	if err := inc.Tamper(2+1, 1, 1, func(v map[string]int) { v["x"]++ }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ns.Get(1, 1, 1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get of damaged snapshot: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := ns.List(1); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("List stays strict: err = %v, want ErrCorrupt", err)
+	}
+	if got, err := ns.Indexes(2); err != nil || !reflect.DeepEqual(got, []int{1}) {
+		t.Errorf("Indexes(2) = %v, %v; want [1]", got, err)
 	}
 }
 

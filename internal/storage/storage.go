@@ -1,11 +1,11 @@
 // Package storage provides the stable-storage abstraction that
 // checkpointing protocols write checkpoints to and restart reads them from:
 // a concurrency-safe in-memory store (Memory, the default everywhere), a
-// delta-encoding one (Incremental), a file-backed one with CRC integrity
-// verification (File) and, in package wal, a group-committed log. All index
-// checkpoints by (process, CFG checkpoint index, instance) exactly as the
-// paper's Definition 2.3 requires so that the straight cut R_i — the latest
-// i-th checkpoint of every process — can be recovered after a failure.
+// delta-encoding one (Incremental) and, in package wal, the one durable
+// store: a group-committed log. All index checkpoints by (process, CFG
+// checkpoint index, instance) exactly as the paper's Definition 2.3
+// requires so that the straight cut R_i — the latest i-th checkpoint of
+// every process — can be recovered after a failure.
 //
 // What a store retains of a snapshot is its AppendSnapshot body (codec.go),
 // framed on disk or, in Memory, in a byte arena; reads decode it. Incremental
@@ -204,8 +204,6 @@ type ScrubReport struct {
 	// with damaged ones (delta-encoded chains cannot excise an interior
 	// record, so quarantine truncates the chain's tail).
 	Collateral int
-	// TempFiles counts abandoned temp files cleaned up (file stores).
-	TempFiles int
 }
 
 // Scrubber is implemented by stores that can verify and quarantine their

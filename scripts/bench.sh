@@ -91,13 +91,12 @@ run_set fleet \
     BENCH_fleet.json \
     ./internal/fleet/
 
-# Stores: 1000-job aggregate save throughput (the WAL's group commit vs the
-# file store's fsync-per-save), uncontended save latency, the
-# liveness-pruned vs full-environment payload/latency comparison on all four
-# kinds from one lent snapshot (memory and wal must stay 0 allocs/op), the
-# snapshot codec alone (encode into a reused buffer, decode), and one job's
-# rollback on a WAL holding 1k vs 64k checkpoints of other jobs (the ratio
-# must stay within 2×).
+# Stores: 1000-job aggregate save throughput (the WAL's group commit),
+# uncontended save latency, the liveness-pruned vs full-environment
+# payload/latency comparison on all three kinds from one lent snapshot
+# (memory and wal must stay 0 allocs/op), the snapshot codec alone (encode
+# into a reused buffer, decode), and one job's rollback on a WAL holding 1k
+# vs 64k checkpoints of other jobs (the ratio must stay within 2×).
 run_set store \
     'BenchmarkStoreAggregateSave|BenchmarkStoreSingleSave|BenchmarkSaveBytesPruned|BenchmarkSnapshotCodec|BenchmarkWALSelectLongLog' \
     BENCH_store.json \

@@ -3,11 +3,9 @@ package repro_test
 // Store benchmarks: the durability cost of checkpointing at fleet scale.
 // BenchmarkStoreAggregateSave is the headline number behind BENCH_store.json:
 // 1000 concurrent jobs each persisting one checkpoint into a shared durable
-// store. The file store pays two fsyncs per save (data + directory); the WAL
-// store's group commit folds concurrent saves into one fsync per batch, which
-// is where its aggregate throughput multiple comes from.
-// BenchmarkStoreSingleSave is the contrast case — one uncontended saver,
-// where batching cannot help and only the per-save protocol differs.
+// store. The WAL's group commit folds concurrent saves into one fsync per
+// batch. BenchmarkStoreSingleSave is the contrast case — one uncontended
+// saver, where batching cannot help and every save pays its own fsync.
 
 import (
 	"fmt"
@@ -36,28 +34,26 @@ func benchSnap(proc, instance int) storage.Snapshot {
 // store, every save individually acknowledged-durable before it returns.
 func BenchmarkStoreAggregateSave(b *testing.B) {
 	const jobs = 1000
-	for _, kind := range []string{"wal", "file"} {
-		b.Run(kind, func(b *testing.B) {
-			st := openTestStore(b, kind, 8, wal.Options{})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				wg.Add(jobs)
-				for j := 0; j < jobs; j++ {
-					go func(j int) {
-						defer wg.Done()
-						if err := st.Save(benchSnap(j, i)); err != nil {
-							b.Error(err)
-						}
-					}(j)
-				}
-				wg.Wait()
+	b.Run("wal", func(b *testing.B) {
+		st := openTestStore(b, "wal", 0, wal.Options{})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var wg sync.WaitGroup
+			wg.Add(jobs)
+			for j := 0; j < jobs; j++ {
+				go func(j int) {
+					defer wg.Done()
+					if err := st.Save(benchSnap(j, i)); err != nil {
+						b.Error(err)
+					}
+				}(j)
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(jobs)*float64(b.N)/b.Elapsed().Seconds(), "saves/s")
-		})
-	}
+			wg.Wait()
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(jobs)*float64(b.N)/b.Elapsed().Seconds(), "saves/s")
+	})
 }
 
 // pruneBenchSnap models the liveness-minimized checkpoint shape: a stencil
@@ -132,18 +128,16 @@ func BenchmarkSaveBytesPruned(b *testing.B) {
 // BenchmarkStoreSingleSave measures uncontended save latency — one saver,
 // no batching opportunity.
 func BenchmarkStoreSingleSave(b *testing.B) {
-	for _, kind := range []string{"wal", "file"} {
-		b.Run(kind, func(b *testing.B) {
-			st := openTestStore(b, kind, 8, wal.Options{})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := st.Save(benchSnap(0, i)); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("wal", func(b *testing.B) {
+		st := openTestStore(b, "wal", 0, wal.Options{})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := st.Save(benchSnap(0, i)); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkWALSelectLongLog measures what a rollback costs one job on a

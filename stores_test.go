@@ -8,13 +8,13 @@ import (
 )
 
 // storeKinds are the kinds openTestStore opens.
-var storeKinds = []string{"memory", "incremental", "file", "wal"}
+var storeKinds = []string{"memory", "incremental", "wal"}
 
 // openTestStore opens a fresh store of the named kind for a bench or soak
 // test — the one place the root-level tests construct stable storage. The
-// incremental store takes a full snapshot every fullEvery saves; the file
-// store and the WAL (opened with opts, closed with the test) live in
-// directories of their own under tb.TempDir.
+// incremental store takes a full snapshot every fullEvery saves; the WAL
+// (opened with opts, closed with the test) lives in a directory of its own
+// under tb.TempDir.
 func openTestStore(tb testing.TB, kind string, fullEvery int, opts wal.Options) storage.Store {
 	tb.Helper()
 	switch kind {
@@ -22,12 +22,6 @@ func openTestStore(tb testing.TB, kind string, fullEvery int, opts wal.Options) 
 		return storage.NewMemory()
 	case "incremental":
 		return storage.NewIncremental(fullEvery)
-	case "file":
-		fs, err := storage.NewFile(tb.TempDir())
-		if err != nil {
-			tb.Fatal(err)
-		}
-		return fs
 	case "wal":
 		ws, err := wal.Open(tb.TempDir(), opts)
 		if err != nil {
