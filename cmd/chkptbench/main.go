@@ -213,25 +213,27 @@ func runEmpirical(stdout, stderr io.Writer, workUnits, workers int, o obs.Observ
 		bare := mpl.Clone(prog)
 		stripChkpts(bare)
 
-		measure := func(p *mpl.Program, hooks sim.HooksFactory) (*sim.Result, error) {
-			return sim.Run(sim.Config{
-				Program: p, Nproc: n, Hooks: hooks, Time: &tm, DisableTrace: true,
-				Observer: o,
-			})
-		}
-		base, err := measure(bare, nil)
+		code, err := sim.Compile(prog) // the three protocol runs share it
 		if err != nil {
 			return "", err
 		}
-		appl, err := measure(prog, nil)
+		measure := func(cfg sim.Config, hooks sim.HooksFactory) (*sim.Result, error) {
+			cfg.Nproc, cfg.Hooks, cfg.Time, cfg.DisableTrace, cfg.Observer = n, hooks, &tm, true, o
+			return sim.Run(cfg)
+		}
+		base, err := measure(sim.Config{Program: bare}, nil)
 		if err != nil {
 			return "", err
 		}
-		sas, err := measure(prog, protocol.SaS(0))
+		appl, err := measure(sim.Config{Code: code}, nil)
 		if err != nil {
 			return "", err
 		}
-		cl, err := measure(prog, protocol.CL(0, protocol.NewCLCollector()))
+		sas, err := measure(sim.Config{Code: code}, protocol.SaS(0))
+		if err != nil {
+			return "", err
+		}
+		cl, err := measure(sim.Config{Code: code}, protocol.CL(0, protocol.NewCLCollector()))
 		if err != nil {
 			return "", err
 		}

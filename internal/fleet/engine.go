@@ -246,6 +246,12 @@ func (e *Engine) Drain() {
 func (e *Engine) Run() (*Report, error) {
 	cfg := e.cfg
 	start := time.Now()
+	// Every job runs the same program: it is built and compiled once, and the
+	// jobs share the result (sim.Config.Code).
+	code, err := sim.Compile(corpus.JacobiFig1(cfg.Iters))
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pool := par.NewPool(cfg.MaxInFlight)
 
@@ -293,7 +299,7 @@ arrivals:
 		wg.Add(1)
 		pool.Submit(func() {
 			defer wg.Done()
-			err := e.runJob(jobID, jobSeed, tenant, business)
+			err := e.runJob(code, jobID, jobSeed, tenant, business)
 			bucket := Classify(err)
 			e.mu.Lock()
 			e.buckets[bucket]++
@@ -392,14 +398,14 @@ func (e *Engine) pickTenant(rng *rand.Rand) string {
 }
 
 // runJob drives one admitted job to its terminal error (nil = success).
-func (e *Engine) runJob(jobID int, jobSeed int64, tenant string, business bool) error {
+func (e *Engine) runJob(code *sim.Code, jobID int, jobSeed int64, tenant string, business bool) error {
 	cfg := e.cfg
 	ns, err := storage.NewNamespace(e.brk, jobID, cfg.Nproc)
 	if err != nil {
 		return err
 	}
 	sc := sim.Config{
-		Program:  corpus.JacobiFig1(cfg.Iters),
+		Code:     code,
 		Nproc:    cfg.Nproc,
 		Store:    ns,
 		NoPrune:  cfg.NoPrune,

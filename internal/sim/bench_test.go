@@ -6,10 +6,13 @@ package sim
 // delivery queues. scripts/bench.sh records them into BENCH_simcore.json.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/mpl"
+	"repro/internal/storage"
 )
 
 // BenchmarkTransportRoundTrip measures one full hardened-transport cycle —
@@ -26,7 +29,7 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 		RTOFloor:        100 * time.Millisecond, // quiet timers at bench speed
 		RTOCap:          time.Second,
 	}, counters, nil, 1)
-	defer net.tr.shutdown()
+	defer net.tr.reset()
 
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -42,7 +45,7 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 // every message on the legacy reliable fabric (no transport): one push and
 // one blocking pop.
 func BenchmarkQueuePushPop(b *testing.B) {
-	q := newQueue()
+	q := NewNetwork(2).channel(0, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -50,5 +53,45 @@ func BenchmarkQueuePushPop(b *testing.B) {
 		if _, err := q.pop(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStepQuiet measures one instruction of a process under the
+// application-driven scheme — ns/op is per instruction — on a network where
+// every other process has opened a channel to it. Nothing is queued on them,
+// so the boundary between two instructions is one atomic load whatever n is:
+// the two rows must read the same.
+func BenchmarkStepQuiet(b *testing.B) {
+	for _, n := range []int{4, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			// Three instructions per iteration: branch, assign, jump.
+			code, err := Compile(mpl.NewBuilder("count").Vars("i").
+				While(mpl.Lt(mpl.V("i"), mpl.Int(b.N/3)), func(l *mpl.Builder) {
+					l.Assign("i", mpl.Add(mpl.V("i"), mpl.Int(1)))
+				}).MustProgram())
+			if err != nil {
+				b.Fatal(err)
+			}
+			counters := &metrics.Counters{}
+			r := &run{
+				cfg:   Config{Nproc: n, Hooks: NoProtocol, MaxSteps: b.N + 16, Counters: counters, DisableTrace: true},
+				code:  code,
+				plan:  crashPlan{},
+				net:   NewNetwork(n),
+				store: newRetryStore(storage.NewMemory(), RetryPolicy{}, 1, counters, nil),
+			}
+			procs, err := r.start(0, nil, nil, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for from := 1; from < n; from++ {
+				r.net.channel(from, 0)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := procs[0].run(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

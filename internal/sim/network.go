@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/vclock"
 )
@@ -36,140 +37,211 @@ type Message struct {
 // incarnation (failure injection).
 var ErrAborted = errors.New("sim: incarnation aborted")
 
-// queue is an unbounded FIFO with blocking receive and abort support. The
-// head index makes pop O(1) without reslicing the backing array from the
-// front: a steady-state pop/push cycle reuses one backing array instead of
-// abandoning a slice head to the garbage collector per message.
-type queue struct {
+// logRec is what the sender-based log keeps of an application message: the
+// fields its channel does not imply.
+type logRec struct {
+	Seq, Value int
+	ArriveV    float64
+	Clock      vclock.VC
+	Piggyback  []int
+}
+
+// The log's first logInline records live in the channel itself (most channels
+// of a small job carry a handful of messages), later ones in chunks of
+// logChunk records that are never regrown.
+const logInline, logChunk = 4, 16
+
+// ctrlFrom is the sender index of a process's out-of-band control channel.
+const ctrlFrom = -1
+
+// channel is one directed link in one object: an unbounded FIFO with blocking
+// receive and abort support, and — on in-band channels — the sender's log of
+// the application messages it carried. The head index makes pop O(1) without
+// reslicing the backing array from the front: a steady-state pop/push cycle
+// reuses one backing array instead of abandoning a slice head per message.
+//
+// The log takes no lock. It has one writer, the sending process's goroutine
+// (Network.Send), and one other user, ResetForRecovery, which runs only after
+// run.wait has received every goroutine's exit: -race checks that claim on
+// every crash test.
+type channel struct {
+	from, to int           // from is ctrlFrom on a control channel
+	proto    *atomic.Int64 // &Network.proto[to]: push, popHeadLocked and reset keep it exact
+	next     *channel      // Network.created list
+
 	mu     sync.Mutex
-	cond   *sync.Cond
+	cond   sync.Cond // L is &mu
 	items  []Message
 	head   int // items[:head] are consumed
 	closed bool
+	polls  int // Network.Poll calls; tests read it
 	// onDepth, when set, observes the queue depth after every push (the
-	// hardened transport's backlog watermark tap). Called outside q.mu.
+	// hardened transport's backlog watermark tap). Called outside mu.
 	onDepth func(depth int)
+
+	logLen   int // records in use, Seq ascending
+	logFirst [logInline]logRec
+	logMore  [][]logRec // chunks of logChunk records
 }
 
-func newQueue() *queue {
-	q := &queue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *queue) push(m Message) {
-	q.mu.Lock()
-	q.items = append(q.items, m)
-	depth := len(q.items) - q.head
-	q.mu.Unlock()
-	q.cond.Signal()
-	if q.onDepth != nil {
-		q.onDepth(depth)
+func (ch *channel) push(m Message) {
+	ch.mu.Lock()
+	ch.items = append(ch.items, m)
+	if m.Kind != MsgApp {
+		ch.proto.Add(1)
+	}
+	depth := len(ch.items) - ch.head
+	ch.mu.Unlock()
+	ch.cond.Signal()
+	if ch.onDepth != nil {
+		ch.onDepth(depth)
 	}
 }
 
-// popHeadLocked consumes the head message. Requires q.mu and a non-empty
+// popHeadLocked consumes the head message. Requires ch.mu and a non-empty
 // queue. Once the queue drains, the backing array rewinds for reuse; the
 // consumed slot is zeroed so popped payloads don't pin memory.
-func (q *queue) popHeadLocked() Message {
-	m := q.items[q.head]
-	q.items[q.head] = Message{}
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
+func (ch *channel) popHeadLocked() Message {
+	m := ch.items[ch.head]
+	ch.items[ch.head] = Message{}
+	ch.head++
+	if ch.head == len(ch.items) {
+		ch.items = ch.items[:0]
+		ch.head = 0
+	}
+	if m.Kind != MsgApp {
+		ch.proto.Add(-1)
 	}
 	return m
 }
 
-// pop blocks until a message is available or the queue is aborted.
-func (q *queue) pop() (Message, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == q.head && !q.closed {
-		q.cond.Wait()
+// pop blocks until a message is available or the channel is aborted.
+func (ch *channel) pop() (Message, error) {
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	for len(ch.items) == ch.head && !ch.closed {
+		ch.cond.Wait()
 	}
-	if q.closed {
+	if ch.closed {
 		return Message{}, ErrAborted
 	}
-	return q.popHeadLocked(), nil
+	return ch.popHeadLocked(), nil
 }
 
-// tryPopMarker removes and returns the head only when it is a marker that
-// has virtually arrived (ArriveV <= maxArrive). Deferring messages from
-// the virtual future keeps opportunistic polling causally sound: a real
-// process cannot react to a notification before it arrives.
-func (q *queue) tryPopMarker(maxArrive float64) (Message, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head < len(q.items) && q.items[q.head].Kind == MsgMarker && q.items[q.head].ArriveV <= maxArrive {
-		return q.popHeadLocked(), true
+func (ch *channel) abort() {
+	ch.mu.Lock()
+	ch.closed = true
+	ch.mu.Unlock()
+	ch.cond.Broadcast()
+}
+
+// rec returns log record i.
+func (ch *channel) rec(i int) *logRec {
+	if i < logInline {
+		return &ch.logFirst[i]
 	}
-	return Message{}, false
+	i -= logInline
+	return &ch.logMore[i/logChunk][i%logChunk]
 }
 
-// tryPop removes and returns the head message of any kind, subject to the
-// same virtual-arrival horizon.
-func (q *queue) tryPop(maxArrive float64) (Message, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head == len(q.items) || q.closed || q.items[q.head].ArriveV > maxArrive {
-		return Message{}, false
+// logAppend records an application message the channel is about to carry.
+func (ch *channel) logAppend(m Message) {
+	if ch.logLen == logInline+len(ch.logMore)*logChunk {
+		ch.logMore = append(ch.logMore, make([]logRec, logChunk))
 	}
-	return q.popHeadLocked(), true
+	*ch.rec(ch.logLen) = logRec{Seq: m.Seq, Value: m.Value, ArriveV: m.ArriveV, Clock: m.Clock, Piggyback: m.Piggyback}
+	ch.logLen++
 }
 
-func (q *queue) abort() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
+// reset reopens the channel at a recovery line: the log keeps the messages
+// sent before sendSeq — replay regenerates the rest — and the queue holds
+// those of them the receiver had not consumed (seq >= recvSeq). Sequence
+// numbers ascend along the log, so what is dropped is a suffix and what is in
+// flight a suffix of the rest. Log and queue keep their memory and zero what
+// they drop: neither pins a clock of the rolled-back incarnation.
+func (ch *channel) reset(sendSeq, recvSeq int) {
+	keep := ch.logLen
+	for keep > 0 && ch.rec(keep-1).Seq >= sendSeq {
+		keep--
+		*ch.rec(keep) = logRec{}
+	}
+	ch.logLen = keep
+	inflight := keep
+	for inflight > 0 && ch.rec(inflight-1).Seq >= recvSeq {
+		inflight--
+	}
+	ch.mu.Lock()
+	for _, m := range ch.items[ch.head:] {
+		if m.Kind != MsgApp {
+			ch.proto.Add(-1)
+		}
+	}
+	clear(ch.items)
+	ch.items = ch.items[:0]
+	for i := inflight; i < keep; i++ {
+		r := ch.rec(i)
+		ch.items = append(ch.items, Message{Kind: MsgApp, From: ch.from, To: ch.to,
+			Seq: r.Seq, Value: r.Value, Clock: r.Clock, Piggyback: r.Piggyback, ArriveV: r.ArriveV})
+	}
+	ch.head = 0
+	ch.closed = false
+	ch.mu.Unlock()
 }
 
-// reset clears contents and reopens the queue with the given messages.
-func (q *queue) reset(items []Message) {
-	q.mu.Lock()
-	q.items = append(q.items[:0], items...)
-	q.head = 0
-	q.closed = false
-	q.mu.Unlock()
-}
-
-// Network provides n² FIFO application/marker channels, one control queue
-// per process, and a sender-based message log used to reconstruct channel
-// contents after a rollback.
+// Network provides a FIFO application/marker channel between every pair of
+// processes and one control channel per process, each created when first
+// used and holding the log its contents are rebuilt from after a rollback.
 type Network struct {
-	n     int
-	chans [][]*queue // [from][to], app + marker traffic
-	ctrl  []*queue   // [to], out-of-band control traffic
+	n int
+	// table holds process to's control channel at [to] and the in-band
+	// channel from→to at [(from+1)*n+to]; nil until first use.
+	table   []atomic.Pointer[channel]
+	created atomic.Pointer[channel] // every channel of table, newest first
+	aborted atomic.Bool
+	// proto[to] counts the markers and control messages queued for process to
+	// on any channel: while it reads zero, to's poll would find nothing.
+	proto []atomic.Int64
 
-	// tr, when non-nil, is the hardened transport (Config.Net): every
-	// frame crosses lossy links with sequencing, acks, and retransmission
-	// before reaching the queues above. Nil keeps the legacy reliable
-	// direct-push fabric, byte-for-byte identical to earlier revisions.
+	// tr, when non-nil, is the hardened transport (Config.Net): every frame
+	// crosses lossy links with sequencing, acks, and retransmission before
+	// reaching the queues above. Nil pushes directly.
 	tr *transport
-
-	mu  sync.Mutex
-	log [][][]Message // [from][to] log of app messages, Seq ascending
 }
 
 // NewNetwork creates the fully connected network for n processes.
 func NewNetwork(n int) *Network {
-	net := &Network{
-		n:     n,
-		chans: make([][]*queue, n),
-		ctrl:  make([]*queue, n),
-		log:   make([][][]Message, n),
+	return &Network{n: n, table: make([]atomic.Pointer[channel], (n+1)*n), proto: make([]atomic.Int64, n)}
+}
+
+// peek returns the channel from→to, nil if nothing has used it yet.
+func (net *Network) peek(from, to int) *channel {
+	return net.table[(from+1)*net.n+to].Load()
+}
+
+// channel returns the channel from→to, creating it on first use. A channel
+// created while Abort runs must not stay open: the creator publishes it and
+// only then reads the flag, Abort sets the flag and only then walks the list,
+// so either the walk reaches the channel or its creator closes it.
+func (net *Network) channel(from, to int) *channel {
+	slot := &net.table[(from+1)*net.n+to]
+	if ch := slot.Load(); ch != nil {
+		return ch
 	}
-	for i := 0; i < n; i++ {
-		net.chans[i] = make([]*queue, n)
-		net.log[i] = make([][]Message, n)
-		for j := 0; j < n; j++ {
-			net.chans[i][j] = newQueue()
+	ch := &channel{from: from, to: to, proto: &net.proto[to]}
+	ch.cond.L = &ch.mu
+	if !slot.CompareAndSwap(nil, ch) {
+		return slot.Load()
+	}
+	for {
+		ch.next = net.created.Load()
+		if net.created.CompareAndSwap(ch.next, ch) {
+			break
 		}
-		net.ctrl[i] = newQueue()
 	}
-	return net
+	if net.aborted.Load() {
+		ch.abort()
+	}
+	return ch
 }
 
 // Send delivers an application message (asynchronous, FIFO) and logs it
@@ -177,25 +249,20 @@ func NewNetwork(n int) *Network {
 // message before it touches the (possibly lossy) transport: recovery
 // reconstructs in-flight messages from the log, never from the wire.
 func (net *Network) Send(m Message) {
-	net.mu.Lock()
-	net.log[m.From][m.To] = append(net.log[m.From][m.To], m)
-	net.mu.Unlock()
-	if lk := net.dataLink(m.From, m.To); lk != nil {
-		lk.send(m)
-		return
-	}
-	net.chans[m.From][m.To].push(m)
+	net.channel(m.From, m.To).logAppend(m)
+	net.SendMarker(m)
 }
 
-// SendMarker delivers an in-band marker on the (from, to) channel. Markers
-// share the data link with application messages so the in-band FIFO
-// ordering the Chandy-Lamport protocol depends on survives the transport.
+// SendMarker delivers a message in band without logging it. Markers share
+// the channel — when hardened, the data link; self-sends have none — with
+// application messages, so that the FIFO ordering the Chandy-Lamport
+// protocol depends on survives the transport.
 func (net *Network) SendMarker(m Message) {
-	if lk := net.dataLink(m.From, m.To); lk != nil {
-		lk.send(m)
+	if net.tr != nil && m.From != m.To {
+		net.tr.data[m.From][m.To].send(m)
 		return
 	}
-	net.chans[m.From][m.To].push(m)
+	net.channel(m.From, m.To).push(m)
 }
 
 // SendCtrl delivers an out-of-band control message to m.To.
@@ -204,90 +271,65 @@ func (net *Network) SendCtrl(m Message) {
 		net.tr.ctrl[m.From][m.To].send(m)
 		return
 	}
-	net.ctrl[m.To].push(m)
+	net.channel(ctrlFrom, m.To).push(m)
 }
 
-// dataLink returns the hardened in-band link for (from, to), or nil when
-// the network is not hardened (or for degenerate self-sends).
-func (net *Network) dataLink(from, to int) *link {
-	if net.tr == nil || from == to {
-		return nil
-	}
-	return net.tr.data[from][to]
-}
-
-// Recv blocks for the next in-band message on channel (from, to).
+// Recv blocks for the next message on channel (from, to); from is ctrlFrom
+// for to's control channel.
 func (net *Network) Recv(from, to int) (Message, error) {
-	return net.chans[from][to].pop()
+	return net.channel(from, to).pop()
 }
 
-// PollMarker removes a leading marker from channel (from, to) if it has
-// arrived by maxArrive virtual time (use math.Inf(1) when accounting is
-// off).
-func (net *Network) PollMarker(from, to int, maxArrive float64) (Message, bool) {
-	return net.chans[from][to].tryPopMarker(maxArrive)
+// quiet reports that no marker or control message is queued for process to.
+func (net *Network) quiet(to int) bool { return net.proto[to].Load() == 0 }
+
+// Poll removes the head of channel (from, to) — not creating it — if it has
+// arrived by maxArrive virtual time (math.Inf(1) when accounting is off) and,
+// in band, is a marker; from is ctrlFrom for to's control channel. Deferring
+// messages from the virtual future keeps opportunistic polling causally sound:
+// a real process cannot react to a notification before it arrives.
+func (net *Network) Poll(from, to int, maxArrive float64) (Message, bool) {
+	ch := net.peek(from, to)
+	if ch == nil {
+		return Message{}, false
+	}
+	ch.mu.Lock()
+	defer ch.mu.Unlock()
+	ch.polls++
+	if ch.head == len(ch.items) || ch.items[ch.head].ArriveV > maxArrive ||
+		(from == ctrlFrom && ch.closed) || (from != ctrlFrom && ch.items[ch.head].Kind != MsgMarker) {
+		return Message{}, false
+	}
+	return ch.popHeadLocked(), true
 }
 
-// PollCtrl removes the next control message for process to, if it has
-// arrived by maxArrive virtual time.
-func (net *Network) PollCtrl(to int, maxArrive float64) (Message, bool) {
-	return net.ctrl[to].tryPop(maxArrive)
-}
-
-// RecvCtrl blocks for the next control message for process to.
-func (net *Network) RecvCtrl(to int) (Message, error) {
-	return net.ctrl[to].pop()
-}
-
-// Abort wakes every blocked receiver with ErrAborted.
+// Abort wakes every blocked receiver with ErrAborted, and every receiver
+// that blocks before the next ResetForRecovery.
 func (net *Network) Abort() {
-	for i := range net.chans {
-		for j := range net.chans[i] {
-			net.chans[i][j].abort()
-		}
-	}
-	for _, q := range net.ctrl {
-		q.abort()
+	net.aborted.Store(true)
+	for ch := net.created.Load(); ch != nil; ch = ch.next {
+		ch.abort()
 	}
 }
 
-// ResetForRecovery clears all queues and re-injects, for each channel
-// (p→q), the logged application messages with sequence numbers in
-// (recvSeq[q][p], sendSeq[p][q]] — exactly the messages in flight at the
-// recovery line. Messages the sender will regenerate during replay
-// (seq > sendSeq[p][q]) are dropped from the log as well.
+// ResetForRecovery reopens every channel at a recovery line (channel.reset):
+// channel p→q then holds the logged application messages with sequence
+// numbers in [recvSeq[q][p], sendSeq[p][q]) — exactly those in flight at the
+// line. It must not run beside a process of the network: see channel.
 func (net *Network) ResetForRecovery(sendSeq, recvSeq [][]int) {
 	// Invalidate the transport first: bumping link generations guarantees
 	// that frames still on the (chaos-delayed) wire and pending retransmit
-	// timers from the rolled-back incarnation are discarded on arrival,
-	// and cannot pollute the reconstructed channel state below. In-flight
-	// messages are re-injected from the sender-based log directly into the
-	// queues — recovery bypasses the lossy links entirely.
+	// timers from the rolled-back incarnation are discarded on arrival and
+	// cannot pollute the channel state rebuilt below, from the logs alone.
 	if net.tr != nil {
 		net.tr.reset()
 	}
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	for p := 0; p < net.n; p++ {
-		for q := 0; q < net.n; q++ {
-			// Sequence numbers ascend along a channel's log: what replay
-			// regenerates is a suffix of it, and what is in flight a suffix
-			// of the rest. The log is cut in place, the dropped tail zeroed
-			// so that it pins no clocks; the queue copies what it is handed.
-			log := net.log[p][q]
-			keep := len(log)
-			for keep > 0 && log[keep-1].Seq >= sendSeq[p][q] {
-				keep--
-			}
-			clear(log[keep:])
-			log = log[:keep]
-			inflight := keep
-			for inflight > 0 && log[inflight-1].Seq >= recvSeq[q][p] {
-				inflight--
-			}
-			net.log[p][q] = log
-			net.chans[p][q].reset(log[inflight:])
+	net.aborted.Store(false)
+	for ch := net.created.Load(); ch != nil; ch = ch.next {
+		if ch.from == ctrlFrom {
+			ch.reset(0, 0)
+		} else {
+			ch.reset(sendSeq[ch.from][ch.to], recvSeq[ch.to][ch.from])
 		}
-		net.ctrl[p].reset(nil)
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
 	"strconv"
 	stdtime "time"
@@ -98,9 +98,10 @@ type Proc struct {
 	// (Config.WallClock; nil means time.Now).
 	wallNow func() stdtime.Time
 
-	// jitter, when set, yields the goroutine randomly at instruction
+	// jitter, when jittered, yields the goroutine randomly at instruction
 	// boundaries to diversify real-time interleavings (Config.Jitter).
-	jitter *rand.Rand
+	jittered bool
+	jitter   rand.PCG
 
 	// noPrune disables liveness-minimized checkpoint payloads: application
 	// checkpoints persist the full environment, reproducing the
@@ -385,7 +386,7 @@ func (p *Proc) SendMarker(to int, tag string, payload []int) error {
 func (p *Proc) RecvCtrl() (Message, error) {
 	start := p.now()
 	v0 := p.vtime
-	m, err := p.net.RecvCtrl(p.rank)
+	m, err := p.net.Recv(ctrlFrom, p.rank)
 	if err != nil {
 		return Message{}, err
 	}
@@ -404,20 +405,11 @@ func (p *Proc) RecvCtrl() (Message, error) {
 // channel, if one is at the head (protocol halt drains — the process is
 // virtually idle, so the clock advances to the marker's arrival).
 func (p *Proc) PollMarker(from int) (Message, bool) {
-	m, ok := p.net.PollMarker(from, p.rank, math.Inf(1))
+	m, ok := p.net.Poll(from, p.rank, math.Inf(1))
 	if ok {
 		p.syncTo(m.ArriveV)
 	}
 	return m, ok
-}
-
-// pollHorizon bounds opportunistic polling to messages that have virtually
-// arrived.
-func (p *Proc) pollHorizon() float64 {
-	if p.time == nil {
-		return math.Inf(1)
-	}
-	return p.vtime
 }
 
 // run executes the program until halt, failure, or abort.
@@ -428,32 +420,42 @@ func (p *Proc) run() error {
 		}
 		p.steps++
 
+		p.atBoundary = true
+		if p.jittered {
+			// One draw in four yields, one to three times.
+			if r := p.jitter.Uint64(); r&3 == 0 {
+				for y := int((r >> 2) % 3); y >= 0; y-- {
+					runtime.Gosched()
+				}
+			}
+		}
 		// Out-of-band control and stray markers are served between
 		// instructions so protocols make progress even on channels the
-		// application never receives from.
-		p.atBoundary = true
-		if p.jitter != nil && p.jitter.Intn(4) == 0 {
-			for y := p.jitter.Intn(3); y >= 0; y-- {
-				runtime.Gosched()
+		// application never receives from — when any is queued for this
+		// process: under the application-driven scheme none ever is, and
+		// the boundary costs one atomic load.
+		if !p.net.quiet(p.rank) {
+			horizon := math.Inf(1) // only what has virtually arrived
+			if p.time != nil {
+				horizon = p.vtime
 			}
-		}
-		horizon := p.pollHorizon()
-		for {
-			m, ok := p.net.PollCtrl(p.rank, horizon)
-			if !ok {
-				break
-			}
-			if err := p.hooks.OnCtrl(p, m); err != nil {
-				return err
-			}
-		}
-		for from := 0; from < p.n; from++ {
-			if from == p.rank {
-				continue
-			}
-			if m, ok := p.net.PollMarker(from, p.rank, horizon); ok {
-				if err := p.hooks.OnMarker(p, m); err != nil {
+			for {
+				m, ok := p.net.Poll(ctrlFrom, p.rank, horizon)
+				if !ok {
+					break
+				}
+				if err := p.hooks.OnCtrl(p, m); err != nil {
 					return err
+				}
+			}
+			for from := 0; from < p.n; from++ {
+				if from == p.rank {
+					continue
+				}
+				if m, ok := p.net.Poll(from, p.rank, horizon); ok {
+					if err := p.hooks.OnMarker(p, m); err != nil {
+						return err
+					}
 				}
 			}
 		}
@@ -630,8 +632,8 @@ const slabClocks = 8
 // stampClock returns a copy of the current clock for an outgoing message,
 // cut from the process's slab. A stamp is written here once and only read
 // afterwards (the receiver merges it), and no chunk is recycled, so stamps
-// need no lifetime protocol; Network.log keeps every message of the run, so
-// a chunk pins nothing a per-message clone would not.
+// need no lifetime protocol; a channel's log keeps every message of the run,
+// so a chunk pins nothing a per-message clone would not.
 func (p *Proc) stampClock() vclock.VC {
 	if len(p.clockSlab) < p.n {
 		p.clockSlab = make([]uint64, slabClocks*p.n)

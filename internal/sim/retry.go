@@ -3,7 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	stdtime "time"
 
@@ -135,7 +135,7 @@ type retryStore struct {
 	obsv     obs.Observer
 
 	mu  sync.Mutex
-	rng *rand.Rand
+	rng rand.PCG
 }
 
 var _ storage.Store = (*retryStore)(nil)
@@ -144,13 +144,21 @@ var _ storage.Store = (*retryStore)(nil)
 // defaults). The seed only perturbs backoff jitter (wall time), never
 // results.
 func newRetryStore(inner storage.Store, policy RetryPolicy, seed int64, counters *metrics.Counters, obsv obs.Observer) *retryStore {
-	return &retryStore{
+	r := &retryStore{
 		inner:    inner,
 		policy:   policy.withDefaults(),
 		counters: counters,
 		obsv:     obsv,
-		rng:      rand.New(rand.NewSource(seed)),
 	}
+	r.rng.Seed(uint64(seed), 0)
+	return r
+}
+
+// unitFloat draws a uniform float64 in [0, 1) from a jitter generator: this
+// one, the transport's and a process's are 16-byte PCG states held by value.
+// They perturb wall time only, so nothing pins their sequences.
+func unitFloat(g *rand.PCG) float64 {
+	return float64(g.Uint64()>>11) / (1 << 53)
 }
 
 // retry runs one store operation with retry-on-transient. It returns the
@@ -195,7 +203,7 @@ func (r *retryStore) jittered(d stdtime.Duration) stdtime.Duration {
 		return d
 	}
 	r.mu.Lock()
-	f := 1 - r.policy.JitterFrac + 2*r.policy.JitterFrac*r.rng.Float64()
+	f := 1 - r.policy.JitterFrac + 2*r.policy.JitterFrac*unitFloat(&r.rng)
 	r.mu.Unlock()
 	return stdtime.Duration(float64(d) * f)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math/rand"
 	"sync/atomic"
 	"time"
 
@@ -52,7 +51,11 @@ type RecoveryFunc func(st storage.Store, n int) (*recovery.Line, error)
 // Config configures a run.
 type Config struct {
 	Program *mpl.Program
-	Nproc   int
+	// Code, when set, is the compiled form of Program, which may then stay
+	// nil; Run compiles Program itself when it is nil. Compile's result is only
+	// read afterwards: any number of concurrent runs may share one Code.
+	Code  *Code
+	Nproc int
 	// Hooks builds the per-process protocol; nil runs the coordination-free
 	// application-driven scheme.
 	Hooks HooksFactory
@@ -219,10 +222,15 @@ type run struct {
 // failure schedule: one incarnation after another, each rolled back to a
 // recovery line when a process fails, until one completes.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Program == nil || cfg.Nproc <= 0 {
+	if (cfg.Program == nil && cfg.Code == nil) || cfg.Nproc <= 0 {
 		return nil, errors.New("sim: Config requires Program and positive Nproc")
 	}
-	code, err := Compile(cfg.Program)
+	code, err := cfg.Code, error(nil)
+	if code == nil {
+		code, err = Compile(cfg.Program)
+	} else if cfg.Program != nil && cfg.Program != code.Prog {
+		err = errors.New("sim: Config.Code was not compiled from Config.Program")
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +261,7 @@ func Run(cfg Config) (*Result, error) {
 		net.harden(*cfg.Net, cfg.Counters, cfg.Observer, cfg.Jitter+0x7f4a7c15)
 		// Stop retransmit timers and orphan delayed deliveries once the
 		// run is over, whatever path it exits by.
-		defer net.tr.shutdown()
+		defer net.tr.reset()
 	}
 	// The seed only perturbs backoff jitter, never results.
 	var policy RetryPolicy
@@ -344,7 +352,8 @@ func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64
 			time: cfg.Time, wallNow: cfg.WallClock, noPrune: cfg.NoPrune,
 		}
 		if cfg.Jitter != 0 {
-			p.jitter = rand.New(rand.NewSource(cfg.Jitter + int64(rank)*7919 + int64(inc)))
+			p.jittered = true
+			p.jitter.Seed(uint64(cfg.Jitter), uint64(rank)<<32|uint64(inc))
 		}
 		if old != nil {
 			p.env, p.pruned, p.clockSlab = old.env, old.pruned, old.clockSlab

@@ -29,7 +29,7 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -193,7 +193,7 @@ type transport struct {
 	ctrl [][]*link // [from][to] out-of-band control links
 
 	jmu sync.Mutex
-	rng *rand.Rand // backoff jitter only; never affects outcomes
+	rng rand.PCG // backoff jitter only; never affects outcomes
 
 	det *detector
 }
@@ -243,7 +243,7 @@ type link struct {
 	class LinkClass
 	from  int
 	to    int
-	dst   *queue // delivery queue: chans[from][to] or ctrl[to]
+	dst   *channel // delivery queue: the in-band channel from→to, or to's control channel
 
 	est *netestim.Estimator // survives resets: RTT knowledge outlives incarnations
 
@@ -263,7 +263,8 @@ type link struct {
 }
 
 // harden installs the transport on a network. Must be called before any
-// process starts sending.
+// process starts sending. It creates every channel: a link per pair needs
+// its delivery queue, and each queue its watermark tap.
 func (net *Network) harden(cfg NetConfig, counters *metrics.Counters, obsv obs.Observer, jitterSeed int64) {
 	cfg = cfg.withDefaults()
 	t := &transport{
@@ -271,33 +272,31 @@ func (net *Network) harden(cfg NetConfig, counters *metrics.Counters, obsv obs.O
 		cfg:      cfg,
 		counters: counters,
 		obsv:     obsv,
-		rng:      rand.New(rand.NewSource(jitterSeed ^ 0x6e657463)),
 	}
+	t.rng.Seed(uint64(jitterSeed), 0x6e657463)
 	t.data = make([][]*link, net.n)
 	t.ctrl = make([][]*link, net.n)
 	for i := 0; i < net.n; i++ {
 		t.data[i] = make([]*link, net.n)
 		t.ctrl[i] = make([]*link, net.n)
+		net.channel(ctrlFrom, i).onDepth = t.depthWatcher(fmt.Sprintf("ctrl %d", i))
+	}
+	for i := 0; i < net.n; i++ {
 		for j := 0; j < net.n; j++ {
 			if i == j {
 				continue
 			}
-			t.data[i][j] = t.newLink(LinkData, i, j, net.chans[i][j])
-			t.ctrl[i][j] = t.newLink(LinkCtrl, i, j, net.ctrl[j])
+			ch := net.channel(i, j)
+			ch.onDepth = t.depthWatcher(fmt.Sprintf("chan %d->%d", i, j))
+			t.data[i][j] = t.newLink(LinkData, i, j, ch)
+			t.ctrl[i][j] = t.newLink(LinkCtrl, i, j, net.channel(ctrlFrom, j))
 		}
-	}
-	// Watermark instrumentation on every delivery queue.
-	for i := 0; i < net.n; i++ {
-		for j := 0; j < net.n; j++ {
-			net.chans[i][j].onDepth = t.depthWatcher(fmt.Sprintf("chan %d->%d", i, j))
-		}
-		net.ctrl[i].onDepth = t.depthWatcher(fmt.Sprintf("ctrl %d", i))
 	}
 	t.det = newDetector(t)
 	net.tr = t
 }
 
-func (t *transport) newLink(class LinkClass, from, to int, dst *queue) *link {
+func (t *transport) newLink(class LinkClass, from, to int, dst *channel) *link {
 	est := &netestim.Estimator{}
 	est.SetRTOFloor(t.cfg.RTOFloor)
 	return &link{
@@ -357,16 +356,17 @@ func (t *transport) verdict(class LinkClass, from, to, seq, attempt int) Verdict
 // links spread out. Wall-clock only; never affects outcomes.
 func (t *transport) jitter(d time.Duration) time.Duration {
 	t.jmu.Lock()
-	f := 0.75 + 0.5*t.rng.Float64()
+	f := 0.75 + 0.5*unitFloat(&t.rng)
 	t.jmu.Unlock()
 	return time.Duration(float64(d) * f)
 }
 
 // reset discards all in-flight transport state (unacked windows, pending
 // resequencing buffers, timers) and bumps the generation so frames already
-// on the wire are ignored on arrival. Called by ResetForRecovery: channel
+// on the wire are ignored on arrival. Called by ResetForRecovery — channel
 // contents at the recovery line are reconstructed from the sender-based
-// message log, not from the wire.
+// message log, not from the wire — and when the run returns, so that
+// retransmit timers and delayed deliveries stop.
 func (t *transport) reset() {
 	for _, rows := range [][][]*link{t.data, t.ctrl} {
 		for _, row := range rows {
@@ -378,12 +378,6 @@ func (t *transport) reset() {
 		}
 	}
 	t.det.reset()
-}
-
-// shutdown permanently invalidates every link so retransmit timers and
-// delayed deliveries stop after the run returns.
-func (t *transport) shutdown() {
-	t.reset()
 }
 
 func (lk *link) reset() {

@@ -63,7 +63,7 @@ func hardenedNet(t *testing.T, n int, cfg NetConfig, obsv obs.Observer) (*Networ
 		cfg.RTOFloor = time.Millisecond
 	}
 	net.harden(cfg, counters, obsv, 1)
-	t.Cleanup(net.tr.shutdown)
+	t.Cleanup(net.tr.reset)
 	return net, counters
 }
 
@@ -178,14 +178,7 @@ func TestInflightReconstructionExactlyOnce(t *testing.T) {
 	recvSeq := [][]int{{0, 0}, {4, 0}}
 	net.ResetForRecovery(sendSeq, recvSeq)
 
-	var got []Message
-	for {
-		m, ok := net.chans[0][1].tryPop(1e18)
-		if !ok {
-			break
-		}
-		got = append(got, m)
-	}
+	got := net.channel(0, 1).queued()
 	var want []Message
 	for seq := 4; seq < total; seq++ {
 		want = append(want, Message{Kind: MsgApp, From: 0, To: 1, Seq: seq, Value: 100 + seq})
@@ -196,8 +189,8 @@ func TestInflightReconstructionExactlyOnce(t *testing.T) {
 	// The wire may still hold delayed duplicates of pre-reset frames; the
 	// generation bump must keep every one of them out of the new queues.
 	time.Sleep(5 * time.Millisecond)
-	if m, ok := net.chans[0][1].tryPop(1e18); ok {
-		t.Fatalf("stale wire frame leaked into post-reset queue: %+v", m)
+	if now := net.channel(0, 1).queued(); len(now) != len(want) {
+		t.Fatalf("stale wire frame leaked into post-reset queue: %+v", now)
 	}
 }
 

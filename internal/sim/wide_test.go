@@ -1,0 +1,110 @@
+package sim_test
+
+import (
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/corpus"
+	"repro/internal/protocol"
+	"repro/internal/sim"
+	"repro/internal/verify"
+)
+
+func init() {
+	sim.BaselineProtocols["sas"] = func() sim.HooksFactory { return protocol.SaS(0) }
+	sim.BaselineProtocols["cl"] = func() sim.HooksFactory { return protocol.CL(0, protocol.NewCLCollector()) }
+	sim.BaselineProtocols["cic"] = protocol.CIC
+}
+
+// The paper's figures sweep to n = 1024; this is the runtime asked for n = 256
+// (ROADMAP item 12): the transformed Figure 2 Jacobi with one crash ends in the
+// state verify.Machine computes, and a process costs no more objects there
+// than in a 4-process run — a rank still talks to one neighbour, and nothing
+// the run allocates is per pair of processes. Bytes per process are not
+// pinned: every message and snapshot carries an O(n) clock.
+func TestWideRunAllocsPerProcess(t *testing.T) {
+	rep, err := core.Transform(corpus.JacobiFig2(8), core.DefaultConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := sim.Compile(rep.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perProc := func(n int) float64 {
+		m, err := verify.RunSchedule(code, n, verify.DefaultInput, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := sim.Config{
+			Code: code, Nproc: n, Input: verify.DefaultInput, Timeout: 60 * time.Second, DisableTrace: true,
+			Failures: []sim.Failure{{Proc: 1, AfterEvents: 20}},
+		}
+		// Nothing but the run inside the count: checks and logging allocate.
+		var res *sim.Result
+		start := time.Now()
+		allocs := testing.AllocsPerRun(2, func() {
+			if err == nil {
+				res, err = sim.Run(cfg)
+			}
+		})
+		took := time.Since(start) / 3 // AllocsPerRun warms up once
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if res.Restarts != 1 || !reflect.DeepEqual(res.FinalVars, m.FinalVars()) {
+			t.Fatalf("n=%d: %d restarts; final state equals the machine's: %v", n, res.Restarts, reflect.DeepEqual(res.FinalVars, m.FinalVars()))
+		}
+		t.Logf("n=%d: %.1f objects per process, %v a run", n, allocs/float64(n), took.Round(time.Microsecond))
+		return allocs / float64(n)
+	}
+	narrow, wide := perProc(4), perProc(256)
+	if wide > 2*narrow {
+		t.Errorf("a process of a 256-process run allocates %.1f objects, one of a 4-process run %.1f: want at most twice", wide, narrow)
+	}
+}
+
+// A Code is written by Compile and only read afterwards, so concurrent runs
+// share one (the fleet engine's jobs do): 32 at once, one of them crashing in
+// every other, end as a run of its own does. -race is the check.
+func TestSharedCodeIsReadOnly(t *testing.T) {
+	const n, runs = 4, 32
+	prog := corpus.JacobiFig1(6)
+	code, err := sim.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := sim.Run(sim.Config{Program: prog, Nproc: n, Timeout: 20 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < runs; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfg := sim.Config{Code: code, Nproc: n, Timeout: 20 * time.Second, Jitter: int64(i + 1), DisableTrace: i%4 == 0}
+			if i%2 == 1 {
+				cfg.Failures = []sim.Failure{{Proc: i % n, AfterEvents: 10 + i}}
+			}
+			res, err := sim.Run(cfg)
+			if err != nil {
+				t.Errorf("run %d: %v", i, err)
+			} else if !reflect.DeepEqual(res.FinalVars, own.FinalVars) {
+				t.Errorf("run %d ends with %v, a run that compiled for itself with %v", i, res.FinalVars, own.FinalVars)
+			}
+		}()
+	}
+	wg.Wait()
+
+	// Program may repeat what Code already says, and must not contradict it.
+	if _, err := sim.Run(sim.Config{Program: prog, Code: code, Nproc: n}); err != nil {
+		t.Errorf("Code with its own Program: %v", err)
+	}
+	if _, err := sim.Run(sim.Config{Program: corpus.JacobiFig1(6), Code: code, Nproc: n}); err == nil {
+		t.Error("Code with another Program: no error")
+	}
+}

@@ -7,7 +7,9 @@
 #                         count), the Figure 8/9 analytic series, the
 #                         absorbing-chain solver;
 #   BENCH_simcore.json  — the simulator hot paths: transport round trip,
-#                         delivery queue, counters contention, end-to-end
+#                         delivery queue, one instruction of a process no
+#                         protocol traffic is queued for (n=4 and n=64 must
+#                         read the same), counters contention, end-to-end
 #                         failure/recovery runs;
 #   BENCH_pipeline.json — the offline analysis pipeline: the aggregate
 #                         transform benchmark its perf targets are pinned
@@ -66,7 +68,7 @@ run_set sweeps \
 
 # Simulator core: per-message hot paths and end-to-end runs.
 run_set simcore \
-    'BenchmarkTransportRoundTrip|BenchmarkQueuePushPop|BenchmarkCountersInc|BenchmarkRuntimeFailureRecovery|BenchmarkMessagesPerCheckpoint' \
+    'BenchmarkTransportRoundTrip|BenchmarkQueuePushPop|BenchmarkStepQuiet|BenchmarkCountersInc|BenchmarkRuntimeFailureRecovery|BenchmarkMessagesPerCheckpoint' \
     BENCH_simcore.json \
     ./internal/sim/ ./internal/metrics/ .
 
