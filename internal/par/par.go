@@ -108,16 +108,21 @@ func Map[T, R any](ctx context.Context, workers int, items []T, f func(ctx conte
 				if i >= len(items) {
 					return
 				}
+				fctx := cctx
 				if cctx.Err() != nil {
-					// Cancelled before f(i) ever ran: this is not "the
-					// failing invocation with the lowest index", so do not
-					// record it — either a real f error is already recorded,
-					// or the parent cancelled and wg.Wait's fallback below
-					// reports that. Recording i here would let a cancellation
-					// ripple overwrite the true failure with a lower index.
-					return
+					// Cancelled before f(i) ran: past the lowest failure or
+					// under a cancelled parent (reported below) i cannot
+					// decide the error; claimed before a failure above it, i
+					// may fail lower, so it runs as in a serial Map.
+					mu.Lock()
+					above := i > firstI
+					mu.Unlock()
+					if above || ctx.Err() != nil {
+						return
+					}
+					fctx = ctx
 				}
-				r, err := f(cctx, i, items[i])
+				r, err := f(fctx, i, items[i])
 				if err != nil {
 					fail(i, err)
 					return

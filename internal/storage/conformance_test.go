@@ -3,6 +3,7 @@ package storage_test
 import (
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/storage"
@@ -189,4 +190,60 @@ func TestWALStoreConformance(t *testing.T) {
 		t.Cleanup(func() { ws.Close() })
 		return ws
 	})
+}
+
+// Indexes counts the index's runs, not its keys: on every store kind it
+// allocates the same few objects whether the store holds 1k keys or 10k.
+func TestIndexesAllocs(t *testing.T) {
+	const procs, indexes = 4, 5
+	kinds := []struct {
+		name string
+		mk   func(t *testing.T) storage.Store
+	}{
+		{"memory", func(*testing.T) storage.Store { return storage.NewMemory() }},
+		{"incremental", func(*testing.T) storage.Store { return storage.NewIncremental(8) }},
+		{"wal", func(t *testing.T) storage.Store {
+			ws, err := wal.Open(t.TempDir(), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ws.Close() })
+			return ws
+		}},
+	}
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			var allocs []float64
+			for _, keys := range []int{1_000, 10_000} {
+				st := kind.mk(t)
+				// One saver per (process, index), as a run saves: the WAL's
+				// group commit carries the set-up.
+				var wg sync.WaitGroup
+				for p := 0; p < procs; p++ {
+					for idx := 1; idx <= indexes; idx++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for inst := 0; inst < keys/(procs*indexes); inst++ {
+								if err := st.Save(sampleSnap(p, idx, inst)); err != nil {
+									t.Error(err)
+									return
+								}
+							}
+						}()
+					}
+				}
+				wg.Wait()
+				allocs = append(allocs, testing.AllocsPerRun(20, func() {
+					if idx, err := st.Indexes(procs); err != nil || len(idx) != indexes {
+						t.Fatalf("Indexes(%d) = %v, %v", procs, idx, err)
+					}
+				}))
+			}
+			t.Logf("Indexes allocates %v objects at 1k and 10k keys", allocs)
+			if allocs[0] != allocs[1] || allocs[1] > 1 {
+				t.Errorf("Indexes allocates %v objects at 1k and 10k keys, want the same and at most 1", allocs)
+			}
+		})
+	}
 }

@@ -34,8 +34,7 @@ type Incremental struct {
 	// FullEvery is the full-snapshot period (default 8 when 0).
 	fullEvery int
 	procs     map[int]*incProc
-	// byKey indexes records by (proc, index, instance).
-	byKey map[Key]int // position within the process's chain
+	byKey     KeyIndex[int] // each record's position within its process's chain
 
 	fullBytes  int
 	deltaBytes int
@@ -99,7 +98,6 @@ func NewIncremental(fullEvery int) *Incremental {
 	return &Incremental{
 		fullEvery: fullEvery,
 		procs:     make(map[int]*incProc),
-		byKey:     make(map[Key]int),
 		vars:      make(map[string]int),
 	}
 }
@@ -121,7 +119,7 @@ func (inc *Incremental) Save(s Snapshot) error {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	k := s.Key()
-	if _, dup := inc.byKey[k]; dup {
+	if _, dup := inc.byKey.Get(k); dup {
 		return fmt.Errorf("%w: %s", ErrDuplicate, k)
 	}
 	p := inc.procs[s.Proc]
@@ -181,7 +179,7 @@ func (inc *Incremental) Save(s Snapshot) error {
 	} else {
 		inc.fullBytes += approxSize(rec.vars)
 	}
-	inc.byKey[k] = len(p.chain)
+	inc.byKey.Put(k, len(p.chain))
 	p.chain = append(p.chain, rec)
 	return nil
 }
@@ -252,7 +250,7 @@ func (inc *Incremental) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	k := Key{proc, cfgIndex, instance}
-	pos, ok := inc.byKey[k]
+	pos, ok := inc.byKey.Get(k)
 	if !ok {
 		return Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
@@ -263,19 +261,11 @@ func (inc *Incremental) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 func (inc *Incremental) Latest(proc, cfgIndex int) (Snapshot, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	chain := inc.chainLocked(proc)
-	best := -1
-	bestInst := -1
-	for pos := range chain {
-		if k := chain[pos].key; k.CFGIndex == cfgIndex && k.Instance > bestInst {
-			bestInst = k.Instance
-			best = pos
-		}
-	}
-	if best < 0 {
+	_, pos, ok := inc.byKey.Latest(proc, cfgIndex)
+	if !ok {
 		return Snapshot{}, fmt.Errorf("%w: proc=%d index=%d", ErrNotFound, proc, cfgIndex)
 	}
-	return inc.snapshotLocked(inc.replayLocked(chain, best))
+	return inc.snapshotLocked(inc.replayLocked(inc.procs[proc].chain, pos))
 }
 
 // List implements Store.
@@ -303,11 +293,7 @@ func (inc *Incremental) List(proc int) ([]Snapshot, error) {
 func (inc *Incremental) Indexes(n int) ([]int, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	keys := make([]Key, 0, len(inc.byKey))
-	for k := range inc.byKey {
-		keys = append(keys, k)
-	}
-	return CommonIndexes(n, keys), nil
+	return inc.byKey.Indexes(n), nil
 }
 
 // Keys implements KeyLister, in save order: a record names its checkpoint
@@ -330,7 +316,7 @@ func (inc *Incremental) Delete(proc, cfgIndex, instance int) error {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	k := Key{proc, cfgIndex, instance}
-	pos, ok := inc.byKey[k]
+	pos, ok := inc.byKey.Get(k)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
@@ -339,7 +325,7 @@ func (inc *Incremental) Delete(proc, cfgIndex, instance int) error {
 		return fmt.Errorf("storage: incremental delete must be newest-first: record %d of %d", pos, len(p.chain))
 	}
 	p.truncate(pos)
-	delete(inc.byKey, k)
+	inc.byKey.Del(k)
 	return nil
 }
 
@@ -362,7 +348,7 @@ func (inc *Incremental) Tamper(proc, cfgIndex, instance int, mutate func(vars ma
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	k := Key{proc, cfgIndex, instance}
-	pos, ok := inc.byKey[k]
+	pos, ok := inc.byKey.Get(k)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
@@ -406,7 +392,7 @@ func (inc *Incremental) Scrub() (ScrubReport, error) {
 			if cut < 0 {
 				continue
 			}
-			delete(inc.byKey, r.key)
+			inc.byKey.Del(r.key)
 			if err != nil {
 				rep.Quarantined = append(rep.Quarantined, SnapshotRef{r.key, err.Error()})
 			} else {

@@ -269,14 +269,14 @@ func (d *diffRun) sameRecords() {
 		chain := d.flat.chainLocked(proc)
 		for pos := range chain {
 			f, r := &chain[pos], &d.ref.recs[proc][pos]
-			if f.crc != r.crc || f.delta != r.delta || d.flat.byKey[f.key] != pos {
+			if at, _ := d.flat.byKey.Get(f.key); f.crc != r.crc || f.delta != r.delta || at != pos {
 				d.fail("record %d of process %d (%s): crc %08x delta %v indexed at %d, reference crc %08x delta %v",
-					pos, proc, f.key, f.crc, f.delta, d.flat.byKey[f.key], r.crc, r.delta)
+					pos, proc, f.key, f.crc, f.delta, at, r.crc, r.delta)
 			}
 		}
 	}
-	if len(d.flat.byKey) != len(d.ref.byKey) {
-		d.fail("flat store indexes %d keys, reference %d", len(d.flat.byKey), len(d.ref.byKey))
+	if d.flat.byKey.n != len(d.ref.byKey) {
+		d.fail("flat store indexes %d keys, reference %d", d.flat.byKey.n, len(d.ref.byKey))
 	}
 }
 

@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Namespace is a per-job view of a shared Store. A fleet runs thousands of
 // jobs against one backing store; every job numbers its processes 0..n-1
@@ -111,15 +114,20 @@ func (ns *Namespace) Indexes(n int) ([]int, error) {
 	if n <= 0 || n > ns.nproc {
 		return nil, fmt.Errorf("storage: namespace Indexes(%d) outside job size %d", n, ns.nproc)
 	}
-	var keys []Key
+	var idx []int
 	for p := 0; p < n; p++ {
 		ks, err := Keys(ns.inner, p+ns.base)
 		if err != nil {
 			return nil, err
 		}
-		keys = append(keys, ks...)
+		start := len(idx) // this process's distinct indexes follow
+		for _, k := range ks {
+			idx = append(idx, k.CFGIndex)
+		}
+		slices.Sort(idx[start:])
+		idx = idx[:start+len(slices.Compact(idx[start:]))]
 	}
-	return CommonIndexes(n, keys), nil
+	return exactlyN(n, idx), nil
 }
 
 // Keys implements KeyLister in the job's own numbering and the backing

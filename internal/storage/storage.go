@@ -110,21 +110,11 @@ func SortNewestFirst(proc int, snaps []Snapshot) {
 // a key counts whether or not its snapshot still loads: finding that out is
 // the recovery ladder's job.
 func CommonIndexes(n int, keys []Key) []int {
-	procs := make(map[int]map[int]bool) // index -> processes holding it
+	var ix KeyIndex[struct{}]
 	for _, k := range keys {
-		if procs[k.CFGIndex] == nil {
-			procs[k.CFGIndex] = make(map[int]bool)
-		}
-		procs[k.CFGIndex][k.Proc] = true
+		ix.Put(k, struct{}{})
 	}
-	var out []int
-	for idx, ps := range procs {
-		if len(ps) == n {
-			out = append(out, idx)
-		}
-	}
-	sort.Ints(out)
-	return out
+	return ix.Indexes(n)
 }
 
 // Store is the stable-storage interface used by the runtime and the
@@ -263,23 +253,17 @@ func Keys(st Store, proc int) ([]Key, error) {
 // with its input, so Store.Save's borrow contract holds by construction.
 // Bodies live in per-process append-only arenas whose chunks are never
 // regrown or recycled, so a body's sub-slice stays valid while the index
-// names it. Delete drops the index entry only; the bytes go when no entry
-// refers to their chunk any more (a rollback discards a few bodies per
-// process, and a job's store is dropped whole).
+// names it. Delete drops (and zeroes) the index entry only; the bytes go
+// when no entry refers to their chunk any more (a rollback discards a few
+// bodies per process, and a job's store is dropped whole).
 type Memory struct {
-	mu    sync.Mutex
-	procs map[int]memProc
-	buf   []byte // scratch Save encodes into: the arena places a body by its size
+	mu     sync.Mutex
+	bodies KeyIndex[[]byte]    // each kept in its process's arena
+	arenas map[int]arena[byte] // by process
+	buf    []byte              // scratch Save encodes into: the arena places a body by its size
 }
 
-// memProc holds one process's checkpoints, so the per-process reads of one
-// job walk only that process's keys however many jobs share the store.
-type memProc struct {
-	bodies map[Key][]byte // each kept in the arena
-	arena[byte]
-}
-
-// arena is append-only memory for what a store retains of one process. Its
+// arena is append-only memory for what a store or its index retains. Its
 // chunks are never regrown or recycled — append would move everything kept
 // before — so what keep returns stays valid while something refers to it, and
 // a chunk goes when nothing refers into it any more.
@@ -333,29 +317,21 @@ func (m *Memory) Save(s Snapshot) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	k := s.Key()
-	mp := m.procs[k.Proc]
-	if _, ok := mp.bodies[k]; ok {
+	if _, ok := m.bodies.Get(k); ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, k)
 	}
-	if mp.bodies == nil {
-		if m.procs == nil {
-			m.procs = make(map[int]memProc)
-		}
-		mp.bodies = make(map[Key][]byte)
+	if m.arenas == nil {
+		m.arenas = make(map[int]arena[byte])
 	}
 	m.buf = AppendSnapshot(m.buf[:0], s)
-	mp.bodies[k] = mp.keep(arenaChunkMin, m.buf)
-	m.procs[k.Proc] = mp
+	a := m.arenas[k.Proc]
+	m.bodies.Put(k, a.keep(arenaChunkMin, m.buf))
+	m.arenas[k.Proc] = a
 	return nil
 }
 
-// decode reads back the checkpoint stored under k, or ErrNotFound. A body
-// that does not decode was damaged in memory after Save wrote it.
-func (mp memProc) decode(k Key) (Snapshot, error) {
-	body, ok := mp.bodies[k]
-	if !ok {
-		return Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, k)
-	}
+// decode reads back k's body, damaged in memory if it does not decode.
+func decode(k Key, body []byte) (Snapshot, error) {
 	s, err := DecodeSnapshot(body)
 	if err != nil {
 		return Snapshot{}, fmt.Errorf("%w: %s: %v", ErrCorrupt, k, err)
@@ -367,40 +343,40 @@ func (mp memProc) decode(k Key) (Snapshot, error) {
 func (m *Memory) Latest(proc, cfgIndex int) (Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	mp := m.procs[proc]
-	best, found := Key{}, false
-	for k := range mp.bodies {
-		if k.CFGIndex == cfgIndex && (!found || k.Instance > best.Instance) {
-			best, found = k, true
-		}
-	}
-	if !found {
+	instance, body, ok := m.bodies.Latest(proc, cfgIndex)
+	if !ok {
 		return Snapshot{}, fmt.Errorf("%w: proc=%d index=%d", ErrNotFound, proc, cfgIndex)
 	}
-	return mp.decode(best)
+	return decode(Key{proc, cfgIndex, instance}, body)
 }
 
 // Get implements Store.
 func (m *Memory) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.procs[proc].decode(Key{proc, cfgIndex, instance})
+	k := Key{proc, cfgIndex, instance}
+	body, ok := m.bodies.Get(k)
+	if !ok {
+		return Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, k)
+	}
+	return decode(k, body)
 }
 
 // List implements Store.
 func (m *Memory) List(proc int) ([]Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	mp := m.procs[proc]
-	out := make([]Snapshot, 0, len(mp.bodies))
-	for k := range mp.bodies {
-		s, err := mp.decode(k)
-		if err != nil {
-			return nil, err
-		}
+	out := make([]Snapshot, 0, m.bodies.LenProc(proc))
+	var err error
+	m.bodies.Range(proc, func(k Key, body []byte) bool {
+		var s Snapshot
+		s, err = decode(k, body)
 		out = append(out, s)
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	SortSnapshots(out)
 	return out, nil
 }
 
@@ -408,37 +384,23 @@ func (m *Memory) List(proc int) ([]Snapshot, error) {
 func (m *Memory) Indexes(n int) ([]int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var keys []Key
-	for _, mp := range m.procs {
-		for k := range mp.bodies {
-			keys = append(keys, k)
-		}
-	}
-	return CommonIndexes(n, keys), nil
+	return m.bodies.Indexes(n), nil
 }
 
 // Keys implements KeyLister.
 func (m *Memory) Keys(proc int) ([]Key, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	bodies := m.procs[proc].bodies
-	keys := make([]Key, 0, len(bodies))
-	for k := range bodies {
-		keys = append(keys, k)
-	}
-	return keys, nil
+	return m.bodies.Keys(proc), nil
 }
 
 // Delete implements Store.
 func (m *Memory) Delete(proc, cfgIndex, instance int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	k := Key{proc, cfgIndex, instance}
-	bodies := m.procs[proc].bodies
-	if _, ok := bodies[k]; !ok {
+	if k := (Key{proc, cfgIndex, instance}); !m.bodies.Del(k) {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
-	delete(bodies, k)
 	return nil
 }
 
@@ -446,9 +408,5 @@ func (m *Memory) Delete(proc, cfgIndex, instance int) error {
 func (m *Memory) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := 0
-	for _, mp := range m.procs {
-		n += len(mp.bodies)
-	}
-	return n
+	return m.bodies.n
 }

@@ -59,7 +59,7 @@ func TestMemoryConcurrentSaves(t *testing.T) {
 // A steady-state memory Save allocates nothing of its own: the body is
 // encoded into the store's scratch and copied into the process's arena.
 // What is left is amortized — a 16 KB chunk per ~250 of these bodies and
-// the index map's growth — and a chunk is never regrown: that would copy,
+// the index run's growth — and a chunk is never regrown: that would copy,
 // and pin, everything saved before.
 func TestMemorySaveSteadyStateAllocs(t *testing.T) {
 	m := NewMemory()
@@ -82,14 +82,15 @@ func TestMemorySaveSteadyStateAllocs(t *testing.T) {
 	if perSave > 0.1 {
 		t.Errorf("steady-state Save allocates %.3f objects amortized, want <= 0.1", perSave)
 	}
-	if c := cap(m.procs[0].chunk); c != arenaChunkMax {
+	if c := cap(m.arenas[0].chunk); c != arenaChunkMax {
 		t.Errorf("current chunk holds %d bytes after %d saves, want the %d cap", c, m.Len(), arenaChunkMax)
 	}
-	for k, body := range m.procs[0].bodies {
+	m.bodies.Range(0, func(k Key, body []byte) bool {
 		if cap(body) != len(body) {
 			t.Fatalf("%s: body has spare capacity %d, an append would reach its arena neighbour", k, cap(body)-len(body))
 		}
-	}
+		return true
+	})
 }
 
 // BenchmarkMemorySave measures Save alone: one snapshot value is lent over

@@ -237,13 +237,12 @@ func (w *Store) sealedDeadBytesLocked() int64 {
 	for _, seg := range w.segs[:len(w.segs)-1] {
 		total += w.sizes[seg]
 	}
-	for _, locs := range w.index {
-		for _, l := range locs {
-			if l.seg != activeSeg {
-				live += int64(l.size)
-			}
+	w.index.RangeAll(func(_ storage.Key, l loc) bool {
+		if l.seg != activeSeg {
+			live += int64(l.size) // a mark's size is 0
 		}
-	}
+		return true
+	})
 	return total - live
 }
 
@@ -271,52 +270,42 @@ func (w *Store) compactLocked(force bool) error {
 	activeSeg := w.segs[len(w.segs)-1]
 	newSeg := w.nextSeg
 
-	// Gather live records in sealed segments, in deterministic key order.
-	type liveRec struct {
+	// Gather the live records of the sealed segments and every quarantine
+	// mark, in deterministic key order.
+	type rec struct {
 		key storage.Key
 		l   loc
 	}
-	var lives []liveRec
-	for _, locs := range w.index {
-		for k, l := range locs {
-			if l.seg != activeSeg {
-				lives = append(lives, liveRec{k, l})
-			}
+	var recs []rec
+	w.index.RangeAll(func(k storage.Key, l loc) bool {
+		if l.mark() || l.seg != activeSeg {
+			recs = append(recs, rec{k, l})
 		}
-	}
-	sort.Slice(lives, func(i, j int) bool { return lives[i].key.Less(lives[j].key) })
-	var marks []storage.Key
-	for k := range w.corrupt {
-		marks = append(marks, k)
-	}
-	storage.SortKeys(marks)
+		return true
+	})
+	sort.Slice(recs, func(i, j int) bool { return recs[i].key.Less(recs[j].key) })
 
 	// Write the compacted segment: copy live frames verbatim (their CRC
-	// travels with them — compaction cannot launder corruption), then
-	// re-emit quarantine marks.
-	var (
-		buf     []byte
-		newLocs = make(map[storage.Key]loc, len(lives))
-	)
-	for _, lr := range lives {
-		f := w.files[lr.l.seg]
-		frame := make([]byte, lr.l.size)
-		if _, err := f.ReadAt(frame, lr.l.off); err != nil {
-			return fmt.Errorf("compact read %s: %w", lr.key, err)
-		}
-		if ev, _, ok := parseRecordAt(frame, 0); !ok || ev.key != lr.key {
+	// travels with them — compaction cannot launder corruption) and
+	// re-emit quarantine marks. copied keeps the copies' new places.
+	var buf []byte
+	copied := recs[:0]
+	for _, r := range recs {
+		if !r.l.mark() {
+			frame := make([]byte, r.l.size)
+			if _, err := w.files[r.l.seg].ReadAt(frame, r.l.off); err != nil {
+				return fmt.Errorf("compact read %s: %w", r.key, err)
+			}
+			if ev, _, ok := parseRecordAt(frame, 0); ok && ev.key == r.key {
+				copied = append(copied, rec{r.key, loc{seg: newSeg, off: int64(len(buf)), size: len(frame)}})
+				buf = append(buf, frame...)
+				continue
+			}
 			// Damaged since it was indexed (an injected flip): quarantine
 			// instead of copying garbage forward as a "valid" record.
-			w.corrupt[lr.key] = "crc mismatch at compaction"
-			w.index.del(lr.key)
-			marks = append(marks, lr.key)
-			continue
+			w.quarantineLocked(r.key, "crc mismatch at compaction")
 		}
-		newLocs[lr.key] = loc{seg: newSeg, off: int64(len(buf)), size: len(frame)}
-		buf = append(buf, frame...)
-	}
-	for _, k := range marks {
-		buf = appendFrame(buf, kindMark, k, []byte(w.corrupt[k]))
+		buf = appendFrame(buf, kindMark, r.key, []byte(w.corrupt[r.key]))
 	}
 
 	if ft := w.consult(OpSegCreate, len(buf)); ft.Kill != KillNone {
@@ -345,8 +334,8 @@ func (w *Store) compactLocked(force bool) error {
 	w.files[newSeg] = f
 	w.sizes[newSeg] = int64(len(buf))
 	w.nextSeg = newSeg + 1
-	for k, l := range newLocs {
-		w.index.put(k, l)
+	for _, r := range copied {
+		w.index.Put(r.key, r.l)
 	}
 	w.compactions.Add(1)
 

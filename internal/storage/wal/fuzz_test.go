@@ -81,12 +81,20 @@ func FuzzWALRecover(f *testing.F) {
 			w.mu.Lock()
 			indexed = make(map[storage.Key]bool)
 			quarantined = make(map[storage.Key]bool, len(w.corrupt))
-			for _, locs := range w.index {
-				for k := range locs {
+			// Invariant: the index's marks are exactly corrupt's keys.
+			w.index.RangeAll(func(k storage.Key, l loc) bool {
+				if _, why := w.corrupt[k]; why != l.mark() {
+					t.Errorf("key %+v: mark %v, reason kept %v", k, l.mark(), why)
+				}
+				if !l.mark() {
 					indexed[k] = true
 				}
-			}
+				return true
+			})
 			for k := range w.corrupt {
+				if l, ok := w.index.Get(k); !ok || !l.mark() {
+					t.Errorf("quarantined key %+v has no mark in the index", k)
+				}
 				quarantined[k] = true
 			}
 			w.mu.Unlock()

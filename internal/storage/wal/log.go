@@ -25,26 +25,6 @@ var reqPool = sync.Pool{New: func() any {
 	return &commitReq{frame: make([]byte, 0, 256), done: make(chan error, 1)}
 }}
 
-// keyIndex locates the live records, grouped by process: the reads of
-// one job walk only that job's keys, however many jobs the log has held.
-type keyIndex map[int]map[storage.Key]loc
-
-func (ix keyIndex) get(k storage.Key) (loc, bool) {
-	l, ok := ix[k.Proc][k]
-	return l, ok
-}
-
-func (ix keyIndex) put(k storage.Key, l loc) {
-	locs := ix[k.Proc]
-	if locs == nil {
-		locs = make(map[storage.Key]loc)
-		ix[k.Proc] = locs
-	}
-	locs[k] = l
-}
-
-func (ix keyIndex) del(k storage.Key) { delete(ix[k.Proc], k) }
-
 // staged is one accepted request of the batch being committed, and the
 // offset of its frame within the batch buffer.
 type staged struct {
@@ -176,11 +156,11 @@ func (w *Store) commit(batch []*commitReq) {
 		k := s.req.key
 		switch s.req.kind {
 		case kindPut:
-			w.index.put(k, loc{seg: seg, off: base + s.off, size: len(s.req.frame)})
+			w.index.Put(k, loc{seg: seg, off: base + s.off, size: len(s.req.frame)})
 			delete(w.corrupt, k)
 			w.saves.Add(1)
 		case kindTomb:
-			w.index.del(k)
+			w.index.Del(k)
 			delete(w.corrupt, k)
 		}
 		s.req.done <- nil
@@ -198,11 +178,10 @@ func (w *Store) commit(batch []*commitReq) {
 
 // validateLocked enforces Save/Delete semantics before bytes are staged.
 func (w *Store) validateLocked(r *commitReq, inBatch map[storage.Key]byte) error {
-	_, live := w.index.get(r.key)
-	_, marked := w.corrupt[r.key]
+	l, present := w.index.Get(r.key) // live or marked
+	live := present && !l.mark()
 	if k, ok := inBatch[r.key]; ok {
-		live = k == kindPut
-		marked = false
+		live, present = k == kindPut, k == kindPut
 	}
 	switch r.kind {
 	case kindPut:
@@ -213,7 +192,7 @@ func (w *Store) validateLocked(r *commitReq, inBatch map[storage.Key]byte) error
 			return fmt.Errorf("%w: %s", storage.ErrDuplicate, r.key)
 		}
 	case kindTomb:
-		if !live && !marked {
+		if !present {
 			return fmt.Errorf("%w: %s", storage.ErrNotFound, r.key)
 		}
 	}
@@ -266,10 +245,14 @@ func (w *Store) appendLocked(buf []byte, flipOK [][2]int) error {
 // fsyncFile is a seam for fsync-failure injection in tests.
 var fsyncFile = func(f *os.File) error { return f.Sync() }
 
-// readLocked loads and CRC-verifies the record at l. A record that fails
-// verification here was acknowledged and then damaged on media (an
-// injected bit flip): the key is quarantined on the spot.
+// readLocked loads and CRC-verifies the record at l, or fails ErrCorrupt
+// when l is a mark. A record that fails verification here was acknowledged
+// and then damaged on media (an injected bit flip): the key is quarantined
+// on the spot.
 func (w *Store) readLocked(k storage.Key, l loc) (storage.Snapshot, error) {
+	if l.mark() {
+		return storage.Snapshot{}, fmt.Errorf("%w: %s: %s", storage.ErrCorrupt, k, w.corrupt[k])
+	}
 	f := w.files[l.seg]
 	if f == nil {
 		return storage.Snapshot{}, fmt.Errorf("wal: %s: segment %d not open", k, l.seg)
@@ -285,8 +268,7 @@ func (w *Store) readLocked(k storage.Key, l loc) (storage.Snapshot, error) {
 	}
 	ev, _, ok := parseRecordAt(buf, 0)
 	if !ok || ev.kind != kindPut || ev.key != k {
-		w.corrupt[k] = "crc mismatch at read"
-		w.index.del(k)
+		w.quarantineLocked(k, "crc mismatch at read")
 		return storage.Snapshot{}, fmt.Errorf("%w: %s: record failed verification", storage.ErrCorrupt, k)
 	}
 	return decodeSnapshot(k, buf[frameHeader+payloadHead:])
@@ -369,22 +351,20 @@ func (w *Store) recoverSegment(seg uint64, last bool) error {
 		}
 		switch ev.kind {
 		case kindPut:
-			w.index.put(ev.key, loc{seg: seg, off: ev.off, size: ev.size})
+			w.index.Put(ev.key, loc{seg: seg, off: ev.off, size: ev.size})
 			delete(w.corrupt, ev.key)
 			w.recovered++
 		case kindTomb:
-			w.index.del(ev.key)
+			w.index.Del(ev.key)
 			delete(w.corrupt, ev.key)
 			w.recovered++
 		case kindMark:
-			w.corrupt[ev.key] = ev.reason
-			w.index.del(ev.key)
+			w.quarantineLocked(ev.key, ev.reason)
 			w.recovered++
 			w.quarOnOpen++
 		case kindCorruptRegion:
 			if ev.keyOK {
-				w.corrupt[ev.key] = ev.reason
-				w.index.del(ev.key)
+				w.quarantineLocked(ev.key, ev.reason)
 				w.quarOnOpen++
 			}
 		}

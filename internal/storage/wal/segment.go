@@ -37,12 +37,16 @@ const (
 	kindCorruptRegion = 0xFF
 )
 
-// loc names one frame inside the segment chain.
+// loc names one frame inside the segment chain. The zero loc, of size 0,
+// is no frame: it is a quarantine mark, an index entry for a key whose
+// record failed verification (the reason is in Store.corrupt).
 type loc struct {
 	seg  uint64
 	off  int64
 	size int // full frame size, header included
 }
+
+func (l loc) mark() bool { return l.size == 0 }
 
 // beginFrame appends the header space and the kind and key of one frame to
 // dst; the caller appends the body behind it and calls finishFrame.

@@ -111,8 +111,9 @@ type Store struct {
 	activeSize int64
 	syncedSize int64 // active bytes covered by the last successful fsync
 	nextSeg    uint64
-	// Index state.
-	index   keyIndex
+	// Index state: every live record and, as a mark (loc.mark), every
+	// quarantined key, whose reason corrupt keeps.
+	index   storage.KeyIndex[loc]
 	corrupt map[storage.Key]string
 	// readBuf is the frame buffer readLocked reuses.
 	readBuf []byte
@@ -155,7 +156,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		committerDone: make(chan struct{}),
 		files:         make(map[uint64]*os.File),
 		sizes:         make(map[uint64]int64),
-		index:         make(keyIndex),
 		corrupt:       make(map[storage.Key]string),
 		inBatch:       make(map[storage.Key]byte),
 	}
@@ -235,10 +235,7 @@ func (w *Store) Get(proc, cfgIndex, instance int) (storage.Snapshot, error) {
 	k := storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: instance}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if reason, marked := w.corrupt[k]; marked {
-		return storage.Snapshot{}, fmt.Errorf("%w: %s: %s", storage.ErrCorrupt, k, reason)
-	}
-	l, ok := w.index.get(k)
+	l, ok := w.index.Get(k)
 	if !ok {
 		return storage.Snapshot{}, fmt.Errorf("%w: %s", storage.ErrNotFound, k)
 	}
@@ -255,24 +252,11 @@ func (w *Store) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	best, bestLoc, bestCorrupt, found := storage.Key{}, loc{}, "", false
-	for k, l := range w.index[proc] {
-		if k.CFGIndex == cfgIndex && (!found || k.Instance > best.Instance) {
-			best, bestLoc, bestCorrupt, found = k, l, "", true
-		}
-	}
-	for k, reason := range w.corrupt {
-		if k.Proc == proc && k.CFGIndex == cfgIndex && (!found || k.Instance > best.Instance) {
-			best, bestCorrupt, found = k, reason, true
-		}
-	}
-	if !found {
+	instance, l, ok := w.index.Latest(proc, cfgIndex)
+	if !ok {
 		return storage.Snapshot{}, fmt.Errorf("%w: proc=%d index=%d", storage.ErrNotFound, proc, cfgIndex)
 	}
-	if bestCorrupt != "" {
-		return storage.Snapshot{}, fmt.Errorf("%w: %s: %s", storage.ErrCorrupt, best, bestCorrupt)
-	}
-	return w.readLocked(best, bestLoc)
+	return w.readLocked(storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: instance}, l)
 }
 
 // List implements storage.Store. It is strict the way the chaos wrapper
@@ -284,24 +268,16 @@ func (w *Store) List(proc int) ([]storage.Snapshot, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for k, reason := range w.corrupt {
-		if k.Proc == proc {
-			return nil, fmt.Errorf("%w: %s: %s", storage.ErrCorrupt, k, reason)
-		}
-	}
-	locs := w.index[proc]
-	keys := make([]storage.Key, 0, len(locs))
-	for k := range locs {
-		keys = append(keys, k)
-	}
-	storage.SortKeys(keys)
-	out := make([]storage.Snapshot, 0, len(keys))
-	for _, k := range keys {
-		s, err := w.readLocked(k, locs[k])
-		if err != nil {
-			return nil, err
-		}
+	out := make([]storage.Snapshot, 0, w.index.LenProc(proc))
+	var err error
+	w.index.Range(proc, func(k storage.Key, l loc) bool {
+		var s storage.Snapshot
+		s, err = w.readLocked(k, l)
 		out = append(out, s)
+		return err == nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -311,39 +287,29 @@ func (w *Store) List(proc int) ([]storage.Snapshot, error) {
 // out via ErrCorrupt when it tries to load one — mirroring how the chaos
 // wrapper's inner store keeps clean copies of marked keys.
 func (w *Store) Indexes(n int) ([]int, error) {
-	keys, err := w.keys(-1)
-	return storage.CommonIndexes(n, keys), err
-}
-
-// Keys implements storage.KeyLister from the in-memory index.
-func (w *Store) Keys(proc int) ([]storage.Key, error) { return w.keys(proc) }
-
-// keys lists the live and the quarantined keys of proc, or of every
-// process when proc < 0.
-func (w *Store) keys(proc int) ([]storage.Key, error) {
 	if err := w.checkAlive(); err != nil {
 		return nil, err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var keys []storage.Key
-	if proc >= 0 {
-		for k := range w.index[proc] {
-			keys = append(keys, k)
-		}
-	} else {
-		for _, locs := range w.index {
-			for k := range locs {
-				keys = append(keys, k)
-			}
-		}
+	return w.index.Indexes(n), nil
+}
+
+// Keys implements storage.KeyLister: proc's live and quarantined keys.
+func (w *Store) Keys(proc int) ([]storage.Key, error) {
+	if err := w.checkAlive(); err != nil {
+		return nil, err
 	}
-	for k := range w.corrupt {
-		if proc < 0 || k.Proc == proc {
-			keys = append(keys, k)
-		}
-	}
-	return keys, nil
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.index.Keys(proc), nil
+}
+
+// quarantineLocked makes k's index entry a mark, which every read fails
+// ErrCorrupt with reason until a put or a tombstone replaces it.
+func (w *Store) quarantineLocked(k storage.Key, reason string) {
+	w.corrupt[k] = reason
+	w.index.Put(k, loc{})
 }
 
 // Scrub implements storage.Scrubber: every quarantined key is durably
@@ -374,7 +340,7 @@ func (w *Store) Scrub() (storage.ScrubReport, error) {
 	for _, k := range keys {
 		rep.Quarantined = append(rep.Quarantined, storage.SnapshotRef{Key: k, Reason: w.corrupt[k]})
 		delete(w.corrupt, k)
-		w.index.del(k)
+		w.index.Del(k)
 	}
 	return rep, nil
 }

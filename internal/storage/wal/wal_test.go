@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -254,7 +255,7 @@ func TestInteriorCorruptionQuarantined(t *testing.T) {
 	}
 	var victim loc
 	w.mu.Lock()
-	victim, _ = w.index.get(key(0, 4, 0))
+	victim, _ = w.index.Get(key(0, 4, 0))
 	w.mu.Unlock()
 	w.Close()
 
@@ -325,7 +326,7 @@ func TestQuarantineMarkSurvivesReopen(t *testing.T) {
 	w2 := mustOpen(t, dir, Options{})
 	// Damage index 1's body on disk while the store is open.
 	w2.mu.Lock()
-	l, _ := w2.index.get(key(0, 1, 0))
+	l, _ := w2.index.Get(key(0, 1, 0))
 	f := w2.files[l.seg]
 	if _, err := f.WriteAt([]byte{0xFF}, l.off+frameHeader+payloadHead+2); err != nil {
 		w2.mu.Unlock()
@@ -568,4 +569,123 @@ func TestClosedStore(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatalf("double Close: %v", err)
 	}
+}
+
+// A quarantined key is still a key: Keys lists it and Indexes counts it,
+// while Latest and List, which would load it, fail ErrCorrupt — the last
+// even when other instances of its index are healthy, the index's only key
+// of its process included. A reopen rebuilds the mark from the damaged bytes
+// and a compaction re-emits it as a marker record; neither changes a read.
+func TestQuarantinedKeyReadsAcrossReopenAndCompaction(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{MaxSegmentBytes: 2 << 10, NoAutoCompact: true}
+	w := mustOpen(t, dir, opts)
+	var want [2][]storage.Key
+	for p := 0; p < 2; p++ {
+		for idx := 1; idx <= 3; idx++ {
+			for inst := 0; inst < 3 && (idx < 3 || inst == 0); inst++ {
+				if err := w.Save(snap(p, idx, inst)); err != nil {
+					t.Fatal(err)
+				}
+				want[p] = append(want[p], key(p, idx, inst))
+			}
+		}
+	}
+	rotted := []storage.Key{key(0, 1, 2), key(1, 3, 0)} // a run's tail; a run's only key
+	for _, k := range rotted {
+		w.mu.Lock()
+		l, _ := w.index.Get(k)
+		_, err := w.files[l.seg].WriteAt([]byte{0xFF}, l.off+frameHeader+payloadHead+2)
+		w.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Get(k.Proc, k.CFGIndex, k.Instance); !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("Get rotted %s = %v, want ErrCorrupt", k, err)
+		}
+	}
+	check := func(w *Store, when string) {
+		t.Helper()
+		for _, k := range rotted {
+			if _, err := w.Latest(k.Proc, k.CFGIndex); !errors.Is(err, storage.ErrCorrupt) {
+				t.Errorf("%s: Latest(%d, %d) = %v, want ErrCorrupt", when, k.Proc, k.CFGIndex, err)
+			}
+			if _, err := w.List(k.Proc); !errors.Is(err, storage.ErrCorrupt) {
+				t.Errorf("%s: List(%d) = %v, want ErrCorrupt", when, k.Proc, err)
+			}
+		}
+		if s, err := w.Latest(0, 2); err != nil || s.Instance != 2 {
+			t.Errorf("%s: Latest(0, 2) = %+v, %v; want instance 2", when, s.Key(), err)
+		}
+		if s, err := w.Get(0, 1, 1); err != nil || s.Vars["x"] != 11 {
+			t.Errorf("%s: Get(0, 1, 1) = %+v, %v", when, s, err)
+		}
+		for p := range want {
+			keys, err := w.Keys(p)
+			storage.SortKeys(keys)
+			if err != nil || !reflect.DeepEqual(keys, want[p]) {
+				t.Errorf("%s: Keys(%d) = %v, %v; want %v", when, p, keys, err, want[p])
+			}
+		}
+		if idx, err := w.Indexes(2); err != nil || !reflect.DeepEqual(idx, []int{1, 2, 3}) {
+			t.Errorf("%s: Indexes(2) = %v, %v; want [1 2 3]", when, idx, err)
+		}
+	}
+	check(w, "quarantined at read")
+	w.Close()
+	w = mustOpen(t, dir, opts)
+	check(w, "after reopen")
+
+	for i := 0; w.Stats().Rotations == 0; i++ {
+		if err := w.Save(snap(9, 7, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Compact(); err != nil || w.Stats().Compactions != 1 {
+		t.Fatalf("Compact: %v, %d compactions", err, w.Stats().Compactions)
+	}
+	check(w, "after compaction")
+	w.Close()
+	check(mustOpen(t, dir, opts), "after compaction and reopen")
+}
+
+// What the index retains per key of a long-lived log: 400 processes × 72
+// checkpoints (two indexes × 36 instances, saved instance by instance as
+// runs save them), replayed by Open. A run of entries in instance order
+// keeps a key in 32 bytes plus its slice's growth room; the per-process maps
+// of keys it replaced kept 90.6.
+func TestWALIndexRetainedBytesAlloc(t *testing.T) {
+	const procs, indexes, instances = 400, 2, 36
+	dir := t.TempDir()
+	w := mustOpen(t, dir, Options{})
+	w.Close()
+	var seg []byte
+	for inst := 0; inst < instances; inst++ {
+		for idx := 1; idx <= indexes; idx++ {
+			for p := 0; p < procs; p++ {
+				seg = appendFrame(seg, kindPut, key(p, idx, inst), []byte("body"))
+			}
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "log-0.seg"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seg = nil
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w = mustOpen(t, dir, Options{})
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	keys, indexed := procs*indexes*instances, 0
+	w.index.RangeAll(func(storage.Key, loc) bool { indexed++; return true })
+	if indexed != keys {
+		t.Fatalf("Open indexed %d keys, want %d", indexed, keys)
+	}
+	perKey := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(keys)
+	t.Logf("%d keys retain %.1f B each", keys, perKey)
+	if perKey > 64 {
+		t.Errorf("the index retains %.1f B per key, want <= 64", perKey)
+	}
+	runtime.KeepAlive(w)
 }

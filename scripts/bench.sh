@@ -97,10 +97,12 @@ run_set fleet \
 # uncontended save latency, the liveness-pruned vs full-environment
 # payload/latency comparison on all three kinds from one lent snapshot
 # (memory and wal must stay 0 allocs/op), the snapshot codec alone (encode
-# into a reused buffer, decode), and one job's rollback on a WAL holding 1k
-# vs 64k checkpoints of other jobs (the ratio must stay within 2×).
+# into a reused buffer, decode), one job's rollback on a WAL holding 1k
+# vs 64k checkpoints of other jobs (the ratio must stay within 2×), and
+# Latest on one process holding 1k vs 16k instances on all three kinds
+# (ns/op must not grow with the count).
 run_set store \
-    'BenchmarkStoreAggregateSave|BenchmarkStoreSingleSave|BenchmarkSaveBytesPruned|BenchmarkSnapshotCodec|BenchmarkWALSelectLongLog' \
+    'BenchmarkStoreAggregateSave|BenchmarkStoreSingleSave|BenchmarkSaveBytesPruned|BenchmarkSnapshotCodec|BenchmarkWALSelectLongLog|BenchmarkStoreLatestLongLog' \
     BENCH_store.json \
     . ./internal/storage/
 

@@ -192,3 +192,39 @@ func BenchmarkWALSelectLongLog(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStoreLatestLongLog measures Latest on one process holding 1k or
+// 16k instances of one index, on every store kind. The index keeps each
+// (process, index) run in instance order and Latest reads its tail, so
+// ns/op must not grow with the instance count; before, every store walked
+// every key of the process.
+func BenchmarkStoreLatestLongLog(b *testing.B) {
+	for _, kind := range storeKinds {
+		for _, instances := range []int{1 << 10, 16 << 10} {
+			b.Run(fmt.Sprintf("%s/instances=%dk", kind, instances>>10), func(b *testing.B) {
+				st := openTestStore(b, kind, 8, wal.Options{})
+				// 16 savers, so that group commit carries the WAL's set-up.
+				var wg sync.WaitGroup
+				for g := 0; g < 16; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := g; i < instances; i += 16 {
+							if err := st.Save(benchSnap(0, i)); err != nil {
+								b.Error(err)
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if s, err := st.Latest(0, 1); err != nil || s.Instance != instances-1 {
+						b.Fatalf("Latest = %s, %v", s.Key(), err)
+					}
+				}
+			})
+		}
+	}
+}
