@@ -28,7 +28,7 @@ func BenchmarkFigure8(b *testing.B) {
 	var pts []markov.Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = markov.Figure8(markov.PaperBaseline, markov.DefaultFigure8Ns())
+		pts, err = markov.Figure8Workers(markov.PaperBaseline, markov.DefaultFigure8Ns(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func BenchmarkFigure9(b *testing.B) {
 	var pts []markov.Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = markov.Figure9(markov.PaperBaseline, 64, markov.DefaultFigure9WMs())
+		pts, err = markov.Figure9Workers(markov.PaperBaseline, 64, markov.DefaultFigure9WMs(), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func BenchmarkMonteCarloValidation(b *testing.B) {
 	var rows []montecarlo.ValidationRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = montecarlo.ValidateFigure8(base, []int{2, 64}, 20000, 1)
+		rows, err = montecarlo.ValidateFigure8Workers(base, []int{2, 64}, 20000, 1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

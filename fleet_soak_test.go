@@ -167,7 +167,7 @@ func TestFleetSoak(t *testing.T) {
 		if rep.Breaker.Opened == 0 {
 			t.Fatalf("breaker never opened through the brownout:\n%s", rep)
 		}
-		if got := e.Breaker().State(); got != fleet.StateClosed {
+		if got := rep.Breaker.State; got != fleet.StateClosed {
 			t.Fatalf("breaker state = %d after the store healed, want closed (half-open recovery)\n%s", got, rep)
 		}
 		if rep.Buckets[fleet.BucketSucceeded] == 0 {

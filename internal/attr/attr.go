@@ -168,40 +168,6 @@ func (s Solver) CanMatch(sendPath Predicate, dest Param, recvPath Predicate, src
 	return false
 }
 
-// Satisfiable reports whether the predicate holds for at least one
-// (rank, n) within bounds.
-func (s Solver) Satisfiable(pr Predicate) bool {
-	lo, hi := s.bounds()
-	for n := lo; n <= hi; n++ {
-		for p := 0; p < n; p++ {
-			if pr.HoldsAt(p, n) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// CoSatisfiable reports whether two predicates can hold simultaneously at
-// two DISTINCT ranks of the same execution — the paper's "different paths"
-// feasibility check for two processes.
-func (s Solver) CoSatisfiable(a, b Predicate) bool {
-	lo, hi := s.bounds()
-	for n := lo; n <= hi; n++ {
-		for p := 0; p < n; p++ {
-			if !a.HoldsAt(p, n) {
-				continue
-			}
-			for q := 0; q < n; q++ {
-				if q != p && b.HoldsAt(q, n) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // Validate checks that predicate constraints and parameters are closed
 // (mention only rank/nproc and literals); analysis code uses it to guard
 // against passing unresolved expressions into the solver.

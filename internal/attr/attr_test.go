@@ -145,35 +145,9 @@ func TestCanMatchOutOfRangeDest(t *testing.T) {
 	}
 }
 
-func TestSatisfiable(t *testing.T) {
-	s := DefaultSolver
-	if !s.Satisfiable(Predicate{even()}) {
-		t.Error("even ranks exist")
-	}
-	never := Predicate{even(), odd()}
-	if s.Satisfiable(never) {
-		t.Error("even && odd is unsatisfiable")
-	}
-}
-
-func TestCoSatisfiable(t *testing.T) {
-	s := DefaultSolver
-	if !s.CoSatisfiable(Predicate{even()}, Predicate{odd()}) {
-		t.Error("even and odd ranks coexist")
-	}
-	// rank==0 for both processes: cannot hold at two distinct ranks.
-	zero := Predicate{{Cond: mpl.Eq(mpl.Rank(), mpl.Int(0)), Want: true}}
-	if s.CoSatisfiable(zero, zero) {
-		t.Error("rank==0 twice cannot co-hold")
-	}
-	if !s.CoSatisfiable(zero, Predicate{odd()}) {
-		t.Error("rank 0 and an odd rank coexist")
-	}
-}
-
 func TestSolverBoundsDefaults(t *testing.T) {
 	var s Solver // zero value: bounds default sensibly
-	if !s.Satisfiable(nil) {
+	if !s.CanMatch(nil, WildcardParam, nil, WildcardParam) {
 		t.Error("zero-value solver should work")
 	}
 	lo, hi := s.bounds()

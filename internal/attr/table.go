@@ -57,17 +57,6 @@ func (t *Table) valRow(i int) []int8 {
 	return t.val[off : off+n]
 }
 
-// Table precomputes pr and param over the solver's bounds. It returns nil
-// when the bounds exceed the 64-rank bitmask representation (MaxProcs >
-// 64); callers fall back to CanMatch.
-func (s Solver) Table(pr Predicate, param Param) *Table {
-	ts := s.Tables([]Predicate{pr}, []Param{param}, []int{0})
-	if ts == nil {
-		return nil
-	}
-	return &ts[0]
-}
-
 // Tables precomputes one Table per entry of nodes, for the pair
 // (prs[nodes[i]], params[nodes[i]]) — the matcher's batch, one table per
 // communication node. Equal predicates share one set of hold masks and

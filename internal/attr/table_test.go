@@ -100,11 +100,21 @@ func tableEquivalenceBatch(t *testing.T) {
 	}
 }
 
+// table is the Table of one (predicate, parameter) pair, nil where Tables
+// declines the bounds.
+func table(s Solver, pr Predicate, param Param) *Table {
+	ts := s.Tables([]Predicate{pr}, []Param{param}, []int{0})
+	if ts == nil {
+		return nil
+	}
+	return &ts[0]
+}
+
 func checkTables(t *testing.T, s Solver, sendPath Predicate, dest Param, recvPath Predicate, src Param) {
 	t.Helper()
 	want := s.CanMatch(sendPath, dest, recvPath, src)
-	st := s.Table(sendPath, dest)
-	rt := s.Table(recvPath, src)
+	st := table(s, sendPath, dest)
+	rt := table(s, recvPath, src)
 	if st == nil || rt == nil {
 		t.Fatal("Table returned nil within 64-rank bounds")
 	}
@@ -164,7 +174,7 @@ func tableEquivalenceOffRange(t *testing.T) {
 	if DefaultSolver.CanMatch(only0, params[1], nil, WildcardParam) {
 		t.Fatal("CanMatch lets rank 0 send to rank -1")
 	}
-	if CanMatchTables(DefaultSolver.Table(only0, params[1]), DefaultSolver.Table(nil, WildcardParam)) {
+	if CanMatchTables(table(DefaultSolver, only0, params[1]), table(DefaultSolver, nil, WildcardParam)) {
 		t.Error("CanMatchTables lets rank 0 send to rank -1: never was folded into no-equation")
 	}
 }
@@ -172,10 +182,10 @@ func tableEquivalenceOffRange(t *testing.T) {
 // TestTableWideBoundsFallback pins the nil fallback above 64 ranks.
 func TestTableWideBoundsFallback(t *testing.T) {
 	s := Solver{MinProcs: 2, MaxProcs: 65}
-	if s.Table(nil, WildcardParam) != nil {
-		t.Error("Table should decline MaxProcs > 64")
+	if table(s, nil, WildcardParam) != nil {
+		t.Error("Tables should decline MaxProcs > 64")
 	}
-	if s64 := (Solver{MinProcs: 2, MaxProcs: 64}); s64.Table(nil, WildcardParam) == nil {
-		t.Error("Table should accept MaxProcs = 64")
+	if table(Solver{MinProcs: 2, MaxProcs: 64}, nil, WildcardParam) == nil {
+		t.Error("Tables should accept MaxProcs = 64")
 	}
 }

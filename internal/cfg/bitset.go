@@ -3,7 +3,7 @@ package cfg
 import "math/bits"
 
 // Bitset is a fixed-capacity bit set used by the graph analyses
-// (dominators, reachability, loop membership).
+// (dominators, liveness, the extended graph's closures).
 type Bitset []uint64
 
 // NewBitset returns a bitset able to hold n bits.
@@ -14,18 +14,8 @@ func NewBitset(n int) Bitset {
 // Set sets bit i.
 func (b Bitset) Set(i int) { b[i/64] |= 1 << (uint(i) % 64) }
 
-// Clear clears bit i.
-func (b Bitset) Clear(i int) { b[i/64] &^= 1 << (uint(i) % 64) }
-
 // Has reports whether bit i is set.
 func (b Bitset) Has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-
-// Clone copies the bitset.
-func (b Bitset) Clone() Bitset {
-	c := make(Bitset, len(b))
-	copy(c, b)
-	return c
-}
 
 // CopyFrom overwrites b with the contents of o. The two sets must have the
 // same capacity.
@@ -83,14 +73,9 @@ func (b Bitset) Count() int {
 	return n
 }
 
-// Members returns the indexes of all set bits in ascending order.
-func (b Bitset) Members() []int {
-	return b.AppendMembers(make([]int, 0, b.Count()))
-}
-
 // AppendMembers appends the indexes of all set bits in ascending order to
-// dst and returns the extended slice — the allocation-free variant of
-// Members for callers that own a reusable buffer (pass dst[:0]).
+// dst and returns the extended slice; callers that own a reusable buffer
+// pass dst[:0] and allocate nothing.
 func (b Bitset) AppendMembers(dst []int) []int {
 	for i, w := range b {
 		for w != 0 {

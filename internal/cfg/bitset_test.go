@@ -18,9 +18,11 @@ func TestBitsetCount(t *testing.T) {
 	if got := b.Count(); got != len(want) {
 		t.Errorf("Count = %d, want %d", got, len(want))
 	}
-	b.Clear(64)
+	drop := NewBitset(200)
+	drop.Set(64)
+	b.AndNotWith(drop)
 	if got := b.Count(); got != len(want)-1 {
-		t.Errorf("Count after Clear = %d, want %d", got, len(want)-1)
+		t.Errorf("Count after AndNotWith = %d, want %d", got, len(want)-1)
 	}
 }
 
@@ -30,8 +32,8 @@ func TestBitsetAppendMembers(t *testing.T) {
 	for _, i := range want {
 		b.Set(i)
 	}
-	if got := b.Members(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Members = %v, want %v", got, want)
+	if got := b.AppendMembers(nil); !reflect.DeepEqual(got, want) {
+		t.Errorf("AppendMembers(nil) = %v, want %v", got, want)
 	}
 	// Append-into-caller-buffer variant: reusing the same backing array
 	// must not allocate and must produce identical contents.
@@ -64,11 +66,11 @@ func TestBitsetCopyFromZero(t *testing.T) {
 	b.Set(7)
 	b.CopyFrom(a)
 	if !b.Equal(a) {
-		t.Errorf("CopyFrom: %v != %v", b.Members(), a.Members())
+		t.Errorf("CopyFrom: %v != %v", b.AppendMembers(nil), a.AppendMembers(nil))
 	}
 	b.Zero()
 	if b.Count() != 0 {
-		t.Errorf("Zero left %v set", b.Members())
+		t.Errorf("Zero left %v set", b.AppendMembers(nil))
 	}
 	if len(b) != len(a) {
 		t.Error("Zero changed capacity")
@@ -78,7 +80,7 @@ func TestBitsetCopyFromZero(t *testing.T) {
 func TestBitsetRandomAgainstMap(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	const n = 300
-	b := NewBitset(n)
+	b, one := NewBitset(n), NewBitset(n)
 	ref := map[int]bool{}
 	for op := 0; op < 2000; op++ {
 		i := r.Intn(n)
@@ -86,14 +88,16 @@ func TestBitsetRandomAgainstMap(t *testing.T) {
 			b.Set(i)
 			ref[i] = true
 		} else {
-			b.Clear(i)
+			one.Zero()
+			one.Set(i)
+			b.AndNotWith(one)
 			delete(ref, i)
 		}
 	}
 	if b.Count() != len(ref) {
 		t.Fatalf("Count = %d, want %d", b.Count(), len(ref))
 	}
-	for _, m := range b.Members() {
+	for _, m := range b.AppendMembers(nil) {
 		if !ref[m] {
 			t.Fatalf("spurious member %d", m)
 		}
@@ -109,7 +113,7 @@ func TestArenaReuse(t *testing.T) {
 	a.Reset()
 	b2 := a.Bits(100)
 	if b2.Count() != 0 {
-		t.Errorf("arena bitset not zeroed after Reset: %v", b2.Members())
+		t.Errorf("arena bitset not zeroed after Reset: %v", b2.AppendMembers(nil))
 	}
 	i2 := a.Ints(10)
 	if i2[0] != 0 {

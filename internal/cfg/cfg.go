@@ -7,8 +7,8 @@
 // reflects program order.
 //
 // The package provides the standard analyses the paper relies on:
-// dominators, backward-edge detection (loops), reachability and path
-// extraction, and enumeration of checkpoint indexes (the C_i of §2).
+// dominators, backward-edge detection (loops), and enumeration of
+// checkpoint indexes (the C_i of §2).
 // What a structured program makes a matter of reading the AST — which edges
 // are backward, which statements dominate which — is read off it (Edge.Back,
 // DomChain); the dominator sets stay as the independent derivation.
@@ -150,22 +150,6 @@ func (g *Graph) Succs(id int) []Edge { return g.succs[g.succOff[id]:g.succOff[id
 // Preds returns the edges entering node id. The returned slice is shared —
 // callers must not modify it.
 func (g *Graph) Preds(id int) []Edge { return g.preds[g.predOff[id]:g.predOff[id+1]] }
-
-// NodesOfKind returns the ids of all nodes with the given kind, in id order.
-func (g *Graph) NodesOfKind(kind NodeKind) []int {
-	return g.AppendNodesOfKind(kind, nil)
-}
-
-// AppendNodesOfKind appends the ids of all nodes with the given kind, in id
-// order, to dst — the allocation-free variant of NodesOfKind.
-func (g *Graph) AppendNodesOfKind(kind NodeKind, dst []int) []int {
-	for _, n := range g.Nodes {
-		if n.Kind == kind {
-			dst = append(dst, n.ID)
-		}
-	}
-	return dst
-}
 
 // builder state for Build. Nodes are carved from one slab sized to the
 // statement count (every statement yields exactly one node, plus
@@ -480,96 +464,4 @@ func DomChain(dst []mpl.Stmt, body []mpl.Stmt, target int) ([]mpl.Stmt, bool) {
 		}
 	}
 	return dst[:mark], false
-}
-
-// NaturalLoop returns the node set of the natural loop of back edge ⟨a,b⟩:
-// all nodes that can reach a without passing through b, plus b.
-func (g *Graph) NaturalLoop(back Edge) Bitset {
-	loop := NewBitset(len(g.Nodes))
-	loop.Set(back.To)
-	stack := []int{back.From}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if loop.Has(v) {
-			continue
-		}
-		loop.Set(v)
-		for _, e := range g.Preds(v) {
-			stack = append(stack, e.From)
-		}
-	}
-	return loop
-}
-
-// Reachable returns the bitset of nodes reachable from start via control
-// edges (including start itself).
-func (g *Graph) Reachable(start int) Bitset {
-	seen := NewBitset(len(g.Nodes))
-	stack := []int{start}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen.Has(v) {
-			continue
-		}
-		seen.Set(v)
-		for _, e := range g.Succs(v) {
-			if !seen.Has(e.To) {
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return seen
-}
-
-// PathExists reports whether a control path from a to b exists (a path of
-// length zero counts: PathExists(x, x) is true).
-func (g *Graph) PathExists(a, b int) bool {
-	return g.Reachable(a).Has(b)
-}
-
-// FindPath returns one shortest control path from a to b as a node id
-// sequence, or nil when none exists.
-func (g *Graph) FindPath(a, b int) []int {
-	if a == b {
-		return []int{a}
-	}
-	prev := make([]int, len(g.Nodes))
-	for i := range prev {
-		prev[i] = -1
-	}
-	queue := []int{a}
-	seen := NewBitset(len(g.Nodes))
-	seen.Set(a)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, e := range g.Succs(v) {
-			if seen.Has(e.To) {
-				continue
-			}
-			seen.Set(e.To)
-			prev[e.To] = v
-			if e.To == b {
-				var path []int
-				for x := b; x != -1; x = prev[x] {
-					path = append(path, x)
-					if x == a {
-						break
-					}
-				}
-				reverse(path)
-				return path
-			}
-			queue = append(queue, e.To)
-		}
-	}
-	return nil
-}
-
-func reverse(a []int) {
-	for i, j := 0, len(a)-1; i < j; i, j = i+1, j-1 {
-		a[i], a[j] = a[j], a[i]
-	}
 }

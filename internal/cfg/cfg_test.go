@@ -28,6 +28,42 @@ func mustBuild(t *testing.T, p *mpl.Program) *Graph {
 	return g
 }
 
+func nodesOfKind(g *Graph, kind NodeKind) []int {
+	var ids []int
+	for _, n := range g.Nodes {
+		if n.Kind == kind {
+			ids = append(ids, n.ID)
+		}
+	}
+	return ids
+}
+
+// reach returns the nodes reachable from start, start included: along
+// successor edges, or along predecessor edges when backward is set.
+func reach(g *Graph, start int, backward bool) Bitset {
+	seen := NewBitset(len(g.Nodes))
+	seen.Set(start)
+	for stack := []int{start}; len(stack) > 0; {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		edges := g.Succs(v)
+		if backward {
+			edges = g.Preds(v)
+		}
+		for _, e := range edges {
+			w := e.To
+			if backward {
+				w = e.From
+			}
+			if !seen.Has(w) {
+				seen.Set(w)
+				stack = append(stack, w)
+			}
+		}
+	}
+	return seen
+}
+
 func TestBuildStraightLine(t *testing.T) {
 	p := mustParse(t, `
 program straight
@@ -71,7 +107,7 @@ proc {
 }
 `)
 	g := mustBuild(t, p)
-	branches := g.NodesOfKind(KindBranch)
+	branches := nodesOfKind(g, KindBranch)
 	if len(branches) != 1 {
 		t.Fatalf("branches = %v", branches)
 	}
@@ -95,11 +131,6 @@ proc {
 	if len(backs) != 1 || backs[0].To != w {
 		t.Fatalf("back edges = %v, want one into node %d", backs, w)
 	}
-	// The natural loop contains the header and the body compute node.
-	loop := g.NaturalLoop(backs[0])
-	if !loop.Has(w) || loop.Count() != 2 {
-		t.Errorf("natural loop = %v", loop.Members())
-	}
 }
 
 func TestBuildIfElse(t *testing.T) {
@@ -116,7 +147,7 @@ proc {
 }
 `)
 	g := mustBuild(t, p)
-	br := g.NodesOfKind(KindBranch)[0]
+	br := nodesOfKind(g, KindBranch)[0]
 	var thenTo, elseTo int
 	for _, e := range g.Succs(br) {
 		switch e.Kind {
@@ -133,7 +164,7 @@ proc {
 		t.Errorf("else target = %v", g.Nodes[elseTo].Kind)
 	}
 	// Both branches join at the final compute.
-	joins := g.NodesOfKind(KindCompute)
+	joins := nodesOfKind(g, KindCompute)
 	join := joins[len(joins)-1]
 	if len(g.Preds(join)) != 2 {
 		t.Errorf("join preds = %d, want 2", len(g.Preds(join)))
@@ -155,7 +186,7 @@ proc {
 }
 `)
 	g := mustBuild(t, p)
-	br := g.NodesOfKind(KindBranch)[0]
+	br := nodesOfKind(g, KindBranch)[0]
 	// False edge goes directly to the statement after the if.
 	var falseTo int
 	for _, e := range g.Succs(br) {
@@ -199,7 +230,7 @@ func TestDominators(t *testing.T) {
 	if whileID < 0 {
 		t.Fatal("no while node")
 	}
-	for _, c := range g.NodesOfKind(KindChkpt) {
+	for _, c := range nodesOfKind(g, KindChkpt) {
 		if !Dominates(dom, whileID, c) {
 			t.Errorf("while does not dominate checkpoint node %d", c)
 		}
@@ -221,46 +252,6 @@ func TestDominators(t *testing.T) {
 	}
 	if Dominates(dom, thenFirst, g.Exit) {
 		t.Error("then-branch node should not dominate exit")
-	}
-}
-
-func TestReachabilityAndPaths(t *testing.T) {
-	p := corpus.JacobiFig1(2)
-	g := mustBuild(t, p)
-	if !g.PathExists(g.Entry, g.Exit) {
-		t.Fatal("exit unreachable from entry")
-	}
-	if g.PathExists(g.Exit, g.Entry) {
-		t.Fatal("entry reachable from exit")
-	}
-	path := g.FindPath(g.Entry, g.Exit)
-	if path == nil || path[0] != g.Entry || path[len(path)-1] != g.Exit {
-		t.Fatalf("FindPath = %v", path)
-	}
-	// Consecutive path nodes must be connected by an edge.
-	for i := 0; i+1 < len(path); i++ {
-		found := false
-		for _, e := range g.Succs(path[i]) {
-			if e.To == path[i+1] {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("path step %d->%d has no edge", path[i], path[i+1])
-		}
-	}
-	if g.FindPath(g.Exit, g.Entry) != nil {
-		t.Error("FindPath backwards should be nil")
-	}
-	if got := g.FindPath(g.Entry, g.Entry); len(got) != 1 {
-		t.Errorf("trivial path = %v", got)
-	}
-	// Inside the loop, the checkpoint can reach itself through the back
-	// edge (path length > 1 via the loop).
-	chk := g.NodesOfKind(KindChkpt)[0]
-	reach := g.Reachable(chk)
-	if !reach.Has(chk) {
-		t.Error("checkpoint should reach itself via the loop")
 	}
 }
 
@@ -292,18 +283,19 @@ func TestEnumerateJacobiFig2BothBranchesIndex1(t *testing.T) {
 	if enum.Count != 1 {
 		t.Fatalf("Count = %d, want 1", enum.Count)
 	}
-	ids := enum.ByIndex(1)
+	var ids []int
+	for id, idx := range enum.Index {
+		if idx == 1 {
+			ids = append(ids, id)
+		}
+	}
 	if len(ids) != 2 {
 		t.Fatalf("S_1 = %v, want two checkpoint statements", ids)
 	}
 	g := mustBuild(t, p)
-	byIdx := EnumerateGraph(g, enum)
-	if len(byIdx[1]) != 2 {
-		t.Fatalf("EnumerateGraph S_1 = %v", byIdx[1])
-	}
-	for _, nid := range byIdx[1] {
-		if g.Nodes[nid].Kind != KindChkpt {
-			t.Errorf("node %d kind = %v", nid, g.Nodes[nid].Kind)
+	for _, nid := range nodesOfKind(g, KindChkpt) {
+		if idx, ok := enum.Index[g.Nodes[nid].Stmt.ID()]; !ok || idx != 1 {
+			t.Errorf("checkpoint node %d: index %d (enumerated %v), want 1", nid, idx, ok)
 		}
 	}
 }
@@ -407,7 +399,8 @@ func TestBuildAllCorpus(t *testing.T) {
 			if g.Nodes[g.Entry].Kind != KindEntry || g.Nodes[g.Exit].Kind != KindExit {
 				t.Fatal("entry/exit malformed")
 			}
-			if !g.PathExists(g.Entry, g.Exit) {
+			fromEntry, toExit := reach(g, g.Entry, false), reach(g, g.Exit, true)
+			if !fromEntry.Has(g.Exit) {
 				t.Fatal("exit unreachable")
 			}
 			if len(g.Preds(g.Entry)) != 0 {
@@ -417,12 +410,11 @@ func TestBuildAllCorpus(t *testing.T) {
 				t.Error("exit has successors")
 			}
 			// Every node reachable from entry; every node reaches exit.
-			reach := g.Reachable(g.Entry)
 			for _, n := range g.Nodes {
-				if !reach.Has(n.ID) {
+				if !fromEntry.Has(n.ID) {
 					t.Errorf("node %d (%s) unreachable", n.ID, n.Label())
 				}
-				if !g.PathExists(n.ID, g.Exit) {
+				if !toExit.Has(n.ID) {
 					t.Errorf("node %d (%s) cannot reach exit", n.ID, n.Label())
 				}
 			}
@@ -527,23 +519,14 @@ func TestBitset(t *testing.T) {
 	if b.Count() != 3 {
 		t.Fatalf("Count = %d", b.Count())
 	}
-	members := b.Members()
+	members := b.AppendMembers(nil)
 	if len(members) != 3 || members[0] != 0 || members[1] != 64 || members[2] != 129 {
-		t.Fatalf("Members = %v", members)
-	}
-	b.Clear(64)
-	if b.Has(64) || b.Count() != 2 {
-		t.Fatal("clear broken")
-	}
-	c := b.Clone()
-	c.Set(5)
-	if b.Has(5) {
-		t.Fatal("clone aliased")
+		t.Fatalf("AppendMembers(nil) = %v", members)
 	}
 	o := NewBitset(130)
 	o.Set(0)
 	b.IntersectWith(o)
-	if !b.Has(0) || b.Has(129) {
+	if !b.Has(0) || b.Has(64) || b.Has(129) {
 		t.Fatal("intersect broken")
 	}
 	o.Set(7)
@@ -552,7 +535,7 @@ func TestBitset(t *testing.T) {
 		t.Fatal("union broken")
 	}
 	if !b.Equal(o) {
-		t.Fatalf("Equal broken: %v vs %v", b.Members(), o.Members())
+		t.Fatalf("Equal broken: %v vs %v", b.AppendMembers(nil), o.AppendMembers(nil))
 	}
 }
 

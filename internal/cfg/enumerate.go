@@ -37,27 +37,6 @@ type Enumeration struct {
 	Count int
 }
 
-// ByIndex returns the statement ids carrying index i, in id order — the
-// S_i of §2 as statement ids.
-func (e *Enumeration) ByIndex(i int) []int {
-	var out []int
-	for id, idx := range e.Index {
-		if idx == i {
-			out = append(out, id)
-		}
-	}
-	sortInts(out)
-	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
 // Enumerate assigns checkpoint indexes to every chkpt statement of the
 // program. It fails with *AmbiguousError when two paths disagree — i.e.
 // when an if statement's branches contain different numbers of checkpoints
@@ -123,19 +102,4 @@ func enumerateBody(body []mpl.Stmt, seen int, enum *Enumeration) (int, error) {
 		}
 	}
 	return seen, nil
-}
-
-// EnumerateGraph applies an Enumeration to a graph, returning for each
-// checkpoint index i the CFG node ids of S_i. Node ids are in id order.
-func EnumerateGraph(g *Graph, enum *Enumeration) map[int][]int {
-	out := make(map[int][]int)
-	for _, n := range g.Nodes {
-		if n.Kind != KindChkpt {
-			continue
-		}
-		if idx, ok := enum.Index[n.Stmt.ID()]; ok {
-			out[idx] = append(out[idx], n.ID)
-		}
-	}
-	return out
 }

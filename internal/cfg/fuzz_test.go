@@ -44,7 +44,7 @@ func FuzzCFGBuild(f *testing.F) {
 				t.Fatalf("edge %+v out of node range [0, %d)", e, len(g.Nodes))
 			}
 		}
-		if !g.Reachable(g.Entry).Has(g.Exit) {
+		if !reach(g, g.Entry, false).Has(g.Exit) {
 			t.Fatal("exit not reachable from entry")
 		}
 		dom := g.Dominators()

@@ -115,15 +115,6 @@ func Transform(p *mpl.Program, conf Config) (*Report, error) {
 	return rep, nil
 }
 
-// TransformSource parses MPL source and transforms it.
-func TransformSource(src string, conf Config) (*Report, error) {
-	p, err := mpl.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return Transform(p, conf)
-}
-
 // Verify checks Condition 1 on a program without transforming it: it
 // returns the violations that would make some straight cut inconsistent.
 // An empty slice means every straight cut of checkpoints is a recovery

@@ -26,7 +26,11 @@ proc {
     }
 }
 `
-	rep, err := TransformSource(src, DefaultConfig)
+	p, err := mpl.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Transform(p, DefaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +87,6 @@ func TestTransformSkipInsert(t *testing.T) {
 	}
 	if rep.Phase1 != nil {
 		t.Error("Phase I ran despite SkipInsert")
-	}
-}
-
-func TestTransformSourceParseError(t *testing.T) {
-	if _, err := TransformSource("not a program", DefaultConfig); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

@@ -33,7 +33,11 @@ proc {
     }
 }
 `
-	before, err := core.TransformSource(src, core.DefaultConfig)
+	prog, err := mpl.Parse(src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	before, err := core.Transform(prog, core.DefaultConfig)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +72,11 @@ proc {
     }
 }
 `
-	rep, err := core.TransformSource(src, core.DefaultConfig)
+	prog, err := mpl.Parse(src)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, err := core.Transform(prog, core.DefaultConfig)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,10 +40,10 @@ func TestAdmissionFleetCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantReject(t, a, "c", ReasonFleetCapacity)
-	if got := ctr.Gauge("fleet_active_jobs"); got != 2 {
+	if got := ctr.Snapshot().Gauges["fleet_active_jobs"]; got != 2 {
 		t.Errorf("fleet_active_jobs = %v, want 2", got)
 	}
-	if got := ctr.Gauge("fleet_rejected"); got != 1 {
+	if got := ctr.Snapshot().Gauges["fleet_rejected"]; got != 1 {
 		t.Errorf("fleet_rejected = %v, want 1", got)
 	}
 
@@ -123,12 +123,12 @@ func TestAdmissionDraining(t *testing.T) {
 
 func TestRetryBudgetTokenBucket(t *testing.T) {
 	b := NewRetryBudget(2, 3)
-	if b.Tokens() != 2 {
-		t.Fatalf("initial tokens = %d", b.Tokens())
+	if b.tokens.Load() != 2 {
+		t.Fatalf("initial tokens = %d", b.tokens.Load())
 	}
 	b.Deposit(10) // clamped at cap
-	if b.Tokens() != 3 {
-		t.Fatalf("tokens after clamped deposit = %d, want 3", b.Tokens())
+	if b.tokens.Load() != 3 {
+		t.Fatalf("tokens after clamped deposit = %d, want 3", b.tokens.Load())
 	}
 	for i := 0; i < 3; i++ {
 		if !b.AllowRetry("save") {
@@ -146,7 +146,7 @@ func TestRetryBudgetTokenBucket(t *testing.T) {
 	// Uncapped bucket accumulates freely.
 	u := NewRetryBudget(0, 0)
 	u.Deposit(1 << 20)
-	if u.Tokens() != 1<<20 {
-		t.Fatalf("uncapped tokens = %d", u.Tokens())
+	if u.tokens.Load() != 1<<20 {
+		t.Fatalf("uncapped tokens = %d", u.tokens.Load())
 	}
 }

@@ -113,15 +113,6 @@ func NewBreaker(inner storage.Store, cfg BreakerConfig) *Breaker {
 	return b
 }
 
-// State returns the current state (StateClosed / StateHalfOpen /
-// StateOpen), advancing open→half-open if the cooldown has elapsed.
-func (b *Breaker) State() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.maybeHalfOpen()
-	return b.state
-}
-
 // Stats returns a snapshot of the breaker's counters.
 func (b *Breaker) Stats() BreakerStats {
 	b.mu.Lock()

@@ -30,6 +30,15 @@ func (f *flakyStore) Save(s storage.Snapshot) error {
 	return f.Store.Save(s)
 }
 
+// state reads b's state the way its next operation would: advanced
+// open→half-open once the cooldown has elapsed.
+func state(b *Breaker) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.maybeHalfOpen()
+	return b.state
+}
+
 func snapN(n int) storage.Snapshot {
 	return storage.Snapshot{Proc: 0, CFGIndex: 1, Instance: n, Clock: vclock.VC{uint64(n)}}
 }
@@ -60,8 +69,8 @@ func TestBreakerTripsShedsAndRecovers(t *testing.T) {
 	b := newTestBreaker(inner, clk, ctr, sink)
 
 	// Healthy ops keep it closed.
-	if err := b.Save(snapN(1)); err != nil || b.State() != StateClosed {
-		t.Fatalf("healthy save: err=%v state=%d", err, b.State())
+	if err := b.Save(snapN(1)); err != nil || state(b) != StateClosed {
+		t.Fatalf("healthy save: err=%v state=%d", err, state(b))
 	}
 
 	// A brownout: FailureThreshold consecutive transients trip it open.
@@ -71,8 +80,8 @@ func TestBreakerTripsShedsAndRecovers(t *testing.T) {
 			t.Fatalf("brownout save %d: %v", i, err)
 		}
 	}
-	if b.State() != StateOpen {
-		t.Fatalf("state = %d after threshold failures, want open", b.State())
+	if state(b) != StateOpen {
+		t.Fatalf("state = %d after threshold failures, want open", state(b))
 	}
 
 	// Open: operations shed WITHOUT touching the store, and the shed error
@@ -88,8 +97,8 @@ func TestBreakerTripsShedsAndRecovers(t *testing.T) {
 	if ctr.Snapshot().Custom["breaker_shed"] == 0 {
 		t.Error("breaker_shed not counted")
 	}
-	if ctr.Gauge("breaker_state") != StateOpen {
-		t.Errorf("breaker_state gauge = %v, want %d", ctr.Gauge("breaker_state"), StateOpen)
+	if ctr.Snapshot().Gauges["breaker_state"] != StateOpen {
+		t.Errorf("breaker_state gauge = %v, want %d", ctr.Snapshot().Gauges["breaker_state"], StateOpen)
 	}
 
 	// Cooldown elapses; the store healed. Two probe successes close it.
@@ -98,14 +107,14 @@ func TestBreakerTripsShedsAndRecovers(t *testing.T) {
 	if err := b.Save(snapN(21)); err != nil {
 		t.Fatalf("probe 1: %v", err)
 	}
-	if b.State() != StateHalfOpen {
-		t.Fatalf("state = %d after one good probe, want half-open", b.State())
+	if state(b) != StateHalfOpen {
+		t.Fatalf("state = %d after one good probe, want half-open", state(b))
 	}
 	if err := b.Save(snapN(22)); err != nil {
 		t.Fatalf("probe 2: %v", err)
 	}
-	if b.State() != StateClosed {
-		t.Fatalf("state = %d after %d good probes, want closed", b.State(), 2)
+	if state(b) != StateClosed {
+		t.Fatalf("state = %d after %d good probes, want closed", state(b), 2)
 	}
 
 	st := b.Stats()
@@ -145,8 +154,8 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	if err := b.Save(snapN(50)); !errors.Is(err, storage.ErrTransient) {
 		t.Fatalf("probe: %v", err)
 	}
-	if b.State() != StateOpen {
-		t.Fatalf("state = %d after failed probe, want open", b.State())
+	if state(b) != StateOpen {
+		t.Fatalf("state = %d after failed probe, want open", state(b))
 	}
 	if got := b.Stats().Opened; got != 2 {
 		t.Errorf("opened = %d, want 2 (initial trip + probe reopen)", got)
@@ -167,8 +176,8 @@ func TestBreakerIgnoresSemanticErrors(t *testing.T) {
 	if err := b.Save(snapN(1)); !errors.Is(err, storage.ErrDuplicate) {
 		t.Fatalf("dup save: %v", err)
 	}
-	if b.State() != StateClosed {
-		t.Fatalf("state = %d after semantic errors, want closed", b.State())
+	if state(b) != StateClosed {
+		t.Fatalf("state = %d after semantic errors, want closed", state(b))
 	}
 }
 
@@ -184,7 +193,7 @@ func TestBreakerHalfOpenLimitsProbes(t *testing.T) {
 
 	// Hold one probe slot open by checking State (transitions to
 	// half-open), then grab the only probe manually via before().
-	if b.State() != StateHalfOpen {
+	if state(b) != StateHalfOpen {
 		t.Fatal("not half-open after cooldown")
 	}
 	probe, err := b.before()

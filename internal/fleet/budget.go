@@ -48,9 +48,6 @@ func (b *RetryBudget) Deposit(n int64) {
 	}
 }
 
-// Tokens returns the current balance.
-func (b *RetryBudget) Tokens() int64 { return b.tokens.Load() }
-
 // AllowRetry implements sim.RetryBudget: it withdraws one token, or
 // refuses when the pool is dry.
 func (b *RetryBudget) AllowRetry(op string) bool {

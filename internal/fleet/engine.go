@@ -226,9 +226,6 @@ func withTelemetry(b BreakerConfig, c *metrics.Counters, o obs.Observer) Breaker
 	return b
 }
 
-// Breaker exposes the shared store's breaker (reports, tests).
-func (e *Engine) Breaker() *Breaker { return e.brk }
-
 // Drain begins graceful shutdown: the arrival stream stops, admissions
 // are refused with ReasonDraining, and Run proceeds to its drain phase —
 // in-flight jobs get DrainTimeout to finish before being cancel-parked.

@@ -187,7 +187,7 @@ func TestEngineBreakerOpensAndRecovers(t *testing.T) {
 	if rep.Breaker.Opened == 0 {
 		t.Fatalf("breaker never opened through the brownout:\n%s", rep)
 	}
-	if got := e.Breaker().State(); got != StateClosed {
+	if got := rep.Breaker.State; got != StateClosed {
 		t.Fatalf("breaker state = %d after the store healed, want closed\n%s", got, rep)
 	}
 	if rep.Buckets[BucketSucceeded] == 0 {

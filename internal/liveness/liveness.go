@@ -47,43 +47,17 @@ type Result struct {
 	// snapshot manifest for the site: persisting exactly these variables
 	// and restoring the rest to zero is equivalent to a full-env snapshot.
 	// A site where nothing is live has a nil manifest; all manifests are
-	// cut from one slice, each capped at its length. The diagnostic
-	// exit-observes-nothing solution is not part of a Result: see ReadLive.
+	// cut from one slice, each capped at its length.
 	Live map[int][]string
 }
 
-// ManifestFor returns the live set for a checkpoint statement id, or nil
-// when the site is unknown (callers treat nil as "persist everything").
-func (r *Result) ManifestFor(stmtID int) []string { return r.Live[stmtID] }
-
-// Compute runs the analysis on a program.
+// Compute runs the analysis on a program. It allocates per program, not per
+// CFG node or per site: every bit set is carved from one slab, every
+// manifest from one slice.
 func Compute(p *mpl.Program) (*Result, error) {
-	tbl, live, err := solve(p, true)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Table: tbl, Live: live}, nil
-}
-
-// ReadLive is the analysis solved with the exit node live in NOTHING: a
-// variable is read-live at a site only when some path actually reads it
-// before redefining it. Live − ReadLive are the variables a manifest keeps
-// solely through the everything-is-observable exit rule — useful when
-// explaining why pruning kept a variable that no statement ever reads
-// again. No manifest depends on it, so it is solved only when asked for.
-func ReadLive(p *mpl.Program) (map[int][]string, error) {
-	_, sets, err := solve(p, false)
-	return sets, err
-}
-
-// solve runs the analysis with the exit node live in every variable
-// (exitAll) or in none, and returns the sorted live names per checkpoint
-// statement id. It allocates per program, not per CFG node or per site:
-// every bit set is carved from one slab, every manifest from one slice.
-func solve(p *mpl.Program, exitAll bool) (*dataflow.VarTable, map[int][]string, error) {
 	g, err := cfg.Build(p)
 	if err != nil {
-		return nil, nil, fmt.Errorf("liveness: %w", err)
+		return nil, fmt.Errorf("liveness: %w", err)
 	}
 	tbl := dataflow.NewVarTable(p)
 	nvars := tbl.Len()
@@ -154,12 +128,10 @@ func solve(p *mpl.Program, exitAll bool) (*dataflow.VarTable, map[int][]string, 
 	// A checkpoint node has no use/def, so its live-out equals its live-in;
 	// that set — the variables observable after the checkpoint resumes — is
 	// the site's manifest.
-	if exitAll {
-		// Exit is live in everything: the final environment is the
-		// program's observable output.
-		for slot := 0; slot < nvars; slot++ {
-			liveIn(g.Exit).Set(slot)
-		}
+	// Exit is live in everything: the final environment is the program's
+	// observable output.
+	for slot := 0; slot < nvars; slot++ {
+		liveIn(g.Exit).Set(slot)
 	}
 	for changed := true; changed; {
 		changed = false
@@ -215,5 +187,5 @@ func solve(p *mpl.Program, exitAll bool) (*dataflow.VarTable, map[int][]string, 
 		}
 		sets[n.Stmt.ID()] = manifest
 	}
-	return tbl, sets, nil
+	return &Result{Table: tbl, Live: sets}, nil
 }

@@ -26,10 +26,8 @@ func TestComputeLiveSets(t *testing.T) {
 		name string
 		prog *mpl.Program
 		// want[i] is the expected live set of the i-th checkpoint in
-		// pre-order body order; wantRead[i] the expected read-live set
-		// (exit observes nothing).
-		want     [][]string
-		wantRead [][]string
+		// pre-order body order.
+		want [][]string
 	}{
 		{
 			// A loop that redefines a before using it: a is dead at the
@@ -46,8 +44,7 @@ func TestComputeLiveSets(t *testing.T) {
 					b.Assign("iter", mpl.Add(mpl.V("iter"), mpl.Int(1)))
 				}).
 				MustProgram(),
-			want:     [][]string{{"b", "iter"}},
-			wantRead: [][]string{{"b", "iter"}},
+			want: [][]string{{"b", "iter"}},
 		},
 		{
 			// v is defined only by recv. Under guarded-boundary semantics an
@@ -64,8 +61,7 @@ func TestComputeLiveSets(t *testing.T) {
 					b.Assign("iter", mpl.Add(mpl.V("iter"), mpl.Int(1)))
 				}).
 				MustProgram(),
-			want:     [][]string{{"iter", "v"}},
-			wantRead: [][]string{{"iter", "v"}},
+			want: [][]string{{"iter", "v"}},
 		},
 		{
 			// ID-dependent branches: each arm checkpoints, then kills a
@@ -90,8 +86,7 @@ func TestComputeLiveSets(t *testing.T) {
 					b.Assign("iter", mpl.Add(mpl.V("iter"), mpl.Int(1)))
 				}).
 				MustProgram(),
-			want:     [][]string{{"iter", "x"}, {"iter", "y"}},
-			wantRead: [][]string{{"iter", "x"}, {"iter", "y"}},
+			want: [][]string{{"iter", "x"}, {"iter", "y"}},
 		},
 		{
 			// A temporary folded into the accumulator before the checkpoint
@@ -109,8 +104,7 @@ func TestComputeLiveSets(t *testing.T) {
 				}).
 				Assign("tmp", mpl.Int(0)).
 				MustProgram(),
-			want:     [][]string{{"acc", "iter"}},
-			wantRead: [][]string{{"acc", "iter"}},
+			want: [][]string{{"acc", "iter"}},
 		},
 		{
 			// Same shape WITHOUT the trailing kill: the final environment is
@@ -128,9 +122,8 @@ func TestComputeLiveSets(t *testing.T) {
 				}).
 				MustProgram(),
 			// tmp is in the manifest ONLY because exit observes it: no
-			// statement ever reads it again, so it drops out of ReadLive.
-			want:     [][]string{{"acc", "iter", "tmp"}},
-			wantRead: [][]string{{"acc", "iter"}},
+			// statement ever reads it again.
+			want: [][]string{{"acc", "iter", "tmp"}},
 		},
 		{
 			// Use-before-def across the while back edge: at a checkpoint at
@@ -152,8 +145,7 @@ func TestComputeLiveSets(t *testing.T) {
 				Assign("s", mpl.Int(0)).
 				Assign("d", mpl.Int(0)).
 				MustProgram(),
-			want:     [][]string{{"iter", "s"}},
-			wantRead: [][]string{{"iter", "s"}},
+			want: [][]string{{"iter", "s"}},
 		},
 	}
 	for _, tc := range cases {
@@ -161,10 +153,6 @@ func TestComputeLiveSets(t *testing.T) {
 			res, err := Compute(tc.prog)
 			if err != nil {
 				t.Fatalf("Compute: %v", err)
-			}
-			readLive, err := ReadLive(tc.prog)
-			if err != nil {
-				t.Fatalf("ReadLive: %v", err)
 			}
 			ids := chkptIDs(tc.prog)
 			if len(ids) != len(tc.want) {
@@ -174,11 +162,8 @@ func TestComputeLiveSets(t *testing.T) {
 				t.Errorf("Live covers %d sites, want %d", len(res.Live), len(ids))
 			}
 			for i, id := range ids {
-				if got := res.ManifestFor(id); !reflect.DeepEqual(got, tc.want[i]) {
+				if got := res.Live[id]; !reflect.DeepEqual(got, tc.want[i]) {
 					t.Errorf("site %d (stmt #%d): live set %v, want %v", i, id, got, tc.want[i])
-				}
-				if got := readLive[id]; !reflect.DeepEqual(got, tc.wantRead[i]) {
-					t.Errorf("site %d (stmt #%d): read-live set %v, want %v", i, id, got, tc.wantRead[i])
 				}
 			}
 		})

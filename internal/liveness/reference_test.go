@@ -19,7 +19,7 @@ import (
 // carved from one slab and its manifests from one slice: a NewBitset per
 // CFG node and set, and per site "collect the live names, then
 // sort.Strings". It is kept as the reference the package is compared to.
-func referenceSolve(t *testing.T, p *mpl.Program, exitAll bool) map[int][]string {
+func referenceSolve(t *testing.T, p *mpl.Program) map[int][]string {
 	t.Helper()
 	g, err := cfg.Build(p)
 	if err != nil {
@@ -82,10 +82,8 @@ func referenceSolve(t *testing.T, p *mpl.Program, exitAll bool) map[int][]string
 		}
 	}
 
-	if exitAll {
-		for slot := 0; slot < nvars; slot++ {
-			liveIn[g.Exit].Set(slot)
-		}
+	for slot := 0; slot < nvars; slot++ {
+		liveIn[g.Exit].Set(slot)
 	}
 	out := cfg.NewBitset(nvars)
 	tmp := cfg.NewBitset(nvars)
@@ -143,16 +141,14 @@ func referencePrograms(t *testing.T) map[string]*mpl.Program {
 		}
 		progs[name+"/transformed"] = rep.Program
 	}
-	// Nothing is live at this site once the exit rule is off — and nothing
-	// at all at the second one: nil manifests, which ManifestFor's callers
-	// read as "persist everything".
+	// Nothing is live at either site: nil manifests.
 	progs["nothing_live"] = mpl.NewBuilder("nothing_live").Vars("a").
 		Chkpt().Assign("a", mpl.Int(1)).MustProgram()
 	progs["no_vars"] = mpl.NewBuilder("no_vars").Chkpt().MustProgram()
 	return progs
 }
 
-// TestMatchesReferenceSolver requires Live and ReadLive to be exactly what
+// TestMatchesReferenceSolver requires Live to be exactly what
 // the reference solver computes — same sites, same names, same order, and
 // nil where it has nil — on every reference program.
 func TestMatchesReferenceSolver(t *testing.T) {
@@ -162,15 +158,8 @@ func TestMatchesReferenceSolver(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: Compute: %v", name, err)
 		}
-		if want := referenceSolve(t, p, true); !reflect.DeepEqual(res.Live, want) {
+		if want := referenceSolve(t, p); !reflect.DeepEqual(res.Live, want) {
 			t.Errorf("%s: Live = %v, reference %v", name, res.Live, want)
-		}
-		readLive, err := liveness.ReadLive(p)
-		if err != nil {
-			t.Fatalf("%s: ReadLive: %v", name, err)
-		}
-		if want := referenceSolve(t, p, false); !reflect.DeepEqual(readLive, want) {
-			t.Errorf("%s: ReadLive = %v, reference %v", name, readLive, want)
 		}
 		for id, m := range res.Live {
 			sites++

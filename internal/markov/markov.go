@@ -99,15 +99,6 @@ func (b Baseline) SystemLambda(n int) float64 {
 	return float64(n) * b.Lambda1
 }
 
-// SystemLambdaExact is the paper's exact combination: with per-unit-time
-// failure probability p per process, the n-process failure probability is
-// 1−(1−p)^n, i.e. rate −n·ln(1−p). For the paper's p = 1.23e-6 it differs
-// from n·λ₁ by under one part in 10⁵ across the Figure 8 sweep; tests pin
-// that equivalence.
-func (b Baseline) SystemLambdaExact(n int) float64 {
-	return -float64(n) * math.Log1p(-b.Lambda1)
-}
-
 // MessageCost is w_m + bits·w_b, the transmission cost of one control
 // message.
 func (b Baseline) MessageCost(bits int) float64 {
@@ -178,16 +169,10 @@ type Point struct {
 	CL         float64
 }
 
-// Figure8 regenerates the paper's Figure 8: overhead ratio vs. number of
-// processes for the three protocols. Points are evaluated concurrently
-// (GOMAXPROCS workers); the closed forms are pure, so the series is
-// identical to a serial sweep.
-func Figure8(b Baseline, ns []int) ([]Point, error) {
-	return Figure8Workers(b, ns, 0)
-}
-
-// Figure8Workers is Figure8 with an explicit worker bound for the
-// per-point sweep (0 = GOMAXPROCS, 1 = serial).
+// Figure8Workers regenerates the paper's Figure 8: overhead ratio vs.
+// number of processes for the three protocols. Points are evaluated on up
+// to workers goroutines (0 = GOMAXPROCS, 1 = serial); the closed forms are
+// pure, so the series is identical to a serial sweep.
 func Figure8Workers(b Baseline, ns []int, workers int) ([]Point, error) {
 	return par.Map(context.Background(), workers, ns,
 		func(_ context.Context, _, n int) (Point, error) {
@@ -209,17 +194,12 @@ func Figure8Workers(b Baseline, ns []int, workers int) ([]Point, error) {
 		})
 }
 
-// Figure9 regenerates the paper's Figure 9: overhead ratio vs. message
-// setup time w_m at fixed scale n. The appl-driven curve is flat by
+// Figure9Workers regenerates the paper's Figure 9: overhead ratio vs.
+// message setup time w_m at fixed scale n. The appl-driven curve is flat by
 // construction (no coordination messages); SaS and C-L degrade as the
-// network slows. Points are evaluated concurrently (GOMAXPROCS workers);
-// the closed forms are pure, so the series is identical to a serial sweep.
-func Figure9(b Baseline, n int, wms []float64) ([]Point, error) {
-	return Figure9Workers(b, n, wms, 0)
-}
-
-// Figure9Workers is Figure9 with an explicit worker bound for the
-// per-point sweep (0 = GOMAXPROCS, 1 = serial).
+// network slows. Points are evaluated on up to workers goroutines
+// (0 = GOMAXPROCS, 1 = serial); the closed forms are pure, so the series is
+// identical to a serial sweep.
 func Figure9Workers(b Baseline, n int, wms []float64, workers int) ([]Point, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("markov: Figure 9 needs n >= 2, got %d", n)

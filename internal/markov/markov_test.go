@@ -130,12 +130,15 @@ func TestSystemLambdaProportional(t *testing.T) {
 }
 
 func TestSystemLambdaExactAgreesAtPaperRate(t *testing.T) {
-	// The linear approximation n·λ₁ and the exact −n·ln(1−p) agree to
-	// within 1e-5 relative error for the paper's tiny p across the
-	// Figure 8 sweep — the "increases proportionally" claim.
+	// The linear approximation n·λ₁ and the paper's exact combination —
+	// per-unit-time failure probability p per process, so rate −n·ln(1−p)
+	// for n processes — agree to within 1e-5 relative error for the paper's
+	// tiny p across the Figure 8 sweep: the "increases proportionally"
+	// claim.
+	exactLambda := func(b Baseline, n int) float64 { return -float64(n) * math.Log1p(-b.Lambda1) }
 	b := PaperBaseline
 	for _, n := range DefaultFigure8Ns() {
-		lin, exact := b.SystemLambda(n), b.SystemLambdaExact(n)
+		lin, exact := b.SystemLambda(n), exactLambda(b, n)
 		if !almostEqual(lin, exact, 1e-5) {
 			t.Errorf("n=%d: linear %v vs exact %v", n, lin, exact)
 		}
@@ -145,7 +148,7 @@ func TestSystemLambdaExactAgreesAtPaperRate(t *testing.T) {
 	}
 	// At a large p the two separate noticeably.
 	big := Baseline{Lambda1: 0.1}
-	if almostEqual(big.SystemLambda(10), big.SystemLambdaExact(10), 1e-3) {
+	if almostEqual(big.SystemLambda(10), exactLambda(big, 10), 1e-3) {
 		t.Error("large-p rates should differ")
 	}
 }
@@ -155,7 +158,7 @@ func TestSystemLambdaExactAgreesAtPaperRate(t *testing.T) {
 // n; all curves increase with n (failure rate grows with n); and C-L
 // overtakes SaS as its quadratic message count dominates.
 func TestFigure8Shape(t *testing.T) {
-	pts, err := Figure8(PaperBaseline, DefaultFigure8Ns())
+	pts, err := Figure8Workers(PaperBaseline, DefaultFigure8Ns(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +185,7 @@ func TestFigure8Shape(t *testing.T) {
 // C-L strictly degrade.
 func TestFigure9Shape(t *testing.T) {
 	const n = 64
-	pts, err := Figure9(PaperBaseline, n, DefaultFigure9WMs())
+	pts, err := Figure9Workers(PaperBaseline, n, DefaultFigure9WMs(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,13 +207,13 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestFigureInputValidation(t *testing.T) {
-	if _, err := Figure8(PaperBaseline, []int{1}); err == nil {
+	if _, err := Figure8Workers(PaperBaseline, []int{1}, 0); err == nil {
 		t.Error("n=1 accepted")
 	}
-	if _, err := Figure9(PaperBaseline, 1, []float64{0.1}); err == nil {
+	if _, err := Figure9Workers(PaperBaseline, 1, []float64{0.1}, 0); err == nil {
 		t.Error("n=1 accepted")
 	}
-	if _, err := Figure9(PaperBaseline, 8, []float64{-1}); err == nil {
+	if _, err := Figure9Workers(PaperBaseline, 8, []float64{-1}, 0); err == nil {
 		t.Error("negative w_m accepted")
 	}
 }

@@ -250,17 +250,6 @@ func (x *Extended) MessageEdgesAsCFG() []cfg.Edge {
 	return out
 }
 
-// Attributes computes, for every statement id, the path attribute: the
-// conjunction of resolved ID-dependent branch conditions (with polarity)
-// of the conditionals enclosing the statement. Non-ID-dependent branches
-// are ignored, per the paper's simplification ("we ignore all the non
-// ID-dependent branches").
-func Attributes(p *mpl.Program, df *dataflow.Result) map[int]attr.Predicate {
-	out := make(map[int]attr.Predicate, p.StmtCount())
-	walkAttrs(p.Body, nil, df, func(s mpl.Stmt, ctx attr.Predicate) { out[s.ID()] = ctx })
-	return out
-}
-
 // walkAttrs calls visit with every statement of body, in program order, and
 // the path attribute it executes under; ctx is the attribute of body itself.
 func walkAttrs(body []mpl.Stmt, ctx attr.Predicate, df *dataflow.Result, visit func(mpl.Stmt, attr.Predicate)) {

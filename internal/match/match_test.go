@@ -6,7 +6,6 @@ import (
 	"repro/internal/attr"
 	"repro/internal/cfg"
 	"repro/internal/corpus"
-	"repro/internal/dataflow"
 	"repro/internal/mpl"
 )
 
@@ -19,9 +18,15 @@ func buildExt(t *testing.T, p *mpl.Program, opts Options) *Extended {
 	return x
 }
 
-// nodeOf returns the single CFG node of the given kind satisfying pred.
+// nodesOf returns the ids of the CFG nodes of the given kind, in id order.
 func nodesOf(x *Extended, kind cfg.NodeKind) []int {
-	return x.G.NodesOfKind(kind)
+	var ids []int
+	for _, n := range x.G.Nodes {
+		if n.Kind == kind {
+			ids = append(ids, n.ID)
+		}
+	}
+	return ids
 }
 
 func hasEdge(x *Extended, s, r int) bool {
@@ -34,23 +39,11 @@ func hasEdge(x *Extended, s, r int) bool {
 }
 
 func TestAttributesJacobiFig2(t *testing.T) {
-	p := corpus.JacobiFig2(2)
-	df := dataflow.Analyze(p)
-	attrs := Attributes(p, df)
-	// Find the statements in the two branches.
-	var evenSend, oddSend *mpl.Send
-	mpl.Walk(p.Body, func(s mpl.Stmt) bool {
-		if snd, ok := s.(*mpl.Send); ok {
-			if evenSend == nil {
-				evenSend = snd
-			} else if oddSend == nil {
-				oddSend = snd
-			}
-		}
-		return true
-	})
-	evenPred := attrs[evenSend.ID()]
-	oddPred := attrs[oddSend.ID()]
+	x := buildExt(t, corpus.JacobiFig2(2), Options{})
+	// The sends of the two branches, even branch first.
+	sends := nodesOf(x, cfg.KindSend)
+	evenPred := x.PathAttr[sends[0]]
+	oddPred := x.PathAttr[sends[1]]
 	if len(evenPred) != 1 || !evenPred[0].Want {
 		t.Errorf("even path attribute = %v", evenPred)
 	}
@@ -61,7 +54,7 @@ func TestAttributesJacobiFig2(t *testing.T) {
 		t.Error("even attribute evaluates wrong")
 	}
 	// Statements outside the if carry no ID-dependent constraints.
-	topAttr := attrs[p.Body[0].ID()]
+	topAttr := x.PathAttr[x.G.Entry+1]
 	if len(topAttr) != 0 {
 		t.Errorf("top-level attribute = %v, want empty", topAttr)
 	}
@@ -222,7 +215,7 @@ proc {
 	// The two if statements split the graph into motif 1 and motif 2;
 	// any edge from a motif-2 send to a motif-1 recv is a false backward
 	// edge (FIFO makes it impossible at runtime).
-	branches := x.G.NodesOfKind(cfg.KindBranch)
+	branches := nodesOf(x, cfg.KindBranch)
 	if len(branches) != 2 {
 		t.Fatalf("branches = %v", branches)
 	}

@@ -156,11 +156,6 @@ func (c *Counters) SetGauge(name string, v float64) {
 	c.named.get(kindGauge, name).n.Store(int64(math.Float64bits(v)))
 }
 
-// Gauge reads a named gauge (0 when never set).
-func (c *Counters) Gauge(name string) float64 {
-	return math.Float64frombits(uint64(c.named.get(kindGauge, name).n.Load()))
-}
-
 // ObserveHist records one observation in the named distribution, creating
 // it with DefaultSketchBounds on first use. Distributions turn the totals
 // above into per-event shapes: how long each barrier stall was, not just

@@ -97,14 +97,14 @@ func TestFixedNamesAndOrder(t *testing.T) {
 
 func TestGauges(t *testing.T) {
 	c := &Counters{}
-	if got := c.Gauge("lag"); got != 0 {
+	if got := c.Snapshot().Gauges["lag"]; got != 0 {
 		t.Errorf("unset gauge = %g", got)
 	}
 	c.SetGauge("lag", 1.5)
 	c.SetGauge("lag", 0.25) // gauges overwrite, unlike counters
 	c.SetGauge("watermark", 7)
 	c.Inc("lag", 3) // a counter may share a gauge's name
-	if got := c.Gauge("lag"); got != 0.25 {
+	if got := c.Snapshot().Gauges["lag"]; got != 0.25 {
 		t.Errorf("lag = %g, want 0.25", got)
 	}
 	s := c.Snapshot()
@@ -130,7 +130,7 @@ func TestGaugesConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := c.Gauge("g"); got < 0 || got > 499 {
+	if got := c.Snapshot().Gauges["g"]; got < 0 || got > 499 {
 		t.Errorf("g = %g out of range", got)
 	}
 }

@@ -52,11 +52,6 @@ func (e Estimate) String() string {
 	return fmt.Sprintf("%.6g ± %.2g (n=%d)", e.Mean, e.StdErr, e.Trials)
 }
 
-// Within reports whether x lies inside k standard errors of the estimate.
-func (e Estimate) Within(x float64, k float64) bool {
-	return math.Abs(x-e.Mean) <= k*e.StdErr
-}
-
 // moments is a per-shard (n, Σx, Σx²) accumulator. Merging two is exact
 // integer addition on n and float addition on the sums; the merge ORDER is
 // what must stay fixed for bit-identical results, and mergeMoments pins it.
@@ -222,17 +217,11 @@ type ValidationRow struct {
 	Simulated Estimate
 }
 
-// ValidateFigure8 runs the Monte Carlo counterpart of Figure 8: for each
-// protocol and process count it returns the analytic overhead ratio next
-// to the simulated estimate. It is ValidateFigure8Workers with the
-// GOMAXPROCS default.
-func ValidateFigure8(b markov.Baseline, ns []int, trials int, seed int64) ([]ValidationRow, error) {
-	return ValidateFigure8Workers(b, ns, trials, seed, 0)
-}
-
-// ValidateFigure8Workers is ValidateFigure8 with an explicit worker bound
-// shared by the row sweep and each row's trial shards (0 = GOMAXPROCS,
-// 1 = serial; the rows are bit-identical either way).
+// ValidateFigure8Workers runs the Monte Carlo counterpart of Figure 8: for
+// each protocol and process count it returns the analytic overhead ratio
+// next to the simulated estimate. workers bounds the row sweep and each
+// row's trial shards (0 = GOMAXPROCS, 1 = serial; the rows are
+// bit-identical either way).
 func ValidateFigure8Workers(b markov.Baseline, ns []int, trials int, seed int64, workers int) ([]ValidationRow, error) {
 	protocols := []markov.Protocol{markov.ApplDriven, markov.SaS, markov.ChandyLamport}
 	type cell struct {

@@ -25,7 +25,7 @@ func TestSimulateGammaMatchesClosedForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !est.Within(analytic, 4) {
+	if !within(est, analytic, 4) {
 		t.Errorf("analytic Γ %v outside 4σ of simulation %v", analytic, est)
 	}
 }
@@ -41,7 +41,7 @@ func TestSimulateGammaLowFailureRegime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !est.Within(analytic, 4) {
+	if !within(est, analytic, 4) {
 		t.Errorf("analytic Γ %v outside 4σ of simulation %v", analytic, est)
 	}
 }
@@ -56,7 +56,7 @@ func TestSimulateOverheadRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !est.Within(analytic, 4) {
+	if !within(est, analytic, 4) {
 		t.Errorf("analytic r %v outside 4σ of simulation %v", analytic, est)
 	}
 }
@@ -150,6 +150,9 @@ func TestEstimateString(t *testing.T) {
 	}
 }
 
+// within reports whether x lies inside k standard errors of the estimate.
+func within(e Estimate, x, k float64) bool { return math.Abs(x-e.Mean) <= k*e.StdErr }
+
 func TestValidateFigure8AgreesWithAnalytic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Monte Carlo sweep skipped in -short")
@@ -158,7 +161,7 @@ func TestValidateFigure8AgreesWithAnalytic(t *testing.T) {
 	// trial counts; agreement between chain and sampling is what matters.
 	b := markov.PaperBaseline
 	b.Lambda1 = 1e-4
-	rows, err := ValidateFigure8(b, []int{2, 16, 64}, 60000, 11)
+	rows, err := ValidateFigure8Workers(b, []int{2, 16, 64}, 60000, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +172,7 @@ func TestValidateFigure8AgreesWithAnalytic(t *testing.T) {
 		// Either within 5σ or within 0.1% relative (σ can be tiny).
 		rel := math.Abs(row.Analytic-row.Simulated.Mean) /
 			math.Max(math.Abs(row.Analytic), 1e-12)
-		if !row.Simulated.Within(row.Analytic, 5) && rel > 1e-3 {
+		if !within(row.Simulated, row.Analytic, 5) && rel > 1e-3 {
 			t.Errorf("%v n=%d: analytic %v vs simulated %v",
 				row.Protocol, row.N, row.Analytic, row.Simulated)
 		}

@@ -17,16 +17,6 @@ type Const struct {
 	Value int
 }
 
-// ConstValue looks up a declared constant.
-func (p *Program) ConstValue(name string) (int, bool) {
-	for _, c := range p.Consts {
-		if c.Name == name {
-			return c.Value, true
-		}
-	}
-	return 0, false
-}
-
 // Stmt is a program statement. Every statement carries a unique ID assigned
 // at parse (or build) time; the transformation phases address statements by
 // ID when moving checkpoints, and the runtime uses IDs as resume labels.
@@ -251,19 +241,6 @@ func EqualExpr(a, b Expr) bool {
 	default:
 		return false
 	}
-}
-
-// FindStmt returns the statement with the given id, or nil.
-func (p *Program) FindStmt(id int) Stmt {
-	var found Stmt
-	Walk(p.Body, func(s Stmt) bool {
-		if s.ID() == id {
-			found = s
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // MaxStmtID returns the largest statement id in the program, or -1 when the

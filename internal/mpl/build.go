@@ -45,27 +45,6 @@ func Neq(l, r Expr) Expr { return &Binary{Op: "!=", L: l, R: r} }
 // Lt returns l < r.
 func Lt(l, r Expr) Expr { return &Binary{Op: "<", L: l, R: r} }
 
-// Le returns l <= r.
-func Le(l, r Expr) Expr { return &Binary{Op: "<=", L: l, R: r} }
-
-// Gt returns l > r.
-func Gt(l, r Expr) Expr { return &Binary{Op: ">", L: l, R: r} }
-
-// Ge returns l >= r.
-func Ge(l, r Expr) Expr { return &Binary{Op: ">=", L: l, R: r} }
-
-// And returns l && r.
-func And(l, r Expr) Expr { return &Binary{Op: "&&", L: l, R: r} }
-
-// Or returns l || r.
-func Or(l, r Expr) Expr { return &Binary{Op: "||", L: l, R: r} }
-
-// Not returns !x.
-func Not(x Expr) Expr { return &Unary{Op: "!", X: x} }
-
-// Neg returns -x.
-func Neg(x Expr) Expr { return &Unary{Op: "-", X: x} }
-
 // Builder accumulates a program body with automatically assigned statement
 // IDs. Obtain one from NewBuilder, add declarations and statements, and
 // call Program to finish (which also runs Check).

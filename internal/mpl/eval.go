@@ -193,18 +193,3 @@ func Truthy(e Expr, env *Env) (bool, error) {
 	v, err := Eval(e, env)
 	return v != 0, err
 }
-
-// UsesInput reports whether the expression contains an input(...) call —
-// the paper's "irregular computation pattern" (§3.2): a parameter whose
-// value depends on input data and therefore cannot be resolved statically.
-func UsesInput(e Expr) bool {
-	irregular := false
-	WalkExpr(e, func(x Expr) bool {
-		if c, ok := x.(*Call); ok && c.Name == BuiltinInput {
-			irregular = true
-			return false
-		}
-		return true
-	})
-	return irregular
-}

@@ -154,21 +154,6 @@ func TestTruthy(t *testing.T) {
 	}
 }
 
-func TestUsesInput(t *testing.T) {
-	if UsesInput(Add(Rank(), Int(1))) {
-		t.Error("rank+1 is regular")
-	}
-	if !UsesInput(Add(Rank(), InputAt(Int(0)))) {
-		t.Error("rank+input(0) is irregular")
-	}
-	if !UsesInput(InputAt(InputAt(Int(0)))) {
-		t.Error("nested input is irregular")
-	}
-	if UsesInput(nil) {
-		t.Error("nil expression is regular")
-	}
-}
-
 func TestQuickEuclideanModulo(t *testing.T) {
 	// For positive divisors the result is always in [0, divisor).
 	f := func(l int16, r uint8) bool {

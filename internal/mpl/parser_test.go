@@ -32,8 +32,8 @@ func TestParseJacobi(t *testing.T) {
 	if p.Name != "jacobi" {
 		t.Errorf("Name = %q", p.Name)
 	}
-	if v, ok := p.ConstValue("MAXITER"); !ok || v != 4 {
-		t.Errorf("MAXITER = %d, %v", v, ok)
+	if len(p.Consts) != 1 || p.Consts[0] != (Const{Name: "MAXITER", Value: 4}) {
+		t.Errorf("Consts = %v", p.Consts)
 	}
 	if len(p.Vars) != 3 {
 		t.Errorf("Vars = %v", p.Vars)
@@ -346,21 +346,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 	if Format(Clone(p)) != Format(p) {
 		t.Error("clone not structurally identical")
-	}
-}
-
-func TestFindStmt(t *testing.T) {
-	p, err := Parse(jacobiSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := p.Body[1].(*While)
-	got := p.FindStmt(w.Body[0].ID())
-	if got == nil || got.ID() != w.Body[0].ID() {
-		t.Errorf("FindStmt failed: %v", got)
-	}
-	if p.FindStmt(9999) != nil {
-		t.Error("FindStmt(9999) should be nil")
 	}
 }
 

@@ -214,7 +214,7 @@ proc {
 	}
 	middle := Role{
 		Name:  "middle",
-		Guard: mpl.And(mpl.Gt(mpl.Rank(), mpl.Int(0)), mpl.Lt(mpl.Rank(), mpl.Sub(mpl.Nproc(), mpl.Int(1)))),
+		Guard: &mpl.Binary{Op: "&&", L: mpl.Lt(mpl.Int(0), mpl.Rank()), R: mpl.Lt(mpl.Rank(), mpl.Sub(mpl.Nproc(), mpl.Int(1)))},
 		Program: mk(t, `
 program middle
 var v

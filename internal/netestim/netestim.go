@@ -17,31 +17,20 @@ import (
 	"time"
 )
 
-// Default smoothing gains, per RFC 6298.
+// Smoothing gains, per RFC 6298.
 const (
-	defaultAlpha = 1.0 / 8.0
-	defaultBeta  = 1.0 / 4.0
+	alpha = 1.0 / 8.0
+	beta  = 1.0 / 4.0
 )
 
 // Estimator tracks a smoothed round-trip time and its variance. The zero
-// value is ready to use with the default gains.
+// value is ready to use.
 type Estimator struct {
 	mu      sync.Mutex
-	alpha   float64
-	beta    float64
 	srtt    time.Duration
 	rttvar  time.Duration
 	samples int
 	floor   time.Duration
-}
-
-// NewEstimator returns an estimator with custom gains. Gains outside (0,1]
-// are an input error.
-func NewEstimator(alpha, beta float64) (*Estimator, error) {
-	if alpha <= 0 || alpha > 1 || beta <= 0 || beta > 1 {
-		return nil, fmt.Errorf("netestim: gains must be in (0,1], got alpha=%v beta=%v", alpha, beta)
-	}
-	return &Estimator{alpha: alpha, beta: beta}, nil
 }
 
 // ErrNoSamples is returned by estimate accessors before any sample arrives.
@@ -57,10 +46,6 @@ func (e *Estimator) Observe(sample time.Duration) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	alpha, beta := e.alpha, e.beta
-	if alpha == 0 {
-		alpha, beta = defaultAlpha, defaultBeta
-	}
 	if e.samples == 0 {
 		e.srtt = sample
 		e.rttvar = sample / 2
@@ -133,25 +118,6 @@ func (e *Estimator) SetRTOFloor(d time.Duration) {
 		d = 0
 	}
 	e.floor = d
-}
-
-// Reset discards the estimate so the next sample re-initializes srtt and
-// rttvar from scratch, keeping the configured gains and RTO floor. Callers
-// reset after a connectivity epoch change (a healed partition, a recovered
-// incarnation) when old samples no longer describe the link.
-func (e *Estimator) Reset() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.srtt = 0
-	e.rttvar = 0
-	e.samples = 0
-}
-
-// Samples returns how many samples were accepted.
-func (e *Estimator) Samples() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.samples
 }
 
 // LinearModel is the affine message-cost model the paper's §4 uses:

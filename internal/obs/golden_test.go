@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -42,8 +43,11 @@ func pipelineEvents(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
+	enc := json.NewEncoder(&buf)
+	for _, e := range rec.Events() {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return buf.Bytes()
 }

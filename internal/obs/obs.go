@@ -3,8 +3,8 @@
 // Events through the Observer interface (wired via sim.Config.Observer);
 // this package provides the consumers:
 //
-//   - Recorder collects events in memory and exports them as canonical
-//     JSONL (WriteJSONL) or as a Chrome trace-event file (WriteChromeTrace)
+//   - Recorder collects events in memory, in canonical order (Events), and
+//     exports them as a Chrome trace-event file (WriteChromeTrace)
 //     that opens directly in Perfetto (ui.perfetto.dev) or
 //     chrome://tracing, with per-process timelines, checkpoints as instant
 //     events, send→recv flow arrows, and rollback/restart markers.

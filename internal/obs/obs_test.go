@@ -89,8 +89,11 @@ func TestJSONLRoundTrip(t *testing.T) {
 	r.Now = func() int64 { return 0 }
 	feed(r)
 	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
+	enc := json.NewEncoder(&buf)
+	for _, e := range r.Events() {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 9 {
@@ -114,7 +117,7 @@ func TestStreamWriter(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewStreamWriter(&buf)
 	feed(s)
-	if err := s.Err(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
@@ -140,8 +143,8 @@ func TestMulti(t *testing.T) {
 	}
 	m := Multi(a, b)
 	m.OnEvent(Event{Kind: KindCompute, Proc: 0})
-	if a.Len() != 1 || b.Len() != 1 {
-		t.Errorf("fan-out failed: %d, %d", a.Len(), b.Len())
+	if len(a.Events()) != 1 || len(b.Events()) != 1 {
+		t.Errorf("fan-out failed: %d, %d", len(a.Events()), len(b.Events()))
 	}
 }
 
@@ -319,8 +322,8 @@ func TestEventWireFormat(t *testing.T) {
 		s := NewStreamWriter(&buf)
 		s.Now = func() int64 { return 7 }
 		s.OnEvent(tt.e)
-		if got := strings.TrimSuffix(buf.String(), "\n"); got != tt.want || s.Err() != nil {
-			t.Errorf("line (err %v)\n got: %s\nwant: %s", s.Err(), got, tt.want)
+		if got, err := strings.TrimSuffix(buf.String(), "\n"), s.Close(); got != tt.want || err != nil {
+			t.Errorf("line (err %v)\n got: %s\nwant: %s", err, got, tt.want)
 		}
 		var back Event
 		if err := json.Unmarshal(buf.Bytes(), &back); err != nil || back.Kind != tt.e.Kind || back.Label != tt.e.Label {

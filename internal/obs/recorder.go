@@ -82,30 +82,11 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
-// WriteJSONL writes the events in canonical order, one JSON object per
-// line.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, e := range r.Events() {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // StreamWriter is an Observer that writes each event as one JSON line the
 // moment it arrives — arrival order, not canonical order — so a crashed
 // run still leaves its events on disk. Construct with NewStreamWriter;
-// check Err after the run (a stream that went bad swallows subsequent
-// events rather than blocking the runtime).
+// Close reports the first error after the run (a stream that went bad
+// swallows subsequent events rather than blocking the runtime).
 //
 // When the underlying writer buffers (it implements Flush() error, like
 // bufio.Writer), call AutoFlush to bound how much history a kill can lose,
@@ -146,13 +127,6 @@ func (s *StreamWriter) OnEvent(e Event) {
 	}
 	s.out.set(e)
 	s.err = s.enc.Encode(&s.out)
-}
-
-// Err returns the first write error, if any.
-func (s *StreamWriter) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
 }
 
 // Flush forces buffered events to the underlying writer (no-op when the

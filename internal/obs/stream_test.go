@@ -125,8 +125,9 @@ func TestStreamWriterCloseReportsFlushError(t *testing.T) {
 	if err := s.Close(); !errors.Is(err, wantErr) {
 		t.Errorf("Close = %v, want %v", err, wantErr)
 	}
-	if err := s.Err(); !errors.Is(err, wantErr) {
-		t.Errorf("Err = %v, want %v", err, wantErr)
+	// The failed flush poisoned the stream: a second Close reports it too.
+	if err := s.Close(); !errors.Is(err, wantErr) {
+		t.Errorf("second Close = %v, want %v", err, wantErr)
 	}
 }
 

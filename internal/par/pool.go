@@ -52,19 +52,6 @@ func (p *Pool) Submit(task func()) {
 	p.tasks <- task
 }
 
-// TrySubmit hands task to an idle worker if one is waiting right now and
-// reports whether it was taken. It never blocks: the fleet's admission
-// path uses it so that "no capacity" surfaces as a typed rejection
-// immediately instead of queueing.
-func (p *Pool) TrySubmit(task func()) bool {
-	select {
-	case p.tasks <- task:
-		return true
-	default:
-		return false
-	}
-}
-
 // Close stops accepting work and blocks until every submitted task has
 // finished. Idempotent.
 func (p *Pool) Close() {

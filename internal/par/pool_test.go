@@ -70,17 +70,3 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		t.Fatalf("observed %d concurrent tasks, want <= %d", got, workers)
 	}
 }
-
-func TestPoolTrySubmit(t *testing.T) {
-	p := NewPool(1)
-	block := make(chan struct{})
-	p.Submit(func() { <-block })
-	// The lone worker is busy and nobody is receiving: TrySubmit must
-	// refuse rather than queue. (Submit would block here.)
-	refused := !p.TrySubmit(func() {})
-	close(block)
-	p.Close()
-	if !refused {
-		t.Fatal("TrySubmit accepted work with every worker busy")
-	}
-}

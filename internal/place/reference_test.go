@@ -50,7 +50,7 @@ func refAnalyze(p *mpl.Program, df *dataflow.Result, opts Options) (*refAnalysis
 	if err != nil {
 		return nil, err
 	}
-	a := &refAnalysis{enum: enum, ext: ext, cuts: cfg.EnumerateGraph(g, enum)}
+	a := &refAnalysis{enum: enum, ext: ext, cuts: enumerateGraph(g, enum)}
 	for i := 1; i <= enum.Count; i++ {
 		for _, from := range a.cuts[i] {
 			for _, to := range a.cuts[i] {
@@ -71,6 +71,21 @@ func refAnalyze(p *mpl.Program, df *dataflow.Result, opts Options) (*refAnalysis
 		}
 	}
 	return a, nil
+}
+
+// enumerateGraph applies an Enumeration to a graph, returning for each
+// checkpoint index i the CFG node ids of S_i, in id order.
+func enumerateGraph(g *cfg.Graph, enum *cfg.Enumeration) map[int][]int {
+	out := make(map[int][]int)
+	for _, n := range g.Nodes {
+		if n.Kind != cfg.KindChkpt {
+			continue
+		}
+		if idx, ok := enum.Index[n.Stmt.ID()]; ok {
+			out[idx] = append(out[idx], n.ID)
+		}
+	}
+	return out
 }
 
 func refEnsure(p *mpl.Program, opts Options, tap func(*mpl.Program, []Violation, []Ordering)) (*Result, error) {

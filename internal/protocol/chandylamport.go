@@ -26,21 +26,6 @@ func NewCLCollector() *CLCollector {
 	return &CLCollector{channelState: make(map[int]map[string][]int)}
 }
 
-// Rounds returns the number of snapshot rounds initiated.
-func (c *CLCollector) Rounds() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rounds
-}
-
-// ChannelState returns the recorded in-flight values for a round and
-// channel.
-func (c *CLCollector) ChannelState(round, from, to int) []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]int(nil), c.channelState[round][chanKey(from, to)]...)
-}
-
 func chanKey(from, to int) string { return fmt.Sprintf("%d->%d", from, to) }
 
 func (c *CLCollector) record(round, from, to, value int) {

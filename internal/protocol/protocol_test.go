@@ -109,8 +109,8 @@ func TestCLSnapshotsConsistentOnUntransformedFig2(t *testing.T) {
 		Hooks:   CL(0, coll),
 	})
 	assertIndexCutsConsistent(t, res.Store, n)
-	if coll.Rounds() != iters {
-		t.Errorf("rounds = %d, want %d", coll.Rounds(), iters)
+	if coll.rounds != iters {
+		t.Errorf("rounds = %d, want %d", coll.rounds, iters)
 	}
 	// Marker traffic: n(n-1) markers per round (every process refloods to
 	// all others). The paper counts 2n(n-1) messages for C-L on a fully
@@ -134,7 +134,7 @@ func TestCLOnRing(t *testing.T) {
 		Hooks:   CL(0, coll),
 	})
 	assertIndexCutsConsistent(t, res.Store, n)
-	if coll.Rounds() == 0 {
+	if coll.rounds == 0 {
 		t.Fatal("no snapshot rounds")
 	}
 }
@@ -144,14 +144,14 @@ func TestCLCollectorRecordsChannelState(t *testing.T) {
 	c.noteRound(0)
 	c.record(0, 1, 2, 42)
 	c.record(0, 1, 2, 43)
-	got := c.ChannelState(0, 1, 2)
+	got := c.channelState[0][chanKey(1, 2)]
 	if len(got) != 2 || got[0] != 42 || got[1] != 43 {
 		t.Errorf("channel state = %v", got)
 	}
-	if c.Rounds() != 1 {
-		t.Errorf("rounds = %d", c.Rounds())
+	if c.rounds != 1 {
+		t.Errorf("rounds = %d", c.rounds)
 	}
-	if len(c.ChannelState(0, 2, 1)) != 0 {
+	if len(c.channelState[0][chanKey(2, 1)]) != 0 {
 		t.Error("unrecorded channel non-empty")
 	}
 }
@@ -248,8 +248,8 @@ func TestCLNonZeroInitiator(t *testing.T) {
 		Hooks:   CL(3, coll),
 	})
 	assertIndexCutsConsistent(t, res.Store, n)
-	if coll.Rounds() != 2 {
-		t.Errorf("rounds = %d, want 2", coll.Rounds())
+	if coll.rounds != 2 {
+		t.Errorf("rounds = %d, want 2", coll.rounds)
 	}
 }
 

@@ -94,7 +94,7 @@ func TestTimedFailureWithProtocolFreeScheme(t *testing.T) {
 	}
 	failed, err := sim.Run(sim.Config{
 		Program: prog, Nproc: 3, Time: &tm,
-		Failures: []sim.Failure{{Proc: 1, AfterEvents: len(clean.Trace.History(1)) * 6 / 10}},
+		Failures: []sim.Failure{{Proc: 1, AfterEvents: len(clean.Trace.Events()[1]) * 6 / 10}},
 		Timeout:  20 * time.Second,
 	})
 	if err != nil {

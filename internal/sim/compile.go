@@ -217,31 +217,3 @@ func (c *Code) compileBody(body []mpl.Stmt) error {
 	}
 	return nil
 }
-
-// Disassemble renders the instruction list for debugging.
-func (c *Code) Disassemble() string {
-	out := ""
-	for pc, in := range c.Instrs {
-		out += fmt.Sprintf("%4d  %-12s", pc, in.Op)
-		switch in.Op {
-		case OpAssign:
-			out += fmt.Sprintf(" %s = %s", in.Var, mpl.ExprString(in.Expr))
-		case OpWork:
-			out += fmt.Sprintf(" %s", mpl.ExprString(in.Expr))
-		case OpSend:
-			out += fmt.Sprintf(" ->%s, %s", mpl.ExprString(in.Expr), in.Var)
-		case OpRecv:
-			out += fmt.Sprintf(" <-%s, %s", mpl.ExprString(in.Expr), in.Var)
-		case OpBcast, OpReduce:
-			out += fmt.Sprintf(" root=%s, %s", mpl.ExprString(in.Expr), in.Var)
-		case OpChkpt:
-			out += fmt.Sprintf(" C_%d", in.Index)
-		case OpJump:
-			out += fmt.Sprintf(" ->%d", in.Target)
-		case OpBranchFalse:
-			out += fmt.Sprintf(" %s ? fall : ->%d", mpl.ExprString(in.Expr), in.Target)
-		}
-		out += "\n"
-	}
-	return out
-}

@@ -23,14 +23,7 @@ func (h *probeHooks) OnStep(p *Proc) error {
 	h.steps++
 	h.sawRank = p.Rank()
 	h.sawN = p.N()
-	if p.ProtoState() == nil {
-		p.SetProtoState(h)
-	}
-	_ = p.Clock()
-	_ = p.Var("x")
 	_ = p.Events()
-	_ = p.Instance(1)
-	_ = p.VTime()
 	p.Counters().Inc("probe", 1)
 	// On the first step, rank 0 pings rank 1 with a control message and a
 	// marker.

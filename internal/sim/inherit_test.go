@@ -196,8 +196,8 @@ func TestInitRefillsInheritedMemory(t *testing.T) {
 		if len(pr.instances) != 0 || !reflect.DeepEqual(pr.env.Vars, zeroVars) {
 			t.Errorf("process %d starts with instances %v, variables %v", p, pr.instances, pr.env.Vars)
 		}
-		if pr.hooks == nil || pr.protoState != nil || pr.events != 0 || pr.inc != 1 {
-			t.Errorf("process %d: hooks %v, protocol state %v, %d events, incarnation %d", p, pr.hooks, pr.protoState, pr.events, pr.inc)
+		if pr.hooks == nil || pr.events != 0 || pr.inc != 1 {
+			t.Errorf("process %d: hooks %v, %d events, incarnation %d", p, pr.hooks, pr.events, pr.inc)
 		}
 	}
 }

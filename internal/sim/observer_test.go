@@ -64,7 +64,7 @@ func TestObserverMirrorsTrace(t *testing.T) {
 	// event, so a process's recorded events line up with its history. The
 	// clock was lent by the live process: what the recorder kept must be
 	// the clock of that event, not of a later one.
-	next := make([]int, 4)
+	next, hist := make([]int, 4), res.Trace.Events()
 	for _, e := range rec.Events() {
 		if e.Inc != 0 {
 			t.Fatalf("clean run event in incarnation %d: %+v", e.Inc, e)
@@ -72,9 +72,9 @@ func TestObserverMirrorsTrace(t *testing.T) {
 		if e.Kind == obs.KindHalt {
 			continue
 		}
-		te := res.Trace.History(e.Proc)[next[e.Proc]]
+		te := hist[e.Proc][next[e.Proc]]
 		next[e.Proc]++
-		if !te.Clock.Equal(e.VClock) {
+		if !slices.Equal(te.Clock, e.VClock) {
 			t.Fatalf("clock %v, trace has %v: %+v", e.VClock, te.Clock, e)
 		}
 		if e.Msg != obs.MsgRef(te.Msg) {
@@ -197,8 +197,8 @@ func TestLentClocksSurviveCrashAndRestore(t *testing.T) {
 		Failures: []sim.Failure{{Proc: 2, AfterEvents: 14}},
 		Observer: obs.Multi(rec, stream, agg),
 	})
-	if err != nil || stream.Err() != nil {
-		t.Fatal(err, stream.Err())
+	if serr := stream.Close(); err != nil || serr != nil {
+		t.Fatal(err, serr)
 	}
 	if res.Restarts != 1 {
 		t.Errorf("restarts = %d, want 1", res.Restarts)

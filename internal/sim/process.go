@@ -107,9 +107,6 @@ type Proc struct {
 	// checkpoints persist the full environment, reproducing the
 	// pre-pruning byte counts (Config.NoPrune, the A/B escape hatch).
 	noPrune bool
-
-	// protoState lets a protocol attach arbitrary per-process state.
-	protoState any
 }
 
 // init completes a Proc whose configuration fields are set into a process
@@ -156,21 +153,6 @@ func (p *Proc) Rank() int { return p.rank }
 
 // N returns the process count.
 func (p *Proc) N() int { return p.n }
-
-// Clock returns a copy of the current vector clock.
-func (p *Proc) Clock() vclock.VC { return p.clock.Clone() }
-
-// Var reads a process variable (0 when undeclared).
-func (p *Proc) Var(name string) int { return p.env.Vars[name] }
-
-// ProtoState returns protocol-attached state.
-func (p *Proc) ProtoState() any { return p.protoState }
-
-// SetProtoState attaches protocol state.
-func (p *Proc) SetProtoState(s any) { p.protoState = s }
-
-// Instance returns the next instance number for checkpoint index idx.
-func (p *Proc) Instance(idx int) int { return p.instances[idx] }
 
 // Events returns the number of events recorded this incarnation.
 func (p *Proc) Events() int { return p.events }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/metrics"
+	"repro/internal/netestim"
 	"repro/internal/obs"
 )
 
@@ -219,8 +221,8 @@ func TestKarnRuleNoSamplesFromRetransmits(t *testing.T) {
 			t.Fatalf("Recv = %+v, %v; want seq %d", m, err, want)
 		}
 	}
-	if got := lk.est.Samples(); got != 0 {
-		t.Errorf("estimator took %d RTT samples from retransmitted exchanges; Karn forbids any", got)
+	if rtt, err := lk.est.RTT(); !errors.Is(err, netestim.ErrNoSamples) {
+		t.Errorf("estimator took RTT samples from retransmitted exchanges (RTT %v); Karn forbids any", rtt)
 	}
 	if got := counters.Snapshot().Custom[MetricNetRetransmits]; got < total {
 		t.Errorf("%s = %d, want >= %d", MetricNetRetransmits, got, total)
@@ -235,7 +237,7 @@ func TestKarnRuleNoSamplesFromRetransmits(t *testing.T) {
 		defer lk2.mu.Unlock()
 		return len(lk2.unacked) == 0
 	})
-	if lk2.est.Samples() == 0 {
+	if _, err := lk2.est.RTT(); err != nil {
 		t.Error("clean link accumulated no RTT samples")
 	}
 }

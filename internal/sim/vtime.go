@@ -57,9 +57,6 @@ func (p *Proc) syncTo(t float64) {
 	}
 }
 
-// VTime returns the process's current virtual clock.
-func (p *Proc) VTime() float64 { return p.vtime }
-
 // chargeSend charges the sender's clock with the setup cost and returns the
 // message's availability time at the receiver.
 func (p *Proc) chargeSend() float64 {

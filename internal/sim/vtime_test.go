@@ -151,7 +151,7 @@ func TestFailureUnderTimePaysForRecovery(t *testing.T) {
 		Program:  p,
 		Nproc:    3,
 		Time:     tm,
-		Failures: []Failure{{Proc: 1, AfterEvents: len(clean.Trace.History(1)) / 2}},
+		Failures: []Failure{{Proc: 1, AfterEvents: len(clean.Trace.Events()[1]) / 2}},
 		Timeout:  10 * time.Second,
 	})
 	if err != nil {

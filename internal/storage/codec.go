@@ -125,9 +125,6 @@ func appendInts(dst []byte, v []int) []byte {
 	return dst
 }
 
-// EncodeSnapshot returns the body of s in a fresh slice.
-func EncodeSnapshot(s Snapshot) []byte { return AppendSnapshot(nil, s) }
-
 // DecodeSnapshot inverts AppendSnapshot. The result shares no memory with
 // body, so the caller may reuse the buffer at once. Any body AppendSnapshot
 // could not have produced — another version byte, a truncated or over-long

@@ -46,7 +46,7 @@ func TestEncodeSnapshotGolden(t *testing.T) {
 		{"manifest-carrying", goldenPruned, "01000408040409000304697465720401780e03733132040200040400000203020804063ff40000000000000304697465720178"},
 	}
 	for _, tt := range tests {
-		body := EncodeSnapshot(tt.snap)
+		body := AppendSnapshot(nil, tt.snap)
 		if got := hex.EncodeToString(body); got != tt.want {
 			t.Errorf("%s: body =\n%s\nwant\n%s", tt.name, got, tt.want)
 		}
@@ -93,7 +93,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		{"manifest-carrying", goldenPruned},
 	}
 	for _, tt := range tests {
-		body := EncodeSnapshot(tt.snap)
+		body := AppendSnapshot(nil, tt.snap)
 		back, err := DecodeSnapshot(body)
 		if err != nil || !reflect.DeepEqual(back, tt.snap) {
 			t.Errorf("%s: round trip = %+v, %v\nwant %+v", tt.name, back, err, tt.snap)
@@ -110,7 +110,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		}
 		// Map iteration order must not reach the bytes.
 		for i := 0; i < 8; i++ {
-			if !bytes.Equal(EncodeSnapshot(tt.snap), again) {
+			if !bytes.Equal(AppendSnapshot(nil, tt.snap), again) {
 				t.Fatalf("%s: encoding is not deterministic", tt.name)
 			}
 		}
@@ -125,7 +125,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 // panic or a half-filled one.
 func TestDecodeSnapshotRejectsDamage(t *testing.T) {
 	for _, snap := range []Snapshot{goldenFull, goldenPruned, {}} {
-		body := EncodeSnapshot(snap)
+		body := AppendSnapshot(nil, snap)
 		for cut := 0; cut < len(body); cut++ {
 			if got, err := DecodeSnapshot(body[:cut]); err == nil || !reflect.DeepEqual(got, Snapshot{}) {
 				t.Fatalf("%v truncated to %d of %d bytes decoded: %+v, %v", snap.Key(), cut, len(body), got, err)
@@ -257,9 +257,9 @@ func fuzzSnapshot(blob []byte, names string, shape uint8, vtime float64) Snapsho
 // Run with `go test -fuzz FuzzSnapshotCodec ./internal/storage`; the
 // committed corpus under testdata/fuzz runs under plain `go test`.
 func FuzzSnapshotCodec(f *testing.F) {
-	f.Add(EncodeSnapshot(goldenFull), "xiterys12", uint8(0xff), 1.25)
-	f.Add(EncodeSnapshot(goldenPruned), "", uint8(0), 0.0)
-	f.Add(EncodeSnapshot(Snapshot{}), "a", uint8(2), math.Inf(-1))
+	f.Add(AppendSnapshot(nil, goldenFull), "xiterys12", uint8(0xff), 1.25)
+	f.Add(AppendSnapshot(nil, goldenPruned), "", uint8(0), 0.0)
+	f.Add(AppendSnapshot(nil, Snapshot{}), "a", uint8(2), math.Inf(-1))
 	f.Add([]byte(`{"proc":1,"cfgIndex":2,"instance":3}`), "reduce$tmp", uint8(0x2a), -0.0)
 	f.Add([]byte{snapshotVersion, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}, "names", uint8(0x15), 1e300)
 
@@ -268,7 +268,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 			vtime = 0 // NaN != NaN: DeepEqual could not confirm the round trip
 		}
 		s := fuzzSnapshot(blob, names, shape, vtime)
-		body := EncodeSnapshot(s)
+		body := AppendSnapshot(nil, s)
 		back, err := DecodeSnapshot(body)
 		if err != nil || !reflect.DeepEqual(back, s) {
 			t.Fatalf("decode(encode(s)) = %+v, %v\nwant %+v", back, err, s)
@@ -287,7 +287,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 			}
 			return
 		}
-		if again := EncodeSnapshot(got); !bytes.Equal(again, blob) {
+		if again := AppendSnapshot(nil, got); !bytes.Equal(again, blob) {
 			t.Fatalf("encode(decode(b)) = %x\nb = %x", again, blob)
 		}
 	})
@@ -314,7 +314,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 		name string
 		snap Snapshot
 	}{{"full", full}, {"pruned", pruned}} {
-		body := EncodeSnapshot(shape.snap)
+		body := AppendSnapshot(nil, shape.snap)
 		b.Run("encode/"+shape.name, func(b *testing.B) {
 			buf := make([]byte, 0, 2*len(body))
 			b.ReportAllocs()

@@ -269,11 +269,11 @@ func (inc *refIncremental) List(proc int) ([]Snapshot, error) {
 func (inc *refIncremental) Indexes(n int) ([]int, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	keys := make([]Key, 0, len(inc.byKey))
+	var ix KeyIndex[struct{}]
 	for k := range inc.byKey {
-		keys = append(keys, k)
+		ix.Put(k, struct{}{})
 	}
-	return CommonIndexes(n, keys), nil
+	return ix.Indexes(n), nil
 }
 
 // Keys implements KeyLister, in save order: a refRecord names its checkpoint

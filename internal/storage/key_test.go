@@ -69,6 +69,8 @@ func TestSortNewestFirst(t *testing.T) {
 	}
 }
 
+// TestCommonIndexes: a KeyIndex's Indexes(n) names the CFG indexes common
+// to exactly n distinct processes, sorted — the candidate straight cuts.
 func TestCommonIndexes(t *testing.T) {
 	tests := []struct {
 		name string
@@ -84,8 +86,12 @@ func TestCommonIndexes(t *testing.T) {
 		{"exactly n processes, not at least n", 2, []Key{{0, 1, 0}, {1, 1, 0}, {2, 1, 0}}, nil},
 	}
 	for _, tt := range tests {
-		if got := CommonIndexes(tt.n, tt.keys); !reflect.DeepEqual(got, tt.want) {
-			t.Errorf("%s: CommonIndexes(%d, %v) = %v, want %v", tt.name, tt.n, tt.keys, got, tt.want)
+		var ix KeyIndex[struct{}]
+		for _, k := range tt.keys {
+			ix.Put(k, struct{}{})
+		}
+		if got := ix.Indexes(tt.n); !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("%s: Indexes(%d) over %v = %v, want %v", tt.name, tt.n, tt.keys, got, tt.want)
 		}
 	}
 }
@@ -121,8 +127,8 @@ func TestScrubOnNonScrubberIsCleanNoOp(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(rep, ScrubReport{}) {
 		t.Errorf("Scrub(memory) = %+v, %v; want a zero report", rep, err)
 	}
-	if mem.Len() != 1 {
-		t.Errorf("Scrub(memory) removed snapshots: %d left", mem.Len())
+	if stored(mem) != 1 {
+		t.Errorf("Scrub(memory) removed snapshots: %d left", stored(mem))
 	}
 	// A Scrubber is reached through the same call.
 	inc := NewIncremental(4)

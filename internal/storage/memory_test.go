@@ -93,8 +93,9 @@ func TestMemoryRetainsExactlyWhatWasSaved(t *testing.T) {
 				}
 				scribbleOver(latest)
 				all, err := m.List(k.Proc)
-				if err != nil || len(all) != m.Len() {
-					t.Fatalf("List %s: %d snapshots of %d, err %v", when, len(all), m.Len(), err)
+				keys, kerr := m.Keys(k.Proc)
+				if err != nil || kerr != nil || len(all) != len(keys) {
+					t.Fatalf("List %s: %d snapshots of %d, err %v / %v", when, len(all), len(keys), err, kerr)
 				}
 				found := false
 				for _, s := range all {
@@ -188,8 +189,16 @@ func TestMemoryConcurrentHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if want := 2 * workers * (rounds - (rounds+2)/3); m.Len() != want {
-		t.Errorf("Len = %d, want %d", m.Len(), want)
+	held := 0
+	for proc := 0; proc <= sharedProc; proc++ {
+		keys, err := m.Keys(proc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held += len(keys)
+	}
+	if want := 2 * workers * (rounds - (rounds+2)/3); held != want {
+		t.Errorf("held %d snapshots, want %d", held, want)
 	}
 	shared, err := m.List(sharedProc)
 	if err != nil {

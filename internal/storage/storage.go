@@ -104,19 +104,6 @@ func SortNewestFirst(proc int, snaps []Snapshot) {
 	sort.Slice(snaps, func(i, j int) bool { return age(snaps[i]) > age(snaps[j]) })
 }
 
-// CommonIndexes returns, sorted, the CFG checkpoint indexes that occur in
-// keys under exactly n distinct processes — the candidate straight cuts of
-// an n-process application whose keys these are. Instances are ignored, and
-// a key counts whether or not its snapshot still loads: finding that out is
-// the recovery ladder's job.
-func CommonIndexes(n int, keys []Key) []int {
-	var ix KeyIndex[struct{}]
-	for _, k := range keys {
-		ix.Put(k, struct{}{})
-	}
-	return ix.Indexes(n)
-}
-
 // Store is the stable-storage interface used by the runtime and the
 // recovery machinery.
 type Store interface {
@@ -402,11 +389,4 @@ func (m *Memory) Delete(proc, cfgIndex, instance int) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
 	return nil
-}
-
-// Len returns the number of stored snapshots.
-func (m *Memory) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bodies.n
 }

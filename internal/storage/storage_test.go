@@ -20,16 +20,23 @@ func sampleSnap(proc, index, instance int) Snapshot {
 	}
 }
 
+// stored counts the snapshots m holds.
+func stored(m *Memory) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.bodies.n
+}
+
 func TestMemoryLen(t *testing.T) {
 	m := NewMemory()
-	if m.Len() != 0 {
+	if stored(m) != 0 {
 		t.Fatal("fresh store not empty")
 	}
 	if err := m.Save(sampleSnap(0, 1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", m.Len())
+	if stored(m) != 1 {
+		t.Fatalf("stored = %d, want 1", stored(m))
 	}
 }
 
@@ -51,8 +58,8 @@ func TestMemoryConcurrentSaves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Len() != workers*50 {
-		t.Fatalf("Len = %d, want %d", m.Len(), workers*50)
+	if stored(m) != workers*50 {
+		t.Fatalf("stored = %d, want %d", stored(m), workers*50)
 	}
 }
 
@@ -83,7 +90,7 @@ func TestMemorySaveSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state Save allocates %.3f objects amortized, want <= 0.1", perSave)
 	}
 	if c := cap(m.arenas[0].chunk); c != arenaChunkMax {
-		t.Errorf("current chunk holds %d bytes after %d saves, want the %d cap", c, m.Len(), arenaChunkMax)
+		t.Errorf("current chunk holds %d bytes after %d saves, want the %d cap", c, stored(m), arenaChunkMax)
 	}
 	m.bodies.Range(0, func(k Key, body []byte) bool {
 		if cap(body) != len(body) {

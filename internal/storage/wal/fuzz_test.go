@@ -18,7 +18,7 @@ import (
 func fuzzPut(proc, index, instance int) []byte {
 	clk := vclock.New(proc + 1)
 	clk[proc] = uint64(instance + 1)
-	return appendFrame(nil, kindPut, key(proc, index, instance), storage.EncodeSnapshot(storage.Snapshot{
+	return appendFrame(nil, kindPut, key(proc, index, instance), storage.AppendSnapshot(nil, storage.Snapshot{
 		Proc: proc, CFGIndex: index, Instance: instance,
 		Clock: clk, Vars: map[string]int{"x": 42}, PC: "s0",
 	}))

@@ -398,7 +398,7 @@ func TestOrphanSegmentsDeleted(t *testing.T) {
 	}
 	w.Close()
 	orphan := filepath.Join(dir, "log-77.seg")
-	if err := os.WriteFile(orphan, appendFrame(nil, kindPut, key(9, 9, 9), storage.EncodeSnapshot(snap(9, 9, 9))), 0o644); err != nil {
+	if err := os.WriteFile(orphan, appendFrame(nil, kindPut, key(9, 9, 9), storage.AppendSnapshot(nil, snap(9, 9, 9))), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	w2 := mustOpen(t, dir, Options{})
@@ -428,7 +428,7 @@ func TestOpenRefusesShardedDirectory(t *testing.T) {
 			w.Close()
 		}
 		foreign := map[string][]byte{
-			"s3-0.seg":    appendFrame(nil, kindPut, key(1, 2, 0), storage.EncodeSnapshot(snap(1, 2, 0))),
+			"s3-0.seg":    appendFrame(nil, kindPut, key(1, 2, 0), storage.AppendSnapshot(nil, snap(1, 2, 0))),
 			"s3.manifest": []byte("another shard's manifest"),
 		}
 		for name, data := range foreign {

@@ -177,7 +177,13 @@ func TestHealthSignalsQuietRun(t *testing.T) {
 	if !snap.Healthy() {
 		t.Error("clean run reported unhealthy")
 	}
-	if snap.HaltedProcs() != 4 {
-		t.Errorf("want 4 halted procs, got %d", snap.HaltedProcs())
+	halted := 0
+	for _, p := range snap.Procs {
+		if p.Halted {
+			halted++
+		}
+	}
+	if halted != 4 {
+		t.Errorf("want 4 halted procs, got %d", halted)
 	}
 }

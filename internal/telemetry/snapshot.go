@@ -213,15 +213,4 @@ func (s Snapshot) Healthy() bool {
 	return true
 }
 
-// HaltedProcs counts processes whose last event was a halt.
-func (s Snapshot) HaltedProcs() int {
-	n := 0
-	for _, p := range s.Procs {
-		if p.Halted {
-			n++
-		}
-	}
-	return n
-}
-
 var _ obs.Observer = (*Aggregator)(nil)

@@ -72,9 +72,6 @@ type MessageID struct {
 	Seq  int // per (From,To) pair sequence number, starting at 0
 }
 
-// IsZero reports whether the id is unset.
-func (m MessageID) IsZero() bool { return m == MessageID{} }
-
 // Checkpoint identifies one checkpoint event. CFGIndex is the checkpoint's
 // enumeration index i in the CFG (the C_i of §2); Instance counts the
 // invocations of that same checkpoint statement by this process (a
@@ -129,15 +126,6 @@ func (t *Trace) Append(e Event) Event {
 	return e
 }
 
-// History returns a copy of proc's local history.
-func (t *Trace) History(proc int) []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	h := make([]Event, len(t.histories[proc]))
-	copy(h, t.histories[proc])
-	return h
-}
-
 // Events returns a copy of all local histories.
 func (t *Trace) Events() [][]Event {
 	t.mu.Lock()
@@ -178,25 +166,6 @@ func (t *Trace) Checkpoints() []Checkpoint {
 // Cut is a set of checkpoints, at most one per process (§2: "a set of
 // checkpoints consisting of one checkpoint from each process").
 type Cut []Checkpoint
-
-// Validate checks the structural cut property: exactly one checkpoint per
-// process of an n-process execution.
-func (c Cut) Validate(n int) error {
-	if len(c) != n {
-		return fmt.Errorf("cut has %d checkpoints, want one per each of %d processes", len(c), n)
-	}
-	seen := make(map[int]bool, n)
-	for _, cp := range c {
-		if cp.Proc < 0 || cp.Proc >= n {
-			return fmt.Errorf("checkpoint %v names process out of range [0,%d)", cp, n)
-		}
-		if seen[cp.Proc] {
-			return fmt.Errorf("cut has two checkpoints for process %d", cp.Proc)
-		}
-		seen[cp.Proc] = true
-	}
-	return nil
-}
 
 // ErrNoCheckpoint is returned by StraightCut when some process has no i-th
 // checkpoint, so the straight cut R_i does not exist.

@@ -90,7 +90,7 @@ func TestAppendAssignsSeq(t *testing.T) {
 	b.compute(0)
 	b.compute(0)
 	b.compute(1)
-	h0 := b.t.History(0)
+	h0 := b.t.Events()[0]
 	if len(h0) != 2 || h0[0].Seq != 0 || h0[1].Seq != 1 {
 		t.Fatalf("history 0 seqs wrong: %+v", h0)
 	}
@@ -133,22 +133,6 @@ func TestCheckpointIndexes(t *testing.T) {
 	got := b.t.CheckpointIndexes()
 	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Fatalf("indexes = %v, want [1 3]", got)
-	}
-}
-
-func TestCutValidate(t *testing.T) {
-	good := Cut{{Proc: 0}, {Proc: 1}}
-	if err := good.Validate(2); err != nil {
-		t.Errorf("valid cut rejected: %v", err)
-	}
-	if err := (Cut{{Proc: 0}}).Validate(2); err == nil {
-		t.Error("short cut accepted")
-	}
-	if err := (Cut{{Proc: 0}, {Proc: 0}}).Validate(2); err == nil {
-		t.Error("duplicated process accepted")
-	}
-	if err := (Cut{{Proc: 0}, {Proc: 5}}).Validate(2); err == nil {
-		t.Error("out-of-range process accepted")
 	}
 }
 
@@ -252,7 +236,7 @@ func TestHBTransitiveAcrossThreeProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	// send on P0 (event 0,0) should be before recv on P2.
-	recvSeq := len(b.t.History(2)) - 1
+	recvSeq := len(b.t.Events()[2]) - 1
 	if !h.Before(0, 0, 2, recvSeq) {
 		t.Error("transitive hb across chain not detected")
 	}

@@ -70,39 +70,6 @@ func (v VC) Before(other VC) bool {
 	return strictly
 }
 
-// Concurrent reports whether v and other are incomparable under
-// happened-before (neither Before the other and not Equal).
-func (v VC) Concurrent(other VC) bool {
-	return !v.Before(other) && !other.Before(v) && !v.Equal(other)
-}
-
-// Equal reports whether v and other are identical clocks.
-func (v VC) Equal(other VC) bool {
-	if len(v) != len(other) {
-		return false
-	}
-	for i := range v {
-		if v[i] != other[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Compare returns the ordering of v relative to other:
-// -1 if v happened before other, +1 if other happened before v,
-// 0 if equal or concurrent (use Concurrent to distinguish).
-func (v VC) Compare(other VC) int {
-	switch {
-	case v.Before(other):
-		return -1
-	case other.Before(v):
-		return 1
-	default:
-		return 0
-	}
-}
-
 // String renders the clock as "[a b c]".
 func (v VC) String() string {
 	var sb strings.Builder

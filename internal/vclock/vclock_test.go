@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -22,7 +23,7 @@ func TestTick(t *testing.T) {
 	v := New(3)
 	v.Tick(1).Tick(1).Tick(2)
 	want := VC{0, 2, 1}
-	if !v.Equal(want) {
+	if !slices.Equal(v, want) {
 		t.Fatalf("v = %v, want %v", v, want)
 	}
 }
@@ -49,7 +50,7 @@ func TestMerge(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			got := tt.a.Clone().Merge(tt.b)
-			if !got.Equal(tt.want) {
+			if !slices.Equal(got, tt.want) {
 				t.Errorf("merge(%v, %v) = %v, want %v", tt.a, tt.b, got, tt.want)
 			}
 		})
@@ -84,30 +85,6 @@ func TestBefore(t *testing.T) {
 				t.Errorf("%v.Before(%v) = %v, want %v", tt.a, tt.b, got, tt.want)
 			}
 		})
-	}
-}
-
-func TestConcurrent(t *testing.T) {
-	if !(VC{2, 1}).Concurrent(VC{1, 2}) {
-		t.Error("crossing clocks should be concurrent")
-	}
-	if (VC{1, 1}).Concurrent(VC{1, 1}) {
-		t.Error("equal clocks are not concurrent")
-	}
-	if (VC{1, 1}).Concurrent(VC{2, 2}) {
-		t.Error("ordered clocks are not concurrent")
-	}
-}
-
-func TestCompare(t *testing.T) {
-	if got := (VC{1, 1}).Compare(VC{2, 2}); got != -1 {
-		t.Errorf("Compare = %d, want -1", got)
-	}
-	if got := (VC{2, 2}).Compare(VC{1, 1}); got != 1 {
-		t.Errorf("Compare = %d, want 1", got)
-	}
-	if got := (VC{2, 1}).Compare(VC{1, 2}); got != 0 {
-		t.Errorf("Compare = %d, want 0", got)
 	}
 }
 
@@ -174,7 +151,7 @@ func TestQuickMergeCommutative(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randomVC(r, 4), randomVC(r, 4)
-		return a.Clone().Merge(b).Equal(b.Clone().Merge(a))
+		return slices.Equal(a.Clone().Merge(b), b.Clone().Merge(a))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -56,9 +56,6 @@ type CheckReport struct {
 	Violations []Violation
 }
 
-// Ok reports whether the execution upholds Theorem 3.2.
-func (r *CheckReport) Ok() bool { return len(r.Violations) == 0 }
-
 // CheckTrace asserts the paper's Theorem 3.2 on one finished execution:
 // every straight cut R_i that exists is a recovery line. Each cut's
 // consistency is decided four independent ways and the verdicts must

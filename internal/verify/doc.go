@@ -6,11 +6,11 @@
 // automatically, in the systematic-exploration tradition of TLC and
 // DPOR-style model checkers:
 //
-//   - ProgGen (gen.go) emits seeded random, well-formed SPMD programs with
+//   - Generate (gen.go) emits seeded random, well-formed SPMD programs with
 //     ID-dependent branches, loops, and matched send/recv patterns, drawn
 //     from communication-motif templates plus random checkpoint-placement
 //     mutation — possibly unsafe placements, which is the point: Phase III
-//     must repair whatever ProgGen invents.
+//     must repair whatever Generate invents.
 //
 //   - Machine (machine.go) is a deterministic sequential interpreter of a
 //     compiled program's per-process CFG product: n process states plus

@@ -19,7 +19,7 @@ type ExploreOptions struct {
 	Budget int
 	// LogRestore records per-checkpoint local snapshots and the full send
 	// log on every explored machine, enabling the restore-equivalence
-	// checks (CheckRestores) inside visit callbacks.
+	// checks (checkRestores) inside visit callbacks.
 	LogRestore bool
 }
 
@@ -89,7 +89,7 @@ func (ex *explorer) fresh() (*Machine, error) {
 		return nil, err
 	}
 	if ex.opts.Budget > 0 {
-		m.SetBudget(ex.opts.Budget)
+		m.budget = ex.opts.Budget
 	}
 	return m, nil
 }

@@ -91,7 +91,7 @@ func FuzzLivenessPrune(f *testing.F) {
 		}
 		opts := ExploreOptions{Depth: depth, MaxSchedules: 16, LogRestore: true}
 		_, err = Explore(code, nproc, DefaultInput, opts, func(m *Machine) error {
-			divs, _, err := CheckRestores(m, nil)
+			divs, _, err := m.checkRestores(nil, modeBoth)
 			if err != nil {
 				return err
 			}

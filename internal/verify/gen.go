@@ -12,28 +12,12 @@ import (
 // overlapping program streams.
 const subSeedStride = int64(-7046029254386353131) // 0x9E3779B97F4A7C15 as int64
 
-// ProgGen is a seeded stream of random, well-formed SPMD programs. Each
-// program is generated from its own sub-seed, printed in counterexample
-// reports, so a single program regenerates via Generate(subSeed) without
-// replaying the stream.
-type ProgGen struct {
-	seed int64
-	k    int
-}
-
-// NewProgGen starts a program stream at seed.
-func NewProgGen(seed int64) *ProgGen { return &ProgGen{seed: seed} }
-
-// SubSeed returns the sub-seed of the k-th program of the stream.
-func (g *ProgGen) SubSeed(k int) int64 {
-	return g.seed + int64(k)*subSeedStride
-}
-
-// Next returns the next program of the stream and its sub-seed.
-func (g *ProgGen) Next() (*mpl.Program, int64) {
-	sub := g.SubSeed(g.k)
-	g.k++
-	return Generate(sub), sub
+// SubSeed returns the sub-seed of the k-th program of the stream a harness
+// seed starts. Each program is generated from its own sub-seed, printed in
+// counterexample reports, so a single program regenerates via
+// Generate(subSeed) without replaying the stream.
+func SubSeed(seed int64, k int) int64 {
+	return seed + int64(k)*subSeedStride
 }
 
 // Generate builds one deterministic, deadlock-free SPMD program from a

@@ -89,10 +89,6 @@ type Result struct {
 	Mutation          map[MutationKind]*KindStats // non-nil when Options.Mutate
 }
 
-// Ok reports whether the run found no counterexample. Mutation escape
-// rates are judged by the caller (the CLI enforces the delete-rate bar).
-func (r *Result) Ok() bool { return len(r.Counterexamples) == 0 }
-
 // DefaultInput is the deterministic input builtin bound to every verified
 // execution: pseudo-data that varies by rank and index but never by
 // schedule.
@@ -112,10 +108,9 @@ func DefaultInput(rank, i int) int {
 // catches the sabotage. Programs are verified in parallel (par.Map); the
 // result is deterministic for a given (Seed, Programs, Depth, Nprocs).
 func Run(ctx context.Context, opts Options) (*Result, error) {
-	gen := NewProgGen(opts.Seed)
 	subs := make([]int64, opts.Programs)
 	for k := range subs {
-		subs[k] = gen.SubSeed(k)
+		subs[k] = SubSeed(opts.Seed, k)
 	}
 	perProg, err := par.Map(ctx, opts.Workers, subs, func(ctx context.Context, _ int, sub int64) (*Result, error) {
 		return runOne(sub, opts)

@@ -175,12 +175,6 @@ func newMachine(code *sim.Code, n int, input func(rank, i int) int, logRestore b
 	return m, nil
 }
 
-// N returns the process count.
-func (m *Machine) N() int { return m.n }
-
-// SetBudget replaces the remaining instruction budget.
-func (m *Machine) SetBudget(n int) { m.budget = n }
-
 // Trace returns the recorded execution.
 func (m *Machine) Trace() *trace.Trace { return m.tr }
 

@@ -32,7 +32,7 @@ func (d RestoreDivergence) String() string {
 	return fmt.Sprintf("restore from cut R_%d (instance %d, %s): %s", d.Index, d.Instance, d.Mode, d.Detail)
 }
 
-// restoreModes selects which reconstruction modes CheckRestores replays.
+// restoreModes selects which reconstruction modes checkRestores replays.
 type restoreModes int
 
 const (
@@ -41,16 +41,12 @@ const (
 	modeBoth = modeFull | modePruned
 )
 
-// CheckRestores replays every straight cut of a finished, restore-logged
-// execution and compares the replayed FinalVars against the original run's.
-// manifests overrides the compiled per-site manifests (nil uses
-// code.Manifests) — the prune-drop mutation operator passes sabotaged
-// manifests here. Returns the divergences and the number of cut restores
-// replayed.
-func CheckRestores(m *Machine, manifests map[int][]string) ([]RestoreDivergence, int, error) {
-	return m.checkRestores(manifests, modeBoth)
-}
-
+// checkRestores replays every straight cut of a finished, restore-logged
+// execution in the given modes and compares the replayed FinalVars against
+// the original run's. manifests overrides the compiled per-site manifests
+// (nil uses code.Manifests) — the prune-drop mutation operator passes
+// sabotaged manifests here. Returns the divergences and the number of cut
+// restores replayed.
 func (m *Machine) checkRestores(manifests map[int][]string, modes restoreModes) ([]RestoreDivergence, int, error) {
 	if !m.logRestore {
 		return nil, 0, fmt.Errorf("verify: machine was not restore-logged")

@@ -38,7 +38,7 @@ func TestCheckRestoresClean(t *testing.T) {
 	for _, n := range []int{2, 3} {
 		cuts := 0
 		_, err := Explore(code, n, DefaultInput, ExploreOptions{Depth: 6, LogRestore: true}, func(m *Machine) error {
-			divs, c, err := CheckRestores(m, nil)
+			divs, c, err := m.checkRestores(nil, modeBoth)
 			if err != nil {
 				return err
 			}
@@ -105,8 +105,8 @@ func TestCheckRestoresRequiresLogging(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
 	}
-	if _, _, err := CheckRestores(m, nil); err == nil {
-		t.Fatal("CheckRestores on an unlogged machine must error")
+	if _, _, err := m.checkRestores(nil, modeBoth); err == nil {
+		t.Fatal("checkRestores on an unlogged machine must error")
 	}
 }
 

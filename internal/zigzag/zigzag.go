@@ -108,14 +108,6 @@ func FromTrace(tr *trace.Trace) (*Analysis, error) {
 	return a, nil
 }
 
-// N returns the process count.
-func (a *Analysis) N() int { return a.n }
-
-// Checkpoints returns process p's checkpoints in temporal order.
-func (a *Analysis) Checkpoints(p int) []trace.Checkpoint {
-	return append([]trace.Checkpoint(nil), a.chkpts[p]...)
-}
-
 // zreach computes, starting from "may send a message from interval ≥ t of
 // process p", the minimal receive interval reachable at every process via
 // zigzag sequences. minRecv[q] = smallest interval in which some zigzag

@@ -158,7 +158,7 @@ func TestOutOfRangeOrdinals(t *testing.T) {
 	if a.ZPath(0, 0, 0, 1) || a.ZPath(0, 2, 0, 1) || a.ZPath(1, 1, 0, 1) {
 		t.Error("out-of-range ordinals must be false")
 	}
-	if len(a.Checkpoints(0)) != 1 || len(a.Checkpoints(1)) != 0 {
+	if len(a.chkpts[0]) != 1 || len(a.chkpts[1]) != 0 {
 		t.Error("Checkpoints accessor wrong")
 	}
 }

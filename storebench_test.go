@@ -101,7 +101,7 @@ func BenchmarkSaveBytesPruned(b *testing.B) {
 			b.Run(kind+"/"+mode, func(b *testing.B) {
 				st := openTestStore(b, kind, 8, wal.Options{})
 				pruned := mode == "pruned"
-				sample := storage.EncodeSnapshot(pruneBenchSnap(0, 1_000_000, pruned))
+				sample := storage.AppendSnapshot(nil, pruneBenchSnap(0, 1_000_000, pruned))
 				s := pruneBenchSnap(0, 0, pruned)
 				b.ReportAllocs()
 				b.ResetTimer()
