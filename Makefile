@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -fuzz FuzzLivenessPrune -fuzztime $(FUZZTIME) ./internal/verify
 	$(GO) test -fuzz FuzzWALRecover -fuzztime $(FUZZTIME) ./internal/storage/wal
 	$(GO) test -fuzz FuzzSnapshotCodec -fuzztime $(FUZZTIME) ./internal/storage
+	$(GO) test -fuzz FuzzLogRecord -fuzztime $(FUZZTIME) ./internal/sim
 
 # telemetry runs the live-telemetry smoke: chkptsim serving /metrics on an
 # ephemeral port, scraped end-to-end by cmd/telemetryprobe.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpl"
 	"repro/internal/storage"
+	"repro/internal/vclock"
 )
 
 // BenchmarkTransportRoundTrip measures one full hardened-transport cycle —
@@ -31,10 +32,11 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 	}, counters, nil, 1)
 	defer net.tr.reset()
 
+	clock := vclock.New(2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: i, Value: i})
+		net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: i, Value: i}, clock)
 		if _, err := net.Recv(0, 1); err != nil {
 			b.Fatal(err)
 		}

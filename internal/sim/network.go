@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -25,31 +26,19 @@ type Message struct {
 	From, To  int
 	Seq       int // per (From,To) application sequence number
 	Value     int
-	Clock     vclock.VC
 	Piggyback []int  // protocol payload carried on app messages
 	Tag       string // marker/control tag
 	// ArriveV is the virtual time at which the message becomes available
 	// to the receiver (0 when virtual-time accounting is off).
 	ArriveV float64
+	// rec is an application message's record in its sender's log (see
+	// sendlog.go), capacity-clipped: the receiver merges the clock from it.
+	rec []byte
 }
 
 // ErrAborted is returned by blocking receives when the runtime aborts the
 // incarnation (failure injection).
 var ErrAborted = errors.New("sim: incarnation aborted")
-
-// logRec is what the sender-based log keeps of an application message: the
-// fields its channel does not imply.
-type logRec struct {
-	Seq, Value int
-	ArriveV    float64
-	Clock      vclock.VC
-	Piggyback  []int
-}
-
-// The log's first logInline records live in the channel itself (most channels
-// of a small job carry a handful of messages), later ones in chunks of
-// logChunk records that are never regrown.
-const logInline, logChunk = 4, 16
 
 // ctrlFrom is the sender index of a process's out-of-band control channel.
 const ctrlFrom = -1
@@ -79,9 +68,10 @@ type channel struct {
 	// hardened transport's backlog watermark tap). Called outside mu.
 	onDepth func(depth int)
 
-	logLen   int // records in use, Seq ascending
-	logFirst [logInline]logRec
-	logMore  [][]logRec // chunks of logChunk records
+	logLen   int        // records in the log, of messages 0 … logLen-1
+	log      []logChunk // first ascending; starts as logHead
+	logHead  [1]logChunk
+	logFirst [logInline]byte
 }
 
 func (ch *channel) push(m Message) {
@@ -135,41 +125,14 @@ func (ch *channel) abort() {
 	ch.cond.Broadcast()
 }
 
-// rec returns log record i.
-func (ch *channel) rec(i int) *logRec {
-	if i < logInline {
-		return &ch.logFirst[i]
-	}
-	i -= logInline
-	return &ch.logMore[i/logChunk][i%logChunk]
-}
-
-// logAppend records an application message the channel is about to carry.
-func (ch *channel) logAppend(m Message) {
-	if ch.logLen == logInline+len(ch.logMore)*logChunk {
-		ch.logMore = append(ch.logMore, make([]logRec, logChunk))
-	}
-	*ch.rec(ch.logLen) = logRec{Seq: m.Seq, Value: m.Value, ArriveV: m.ArriveV, Clock: m.Clock, Piggyback: m.Piggyback}
-	ch.logLen++
-}
-
 // reset reopens the channel at a recovery line: the log keeps the messages
-// sent before sendSeq — replay regenerates the rest — and the queue holds
-// those of them the receiver had not consumed (seq >= recvSeq). Sequence
-// numbers ascend along the log, so what is dropped is a suffix and what is in
-// flight a suffix of the rest. Log and queue keep their memory and zero what
-// they drop: neither pins a clock of the rolled-back incarnation.
-func (ch *channel) reset(sendSeq, recvSeq int) {
-	keep := ch.logLen
-	for keep > 0 && ch.rec(keep-1).Seq >= sendSeq {
-		keep--
-		*ch.rec(keep) = logRec{}
-	}
-	ch.logLen = keep
-	inflight := keep
-	for inflight > 0 && ch.rec(inflight-1).Seq >= recvSeq {
-		inflight--
-	}
+// sent before sendSeq — replay regenerates the rest — and the queue, which
+// keeps its memory and zeroes what it drops, holds those the receiver had not
+// consumed (seq >= recvSeq), rebuilt from their records. Finding recvSeq
+// scans one chunk. The cut chunk is clipped, and the next record goes into
+// room never written, not over the cut bytes: a message that references them —
+// delivered, or a stale frame on the wire — still reads what was sent.
+func (ch *channel) reset(sendSeq, recvSeq, n int) {
 	ch.mu.Lock()
 	for _, m := range ch.items[ch.head:] {
 		if m.Kind != MsgApp {
@@ -178,10 +141,33 @@ func (ch *channel) reset(sendSeq, recvSeq int) {
 	}
 	clear(ch.items)
 	ch.items = ch.items[:0]
-	for i := inflight; i < keep; i++ {
-		r := ch.rec(i)
-		ch.items = append(ch.items, Message{Kind: MsgApp, From: ch.from, To: ch.to,
-			Seq: r.Seq, Value: r.Value, Clock: r.Clock, Piggyback: r.Piggyback, ArriveV: r.ArriveV})
+	sendSeq = min(sendSeq, ch.logLen)
+	c, off := len(ch.log)-1, 0
+	for ch.log[c].first > min(recvSeq, sendSeq) {
+		c--
+	}
+	for seq := ch.log[c].first; seq < sendSeq; seq++ {
+		for off == len(ch.log[c].b) {
+			c, off = c+1, 0
+		}
+		m := Message{Kind: MsgApp, From: ch.from, To: ch.to, Seq: seq}
+		k := readRecord(ch.log[c].b[off:], n, &m)
+		if k == 0 {
+			panic(fmt.Sprintf("sim: channel %d->%d: corrupt log record %d", ch.from, ch.to, seq))
+		}
+		if off += k; seq >= recvSeq {
+			ch.items = append(ch.items, m)
+		}
+	}
+	if sendSeq < ch.logLen {
+		tail := ch.log[len(ch.log)-1].b
+		if off > 0 {
+			ch.log[c].b = ch.log[c].b[:off:off]
+			c++
+		}
+		clear(ch.log[c:])
+		ch.log = append(ch.log[:c], logChunk{first: sendSeq, b: tail[len(tail):]})
+		ch.logLen = sendSeq
 	}
 	ch.head = 0
 	ch.closed = false
@@ -229,6 +215,7 @@ func (net *Network) channel(from, to int) *channel {
 	}
 	ch := &channel{from: from, to: to, proto: &net.proto[to]}
 	ch.cond.L = &ch.mu
+	ch.log, ch.logHead[0].b = ch.logHead[:], ch.logFirst[:0]
 	if !slot.CompareAndSwap(nil, ch) {
 		return slot.Load()
 	}
@@ -244,12 +231,12 @@ func (net *Network) channel(from, to int) *channel {
 	return ch
 }
 
-// Send delivers an application message (asynchronous, FIFO) and logs it
-// for potential rollback re-injection. The sender-based log records the
-// message before it touches the (possibly lossy) transport: recovery
-// reconstructs in-flight messages from the log, never from the wire.
-func (net *Network) Send(m Message) {
-	net.channel(m.From, m.To).logAppend(m)
+// Send delivers an application message (asynchronous, FIFO) and logs it with
+// the sender's lent clock for potential rollback re-injection. The log
+// records the message before it touches the (possibly lossy) transport:
+// recovery reconstructs in-flight messages from the log, never from the wire.
+func (net *Network) Send(m Message, clock vclock.VC) {
+	m.rec = net.channel(m.From, m.To).logAppend(&m, clock, net.n)
 	net.SendMarker(m)
 }
 
@@ -327,9 +314,9 @@ func (net *Network) ResetForRecovery(sendSeq, recvSeq [][]int) {
 	net.aborted.Store(false)
 	for ch := net.created.Load(); ch != nil; ch = ch.next {
 		if ch.from == ctrlFrom {
-			ch.reset(0, 0)
+			ch.reset(0, 0, net.n)
 		} else {
-			ch.reset(sendSeq[ch.from][ch.to], recvSeq[ch.to][ch.from])
+			ch.reset(sendSeq[ch.from][ch.to], recvSeq[ch.to][ch.from], net.n)
 		}
 	}
 }

@@ -69,9 +69,6 @@ type Proc struct {
 	sendSeq   []int
 	recvSeq   []int
 	instances map[int]int
-	// clockSlab is the unused tail of the chunk stampClock cuts message
-	// clocks from.
-	clockSlab []uint64
 
 	steps      int
 	maxSteps   int
@@ -606,26 +603,6 @@ func (p *Proc) evalErr(in Instr, err error) error {
 	return fmt.Errorf("sim: process %d at pc %d (stmt #%d): %w", p.rank, p.pc, in.StmtID, err)
 }
 
-// slabClocks is how many message clocks one slab chunk holds. A process
-// leaves at most slabClocks-1 unused, which a job of ten messages must not
-// notice.
-const slabClocks = 8
-
-// stampClock returns a copy of the current clock for an outgoing message,
-// cut from the process's slab. A stamp is written here once and only read
-// afterwards (the receiver merges it), and no chunk is recycled, so stamps
-// need no lifetime protocol; a channel's log keeps every message of the run,
-// so a chunk pins nothing a per-message clone would not.
-func (p *Proc) stampClock() vclock.VC {
-	if len(p.clockSlab) < p.n {
-		p.clockSlab = make([]uint64, slabClocks*p.n)
-	}
-	stamp := p.clockSlab[:p.n:p.n]
-	p.clockSlab = p.clockSlab[p.n:]
-	copy(stamp, p.clock)
-	return stamp
-}
-
 // sendApp sends one application message to dest.
 func (p *Proc) sendApp(dest, value int) error {
 	seq := p.sendSeq[dest]
@@ -638,11 +615,10 @@ func (p *Proc) sendApp(dest, value int) error {
 		To:        dest,
 		Seq:       seq,
 		Value:     value,
-		Clock:     p.stampClock(),
 		Piggyback: p.hooks.BeforeSend(p, dest),
 		ArriveV:   arrive,
 	}
-	p.net.Send(m)
+	p.net.Send(m, p.clock)
 	p.counters.IncAppMessages(1)
 	return p.record(trace.Event{
 		Kind: trace.KindSend,
@@ -681,7 +657,9 @@ func (p *Proc) recvApp(src int, varName string) error {
 		p.recvSeq[src] = m.Seq + 1
 		p.env.Vars[varName] = m.Value
 		p.clock.Tick(p.rank)
-		p.clock.Merge(m.Clock)
+		if !p.clock.MergeUvarint(m.rec) {
+			return fmt.Errorf("sim: process %d: message %d->%d #%d carries no readable clock", p.rank, src, p.rank, m.Seq)
+		}
 		if err := p.record(trace.Event{
 			Kind: trace.KindRecv,
 			Msg:  trace.MessageID{From: src, To: p.rank, Seq: m.Seq},

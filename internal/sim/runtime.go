@@ -329,10 +329,10 @@ func (r *run) emit(kind obs.Kind, inc int, vtime float64, format string, args ..
 // restored from line, with the incarnation's crash triggers armed. Each
 // takes over the memory of its predecessor in prev, the incarnation that
 // just failed (nil at incarnation 0) — environment, clock, sequence counters,
-// instance map, what is left of the clock slab — and init refills it. That is
-// safe because wait returned only after every goroutine of prev had reported
-// in and rollback has read their clocks: nothing runs on that memory any
-// more, stores and observers were only ever lent it, and what init finds it
+// instance map — and init refills it. That is safe because wait returned
+// only after every goroutine of prev had reported in and rollback has read
+// their clocks: nothing runs on that memory any more, stores, observers and
+// the send log were only ever lent it, and what init finds it
 // overwrites, never trusts. Hooks and protocol state are built anew.
 func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64) ([]*Proc, error) {
 	cfg, n := &r.cfg, r.cfg.Nproc
@@ -356,7 +356,7 @@ func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64
 			p.jitter.Seed(uint64(cfg.Jitter), uint64(rank)<<32|uint64(inc))
 		}
 		if old != nil {
-			p.env, p.pruned, p.clockSlab = old.env, old.pruned, old.clockSlab
+			p.env, p.pruned = old.env, old.pruned
 			p.clock, p.sendSeq, p.recvSeq, p.instances = old.clock, old.sendSeq, old.recvSeq, old.instances
 		}
 		p.init(cfg.Input)

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -23,8 +24,9 @@ func init() {
 // (ROADMAP item 12): the transformed Figure 2 Jacobi with one crash ends in the
 // state verify.Machine computes, and a process costs no more objects there
 // than in a 4-process run — a rank still talks to one neighbour, and nothing
-// the run allocates is per pair of processes. Bytes per process are not
-// pinned: every message and snapshot carries an O(n) clock.
+// the run allocates is per pair of processes. Its bytes are pinned too: every
+// snapshot and message record still holds an O(n) clock, a message's at a
+// byte or two per component.
 func TestWideRunAllocsPerProcess(t *testing.T) {
 	rep, err := core.Transform(corpus.JacobiFig2(8), core.DefaultConfig)
 	if err != nil {
@@ -34,7 +36,7 @@ func TestWideRunAllocsPerProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perProc := func(n int) float64 {
+	perProc := func(n int) (objects, kb float64) {
 		m, err := verify.RunSchedule(code, n, verify.DefaultInput, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -43,27 +45,36 @@ func TestWideRunAllocsPerProcess(t *testing.T) {
 			Code: code, Nproc: n, Input: verify.DefaultInput, Timeout: 60 * time.Second, DisableTrace: true,
 			Failures: []sim.Failure{{Proc: 1, AfterEvents: 20}},
 		}
-		// Nothing but the run inside the count: checks and logging allocate.
+		// Nothing but the runs inside the counts: checks and logging allocate.
+		const runs = 5 // AllocsPerRun warms up once
 		var res *sim.Result
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		start := time.Now()
-		allocs := testing.AllocsPerRun(2, func() {
+		allocs := testing.AllocsPerRun(runs-1, func() {
 			if err == nil {
 				res, err = sim.Run(cfg)
 			}
 		})
-		took := time.Since(start) / 3 // AllocsPerRun warms up once
+		took := time.Since(start) / runs
+		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if res.Restarts != 1 || !reflect.DeepEqual(res.FinalVars, m.FinalVars()) {
 			t.Fatalf("n=%d: %d restarts; final state equals the machine's: %v", n, res.Restarts, reflect.DeepEqual(res.FinalVars, m.FinalVars()))
 		}
-		t.Logf("n=%d: %.1f objects per process, %v a run", n, allocs/float64(n), took.Round(time.Microsecond))
-		return allocs / float64(n)
+		objects, kb = allocs/float64(n), float64(after.TotalAlloc-before.TotalAlloc)/runs/float64(n)/1024
+		t.Logf("n=%d: %.1f objects and %.1f KB per process, %v a run", n, objects, kb, took.Round(time.Microsecond))
+		return objects, kb
 	}
-	narrow, wide := perProc(4), perProc(256)
+	narrow, _ := perProc(4)
+	wide, wideKB := perProc(256)
 	if wide > 2*narrow {
 		t.Errorf("a process of a 256-process run allocates %.1f objects, one of a 4-process run %.1f: want at most twice", wide, narrow)
+	}
+	if wideKB > 45 && !raceEnabled {
+		t.Errorf("a process of a 256-process run allocates %.1f KB, want <= 45", wideKB)
 	}
 }
 

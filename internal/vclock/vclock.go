@@ -6,6 +6,7 @@
 package vclock
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -50,6 +51,21 @@ func (v VC) Merge(other VC) VC {
 		}
 	}
 	return v
+}
+
+// MergeUvarint merges into v the clock of v's width at the head of b, one
+// uvarint (encoding/binary) per component, without decoding it into a VC. It
+// reports false, v possibly half merged, when b ends inside the clock or
+// holds a malformed uvarint.
+func (v VC) MergeUvarint(b []byte) bool {
+	for i := range v {
+		x, k := binary.Uvarint(b)
+		if k <= 0 {
+			return false
+		}
+		b, v[i] = b[k:], max(v[i], x)
+	}
+	return true
 }
 
 // Before reports whether v happened before other: v ≤ other component-wise
