@@ -72,6 +72,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCFGBuild -fuzztime $(FUZZTIME) ./internal/cfg
 	$(GO) test -fuzz FuzzStraightCutTheorem -fuzztime $(FUZZTIME) ./internal/verify
 	$(GO) test -fuzz FuzzLivenessPrune -fuzztime $(FUZZTIME) ./internal/verify
+	$(GO) test -fuzz FuzzLivenessReference -fuzztime $(FUZZTIME) ./internal/liveness
 	$(GO) test -fuzz FuzzWALRecover -fuzztime $(FUZZTIME) ./internal/storage/wal
 	$(GO) test -fuzz FuzzSnapshotCodec -fuzztime $(FUZZTIME) ./internal/storage
 	$(GO) test -fuzz FuzzLogRecord -fuzztime $(FUZZTIME) ./internal/sim

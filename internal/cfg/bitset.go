@@ -14,6 +14,9 @@ func NewBitset(n int) Bitset {
 // Set sets bit i.
 func (b Bitset) Set(i int) { b[i/64] |= 1 << (uint(i) % 64) }
 
+// Clear clears bit i — the kill step of the backward liveness walk.
+func (b Bitset) Clear(i int) { b[i/64] &^= 1 << (uint(i) % 64) }
+
 // Has reports whether bit i is set.
 func (b Bitset) Has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 
@@ -40,14 +43,6 @@ func (b Bitset) IntersectWith(o Bitset) {
 func (b Bitset) UnionWith(o Bitset) {
 	for i := range b {
 		b[i] |= o[i]
-	}
-}
-
-// AndNotWith removes all bits of o (set difference) — the kill step of the
-// backward liveness transfer function.
-func (b Bitset) AndNotWith(o Bitset) {
-	for i := range b {
-		b[i] &^= o[i]
 	}
 }
 

@@ -18,11 +18,9 @@ func TestBitsetCount(t *testing.T) {
 	if got := b.Count(); got != len(want) {
 		t.Errorf("Count = %d, want %d", got, len(want))
 	}
-	drop := NewBitset(200)
-	drop.Set(64)
-	b.AndNotWith(drop)
+	b.Clear(64)
 	if got := b.Count(); got != len(want)-1 {
-		t.Errorf("Count after AndNotWith = %d, want %d", got, len(want)-1)
+		t.Errorf("Count after Clear = %d, want %d", got, len(want)-1)
 	}
 }
 
@@ -80,7 +78,7 @@ func TestBitsetCopyFromZero(t *testing.T) {
 func TestBitsetRandomAgainstMap(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	const n = 300
-	b, one := NewBitset(n), NewBitset(n)
+	b := NewBitset(n)
 	ref := map[int]bool{}
 	for op := 0; op < 2000; op++ {
 		i := r.Intn(n)
@@ -88,9 +86,7 @@ func TestBitsetRandomAgainstMap(t *testing.T) {
 			b.Set(i)
 			ref[i] = true
 		} else {
-			one.Zero()
-			one.Set(i)
-			b.AndNotWith(one)
+			b.Clear(i)
 			delete(ref, i)
 		}
 	}

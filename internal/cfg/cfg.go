@@ -153,13 +153,15 @@ func (g *Graph) Preds(id int) []Edge { return g.preds[g.predOff[id]:g.predOff[id
 
 // builder state for Build. Nodes are carved from one slab sized to the
 // statement count (every statement yields exactly one node, plus
-// entry/exit), so construction performs no per-node allocation. spare
-// recycles dead frontier backings (see Build) so nested control flow
-// stops allocating once the deepest nesting has been visited.
+// entry/exit), so construction performs no per-node allocation. The
+// frontier — the edges waiting for the next node in sequence — is the top
+// of one stack: a body's frontier is stack[base:], and an if's
+// then-frontier lies directly under its else-frontier, so the two are
+// merged by leaving both where they are.
 type builder struct {
 	g     *Graph
 	slab  []Node
-	spare [][]dangling
+	stack []dangling
 }
 
 // dangling is a (node, edge-kind) pair awaiting connection to the next
@@ -169,38 +171,6 @@ type dangling struct {
 	kind EdgeKind
 }
 
-// take returns a length-1 frontier holding d, reusing a recycled backing
-// when one is available. An empty freelist is refilled in bulk: one slab
-// carved into fixed-capacity slots, so deep if/while nests cost one
-// allocation per eight frontiers instead of one each. The slots use
-// three-index slices, so a frontier outgrowing its slot reallocates
-// normally rather than bleeding into a sibling.
-func (b *builder) take(d dangling) []dangling {
-	if len(b.spare) == 0 {
-		// Slots lost to un-recyclable frontiers (merges, the final frontier)
-		// drain the freelist a little every build; 32 slots per refill keeps
-		// the cached-build steady state at one slab per several rounds.
-		const slots, slotCap = 32, 4
-		slab := make([]dangling, slots*slotCap)
-		for i := 0; i < slots; i++ {
-			lo := i * slotCap
-			b.spare = append(b.spare, slab[lo:lo:lo+slotCap])
-		}
-	}
-	k := len(b.spare)
-	s := b.spare[k-1][:0]
-	b.spare = b.spare[:k-1]
-	return append(s, d)
-}
-
-// recycle donates a dead frontier's backing to later take calls. Callers
-// must guarantee no live slice shares it.
-func (b *builder) recycle(f []dangling) {
-	if cap(f) > 0 {
-		b.spare = append(b.spare, f[:0])
-	}
-}
-
 func (b *builder) newNode(kind NodeKind, stmt mpl.Stmt) int {
 	id := len(b.g.Nodes)
 	b.slab = append(b.slab, Node{ID: id, Kind: kind, Stmt: stmt})
@@ -208,11 +178,17 @@ func (b *builder) newNode(kind NodeKind, stmt mpl.Stmt) int {
 	return id
 }
 
-// connect closes every dangling edge of frontier on node to.
-func (b *builder) connect(frontier []dangling, to int, back bool) {
-	for _, d := range frontier {
+// connect closes every dangling edge of the frontier stack[base:] on node
+// to and pops them.
+func (b *builder) connect(base, to int, back bool) {
+	for _, d := range b.stack[base:] {
 		b.g.Edges = append(b.g.Edges, Edge{From: d.from, To: to, Kind: d.kind, Back: back})
 	}
+	b.stack = b.stack[:base]
+}
+
+func (b *builder) push(from int, kind EdgeKind) {
+	b.stack = append(b.stack, dangling{from, kind})
 }
 
 // finalize builds the grouped adjacency: Edges by source and by target,
@@ -282,13 +258,17 @@ func build(p *mpl.Program, skeleton bool) (*Graph, error) {
 			Nodes: make([]*Node, 0, nstmt),
 			Edges: make([]Edge, 0, nstmt+nstmt/2),
 		},
-		slab: make([]Node, 0, nstmt),
+		slab:  make([]Node, 0, nstmt),
+		stack: make([]dangling, 0, 16),
 	}
 	entry := b.newNode(KindEntry, nil)
 	b.g.Entry = entry
+	b.push(entry, EdgeSeq)
 
-	var buildBody func(body []mpl.Stmt, frontier []dangling) ([]dangling, error)
-	buildBody = func(body []mpl.Stmt, frontier []dangling) ([]dangling, error) {
+	// buildBody adds body's nodes and edges; the frontier is stack[base:]
+	// on entry and on return.
+	var buildBody func(body []mpl.Stmt, base int) error
+	buildBody = func(body []mpl.Stmt, base int) error {
 		for _, s := range body {
 			var kind NodeKind
 			switch s.(type) {
@@ -310,53 +290,41 @@ func build(p *mpl.Program, skeleton bool) (*Graph, error) {
 			case *mpl.While, *mpl.If:
 				kind = KindBranch
 			default:
-				return nil, fmt.Errorf("cfg: unknown statement type %T", s)
+				return fmt.Errorf("cfg: unknown statement type %T", s)
 			}
 			id := b.newNode(kind, s)
-			b.connect(frontier, id, false)
+			b.connect(base, id, false)
 			switch st := s.(type) {
 			case *mpl.While:
-				bodyEnd, err := buildBody(st.Body, b.take(dangling{id, EdgeTrue}))
-				if err != nil {
-					return nil, err
+				b.push(id, EdgeTrue)
+				if err := buildBody(st.Body, base); err != nil {
+					return err
 				}
 				// Backward edges to the loop header.
-				b.connect(bodyEnd, id, true)
-				b.recycle(bodyEnd)
-				frontier = append(frontier[:0], dangling{id, EdgeFalse})
+				b.connect(base, id, true)
+				b.push(id, EdgeFalse)
 			case *mpl.If:
-				thenEnd, err := buildBody(st.Then, b.take(dangling{id, EdgeTrue}))
-				if err != nil {
-					return nil, err
+				b.push(id, EdgeTrue)
+				if err := buildBody(st.Then, base); err != nil {
+					return err
 				}
-				elseEnd, err := buildBody(st.Else, b.take(dangling{id, EdgeFalse}))
-				if err != nil {
-					return nil, err
+				b.push(id, EdgeFalse)
+				if err := buildBody(st.Else, len(b.stack)-1); err != nil {
+					return err
 				}
-				merged := append(thenEnd, elseEnd...)
-				// elseEnd's backing was copied out; thenEnd's was either
-				// extended in place (now owned by merged) or, if append
-				// grew, also left dead — only the provably dead one is safe
-				// to recycle.
-				b.recycle(elseEnd)
-				frontier = merged
 			default:
-				// The incoming frontier's entries were just consumed by
-				// connect, so its backing can host the successor frontier —
-				// the straight-line common case allocates nothing.
-				frontier = append(frontier[:0], dangling{id, EdgeSeq})
+				b.push(id, EdgeSeq)
 			}
 		}
-		return frontier, nil
+		return nil
 	}
 
-	frontier, err := buildBody(p.Body, []dangling{{entry, EdgeSeq}})
-	if err != nil {
+	if err := buildBody(p.Body, 0); err != nil {
 		return nil, err
 	}
 	exit := b.newNode(KindExit, nil)
 	b.g.Exit = exit
-	b.connect(frontier, exit, false)
+	b.connect(0, exit, false)
 	b.g.finalize()
 	return b.g, nil
 }

@@ -69,17 +69,6 @@ func TestTransformJacobiFig2(t *testing.T) {
 	}
 }
 
-func TestTransformDoesNotMutateInput(t *testing.T) {
-	p := corpus.JacobiFig2(2)
-	before := mpl.Format(p)
-	if _, err := Transform(p, DefaultConfig); err != nil {
-		t.Fatal(err)
-	}
-	if mpl.Format(p) != before {
-		t.Error("input mutated")
-	}
-}
-
 func TestTransformSkipInsert(t *testing.T) {
 	rep, err := Transform(corpus.JacobiFig1(2), Config{SkipInsert: true, PreserveLoops: true})
 	if err != nil {

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/liveness"
@@ -21,22 +23,37 @@ import (
 // core.Transform, liveness.Compute / sim.Compile / mpl.Format behind it —
 // from the one package whose tests may import all of them.
 
+// ceiling caps one end's cost per call: allocations, and bytes where kb is
+// not 0.
+type ceiling struct{ allocs, kb float64 }
+
 // TestPipelineEndsAllocs pins what the ends allocate per call (DESIGN
-// decision 26): they pay per program, not per token, node, CFG node or
-// checkpoint site. The counts are exact (the ends are serial) and logged;
-// the ceilings leave room for a Go release to move them, not for a
-// per-element cost to come back — the parent commit's counts, in the
-// comments, are what that would look like.
+// decisions 26 and 31): they pay per program, not per token, node, CFG node
+// or checkpoint site, and the analyses behind Phase III build no graph the
+// AST already is. Counts are exact (the ends are serial); bytes are
+// MemStats.TotalAlloc over the runs. Both are logged; the ceilings leave
+// room for a Go release to move them, not for a per-element cost to come
+// back — the parent commits' figures, in the comments, are what that would
+// look like.
 func TestPipelineEndsAllocs(t *testing.T) {
 	cases := []struct {
-		name                             string
-		prog                             *mpl.Program
-		parse, format, liveness, compile float64
+		name                                              string
+		prog                                              *mpl.Program
+		parse, format, liveness, compile, clone, skeleton ceiling
 	}{
-		// Measured 62 / 1 / 28 / 39; parent 1,130 / 207 / 698 / 717.
-		{"GenerateLarge(1,6)", verify.GenerateLarge(1, 6), 150, 12, 70, 90},
-		// Measured 27 / 1 / 26 / 32; parent 121 / 21 / 88 / 98.
-		{"JacobiFig2(64)", corpus.JacobiFig2(64), 40, 12, 50, 60},
+		// Parse / Format / Compute / Compile / Clone / BuildSkeleton measure
+		// 62 / 1 / 12 / 23 / 12 / 9 allocs and — the last four — 4.4 / 22.2 /
+		// 12.5 / 23.2 KB per call. Before the liveness walk, expression
+		// sharing and the frontier stack: 28 / 39 / 15 / 16 allocs and 36.0 /
+		// 53.8 / 20.9 / 26.6 KB; before the ends paid per program, 1,130 /
+		// 207 / 698 / 717 allocs for the first four.
+		{"GenerateLarge(1,6)", verify.GenerateLarge(1, 6),
+			ceiling{150, 0}, ceiling{12, 0}, ceiling{30, 8}, ceiling{50, 30}, ceiling{20, 16}, ceiling{20, 30}},
+		// 27 / 1 / 10 / 16 / 10 / 9 allocs, 0.9 / 2.4 / 1.0 / 2.1 KB;
+		// before: 26 / 32 / 13 / 16 allocs, 6.9 / 8.5 / 1.8 / 5.5 KB; and
+		// 121 / 21 / 88 / 98 allocs.
+		{"JacobiFig2(64)", corpus.JacobiFig2(64),
+			ceiling{40, 0}, ceiling{12, 0}, ceiling{25, 2}, ceiling{40, 4}, ceiling{20, 2}, ceiling{20, 4}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,12 +67,23 @@ func TestPipelineEndsAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			placed := rep.Program
-			pin := func(what string, max float64, fn func()) {
+			pin := func(what string, max ceiling, fn func()) {
 				t.Helper()
-				got := testing.AllocsPerRun(20, fn)
-				t.Logf("%-16s %4.0f allocs/call (ceiling %.0f)", what, got, max)
-				if got > max {
-					t.Errorf("%s allocates %.0f times per call, ceiling %.0f", what, got, max)
+				const runs = 20
+				got := testing.AllocsPerRun(runs, fn)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for range runs {
+					fn()
+				}
+				runtime.ReadMemStats(&after)
+				kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+				t.Logf("%-18s %4.0f allocs/call (ceiling %.0f) %6.1f KB/call (ceiling %.0f)", what, got, max.allocs, kb, max.kb)
+				if got > max.allocs {
+					t.Errorf("%s allocates %.0f times per call, ceiling %.0f", what, got, max.allocs)
+				}
+				if max.kb > 0 && kb > max.kb {
+					t.Errorf("%s allocates %.1f KB per call, ceiling %.0f", what, kb, max.kb)
 				}
 			}
 			pin("mpl.Parse", tc.parse, func() {
@@ -71,6 +99,12 @@ func TestPipelineEndsAllocs(t *testing.T) {
 			})
 			pin("sim.Compile", tc.compile, func() {
 				if _, err := sim.Compile(placed); err != nil {
+					t.Fatal(err)
+				}
+			})
+			pin("mpl.Clone", tc.clone, func() { _ = mpl.Clone(parsed) })
+			pin("cfg.BuildSkeleton", tc.skeleton, func() {
+				if _, err := cfg.BuildSkeleton(placed); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -1,15 +1,19 @@
 // Package liveness computes live-variable sets at checkpoint sites — the
 // backward dataflow pass that turns "persist the whole environment" into
-// "persist only what recovery can still observe" (ROADMAP item 2, after
-// AutoCheck's data-dependency pruning, arXiv 2408.06082).
+// "persist only what recovery can still observe" (after AutoCheck's
+// data-dependency pruning, arXiv 2408.06082).
 //
-// The analysis is the textbook backward may-analysis over the program's
-// CFG, with two deliberate deviations forced by this system's semantics:
+// The analysis is the textbook backward may-analysis, solved by one
+// backward walk of the structured program (DESIGN decision 31): an if's
+// live-in is its condition's uses joined with both arms', and a while's
+// header is iterated until it stops growing. Two deliberate deviations are
+// forced by this system's semantics:
 //
-//   - The exit node is live in EVERY declared-or-assigned variable, not the
-//     empty set. A run's observable output is the full final environment
-//     (Result.FinalVars compares every variable), so any variable that can
-//     reach program exit without being redefined must survive a restore.
+//   - The program's end is live in EVERY declared-or-assigned variable, not
+//     the empty set. A run's observable output is the full final
+//     environment (Result.FinalVars compares every variable), so any
+//     variable that can reach the end without being redefined must survive
+//     a restore.
 //
 //   - recv/bcast/reduce never kill their target variable. Under the
 //     guarded-boundary semantics an out-of-range peer makes the operation a
@@ -52,131 +56,52 @@ type Result struct {
 }
 
 // Compute runs the analysis on a program. It allocates per program, not per
-// CFG node or per site: every bit set is carved from one slab, every
-// manifest from one slice.
+// statement or per site: every bit set is carved from one slab, every
+// manifest from one slice. A send of a variable the program neither
+// declares nor assigns is an error.
 func Compute(p *mpl.Program) (*Result, error) {
-	g, err := cfg.Build(p)
-	if err != nil {
-		return nil, fmt.Errorf("liveness: %w", err)
-	}
 	tbl := dataflow.NewVarTable(p)
+	var sh shape
+	if err := sh.count(tbl, p.Body, 0); err != nil {
+		return nil, err
+	}
 	nvars := tbl.Len()
-	nnodes := len(g.Nodes)
+	w := &walker{tbl: tbl, words: (nvars + 63) / 64}
+	// One slab: a live set per nesting level, a header per while, a live
+	// set per site, in that order.
+	w.loops = sh.depth + 1
+	w.sites = w.loops + sh.loops
+	w.slab = make([]uint64, (w.sites+sh.sites)*w.words)
+	// One []int: the slots in name order, then each site's statement id.
+	ints := make([]int, nvars+sh.sites)
+	order := ints[:nvars]
+	w.ids = ints[nvars:]
 
-	// One slab: the use, def and live-in set of every node, then the
-	// fixpoint's two scratch sets.
-	words := (nvars + 63) / 64
-	slab := make([]uint64, (3*nnodes+2)*words)
-	set := func(i int) cfg.Bitset { return slab[i*words : (i+1)*words] }
-	use := func(id int) cfg.Bitset { return set(3 * id) }
-	def := func(id int) cfg.Bitset { return set(3*id + 1) }
-	liveIn := func(id int) cfg.Bitset { return set(3*id + 2) }
-	out, tmp := set(3*nnodes), set(3*nnodes+1)
-	addUses := func(set cfg.Bitset, e mpl.Expr) {
-		mpl.WalkExpr(e, func(x mpl.Expr) bool {
-			if id, ok := x.(*mpl.Ident); ok {
-				if slot, ok := tbl.Index[id.Name]; ok {
-					set.Set(slot)
-				}
-			}
-			return true
-		})
-	}
-
-	for _, n := range g.Nodes {
-		switch n.Kind {
-		case cfg.KindCompute:
-			switch st := n.Stmt.(type) {
-			case *mpl.Assign:
-				addUses(use(n.ID), st.X)
-				def(n.ID).Set(tbl.Index[st.Name])
-			case *mpl.Work:
-				addUses(use(n.ID), st.Amount)
-			}
-		case cfg.KindBranch:
-			switch st := n.Stmt.(type) {
-			case *mpl.While:
-				addUses(use(n.ID), st.Cond)
-			case *mpl.If:
-				addUses(use(n.ID), st.Cond)
-			}
-		case cfg.KindSend:
-			st := n.Stmt.(*mpl.Send)
-			addUses(use(n.ID), st.Dest)
-			use(n.ID).Set(tbl.Index[st.Var])
-		case cfg.KindRecv:
-			// Guarded-boundary no-op receives keep the old value: no kill,
-			// no use of the target (see the package comment).
-			st := n.Stmt.(*mpl.Recv)
-			addUses(use(n.ID), st.Src)
-		case cfg.KindBcast:
-			st := n.Stmt.(*mpl.Bcast)
-			addUses(use(n.ID), st.Root)
-			use(n.ID).Set(tbl.Index[st.Var])
-		case cfg.KindReduce:
-			st := n.Stmt.(*mpl.Reduce)
-			addUses(use(n.ID), st.Root)
-			use(n.ID).Set(tbl.Index[st.Var])
-		case cfg.KindEntry, cfg.KindExit, cfg.KindChkpt:
-			// No uses, no defs.
-		}
-	}
-
-	// Backward fixpoint: liveOut(n) = ∪ liveIn(succ); liveIn(n) =
-	// use(n) ∪ (liveOut(n) − def(n)). Node ids are assigned in program
-	// order, so sweeping ids high-to-low converges in a couple of rounds.
-	// A checkpoint node has no use/def, so its live-out equals its live-in;
-	// that set — the variables observable after the checkpoint resumes — is
-	// the site's manifest.
-	// Exit is live in everything: the final environment is the program's
-	// observable output.
+	// The end of the program is live in everything: the final environment
+	// is the program's observable output.
+	end := w.set(0)
 	for slot := 0; slot < nvars; slot++ {
-		liveIn(g.Exit).Set(slot)
+		end.Set(slot)
 	}
-	for changed := true; changed; {
-		changed = false
-		for id := nnodes - 1; id >= 0; id-- {
-			if id == g.Exit {
-				continue
-			}
-			out.Zero()
-			for _, e := range g.Succs(id) {
-				out.UnionWith(liveIn(e.To))
-			}
-			tmp.CopyFrom(out)
-			tmp.AndNotWith(def(id))
-			tmp.UnionWith(use(id))
-			if !tmp.Equal(liveIn(id)) {
-				liveIn(id).CopyFrom(tmp)
-				changed = true
-			}
-		}
-	}
+	w.walk(p.Body, end, 0)
 
 	// Manifests list names in sorted order: the slots are put in name order
 	// once and every site walks them, instead of sorting at every site.
-	order := make([]int, nvars)
 	for slot := range order {
 		order[slot] = slot
 	}
 	slices.SortFunc(order, func(a, b int) int { return strings.Compare(tbl.Names[a], tbl.Names[b]) })
-	nsites, total := 0, 0
-	for _, n := range g.Nodes {
-		if n.Kind == cfg.KindChkpt {
-			nsites++
-			total += liveIn(n.ID).Count()
-		}
+	total := 0
+	for k := range sh.sites {
+		total += w.set(w.sites + k).Count()
 	}
-	sets := make(map[int][]string, nsites)
+	sets := make(map[int][]string, sh.sites)
 	names := make([]string, total)
-	for _, n := range g.Nodes {
-		if n.Kind != cfg.KindChkpt {
-			continue
-		}
+	for k, id := range w.ids {
 		// A site where nothing is live keeps a nil manifest, not an empty
 		// one.
 		var manifest []string
-		if live := liveIn(n.ID); live.Count() > 0 {
+		if live := w.set(w.sites + k); live.Count() > 0 {
 			manifest = names[:0:live.Count()]
 			for _, slot := range order {
 				if live.Has(slot) {
@@ -185,7 +110,154 @@ func Compute(p *mpl.Program) (*Result, error) {
 			}
 			names = names[len(manifest):]
 		}
-		sets[n.Stmt.ID()] = manifest
+		sets[id] = manifest
 	}
 	return &Result{Table: tbl, Live: sets}, nil
+}
+
+// shape is what the walk's slab is sized by: the deepest body nesting, the
+// number of while loops and the number of checkpoint sites.
+type shape struct{ depth, loops, sites int }
+
+// count adds body, nested depth deep, to the shape, and fails on a
+// statement the walk could not index.
+func (sh *shape) count(tbl *dataflow.VarTable, body []mpl.Stmt, depth int) error {
+	sh.depth = max(sh.depth, depth)
+	for _, s := range body {
+		switch st := s.(type) {
+		case *mpl.Assign, *mpl.Work, *mpl.Recv, *mpl.Bcast, *mpl.Reduce:
+			// The table holds every variable a statement assigns or
+			// receives into.
+		case *mpl.Send:
+			if _, ok := tbl.Index[st.Var]; !ok {
+				return fmt.Errorf("liveness: %s: undeclared variable %q", mpl.DescribeStmt(s), st.Var)
+			}
+		case *mpl.Chkpt:
+			sh.sites++
+		case *mpl.While:
+			sh.loops++
+			if err := sh.count(tbl, st.Body, depth+1); err != nil {
+				return err
+			}
+		case *mpl.If:
+			if err := sh.count(tbl, st.Then, depth+1); err != nil {
+				return err
+			}
+			if err := sh.count(tbl, st.Else, depth+1); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("liveness: unknown statement type %T", s)
+		}
+	}
+	return nil
+}
+
+// walker is the backward walk's state. Sets are numbered: 0 … depth are
+// the live sets of the nesting levels, then one header per while, then one
+// live set per checkpoint site. Loops and sites are numbered in the order
+// one pass of the walk meets them; loop and site count them, and a while
+// winds both back before every pass over its body.
+type walker struct {
+	tbl          *dataflow.VarTable
+	words        int
+	slab         []uint64
+	loops, sites int   // the first header set, the first site set
+	loop, site   int   // the next while, the next site
+	ids          []int // statement id of each site
+}
+
+func (w *walker) set(i int) cfg.Bitset { return w.slab[i*w.words : (i+1)*w.words] }
+
+// walk turns live from the set live after body into the set live before
+// it. The statements of body are depth bodies deep; a branch or loop among
+// them borrows set depth+1 for its arms or its body.
+func (w *walker) walk(body []mpl.Stmt, live cfg.Bitset, depth int) {
+	for i := len(body) - 1; i >= 0; i-- {
+		switch st := body[i].(type) {
+		case *mpl.Assign:
+			live.Clear(w.tbl.Index[st.Name])
+			w.uses(live, st.X)
+		case *mpl.Work:
+			w.uses(live, st.Amount)
+		case *mpl.Send:
+			w.uses(live, st.Dest)
+			live.Set(w.tbl.Index[st.Var])
+		case *mpl.Recv:
+			// Guarded-boundary no-op receives keep the old value: no kill,
+			// no use of the target (see the package comment).
+			w.uses(live, st.Src)
+		case *mpl.Bcast:
+			w.uses(live, st.Root)
+			live.Set(w.tbl.Index[st.Var])
+		case *mpl.Reduce:
+			w.uses(live, st.Root)
+			live.Set(w.tbl.Index[st.Var])
+		case *mpl.Chkpt:
+			// No use, no kill: what is live after the checkpoint is its
+			// manifest. Every pass overwrites it, so the site keeps what the
+			// converged pass of every enclosing loop found.
+			w.set(w.sites + w.site).CopyFrom(live)
+			w.ids[w.site] = st.ID()
+			w.site++
+		case *mpl.If:
+			els := w.set(depth + 1)
+			els.CopyFrom(live)
+			w.walk(st.Then, live, depth+1)
+			w.walk(st.Else, els, depth+1)
+			live.UnionWith(els)
+			w.uses(live, st.Cond)
+		case *mpl.While:
+			// The header H is live before the loop and after its body:
+			// H = cond ∪ after ∪ before(body, H), iterated until H stops
+			// growing. H is kept from the loop's previous visit (an
+			// enclosing loop's earlier pass), where it can only have been
+			// smaller, so a nested loop resumes instead of restarting.
+			h := w.set(w.loops + w.loop)
+			w.loop++
+			h.UnionWith(live)
+			w.uses(h, st.Cond)
+			before := w.set(depth + 1)
+			loop, site := w.loop, w.site
+			for grew := true; grew; {
+				w.loop, w.site = loop, site
+				before.CopyFrom(h)
+				w.walk(st.Body, before, depth+1)
+				grew = grow(h, before)
+			}
+			live.CopyFrom(h)
+		}
+	}
+}
+
+// uses adds the variables e reads to live. Constants and the builtins have
+// no slot.
+func (w *walker) uses(live cfg.Bitset, e mpl.Expr) {
+	switch x := e.(type) {
+	case *mpl.Ident:
+		if slot, ok := w.tbl.Index[x.Name]; ok {
+			live.Set(slot)
+		}
+	case *mpl.Unary:
+		w.uses(live, x.X)
+	case *mpl.Binary:
+		w.uses(live, x.L)
+		w.uses(live, x.R)
+	case *mpl.Call:
+		for _, a := range x.Args {
+			w.uses(live, a)
+		}
+	}
+}
+
+// grow adds o to h and reports whether h gained a member.
+func grow(h, o cfg.Bitset) bool {
+	grew := false
+	for i, x := range o {
+		if x&^h[i] != 0 {
+			h[i] |= x
+			grew = true
+		}
+	}
+	return grew
 }

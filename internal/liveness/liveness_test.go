@@ -20,6 +20,32 @@ func chkptIDs(p *mpl.Program) []int {
 	return ids
 }
 
+// TestComputeRejectsUndeclaredVar hands Compute built programs that skipped
+// mpl.Check and send a variable they never declare or assign. The send's
+// slot used to be read unchecked: index out of range with no variables, and
+// slot 0 — manifest [a] — with one.
+func TestComputeRejectsUndeclaredVar(t *testing.T) {
+	body := func() []mpl.Stmt {
+		return []mpl.Stmt{
+			&mpl.Chkpt{StmtBase: mpl.StmtBase{StmtID: 0}},
+			&mpl.Send{StmtBase: mpl.StmtBase{StmtID: 1}, Dest: mpl.Int(0), Var: "x"},
+		}
+	}
+	for _, p := range []*mpl.Program{
+		{Name: "no_vars", Body: body()},
+		{Name: "var_a", Vars: []string{"a"}, Body: body()},
+	} {
+		res, err := Compute(p)
+		if err == nil {
+			t.Errorf("%s: Compute = %v, want an error", p.Name, res.Live)
+			continue
+		}
+		if want := `liveness: send->0 (#1): undeclared variable "x"`; err.Error() != want {
+			t.Errorf("%s: error %q, want %q", p.Name, err, want)
+		}
+	}
+}
+
 func TestComputeLiveSets(t *testing.T) {
 	n3 := mpl.Lt(mpl.V("iter"), mpl.Int(3))
 	cases := []struct {

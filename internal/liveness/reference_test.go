@@ -3,6 +3,7 @@ package liveness_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -15,10 +16,11 @@ import (
 	"repro/internal/verify"
 )
 
-// referenceSolve is the solver liveness.Compute had before its sets were
-// carved from one slab and its manifests from one slice: a NewBitset per
-// CFG node and set, and per site "collect the live names, then
-// sort.Strings". It is kept as the reference the package is compared to.
+// referenceSolve is the solver liveness.Compute had before it became a walk
+// of the AST: the round-robin fixpoint over the program's CFG, with a
+// NewBitset per CFG node and set, and per site "collect the live names,
+// then sort.Strings". It is kept as the independent derivation the walk is
+// compared to.
 func referenceSolve(t *testing.T, p *mpl.Program) map[int][]string {
 	t.Helper()
 	g, err := cfg.Build(p)
@@ -97,8 +99,9 @@ func referenceSolve(t *testing.T, p *mpl.Program) map[int][]string {
 			for _, e := range g.Succs(id) {
 				out.UnionWith(liveIn[e.To])
 			}
-			tmp.CopyFrom(out)
-			tmp.AndNotWith(def[id])
+			for i := range tmp {
+				tmp[i] = out[i] &^ def[id][i]
+			}
 			tmp.UnionWith(use[id])
 			if !tmp.Equal(liveIn[id]) {
 				liveIn[id].CopyFrom(tmp)
@@ -123,8 +126,10 @@ func referenceSolve(t *testing.T, p *mpl.Program) map[int][]string {
 	return sets
 }
 
-// referencePrograms is every corpus program and the 8 large programs of
-// the analysis workload, each as written and as transformed.
+// referencePrograms is every corpus program, the 8 large programs of the
+// analysis workload and 200 generated ones — each as written, as
+// transformed, and both of those with every variable redefined at the
+// end — plus the back-edge nests.
 func referencePrograms(t *testing.T) map[string]*mpl.Program {
 	t.Helper()
 	progs := make(map[string]*mpl.Program)
@@ -134,12 +139,31 @@ func referencePrograms(t *testing.T) map[string]*mpl.Program {
 	for seed := int64(1); seed <= 8; seed++ {
 		progs[fmt.Sprintf("large_s%d", seed)] = verify.GenerateLarge(seed, 6)
 	}
+	for seed := int64(1); seed <= 200; seed++ {
+		progs[fmt.Sprintf("gen_%d", seed)] = verify.Generate(seed)
+	}
+	// Variants go into a map of their own: entries added to a map while
+	// ranging over it may or may not be visited.
+	variants := make(map[string]*mpl.Program)
 	for name, p := range progs {
 		rep, err := core.Transform(p, core.DefaultConfig)
 		if err != nil {
 			t.Fatalf("%s: transform: %v", name, err)
 		}
-		progs[name+"/transformed"] = rep.Program
+		variants[name] = p
+		variants[name+"/transformed"] = rep.Program
+	}
+	progs = make(map[string]*mpl.Program)
+	for name, p := range variants {
+		progs[name] = p
+		progs[name+"/killed"] = killAtEnd(p)
+	}
+	for _, useLevel := range []int{1, 2, 3} {
+		for _, chkptLast := range []bool{false, true} {
+			for _, kill := range []bool{false, true} {
+				progs[fmt.Sprintf("nest_%d_%v_%v", useLevel, chkptLast, kill)] = backEdgeNest(useLevel, chkptLast, kill)
+			}
+		}
 	}
 	// Nothing is live at either site: nil manifests.
 	progs["nothing_live"] = mpl.NewBuilder("nothing_live").Vars("a").
@@ -148,30 +172,176 @@ func referencePrograms(t *testing.T) map[string]*mpl.Program {
 	return progs
 }
 
-// TestMatchesReferenceSolver requires Live to be exactly what
-// the reference solver computes — same sites, same names, same order, and
-// nil where it has nil — on every reference program.
+// killAtEnd returns p with every variable assigned 0 at the end. The end is
+// live in everything, so in a program as written the set live after a loop
+// tends to hold every variable already, and what its back edge carries
+// makes no difference; here it is all there is.
+func killAtEnd(p *mpl.Program) *mpl.Program {
+	q := mpl.Clone(p)
+	id := q.MaxStmtID()
+	for _, v := range q.Vars {
+		id++
+		q.Body = append(q.Body, &mpl.Assign{StmtBase: mpl.StmtBase{StmtID: id}, Name: v, X: mpl.Int(0)})
+	}
+	return q
+}
+
+// requireReference fails unless Compute's manifests are exactly what the
+// reference solver computes — same sites, same names, same order, and nil
+// where it has nil — each capacity-clipped to its length. It returns the
+// manifests.
+func requireReference(t *testing.T, name string, p *mpl.Program) map[int][]string {
+	t.Helper()
+	res, err := liveness.Compute(p)
+	if err != nil {
+		t.Fatalf("%s: Compute: %v", name, err)
+	}
+	if want := referenceSolve(t, p); !reflect.DeepEqual(res.Live, want) {
+		t.Errorf("%s: Live = %v, reference %v", name, res.Live, want)
+	}
+	for id, m := range res.Live {
+		if cap(m) != len(m) {
+			t.Errorf("%s: manifest of #%d has capacity %d beyond its %d names: an append would overwrite the next site's", name, id, cap(m), len(m))
+		}
+	}
+	return res.Live
+}
+
+// TestMatchesReferenceSolver holds Compute to the reference solver on every
+// reference program.
 func TestMatchesReferenceSolver(t *testing.T) {
 	sites, nilManifests := 0, 0
 	for name, p := range referencePrograms(t) {
-		res, err := liveness.Compute(p)
-		if err != nil {
-			t.Fatalf("%s: Compute: %v", name, err)
-		}
-		if want := referenceSolve(t, p); !reflect.DeepEqual(res.Live, want) {
-			t.Errorf("%s: Live = %v, reference %v", name, res.Live, want)
-		}
-		for id, m := range res.Live {
+		for _, m := range requireReference(t, name, p) {
 			sites++
 			if m == nil {
 				nilManifests++
 			}
-			if cap(m) != len(m) {
-				t.Errorf("%s: manifest of #%d has capacity %d beyond its %d names: an append would overwrite the next site's", name, id, cap(m), len(m))
+		}
+	}
+	if sites < 1000 || nilManifests == 0 {
+		t.Errorf("compared %d sites, %d of them nil manifests: the reference set lost its coverage", sites, nilManifests)
+	}
+}
+
+// backEdgeNest is three nested loops with a checkpoint in the innermost and
+// the only read of x at the top of loop useLevel's body (1 outermost). From
+// the checkpoint that read is reached across the back edges of the loops
+// from the innermost out to useLevel's: two back edges for useLevel 2,
+// three for 1. The end of the program redefines x, so nothing else keeps
+// it live. chkptLast puts the checkpoint at the bottom of the innermost
+// body instead of the top; kill redefines x in the middle loop behind the
+// innermost, which cuts every such path, so x is dead at the checkpoint.
+func backEdgeNest(useLevel int, chkptLast, kill bool) *mpl.Program {
+	b := mpl.NewBuilder("nest").Vars("x", "a", "i1", "i2", "i3")
+	use := func(b *mpl.Builder, level int) {
+		if level == useLevel {
+			b.Assign("a", mpl.Add(mpl.V("a"), mpl.V("x")))
+		}
+	}
+	loop := func(b *mpl.Builder, ctr string, body func(*mpl.Builder)) {
+		b.Assign(ctr, mpl.Int(0))
+		b.While(mpl.Lt(mpl.V(ctr), mpl.Int(2)), func(b *mpl.Builder) {
+			body(b)
+			b.Assign(ctr, mpl.Add(mpl.V(ctr), mpl.Int(1)))
+		})
+	}
+	loop(b, "i1", func(b *mpl.Builder) {
+		use(b, 1)
+		loop(b, "i2", func(b *mpl.Builder) {
+			use(b, 2)
+			loop(b, "i3", func(b *mpl.Builder) {
+				if !chkptLast {
+					b.Chkpt()
+				}
+				use(b, 3)
+				if chkptLast {
+					b.Chkpt()
+				}
+			})
+			if kill {
+				b.Assign("x", mpl.V("i2"))
+			}
+		})
+	})
+	b.Assign("x", mpl.Int(0))
+	return b.MustProgram()
+}
+
+// TestBackEdgeNests holds Compute to the reference solver, and to what the
+// nests are built to show, where x reaches a checkpoint three loops deep
+// only around two or three back edges — the paths a walk gets wrong if it
+// makes one pass per loop, records a site before its loop's header has
+// converged, or lets an inner loop's header miss what an enclosing loop's
+// later pass brings.
+func TestBackEdgeNests(t *testing.T) {
+	for _, useLevel := range []int{1, 2, 3} {
+		for _, chkptLast := range []bool{false, true} {
+			for _, kill := range []bool{false, true} {
+				name := fmt.Sprintf("use at level %d, chkpt last %v, kill %v", useLevel, chkptLast, kill)
+				// A use in the innermost body is reached without leaving
+				// that loop, where the kill cannot cut it.
+				wantX := !kill || useLevel == 3
+				for _, m := range requireReference(t, name, backEdgeNest(useLevel, chkptLast, kill)) {
+					if got := slices.Contains(m, "x"); got != wantX {
+						t.Errorf("%s: x in manifest %v = %v, want %v", name, m, got, wantX)
+					}
+				}
 			}
 		}
 	}
-	if sites < 100 || nilManifests == 0 {
-		t.Errorf("compared %d sites, %d of them nil manifests: the reference set lost its coverage", sites, nilManifests)
+}
+
+// TestDeepNest runs 40 nested loops, each using a variable of its own at
+// the top of its body and a checkpoint at the bottom of the innermost. A
+// loop that restarted its header from scratch on every visit would walk
+// the innermost body about 2^40 times; resuming from the last header, it is
+// walked once per enclosing loop and pass.
+func TestDeepNest(t *testing.T) {
+	const depth = 40
+	b := mpl.NewBuilder("deep")
+	var nest func(b *mpl.Builder, d int)
+	nest = func(b *mpl.Builder, d int) {
+		if d == depth {
+			b.Chkpt()
+			return
+		}
+		v := fmt.Sprintf("v%d", d)
+		b.Vars(v)
+		b.While(mpl.Lt(mpl.Int(d), mpl.Int(1)), func(b *mpl.Builder) {
+			b.Assign("acc", mpl.Add(mpl.V("acc"), mpl.V(v)))
+			nest(b, d+1)
+		})
+		b.Assign(v, mpl.Int(0))
 	}
+	b.Vars("acc")
+	nest(b, 0)
+	live := requireReference(t, "deep", b.MustProgram())
+	for _, m := range live {
+		if len(m) != depth+1 {
+			t.Errorf("manifest %v, want acc and all %d loop variables", m, depth)
+		}
+	}
+}
+
+// FuzzLivenessReference holds Compute to the reference solver on the
+// generated program of any seed, as written and as transformed, each also
+// with every variable redefined at the end. Run with
+// `go test -fuzz FuzzLivenessReference`; the seed corpus runs under plain
+// `go test`.
+func FuzzLivenessReference(f *testing.F) {
+	for _, seed := range []int64{1, 17, 123, -9} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		p := verify.Generate(seed)
+		rep, err := core.Transform(p, core.DefaultConfig)
+		if err != nil {
+			t.Fatalf("transform: %v", err)
+		}
+		for _, q := range []*mpl.Program{p, rep.Program} {
+			requireReference(t, q.Name, q)
+			requireReference(t, q.Name+"/killed", killAtEnd(q))
+		}
+	})
 }

@@ -121,7 +121,9 @@ func (*While) stmtNode()  {}
 func (*If) stmtNode()     {}
 
 // Expr is an integer expression. Comparison and logical operators yield
-// 0/1; conditions treat any nonzero value as true.
+// 0/1; conditions treat any nonzero value as true. An expression node is
+// immutable once built: programs, their clones and the analyses share
+// nodes, so a rewrite builds a new node instead of writing a field.
 type Expr interface {
 	exprNode()
 }

@@ -2,7 +2,7 @@ package mpl
 
 // This file provides the programmatic construction API used by examples,
 // tests, and the transformation phases: expression helpers, a statement
-// Builder, and deep cloning.
+// Builder, and cloning.
 
 // Int returns an integer literal expression.
 func Int(v int) Expr { return &IntLit{Value: v} }
@@ -167,35 +167,32 @@ func (b *Builder) MustProgram() *Program {
 	return p
 }
 
-// Clone returns a deep copy of the program. Statement IDs are preserved;
-// expressions are copied so mutations of the clone never alias the
-// original.
+// Clone returns a copy of the program's statements and blocks, sharing its
+// expressions. Statement IDs are preserved. Statements and blocks of the
+// clone are its own: inserting, moving or deleting statements, or pointing
+// a field of a cloned statement at another expression, never reaches the
+// original. Expression nodes are immutable — no code writes a field of
+// one after it is built — so original and clone read the same nodes.
 //
 // The copy is slab-allocated: a counting pre-pass sizes one typed slab per
-// concrete node type, so cloning costs one allocation per node TYPE (plus
-// the backing arrays) instead of one per node — the difference between
-// ~constant and ~program-sized allocation counts in Phase III, which
-// clones per Transform.
+// concrete statement type, so cloning costs one allocation per statement
+// TYPE (plus the body backing array) instead of one per statement — the
+// difference between ~constant and ~program-sized allocation counts in
+// Phase III, which clones per Transform.
 func Clone(p *Program) *Program {
 	var n nodeCount
 	n.body(p.Body)
 	m := nodeMem{
-		assigns:  make([]Assign, 0, n.assigns),
-		works:    make([]Work, 0, n.works),
-		sends:    make([]Send, 0, n.sends),
-		recvs:    make([]Recv, 0, n.recvs),
-		bcasts:   make([]Bcast, 0, n.bcasts),
-		reduces:  make([]Reduce, 0, n.reduces),
-		chkpts:   make([]Chkpt, 0, n.chkpts),
-		whiles:   make([]While, 0, n.whiles),
-		ifs:      make([]If, 0, n.ifs),
-		intLits:  make([]IntLit, 0, n.intLits),
-		idents:   make([]Ident, 0, n.idents),
-		calls:    make([]Call, 0, n.calls),
-		unaries:  make([]Unary, 0, n.unaries),
-		binaries: make([]Binary, 0, n.binaries),
-		stmts:    make([]Stmt, 0, n.stmtSlots),
-		exprs:    make([]Expr, 0, n.exprSlots),
+		assigns: make([]Assign, 0, n.assigns),
+		works:   make([]Work, 0, n.works),
+		sends:   make([]Send, 0, n.sends),
+		recvs:   make([]Recv, 0, n.recvs),
+		bcasts:  make([]Bcast, 0, n.bcasts),
+		reduces: make([]Reduce, 0, n.reduces),
+		chkpts:  make([]Chkpt, 0, n.chkpts),
+		whiles:  make([]While, 0, n.whiles),
+		ifs:     make([]If, 0, n.ifs),
+		stmts:   make([]Stmt, 0, n.stmtSlots),
 	}
 	return &Program{
 		Name:   p.Name,
@@ -207,8 +204,9 @@ func Clone(p *Program) *Program {
 
 // nodeMem is the memory a program's AST lives in: one chunk per concrete
 // node type, plus the chunks block bodies and call arguments are cut from.
-// Clone sizes every chunk exactly with a counting pass; the parser cannot
-// know the counts and lets cut grow them. Either way a chunk is append-only
+// Clone sizes the statement chunks exactly with a counting pass (it shares
+// expressions, so it leaves the others empty); the parser cannot know the
+// counts and lets cut grow them. Either way a chunk is append-only
 // and never regrown — a full one is replaced by a fresh one — so a node
 // pointer or body slice handed out stays valid for as long as anything
 // refers to it, and nothing needs to say when a program is done with.
@@ -259,12 +257,11 @@ func newNode[T any](chunk *[]T, v T) *T {
 	return p
 }
 
-// nodeCount is Clone's counting pass: how many nodes of each type, and how
-// many body and argument slots, a program has.
+// nodeCount is Clone's counting pass: how many statements of each type, and
+// how many body slots, a program has.
 type nodeCount struct {
 	assigns, works, sends, recvs, bcasts, reduces, chkpts, whiles, ifs int
-	intLits, idents, calls, unaries, binaries                          int
-	stmtSlots, exprSlots                                               int
+	stmtSlots                                                          int
 }
 
 func (n *nodeCount) body(body []Stmt) {
@@ -273,61 +270,28 @@ func (n *nodeCount) body(body []Stmt) {
 		switch st := s.(type) {
 		case *Assign:
 			n.assigns++
-			n.expr(st.X)
 		case *Work:
 			n.works++
-			n.expr(st.Amount)
 		case *Send:
 			n.sends++
-			n.expr(st.Dest)
 		case *Recv:
 			n.recvs++
-			n.expr(st.Src)
 		case *Bcast:
 			n.bcasts++
-			n.expr(st.Root)
 		case *Reduce:
 			n.reduces++
-			n.expr(st.Root)
 		case *Chkpt:
 			n.chkpts++
 		case *While:
 			n.whiles++
-			n.expr(st.Cond)
 			n.body(st.Body)
 		case *If:
 			n.ifs++
-			n.expr(st.Cond)
 			n.body(st.Then)
 			n.body(st.Else)
 		default:
 			panic("mpl: Clone: unknown statement type")
 		}
-	}
-}
-
-func (n *nodeCount) expr(e Expr) {
-	switch x := e.(type) {
-	case nil:
-	case *IntLit:
-		n.intLits++
-	case *Ident:
-		n.idents++
-	case *Call:
-		n.calls++
-		n.exprSlots += len(x.Args)
-		for _, a := range x.Args {
-			n.expr(a)
-		}
-	case *Unary:
-		n.unaries++
-		n.expr(x.X)
-	case *Binary:
-		n.binaries++
-		n.expr(x.L)
-		n.expr(x.R)
-	default:
-		panic("mpl: Clone: unknown expression type")
 	}
 }
 
@@ -345,48 +309,25 @@ func (m *nodeMem) cloneBody(body []Stmt) []Stmt {
 func (m *nodeMem) cloneStmt(s Stmt) Stmt {
 	switch st := s.(type) {
 	case *Assign:
-		return newNode(&m.assigns, Assign{StmtBase: st.StmtBase, Name: st.Name, X: m.cloneExpr(st.X)})
+		return newNode(&m.assigns, *st)
 	case *Work:
-		return newNode(&m.works, Work{StmtBase: st.StmtBase, Amount: m.cloneExpr(st.Amount)})
+		return newNode(&m.works, *st)
 	case *Send:
-		return newNode(&m.sends, Send{StmtBase: st.StmtBase, Dest: m.cloneExpr(st.Dest), Var: st.Var})
+		return newNode(&m.sends, *st)
 	case *Recv:
-		return newNode(&m.recvs, Recv{StmtBase: st.StmtBase, Src: m.cloneExpr(st.Src), Var: st.Var})
+		return newNode(&m.recvs, *st)
 	case *Bcast:
-		return newNode(&m.bcasts, Bcast{StmtBase: st.StmtBase, Root: m.cloneExpr(st.Root), Var: st.Var})
+		return newNode(&m.bcasts, *st)
 	case *Reduce:
-		return newNode(&m.reduces, Reduce{StmtBase: st.StmtBase, Root: m.cloneExpr(st.Root), Var: st.Var})
+		return newNode(&m.reduces, *st)
 	case *Chkpt:
-		return newNode(&m.chkpts, Chkpt{StmtBase: st.StmtBase})
+		return newNode(&m.chkpts, *st)
 	case *While:
-		return newNode(&m.whiles, While{StmtBase: st.StmtBase, Cond: m.cloneExpr(st.Cond), Body: m.cloneBody(st.Body)})
+		return newNode(&m.whiles, While{StmtBase: st.StmtBase, Cond: st.Cond, Body: m.cloneBody(st.Body)})
 	case *If:
-		return newNode(&m.ifs, If{StmtBase: st.StmtBase, Cond: m.cloneExpr(st.Cond), Then: m.cloneBody(st.Then), Else: m.cloneBody(st.Else)})
+		return newNode(&m.ifs, If{StmtBase: st.StmtBase, Cond: st.Cond, Then: m.cloneBody(st.Then), Else: m.cloneBody(st.Else)})
 	default:
 		panic("mpl: Clone: unknown statement type")
-	}
-}
-
-func (m *nodeMem) cloneExpr(e Expr) Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *IntLit:
-		return newNode(&m.intLits, IntLit{Value: x.Value})
-	case *Ident:
-		return newNode(&m.idents, Ident{Name: x.Name})
-	case *Call:
-		args := cut(&m.exprs, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = m.cloneExpr(a)
-		}
-		return newNode(&m.calls, Call{Name: x.Name, Args: args})
-	case *Unary:
-		return newNode(&m.unaries, Unary{Op: x.Op, X: m.cloneExpr(x.X)})
-	case *Binary:
-		return newNode(&m.binaries, Binary{Op: x.Op, L: m.cloneExpr(x.L), R: m.cloneExpr(x.R)})
-	default:
-		panic("mpl: Clone: unknown expression type")
 	}
 }
 

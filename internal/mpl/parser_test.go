@@ -329,13 +329,17 @@ func TestFormatGoldens(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeep checks that Clone is deep down to the statements: a
+// clone's statements are its own, so pointing one of their expression
+// fields elsewhere leaves the original reading what it read. (Expression
+// nodes are shared and immutable; TestCloneSharesExpressions pins that.)
 func TestCloneIsDeep(t *testing.T) {
 	p, err := Parse(jacobiSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := Clone(p)
-	// Mutate the clone's loop condition.
+	// Point the clone's loop condition at a new expression.
 	c.Body[1].(*While).Cond = Int(0)
 	if ExprString(p.Body[1].(*While).Cond) != "iter < MAXITER" {
 		t.Error("clone aliased original condition")

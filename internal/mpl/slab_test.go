@@ -85,6 +85,73 @@ func requireSame(t *testing.T, what string, got, want []string, changed ...int) 
 	}
 }
 
+// stmtParts returns a statement's expression fields and nested blocks.
+func stmtParts(s mpl.Stmt) (exprs []mpl.Expr, blocks [][]mpl.Stmt) {
+	switch st := s.(type) {
+	case *mpl.Assign:
+		return []mpl.Expr{st.X}, nil
+	case *mpl.Work:
+		return []mpl.Expr{st.Amount}, nil
+	case *mpl.Send:
+		return []mpl.Expr{st.Dest}, nil
+	case *mpl.Recv:
+		return []mpl.Expr{st.Src}, nil
+	case *mpl.Bcast:
+		return []mpl.Expr{st.Root}, nil
+	case *mpl.Reduce:
+		return []mpl.Expr{st.Root}, nil
+	case *mpl.While:
+		return []mpl.Expr{st.Cond}, [][]mpl.Stmt{st.Body}
+	case *mpl.If:
+		return []mpl.Expr{st.Cond}, [][]mpl.Stmt{st.Then, st.Else}
+	}
+	return nil, nil
+}
+
+// TestCloneSharesExpressions pins what Clone copies: every statement and
+// every non-empty block of the clone is new memory, with the original's id,
+// and every expression field points at the original's node — expressions
+// are immutable, so nothing is gained by copying them.
+func TestCloneSharesExpressions(t *testing.T) {
+	p, err := mpl.Parse(slabSource(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mpl.Clone(p)
+	stmts, exprs := 0, 0
+	var compare func(orig, clone []mpl.Stmt)
+	compare = func(orig, clone []mpl.Stmt) {
+		if len(orig) != len(clone) || (orig == nil) != (clone == nil) {
+			t.Fatalf("block of %d statements cloned as %d", len(orig), len(clone))
+		}
+		if len(orig) > 0 && &orig[0] == &clone[0] {
+			t.Errorf("block at #%d is shared with the original", orig[0].ID())
+		}
+		for i, o := range orig {
+			k := clone[i]
+			stmts++
+			if o == k || o.ID() != k.ID() {
+				t.Errorf("%s cloned as %s (the same node: %v)", mpl.DescribeStmt(o), mpl.DescribeStmt(k), o == k)
+			}
+			oe, ob := stmtParts(o)
+			ke, kb := stmtParts(k)
+			for j := range oe {
+				exprs++
+				if oe[j] != ke[j] {
+					t.Errorf("%s: expression %d copied, not shared", mpl.DescribeStmt(o), j)
+				}
+			}
+			for j := range ob {
+				compare(ob[j], kb[j])
+			}
+		}
+	}
+	compare(p.Body, c.Body)
+	if want := p.StmtCount(); stmts != want || exprs == 0 {
+		t.Errorf("compared %d statements and %d expressions, program has %d statements", stmts, exprs, want)
+	}
+}
+
 func TestSlabSafety(t *testing.T) {
 	// 40 groups put at least 40 nodes of every type in the program: with
 	// chunks of 4, 8, 16, 32 … every type crosses at least three chunk

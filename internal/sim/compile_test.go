@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/corpus"
@@ -145,6 +146,23 @@ proc {
 	}
 	if _, err := Compile(p); err == nil {
 		t.Fatal("ambiguous enumeration accepted")
+	}
+}
+
+// TestCompileRejectsUndeclaredSendVar compiles a built program that skipped
+// mpl.Check and sends a variable it never declares: liveness must refuse
+// it by name, not index slot 0 (a panic with no variables, the manifest of
+// another variable with one).
+func TestCompileRejectsUndeclaredSendVar(t *testing.T) {
+	for _, vars := range [][]string{nil, {"a"}} {
+		p := &mpl.Program{Name: "undeclared", Vars: vars, Body: []mpl.Stmt{
+			&mpl.Chkpt{StmtBase: mpl.StmtBase{StmtID: 0}},
+			&mpl.Send{StmtBase: mpl.StmtBase{StmtID: 1}, Dest: mpl.Int(0), Var: "x"},
+		}}
+		_, err := Compile(p)
+		if err == nil || !strings.Contains(err.Error(), `send->0 (#1): undeclared variable "x"`) {
+			t.Errorf("vars %v: Compile error = %v, want one naming send #1 and x", vars, err)
+		}
 	}
 }
 

@@ -216,7 +216,7 @@ func PruneDropMutants(manifests map[int][]string, profile map[int]map[string]boo
 	return out
 }
 
-// cloneWithID deep-copies a statement and assigns it a fresh id, for
+// cloneWithID copies a statement and assigns it a fresh id, for
 // duplicating statements into a second branch.
 func cloneWithID(s mpl.Stmt, id int) mpl.Stmt {
 	cp := cloneOne(s)
@@ -237,7 +237,7 @@ func cloneWithID(s mpl.Stmt, id int) mpl.Stmt {
 	return cp
 }
 
-// cloneOne deep-copies one statement via a throwaway program clone.
+// cloneOne copies one statement via a throwaway program clone.
 func cloneOne(s mpl.Stmt) mpl.Stmt {
 	tmp := &mpl.Program{Body: []mpl.Stmt{s}}
 	return mpl.Clone(tmp).Body[0]
