@@ -26,7 +26,9 @@ func init() {
 // than in a 4-process run — a rank still talks to one neighbour, and nothing
 // the run allocates is per pair of processes. Its bytes are pinned too: every
 // snapshot and message record still holds an O(n) clock, a message's at a
-// byte or two per component.
+// byte or two per component. Where the crash lands sets which of three modes
+// n = 256 reads, without -race: 33.6, 35.0–35.3 or 37.0 KB per process over
+// 24 invocations, and 41.5–44.4 objects; 45 KB leaves the upper mode 20 %.
 func TestWideRunAllocsPerProcess(t *testing.T) {
 	rep, err := core.Transform(corpus.JacobiFig2(8), core.DefaultConfig)
 	if err != nil {

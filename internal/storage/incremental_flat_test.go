@@ -373,7 +373,7 @@ func TestIncrementalTruncationZeroesDroppedRecords(t *testing.T) {
 // regrown — append would move every pair kept before out from under the
 // records that refer to them — chunks double from the first size to
 // arenaChunkSpan times it, and what keep returns ends where its capacity
-// does.
+// does, an oversized keep's too.
 func TestArenaReplacesFullChunks(t *testing.T) {
 	var a arena[nameVal]
 	var kept [][]nameVal
@@ -403,8 +403,8 @@ func TestArenaReplacesFullChunks(t *testing.T) {
 		t.Errorf("keep of three parts = %v (cap %d), want %v", two, cap(two), want)
 	}
 	before := a.chunk
-	if big := a.keep(pairChunkMin, make([]nameVal, 3*largest)); len(big) != 3*largest {
-		t.Errorf("oversized keep holds %d pairs, want %d", len(big), 3*largest)
+	if big := a.keep(pairChunkMin, make([]nameVal, 3*largest)); len(big) != 3*largest || cap(big) != len(big) {
+		t.Errorf("oversized keep holds %d pairs (cap %d), want %d clipped", len(big), cap(big), 3*largest)
 	}
 	if len(a.chunk) != len(before) || cap(a.chunk) != cap(before) {
 		t.Error("an oversized keep replaced the current chunk")

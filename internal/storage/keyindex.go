@@ -99,7 +99,8 @@ func (ix *KeyIndex[V]) Put(k Key, v V) {
 }
 
 // Del removes k and reports whether it was there. slices.Delete zeroes the
-// slot it vacates, so the index pins nothing of a deleted V.
+// slot it vacates, so a V that held a pointer would not stay reachable; no
+// store's V holds one.
 func (ix *KeyIndex[V]) Del(k Key) bool {
 	r, at, ok := ix.find(k)
 	if ok {

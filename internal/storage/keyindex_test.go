@@ -196,8 +196,8 @@ func checkKeyIndex(t *testing.T, ix *KeyIndex[int], ref refIndex, procs, indexes
 	}
 }
 
-// A deleted entry's slot is zeroed: the index does not keep a deleted body
-// — or the arena chunk it was cut from — reachable.
+// A deleted entry's slot is zeroed: the index keeps nothing a deleted value
+// pointed at reachable.
 func TestKeyIndexDelZeroesVacatedSlot(t *testing.T) {
 	var ix KeyIndex[[]byte]
 	for inst := 0; inst < 4; inst++ {

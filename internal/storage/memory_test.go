@@ -1,9 +1,12 @@
 package storage_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -30,50 +33,88 @@ func scribbleOver(s storage.Snapshot) {
 	}
 }
 
-// The memory store keeps encoded bodies in per-process arenas. Whatever the
-// snapshot's shape — and wherever its body lands: inside a chunk, in a chunk
-// sized up for it, or in an allocation of its own — every read gives back
-// exactly what was saved, and nothing done to the caller's copy, to a
-// returned copy, or to the arena around it (a thousand later saves, deleted
-// neighbours) changes that.
+// framed is what a body takes on a memory page: its length prefix and itself.
+func framed(s storage.Snapshot) int {
+	n := len(storage.AppendSnapshot(nil, s))
+	return len(binary.AppendUvarint(nil, uint64(n))) + n
+}
+
+// framedAs returns lendSnap(0) with its PC padded so that its body takes
+// exactly n bytes on a page.
+func framedAs(n int) storage.Snapshot {
+	s := lendSnap(0)
+	for pad := 0; framed(s) != n; {
+		if pad += n - framed(s); pad < 0 {
+			panic(fmt.Sprintf("no PC pads lendSnap(0) to %d framed bytes", n))
+		}
+		s.PC = "17" + strings.Repeat("p", pad)
+	}
+	return s
+}
+
+// memFiller is a neighbour of the snapshot saved under k: the same process or
+// the next one, alternating with index+instance, and CFG indexes above k's,
+// so that Latest(k.Proc, k.CFGIndex) stays the snapshot under test.
+func memFiller(k storage.Key, index, instance int) storage.Snapshot {
+	s := lendSnap(instance)
+	s.Proc, s.CFGIndex = k.Proc+(index+instance)%2, k.CFGIndex+index
+	return s
+}
+
+// The memory store keeps every process's encoded bodies, each behind its
+// length, on one list of shared pages. Whatever the snapshot's shape — and
+// wherever its body lands: inside a page, filling its room to the byte, one
+// byte too large for that room and so on a page of its own choosing, or on a
+// page sized to it — every read gives back exactly what was saved, and
+// nothing done to the caller's copy, to a returned copy, or to the page
+// around it (another process's saves beside it, a thousand later saves,
+// deleted neighbours) changes that.
 func TestMemoryRetainsExactlyWhatWasSaved(t *testing.T) {
-	cases := map[string]func() storage.Snapshot{
-		"full": func() storage.Snapshot {
+	const page = storage.MemoryPageSize
+	// The first neighbour, saved before the snapshot under test, leaves this
+	// much of page 0 free.
+	room := page - framed(memFiller(lendSnap(0).Key(), 1, 0))
+	type shape struct {
+		mk         func() storage.Snapshot
+		page, next int // where it lands, and the neighbour saved after it
+	}
+	cases := map[string]shape{
+		"full": {func() storage.Snapshot {
 			s := lendSnap(0)
 			s.Manifest = nil
 			return s
-		},
-		"pruned":     func() storage.Snapshot { return lendSnap(0) },
-		"zero value": func() storage.Snapshot { return storage.Snapshot{} },
-		"empty, not nil": func() storage.Snapshot {
+		}, 0, 0},
+		"pruned":     {func() storage.Snapshot { return lendSnap(0) }, 0, 0},
+		"zero value": {func() storage.Snapshot { return storage.Snapshot{} }, 0, 0},
+		"empty, not nil": {func() storage.Snapshot {
 			return storage.Snapshot{Clock: vclock.VC{}, Vars: map[string]int{}, SendSeqs: []int{},
 				RecvSeqs: []int{}, Instances: map[int]int{}, Manifest: []string{}}
-		},
-		// ~6 KB: more than the first chunk, less than the largest.
-		"200 variables": func() storage.Snapshot {
+		}, 0, 0},
+		"fills the room left": {func() storage.Snapshot { return framedAs(room) }, 0, 1},
+		// It leaves one byte less than the first neighbour took, and the
+		// neighbour after it is as large: that one starts a page too.
+		"one byte over the room": {func() storage.Snapshot { return framedAs(room + 1) }, 1, 2},
+		"a byte over a page":     {func() storage.Snapshot { return framedAs(page + 1) }, 1, 2},
+		// ~6 KB.
+		"200 variables": {func() storage.Snapshot {
 			s := lendSnap(0)
 			s.Vars, s.Manifest = manyVars(200)
 			return s
-		},
-		// ~90 KB: larger than any chunk.
-		"larger than a chunk": func() storage.Snapshot {
+		}, 1, 2},
+		// ~90 KB: twenty pages' worth.
+		"larger than a page": {func() storage.Snapshot {
 			s := lendSnap(0)
 			s.Vars, s.Manifest = manyVars(3000)
 			return s
-		},
+		}, 1, 2},
 	}
-	for name, mk := range cases {
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
 			m := storage.NewMemory()
+			mk := c.mk
 			want := mk()
 			k := want.Key()
-			// filler lands in the same process's arena under other indexes,
-			// so Latest(k.Proc, k.CFGIndex) stays the snapshot under test.
-			filler := func(index, instance int) storage.Snapshot {
-				s := lendSnap(instance)
-				s.Proc, s.CFGIndex = k.Proc, k.CFGIndex+index
-				return s
-			}
+			filler := func(index, instance int) storage.Snapshot { return memFiller(k, index, instance) }
 			save := func(s storage.Snapshot) {
 				t.Helper()
 				if err := m.Save(s); err != nil {
@@ -116,6 +157,11 @@ func TestMemoryRetainsExactlyWhatWasSaved(t *testing.T) {
 			lent := mk()
 			save(lent)
 			save(filler(2, 0))
+			for what, want := range map[storage.Key]int{k: c.page, filler(2, 0).Key(): c.next} {
+				if got := storage.MemoryPage(m, what); got != want {
+					t.Fatalf("%s is on page %d, want %d", what, got, want)
+				}
+			}
 			check("after Save")
 			scribbleOver(lent)
 			check("after the caller scribbled over what it saved")
@@ -210,5 +256,44 @@ func TestMemoryConcurrentHammer(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("List(%d):\n got %+v\nwant %+v", sharedProc, got, want)
 		}
+	}
+}
+
+// A job of Figure 2's Jacobi on 4 processes saves 64 checkpoints per process,
+// interleaved, of ~56 bytes each. What a fresh memory store allocates for them
+// is four shared 4 KB pages and each process's index run: 24.3 KB, where
+// per-process arenas, their 1 → 2 → 4 KB chunks and 32-byte index entries
+// took 45.5.
+func TestMemoryJacobiSavesAllocs(t *testing.T) {
+	const procs, saves, runs = 4, 64, 20
+	snaps := make([]storage.Snapshot, 0, procs*saves)
+	for i := 0; i < saves; i++ {
+		for p := 0; p < procs; p++ {
+			snaps = append(snaps, storage.Snapshot{
+				Proc: p, CFGIndex: 1, Instance: i, Clock: vclock.VC{uint64(3 * i), uint64(3*i + 1), uint64(3*i + 2), 9},
+				Vars: map[string]int{"iter": i, "x": 1000 + i, "y": -i}, PC: "stmt-7",
+				SendSeqs: []int{0, i, 0, 0}, RecvSeqs: []int{0, i, 0, 0},
+				Instances: map[int]int{1: i + 1},
+			})
+		}
+	}
+	if n := len(storage.AppendSnapshot(nil, snaps[len(snaps)-1])); n != 56 {
+		t.Fatalf("the last body is %d bytes, want Jacobi's 56", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		m := storage.NewMemory()
+		for _, s := range snaps {
+			if err := m.Save(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	t.Logf("%d × %d interleaved saves allocate %.1f KB", procs, saves, kb)
+	if kb > 27 {
+		t.Errorf("%d × %d interleaved saves allocate %.1f KB, want <= 27", procs, saves, kb)
 	}
 }

@@ -8,12 +8,14 @@
 // every process — can be recovered after a failure.
 //
 // What a store retains of a snapshot is its AppendSnapshot body (codec.go),
-// framed on disk or, in Memory, in a byte arena; reads decode it. Incremental
-// keeps the body's variable run apart, as the (name, value) pairs that
-// changed, and encodes a reconstructed map in its place before decoding.
+// framed on disk or, in Memory, length-prefixed on a page all processes
+// share; reads decode it. Incremental keeps the body's variable run apart, as
+// the (name, value) pairs that changed, and encodes a reconstructed map in its
+// place before decoding.
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -238,17 +240,23 @@ func Keys(st Store, proc int) ([]Key, error) {
 // Like every other store it retains the AppendSnapshot body of what it is
 // handed, not a Snapshot: reads decode, and DecodeSnapshot shares nothing
 // with its input, so Store.Save's borrow contract holds by construction.
-// Bodies live in per-process append-only arenas whose chunks are never
-// regrown or recycled, so a body's sub-slice stays valid while the index
-// names it. Delete drops (and zeroes) the index entry only; the bytes go
-// when no entry refers to their chunk any more (a rollback discards a few
-// bodies per process, and a job's store is dropped whole).
+// Every process's bodies share one list of pages, each body behind its
+// uvarint length, and the index holds where a body starts. A page is never
+// regrown or recycled, so a bodyRef stays valid for as long as the store
+// lives; Delete drops the index entry only (a rollback discards a few bodies
+// per process, and a job's store is dropped whole).
 type Memory struct {
 	mu     sync.Mutex
-	bodies KeyIndex[[]byte]    // each kept in its process's arena
-	arenas map[int]arena[byte] // by process
-	buf    []byte              // scratch Save encodes into: the arena places a body by its size
+	bodies KeyIndex[bodyRef]
+	pages  [][]byte // the last one takes the next body that fits
+	buf    []byte   // scratch Save encodes into: a body's size picks its page
 }
+
+// bodyRef is where a body's length prefix sits in Memory.pages.
+type bodyRef struct{ page, off uint32 }
+
+// memPage is the size of a Memory page; a larger body gets a page of its own.
+const memPage = 4 << 10
 
 // arena is append-only memory for what a store or its index retains. Its
 // chunks are never regrown or recycled — append would move everything kept
@@ -258,9 +266,9 @@ type arena[T any] struct {
 	chunk []T // the current chunk; its length is what is used
 }
 
-// Byte arena chunks double from 1 KB (a fleet job's handful of checkpoints)
-// to 16 KB (one allocation per ~100 saves); arenaChunkSpan is that ratio for
-// every arena.
+// Incremental's byte arena chunks double from 1 KB (a fleet job's handful of
+// checkpoints) to 16 KB (one allocation per ~100 saves); arenaChunkSpan is
+// that ratio for every arena.
 const (
 	arenaChunkMin  = 1 << 10
 	arenaChunkSpan = 16
@@ -278,7 +286,7 @@ func (a *arena[T]) keep(first int, parts ...[]T) []T {
 	}
 	if n > cap(a.chunk)-len(a.chunk) {
 		if n > arenaChunkSpan*first {
-			return slices.Concat(parts...)
+			return slices.Clip(slices.Concat(parts...))
 		}
 		// A fresh chunk: append would move everything kept before.
 		size := max(first, min(2*cap(a.chunk), arenaChunkSpan*first))
@@ -307,19 +315,26 @@ func (m *Memory) Save(s Snapshot) error {
 	if _, ok := m.bodies.Get(k); ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, k)
 	}
-	if m.arenas == nil {
-		m.arenas = make(map[int]arena[byte])
-	}
 	m.buf = AppendSnapshot(m.buf[:0], s)
-	a := m.arenas[k.Proc]
-	m.bodies.Put(k, a.keep(arenaChunkMin, m.buf))
-	m.arenas[k.Proc] = a
+	var prefix [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(prefix[:], uint64(len(m.buf)))
+	last := len(m.pages) - 1
+	if n := w + len(m.buf); last < 0 || n > cap(m.pages[last])-len(m.pages[last]) {
+		// A fresh page: append would move every body kept before.
+		m.pages = append(m.pages, make([]byte, 0, max(memPage, n)))
+		last++
+	}
+	p := m.pages[last]
+	m.bodies.Put(k, bodyRef{uint32(last), uint32(len(p))})
+	m.pages[last] = append(append(p, prefix[:w]...), m.buf...)
 	return nil
 }
 
-// decode reads back k's body, damaged in memory if it does not decode.
-func decode(k Key, body []byte) (Snapshot, error) {
-	s, err := DecodeSnapshot(body)
+// read decodes the body r names, damaged in memory if it does not decode.
+func (m *Memory) read(k Key, r bodyRef) (Snapshot, error) {
+	body := m.pages[r.page][r.off:]
+	n, w := binary.Uvarint(body)
+	s, err := DecodeSnapshot(body[w : w+int(n)])
 	if err != nil {
 		return Snapshot{}, fmt.Errorf("%w: %s: %v", ErrCorrupt, k, err)
 	}
@@ -330,11 +345,11 @@ func decode(k Key, body []byte) (Snapshot, error) {
 func (m *Memory) Latest(proc, cfgIndex int) (Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	instance, body, ok := m.bodies.Latest(proc, cfgIndex)
+	instance, ref, ok := m.bodies.Latest(proc, cfgIndex)
 	if !ok {
 		return Snapshot{}, fmt.Errorf("%w: proc=%d index=%d", ErrNotFound, proc, cfgIndex)
 	}
-	return decode(Key{proc, cfgIndex, instance}, body)
+	return m.read(Key{proc, cfgIndex, instance}, ref)
 }
 
 // Get implements Store.
@@ -342,11 +357,11 @@ func (m *Memory) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	k := Key{proc, cfgIndex, instance}
-	body, ok := m.bodies.Get(k)
+	ref, ok := m.bodies.Get(k)
 	if !ok {
 		return Snapshot{}, fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
-	return decode(k, body)
+	return m.read(k, ref)
 }
 
 // List implements Store.
@@ -355,9 +370,9 @@ func (m *Memory) List(proc int) ([]Snapshot, error) {
 	defer m.mu.Unlock()
 	out := make([]Snapshot, 0, m.bodies.LenProc(proc))
 	var err error
-	m.bodies.Range(proc, func(k Key, body []byte) bool {
+	m.bodies.Range(proc, func(k Key, ref bodyRef) bool {
 		var s Snapshot
-		s, err = decode(k, body)
+		s, err = m.read(k, ref)
 		out = append(out, s)
 		return err == nil
 	})

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"repro/internal/vclock"
@@ -64,18 +66,19 @@ func TestMemoryConcurrentSaves(t *testing.T) {
 }
 
 // A steady-state memory Save allocates nothing of its own: the body is
-// encoded into the store's scratch and copied into the process's arena.
-// What is left is amortized — a 16 KB chunk per ~250 of these bodies and
-// the index run's growth — and a chunk is never regrown: that would copy,
-// and pin, everything saved before.
+// encoded into the store's scratch and copied onto the last page behind its
+// length. What is left is amortized — a 4 KB page per ~80 of these bodies and
+// the index run's growth — and a page is never regrown: that would copy every
+// body saved before. Replay, which saves again the keys a rollback deleted
+// into runs that kept their room, shows what a body costs the pages alone.
 func TestMemorySaveSteadyStateAllocs(t *testing.T) {
 	m := NewMemory()
 	s := sampleSnap(0, 1, 0)
 	save := func() {
-		s.Instance++
 		if err := m.Save(s); err != nil {
 			t.Fatal(err)
 		}
+		s.Instance++
 	}
 	for i := 0; i < 512; i++ {
 		save()
@@ -89,15 +92,53 @@ func TestMemorySaveSteadyStateAllocs(t *testing.T) {
 	if perSave > 0.1 {
 		t.Errorf("steady-state Save allocates %.3f objects amortized, want <= 0.1", perSave)
 	}
-	if c := cap(m.arenas[0].chunk); c != arenaChunkMax {
-		t.Errorf("current chunk holds %d bytes after %d saves, want the %d cap", c, stored(m), arenaChunkMax)
-	}
-	m.bodies.Range(0, func(k Key, body []byte) bool {
-		if cap(body) != len(body) {
-			t.Fatalf("%s: body has spare capacity %d, an append would reach its arena neighbour", k, cap(body)-len(body))
-		}
+	body := len(AppendSnapshot(nil, s))
+	// Pages are full-size and each ends only where the next body did not
+	// fit; walking a page by its length prefixes lands on the index's
+	// references, every one of them.
+	refs := map[bodyRef]bool{}
+	m.bodies.Range(0, func(_ Key, r bodyRef) bool {
+		refs[r] = true
 		return true
 	})
+	walked := 0
+	for i, p := range m.pages {
+		if cap(p) != memPage {
+			t.Errorf("page %d holds %d bytes, want %d", i, cap(p), memPage)
+		}
+		if i < len(m.pages)-1 && memPage-len(p) > body {
+			t.Errorf("page %d left with %d bytes free, room for another body", i, memPage-len(p))
+		}
+		for off := 0; off < len(p); walked++ {
+			if !refs[bodyRef{uint32(i), uint32(off)}] {
+				t.Fatalf("page %d offset %d: no index entry starts there", i, off)
+			}
+			n, w := binary.Uvarint(p[off:])
+			off += w + int(n)
+		}
+	}
+	if walked != len(refs) || walked != stored(m) {
+		t.Errorf("pages hold %d bodies, the index %d refs and %d keys", walked, len(refs), stored(m))
+	}
+
+	saved := s.Instance
+	for s.Instance > 0 {
+		s.Instance--
+		if err := m.Delete(0, 1, s.Instance); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for s.Instance < saved {
+		save()
+	}
+	runtime.ReadMemStats(&after)
+	perBody := float64(after.TotalAlloc-before.TotalAlloc) / float64(saved)
+	t.Logf("%.3f objects per save; a replayed save of a %d-byte body allocates %.2f B", perSave, body, perBody)
+	if perBody > float64(body+8) {
+		t.Errorf("a replayed save allocates %.2f B amortized, want <= %d: the body, its prefix and a page's tail", perBody, body+8)
+	}
 }
 
 // BenchmarkMemorySave measures Save alone: one snapshot value is lent over
