@@ -117,8 +117,8 @@ func BenchmarkMessagesPerCheckpoint(b *testing.B) {
 	var appl, sas, cl int64
 	for i := 0; i < b.N; i++ {
 		appl = run(nil)
-		sas = run(protocol.SaS(0))
-		cl = run(protocol.CL(0, protocol.NewCLCollector()))
+		sas = run(protocol.SaS())
+		cl = run(protocol.CL())
 	}
 	b.ReportMetric(float64(appl), "ctrl/ckpt(appl)")
 	b.ReportMetric(float64(sas), "ctrl/ckpt(SaS)")

@@ -47,6 +47,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("chkptbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var profiles cli.Profiles
+	profiles.Register(fs)
 	var (
 		figure  = fs.String("figure", "8", `which artifact: "8", "9", "validate", "messages", "domino", "runtime"`)
 		n       = fs.Int("n", 64, "process count for figure 9")
@@ -55,15 +57,13 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		wm      = fs.Float64("wm", markov.PaperBaseline.WM, "message setup time w_m (seconds)")
 		work    = fs.Int("work", 300000, "runtime figure: work units per iteration (1 virtual ms each; 300000 ≈ the paper's T=300s interval)")
 		wrk     = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel sweep workers (1 = serial; output is identical either way)")
-		cpuPro  = fs.String("cpuprofile", "", "write a pprof CPU profile of the benchmark to this file")
-		memPro  = fs.String("memprofile", "", "write a pprof heap profile to this file")
 		telAddr = fs.String("telemetry-addr", "", "serve live telemetry for the runtime figures on this address (/metrics, /snapshot.json, /healthz); e.g. 127.0.0.1:9464")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	closing := cli.Closer("chkptbench", stderr, &code)
-	stopProfiles, err := cli.StartProfiles(*cpuPro, *memPro)
+	stopProfiles, err := profiles.Start()
 	if err != nil {
 		fmt.Fprintln(stderr, "chkptbench:", err)
 		return 1
@@ -178,11 +178,11 @@ func runMessages(stdout, stderr io.Writer, workers int, o obs.Observer) int {
 		if err != nil {
 			return "", err
 		}
-		sas, err := sim.Run(sim.Config{Program: prog, Nproc: n, Hooks: protocol.SaS(0), DisableTrace: true, Observer: o})
+		sas, err := sim.Run(sim.Config{Program: prog, Nproc: n, Hooks: protocol.SaS(), DisableTrace: true, Observer: o})
 		if err != nil {
 			return "", err
 		}
-		cl, err := sim.Run(sim.Config{Program: prog, Nproc: n, Hooks: protocol.CL(0, protocol.NewCLCollector()), DisableTrace: true, Observer: o})
+		cl, err := sim.Run(sim.Config{Program: prog, Nproc: n, Hooks: protocol.CL(), DisableTrace: true, Observer: o})
 		if err != nil {
 			return "", err
 		}
@@ -209,9 +209,7 @@ func runEmpirical(stdout, stderr io.Writer, workUnits, workers int, o obs.Observ
 		float64(workUnits)/1000)
 	fmt.Fprintln(stdout, "# n  baseline(s)  appl-driven  SaS  C-L")
 	return sweep(stdout, stderr, workers, []int{2, 4, 8, 16}, func(n int) (string, error) {
-		prog := jacobiWithWork(iters, workUnits)
-		bare := mpl.Clone(prog)
-		stripChkpts(bare)
+		prog, bare := jacobiWithWork(iters, workUnits, true), jacobiWithWork(iters, workUnits, false)
 
 		code, err := sim.Compile(prog) // the three protocol runs share it
 		if err != nil {
@@ -229,11 +227,11 @@ func runEmpirical(stdout, stderr io.Writer, workUnits, workers int, o obs.Observ
 		if err != nil {
 			return "", err
 		}
-		sas, err := measure(sim.Config{Code: code}, protocol.SaS(0))
+		sas, err := measure(sim.Config{Code: code}, protocol.SaS())
 		if err != nil {
 			return "", err
 		}
-		cl, err := measure(sim.Config{Code: code}, protocol.CL(0, protocol.NewCLCollector()))
+		cl, err := measure(sim.Config{Code: code}, protocol.CL())
 		if err != nil {
 			return "", err
 		}
@@ -267,15 +265,18 @@ func printHist(w io.Writer, n int, proto, name string, m metrics.Snapshot) {
 }
 
 // jacobiWithWork is the Figure 1 Jacobi exchange with a heavy per-iteration
-// computation so each checkpoint interval costs about the paper's T.
-func jacobiWithWork(iters, workUnits int) *mpl.Program {
+// computation so each checkpoint interval costs about the paper's T;
+// without chkpt it is the checkpoint-free baseline.
+func jacobiWithWork(iters, workUnits int, chkpt bool) *mpl.Program {
 	return mpl.NewBuilder("jacobi_heavy").
 		Const("MAXITER", iters).
 		Vars("x", "xl", "xr", "iter").
 		Assign("x", mpl.Add(mpl.Rank(), mpl.Int(1))).
 		Assign("iter", mpl.Int(0)).
 		While(mpl.Lt(mpl.V("iter"), mpl.V("MAXITER")), func(b *mpl.Builder) {
-			b.Chkpt()
+			if chkpt {
+				b.Chkpt()
+			}
 			b.Work(mpl.Int(workUnits))
 			b.Send(mpl.Sub(mpl.Rank(), mpl.Int(1)), "x")
 			b.Send(mpl.Add(mpl.Rank(), mpl.Int(1)), "x")
@@ -285,29 +286,6 @@ func jacobiWithWork(iters, workUnits int) *mpl.Program {
 			b.Assign("iter", mpl.Add(mpl.V("iter"), mpl.Int(1)))
 		}).
 		MustProgram()
-}
-
-// stripChkpts removes all checkpoint statements (baseline measurement).
-func stripChkpts(p *mpl.Program) {
-	var fix func(body []mpl.Stmt) []mpl.Stmt
-	fix = func(body []mpl.Stmt) []mpl.Stmt {
-		out := body[:0]
-		for _, s := range body {
-			if _, ok := s.(*mpl.Chkpt); ok {
-				continue
-			}
-			switch st := s.(type) {
-			case *mpl.While:
-				st.Body = fix(st.Body)
-			case *mpl.If:
-				st.Then = fix(st.Then)
-				st.Else = fix(st.Else)
-			}
-			out = append(out, s)
-		}
-		return out
-	}
-	p.Body = fix(p.Body)
 }
 
 // runDomino contrasts the application-driven scheme with uncoordinated

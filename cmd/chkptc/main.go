@@ -19,10 +19,10 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/mpl"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -50,12 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	src, err := readSource(fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(stderr, "chkptc:", err)
-		return 1
-	}
-	prog, err := mpl.Parse(src)
+	prog, err := cli.ReadProgram(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(stderr, "chkptc:", err)
 		return 1
@@ -141,32 +136,14 @@ func verifyRuntime(rep *core.Report, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "chkptc: runtime verification at n=%d: %v\n", n, err)
 			return 1
 		}
-		checked := 0
-		for _, idx := range res.Trace.CheckpointIndexes() {
-			cut, err := res.Trace.StraightCut(idx)
-			if err != nil {
-				continue
-			}
-			if !trace.IsRecoveryLine(cut) {
-				a, b, _ := trace.FirstViolation(cut)
-				fmt.Fprintf(stderr, "chkptc: n=%d: R_%d is NOT a recovery line (%v before %v)\n",
-					n, idx, a, b)
-				return 1
-			}
-			checked++
+		ok, bad := cli.StraightCuts(stderr, res.Trace)
+		if bad > 0 {
+			fmt.Fprintf(stderr, "chkptc: runtime verification at n=%d: %d straight cut(s) are not recovery lines\n", n, bad)
+			return 1
 		}
-		fmt.Fprintf(stderr, "runtime verification: n=%d ok (%d straight cut(s) checked)\n", n, checked)
+		fmt.Fprintf(stderr, "runtime verification: n=%d ok (%d straight cut(s) checked)\n", n, ok)
 	}
 	return 0
-}
-
-func readSource(path string) (string, error) {
-	if path == "-" {
-		b, err := io.ReadAll(os.Stdin)
-		return string(b), err
-	}
-	b, err := os.ReadFile(path)
-	return string(b), err
 }
 
 func printReport(w io.Writer, rep *core.Report) {

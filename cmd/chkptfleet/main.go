@@ -6,22 +6,19 @@
 //
 // Usage:
 //
-//	chkptfleet -jobs 1000 [-rate 500] [-nproc 3] [-iters 3]
-//	           [-max-inflight 32] [-tenants 'batch:8:3,interactive::1']
+//	chkptfleet -jobs 1000 [-rate 500] [-max-inflight 32]
+//	           [-tenants 'batch:8:3,interactive::1']
 //	           [-seed 1] [-storage-fault-rate 0.05] [-crash-rate 0.5]
 //	           [-net-fault-rate 0.02] [-business-rate 0.01]
-//	           [-breaker-threshold 5] [-breaker-cooldown 50ms]
-//	           [-retry-budget 4] [-drain-timeout 30s] [-job-timeout 30s]
-//	           [-drain-after 0] [-store mem|wal:DIR] [-events-out fleet.jsonl]
-//	           [-telemetry-addr 127.0.0.1:9464] [-telemetry-window 250ms]
-//	           [-dash] [-q]
+//	           [-drain-after 0] [-store mem|wal:DIR] [-no-prune]
+//	           [-events-out fleet.jsonl] [-telemetry-addr 127.0.0.1:9464]
+//	           [-telemetry-window 250ms] [-dash] [-q]
 //
-// Each tenant is NAME[:QUOTA[:WEIGHT]]; an empty quota means unbounded
-// (the fleet-wide -max-inflight cap still applies) and weight biases the
-// arrival draw. -rate 0 generates arrivals back to back (closed only by
-// admission). -drain-after begins graceful drain on a timer — the same
-// path a SIGTERM takes — which is how CI exercises shutdown without
-// signals.
+// Every job is the Figure 1 Jacobi at 3 processes and 3 iterations; the
+// breaker, retry budgets and the 30 s drain and job timeouts are
+// fleet.Config's defaults. A tenant's empty quota means unbounded (the
+// -max-inflight cap still applies) and its weight biases the arrival draw.
+// -drain-after takes the path a SIGTERM takes, without a signal.
 //
 // The run exits non-zero if the taxonomy is violated (an admitted job
 // missing from succeeded/infra_failed/business_failed/parked — a silent
@@ -29,9 +26,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -41,9 +40,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/fleet"
-	"repro/internal/metrics"
-	"repro/internal/obs"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -55,33 +51,27 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, sigs))
 }
 
+// jobNproc is every job's process count (fleet.Config's default).
+const jobNproc = 3
+
 func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) (code int) {
 	fs := flag.NewFlagSet("chkptfleet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jobs       = fs.Int("jobs", 100, "arrivals to generate")
-		rate       = fs.Float64("rate", 0, "open-loop Poisson arrival rate in jobs/second (0 = back to back)")
-		nproc      = fs.Int("nproc", 3, "processes per job")
-		iters      = fs.Int("iters", 3, "Jacobi iterations per job")
-		maxInFl    = fs.Int("max-inflight", 32, "fleet-wide concurrent-job cap (admission control)")
+		shared  cli.Flags
+		jobs    = 100
+		rate    float64
+		maxInFl = 32
+		bizRate float64
+	)
+	shared.Register(fs)
+	cli.Bounded(fs, &jobs, "jobs", 0, math.MaxInt, "arrivals to generate")
+	cli.Bounded(fs, &rate, "rate", 0, math.Inf(1), "open-loop Poisson arrival rate in jobs/second (0 = back to back)")
+	cli.Bounded(fs, &maxInFl, "max-inflight", 1, math.MaxInt, "fleet-wide concurrent-job cap (admission control)")
+	cli.Bounded(fs, &bizRate, "business-rate", 0, 1, "fraction of jobs ending in a simulated business failure")
+	var (
 		tenantsStr = fs.String("tenants", "", "tenants as NAME[:QUOTA[:WEIGHT]], comma-separated (empty = one unbounded tenant)")
-		seed       = fs.Int64("seed", 1, "seed for arrivals, tenants, chaos, and business verdicts (same seed, same fleet)")
-		faultRate  = fs.Float64("storage-fault-rate", 0, "storage chaos rate on the SHARED store in [0,1]")
-		crashRate  = fs.Float64("crash-rate", 0, "expected injected crashes per job (Poisson)")
-		netRate    = fs.Float64("net-fault-rate", 0, "per-job network chaos rate in [0,1] (drop/dup/reorder)")
-		bizRate    = fs.Float64("business-rate", 0, "fraction of jobs ending in a simulated business failure")
-		brkThresh  = fs.Int("breaker-threshold", 0, "consecutive transient store failures that open the breaker (0 = default)")
-		brkCool    = fs.Duration("breaker-cooldown", 0, "how long the open breaker sheds before probing (0 = default)")
-		retryBudg  = fs.Int64("retry-budget", 0, "retry tokens deposited per admitted job into its tenant's budget (0 = default, negative disables budgets)")
-		drainTmo   = fs.Duration("drain-timeout", 30*time.Second, "how long drain waits for in-flight jobs before cancel-parking them")
-		jobTmo     = fs.Duration("job-timeout", 30*time.Second, "per-job watchdog timeout")
 		drainAfter = fs.Duration("drain-after", 0, "begin graceful drain after this long (0 = only on signal/stream end)")
-		storeKind  = fs.String("store", "mem", "shared stable storage: mem or wal:DIR (the durable group-commit log rooted at DIR)")
-		noPrune    = fs.Bool("no-prune", false, "persist full variable environments instead of liveness-minimized checkpoint manifests")
-		eventsOut  = fs.String("events-out", "", "stream structured JSONL fleet+runtime events to this file")
-		telAddr    = fs.String("telemetry-addr", "", "serve live telemetry on this address: /metrics, /snapshot.json, /healthz")
-		telWindow  = fs.Duration("telemetry-window", 250*time.Millisecond, "telemetry aggregation window")
-		dash       = fs.Bool("dash", false, "render a live telemetry dashboard to stderr")
 		quiet      = fs.Bool("q", false, "suppress the per-run banner (report still prints)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -93,83 +83,41 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) (code i
 		return 2
 	}
 	tenants, err := parseTenants(*tenantsStr)
+	if err == nil && shared.Store == "incremental" {
+		// Delta chains only delete newest-first, and under a job Namespace
+		// the chaos scrub can only order a chain by instance, not by age.
+		err = errors.New("-store incremental is not supported by the fleet (use mem or wal:DIR)")
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "chkptfleet:", err)
 		return 2
 	}
 
 	closing := cli.Closer("chkptfleet", stderr, &code)
-
-	store, err := cli.OpenStore(*storeKind)
-	if err == nil && store.Incremental != nil {
-		// Delta chains only delete newest-first, and under a job Namespace
-		// the chaos scrub can only order a chain by instance, not by age.
-		err = fmt.Errorf("%w: -store incremental is not supported by the fleet (use mem or wal:DIR)", cli.ErrUsage)
-	}
+	r, err := shared.Open("chkptfleet", stderr, jobNproc)
 	if err != nil {
 		fmt.Fprintln(stderr, "chkptfleet:", err)
 		return cli.ExitCode(err)
 	}
-	defer closing(store.Close)
-
-	var observers []obs.Observer
-	if *eventsOut != "" {
-		stream, err := cli.OpenEventStream(*eventsOut)
-		if err != nil {
-			fmt.Fprintln(stderr, "chkptfleet:", err)
-			return 1
-		}
-		defer closing(stream.Close)
-		observers = append(observers, stream)
-	}
-
-	// One Counters is every job's metrics sink and the aggregator's tap:
-	// the fleet-wide save / block distributions it shows are these.
-	counters := &metrics.Counters{}
-	observer := obs.Multi(observers...)
-	if *telAddr != "" || *dash {
-		tcfg := telemetry.Config{
-			Nproc:    *nproc,
-			Window:   *telWindow,
-			Counters: counters,
-			Sink:     observer,
-		}
-		if store.WAL != nil {
-			tcfg.WALStats = store.WAL.Stats
-		}
-		agg := telemetry.New(tcfg)
-		observer = obs.Multi(observer, agg)
-		stopTelemetry, err := cli.StartTelemetry("chkptfleet", stderr, agg, *telAddr, *dash, 0)
-		if err != nil {
-			fmt.Fprintln(stderr, "chkptfleet:", err)
-			return 1
-		}
-		defer closing(stopTelemetry)
-	}
+	defer closing(r.Close)
 
 	e := fleet.New(fleet.Config{
-		Jobs:             *jobs,
-		Nproc:            *nproc,
-		Iters:            *iters,
-		ArrivalRate:      *rate,
-		MaxInFlight:      *maxInFl,
+		Jobs:             jobs,
+		Nproc:            jobNproc,
+		ArrivalRate:      rate,
+		MaxInFlight:      maxInFl,
 		Tenants:          tenants,
-		Seed:             *seed,
-		StorageFaultRate: *faultRate,
-		CrashLambda:      *crashRate,
-		NetFaultRate:     *netRate,
-		BusinessFailRate: *bizRate,
-		Breaker: fleet.BreakerConfig{
-			FailureThreshold: *brkThresh,
-			Cooldown:         *brkCool,
-		},
-		RetryBudgetPerJob: *retryBudg,
-		Store:             store.Store,
-		NoPrune:           *noPrune,
-		DrainTimeout:      *drainTmo,
-		JobTimeout:        *jobTmo,
-		Observer:          observer,
-		Counters:          counters,
+		Seed:             shared.Seed,
+		StorageFaultRate: shared.StorageFaultRate,
+		CrashLambda:      shared.CrashRate,
+		NetFaultRate:     shared.NetFaultRate,
+		BusinessFailRate: bizRate,
+		Store:            r.Store.Store,
+		NoPrune:          shared.NoPrune,
+		Observer:         r.Observer,
+		// One Counters is every job's metrics sink and the aggregator's
+		// tap: the fleet-wide save / block distributions it shows are these.
+		Counters: r.Counters,
 	})
 
 	// Drain triggers: an OS signal, or the -drain-after timer (CI's way to
@@ -195,11 +143,11 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) (code i
 
 	if !*quiet {
 		fmt.Fprintf(stderr, "chkptfleet: %d jobs, rate=%g/s, inflight<=%d, %d tenant(s), seed=%d\n",
-			*jobs, *rate, *maxInFl, max(1, len(tenants)), *seed)
+			jobs, rate, maxInFl, max(1, len(tenants)), shared.Seed)
 	}
 	rep, err := e.Run()
 	fmt.Fprint(stdout, rep.String())
-	store.PrintStats(stdout)
+	r.PrintStats(stdout)
 	if err != nil {
 		// Conservation violation: an admitted job is missing from the
 		// taxonomy — a silent loss. Never exit 0 on that.
@@ -234,12 +182,18 @@ func parseTenants(s string) ([]fleet.TenantConfig, error) {
 			if err != nil {
 				return nil, fmt.Errorf("tenant %q: bad quota: %v", spec, err)
 			}
+			if q < 0 {
+				return nil, fmt.Errorf("tenant %q: negative quota", spec)
+			}
 			t.Quota = q
 		}
 		if len(parts) > 2 && strings.TrimSpace(parts[2]) != "" {
 			w, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("tenant %q: bad weight: %v", spec, err)
+			}
+			if !(w >= 0) {
+				return nil, fmt.Errorf("tenant %q: negative weight", spec)
 			}
 			t.Weight = w
 		}

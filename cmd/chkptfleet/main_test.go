@@ -1,12 +1,14 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/cli"
 	"repro/internal/fleet"
 )
 
@@ -112,6 +114,63 @@ func TestBadFlagsExitTwo(t *testing.T) {
 	if code, _, stderr := runFleet(t, "-tenants", "a:bad"); code != 2 || !strings.Contains(stderr, "bad quota") {
 		t.Fatalf("bad tenants exit = %d stderr=%q, want 2", code, stderr)
 	}
+}
+
+// Every out-of-range value is refused before anything runs, as a usage
+// error naming what was wrong.
+func TestOutOfRangeInputExitsTwo(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-crash-rate", "-2"},
+		{"-rate", "-5"},
+		{"-tenants", "a:-3"},
+		{"-tenants", "a::-1"},
+		{"-storage-fault-rate", "7"},
+		{"-net-fault-rate", "-0.1"},
+		{"-business-rate", "2"},
+		{"-jobs", "-1"},
+		{"-max-inflight", "0"},
+	} {
+		code, _, stderr := runFleet(t, append([]string{"-jobs", "1"}, bad...)...)
+		want := bad[0]
+		if want == "-tenants" {
+			want = "negative"
+		}
+		if code != 2 || !strings.Contains(stderr, want) {
+			t.Errorf("%v: exit = %d stderr=%q, want 2 naming %s", bad, code, stderr, want)
+		}
+	}
+}
+
+// TestSharedFlagsDeclaredOnce: every flag chkptfleet shares with chkptsim
+// is cli.Flags', so -h prints the same name, default and usage for it.
+func TestSharedFlagsDeclaredOnce(t *testing.T) {
+	var ref flag.FlagSet
+	new(cli.Flags).Register(&ref)
+	var want strings.Builder
+	ref.SetOutput(&want)
+	ref.PrintDefaults()
+	_, _, help := runFleet(t, "-h")
+	got := usageBlocks(help)
+	for name, block := range usageBlocks(want.String()) {
+		if got[name] != block {
+			t.Errorf("chkptfleet %s:\n%s\nwant cli.Flags':\n%s", name, got[name], block)
+		}
+	}
+}
+
+// usageBlocks splits flag.PrintDefaults output into one block per flag.
+func usageBlocks(s string) map[string]string {
+	out := map[string]string{}
+	var name string
+	for _, line := range strings.Split(s, "\n") {
+		if strings.HasPrefix(line, "  -") {
+			name = strings.Fields(line)[0]
+		}
+		if name != "" && line != "" {
+			out[name] += line + "\n"
+		}
+	}
+	return out
 }
 
 // The fleet has no incremental store kind, and a bare path — the deleted

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"os"
@@ -11,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cli"
 )
 
 const fig2Src = `
@@ -161,6 +164,62 @@ func TestBadUsage(t *testing.T) {
 	}
 }
 
+// Every out-of-range value is refused before anything runs, as a usage
+// error naming the flag.
+func TestOutOfRangeInputExitsTwo(t *testing.T) {
+	path := writeTemp(t, fig2Src)
+	for _, bad := range [][]string{
+		{"-n", "0"},
+		{"-n", "-3"},
+		{"-fail", "1:-4"},
+		{"-fail", "-1:4"},
+		{"-storage-fault-rate", "7"},
+		{"-storage-fault-rate", "-0.1"},
+		{"-crash-rate", "-1"},
+		{"-crash-rate", "NaN"},
+		{"-net-fault-rate", "1.5"},
+		{"-telemetry-lag", "-2"},
+	} {
+		var out, errb strings.Builder
+		args := append(append([]string{"-transform"}, bad...), path)
+		if code := run(args, &out, &errb); code != 2 || !strings.Contains(errb.String(), bad[0]) {
+			t.Errorf("%v: exit = %d stderr=%q, want 2 naming %s", bad, code, errb.String(), bad[0])
+		}
+	}
+}
+
+// TestSharedFlagsDeclaredOnce: every flag chkptsim shares with chkptfleet
+// is cli.Flags', so -h prints the same name, default and usage for it.
+func TestSharedFlagsDeclaredOnce(t *testing.T) {
+	var ref flag.FlagSet
+	new(cli.Flags).Register(&ref)
+	var want, help strings.Builder
+	ref.SetOutput(&want)
+	ref.PrintDefaults()
+	run([]string{"-h"}, io.Discard, &help)
+	got := usageBlocks(help.String())
+	for name, block := range usageBlocks(want.String()) {
+		if got[name] != block {
+			t.Errorf("chkptsim %s:\n%s\nwant cli.Flags':\n%s", name, got[name], block)
+		}
+	}
+}
+
+// usageBlocks splits flag.PrintDefaults output into one block per flag.
+func usageBlocks(s string) map[string]string {
+	out := map[string]string{}
+	var name string
+	for _, line := range strings.Split(s, "\n") {
+		if strings.HasPrefix(line, "  -") {
+			name = strings.Fields(line)[0]
+		}
+		if name != "" && line != "" {
+			out[name] += line + "\n"
+		}
+	}
+	return out
+}
+
 // Chandy–Lamport's round state lives in hooks that are rebuilt per
 // incarnation, so after a rollback the ranks disagree on how many rounds
 // exist and the run fails at halt (ROADMAP item 13). Until that state is in
@@ -169,11 +228,9 @@ func TestCLRefusesCrashSources(t *testing.T) {
 	path := writeTemp(t, fig2Src)
 	for _, crash := range [][]string{
 		{"-fail", "1:8"},
-		{"-chaos-crash-rate", "1"},
+		{"-crash-rate", "1"},
 		{"-storage-fault-rate", "0.1"},
-		{"-net-drop-rate", "0.1"},
-		{"-net-dup-rate", "0.1"},
-		{"-net-reorder-rate", "0.1"},
+		{"-net-fault-rate", "0.1"},
 		{"-net-partition", "0>1@0ms+50ms"},
 	} {
 		var out, errb strings.Builder
@@ -364,7 +421,7 @@ func TestChaosFlags(t *testing.T) {
 	var out strings.Builder
 	errb.Reset()
 	code := run([]string{"-n", "4", "-transform",
-		"-chaos-seed", "3", "-chaos-crash-rate", "1.2", "-storage-fault-rate", "0.1",
+		"-seed", "3", "-crash-rate", "1.2", "-storage-fault-rate", "0.1",
 		path}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("chaos run exit = %d\n%s%s", code, out.String(), errb.String())
@@ -390,7 +447,7 @@ func TestChaosFlags(t *testing.T) {
 	var again strings.Builder
 	errb.Reset()
 	if code := run([]string{"-n", "4", "-transform",
-		"-chaos-seed", "3", "-chaos-crash-rate", "1.2", "-storage-fault-rate", "0.1",
+		"-seed", "3", "-crash-rate", "1.2", "-storage-fault-rate", "0.1",
 		path}, &again, &errb); code != 0 {
 		t.Fatalf("repeat chaos run exit = %d: %s", code, errb.String())
 	}
@@ -411,8 +468,7 @@ func TestNetChaosFlags(t *testing.T) {
 	var out strings.Builder
 	errb.Reset()
 	code := run([]string{"-n", "4", "-transform",
-		"-net-chaos-seed", "7", "-net-drop-rate", "0.1", "-net-dup-rate", "0.2",
-		"-net-reorder-rate", "0.2", "-net-partition", "0>1@5ms+100ms",
+		"-seed", "7", "-net-fault-rate", "0.2", "-net-partition", "0>1@5ms+100ms",
 		path}, &out, &errb)
 	if code != 0 {
 		t.Fatalf("net chaos run exit = %d\n%s%s", code, out.String(), errb.String())

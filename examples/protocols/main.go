@@ -26,8 +26,8 @@ func main() {
 	}
 	entries := []entry{
 		{"appl-driven", nil},
-		{"SaS", protocol.SaS(0)},
-		{"C-L", protocol.CL(0, protocol.NewCLCollector())},
+		{"SaS", protocol.SaS()},
+		{"C-L", protocol.CL()},
 		{"CIC", protocol.CIC()},
 	}
 

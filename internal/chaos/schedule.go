@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -74,4 +75,39 @@ func CrashSchedule(seed int64, cfg ScheduleConfig) []sim.Crash {
 		}
 	}
 	return out
+}
+
+// Faults are one run's seeded fault sources, as Arm sets them on a
+// sim.Config. The zero value arms nothing.
+type Faults struct {
+	Seed         int64   // draws the crash schedule and every link fault
+	CrashRate    float64 // expected crashes per incarnation (Poisson) ...
+	Incarnations int     // ... over the first Incarnations incarnations
+	NetRate      float64 // DefaultNetRates' one knob
+	Partitions   []Partition
+	// StoreFaults says the store can fail a save by itself (chaos-wrapped,
+	// or behind a breaker that sheds), crashing the saving process.
+	StoreFaults bool
+}
+
+// Arm gives cfg the faults f describes: a crash schedule in cfg.Crashes
+// and a link injector in cfg.Net, which it returns (nil for clean links).
+// When anything can crash a process beyond cfg.Failures, recovery gets 25
+// restarts of headroom over sim's default MaxRestarts: storage faults and
+// partitions crash processes no schedule names.
+func Arm(cfg *sim.Config, f Faults, obsv obs.Observer) *Network {
+	if f.CrashRate > 0 {
+		cfg.Crashes = CrashSchedule(f.Seed, ScheduleConfig{
+			Nproc: cfg.Nproc, Lambda: f.CrashRate, MaxIncarnations: f.Incarnations,
+		})
+	}
+	var net *Network
+	if f.NetRate > 0 || len(f.Partitions) > 0 {
+		net = NewNetwork(f.Seed^0x2545f491, DefaultNetRates(f.NetRate), f.Partitions, obsv)
+		cfg.Net = &sim.NetConfig{Chaos: net}
+	}
+	if f.StoreFaults || f.CrashRate > 0 || net != nil {
+		cfg.MaxRestarts = len(cfg.Failures) + len(cfg.Crashes) + 1 + 25
+	}
+	return net
 }

@@ -27,7 +27,14 @@ func Random(seed int64) *mpl.Program {
 	motifs := 1 + r.Intn(3)
 	b.While(mpl.Lt(mpl.V("iter"), mpl.V("ITERS")), func(b *mpl.Builder) {
 		for m := 0; m < motifs; m++ {
-			emitMotif(b, r)
+			EmitMotif(b, r, 5, func(int) {
+				// Broadcast from rank 0 plus local compute.
+				maybeChkpt(b, r, 0.3)
+				b.Assign("c", mpl.Add(mpl.V("a"), mpl.Int(1)))
+				b.Bcast(mpl.Int(0), "c")
+				maybeChkpt(b, r, 0.3)
+				b.Assign("a", mpl.Add(mpl.V("a"), mpl.V("c")))
+			})
 		}
 		b.Assign("iter", mpl.Add(mpl.V("iter"), mpl.Int(1)))
 	})
@@ -38,15 +45,22 @@ func Random(seed int64) *mpl.Program {
 	return b.MustProgram()
 }
 
-// emitMotif appends one random communication motif, optionally sprinkling
-// checkpoint statements at positions that may break Condition 1.
-func emitMotif(b *mpl.Builder, r *rand.Rand) {
-	maybeChkpt := func(b *mpl.Builder, prob float64) {
-		if r.Float64() < prob {
-			b.Chkpt()
-		}
+// maybeChkpt appends a checkpoint statement with probability prob.
+func maybeChkpt(b *mpl.Builder, r *rand.Rand, prob float64) {
+	if r.Float64() < prob {
+		b.Chkpt()
 	}
-	switch r.Intn(5) {
+}
+
+// EmitMotif appends one random communication motif, drawn as
+// k = r.Intn(kinds), and the computation after it. Checkpoint statements
+// land at positions that may break Condition 1. Four motifs are shared by
+// every random generator and emitted here: 0 even/odd paired exchange, 1
+// ring shift, 3 allreduce, 4 halves pipeline. Any other k is the caller's
+// own, appended by other(k). Every motif is deadlock-free under
+// asynchronous sends and blocking receives for every process count.
+func EmitMotif(b *mpl.Builder, r *rand.Rand, kinds int, other func(k int)) {
+	switch k := r.Intn(kinds); k {
 	case 0:
 		// Even/odd paired exchange (the Figure 2 shape): even ranks talk
 		// to their right neighbor; checkpoints may land on either side of
@@ -78,25 +92,18 @@ func emitMotif(b *mpl.Builder, r *rand.Rand) {
 	case 1:
 		// Ring shift: everyone sends right, receives from the left.
 		// Asynchronous sends make this deadlock-free.
-		maybeChkpt(b, 0.5)
+		maybeChkpt(b, r, 0.5)
 		b.Send(mpl.Mod(mpl.Add(mpl.Rank(), mpl.Int(1)), mpl.Nproc()), "a")
 		b.Recv(mpl.Mod(mpl.Sub(mpl.Rank(), mpl.Int(1)), mpl.Nproc()), "tmp")
-		maybeChkpt(b, 0.5)
+		maybeChkpt(b, r, 0.5)
 		b.Assign("a", mpl.Add(mpl.V("a"), mpl.V("tmp")))
-	case 2:
-		// Broadcast from rank 0 plus local compute.
-		maybeChkpt(b, 0.3)
-		b.Assign("c", mpl.Add(mpl.V("a"), mpl.Int(1)))
-		b.Bcast(mpl.Int(0), "c")
-		maybeChkpt(b, 0.3)
-		b.Assign("a", mpl.Add(mpl.V("a"), mpl.V("c")))
 	case 3:
 		// Allreduce: contribute, reduce to rank 0, broadcast back.
-		maybeChkpt(b, 0.4)
+		maybeChkpt(b, r, 0.4)
 		b.Assign("c", mpl.V("a"))
 		b.Reduce(mpl.Int(0), "c")
 		b.Bcast(mpl.Int(0), "c")
-		maybeChkpt(b, 0.4)
+		maybeChkpt(b, r, 0.4)
 		b.Assign("a", mpl.Add(mpl.V("a"), mpl.V("c")))
 	case 4:
 		// Halves pipeline (works for odd process counts too: the last odd
@@ -120,6 +127,8 @@ func emitMotif(b *mpl.Builder, r *rand.Rand) {
 				})
 				b.Chkpt()
 			})
+	default:
+		other(k)
 	}
 	b.Work(mpl.Int(1 + r.Intn(3)))
 }

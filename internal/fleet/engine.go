@@ -421,21 +421,12 @@ func (e *Engine) runJob(code *sim.Code, jobID int, jobSeed int64, tenant string,
 		// interface would pass the retry layer's nil check and panic.
 		sc.Retry.Budget = b
 	}
-	restarts := 1
-	if cfg.CrashLambda > 0 {
-		sc.Crashes = chaos.CrashSchedule(jobSeed, chaos.ScheduleConfig{
-			Nproc: cfg.Nproc, Lambda: cfg.CrashLambda, MaxIncarnations: 2,
-		})
-		restarts += len(sc.Crashes)
-	}
-	if cfg.NetFaultRate > 0 {
-		sc.Net = &sim.NetConfig{
-			Chaos: chaos.NewNetwork(jobSeed^0x2545f491, chaos.DefaultNetRates(cfg.NetFaultRate), nil, cfg.Observer),
-		}
-	}
-	// Storage faults and sheds crash processes beyond the scheduled
-	// failures; leave recovery generous headroom (matches chkptsim).
-	sc.MaxRestarts = restarts + 25
+	// The shared store sheds saves through the breaker, so recovery always
+	// gets the restart headroom.
+	chaos.Arm(&sc, chaos.Faults{
+		Seed: jobSeed, CrashRate: cfg.CrashLambda, Incarnations: 2,
+		NetRate: cfg.NetFaultRate, StoreFaults: true,
+	}, cfg.Observer)
 	if _, err := sim.Run(sc); err != nil {
 		return err
 	}

@@ -3,56 +3,17 @@ package protocol
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"repro/internal/sim"
 )
 
 const tagMarker = "cl-marker"
 
-// CLCollector gathers the global snapshots produced by the Chandy-Lamport
-// protocol: per round, the recorded channel states (checkpoints themselves
-// go to the regular stable store). It is shared by all processes.
-type CLCollector struct {
-	mu sync.Mutex
-	// channelState[round] maps "from->to" to the messages recorded as
-	// in-flight for that round.
-	channelState map[int]map[string][]int
-	rounds       int
-}
-
-// NewCLCollector creates an empty collector.
-func NewCLCollector() *CLCollector {
-	return &CLCollector{channelState: make(map[int]map[string][]int)}
-}
-
-func chanKey(from, to int) string { return fmt.Sprintf("%d->%d", from, to) }
-
-func (c *CLCollector) record(round, from, to, value int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.channelState[round] == nil {
-		c.channelState[round] = make(map[string][]int)
-	}
-	k := chanKey(from, to)
-	c.channelState[round][k] = append(c.channelState[round][k], value)
-}
-
-func (c *CLCollector) noteRound(round int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if round+1 > c.rounds {
-		c.rounds = round + 1
-	}
-}
-
 // clProc is per-process Chandy-Lamport state. Rounds may overlap (a fast
 // neighbor can reflood round r+1 before round r's markers all arrived), so
 // marker bookkeeping is per round.
 type clProc struct {
-	initiator bool
-	collector *CLCollector
-
+	initiator  bool
 	stmtHits   int // checkpoint statements executed = rounds expected
 	started    map[int]bool
 	markerFrom map[int][]bool
@@ -61,17 +22,17 @@ type clProc struct {
 }
 
 // CL returns the hooks factory for Chandy-Lamport distributed snapshots.
-// The process with the initiator rank starts a snapshot round at each of
-// its checkpoint statements; all other processes ignore their checkpoint
-// statements and checkpoint on first marker receipt, recording channel
-// states until markers arrive on all inbound channels. Checkpoints of
-// round r are saved with straight-cut index r, so the trace/storage
-// verifiers can check the snapshot's consistency directly.
-func CL(initiator int, collector *CLCollector) sim.HooksFactory {
+// Rank 0 initiates a snapshot round at each of its checkpoint statements;
+// all other processes ignore their checkpoint statements and checkpoint on
+// first marker receipt. Checkpoints of round r are saved with straight-cut
+// index r, so the trace/storage verifiers can check the snapshot's
+// consistency directly. The channel state the classic algorithm records
+// between a process's checkpoint and its last marker is not kept: recovery
+// rebuilds in-flight messages from the senders' logs for every protocol.
+func CL() sim.HooksFactory {
 	return func(rank, nproc int) sim.Hooks {
 		return &clHooks{state: &clProc{
-			initiator:  rank == initiator,
-			collector:  collector,
+			initiator:  rank == 0,
 			started:    make(map[int]bool),
 			markerFrom: make(map[int][]bool),
 			markersIn:  make(map[int]int),
@@ -92,7 +53,6 @@ func (h *clHooks) startRound(p *sim.Proc, round int) error {
 	st := h.state
 	st.started[round] = true
 	st.markerFrom[round] = make([]bool, st.nproc)
-	st.collector.noteRound(round)
 	if err := p.TakeCheckpoint(round); err != nil {
 		return err
 	}
@@ -136,19 +96,6 @@ func (h *clHooks) OnMarker(p *sim.Proc, m sim.Message) error {
 	}
 	st.markerFrom[round][m.From] = true
 	st.markersIn[round]++
-	return nil
-}
-
-// AfterRecv records channel state: an application message on a channel
-// whose marker is still pending belongs to every such open round's
-// snapshot.
-func (h *clHooks) AfterRecv(p *sim.Proc, m sim.Message) error {
-	st := h.state
-	for round := range st.started {
-		if st.markersIn[round] < st.nproc-1 && !st.markerFrom[round][m.From] {
-			st.collector.record(round, m.From, p.Rank(), m.Value)
-		}
-	}
 	return nil
 }
 

@@ -59,7 +59,7 @@ func TestSaSConsistentRoundsAndMessageCount(t *testing.T) {
 	res := run(t, sim.Config{
 		Program: corpus.JacobiFig1(iters),
 		Nproc:   n,
-		Hooks:   SaS(0),
+		Hooks:   SaS(),
 	})
 	assertIndexCutsConsistent(t, res.Store, n)
 	// Every round's straight cut in the trace is a recovery line.
@@ -90,7 +90,7 @@ func TestSaSDeadlocksWhenBarrierMisplaced(t *testing.T) {
 	_, err := sim.Run(sim.Config{
 		Program: corpus.JacobiFig2(2),
 		Nproc:   4,
-		Hooks:   SaS(0),
+		Hooks:   SaS(),
 		Timeout: 300 * time.Millisecond,
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
@@ -102,15 +102,14 @@ func TestCLSnapshotsConsistentOnUntransformedFig2(t *testing.T) {
 	// Fig2's OWN straight cuts are inconsistent; Chandy-Lamport's marker
 	// rounds still produce recovery lines.
 	const n, iters = 4, 3
-	coll := NewCLCollector()
 	res := run(t, sim.Config{
 		Program: corpus.JacobiFig2(iters),
 		Nproc:   n,
-		Hooks:   CL(0, coll),
+		Hooks:   CL(),
 	})
 	assertIndexCutsConsistent(t, res.Store, n)
-	if coll.rounds != iters {
-		t.Errorf("rounds = %d, want %d", coll.rounds, iters)
+	if rounds, err := res.Store.Indexes(n); err != nil || len(rounds) != iters {
+		t.Errorf("rounds = %v (%v), want %d", rounds, err, iters)
 	}
 	// Marker traffic: n(n-1) markers per round (every process refloods to
 	// all others). The paper counts 2n(n-1) messages for C-L on a fully
@@ -127,32 +126,14 @@ func TestCLSnapshotsConsistentOnUntransformedFig2(t *testing.T) {
 
 func TestCLOnRing(t *testing.T) {
 	const n = 3
-	coll := NewCLCollector()
 	res := run(t, sim.Config{
 		Program: corpus.Ring(3),
 		Nproc:   n,
-		Hooks:   CL(0, coll),
+		Hooks:   CL(),
 	})
 	assertIndexCutsConsistent(t, res.Store, n)
-	if coll.rounds == 0 {
+	if res.Metrics.Checkpoints == 0 {
 		t.Fatal("no snapshot rounds")
-	}
-}
-
-func TestCLCollectorRecordsChannelState(t *testing.T) {
-	c := NewCLCollector()
-	c.noteRound(0)
-	c.record(0, 1, 2, 42)
-	c.record(0, 1, 2, 43)
-	got := c.channelState[0][chanKey(1, 2)]
-	if len(got) != 2 || got[0] != 42 || got[1] != 43 {
-		t.Errorf("channel state = %v", got)
-	}
-	if c.rounds != 1 {
-		t.Errorf("rounds = %d", c.rounds)
-	}
-	if len(c.channelState[0][chanKey(2, 1)]) != 0 {
-		t.Error("unrecorded channel non-empty")
 	}
 }
 
@@ -226,33 +207,6 @@ func TestUncoordinatedStatementModeUsesLocalIndexes(t *testing.T) {
 	}
 }
 
-func TestSaSNonZeroCoordinator(t *testing.T) {
-	const n, iters = 4, 2
-	res := run(t, sim.Config{
-		Program: corpus.JacobiFig1(iters),
-		Nproc:   n,
-		Hooks:   SaS(2),
-	})
-	assertIndexCutsConsistent(t, res.Store, n)
-	if want := int64(iters * 5 * (n - 1)); res.Metrics.CtrlMessages != want {
-		t.Errorf("ctrl = %d, want %d", res.Metrics.CtrlMessages, want)
-	}
-}
-
-func TestCLNonZeroInitiator(t *testing.T) {
-	const n = 4
-	coll := NewCLCollector()
-	res := run(t, sim.Config{
-		Program: corpus.JacobiFig2(2),
-		Nproc:   n,
-		Hooks:   CL(3, coll),
-	})
-	assertIndexCutsConsistent(t, res.Store, n)
-	if coll.rounds != 2 {
-		t.Errorf("rounds = %d, want 2", coll.rounds)
-	}
-}
-
 func TestCICOnZigzagProne(t *testing.T) {
 	// The zigzag-prone placement is where communication-induced
 	// checkpointing earns its keep: forced checkpoints break the would-be
@@ -278,8 +232,8 @@ func TestProtocolOverheadOrdering(t *testing.T) {
 	prog := corpus.JacobiFig1(iters)
 
 	appl := run(t, sim.Config{Program: prog, Nproc: n})
-	sas := run(t, sim.Config{Program: prog, Nproc: n, Hooks: SaS(0)})
-	cl := run(t, sim.Config{Program: prog, Nproc: n, Hooks: CL(0, NewCLCollector())})
+	sas := run(t, sim.Config{Program: prog, Nproc: n, Hooks: SaS()})
+	cl := run(t, sim.Config{Program: prog, Nproc: n, Hooks: CL()})
 
 	if appl.Metrics.CtrlMessages != 0 {
 		t.Errorf("appl-driven ctrl = %d", appl.Metrics.CtrlMessages)
@@ -304,7 +258,7 @@ func BenchmarkSaSRound(b *testing.B) {
 	prog := corpus.JacobiFig1(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(sim.Config{Program: prog, Nproc: 4, Hooks: SaS(0), DisableTrace: true}); err != nil {
+		if _, err := sim.Run(sim.Config{Program: prog, Nproc: 4, Hooks: SaS(), DisableTrace: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -314,8 +268,7 @@ func BenchmarkCLRound(b *testing.B) {
 	prog := corpus.JacobiFig1(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		coll := NewCLCollector()
-		if _, err := sim.Run(sim.Config{Program: prog, Nproc: 4, Hooks: CL(0, coll), DisableTrace: true}); err != nil {
+		if _, err := sim.Run(sim.Config{Program: prog, Nproc: 4, Hooks: CL(), DisableTrace: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,8 +7,8 @@
 //     M(SaS) formula: three coordinator broadcasts, two replies each).
 //   - CL — the Chandy-Lamport distributed-snapshots protocol [7]: the
 //     initiator checkpoints and floods markers; every process checkpoints
-//     on first marker receipt and records channel state until markers
-//     arrive on all inbound channels.
+//     on first marker receipt and refloods. Channel state is not recorded:
+//     recovery rebuilds in-flight messages from the senders' logs.
 //   - CIC — communication-induced checkpointing in the index-based (BCS)
 //     style: checkpoint indexes are piggybacked on application messages
 //     and a receiver whose index lags is forced to checkpoint before
@@ -27,6 +27,9 @@ import (
 	"repro/internal/sim"
 )
 
+// sasCoordinator is the rank that runs SaS's barrier rounds.
+const sasCoordinator = 0
+
 // Control tags used by SaS.
 const (
 	tagInit   = "sas-init"
@@ -36,18 +39,17 @@ const (
 	tagResume = "sas-resume"
 )
 
-// sasShared is the cross-process coordinator state (rounds are implicit:
-// every process reaches every checkpoint statement in SPMD programs).
+// sasProc is one process's SaS state (rounds are implicit: every process
+// reaches every checkpoint statement in SPMD programs).
 type sasProc struct {
-	coordinator int
-	round       int
+	round int
 	// stash holds control messages consumed by the runtime's boundary
 	// polling before the barrier logic asked for them.
 	stash []sim.Message
 }
 
 // SaS returns the hooks factory for synchronize-and-stop coordinated
-// checkpointing with the given coordinator rank. Checkpoint statements act
+// checkpointing with rank 0 as the coordinator. Checkpoint statements act
 // as the coordination points: every process must reach the statement
 // before anyone checkpoints, all stop, checkpoint, and resume together —
 // so the n checkpoints of round r trivially form a recovery line.
@@ -57,9 +59,9 @@ type sasProc struct {
 // checkpoint statements); a program where one rank communicates before
 // its checkpoint while its peer has already stopped would deadlock, which
 // is precisely the coordination fragility the paper's approach removes.
-func SaS(coordinator int) sim.HooksFactory {
+func SaS() sim.HooksFactory {
 	return func(rank, nproc int) sim.Hooks {
-		return &sasHooks{state: &sasProc{coordinator: coordinator}}
+		return &sasHooks{state: &sasProc{}}
 	}
 }
 
@@ -102,7 +104,7 @@ func (h *sasHooks) AtChkptStmt(p *sim.Proc, _ int) (bool, error) {
 	n := p.N()
 	round := st.round
 	st.round++
-	if p.Rank() == st.coordinator {
+	if p.Rank() == sasCoordinator {
 		// Broadcast 1: INIT.
 		for q := 0; q < n; q++ {
 			if q != p.Rank() {
@@ -148,7 +150,7 @@ func (h *sasHooks) AtChkptStmt(p *sim.Proc, _ int) (bool, error) {
 	if _, err := h.waitFor(p, tagInit); err != nil {
 		return false, err
 	}
-	if err := p.SendCtrl(st.coordinator, tagReady, []int{round}); err != nil {
+	if err := p.SendCtrl(sasCoordinator, tagReady, []int{round}); err != nil {
 		return false, err
 	}
 	if _, err := h.waitFor(p, tagChkpt); err != nil {
@@ -157,7 +159,7 @@ func (h *sasHooks) AtChkptStmt(p *sim.Proc, _ int) (bool, error) {
 	if err := p.TakeCheckpoint(round); err != nil {
 		return false, err
 	}
-	if err := p.SendCtrl(st.coordinator, tagDone, []int{round}); err != nil {
+	if err := p.SendCtrl(sasCoordinator, tagDone, []int{round}); err != nil {
 		return false, err
 	}
 	if _, err := h.waitFor(p, tagResume); err != nil {

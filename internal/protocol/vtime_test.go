@@ -61,8 +61,8 @@ func TestEmpiricalOverheadProperties(t *testing.T) {
 	var prevSaS float64
 	for _, n := range []int{2, 4, 8} {
 		appl := measure(n, nil)
-		sas := measure(n, SaS(0))
-		cl := measure(n, CL(0, NewCLCollector()))
+		sas := measure(n, SaS())
+		cl := measure(n, CL())
 
 		wantAppl := float64(iters) * tm.CheckpointOverhead
 		gotOverhead := appl - float64(iters*units)*tm.Compute

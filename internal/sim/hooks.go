@@ -22,9 +22,6 @@ type Hooks interface {
 	// checkpoint excludes the message — otherwise the message would be an
 	// orphan of the induced cut.
 	BeforeDeliver(p *Proc, m Message) error
-	// AfterRecv runs after an application message is delivered, before the
-	// next instruction.
-	AfterRecv(p *Proc, m Message) error
 	// OnMarker runs when an in-band marker is consumed on a channel.
 	OnMarker(p *Proc, m Message) error
 	// OnCtrl runs when an out-of-band control message is polled.
@@ -51,9 +48,6 @@ func (NoHooks) BeforeSend(*Proc, int) []int { return nil }
 // BeforeDeliver implements Hooks.
 func (NoHooks) BeforeDeliver(*Proc, Message) error { return nil }
 
-// AfterRecv implements Hooks.
-func (NoHooks) AfterRecv(*Proc, Message) error { return nil }
-
 // OnMarker implements Hooks: application-driven runs see no markers.
 func (NoHooks) OnMarker(*Proc, Message) error { return nil }
 
@@ -66,9 +60,8 @@ func (NoHooks) OnStep(*Proc) error { return nil }
 // OnHalt implements Hooks.
 func (NoHooks) OnHalt(*Proc) error { return nil }
 
-// HooksFactory builds one Hooks value per process; protocols that share
-// state across processes (a coordinator, a snapshot collector) close over
-// it in the factory.
+// HooksFactory builds one Hooks value per process; state one protocol
+// shares across processes would be closed over in the factory.
 type HooksFactory func(rank, nproc int) Hooks
 
 // NoProtocol is the factory for the application-driven scheme.

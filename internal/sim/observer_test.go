@@ -134,7 +134,7 @@ func TestBlockedTimeAccounting(t *testing.T) {
 	res, err := sim.Run(sim.Config{
 		Program:  corpus.JacobiFig1(2),
 		Nproc:    4,
-		Hooks:    protocol.SaS(0),
+		Hooks:    protocol.SaS(),
 		Time:     &tm,
 		Observer: rec,
 	})

@@ -660,14 +660,10 @@ func (p *Proc) recvApp(src int, varName string) error {
 		if !p.clock.MergeUvarint(m.rec) {
 			return fmt.Errorf("sim: process %d: message %d->%d #%d carries no readable clock", p.rank, src, p.rank, m.Seq)
 		}
-		if err := p.record(trace.Event{
+		return p.record(trace.Event{
 			Kind: trace.KindRecv,
 			Msg:  trace.MessageID{From: src, To: p.rank, Seq: m.Seq},
 			Peer: src,
-		}); err != nil {
-			return err
-		}
-		p.midRecv = false
-		return p.hooks.AfterRecv(p, m)
+		})
 	}
 }

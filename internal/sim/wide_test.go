@@ -15,8 +15,8 @@ import (
 )
 
 func init() {
-	sim.BaselineProtocols["sas"] = func() sim.HooksFactory { return protocol.SaS(0) }
-	sim.BaselineProtocols["cl"] = func() sim.HooksFactory { return protocol.CL(0, protocol.NewCLCollector()) }
+	sim.BaselineProtocols["sas"] = protocol.SaS
+	sim.BaselineProtocols["cl"] = protocol.CL
 	sim.BaselineProtocols["cic"] = protocol.CIC
 }
 

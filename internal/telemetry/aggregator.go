@@ -78,8 +78,7 @@ type Config struct {
 	LagThreshold float64
 	// WALStats, when set, is sampled at every Snapshot: the store's
 	// durability counters appear as chkptsim_wal_* series in /metrics and
-	// a wal line on the dashboard. Point it at (*wal.Store).Stats. Stores
-	// opened after the aggregator use SetWALStats instead.
+	// a wal line on the dashboard. Point it at (*wal.Store).Stats.
 	WALStats func() wal.Stats
 }
 
@@ -156,32 +155,21 @@ type Aggregator struct {
 	inStorm  bool
 	prevCtr  metrics.Snapshot // previous counters sample
 	ctrDelta map[string]int64 // last-window deltas of counter fields
-	walStats func() wal.Stats // sampled by Snapshot when non-nil
 }
 
 // New builds an aggregator from cfg (zero fields take defaults).
 func New(cfg Config) *Aggregator {
 	cfg.fill()
 	return &Aggregator{
-		cfg:      cfg,
-		start:    time.Now(),
-		procs:    make([]procCell, cfg.Nproc),
-		ring:     make([]window, cfg.Rings),
-		walStats: cfg.WALStats,
+		cfg:   cfg,
+		start: time.Now(),
+		procs: make([]procCell, cfg.Nproc),
+		ring:  make([]window, cfg.Rings),
 	}
 }
 
 // Window returns the configured aggregation window.
 func (a *Aggregator) Window() time.Duration { return a.cfg.Window }
-
-// SetWALStats attaches (or replaces, or with nil detaches) the WAL stats
-// source after construction — for callers that open the store only after
-// the telemetry stack is up. Safe to call concurrently with Snapshot.
-func (a *Aggregator) SetWALStats(fn func() wal.Stats) {
-	a.mu.Lock()
-	a.walStats = fn
-	a.mu.Unlock()
-}
 
 // OnEvent implements obs.Observer — the hot path. Purely atomic: no locks,
 // no allocation.

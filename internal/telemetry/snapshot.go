@@ -196,9 +196,9 @@ func (a *Aggregator) Snapshot() Snapshot {
 			}
 		}
 	}
-	if a.walStats != nil {
+	if a.cfg.WALStats != nil {
 		s.HasWAL = true
-		s.WAL = a.walStats()
+		s.WAL = a.cfg.WALStats()
 	}
 	return s
 }

@@ -97,9 +97,9 @@ func TestWALStatsAbsent(t *testing.T) {
 	}
 }
 
-// TestWALStatsLive wires a real store through SetWALStats — the
-// open-after-construction path the chkptsim binary uses — and checks the
-// sampled counters move with store activity.
+// TestWALStatsLive wires a real store through Config.WALStats — the path
+// the chkptsim and chkptfleet binaries use — and checks the sampled
+// counters move with store activity.
 func TestWALStatsLive(t *testing.T) {
 	ws, err := wal.Open(t.TempDir(), wal.Options{})
 	if err != nil {
@@ -107,25 +107,19 @@ func TestWALStatsLive(t *testing.T) {
 	}
 	defer ws.Close()
 
-	agg := telemetry.New(telemetry.Config{})
-	agg.SetWALStats(ws.Stats)
+	agg := telemetry.New(telemetry.Config{WALStats: ws.Stats})
 
 	if err := ws.Save(storage.Snapshot{Proc: 1, CFGIndex: 1, Instance: 1}); err != nil {
 		t.Fatal(err)
 	}
 	s := agg.Snapshot()
 	if !s.HasWAL {
-		t.Fatal("HasWAL = false after SetWALStats")
+		t.Fatal("HasWAL = false with a WALStats source")
 	}
 	if s.WAL.Saves != 1 {
 		t.Fatalf("Saves = %d after one put, want 1", s.WAL.Saves)
 	}
 	if s.WAL.Batches < 1 {
 		t.Fatalf("Batches = %d after one acknowledged put, want >= 1", s.WAL.Batches)
-	}
-
-	agg.SetWALStats(nil)
-	if agg.Snapshot().HasWAL {
-		t.Fatal("HasWAL = true after detaching the source")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"strconv"
 
+	"repro/internal/corpus"
 	"repro/internal/mpl"
 )
 
@@ -117,125 +118,65 @@ func GenerateLarge(seed int64, scale int) *mpl.Program {
 	return p
 }
 
-// genMotif appends one random communication motif. All motifs are
-// deadlock-free by construction for every nproc >= 1: peer expressions
-// that leave [0, nproc) are no-ops on both sides (guarded-boundary
-// semantics, same as the runtime).
+// genMotif appends one random communication motif: corpus.EmitMotif's
+// shared four, or one of this generator's own (2, 5, 6, 7). All motifs are
+// deadlock-free by construction for every nproc >= 1: peer expressions that
+// leave [0, nproc) are no-ops on both sides (guarded-boundary semantics,
+// same as the runtime).
 func genMotif(b *mpl.Builder, r *rand.Rand) {
 	maybeChkpt := func(prob float64) {
 		if r.Float64() < prob {
 			b.Chkpt()
 		}
 	}
-	switch r.Intn(8) {
-	case 0:
-		// Even/odd paired exchange (the paper's Figure 2 shape).
-		evenCk := r.Intn(2) == 0
-		oddCk := r.Intn(2) == 0
-		b.IfElse(mpl.Eq(mpl.Mod(mpl.Rank(), mpl.Int(2)), mpl.Int(0)),
-			func(b *mpl.Builder) {
-				if evenCk {
-					b.Chkpt()
-				}
-				b.Send(mpl.Add(mpl.Rank(), mpl.Int(1)), "a")
-				b.Recv(mpl.Add(mpl.Rank(), mpl.Int(1)), "tmp")
-				if !evenCk {
-					b.Chkpt()
-				}
-			},
-			func(b *mpl.Builder) {
-				b.Recv(mpl.Sub(mpl.Rank(), mpl.Int(1)), "tmp")
-				if oddCk {
-					b.Chkpt()
-				}
-				b.Send(mpl.Sub(mpl.Rank(), mpl.Int(1)), "a")
-				if !oddCk {
-					b.Chkpt()
-				}
+	corpus.EmitMotif(b, r, 8, func(k int) {
+		switch k {
+		case 2:
+			// Broadcast from a random (in-range for every nproc) root.
+			maybeChkpt(0.3)
+			b.Assign("c", mpl.Add(mpl.V("a"), mpl.Int(1)))
+			b.Bcast(mpl.Mod(mpl.Int(r.Intn(4)), mpl.Nproc()), "c")
+			maybeChkpt(0.3)
+			b.Assign("a", mpl.Add(mpl.V("a"), mpl.V("c")))
+		case 5:
+			// Ping-pong between ranks 0 and 1 (no-op for nproc == 1).
+			maybeChkpt(0.3)
+			b.If(mpl.Eq(mpl.Rank(), mpl.Int(0)), func(b *mpl.Builder) {
+				b.Send(mpl.Int(1), "a")
+				b.Recv(mpl.Int(1), "tmp")
 			})
-		b.Assign("a", mpl.Add(mpl.V("a"), mpl.V("tmp")))
-	case 1:
-		// Ring shift: everyone sends right, receives from the left.
-		maybeChkpt(0.5)
-		b.Send(mpl.Mod(mpl.Add(mpl.Rank(), mpl.Int(1)), mpl.Nproc()), "a")
-		b.Recv(mpl.Mod(mpl.Sub(mpl.Rank(), mpl.Int(1)), mpl.Nproc()), "tmp")
-		maybeChkpt(0.5)
-		b.Assign("a", mpl.Add(mpl.V("a"), mpl.V("tmp")))
-	case 2:
-		// Broadcast from a random (in-range for every nproc) root.
-		maybeChkpt(0.3)
-		b.Assign("c", mpl.Add(mpl.V("a"), mpl.Int(1)))
-		b.Bcast(mpl.Mod(mpl.Int(r.Intn(4)), mpl.Nproc()), "c")
-		maybeChkpt(0.3)
-		b.Assign("a", mpl.Add(mpl.V("a"), mpl.V("c")))
-	case 3:
-		// Allreduce: contribute, reduce to rank 0, broadcast back.
-		maybeChkpt(0.4)
-		b.Assign("c", mpl.V("a"))
-		b.Reduce(mpl.Int(0), "c")
-		b.Bcast(mpl.Int(0), "c")
-		maybeChkpt(0.4)
-		b.Assign("a", mpl.Add(mpl.V("a"), mpl.V("c")))
-	case 4:
-		// Halves pipeline: lower half sends up (last odd rank sits out).
-		half := mpl.Div(mpl.Nproc(), mpl.Int(2))
-		sendCk := r.Intn(2) == 0
-		b.IfElse(mpl.Lt(mpl.Rank(), half),
-			func(b *mpl.Builder) {
-				if sendCk {
-					b.Chkpt()
-				}
-				b.Send(mpl.Add(mpl.Rank(), half), "a")
-				if !sendCk {
-					b.Chkpt()
-				}
-			},
-			func(b *mpl.Builder) {
-				b.If(mpl.Lt(mpl.Rank(), mpl.Mul(mpl.Int(2), half)), func(b *mpl.Builder) {
-					b.Recv(mpl.Sub(mpl.Rank(), half), "tmp")
-					b.Assign("a", mpl.Add(mpl.V("a"), mpl.V("tmp")))
-				})
-				b.Chkpt()
+			b.If(mpl.Eq(mpl.Rank(), mpl.Int(1)), func(b *mpl.Builder) {
+				b.Recv(mpl.Int(0), "tmp")
+				b.Send(mpl.Int(0), "tmp")
 			})
-	case 5:
-		// Ping-pong between ranks 0 and 1 (no-op for nproc == 1).
-		maybeChkpt(0.3)
-		b.If(mpl.Eq(mpl.Rank(), mpl.Int(0)), func(b *mpl.Builder) {
-			b.Send(mpl.Int(1), "a")
-			b.Recv(mpl.Int(1), "tmp")
-		})
-		b.If(mpl.Eq(mpl.Rank(), mpl.Int(1)), func(b *mpl.Builder) {
-			b.Recv(mpl.Int(0), "tmp")
-			b.Send(mpl.Int(0), "tmp")
-		})
-		maybeChkpt(0.3)
-	case 6:
-		// Wrap-around token: the last rank hands a value to rank 0.
-		last := mpl.Sub(mpl.Nproc(), mpl.Int(1))
-		b.If(mpl.Eq(mpl.Rank(), last), func(b *mpl.Builder) {
-			b.Send(mpl.Int(0), "a")
-		})
-		maybeChkpt(0.4)
-		b.If(mpl.Eq(mpl.Rank(), mpl.Int(0)), func(b *mpl.Builder) {
-			b.Recv(last, "tmp")
-			b.Assign("a", mpl.Add(mpl.V("a"), mpl.V("tmp")))
-		})
-	case 7:
-		// Inner loop of ring shifts with its own counter.
-		reps := 1 + r.Intn(2)
-		withCk := r.Intn(2) == 0
-		b.Assign("j", mpl.Int(0))
-		b.While(mpl.Lt(mpl.V("j"), mpl.Int(reps)), func(b *mpl.Builder) {
-			b.Send(mpl.Mod(mpl.Add(mpl.Rank(), mpl.Int(1)), mpl.Nproc()), "a")
-			b.Recv(mpl.Mod(mpl.Sub(mpl.Rank(), mpl.Int(1)), mpl.Nproc()), "tmp")
-			if withCk {
-				b.Chkpt()
-			}
-			b.Assign("a", mpl.Add(mpl.V("a"), mpl.V("tmp")))
-			b.Assign("j", mpl.Add(mpl.V("j"), mpl.Int(1)))
-		})
-	}
-	b.Work(mpl.Int(1 + r.Intn(3)))
+			maybeChkpt(0.3)
+		case 6:
+			// Wrap-around token: the last rank hands a value to rank 0.
+			last := mpl.Sub(mpl.Nproc(), mpl.Int(1))
+			b.If(mpl.Eq(mpl.Rank(), last), func(b *mpl.Builder) {
+				b.Send(mpl.Int(0), "a")
+			})
+			maybeChkpt(0.4)
+			b.If(mpl.Eq(mpl.Rank(), mpl.Int(0)), func(b *mpl.Builder) {
+				b.Recv(last, "tmp")
+				b.Assign("a", mpl.Add(mpl.V("a"), mpl.V("tmp")))
+			})
+		case 7:
+			// Inner loop of ring shifts with its own counter.
+			reps := 1 + r.Intn(2)
+			withCk := r.Intn(2) == 0
+			b.Assign("j", mpl.Int(0))
+			b.While(mpl.Lt(mpl.V("j"), mpl.Int(reps)), func(b *mpl.Builder) {
+				b.Send(mpl.Mod(mpl.Add(mpl.Rank(), mpl.Int(1)), mpl.Nproc()), "a")
+				b.Recv(mpl.Mod(mpl.Sub(mpl.Rank(), mpl.Int(1)), mpl.Nproc()), "tmp")
+				if withCk {
+					b.Chkpt()
+				}
+				b.Assign("a", mpl.Add(mpl.V("a"), mpl.V("tmp")))
+				b.Assign("j", mpl.Add(mpl.V("j"), mpl.Int(1)))
+			})
+		}
+	})
 }
 
 // bodySlot addresses one insertion point: position pos of *list.

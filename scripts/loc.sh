@@ -1,7 +1,9 @@
 #!/bin/sh
 # Size of the code a simplicity PR is judged on: lines (wc -l, comments and
 # blanks included) of non-test Go files outside benchmark/, per package and
-# in total. Compare the total with the previous PR's entry in CHANGES.md.
+# in total, then each command's flag count (the flags its -h lists) and
+# their total. Compare both totals with the previous PR's entry in
+# CHANGES.md.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -15,3 +17,10 @@ git ls-files -co --exclude-standard '*.go' |
          END { for (p in n) printf "%7d  %s\n", n[p], p | "sort -k2"
                close("sort -k2")
                printf "%7d  total\n", total }'
+
+BIN=$(mktemp -d)
+trap 'rm -rf "$BIN"' EXIT
+go build -o "$BIN/" ./cmd/...
+for c in "$BIN"/*; do
+    printf '%7d  flags %s\n' "$({ "$c" -h 2>&1 || true; } | grep -c '^  -')" "$(basename "$c")"
+done | awk '{ print; total += $1 } END { printf "%7d  flags total\n", total }'

@@ -96,12 +96,12 @@ quiet "$SIM" -n 4 -protocol cic -verify=false -vtime "$PROG"
 for store in mem incremental "wal:$TMP/simlog"; do
     quiet "$SIM" -n 4 -transform -store "$store" -fail 1:9 -fail 2:14 "$PROG"
 done
-quiet "$SIM" -n 4 -transform -no-prune -chaos-seed 3 -chaos-crash-rate 2.5 -storage-fault-rate 0.3 "$PROG"
-quiet "$SIM" -n 4 -transform -net-chaos-seed 7 -net-drop-rate 0.15 -net-dup-rate 0.2 \
-    -net-reorder-rate 0.2 -net-partition '0>1@0ms+120ms' "$PROG"
+quiet "$SIM" -n 4 -transform -no-prune -seed 3 -crash-rate 2.5 -storage-fault-rate 0.3 "$PROG"
+quiet "$SIM" -n 4 -transform -seed 7 -net-fault-rate 0.2 -net-partition '0>1@0ms+120ms' "$PROG"
 quiet "$SIM" -n 4 -transform -vtime -fail 1:9 -trace-out "$TMP/t.json" -events-out "$TMP/e.jsonl" \
     -metrics-out "$TMP/m.jsonl" -cpuprofile "$TMP/c.pprof" -memprofile "$TMP/h.pprof" "$PROG"
 expect_exit 2 "$SIM" -n 4 -store bogus "$PROG"
+expect_exit 2 "$SIM" -n 0 "$PROG"
 expect_exit 1 "$SIM" -n 2 "$BOOM"
 
 # A -cover binary writes its counters only when it exits by itself, so
