@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/cli"
 	"repro/internal/core"
@@ -130,7 +129,6 @@ func verifyRuntime(rep *core.Report, stdout, stderr io.Writer) int {
 			Program: rep.Program,
 			Nproc:   n,
 			Input:   func(rank, i int) int { return rank + i },
-			Timeout: 30 * time.Second,
 		})
 		if err != nil {
 			fmt.Fprintf(stderr, "chkptc: runtime verification at n=%d: %v\n", n, err)

@@ -151,11 +151,7 @@ func TestFleetSoak(t *testing.T) {
 		st := &brownoutStore{Store: storage.NewMemory(), dur: 30 * time.Millisecond}
 		cfg := fleet.Config{
 			Jobs: 60, MaxInFlight: 8, Iters: 10, Seed: 99, Store: st,
-			ArrivalRate: 400,
-			Breaker: fleet.BreakerConfig{
-				FailureThreshold: 3,
-				Cooldown:         time.Millisecond,
-			},
+			ArrivalRate:  400,
 			DrainTimeout: 60 * time.Second,
 			JobTimeout:   20 * time.Second,
 		}

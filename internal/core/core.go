@@ -27,20 +27,15 @@ import (
 	"repro/internal/place"
 )
 
-// Config configures the pipeline. The zero value applies Phase I only when
-// the program has no checkpoints, uses the paper's cost constants, and
-// enables the loop-preservation optimization.
+// Config configures the pipeline. Phase I always selects intervals with
+// the paper's cost constants (insert.DefaultCostModel), and Phase III's
+// fixpoint has place's default bound.
 type Config struct {
-	// CostModel drives Phase I interval selection; the zero value uses
-	// insert.DefaultCostModel.
-	CostModel insert.CostModel
 	// Match configures Phase II (solver bounds, faithful one-to-one mode).
 	Match match.Options
 	// PreserveLoops enables the §3.3 loop optimization (DefaultConfig sets
 	// it).
 	PreserveLoops bool
-	// MaxIterations bounds Phase III's fixpoint (0 = default).
-	MaxIterations int
 	// SkipInsert disables Phase I entirely (the program must already
 	// contain checkpoint statements).
 	SkipInsert bool
@@ -48,13 +43,6 @@ type Config struct {
 
 // DefaultConfig is the recommended configuration.
 var DefaultConfig = Config{PreserveLoops: true}
-
-func (c Config) costModel() insert.CostModel {
-	if c.CostModel == (insert.CostModel{}) {
-		return insert.DefaultCostModel
-	}
-	return c.CostModel
-}
 
 // Report is the outcome of the full pipeline.
 type Report struct {
@@ -89,7 +77,7 @@ func Transform(p *mpl.Program, conf Config) (*Report, error) {
 	rep := &Report{}
 
 	if !conf.SkipInsert {
-		plan, err := insert.InsertCheckpoints(work, conf.costModel())
+		plan, err := insert.InsertCheckpoints(work, insert.DefaultCostModel)
 		if err != nil {
 			return nil, fmt.Errorf("core: phase I: %w", err)
 		}
@@ -99,7 +87,6 @@ func Transform(p *mpl.Program, conf Config) (*Report, error) {
 	placed, err := place.Ensure(work, place.Options{
 		Match:         conf.Match,
 		PreserveLoops: conf.PreserveLoops,
-		MaxIterations: conf.MaxIterations,
 		// One arena per Transform: every fixpoint round re-carves its
 		// scratch from the same backing storage instead of allocating.
 		Arena: &cfg.Arena{},
@@ -123,7 +110,6 @@ func Verify(p *mpl.Program, conf Config) ([]place.Violation, error) {
 	violations, _, err := place.Check(p, place.Options{
 		Match:         conf.Match,
 		PreserveLoops: conf.PreserveLoops,
-		MaxIterations: conf.MaxIterations,
 	})
 	return violations, err
 }

@@ -34,21 +34,21 @@ func (shedError) Error() string { return "fleet: circuit breaker open: storage l
 
 func (shedError) Unwrap() []error { return []error{ErrBreakerOpen, storage.ErrTransient} }
 
-// BreakerConfig tunes a Breaker. Zero fields select defaults.
+// Breaker tuning: a run of breakerTrip consecutive transient failures
+// opens the circuit; after breakerCooldown (a few retry-backoff caps, so a
+// browned-out store gets real quiet time) at most halfOpenProbes trial
+// operations run at once, and probesToClose consecutive successes close it
+// again. One probe failure reopens it immediately.
+const (
+	breakerTrip     = 5
+	breakerCooldown = 50 * time.Millisecond
+	halfOpenProbes  = 1
+	probesToClose   = 2
+)
+
+// BreakerConfig wires a Breaker's telemetry and clock. The zero value is a
+// silent breaker on the wall clock.
 type BreakerConfig struct {
-	// FailureThreshold is how many CONSECUTIVE transient failures trip the
-	// breaker open. Default 5.
-	FailureThreshold int
-	// Cooldown is how long an open breaker sheds before letting probes
-	// through (half-open). Default 50ms — a few retry-backoff caps, so a
-	// browned-out store gets real quiet time.
-	Cooldown time.Duration
-	// HalfOpenProbes bounds concurrent trial operations in the half-open
-	// state; excess operations are still shed. Default 1.
-	HalfOpenProbes int
-	// SuccessesToClose is how many consecutive probe successes close the
-	// breaker. One probe failure reopens it immediately. Default 2.
-	SuccessesToClose int
 	// Counters receives breaker_opened / breaker_shed counts and the
 	// breaker_state gauge. Optional.
 	Counters *metrics.Counters
@@ -56,24 +56,6 @@ type BreakerConfig struct {
 	Obs obs.Observer
 	// Now overrides the clock (tests). Default time.Now.
 	Now func() time.Time
-}
-
-func (c *BreakerConfig) fill() {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 50 * time.Millisecond
-	}
-	if c.HalfOpenProbes <= 0 {
-		c.HalfOpenProbes = 1
-	}
-	if c.SuccessesToClose <= 0 {
-		c.SuccessesToClose = 2
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
 }
 
 // BreakerStats is a point-in-time summary for reports.
@@ -107,7 +89,9 @@ var _ storage.Store = (*Breaker)(nil)
 
 // NewBreaker wraps inner. The breaker starts closed.
 func NewBreaker(inner storage.Store, cfg BreakerConfig) *Breaker {
-	cfg.fill()
+	if cfg.Now == nil {
+		cfg.Now = time.Now
+	}
 	b := &Breaker{inner: inner, cfg: cfg}
 	b.setGauge()
 	return b
@@ -145,7 +129,7 @@ func (b *Breaker) transition(to int, why string) {
 // maybeHalfOpen advances open→half-open once the cooldown elapses.
 // Callers hold mu.
 func (b *Breaker) maybeHalfOpen() {
-	if b.state == StateOpen && b.cfg.Now().Sub(b.openedAt) >= b.cfg.Cooldown {
+	if b.state == StateOpen && b.cfg.Now().Sub(b.openedAt) >= breakerCooldown {
 		b.successes = 0
 		b.probes = 0
 		b.transition(StateHalfOpen, "cooldown elapsed")
@@ -162,7 +146,7 @@ func (b *Breaker) before() (probe bool, err error) {
 	case StateClosed:
 		return false, nil
 	case StateHalfOpen:
-		if b.probes < b.cfg.HalfOpenProbes {
+		if b.probes < halfOpenProbes {
 			b.probes++
 			return true, nil
 		}
@@ -189,7 +173,7 @@ func (b *Breaker) after(probe bool, opErr error) {
 			return
 		}
 		b.successes++
-		if b.successes >= b.cfg.SuccessesToClose {
+		if b.successes >= probesToClose {
 			b.fails = 0
 			b.transition(StateClosed, "probes succeeded")
 		}
@@ -203,7 +187,7 @@ func (b *Breaker) after(probe bool, opErr error) {
 		return
 	}
 	b.fails++
-	if b.fails >= b.cfg.FailureThreshold {
+	if b.fails >= breakerTrip {
 		b.trip("failure threshold")
 	}
 }

@@ -50,15 +50,7 @@ func (c *fakeClock) Now() time.Time          { return c.now }
 func (c *fakeClock) advance(d time.Duration) { c.now = c.now.Add(d) }
 
 func newTestBreaker(inner storage.Store, clk *fakeClock, ctr *metrics.Counters, sink obs.Observer) *Breaker {
-	return NewBreaker(inner, BreakerConfig{
-		FailureThreshold: 3,
-		Cooldown:         time.Second,
-		HalfOpenProbes:   1,
-		SuccessesToClose: 2,
-		Counters:         ctr,
-		Obs:              sink,
-		Now:              clk.Now,
-	})
+	return NewBreaker(inner, BreakerConfig{Counters: ctr, Obs: sink, Now: clk.Now})
 }
 
 func TestBreakerTripsShedsAndRecovers(t *testing.T) {
@@ -73,9 +65,9 @@ func TestBreakerTripsShedsAndRecovers(t *testing.T) {
 		t.Fatalf("healthy save: err=%v state=%d", err, state(b))
 	}
 
-	// A brownout: FailureThreshold consecutive transients trip it open.
+	// A brownout: breakerTrip consecutive transients trip it open.
 	inner.down.Store(true)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerTrip; i++ {
 		if err := b.Save(snapN(10 + i)); !errors.Is(err, storage.ErrTransient) {
 			t.Fatalf("brownout save %d: %v", i, err)
 		}
@@ -145,7 +137,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	b := newTestBreaker(inner, clk, nil, nil)
 
 	inner.down.Store(true)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerTrip; i++ {
 		_ = b.Save(snapN(i))
 	}
 	clk.advance(2 * time.Second)
@@ -163,21 +155,27 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 }
 
 func TestBreakerIgnoresSemanticErrors(t *testing.T) {
-	b := NewBreaker(storage.NewMemory(), BreakerConfig{FailureThreshold: 1})
-	// Not-found / duplicate are results, not store-health signals.
-	for i := 0; i < 5; i++ {
+	b := NewBreaker(storage.NewMemory(), BreakerConfig{})
+	// Not-found / duplicate are results, not store-health signals: each
+	// kind alone reaches the trip count and leaves the breaker closed.
+	for i := 0; i < breakerTrip; i++ {
 		if _, err := b.Latest(0, 1); !errors.Is(err, storage.ErrNotFound) {
 			t.Fatalf("Latest: %v", err)
 		}
 	}
+	if state(b) != StateClosed {
+		t.Fatalf("state = %d after %d not-found results, want closed", state(b), breakerTrip)
+	}
 	if err := b.Save(snapN(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Save(snapN(1)); !errors.Is(err, storage.ErrDuplicate) {
-		t.Fatalf("dup save: %v", err)
+	for i := 0; i < breakerTrip; i++ {
+		if err := b.Save(snapN(1)); !errors.Is(err, storage.ErrDuplicate) {
+			t.Fatalf("dup save %d: %v", i, err)
+		}
 	}
 	if state(b) != StateClosed {
-		t.Fatalf("state = %d after semantic errors, want closed", state(b))
+		t.Fatalf("state = %d after %d duplicate saves, want closed", state(b), breakerTrip)
 	}
 }
 
@@ -186,7 +184,7 @@ func TestBreakerHalfOpenLimitsProbes(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(0, 0)}
 	b := newTestBreaker(inner, clk, nil, nil)
 	inner.down.Store(true)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerTrip; i++ {
 		_ = b.Save(snapN(i))
 	}
 	clk.advance(2 * time.Second)

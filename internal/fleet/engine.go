@@ -18,6 +18,13 @@ import (
 	"repro/internal/storage"
 )
 
+// Every admitted job deposits retryTokensPerJob into its tenant's retry
+// budget, and a tenant's pool holds at most retryTokensCap.
+const (
+	retryTokensPerJob = 4
+	retryTokensCap    = 64 * retryTokensPerJob
+)
+
 // Config shapes one fleet run.
 type Config struct {
 	// Jobs is how many arrivals to generate (a drain may stop the stream
@@ -53,14 +60,6 @@ type Config struct {
 	// simulated application-owned failure (ErrBusiness) — the
 	// business-vs-infrastructure split. Drawn per job from Seed.
 	BusinessFailRate float64
-	// Breaker tunes the shared store's circuit breaker.
-	Breaker BreakerConfig
-	// RetryBudgetPerJob is deposited into the job's tenant budget at
-	// admission (default 4); RetryBudgetCap bounds each tenant's pool
-	// (default 64 × RetryBudgetPerJob). RetryBudgetPerJob < 0 disables
-	// budgets entirely (attempt caps alone bound retry).
-	RetryBudgetPerJob int64
-	RetryBudgetCap    int64
 	// Store is the shared backing store. Default: fresh in-memory store.
 	Store storage.Store
 	// NoPrune persists full variable environments instead of each job's
@@ -93,12 +92,6 @@ func (c *Config) fill() {
 	}
 	if len(c.Tenants) == 0 {
 		c.Tenants = []TenantConfig{{Name: "default"}}
-	}
-	if c.RetryBudgetPerJob == 0 {
-		c.RetryBudgetPerJob = 4
-	}
-	if c.RetryBudgetCap <= 0 {
-		c.RetryBudgetCap = 64 * c.RetryBudgetPerJob
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 30 * time.Second
@@ -201,29 +194,16 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:        cfg,
 		adm:        NewAdmission(cfg.MaxInFlight, cfg.Tenants, cfg.Counters, cfg.Observer),
-		brk:        NewBreaker(st, withTelemetry(cfg.Breaker, cfg.Counters, cfg.Observer)),
+		brk:        NewBreaker(st, BreakerConfig{Counters: cfg.Counters, Obs: cfg.Observer}),
 		budgets:    make(map[string]*RetryBudget),
 		drainCh:    make(chan struct{}),
 		cancelJobs: make(chan struct{}),
 		buckets:    make(map[string]int64),
 	}
-	if cfg.RetryBudgetPerJob > 0 {
-		for _, t := range cfg.Tenants {
-			e.budgets[t.Name] = NewRetryBudget(cfg.RetryBudgetPerJob, cfg.RetryBudgetCap)
-		}
+	for _, t := range cfg.Tenants {
+		e.budgets[t.Name] = NewRetryBudget(retryTokensPerJob, retryTokensCap)
 	}
 	return e
-}
-
-// withTelemetry defaults the breaker's sinks to the engine's.
-func withTelemetry(b BreakerConfig, c *metrics.Counters, o obs.Observer) BreakerConfig {
-	if b.Counters == nil {
-		b.Counters = c
-	}
-	if b.Obs == nil {
-		b.Obs = o
-	}
-	return b
 }
 
 // Drain begins graceful shutdown: the arrival stream stops, admissions
@@ -287,9 +267,7 @@ arrivals:
 			continue
 		}
 		rep.Admitted++
-		if b := e.budgets[tenant]; b != nil {
-			b.Deposit(cfg.RetryBudgetPerJob)
-		}
+		e.budgets[tenant].Deposit(retryTokensPerJob)
 		jobID := j
 		jobSeed := cfg.Seed ^ (int64(jobID)+1)*0x5deece66d
 		business := cfg.BusinessFailRate > 0 && splitmixFrac(jobSeed) < cfg.BusinessFailRate
@@ -412,14 +390,9 @@ func (e *Engine) runJob(code *sim.Code, jobID int, jobSeed int64, tenant string,
 		Cancel:   e.cancelJobs,
 		Observer: cfg.Observer,
 		Counters: cfg.Counters,
-		Retry:    &sim.RetryPolicy{},
 
+		RetryBudget:  e.budgets[tenant],
 		DisableTrace: true, // nothing reads a job's Result.Trace
-	}
-	if b := e.budgets[tenant]; b != nil {
-		// Assigned only when present: a nil *RetryBudget boxed into the
-		// interface would pass the retry layer's nil check and panic.
-		sc.Retry.Budget = b
 	}
 	// The shared store sheds saves through the breaker, so recovery always
 	// gets the restart headroom.

@@ -171,11 +171,6 @@ func TestEngineBreakerOpensAndRecovers(t *testing.T) {
 	e := New(Config{
 		Jobs: 60, MaxInFlight: 8, Iters: 10, Seed: 6, Store: st,
 		ArrivalRate: 500, // ~120ms of paced arrivals: traffic outlives the brownout
-		Breaker: BreakerConfig{
-			FailureThreshold: 3,
-			Cooldown:         time.Millisecond,
-			SuccessesToClose: 2,
-		},
 	})
 	rep, err := e.Run()
 	if err != nil {

@@ -70,14 +70,21 @@ func (s *scrubFaults) Scrub() (storage.ScrubReport, error) {
 	return storage.ScrubReport{}, nil
 }
 
-// The pre-rollback scrub faults once, which trips the breaker, so the next
-// attempts are shed until the cooldown passes. Scrub used to bypass the
-// retry layer: the first fault (or a bare "circuit breaker open") failed
-// the job outright.
+// The pre-rollback scrub faults breakerTrip times in a row. The retry layer
+// retries each fault, the run of faults trips the breaker, and because the
+// breaker's clock steps 60 ms per read (past the cooldown) the next scrub
+// runs as the half-open probe and succeeds. Scrub used to bypass the retry
+// layer: the first fault failed the job outright. Shedding a scrub while
+// open is covered by TestBreakerForwardsScrubber.
 func TestPreRollbackScrubIsRetried(t *testing.T) {
 	shared := &scrubFaults{Store: storage.NewMemory()}
-	shared.left.Store(1)
-	brk, m := runStacked(t, shared, BreakerConfig{FailureThreshold: 1, Cooldown: 2 * time.Millisecond, SuccessesToClose: 1})
+	shared.left.Store(breakerTrip)
+	now := time.Unix(0, 0)
+	step := func() time.Time { // read under the breaker's mutex only
+		now = now.Add(60 * time.Millisecond)
+		return now
+	}
+	brk, m := runStacked(t, shared, BreakerConfig{Now: step})
 	if st := brk.Stats(); st.Opened == 0 {
 		t.Errorf("breaker never opened: %+v", st)
 	}

@@ -48,13 +48,13 @@ func TestRetryRecoversTransientSaveFaults(t *testing.T) {
 func TestExhaustedSaveBecomesCrashAndRecovers(t *testing.T) {
 	p := corpus.JacobiFig1(4)
 	clean := runOK(t, p, 4)
-	// Retry disabled: every injected fault immediately exhausts its save,
-	// which must surface as a process crash followed by ordinary recovery —
-	// never as a failed run.
+	// A budget that denies every retry: every injected fault immediately
+	// exhausts its save, which must surface as a process crash followed by
+	// ordinary recovery — never as a failed run.
 	flaky := &flakyStore{Store: storage.NewMemory(), fails: 2}
 	res := runOK(t, p, 4, func(c *Config) {
 		c.Store = flaky
-		c.Retry = &RetryPolicy{MaxAttempts: 1}
+		c.RetryBudget = denyRetries{}
 		c.MaxRestarts = 5
 	})
 	if res.Restarts < 1 {
@@ -197,11 +197,16 @@ func TestRetryExhaustionOnReadIsNotMaskedAsCrash(t *testing.T) {
 	// Only checkpoint SAVES convert exhaustion into a crash; transient
 	// exhaustion elsewhere still surfaces the typed error to the caller.
 	inner := storage.NewMemory()
-	rst := newRetryStore(&alwaysTransient{inner}, RetryPolicy{MaxAttempts: 3}, 1, &metrics.Counters{}, nil)
+	rst := newRetryStore(&alwaysTransient{inner}, denyRetries{}, 1, &metrics.Counters{}, nil)
 	if _, err := rst.Latest(0, 1); !errors.Is(err, storage.ErrTransient) {
 		t.Fatalf("err = %v, want wrapped ErrTransient", err)
 	}
 }
+
+// denyRetries is a RetryBudget that funds no retry: one attempt per operation.
+type denyRetries struct{}
+
+func (denyRetries) AllowRetry(string) bool { return false }
 
 // alwaysTransient fails every operation transiently.
 type alwaysTransient struct{ storage.Store }

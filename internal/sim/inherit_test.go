@@ -160,13 +160,13 @@ func TestInitRefillsInheritedMemory(t *testing.T) {
 	counters := &metrics.Counters{}
 	r := &run{
 		cfg: Config{
-			Nproc: n, Hooks: NoProtocol, MaxSteps: 1 << 20, Timeout: 20 * time.Second,
+			Nproc: n, Hooks: NoProtocol, Timeout: 20 * time.Second,
 			Counters: counters, DisableTrace: true,
 		},
 		code:  code,
 		plan:  crashPlan{{0, 3}: 11},
 		net:   NewNetwork(n),
-		store: newRetryStore(storage.NewMemory(), RetryPolicy{}, 1, counters, nil),
+		store: newRetryStore(storage.NewMemory(), nil, 1, counters, nil),
 	}
 	procs, err := r.start(0, nil, nil, 0)
 	if err != nil {

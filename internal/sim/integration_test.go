@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -308,8 +309,8 @@ proc {
 }
 `
 	p := mustParseProg(t, src)
-	_, err := Run(Config{Program: p, Nproc: 1, MaxSteps: 1000, Timeout: 5 * time.Second})
-	if err == nil {
-		t.Fatal("infinite loop not stopped")
+	_, err := Run(Config{Program: p, Nproc: 1, DisableTrace: true, Timeout: 5 * time.Second})
+	if !errors.Is(err, ErrStepBudget) {
+		t.Fatalf("err = %v, want ErrStepBudget", err)
 	}
 }

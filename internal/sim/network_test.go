@@ -106,13 +106,13 @@ func TestQuietCounterTracksQueues(t *testing.T) {
 					counters := &metrics.Counters{}
 					r := &run{
 						cfg: Config{
-							Nproc: n, Hooks: hooks, MaxSteps: 1 << 20, Timeout: 20 * time.Second,
+							Nproc: n, Hooks: hooks, Timeout: 20 * time.Second,
 							Counters: counters, DisableTrace: true,
 						},
 						code:  code,
 						plan:  crashPlan{},
 						net:   NewNetwork(n),
-						store: newRetryStore(storage.NewMemory(), RetryPolicy{}, 1, counters, nil),
+						store: newRetryStore(storage.NewMemory(), nil, 1, counters, nil),
 					}
 					if crash {
 						r.plan[[2]int{0, 2}] = 18

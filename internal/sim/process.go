@@ -37,6 +37,9 @@ var ErrProcFailed = errors.New("sim: process failed (injected)")
 // always a livelock or an unproductive protocol loop.
 var ErrStepBudget = errors.New("sim: step budget exhausted")
 
+// stepBudget bounds each process's instruction count per incarnation.
+const stepBudget = 1 << 20
+
 // workSlices is how many preemptible chunks a work(N) instruction is
 // divided into under virtual-time accounting, bounding how stale a
 // process's clock can be when it reacts to polled protocol traffic.

@@ -38,14 +38,14 @@ const (
 	MetricSaveCrashes = "chkpt_save_crashes"
 )
 
-// Default retry tuning: capped exponential backoff with ±50% jitter. The
-// base is small because simulated storage faults clear quickly; the cap
-// bounds recovery latency when a fault burst hits every attempt.
+// Retry tuning: capped exponential backoff with ±50% jitter. The base is
+// small because simulated storage faults clear quickly; the cap bounds
+// recovery latency when a fault burst hits every attempt.
 const (
-	defaultStoreAttempts = 6
-	defaultRetryBase     = 1 * stdtime.Millisecond
-	defaultRetryCap      = 50 * stdtime.Millisecond
-	defaultJitterFrac    = 0.5
+	storeAttempts = 6 // tries per operation, the first included
+	retryBase     = 1 * stdtime.Millisecond
+	retryCap      = 50 * stdtime.Millisecond
+	jitterFrac    = 0.5
 )
 
 // RetryBudget gates retries beyond the per-operation attempt cap. A fleet
@@ -60,66 +60,15 @@ type RetryBudget interface {
 	AllowRetry(op string) bool
 }
 
-// RetryPolicy is the tunable shape of the storage retry layer: how many
-// attempts a transiently-failing operation gets, how the backoff between
-// them grows, how much seeded jitter decorrelates concurrent retries, and
-// (optionally) a shared budget that may cut retries short. The zero value
-// selects the defaults the runtime has always used (6 attempts, 1ms base
-// doubling to a 50ms cap, ±50% jitter, no budget).
-type RetryPolicy struct {
-	// MaxAttempts bounds total tries per operation (first try included).
-	// <= 0 selects the default (6); 1 disables retry.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; it doubles per
-	// attempt. <= 0 selects the default (1ms).
-	BaseDelay stdtime.Duration
-	// MaxDelay caps the backoff growth. <= 0 selects the default (50ms).
-	MaxDelay stdtime.Duration
-	// JitterFrac perturbs each backoff by ±JitterFrac (0.5 = ±50%). 0
-	// selects the default (0.5); negative disables jitter entirely.
-	JitterFrac float64
-	// Budget, when non-nil, is consulted before every retry; a denial
-	// stops retrying immediately. Nil means attempts alone bound retry.
-	Budget RetryBudget
-}
-
-// withDefaults resolves zero fields to the documented defaults.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = defaultStoreAttempts
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = defaultRetryBase
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = defaultRetryCap
-	}
-	if p.JitterFrac == 0 {
-		p.JitterFrac = defaultJitterFrac
-	}
-	if p.JitterFrac < 0 {
-		p.JitterFrac = 0
-	}
-	return p
-}
-
-// Backoff returns the pre-jitter delay before retry attempt `retry`
-// (1-based: Backoff(1) precedes the first retry): BaseDelay doubled per
-// step, capped at MaxDelay. Exposed so tests and capacity models can audit
-// the exact schedule a policy produces.
-func (p RetryPolicy) Backoff(retry int) stdtime.Duration {
-	p = p.withDefaults()
-	d := p.BaseDelay
-	for i := 1; i < retry; i++ {
+// backoff returns the pre-jitter delay before retry attempt `retry`
+// (1-based: backoff(1) precedes the first retry): retryBase doubled per
+// step, capped at retryCap.
+func backoff(retry int) stdtime.Duration {
+	d := retryBase
+	for i := 1; i < retry && d < retryCap; i++ {
 		d *= 2
-		if d >= p.MaxDelay {
-			return p.MaxDelay
-		}
 	}
-	if d > p.MaxDelay {
-		return p.MaxDelay
-	}
-	return d
+	return min(d, retryCap)
 }
 
 // retryStore wraps the run's stable storage with bounded retry on
@@ -130,7 +79,7 @@ func (p RetryPolicy) Backoff(retry int) stdtime.Duration {
 // handles them by degrading.
 type retryStore struct {
 	inner    storage.Store
-	policy   RetryPolicy
+	budget   RetryBudget // nil: the attempt cap alone bounds retry
 	counters *metrics.Counters
 	obsv     obs.Observer
 
@@ -140,13 +89,13 @@ type retryStore struct {
 
 var _ storage.Store = (*retryStore)(nil)
 
-// newRetryStore wraps inner under the given policy (zero fields take
-// defaults). The seed only perturbs backoff jitter (wall time), never
+// newRetryStore wraps inner; budget, when non-nil, is consulted before
+// every retry. The seed only perturbs backoff jitter (wall time), never
 // results.
-func newRetryStore(inner storage.Store, policy RetryPolicy, seed int64, counters *metrics.Counters, obsv obs.Observer) *retryStore {
+func newRetryStore(inner storage.Store, budget RetryBudget, seed int64, counters *metrics.Counters, obsv obs.Observer) *retryStore {
 	r := &retryStore{
 		inner:    inner,
-		policy:   policy.withDefaults(),
+		budget:   budget,
 		counters: counters,
 		obsv:     obsv,
 	}
@@ -165,9 +114,9 @@ func unitFloat(g *rand.PCG) float64 {
 // final error, still matching storage.ErrTransient when every attempt failed
 // transiently.
 func retry[T any](r *retryStore, op string, f func() (T, error)) (v T, err error) {
-	for attempt := 0; attempt < r.policy.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < storeAttempts; attempt++ {
 		if attempt > 0 {
-			if b := r.policy.Budget; b != nil && !b.AllowRetry(op) {
+			if r.budget != nil && !r.budget.AllowRetry(op) {
 				r.counters.Inc(MetricStoreRetryDenied, 1)
 				r.counters.Inc(MetricStoreRetryExhausted, 1)
 				return v, fmt.Errorf("sim: storage %s retry budget exhausted after %d attempts: %w", op, attempt, err)
@@ -179,7 +128,7 @@ func retry[T any](r *retryStore, op string, f func() (T, error)) (v T, err error
 					Tag: op, Label: err.Error(),
 				})
 			}
-			stdtime.Sleep(r.jittered(r.policy.Backoff(attempt)))
+			stdtime.Sleep(r.jittered(backoff(attempt)))
 		}
 		v, err = f()
 		if err == nil || !errors.Is(err, storage.ErrTransient) {
@@ -187,7 +136,7 @@ func retry[T any](r *retryStore, op string, f func() (T, error)) (v T, err error
 		}
 	}
 	r.counters.Inc(MetricStoreRetryExhausted, 1)
-	return v, fmt.Errorf("sim: storage %s failed after %d attempts: %w", op, r.policy.MaxAttempts, err)
+	return v, fmt.Errorf("sim: storage %s failed after %d attempts: %w", op, storeAttempts, err)
 }
 
 // retry0 is retry for an operation that returns only an error.
@@ -196,14 +145,11 @@ func retry0(r *retryStore, op string, f func() error) error {
 	return err
 }
 
-// jittered perturbs d by ±JitterFrac so synchronized retries from many
+// jittered perturbs d by ±jitterFrac so synchronized retries from many
 // processes spread out instead of hammering storage in lockstep.
 func (r *retryStore) jittered(d stdtime.Duration) stdtime.Duration {
-	if r.policy.JitterFrac <= 0 {
-		return d
-	}
 	r.mu.Lock()
-	f := 1 - r.policy.JitterFrac + 2*r.policy.JitterFrac*unitFloat(&r.rng)
+	f := 1 - jitterFrac + 2*jitterFrac*unitFloat(&r.rng)
 	r.mu.Unlock()
 	return stdtime.Duration(float64(d) * f)
 }

@@ -12,81 +12,44 @@ import (
 	"repro/internal/vclock"
 )
 
-func TestRetryPolicyDefaults(t *testing.T) {
-	tests := []struct {
-		name string
-		in   RetryPolicy
-		want RetryPolicy
-	}{
-		{
-			name: "zero value selects the documented defaults",
-			in:   RetryPolicy{},
-			want: RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, JitterFrac: 0.5},
-		},
-		{
-			name: "negative fields also select defaults",
-			in:   RetryPolicy{MaxAttempts: -1, BaseDelay: -time.Second, MaxDelay: -time.Second},
-			want: RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, JitterFrac: 0.5},
-		},
-		{
-			name: "negative jitter disables jitter",
-			in:   RetryPolicy{JitterFrac: -1},
-			want: RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, JitterFrac: 0},
-		},
-		{
-			name: "explicit fields survive",
-			in:   RetryPolicy{MaxAttempts: 2, BaseDelay: 3 * time.Millisecond, MaxDelay: 9 * time.Millisecond, JitterFrac: 0.25},
-			want: RetryPolicy{MaxAttempts: 2, BaseDelay: 3 * time.Millisecond, MaxDelay: 9 * time.Millisecond, JitterFrac: 0.25},
-		},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got := tt.in.withDefaults()
-			got.Budget = nil
-			if got != tt.want {
-				t.Errorf("withDefaults() = %+v, want %+v", got, tt.want)
-			}
-		})
-	}
-}
-
 func TestRetryPolicyBackoffSchedule(t *testing.T) {
 	tests := []struct {
-		name   string
-		policy RetryPolicy
-		retry  int
-		want   time.Duration
+		name  string
+		retry int
+		want  time.Duration
 	}{
-		{"default first retry", RetryPolicy{}, 1, time.Millisecond},
-		{"default doubles", RetryPolicy{}, 2, 2 * time.Millisecond},
-		{"default keeps doubling", RetryPolicy{}, 5, 16 * time.Millisecond},
-		{"default hits cap", RetryPolicy{}, 7, 50 * time.Millisecond},
-		{"default stays at cap", RetryPolicy{}, 100, 50 * time.Millisecond},
-		{"custom base", RetryPolicy{BaseDelay: 4 * time.Millisecond}, 2, 8 * time.Millisecond},
-		{"custom cap clamps", RetryPolicy{BaseDelay: 4 * time.Millisecond, MaxDelay: 5 * time.Millisecond}, 2, 5 * time.Millisecond},
-		{"base above cap clamps immediately", RetryPolicy{BaseDelay: time.Second, MaxDelay: 10 * time.Millisecond}, 1, 10 * time.Millisecond},
+		{"default first retry", 1, time.Millisecond},
+		{"default doubles", 2, 2 * time.Millisecond},
+		{"default keeps doubling", 5, 16 * time.Millisecond},
+		{"default hits cap", 7, 50 * time.Millisecond},
+		{"default stays at cap", 100, 50 * time.Millisecond},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.policy.Backoff(tt.retry); got != tt.want {
-				t.Errorf("Backoff(%d) = %v, want %v", tt.retry, got, tt.want)
+			if got := backoff(tt.retry); got != tt.want {
+				t.Errorf("backoff(%d) = %v, want %v", tt.retry, got, tt.want)
 			}
 		})
 	}
 }
 
+// An always-transient operation is tried storeAttempts (6) times: five
+// retries, then one exhaustion. Below that cap, a RetryBudget funding
+// attempts-1 retries ends the operation after exactly `attempts` tries.
 func TestRetryStoreHonorsAttemptCap(t *testing.T) {
-	for _, attempts := range []int{1, 2, 5} {
+	for _, attempts := range []int{1, 2, 5, storeAttempts} {
 		t.Run(fmt.Sprintf("attempts=%d", attempts), func(t *testing.T) {
 			var calls atomic.Int64
 			st := &countingTransient{calls: &calls}
 			c := &metrics.Counters{}
-			rst := newRetryStore(st, RetryPolicy{
-				MaxAttempts: attempts,
-				BaseDelay:   time.Microsecond,
-				MaxDelay:    time.Microsecond,
-				JitterFrac:  -1,
-			}, 1, c, nil)
+			var budget RetryBudget
+			wantDenied := int64(0)
+			if attempts < storeAttempts {
+				b := &fixedBudget{}
+				b.left.Store(int64(attempts - 1))
+				budget, wantDenied = b, 1
+			}
+			rst := newRetryStore(st, budget, 1, c, nil)
 			_, err := rst.Latest(0, 1)
 			if !errors.Is(err, storage.ErrTransient) {
 				t.Fatalf("err = %v, want wrapped ErrTransient", err)
@@ -100,6 +63,9 @@ func TestRetryStoreHonorsAttemptCap(t *testing.T) {
 			}
 			if got := snap.Custom[MetricStoreRetryExhausted]; got != 1 {
 				t.Errorf("%s = %d, want 1", MetricStoreRetryExhausted, got)
+			}
+			if got := snap.Custom[MetricStoreRetryDenied]; got != wantDenied {
+				t.Errorf("%s = %d, want %d", MetricStoreRetryDenied, got, wantDenied)
 			}
 		})
 	}
@@ -118,13 +84,7 @@ func TestRetryBudgetDenialStopsRetrying(t *testing.T) {
 	budget := &fixedBudget{}
 	budget.left.Store(2)
 	c := &metrics.Counters{}
-	rst := newRetryStore(st, RetryPolicy{
-		MaxAttempts: 10,
-		BaseDelay:   time.Microsecond,
-		MaxDelay:    time.Microsecond,
-		JitterFrac:  -1,
-		Budget:      budget,
-	}, 1, c, nil)
+	rst := newRetryStore(st, budget, 1, c, nil)
 	_, err := rst.Latest(0, 1)
 	if !errors.Is(err, storage.ErrTransient) {
 		t.Fatalf("err = %v, want wrapped ErrTransient", err)
@@ -148,7 +108,7 @@ func TestRetryBudgetDenialStopsRetrying(t *testing.T) {
 func TestRetryBudgetNotChargedOnSuccess(t *testing.T) {
 	budget := &fixedBudget{}
 	budget.left.Store(100)
-	rst := newRetryStore(storage.NewMemory(), RetryPolicy{Budget: budget}, 1, &metrics.Counters{}, nil)
+	rst := newRetryStore(storage.NewMemory(), budget, 1, &metrics.Counters{}, nil)
 	if err := rst.Save(storage.Snapshot{Proc: 0, CFGIndex: 1, Instance: 1, Clock: vclock.VC{1}}); err != nil {
 		t.Fatalf("Save: %v", err)
 	}

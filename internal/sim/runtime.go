@@ -64,9 +64,6 @@ type Config struct {
 	// Input supplies input(i) data per process; nil makes input(...) an
 	// error.
 	Input func(rank, i int) int
-	// MaxSteps bounds each process's instruction count per incarnation
-	// (default 1 << 20).
-	MaxSteps int
 	// Failures[k] is injected during incarnation k. Incarnations beyond the
 	// list run failure-free.
 	Failures []Failure
@@ -79,14 +76,13 @@ type Config struct {
 	// MaxRestarts bounds recovery attempts (default: one more than the
 	// total number of scheduled failures).
 	MaxRestarts int
-	// Retry, when non-nil, specifies the storage retry layer applied when
-	// the store reports transient faults (storage.ErrTransient) — attempt
-	// cap, backoff shape, jitter, and an optional shared RetryBudget (fleet
-	// drivers use the budget to bound retries across many concurrent
-	// jobs). Nil selects the RetryPolicy defaults. A checkpoint save that
-	// exhausts its attempts crashes the saving process, turning a storage
-	// outage into an ordinary recovery instead of a failed run.
-	Retry *RetryPolicy
+	// RetryBudget, when non-nil, is consulted before every retry of a
+	// transiently failing store operation (storage.ErrTransient); fleet
+	// drivers share one per tenant to bound retries across many concurrent
+	// jobs. Nil leaves the attempt cap alone in charge. A checkpoint save
+	// that runs out of retries crashes the saving process, turning a
+	// storage outage into an ordinary recovery instead of a failed run.
+	RetryBudget RetryBudget
 	// Cancel, when non-nil, requests early termination when closed: the
 	// run stops at the next incarnation boundary — or aborts the current
 	// incarnation mid-flight — and returns ErrCanceled. Checkpoints
@@ -244,9 +240,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Store == nil {
 		cfg.Store = storage.NewMemory()
 	}
-	if cfg.MaxSteps <= 0 {
-		cfg.MaxSteps = 1 << 20
-	}
 	if cfg.MaxRestarts <= 0 {
 		cfg.MaxRestarts = len(cfg.Failures) + len(cfg.Crashes) + 1
 	}
@@ -264,12 +257,8 @@ func Run(cfg Config) (*Result, error) {
 		defer net.tr.reset()
 	}
 	// The seed only perturbs backoff jitter, never results.
-	var policy RetryPolicy
-	if cfg.Retry != nil {
-		policy = *cfg.Retry
-	}
 	r := &run{cfg: cfg, code: code, plan: plan, net: net,
-		store: newRetryStore(cfg.Store, policy, cfg.Jitter+0x5bd1e995, cfg.Counters, cfg.Observer)}
+		store: newRetryStore(cfg.Store, cfg.RetryBudget, cfg.Jitter+0x5bd1e995, cfg.Counters, cfg.Observer)}
 
 	res := &Result{Store: cfg.Store}
 	var line *recovery.Line // nil = start from scratch
@@ -348,7 +337,7 @@ func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64
 		p := &Proc{
 			rank: rank, n: n, code: r.code, net: r.net, tr: tr, store: r.store,
 			counters: cfg.Counters, hooks: cfg.Hooks(rank, n), obsv: cfg.Observer, inc: inc,
-			maxSteps: cfg.MaxSteps, failAfter: r.plan.at(inc, rank),
+			maxSteps: stepBudget, failAfter: r.plan.at(inc, rank),
 			time: cfg.Time, wallNow: cfg.WallClock, noPrune: cfg.NoPrune,
 		}
 		if cfg.Jitter != 0 {

@@ -16,10 +16,10 @@
 //
 // Tick also runs the health detectors:
 //
-//   - stall: a process recorded no events for StallWindows consecutive
+//   - stall: a process recorded no events for stallWindows (8) consecutive
 //     windows and its last event was not a halt;
-//   - rollback storm: more rollbacks than StormRollbacks within the last
-//     StormWindows windows;
+//   - rollback storm: at least stormRollbacks (3) rollbacks within the last
+//     stormWindows (40) windows;
 //   - checkpoint lag: a process's virtual clock ran LagThreshold virtual
 //     seconds past its last completed save.
 //
@@ -44,6 +44,17 @@ import (
 // out of range, keeping OnEvent total against newer producers.
 const kindOther obs.Kind = 0
 
+// The ring and the detectors count in windows: the ring keeps rings of
+// them (one minute at the default window), a process silent for
+// stallWindows (2 s) is stalled, and stormRollbacks rollbacks within the
+// last stormWindows (10 s) are a storm.
+const (
+	rings          = 240
+	stallWindows   = 8
+	stormRollbacks = 3
+	stormWindows   = 40
+)
+
 // Config configures an Aggregator. The zero value of every field selects a
 // sensible default.
 type Config struct {
@@ -52,9 +63,6 @@ type Config struct {
 	Nproc int
 	// Window is the aggregation window Start ticks at. Default 250ms.
 	Window time.Duration
-	// Rings is how many windows of per-window deltas the ring retains
-	// (the detector and rate horizon). Default 240 (one minute at 250ms).
-	Rings int
 	// Counters, when set, is sampled every window: per-counter deltas and
 	// rates appear alongside the event-derived state, and the save / block
 	// / stall distributions are read from its Hists. Point it at the
@@ -64,15 +72,6 @@ type Config struct {
 	// and stream writer here (NOT the aggregator itself) so health events
 	// land in the same flight-recorder artifacts as runtime events.
 	Sink obs.Observer
-	// StallWindows is how many consecutive empty windows mark a
-	// non-halted process as stalled. Default 8 (2s at the default window).
-	StallWindows int
-	// StormRollbacks is the rollback count within StormWindows that
-	// constitutes a storm. Default 3.
-	StormRollbacks int
-	// StormWindows is the storm detector's horizon. Default 40 windows
-	// (10s at the default window), clamped to Rings.
-	StormWindows int
 	// LagThreshold is the checkpoint-lag alert bar in virtual seconds;
 	// 0 disables lag alerts (the gauge is always exported).
 	LagThreshold float64
@@ -88,21 +87,6 @@ func (c *Config) fill() {
 	}
 	if c.Window <= 0 {
 		c.Window = 250 * time.Millisecond
-	}
-	if c.Rings <= 0 {
-		c.Rings = 240
-	}
-	if c.StallWindows <= 0 {
-		c.StallWindows = 8
-	}
-	if c.StormRollbacks <= 0 {
-		c.StormRollbacks = 3
-	}
-	if c.StormWindows <= 0 {
-		c.StormWindows = 40
-	}
-	if c.StormWindows > c.Rings {
-		c.StormWindows = c.Rings
 	}
 }
 
@@ -146,9 +130,9 @@ type Aggregator struct {
 	lagAlerts atomic.Int64
 
 	mu       sync.Mutex
-	ring     []window // cfg.Rings slots
-	ringLen  int      // filled slots
-	ringHead int      // next slot to write
+	ring     [rings]window
+	ringLen  int // filled slots
+	ringHead int // next slot to write
 	ticks    int64
 	lastTick time.Time
 	lastCum  [obs.NumKinds]int64 // cumulative kind counts at the previous tick
@@ -164,7 +148,6 @@ func New(cfg Config) *Aggregator {
 		cfg:   cfg,
 		start: time.Now(),
 		procs: make([]procCell, cfg.Nproc),
-		ring:  make([]window, cfg.Rings),
 	}
 }
 
@@ -266,7 +249,7 @@ func (a *Aggregator) Start() (stop func()) {
 }
 
 // detectStalls fires a stall event for every process that made no progress
-// for StallWindows consecutive windows and has not halted. One event per
+// for stallWindows consecutive windows and has not halted. One event per
 // silence episode: the detector re-arms when the process moves again.
 func (a *Aggregator) detectStalls() {
 	for p := range a.procs {
@@ -287,7 +270,7 @@ func (a *Aggregator) detectStalls() {
 			continue // halted: silence is completion, not a stall
 		}
 		cell.quietWindows++
-		if cell.quietWindows >= a.cfg.StallWindows && !cell.stalled {
+		if cell.quietWindows >= stallWindows && !cell.stalled {
 			cell.stalled = true
 			a.stalls.Add(1)
 			a.emit(obs.Event{
@@ -300,22 +283,22 @@ func (a *Aggregator) detectStalls() {
 	}
 }
 
-// detectStorm fires when the rollback count over the last StormWindows
-// windows reaches StormRollbacks, once per storm; it re-arms after a
+// detectStorm fires when the rollback count over the last stormWindows
+// windows reaches stormRollbacks, once per storm; it re-arms after a
 // horizon with no rollbacks at all.
 func (a *Aggregator) detectStorm() {
 	var rollbacks int64
-	for i := 0; i < a.ringLen && i < a.cfg.StormWindows; i++ {
+	for i := 0; i < a.ringLen && i < stormWindows; i++ {
 		slot := (a.ringHead - 1 - i + len(a.ring)*2) % len(a.ring)
 		rollbacks += a.ring[slot].kinds[obs.KindRollback]
 	}
 	switch {
-	case rollbacks >= int64(a.cfg.StormRollbacks) && !a.inStorm:
+	case rollbacks >= int64(stormRollbacks) && !a.inStorm:
 		a.inStorm = true
 		a.storms.Add(1)
 		a.emit(obs.Event{
 			Kind: obs.KindStorm, Proc: -1,
-			Label: fmt.Sprintf("%d rollbacks within %d windows", rollbacks, a.cfg.StormWindows),
+			Label: fmt.Sprintf("%d rollbacks within %d windows", rollbacks, stormWindows),
 		})
 	case rollbacks == 0:
 		a.inStorm = false

@@ -20,15 +20,7 @@ import (
 // background ticker never races the test even if Start were called).
 func manual(over func(*telemetry.Config)) (*telemetry.Aggregator, *obs.Recorder) {
 	sink := obs.NewRecorder()
-	cfg := telemetry.Config{
-		Nproc:          4,
-		Window:         time.Hour,
-		Rings:          16,
-		Sink:           sink,
-		StallWindows:   3,
-		StormRollbacks: 2,
-		StormWindows:   8,
-	}
+	cfg := telemetry.Config{Nproc: 4, Window: time.Hour, Sink: sink}
 	if over != nil {
 		over(&cfg)
 	}
@@ -102,8 +94,8 @@ func TestStallDetector(t *testing.T) {
 	a.OnEvent(obs.Event{Kind: obs.KindCompute, Proc: 1, VTime: 1})
 	a.Tick() // registers progress for both
 
-	// Proc 0 keeps moving; proc 1 goes quiet.
-	for i := 0; i < 5; i++ {
+	// Proc 0 keeps moving; proc 1 goes quiet past the 8-window bar.
+	for i := 0; i < 10; i++ {
 		a.OnEvent(obs.Event{Kind: obs.KindCompute, Proc: 0})
 		a.Tick()
 	}
@@ -131,7 +123,7 @@ func TestStallDetector(t *testing.T) {
 	if s := a.Snapshot(); s.Health.StalledProcs != 0 || !s.Healthy() {
 		t.Fatalf("stall did not clear: %+v", s.Health)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 9; i++ {
 		a.OnEvent(obs.Event{Kind: obs.KindCompute, Proc: 0})
 		a.Tick()
 	}
@@ -162,6 +154,7 @@ func TestStallDetectorIgnoresHalted(t *testing.T) {
 func TestStormDetector(t *testing.T) {
 	a, sink := manual(nil)
 	a.OnEvent(obs.Event{Kind: obs.KindRollback, Proc: 0})
+	a.OnEvent(obs.Event{Kind: obs.KindRollback, Proc: 3})
 	a.Tick()
 	if got := kindsOf(sink); got[obs.KindStorm] != 0 {
 		t.Fatal("storm below threshold")
@@ -180,8 +173,8 @@ func TestStormDetector(t *testing.T) {
 	if got := kindsOf(sink); got[obs.KindStorm] != 1 {
 		t.Fatalf("storm re-fired while active: %d", got[obs.KindStorm])
 	}
-	// A full rollback-free horizon re-arms.
-	for i := 0; i < 9; i++ {
+	// A full rollback-free horizon (40 windows) re-arms.
+	for i := 0; i < 41; i++ {
 		a.Tick()
 	}
 	if a.Snapshot().Health.InStorm {
@@ -189,6 +182,7 @@ func TestStormDetector(t *testing.T) {
 	}
 	a.OnEvent(obs.Event{Kind: obs.KindRollback, Proc: 0})
 	a.OnEvent(obs.Event{Kind: obs.KindRollback, Proc: 1})
+	a.OnEvent(obs.Event{Kind: obs.KindRollback, Proc: 2})
 	a.Tick()
 	if got := kindsOf(sink); got[obs.KindStorm] != 2 {
 		t.Errorf("want 2 storms after re-arm, got %d", got[obs.KindStorm])

@@ -323,10 +323,7 @@ func mustParseProm(t *testing.T, data []byte) map[string]*promParsedFamily {
 // loadedAggregator builds an aggregator with every event-derived export
 // surface populated: all kinds, multiple procs, sketches, fired detectors.
 func loadedAggregator() *telemetry.Aggregator {
-	a := telemetry.New(telemetry.Config{
-		Nproc: 4, Window: time.Hour, Rings: 8,
-		StallWindows: 2, StormRollbacks: 1, LagThreshold: 0.5,
-	})
+	a := telemetry.New(telemetry.Config{Nproc: 4, Window: time.Hour, LagThreshold: 0.5})
 	kinds := []obs.Kind{
 		obs.KindCompute, obs.KindSend, obs.KindRecv, obs.KindChkpt,
 		obs.KindBlock, obs.KindRollback, obs.KindRestart, obs.KindHalt,
@@ -337,11 +334,14 @@ func loadedAggregator() *telemetry.Aggregator {
 	for i, k := range kinds {
 		a.OnEvent(obs.Event{Kind: k, Proc: i % 4, Inc: i % 3, VTime: float64(i), DurNS: int64(i+1) * 1e6, VDur: float64(i) / 10})
 	}
+	a.OnEvent(obs.Event{Kind: obs.KindRollback, Proc: 1})
+	a.OnEvent(obs.Event{Kind: obs.KindRollback, Proc: 2})
 	a.OnEvent(obs.Event{Kind: obs.KindChkpt, Proc: 0, VTime: 0.1, DurNS: 2e6})
 	a.OnEvent(obs.Event{Kind: obs.KindCompute, Proc: 0, VTime: 5})
-	a.Tick() // storm (1 rollback ≥ threshold), lag (proc 0 at 5 vs save 0.1)
-	a.Tick()
-	a.Tick() // stall for quiet procs
+	a.Tick() // storm (3 rollbacks), lag (proc 0 at 5 vs save 0.1)
+	for i := 0; i < 8; i++ {
+		a.Tick() // stall for quiet procs at the eighth
+	}
 	return a
 }
 

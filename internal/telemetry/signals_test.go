@@ -29,15 +29,11 @@ func TestHealthSignalsUnderSeededChaos(t *testing.T) {
 
 	counters := &metrics.Counters{}
 	agg := telemetry.New(telemetry.Config{
-		Nproc:          nproc,
-		Window:         time.Hour, // ticked by hand below
-		Rings:          32,
-		Counters:       counters,
-		Sink:           sink,
-		StallWindows:   2,
-		StormRollbacks: 2,
-		StormWindows:   16,
-		LagThreshold:   1e-9, // any unsaved progress at quiesce counts
+		Nproc:        nproc,
+		Window:       time.Hour, // ticked by hand below
+		Counters:     counters,
+		Sink:         sink,
+		LagThreshold: 1e-9, // any unsaved progress at quiesce counts
 	})
 
 	// A seeded crash schedule with λ=2 over 4 procs and crashes across
@@ -70,11 +66,11 @@ func TestHealthSignalsUnderSeededChaos(t *testing.T) {
 	agg.Tick()
 
 	// Stall: one synthetic in-flight event marks proc 0 active-not-halted,
-	// then silent windows trip the detector.
+	// then eight silent windows trip the detector.
 	agg.OnEvent(obs.Event{Kind: obs.KindCompute, Proc: 0, VTime: res.VTime})
-	agg.Tick()
-	agg.Tick()
-	agg.Tick()
+	for i := 0; i < 9; i++ {
+		agg.Tick()
+	}
 
 	snap := agg.Snapshot()
 	if snap.Health.Storms < 1 {
@@ -152,13 +148,7 @@ func TestHealthSignalsUnderSeededChaos(t *testing.T) {
 // may fire without cause.
 func TestHealthSignalsQuietRun(t *testing.T) {
 	sink := obs.NewRecorder()
-	agg := telemetry.New(telemetry.Config{
-		Nproc:          4,
-		Window:         time.Hour,
-		Sink:           sink,
-		StallWindows:   2,
-		StormRollbacks: 1,
-	})
+	agg := telemetry.New(telemetry.Config{Nproc: 4, Window: time.Hour, Sink: sink})
 	_, err := sim.Run(sim.Config{
 		Program:  corpus.JacobiFig1(3),
 		Nproc:    4,
@@ -167,7 +157,7 @@ func TestHealthSignalsQuietRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 10; i++ {
 		agg.Tick() // all procs ended on halt: silence is completion
 	}
 	snap := agg.Snapshot()

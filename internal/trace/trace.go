@@ -212,19 +212,13 @@ func (t *Trace) CheckpointIndexes() []int {
 // checkpoint time: the cut is a recovery line iff no checkpoint in it
 // happened before another.
 func IsRecoveryLine(cut Cut) bool {
-	for i := range cut {
-		for j := range cut {
-			if i != j && cut[i].Clock.Before(cut[j].Clock) {
-				return false
-			}
-		}
-	}
-	return true
+	_, _, violated := FirstViolation(cut)
+	return !violated
 }
 
 // FirstViolation returns a pair (a, b) of checkpoints in the cut with
 // a happened-before b, or ok=false when the cut is a recovery line. It is
-// the diagnostic companion of IsRecoveryLine.
+// the diagnostic companion of IsRecoveryLine, and the one loop both run.
 func FirstViolation(cut Cut) (a, b Checkpoint, ok bool) {
 	for i := range cut {
 		for j := range cut {
