@@ -324,12 +324,12 @@ func (c *Store) Scrub() (storage.ScrubReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	pending := make(map[int]int) // proc -> marked keys remaining
+	marked := make(map[int]bool) // procs with a mark
 	for k := range c.corrupt {
-		pending[k.Proc]++
+		marked[k.Proc] = true
 	}
-	procs := make([]int, 0, len(pending))
-	for p := range pending {
+	procs := make([]int, 0, len(marked))
+	for p := range marked {
 		procs = append(procs, p)
 	}
 	sort.Ints(procs)
@@ -338,9 +338,15 @@ func (c *Store) Scrub() (storage.ScrubReport, error) {
 		if err != nil {
 			return rep, err
 		}
+		pending := 0 // marked keys the inner store still holds
+		for _, s := range snaps {
+			if _, ok := c.corrupt[s.Key()]; ok {
+				pending++
+			}
+		}
 		storage.SortNewestFirst(p, snaps)
 		for _, s := range snaps {
-			if pending[p] == 0 {
+			if pending == 0 {
 				break
 			}
 			k := s.Key()
@@ -350,13 +356,13 @@ func (c *Store) Scrub() (storage.ScrubReport, error) {
 			if reason, marked := c.corrupt[k]; marked {
 				rep.Quarantined = append(rep.Quarantined, storage.SnapshotRef{Key: k, Reason: reason})
 				delete(c.corrupt, k)
-				pending[p]--
+				pending--
 			} else {
 				rep.Collateral++
 			}
 		}
-		// Marks with no backing snapshot (deleted out of band): clear them
-		// so they stop failing reads.
+		// Marks with no backing snapshot (deleted out of band, or retired by
+		// the store): clear them so they stop failing reads.
 		for k, reason := range c.corrupt {
 			if k.Proc == p {
 				rep.Quarantined = append(rep.Quarantined, storage.SnapshotRef{Key: k, Reason: reason})

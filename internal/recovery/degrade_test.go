@@ -98,6 +98,34 @@ func TestStraightCutAllCorruptReportsNoRecoveryLine(t *testing.T) {
 	}
 }
 
+// A memory store keeps the newest two cuts of an index. When both fail, the
+// probe stops where the store retired the index: Degraded counts the two
+// damaged cuts, not the retired instances below them.
+func TestStraightCutStopsAtRetiredInstances(t *testing.T) {
+	st := &corruptStore{Store: storage.NewMemory()}
+	for p := 0; p < 2; p++ {
+		for idx := 1; idx <= 2; idx++ {
+			for inst := 0; inst < 6; inst++ {
+				clk := vclock.VC{0, 0}
+				clk[p] = uint64(10*inst + idx)
+				s := storage.Snapshot{Proc: p, CFGIndex: idx, Instance: inst, Clock: clk, SendSeqs: make([]int, 2)}
+				if err := st.Save(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	st.markBad(0, 2, 5)
+	st.markBad(0, 2, 4)
+	line, err := StraightCut(st, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := line.Snapshots[0]; s.CFGIndex != 1 || s.Instance != 5 || line.Degraded != 2 {
+		t.Errorf("line at %s, Degraded %d; want index 1 instance 5, Degraded 2", s.Key(), line.Degraded)
+	}
+}
+
 func TestStraightCutCleanStoreReportsNoDegradation(t *testing.T) {
 	st := storage.NewMemory()
 	save(t, st, 0, 1, 0, vclock.VC{1, 0})

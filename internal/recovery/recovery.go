@@ -132,12 +132,15 @@ func StraightCut(st storage.Store, n int) (*Line, error) {
 		// Probe instances from the frontier downward until a fully
 		// loadable cut appears; each failed (idx, instance) candidate is
 		// one degradation step. Only a process that ran ahead of the
-		// frontier, or a probe below it, needs another read.
+		// frontier, or a probe below it, needs another read. An instance
+		// no process holds is no candidate and ends the probe: below it
+		// the store retired the index (storage.Memory, decision 33).
 		found := false
 		for probes := 0; k >= 0 && probes < maxInstanceProbe; k, probes = k-1, probes+1 {
-			ok := true
-			for p := 0; p < n; p++ {
+			ok, held := true, false
+			for p := 0; p < n && (ok || !held); p++ {
 				if cut[p].Instance == k {
+					held = true
 					continue
 				}
 				s, err := st.Get(p, idx, k)
@@ -145,13 +148,16 @@ func StraightCut(st storage.Store, n int) (*Line, error) {
 					// Corrupt, quarantined, or skipped instance (the
 					// latter should not happen for SPMD programs):
 					// degrade to the next-deepest candidate.
-					ok = false
-					break
+					ok, held = false, held || !errors.Is(err, storage.ErrNotFound)
+					continue
 				}
-				cut[p] = s
+				cut[p], held = s, true
 			}
 			if ok {
 				found = true
+				break
+			}
+			if !held {
 				break
 			}
 			degraded++

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -149,6 +150,13 @@ func TestRollback(t *testing.T) {
 					t.Errorf("seq matrices %v / %v, want %v / %v", rb.SendSeq, rb.RecvSeq, wantSend, wantRecv)
 				}
 				for p, want := range tc.survivors {
+					if kind == "memory" {
+						// Memory keeps the newest two complete cuts of each
+						// index: R_1#2 retired R_1#0.
+						want = slices.DeleteFunc(slices.Clone(want), func(k storage.Key) bool {
+							return k.CFGIndex == 1 && k.Instance == 0
+						})
+					}
 					got, err := storage.Keys(inner, p)
 					if err != nil {
 						t.Fatal(err)
@@ -250,6 +258,39 @@ func (r rotting) Save(s storage.Snapshot) error {
 	return r.inner.Save(s)
 }
 
+// rotNewest damages process 0's member of the newest complete cut of every
+// index in st, saving it again through bad, and returns each index's newest
+// cut.
+func rotNewest(st, bad storage.Store, n int) (map[int]int, error) {
+	indexes, err := st.Indexes(n)
+	if err != nil {
+		return nil, err
+	}
+	newest := map[int]int{}
+	for _, idx := range indexes {
+		for p := 0; p < n; p++ {
+			s, err := st.Latest(p, idx)
+			if err != nil {
+				return nil, err
+			}
+			if f, ok := newest[idx]; !ok || s.Instance < f {
+				newest[idx] = s.Instance
+			}
+		}
+		s, err := st.Get(0, idx, newest[idx])
+		if err == nil {
+			err = st.Delete(0, idx, s.Instance)
+		}
+		if err == nil {
+			err = bad.Save(s)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return newest, nil
+}
+
 // The discard rule reads "saved after the line" off the line member's
 // instance counters. Before every rollback of real crash runs, the set it
 // dooms must be the set the rule it replaced doomed: every snapshot whose
@@ -257,14 +298,20 @@ func (r rotting) Save(s storage.Snapshot) error {
 func TestDiscardByCountersMatchesDiscardByClock(t *testing.T) {
 	const n = 3
 	crashes := []sim.Crash{{Inc: 0, Proc: 1, AfterEvents: 40}, {Inc: 1, Proc: 2, AfterEvents: 6}}
+	never := func(storage.Key) bool { return false }
 	cases := []struct {
-		name     string
-		rot      func(storage.Key) bool
+		name string
+		rot  func(storage.Key) bool
+		// memRot replaces rot on Memory, which retires what rot damages
+		// below the newest two cuts: at the first rollback, process 0's
+		// member of the newest cut of every index is damaged, and the line
+		// must be the cut below it, deep under the frontier.
+		memRot   bool
 		degraded bool // some rollback must skip a candidate cut
 		scratch  bool // some rollback must find no line
 	}{
-		{name: "clean", rot: func(storage.Key) bool { return false }},
-		{name: "degraded", rot: func(k storage.Key) bool { return k.Proc == 0 && k.Instance >= 3 }, degraded: true},
+		{name: "clean", rot: never},
+		{name: "degraded", rot: func(k storage.Key) bool { return k.Proc == 0 && k.Instance >= 3 }, memRot: true, degraded: true},
 		{name: "from scratch", rot: func(k storage.Key) bool { return k.Proc == 0 }, scratch: true},
 	}
 	prog := twoSiteJacobi(8)
@@ -275,11 +322,32 @@ func TestDiscardByCountersMatchesDiscardByClock(t *testing.T) {
 	for _, tc := range cases {
 		for kind, inner := range rollbackStores(t) {
 			t.Run(tc.name+"/"+kind, func(t *testing.T) {
+				memRot := tc.memRot && kind == "memory"
+				rot := tc.rot
+				if memRot {
+					rot = never
+				}
+				damaging := chaos.New(inner, 1, chaos.Rates{BitFlip: 1}, nil)
 				rollbacks, sawDegraded, sawScratch, doomedTotal := 0, false, false, 0
 				compare := func(st storage.Store, n int) (*recovery.Line, error) {
+					var newest map[int]int
+					if memRot && rollbacks == 0 {
+						var err error
+						if newest, err = rotNewest(inner, damaging, n); err != nil {
+							return nil, err
+						}
+					}
 					line, err := recovery.StraightCut(st, n)
 					if err != nil && !errors.Is(err, recovery.ErrNoRecoveryLine) {
 						return nil, err
+					}
+					if newest != nil {
+						if line == nil || line.Degraded == 0 {
+							return nil, fmt.Errorf("newest cuts %v damaged: line %+v, want a degraded one", newest, line)
+						}
+						if s := line.Snapshots[0]; s.Instance != newest[s.CFGIndex]-1 {
+							return nil, fmt.Errorf("line at %s, want the cut below the newest, instance %d", s.Key(), newest[s.CFGIndex]-1)
+						}
 					}
 					rollbacks++
 					sawScratch = sawScratch || line == nil
@@ -319,7 +387,7 @@ func TestDiscardByCountersMatchesDiscardByClock(t *testing.T) {
 				}
 				res, err := sim.Run(sim.Config{
 					Program: prog, Nproc: n, DisableTrace: true, Timeout: 10 * time.Second,
-					Store:   rotting{chaos.New(inner, 1, chaos.Rates{BitFlip: 1}, nil), inner, tc.rot},
+					Store:   rotting{damaging, inner, rot},
 					Crashes: crashes, Recover: compare,
 				})
 				if err != nil {

@@ -111,6 +111,24 @@ func (ix *KeyIndex[V]) Del(k Key) bool {
 	return ok
 }
 
+// retire drops (proc, index)'s instances below below, handing each value to
+// drop. The survivors move to the front of the run, so that it keeps
+// appending into the room it has.
+func (ix *KeyIndex[V]) retire(proc, index, below int, drop func(V)) {
+	r, at, _ := ix.find(Key{proc, index, below})
+	if r == nil || at == 0 {
+		return
+	}
+	for _, e := range r.ents[:at] {
+		drop(e.val)
+	}
+	kept := copy(r.ents, r.ents[at:])
+	clear(r.ents[kept:]) // as Del does
+	r.ents = r.ents[:kept]
+	ix.procs[proc].n -= at
+	ix.n -= at
+}
+
 // Latest returns the highest instance of (proc, index) and its value.
 func (ix *KeyIndex[V]) Latest(proc, index int) (instance int, v V, ok bool) {
 	if p := ix.procs[proc]; p != nil {

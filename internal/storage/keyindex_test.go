@@ -1,10 +1,13 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -192,6 +195,172 @@ func checkKeyIndex(t *testing.T, ix *KeyIndex[int], ref refIndex, procs, indexes
 	for n := 1; n <= procs+1; n++ {
 		if got, want := ix.Indexes(n), ref.indexes(n); !reflect.DeepEqual(got, want) {
 			fail("Indexes(%d) = %v, want %v", n, got, want)
+		}
+	}
+}
+
+// retentionSnap is what FuzzKeyIndexRetention saves under k: a member of an
+// n-process application whose body is about pad bytes, so that pages fill,
+// empty and overflow.
+func retentionSnap(k Key, n, pad int) Snapshot {
+	return Snapshot{
+		Proc: k.Proc, CFGIndex: k.CFGIndex, Instance: k.Instance,
+		Vars: map[string]int{"k": k.Instance}, PC: strings.Repeat("p", pad),
+		SendSeqs: make([]int, n),
+	}
+}
+
+// refLatest is the highest instance of (p, i) in held.
+func refLatest(held map[Key]bool, p, i int) (int, bool) {
+	latest, ok := 0, false
+	for k := range held {
+		if k.Proc == p && k.CFGIndex == i && (!ok || k.Instance > latest) {
+			latest, ok = k.Instance, true
+		}
+	}
+	return latest, ok
+}
+
+// refFront is F_i of block b: the least latest instance of its n processes,
+// once all hold i.
+func refFront(held map[Key]bool, n, b, i int) (int, bool) {
+	f := 0
+	for p := b * n; p < b*n+n; p++ {
+		latest, ok := refLatest(held, p, i)
+		if !ok {
+			return 0, false
+		}
+		if p == b*n || latest < f {
+			f = latest
+		}
+	}
+	return f, true
+}
+
+// FuzzKeyIndexRetention drives a Memory through saves and deletes the fuzzer
+// chooses and, after each, holds it to a map that applies the retention rule
+// by brute force. Two applications of n = 3 processes share the store (blocks
+// [0, 3) and [3, 6)) and save under two CFG indexes; the first byte picks d,
+// how many complete cuts are kept, from 1 to 3. Each further byte pair is one
+// operation on (p, i): the runtime's next instance, an instance below 12 out
+// of order, or a delete of the latest or of any instance. Checked each time:
+//   - Keys, Latest and Get agree with the map: a retired key is never
+//     returned, a held one reads back as saved;
+//   - the ladder's promise: on an index no delete has touched, every
+//     instance saved from F_i − d + 1 up is held;
+//   - the pages' live counts add up to the keys held, and a free page holds
+//     none and is not the current one.
+func FuzzKeyIndexRetention(f *testing.F) {
+	const n, blocks, indexes = 3, 2, 2
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		d := 1 + int(ops[0])%3
+		var m Memory
+		saved := map[Key]bool{}      // saved and not deleted since
+		held := map[Key]bool{}       // what the rule leaves of saved
+		touched := map[[2]int]bool{} // (block, index) pairs a delete hit
+		next := map[[2]int]int{}     // (proc, index) -> the runtime's next instance
+		for at := 1; at+1 < len(ops); at += 2 {
+			op, arg := int(ops[at]), int(ops[at+1])
+			p, i := arg%(n*blocks), arg/(n*blocks)%indexes
+			k := Key{p, i, op / 4 % 12}
+			switch op % 4 {
+			case 0, 1: // the runtime's save
+				k.Instance = next[[2]int{p, i}]
+				next[[2]int{p, i}]++
+				fallthrough
+			case 2: // a sparse or out-of-order save
+				err := m.save(retentionSnap(k, n, 20*op), d)
+				if held[k] != (err != nil) || (err != nil && !errors.Is(err, ErrDuplicate)) {
+					t.Fatalf("op %d: save %s: err %v, held %v", at, k, err, held[k])
+				}
+				saved[k], held[k] = true, true
+			case 3: // delete the latest of (p, i), or any instance
+				if op/4%2 == 0 {
+					if latest, ok := refLatest(held, p, i); ok {
+						k.Instance = latest
+					}
+				}
+				if err := m.Delete(k.Proc, k.CFGIndex, k.Instance); (err == nil) != held[k] {
+					t.Fatalf("op %d: delete %s: err %v, held %v", at, k, err, held[k])
+				}
+				delete(saved, k)
+				delete(held, k)
+				touched[[2]int{p / n, i}] = true
+			}
+			for b := 0; b < blocks; b++ {
+				for j := 0; j < indexes; j++ {
+					if f, ok := refFront(held, n, b, j); ok {
+						for h := range held {
+							if h.Proc/n == b && h.CFGIndex == j && h.Instance < f-d+1 {
+								delete(held, h)
+							}
+						}
+					}
+				}
+			}
+			checkRetention(t, &m, saved, held, touched, n, blocks, indexes, d)
+		}
+	})
+}
+
+// checkRetention holds m to FuzzKeyIndexRetention's reference.
+func checkRetention(t *testing.T, m *Memory, saved, held map[Key]bool, touched map[[2]int]bool, n, blocks, indexes, d int) {
+	t.Helper()
+	for p := 0; p < n*blocks; p++ {
+		var want []Key
+		for k := range held {
+			if k.Proc == p {
+				want = append(want, k)
+			}
+		}
+		SortKeys(want)
+		if got, _ := m.Keys(p); !slices.Equal(got, want) {
+			t.Fatalf("Keys(%d) = %v, want %v", p, got, want)
+		}
+		for i := 0; i < indexes; i++ {
+			latest, ok := refLatest(held, p, i)
+			if s, err := m.Latest(p, i); (err == nil) != ok || (ok && s.Instance != latest) {
+				t.Fatalf("Latest(%d, %d) = %s, %v; want instance %d, %v", p, i, s.Key(), err, latest, ok)
+			}
+		}
+	}
+	for k := range saved {
+		s, err := m.Get(k.Proc, k.CFGIndex, k.Instance)
+		if held[k] && (err != nil || s.Key() != k || s.Vars["k"] != k.Instance) {
+			t.Fatalf("Get(%s) = %s, %v", k, s.Key(), err)
+		}
+		if !held[k] && !errors.Is(err, ErrNotFound) {
+			t.Fatalf("retired %s: Get err %v, want ErrNotFound", k, err)
+		}
+	}
+	for b := 0; b < blocks; b++ {
+		for i := 0; i < indexes; i++ {
+			f, ok := refFront(held, n, b, i)
+			if !ok || touched[[2]int{b, i}] {
+				continue
+			}
+			for k := range saved {
+				if k.Proc/n == b && k.CFGIndex == i && k.Instance >= f-d+1 && !held[k] {
+					t.Fatalf("%s, at or above F_%d − %d + 1 = %d, was retired", k, i, d, f-d+1)
+				}
+			}
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	live := 0
+	for _, l := range m.live {
+		live += l
+	}
+	if live != m.bodies.n {
+		t.Fatalf("pages count %d live bodies, the index holds %d", live, m.bodies.n)
+	}
+	for _, i := range m.free {
+		if m.live[i] != 0 || int(i) == m.cur {
+			t.Fatalf("free page %d holds %d bodies (current %d)", i, m.live[i], m.cur)
 		}
 	}
 }

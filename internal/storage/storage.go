@@ -110,7 +110,10 @@ func SortNewestFirst(proc int, snaps []Snapshot) {
 // recovery machinery.
 type Store interface {
 	// Save persists one snapshot. Saving the same (proc, index, instance)
-	// twice is an error: checkpoints are immutable once taken.
+	// twice is an error: checkpoints are immutable once taken. A store may
+	// retire what later saves make redundant (Memory keeps the newest
+	// retainCuts complete straight cuts of each index): a retired key is no
+	// longer held, as if it had been deleted.
 	//
 	// Save borrows s: once it returns — with or without an error — the store
 	// holds no reference to any map or slice of s, having copied or
@@ -242,14 +245,23 @@ func Keys(st Store, proc int) ([]Key, error) {
 // with its input, so Store.Save's borrow contract holds by construction.
 // Every process's bodies share one list of pages, each body behind its
 // uvarint length, and the index holds where a body starts. A page is never
-// regrown or recycled, so a bodyRef stays valid for as long as the store
-// lives; Delete drops the index entry only (a rollback discards a few bodies
-// per process, and a job's store is dropped whole).
+// regrown, and is reused only once no body lives on it.
+//
+// A save retires what lies below the newest retainCuts complete straight
+// cuts of its index (DESIGN decision 33): with n = len(SendSeqs), every
+// instance of CFG index i below F_i − retainCuts + 1 on the processes of
+// the saver's block [p/n·n, p/n·n+n), F_i being the least of their latest
+// instances at i once all n hold i. A snapshot without SendSeqs retires
+// nothing.
 type Memory struct {
 	mu     sync.Mutex
 	bodies KeyIndex[bodyRef]
-	pages  [][]byte // the last one takes the next body that fits
-	buf    []byte   // scratch Save encodes into: a body's size picks its page
+	pages  [][]byte
+	live   []int              // per page, the bodies the index refers to
+	cur    int                // the page that takes the next body that fits
+	free   []uint32           // pages no body lives on
+	buf    []byte             // scratch Save encodes into: a body's size picks its page
+	fronts map[frontKey]front // what a Delete may have moved is dropped
 }
 
 // bodyRef is where a body's length prefix sits in Memory.pages.
@@ -257,6 +269,17 @@ type bodyRef struct{ page, off uint32 }
 
 // memPage is the size of a Memory page; a larger body gets a page of its own.
 const memPage = 4 << 10
+
+// retainCuts is D, how many of an index's newest complete straight cuts
+// Memory keeps: two, so that a damaged newest cut still degrades to a line.
+const retainCuts = 2
+
+// frontKey names CFG index index of the processes [block·n, block·n+n).
+type frontKey struct{ n, block, index int }
+
+// front is F_i of one frontKey, the least of its processes' latest
+// instances (-1 while one holds none), and how many of them sit at it.
+type front struct{ min, atMin int }
 
 // arena is append-only memory for what a store or its index retains. Its
 // chunks are never regrown or recycled — append would move everything kept
@@ -308,26 +331,94 @@ var _ Store = (*Memory)(nil)
 func NewMemory() *Memory { return &Memory{} }
 
 // Save implements Store.
-func (m *Memory) Save(s Snapshot) error {
+func (m *Memory) Save(s Snapshot) error { return m.save(s, retainCuts) }
+
+// save is Save keeping the newest d complete cuts of each index.
+func (m *Memory) save(s Snapshot, d int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	k := s.Key()
-	if _, ok := m.bodies.Get(k); ok {
+	r, _, dup := m.bodies.find(k)
+	if dup {
 		return fmt.Errorf("%w: %s", ErrDuplicate, k)
+	}
+	prev := -1 // k.Proc's latest instance at k.CFGIndex before this save
+	if r != nil && len(r.ents) > 0 {
+		prev = r.ents[len(r.ents)-1].instance
 	}
 	m.buf = AppendSnapshot(m.buf[:0], s)
 	var prefix [binary.MaxVarintLen64]byte
 	w := binary.PutUvarint(prefix[:], uint64(len(m.buf)))
-	last := len(m.pages) - 1
-	if n := w + len(m.buf); last < 0 || n > cap(m.pages[last])-len(m.pages[last]) {
-		// A fresh page: append would move every body kept before.
-		m.pages = append(m.pages, make([]byte, 0, max(memPage, n)))
-		last++
+	if n := w + len(m.buf); len(m.pages) == 0 || n > cap(m.pages[m.cur])-len(m.pages[m.cur]) {
+		m.fresh(n)
 	}
-	p := m.pages[last]
-	m.bodies.Put(k, bodyRef{uint32(last), uint32(len(p))})
-	m.pages[last] = append(append(p, prefix[:w]...), m.buf...)
+	p := m.pages[m.cur]
+	m.bodies.Put(k, bodyRef{uint32(m.cur), uint32(len(p))})
+	m.pages[m.cur] = append(append(p, prefix[:w]...), m.buf...)
+	m.live[m.cur]++
+	if n := len(s.SendSeqs); n > 0 {
+		m.retire(k, prev, n, d)
+	}
 	return nil
+}
+
+// fresh makes the current page one with room for need bytes: the page freed
+// last, or a new one (append would move every body kept before). The page it
+// leaves is freed if no body lives on it.
+func (m *Memory) fresh(need int) {
+	if len(m.pages) > 0 && m.live[m.cur] == 0 {
+		m.free = append(m.free, uint32(m.cur))
+	}
+	if n := len(m.free) - 1; n >= 0 {
+		m.cur, m.free = int(m.free[n]), m.free[:n]
+		if m.pages[m.cur] = m.pages[m.cur][:0]; cap(m.pages[m.cur]) < need {
+			m.pages[m.cur] = make([]byte, 0, max(memPage, need))
+		}
+		return
+	}
+	m.cur = len(m.pages)
+	m.pages, m.live = append(m.pages, make([]byte, 0, max(memPage, need))), append(m.live, 0)
+}
+
+// unref drops the index's reference to r's body.
+func (m *Memory) unref(r bodyRef) {
+	if m.live[r.page]--; m.live[r.page] == 0 && int(r.page) != m.cur {
+		m.free = append(m.free, r.page)
+	}
+}
+
+// retire keeps k's front and retires below the newest d complete cuts; prev
+// was k.Proc's latest instance at k.CFGIndex before the save (-1: none). The
+// block is scanned, and retired across, only when F_i can move — the last
+// process at it moves on — or the front is unknown or an out-of-order save
+// may lie below the line.
+func (m *Memory) retire(k Key, prev, n, d int) {
+	fk := frontKey{n, k.Proc / n, k.CFGIndex}
+	f, ok := m.fronts[fk]
+	if ok = ok && k.Instance > prev; ok && prev == f.min {
+		f.atMin--
+		ok = f.atMin > 0
+	}
+	if !ok {
+		for p := fk.block * n; p < fk.block*n+n; p++ {
+			inst, _, held := m.bodies.Latest(p, k.CFGIndex)
+			if !held {
+				inst = -1
+			}
+			if p == fk.block*n || inst < f.min {
+				f = front{inst, 1}
+			} else if inst == f.min {
+				f.atMin++
+			}
+		}
+		for p := fk.block * n; p < fk.block*n+n; p++ {
+			m.bodies.retire(p, k.CFGIndex, f.min-d+1, m.unref)
+		}
+	}
+	if m.fronts == nil {
+		m.fronts = make(map[frontKey]front)
+	}
+	m.fronts[fk] = f
 }
 
 // read decodes the body r names, damaged in memory if it does not decode.
@@ -400,8 +491,13 @@ func (m *Memory) Keys(proc int) ([]Key, error) {
 func (m *Memory) Delete(proc, cfgIndex, instance int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if k := (Key{proc, cfgIndex, instance}); !m.bodies.Del(k) {
+	k := Key{proc, cfgIndex, instance}
+	r, ok := m.bodies.Get(k)
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
+	m.bodies.Del(k)
+	m.unref(r)
+	clear(m.fronts)
 	return nil
 }

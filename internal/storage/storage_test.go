@@ -42,26 +42,43 @@ func TestMemoryLen(t *testing.T) {
 	}
 }
 
+// Concurrent savers lose nothing. Their snapshots carry no SendSeqs, so the
+// store knows no application and retires nothing; with SendSeqs, the same
+// saves over blocks of 4 workers keep the newest retainCuts of each worker's
+// instances.
 func TestMemoryConcurrentSaves(t *testing.T) {
-	m := NewMemory()
-	const workers = 8
-	done := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			var err error
-			for i := 0; i < 50 && err == nil; i++ {
-				err = m.Save(sampleSnap(w, 1, i))
+	const workers, saves = 8, 50
+	for _, tc := range []struct {
+		name     string
+		sendSeqs []int
+		want     int
+	}{
+		{"no application", nil, workers * saves},
+		{"blocks of 4", make([]int, 4), workers * retainCuts},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMemory()
+			done := make(chan error, workers)
+			for w := 0; w < workers; w++ {
+				go func(w int) {
+					var err error
+					for i := 0; i < saves && err == nil; i++ {
+						s := sampleSnap(w, 1, i)
+						s.SendSeqs = tc.sendSeqs
+						err = m.Save(s)
+					}
+					done <- err
+				}(w)
 			}
-			done <- err
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if stored(m) != workers*50 {
-		t.Fatalf("stored = %d, want %d", stored(m), workers*50)
+			for w := 0; w < workers; w++ {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if stored(m) != tc.want {
+				t.Fatalf("stored = %d, want %d", stored(m), tc.want)
+			}
+		})
 	}
 }
 
@@ -70,7 +87,7 @@ func TestMemoryConcurrentSaves(t *testing.T) {
 // length. What is left is amortized — a 4 KB page per ~80 of these bodies and
 // the index run's growth — and a page is never regrown: that would copy every
 // body saved before. Replay, which saves again the keys a rollback deleted
-// into runs that kept their room, shows what a body costs the pages alone.
+// into runs that kept their room, reuses the pages the deletes emptied.
 func TestMemorySaveSteadyStateAllocs(t *testing.T) {
 	m := NewMemory()
 	s := sampleSnap(0, 1, 0)
@@ -109,12 +126,17 @@ func TestMemorySaveSteadyStateAllocs(t *testing.T) {
 		if i < len(m.pages)-1 && memPage-len(p) > body {
 			t.Errorf("page %d left with %d bytes free, room for another body", i, memPage-len(p))
 		}
+		live := 0
 		for off := 0; off < len(p); walked++ {
 			if !refs[bodyRef{uint32(i), uint32(off)}] {
 				t.Fatalf("page %d offset %d: no index entry starts there", i, off)
 			}
 			n, w := binary.Uvarint(p[off:])
 			off += w + int(n)
+			live++
+		}
+		if live != m.live[i] {
+			t.Errorf("page %d holds %d bodies and counts %d", i, live, m.live[i])
 		}
 	}
 	if walked != len(refs) || walked != stored(m) {
