@@ -150,9 +150,9 @@ func TestRollback(t *testing.T) {
 					t.Errorf("seq matrices %v / %v, want %v / %v", rb.SendSeq, rb.RecvSeq, wantSend, wantRecv)
 				}
 				for p, want := range tc.survivors {
-					if kind == "memory" {
-						// Memory keeps the newest two complete cuts of each
-						// index: R_1#2 retired R_1#0.
+					if kind != "incremental" {
+						// Memory and the WAL keep the newest two complete
+						// cuts of each index: R_1#2 retired R_1#0.
 						want = slices.DeleteFunc(slices.Clone(want), func(k storage.Key) bool {
 							return k.CFGIndex == 1 && k.Instance == 0
 						})
@@ -302,16 +302,16 @@ func TestDiscardByCountersMatchesDiscardByClock(t *testing.T) {
 	cases := []struct {
 		name string
 		rot  func(storage.Key) bool
-		// memRot replaces rot on Memory, which retires what rot damages
-		// below the newest two cuts: at the first rollback, process 0's
-		// member of the newest cut of every index is damaged, and the line
-		// must be the cut below it, deep under the frontier.
-		memRot   bool
-		degraded bool // some rollback must skip a candidate cut
-		scratch  bool // some rollback must find no line
+		// newestRot replaces rot on Memory and the WAL, which retire what
+		// rot damages below the newest two cuts: at the first rollback,
+		// process 0's member of the newest cut of every index is damaged,
+		// and the line must be the cut below it, at F_i − 1.
+		newestRot bool
+		degraded  bool // some rollback must skip a candidate cut
+		scratch   bool // some rollback must find no line
 	}{
 		{name: "clean", rot: never},
-		{name: "degraded", rot: func(k storage.Key) bool { return k.Proc == 0 && k.Instance >= 3 }, memRot: true, degraded: true},
+		{name: "degraded", rot: func(k storage.Key) bool { return k.Proc == 0 && k.Instance >= 3 }, newestRot: true, degraded: true},
 		{name: "from scratch", rot: func(k storage.Key) bool { return k.Proc == 0 }, scratch: true},
 	}
 	prog := twoSiteJacobi(8)
@@ -322,16 +322,16 @@ func TestDiscardByCountersMatchesDiscardByClock(t *testing.T) {
 	for _, tc := range cases {
 		for kind, inner := range rollbackStores(t) {
 			t.Run(tc.name+"/"+kind, func(t *testing.T) {
-				memRot := tc.memRot && kind == "memory"
+				newestRot := tc.newestRot && kind != "incremental"
 				rot := tc.rot
-				if memRot {
+				if newestRot {
 					rot = never
 				}
 				damaging := chaos.New(inner, 1, chaos.Rates{BitFlip: 1}, nil)
 				rollbacks, sawDegraded, sawScratch, doomedTotal := 0, false, false, 0
 				compare := func(st storage.Store, n int) (*recovery.Line, error) {
 					var newest map[int]int
-					if memRot && rollbacks == 0 {
+					if newestRot && rollbacks == 0 {
 						var err error
 						if newest, err = rotNewest(inner, damaging, n); err != nil {
 							return nil, err

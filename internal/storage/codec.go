@@ -192,6 +192,31 @@ func DecodeSnapshot(body []byte) (Snapshot, error) {
 	return s, nil
 }
 
+// SendCount returns how many SendSeqs the snapshot body holds — the size of
+// the application that saved it — or 0 when the body does not decode as
+// far. It allocates nothing.
+func SendCount(body []byte) int {
+	d := decoder{rest: body}
+	if d.uvarint() != snapshotVersion {
+		return 0
+	}
+	for range 3 { // Proc, CFGIndex, Instance
+		d.int()
+	}
+	for n, _ := d.count(1); n > 0; n-- {
+		d.uvarint()
+	}
+	for n, _ := d.count(2); n > 0; n-- {
+		d.rest = d.rest[d.strLen():]
+		d.int()
+	}
+	d.rest = d.rest[d.strLen():]
+	if n, _ := d.count(1); d.err == nil {
+		return n
+	}
+	return 0
+}
+
 // decoder reads a body front to back. The first failure sticks: every later
 // read returns zero values, so DecodeSnapshot checks err once at the end.
 type decoder struct {
@@ -237,14 +262,20 @@ func (d *decoder) count(elemBytes int) (n int, ok bool) {
 }
 
 func (d *decoder) str() string {
+	n := d.strLen()
+	off := len(d.text) - len(d.rest)
+	d.rest = d.rest[n:]
+	return d.text[off : off+n]
+}
+
+// strLen reads a string's byte count, checked against what remains.
+func (d *decoder) strLen() int {
 	n := d.uvarint()
 	if n > uint64(len(d.rest)) {
 		d.fail("length exceeds body")
-		return ""
+		return 0
 	}
-	off := len(d.text) - len(d.rest)
-	d.rest = d.rest[n:]
-	return d.text[off : off+int(n)]
+	return int(n)
 }
 
 func (d *decoder) ints() []int {

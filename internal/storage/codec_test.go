@@ -273,6 +273,9 @@ func FuzzSnapshotCodec(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(back, s) {
 			t.Fatalf("decode(encode(s)) = %+v, %v\nwant %+v", back, err, s)
 		}
+		if n := SendCount(body); n != len(s.SendSeqs) {
+			t.Fatalf("SendCount = %d, the body holds %d SendSeqs", n, len(s.SendSeqs))
+		}
 
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -289,6 +292,9 @@ func FuzzSnapshotCodec(f *testing.F) {
 		}
 		if again := AppendSnapshot(nil, got); !bytes.Equal(again, blob) {
 			t.Fatalf("encode(decode(b)) = %x\nb = %x", again, blob)
+		}
+		if n := SendCount(blob); n != len(got.SendSeqs) {
+			t.Fatalf("SendCount = %d, the body holds %d SendSeqs", n, len(got.SendSeqs))
 		}
 	})
 }

@@ -243,13 +243,17 @@ func refFront(held map[Key]bool, n, b, i int) (int, bool) {
 // [0, 3) and [3, 6)) and save under two CFG indexes; the first byte picks d,
 // how many complete cuts are kept, from 1 to 3. Each further byte pair is one
 // operation on (p, i): the runtime's next instance, an instance below 12 out
-// of order, or a delete of the latest or of any instance. Checked each time:
+// of order — with SendSeqs or, retiring nothing, without — or a delete of the
+// latest or of any instance. Checked each time:
 //   - Keys, Latest and Get agree with the map: a retired key is never
 //     returned, a held one reads back as saved;
 //   - the ladder's promise: on an index no delete has touched, every
 //     instance saved from F_i − d + 1 up is held;
 //   - the pages' live counts add up to the keys held, and a free page holds
-//     none and is not the current one.
+//     none and is not the current one;
+//   - replay: saving the held keys again, in key order, into an empty store
+//     retires none of them, as a log's compacted segment replays — while
+//     every save carried SendSeqs (one without may leave the rule unapplied).
 func FuzzKeyIndexRetention(f *testing.F) {
 	const n, blocks, indexes = 3, 2, 2
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -262,6 +266,7 @@ func FuzzKeyIndexRetention(f *testing.F) {
 		held := map[Key]bool{}       // what the rule leaves of saved
 		touched := map[[2]int]bool{} // (block, index) pairs a delete hit
 		next := map[[2]int]int{}     // (proc, index) -> the runtime's next instance
+		plain := false               // a save without SendSeqs happened
 		for at := 1; at+1 < len(ops); at += 2 {
 			op, arg := int(ops[at]), int(ops[at+1])
 			p, i := arg%(n*blocks), arg/(n*blocks)%indexes
@@ -272,11 +277,25 @@ func FuzzKeyIndexRetention(f *testing.F) {
 				next[[2]int{p, i}]++
 				fallthrough
 			case 2: // a sparse or out-of-order save
-				err := m.save(retentionSnap(k, n, 20*op), d)
+				s := retentionSnap(k, n, 20*op)
+				if op >= 128 && op%4 == 2 {
+					s.SendSeqs, plain = nil, true
+				}
+				err := m.save(s, d)
 				if held[k] != (err != nil) || (err != nil && !errors.Is(err, ErrDuplicate)) {
 					t.Fatalf("op %d: save %s: err %v, held %v", at, k, err, held[k])
 				}
 				saved[k], held[k] = true, true
+				if s.SendSeqs == nil {
+					break
+				}
+				if f, ok := refFront(held, n, p/n, i); ok {
+					for h := range held {
+						if h.Proc/n == p/n && h.CFGIndex == i && h.Instance < f-d+1 {
+							delete(held, h)
+						}
+					}
+				}
 			case 3: // delete the latest of (p, i), or any instance
 				if op/4%2 == 0 {
 					if latest, ok := refLatest(held, p, i); ok {
@@ -290,24 +309,13 @@ func FuzzKeyIndexRetention(f *testing.F) {
 				delete(held, k)
 				touched[[2]int{p / n, i}] = true
 			}
-			for b := 0; b < blocks; b++ {
-				for j := 0; j < indexes; j++ {
-					if f, ok := refFront(held, n, b, j); ok {
-						for h := range held {
-							if h.Proc/n == b && h.CFGIndex == j && h.Instance < f-d+1 {
-								delete(held, h)
-							}
-						}
-					}
-				}
-			}
-			checkRetention(t, &m, saved, held, touched, n, blocks, indexes, d)
+			checkRetention(t, &m, saved, held, touched, n, blocks, indexes, d, !plain)
 		}
 	})
 }
 
 // checkRetention holds m to FuzzKeyIndexRetention's reference.
-func checkRetention(t *testing.T, m *Memory, saved, held map[Key]bool, touched map[[2]int]bool, n, blocks, indexes, d int) {
+func checkRetention(t *testing.T, m *Memory, saved, held map[Key]bool, touched map[[2]int]bool, n, blocks, indexes, d int, replay bool) {
 	t.Helper()
 	for p := 0; p < n*blocks; p++ {
 		var want []Key
@@ -347,6 +355,21 @@ func checkRetention(t *testing.T, m *Memory, saved, held map[Key]bool, touched m
 					t.Fatalf("%s, at or above F_%d − %d + 1 = %d, was retired", k, i, d, f-d+1)
 				}
 			}
+		}
+	}
+	var replayed Memory
+	for p := 0; p < n*blocks && replay; p++ {
+		keys, _ := m.Keys(p)
+		for _, k := range keys {
+			if err := replayed.save(retentionSnap(k, n, 0), d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for p := 0; p < n*blocks && replay; p++ {
+		want, _ := m.Keys(p)
+		if got, _ := replayed.Keys(p); !slices.Equal(got, want) {
+			t.Fatalf("held %v, replayed in key order %v", want, got)
 		}
 	}
 	m.mu.Lock()

@@ -2,15 +2,19 @@ package storage_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/mpl"
 	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/storage/wal"
 	"repro/internal/verify"
 )
 
@@ -23,8 +27,14 @@ import (
 // kept).
 func jacobiOnStore(t *testing.T, iters int, st storage.Store, choose sim.RecoveryFunc) {
 	t.Helper()
+	runOnStore(t, corpus.JacobiFig1(iters), iters, st, choose)
+}
+
+// runOnStore is jacobiOnStore for either figure's Jacobi.
+func runOnStore(t *testing.T, prog *mpl.Program, iters int, st storage.Store, choose sim.RecoveryFunc) {
+	t.Helper()
 	const n = 4
-	rep, err := core.Transform(corpus.JacobiFig1(iters), core.DefaultConfig)
+	rep, err := core.Transform(prog, core.DefaultConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,29 +143,129 @@ func TestRetentionLadder(t *testing.T) {
 	}
 }
 
-// A memory store is bounded by its program (ROADMAP item 18's claim, in
-// bytes over a 10× longer run): a Jacobi job of 640 iterations with a crash
-// ends holding as many checkpoints per process as one of 64, and pages
-// within 1.2× — a store that kept everything would hold ten times both.
-func TestMemoryBoundedByProgram(t *testing.T) {
-	keys, pages := map[int][]int{}, map[int]int{}
-	for _, iters := range []int{64, 640} {
-		mem := storage.NewMemory()
-		jacobiOnStore(t, iters, mem, nil)
-		for p := 0; p < 4; p++ {
-			ks, err := mem.Keys(p)
+// A store is bounded by its program (ROADMAP item 18's claim, in bytes over
+// a 10× longer run): a Jacobi job of 640 iterations with a crash ends holding
+// as many checkpoints per process as one of 64, on Memory in pages within
+// 1.2×, on the WAL in the bytes its index refers to — all a compaction
+// keeps — within 1.2×. A store that kept everything would hold ten times all
+// of them.
+func TestStoreBoundedByProgram(t *testing.T) {
+	for _, kind := range []string{"mem", "wal"} {
+		t.Run(kind, func(t *testing.T) {
+			keys, size := map[int][]int{}, map[int]int64{}
+			for _, iters := range []int{64, 640} {
+				var st storage.Store
+				dir := t.TempDir()
+				if kind == "mem" {
+					st = storage.NewMemory()
+				} else {
+					ws, err := wal.Open(dir, wal.Options{MaxSegmentBytes: 16 << 10})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer ws.Close()
+					st = ws
+				}
+				jacobiOnStore(t, iters, st, nil)
+				for p := 0; p < 4; p++ {
+					ks, err := storage.Keys(st, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					keys[iters] = append(keys[iters], len(ks))
+				}
+				if mem, ok := st.(*storage.Memory); ok {
+					size[iters] = int64(storage.MemoryPages(mem))
+				} else if size[iters] = compactedBytes(t, st.(*wal.Store), dir); size[iters] == 0 {
+					t.Fatal("a compacted log of a run holds no bytes")
+				}
+			}
+			t.Logf("keys per process %v and %v, pages or bytes %d and %d", keys[64], keys[640], size[64], size[640])
+			if !reflect.DeepEqual(keys[64], keys[640]) {
+				t.Errorf("keys per process: %v at 64 iterations, %v at 640", keys[64], keys[640])
+			}
+			if 5*size[640] > 6*size[64] {
+				t.Errorf("pages or bytes: %d at 64 iterations, %d at 640; want within 1.2x", size[64], size[640])
+			}
+		})
+	}
+}
+
+// compactedBytes compacts ws and returns the bytes of its segments in dir:
+// once compacted, exactly the records its index refers to.
+func compactedBytes(t *testing.T, ws *wal.Store, dir string) int64 {
+	t.Helper()
+	if err := ws.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, seg := range segs {
+		fi, err := os.Stat(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += fi.Size()
+	}
+	return n
+}
+
+// A reopened log holds exactly the keys it held: replay retires by the rule
+// each save did, its n read from the save's body. A Figure 2 Jacobi run with
+// a crash saves, rolls back and retires on a log of small segments; after it
+// the log is closed and opened again, its saves replayed in their order, or
+// after compactions — during the run, or one at the end — one instant's
+// index in key order and what was saved since in order.
+func TestWALReplayRetainsWhatTheStoreHeld(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		opts    wal.Options
+		compact bool
+	}{
+		{"saves in order", wal.Options{MaxSegmentBytes: 4 << 10, NoAutoCompact: true}, false},
+		{"compacted as it rotates", wal.Options{MaxSegmentBytes: 4 << 10, CompactMinDeadBytes: 1}, false},
+		{"compacted at the end", wal.Options{MaxSegmentBytes: 4 << 10, NoAutoCompact: true}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ws, err := wal.Open(dir, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys[iters] = append(keys[iters], len(ks))
-		}
-		pages[iters] = storage.MemoryPages(mem)
-	}
-	t.Logf("keys per process %v and %v, pages %d and %d", keys[64], keys[640], pages[64], pages[640])
-	if !reflect.DeepEqual(keys[64], keys[640]) {
-		t.Errorf("keys per process: %v at 64 iterations, %v at 640", keys[64], keys[640])
-	}
-	if 5*pages[640] > 6*pages[64] {
-		t.Errorf("pages: %d at 64 iterations, %d at 640; want within 1.2x", pages[64], pages[640])
+			const iters = 64
+			runOnStore(t, corpus.JacobiFig2(iters), iters, ws, nil)
+			if tc.compact {
+				if err := ws.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := ws.Stats()
+			if st.Rotations == 0 || (tc.name != "saves in order") != (st.Compactions > 0) {
+				t.Fatalf("%d rotations, %d compactions", st.Rotations, st.Compactions)
+			}
+			before := make([][]storage.Key, 4)
+			for p := range before {
+				if before[p], err = ws.Keys(p); err != nil {
+					t.Fatal(err)
+				}
+				if len(before[p]) >= iters {
+					t.Fatalf("process %d holds %d keys after %d iterations: nothing retired", p, len(before[p]), iters)
+				}
+			}
+			ws.Close()
+			ws, err = wal.Open(dir, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ws.Close()
+			for p, want := range before {
+				if got, err := ws.Keys(p); err != nil || !reflect.DeepEqual(got, want) {
+					t.Errorf("process %d: reopened with %v, %v; held %v", p, got, err, want)
+				}
+			}
+		})
 	}
 }

@@ -248,20 +248,16 @@ func Keys(st Store, proc int) ([]Key, error) {
 // regrown, and is reused only once no body lives on it.
 //
 // A save retires what lies below the newest retainCuts complete straight
-// cuts of its index (DESIGN decision 33): with n = len(SendSeqs), every
-// instance of CFG index i below F_i − retainCuts + 1 on the processes of
-// the saver's block [p/n·n, p/n·n+n), F_i being the least of their latest
-// instances at i once all n hold i. A snapshot without SendSeqs retires
-// nothing.
+// cuts of its index, by KeyIndex.PutRetaining with n = len(SendSeqs)
+// (DESIGN decision 33). A snapshot without SendSeqs retires nothing.
 type Memory struct {
 	mu     sync.Mutex
 	bodies KeyIndex[bodyRef]
 	pages  [][]byte
-	live   []int              // per page, the bodies the index refers to
-	cur    int                // the page that takes the next body that fits
-	free   []uint32           // pages no body lives on
-	buf    []byte             // scratch Save encodes into: a body's size picks its page
-	fronts map[frontKey]front // what a Delete may have moved is dropped
+	live   []int    // per page, the bodies the index refers to
+	cur    int      // the page that takes the next body that fits
+	free   []uint32 // pages no body lives on
+	buf    []byte   // scratch Save encodes into: a body's size picks its page
 }
 
 // bodyRef is where a body's length prefix sits in Memory.pages.
@@ -269,17 +265,6 @@ type bodyRef struct{ page, off uint32 }
 
 // memPage is the size of a Memory page; a larger body gets a page of its own.
 const memPage = 4 << 10
-
-// retainCuts is D, how many of an index's newest complete straight cuts
-// Memory keeps: two, so that a damaged newest cut still degrades to a line.
-const retainCuts = 2
-
-// frontKey names CFG index index of the processes [block·n, block·n+n).
-type frontKey struct{ n, block, index int }
-
-// front is F_i of one frontKey, the least of its processes' latest
-// instances (-1 while one holds none), and how many of them sit at it.
-type front struct{ min, atMin int }
 
 // arena is append-only memory for what a store or its index retains. Its
 // chunks are never regrown or recycled — append would move everything kept
@@ -338,13 +323,8 @@ func (m *Memory) save(s Snapshot, d int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	k := s.Key()
-	r, _, dup := m.bodies.find(k)
-	if dup {
+	if _, dup := m.bodies.Get(k); dup {
 		return fmt.Errorf("%w: %s", ErrDuplicate, k)
-	}
-	prev := -1 // k.Proc's latest instance at k.CFGIndex before this save
-	if r != nil && len(r.ents) > 0 {
-		prev = r.ents[len(r.ents)-1].instance
 	}
 	m.buf = AppendSnapshot(m.buf[:0], s)
 	var prefix [binary.MaxVarintLen64]byte
@@ -353,12 +333,9 @@ func (m *Memory) save(s Snapshot, d int) error {
 		m.fresh(n)
 	}
 	p := m.pages[m.cur]
-	m.bodies.Put(k, bodyRef{uint32(m.cur), uint32(len(p))})
 	m.pages[m.cur] = append(append(p, prefix[:w]...), m.buf...)
 	m.live[m.cur]++
-	if n := len(s.SendSeqs); n > 0 {
-		m.retire(k, prev, n, d)
-	}
+	m.bodies.putRetaining(k, bodyRef{uint32(m.cur), uint32(len(p))}, len(s.SendSeqs), d, m.unref)
 	return nil
 }
 
@@ -381,44 +358,10 @@ func (m *Memory) fresh(need int) {
 }
 
 // unref drops the index's reference to r's body.
-func (m *Memory) unref(r bodyRef) {
+func (m *Memory) unref(_ Key, r bodyRef) {
 	if m.live[r.page]--; m.live[r.page] == 0 && int(r.page) != m.cur {
 		m.free = append(m.free, r.page)
 	}
-}
-
-// retire keeps k's front and retires below the newest d complete cuts; prev
-// was k.Proc's latest instance at k.CFGIndex before the save (-1: none). The
-// block is scanned, and retired across, only when F_i can move — the last
-// process at it moves on — or the front is unknown or an out-of-order save
-// may lie below the line.
-func (m *Memory) retire(k Key, prev, n, d int) {
-	fk := frontKey{n, k.Proc / n, k.CFGIndex}
-	f, ok := m.fronts[fk]
-	if ok = ok && k.Instance > prev; ok && prev == f.min {
-		f.atMin--
-		ok = f.atMin > 0
-	}
-	if !ok {
-		for p := fk.block * n; p < fk.block*n+n; p++ {
-			inst, _, held := m.bodies.Latest(p, k.CFGIndex)
-			if !held {
-				inst = -1
-			}
-			if p == fk.block*n || inst < f.min {
-				f = front{inst, 1}
-			} else if inst == f.min {
-				f.atMin++
-			}
-		}
-		for p := fk.block * n; p < fk.block*n+n; p++ {
-			m.bodies.retire(p, k.CFGIndex, f.min-d+1, m.unref)
-		}
-	}
-	if m.fronts == nil {
-		m.fronts = make(map[frontKey]front)
-	}
-	m.fronts[fk] = f
 }
 
 // read decodes the body r names, damaged in memory if it does not decode.
@@ -497,7 +440,6 @@ func (m *Memory) Delete(proc, cfgIndex, instance int) error {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
 	m.bodies.Del(k)
-	m.unref(r)
-	clear(m.fronts)
+	m.unref(k, r)
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -187,12 +188,21 @@ func (w *Store) cleanOrphans(m manifest, own []string) error {
 }
 
 // rotateLocked seals the active segment and opens a fresh one: manifest
-// first (naming the new segment), then the file. Crash windows:
+// first (naming the new segment), then the file. A failure poisons the store:
+// appendLocked on a stale active could lose the ordering invariants. Crash
+// windows:
 //
 //	before rename  → old manifest, orphan tmp: nothing changed
 //	after rename   → manifest names a missing last segment: recovered empty
 //	after create   → fully rotated
-func (w *Store) rotateLocked() error {
+//
+// Then it compacts if compact is set or auto-compaction asks.
+func (w *Store) rotateLocked(compact bool) (err error) {
+	defer func() {
+		if err != nil {
+			w.kill(fmt.Sprintf("rotation failed: %v", err))
+		}
+	}()
 	newSeg := w.nextSeg
 	m := manifest{Segments: append(append([]uint64(nil), w.segs...), newSeg), Next: newSeg + 1}
 	if err := w.writeManifest(m, true); err != nil {
@@ -219,8 +229,8 @@ func (w *Store) rotateLocked() error {
 	if ft := w.consult(OpSegCreate, 0); ft.Kill == KillAfter {
 		return w.crash(OpSegCreate, 0)
 	}
-	if !w.opts.NoAutoCompact && w.sealedDeadBytesLocked() >= w.opts.CompactMinDeadBytes {
-		return w.compactLocked(false)
+	if compact || (!w.opts.NoAutoCompact && w.sealedDeadBytesLocked() >= w.opts.CompactMinDeadBytes) {
+		return w.compactLocked(compact)
 	}
 	return nil
 }
@@ -244,6 +254,50 @@ func (w *Store) sealedDeadBytesLocked() int64 {
 		return true
 	})
 	return total - live
+}
+
+// rec is one record compaction carries over: a key and where its frame is.
+type rec struct {
+	key storage.Key
+	l   loc
+}
+
+// compactChunk is how much of a compacted segment is written at a time.
+const compactChunk = 64 << 10
+
+// writeLiveLocked writes recs to seg's file f a chunk at a time through one
+// reused buffer: live frames verbatim (their CRC travels with them —
+// compaction cannot launder corruption) and quarantine marks. It returns the
+// segment's size and, in recs' room, the copies' new places.
+func (w *Store) writeLiveLocked(f *os.File, seg uint64, recs []rec) (size int64, copied []rec, err error) {
+	buf, copied := w.compactBuf[:0], recs[:0]
+	defer func() { w.compactBuf = buf }()
+	for _, r := range recs {
+		if len(buf) >= compactChunk {
+			if _, err := f.WriteAt(buf, size); err != nil {
+				return 0, nil, err
+			}
+			size, buf = size+int64(len(buf)), buf[:0]
+		}
+		if !r.l.mark() {
+			off := len(buf)
+			buf = slices.Grow(buf, r.l.size)[:off+r.l.size]
+			if _, err := w.files[r.l.seg].ReadAt(buf[off:], r.l.off); err != nil {
+				return 0, nil, fmt.Errorf("compact read %s: %w", r.key, err)
+			}
+			if ev, _, ok := parseRecordAt(buf[off:], 0); ok && ev.key == r.key {
+				copied = append(copied, rec{r.key, loc{seg: seg, off: size + int64(off), size: r.l.size}})
+				continue
+			}
+			buf = buf[:off]
+			// Damaged since it was indexed (an injected flip): quarantine
+			// instead of copying garbage forward as a "valid" record.
+			w.quarantineLocked(r.key, "crc mismatch at compaction")
+		}
+		buf = appendFrame(buf, kindMark, r.key, []byte(w.corrupt[r.key]))
+	}
+	_, err = f.WriteAt(buf, size)
+	return size + int64(len(buf)), copied, err
 }
 
 // compactLocked rewrites ALL sealed segments into one fresh segment
@@ -272,11 +326,7 @@ func (w *Store) compactLocked(force bool) error {
 
 	// Gather the live records of the sealed segments and every quarantine
 	// mark, in deterministic key order.
-	type rec struct {
-		key storage.Key
-		l   loc
-	}
-	var recs []rec
+	recs := w.recs[:0]
 	w.index.RangeAll(func(k storage.Key, l loc) bool {
 		if l.mark() || l.seg != activeSeg {
 			recs = append(recs, rec{k, l})
@@ -284,55 +334,36 @@ func (w *Store) compactLocked(force bool) error {
 		return true
 	})
 	sort.Slice(recs, func(i, j int) bool { return recs[i].key.Less(recs[j].key) })
+	w.recs = recs
 
-	// Write the compacted segment: copy live frames verbatim (their CRC
-	// travels with them — compaction cannot launder corruption) and
-	// re-emit quarantine marks. copied keeps the copies' new places.
-	var buf []byte
-	copied := recs[:0]
-	for _, r := range recs {
-		if !r.l.mark() {
-			frame := make([]byte, r.l.size)
-			if _, err := w.files[r.l.seg].ReadAt(frame, r.l.off); err != nil {
-				return fmt.Errorf("compact read %s: %w", r.key, err)
-			}
-			if ev, _, ok := parseRecordAt(frame, 0); ok && ev.key == r.key {
-				copied = append(copied, rec{r.key, loc{seg: newSeg, off: int64(len(buf)), size: len(frame)}})
-				buf = append(buf, frame...)
-				continue
-			}
-			// Damaged since it was indexed (an injected flip): quarantine
-			// instead of copying garbage forward as a "valid" record.
-			w.quarantineLocked(r.key, "crc mismatch at compaction")
-		}
-		buf = appendFrame(buf, kindMark, r.key, []byte(w.corrupt[r.key]))
-	}
-
-	if ft := w.consult(OpSegCreate, len(buf)); ft.Kill != KillNone {
+	if ft := w.consult(OpSegCreate, 0); ft.Kill != KillNone {
 		return w.crash(OpSegCreate, 0)
 	}
-	if err := writeFileSync(w.segPath(newSeg), buf); err != nil {
-		return fmt.Errorf("write compacted segment %d: %w", newSeg, err)
+	f, err := os.OpenFile(w.segPath(newSeg), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("create compacted segment %d: %w", newSeg, err)
 	}
-	if err := w.syncDir(false); err != nil {
-		return err
+	size, copied, err := w.writeLiveLocked(f, newSeg, recs)
+	if err == nil {
+		err = fsyncFile(f)
 	}
-
-	// Commit point: the manifest now names [compacted, active].
-	m := manifest{Segments: []uint64{newSeg, activeSeg}, Next: newSeg + 1}
-	if err := w.writeManifest(m, true); err != nil {
+	if err == nil {
+		err = w.syncDir(false)
+	}
+	if err == nil {
+		// Commit point: the manifest now names [compacted, active].
+		err = w.writeManifest(manifest{Segments: []uint64{newSeg, activeSeg}, Next: newSeg + 1}, true)
+	}
+	if err != nil {
+		f.Close()
 		return err
 	}
 
 	// Swap in-memory state, then retire the old files.
 	retired := append([]uint64(nil), w.segs[:len(w.segs)-1]...)
-	f, err := os.OpenFile(w.segPath(newSeg), os.O_RDWR, 0o644)
-	if err != nil {
-		return fmt.Errorf("reopen compacted segment %d: %w", newSeg, err)
-	}
 	w.segs = []uint64{newSeg, activeSeg}
 	w.files[newSeg] = f
-	w.sizes[newSeg] = int64(len(buf))
+	w.sizes[newSeg] = size
 	w.nextSeg = newSeg + 1
 	for _, r := range copied {
 		w.index.Put(r.key, r.l)

@@ -54,16 +54,108 @@ func TestCrashAtEveryConsultPoint(t *testing.T) {
 // TestCrashAtRotationAndCompaction targets the manifest protocol windows
 // specifically: kills at segment creation, manifest write/rename, and
 // retirement, under segment sizes small enough to force both rotation and
-// compaction inside the workload.
+// compaction inside the workload — and inside a workload whose saves retire,
+// so that its compactions drop retired records.
 func TestCrashAtRotationAndCompaction(t *testing.T) {
+	dropped := 0 // retiring runs that compacted retired records away
 	for _, op := range []Op{OpSegCreate, OpManifestWrite, OpManifestRename, OpRetire, OpDirSync} {
 		for _, kill := range []Kill{KillBefore, KillAfter} {
 			for step := uint64(0); step < 6; step++ {
 				si := &scriptInjector{op: op, seq: step, fault: Fault{Kill: kill}}
 				runCrashWorkload(t, si)
+				si = &scriptInjector{op: op, seq: step, fault: Fault{Kill: kill}}
+				if runRetiringWorkload(t, si) {
+					dropped++
+				}
+				if !si.fired {
+					t.Errorf("%s kill %d at step %d never fired in the retiring workload", op, kill, step)
+				}
 			}
 		}
 	}
+	if dropped == 0 {
+		t.Error("no retiring run compacted a retired record away")
+	}
+}
+
+// runRetiringWorkload is runCrashWorkload for a two-process application
+// whose saves carry SendSeqs: processes 0 and 1 save instances of one index
+// in lockstep, so that F_1 moves on and each save retires what lies below
+// F_1 − 1, and the small segments rotate and compact the retired records
+// away. After the kill, the reopened log must hold nothing below its own
+// F_1 − 1 — nothing retired before the kill in particular — and serve every
+// acknowledged key at or above it intact: an unacknowledged save that landed
+// may have moved F_1 on. It reports whether a compaction ran after a save
+// had retired something.
+func runRetiringWorkload(t *testing.T, si *scriptInjector) bool {
+	t.Helper()
+	w, err := Open(t.TempDir(), Options{MaxSegmentBytes: 2 << 10, CompactMinDeadBytes: 1 << 10, Injector: si})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	acked, retired := map[storage.Key]bool{}, map[storage.Key]bool{}
+	latest := [2]int{-1, -1}
+	compacted := false
+save:
+	for inst := 0; inst < 60; inst++ {
+		for p := range latest {
+			s := snap(p, 1, inst)
+			s.SendSeqs = []int{inst, inst}
+			if err := w.Save(s); errors.Is(err, ErrCrashed) {
+				break save
+			} else if err != nil {
+				t.Fatalf("Save(%v) failed with non-crash error: %v", s.Key(), err)
+			}
+			acked[s.Key()], latest[p] = true, inst
+			for k := range acked {
+				if k.Instance < min(latest[0], latest[1])-1 {
+					retired[k] = true
+				}
+			}
+			compacted = compacted || (len(retired) > 0 && w.Stats().Compactions > 0)
+		}
+	}
+	dir := w.dir
+	w.Close()
+
+	w2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen after crash (fired=%v): %v", si.fired, err)
+	}
+	defer w2.Close()
+	front, held := -1, map[storage.Key]bool{}
+	for p := range latest {
+		keys, err := w2.Keys(p)
+		if err != nil || len(keys) == 0 {
+			front = -1
+			break
+		}
+		for _, k := range keys {
+			held[k] = true
+		}
+		if inst := keys[len(keys)-1].Instance; p == 0 || inst < front {
+			front = inst
+		}
+	}
+	for k := range held {
+		if k.Instance < front-1 {
+			t.Fatalf("reopened log holds %v below F_1 − 1 = %d (retired before the kill: %v)", k, front-1, retired[k])
+		}
+	}
+	for k := range acked {
+		s, err := w2.Get(k.Proc, k.CFGIndex, k.Instance)
+		switch {
+		case retired[k] || k.Instance < front-1:
+			if !errors.Is(err, storage.ErrNotFound) {
+				t.Fatalf("retired %v served after reopen: %v", k, err)
+			}
+		case err != nil:
+			t.Fatalf("ACKED save %v, at or above F_1 − 1 = %d, lost after crash+reopen: %v", k, front-1, err)
+		case s.Vars["x"] != k.Proc*1000+k.CFGIndex*10+k.Instance:
+			t.Fatalf("acked save %v recovered with wrong body: %+v", k, s)
+		}
+	}
+	return compacted
 }
 
 // runCrashWorkload drives saves and deletes into an injected store until

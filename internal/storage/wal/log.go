@@ -17,6 +17,7 @@ import (
 type commitReq struct {
 	kind  byte // kindPut or kindTomb
 	key   storage.Key
+	n     int // a put's len(SendSeqs): the application size retention needs
 	frame []byte
 	done  chan error // capacity 1: the ack never blocks the committer
 }
@@ -156,7 +157,7 @@ func (w *Store) commit(batch []*commitReq) {
 		k := s.req.key
 		switch s.req.kind {
 		case kindPut:
-			w.index.Put(k, loc{seg: seg, off: base + s.off, size: len(s.req.frame)})
+			w.index.PutRetaining(k, loc{seg: seg, off: base + s.off, size: len(s.req.frame)}, s.req.n, w.retired)
 			delete(w.corrupt, k)
 			w.saves.Add(1)
 		case kindTomb:
@@ -167,14 +168,13 @@ func (w *Store) commit(batch []*commitReq) {
 	}
 
 	if w.activeSize >= w.opts.MaxSegmentBytes {
-		if err := w.rotateLocked(); err != nil {
-			// Rotation failure poisons the store (appendLocked on a stale
-			// active could lose the ordering invariants); already-acked
-			// saves above are durable regardless.
-			w.kill(fmt.Sprintf("rotation failed: %v", err))
-		}
+		_ = w.rotateLocked(false) // a failure kills the store; acked saves above are durable
 	}
 }
+
+// retired is the index's drop for a key the retention rule retires: its
+// record is dead bytes, and a quarantine reason goes with it.
+func (w *Store) retired(k storage.Key, _ loc) { delete(w.corrupt, k) }
 
 // validateLocked enforces Save/Delete semantics before bytes are staged.
 func (w *Store) validateLocked(r *commitReq, inBatch map[storage.Key]byte) error {
@@ -344,28 +344,32 @@ func (w *Store) recoverSegment(seg uint64, last bool) error {
 		}
 	}
 
-	// Replay last-event-wins into the index and quarantine maps.
+	// Replay last-event-wins into the index and quarantine maps, retiring
+	// as each save did (its n from its body; a lost body's from its run). A
+	// compacted segment, one instant's index in key order, retires nothing:
+	// no front it passes through is above that instant's.
 	for _, ev := range events {
 		if ev.off >= size {
 			break
 		}
 		switch ev.kind {
 		case kindPut:
-			w.index.Put(ev.key, loc{seg: seg, off: ev.off, size: ev.size})
+			body := data[ev.off+frameHeader+payloadHead : ev.off+int64(ev.size)]
+			w.index.PutRetaining(ev.key, loc{seg: seg, off: ev.off, size: ev.size}, storage.SendCount(body), w.retired)
 			delete(w.corrupt, ev.key)
 			w.recovered++
 		case kindTomb:
 			w.index.Del(ev.key)
 			delete(w.corrupt, ev.key)
 			w.recovered++
-		case kindMark:
-			w.quarantineLocked(ev.key, ev.reason)
-			w.recovered++
-			w.quarOnOpen++
-		case kindCorruptRegion:
+		case kindMark, kindCorruptRegion:
 			if ev.keyOK {
-				w.quarantineLocked(ev.key, ev.reason)
+				w.corrupt[ev.key] = ev.reason
+				w.index.PutRetaining(ev.key, loc{}, -1, w.retired)
 				w.quarOnOpen++
+			}
+			if ev.kind == kindMark {
+				w.recovered++
 			}
 		}
 	}

@@ -115,8 +115,11 @@ type Store struct {
 	// quarantined key, whose reason corrupt keeps.
 	index   storage.KeyIndex[loc]
 	corrupt map[storage.Key]string
-	// readBuf is the frame buffer readLocked reuses.
-	readBuf []byte
+	// readBuf is the frame buffer readLocked reuses; recs and compactBuf
+	// are compaction's, reused from one to the next.
+	readBuf    []byte
+	recs       []rec
+	compactBuf []byte
 	// Scratch of commit, reset per batch under mu; batch is the committer
 	// goroutine's own.
 	batch    []*commitReq
@@ -195,7 +198,7 @@ func (w *Store) Save(s storage.Snapshot) error {
 	// The body is encoded straight into the request's frame; s is not
 	// referenced past this line.
 	req := reqPool.Get().(*commitReq)
-	req.kind, req.key = kindPut, s.Key()
+	req.kind, req.key, req.n = kindPut, s.Key(), len(s.SendSeqs)
 	req.frame = finishFrame(storage.AppendSnapshot(beginFrame(req.frame[:0], kindPut, req.key), s), 0)
 	return w.submit(req)
 }
@@ -206,7 +209,7 @@ func (w *Store) Delete(proc, cfgIndex, instance int) error {
 		return err
 	}
 	req := reqPool.Get().(*commitReq)
-	req.kind, req.key = kindTomb, storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: instance}
+	req.kind, req.key, req.n = kindTomb, storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: instance}, 0
 	req.frame = appendFrame(req.frame[:0], kindTomb, req.key, nil)
 	return w.submit(req)
 }
@@ -345,14 +348,19 @@ func (w *Store) Scrub() (storage.ScrubReport, error) {
 	return rep, nil
 }
 
-// Compact rewrites the sealed segments down to live records.
+// Compact seals the active segment and rewrites the log down to live
+// records. Sealing first makes the compacted segment the whole index at one
+// instant, which is what lets replay retire exactly what the store did.
 func (w *Store) Compact() error {
 	if err := w.checkAlive(); err != nil {
 		return err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.compactLocked(true)
+	if w.activeSize == 0 {
+		return w.compactLocked(true)
+	}
+	return w.rotateLocked(true)
 }
 
 // Close stops the committer and releases file handles. A killed store

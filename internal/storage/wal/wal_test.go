@@ -388,6 +388,120 @@ func TestRotationAndCompaction(t *testing.T) {
 	}
 }
 
+// Compact seals the active segment before it compacts. Here process 0's
+// sealed checkpoint 3 holds F_1 of a 2-process application at 3, so the
+// out-of-order save of process 1's checkpoint 1 into the active segment
+// retires at once; then the sealed checkpoint is deleted. Compacting the
+// sealed segments alone would drop that checkpoint's record, and replay of
+// the active segment would find no F_1 and keep checkpoint 1: the reopened
+// log would hold a key the store had retired.
+func TestCompactSealsTheActiveSegment(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, Options{MaxSegmentBytes: 1, NoAutoCompact: true})
+	save := func(p, inst int) {
+		t.Helper()
+		s := snap(p, 1, inst)
+		s.SendSeqs = []int{0, 0}
+		if err := w.Save(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save(0, 3)
+	save(1, 5) // each commit rotates: both records are sealed
+	w.mu.Lock()
+	w.opts.MaxSegmentBytes = 1 << 20
+	w.mu.Unlock()
+	save(1, 1)
+	if _, err := w.Get(1, 1, 1); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("checkpoint 1, below F_1 − 1 = 2, was not retired: %v", err)
+	}
+	if err := w.Delete(0, 1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	w = mustOpen(t, dir, Options{})
+	for p, want := range [][]storage.Key{nil, {key(1, 1, 5)}} {
+		if got, err := w.Keys(p); err != nil || len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Errorf("reopened, process %d holds %v, %v; want %v", p, got, err, want)
+		}
+	}
+}
+
+// A record replay finds damaged still retires what its save did, by its
+// run's last n. Two processes save instances 0–2 of one index in lockstep:
+// process 1's instance 2 moved F_1 to 2 and retired both instance 0s. With
+// that record's body rotted on disk, the reopened log holds the same keys,
+// the rotted one quarantined.
+func TestReplayRetiresAtADamagedRecord(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, Options{})
+	for inst := 0; inst < 3; inst++ {
+		for p := 0; p < 2; p++ {
+			s := snap(p, 1, inst)
+			s.SendSeqs = []int{0, 0}
+			if err := w.Save(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var before [2][]storage.Key
+	for p := range before {
+		before[p], _ = w.Keys(p)
+	}
+	w.mu.Lock()
+	l, _ := w.index.Get(key(1, 1, 2))
+	_, err := w.files[l.seg].WriteAt([]byte{0xFF}, l.off+frameHeader+payloadHead+2)
+	w.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	w = mustOpen(t, dir, Options{})
+	for p, want := range before {
+		if got, err := w.Keys(p); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("process %d: reopened with %v, %v; held %v", p, got, err, want)
+		}
+	}
+	if _, err := w.Get(1, 1, 2); !errors.Is(err, storage.ErrCorrupt) {
+		t.Errorf("rotted record read back as %v, want ErrCorrupt", err)
+	}
+}
+
+// Compaction writes the compacted segment a chunk at a time: records past
+// the first chunk read back from where it put them, before and after a
+// reopen.
+func TestCompactionAcrossChunks(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, Options{NoAutoCompact: true})
+	pad := strings.Repeat("p", 2<<10)
+	var keys []storage.Key
+	for i := 0; len(keys)*len(pad) < 3*compactChunk; i++ {
+		s := snap(0, i, 0)
+		s.PC = pad
+		if err := w.Save(s); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, s.Key())
+	}
+	if err := w.Compact(); err != nil || w.Stats().Compactions != 1 {
+		t.Fatalf("Compact: %v, %d compactions", err, w.Stats().Compactions)
+	}
+	check := func(w *Store, when string) {
+		t.Helper()
+		for _, k := range keys {
+			if s, err := w.Get(k.Proc, k.CFGIndex, k.Instance); err != nil || s.PC != pad || s.Vars["x"] != k.CFGIndex*10 {
+				t.Fatalf("%s: Get(%v) = %v", when, k, err)
+			}
+		}
+	}
+	check(w, "compacted")
+	w.Close()
+	check(mustOpen(t, dir, Options{}), "reopened")
+}
+
 // TestOrphanSegmentsDeleted: segment files the manifest does not name
 // (an interrupted compaction's output) are removed on open.
 func TestOrphanSegmentsDeleted(t *testing.T) {

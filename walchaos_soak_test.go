@@ -13,6 +13,13 @@ package repro_test
 //	NEVER missing and NEVER served with wrong contents. Acknowledged
 //	deletes stay deleted. Torn tails are never served.
 //
+// A retiring lane saves snapshots carrying SendSeqs, so the log retires
+// below the newest two complete straight cuts under the same kills and
+// flips. There the ledger rule is: an acknowledged key the log retains is
+// served or honestly ErrCorrupt, a key retired before a crash is never
+// served after the reopen, and the reopened log holds nothing its own rule
+// retires.
+//
 // Across >= 24 seeds (SOAK_SEEDS overrides; -short trims) with -race via
 // `make walchaos`. One seed replays one fault schedule exactly: the
 // injector is hash-deterministic and the store serializes consults.
@@ -20,6 +27,7 @@ package repro_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -55,14 +63,43 @@ func walSnap(k walKey, val int) storage.Snapshot {
 	return s
 }
 
+// The retiring lane: writer b saves, in lockstep, two CFG indexes in turn
+// on the laneN processes [laneBase+b·laneN, laneBase+b·laneN+laneN), each
+// snapshot carrying laneN SendSeqs. A key's value is a function of the key,
+// so a save that landed unacknowledged reads back as a later save expects.
+const laneBase, laneN, laneWriters, laneSteps = 8, 4, 2, 20
+
+func laneVal(k walKey) int { return 1_000_000 + k.proc*100_000 + k.index*10_000 + k.instance }
+
+// laneFront returns F of lane block first's index from latest, the highest
+// instance each process holds there, once all laneN hold one.
+func laneFront(latest func(p int) (int, bool), first int) (int, bool) {
+	f := 0
+	for p := first; p < first+laneN; p++ {
+		inst, ok := latest(p)
+		if !ok {
+			return 0, false
+		}
+		if p == first || inst < f {
+			f = inst
+		}
+	}
+	return f, true
+}
+
 // walLedger tracks, under lock, what the workload was told: which saves
 // and deletes were acknowledged, and which deletes were attempted (their
 // tombstone may have hit disk even though the ack died with the crash).
+// For the retiring lane it also keeps each (proc, index)'s acknowledged
+// instances still held, the next instance to save, and the keys retired.
 type walLedger struct {
 	mu           sync.Mutex
 	acked        map[walKey]int // key -> expected Vars["v"]
 	deleted      map[walKey]bool
 	delAttempted map[walKey]bool
+	held         map[[2]int][]int // lane (proc, index) -> acked instances held, ascending
+	next         map[[2]int]int
+	retired      map[walKey]bool
 }
 
 func newWALLedger() *walLedger {
@@ -70,6 +107,49 @@ func newWALLedger() *walLedger {
 		acked:        map[walKey]int{},
 		deleted:      map[walKey]bool{},
 		delAttempted: map[walKey]bool{},
+		held:         map[[2]int][]int{},
+		next:         map[[2]int]int{},
+		retired:      map[walKey]bool{},
+	}
+}
+
+// hold records lane key k acknowledged, then retires, as the log did when it
+// committed k, every acknowledged instance of k's block and index below
+// F − 1. Only acknowledged keys count, so F is never above the log's.
+func (l *walLedger) hold(k walKey) {
+	l.acked[k] = laneVal(k)
+	pi := [2]int{k.proc, k.index}
+	l.next[pi] = max(l.next[pi], k.instance+1)
+	if i, found := slices.BinarySearch(l.held[pi], k.instance); !found {
+		l.held[pi] = slices.Insert(l.held[pi], i, k.instance)
+	}
+	first := k.proc / laneN * laneN
+	f, ok := laneFront(func(p int) (int, bool) {
+		insts := l.held[[2]int{p, k.index}]
+		if len(insts) == 0 {
+			return 0, false
+		}
+		return insts[len(insts)-1], true
+	}, first)
+	if !ok {
+		return
+	}
+	for p := first; p < first+laneN; p++ {
+		insts := l.held[[2]int{p, k.index}]
+		for len(insts) > 0 && insts[0] < f-1 {
+			rk := walKey{p, k.index, insts[0]}
+			delete(l.acked, rk)
+			l.retired[rk], insts = true, insts[1:]
+		}
+		l.held[[2]int{p, k.index}] = insts
+	}
+}
+
+// unhold forgets lane key k: deleted, or retired by the reopened log.
+func (l *walLedger) unhold(k walKey) {
+	pi := [2]int{k.proc, k.index}
+	if i, found := slices.BinarySearch(l.held[pi], k.instance); found {
+		l.held[pi] = slices.Delete(l.held[pi], i, i+1)
 	}
 }
 
@@ -79,6 +159,48 @@ func (l *walLedger) verify(t *testing.T, w *wal.Store, seed int64, round int) []
 	t.Helper()
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// The reopened log's own front of each lane block and index, from the
+	// keys it holds, quarantined ones included.
+	fronts := map[[2]int]int{}
+	var keys [laneN * laneWriters][]storage.Key
+	for i := range keys {
+		var err error
+		if keys[i], err = w.Keys(laneBase + i); err != nil {
+			t.Fatalf("seed %d round %d: Keys(%d): %v", seed, round, laneBase+i, err)
+		}
+	}
+	for first := laneBase; first < laneBase+len(keys); first += laneN {
+		for idx := 1; idx <= 2; idx++ {
+			f, ok := laneFront(func(p int) (int, bool) {
+				inst, ok := -1, false
+				for _, k := range keys[p-laneBase] {
+					if k.CFGIndex == idx {
+						inst, ok = k.Instance, true
+					}
+				}
+				return inst, ok
+			}, first)
+			if ok {
+				fronts[[2]int{first, idx}] = f
+			}
+		}
+	}
+	below := func(k walKey) bool {
+		f, ok := fronts[[2]int{k.proc / laneN * laneN, k.index}]
+		return ok && k.instance < f-1
+	}
+	for _, ks := range keys {
+		for _, k := range ks {
+			if below(walKey{k.Proc, k.CFGIndex, k.Instance}) {
+				t.Fatalf("seed %d round %d: the reopened log holds %v below its F − 1", seed, round, k)
+			}
+		}
+	}
+	for k := range l.retired {
+		if _, err := w.Get(k.proc, k.index, k.instance); !errors.Is(err, storage.ErrNotFound) {
+			t.Fatalf("seed %d round %d: %v, retired before the crash, after reopen: %v", seed, round, k, err)
+		}
+	}
 	var corrupt []walKey
 	for k, want := range l.acked {
 		s, err := w.Get(k.proc, k.index, k.instance)
@@ -103,6 +225,12 @@ func (l *walLedger) verify(t *testing.T, w *wal.Store, seed int64, round int) []
 			// An unacked delete's tombstone beat the crash to disk.
 			delete(l.acked, k)
 			l.deleted[k] = true
+			l.unhold(k)
+		case errors.Is(err, storage.ErrNotFound) && below(k):
+			// Retired by a save that landed unacknowledged and moved F on.
+			delete(l.acked, k)
+			l.retired[k] = true
+			l.unhold(k)
 		default:
 			t.Fatalf("seed %d round %d: acked save %v LOST after crash+reopen: %v", seed, round, k, err)
 		}
@@ -146,6 +274,7 @@ func TestWALChaosSoak(t *testing.T) {
 		aggFlips   int64
 		aggReopens int64
 		aggAcked   int64
+		aggRetired int64
 		killedAt   [wal.OpRetire + 1][wal.KillAfter + 1]int // effective crash points
 	)
 	for seed := int64(0); seed < int64(seeds); seed++ {
@@ -208,6 +337,7 @@ func TestWALChaosSoak(t *testing.T) {
 						for _, k := range corrupt {
 							delete(ledger.acked, k)
 							ledger.deleted[k] = true
+							ledger.unhold(k)
 						}
 						ledger.mu.Unlock()
 					} else if !errors.Is(err, wal.ErrCrashed) {
@@ -272,6 +402,35 @@ func TestWALChaosSoak(t *testing.T) {
 						}
 					}(wr)
 				}
+				for b := 0; b < laneWriters; b++ {
+					wg.Add(1)
+					go func(first int) {
+						defer wg.Done()
+						for step := 0; step < laneSteps; step++ {
+							idx := 1 + step%2
+							for p := first; p < first+laneN; p++ {
+								ledger.mu.Lock()
+								k := walKey{p, idx, ledger.next[[2]int{p, idx}]}
+								ledger.mu.Unlock()
+								s := walSnap(k, laneVal(k))
+								s.SendSeqs = make([]int, laneN)
+								// A duplicate landed before a crash: the log
+								// holds the same bytes.
+								switch err := w.Save(s); {
+								case err == nil || errors.Is(err, storage.ErrDuplicate):
+									ledger.mu.Lock()
+									ledger.hold(k)
+									ledger.mu.Unlock()
+								case errors.Is(err, wal.ErrCrashed):
+									return
+								default:
+									t.Errorf("seed %d round %d: lane Save(%v) failed oddly: %v", seed, round, k, err)
+									return
+								}
+							}
+						}
+					}(laneBase + b*laneN)
+				}
 				wg.Wait()
 				st := inj.Stats()
 				kills += st.Kills
@@ -294,20 +453,21 @@ func TestWALChaosSoak(t *testing.T) {
 			ledger.verify(t, w, seed, rounds)
 			// Recovery must also never SERVE damage through bulk reads:
 			// List either succeeds with verified records or fails ErrCorrupt.
-			for p := 0; p < 8; p++ {
+			for p := 0; p < laneBase+laneWriters*laneN; p++ {
 				if _, err := w.List(p); err != nil && !errors.Is(err, storage.ErrCorrupt) {
 					t.Fatalf("seed %d: List(%d) after recovery: %v", seed, p, err)
 				}
 			}
 
 			ledger.mu.Lock()
-			ackedCount := int64(len(ledger.acked))
+			ackedCount, retiredCount := int64(len(ledger.acked)), int64(len(ledger.retired))
 			ledger.mu.Unlock()
 			aggMu.Lock()
 			aggKills += kills
 			aggFlips += flips
 			aggReopens += reopens
 			aggAcked += ackedCount
+			aggRetired += retiredCount
 			aggMu.Unlock()
 		})
 	}
@@ -316,8 +476,8 @@ func TestWALChaosSoak(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-		t.Logf("walchaos soak: acked=%d kills=%d flips=%d reopens=%d across %d seeds; crash points by op [none before after]: %v",
-			aggAcked, aggKills, aggFlips, aggReopens, seeds, killedAt)
+		t.Logf("walchaos soak: acked=%d retired=%d kills=%d flips=%d reopens=%d across %d seeds; crash points by op [none before after]: %v",
+			aggAcked, aggRetired, aggKills, aggFlips, aggReopens, seeds, killedAt)
 		if fleetAssertions(t, seeds, defSeeds) && !testing.Short() {
 			// The matrix is vacuous if the machinery never fired.
 			if aggKills == 0 {
@@ -331,6 +491,9 @@ func TestWALChaosSoak(t *testing.T) {
 			}
 			if aggAcked < 1000 {
 				t.Errorf("only %d live acked checkpoints verified, want >= 1000", aggAcked)
+			}
+			if aggRetired == 0 {
+				t.Error("the retiring lane never retired an acked checkpoint")
 			}
 			for op, at := range killedAt {
 				if at[wal.KillBefore] == 0 || at[wal.KillAfter] == 0 {
