@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test -fuzz FuzzWALRecover -fuzztime $(FUZZTIME) ./internal/storage/wal
 	$(GO) test -fuzz FuzzSnapshotCodec -fuzztime $(FUZZTIME) ./internal/storage
 	$(GO) test -fuzz FuzzKeyIndexRetention -fuzztime $(FUZZTIME) ./internal/storage
+	$(GO) test -fuzz FuzzIncrementalAgainstReference -fuzztime $(FUZZTIME) ./internal/storage
 	$(GO) test -fuzz FuzzLogRecord -fuzztime $(FUZZTIME) ./internal/sim
 
 # telemetry runs the live-telemetry smoke: chkptsim serving /metrics on an

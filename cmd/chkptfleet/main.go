@@ -26,7 +26,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -83,11 +82,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) (code i
 		return 2
 	}
 	tenants, err := parseTenants(*tenantsStr)
-	if err == nil && shared.Store == "incremental" {
-		// Delta chains only delete newest-first, and under a job Namespace
-		// the chaos scrub can only order a chain by instance, not by age.
-		err = errors.New("-store incremental is not supported by the fleet (use mem or wal:DIR)")
-	}
 	if err != nil {
 		fmt.Fprintln(stderr, "chkptfleet:", err)
 		return 2

@@ -173,12 +173,14 @@ func usageBlocks(s string) map[string]string {
 	return out
 }
 
-// The fleet has no incremental store kind, and a bare path — the deleted
-// file store's spelling — opens nothing: the durable store is wal:DIR.
+// The fleet runs on the incremental store like any other, under chaos; a
+// malformed wal: spec and a bare path — the deleted file store's spelling —
+// open nothing: the durable store is wal:DIR.
 func TestIncrementalStoreRejected(t *testing.T) {
-	code, _, stderr := runFleet(t, "-jobs", "2", "-store", "incremental")
-	if code != 2 || !strings.Contains(stderr, "-store incremental is not supported") {
-		t.Fatalf("exit = %d stderr=%q, want usage error 2", code, stderr)
+	code, out, stderr := runFleet(t, "-jobs", "40", "-seed", "3", "-store", "incremental",
+		"-storage-fault-rate", "0.08", "-crash-rate", "1")
+	if code != 0 || !strings.Contains(out, "conserved          true") {
+		t.Fatalf("exit = %d, want 0 and a conserved report\nstdout:\n%s\nstderr:\n%s", code, out, stderr)
 	}
 	if code, _, stderr := runFleet(t, "-jobs", "2", "-store", "wal:"); code != 2 {
 		t.Fatalf("malformed wal: spec exit = %d stderr=%q, want 2", code, stderr)

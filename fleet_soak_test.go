@@ -202,6 +202,19 @@ func TestFleetSoak(t *testing.T) {
 		t.Logf("wal under fleet: %d saves in %d group commits", st.Saves, st.Batches)
 	})
 
+	// Incremental-store scenario: the same chaos profile over the delta
+	// store, whose interior deletes leave dead bases the chains replay
+	// through. Breaker sheds may classify jobs infra_failed, as on any
+	// shared store; the books must balance and some job must succeed.
+	t.Run("incstore", func(t *testing.T) {
+		cfg := chaosCfg(4243)
+		cfg.Store = storage.NewIncremental(0)
+		rep := runScenario(t, cfg)
+		if rep.Buckets[fleet.BucketSucceeded] == 0 {
+			t.Fatalf("no job succeeded against the incremental store:\n%s", rep)
+		}
+	})
+
 	// Overload scenario: back-to-back arrivals into a tiny fleet must be
 	// REJECTED, not queued — and rejection is loss-accounted, not silent.
 	t.Run("overload", func(t *testing.T) {

@@ -136,8 +136,8 @@ func TestScrubClearsMarksAndAllowsResave(t *testing.T) {
 func TestScrubSurvivesNamespacedProcNumbers(t *testing.T) {
 	// Under a fleet Namespace the chaos store sees GLOBAL proc numbers
 	// (e.g. job 16 of a 2-proc job saves proc 32) while each snapshot's
-	// vector clock stays job-local (length 2). Scrub's newest-first
-	// ordering must not index the clock with the global number.
+	// vector clock stays job-local (length 2). Scrub must not index the
+	// clock with the global number.
 	c := New(storage.NewMemory(), 11, Rates{}, nil)
 	for inst := 0; inst < 3; inst++ {
 		if err := c.Save(snap(32, 1, inst)); err != nil {
@@ -158,9 +158,9 @@ func TestScrubSurvivesNamespacedProcNumbers(t *testing.T) {
 }
 
 func TestScrubTruncatesNewestFirstOverDeltaChain(t *testing.T) {
-	// The inner store only allows tail deletion (Incremental): quarantining
-	// an old marked key must remove the newer clean keys above it as
-	// collateral instead of failing.
+	// Quarantining an old marked key of a delta chain (Incremental) takes
+	// that key alone: the newer instances above it still read, and the
+	// marked one can be saved again.
 	inner := storage.NewIncremental(8)
 	c := New(inner, 5, Rates{}, nil)
 	for k := 0; k < 4; k++ {
@@ -174,22 +174,19 @@ func TestScrubTruncatesNewestFirstOverDeltaChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Quarantined) != 1 || rep.Collateral != 2 {
-		t.Fatalf("scrub = %+v, want 1 quarantined + 2 collateral", rep)
+	if len(rep.Quarantined) != 1 || rep.Quarantined[0].Instance != 1 || rep.Collateral != 0 {
+		t.Fatalf("scrub = %+v, want instance 1 quarantined and nothing else", rep)
 	}
-	if _, err := c.Get(0, 1, 0); err != nil {
-		t.Fatalf("instance below the mark must survive: %v", err)
+	if _, err := c.Get(0, 1, 1); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("marked instance after scrub = %v, want ErrNotFound", err)
 	}
-	for k := 1; k < 4; k++ {
-		if _, err := c.Get(0, 1, k); !errors.Is(err, storage.ErrNotFound) {
-			t.Fatalf("instance %d after scrub = %v, want ErrNotFound", k, err)
+	for _, k := range []int{0, 2, 3} {
+		if _, err := c.Get(0, 1, k); err != nil {
+			t.Fatalf("unmarked instance %d after scrub: %v", k, err)
 		}
 	}
-	// Replay regenerates the truncated tail.
-	for k := 1; k < 4; k++ {
-		if err := c.Save(snap(0, 1, k)); err != nil {
-			t.Fatalf("re-save instance %d: %v", k, err)
-		}
+	if err := c.Save(snap(0, 1, 1)); err != nil {
+		t.Fatalf("re-save instance 1: %v", err)
 	}
 }
 

@@ -11,8 +11,8 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -313,10 +313,9 @@ func (c *Store) Delete(proc, cfgIndex, instance int) error {
 }
 
 // Scrub implements storage.Scrubber: the inner store scrubs what is really
-// damaged, and then every marked key is removed from it so replay can
-// regenerate it. Removal runs newest-first per process
-// (storage.SortNewestFirst) down to the oldest marked key; still-healthy
-// snapshots removed on the way down are counted as collateral.
+// damaged, and then every marked key is deleted from it, so that replay can
+// regenerate it, and unmarked. A mark whose key the store no longer holds
+// (deleted out of band, or retired) is cleared the same way.
 func (c *Store) Scrub() (storage.ScrubReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -324,51 +323,17 @@ func (c *Store) Scrub() (storage.ScrubReport, error) {
 	if err != nil {
 		return rep, err
 	}
-	marked := make(map[int]bool) // procs with a mark
+	keys := make([]storage.Key, 0, len(c.corrupt))
 	for k := range c.corrupt {
-		marked[k.Proc] = true
+		keys = append(keys, k)
 	}
-	procs := make([]int, 0, len(marked))
-	for p := range marked {
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	for _, p := range procs {
-		snaps, err := c.inner.List(p)
-		if err != nil {
+	storage.SortKeys(keys)
+	for _, k := range keys {
+		if err := c.inner.Delete(k.Proc, k.CFGIndex, k.Instance); err != nil && !errors.Is(err, storage.ErrNotFound) {
 			return rep, err
 		}
-		pending := 0 // marked keys the inner store still holds
-		for _, s := range snaps {
-			if _, ok := c.corrupt[s.Key()]; ok {
-				pending++
-			}
-		}
-		storage.SortNewestFirst(p, snaps)
-		for _, s := range snaps {
-			if pending == 0 {
-				break
-			}
-			k := s.Key()
-			if err := c.inner.Delete(p, s.CFGIndex, s.Instance); err != nil {
-				return rep, err
-			}
-			if reason, marked := c.corrupt[k]; marked {
-				rep.Quarantined = append(rep.Quarantined, storage.SnapshotRef{Key: k, Reason: reason})
-				delete(c.corrupt, k)
-				pending--
-			} else {
-				rep.Collateral++
-			}
-		}
-		// Marks with no backing snapshot (deleted out of band, or retired by
-		// the store): clear them so they stop failing reads.
-		for k, reason := range c.corrupt {
-			if k.Proc == p {
-				rep.Quarantined = append(rep.Quarantined, storage.SnapshotRef{Key: k, Reason: reason})
-				delete(c.corrupt, k)
-			}
-		}
+		rep.Quarantined = append(rep.Quarantined, storage.SnapshotRef{Key: k, Reason: c.corrupt[k]})
+		delete(c.corrupt, k)
 	}
 	return rep, nil
 }

@@ -78,7 +78,7 @@ type Flags struct {
 
 // Register declares the shared flags on fs.
 func (f *Flags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&f.Store, "store", "mem", "stable storage: mem, incremental (chkptsim only), or wal:DIR (the durable group-commit log rooted at DIR)")
+	fs.StringVar(&f.Store, "store", "mem", "stable storage: mem, incremental, or wal:DIR (the durable group-commit log rooted at DIR)")
 	fs.BoolVar(&f.NoPrune, "no-prune", false, "persist full variable environments instead of liveness-minimized checkpoint manifests")
 	fs.Int64Var(&f.Seed, "seed", 1, "seed for every injected fault, and for chkptfleet's arrivals, tenants and business verdicts (same seed, same run)")
 	Bounded(fs, &f.StorageFaultRate, "storage-fault-rate", 0, 1, "storage fault rate in [0,1]: transient errors, torn writes, bit flips, latency")

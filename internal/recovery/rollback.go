@@ -29,7 +29,7 @@ type Rolled struct {
 //     ErrNoRecoveryLine is not an error here: it selects the initial state.
 //  2. scrub, so damaged keys stop colliding with what replay regenerates;
 //  3. discard every checkpoint taken after the line — every checkpoint when
-//     there is no line — by key, newest first per process.
+//     there is no line — by key.
 //
 // "After the line" is read off the line itself: the member at of process p
 // carries p's per-index instance counters including its own checkpoint
@@ -79,9 +79,8 @@ func Rollback(st storage.Store, n int, choose func(storage.Store, int) (*Line, e
 		if err != nil {
 			return nil, err
 		}
-		// Keys come in save order from a store that minds (KeyLister).
-		for i := len(keys) - 1; i >= 0; i-- {
-			if k := keys[i]; k.Instance >= kept[k.CFGIndex] {
+		for _, k := range keys {
+			if k.Instance >= kept[k.CFGIndex] {
 				if err := st.Delete(p, k.CFGIndex, k.Instance); err != nil {
 					return nil, err
 				}

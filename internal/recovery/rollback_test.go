@@ -16,9 +16,7 @@ import (
 	"repro/internal/storage/wal"
 )
 
-// rollbackStores opens one store of every kind. The incremental store
-// refuses an interior delete with an error, so a Rollback that succeeds
-// over it deleted tail-first.
+// rollbackStores opens one store of every kind.
 func rollbackStores(t *testing.T) map[string]storage.Store {
 	t.Helper()
 	ws, err := wal.Open(t.TempDir(), wal.Options{})
@@ -178,6 +176,54 @@ func TestRollback(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// Rollback scrubs after it has chosen the line, so the scrub must take what
+// is damaged and nothing else: a mark on an old checkpoint of one process
+// leaves the newer line loadable on every store kind.
+func TestRollbackKeepsTheChosenLine(t *testing.T) {
+	for kind, inner := range rollbackStores(t) {
+		t.Run(kind, func(t *testing.T) {
+			// As in TestRollback, the damaged checkpoint goes through the
+			// chaos wrapper, which flips every save it sees.
+			st := chaos.New(inner, 1, chaos.Rates{BitFlip: 1}, nil)
+			marked := storage.Key{Proc: 0, CFGIndex: 1, Instance: 1}
+			for p := 0; p < 2; p++ {
+				for inst := 0; inst < 4; inst++ {
+					s := storage.Snapshot{
+						Proc: p, CFGIndex: 1, Instance: inst, Clock: make([]uint64, 2),
+						Vars: map[string]int{"x": inst}, Instances: map[int]int{1: inst + 1},
+					}
+					s.Clock[p] = uint64(inst + 1)
+					into := inner
+					if s.Key() == marked {
+						into = st
+					}
+					if err := into.Save(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			rb, err := recovery.Rollback(st, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rb.Line == nil {
+				t.Fatal("no line")
+			}
+			for _, m := range rb.Line.Snapshots {
+				if m.Instance != 3 {
+					t.Errorf("line member %s, want instance 3", m.Key())
+				}
+				if _, err := st.Get(m.Proc, m.CFGIndex, m.Instance); err != nil {
+					t.Errorf("line member %s after the rollback: %v", m.Key(), err)
+				}
+			}
+			if q := rb.Scrub.Quarantined; len(q) != 1 || q[0].Key != marked || rb.Scrub.Collateral != 0 {
+				t.Errorf("scrub %+v, want %s quarantined and no collateral", rb.Scrub, marked)
+			}
+		})
 	}
 }
 

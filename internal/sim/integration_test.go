@@ -56,7 +56,7 @@ func TestDurableStoreRecovery(t *testing.T) {
 
 // TestIncrementalStoreRecovery runs crash/recover against the delta-
 // encoded incremental store: reconstruction chains must survive rollback
-// pruning (newest-first unwinding) and replay.
+// pruning (dead bases included) and replay.
 func TestIncrementalStoreRecovery(t *testing.T) {
 	p := corpus.JacobiFig1(5)
 	clean := runOK(t, p, 4)

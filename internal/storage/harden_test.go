@@ -109,7 +109,7 @@ func TestIncrementalScrubTruncatesDamagedChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Instances 1..3 reconstruct through the rotted delta: all quarantined
-	// (the chain is truncated at the first damaged record).
+	// (and, the chain's tail, trimmed).
 	if len(rep.Quarantined) != 3 {
 		t.Fatalf("quarantined %d, want 3 (%+v)", len(rep.Quarantined), rep)
 	}

@@ -27,8 +27,10 @@ import (
 // save time. Reconstruction re-verifies it, so damage anywhere in a delta
 // chain — in particular a corrupt base record — surfaces as ErrCorrupt on
 // every read that depends on it, never as a silently bogus reconstruction.
-// Scrub quarantines damaged chains by truncation (an interior record of a
-// delta chain cannot be excised without breaking its dependents).
+//
+// Any key can be deleted. A deleted record that is not the chain's tail
+// stays behind as a dead base: no longer a key, but later deltas still replay
+// through it. Dead records go once nothing live is above them (trim).
 type Incremental struct {
 	mu sync.Mutex
 	// FullEvery is the full-snapshot period (default 8 when 0).
@@ -69,6 +71,8 @@ type nameVal struct {
 type record struct {
 	key   Key
 	delta bool
+	// dead marks a deleted or quarantined record kept as a dead base.
+	dead bool
 	// nilVars marks a full record whose snapshot had a nil variable map, so
 	// that a read gives nil back (a delta always reconstructs a map).
 	nilVars bool
@@ -105,14 +109,6 @@ func NewIncremental(fullEvery int) *Incremental {
 // emptyVars stands in for a nil variable map in a record's checksum; never
 // written.
 var emptyVars = map[string]int{}
-
-// chainLocked returns proc's records, nil when it has saved none.
-func (inc *Incremental) chainLocked(proc int) []record {
-	if p := inc.procs[proc]; p != nil {
-		return p.chain
-	}
-	return nil
-}
 
 // Save implements Store.
 func (inc *Incremental) Save(s Snapshot) error {
@@ -274,11 +270,17 @@ func (inc *Incremental) List(proc int) ([]Snapshot, error) {
 	defer inc.mu.Unlock()
 	// One forward pass: the scratch map is the state at pos, advanced from
 	// record to record, and every position is verified as Get would.
-	chain := inc.chainLocked(proc)
+	var chain []record
+	if p := inc.procs[proc]; p != nil {
+		chain = p.chain
+	}
 	out := make([]Snapshot, 0, len(chain))
 	for pos := range chain {
 		r := &chain[pos]
 		inc.applyLocked(r)
+		if r.dead {
+			continue
+		}
 		s, err := inc.snapshotLocked(r)
 		if err != nil {
 			return nil, err
@@ -296,22 +298,15 @@ func (inc *Incremental) Indexes(n int) ([]int, error) {
 	return inc.byKey.Indexes(n), nil
 }
 
-// Keys implements KeyLister, in save order: a record names its checkpoint
-// even when its chain no longer verifies.
+// Keys implements KeyLister: a record names its checkpoint even when its
+// chain no longer verifies.
 func (inc *Incremental) Keys(proc int) ([]Key, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	chain := inc.chainLocked(proc)
-	keys := make([]Key, len(chain))
-	for i := range keys {
-		keys[i] = chain[i].key
-	}
-	return keys, nil
+	return inc.byKey.Keys(proc), nil
 }
 
-// Delete implements Store. Only the TAIL of a process's chain can be
-// deleted (rollback pruning deletes newest-first), because removing an
-// interior delta would corrupt later reconstructions.
+// Delete implements Store.
 func (inc *Incremental) Delete(proc, cfgIndex, instance int) error {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
@@ -320,19 +315,21 @@ func (inc *Incremental) Delete(proc, cfgIndex, instance int) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
-	p := inc.procs[proc]
-	if pos != len(p.chain)-1 {
-		return fmt.Errorf("storage: incremental delete must be newest-first: record %d of %d", pos, len(p.chain))
-	}
-	p.truncate(pos)
 	inc.byKey.Del(k)
+	p := inc.procs[proc]
+	p.chain[pos].dead = true
+	p.trim()
 	return nil
 }
 
-// truncate drops the records from position pos up, zeroing them: a record
-// left in the backing array would pin its frame's and its pairs' chunks
-// until a later save happened to overwrite the slot.
-func (p *incProc) truncate(pos int) {
+// trim drops the dead records from the tail of the chain, zeroing them: a
+// record left in the backing array would pin its frame's and its pairs'
+// chunks until a later save happened to overwrite the slot.
+func (p *incProc) trim() {
+	pos := len(p.chain)
+	for pos > 0 && p.chain[pos-1].dead {
+		pos--
+	}
 	clear(p.chain[pos:])
 	p.chain = p.chain[:pos]
 }
@@ -370,38 +367,27 @@ func (inc *Incremental) Tamper(proc, cfgIndex, instance int, mutate func(vars ma
 	return nil
 }
 
-// Scrub implements Scrubber. A damaged record cannot be excised from the
-// middle of a delta chain (its dependents would reconstruct garbage), so
-// quarantine truncates each process's chain at the first record whose
-// reconstruction fails verification; healthy records above it are counted
-// as collateral.
+// Scrub implements Scrubber: every live record whose reconstruction fails
+// verification is quarantined, and stays behind as a dead base.
 func (inc *Incremental) Scrub() (ScrubReport, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	var rep ScrubReport
 	for _, p := range inc.procs {
 		// One forward pass verifies every position, as List does.
-		cut := -1
 		for pos := range p.chain {
 			r := &p.chain[pos]
 			inc.applyLocked(r)
-			err := inc.verifyLocked(r)
-			if err != nil && cut < 0 {
-				cut = pos
-			}
-			if cut < 0 {
+			if r.dead {
 				continue
 			}
-			inc.byKey.Del(r.key)
-			if err != nil {
+			if err := inc.verifyLocked(r); err != nil {
+				inc.byKey.Del(r.key)
+				r.dead = true
 				rep.Quarantined = append(rep.Quarantined, SnapshotRef{r.key, err.Error()})
-			} else {
-				rep.Collateral++
 			}
 		}
-		if cut >= 0 {
-			p.truncate(cut)
-		}
+		p.trim()
 	}
 	return rep, nil
 }

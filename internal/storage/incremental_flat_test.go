@@ -40,6 +40,14 @@ var diffSites = map[int][]string{
 	2: {"b", "c", "d", "iter", "never_set"},
 }
 
+// chainLocked returns proc's records, nil when it has saved none.
+func (inc *Incremental) chainLocked(proc int) []record {
+	if p := inc.procs[proc]; p != nil {
+		return p.chain
+	}
+	return nil
+}
+
 func (d *diffRun) fail(format string, args ...any) {
 	d.t.Helper()
 	d.t.Fatalf("%s\nafter:\n  %s", fmt.Sprintf(format, args...), strings.Join(d.log, "\n  "))
@@ -165,10 +173,13 @@ func (d *diffRun) someKey(proc, pos int) Key {
 }
 
 func (d *diffRun) tamper(proc int) {
-	// A base, an interior delta or the tail, with equal odds.
-	n := len(d.keys(proc))
-	pos := []int{0, n / 2, n - 1}[d.rng.Intn(3)]
-	k := d.someKey(proc, pos)
+	// A base, an interior record or the tail, with equal odds, by chain
+	// position: Keys is not in save order. A dead one is not found.
+	k := d.someKey(proc, -1)
+	if chain := d.flat.chainLocked(proc); len(chain) > 0 {
+		n := len(chain)
+		k = chain[[]int{0, n / 2, n - 1}[d.rng.Intn(3)]].key
+	}
 	kind, pick, val := d.rng.Intn(3), d.rng.Intn(1<<16), d.rng.Intn(100)+100
 	var saw []map[string]int
 	mutate := func(vars map[string]int) {
@@ -238,12 +249,7 @@ func (d *diffRun) step() {
 			d.same(fmt.Sprintf("Indexes(%d)", n), fi, ri)
 		}
 	case op < 22:
-		// The tail, which goes, or any other record, which is refused.
-		pos := len(d.keys(proc)) - 1
-		if d.rng.Intn(4) == 0 {
-			pos = -1
-		}
-		k := d.someKey(proc, pos)
+		k := d.someKey(proc, -1)
 		d.log = append(d.log, "Delete "+k.String())
 		d.sameErr(d.flat.Delete(k.Proc, k.CFGIndex, k.Instance), d.ref.Delete(k.Proc, k.CFGIndex, k.Instance))
 	case op < 24:
@@ -267,11 +273,16 @@ func (d *diffRun) sameRecords() {
 		rk, _ := d.ref.Keys(proc)
 		d.same(fmt.Sprintf("Keys(%d)", proc), fk, rk)
 		chain := d.flat.chainLocked(proc)
+		if len(chain) != len(d.ref.recs[proc]) {
+			d.fail("process %d: chain of %d records, reference %d", proc, len(chain), len(d.ref.recs[proc]))
+		}
 		for pos := range chain {
 			f, r := &chain[pos], &d.ref.recs[proc][pos]
-			if at, _ := d.flat.byKey.Get(f.key); f.crc != r.crc || f.delta != r.delta || at != pos {
-				d.fail("record %d of process %d (%s): crc %08x delta %v indexed at %d, reference crc %08x delta %v",
-					pos, proc, f.key, f.crc, f.delta, at, r.crc, r.delta)
+			// A live record is indexed at its position, a dead one is not.
+			at, held := d.flat.byKey.Get(f.key)
+			if f.crc != r.crc || f.delta != r.delta || f.dead != r.dead || (held && at == pos) == f.dead {
+				d.fail("record %d of process %d (%s): crc %08x delta %v dead %v indexed at %d, reference crc %08x delta %v dead %v",
+					pos, proc, f.key, f.crc, f.delta, f.dead, at, r.crc, r.delta, r.dead)
 			}
 		}
 	}
@@ -284,44 +295,56 @@ func (d *diffRun) sameRecords() {
 // ≥ 60 operations over three processes and the three full-record periods
 // that matter (no deltas, alternating, the default), with variables
 // changing, appearing and disappearing, nil and empty maps, pruned and full
-// saves, reads of every kind, tail and refused deletes, damage to bases,
-// interior deltas and tails, scrubs, and saves onto damaged chains.
+// saves, reads of every kind, deletes of any key, damage to bases, interior
+// records and tails, scrubs, and saves onto damaged chains.
 func TestIncrementalAgainstReference(t *testing.T) {
-	const sequences, ops = 240, 64
-	for seq := 0; seq < sequences; seq++ {
-		fullEvery := []int{1, 2, 8}[seq%3]
-		d := &diffRun{
-			t: t, rng: rand.New(rand.NewSource(int64(seq))),
-			flat: NewIncremental(fullEvery), ref: newRefIncremental(fullEvery),
-			tick: make([]uint64, diffProcs),
-		}
-		d.log = append(d.log, fmt.Sprintf("sequence %d, fullEvery %d", seq, fullEvery))
-		for p := 0; p < diffProcs; p++ {
-			d.env = append(d.env, map[string]int{"iter": 0})
-		}
-		for op := 0; op < ops; op++ {
-			d.step()
-		}
-		// Whatever state the sequence ended in, a scrub leaves both stores
-		// fully readable and equal.
-		frep, _ := d.flat.Scrub()
-		rrep, _ := d.ref.Scrub()
-		d.same("final Scrub", sortedReport(frep), sortedReport(rrep))
-		for proc := 0; proc < diffProcs; proc++ {
-			fs, ferr := d.flat.List(proc)
-			rs, rerr := d.ref.List(proc)
-			if ferr != nil || rerr != nil {
-				d.fail("List(%d) after the final scrub: %v / %v", proc, ferr, rerr)
-			}
-			d.same("final List", fs, rs)
-		}
-		d.sameRecords()
+	for seq := 0; seq < 240; seq++ {
+		diffSequence(t, int64(seq), []int{1, 2, 8}[seq%3])
 	}
 }
 
-// A truncated chain lets go of its records: Delete and a truncating Scrub
-// zero what they drop, or the backing array would go on pinning the frames'
-// and pairs' chunks until a later save happened to overwrite the slot.
+// FuzzIncrementalAgainstReference runs one such sequence per input.
+func FuzzIncrementalAgainstReference(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, fullEvery uint8) {
+		diffSequence(t, seed, int(fullEvery))
+	})
+}
+
+// diffSequence drives both stores through 64 operations drawn from seed,
+// then scrubs and requires them fully readable and equal.
+func diffSequence(t *testing.T, seed int64, fullEvery int) {
+	const ops = 64
+	d := &diffRun{
+		t: t, rng: rand.New(rand.NewSource(seed)),
+		flat: NewIncremental(fullEvery), ref: newRefIncremental(fullEvery),
+		tick: make([]uint64, diffProcs),
+	}
+	d.log = append(d.log, fmt.Sprintf("sequence %d, fullEvery %d", seed, fullEvery))
+	for p := 0; p < diffProcs; p++ {
+		d.env = append(d.env, map[string]int{"iter": 0})
+	}
+	for op := 0; op < ops; op++ {
+		d.step()
+	}
+	// Whatever state the sequence ended in, a scrub leaves both stores
+	// fully readable and equal.
+	frep, _ := d.flat.Scrub()
+	rrep, _ := d.ref.Scrub()
+	d.same("final Scrub", sortedReport(frep), sortedReport(rrep))
+	for proc := 0; proc < diffProcs; proc++ {
+		fs, ferr := d.flat.List(proc)
+		rs, rerr := d.ref.List(proc)
+		if ferr != nil || rerr != nil {
+			d.fail("List(%d) after the final scrub: %v / %v", proc, ferr, rerr)
+		}
+		d.same("final List", fs, rs)
+	}
+	d.sameRecords()
+}
+
+// A trimmed chain lets go of its records: Delete and Scrub zero what they
+// drop, or the backing array would go on pinning the frames' and pairs'
+// chunks until a later save happened to overwrite the slot.
 func TestIncrementalTruncationZeroesDroppedRecords(t *testing.T) {
 	droppedAreZero := func(t *testing.T, inc *Incremental, wantLen int) {
 		t.Helper()
@@ -345,6 +368,12 @@ func TestIncrementalTruncationZeroesDroppedRecords(t *testing.T) {
 		}
 		return inc
 	}
+	tamper := func(t *testing.T, inc *Incremental, k int) {
+		t.Helper()
+		if err := inc.Tamper(0, 1, k, func(vars map[string]int) { vars["c"] = 99 }); err != nil {
+			t.Fatal(err)
+		}
+	}
 	t.Run("Delete", func(t *testing.T) {
 		inc := fill(t)
 		for k := 5; k >= 3; k-- {
@@ -356,13 +385,24 @@ func TestIncrementalTruncationZeroesDroppedRecords(t *testing.T) {
 	})
 	t.Run("Scrub", func(t *testing.T) {
 		inc := fill(t)
-		if err := inc.Tamper(0, 1, 2, func(vars map[string]int) { vars["c"] = 99 }); err != nil {
-			t.Fatal(err)
-		}
+		tamper(t, inc, 2)
 		rep, err := inc.Scrub()
-		if err != nil || len(rep.Quarantined) != 2 || rep.Collateral != 2 {
-			// "c" is in no delta: 2 and 3 reconstruct wrongly; 4 is full, 5 chains on it.
-			t.Fatalf("scrub report %+v, err %v", rep, err)
+		// "c" is in no delta: 2 and 3 reconstruct wrongly; 4 is full, 5 chains on it.
+		if err != nil || len(rep.Quarantined) != 2 || rep.Quarantined[0].Instance != 2 ||
+			rep.Quarantined[1].Instance != 3 || rep.Collateral != 0 {
+			t.Fatalf("scrub report %+v, err %v, want 2 and 3 quarantined", rep, err)
+		}
+		for k := 4; k < 6; k++ {
+			if s, err := inc.Get(0, 1, k); err != nil || s.Vars["x"] != k {
+				t.Fatalf("record %d after the scrub: %v, err %v", k, s.Vars, err)
+			}
+		}
+		droppedAreZero(t, inc, 6)
+		// Damage to the base of the tail: the scrub quarantines 4 and 5, and
+		// the dead records from 2 up go.
+		tamper(t, inc, 4)
+		if rep, err := inc.Scrub(); err != nil || len(rep.Quarantined) != 2 {
+			t.Fatalf("tail scrub report %+v, err %v", rep, err)
 		}
 		droppedAreZero(t, inc, 2)
 	})

@@ -12,7 +12,8 @@ import (
 // (DESIGN decision 27): each record a deep-cloned Snapshot, each replay a
 // fresh maps.Clone of the base. It survives as the reference
 // TestIncrementalAgainstReference drives the flat store against; only the
-// names changed.
+// names changed, and it learnt the flat store's delete contract: any key
+// goes, a record that is not the tail stays as a dead base.
 
 // refClone returns a deep copy of s.
 func refClone(s Snapshot) Snapshot {
@@ -44,8 +45,6 @@ func refCloneWithVars(s Snapshot, vars map[string]int) Snapshot {
 // save time. Reconstruction re-verifies it, so damage anywhere in a delta
 // chain — in particular a corrupt base refRecord — surfaces as ErrCorrupt on
 // every read that depends on it, never as a silently bogus reconstruction.
-// Scrub quarantines damaged chains by truncation (an interior refRecord of a
-// delta chain cannot be excised without breaking its dependents).
 type refIncremental struct {
 	mu sync.Mutex
 	// FullEvery is the full-snapshot period (default 8 when 0).
@@ -66,6 +65,9 @@ type refIncremental struct {
 type refRecord struct {
 	snap  Snapshot // for deltas, Vars holds only changed/new variables
 	delta bool
+	// dead marks a deleted or quarantined refRecord later deltas still
+	// replay through.
+	dead bool
 	// removedVars lists variables that disappeared relative to the base
 	// (MPL variables never disappear, but the store does not rely on
 	// that).
@@ -233,7 +235,7 @@ func (inc *refIncremental) Latest(proc, cfgIndex int) (Snapshot, error) {
 	best := -1
 	bestInst := -1
 	for pos := range inc.recs[proc] {
-		if k := inc.recs[proc][pos].snap.Key(); k.CFGIndex == cfgIndex && k.Instance > bestInst {
+		if k := inc.recs[proc][pos].snap.Key(); !inc.recs[proc][pos].dead && k.CFGIndex == cfgIndex && k.Instance > bestInst {
 			bestInst = k.Instance
 			best = pos
 		}
@@ -256,6 +258,9 @@ func (inc *refIncremental) List(proc int) ([]Snapshot, error) {
 	for pos := range chain {
 		r := &chain[pos]
 		vars = r.apply(vars)
+		if r.dead {
+			continue
+		}
 		if err := inc.verifyLocked(r, vars); err != nil {
 			return nil, err
 		}
@@ -276,21 +281,24 @@ func (inc *refIncremental) Indexes(n int) ([]int, error) {
 	return ix.Indexes(n), nil
 }
 
-// Keys implements KeyLister, in save order: a refRecord names its checkpoint
-// even when its chain no longer verifies.
+// Keys implements KeyLister, in (index, instance) order as the flat store's
+// index gives them: a refRecord names its checkpoint even when its chain no
+// longer verifies.
 func (inc *refIncremental) Keys(proc int) ([]Key, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	keys := make([]Key, len(inc.recs[proc]))
-	for i := range keys {
-		keys[i] = inc.recs[proc][i].snap.Key()
+	keys := []Key{}
+	for _, r := range inc.recs[proc] {
+		if !r.dead {
+			keys = append(keys, r.snap.Key())
+		}
 	}
+	SortKeys(keys)
 	return keys, nil
 }
 
-// Delete implements Store. Only the TAIL of a process's chain can be
-// deleted (rollback pruning deletes newest-first), because removing an
-// interior delta would corrupt later reconstructions.
+// Delete implements Store: the refRecord stays as a dead base until nothing
+// live is above it.
 func (inc *refIncremental) Delete(proc, cfgIndex, instance int) error {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
@@ -299,13 +307,19 @@ func (inc *refIncremental) Delete(proc, cfgIndex, instance int) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, k)
 	}
-	chain := inc.recs[proc]
-	if pos != len(chain)-1 {
-		return fmt.Errorf("storage: incremental delete must be newest-first: record %d of %d", pos, len(chain))
-	}
-	inc.recs[proc] = chain[:pos]
+	inc.recs[proc][pos].dead = true
 	delete(inc.byKey, k)
+	inc.trimLocked(proc)
 	return nil
+}
+
+// trimLocked drops the dead refRecords from the tail of proc's chain.
+func (inc *refIncremental) trimLocked(proc int) {
+	chain := inc.recs[proc]
+	for len(chain) > 0 && chain[len(chain)-1].dead {
+		chain = chain[:len(chain)-1]
+	}
+	inc.recs[proc] = chain
 }
 
 // Tamper mutates the raw stored variable map of one refRecord WITHOUT
@@ -326,40 +340,28 @@ func (inc *refIncremental) Tamper(proc, cfgIndex, instance int, mutate func(vars
 	return nil
 }
 
-// Scrub implements Scrubber. A damaged refRecord cannot be excised from the
-// middle of a delta chain (its dependents would reconstruct garbage), so
-// quarantine truncates each process's chain at the first refRecord whose
-// reconstruction fails verification; healthy records above it are counted
-// as collateral.
+// Scrub implements Scrubber: every live refRecord whose reconstruction
+// fails verification is quarantined as a dead base.
 func (inc *refIncremental) Scrub() (ScrubReport, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	var rep ScrubReport
 	for proc, chain := range inc.recs {
 		// One forward pass verifies every position, as List does.
-		cut := -1
 		var vars map[string]int
 		for pos := range chain {
 			r := &chain[pos]
 			vars = r.apply(vars)
-			err := inc.verifyLocked(r, vars)
-			if err != nil && cut < 0 {
-				cut = pos
-			}
-			if cut < 0 {
+			if r.dead {
 				continue
 			}
-			k := r.snap.Key()
-			delete(inc.byKey, k)
-			if err != nil {
-				rep.Quarantined = append(rep.Quarantined, SnapshotRef{k, err.Error()})
-			} else {
-				rep.Collateral++
+			if err := inc.verifyLocked(r, vars); err != nil {
+				r.dead = true
+				delete(inc.byKey, r.snap.Key())
+				rep.Quarantined = append(rep.Quarantined, SnapshotRef{r.snap.Key(), err.Error()})
 			}
 		}
-		if cut >= 0 {
-			inc.recs[proc] = chain[:cut]
-		}
+		inc.trimLocked(proc)
 	}
 	return rep, nil
 }

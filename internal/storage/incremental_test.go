@@ -98,6 +98,9 @@ func TestIncrementalVarRemoval(t *testing.T) {
 	}
 }
 
+// Any record can be deleted. An interior one stays as a dead base, so the
+// records above it still read back; the chain shrinks only when its tail
+// goes, and then by every dead record beneath it too.
 func TestIncrementalDeleteTailOnly(t *testing.T) {
 	inc := NewIncremental(4)
 	for i := 0; i < 3; i++ {
@@ -105,17 +108,28 @@ func TestIncrementalDeleteTailOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Interior delete refused.
-	if err := inc.Delete(0, 1, 1); err == nil {
-		t.Fatal("interior delete accepted")
+	if err := inc.Delete(0, 1, 1); err != nil {
+		t.Fatalf("interior delete: %v", err)
 	}
-	// Tail deletes unwind fine.
-	for i := 2; i >= 0; i-- {
-		if err := inc.Delete(0, 1, i); err != nil {
-			t.Fatalf("tail delete %d: %v", i, err)
-		}
+	if _, err := inc.Get(0, 1, 1); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("deleted record reads %v, want ErrNotFound", err)
 	}
-	if _, err := inc.Get(0, 1, 0); !errors.Is(err, ErrNotFound) {
-		t.Error("store not empty after unwinding")
+	if got, err := inc.Get(0, 1, 2); err != nil || !reflect.DeepEqual(got, varySnap(0, 1, 2)) {
+		t.Fatalf("record above the dead base: %v, err %v", got, err)
+	}
+	if n := len(inc.procs[0].chain); n != 3 {
+		t.Fatalf("an interior delete left %d records, want 3", n)
+	}
+	if err := inc.Delete(0, 1, 2); err != nil {
+		t.Fatalf("tail delete: %v", err)
+	}
+	if n := len(inc.procs[0].chain); n != 1 {
+		t.Fatalf("the tail's delete left %d records, want 1 (the dead base goes with it)", n)
+	}
+	if err := inc.Delete(0, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if keys, _ := inc.Keys(0); len(keys) != 0 || len(inc.procs[0].chain) != 0 {
+		t.Errorf("store not empty after every delete: keys %v", keys)
 	}
 }

@@ -50,25 +50,6 @@ func TestSortSnapshotsAndKeys(t *testing.T) {
 	SortSnapshots(nil) // empty store: nothing to do, must not panic
 }
 
-func TestSortNewestFirst(t *testing.T) {
-	// Process 1's own component decides; the key order is unrelated.
-	snaps := []Snapshot{
-		{Proc: 1, CFGIndex: 1, Instance: 0, Clock: []uint64{9, 1}},
-		{Proc: 1, CFGIndex: 2, Instance: 0, Clock: []uint64{0, 2}},
-		{Proc: 1, CFGIndex: 1, Instance: 1, Clock: []uint64{3, 3}},
-	}
-	SortNewestFirst(1, snaps)
-	if got := []Key{snaps[0].Key(), snaps[1].Key(), snaps[2].Key()}; !reflect.DeepEqual(got, []Key{{1, 1, 1}, {1, 2, 0}, {1, 1, 0}}) {
-		t.Errorf("by own component: %v", got)
-	}
-	// A fleet-global process number has no component in a job-local clock:
-	// instance order stands in.
-	SortNewestFirst(7, snaps)
-	if snaps[0].Instance != 1 {
-		t.Errorf("fallback: newest is %s, want instance 1", snaps[0].Key())
-	}
-}
-
 // TestCommonIndexes: a KeyIndex's Indexes(n) names the CFG indexes common
 // to exactly n distinct processes, sorted — the candidate straight cuts.
 func TestCommonIndexes(t *testing.T) {

@@ -130,9 +130,8 @@ func (ns *Namespace) Indexes(n int) ([]int, error) {
 	return exactlyN(n, idx), nil
 }
 
-// Keys implements KeyLister in the job's own numbering and the backing
-// store's order, so that rollback through a namespace names what to discard
-// without loading it.
+// Keys implements KeyLister in the job's own numbering, so that rollback
+// through a namespace names what to discard without loading it.
 func (ns *Namespace) Keys(proc int) ([]Key, error) {
 	if err := ns.check(proc); err != nil {
 		return nil, err

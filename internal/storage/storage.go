@@ -89,31 +89,14 @@ func SortSnapshots(snaps []Snapshot) {
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Key().Less(snaps[j].Key()) })
 }
 
-// SortNewestFirst sorts the snapshots of one process newest first: by
-// Clock[proc], the component that orders a process's own events totally.
-// Scrub deletes in this order, and Keys derives save order from it,
-// because a delta-encoded store (Incremental) only gives up the tail of a
-// chain. Under a Namespace proc is fleet-global while the clocks are
-// job-local, so the component may not exist; instance order stands in there
-// (the others delete in any order).
-func SortNewestFirst(proc int, snaps []Snapshot) {
-	age := func(s Snapshot) uint64 {
-		if proc < len(s.Clock) {
-			return s.Clock[proc]
-		}
-		return uint64(s.Instance)
-	}
-	sort.Slice(snaps, func(i, j int) bool { return age(snaps[i]) > age(snaps[j]) })
-}
-
 // Store is the stable-storage interface used by the runtime and the
 // recovery machinery.
 type Store interface {
 	// Save persists one snapshot. Saving the same (proc, index, instance)
 	// twice is an error: checkpoints are immutable once taken. A store may
-	// retire what later saves make redundant (Memory keeps the newest
-	// retainCuts complete straight cuts of each index): a retired key is no
-	// longer held, as if it had been deleted.
+	// retire what later saves make redundant (Memory and the WAL keep the
+	// newest retainCuts complete straight cuts of each index): a retired key
+	// is no longer held, as if it had been deleted.
 	//
 	// Save borrows s: once it returns — with or without an error — the store
 	// holds no reference to any map or slice of s, having copied or
@@ -133,10 +116,11 @@ type Store interface {
 	// of the n processes has at least one snapshot — the candidate straight
 	// cuts.
 	Indexes(n int) ([]int, error)
-	// Delete removes one snapshot. Deleting a missing snapshot is an
-	// error. Rollback recovery uses Delete to garbage-collect checkpoints
-	// taken after the recovery line (they belong to the rolled-back
-	// execution and would collide with deterministic re-execution).
+	// Delete removes one snapshot, any one the store holds, in any order.
+	// Deleting a missing snapshot is an error. Rollback recovery uses Delete
+	// to garbage-collect checkpoints taken after the recovery line (they
+	// belong to the rolled-back execution and would collide with
+	// deterministic re-execution).
 	Delete(proc, cfgIndex, instance int) error
 }
 
@@ -182,9 +166,8 @@ type ScrubReport struct {
 	// namespace. After a scrub the same (proc, index, instance) can be
 	// saved again: replay regenerates quarantined checkpoints.
 	Quarantined []SnapshotRef
-	// Collateral counts healthy snapshots that had to be removed along
-	// with damaged ones (delta-encoded chains cannot excise an interior
-	// record, so quarantine truncates the chain's tail).
+	// Collateral counts quarantines a Namespace does not list because they
+	// fall outside its job; no store removes a healthy snapshot.
 	Collateral int
 }
 
@@ -208,19 +191,15 @@ func Scrub(st Store) (ScrubReport, error) {
 
 // KeyLister is implemented by stores that can name a process's checkpoints
 // without loading them. A key is listed whether or not its snapshot still
-// loads, which the strict List cannot promise. The slice is the caller's.
-// A store whose deletes are order-sensitive (Incremental gives up only the
-// tail of a chain) returns the keys in save order, so that deleting in
-// reverse is always legal; any other store returns them in any order. A
-// wrapper forwards the order it was given.
+// loads, which the strict List cannot promise. The slice is the caller's,
+// in no particular order.
 type KeyLister interface {
 	Keys(proc int) ([]Key, error)
 }
 
-// Keys returns the key of every checkpoint of proc that st holds, in the
-// order KeyLister promises: from a KeyLister without reading a body, else
-// from List (which fails when any snapshot of proc is damaged), oldest
-// first by the snapshots' own clocks.
+// Keys returns the key of every checkpoint of proc that st holds: from a
+// KeyLister without reading a body, else from List (which fails when any
+// snapshot of proc is damaged).
 func Keys(st Store, proc int) ([]Key, error) {
 	if kl, ok := st.(KeyLister); ok {
 		return kl.Keys(proc)
@@ -229,10 +208,9 @@ func Keys(st Store, proc int) ([]Key, error) {
 	if err != nil {
 		return nil, err
 	}
-	SortNewestFirst(proc, snaps)
 	keys := make([]Key, len(snaps))
 	for i, s := range snaps {
-		keys[len(snaps)-1-i] = s.Key()
+		keys[i] = s.Key()
 	}
 	return keys, nil
 }

@@ -130,11 +130,12 @@ quiet "$BIN/telemetryprobe" -url "$URL" -timeout 2s
 wait "$SIM_PID" || { echo "reach: chkptsim with telemetry exited $?" >&2; exit 1; }
 SIM_PID=
 
-echo '>> chkptfleet: tenants, chaos, drain, durable store, telemetry'
+echo '>> chkptfleet: tenants, chaos, drain, durable and incremental stores, telemetry'
 FLEET=$BIN/chkptfleet
 quiet "$FLEET" -jobs 300 -rate 3000 -tenants 'batch:8:3,interactive::0.5' -seed 3 \
     -storage-fault-rate 0.08 -crash-rate 1 -net-fault-rate 0.05 -business-rate 0.05 \
     -store "wal:$TMP/fleetlog" -events-out "$TMP/f.jsonl" -telemetry-addr 127.0.0.1:0 -dash
+quiet "$FLEET" -jobs 300 -rate 3000 -seed 3 -store incremental -storage-fault-rate 0.08 -crash-rate 1 -q
 quiet "$FLEET" -jobs 100000 -rate 2000 -drain-after 200ms -q
 
 echo '>> chkptc: report, dot, runtime verification, check, base mode, parse errors'
