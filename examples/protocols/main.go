@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/protocol"
+	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -49,7 +50,7 @@ func main() {
 }
 
 // allIndexCutsConsistent checks every complete checkpoint index in stable
-// storage for pairwise happened-before freedom.
+// storage for orphan messages (recovery.Consistent).
 func allIndexCutsConsistent(st storage.Store, n int) (bool, int) {
 	indexes, err := st.Indexes(n)
 	if err != nil {
@@ -64,12 +65,8 @@ func allIndexCutsConsistent(st storage.Store, n int) (bool, int) {
 			}
 			cut[p] = s
 		}
-		for i := range cut {
-			for j := range cut {
-				if i != j && cut[i].Clock.Before(cut[j].Clock) {
-					return false, idx
-				}
-			}
+		if _, _, ok := recovery.Consistent(cut); !ok {
+			return false, idx
 		}
 	}
 	return true, 0

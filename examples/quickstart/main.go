@@ -10,8 +10,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mpl"
+	"repro/internal/recovery"
 	"repro/internal/sim"
-	"repro/internal/trace"
+	"repro/internal/storage"
 )
 
 const src = `
@@ -77,21 +78,20 @@ func main() {
 		fmt.Printf("  rank %d: sum=%d\n", p, vars["sum"])
 	}
 
-	// Every straight cut in stable storage is a recovery line: compare the
-	// vector clocks of the latest i-th checkpoints pairwise.
+	// Every straight cut in stable storage is a recovery line, decided from
+	// the channel counters its latest i-th checkpoints saved.
 	indexes, err := res.Store.Indexes(4)
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, idx := range indexes {
-		cut := make(trace.Cut, 0, 4)
-		for p := 0; p < 4; p++ {
-			s, err := res.Store.Latest(p, idx)
-			if err != nil {
+		cut := make([]storage.Snapshot, 4)
+		for p := range cut {
+			if cut[p], err = res.Store.Latest(p, idx); err != nil {
 				log.Fatal(err)
 			}
-			cut = append(cut, trace.Checkpoint{Proc: p, CFGIndex: idx, Instance: s.Instance, Clock: s.Clock})
 		}
-		fmt.Printf("straight cut R_%d is a recovery line: %v\n", idx, trace.IsRecoveryLine(cut))
+		_, _, ok := recovery.Consistent(cut)
+		fmt.Printf("straight cut R_%d is a recovery line: %v\n", idx, ok)
 	}
 }

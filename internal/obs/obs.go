@@ -24,7 +24,6 @@
 //	proc    int     process rank; -1 for run-level events
 //	inc     int     incarnation (0 until the first recovery)
 //	seq     int     position in the (inc, proc) local history
-//	vclock  []int   vector clock after the event (process events only)
 //	vtime   float64 virtual time, seconds (when the run prices time)
 //	wall_ns int64   wall-clock nanoseconds since the observer started
 //	label   string  human-readable tag (statement, failure, recovery line)
@@ -143,15 +142,11 @@ type ChkptRef struct {
 // are stamped by the consuming Recorder/StreamWriter so producers stay free
 // of clock and ordering concerns. Msg means something on send and recv
 // events only, Chkpt on chkpt events only, and only those export them.
-// VClock is lent, as a snapshot is to Store.Save: it is the producer's live
-// clock, valid until OnEvent returns. An observer that keeps an event past
-// that point clones the clock first (Recorder does).
 type Event struct {
 	Kind   Kind     `json:"kind"`
 	Proc   int      `json:"proc"`
 	Inc    int      `json:"inc"`
 	Seq    int      `json:"seq"`
-	VClock []uint64 `json:"vclock,omitempty"`
 	VTime  float64  `json:"vtime,omitempty"`
 	WallNS int64    `json:"wall_ns,omitempty"`
 	Label  string   `json:"label,omitempty"`
@@ -195,7 +190,7 @@ func (e Event) MarshalJSON() ([]byte, error) {
 
 // Observer receives runtime events as they happen. Implementations must be
 // safe for concurrent use: every process goroutine publishes through the
-// same observer, and an event's VClock is only lent (see Event).
+// same observer.
 type Observer interface {
 	OnEvent(Event)
 }

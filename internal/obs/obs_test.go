@@ -14,10 +14,10 @@ import (
 // feed publishes a tiny two-process run with a message, a checkpoint, a
 // block, and a recovery cycle.
 func feed(o Observer) {
-	o.OnEvent(Event{Kind: KindCompute, Proc: 0, VClock: []uint64{1, 0}, Label: "x="})
-	o.OnEvent(Event{Kind: KindSend, Proc: 0, VClock: []uint64{2, 0}, VTime: 0.001, Msg: MsgRef{From: 0, To: 1, Seq: 0}})
-	o.OnEvent(Event{Kind: KindRecv, Proc: 1, VClock: []uint64{2, 1}, VTime: 0.002, Msg: MsgRef{From: 0, To: 1, Seq: 0}})
-	o.OnEvent(Event{Kind: KindChkpt, Proc: 1, VClock: []uint64{2, 2}, VTime: 0.003, Chkpt: ChkptRef{Index: 0, Instance: 0}, Label: "C_0"})
+	o.OnEvent(Event{Kind: KindCompute, Proc: 0, Label: "x="})
+	o.OnEvent(Event{Kind: KindSend, Proc: 0, VTime: 0.001, Msg: MsgRef{From: 0, To: 1, Seq: 0}})
+	o.OnEvent(Event{Kind: KindRecv, Proc: 1, VTime: 0.002, Msg: MsgRef{From: 0, To: 1, Seq: 0}})
+	o.OnEvent(Event{Kind: KindChkpt, Proc: 1, VTime: 0.003, Chkpt: ChkptRef{Index: 0, Instance: 0}, Label: "C_0"})
 	o.OnEvent(Event{Kind: KindBlock, Proc: 0, VTime: 0.004, Tag: "ctrl", DurNS: 1500, VDur: 0.003})
 	o.OnEvent(Event{Kind: KindRollback, Proc: -1, Label: "proc 1 failed"})
 	o.OnEvent(Event{Kind: KindRestart, Proc: -1, Inc: 1})
@@ -307,10 +307,10 @@ func TestEventWireFormat(t *testing.T) {
 		e    Event
 		want string
 	}{
-		{Event{Kind: KindChkpt, Proc: 1, Inc: 2, VClock: []uint64{2, 2}, VTime: 0.003, Label: "C_<0>", Chkpt: ChkptRef{Index: 3, Instance: 1}, DurNS: 1500},
-			`{"kind":"chkpt","proc":1,"inc":2,"seq":0,"vclock":[2,2],"vtime":0.003,"wall_ns":7,"label":"C_\u003c0\u003e","chkpt":{"index":3,"instance":1},"dur_ns":1500}`},
-		{Event{Kind: KindSend, VClock: []uint64{2, 0}, Msg: MsgRef{From: 0, To: 1, Seq: 4}},
-			`{"kind":"send","proc":0,"inc":0,"seq":0,"vclock":[2,0],"wall_ns":7,"msg":{"from":0,"to":1,"seq":4}}`},
+		{Event{Kind: KindChkpt, Proc: 1, Inc: 2, VTime: 0.003, Label: "C_<0>", Chkpt: ChkptRef{Index: 3, Instance: 1}, DurNS: 1500},
+			`{"kind":"chkpt","proc":1,"inc":2,"seq":0,"vtime":0.003,"wall_ns":7,"label":"C_\u003c0\u003e","chkpt":{"index":3,"instance":1},"dur_ns":1500}`},
+		{Event{Kind: KindSend, Msg: MsgRef{From: 0, To: 1, Seq: 4}},
+			`{"kind":"send","proc":0,"inc":0,"seq":0,"wall_ns":7,"msg":{"from":0,"to":1,"seq":4}}`},
 		{Event{Kind: KindRecv, Proc: 1},
 			`{"kind":"recv","proc":1,"inc":0,"seq":0,"wall_ns":7,"msg":{"from":0,"to":0,"seq":0}}`},
 		{Event{Kind: KindBlock, Tag: "ctrl", DurNS: 1500, VDur: 1e-7, Msg: MsgRef{To: 9}, Chkpt: ChkptRef{Index: 9}},

@@ -100,9 +100,6 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		ev := chromeEvent{TS: ts(e), PID: e.Inc, TID: tid(e.Proc)}
 		flow := ev // the arrow end that follows a send or recv slice
 		args := map[string]any{"seq": e.Seq}
-		if len(e.VClock) > 0 {
-			args["vclock"] = e.VClock
-		}
 		if e.Label != "" {
 			args["label"] = e.Label
 		}

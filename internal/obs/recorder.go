@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -50,9 +49,8 @@ func NewRecorder() *Recorder {
 	return &Recorder{st: newStamper()}
 }
 
-// OnEvent implements Observer, keeping a copy of the lent clock.
+// OnEvent implements Observer.
 func (r *Recorder) OnEvent(e Event) {
-	e.VClock = slices.Clone(e.VClock)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.st.stamp(&e, r.Now)

@@ -44,12 +44,8 @@ func assertIndexCutsConsistent(t *testing.T, st storage.Store, n int) {
 			}
 			cut[p] = s
 		}
-		for i := range cut {
-			for j := range cut {
-				if i != j && cut[i].Clock.Before(cut[j].Clock) {
-					t.Errorf("index %d: checkpoint of p%d happened before p%d's", idx, i, j)
-				}
-			}
+		if i, j, ok := recovery.Consistent(cut); !ok {
+			t.Errorf("index %d: checkpoint of p%d happened before p%d's", idx, i, j)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/storage"
-	"repro/internal/vclock"
 )
 
 // corruptStore wraps a Store and fails reads of chosen snapshots with
@@ -44,10 +43,10 @@ func (c *corruptStore) Latest(proc, index int) (storage.Snapshot, error) {
 
 func TestStraightCutDegradesToOlderInstance(t *testing.T) {
 	st := &corruptStore{Store: storage.NewMemory()}
-	save(t, st, 0, 1, 0, vclock.VC{1, 0})
-	save(t, st, 0, 1, 1, vclock.VC{5, 2})
-	save(t, st, 1, 1, 0, vclock.VC{0, 1})
-	save(t, st, 1, 1, 1, vclock.VC{2, 5})
+	save(t, st, 0, 1, 0, 0, 0)
+	save(t, st, 0, 1, 1, 2, 2)
+	save(t, st, 1, 1, 0, 0, 0)
+	save(t, st, 1, 1, 1, 2, 2)
 	// The best cut (instance 1) has a corrupt member: fall back to
 	// instance 0 and report one degradation step.
 	st.markBad(0, 1, 1)
@@ -67,10 +66,10 @@ func TestStraightCutDegradesToOlderInstance(t *testing.T) {
 
 func TestStraightCutDegradesToOlderIndex(t *testing.T) {
 	st := &corruptStore{Store: storage.NewMemory()}
-	save(t, st, 0, 1, 0, vclock.VC{1, 0})
-	save(t, st, 1, 1, 0, vclock.VC{0, 1})
-	save(t, st, 0, 2, 0, vclock.VC{7, 5})
-	save(t, st, 1, 2, 0, vclock.VC{5, 7})
+	save(t, st, 0, 1, 0, 0, 0)
+	save(t, st, 1, 1, 0, 0, 0)
+	save(t, st, 0, 2, 0, 3, 3)
+	save(t, st, 1, 2, 0, 3, 3)
 	// The whole deeper index is unreadable: recovery must choose R_1.
 	st.markBad(0, 2, 0)
 	st.markBad(1, 2, 0)
@@ -88,8 +87,8 @@ func TestStraightCutDegradesToOlderIndex(t *testing.T) {
 
 func TestStraightCutAllCorruptReportsNoRecoveryLine(t *testing.T) {
 	st := &corruptStore{Store: storage.NewMemory()}
-	save(t, st, 0, 1, 0, vclock.VC{1, 0})
-	save(t, st, 1, 1, 0, vclock.VC{0, 1})
+	save(t, st, 0, 1, 0, 0, 0)
+	save(t, st, 1, 1, 0, 0, 0)
 	st.markBad(0, 1, 0)
 	st.markBad(1, 1, 0)
 	_, err := StraightCut(st, 2)
@@ -106,9 +105,8 @@ func TestStraightCutStopsAtRetiredInstances(t *testing.T) {
 	for p := 0; p < 2; p++ {
 		for idx := 1; idx <= 2; idx++ {
 			for inst := 0; inst < 6; inst++ {
-				clk := vclock.VC{0, 0}
-				clk[p] = uint64(10*inst + idx)
-				s := storage.Snapshot{Proc: p, CFGIndex: idx, Instance: inst, Clock: clk, SendSeqs: make([]int, 2)}
+				s := storage.Snapshot{Proc: p, CFGIndex: idx, Instance: inst,
+					SendSeqs: pair(p, 10*inst+idx), RecvSeqs: make([]int, 2)}
 				if err := st.Save(s); err != nil {
 					t.Fatal(err)
 				}
@@ -128,8 +126,8 @@ func TestStraightCutStopsAtRetiredInstances(t *testing.T) {
 
 func TestStraightCutCleanStoreReportsNoDegradation(t *testing.T) {
 	st := storage.NewMemory()
-	save(t, st, 0, 1, 0, vclock.VC{1, 0})
-	save(t, st, 1, 1, 0, vclock.VC{0, 1})
+	save(t, st, 0, 1, 0, 0, 0)
+	save(t, st, 1, 1, 0, 0, 0)
 	line, err := StraightCut(st, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -189,15 +187,12 @@ func TestDegradationLadder(t *testing.T) {
 		t.Run(rung.name, func(t *testing.T) {
 			st := &corruptStore{Store: storage.NewMemory()}
 			for p := 0; p < 2; p++ {
-				q := 1 - p
 				for idx := 1; idx <= 2; idx++ {
 					for inst := 0; inst <= 1; inst++ {
-						// Concurrent clocks that grow with (index, instance)
-						// so deeper cuts always score higher.
-						clk := vclock.VC{0, 0}
-						clk[p] = uint64(10*idx + 5*inst + 2)
-						clk[q] = uint64(10*idx + 5*inst + 1)
-						save(t, st, p, idx, inst, clk)
+						// Counters without an orphan that grow with (index,
+						// instance) so deeper cuts always score higher.
+						c := 10*idx + 5*inst + 1
+						save(t, st, p, idx, inst, c, c)
 					}
 				}
 			}
@@ -233,10 +228,11 @@ func TestDegradationLadder(t *testing.T) {
 // must degrade to an older, still-verifiable cut.
 func TestStraightCutFallsBackOverCorruptDeltaChain(t *testing.T) {
 	inc := storage.NewIncremental(8)
-	saveSnap := func(proc, index, instance int, clock vclock.VC, x int) {
+	saveSnap := func(proc, index, instance, msgs, x int) {
 		t.Helper()
 		err := inc.Save(storage.Snapshot{
-			Proc: proc, CFGIndex: index, Instance: instance, Clock: clock,
+			Proc: proc, CFGIndex: index, Instance: instance,
+			SendSeqs: pair(proc, msgs), RecvSeqs: pair(proc, msgs),
 			Vars: map[string]int{"x": x, "c": 42},
 		})
 		if err != nil {
@@ -245,10 +241,10 @@ func TestStraightCutFallsBackOverCorruptDeltaChain(t *testing.T) {
 	}
 	// Two straight cuts per process; proc 0's records form a delta chain
 	// rooted at (0, 1, #0).
-	saveSnap(0, 1, 0, vclock.VC{1, 0}, 1)
-	saveSnap(0, 2, 0, vclock.VC{3, 1}, 2)
-	saveSnap(1, 1, 0, vclock.VC{0, 1}, 1)
-	saveSnap(1, 2, 0, vclock.VC{1, 3}, 2)
+	saveSnap(0, 1, 0, 0, 1)
+	saveSnap(0, 2, 0, 1, 2)
+	saveSnap(1, 1, 0, 0, 1)
+	saveSnap(1, 2, 0, 1, 2)
 
 	// Rot a variable the deltas never re-write: the base AND everything
 	// chained on it must fail verification.
@@ -265,20 +261,21 @@ func TestStraightCutFallsBackOverCorruptDeltaChain(t *testing.T) {
 
 	// Rot only the newest record instead: recovery degrades to R_1.
 	inc2 := storage.NewIncremental(8)
-	saveViaStore := func(st *storage.Incremental, proc, index, instance int, clock vclock.VC, x int) {
+	saveViaStore := func(st *storage.Incremental, proc, index, instance, msgs, x int) {
 		t.Helper()
 		err := st.Save(storage.Snapshot{
-			Proc: proc, CFGIndex: index, Instance: instance, Clock: clock,
+			Proc: proc, CFGIndex: index, Instance: instance,
+			SendSeqs: pair(proc, msgs), RecvSeqs: pair(proc, msgs),
 			Vars: map[string]int{"x": x, "c": 42},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	saveViaStore(inc2, 0, 1, 0, vclock.VC{1, 0}, 1)
-	saveViaStore(inc2, 0, 2, 0, vclock.VC{3, 1}, 2)
-	saveViaStore(inc2, 1, 1, 0, vclock.VC{0, 1}, 1)
-	saveViaStore(inc2, 1, 2, 0, vclock.VC{1, 3}, 2)
+	saveViaStore(inc2, 0, 1, 0, 0, 1)
+	saveViaStore(inc2, 0, 2, 0, 1, 2)
+	saveViaStore(inc2, 1, 1, 0, 0, 1)
+	saveViaStore(inc2, 1, 2, 0, 1, 2)
 	if err := inc2.Tamper(0, 2, 0, func(vars map[string]int) { vars["c"] = 999 }); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 // For the paper's application-driven scheme the recovery line is a
 // straight cut: the i-th checkpoint of every process (Definition 2.2/2.3).
 // StraightCut picks the most advanced saved straight cut and verifies its
-// consistency with the vector clocks captured at checkpoint time — the
+// consistency from the channel counters every snapshot carries — the
 // runtime manifestation of Theorem 3.2 (the verification never fails for
 // programs transformed by Phase III; for untransformed programs it is how
 // tests demonstrate the domino-prone alternative).
@@ -49,17 +49,40 @@ type Line struct {
 	Degraded int
 }
 
-// consistent reports whether no snapshot in the cut happened before
-// another (Definition 2.1 via vector clocks).
-func consistent(cut []storage.Snapshot) (int, int, bool) {
-	for i := range cut {
-		for j := range cut {
-			if i != j && cut[i].Clock.Before(cut[j].Clock) {
-				return i, j, false
+// Consistent reports whether no member of the full cut happened before
+// another (Definition 2.1), else a pair with cut[p] before cut[q]. On
+// reliable FIFO channels a causal path between members holds an orphan, and
+// vice versa: q received a message p had not yet sent at its checkpoint,
+// RecvSeqs_q[p] > SendSeqs_p[q] (a missing counter reads 0).
+func Consistent(cut []storage.Snapshot) (p, q int, ok bool) {
+	for p = range cut {
+		for q = range cut {
+			if p != q && at(cut[q].RecvSeqs, p) > at(cut[p].SendSeqs, q) {
+				return p, q, false
 			}
 		}
 	}
 	return 0, 0, true
+}
+
+func at(seqs []int, i int) int {
+	if i < len(seqs) {
+		return seqs[i]
+	}
+	return 0
+}
+
+// Progress is how far a snapshot's process had come, by its own counts:
+// messages sent and received, and checkpoints taken (its own included).
+func Progress(s storage.Snapshot) int {
+	sum := 0
+	for i := range max(len(s.SendSeqs), len(s.RecvSeqs)) {
+		sum += at(s.SendSeqs, i) + at(s.RecvSeqs, i)
+	}
+	for _, c := range s.Instances {
+		sum += c
+	}
+	return sum
 }
 
 // maxInstanceProbe bounds how many instances below a candidate index's
@@ -72,9 +95,9 @@ const maxInstanceProbe = 32
 // the straight cut R_i with the largest common (index, instance) progress.
 // For each checkpoint index i present on every process it considers the
 // cut at instance k_i = min over processes of the latest saved instance of
-// C_{p,i}, and picks the candidate with the greatest total progress
-// (vector-clock component sum). The chosen cut's consistency is verified;
-// an inconsistent straight cut is reported as ErrInconsistentCut.
+// C_{p,i}, and picks the candidate with the greatest total progress (sum of
+// its members' Progress). The chosen cut's consistency is verified; an
+// inconsistent straight cut is reported as ErrInconsistentCut.
 //
 // Selection degrades gracefully when stable storage misbehaves: a
 // candidate cut whose snapshots fail to load (storage.ErrCorrupt from a
@@ -97,7 +120,7 @@ func StraightCut(st storage.Store, n int) (*Line, error) {
 	// cut is the candidate being loaded; it becomes best by trading places
 	// with it, so selection allocates two cuts however many it probes.
 	var best, cut []storage.Snapshot
-	bestScore := uint64(0)
+	bestScore := 0
 	degraded := 0
 	for _, idx := range indexes {
 		if cut == nil {
@@ -165,11 +188,9 @@ func StraightCut(st storage.Store, n int) (*Line, error) {
 		if !found {
 			continue
 		}
-		score := uint64(0)
+		score := 0
 		for _, s := range cut {
-			for _, c := range s.Clock {
-				score += c
-			}
+			score += Progress(s)
 		}
 		if best == nil || score > bestScore {
 			best, cut = cut, best
@@ -179,7 +200,7 @@ func StraightCut(st storage.Store, n int) (*Line, error) {
 	if best == nil {
 		return nil, fmt.Errorf("%w: %d candidate cut(s) failed to load", ErrNoRecoveryLine, degraded)
 	}
-	if i, j, ok := consistent(best); !ok {
+	if i, j, ok := Consistent(best); !ok {
 		return nil, fmt.Errorf("%w: C_{p%d,i%d}#%d happened before C_{p%d,i%d}#%d",
 			ErrInconsistentCut,
 			best[i].Proc, best[i].CFGIndex, best[i].Instance,
@@ -190,9 +211,9 @@ func StraightCut(st storage.Store, n int) (*Line, error) {
 
 // LatestConsistent implements uncoordinated recovery: start from each
 // process's newest snapshot and repeatedly roll back any process whose
-// snapshot happened before another's, until the cut is consistent or some
-// process runs out of snapshots (ErrNoRecoveryLine — the domino effect
-// consumed everything). Rollbacks in the result counts the total
+// snapshot received a message another's had not yet sent, until the cut is
+// consistent or some process runs out of snapshots (ErrNoRecoveryLine — the
+// domino effect consumed everything). Rollbacks in the result counts the total
 // roll-back steps.
 func LatestConsistent(st storage.Store, n int) (*Line, error) {
 	// all[p] is p's snapshots in temporal order (List returns
@@ -217,13 +238,12 @@ func LatestConsistent(st storage.Store, n int) (*Line, error) {
 		for p := 0; p < n; p++ {
 			cut[p] = all[p][pos[p]]
 		}
-		_, j, ok := consistent(cut)
+		_, j, ok := Consistent(cut)
 		if ok {
 			return &Line{Snapshots: cut, Rollbacks: rollbacks}, nil
 		}
-		// cut[i] happened before cut[j]: j recorded effects of messages i
-		// sent after cut[i]; those sends are not covered by i's
-		// checkpoint, so j's checkpoint is an orphan state — roll back j.
+		// j received a message sent after cut[i], not covered by i's
+		// checkpoint: j's checkpoint is an orphan state — roll back j.
 		if pos[j] == 0 {
 			return nil, fmt.Errorf("%w: process %d rolled back to its first checkpoint (domino)",
 				ErrNoRecoveryLine, j)

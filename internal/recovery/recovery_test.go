@@ -5,18 +5,26 @@ import (
 	"testing"
 
 	"repro/internal/storage"
-	"repro/internal/vclock"
 )
 
-// save persists a snapshot with the given clock.
-func save(t *testing.T, st storage.Store, proc, index, instance int, clock vclock.VC) {
+// save persists a snapshot of one of two processes that had sent and
+// received the given numbers of messages to and from the other.
+func save(t *testing.T, st storage.Store, proc, index, instance, sent, received int) {
 	t.Helper()
 	err := st.Save(storage.Snapshot{
-		Proc: proc, CFGIndex: index, Instance: instance, Clock: clock,
+		Proc: proc, CFGIndex: index, Instance: instance,
+		SendSeqs: pair(proc, sent), RecvSeqs: pair(proc, received),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// pair is the 2-wide counter row of proc holding c for the other process.
+func pair(proc, c int) []int {
+	row := make([]int, 2)
+	row[1-proc] = c
+	return row
 }
 
 func TestStraightCutEmptyStore(t *testing.T) {
@@ -29,12 +37,12 @@ func TestStraightCutEmptyStore(t *testing.T) {
 func TestStraightCutPicksCommonInstance(t *testing.T) {
 	st := storage.NewMemory()
 	// Proc 0 has instances 0..2, proc 1 only 0..1 (it was behind at the
-	// failure): the cut must use instance 1 (concurrent clocks).
-	save(t, st, 0, 1, 0, vclock.VC{1, 0})
-	save(t, st, 0, 1, 1, vclock.VC{5, 2})
-	save(t, st, 0, 1, 2, vclock.VC{9, 6})
-	save(t, st, 1, 1, 0, vclock.VC{0, 1})
-	save(t, st, 1, 1, 1, vclock.VC{2, 5})
+	// failure): the cut must use instance 1 (no orphan at any instance).
+	save(t, st, 0, 1, 0, 0, 0)
+	save(t, st, 0, 1, 1, 2, 2)
+	save(t, st, 0, 1, 2, 4, 4)
+	save(t, st, 1, 1, 0, 0, 0)
+	save(t, st, 1, 1, 1, 2, 2)
 	line, err := StraightCut(st, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -51,9 +59,10 @@ func TestStraightCutPicksCommonInstance(t *testing.T) {
 
 func TestStraightCutDetectsInconsistency(t *testing.T) {
 	st := storage.NewMemory()
-	// Proc 0's checkpoint happened before proc 1's (Figure 3 situation).
-	save(t, st, 0, 1, 0, vclock.VC{2, 0})
-	save(t, st, 1, 1, 0, vclock.VC{3, 4})
+	// Proc 0's checkpoint happened before proc 1's (Figure 3 situation):
+	// proc 1 received a message proc 0 sent after its checkpoint.
+	save(t, st, 0, 1, 0, 0, 0)
+	save(t, st, 1, 1, 0, 0, 1)
 	_, err := StraightCut(st, 2)
 	if !errors.Is(err, ErrInconsistentCut) {
 		t.Fatalf("err = %v, want ErrInconsistentCut", err)
@@ -63,11 +72,11 @@ func TestStraightCutDetectsInconsistency(t *testing.T) {
 func TestStraightCutPrefersMostProgress(t *testing.T) {
 	st := storage.NewMemory()
 	// Two indexes: index 1 early, index 2 later. Both consistent; index 2
-	// has larger clocks and must win.
-	save(t, st, 0, 1, 0, vclock.VC{1, 0})
-	save(t, st, 1, 1, 0, vclock.VC{0, 1})
-	save(t, st, 0, 2, 0, vclock.VC{7, 5})
-	save(t, st, 1, 2, 0, vclock.VC{5, 7})
+	// has more messages behind it and must win.
+	save(t, st, 0, 1, 0, 0, 0)
+	save(t, st, 1, 1, 0, 0, 0)
+	save(t, st, 0, 2, 0, 3, 3)
+	save(t, st, 1, 2, 0, 3, 3)
 	line, err := StraightCut(st, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +88,7 @@ func TestStraightCutPrefersMostProgress(t *testing.T) {
 
 func TestStraightCutRequiresAllProcs(t *testing.T) {
 	st := storage.NewMemory()
-	save(t, st, 0, 1, 0, vclock.VC{1, 0})
+	save(t, st, 0, 1, 0, 0, 0)
 	// Proc 1 never checkpointed.
 	if _, err := StraightCut(st, 2); !errors.Is(err, ErrNoRecoveryLine) {
 		t.Fatalf("err = %v, want ErrNoRecoveryLine", err)
@@ -88,10 +97,10 @@ func TestStraightCutRequiresAllProcs(t *testing.T) {
 
 func TestLatestConsistentNoRollbackNeeded(t *testing.T) {
 	st := storage.NewMemory()
-	save(t, st, 0, 1, 0, vclock.VC{1, 0})
-	save(t, st, 0, 1, 1, vclock.VC{4, 2})
-	save(t, st, 1, 1, 0, vclock.VC{0, 1})
-	save(t, st, 1, 1, 1, vclock.VC{2, 4})
+	save(t, st, 0, 1, 0, 0, 0)
+	save(t, st, 0, 1, 1, 2, 1)
+	save(t, st, 1, 1, 0, 0, 0)
+	save(t, st, 1, 1, 1, 1, 2)
 	line, err := LatestConsistent(st, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -107,11 +116,11 @@ func TestLatestConsistentNoRollbackNeeded(t *testing.T) {
 func TestLatestConsistentRollsBackOrphan(t *testing.T) {
 	st := storage.NewMemory()
 	// Proc 1's latest checkpoint saw proc 0's post-checkpoint messages
-	// (clock {5,6} dominates proc 0's {5,1}): proc 1 must roll back.
-	save(t, st, 0, 1, 0, vclock.VC{2, 0})
-	save(t, st, 0, 1, 1, vclock.VC{5, 1})
-	save(t, st, 1, 1, 0, vclock.VC{0, 2})
-	save(t, st, 1, 1, 1, vclock.VC{5, 6}) // orphan: after proc0's #1
+	// (it received 3, proc 0 had sent 2 at #1): proc 1 must roll back.
+	save(t, st, 0, 1, 0, 1, 0)
+	save(t, st, 0, 1, 1, 2, 0)
+	save(t, st, 1, 1, 0, 0, 1)
+	save(t, st, 1, 1, 1, 0, 3) // orphan: message #2 was sent after proc0's #1
 	line, err := LatestConsistent(st, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -136,10 +145,10 @@ func TestLatestConsistentDominoCascade(t *testing.T) {
 	// Chain: p1#1 saw p0#0's post-checkpoint messages, and p0#1 saw
 	// p1#1's; rolling back p0 exposes the p0#0→p1#1 orphan, rolling back
 	// p1 finally yields the concurrent initial pair.
-	save(t, st, 0, 1, 0, vclock.VC{1, 0})
-	save(t, st, 1, 1, 0, vclock.VC{0, 1})
-	save(t, st, 1, 1, 1, vclock.VC{2, 3})
-	save(t, st, 0, 1, 1, vclock.VC{4, 4})
+	save(t, st, 0, 1, 0, 0, 0) // then sends message #0 to p1
+	save(t, st, 1, 1, 0, 0, 0) // then receives it
+	save(t, st, 1, 1, 1, 0, 1) // then sends message #0 to p0
+	save(t, st, 0, 1, 1, 1, 1) // after receiving it
 	line, err := LatestConsistent(st, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -150,9 +159,8 @@ func TestLatestConsistentDominoCascade(t *testing.T) {
 	if line.Snapshots[0].Instance != 0 || line.Snapshots[1].Instance != 0 {
 		t.Errorf("cascade should reach the initial pair: %+v", line.Snapshots)
 	}
-	a, b := line.Snapshots[0], line.Snapshots[1]
-	if a.Clock.Before(b.Clock) || b.Clock.Before(a.Clock) {
-		t.Errorf("returned inconsistent cut: %v vs %v", a.Clock, b.Clock)
+	if _, _, ok := Consistent(line.Snapshots); !ok {
+		t.Errorf("returned inconsistent cut: %+v", line.Snapshots)
 	}
 }
 
@@ -160,12 +168,12 @@ func TestLatestConsistentTotalDomino(t *testing.T) {
 	st := storage.NewMemory()
 	// Every checkpoint of proc 1 is an orphan of proc 0's only checkpoint;
 	// proc 1 runs out of checkpoints.
-	save(t, st, 0, 1, 0, vclock.VC{1, 0})
-	save(t, st, 1, 1, 0, vclock.VC{2, 1})
+	save(t, st, 0, 1, 0, 0, 0)
+	save(t, st, 1, 1, 0, 0, 1)
 	line, err := LatestConsistent(st, 2)
 	if err == nil {
-		// {proc0#0, proc1#0}: proc0 {1,0} vs proc1 {2,1}: {1,0} < {2,1},
-		// inconsistent; proc1 has nothing earlier.
+		// {proc0#0, proc1#0}: proc1 received message #0, which proc0 sent
+		// after its only checkpoint; proc1 has nothing earlier.
 		t.Fatalf("expected domino exhaustion, got %+v", line.Snapshots)
 	}
 	if !errors.Is(err, ErrNoRecoveryLine) {
@@ -175,7 +183,7 @@ func TestLatestConsistentTotalDomino(t *testing.T) {
 
 func TestLatestConsistentEmptyProcess(t *testing.T) {
 	st := storage.NewMemory()
-	save(t, st, 0, 1, 0, vclock.VC{1, 0})
+	save(t, st, 0, 1, 0, 0, 0)
 	if _, err := LatestConsistent(st, 2); !errors.Is(err, ErrNoRecoveryLine) {
 		t.Fatalf("err = %v, want ErrNoRecoveryLine", err)
 	}

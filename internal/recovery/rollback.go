@@ -36,7 +36,8 @@ type Rolled struct {
 // (storage.Snapshot.Instances), so key k of p is doomed exactly when
 // k.Instance >= at.Instances[k.CFGIndex], and no other snapshot is loaded.
 // A line whose member lacks those counters is refused before the store is
-// touched: discarding by it would take the line itself.
+// touched: discarding by it would take the line itself. So is one with seqs
+// not n wide: short rows read as zeros re-inject delivered messages.
 //
 // It needs no crashed incarnation in front of it: called on a populated
 // store it is the entry point of a cold-start resume.
@@ -52,6 +53,10 @@ func Rollback(st storage.Store, n int, choose func(storage.Store, int) (*Line, e
 	}
 	if line != nil {
 		for _, at := range line.Snapshots {
+			if len(at.SendSeqs) != n || len(at.RecvSeqs) != n {
+				return nil, fmt.Errorf("recovery: line member %s carries seqs %d and %d wide, want %d",
+					at.Key(), len(at.SendSeqs), len(at.RecvSeqs), n)
+			}
 			if at.Instances[at.CFGIndex] != at.Instance+1 {
 				return nil, fmt.Errorf("recovery: line member %s carries instance counter %d, want %d",
 					at.Key(), at.Instances[at.CFGIndex], at.Instance+1)

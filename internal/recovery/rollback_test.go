@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,10 +30,10 @@ func rollbackStores(t *testing.T) map[string]storage.Store {
 	}
 }
 
-// history is what each of two processes saved, in order; its position + 1
-// is the process's own clock component at the checkpoint. All checkpoints
-// are concurrent, so every straight cut is consistent and the sum of its
-// clocks ranks it.
+// history is what each of two processes saved, in order; its position is
+// the tick its channel counters grow with. No member of a straight cut
+// received more than the other had sent, so every straight cut is
+// consistent and recovery.Progress ranks it.
 var history = []storage.Key{
 	{CFGIndex: 1, Instance: 0}, {CFGIndex: 2, Instance: 0},
 	{CFGIndex: 1, Instance: 1}, {CFGIndex: 2, Instance: 1},
@@ -104,11 +105,10 @@ func TestRollback(t *testing.T) {
 						instances[k.CFGIndex] = k.Instance + 1
 						s := storage.Snapshot{
 							Proc: p, CFGIndex: k.CFGIndex, Instance: k.Instance,
-							Clock: make([]uint64, 2), Vars: map[string]int{"x": tick},
-							SendSeqs: []int{tick, 10 * tick}, RecvSeqs: []int{20 * tick, tick},
+							Vars:     map[string]int{"x": tick},
+							SendSeqs: []int{2 * tick, 3 * tick}, RecvSeqs: []int{tick, 2 * tick},
 							Instances: instances,
 						}
-						s.Clock[p] = uint64(tick + 1)
 						into := inner
 						if tc.rot(s.Key()) {
 							into = st
@@ -186,16 +186,17 @@ func TestRollbackKeepsTheChosenLine(t *testing.T) {
 	for kind, inner := range rollbackStores(t) {
 		t.Run(kind, func(t *testing.T) {
 			// As in TestRollback, the damaged checkpoint goes through the
-			// chaos wrapper, which flips every save it sees.
+			// chaos wrapper, which flips every save it sees. It sits in the
+			// older of the two cuts Memory and the WAL keep.
 			st := chaos.New(inner, 1, chaos.Rates{BitFlip: 1}, nil)
-			marked := storage.Key{Proc: 0, CFGIndex: 1, Instance: 1}
+			marked := storage.Key{Proc: 0, CFGIndex: 1, Instance: 2}
 			for p := 0; p < 2; p++ {
 				for inst := 0; inst < 4; inst++ {
 					s := storage.Snapshot{
-						Proc: p, CFGIndex: 1, Instance: inst, Clock: make([]uint64, 2),
+						Proc: p, CFGIndex: 1, Instance: inst,
 						Vars: map[string]int{"x": inst}, Instances: map[int]int{1: inst + 1},
+						SendSeqs: []int{inst, inst}, RecvSeqs: []int{inst, inst},
 					}
-					s.Clock[p] = uint64(inst + 1)
 					into := inner
 					if s.Key() == marked {
 						into = st
@@ -231,37 +232,64 @@ func TestRollbackKeepsTheChosenLine(t *testing.T) {
 // saved after it. Rollback must refuse such a line before it scrubs or
 // deletes anything: by the discard rule it would doom the line itself.
 func TestRollbackRefusesLineWithoutCounters(t *testing.T) {
+	refused(t, 2, 2, "instance counter", func(s *storage.Snapshot) {
+		if s.Proc == 1 && s.Instance == 2 {
+			// Process 1's newest snapshot, the line's member, is the one
+			// without counters.
+			s.Instances = nil
+		}
+	})
+}
+
+// A line member whose SendSeqs and RecvSeqs are narrower than the
+// application cannot rebuild its channels: read as zeros, the missing
+// columns would re-inject messages that were already delivered. Rollback
+// must refuse it before it scrubs or deletes anything.
+func TestRollbackRefusesLineOfNarrowSeqs(t *testing.T) {
+	refused(t, 4, 3, "seqs 3 and 3 wide, want 4", nil)
+}
+
+// refused saves three cuts of n processes, each member with width-wide
+// channel counters and edited by edit, and requires Rollback to refuse the
+// line with an error naming want and to leave every key of the store where
+// it was.
+func refused(t *testing.T, n, width int, want string, edit func(*storage.Snapshot)) {
+	t.Helper()
 	for kind, st := range rollbackStores(t) {
 		t.Run(kind, func(t *testing.T) {
-			var want [2][]storage.Key
-			for p := 0; p < 2; p++ {
+			for p := 0; p < n; p++ {
 				for inst := 0; inst < 3; inst++ {
-					s := storage.Snapshot{Proc: p, CFGIndex: 1, Instance: inst, Clock: make([]uint64, 2)}
-					s.Clock[p] = uint64(inst + 1)
-					if p == 0 || inst < 2 {
-						// Process 1's newest snapshot, the line's member,
-						// is the one without counters.
-						s.Instances = map[int]int{1: inst + 1}
+					s := storage.Snapshot{
+						Proc: p, CFGIndex: 1, Instance: inst, Instances: map[int]int{1: inst + 1},
+						SendSeqs: make([]int, width), RecvSeqs: make([]int, width),
+					}
+					if edit != nil {
+						edit(&s)
 					}
 					if err := st.Save(s); err != nil {
 						t.Fatal(err)
 					}
-					want[p] = append(want[p], s.Key())
 				}
 			}
-			rb, err := recovery.Rollback(st, 2, nil)
-			if err == nil {
-				t.Fatalf("rollback accepted line %+v", rb.Line)
+			keys := func() string {
+				all := make([][]storage.Key, n)
+				for p := range all {
+					got, err := storage.Keys(st, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					storage.SortKeys(got)
+					all[p] = got
+				}
+				return fmt.Sprint(all)
 			}
-			for p := range want {
-				got, err := storage.Keys(st, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				storage.SortKeys(got)
-				if fmt.Sprint(got) != fmt.Sprint(want[p]) {
-					t.Errorf("proc %d holds %v after the refusal, want %v", p, got, want[p])
-				}
+			before := keys()
+			rb, err := recovery.Rollback(st, n, nil)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("rollback: line %+v, err %v; want a refusal naming %q", rb, err, want)
+			}
+			if after := keys(); after != before {
+				t.Errorf("the store holds %s after the refusal, %s before", after, before)
 			}
 		})
 	}
@@ -339,8 +367,9 @@ func rotNewest(st, bad storage.Store, n int) (map[int]int, error) {
 
 // The discard rule reads "saved after the line" off the line member's
 // instance counters. Before every rollback of real crash runs, the set it
-// dooms must be the set the rule it replaced doomed: every snapshot whose
-// own clock component is past the line member's.
+// dooms must be the set an independent rule dooms: every snapshot whose own
+// count of sends, receives and checkpoints (recovery.Progress) is past the
+// line member's, which grows with every checkpoint a process takes.
 func TestDiscardByCountersMatchesDiscardByClock(t *testing.T) {
 	const n = 3
 	crashes := []sim.Crash{{Inc: 0, Proc: 1, AfterEvents: 40}, {Inc: 1, Proc: 2, AfterEvents: 6}}
@@ -411,10 +440,10 @@ func TestDiscardByCountersMatchesDiscardByClock(t *testing.T) {
 						if err != nil {
 							return nil, err
 						}
-						var byClock, byCounters []storage.Key
+						var byOwnCount, byCounters []storage.Key
 						for _, s := range snaps {
-							if line == nil || s.Clock[p] > line.Snapshots[p].Clock[p] {
-								byClock = append(byClock, s.Key())
+							if line == nil || recovery.Progress(s) > recovery.Progress(line.Snapshots[p]) {
+								byOwnCount = append(byOwnCount, s.Key())
 							}
 						}
 						for _, k := range keys {
@@ -422,10 +451,10 @@ func TestDiscardByCountersMatchesDiscardByClock(t *testing.T) {
 								byCounters = append(byCounters, k)
 							}
 						}
-						storage.SortKeys(byClock)
+						storage.SortKeys(byOwnCount)
 						storage.SortKeys(byCounters)
-						if fmt.Sprint(byClock) != fmt.Sprint(byCounters) {
-							t.Errorf("rollback %d, proc %d: clock rule dooms %v, counter rule dooms %v", rollbacks, p, byClock, byCounters)
+						if fmt.Sprint(byOwnCount) != fmt.Sprint(byCounters) {
+							t.Errorf("rollback %d, proc %d: own-count rule dooms %v, counter rule dooms %v", rollbacks, p, byOwnCount, byCounters)
 						}
 						doomedTotal += len(byCounters)
 					}
@@ -495,11 +524,12 @@ func TestRollbackOverWALDecodesOnlyTheLine(t *testing.T) {
 			saved += 3 // process 1 ran ahead of the last common cut
 		}
 		for inst := 0; inst < saved; inst++ {
+			// No SendSeqs: the WAL retires nothing and holds every save.
+			// The chosen line is given its channel counters below.
 			s := storage.Snapshot{
-				Proc: p, CFGIndex: 1, Instance: inst, Clock: make([]uint64, n),
+				Proc: p, CFGIndex: 1, Instance: inst,
 				Vars: map[string]int{"x": inst}, Instances: map[int]int{1: inst + 1},
 			}
-			s.Clock[p] = uint64(inst + 1)
 			if err := ws.Save(s); err != nil {
 				t.Fatal(err)
 			}
@@ -510,6 +540,9 @@ func TestRollbackOverWALDecodesOnlyTheLine(t *testing.T) {
 	rb, err := recovery.Rollback(st, n, func(st storage.Store, n int) (*recovery.Line, error) {
 		line, err := recovery.StraightCut(st, n)
 		selected = st.(*bodyReads).n
+		for p := 0; err == nil && p < n; p++ {
+			line.Snapshots[p].SendSeqs, line.Snapshots[p].RecvSeqs = make([]int, n), make([]int, n)
+		}
 		return line, err
 	})
 	if err != nil {
@@ -560,11 +593,10 @@ func TestStraightCutReadsEachMemberOnceAllocs(t *testing.T) {
 			for p := 0; p < n; p++ {
 				for inst := 0; inst < saved[p]; inst++ {
 					s := storage.Snapshot{
-						Proc: p, CFGIndex: 1, Instance: inst, Clock: make([]uint64, n),
+						Proc: p, CFGIndex: 1, Instance: inst,
 						SendSeqs: []int{inst, inst, inst, inst}, RecvSeqs: make([]int, n),
 						Instances: map[int]int{1: inst + 1},
 					}
-					s.Clock[p] = uint64(inst + 1)
 					if err := ws.Save(s); err != nil {
 						t.Fatal(err)
 					}

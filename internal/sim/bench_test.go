@@ -13,7 +13,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/mpl"
 	"repro/internal/storage"
-	"repro/internal/vclock"
 )
 
 // BenchmarkTransportRoundTrip measures one full hardened-transport cycle —
@@ -32,11 +31,10 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 	}, counters, nil, 1)
 	defer net.tr.reset()
 
-	clock := vclock.New(2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: i, Value: i}, clock)
+		net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: i, Value: i})
 		if _, err := net.Recv(0, 1); err != nil {
 			b.Fatal(err)
 		}

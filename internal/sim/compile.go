@@ -1,7 +1,7 @@
 // Package sim is the distributed runtime: it executes an MPL program on n
 // concurrent processes (goroutines) connected by reliable FIFO channels —
-// the paper's §2 system model — while recording the execution as a trace,
-// stamping vector clocks, taking checkpoints to stable storage, and
+// the paper's §2 system model — while recording the execution as a trace
+// (clocks stamped at the end), taking checkpoints to stable storage, and
 // optionally injecting failures and restarting from recovery lines.
 //
 // Programs are compiled to a flat instruction list so a process can resume

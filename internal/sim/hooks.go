@@ -17,7 +17,7 @@ type Hooks interface {
 	// application message (communication-induced protocols use this).
 	BeforeSend(p *Proc, to int) []int
 	// BeforeDeliver runs after an application message is pulled off the
-	// channel but BEFORE it is delivered (variable written, clock merged).
+	// channel but BEFORE it is delivered (variable written, receive counted).
 	// Communication-induced protocols take forced checkpoints here so the
 	// checkpoint excludes the message — otherwise the message would be an
 	// orphan of the induced cut.

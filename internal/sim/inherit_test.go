@@ -13,7 +13,6 @@ import (
 	"repro/internal/recovery"
 	"repro/internal/storage"
 	"repro/internal/storage/wal"
-	"repro/internal/vclock"
 )
 
 // accumulateSrc never initializes a variable: acc and iter count up from the
@@ -37,39 +36,40 @@ proc {
 }
 `
 
-// firstClocks keeps a copy of the clock lent with each process's first event
-// of each incarnation, and the restart labels.
-type firstClocks struct {
+// firstSends keeps the message of each process's first send of each
+// incarnation, and the restart labels.
+type firstSends struct {
 	mu       sync.Mutex
-	first    map[[2]int]vclock.VC // (incarnation, process)
+	first    map[[2]int]obs.MsgRef // (incarnation, process)
 	restarts []string
 }
 
-func (f *firstClocks) OnEvent(e obs.Event) {
+func (f *firstSends) OnEvent(e obs.Event) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	switch {
-	case e.Kind == obs.KindRestart:
+	switch e.Kind {
+	case obs.KindRestart:
 		f.restarts = append(f.restarts, e.Label)
-	case e.Proc >= 0 && e.VClock != nil:
-		if k := [2]int{e.Inc, e.Proc}; f.first[k] == nil {
-			f.first[k] = vclock.VC(e.VClock).Clone()
+	case obs.KindSend:
+		if k := [2]int{e.Inc, e.Proc}; !f.seen(k) {
+			f.first[k] = e.Msg
 		}
 	}
 }
 
+func (f *firstSends) seen(k [2]int) bool { _, ok := f.first[k]; return ok }
+
 // An incarnation inherits the memory of the one that crashed and refills it.
 // Process 1 crashes at its first receive: it has no checkpoint, so there is
 // no line and incarnation 1 starts from scratch, on an environment holding
-// the crashed values and on ticked clocks. Process 3 then crashes after its
+// the crashed values and on advanced sequence counters. Process 3 then crashes after its
 // second checkpoint, and selection is made to find nothing (the bottom of the
 // degradation ladder): incarnation 2 starts from scratch on instance and
 // sequence counters as well. It crashes the same way, and incarnation 3 is
 // init + restore. The run must end where a failure-free one does, in its
 // variables and in the checkpoints it leaves in the store: a stale instance
-// counter renumbers them, a stale variable changes the sums. Under -race the
-// observer's reads of lent clocks in one incarnation meet the next one's
-// refill.
+// counter renumbers them, a stale variable changes the sums, a stale
+// sequence counter numbers a first message past 0.
 func TestRestartFromScratchAfterInheritance(t *testing.T) {
 	const n = 4
 	prog := mustParseProg(t, accumulateSrc)
@@ -108,7 +108,7 @@ func TestRestartFromScratchAfterInheritance(t *testing.T) {
 			if len(cleanKeys[0]) != kept[name] {
 				t.Fatalf("failure-free run left process 0 the checkpoints %v, want %d", cleanKeys[0], kept[name])
 			}
-			seen := &firstClocks{first: map[[2]int]vclock.VC{}}
+			seen := &firstSends{first: map[[2]int]obs.MsgRef{}}
 			res := runOK(t, prog, n, func(c *Config) {
 				c.Store, c.Observer = open(), seen
 				c.Crashes = []Crash{
@@ -137,14 +137,12 @@ func TestRestartFromScratchAfterInheritance(t *testing.T) {
 			if got := keysOf(res.Store); !reflect.DeepEqual(got, cleanKeys) {
 				t.Errorf("checkpoints left in the store:\n got %v\nwant %v", got, cleanKeys)
 			}
-			// From scratch means from a zero clock: a process's first event
-			// there is local, so the clock lent with it is its unit vector.
+			// From scratch means from zero counters: a process's first
+			// message there is message 0 of its channel.
 			for p := 0; p < n; p++ {
-				want := vclock.New(n)
-				want[p] = 1
 				for _, inc := range []int{0, 1, 2} {
-					if got := seen.first[[2]int{inc, p}]; !reflect.DeepEqual(got, want) {
-						t.Errorf("incarnation %d: first clock of process %d is %v, want %v", inc, p, got, want)
+					if got, ok := seen.first[[2]int{inc, p}]; ok && got.Seq != 0 {
+						t.Errorf("incarnation %d: first message of process %d is %+v, want seq 0", inc, p, got)
 					}
 				}
 			}
@@ -180,8 +178,8 @@ func TestInitRefillsInheritedMemory(t *testing.T) {
 	}
 	old := append([]*Proc(nil), procs...)
 	for p, pr := range old {
-		if pr.clock[p] == 0 || pr.env.Vars["acc"] == 0 || len(pr.instances) == 0 || pr.sendSeq[(p+1)%n]+pr.recvSeq[(p+n-1)%n] == 0 {
-			t.Fatalf("process %d crashed with nothing to refill: clock %v vars %v instances %v", p, pr.clock, pr.env.Vars, pr.instances)
+		if pr.env.Vars["acc"] == 0 || len(pr.instances) == 0 || pr.sendSeq[(p+1)%n]+pr.recvSeq[(p+n-1)%n] == 0 {
+			t.Fatalf("process %d crashed with nothing to refill: vars %v instances %v", p, pr.env.Vars, pr.instances)
 		}
 	}
 	// No line: every process starts over on what its predecessor left.
@@ -190,11 +188,11 @@ func TestInitRefillsInheritedMemory(t *testing.T) {
 	}
 	zeroVars := map[string]int{"acc": 0, "got": 0, "iter": 0}
 	for p, pr := range procs {
-		if pr == old[p] || pr.env != old[p].env || &pr.clock[0] != &old[p].clock[0] {
+		if pr == old[p] || pr.env != old[p].env || &pr.sendSeq[0] != &old[p].sendSeq[0] {
 			t.Fatalf("process %d did not inherit its predecessor's memory", p)
 		}
-		if !reflect.DeepEqual(pr.clock, vclock.New(n)) || !reflect.DeepEqual(pr.sendSeq, make([]int, n)) || !reflect.DeepEqual(pr.recvSeq, make([]int, n)) {
-			t.Errorf("process %d starts with clock %v, sequences %v / %v", p, pr.clock, pr.sendSeq, pr.recvSeq)
+		if !reflect.DeepEqual(pr.sendSeq, make([]int, n)) || !reflect.DeepEqual(pr.recvSeq, make([]int, n)) {
+			t.Errorf("process %d starts with sequences %v / %v", p, pr.sendSeq, pr.recvSeq)
 		}
 		if len(pr.instances) != 0 || !reflect.DeepEqual(pr.env.Vars, zeroVars) {
 			t.Errorf("process %d starts with instances %v, variables %v", p, pr.instances, pr.env.Vars)

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/vclock"
 )
 
 // MsgKind classifies runtime messages.
@@ -31,9 +29,6 @@ type Message struct {
 	// ArriveV is the virtual time at which the message becomes available
 	// to the receiver (0 when virtual-time accounting is off).
 	ArriveV float64
-	// rec is an application message's record in its sender's log (see
-	// sendlog.go), capacity-clipped: the receiver merges the clock from it.
-	rec []byte
 }
 
 // ErrAborted is returned by blocking receives when the runtime aborts the
@@ -129,10 +124,10 @@ func (ch *channel) abort() {
 // sent before sendSeq — replay regenerates the rest — and the queue, which
 // keeps its memory and zeroes what it drops, holds those the receiver had not
 // consumed (seq >= recvSeq), rebuilt from their records. Finding recvSeq
-// scans one chunk. The cut chunk is clipped, and the next record goes into
-// room never written, not over the cut bytes: a message that references them —
-// delivered, or a stale frame on the wire — still reads what was sent.
-func (ch *channel) reset(sendSeq, recvSeq, n int) {
+// scans one chunk. The log is cut in place: the chunk holding the cut ends
+// there, and the next record is written over the cut bytes, which nothing
+// outside the log references.
+func (ch *channel) reset(sendSeq, recvSeq int) {
 	ch.mu.Lock()
 	for _, m := range ch.items[ch.head:] {
 		if m.Kind != MsgApp {
@@ -151,7 +146,7 @@ func (ch *channel) reset(sendSeq, recvSeq, n int) {
 			c, off = c+1, 0
 		}
 		m := Message{Kind: MsgApp, From: ch.from, To: ch.to, Seq: seq}
-		k := readRecord(ch.log[c].b[off:], n, &m)
+		k := readRecord(ch.log[c].b[off:], &m)
 		if k == 0 {
 			panic(fmt.Sprintf("sim: channel %d->%d: corrupt log record %d", ch.from, ch.to, seq))
 		}
@@ -160,13 +155,9 @@ func (ch *channel) reset(sendSeq, recvSeq, n int) {
 		}
 	}
 	if sendSeq < ch.logLen {
-		tail := ch.log[len(ch.log)-1].b
-		if off > 0 {
-			ch.log[c].b = ch.log[c].b[:off:off]
-			c++
-		}
-		clear(ch.log[c:])
-		ch.log = append(ch.log[:c], logChunk{first: sendSeq, b: tail[len(tail):]})
+		ch.log[c].b = ch.log[c].b[:off]
+		clear(ch.log[c+1:])
+		ch.log = ch.log[:c+1]
 		ch.logLen = sendSeq
 	}
 	ch.head = 0
@@ -231,12 +222,12 @@ func (net *Network) channel(from, to int) *channel {
 	return ch
 }
 
-// Send delivers an application message (asynchronous, FIFO) and logs it with
-// the sender's lent clock for potential rollback re-injection. The log
-// records the message before it touches the (possibly lossy) transport:
-// recovery reconstructs in-flight messages from the log, never from the wire.
-func (net *Network) Send(m Message, clock vclock.VC) {
-	m.rec = net.channel(m.From, m.To).logAppend(&m, clock, net.n)
+// Send delivers an application message (asynchronous, FIFO) and logs it for
+// potential rollback re-injection. The log records the message before it
+// touches the (possibly lossy) transport: recovery reconstructs in-flight
+// messages from the log, never from the wire.
+func (net *Network) Send(m Message) {
+	net.channel(m.From, m.To).logAppend(&m)
 	net.SendMarker(m)
 }
 
@@ -314,9 +305,9 @@ func (net *Network) ResetForRecovery(sendSeq, recvSeq [][]int) {
 	net.aborted.Store(false)
 	for ch := net.created.Load(); ch != nil; ch = ch.next {
 		if ch.from == ctrlFrom {
-			ch.reset(0, 0, net.n)
+			ch.reset(0, 0)
 		} else {
-			ch.reset(sendSeq[ch.from][ch.to], recvSeq[ch.to][ch.from], net.n)
+			ch.reset(sendSeq[ch.from][ch.to], recvSeq[ch.to][ch.from])
 		}
 	}
 }

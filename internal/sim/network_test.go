@@ -12,7 +12,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/recovery"
 	"repro/internal/storage"
-	"repro/internal/vclock"
 )
 
 // BaselineProtocols are internal/protocol's hooks factories by name. That
@@ -27,7 +26,7 @@ func auditProto(t *testing.T, where string, net *Network, wantZero bool) {
 	t.Helper()
 	recount := make([]int64, net.n)
 	for ch := net.created.Load(); ch != nil; ch = ch.next {
-		for _, m := range ch.queued(t, net.n) {
+		for _, m := range ch.queued() {
 			if m.Kind != MsgApp {
 				recount[ch.to]++
 			}
@@ -161,7 +160,7 @@ func TestQueuedMarkerKeepsGateOpen(t *testing.T) {
 	if _, ok := net.Poll(0, 1, math.Inf(1)); ok || net.peek(0, 1) != nil {
 		t.Fatal("polling a channel nothing was sent on found a marker or created the channel")
 	}
-	net.Send(Message{Kind: MsgApp, From: 0, To: 1}, vclock.New(2))
+	net.Send(Message{Kind: MsgApp, From: 0, To: 1})
 	if !net.quiet(1) {
 		t.Fatal("an application message opened the gate")
 	}
@@ -245,7 +244,7 @@ func TestAbortReachesChannelsCreatedLater(t *testing.T) {
 			if ch.from == ctrlFrom {
 				net.SendCtrl(Message{Kind: MsgCtrl, From: ctrlFrom, To: ch.to, Value: 7})
 			} else {
-				net.Send(Message{Kind: MsgApp, From: ch.from, To: ch.to, Value: 7}, vclock.New(n))
+				net.Send(Message{Kind: MsgApp, From: ch.from, To: ch.to, Value: 7})
 			}
 			if m, err := ch.pop(); err != nil || m.Value != 7 {
 				t.Fatalf("round %d: channel %d->%d after the reset: message %+v, err %v", round, ch.from, ch.to, m, err)
@@ -258,12 +257,11 @@ func TestAbortReachesChannelsCreatedLater(t *testing.T) {
 // traffic at n = 64 costs per process what it costs at n = 4.
 func TestNewNetworkAllocs(t *testing.T) {
 	ring := func(n int) float64 {
-		clock := vclock.New(n)
 		return testing.AllocsPerRun(10, func() {
 			net := NewNetwork(n)
 			for round := 0; round < 3; round++ {
 				for p := 0; p < n; p++ {
-					net.Send(Message{Kind: MsgApp, From: p, To: (p + 1) % n, Seq: round}, clock)
+					net.Send(Message{Kind: MsgApp, From: p, To: (p + 1) % n, Seq: round})
 				}
 				for p := 0; p < n; p++ {
 					if _, err := net.Recv(p, (p+1)%n); err != nil {
@@ -282,8 +280,8 @@ func TestNewNetworkAllocs(t *testing.T) {
 		t.Errorf("an unused network of 64 processes allocates %.0f objects, want <= 3", empty)
 	}
 	// One link per process, two objects: the channel and its queue's backing
-	// array (three records of a 4-wide clock fit the log's inline bytes) — and
-	// at n = 64, whose records carry 64 clock components, one log chunk.
+	// array (three records fit the log's inline bytes at any n: a record
+	// carries no clock).
 	if perLink := (large - empty) / 64; perLink > 3 || large-empty > 16*(small-empty)+64+1 {
 		t.Errorf("ring traffic allocates %.0f objects at n=64 (%.1f per link) and %.0f at n=4: want <= 3 per link, growing with the links", large, perLink, small)
 	}

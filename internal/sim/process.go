@@ -14,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 )
 
 // Liveness-pruning counter names. Each manifest-pruned checkpoint save adds
@@ -68,7 +67,6 @@ type Proc struct {
 	// refilled for the next one.
 	pruned    map[string]int
 	pc        int
-	clock     vclock.VC
 	sendSeq   []int
 	recvSeq   []int
 	instances map[int]int
@@ -110,13 +108,12 @@ type Proc struct {
 }
 
 // init completes a Proc whose configuration fields are set into a process
-// at the program start: zero clock and counters, every declared variable 0.
+// at the program start: zero counters, every declared variable 0.
 // A Proc that inherited a predecessor's memory (run.start) gets there by
 // refilling it, whatever state the predecessor crashed in.
 func (p *Proc) init(input func(rank, i int) int) {
 	p.workLeft = -1
 	if p.env != nil {
-		clear(p.clock)
 		clear(p.sendSeq)
 		clear(p.recvSeq)
 		clear(p.instances)
@@ -126,7 +123,6 @@ func (p *Proc) init(input func(rank, i int) int) {
 		}
 		return
 	}
-	p.clock = vclock.New(p.n)
 	p.sendSeq = make([]int, p.n)
 	p.recvSeq = make([]int, p.n)
 	p.instances = make(map[int]int)
@@ -172,7 +168,7 @@ func (p *Proc) resumePC() int {
 	return p.pc + 1
 }
 
-// restore rewinds the process to a snapshot, refilling the clock and maps
+// restore rewinds the process to a snapshot, refilling the counters and maps
 // init built. s is copied, never adopted: the recovery line it belongs to
 // came through the Config.Recover hook, which may keep it.
 func (p *Proc) restore(s storage.Snapshot) error {
@@ -180,11 +176,10 @@ func (p *Proc) restore(s storage.Snapshot) error {
 	if err != nil {
 		return fmt.Errorf("sim: bad snapshot pc %q: %w", s.PC, err)
 	}
-	if len(s.Clock) != len(p.clock) {
-		return fmt.Errorf("sim: snapshot clock of width %d for a %d-process run", len(s.Clock), len(p.clock))
+	if len(s.SendSeqs) != p.n || len(s.RecvSeqs) != p.n {
+		return fmt.Errorf("sim: snapshot seqs of width %d/%d for a %d-process run", len(s.SendSeqs), len(s.RecvSeqs), p.n)
 	}
 	p.pc = pc
-	copy(p.clock, s.Clock)
 	clear(p.env.Vars)
 	if s.Manifest != nil {
 		// Pruned snapshot: reconstruct dead variables to their declared
@@ -214,15 +209,14 @@ var obsKind = [...]obs.Kind{
 }
 
 // record appends an event to the trace (when tracing), publishes it to the
-// observer — lending it the live clock — and applies the failure trigger.
+// observer and applies the failure trigger.
 func (p *Proc) record(e trace.Event) error {
 	if p.tr != nil {
 		e.Proc = p.rank
-		e.Clock = p.clock
 		p.tr.Append(e)
 	}
 	if p.obsv != nil {
-		oe := obs.Event{Kind: obsKind[e.Kind], Label: e.Label, VClock: p.clock, Msg: obs.MsgRef(e.Msg)}
+		oe := obs.Event{Kind: obsKind[e.Kind], Label: e.Label, Msg: obs.MsgRef(e.Msg)}
 		if e.Kind == trace.KindCheckpoint {
 			oe.Chkpt = obs.ChkptRef{Index: e.Chkpt.CFGIndex, Instance: e.Chkpt.Instance}
 			oe.DurNS = p.lastSaveNS
@@ -237,7 +231,7 @@ func (p *Proc) record(e trace.Event) error {
 }
 
 // emit publishes an event to the observer, filling the process identity
-// and clocks. No-op without an observer.
+// and virtual time. No-op without an observer.
 func (p *Proc) emit(e obs.Event) {
 	if p.obsv == nil {
 		return
@@ -249,10 +243,10 @@ func (p *Proc) emit(e obs.Event) {
 }
 
 // TakeCheckpoint takes a full-environment local checkpoint with the given
-// straight-cut index: ticks the clock, records the event, and persists the
-// snapshot. Protocols call it for coordinated and forced checkpoints —
-// which can land at arbitrary program points where no liveness manifest is
-// known, so they always persist everything. Application chkpt statements go
+// straight-cut index: records the event and persists the snapshot.
+// Protocols call it for coordinated and forced checkpoints — which can land
+// at arbitrary program points where no liveness manifest is known, so they
+// always persist everything. Application chkpt statements go
 // through appCheckpoint, which prunes to the site's manifest.
 func (p *Proc) TakeCheckpoint(idx int) error {
 	return p.takeCheckpoint(idx, nil, chkptLabelPrefix+strconv.Itoa(idx))
@@ -273,12 +267,11 @@ func (p *Proc) appCheckpoint(in Instr) error {
 // (nil manifest = the whole environment). Pruned variables restore to their
 // declared initial value — safe because liveness proved every path from
 // this site redefines them before any use. The snapshot lends the store the
-// process's live clock, counters and variable map: Store.Save holds on to
-// none of them once it returns.
+// process's live counters and variable map: Store.Save holds on to none of
+// them once it returns.
 func (p *Proc) takeCheckpoint(idx int, manifest []string, label string) error {
 	instance := p.instances[idx]
 	p.instances[idx] = instance + 1
-	p.clock.Tick(p.rank)
 	if p.time != nil {
 		p.advance(p.time.CheckpointOverhead)
 	}
@@ -309,7 +302,6 @@ func (p *Proc) takeCheckpoint(idx int, manifest []string, label string) error {
 		Proc:      p.rank,
 		CFGIndex:  idx,
 		Instance:  instance,
-		Clock:     p.clock,
 		Vars:      vars,
 		PC:        strconv.Itoa(p.resumePC()),
 		SendSeqs:  p.sendSeq,
@@ -457,7 +449,6 @@ func (p *Proc) run() error {
 			if p.time != nil {
 				p.advance(p.time.Compute)
 			}
-			p.clock.Tick(p.rank)
 			if err := p.record(trace.Event{Kind: trace.KindCompute, Label: in.Label}); err != nil {
 				return err
 			}
@@ -488,7 +479,6 @@ func (p *Proc) run() error {
 				continue // preemption point: re-poll at the loop top
 			}
 			p.workLeft = -1
-			p.clock.Tick(p.rank)
 			if err := p.record(trace.Event{Kind: trace.KindCompute, Label: "work"}); err != nil {
 				return err
 			}
@@ -594,7 +584,7 @@ func (p *Proc) run() error {
 				p.pc = in.Target
 			}
 		case OpHalt:
-			p.emit(obs.Event{Kind: obs.KindHalt, VClock: p.clock})
+			p.emit(obs.Event{Kind: obs.KindHalt})
 			return p.hooks.OnHalt(p)
 		default:
 			return fmt.Errorf("sim: process %d: unknown opcode %v", p.rank, in.Op)
@@ -610,7 +600,6 @@ func (p *Proc) evalErr(in Instr, err error) error {
 func (p *Proc) sendApp(dest, value int) error {
 	seq := p.sendSeq[dest]
 	p.sendSeq[dest] = seq + 1
-	p.clock.Tick(p.rank)
 	arrive := p.chargeSend()
 	m := Message{
 		Kind:      MsgApp,
@@ -621,7 +610,7 @@ func (p *Proc) sendApp(dest, value int) error {
 		Piggyback: p.hooks.BeforeSend(p, dest),
 		ArriveV:   arrive,
 	}
-	p.net.Send(m, p.clock)
+	p.net.Send(m)
 	p.counters.IncAppMessages(1)
 	return p.record(trace.Event{
 		Kind: trace.KindSend,
@@ -659,10 +648,6 @@ func (p *Proc) recvApp(src int, varName string) error {
 		}
 		p.recvSeq[src] = m.Seq + 1
 		p.env.Vars[varName] = m.Value
-		p.clock.Tick(p.rank)
-		if !p.clock.MergeUvarint(m.rec) {
-			return fmt.Errorf("sim: process %d: message %d->%d #%d carries no readable clock", p.rank, src, p.rank, m.Seq)
-		}
 		return p.record(trace.Event{
 			Kind: trace.KindRecv,
 			Msg:  trace.MessageID{From: src, To: p.rank, Seq: m.Seq},

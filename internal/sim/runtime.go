@@ -317,10 +317,10 @@ func (r *run) emit(kind obs.Kind, inc int, vtime float64, format string, args ..
 // start builds incarnation inc's processes: fresh at the program start, or
 // restored from line, with the incarnation's crash triggers armed. Each
 // takes over the memory of its predecessor in prev, the incarnation that
-// just failed (nil at incarnation 0) — environment, clock, sequence counters,
+// just failed (nil at incarnation 0) — environment, sequence counters,
 // instance map — and init refills it. That is safe because wait returned
 // only after every goroutine of prev had reported in and rollback has read
-// their clocks: nothing runs on that memory any more, stores, observers and
+// their counters: nothing runs on that memory any more, stores, observers and
 // the send log were only ever lent it, and what init finds it
 // overwrites, never trusts. Hooks and protocol state are built anew.
 func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64) ([]*Proc, error) {
@@ -346,7 +346,7 @@ func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64
 		}
 		if old != nil {
 			p.env, p.pruned = old.env, old.pruned
-			p.clock, p.sendSeq, p.recvSeq, p.instances = old.clock, old.sendSeq, old.recvSeq, old.instances
+			p.sendSeq, p.recvSeq, p.instances = old.sendSeq, old.recvSeq, old.instances
 		}
 		p.init(cfg.Input)
 		if line != nil {
@@ -444,9 +444,11 @@ func (r *run) wait(inc int, procs []*Proc) (failure, err error) {
 }
 
 // finish fills in what the processes of a cleanly completed incarnation
-// leave behind.
+// leave behind, the trace's vector clocks stamped from its histories.
 func (res *Result) finish(procs []*Proc) {
-	res.Trace = procs[0].tr
+	if res.Trace = procs[0].tr; res.Trace != nil {
+		res.Trace.StampClocks()
+	}
 	res.FinalVars = make([]map[string]int, len(procs))
 	res.VTimes = make([]float64, len(procs))
 	for rank, p := range procs {
@@ -467,14 +469,13 @@ func (r *run) rollback(inc int, procs []*Proc, restartV float64) (*recovery.Line
 		return nil, err
 	}
 	line := rb.Line
-	// Work lost to this rollback: every event a process executed past
-	// the checkpoint it returns to, counted on its own clock component
-	// (which orders its local events totally).
+	// Work lost to this rollback: every send, receive and checkpoint a
+	// process executed past the checkpoint it returns to (recovery.Progress).
 	lost := 0
 	for p, pr := range procs {
-		lost += int(pr.clock[p])
+		lost += recovery.Progress(storage.Snapshot{SendSeqs: pr.sendSeq, RecvSeqs: pr.recvSeq, Instances: pr.instances})
 		if line != nil {
-			lost -= int(line.Snapshots[p].Clock[p])
+			lost -= recovery.Progress(line.Snapshots[p])
 		}
 	}
 	r.cfg.Counters.IncRestartedEvents(lost)

@@ -4,31 +4,25 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"repro/internal/vclock"
 )
 
 // A channel's sender-based log is one append-only byte log of a record per
 // application message, its sequence number its position (DESIGN decision 30).
 // The first logInline bytes live in the channel, later ones in chunks that
 // double from logChunkMin to logChunkMax bytes (a larger record gets one of
-// its own). No chunk is regrown and no byte written twice, so a record stays
-// valid as long as anything references it.
+// its own). Nothing outside the log references a record's bytes.
 const logInline, logChunkMin, logChunkMax = 40, 256, 4096
 
 // logChunk is a run of consecutive records of a log.
 type logChunk struct {
 	first int    // sequence number of its first record
-	b     []byte // the records; past len(b), the last chunk's capacity is room never written
+	b     []byte // the records; past len(b), the last chunk's capacity is room
 }
 
-// recordSize is len(appendRecord(nil, clock, value, pb, arriveV)).
-func recordSize(clock vclock.VC, value int, pb []int, arriveV float64) int {
+// recordSize is len(appendRecord(nil, value, pb, arriveV)).
+func recordSize(value int, pb []int, arriveV float64) int {
 	var tmp [binary.MaxVarintLen64]byte
 	size := binary.PutVarint(tmp[:], int64(value)) + binary.PutUvarint(tmp[:], uint64(len(pb))+1) + 1
-	for _, x := range clock {
-		size += binary.PutUvarint(tmp[:], x)
-	}
 	for _, x := range pb {
 		size += binary.PutVarint(tmp[:], int64(x))
 	}
@@ -38,15 +32,11 @@ func recordSize(clock vclock.VC, value int, pb []int, arriveV float64) int {
 	return size
 }
 
-// appendRecord appends a record: the sender's clock at the send (n uvarints,
-// so the receiver merges it straight from the record), the value (zig-zag
-// varint), the piggyback (uvarint 0 for nil, else its length + 1, then a
-// varint per element) and ArriveV (a 0 byte for +0, else a 1 byte and its 8
-// IEEE-754 bytes, little endian).
-func appendRecord(b []byte, clock vclock.VC, value int, pb []int, arriveV float64) []byte {
-	for _, x := range clock {
-		b = binary.AppendUvarint(b, x)
-	}
+// appendRecord appends a record: the value (zig-zag varint), the piggyback
+// (uvarint 0 for nil, else its length + 1, then a varint per element) and
+// ArriveV (a 0 byte for +0, else a 1 byte and its 8 IEEE-754 bytes, little
+// endian).
+func appendRecord(b []byte, value int, pb []int, arriveV float64) []byte {
 	b = binary.AppendVarint(b, int64(value))
 	if pb == nil {
 		b = append(b, 0)
@@ -62,10 +52,10 @@ func appendRecord(b []byte, clock vclock.VC, value int, pb []int, arriveV float6
 	return append(b, 0)
 }
 
-// readRecord decodes the record at the head of b, whose clock has n
-// components, into m's Value, Piggyback, ArriveV and rec (capacity-clipped).
-// It returns the record's length, 0 when b ends inside it or it is malformed.
-func readRecord(b []byte, n int, m *Message) int {
+// readRecord decodes the record at the head of b into m's Value, Piggyback
+// (freshly allocated) and ArriveV. It returns the record's length, 0 when b
+// ends inside it or it is malformed.
+func readRecord(b []byte, m *Message) int {
 	off, ok := 0, true
 	uvarint := func() uint64 {
 		x, k := binary.Uvarint(b[off:])
@@ -73,9 +63,6 @@ func readRecord(b []byte, n int, m *Message) int {
 		return x
 	}
 	varint := func() int { x := uvarint(); return int(x>>1) ^ -int(x&1) }
-	for range n {
-		uvarint()
-	}
 	value, tag := varint(), uvarint()
 	if !ok || tag > uint64(len(b)-off)+1 { // an element takes a byte at least
 		return 0
@@ -93,19 +80,17 @@ func readRecord(b []byte, n int, m *Message) int {
 	} else if !ok || flag != 0 {
 		return 0
 	}
-	m.Value, m.Piggyback, m.ArriveV, m.rec = value, pb, arrive, b[:off:off]
+	m.Value, m.Piggyback, m.ArriveV = value, pb, arrive
 	return off
 }
 
-// logAppend appends the record of application message m, sent with clock, to
-// the log and returns it.
-func (ch *channel) logAppend(m *Message, clock vclock.VC, n int) []byte {
-	if m.Seq != ch.logLen || len(clock) != n {
-		panic(fmt.Sprintf("sim: channel %d->%d: message #%d with a %d-wide clock at record %d of a %d-process log",
-			ch.from, ch.to, m.Seq, len(clock), ch.logLen, n))
+// logAppend appends the record of application message m to the log.
+func (ch *channel) logAppend(m *Message) {
+	if m.Seq != ch.logLen {
+		panic(fmt.Sprintf("sim: channel %d->%d: message #%d at record %d of the log", ch.from, ch.to, m.Seq, ch.logLen))
 	}
 	ch.logLen++
-	size := recordSize(clock, m.Value, m.Piggyback, m.ArriveV)
+	size := recordSize(m.Value, m.Piggyback, m.ArriveV)
 	last := &ch.log[len(ch.log)-1]
 	if cap(last.b)-len(last.b) < size { // a new chunk, in place of an empty one
 		grow := max(logChunkMin, min(2*cap(last.b), logChunkMax), size)
@@ -115,7 +100,5 @@ func (ch *channel) logAppend(m *Message, clock vclock.VC, n int) []byte {
 		}
 		*last = logChunk{first: m.Seq, b: make([]byte, 0, grow)}
 	}
-	end := len(last.b)
-	last.b = appendRecord(last.b, clock, m.Value, m.Piggyback, m.ArriveV)
-	return last.b[end:len(last.b):len(last.b)]
+	last.b = appendRecord(last.b, m.Value, m.Piggyback, m.ArriveV)
 }

@@ -6,26 +6,19 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-
-	"repro/internal/vclock"
 )
 
-// A record encodes to recordSize bytes and decodes bit-exact — clocks of
-// width 0 to 1024, the extreme values, a nil, empty or filled piggyback,
-// ArriveV of either zero, NaN payloads and infinities — and a truncated one
-// is rejected. Arbitrary bytes never make the decoder panic or claim more
-// than it got.
+// A record encodes to recordSize bytes and decodes bit-exact — the extreme
+// values, a nil, empty or filled piggyback, ArriveV of either zero, NaN
+// payloads and infinities — and a truncated one is rejected. Arbitrary bytes
+// never make the decoder panic or claim more than it got.
 func FuzzLogRecord(f *testing.F) {
-	f.Add(int64(0), uint16(0), uint64(0), int16(-1), uint64(0), []byte{})
-	f.Add(int64(math.MinInt64), uint16(1024), uint64(math.MaxUint64), int16(0), math.Float64bits(math.Copysign(0, -1)), []byte{0x80})
-	f.Add(int64(math.MaxInt64), uint16(4), uint64(7), int16(5), math.Float64bits(math.Inf(1)), []byte{1, 2, 3})
-	f.Add(int64(-1), uint16(3), uint64(1<<40), int16(63), uint64(0x7ff8_0000_0000_0001), []byte{0, 0, 0, 1})
-	f.Fuzz(func(t *testing.T, value int64, width uint16, seed uint64, pbLen int16, arrive uint64, raw []byte) {
-		rng := rand.New(rand.NewPCG(seed, uint64(width)))
-		clock := make(vclock.VC, int(width)%1025)
-		for i := range clock {
-			clock[i] = rng.Uint64() >> rng.IntN(65) // every magnitude, 0 included
-		}
+	f.Add(int64(0), uint64(0), int16(-1), uint64(0), []byte{})
+	f.Add(int64(math.MinInt64), uint64(math.MaxUint64), int16(0), math.Float64bits(math.Copysign(0, -1)), []byte{0x80})
+	f.Add(int64(math.MaxInt64), uint64(7), int16(5), math.Float64bits(math.Inf(1)), []byte{1, 2, 3})
+	f.Add(int64(-1), uint64(1<<40), int16(63), uint64(0x7ff8_0000_0000_0001), []byte{0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, value int64, seed uint64, pbLen int16, arrive uint64, raw []byte) {
+		rng := rand.New(rand.NewPCG(seed, uint64(pbLen)))
 		var pb []int
 		if pbLen >= 0 {
 			pb = make([]int, pbLen%64)
@@ -35,55 +28,51 @@ func FuzzLogRecord(f *testing.F) {
 		}
 		arriveV := math.Float64frombits(arrive)
 
-		rec := appendRecord(nil, clock, int(value), pb, arriveV)
-		if size := recordSize(clock, int(value), pb, arriveV); size != len(rec) {
+		rec := appendRecord(nil, int(value), pb, arriveV)
+		if size := recordSize(int(value), pb, arriveV); size != len(rec) {
 			t.Fatalf("recordSize = %d, the record has %d bytes: the log would regrow a chunk", size, len(rec))
 		}
 		var m Message
-		if k := readRecord(rec, len(clock), &m); k != len(rec) {
+		if k := readRecord(rec, &m); k != len(rec) {
 			t.Fatalf("a %d-byte record reads as %d", len(rec), k)
 		}
-		got := vclock.New(len(clock))
-		if int64(m.Value) != value || !reflect.DeepEqual(m.Piggyback, pb) || math.Float64bits(m.ArriveV) != arrive ||
-			!got.MergeUvarint(m.rec) || !reflect.DeepEqual(got, clock) || cap(m.rec) != len(rec) {
-			t.Fatalf("decoded value %d, piggyback %v, arrive %#x, clock %v; sent %d, %v, %#x, %v",
-				m.Value, m.Piggyback, math.Float64bits(m.ArriveV), got, value, pb, arrive, clock)
+		if int64(m.Value) != value || !reflect.DeepEqual(m.Piggyback, pb) || math.Float64bits(m.ArriveV) != arrive {
+			t.Fatalf("decoded value %d, piggyback %v, arrive %#x; sent %d, %v, %#x",
+				m.Value, m.Piggyback, math.Float64bits(m.ArriveV), value, pb, arrive)
 		}
 		// Every cut near either end, and 64 between.
 		for cut := 0; cut < len(rec); cut++ {
 			if cut > 32 && cut < len(rec)-32 && cut%(len(rec)/64) != 0 {
 				continue
 			}
-			if k := readRecord(rec[:cut], len(clock), &m); k != 0 {
+			if k := readRecord(rec[:cut], &m); k != 0 {
 				t.Fatalf("the first %d of %d bytes read as a record of %d", cut, len(rec), k)
 			}
 		}
-		if k := readRecord(raw, len(clock), &m); k < 0 || k > len(raw) {
+		if k := readRecord(raw, &m); k < 0 || k > len(raw) {
 			t.Fatalf("%d arbitrary bytes read as a record of %d", len(raw), k)
 		}
 	})
 }
 
 // Steady state on one channel: a send appends a record to room the log
-// already has, and a receive — pop, merge the clock from the record — costs
-// nothing. Over 1,000 send + receive pairs the log's growth may allocate one
-// object per 32 messages.
+// already has, and a receive — a pop — costs nothing. Over 1,000 send +
+// receive pairs the log's growth may allocate one object per 32 messages.
 func TestSendRecvSteadyStateAllocs(t *testing.T) {
 	const pairs = 1000
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	net := NewNetwork(2)
-	sender, receiver := vclock.New(2), vclock.New(2)
-	seq := 0
+	sent, received := 0, 0
 	send := func() {
-		sender.Tick(0)
-		net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: seq, Value: seq}, sender)
-		seq++
+		net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: sent, Value: sent})
+		sent++
 	}
 	recv := func() {
 		m, err := net.Recv(0, 1)
-		if err != nil || !receiver.MergeUvarint(m.rec) {
-			t.Fatalf("message #%d: %v", m.Seq, err)
+		if err != nil || m.Seq != received || m.Value != received {
+			t.Fatalf("message #%d (value %d), want #%d: %v", m.Seq, m.Value, received, err)
 		}
+		received++
 	}
 	mallocs := func(f func()) uint64 {
 		var before, after runtime.MemStats
@@ -106,8 +95,5 @@ func TestSendRecvSteadyStateAllocs(t *testing.T) {
 	}
 	if got := mallocs(recv); got != 0 {
 		t.Errorf("%d receives allocate %d objects, want 0", pairs, got)
-	}
-	if !reflect.DeepEqual(receiver, sender) {
-		t.Errorf("the receiver merged clock %v, the sender's is %v", receiver, sender)
 	}
 }

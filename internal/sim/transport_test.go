@@ -11,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/netestim"
 	"repro/internal/obs"
-	"repro/internal/vclock"
 )
 
 // eventSink collects observed events for assertions.
@@ -159,7 +158,7 @@ func TestInflightReconstructionExactlyOnce(t *testing.T) {
 
 	const total = 10
 	for seq := 0; seq < total; seq++ {
-		net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: seq, Value: 100 + seq}, vclock.New(2))
+		net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: seq, Value: 100 + seq})
 	}
 	// Consume the first 4 messages as the pre-failure execution did; the
 	// transport must hand them over in seq order despite dup/reorder.
@@ -181,10 +180,10 @@ func TestInflightReconstructionExactlyOnce(t *testing.T) {
 	recvSeq := [][]int{{0, 0}, {4, 0}}
 	net.ResetForRecovery(sendSeq, recvSeq)
 
-	got := net.channel(0, 1).queued(t, 2)
-	var want []sent
+	got := net.channel(0, 1).queued()
+	var want []Message
 	for seq := 4; seq < total; seq++ {
-		want = append(want, sent{Message{Kind: MsgApp, From: 0, To: 1, Seq: seq, Value: 100 + seq}, vclock.New(2)})
+		want = append(want, Message{Kind: MsgApp, From: 0, To: 1, Seq: seq, Value: 100 + seq})
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("in-flight reconstruction:\ngot:  %v\nwant: %v", got, want)
@@ -192,7 +191,7 @@ func TestInflightReconstructionExactlyOnce(t *testing.T) {
 	// The wire may still hold delayed duplicates of pre-reset frames; the
 	// generation bump must keep every one of them out of the new queues.
 	time.Sleep(5 * time.Millisecond)
-	if now := net.channel(0, 1).queued(t, 2); len(now) != len(want) {
+	if now := net.channel(0, 1).queued(); len(now) != len(want) {
 		t.Fatalf("stale wire frame leaked into post-reset queue: %+v", now)
 	}
 }
@@ -208,7 +207,7 @@ func TestKarnRuleNoSamplesFromRetransmits(t *testing.T) {
 
 	const total = 5
 	for seq := 0; seq < total; seq++ {
-		net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: seq, Value: seq}, vclock.New(2))
+		net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: seq, Value: seq})
 	}
 	lk := net.tr.data[0][1]
 	waitUntil(t, 5*time.Second, "all frames acked", func() bool {
@@ -231,7 +230,7 @@ func TestKarnRuleNoSamplesFromRetransmits(t *testing.T) {
 
 	// Control: an unmolested link must take samples.
 	net2, _ := hardenedNet(t, 2, NetConfig{}, nil)
-	net2.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: 0, Value: 1}, vclock.New(2))
+	net2.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: 0, Value: 1})
 	lk2 := net2.tr.data[0][1]
 	waitUntil(t, time.Second, "clean ack", func() bool {
 		lk2.mu.Lock()
@@ -312,7 +311,7 @@ func TestBacklogWatermark(t *testing.T) {
 	net, counters := hardenedNet(t, 2, NetConfig{BacklogWatermark: 4}, sink)
 	const total = 12
 	for seq := 0; seq < total; seq++ {
-		net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: seq, Value: seq}, vclock.New(2))
+		net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: seq, Value: seq})
 	}
 	waitUntil(t, time.Second, "queue to fill", func() bool {
 		return counters.Snapshot().Custom[MetricNetBacklogMax] >= total
@@ -330,7 +329,7 @@ func TestRetransmitEventsTagged(t *testing.T) {
 	})
 	sink := &eventSink{}
 	net, _ := hardenedNet(t, 2, NetConfig{Chaos: dropFirst, RTOCap: 5 * time.Millisecond}, sink)
-	net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: 0, Value: 7}, vclock.New(2))
+	net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: 0, Value: 7})
 	if m, err := net.Recv(0, 1); err != nil || m.Value != 7 {
 		t.Fatalf("Recv = %+v, %v", m, err)
 	}
@@ -372,7 +371,7 @@ func TestTransportCountersWired(t *testing.T) {
 				return Verdict{}
 			})
 			net, counters := hardenedNet(t, 2, NetConfig{Chaos: one, RTOCap: 5 * time.Millisecond}, nil)
-			net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: 0, Value: 1}, vclock.New(2))
+			net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: 0, Value: 1})
 			if _, err := net.Recv(0, 1); err != nil {
 				t.Fatal(err)
 			}

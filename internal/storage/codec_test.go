@@ -262,6 +262,16 @@ func FuzzSnapshotCodec(f *testing.F) {
 	f.Add(AppendSnapshot(nil, Snapshot{}), "a", uint8(2), math.Inf(-1))
 	f.Add([]byte(`{"proc":1,"cfgIndex":2,"instance":3}`), "reduce$tmp", uint8(0x2a), -0.0)
 	f.Add([]byte{snapshotVersion, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}, "names", uint8(0x15), 1e300)
+	// A body as the runtime saves it, with a nil clock (one length byte), and
+	// the same checkpoint as the runtime saved it before, clock included:
+	// both are the one body format.
+	runtimeBody := Snapshot{
+		Proc: 2, CFGIndex: 1, Instance: 5, Vars: map[string]int{"x": 40, "iter": 5}, PC: "4",
+		SendSeqs: []int{0, 6, 0, 6}, RecvSeqs: []int{0, 6, 0, 5}, Instances: map[int]int{1: 6},
+	}
+	f.Add(AppendSnapshot(nil, runtimeBody), "iterx", uint8(0x31), 0.0)
+	runtimeBody.Clock = vclock.VC{31, 40, 52, 38}
+	f.Add(AppendSnapshot(nil, runtimeBody), "iterx", uint8(0x31), 0.0)
 
 	f.Fuzz(func(t *testing.T, blob []byte, names string, shape uint8, vtime float64) {
 		if vtime != vtime {

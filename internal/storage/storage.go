@@ -30,11 +30,12 @@ type Snapshot struct {
 	Proc     int
 	CFGIndex int            // the i of C_{p,i}
 	Instance int            // invocation count of the statement
-	Clock    vclock.VC      // vector clock at checkpoint time
+	Clock    vclock.VC      // carried by the codec; the runtime saves nil, no reader consults it
 	Vars     map[string]int // process variable state
 	PC       string         // resume label (statement id)
 	// SendSeqs / RecvSeqs record per-peer channel sequence numbers so that a
-	// restarted process resumes FIFO numbering correctly.
+	// restarted process resumes FIFO numbering correctly, and recovery
+	// decides a cut's consistency from them (recovery.Consistent).
 	SendSeqs []int
 	RecvSeqs []int
 	// Instances records the per-index checkpoint instance counters at

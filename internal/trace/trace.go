@@ -5,9 +5,9 @@
 // straight cuts of the i-th checkpoints (Definitions 2.2/2.3).
 //
 // The package offers two independent implementations of happened-before:
-// vector clocks stamped during execution, and a transitive-closure
-// computation over the raw event structure. Tests cross-check them so a bug
-// in one cannot silently validate the other.
+// vector clocks (stamped by the producer or by StampClocks), and a transitive
+// closure over the raw event structure. Tests cross-check them so a bug in
+// one cannot silently validate the other.
 package trace
 
 import (
@@ -124,6 +124,49 @@ func (t *Trace) Append(e Event) Event {
 	}
 	t.histories[e.Proc] = append(t.histories[e.Proc], e)
 	return e
+}
+
+// StampClocks gives every event the vector clock of its place in the
+// histories: an event ticks its process's component, and a receive merges
+// the clock of its send, matched by MessageID. A receive whose send the trace
+// lacks (sent before the recovery line the recorded incarnation started
+// from) merges nothing, which leaves happened-before among the events as is.
+func (t *Trace) StampClocks() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	sent := make(map[MessageID]vclock.VC) // nil until the send is stamped
+	for _, h := range t.histories {
+		for _, e := range h {
+			if e.Kind == KindSend {
+				sent[e.Msg] = nil
+			}
+		}
+	}
+	pos := make([]int, t.n)
+	for progress := true; progress; {
+		progress = false
+		for p, h := range t.histories {
+			for ; pos[p] < len(h); pos[p], progress = pos[p]+1, true {
+				e := &h[pos[p]]
+				from, known := sent[e.Msg]
+				if e.Kind == KindRecv && known && from == nil {
+					break // its send is not stamped yet
+				}
+				if e.Clock = vclock.New(t.n); pos[p] > 0 {
+					copy(e.Clock, h[pos[p]-1].Clock)
+				}
+				if e.Clock.Tick(p); e.Kind == KindRecv && from != nil {
+					e.Clock.Merge(from)
+				}
+				switch e.Kind {
+				case KindSend:
+					sent[e.Msg] = e.Clock
+				case KindCheckpoint:
+					e.Chkpt.Clock = e.Clock
+				}
+			}
+		}
+	}
 }
 
 // Events returns a copy of all local histories.

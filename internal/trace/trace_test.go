@@ -2,6 +2,7 @@ package trace
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -357,5 +358,58 @@ func BenchmarkStraightCut(b *testing.B) {
 		if _, err := bb.t.StraightCut(1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// StampClocks, given only the histories, gives every event the clock a
+// runtime that carried clocks stamped as it went: random executions built
+// with clocks are recorded again without them, and stamped. A receive of a
+// message sent before the trace began merges nothing.
+func TestStampClocksMatchesRecordedClocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	for run := 0; run < 50; run++ {
+		n := 2 + rng.Intn(4)
+		b := newBuilder(n)
+		var inFlight []MessageID
+		for step := 0; step < 60; step++ {
+			p := rng.Intn(n)
+			switch op := rng.Intn(4); {
+			case op == 0:
+				b.compute(p)
+			case op == 1:
+				if q := rng.Intn(n); q != p {
+					inFlight = append(inFlight, b.send(p, q))
+				}
+			case op == 2 && len(inFlight) > 0:
+				i := rng.Intn(len(inFlight))
+				b.recv(inFlight[i])
+				inFlight = append(inFlight[:i], inFlight[i+1:]...)
+			default:
+				b.checkpoint(p, 1+rng.Intn(2))
+			}
+		}
+		want := b.t.Events()
+		bare := NewTrace(n)
+		for _, h := range want {
+			for _, e := range h {
+				e.Clock, e.Chkpt.Clock = nil, nil
+				bare.Append(e)
+			}
+		}
+		bare.StampClocks()
+		for p, h := range bare.Events() {
+			for s, e := range h {
+				if w := want[p][s].Clock; fmt.Sprint(e.Clock) != fmt.Sprint(w) ||
+					(e.Kind == KindCheckpoint && fmt.Sprint(e.Chkpt.Clock) != fmt.Sprint(w)) {
+					t.Fatalf("run %d: event (%d,%d) %v stamped %v / %v, recorded with %v", run, p, s, e.Kind, e.Clock, e.Chkpt.Clock, w)
+				}
+			}
+		}
+	}
+	tr := NewTrace(2)
+	tr.Append(Event{Proc: 1, Kind: KindRecv, Msg: MessageID{From: 0, To: 1, Seq: 3}, Peer: 0})
+	tr.StampClocks()
+	if got := tr.Events()[1][0].Clock; fmt.Sprint(got) != "[0 1]" {
+		t.Errorf("a receive whose send the trace lacks is stamped %v, want [0 1]", got)
 	}
 }

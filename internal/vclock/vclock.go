@@ -1,12 +1,11 @@
 // Package vclock implements vector clocks for tracking the happened-before
 // relation (Lamport [13] in the paper) between events of a distributed
-// execution. The checkpointing verifier uses vector clocks captured at
-// checkpoint time to decide whether a cut of checkpoints is consistent
-// (Definition 2.1: no two checkpoints in the cut are related by hb).
+// execution. The verifiers use them (internal/trace, internal/verify) to
+// decide whether a cut of checkpoints is consistent (Definition 2.1: no two
+// checkpoints in the cut are related by hb); the runtime carries none.
 package vclock
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -51,21 +50,6 @@ func (v VC) Merge(other VC) VC {
 		}
 	}
 	return v
-}
-
-// MergeUvarint merges into v the clock of v's width at the head of b, one
-// uvarint (encoding/binary) per component, without decoding it into a VC. It
-// reports false, v possibly half merged, when b ends inside the clock or
-// holds a malformed uvarint.
-func (v VC) MergeUvarint(b []byte) bool {
-	for i := range v {
-		x, k := binary.Uvarint(b)
-		if k <= 0 {
-			return false
-		}
-		b, v[i] = b[k:], max(v[i], x)
-	}
-	return true
 }
 
 // Before reports whether v happened before other: v ≤ other component-wise
