@@ -281,20 +281,9 @@ func (c *Store) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
 	return s, nil
 }
 
-// List implements storage.Store. It is strict: a process with any marked
-// snapshot fails the whole listing, the way a chain scan stops at a
-// damaged record.
-func (c *Store) List(proc int) ([]storage.Snapshot, error) {
-	c.mu.Lock()
-	for k, reason := range c.corrupt {
-		if k.Proc == proc {
-			c.mu.Unlock()
-			return nil, fmt.Errorf("%w: chaos: %s: %s", storage.ErrCorrupt, reason, k)
-		}
-	}
-	c.mu.Unlock()
-	return c.inner.List(proc)
-}
+// List implements storage.Store: each snapshot is read with Get, so a
+// process with any marked snapshot fails the whole listing.
+func (c *Store) List(proc int) ([]storage.Snapshot, error) { return storage.List(c, proc) }
 
 // Indexes implements storage.Store.
 func (c *Store) Indexes(n int) ([]int, error) { return c.inner.Indexes(n) }

@@ -232,9 +232,7 @@ func (b *Breaker) Get(proc, cfgIndex, instance int) (storage.Snapshot, error) {
 	return guard(b, func() (storage.Snapshot, error) { return b.inner.Get(proc, cfgIndex, instance) })
 }
 
-func (b *Breaker) List(proc int) ([]storage.Snapshot, error) {
-	return guard(b, func() ([]storage.Snapshot, error) { return b.inner.List(proc) })
-}
+func (b *Breaker) List(proc int) ([]storage.Snapshot, error) { return storage.List(b, proc) }
 
 func (b *Breaker) Indexes(n int) ([]int, error) {
 	return guard(b, func() ([]int, error) { return b.inner.Indexes(n) })

@@ -1,6 +1,9 @@
 package fleet
 
 import (
+	"errors"
+	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,15 +16,26 @@ import (
 	"repro/internal/storage/wal"
 )
 
-// spy counts the calls that reach the bottom of a wrapper stack.
+// spy counts the calls that reach the bottom of a wrapper stack, and fails
+// every Get of the (index, instance) in bad as a quarantined key would. Its
+// List is every store's: Get of each key, through the spy.
 type spy struct {
 	storage.Store
 	keys, lists, scrubs atomic.Int32
+	bad                 atomic.Pointer[[2]int]
 }
 
 func (s *spy) List(proc int) ([]storage.Snapshot, error) {
 	s.lists.Add(1)
-	return s.Store.List(proc)
+	return storage.List(keySpy{s}, proc)
+}
+
+func (s *spy) Get(proc, cfgIndex, instance int) (storage.Snapshot, error) {
+	if b := s.bad.Load(); b != nil && *b == [2]int{cfgIndex, instance} {
+		return storage.Snapshot{}, fmt.Errorf("%w: spy: proc=%d index=%d instance=%d",
+			storage.ErrCorrupt, proc, cfgIndex, instance)
+	}
+	return s.Store.Get(proc, cfgIndex, instance)
 }
 
 // keySpy is a spy over a KeyLister; scrubSpy over a store that is a
@@ -45,7 +59,8 @@ func (s scrubSpy) Scrub() (storage.ScrubReport, error) {
 // the no-op path: Keys degrading to List (which decodes every body and
 // fails on a quarantined one), Scrub to nothing. One row per legal stack,
 // each checked as built and under the runtime's retry layer, which is the
-// handle sim.Run gives recovery.
+// handle sim.Run gives recovery. At every top List is Get of each key in
+// SortKeys order, and one key that fails to load fails the whole listing.
 func TestOptionalInterfacesVisibleThroughEveryStack(t *testing.T) {
 	const n = 3
 	kinds := map[string]func(t *testing.T) storage.Store{
@@ -103,9 +118,41 @@ func TestOptionalInterfacesVisibleThroughEveryStack(t *testing.T) {
 					if scrubs && sp.scrubs.Load() == scrubbed {
 						t.Errorf("%s: Scrub at the top never reached the store", where)
 					}
+					held, err := storage.Keys(top, 0)
+					if err != nil || len(held) == 0 {
+						t.Fatalf("%s: %d keys of process 0, err %v", where, len(held), err)
+					}
+					storage.SortKeys(held)
+					want := make([]storage.Snapshot, len(held))
+					for i, k := range held {
+						if want[i], err = top.Get(0, k.CFGIndex, k.Instance); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if got, err := top.List(0); err != nil || !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: List = %v, %v; want Get of each of %v", where, got, err, held)
+					}
+					sp.bad.Store(&[2]int{held[0].CFGIndex, held[0].Instance})
+					if _, err := top.List(0); !errors.Is(err, storage.ErrCorrupt) {
+						t.Errorf("%s: List with %s unreadable: err %v, want ErrCorrupt", where, held[0], err)
+					}
+					sp.bad.Store(nil)
 				}
 				top := stack(watched)
+				// Checkpoints of an index the program has none of, so that
+				// the store holds something to list as built; gone before
+				// the run.
+				for inst := range 2 {
+					if err := top.Save(storage.Snapshot{Proc: 0, CFGIndex: 99, Instance: inst}); err != nil {
+						t.Fatal(err)
+					}
+				}
 				check(top, "as built")
+				for inst := range 2 {
+					if err := top.Delete(0, 99, inst); err != nil {
+						t.Fatal(err)
+					}
+				}
 				retried := false
 				_, err := sim.Run(sim.Config{
 					Program: corpus.JacobiFig1(4), Nproc: n, DisableTrace: true, Timeout: 10 * time.Second,

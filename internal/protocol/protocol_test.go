@@ -1,14 +1,20 @@
 package protocol
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/mpl"
 	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/storage/wal"
 	"repro/internal/trace"
 )
 
@@ -266,6 +272,79 @@ func BenchmarkCLRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(sim.Config{Program: prog, Nproc: 4, Hooks: CL(), DisableTrace: true}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// pruneSmoke is scripts/prune_smoke.sh's program: odd ranks checkpoint
+// after receiving, so it needs Phase III before its straight cuts are
+// consistent.
+const pruneSmoke = `program prunesmoke
+const MAXITER = 6
+var x, y, tmp, iter
+proc {
+    iter = 0
+    while iter < MAXITER {
+        tmp = x + iter
+        x = tmp + rank
+        if rank % 2 == 0 {
+            chkpt
+            send(rank + 1, x)
+            recv(rank + 1, y)
+        } else {
+            recv(rank - 1, y)
+            send(rank - 1, x)
+            chkpt
+        }
+        tmp = 0
+        iter = iter + 1
+    }
+}
+`
+
+// TestUncoordinatedSurvivesStorageFaults runs the uncoordinated baseline in
+// statement mode behind the chaos store, with two crashes: a checkpoint that
+// no longer loads costs the walk a step (Line.Degraded), never the run.
+func TestUncoordinatedSurvivesStorageFaults(t *testing.T) {
+	parsed, err := mpl.Parse(pruneSmoke)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := core.Transform(parsed, core.DefaultConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := rep.Program
+	clean := run(t, sim.Config{Program: prog, Nproc: 4})
+	stores := map[string]func(t *testing.T) storage.Store{
+		"mem":         func(*testing.T) storage.Store { return storage.NewMemory() },
+		"incremental": func(*testing.T) storage.Store { return storage.NewIncremental(0) },
+		"wal": func(t *testing.T) storage.Store {
+			ws, err := wal.Open(t.TempDir(), wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ws.Close() })
+			return ws
+		},
+	}
+	for name, open := range stores {
+		for seed := int64(1); seed <= 8; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
+				cfg := sim.Config{
+					Program:  prog,
+					Nproc:    4,
+					Hooks:    Uncoordinated(0),
+					Recover:  recovery.LatestConsistent,
+					Store:    chaos.New(open(t), seed, chaos.DefaultRates(0.3), nil),
+					Failures: []sim.Failure{{Proc: 1, AfterEvents: 9}, {Proc: 2, AfterEvents: 14}},
+				}
+				chaos.Arm(&cfg, chaos.Faults{Seed: seed, StoreFaults: true}, nil)
+				res := run(t, cfg)
+				if !reflect.DeepEqual(res.FinalVars, clean.FinalVars) {
+					t.Errorf("final state %v, want %v", res.FinalVars, clean.FinalVars)
+				}
+			})
 		}
 	}
 }

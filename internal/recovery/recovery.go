@@ -14,12 +14,17 @@
 // checkpoint and roll processes back until the cut is consistent. The
 // number of rollback steps measures the domino effect; the algorithm can
 // cascade all the way to the initial state (unbounded rollback
-// propagation, §1).
+// propagation, §1). A process's history is read as every caller reads it,
+// storage.Keys then Get, and put in time order by Progress; a checkpoint
+// that fails to load is skipped and counted in Line.Degraded, as
+// StraightCut counts a cut it skips.
 package recovery
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/storage"
 )
@@ -215,22 +220,38 @@ func StraightCut(st storage.Store, n int) (*Line, error) {
 // consistent or some process runs out of snapshots (ErrNoRecoveryLine — the
 // domino effect consumed everything). Rollbacks in the result counts the total
 // roll-back steps.
+//
+// Time order is Progress order, ties by key: every checkpoint counts itself
+// in Instances, the rows never fall, and Rollback deletes everything above
+// the line, so along a retained history Progress strictly increases. Key
+// order is not time: a rolled-back incarnation takes the same CFG indexes
+// again.
 func LatestConsistent(st storage.Store, n int) (*Line, error) {
-	// all[p] is p's snapshots in temporal order (List returns
-	// (index, instance) sorted; for a single local counter that IS
-	// temporal order).
-	all := make([][]storage.Snapshot, n)
-	pos := make([]int, n) // current candidate = all[p][pos[p]]
+	all := make([][]storage.Snapshot, n) // all[p] is p's history in time order
+	pos := make([]int, n)                // current candidate = all[p][pos[p]]
+	degraded := 0
 	for p := 0; p < n; p++ {
-		snaps, err := st.List(p)
+		keys, err := storage.Keys(st, p)
 		if err != nil {
 			return nil, err
 		}
-		if len(snaps) == 0 {
-			return nil, ErrNoRecoveryLine
+		storage.SortKeys(keys)
+		for _, k := range keys {
+			s, err := st.Get(p, k.CFGIndex, k.Instance)
+			if err != nil {
+				degraded++
+				continue
+			}
+			all[p] = append(all[p], s)
 		}
-		all[p] = snaps
-		pos[p] = len(snaps) - 1
+		if len(all[p]) == 0 {
+			return nil, fmt.Errorf("%w: process %d has no checkpoint that loads (%d skipped)",
+				ErrNoRecoveryLine, p, degraded)
+		}
+		slices.SortStableFunc(all[p], func(a, b storage.Snapshot) int {
+			return cmp.Compare(Progress(a), Progress(b))
+		})
+		pos[p] = len(all[p]) - 1
 	}
 	rollbacks := 0
 	for {
@@ -240,7 +261,7 @@ func LatestConsistent(st storage.Store, n int) (*Line, error) {
 		}
 		_, j, ok := Consistent(cut)
 		if ok {
-			return &Line{Snapshots: cut, Rollbacks: rollbacks}, nil
+			return &Line{Snapshots: cut, Rollbacks: rollbacks, Degraded: degraded}, nil
 		}
 		// j received a message sent after cut[i], not covered by i's
 		// checkpoint: j's checkpoint is an orphan state — roll back j.

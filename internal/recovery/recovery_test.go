@@ -188,3 +188,43 @@ func TestLatestConsistentEmptyProcess(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNoRecoveryLine", err)
 	}
 }
+
+// TestLatestConsistentWalksInTime: after a rollback to (2,0) a statement-mode
+// uncoordinated process numbers its checkpoints from 1 again, so its
+// retained history is, in time, (1,0), (2,0), (1,1). Key order would put
+// (2,0) last; the walk must start from (1,1), the newest by Progress.
+func TestLatestConsistentWalksInTime(t *testing.T) {
+	st := storage.NewMemory()
+	history := []struct {
+		index, instance, seq int
+		instances            map[int]int
+	}{
+		{1, 0, 0, map[int]int{1: 1}},
+		{2, 0, 1, map[int]int{1: 1, 2: 1}},
+		{1, 1, 2, map[int]int{1: 2, 2: 1}},
+	}
+	for p := 0; p < 2; p++ {
+		for _, h := range history {
+			err := st.Save(storage.Snapshot{
+				Proc: p, CFGIndex: h.index, Instance: h.instance,
+				SendSeqs: pair(p, h.seq), RecvSeqs: pair(p, h.seq),
+				Instances: h.instances,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	line, err := LatestConsistent(st, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line.Rollbacks != 0 {
+		t.Errorf("rollbacks = %d, want 0", line.Rollbacks)
+	}
+	for p, s := range line.Snapshots {
+		if s.CFGIndex != 1 || s.Instance != 1 {
+			t.Errorf("process %d restarts from %s, want index 1 instance 1", p, s.Key())
+		}
+	}
+}

@@ -179,6 +179,49 @@ func TestRollback(t *testing.T) {
 	}
 }
 
+// TestLatestConsistentSkipsWhatFailsToLoad: process 0's newest checkpoint
+// no longer loads. The uncoordinated walk starts below it and counts it in
+// Line.Degraded, as StraightCut counts a cut it skips, instead of failing.
+func TestLatestConsistentSkipsWhatFailsToLoad(t *testing.T) {
+	newest := history[len(history)-1]
+	for kind, inner := range rollbackStores(t) {
+		t.Run(kind, func(t *testing.T) {
+			st := chaos.New(inner, 1, chaos.Rates{BitFlip: 1}, nil)
+			for p := 0; p < 2; p++ {
+				instances := map[int]int{}
+				for tick, k := range history {
+					instances[k.CFGIndex] = k.Instance + 1
+					s := storage.Snapshot{
+						Proc: p, CFGIndex: k.CFGIndex, Instance: k.Instance,
+						SendSeqs: []int{2 * tick, 3 * tick}, RecvSeqs: []int{tick, 2 * tick},
+						Instances: instances,
+					}
+					into := inner
+					if p == 0 && k == newest {
+						into = st // marked: every read of it fails ErrCorrupt
+					}
+					if err := into.Save(s); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			line, err := recovery.LatestConsistent(st, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if line.Degraded < 1 {
+				t.Errorf("Degraded = %d, want >= 1", line.Degraded)
+			}
+			want := []storage.Key{{Proc: 0, CFGIndex: 2, Instance: 1}, {Proc: 1, CFGIndex: 1, Instance: 2}}
+			for p, s := range line.Snapshots {
+				if s.Key() != want[p] {
+					t.Errorf("process %d restarts from %s, want %s", p, s.Key(), want[p])
+				}
+			}
+		})
+	}
+}
+
 // Rollback scrubs after it has chosen the line, so the scrub must take what
 // is damaged and nothing else: a mark on an old checkpoint of one process
 // leaves the newer line loadable on every store kind.

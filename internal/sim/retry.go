@@ -166,9 +166,7 @@ func (r *retryStore) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
 	return retry(r, "latest", func() (storage.Snapshot, error) { return r.inner.Latest(proc, cfgIndex) })
 }
 
-func (r *retryStore) List(proc int) ([]storage.Snapshot, error) {
-	return retry(r, "list", func() ([]storage.Snapshot, error) { return r.inner.List(proc) })
-}
+func (r *retryStore) List(proc int) ([]storage.Snapshot, error) { return storage.List(r, proc) }
 
 func (r *retryStore) Indexes(n int) ([]int, error) {
 	return retry(r, "indexes", func() ([]int, error) { return r.inner.Indexes(n) })

@@ -265,31 +265,7 @@ func (inc *Incremental) Latest(proc, cfgIndex int) (Snapshot, error) {
 }
 
 // List implements Store.
-func (inc *Incremental) List(proc int) ([]Snapshot, error) {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	// One forward pass: the scratch map is the state at pos, advanced from
-	// record to record, and every position is verified as Get would.
-	var chain []record
-	if p := inc.procs[proc]; p != nil {
-		chain = p.chain
-	}
-	out := make([]Snapshot, 0, len(chain))
-	for pos := range chain {
-		r := &chain[pos]
-		inc.applyLocked(r)
-		if r.dead {
-			continue
-		}
-		s, err := inc.snapshotLocked(r)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	SortSnapshots(out)
-	return out, nil
-}
+func (inc *Incremental) List(proc int) ([]Snapshot, error) { return List(inc, proc) }
 
 // Indexes implements Store.
 func (inc *Incremental) Indexes(n int) ([]int, error) {

@@ -252,8 +252,15 @@ func (inc *refIncremental) List(proc int) ([]Snapshot, error) {
 	defer inc.mu.Unlock()
 	// One forward pass: vars is the state at pos, updated in place from
 	// refRecord to refRecord, and every position is verified as Get would.
+	// The first key in SortKeys order that fails verification fails the
+	// listing, as Get of each key in that order would.
+	type loaded struct {
+		snap Snapshot
+		err  error
+	}
 	chain := inc.recs[proc]
-	out := make([]Snapshot, 0, len(chain))
+	keys := make([]Key, 0, len(chain))
+	byKey := make(map[Key]loaded, len(chain))
 	var vars map[string]int
 	for pos := range chain {
 		r := &chain[pos]
@@ -261,12 +268,22 @@ func (inc *refIncremental) List(proc int) ([]Snapshot, error) {
 		if r.dead {
 			continue
 		}
+		k := r.snap.Key()
+		keys = append(keys, k)
 		if err := inc.verifyLocked(r, vars); err != nil {
-			return nil, err
+			byKey[k] = loaded{err: err}
+			continue
 		}
-		out = append(out, refCloneWithVars(r.snap, maps.Clone(vars)))
+		byKey[k] = loaded{snap: refCloneWithVars(r.snap, maps.Clone(vars))}
 	}
-	SortSnapshots(out)
+	SortKeys(keys)
+	out := make([]Snapshot, len(keys))
+	for i, k := range keys {
+		if byKey[k].err != nil {
+			return nil, byKey[k].err
+		}
+		out[i] = byKey[k].snap
+	}
 	return out, nil
 }
 

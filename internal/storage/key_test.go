@@ -27,27 +27,14 @@ func TestKeyLess(t *testing.T) {
 	}
 }
 
-func TestSortSnapshotsAndKeys(t *testing.T) {
-	order := []Key{{0, 2, 0}, {0, 1, 1}, {1, 0, 0}, {0, 1, 0}, {0, 10, 0}}
+func TestSortKeys(t *testing.T) {
+	keys := []Key{{0, 2, 0}, {0, 1, 1}, {1, 0, 0}, {0, 1, 0}, {0, 10, 0}}
 	want := []Key{{0, 1, 0}, {0, 1, 1}, {0, 2, 0}, {0, 10, 0}, {1, 0, 0}}
-
-	keys := append([]Key(nil), order...)
 	SortKeys(keys)
 	if !reflect.DeepEqual(keys, want) {
 		t.Errorf("SortKeys = %v, want %v", keys, want)
 	}
-
-	snaps := make([]Snapshot, len(order))
-	for i, k := range order {
-		snaps[i] = sampleSnap(k.Proc, k.CFGIndex, k.Instance)
-	}
-	SortSnapshots(snaps)
-	for i, s := range snaps {
-		if s.Key() != want[i] {
-			t.Errorf("SortSnapshots[%d] = %v, want %v", i, s.Key(), want[i])
-		}
-	}
-	SortSnapshots(nil) // empty store: nothing to do, must not panic
+	SortKeys(nil) // empty store: nothing to do, must not panic
 }
 
 // TestCommonIndexes: a KeyIndex's Indexes(n) names the CFG indexes common

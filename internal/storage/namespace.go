@@ -91,19 +91,7 @@ func (ns *Namespace) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 }
 
 // List implements Store.
-func (ns *Namespace) List(proc int) ([]Snapshot, error) {
-	if err := ns.check(proc); err != nil {
-		return nil, err
-	}
-	snaps, err := ns.inner.List(proc + ns.base)
-	if err != nil {
-		return nil, err
-	}
-	for i := range snaps {
-		snaps[i].Proc -= ns.base
-	}
-	return snaps, nil
-}
+func (ns *Namespace) List(proc int) ([]Snapshot, error) { return List(ns, proc) }
 
 // Indexes implements Store: the candidate straight cuts of THIS job only.
 // The backing store's own Indexes would mix every job's processes into one

@@ -85,11 +85,6 @@ func SortKeys(keys []Key) {
 	sort.Slice(keys, func(i, j int) bool { return keys[i].Less(keys[j]) })
 }
 
-// SortSnapshots sorts snaps by key, the order List promises.
-func SortSnapshots(snaps []Snapshot) {
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Key().Less(snaps[j].Key()) })
-}
-
 // Store is the stable-storage interface used by the runtime and the
 // recovery machinery.
 type Store interface {
@@ -111,7 +106,10 @@ type Store interface {
 	Latest(proc, cfgIndex int) (Snapshot, error)
 	// Get returns the exact snapshot, or ErrNotFound.
 	Get(proc, cfgIndex, instance int) (Snapshot, error)
-	// List returns all snapshots of proc ordered by (cfgIndex, instance).
+	// List returns all snapshots of proc ordered by (cfgIndex, instance),
+	// failing when any of them fails to load. Every List under internal/ is
+	// the package function List; only the benchmark's timedStore, which is
+	// not a KeyLister, still needs the method (ROADMAP 14).
 	List(proc int) ([]Snapshot, error)
 	// Indexes returns the sorted CFG checkpoint indexes for which EVERY one
 	// of the n processes has at least one snapshot — the candidate straight
@@ -193,14 +191,15 @@ func Scrub(st Store) (ScrubReport, error) {
 // KeyLister is implemented by stores that can name a process's checkpoints
 // without loading them. A key is listed whether or not its snapshot still
 // loads, which the strict List cannot promise. The slice is the caller's,
-// in no particular order.
+// in no particular order. Every store and wrapper under internal/ is one.
 type KeyLister interface {
 	Keys(proc int) ([]Key, error)
 }
 
 // Keys returns the key of every checkpoint of proc that st holds: from a
 // KeyLister without reading a body, else from List (which fails when any
-// snapshot of proc is damaged).
+// snapshot of proc is damaged). The fallback serves only the benchmark's
+// timedStore, the one Store that is not a KeyLister (ROADMAP 14).
 func Keys(st Store, proc int) ([]Key, error) {
 	if kl, ok := st.(KeyLister); ok {
 		return kl.Keys(proc)
@@ -214,6 +213,29 @@ func Keys(st Store, proc int) ([]Key, error) {
 		keys[i] = s.Key()
 	}
 	return keys, nil
+}
+
+// List is the body of every Store.List under internal/: st's own keys of
+// proc in SortKeys order, each loaded with st.Get. Any error fails the whole
+// listing, ErrNotFound too when a concurrent Save retires or a Delete takes
+// a key between the two calls. It calls st's Keys method, never the package
+// function Keys, whose fallback is List and would recurse.
+func List(st interface {
+	KeyLister
+	Get(proc, cfgIndex, instance int) (Snapshot, error)
+}, proc int) ([]Snapshot, error) {
+	keys, err := st.Keys(proc)
+	if err != nil {
+		return nil, err
+	}
+	SortKeys(keys)
+	out := make([]Snapshot, len(keys))
+	for i, k := range keys {
+		if out[i], err = st.Get(proc, k.CFGIndex, k.Instance); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Memory is an in-memory Store safe for concurrent use. The zero value is
@@ -378,22 +400,7 @@ func (m *Memory) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 }
 
 // List implements Store.
-func (m *Memory) List(proc int) ([]Snapshot, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Snapshot, 0, m.bodies.LenProc(proc))
-	var err error
-	m.bodies.Range(proc, func(k Key, ref bodyRef) bool {
-		var s Snapshot
-		s, err = m.read(k, ref)
-		out = append(out, s)
-		return err == nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (m *Memory) List(proc int) ([]Snapshot, error) { return List(m, proc) }
 
 // Indexes implements Store.
 func (m *Memory) Indexes(n int) ([]int, error) {

@@ -262,28 +262,9 @@ func (w *Store) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
 	return w.readLocked(storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: instance}, l)
 }
 
-// List implements storage.Store. It is strict the way the chaos wrapper
-// is: any quarantined snapshot of proc fails the whole listing with
-// ErrCorrupt, the way a chain scan stops at a damaged record.
-func (w *Store) List(proc int) ([]storage.Snapshot, error) {
-	if err := w.checkAlive(); err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]storage.Snapshot, 0, w.index.LenProc(proc))
-	var err error
-	w.index.Range(proc, func(k storage.Key, l loc) bool {
-		var s storage.Snapshot
-		s, err = w.readLocked(k, l)
-		out = append(out, s)
-		return err == nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+// List implements storage.Store: any quarantined snapshot of proc fails the
+// whole listing with ErrCorrupt.
+func (w *Store) List(proc int) ([]storage.Snapshot, error) { return storage.List(w, proc) }
 
 // Indexes implements storage.Store. Quarantined keys still count as
 // "present" (their proc did checkpoint there); the recovery ladder finds

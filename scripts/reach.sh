@@ -97,6 +97,8 @@ for store in mem incremental "wal:$TMP/simlog"; do
     quiet "$SIM" -n 4 -transform -store "$store" -fail 1:9 -fail 2:14 "$PROG"
 done
 quiet "$SIM" -n 4 -transform -no-prune -seed 3 -crash-rate 2.5 -storage-fault-rate 0.3 "$PROG"
+# The uncoordinated walk over checkpoints that fail to load: it skips them.
+quiet "$SIM" -n 4 -transform -protocol uncoord -seed 4 -storage-fault-rate 0.3 -fail 1:9 -fail 2:14 "$PROG"
 quiet "$SIM" -n 4 -transform -seed 7 -net-fault-rate 0.2 -net-partition '0>1@0ms+120ms' "$PROG"
 quiet "$SIM" -n 4 -transform -vtime -fail 1:9 -trace-out "$TMP/t.json" -events-out "$TMP/e.jsonl" \
     -metrics-out "$TMP/m.jsonl" -cpuprofile "$TMP/c.pprof" -memprofile "$TMP/h.pprof" "$PROG"
