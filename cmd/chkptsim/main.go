@@ -155,6 +155,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		fmt.Fprintln(stderr, "chkptsim:", err)
 		return 1
 	}
+	m := r.Counters.Snapshot() // the run fed the CLI's sink, not res.Metrics
 
 	if *metricsOut != "" {
 		meta := obs.RunMeta{
@@ -174,7 +175,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			stages = append(stages, obs.StageTiming{Name: "chkptsim.transform", Elapsed: transformTime})
 		}
 		err := obs.WriteFile(*metricsOut, func(w io.Writer) error {
-			return obs.WriteMetricsJSONL(w, meta, res.Metrics, stages)
+			return obs.WriteMetricsJSONL(w, meta, m, stages)
 		})
 		if err != nil {
 			fmt.Fprintln(stderr, "chkptsim:", err)
@@ -184,11 +185,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 
 	fmt.Fprintf(stdout, "program %s: n=%d protocol=%s restarts=%d\n",
 		prog.Name, nproc, *protoName, res.Restarts)
-	fmt.Fprintf(stdout, "metrics: %s\n", res.Metrics)
-	if full := res.Metrics.Custom[sim.MetricPruneBytesFull]; full > 0 {
-		saved := res.Metrics.Custom[sim.MetricPruneBytesSaved]
+	fmt.Fprintf(stdout, "metrics: %s\n", m)
+	if full := m.Custom[sim.MetricPruneBytesFull]; full > 0 {
+		saved := m.Custom[sim.MetricPruneBytesSaved]
 		fmt.Fprintf(stdout, "prune: %dB saved of %dB full (%.1f%%), %d dead variable(s) dropped\n",
-			saved, full, 100*float64(saved)/float64(full), res.Metrics.Custom[sim.MetricPruneVarsDropped])
+			saved, full, 100*float64(saved)/float64(full), m.Custom[sim.MetricPruneVarsDropped])
 	}
 	if *virtual {
 		fmt.Fprintf(stdout, "virtual makespan: %.4f s\n", res.VTime)

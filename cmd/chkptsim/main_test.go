@@ -73,6 +73,32 @@ func TestRunTransformedIsConsistent(t *testing.T) {
 	}
 }
 
+// TestMetricsLineCountsTheRun: the run feeds the CLI's own counters, and
+// the metrics line reads them, not the Result.Metrics the runtime leaves
+// zero when the caller owns the sink.
+func TestMetricsLineCountsTheRun(t *testing.T) {
+	path := writeTemp(t, fig2Src)
+	var out, errb strings.Builder
+	if code := run([]string{"-transform", path}, &out, &errb); code != 0 {
+		t.Fatalf("exit = %d\n%s%s", code, out.String(), errb.String())
+	}
+	counts := map[string]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "metrics: "); ok {
+			for _, f := range strings.Fields(rest) {
+				if k, v, ok := strings.Cut(f, "="); ok {
+					counts[k] = v
+				}
+			}
+		}
+	}
+	for _, name := range []string{"checkpoints", "app_messages"} {
+		if v := counts[name]; v == "" || v == "0" {
+			t.Errorf("metrics line has %s=%q, want a nonzero count\n%s", name, v, out.String())
+		}
+	}
+}
+
 func TestRunWithFailureRecovers(t *testing.T) {
 	path := writeTemp(t, fig2Src)
 	var out, errb strings.Builder

@@ -176,8 +176,7 @@ type Engine struct {
 	drainOnce  sync.Once
 	cancelJobs chan struct{} // closed at the drain deadline: park in-flight jobs
 
-	mu      sync.Mutex
-	buckets map[string]int64
+	mu sync.Mutex // guards the report's Buckets while jobs run
 }
 
 // New builds an engine (validating nothing beyond defaults: a zero Config
@@ -198,7 +197,6 @@ func New(cfg Config) *Engine {
 		budgets:    make(map[string]*RetryBudget),
 		drainCh:    make(chan struct{}),
 		cancelJobs: make(chan struct{}),
-		buckets:    make(map[string]int64),
 	}
 	for _, t := range cfg.Tenants {
 		e.budgets[t.Name] = NewRetryBudget(retryTokensPerJob, retryTokensCap)
@@ -277,9 +275,9 @@ arrivals:
 			err := e.runJob(code, jobID, jobSeed, tenant, business)
 			bucket := Classify(err)
 			e.mu.Lock()
-			e.buckets[bucket]++
+			rep.Buckets[bucket]++
 			e.mu.Unlock()
-			cfg.Counters.Inc("fleet_"+bucket, 1)
+			cfg.Counters.Inc(bucketCounters[bucket], 1)
 			if cfg.Observer != nil {
 				label := ""
 				if err != nil {
@@ -327,11 +325,7 @@ arrivals:
 			Tag: fmt.Sprintf("%.3fs", rep.DrainDur.Seconds())})
 	}
 
-	e.mu.Lock()
-	for b, n := range e.buckets {
-		rep.Buckets[b] = n
-	}
-	e.mu.Unlock()
+	// Every job has reported (done is closed): Buckets is read without mu.
 	rep.Breaker = e.brk.Stats()
 	if rep.Elapsed > 0 {
 		rep.JobsPerSec = float64(rep.Admitted) / rep.Elapsed.Seconds()

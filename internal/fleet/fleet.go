@@ -55,6 +55,15 @@ const (
 // Buckets lists the taxonomy in report order.
 var Buckets = []string{BucketSucceeded, BucketInfraFailed, BucketBusinessFailed, BucketParked}
 
+// bucketCounters names each bucket's counter, built once, not once per job.
+var bucketCounters = map[string]string{}
+
+func init() {
+	for _, b := range Buckets {
+		bucketCounters[b] = "fleet_" + b
+	}
+}
+
 // Admission-rejection reasons (AdmissionError.Reason).
 const (
 	ReasonFleetCapacity = "fleet_capacity"

@@ -13,7 +13,7 @@ type Env struct {
 	// Vars holds the mutable process variables. Undeclared reads are an
 	// evaluation error; the checker prevents them for parsed programs.
 	Vars map[string]int
-	// Consts holds program constants.
+	// Consts holds program constants, only read: environments may share it.
 	Consts map[string]int
 	// Input returns process input data for index i. A nil Input makes any
 	// input(...) call an evaluation error.

@@ -88,6 +88,8 @@ type Code struct {
 	// if-arms can share an index yet have different per-arm live sets. The
 	// runtime persists only manifest variables unless pruning is disabled.
 	Manifests map[int][]string
+	// consts is the constants map every process of every run of it reads.
+	consts map[string]int
 }
 
 // Compile lowers a program to instructions. The checkpoint enumeration
@@ -101,7 +103,10 @@ func Compile(p *mpl.Program) (*Code, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	c := &Code{Prog: p, Enum: enum, Manifests: live.Live}
+	c := &Code{Prog: p, Enum: enum, Manifests: live.Live, consts: make(map[string]int, len(p.Consts))}
+	for _, k := range p.Consts {
+		c.consts[k.Name] = k.Value
+	}
 	c.Instrs = make([]Instr, 0, instrCount(p.Body)+1) // +1: the halt
 	if err := c.compileBody(p.Body); err != nil {
 		return nil, err

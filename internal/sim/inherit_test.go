@@ -200,15 +200,19 @@ func TestInitRefillsInheritedMemory(t *testing.T) {
 		if pr.hooks == nil || pr.events != 0 || pr.inc != 1 {
 			t.Errorf("process %d: hooks %v, %d events, incarnation %d", p, pr.hooks, pr.events, pr.inc)
 		}
+		// Every process of every run reads the one constants map Compile built.
+		if reflect.ValueOf(pr.env.Consts).UnsafePointer() != reflect.ValueOf(code.consts).UnsafePointer() || pr.env.Consts["MAXITER"] != 6 {
+			t.Errorf("process %d evaluates against constants %v, not the Code's map", p, pr.env.Consts)
+		}
 	}
 }
 
 // One more crash costs one more incarnation: n Procs with their hooks, a
 // rollback, and the replay's own messages and saves — not n environments,
 // instance maps, clocks and sequence slices made again (174 objects before
-// incarnations inherited them). Measured 99 (166 before); the margin is for scheduling
+// incarnations inherited them). Measured 83 (166 before); the margin is for scheduling
 // (how far the others got before the crash decides how much is replayed). The
-// whole one-crash run is pinned beside it: 305 objects (356 while its network
+// whole one-crash run is pinned beside it: 210 objects (356 while its network
 // made n² queues up front).
 func TestRestartAllocsPerIncarnation(t *testing.T) {
 	prog := corpus.JacobiFig1(12)

@@ -108,31 +108,30 @@ type Proc struct {
 }
 
 // init completes a Proc whose configuration fields are set into a process
-// at the program start: zero counters, every declared variable 0.
-// A Proc that inherited a predecessor's memory (run.start) gets there by
-// refilling it, whatever state the predecessor crashed in.
+// at the program start: zero counters, every declared variable 0. Memory a
+// Proc inherited from its predecessor (run.start) is refilled, whatever
+// state the predecessor crashed in; the constants are the Code's own map.
 func (p *Proc) init(input func(rank, i int) int) {
 	p.workLeft = -1
-	if p.env != nil {
-		clear(p.sendSeq)
-		clear(p.recvSeq)
-		clear(p.instances)
-		clear(p.env.Vars) // a crash mid-reduce leaves reduceTmpVar behind
-		for _, name := range p.code.Prog.Vars {
-			p.env.Vars[name] = 0
+	if p.env == nil {
+		p.sendSeq = make([]int, p.n)
+		p.recvSeq = make([]int, p.n)
+		p.instances = make(map[int]int)
+		// The closure holds the rank, not the Proc: it serves every incarnation.
+		var inputFn func(int) int
+		if input != nil {
+			rank := p.rank
+			inputFn = func(i int) int { return input(rank, i) }
 		}
-		return
+		p.env = &mpl.Env{Rank: p.rank, Nproc: p.n, Vars: make(map[string]int, len(p.code.Prog.Vars)), Consts: p.code.consts, Input: inputFn}
 	}
-	p.sendSeq = make([]int, p.n)
-	p.recvSeq = make([]int, p.n)
-	p.instances = make(map[int]int)
-	// The closure holds the rank, not the Proc: it serves every incarnation.
-	var inputFn func(int) int
-	if input != nil {
-		rank := p.rank
-		inputFn = func(i int) int { return input(rank, i) }
+	clear(p.sendSeq)
+	clear(p.recvSeq)
+	clear(p.instances)
+	clear(p.env.Vars) // a crash mid-reduce leaves reduceTmpVar behind
+	for _, name := range p.code.Prog.Vars {
+		p.env.Vars[name] = 0
 	}
-	p.env = mpl.NewEnv(p.code.Prog, p.rank, p.n, inputFn)
 }
 
 // now reads the process's wall-clock source (Config.WallClock pin, or the
@@ -168,9 +167,10 @@ func (p *Proc) resumePC() int {
 	return p.pc + 1
 }
 
-// restore rewinds the process to a snapshot, refilling the counters and maps
-// init built. s is copied, never adopted: the recovery line it belongs to
-// came through the Config.Recover hook, which may keep it.
+// restore rewinds the process init just zeroed to a snapshot: s's variables
+// overlay the declared ones, so a pruned snapshot's dead variables keep the
+// initial value 0. s is copied, never adopted: the recovery line it belongs
+// to came through the Config.Recover hook, which may keep it.
 func (p *Proc) restore(s storage.Snapshot) error {
 	pc, err := strconv.Atoi(s.PC)
 	if err != nil {
@@ -180,21 +180,11 @@ func (p *Proc) restore(s storage.Snapshot) error {
 		return fmt.Errorf("sim: snapshot seqs of width %d/%d for a %d-process run", len(s.SendSeqs), len(s.RecvSeqs), p.n)
 	}
 	p.pc = pc
-	clear(p.env.Vars)
-	if s.Manifest != nil {
-		// Pruned snapshot: reconstruct dead variables to their declared
-		// initial value (zero, matching mpl.NewEnv), then overlay the
-		// manifest variables the snapshot actually carries.
-		for _, name := range p.code.Prog.Vars {
-			p.env.Vars[name] = 0
-		}
-	}
 	for k, v := range s.Vars {
 		p.env.Vars[k] = v
 	}
 	copy(p.sendSeq, s.SendSeqs)
 	copy(p.recvSeq, s.RecvSeqs)
-	clear(p.instances)
 	for k, v := range s.Instances {
 		p.instances[k] = v
 	}

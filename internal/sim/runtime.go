@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"sync/atomic"
 	"time"
 
@@ -100,11 +99,9 @@ type Config struct {
 	// not just the final one, and it is independent of DisableTrace.
 	// Implementations must be safe for concurrent use.
 	Observer obs.Observer
-	// Counters, when set, is the metrics sink the run accumulates into
-	// instead of a fresh private one — the live-telemetry tap: an
-	// exposition server can snapshot it WHILE the run executes instead of
-	// waiting for Result.Metrics. Pre-existing contents are kept (and so
-	// appear in Result.Metrics); pass a fresh Counters for per-run totals.
+	// Counters, when set, is the sink the run accumulates into instead of a
+	// private one: the live-telemetry tap, which a server can scrape while
+	// the run executes. Its owner snapshots it; Result.Metrics stays zero.
 	Counters *metrics.Counters
 	// Net, when set, hardens the network: every message crosses a lossy
 	// link layer (optionally driven by a fault injector, Net.Chaos) with
@@ -141,9 +138,9 @@ type Result struct {
 	// Trace records the FINAL incarnation's events (earlier incarnations
 	// are rolled back; their surviving effects live in the checkpoints).
 	Trace *trace.Trace
-	// FinalVars is each process's variable state at halt.
+	// FinalVars is each process's variable state at halt (its map, not a copy).
 	FinalVars []map[string]int
-	// Metrics are the accumulated counters across all incarnations.
+	// Metrics are the counters of all incarnations; zero with Config.Counters.
 	Metrics metrics.Snapshot
 	// Restarts is the number of recoveries performed.
 	Restarts int
@@ -246,7 +243,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
 	}
-	if cfg.Counters == nil {
+	private := cfg.Counters == nil
+	if private {
 		cfg.Counters = &metrics.Counters{}
 	}
 	net := NewNetwork(cfg.Nproc)
@@ -279,7 +277,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 		if failure == nil {
 			res.finish(procs)
-			res.Metrics = cfg.Counters.Snapshot()
+			if private {
+				res.Metrics = cfg.Counters.Snapshot()
+			}
 			return res, nil
 		}
 		// If virtual time is on, the restart begins at the wall time the
@@ -444,7 +444,8 @@ func (r *run) wait(inc int, procs []*Proc) (failure, err error) {
 }
 
 // finish fills in what the processes of a cleanly completed incarnation
-// leave behind, the trace's vector clocks stamped from its histories.
+// leave behind: their variable maps, adopted (nothing runs on them once wait
+// returned), and the trace's vector clocks stamped from its histories.
 func (res *Result) finish(procs []*Proc) {
 	if res.Trace = procs[0].tr; res.Trace != nil {
 		res.Trace.StampClocks()
@@ -452,7 +453,7 @@ func (res *Result) finish(procs []*Proc) {
 	res.FinalVars = make([]map[string]int, len(procs))
 	res.VTimes = make([]float64, len(procs))
 	for rank, p := range procs {
-		res.FinalVars[rank] = maps.Clone(p.env.Vars)
+		res.FinalVars[rank] = p.env.Vars
 		res.VTimes[rank] = p.vtime
 		res.VTime = max(res.VTime, p.vtime)
 	}

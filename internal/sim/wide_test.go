@@ -80,8 +80,9 @@ func TestWideRunAllocsPerProcess(t *testing.T) {
 }
 
 // A Code is written by Compile and only read afterwards, so concurrent runs
-// share one (the fleet engine's jobs do): 32 at once, one of them crashing in
-// every other, end as a run of its own does. -race is the check.
+// share one, its constants map included (the fleet engine's jobs do): 32 at
+// once, one of them crashing in every other, end as a run of its own does.
+// -race is the check.
 func TestSharedCodeIsReadOnly(t *testing.T) {
 	const n, runs = 4, 32
 	prog := corpus.JacobiFig1(6)
@@ -94,6 +95,7 @@ func TestSharedCodeIsReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
+	results := make([]*sim.Result, runs)
 	for i := 0; i < runs; i++ {
 		wg.Add(1)
 		go func() {
@@ -108,9 +110,26 @@ func TestSharedCodeIsReadOnly(t *testing.T) {
 			} else if !reflect.DeepEqual(res.FinalVars, own.FinalVars) {
 				t.Errorf("run %d ends with %v, a run that compiled for itself with %v", i, res.FinalVars, own.FinalVars)
 			}
+			results[i] = res
 		}()
 	}
 	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	// FinalVars are the halted processes' own maps: clobbering one run's
+	// leaves every other run's as it was.
+	for _, vars := range results[0].FinalVars {
+		for name := range vars {
+			vars[name] = -1
+		}
+	}
+	for i, res := range results[1:] {
+		if !reflect.DeepEqual(res.FinalVars, own.FinalVars) {
+			t.Errorf("clobbering run 0's FinalVars changed run %d's to %v", i+1, res.FinalVars)
+		}
+	}
 
 	// Program may repeat what Code already says, and must not contradict it.
 	if _, err := sim.Run(sim.Config{Program: prog, Code: code, Nproc: n}); err != nil {

@@ -57,8 +57,10 @@ func TestHealthSignalsUnderSeededChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.Rollbacks < 2 {
-		t.Fatalf("chaos schedule caused only %d rollbacks; detectors cannot fire", res.Metrics.Rollbacks)
+	// The run fed the tap, so the tap, not Result.Metrics, holds its counts.
+	runRollbacks := counters.Snapshot().Rollbacks
+	if runRollbacks < 2 {
+		t.Fatalf("chaos schedule caused only %d rollbacks; detectors cannot fire", runRollbacks)
 	}
 
 	// Close the first window: the run's rollbacks land in one delta →
@@ -74,7 +76,7 @@ func TestHealthSignalsUnderSeededChaos(t *testing.T) {
 
 	snap := agg.Snapshot()
 	if snap.Health.Storms < 1 {
-		t.Errorf("no rollback storm detected (rollbacks=%d)", res.Metrics.Rollbacks)
+		t.Errorf("no rollback storm detected (rollbacks=%d)", runRollbacks)
 	}
 	if snap.Health.LagAlerts < 1 {
 		t.Error("no checkpoint-lag alert")
@@ -109,8 +111,8 @@ func TestHealthSignalsUnderSeededChaos(t *testing.T) {
 			rollbacks = s.value
 		}
 	}
-	if rollbacks != float64(res.Metrics.Rollbacks) {
-		t.Errorf("exposition rollbacks %g != run's %d", rollbacks, res.Metrics.Rollbacks)
+	if rollbacks != float64(runRollbacks) {
+		t.Errorf("exposition rollbacks %g != run's %d", rollbacks, runRollbacks)
 	}
 
 	// Signal surface 2: the JSONL event stream.
