@@ -285,11 +285,12 @@ func (c *Store) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
 // process with any marked snapshot fails the whole listing.
 func (c *Store) List(proc int) ([]storage.Snapshot, error) { return storage.List(c, proc) }
 
-// Indexes implements storage.Store.
+// Indexes implements storage.Store; like Keys it injects nothing.
 func (c *Store) Indexes(n int) ([]int, error) { return c.inner.Indexes(n) }
 
-// Keys implements storage.KeyLister: like Indexes it injects nothing, and
-// a marked key is still a key.
+// Keys implements storage.KeyLister. It injects nothing, and a marked key is
+// still a key: recovery takes its candidate cuts from Keys and meets the
+// mark when Get loads one.
 func (c *Store) Keys(proc int) ([]storage.Key, error) { return storage.Keys(c.inner, proc) }
 
 // Delete implements storage.Store.

@@ -242,8 +242,8 @@ func (b *Breaker) Delete(proc, cfgIndex, instance int) error {
 	return guard0(b, func() error { return b.inner.Delete(proc, cfgIndex, instance) })
 }
 
-// Keys forwards storage.KeyLister, so a job's Namespace.Indexes names its
-// keys without loading them.
+// Keys forwards storage.KeyLister, so a job's recovery names its keys
+// without loading them.
 func (b *Breaker) Keys(proc int) ([]storage.Key, error) {
 	return guard(b, func() ([]storage.Key, error) { return storage.Keys(b.inner, proc) })
 }

@@ -10,10 +10,11 @@ import (
 
 // corruptStore wraps a Store and fails reads of chosen snapshots with
 // storage.ErrCorrupt — the minimal stand-in for a store whose integrity
-// checks reject damaged records.
+// checks reject damaged records. gets counts the reads through it.
 type corruptStore struct {
 	storage.Store
-	bad map[[3]int]bool
+	bad  map[[3]int]bool
+	gets int
 }
 
 func (c *corruptStore) markBad(proc, index, instance int) {
@@ -24,22 +25,15 @@ func (c *corruptStore) markBad(proc, index, instance int) {
 }
 
 func (c *corruptStore) Get(proc, index, instance int) (storage.Snapshot, error) {
+	c.gets++
 	if c.bad[[3]int{proc, index, instance}] {
 		return storage.Snapshot{}, fmt.Errorf("%w: proc=%d index=%d instance=%d", storage.ErrCorrupt, proc, index, instance)
 	}
 	return c.Store.Get(proc, index, instance)
 }
 
-func (c *corruptStore) Latest(proc, index int) (storage.Snapshot, error) {
-	s, err := c.Store.Latest(proc, index)
-	if err != nil {
-		return s, err
-	}
-	if c.bad[[3]int{proc, index, s.Instance}] {
-		return storage.Snapshot{}, fmt.Errorf("%w: proc=%d index=%d instance=%d", storage.ErrCorrupt, proc, index, s.Instance)
-	}
-	return s, nil
-}
+// Keys implements storage.KeyLister: a damaged key is still a key.
+func (c *corruptStore) Keys(proc int) ([]storage.Key, error) { return storage.Keys(c.Store, proc) }
 
 func TestStraightCutDegradesToOlderInstance(t *testing.T) {
 	st := &corruptStore{Store: storage.NewMemory()}

@@ -2,22 +2,24 @@
 // failure, and takes the storage back to the chosen line (Rollback).
 //
 // For the paper's application-driven scheme the recovery line is a
-// straight cut: the i-th checkpoint of every process (Definition 2.2/2.3).
-// StraightCut picks the most advanced saved straight cut and verifies its
-// consistency from the channel counters every snapshot carries — the
-// runtime manifestation of Theorem 3.2 (the verification never fails for
-// programs transformed by Phase III; for untransformed programs it is how
-// tests demonstrate the domino-prone alternative).
+// straight cut R_i^k: the k-th instance of checkpoint i on every process
+// (Definition 2.2/2.3). StraightCut picks the most advanced straight cut
+// the store holds and can load, and verifies its consistency from the
+// channel counters every snapshot carries — the runtime manifestation of
+// Theorem 3.2 (the verification never fails for programs transformed by
+// Phase III; for untransformed programs it is how tests demonstrate the
+// domino-prone alternative).
 //
 // For the uncoordinated baseline the package implements the classic
 // rollback-dependency algorithm: start from every process's latest
 // checkpoint and roll processes back until the cut is consistent. The
 // number of rollback steps measures the domino effect; the algorithm can
 // cascade all the way to the initial state (unbounded rollback
-// propagation, §1). A process's history is read as every caller reads it,
-// storage.Keys then Get, and put in time order by Progress; a checkpoint
-// that fails to load is skipped and counted in Line.Degraded, as
-// StraightCut counts a cut it skips.
+// propagation, §1).
+//
+// Both read a process's history one way, storage.Keys then Get, and a
+// checkpoint or cut that fails to load is skipped and counted in
+// Line.Degraded.
 package recovery
 
 import (
@@ -46,11 +48,12 @@ type Line struct {
 	// positive values for uncoordinated recovery measure the domino
 	// effect).
 	Rollbacks int
-	// Degraded counts candidate straight cuts that failed to load
-	// (corrupt, quarantined, or unreadable snapshots) and were skipped
-	// during selection. 0 means the line is the best cut stable storage
-	// claims to hold; positive values measure how far recovery had to
-	// degrade because storage misbehaved.
+	// Degraded counts what selection skipped because it failed to load
+	// (corrupt, quarantined, or unreadable snapshots): candidate straight
+	// cuts, each an (index, instance) every process holds, for StraightCut;
+	// checkpoints for LatestConsistent. 0 means the line is the best one
+	// stable storage claims to hold; positive values measure how far
+	// recovery had to degrade because storage misbehaved.
 	Degraded int
 }
 
@@ -90,108 +93,66 @@ func Progress(s storage.Snapshot) int {
 	return sum
 }
 
-// maxInstanceProbe bounds how many instances below a candidate index's
-// common frontier the degraded-selection probe descends. Probing is linear
-// in n per step; the bound keeps pathological stores (a long fully-corrupt
-// instance chain) from turning selection into a full scan.
-const maxInstanceProbe = 32
-
 // StraightCut returns the recovery line for the application-driven scheme:
-// the straight cut R_i with the largest common (index, instance) progress.
-// For each checkpoint index i present on every process it considers the
-// cut at instance k_i = min over processes of the latest saved instance of
-// C_{p,i}, and picks the candidate with the greatest total progress (sum of
-// its members' Progress). The chosen cut's consistency is verified; an
-// inconsistent straight cut is reported as ErrInconsistentCut.
+// a straight cut R_i^k, the k-th instance of checkpoint i on every process
+// (Definition 2.3). Its candidates are the (i, k) that every process 0…n−1
+// holds, read off storage.Keys; for each index, ascending, the newest
+// candidate that loads is that index's cut, and the cut with the greatest
+// total progress (sum of its members' Progress) wins, the lowest index on a
+// tie. The chosen cut's consistency is verified; an inconsistent straight
+// cut is reported as ErrInconsistentCut.
 //
-// Selection degrades gracefully when stable storage misbehaves: a
-// candidate cut whose snapshots fail to load (storage.ErrCorrupt from a
-// damaged file or delta chain, storage.ErrNotFound after quarantine, or a
-// persistent read fault) is skipped and the next-deepest candidate — an
-// older instance of the same index, then older indexes — is probed
-// instead. Every skipped candidate is counted in Line.Degraded so callers
-// can report how far recovery fell below the best cut storage claimed to
-// hold. Only when no candidate loads at all does StraightCut return
-// ErrNoRecoveryLine, telling the runtime to restart from the initial
-// state — the bottom of the degradation ladder.
+// Selection degrades gracefully when stable storage misbehaves: a candidate
+// with a member that fails to load (storage.ErrCorrupt from a damaged record
+// or delta chain, storage.ErrNotFound after quarantine, or a persistent read
+// fault) is skipped for the next older candidate of its index, and counted
+// in Line.Degraded, so callers can report how far recovery fell below the
+// best cut storage claimed to hold. The walk is bounded by the keys held:
+// Memory and the WAL keep at most two complete cuts of an index. Only when
+// no candidate loads at all does StraightCut return ErrNoRecoveryLine,
+// telling the runtime to restart from the initial state — the bottom of the
+// degradation ladder.
 func StraightCut(st storage.Store, n int) (*Line, error) {
-	indexes, err := st.Indexes(n)
-	if err != nil {
-		return nil, err
-	}
-	if len(indexes) == 0 {
-		return nil, ErrNoRecoveryLine
+	// cands is process 0's keys that every other process holds too, by
+	// index, newest instance first; each process's keys are read once.
+	var cands []storage.Key
+	for p := 0; p < n && (p == 0 || len(cands) > 0); p++ {
+		keys, err := storage.Keys(st, p)
+		if err != nil {
+			return nil, err
+		}
+		slices.SortFunc(keys, newestFirst)
+		if p == 0 {
+			cands = keys
+			continue
+		}
+		cands = slices.DeleteFunc(cands, func(c storage.Key) bool {
+			_, held := slices.BinarySearchFunc(keys, c, newestFirst)
+			return !held
+		})
 	}
 	// cut is the candidate being loaded; it becomes best by trading places
-	// with it, so selection allocates two cuts however many it probes.
+	// with it, so selection allocates two cuts however many it tries.
 	var best, cut []storage.Snapshot
-	bestScore := 0
-	degraded := 0
-	for _, idx := range indexes {
+	bestScore, degraded := 0, 0
+	for i := 0; i < len(cands); {
+		c := cands[i]
+		i++
 		if cut == nil {
 			cut = make([]storage.Snapshot, n)
 		}
-		// Common frontier: the minimum of the per-process latest
-		// instances. A process whose frontier is unreadable (its newest
-		// instance is corrupt) leaves the frontier to the others; the
-		// probe below discovers its deepest loadable instance. What Latest
-		// loaded stays in cut, so that a member at the frontier is read
-		// once: cut[p] is a snapshot of instance cut[p].Instance, or
-		// nothing when that is -1.
-		k := -1
-		anyFrontier := false
-		for p := 0; p < n; p++ {
-			latest, err := st.Latest(p, idx)
-			if err != nil {
-				cut[p] = storage.Snapshot{Instance: -1}
-				continue
-			}
-			cut[p] = latest
-			anyFrontier = true
-			if k < 0 || latest.Instance < k {
-				k = latest.Instance
-			}
+		ok := true
+		for p := 0; p < n && ok; p++ {
+			var err error
+			cut[p], err = st.Get(p, c.CFGIndex, c.Instance)
+			ok = err == nil
 		}
-		if !anyFrontier {
-			// Index present by name on every process but nothing loads.
+		if !ok {
 			degraded++
 			continue
 		}
-		// Probe instances from the frontier downward until a fully
-		// loadable cut appears; each failed (idx, instance) candidate is
-		// one degradation step. Only a process that ran ahead of the
-		// frontier, or a probe below it, needs another read. An instance
-		// no process holds is no candidate and ends the probe: below it
-		// the store retired the index (storage.Memory, decision 33).
-		found := false
-		for probes := 0; k >= 0 && probes < maxInstanceProbe; k, probes = k-1, probes+1 {
-			ok, held := true, false
-			for p := 0; p < n && (ok || !held); p++ {
-				if cut[p].Instance == k {
-					held = true
-					continue
-				}
-				s, err := st.Get(p, idx, k)
-				if err != nil {
-					// Corrupt, quarantined, or skipped instance (the
-					// latter should not happen for SPMD programs):
-					// degrade to the next-deepest candidate.
-					ok, held = false, held || !errors.Is(err, storage.ErrNotFound)
-					continue
-				}
-				cut[p], held = s, true
-			}
-			if ok {
-				found = true
-				break
-			}
-			if !held {
-				break
-			}
-			degraded++
-		}
-		if !found {
-			continue
+		for i < len(cands) && cands[i].CFGIndex == c.CFGIndex {
+			i++ // an older instance of an index that loaded is no candidate
 		}
 		score := 0
 		for _, s := range cut {
@@ -212,6 +173,12 @@ func StraightCut(st storage.Store, n int) (*Line, error) {
 			best[j].Proc, best[j].CFGIndex, best[j].Instance)
 	}
 	return &Line{Snapshots: best, Degraded: degraded}, nil
+}
+
+// newestFirst orders keys by CFG index, then newest instance first; it
+// ignores Proc, so that one process's key finds another's.
+func newestFirst(a, b storage.Key) int {
+	return cmp.Or(cmp.Compare(a.CFGIndex, b.CFGIndex), cmp.Compare(b.Instance, a.Instance))
 }
 
 // LatestConsistent implements uncoordinated recovery: start from each

@@ -6,9 +6,9 @@ import (
 )
 
 // KeyIndex is every store's key index, from a checkpoint's key to what the
-// store keeps for it. It answers recovery's questions about the straight cut
-// R_i by lookup: which indexes all n processes hold (Indexes), the latest
-// instance of C_{p,i} (Latest), does (p, i, k) exist (Get).
+// store keeps for it. It answers the Store's questions by lookup: which
+// keys a process holds (Keys), which indexes all n processes hold (Indexes),
+// the latest instance of C_{p,i} (Latest), does (p, i, k) exist (Get).
 //
 // A process maps to one run per CFG index, in index order, and a run holds
 // its entries in instance order. The runtime saves one (p, i)'s instances

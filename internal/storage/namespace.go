@@ -93,7 +93,7 @@ func (ns *Namespace) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 // List implements Store.
 func (ns *Namespace) List(proc int) ([]Snapshot, error) { return List(ns, proc) }
 
-// Indexes implements Store: the candidate straight cuts of THIS job only.
+// Indexes implements Store: the indexes of THIS job only.
 // The backing store's own Indexes would mix every job's processes into one
 // count, so the intersection is rebuilt here from the job's per-process
 // keys — which count whether or not their snapshots still load, as on

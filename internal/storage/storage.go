@@ -112,8 +112,8 @@ type Store interface {
 	// not a KeyLister, still needs the method (ROADMAP 14).
 	List(proc int) ([]Snapshot, error)
 	// Indexes returns the sorted CFG checkpoint indexes for which EVERY one
-	// of the n processes has at least one snapshot — the candidate straight
-	// cuts.
+	// of the n processes has at least one snapshot. Recovery takes its
+	// candidate straight cuts from Keys, not from here (ROADMAP 14).
 	Indexes(n int) ([]int, error)
 	// Delete removes one snapshot, any one the store holds, in any order.
 	// Deleting a missing snapshot is an error. Rollback recovery uses Delete

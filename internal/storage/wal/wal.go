@@ -248,7 +248,7 @@ func (w *Store) Get(proc, cfgIndex, instance int) (storage.Snapshot, error) {
 // Latest implements storage.Store. Like the chaos wrapper it is strict: if
 // the highest instance for (proc, cfgIndex) is quarantined, Latest fails
 // with ErrCorrupt rather than silently serving an older instance — the
-// degradation ladder, not the store, decides what to fall back to.
+// caller, not the store, decides what to fall back to.
 func (w *Store) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
 	if err := w.checkAlive(); err != nil {
 		return storage.Snapshot{}, err
@@ -267,9 +267,8 @@ func (w *Store) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
 func (w *Store) List(proc int) ([]storage.Snapshot, error) { return storage.List(w, proc) }
 
 // Indexes implements storage.Store. Quarantined keys still count as
-// "present" (their proc did checkpoint there); the recovery ladder finds
-// out via ErrCorrupt when it tries to load one — mirroring how the chaos
-// wrapper's inner store keeps clean copies of marked keys.
+// "present" (their proc did checkpoint there); a caller finds out via
+// ErrCorrupt when it loads one — as Keys lists them.
 func (w *Store) Indexes(n int) ([]int, error) {
 	if err := w.checkAlive(); err != nil {
 		return nil, err
