@@ -161,4 +161,6 @@ func printReport(w io.Writer, rep *core.Report) {
 			o.Index, o.EarlierStmt, o.LaterStmt)
 	}
 	fmt.Fprintf(w, "straight-cut indexes: %d\n", rep.CheckpointCount())
+	logged, sends := rep.SendsLogged()
+	fmt.Fprintf(w, "sends logged %d of %d (the others only use channels no straight cut has a message in flight on, at the process counts Phase II solves for)\n", logged, sends)
 }

@@ -157,3 +157,41 @@ func TestBadUsage(t *testing.T) {
 		t.Errorf("parse error exit = %d, want 1", code)
 	}
 }
+
+// -report counts the send statements whose messages the runtime may log: in
+// the repaired Figure 2 Jacobi no straight cut has a message in flight, so
+// none; in a ring whose last rank sends before its checkpoint and rank 0
+// receives after its own, the forwarding send, which the other ranks share.
+func TestReportCountsLoggedSends(t *testing.T) {
+	ring := `
+program ring
+var tok, r
+proc {
+    r = 0
+    while r < 3 {
+        if rank == 0 {
+            send(1, tok)
+            chkpt
+            recv(nproc - 1, tok)
+        } else {
+            recv(rank - 1, tok)
+            send((rank + 1) % nproc, tok)
+            chkpt
+        }
+        r = r + 1
+    }
+}
+`
+	for _, tc := range []struct{ src, want string }{
+		{fig2Src, "sends logged 0 of 2 "},
+		{ring, "sends logged 1 of 2 "},
+	} {
+		var out, errb strings.Builder
+		if code := run([]string{"-report", writeTemp(t, tc.src)}, &out, &errb); code != 0 {
+			t.Fatalf("exit = %d (stderr: %s)", code, errb.String())
+		}
+		if !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("report %q, want a line starting %q", errb.String(), tc.want)
+		}
+	}
+}

@@ -18,9 +18,11 @@
 // With -mutate the harness additionally sabotages each transformed
 // program one checkpoint at a time (delete / move across a communication
 // / skew into rank-parity branches) and each liveness manifest one live
-// variable at a time (prune-drop), and requires the checker to catch the
-// sabotage; a clean pass additionally requires the delete and prune-drop
-// detection rates to reach 95%.
+// variable at a time (prune-drop), and each send seen crossing a straight
+// cut one at a time (cross-clear: its messages lose their log records), and
+// requires the checker to catch the sabotage; a clean pass additionally
+// requires the delete, prune-drop and cross-clear detection rates to reach
+// 95%.
 //
 // Every counterexample line prints the generator sub-seed and schedule
 // needed to replay it deterministically; -replay regenerates one program
@@ -117,9 +119,11 @@ func report(res *verify.Result, mutate, verbose bool, stdout, stderr io.Writer) 
 			fmt.Fprintf(stderr, "chkptverify: delete-mutant detection rate %.1f%% below the 95%% bar\n", 100*del.Rate())
 			code = 1
 		}
-		if pd := res.Mutation[verify.MutPruneDrop]; pd != nil && pd.Rate() < 0.95 {
-			fmt.Fprintf(stderr, "chkptverify: prune-drop detection rate %.1f%% below the 95%% bar\n", 100*pd.Rate())
-			code = 1
+		for _, kind := range []verify.MutationKind{verify.MutPruneDrop, verify.MutCrossClear} {
+			if ks := res.Mutation[kind]; ks != nil && ks.Rate() < 0.95 {
+				fmt.Fprintf(stderr, "chkptverify: %s detection rate %.1f%% below the 95%% bar\n", kind, 100*ks.Rate())
+				code = 1
+			}
 		}
 	}
 	if code == 0 {

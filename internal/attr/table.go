@@ -76,7 +76,7 @@ func (s Solver) Tables(prs []Predicate, params []Param, nodes []int) []Table {
 	npr, nparam := 0, 0
 	for i, node := range nodes {
 		j := 0
-		for !equalPredicates(prs[nodes[j]], prs[node]) {
+		for !prs[nodes[j]].Equal(prs[node]) {
 			j++
 		}
 		if same[i] = j; j == i {
@@ -128,12 +128,14 @@ func (s Solver) Tables(prs []Predicate, params []Param, nodes []int) []Table {
 	return ts
 }
 
-func equalPredicates(a, b Predicate) bool {
-	if len(a) != len(b) {
+// Equal reports whether two predicates are the same conjunction, term by
+// term.
+func (pr Predicate) Equal(o Predicate) bool {
+	if len(pr) != len(o) {
 		return false
 	}
-	for i := range a {
-		if a[i].Want != b[i].Want || !mpl.EqualExpr(a[i].Cond, b[i].Cond) {
+	for i := range pr {
+		if pr[i].Want != o[i].Want || !mpl.EqualExpr(pr[i].Cond, o[i].Cond) {
 			return false
 		}
 	}
@@ -175,4 +177,24 @@ func CanMatchTables(send, recv *Table) bool {
 		}
 	}
 	return false
+}
+
+// Bounds returns the process counts n the table covers, lo ≤ n ≤ hi.
+func (t *Table) Bounds() (lo, hi int) { return t.lo, t.hi }
+
+// Holds reports whether the node's path attribute holds at process p of n.
+func (t *Table) Holds(p, n int) bool { return t.hold[n-t.lo]&(1<<uint(p)) != 0 }
+
+// Peer returns the node's parameter at process p of n: a rank, or −1 when
+// it evaluates to a value no rank equals. ok is false when it has no value
+// there: a wildcard, or an evaluation error at p.
+func (t *Table) Peer(p, n int) (peer int, ok bool) {
+	switch v := t.valRow(n - t.lo)[p]; v {
+	case tableNoValue:
+		return 0, false
+	case tableNever:
+		return -1, true
+	default:
+		return int(v), true
+	}
 }

@@ -68,6 +68,21 @@ func (r *Report) CheckpointCount() int {
 	return r.Enumeration.Count
 }
 
+// SendsLogged returns how many of the final program's send statements may
+// use a channel Phase III did not prove quiet (mpl.Program.Quiet) — the
+// runtime logs their messages there — and how many send statements it has.
+// It speaks for the process counts Phase II's solver bounds; past them
+// every send logs.
+func (r *Report) SendsLogged() (logged, sends int) {
+	mpl.Walk(r.Program.Body, func(s mpl.Stmt) bool {
+		if _, ok := s.(*mpl.Send); ok {
+			sends++
+		}
+		return true
+	})
+	return sends - r.Phase3.QuietSends, sends
+}
+
 // Transform runs the three phases on a program. The input is not mutated.
 func Transform(p *mpl.Program, conf Config) (*Report, error) {
 	if err := mpl.Check(p); err != nil {

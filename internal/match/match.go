@@ -63,6 +63,12 @@ type Extended struct {
 	sendOff []int32
 	bySend  []MessageEdge
 
+	// tables[i] is the attribute table of comm[i]: the send nodes, then the
+	// receive nodes, each in node order; nil when the solver's bounds
+	// exceed the table representation.
+	tables []attr.Table
+	comm   []int
+
 	arena *cfg.Arena   // optional scratch and closure-set source (may be nil)
 	reach []*reachSets // memoized per-source causal closures
 	bfs   *bfsScratch  // closureBFS's buffers, built on first use
@@ -161,6 +167,7 @@ func Match(p *mpl.Program, g *cfg.Graph, df *dataflow.Result, opts Options) (*Ex
 	// enumeration.
 	solver := opts.solver()
 	tables := solver.Tables(x.PathAttr, x.Params, comm)
+	x.tables, x.comm = tables, comm
 	// canMatch takes positions in sends and recvs, not node ids.
 	canMatch := func(si, ri int) bool {
 		if tables != nil {
@@ -235,6 +242,12 @@ func Match(p *mpl.Program, g *cfg.Graph, df *dataflow.Result, opts Options) (*Ex
 func (x *Extended) addMessage(s, r int) {
 	x.Messages = append(x.Messages, MessageEdge{Send: s, Recv: r})
 }
+
+// Tables returns the send nodes, then the receive nodes, each in node
+// order, and beside them their attribute tables: path attribute and
+// parameter at every process of every count the solver enumerates. The
+// tables are nil when the bounds exceed the table representation.
+func (x *Extended) Tables() (nodes []int, tables []attr.Table) { return x.comm, x.tables }
 
 // msgFrom returns the message edges leaving send node s. The slice is
 // shared; callers must not modify it.

@@ -9,6 +9,59 @@ type Program struct {
 	Consts []Const
 	Vars   []string
 	Body   []Stmt
+	// Quiet holds the channels core.Transform proved empty at every
+	// straight cut: no recovery line the paper's scheme picks has one of
+	// their messages in flight, so the runtime writes no send-log record
+	// for them. Format does not print it; a program that did not come out
+	// of Transform has none, and every send is logged.
+	Quiet ChannelSet
+}
+
+// ChannelSet is a set of channels from→to of a run of n processes, one bit
+// each: n's n² bits follow those of every smaller count, from-major. Bits
+// past its end are clear.
+type ChannelSet []uint64
+
+func channelBit(n, from, to int) int { return (n-1)*n*(2*n-1)/6 + from*n + to }
+
+// NewChannelSet returns an empty set with room for every channel of up to
+// maxN processes: adding one of those allocates nothing.
+func NewChannelSet(maxN int) ChannelSet {
+	return make(ChannelSet, 0, (channelBit(maxN+1, 0, 0)+63)/64)
+}
+
+// Has reports whether the set holds channel from→to at n processes.
+func (s ChannelSet) Has(n, from, to int) bool {
+	if from < 0 || from >= n || to < 0 || to >= n {
+		return false
+	}
+	i := channelBit(n, from, to)
+	return i/64 < len(s) && s[i/64]&(1<<(i%64)) != 0
+}
+
+// Add puts channel from→to at n processes into the set, growing it to the
+// word that holds it. It panics on a rank outside [0, n).
+func (s *ChannelSet) Add(n, from, to int) {
+	if from < 0 || from >= n || to < 0 || to >= n {
+		panic(fmt.Sprintf("mpl: channel %d->%d of %d processes", from, to, n))
+	}
+	i := channelBit(n, from, to)
+	for len(*s) <= i/64 {
+		*s = append(*s, 0)
+	}
+	(*s)[i/64] |= 1 << (i % 64)
+}
+
+// Row returns the channels from→to the set holds at n processes, bit to
+// set for each; 0 when n exceeds 64.
+func (s ChannelSet) Row(n, from int) uint64 {
+	var row uint64
+	for to := 0; to < n && n <= 64; to++ {
+		if s.Has(n, from, to) {
+			row |= 1 << to
+		}
+	}
+	return row
 }
 
 // Const is a named compile-time integer constant.

@@ -1,5 +1,7 @@
 package mpl
 
+import "slices"
+
 // This file provides the programmatic construction API used by examples,
 // tests, and the transformation phases: expression helpers, a statement
 // Builder, and cloning.
@@ -199,6 +201,7 @@ func Clone(p *Program) *Program {
 		Consts: append([]Const(nil), p.Consts...),
 		Vars:   append([]string(nil), p.Vars...),
 		Body:   m.cloneBody(p.Body),
+		Quiet:  slices.Clone(p.Quiet),
 	}
 }
 

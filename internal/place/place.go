@@ -114,6 +114,10 @@ type Result struct {
 	// Residual holds the violations remaining when the fixpoint failed
 	// (empty on success).
 	Residual []Violation
+	// QuietSends counts the send statements of Program that only ever use
+	// channels in Program.Quiet, the channels no straight cut can have a
+	// message in flight on (crossing.go); 0 on failure.
+	QuietSends int
 }
 
 // analysis is one round's view of the program: where its checkpoints sit
@@ -296,6 +300,7 @@ func ensureTapped(p *mpl.Program, opts Options, tap func(*mpl.Program, *analysis
 	res.Program = prog
 	res.Orderings = dedupOrderings(cur.orderings)
 	res.Enumeration = &cur.enum
+	prog.Quiet, res.QuietSends = sk.noCross(prog, &cur.enum, len(cur.cks), opts.Arena)
 	return res, nil
 }
 

@@ -399,6 +399,8 @@ func TestEnsureMatchesReference(t *testing.T) {
 				t.Fatalf("%s: program differs\ngot:\n%s\nwant:\n%s", label, g, w)
 			}
 			gotRes.Program, wantRes.Program = nil, nil
+			// QuietSends is not Phase III's: core's and verify's elision tests hold it.
+			gotRes.QuietSends = 0
 			if len(gotRes.Residual) == 0 { // an emptied buffer, where the reference has nil
 				gotRes.Residual = nil
 			}

@@ -23,6 +23,7 @@ import (
 // reached from wherever a skeleton node flowing into the gap is.
 type skeleton struct {
 	ext *match.Extended
+	df  *dataflow.Result
 	// nodeOf maps a statement id to its skeleton node; 0 (the entry, which
 	// is no statement's) for checkpoints and unknown ids.
 	nodeOf []int32
@@ -69,7 +70,8 @@ func newSkeleton(p *mpl.Program, opts Options) (*skeleton, error) {
 	}
 	mopts := opts.Match
 	mopts.Arena = opts.Arena
-	ext, err := match.Match(p, g, dataflow.Analyze(p), mopts)
+	df := dataflow.Analyze(p)
+	ext, err := match.Match(p, g, df, mopts)
 	if err != nil {
 		return nil, err
 	}
@@ -85,6 +87,7 @@ func newSkeleton(p *mpl.Program, opts Options) (*skeleton, error) {
 	}
 	sk := &skeleton{
 		ext:    ext,
+		df:     df,
 		nodeOf: make([]int32, p.MaxStmtID()+1),
 		gaps:   make([]gap, n, n+ends),
 		endGap: make([]int32, n),

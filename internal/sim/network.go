@@ -58,12 +58,15 @@ type channel struct {
 	items  []Message
 	head   int // items[:head] are consumed
 	closed bool
-	polls  int // Network.Poll calls; tests read it
+	// unlogged: the log numbers the channel's messages and holds no record
+	// of them (Network.SendUnlogged). A log holds all records or none.
+	unlogged bool
+	polls    int // Network.Poll calls; tests read it
 	// onDepth, when set, observes the queue depth after every push (the
 	// hardened transport's backlog watermark tap). Called outside mu.
 	onDepth func(depth int)
 
-	logLen   int        // records in the log, of messages 0 … logLen-1
+	logLen   int        // messages the log has numbered, 0 … logLen-1
 	log      []logChunk // first ascending; starts as logHead
 	logHead  [1]logChunk
 	logFirst [logInline]byte
@@ -126,9 +129,12 @@ func (ch *channel) abort() {
 // consumed (seq >= recvSeq), rebuilt from their records. Finding recvSeq
 // scans one chunk. The log is cut in place: the chunk holding the cut ends
 // there, and the next record is written over the cut bytes, which nothing
-// outside the log references.
-func (ch *channel) reset(sendSeq, recvSeq int) {
+// outside the log references. A line that needs a message the log holds no
+// record of — one sent past the log's end, or one whose send wrote none —
+// is an error naming it: the channel is never rebuilt short.
+func (ch *channel) reset(sendSeq, recvSeq int) error {
 	ch.mu.Lock()
+	defer ch.mu.Unlock()
 	for _, m := range ch.items[ch.head:] {
 		if m.Kind != MsgApp {
 			ch.proto.Add(-1)
@@ -136,7 +142,19 @@ func (ch *channel) reset(sendSeq, recvSeq int) {
 	}
 	clear(ch.items)
 	ch.items = ch.items[:0]
-	sendSeq = min(sendSeq, ch.logLen)
+	ch.head = 0
+	ch.closed = false
+	switch {
+	case sendSeq > ch.logLen:
+		return fmt.Errorf("sim: channel %d->%d: the recovery line has sent message #%d, the log ends at #%d",
+			ch.from, ch.to, sendSeq-1, ch.logLen-1)
+	case ch.unlogged && recvSeq < sendSeq:
+		return fmt.Errorf("sim: channel %d->%d: message #%d is in flight at the recovery line, and the channel's sends write no log record",
+			ch.from, ch.to, recvSeq)
+	case ch.unlogged:
+		ch.logLen = sendSeq
+		return nil
+	}
 	c, off := len(ch.log)-1, 0
 	for ch.log[c].first > min(recvSeq, sendSeq) {
 		c--
@@ -160,9 +178,7 @@ func (ch *channel) reset(sendSeq, recvSeq int) {
 		ch.log = ch.log[:c+1]
 		ch.logLen = sendSeq
 	}
-	ch.head = 0
-	ch.closed = false
-	ch.mu.Unlock()
+	return nil
 }
 
 // Network provides a FIFO application/marker channel between every pair of
@@ -231,6 +247,14 @@ func (net *Network) Send(m Message) {
 	net.SendMarker(m)
 }
 
+// SendUnlogged delivers an application message on a channel no recovery
+// line can have a message in flight on: the log numbers it and writes no
+// record. Every message of a channel is sent one way or the other.
+func (net *Network) SendUnlogged(m Message) {
+	net.channel(m.From, m.To).logNumber(m.Seq, true)
+	net.SendMarker(m)
+}
+
 // SendMarker delivers a message in band without logging it. Markers share
 // the channel — when hardened, the data link; self-sends have none — with
 // application messages, so that the FIFO ordering the Chandy-Lamport
@@ -293,8 +317,9 @@ func (net *Network) Abort() {
 // ResetForRecovery reopens every channel at a recovery line (channel.reset):
 // channel p→q then holds the logged application messages with sequence
 // numbers in [recvSeq[q][p], sendSeq[p][q]) — exactly those in flight at the
-// line. It must not run beside a process of the network: see channel.
-func (net *Network) ResetForRecovery(sendSeq, recvSeq [][]int) {
+// line. It must not run beside a process of the network: see channel. A
+// line that counts a message the logs cannot rebuild is an error.
+func (net *Network) ResetForRecovery(sendSeq, recvSeq [][]int) error {
 	// Invalidate the transport first: bumping link generations guarantees
 	// that frames still on the (chaos-delayed) wire and pending retransmit
 	// timers from the rolled-back incarnation are discarded on arrival and
@@ -303,11 +328,19 @@ func (net *Network) ResetForRecovery(sendSeq, recvSeq [][]int) {
 		net.tr.reset()
 	}
 	net.aborted.Store(false)
-	for ch := net.created.Load(); ch != nil; ch = ch.next {
-		if ch.from == ctrlFrom {
-			ch.reset(0, 0)
-		} else {
-			ch.reset(sendSeq[ch.from][ch.to], recvSeq[ch.to][ch.from])
+	for from, row := range sendSeq {
+		for to, sent := range row {
+			if sent > 0 && net.peek(from, to) == nil {
+				return fmt.Errorf("sim: channel %d->%d: the recovery line has sent message #%d, and the channel never carried one", from, to, sent-1)
+			}
 		}
 	}
+	for ch := net.created.Load(); ch != nil; ch = ch.next {
+		if ch.from == ctrlFrom {
+			_ = ch.reset(0, 0) // a control channel logs nothing, so nothing is missing
+		} else if err := ch.reset(sendSeq[ch.from][ch.to], recvSeq[ch.to][ch.from]); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -105,6 +105,11 @@ type Proc struct {
 	// checkpoints persist the full environment, reproducing the
 	// pre-pruning byte counts (Config.NoPrune, the A/B escape hatch).
 	noPrune bool
+	// quiet has bit q set when a message to q writes no send-log record:
+	// the run is the paper's protocol, whose recovery lines are straight
+	// cuts, and the program proves channel rank→q empty at every one of
+	// them at this n (mpl.Program.Quiet).
+	quiet uint64
 }
 
 // init completes a Proc whose configuration fields are set into a process
@@ -600,7 +605,11 @@ func (p *Proc) sendApp(dest, value int) error {
 		Piggyback: p.hooks.BeforeSend(p, dest),
 		ArriveV:   arrive,
 	}
-	p.net.Send(m)
+	if p.quiet&(1<<dest) != 0 {
+		p.net.SendUnlogged(m)
+	} else {
+		p.net.Send(m)
+	}
 	p.counters.IncAppMessages(1)
 	return p.record(trace.Event{
 		Kind: trace.KindSend,

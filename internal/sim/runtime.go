@@ -340,6 +340,12 @@ func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64
 			maxSteps: stepBudget, failAfter: r.plan.at(inc, rank),
 			time: cfg.Time, wallNow: cfg.WallClock, noPrune: cfg.NoPrune,
 		}
+		// Under the paper's protocol every recovery line is a straight cut:
+		// a message on a channel the program proves empty at all of them
+		// needs no record.
+		if _, paper := p.hooks.(NoHooks); paper {
+			p.quiet = r.code.Prog.Quiet.Row(n, rank)
+		}
 		if cfg.Jitter != 0 {
 			p.jittered = true
 			p.jitter.Seed(uint64(cfg.Jitter), uint64(rank)<<32|uint64(inc))
@@ -493,6 +499,8 @@ func (r *run) rollback(inc int, procs []*Proc, restartV float64) (*recovery.Line
 		}
 		r.emit(obs.KindRestart, inc+1, restartV, "%d process(es) rolled back to recovery line", line.Rollbacks)
 	}
-	r.net.ResetForRecovery(rb.SendSeq, rb.RecvSeq)
+	if err := r.net.ResetForRecovery(rb.SendSeq, rb.RecvSeq); err != nil {
+		return nil, err
+	}
 	return line, nil
 }

@@ -7,7 +7,9 @@ import (
 )
 
 // A channel's sender-based log is one append-only byte log of a record per
-// application message, its sequence number its position (DESIGN decision 30).
+// application message, its sequence number its position (DESIGN decision 30),
+// or, on a channel no straight cut can have a message in flight on, no
+// record at all.
 // The first logInline bytes live in the channel, later ones in chunks that
 // double from logChunkMin to logChunkMax bytes (a larger record gets one of
 // its own). Nothing outside the log references a record's bytes.
@@ -84,12 +86,20 @@ func readRecord(b []byte, m *Message) int {
 	return off
 }
 
-// logAppend appends the record of application message m to the log.
-func (ch *channel) logAppend(m *Message) {
-	if m.Seq != ch.logLen {
-		panic(fmt.Sprintf("sim: channel %d->%d: message #%d at record %d of the log", ch.from, ch.to, m.Seq, ch.logLen))
+// logNumber gives message seq its place in the log, with a record to come
+// or, unlogged, with none.
+func (ch *channel) logNumber(seq int, unlogged bool) {
+	if seq != ch.logLen || seq > 0 && ch.unlogged != unlogged {
+		panic(fmt.Sprintf("sim: channel %d->%d: message #%d (unlogged %v) after %d messages (unlogged %v)",
+			ch.from, ch.to, seq, unlogged, ch.logLen, ch.unlogged))
 	}
 	ch.logLen++
+	ch.unlogged = unlogged
+}
+
+// logAppend appends the record of application message m to the log.
+func (ch *channel) logAppend(m *Message) {
+	ch.logNumber(m.Seq, false)
 	size := recordSize(m.Value, m.Piggyback, m.ArriveV)
 	last := &ch.log[len(ch.log)-1]
 	if cap(last.b)-len(last.b) < size { // a new chunk, in place of an empty one

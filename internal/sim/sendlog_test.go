@@ -1,19 +1,26 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
 // A record encodes to recordSize bytes and decodes bit-exact — the extreme
 // values, a nil, empty or filled piggyback, ArriveV of either zero, NaN
 // payloads and infinities — and a truncated one is rejected. Arbitrary bytes
-// never make the decoder panic or claim more than it got.
+// never make the decoder panic or claim more than it got. Beside a channel
+// whose seed%4 messages went with no record, the record is what its channel
+// rebuilds at a line that has its message in flight, and a line that has
+// one of the others in flight too is refused, naming it.
 func FuzzLogRecord(f *testing.F) {
 	f.Add(int64(0), uint64(0), int16(-1), uint64(0), []byte{})
+	f.Add(int64(42), uint64(1), int16(2), uint64(0), []byte{})
+	f.Add(int64(-7), uint64(2), int16(-1), math.Float64bits(3.5), []byte{9})
 	f.Add(int64(math.MinInt64), uint64(math.MaxUint64), int16(0), math.Float64bits(math.Copysign(0, -1)), []byte{0x80})
 	f.Add(int64(math.MaxInt64), uint64(7), int16(5), math.Float64bits(math.Inf(1)), []byte{1, 2, 3})
 	f.Add(int64(-1), uint64(1<<40), int16(63), uint64(0x7ff8_0000_0000_0001), []byte{0, 0, 0, 1})
@@ -51,6 +58,31 @@ func FuzzLogRecord(f *testing.F) {
 		}
 		if k := readRecord(raw, &m); k < 0 || k > len(raw) {
 			t.Fatalf("%d arbitrary bytes read as a record of %d", len(raw), k)
+		}
+
+		skip := int(seed % 4)
+		sent := Message{Kind: MsgApp, From: 0, To: 1, Value: int(value), Piggyback: pb, ArriveV: arriveV}
+		for _, recv := range []int{skip, skip - 1} {
+			if recv < 0 {
+				continue
+			}
+			net := NewNetwork(3)
+			for seq := 0; seq < skip; seq++ {
+				net.SendUnlogged(Message{Kind: MsgApp, From: 2, To: 1, Seq: seq})
+			}
+			net.Send(sent)
+			err := net.ResetForRecovery([][]int{{0, 1, 0}, {0, 0, 0}, {0, skip, 0}}, [][]int{{0, 0, 0}, {0, 0, recv}, {0, 0, 0}})
+			if recv < skip {
+				if want := fmt.Sprintf("channel 2->1: message #%d is in flight", recv); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("%d messages with no record: a line with #%d in flight: %v, want an error saying %q", skip, recv, err, want)
+				}
+				continue
+			}
+			q := net.peek(0, 1).queued()
+			if err != nil || len(q) != 1 || q[0].Seq != 0 || q[0].Value != sent.Value || !reflect.DeepEqual(q[0].Piggyback, pb) ||
+				math.Float64bits(q[0].ArriveV) != arrive {
+				t.Fatalf("beside %d messages with no record, %+v: the line rebuilds %+v (%v)", skip, sent, q, err)
+			}
 		}
 	})
 }

@@ -192,15 +192,16 @@ func runOne(sub int64, opts Options) (*Result, error) {
 	// prune-drop operator's equivalent-mutant filter.
 	indexSets := make(map[int]map[int]bool)
 	profile := make(map[int]map[string]bool)
+	crossing := make(map[Channel]bool)
 	for _, n := range opts.nprocs() {
-		idx, err := verifyProgram(res, sub, code, n, opts, profile)
+		idx, err := verifyProgram(res, sub, code, n, opts, profile, crossing)
 		if err != nil {
 			return nil, err
 		}
 		indexSets[n] = idx
 	}
 	if opts.Mutate {
-		runMutation(res, sub, rep.Program, code, profile, indexSets, opts)
+		runMutation(res, sub, rep.Program, code, profile, crossing, indexSets, opts)
 	}
 	return res, nil
 }
@@ -209,8 +210,10 @@ func runOne(sub int64, opts Options) (*Result, error) {
 // execution, and returns the set of straight-cut indexes checked. Besides
 // the four trace deciders it replays every straight cut's restore — full
 // and liveness-pruned — and asserts FinalVars equivalence (the fifth
-// axis), recording non-initial live values into profile along the way.
-func verifyProgram(res *Result, sub int64, code *sim.Code, n int, opts Options, profile map[int]map[string]bool) (map[int]bool, error) {
+// axis), recording non-initial live values into profile and the channels
+// seen with a message in flight across a straight cut into crossing along
+// the way.
+func verifyProgram(res *Result, sub int64, code *sim.Code, n int, opts Options, profile map[int]map[string]bool, crossing map[Channel]bool) (map[int]bool, error) {
 	indexes := make(map[int]bool)
 	exOpts := ExploreOptions{Depth: opts.Depth, MaxSchedules: opts.maxSchedules(), LogRestore: true}
 	er, err := Explore(code, n, DefaultInput, exOpts, func(m *Machine) error {
@@ -247,6 +250,7 @@ func verifyProgram(res *Result, sub int64, code *sim.Code, n int, opts Options, 
 			})
 		}
 		m.liveNonZero(profile)
+		m.crossingChannels(crossing)
 		return nil
 	})
 	if err != nil {
@@ -276,11 +280,13 @@ func verifyProgram(res *Result, sub int64, code *sim.Code, n int, opts Options, 
 }
 
 // runMutation sabotages the transformed program one checkpoint at a time
-// — plus, per checkpoint site, one live manifest variable at a time — and
-// records how each mutant was (or was not) caught.
-func runMutation(res *Result, sub int64, transformed *mpl.Program, code *sim.Code, profile map[int]map[string]bool, indexSets map[int]map[int]bool, opts Options) {
+// — plus, per checkpoint site, one live manifest variable at a time, and one
+// crossing channel's log at a time — and records how each mutant was (or
+// was not) caught.
+func runMutation(res *Result, sub int64, transformed *mpl.Program, code *sim.Code, profile map[int]map[string]bool, crossing map[Channel]bool, indexSets map[int]map[int]bool, opts Options) {
 	muts := AllMutants(transformed)
 	muts = append(muts, PruneDropMutants(code.Manifests, profile)...)
+	muts = append(muts, CrossClearMutants(transformed, crossing)...)
 	for _, mut := range muts {
 		ks := res.Mutation[mut.Kind]
 		if ks == nil {
@@ -289,9 +295,12 @@ func runMutation(res *Result, sub int64, transformed *mpl.Program, code *sim.Cod
 		}
 		ks.Total++
 		var outcome string
-		if mut.Kind == MutPruneDrop {
+		switch mut.Kind {
+		case MutPruneDrop:
 			outcome = classifyPruneDrop(mut, code, indexSets, opts)
-		} else {
+		case MutCrossClear:
+			outcome = classifyCrossClear(mut, opts)
+		default:
 			outcome = classifyMutant(mut, indexSets, opts)
 		}
 		switch outcome {
@@ -380,7 +389,25 @@ func classifyPruneDrop(mut Mutant, code *sim.Code, indexSets map[int]map[int]boo
 		}
 	}
 	manifests[mut.DropStmt] = dropped
+	return restoreCatches(code, manifests, modePruned, indexSets, opts)
+}
 
+// classifyCrossClear runs one cross-clear mutant at the one process count
+// it changes: the program executes as before, but the restore replays
+// rebuild channels from a log that holds no record of the quiet channel's
+// messages. Detection must come from the restore-equivalence axis alone.
+func classifyCrossClear(mut Mutant, opts Options) string {
+	code, err := sim.Compile(mut.Prog)
+	if err != nil {
+		return "static"
+	}
+	return restoreCatches(code, nil, modeFull, map[int]map[int]bool{mut.Channel.N: nil}, opts)
+}
+
+// restoreCatches explores code at every process count of indexSets with
+// restore logging and reports "dynamic" as soon as a cut restore in the
+// given modes diverges, "escaped" when none does.
+func restoreCatches(code *sim.Code, manifests map[int][]string, modes restoreModes, indexSets map[int]map[int]bool, opts Options) string {
 	exOpts := ExploreOptions{Depth: opts.Depth, MaxSchedules: opts.maxSchedules(), LogRestore: true}
 	ns := make([]int, 0, len(indexSets))
 	for n := range indexSets {
@@ -389,7 +416,7 @@ func classifyPruneDrop(mut Mutant, code *sim.Code, indexSets map[int]map[int]boo
 	sort.Ints(ns)
 	for _, n := range ns {
 		_, err := Explore(code, n, DefaultInput, exOpts, func(m *Machine) error {
-			divs, _, err := m.checkRestores(manifests, modePruned)
+			divs, _, err := m.checkRestores(manifests, modes)
 			if err != nil {
 				return err
 			}

@@ -81,9 +81,10 @@ type Machine struct {
 
 	// Restore logging (the pruned-restore equivalence axis). When enabled,
 	// the machine records a full local snapshot at every checkpoint event
-	// and keeps every sent message, so any straight cut of the finished
-	// execution can be re-instantiated as a restored machine — chkpts[p]
-	// in event order, sendLog[from][to] in seq order. pending[p] holds the
+	// and keeps every message the runtime's send log would, so any straight
+	// cut of the finished execution can be re-instantiated as a restored
+	// machine — chkpts[p] in event order, sendLog[from][to] in seq order
+	// (none on a channel the program proves quiet). pending[p] holds the
 	// records still waiting to learn whether each manifest variable's first
 	// dynamic access after the checkpoint is a read or a write (the
 	// prune-drop equivalent-mutant oracle).
@@ -264,7 +265,7 @@ func (m *Machine) Step(p int) error {
 		ps.clock.Tick(p)
 		mg := msg{seq: seq, value: value, clock: ps.clock.Clone()}
 		m.chans[p][dest] = append(m.chans[p][dest], mg)
-		if m.logRestore {
+		if m.logRestore && !m.code.Prog.Quiet.Has(m.n, p, dest) { // the runtime's log: none on a quiet channel
 			m.sendLog[p][dest] = append(m.sendLog[p][dest], mg)
 		}
 		m.tr.Append(trace.Event{

@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/mpl"
@@ -30,6 +32,12 @@ const (
 	// axis can catch this class (the four trace deciders never look at
 	// snapshot contents).
 	MutPruneDrop
+	// MutCrossClear adds to the program's quiet channels one channel, at
+	// one process count, that an explored run saw a message in flight on
+	// across a straight cut: its messages get no send-log record. The
+	// execution is untouched; the restore-equivalence axis catches it,
+	// because the cut it crossed can no longer be rebuilt.
+	MutCrossClear
 )
 
 // String names the kind.
@@ -43,6 +51,8 @@ func (k MutationKind) String() string {
 		return "skew"
 	case MutPruneDrop:
 		return "prune-drop"
+	case MutCrossClear:
+		return "cross-clear"
 	default:
 		return fmt.Sprintf("mutation(%d)", int(k))
 	}
@@ -60,7 +70,14 @@ type Mutant struct {
 	// DropStmt.
 	DropStmt int
 	DropVar  string
+
+	// A cross-clear mutant's Prog differs from the program in one channel
+	// of Quiet, at Channel.N processes only.
+	Channel Channel
 }
+
+// Channel is channel From→To of a run of N processes.
+type Channel struct{ N, From, To int }
 
 // chkptSites returns the location of every checkpoint statement, in body
 // order: (*slot.list)[slot.pos] is the *mpl.Chkpt.
@@ -212,6 +229,34 @@ func PruneDropMutants(manifests map[int][]string, profile map[int]map[string]boo
 				Desc: fmt.Sprintf("drop live variable %q from checkpoint stmt #%d manifest", name, id),
 			})
 		}
+	}
+	return out
+}
+
+// CrossClearMutants returns one mutant per channel the clean runs saw a
+// message in flight on across a straight cut — crossing, built by
+// crossingChannels over the explored executions — that p does not hold
+// quiet, with that channel added to Quiet, in process count then channel
+// order. A channel no explored cut had a message in flight on is skipped:
+// marking it quiet changes nothing any replay reads.
+func CrossClearMutants(p *mpl.Program, crossing map[Channel]bool) []Mutant {
+	chans := make([]Channel, 0, len(crossing))
+	for c := range crossing {
+		if !p.Quiet.Has(c.N, c.From, c.To) {
+			chans = append(chans, c)
+		}
+	}
+	slices.SortFunc(chans, func(a, b Channel) int {
+		return cmp.Or(cmp.Compare(a.N, b.N), cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
+	})
+	out := make([]Mutant, 0, len(chans))
+	for _, c := range chans {
+		cp := mpl.Clone(p)
+		cp.Quiet.Add(c.N, c.From, c.To)
+		out = append(out, Mutant{
+			Prog: cp, Kind: MutCrossClear, Channel: c,
+			Desc: fmt.Sprintf("unlog channel %d->%d at n=%d, seen in flight across a straight cut", c.From, c.To, c.N),
+		})
 	}
 	return out
 }

@@ -56,10 +56,41 @@ func (m *Machine) checkRestores(manifests map[int][]string, modes restoreModes) 
 	}
 	want := m.FinalVars()
 
-	// Group each process's checkpoint records by straight-cut index. The
-	// cut R_i at instance k exists when every process recorded (i, k);
-	// per-process records for one index arrive in instance order, so the
-	// k-th entry has instance k.
+	var divs []RestoreDivergence
+	cuts := 0
+	err := m.forEachCut(func(idx, k int, cut []*chkptRecord) error {
+		for _, mode := range []struct {
+			name   string
+			on     restoreModes
+			pruned bool
+		}{{"full", modeFull, false}, {"pruned", modePruned, true}} {
+			if modes&mode.on == 0 {
+				continue
+			}
+			cuts++
+			detail, err := m.replayCut(cut, mode.pruned, manifests, want)
+			if err != nil {
+				return err
+			}
+			if detail != "" {
+				divs = append(divs, RestoreDivergence{
+					Index: idx, Instance: k, Mode: mode.name, Detail: detail,
+				})
+			}
+		}
+		return nil
+	})
+	return divs, cuts, err
+}
+
+// forEachCut calls fn with every straight cut of a finished, restore-logged
+// execution, in index then instance order: the cut R_idx at instance k
+// exists when every process recorded (idx, k), and cut[p] is p's record.
+// The slice is reused between calls.
+func (m *Machine) forEachCut(fn func(idx, k int, cut []*chkptRecord) error) error {
+	// Group each process's checkpoint records by straight-cut index. Per-
+	// process records for one index arrive in instance order, so the k-th
+	// entry has instance k.
 	byIndex := make([]map[int][]*chkptRecord, m.n)
 	for p := 0; p < m.n; p++ {
 		byIndex[p] = make(map[int][]*chkptRecord)
@@ -67,56 +98,48 @@ func (m *Machine) checkRestores(manifests map[int][]string, modes restoreModes) 
 			byIndex[p][rec.index] = append(byIndex[p][rec.index], rec)
 		}
 	}
+	common := func(idx int) int {
+		c := len(byIndex[0][idx])
+		for p := 1; p < m.n; p++ {
+			c = min(c, len(byIndex[p][idx]))
+		}
+		return c
+	}
 	var indexes []int
 	for idx := range byIndex[0] {
-		common := len(byIndex[0][idx])
-		for p := 1; p < m.n; p++ {
-			if c := len(byIndex[p][idx]); c < common {
-				common = c
-			}
-		}
-		if common > 0 {
+		if common(idx) > 0 {
 			indexes = append(indexes, idx)
 		}
 	}
 	sort.Ints(indexes)
-
-	var divs []RestoreDivergence
-	cuts := 0
 	cut := make([]*chkptRecord, m.n)
 	for _, idx := range indexes {
-		common := len(byIndex[0][idx])
-		for p := 1; p < m.n; p++ {
-			if c := len(byIndex[p][idx]); c < common {
-				common = c
-			}
-		}
-		for k := 0; k < common; k++ {
+		for k := 0; k < common(idx); k++ {
 			for p := 0; p < m.n; p++ {
 				cut[p] = byIndex[p][idx][k]
 			}
-			for _, mode := range []struct {
-				name   string
-				on     restoreModes
-				pruned bool
-			}{{"full", modeFull, false}, {"pruned", modePruned, true}} {
-				if modes&mode.on == 0 {
-					continue
-				}
-				cuts++
-				detail, err := m.replayCut(cut, mode.pruned, manifests, want)
-				if err != nil {
-					return divs, cuts, err
-				}
-				if detail != "" {
-					divs = append(divs, RestoreDivergence{
-						Index: idx, Instance: k, Mode: mode.name, Detail: detail,
-					})
-				}
+			if err := fn(idx, k, cut); err != nil {
+				return err
 			}
 		}
 	}
-	return divs, cuts, nil
+	return nil
+}
+
+// crossingChannels adds to acc the channels with a message in flight across
+// some straight cut of a finished, restore-logged execution: what the
+// cross-clear mutation operator may mark quiet.
+func (m *Machine) crossingChannels(acc map[Channel]bool) {
+	_ = m.forEachCut(func(_, _ int, cut []*chkptRecord) error {
+		for a := 0; a < m.n; a++ {
+			for b := 0; b < m.n; b++ {
+				if a != b && cut[b].recvSeq[a] < cut[a].sendSeq[b] {
+					acc[Channel{N: m.n, From: a, To: b}] = true
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // replayCut re-instantiates the machine from one straight cut and runs it
@@ -125,9 +148,9 @@ func (m *Machine) checkRestores(manifests map[int][]string, modes restoreModes) 
 // replay's FinalVars differ from want, and an error only for harness-level
 // failures (inconsistent cut reconstruction, budget exhaustion).
 func (m *Machine) replayCut(cut []*chkptRecord, pruned bool, manifests map[int][]string, want []map[string]int) (string, error) {
-	rm, err := m.restoredMachine(cut, pruned, manifests)
-	if err != nil {
-		return "", err
+	rm, missing, err := m.restoredMachine(cut, pruned, manifests)
+	if err != nil || missing != "" {
+		return missing, err
 	}
 	for !rm.Done() {
 		en := rm.Enabled()
@@ -156,9 +179,10 @@ func (m *Machine) replayCut(cut []*chkptRecord, pruned bool, manifests map[int][
 // process states from the cut's local snapshots (full, or pruned to the
 // site manifest with dead variables reset to initial values) and channels
 // holding exactly the messages in flight across the cut, rebuilt from the
-// send log.
-func (m *Machine) restoredMachine(cut []*chkptRecord, pruned bool, manifests map[int][]string) (*Machine, error) {
-	rm := &Machine{
+// send log. A message in flight that the log holds no record of is what the
+// runtime refuses such a line for; missing names it.
+func (m *Machine) restoredMachine(cut []*chkptRecord, pruned bool, manifests map[int][]string) (rm *Machine, missing string, err error) {
+	rm = &Machine{
 		code:   m.code,
 		n:      m.n,
 		procs:  make([]*procState, m.n),
@@ -214,7 +238,7 @@ func (m *Machine) restoredMachine(cut []*chkptRecord, pruned bool, manifests map
 			}
 			sent, rcvd := cut[a].sendSeq[b], cut[b].recvSeq[a]
 			if rcvd > sent {
-				return nil, fmt.Errorf("verify: cut R_%d is not reconstructible: process %d received %d messages from %d which had sent %d",
+				return nil, "", fmt.Errorf("verify: cut R_%d is not reconstructible: process %d received %d messages from %d which had sent %d",
 					cut[a].index, b, rcvd, a, sent)
 			}
 			for _, mg := range m.sendLog[a][b] {
@@ -222,14 +246,17 @@ func (m *Machine) restoredMachine(cut []*chkptRecord, pruned bool, manifests map
 					rm.chans[a][b] = append(rm.chans[a][b], mg)
 				}
 			}
+			if want := rcvd + len(rm.chans[a][b]); want < sent { // a quiet channel: its log is empty
+				return nil, fmt.Sprintf("channel %d->%d: message #%d is in flight and has no log record", a, b, want), nil
+			}
 		}
 	}
 	for p := 0; p < m.n; p++ {
 		if err := rm.normalize(p); err != nil {
-			return nil, fmt.Errorf("verify: normalizing restored process %d: %w", p, err)
+			return nil, "", fmt.Errorf("verify: normalizing restored process %d: %w", p, err)
 		}
 	}
-	return rm, nil
+	return rm, "", nil
 }
 
 // liveNonZero scans a finished, restore-logged execution for (checkpoint
