@@ -286,7 +286,7 @@ func (c *Store) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
 func (c *Store) List(proc int) ([]storage.Snapshot, error) { return storage.List(c, proc) }
 
 // Indexes implements storage.Store; like Keys it injects nothing.
-func (c *Store) Indexes(n int) ([]int, error) { return c.inner.Indexes(n) }
+func (c *Store) Indexes(n int) ([]int, error) { return storage.Indexes(c, n) }
 
 // Keys implements storage.KeyLister. It injects nothing, and a marked key is
 // still a key: recovery takes its candidate cuts from Keys and meets the

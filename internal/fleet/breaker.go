@@ -234,9 +234,7 @@ func (b *Breaker) Get(proc, cfgIndex, instance int) (storage.Snapshot, error) {
 
 func (b *Breaker) List(proc int) ([]storage.Snapshot, error) { return storage.List(b, proc) }
 
-func (b *Breaker) Indexes(n int) ([]int, error) {
-	return guard(b, func() ([]int, error) { return b.inner.Indexes(n) })
-}
+func (b *Breaker) Indexes(n int) ([]int, error) { return storage.Indexes(b, n) }
 
 func (b *Breaker) Delete(proc, cfgIndex, instance int) error {
 	return guard0(b, func() error { return b.inner.Delete(proc, cfgIndex, instance) })

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -21,8 +20,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // staged producer/consumer workload — under virtual time and returns the
 // canonical JSONL event stream. Everything in the run is deterministic
 // (program, inputs, virtual clock, per-process local order), so the bytes
-// must be identical on every execution; the wall clock is pinned to zero
-// to keep it that way.
+// must be identical on every execution once the wall-clock fields are
+// zeroed: wall_ns by the recorder's clock, dur_ns here.
 func pipelineEvents(t *testing.T) []byte {
 	t.Helper()
 	rep, err := core.Transform(corpus.PipelineStages(2), core.DefaultConfig)
@@ -32,19 +31,13 @@ func pipelineEvents(t *testing.T) []byte {
 	rec := obs.NewRecorder()
 	rec.Now = func() int64 { return 0 }
 	tm := sim.PaperTimeModel
-	epoch := time.Unix(0, 0)
-	if _, err := sim.Run(sim.Config{
-		Program:   rep.Program,
-		Nproc:     4,
-		Time:      &tm,
-		Observer:  rec,
-		WallClock: func() time.Time { return epoch }, // durations pin to 0
-	}); err != nil {
+	if _, err := sim.Run(sim.Config{Program: rep.Program, Nproc: 4, Time: &tm, Observer: rec}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for _, e := range rec.Events() {
+		e.DurNS = 0 // a save or a wait takes wall time
 		if err := enc.Encode(e); err != nil {
 			t.Fatal(err)
 		}

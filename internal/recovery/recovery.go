@@ -95,11 +95,11 @@ func Progress(s storage.Snapshot) int {
 
 // StraightCut returns the recovery line for the application-driven scheme:
 // a straight cut R_i^k, the k-th instance of checkpoint i on every process
-// (Definition 2.3). Its candidates are the (i, k) that every process 0…n−1
-// holds, read off storage.Keys; for each index, ascending, the newest
-// candidate that loads is that index's cut, and the cut with the greatest
-// total progress (sum of its members' Progress) wins, the lowest index on a
-// tie. The chosen cut's consistency is verified; an inconsistent straight
+// (Definition 2.3). Its candidates are storage.StraightCuts, the (i, k) that
+// every process 0…n−1 holds, read off storage.Keys; for each index,
+// ascending, the newest candidate that loads is that index's cut, and the
+// cut with the greatest total progress (sum of its members' Progress) wins,
+// the lowest index on a tie. The chosen cut's consistency is verified; an inconsistent straight
 // cut is reported as ErrInconsistentCut.
 //
 // Selection degrades gracefully when stable storage misbehaves: a candidate
@@ -113,23 +113,9 @@ func Progress(s storage.Snapshot) int {
 // telling the runtime to restart from the initial state — the bottom of the
 // degradation ladder.
 func StraightCut(st storage.Store, n int) (*Line, error) {
-	// cands is process 0's keys that every other process holds too, by
-	// index, newest instance first; each process's keys are read once.
-	var cands []storage.Key
-	for p := 0; p < n && (p == 0 || len(cands) > 0); p++ {
-		keys, err := storage.Keys(st, p)
-		if err != nil {
-			return nil, err
-		}
-		slices.SortFunc(keys, newestFirst)
-		if p == 0 {
-			cands = keys
-			continue
-		}
-		cands = slices.DeleteFunc(cands, func(c storage.Key) bool {
-			_, held := slices.BinarySearchFunc(keys, c, newestFirst)
-			return !held
-		})
+	cands, err := storage.StraightCuts(st, n)
+	if err != nil {
+		return nil, err
 	}
 	// cut is the candidate being loaded; it becomes best by trading places
 	// with it, so selection allocates two cuts however many it tries.
@@ -173,12 +159,6 @@ func StraightCut(st storage.Store, n int) (*Line, error) {
 			best[j].Proc, best[j].CFGIndex, best[j].Instance)
 	}
 	return &Line{Snapshots: best, Degraded: degraded}, nil
-}
-
-// newestFirst orders keys by CFG index, then newest instance first; it
-// ignores Proc, so that one process's key finds another's.
-func newestFirst(a, b storage.Key) int {
-	return cmp.Or(cmp.Compare(a.CFGIndex, b.CFGIndex), cmp.Compare(b.Instance, a.Instance))
 }
 
 // LatestConsistent implements uncoordinated recovery: start from each

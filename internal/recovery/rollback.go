@@ -8,16 +8,13 @@ import (
 )
 
 // Rolled is the state a rollback leaves behind: stable storage holds
-// nothing newer than Line, and the sequence matrices say which messages
-// were in flight across it.
+// nothing newer than Line, whose members' SendSeqs and RecvSeqs say which
+// messages were in flight across it.
 type Rolled struct {
 	// Line is the chosen recovery line; nil restarts from the initial state.
 	Line *Line
 	// Scrub reports what the pre-discard scrub quarantined.
 	Scrub storage.ScrubReport
-	// SendSeq[p][q] and RecvSeq[q][p] are the channel p→q sequence numbers
-	// at the line (all zero from scratch).
-	SendSeq, RecvSeq [][]int
 }
 
 // Rollback is the whole post-failure sequence of the coordination-free
@@ -37,7 +34,8 @@ type Rolled struct {
 // k.Instance >= at.Instances[k.CFGIndex], and no other snapshot is loaded.
 // A line whose member lacks those counters is refused before the store is
 // touched: discarding by it would take the line itself. So is one with seqs
-// not n wide: short rows read as zeros re-inject delivered messages.
+// not n wide: short rows read as zeros re-inject delivered messages. This is
+// the one place a restart checks that width.
 //
 // It needs no crashed incarnation in front of it: called on a populated
 // store it is the entry point of a cold-start resume.
@@ -63,22 +61,14 @@ func Rollback(st storage.Store, n int, choose func(storage.Store, int) (*Line, e
 			}
 		}
 	}
-	// Both matrices come out of two allocations, every header and row
-	// capacity-clipped: an append to one reallocates instead of reaching
-	// the next.
-	rows, cells := make([][]int, 2*n), make([]int, 2*n*n)
-	out := &Rolled{Line: line, SendSeq: rows[:n:n], RecvSeq: rows[n:]}
+	out := &Rolled{Line: line}
 	if out.Scrub, err = storage.Scrub(st); err != nil {
 		return nil, err
 	}
 	for p := 0; p < n; p++ {
-		out.SendSeq[p], out.RecvSeq[p], cells = cells[:n:n], cells[n:2*n:2*n], cells[2*n:]
 		var kept map[int]int // nil, without a line, keeps nothing
 		if line != nil {
-			at := line.Snapshots[p]
-			copy(out.SendSeq[p], at.SendSeqs)
-			copy(out.RecvSeq[p], at.RecvSeqs)
-			kept = at.Instances
+			kept = line.Snapshots[p].Instances
 		}
 		keys, err := storage.Keys(st, p)
 		if err != nil {

@@ -30,6 +30,22 @@ func rollbackStores(t *testing.T) map[string]storage.Store {
 	}
 }
 
+// channels reads the counts of every channel p→q at a rollback's line as
+// sim.Network.ResetForRecovery does: sent[p][q] is line[p].SendSeqs[q],
+// recvd[p][q] is line[q].RecvSeqs[p], and both are 0 from scratch.
+func channels(rb *recovery.Rolled, n int) (sent, recvd [][]int) {
+	sent, recvd = make([][]int, n), make([][]int, n)
+	for p := range n {
+		sent[p], recvd[p] = make([]int, n), make([]int, n)
+		for q := range n {
+			if rb.Line != nil {
+				sent[p][q], recvd[p][q] = rb.Line.Snapshots[p].SendSeqs[q], rb.Line.Snapshots[q].RecvSeqs[p]
+			}
+		}
+	}
+	return sent, recvd
+}
+
 // history is what each of two processes saved, in order; its position is
 // the tick its channel counters grow with. No member of a straight cut
 // received more than the other had sent, so every straight cut is
@@ -125,7 +141,9 @@ func TestRollback(t *testing.T) {
 				if q := len(rb.Scrub.Quarantined); q != tc.quarantined {
 					t.Errorf("quarantined %d, want %d", q, tc.quarantined)
 				}
-				wantSend, wantRecv := [][]int{{0, 0}, {0, 0}}, [][]int{{0, 0}, {0, 0}}
+				// Channel p→q's counts at the line: what process p saved at
+				// tick t carries (2+q)·t sent to q and (1+p)·t received from p.
+				wantSent, wantRecvd := [][]int{{0, 0}, {0, 0}}, [][]int{{0, 0}, {0, 0}}
 				if tc.line == nil {
 					if rb.Line != nil {
 						t.Fatalf("line = %+v, want none", rb.Line)
@@ -138,14 +156,19 @@ func TestRollback(t *testing.T) {
 						if s.CFGIndex != tc.line.CFGIndex || s.Instance != tc.line.Instance {
 							t.Errorf("proc %d restores %s, want index=%d instance=%d", p, s.Key(), tc.line.CFGIndex, tc.line.Instance)
 						}
-						wantSend[p], wantRecv[p] = s.SendSeqs, s.RecvSeqs
+					}
+					tick := slices.Index(history, *tc.line)
+					for p := range 2 {
+						for q := range 2 {
+							wantSent[p][q], wantRecvd[p][q] = (2+q)*tick, (1+p)*tick
+						}
 					}
 					if rb.Line.Degraded != tc.degraded {
 						t.Errorf("Degraded = %d, want %d", rb.Line.Degraded, tc.degraded)
 					}
 				}
-				if !reflect.DeepEqual(rb.SendSeq, wantSend) || !reflect.DeepEqual(rb.RecvSeq, wantRecv) {
-					t.Errorf("seq matrices %v / %v, want %v / %v", rb.SendSeq, rb.RecvSeq, wantSend, wantRecv)
+				if sent, recvd := channels(rb, 2); !reflect.DeepEqual(sent, wantSent) || !reflect.DeepEqual(recvd, wantRecvd) {
+					t.Errorf("channels count %v sent and %v received, want %v and %v", sent, recvd, wantSent, wantRecvd)
 				}
 				for p, want := range tc.survivors {
 					if kind != "incremental" {
@@ -658,26 +681,15 @@ func TestStraightCutReadsEachMemberOnceAllocs(t *testing.T) {
 			if st.n != n || line.Degraded != 0 {
 				t.Errorf("%d body reads (degraded %d), want %d: one per member", st.n, line.Degraded, n)
 			}
-			// The matrices Rollback hands the network come out of one slab:
-			// every header and row ends where its capacity does.
 			rb, err := recovery.Rollback(st, n, func(storage.Store, int) (*recovery.Line, error) { return line, nil })
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range [][][]int{rb.SendSeq, rb.RecvSeq} {
-				if len(m) != n || cap(m) != n {
-					t.Fatalf("matrix of %d rows, capacity %d; want both %d", len(m), cap(m), n)
-				}
-				for p, row := range m {
-					if len(row) != n || cap(row) != n {
-						t.Errorf("row %d: len %d cap %d, want both %d", p, len(row), cap(row), n)
-					}
-				}
-			}
-			for p := range rb.SendSeq {
-				for q := range rb.SendSeq[p] {
-					if rb.SendSeq[p][q] != each-1 || rb.RecvSeq[p][q] != 0 {
-						t.Fatalf("SendSeq[%d][%d] = %d, RecvSeq = %d; want %d and 0", p, q, rb.SendSeq[p][q], rb.RecvSeq[p][q], each-1)
+			sent, recvd := channels(rb, n)
+			for p := range sent {
+				for q := range sent[p] {
+					if sent[p][q] != each-1 || recvd[p][q] != 0 {
+						t.Fatalf("channel %d->%d counts %d sent and %d received; want %d and 0", p, q, sent[p][q], recvd[p][q], each-1)
 					}
 				}
 			}

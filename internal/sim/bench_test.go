@@ -28,7 +28,7 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 		DisableDetector: true,
 		RTOFloor:        100 * time.Millisecond, // quiet timers at bench speed
 		RTOCap:          time.Second,
-	}, counters, nil, 1)
+	}, counters, nil)
 	defer net.tr.reset()
 
 	b.ReportAllocs()
@@ -78,7 +78,7 @@ func BenchmarkStepQuiet(b *testing.B) {
 				code:  code,
 				plan:  crashPlan{},
 				net:   NewNetwork(n),
-				store: newRetryStore(storage.NewMemory(), nil, 1, counters, nil),
+				store: newRetryStore(storage.NewMemory(), nil, counters, nil),
 			}
 			procs, err := r.start(0, nil, nil, 0)
 			if err != nil {

@@ -197,7 +197,7 @@ func TestRetryExhaustionOnReadIsNotMaskedAsCrash(t *testing.T) {
 	// Only checkpoint SAVES convert exhaustion into a crash; transient
 	// exhaustion elsewhere still surfaces the typed error to the caller.
 	inner := storage.NewMemory()
-	rst := newRetryStore(&alwaysTransient{inner}, denyRetries{}, 1, &metrics.Counters{}, nil)
+	rst := newRetryStore(&alwaysTransient{inner}, denyRetries{}, &metrics.Counters{}, nil)
 	if _, err := rst.Latest(0, 1); !errors.Is(err, storage.ErrTransient) {
 		t.Fatalf("err = %v, want wrapped ErrTransient", err)
 	}

@@ -167,7 +167,7 @@ func TestInitRefillsInheritedMemory(t *testing.T) {
 		code:  code,
 		plan:  crashPlan{{0, 3}: 11},
 		net:   NewNetwork(n),
-		store: newRetryStore(storage.NewMemory(), nil, 1, counters, nil),
+		store: newRetryStore(storage.NewMemory(), nil, counters, nil),
 	}
 	procs, err := r.start(0, nil, nil, 0)
 	if err != nil {

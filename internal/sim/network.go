@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/storage"
 )
 
 // MsgKind classifies runtime messages.
@@ -314,12 +316,14 @@ func (net *Network) Abort() {
 	}
 }
 
-// ResetForRecovery reopens every channel at a recovery line (channel.reset):
-// channel p→q then holds the logged application messages with sequence
-// numbers in [recvSeq[q][p], sendSeq[p][q]) — exactly those in flight at the
-// line. It must not run beside a process of the network: see channel. A
-// line that counts a message the logs cannot rebuild is an error.
-func (net *Network) ResetForRecovery(sendSeq, recvSeq [][]int) error {
+// ResetForRecovery reopens every channel at a recovery line, its members
+// indexed by process (nil: the initial state), with channel.reset: channel
+// p→q then holds the logged application messages with sequence numbers in
+// [line[q].RecvSeqs[p], line[p].SendSeqs[q]) — exactly those in flight at
+// the line. The members' rows are n wide: recovery.Rollback refuses a line
+// whose rows are not. It must not run beside a process of the network: see
+// channel. A line that counts a message the logs cannot rebuild is an error.
+func (net *Network) ResetForRecovery(line []storage.Snapshot) error {
 	// Invalidate the transport first: bumping link generations guarantees
 	// that frames still on the (chaos-delayed) wire and pending retransmit
 	// timers from the rolled-back incarnation are discarded on arrival and
@@ -328,17 +332,19 @@ func (net *Network) ResetForRecovery(sendSeq, recvSeq [][]int) error {
 		net.tr.reset()
 	}
 	net.aborted.Store(false)
-	for from, row := range sendSeq {
-		for to, sent := range row {
+	for from, s := range line {
+		for to, sent := range s.SendSeqs {
 			if sent > 0 && net.peek(from, to) == nil {
 				return fmt.Errorf("sim: channel %d->%d: the recovery line has sent message #%d, and the channel never carried one", from, to, sent-1)
 			}
 		}
 	}
 	for ch := net.created.Load(); ch != nil; ch = ch.next {
-		if ch.from == ctrlFrom {
-			_ = ch.reset(0, 0) // a control channel logs nothing, so nothing is missing
-		} else if err := ch.reset(sendSeq[ch.from][ch.to], recvSeq[ch.to][ch.from]); err != nil {
+		sent, recvd := 0, 0 // from scratch, or a control channel, which logs nothing
+		if ch.from != ctrlFrom && line != nil {
+			sent, recvd = line[ch.from].SendSeqs[ch.to], line[ch.to].RecvSeqs[ch.from]
+		}
+		if err := ch.reset(sent, recvd); err != nil {
 			return err
 		}
 	}

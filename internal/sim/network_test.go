@@ -111,13 +111,13 @@ func TestQuietCounterTracksQueues(t *testing.T) {
 						code:  code,
 						plan:  crashPlan{},
 						net:   NewNetwork(n),
-						store: newRetryStore(storage.NewMemory(), nil, 1, counters, nil),
+						store: newRetryStore(storage.NewMemory(), nil, counters, nil),
 					}
 					if crash {
 						r.plan[[2]int{0, 2}] = 18
 					}
 					if hardened {
-						r.net.harden(NetConfig{DisableDetector: true}, counters, nil, 1)
+						r.net.harden(NetConfig{DisableDetector: true}, counters, nil)
 						t.Cleanup(r.net.tr.reset)
 					}
 					restarts := 0
@@ -196,10 +196,6 @@ func TestQueuedMarkerKeepsGateOpen(t *testing.T) {
 // ResetForRecovery the same channels deliver again.
 func TestAbortReachesChannelsCreatedLater(t *testing.T) {
 	const n, rounds = 6, 40
-	zero := make([][]int, n)
-	for p := range zero {
-		zero[p] = make([]int, n)
-	}
 	for round := 0; round < rounds; round++ {
 		net := NewNetwork(n)
 		start := make(chan struct{})
@@ -239,7 +235,7 @@ func TestAbortReachesChannelsCreatedLater(t *testing.T) {
 				t.Fatalf("round %d: %d of %d receivers still blocked after Abort", round, receivers-i, receivers)
 			}
 		}
-		net.ResetForRecovery(zero, zero)
+		net.ResetForRecovery(nil)
 		for ch := net.created.Load(); ch != nil; ch = ch.next {
 			if ch.from == ctrlFrom {
 				net.SendCtrl(Message{Kind: MsgCtrl, From: ctrlFrom, To: ch.to, Value: 7})

@@ -92,9 +92,6 @@ type Proc struct {
 	// lastSaveNS is the wall duration of the most recent checkpoint save,
 	// stashed so record can attach it to the checkpoint's observer event.
 	lastSaveNS int64
-	// wallNow is the wall-clock source for duration measurements
-	// (Config.WallClock; nil means time.Now).
-	wallNow func() stdtime.Time
 
 	// jitter, when jittered, yields the goroutine randomly at instruction
 	// boundaries to diversify real-time interleavings (Config.Jitter).
@@ -139,15 +136,6 @@ func (p *Proc) init(input func(rank, i int) int) {
 	}
 }
 
-// now reads the process's wall-clock source (Config.WallClock pin, or the
-// real clock).
-func (p *Proc) now() stdtime.Time {
-	if p.wallNow != nil {
-		return p.wallNow()
-	}
-	return stdtime.Now()
-}
-
 // Rank returns the process id.
 func (p *Proc) Rank() int { return p.rank }
 
@@ -180,9 +168,6 @@ func (p *Proc) restore(s storage.Snapshot) error {
 	pc, err := strconv.Atoi(s.PC)
 	if err != nil {
 		return fmt.Errorf("sim: bad snapshot pc %q: %w", s.PC, err)
-	}
-	if len(s.SendSeqs) != p.n || len(s.RecvSeqs) != p.n {
-		return fmt.Errorf("sim: snapshot seqs of width %d/%d for a %d-process run", len(s.SendSeqs), len(s.RecvSeqs), p.n)
 	}
 	p.pc = pc
 	for k, v := range s.Vars {
@@ -305,7 +290,7 @@ func (p *Proc) takeCheckpoint(idx int, manifest []string, label string) error {
 		VTime:     p.vtime,
 		Manifest:  manifest,
 	}
-	saveStart := p.now()
+	saveStart := stdtime.Now()
 	if err := p.store.Save(snap); err != nil {
 		if errors.Is(err, storage.ErrTransient) || errors.Is(err, storage.ErrFsync) {
 			// The save exhausted its retries, or an fsync failed — which is
@@ -321,7 +306,7 @@ func (p *Proc) takeCheckpoint(idx int, manifest []string, label string) error {
 		}
 		return err
 	}
-	p.lastSaveNS = p.now().Sub(saveStart).Nanoseconds()
+	p.lastSaveNS = stdtime.Since(saveStart).Nanoseconds()
 	p.counters.ObserveHist(metrics.HistChkptSaveMS, float64(p.lastSaveNS)/1e6)
 	p.counters.IncCheckpoints(1)
 	return p.record(trace.Event{
@@ -353,14 +338,14 @@ func (p *Proc) SendMarker(to int, tag string, payload []int) error {
 // observer — protocol coordination cost is precisely what the paper's
 // scheme eliminates, so the runtime makes it visible.
 func (p *Proc) RecvCtrl() (Message, error) {
-	start := p.now()
+	start := stdtime.Now()
 	v0 := p.vtime
 	m, err := p.net.Recv(ctrlFrom, p.rank)
 	if err != nil {
 		return Message{}, err
 	}
 	p.syncTo(m.ArriveV)
-	blocked := p.now().Sub(start)
+	blocked := stdtime.Since(start)
 	p.counters.AddBlocked(blocked)
 	p.counters.ObserveHist(metrics.HistBlockedWallMS, float64(blocked.Nanoseconds())/1e6)
 	if p.time != nil {

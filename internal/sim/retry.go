@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	stdtime "time"
 
 	"repro/internal/metrics"
@@ -73,7 +72,7 @@ func backoff(retry int) stdtime.Duration {
 
 // retryStore wraps the run's stable storage with bounded retry on
 // transient faults (storage.ErrTransient): capped exponential backoff plus
-// seeded jitter, a retry counter, and a retry event per attempt on the
+// jitter, a retry counter, and a retry event per attempt on the
 // observer. Non-transient errors (not-found, duplicate, corrupt) pass
 // through untouched — retrying cannot fix them and the recovery layer
 // handles them by degrading.
@@ -82,32 +81,14 @@ type retryStore struct {
 	budget   RetryBudget // nil: the attempt cap alone bounds retry
 	counters *metrics.Counters
 	obsv     obs.Observer
-
-	mu  sync.Mutex
-	rng rand.PCG
 }
 
 var _ storage.Store = (*retryStore)(nil)
 
 // newRetryStore wraps inner; budget, when non-nil, is consulted before
-// every retry. The seed only perturbs backoff jitter (wall time), never
-// results.
-func newRetryStore(inner storage.Store, budget RetryBudget, seed int64, counters *metrics.Counters, obsv obs.Observer) *retryStore {
-	r := &retryStore{
-		inner:    inner,
-		budget:   budget,
-		counters: counters,
-		obsv:     obsv,
-	}
-	r.rng.Seed(uint64(seed), 0)
-	return r
-}
-
-// unitFloat draws a uniform float64 in [0, 1) from a jitter generator: this
-// one, the transport's and a process's are 16-byte PCG states held by value.
-// They perturb wall time only, so nothing pins their sequences.
-func unitFloat(g *rand.PCG) float64 {
-	return float64(g.Uint64()>>11) / (1 << 53)
+// every retry.
+func newRetryStore(inner storage.Store, budget RetryBudget, counters *metrics.Counters, obsv obs.Observer) *retryStore {
+	return &retryStore{inner: inner, budget: budget, counters: counters, obsv: obsv}
 }
 
 // retry runs one store operation with retry-on-transient. It returns the
@@ -146,12 +127,10 @@ func retry0(r *retryStore, op string, f func() error) error {
 }
 
 // jittered perturbs d by ±jitterFrac so synchronized retries from many
-// processes spread out instead of hammering storage in lockstep.
+// processes spread out instead of hammering storage in lockstep. It moves
+// wall time only, so nothing pins its sequence.
 func (r *retryStore) jittered(d stdtime.Duration) stdtime.Duration {
-	r.mu.Lock()
-	f := 1 - jitterFrac + 2*jitterFrac*unitFloat(&r.rng)
-	r.mu.Unlock()
-	return stdtime.Duration(float64(d) * f)
+	return stdtime.Duration(float64(d) * (1 - jitterFrac + 2*jitterFrac*rand.Float64()))
 }
 
 func (r *retryStore) Save(s storage.Snapshot) error {
@@ -168,9 +147,7 @@ func (r *retryStore) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
 
 func (r *retryStore) List(proc int) ([]storage.Snapshot, error) { return storage.List(r, proc) }
 
-func (r *retryStore) Indexes(n int) ([]int, error) {
-	return retry(r, "indexes", func() ([]int, error) { return r.inner.Indexes(n) })
-}
+func (r *retryStore) Indexes(n int) ([]int, error) { return storage.Indexes(r, n) }
 
 func (r *retryStore) Delete(proc, cfgIndex, instance int) error {
 	return retry0(r, "delete", func() error { return r.inner.Delete(proc, cfgIndex, instance) })

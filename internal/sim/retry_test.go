@@ -49,7 +49,7 @@ func TestRetryStoreHonorsAttemptCap(t *testing.T) {
 				b.left.Store(int64(attempts - 1))
 				budget, wantDenied = b, 1
 			}
-			rst := newRetryStore(st, budget, 1, c, nil)
+			rst := newRetryStore(st, budget, c, nil)
 			_, err := rst.Latest(0, 1)
 			if !errors.Is(err, storage.ErrTransient) {
 				t.Fatalf("err = %v, want wrapped ErrTransient", err)
@@ -84,7 +84,7 @@ func TestRetryBudgetDenialStopsRetrying(t *testing.T) {
 	budget := &fixedBudget{}
 	budget.left.Store(2)
 	c := &metrics.Counters{}
-	rst := newRetryStore(st, budget, 1, c, nil)
+	rst := newRetryStore(st, budget, c, nil)
 	_, err := rst.Latest(0, 1)
 	if !errors.Is(err, storage.ErrTransient) {
 		t.Fatalf("err = %v, want wrapped ErrTransient", err)
@@ -108,7 +108,7 @@ func TestRetryBudgetDenialStopsRetrying(t *testing.T) {
 func TestRetryBudgetNotChargedOnSuccess(t *testing.T) {
 	budget := &fixedBudget{}
 	budget.left.Store(100)
-	rst := newRetryStore(storage.NewMemory(), budget, 1, &metrics.Counters{}, nil)
+	rst := newRetryStore(storage.NewMemory(), budget, &metrics.Counters{}, nil)
 	if err := rst.Save(storage.Snapshot{Proc: 0, CFGIndex: 1, Instance: 1, Clock: vclock.VC{1}}); err != nil {
 		t.Fatalf("Save: %v", err)
 	}

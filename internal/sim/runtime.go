@@ -120,12 +120,6 @@ type Config struct {
 	// results of deterministic programs must not change — which is exactly
 	// what schedule-sweep tests assert. 0 disables jitter.
 	Jitter int64
-	// WallClock overrides the wall-clock source used for duration
-	// measurements (checkpoint save latency, blocked time). Nil means
-	// time.Now. Determinism hook: golden tests pin it to a constant so
-	// measured durations — which otherwise vary run to run — stay zero in
-	// the canonical event stream.
-	WallClock func() time.Time
 	// NoPrune disables liveness-minimized checkpoint payloads: application
 	// checkpoints persist the full variable environment instead of the
 	// per-site live-set manifest, reproducing pre-pruning byte counts. The
@@ -249,14 +243,13 @@ func Run(cfg Config) (*Result, error) {
 	}
 	net := NewNetwork(cfg.Nproc)
 	if cfg.Net != nil {
-		net.harden(*cfg.Net, cfg.Counters, cfg.Observer, cfg.Jitter+0x7f4a7c15)
+		net.harden(*cfg.Net, cfg.Counters, cfg.Observer)
 		// Stop retransmit timers and orphan delayed deliveries once the
 		// run is over, whatever path it exits by.
 		defer net.tr.reset()
 	}
-	// The seed only perturbs backoff jitter, never results.
 	r := &run{cfg: cfg, code: code, plan: plan, net: net,
-		store: newRetryStore(cfg.Store, cfg.RetryBudget, cfg.Jitter+0x5bd1e995, cfg.Counters, cfg.Observer)}
+		store: newRetryStore(cfg.Store, cfg.RetryBudget, cfg.Counters, cfg.Observer)}
 
 	res := &Result{Store: cfg.Store}
 	var line *recovery.Line // nil = start from scratch
@@ -338,7 +331,7 @@ func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64
 			rank: rank, n: n, code: r.code, net: r.net, tr: tr, store: r.store,
 			counters: cfg.Counters, hooks: cfg.Hooks(rank, n), obsv: cfg.Observer, inc: inc,
 			maxSteps: stepBudget, failAfter: r.plan.at(inc, rank),
-			time: cfg.Time, wallNow: cfg.WallClock, noPrune: cfg.NoPrune,
+			time: cfg.Time, noPrune: cfg.NoPrune,
 		}
 		// Under the paper's protocol every recovery line is a straight cut:
 		// a message on a channel the program proves empty at all of them
@@ -499,7 +492,11 @@ func (r *run) rollback(inc int, procs []*Proc, restartV float64) (*recovery.Line
 		}
 		r.emit(obs.KindRestart, inc+1, restartV, "%d process(es) rolled back to recovery line", line.Rollbacks)
 	}
-	if err := r.net.ResetForRecovery(rb.SendSeq, rb.RecvSeq); err != nil {
+	var members []storage.Snapshot // nil: from scratch
+	if line != nil {
+		members = line.Snapshots
+	}
+	if err := r.net.ResetForRecovery(members); err != nil {
 		return nil, err
 	}
 	return line, nil

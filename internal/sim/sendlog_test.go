@@ -71,7 +71,7 @@ func FuzzLogRecord(f *testing.F) {
 				net.SendUnlogged(Message{Kind: MsgApp, From: 2, To: 1, Seq: seq})
 			}
 			net.Send(sent)
-			err := net.ResetForRecovery([][]int{{0, 1, 0}, {0, 0, 0}, {0, skip, 0}}, [][]int{{0, 0, 0}, {0, 0, recv}, {0, 0, 0}})
+			err := net.ResetForRecovery(lineOf([][]int{{0, 1, 0}, {0, 0, 0}, {0, skip, 0}}, [][]int{{0, 0, 0}, {0, 0, recv}, {0, 0, 0}}))
 			if recv < skip {
 				if want := fmt.Sprintf("channel 2->1: message #%d is in flight", recv); err == nil || !strings.Contains(err.Error(), want) {
 					t.Fatalf("%d messages with no record: a line with #%d in flight: %v, want an error saying %q", skip, recv, err, want)

@@ -192,9 +192,6 @@ type transport struct {
 	data [][]*link // [from][to] in-band links (app + markers)
 	ctrl [][]*link // [from][to] out-of-band control links
 
-	jmu sync.Mutex
-	rng rand.PCG // backoff jitter only; never affects outcomes
-
 	det *detector
 }
 
@@ -265,7 +262,7 @@ type link struct {
 // harden installs the transport on a network. Must be called before any
 // process starts sending. It creates every channel: a link per pair needs
 // its delivery queue, and each queue its watermark tap.
-func (net *Network) harden(cfg NetConfig, counters *metrics.Counters, obsv obs.Observer, jitterSeed int64) {
+func (net *Network) harden(cfg NetConfig, counters *metrics.Counters, obsv obs.Observer) {
 	cfg = cfg.withDefaults()
 	t := &transport{
 		net:      net,
@@ -273,7 +270,6 @@ func (net *Network) harden(cfg NetConfig, counters *metrics.Counters, obsv obs.O
 		counters: counters,
 		obsv:     obsv,
 	}
-	t.rng.Seed(uint64(jitterSeed), 0x6e657463)
 	t.data = make([][]*link, net.n)
 	t.ctrl = make([][]*link, net.n)
 	for i := 0; i < net.n; i++ {
@@ -355,10 +351,7 @@ func (t *transport) verdict(class LinkClass, from, to, seq, attempt int) Verdict
 // jitter perturbs a backoff duration by ±25% so retransmit timers from many
 // links spread out. Wall-clock only; never affects outcomes.
 func (t *transport) jitter(d time.Duration) time.Duration {
-	t.jmu.Lock()
-	f := 0.75 + 0.5*unitFloat(&t.rng)
-	t.jmu.Unlock()
-	return time.Duration(float64(d) * f)
+	return time.Duration(float64(d) * (0.75 + 0.5*rand.Float64()))
 }
 
 // reset discards all in-flight transport state (unacked windows, pending

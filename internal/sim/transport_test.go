@@ -64,7 +64,7 @@ func hardenedNet(t *testing.T, n int, cfg NetConfig, obsv obs.Observer) (*Networ
 	if cfg.RTOFloor == 0 {
 		cfg.RTOFloor = time.Millisecond
 	}
-	net.harden(cfg, counters, obsv, 1)
+	net.harden(cfg, counters, obsv)
 	t.Cleanup(net.tr.reset)
 	return net, counters
 }
@@ -178,7 +178,7 @@ func TestInflightReconstructionExactlyOnce(t *testing.T) {
 	// Recovery line: sender logged seqs [0,10), receiver consumed [0,4).
 	sendSeq := [][]int{{0, total}, {0, 0}}
 	recvSeq := [][]int{{0, 0}, {4, 0}}
-	net.ResetForRecovery(sendSeq, recvSeq)
+	net.ResetForRecovery(lineOf(sendSeq, recvSeq))
 
 	got := net.channel(0, 1).queued()
 	var want []Message

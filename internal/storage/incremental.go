@@ -268,11 +268,7 @@ func (inc *Incremental) Latest(proc, cfgIndex int) (Snapshot, error) {
 func (inc *Incremental) List(proc int) ([]Snapshot, error) { return List(inc, proc) }
 
 // Indexes implements Store.
-func (inc *Incremental) Indexes(n int) ([]int, error) {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	return inc.byKey.Indexes(n), nil
-}
+func (inc *Incremental) Indexes(n int) ([]int, error) { return Indexes(inc, n) }
 
 // Keys implements KeyLister: a record names its checkpoint even when its
 // chain no longer verifies.

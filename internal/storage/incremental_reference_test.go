@@ -288,15 +288,7 @@ func (inc *refIncremental) List(proc int) ([]Snapshot, error) {
 }
 
 // Indexes implements Store.
-func (inc *refIncremental) Indexes(n int) ([]int, error) {
-	inc.mu.Lock()
-	defer inc.mu.Unlock()
-	var ix KeyIndex[struct{}]
-	for k := range inc.byKey {
-		ix.Put(k, struct{}{})
-	}
-	return ix.Indexes(n), nil
-}
+func (inc *refIncremental) Indexes(n int) ([]int, error) { return Indexes(inc, n) }
 
 // Keys implements KeyLister, in (index, instance) order as the flat store's
 // index gives them: a refRecord names its checkpoint even when its chain no

@@ -37,8 +37,9 @@ func TestSortKeys(t *testing.T) {
 	SortKeys(nil) // empty store: nothing to do, must not panic
 }
 
-// TestCommonIndexes: a KeyIndex's Indexes(n) names the CFG indexes common
-// to exactly n distinct processes, sorted — the candidate straight cuts.
+// TestCommonIndexes: Indexes(st, n) names, sorted, the CFG indexes at which
+// processes 0…n−1 all hold one same instance — the indexes of the straight
+// cuts the store holds.
 func TestCommonIndexes(t *testing.T) {
 	tests := []struct {
 		name string
@@ -51,15 +52,18 @@ func TestCommonIndexes(t *testing.T) {
 		{"index missing on one process", 3, []Key{{0, 1, 0}, {1, 1, 0}, {2, 1, 0}, {0, 2, 0}, {2, 2, 0}}, []int{1}},
 		{"instances of one process count once", 2, []Key{{0, 5, 0}, {0, 5, 1}, {0, 5, 2}}, nil},
 		{"result is sorted", 1, []Key{{0, 9, 0}, {0, 3, 0}, {0, 7, 0}}, []int{3, 7, 9}},
-		{"exactly n processes, not at least n", 2, []Key{{0, 1, 0}, {1, 1, 0}, {2, 1, 0}}, nil},
+		{"a process past n changes nothing", 2, []Key{{0, 1, 0}, {1, 1, 0}, {2, 1, 0}, {2, 3, 0}}, []int{1}},
+		{"no instance every process holds", 2, []Key{{0, 1, 0}, {1, 1, 1}, {0, 2, 1}, {1, 2, 0}, {1, 2, 1}}, []int{2}},
 	}
 	for _, tt := range tests {
-		var ix KeyIndex[struct{}]
+		m := NewMemory()
 		for _, k := range tt.keys {
-			ix.Put(k, struct{}{})
+			if err := m.Save(Snapshot{Proc: k.Proc, CFGIndex: k.CFGIndex, Instance: k.Instance}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if got := ix.Indexes(tt.n); !reflect.DeepEqual(got, tt.want) {
-			t.Errorf("%s: Indexes(%d) over %v = %v, want %v", tt.name, tt.n, tt.keys, got, tt.want)
+		if got, err := Indexes(m, tt.n); err != nil || !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("%s: Indexes(%d) over %v = %v, %v; want %v", tt.name, tt.n, tt.keys, got, err, tt.want)
 		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 // KeyIndex is every store's key index, from a checkpoint's key to what the
 // store keeps for it. It answers the Store's questions by lookup: which
-// keys a process holds (Keys), which indexes all n processes hold (Indexes),
-// the latest instance of C_{p,i} (Latest), does (p, i, k) exist (Get).
+// keys a process holds (Keys), the latest instance of C_{p,i} (Latest), does
+// (p, i, k) exist (Get).
 //
 // A process maps to one run per CFG index, in index order, and a run holds
 // its entries in instance order. The runtime saves one (p, i)'s instances
@@ -264,42 +264,4 @@ func (ix *KeyIndex[V]) Keys(proc int) []Key {
 		return true
 	})
 	return keys
-}
-
-// Indexes returns, sorted, the CFG indexes whose runs are non-empty on
-// exactly n processes, from one allocation.
-func (ix *KeyIndex[V]) Indexes(n int) []int {
-	runs := 0
-	for _, p := range ix.procs {
-		runs += len(p.runs)
-	}
-	idx := make([]int, 0, runs)
-	for _, p := range ix.procs {
-		for _, r := range p.runs {
-			if len(r.ents) > 0 {
-				idx = append(idx, r.index)
-			}
-		}
-	}
-	return exactlyN(n, idx)
-}
-
-// exactlyN sorts idx — each process's distinct CFG indexes, end to end —
-// and returns, in place, those listed exactly n times. Exactly, not at
-// least: a store shared by more processes than the application has must not
-// offer a cut it cannot assemble.
-func exactlyN(n int, idx []int) []int {
-	slices.Sort(idx)
-	out := idx[:0]
-	for i, j := 0, 0; i < len(idx); i = j {
-		for j = i + 1; j < len(idx) && idx[j] == idx[i]; j++ {
-		}
-		if j-i == n {
-			out = append(out, idx[i])
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }

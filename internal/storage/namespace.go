@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Namespace is a per-job view of a shared Store. A fleet runs thousands of
 // jobs against one backing store; every job numbers its processes 0..n-1
@@ -93,29 +90,15 @@ func (ns *Namespace) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 // List implements Store.
 func (ns *Namespace) List(proc int) ([]Snapshot, error) { return List(ns, proc) }
 
-// Indexes implements Store: the indexes of THIS job only.
-// The backing store's own Indexes would mix every job's processes into one
-// count, so the intersection is rebuilt here from the job's per-process
-// keys — which count whether or not their snapshots still load, as on
-// every unwrapped store.
+// Indexes implements Store: the indexes of this job's straight cuts, read
+// off its own Keys. An n outside the job is refused before anything is
+// read: Indexes stops at the first process that leaves no common cut, so
+// Keys' own range check would not always be reached.
 func (ns *Namespace) Indexes(n int) ([]int, error) {
 	if n <= 0 || n > ns.nproc {
 		return nil, fmt.Errorf("storage: namespace Indexes(%d) outside job size %d", n, ns.nproc)
 	}
-	var idx []int
-	for p := 0; p < n; p++ {
-		ks, err := Keys(ns.inner, p+ns.base)
-		if err != nil {
-			return nil, err
-		}
-		start := len(idx) // this process's distinct indexes follow
-		for _, k := range ks {
-			idx = append(idx, k.CFGIndex)
-		}
-		slices.Sort(idx[start:])
-		idx = idx[:start+len(slices.Compact(idx[start:]))]
-	}
-	return exactlyN(n, idx), nil
+	return Indexes(ns, n)
 }
 
 // Keys implements KeyLister in the job's own numbering, so that rollback

@@ -144,8 +144,19 @@ func TestNamespaceRejectsOutOfRange(t *testing.T) {
 	if _, err := ns.List(-1); err == nil {
 		t.Error("List(-1) accepted")
 	}
+	for _, n := range []int{3, 0, -1} {
+		if _, err := ns.Indexes(n); err == nil {
+			t.Errorf("Indexes(%d) accepted in a 2-proc namespace", n)
+		}
+	}
+	// Both processes hold index 1, so the walk would reach process 2.
+	for p := 0; p < 2; p++ {
+		if err := ns.Save(nsSnap(p, 1, 1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := ns.Indexes(3); err == nil {
-		t.Error("Indexes(3) accepted in a 2-proc namespace")
+		t.Error("Indexes(3) accepted in a 2-proc namespace holding a common cut")
 	}
 	if _, err := NewNamespace(NewMemory(), -1, 2); err == nil {
 		t.Error("negative job accepted")

@@ -15,6 +15,7 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -111,9 +112,9 @@ type Store interface {
 	// the package function List; only the benchmark's timedStore, which is
 	// not a KeyLister, still needs the method (ROADMAP 14).
 	List(proc int) ([]Snapshot, error)
-	// Indexes returns the sorted CFG checkpoint indexes for which EVERY one
-	// of the n processes has at least one snapshot. Recovery takes its
-	// candidate straight cuts from Keys, not from here (ROADMAP 14).
+	// Indexes returns the sorted CFG indexes of the straight cuts processes
+	// 0…n−1 hold. Every Indexes under internal/ is the package function
+	// Indexes; recovery reads StraightCuts itself (ROADMAP 14).
 	Indexes(n int) ([]int, error)
 	// Delete removes one snapshot, any one the store holds, in any order.
 	// Deleting a missing snapshot is an error. Rollback recovery uses Delete
@@ -236,6 +237,53 @@ func List(st interface {
 		}
 	}
 	return out, nil
+}
+
+// StraightCuts returns the straight cuts R_i^k that st holds for processes
+// 0…n−1 (Definition 2.3): the (i, k) at which each of them holds a key, one
+// Key with Proc 0 for each, by CFG index, newest instance first. It reads
+// each process's Keys once, so a key whose snapshot no longer loads still
+// counts, and a process n or above changes nothing.
+func StraightCuts(st Store, n int) ([]Key, error) {
+	var cuts []Key
+	for p := 0; p < n && (p == 0 || len(cuts) > 0); p++ {
+		keys, err := Keys(st, p)
+		if err != nil {
+			return nil, err
+		}
+		slices.SortFunc(keys, newestFirst)
+		if p == 0 {
+			cuts = keys
+			continue
+		}
+		cuts = slices.DeleteFunc(cuts, func(c Key) bool {
+			_, held := slices.BinarySearchFunc(keys, c, newestFirst)
+			return !held
+		})
+	}
+	return cuts, nil
+}
+
+// newestFirst orders keys by CFG index, then newest instance first; it
+// ignores Proc, so that one process's key finds another's.
+func newestFirst(a, b Key) int {
+	return cmp.Or(cmp.Compare(a.CFGIndex, b.CFGIndex), cmp.Compare(b.Instance, a.Instance))
+}
+
+// Indexes is the body of every Store.Indexes under internal/: the CFG
+// indexes of st's StraightCuts for processes 0…n−1, sorted, nil for none.
+func Indexes(st Store, n int) ([]int, error) {
+	cuts, err := StraightCuts(st, n)
+	if err != nil || len(cuts) == 0 {
+		return nil, err
+	}
+	idx := make([]int, 0, len(cuts))
+	for _, c := range cuts {
+		if len(idx) == 0 || idx[len(idx)-1] != c.CFGIndex {
+			idx = append(idx, c.CFGIndex)
+		}
+	}
+	return idx, nil
 }
 
 // Memory is an in-memory Store safe for concurrent use. The zero value is
@@ -403,11 +451,7 @@ func (m *Memory) Get(proc, cfgIndex, instance int) (Snapshot, error) {
 func (m *Memory) List(proc int) ([]Snapshot, error) { return List(m, proc) }
 
 // Indexes implements Store.
-func (m *Memory) Indexes(n int) ([]int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bodies.Indexes(n), nil
-}
+func (m *Memory) Indexes(n int) ([]int, error) { return Indexes(m, n) }
 
 // Keys implements KeyLister.
 func (m *Memory) Keys(proc int) ([]Key, error) {

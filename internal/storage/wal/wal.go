@@ -266,17 +266,9 @@ func (w *Store) Latest(proc, cfgIndex int) (storage.Snapshot, error) {
 // whole listing with ErrCorrupt.
 func (w *Store) List(proc int) ([]storage.Snapshot, error) { return storage.List(w, proc) }
 
-// Indexes implements storage.Store. Quarantined keys still count as
-// "present" (their proc did checkpoint there); a caller finds out via
-// ErrCorrupt when it loads one — as Keys lists them.
-func (w *Store) Indexes(n int) ([]int, error) {
-	if err := w.checkAlive(); err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.index.Indexes(n), nil
-}
+// Indexes implements storage.Store. Quarantined keys count, as Keys lists
+// them; a caller finds out via ErrCorrupt when it loads one.
+func (w *Store) Indexes(n int) ([]int, error) { return storage.Indexes(w, n) }
 
 // Keys implements storage.KeyLister: proc's live and quarantined keys.
 func (w *Store) Keys(proc int) ([]storage.Key, error) {

@@ -91,8 +91,12 @@ quiet "$SIM" -n 4 -transform -zigzag "$PROG"
 for proto in sas cl cic uncoord; do
     quiet "$SIM" -n 4 -transform -protocol "$proto" -verify=false -vtime "$PROG"
 done
-# Untransformed, the program leaves CIC a Z-cycle to break: forced checkpoints.
-quiet "$SIM" -n 4 -protocol cic -verify=false -vtime "$PROG"
+# Untransformed, an odd rank receives index 1 before its first checkpoint, so
+# CIC forces one (forced=2 at n = 4, every run): the forced-checkpoint count
+# is reached, and the metrics line must show it.
+"$SIM" -n 4 -protocol cic -verify=false -vtime "$PROG" >"$TMP/cic.out" 2>&1 ||
+    { echo "reach: exit $? from: $SIM -protocol cic" >&2; exit 1; }
+grep -q ' forced=[1-9]' "$TMP/cic.out" || { echo 'reach: chkptsim -protocol cic forced no checkpoint' >&2; exit 1; }
 for store in mem incremental "wal:$TMP/simlog"; do
     quiet "$SIM" -n 4 -transform -store "$store" -fail 1:9 -fail 2:14 "$PROG"
 done
