@@ -114,10 +114,12 @@ func (pr Predicate) String() string {
 }
 
 // Solver decides attribute satisfiability by enumerating process counts in
-// [MinProcs, MaxProcs] and rank pairs within each. The default bounds cover
-// the patterns that occur in SPMD rank arithmetic (parity, halves, ring
-// neighbors, small constants): if a match exists for any n, it almost
-// always exists for some n ≤ 17 (a prime beyond typical modular periods).
+// [MinProcs, MaxProcs] and rank pairs within each. It is complete only
+// inside that range: a match that exists only at some n outside it is
+// missed. The default bound, n ≤ 17, covers the SPMD rank arithmetic the
+// corpus and generators use (parity, halves, ring neighbors, small
+// constants); ROADMAP item 24 has a program it misses and a bound derived
+// from the program.
 type Solver struct {
 	MinProcs int
 	MaxProcs int

@@ -1,18 +1,22 @@
 package cfg
 
 // Arena is a grow-only scratch allocator for the analysis pipeline. One
-// Transform allocates a single Arena and threads it through the phases;
-// each fixpoint round calls Reset and re-carves its bitsets, worklists,
-// and path buffers from the same backing arrays instead of allocating
-// fresh ones. The contract is strictly round-scoped:
+// Transform allocates a single Arena and threads it through Phase III:
+// place.Ensure resets it when it starts, the skeleton's bitsets and causal
+// closures are carved from it and live for the whole call, and noCross
+// resets it once more after the fixpoint, for its own scratch. The
+// contract:
 //
-//   - buffers handed out by Bits / Ints / Steps are valid until the next
-//     Reset, after which the arena reuses their storage;
+//   - buffers handed out by Bits / Ints are valid until the next Reset,
+//     after which the arena reuses their storage;
 //   - an Arena is NOT safe for concurrent use — parallel analysis workers
 //     allocate locally and only the serial sections draw from the arena;
 //   - a nil *Arena is valid everywhere one is accepted and falls back to
 //     plain allocation, so the arena is an optimization, never a
 //     requirement.
+//
+// A chunk is sized from the request that overflows the last one, at least
+// doubling it, so a small program's analysis pays for a small arena.
 type Arena struct {
 	words    []uint64
 	wordsOff int
@@ -44,9 +48,6 @@ func (a *Arena) Bits(n int) Bitset {
 		if size < need {
 			size = need
 		}
-		if size < 256 {
-			size = 256
-		}
 		a.words = make([]uint64, size)
 		a.wordsOff = 0
 	}
@@ -66,9 +67,6 @@ func (a *Arena) Ints(n int) []int {
 		size := 2 * len(a.ints)
 		if size < n {
 			size = n
-		}
-		if size < 256 {
-			size = 256
 		}
 		a.ints = make([]int, size)
 		a.intsOff = 0

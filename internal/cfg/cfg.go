@@ -127,16 +127,19 @@ type Graph struct {
 	Entry int
 	Exit  int
 
-	// Grouped adjacency, built once after construction: the edges leaving
-	// node id are succs[succOff[id]:succOff[id+1]], those entering it
-	// preds[predOff[id]:predOff[id+1]], so Succs and Preds are
-	// allocation-free.
+	// Grouped adjacency: the edges leaving node id are
+	// succs[succOff[id]:succOff[id+1]], built after construction; those
+	// entering it preds[predOff[id]:predOff[id+1]], built on the first
+	// Preds call (the analyses walk Succs alone). Both are allocation-free
+	// to read.
 	succs, preds     []Edge
 	succOff, predOff []int32
 
-	// Cached analyses. A Graph is immutable after Build, so dominator sets
-	// and the back edges derived from them are computed at most once; the
-	// sync.Once guards make the caches safe under concurrent read-only use.
+	// Cached analyses. A Graph is immutable after Build, so the predecessor
+	// lists, dominator sets and the back edges derived from them are
+	// computed at most once; the sync.Once guards make the caches safe
+	// under concurrent read-only use.
+	predOnce sync.Once
 	domOnce  sync.Once
 	dom      []Bitset
 	backOnce sync.Once
@@ -147,9 +150,14 @@ type Graph struct {
 // callers must not modify it.
 func (g *Graph) Succs(id int) []Edge { return g.succs[g.succOff[id]:g.succOff[id+1]] }
 
-// Preds returns the edges entering node id. The returned slice is shared —
-// callers must not modify it.
-func (g *Graph) Preds(id int) []Edge { return g.preds[g.predOff[id]:g.predOff[id+1]] }
+// Preds returns the edges entering node id, in Edges order. The returned
+// slice is shared — callers must not modify it.
+func (g *Graph) Preds(id int) []Edge {
+	g.predOnce.Do(func() {
+		g.predOff, g.preds = GroupBy(len(g.Nodes), g.Edges, func(e Edge) int { return e.To })
+	})
+	return g.preds[g.predOff[id]:g.predOff[id+1]]
+}
 
 // builder state for Build. Nodes are carved from one slab sized to the
 // statement count (every statement yields exactly one node, plus
@@ -191,12 +199,10 @@ func (b *builder) push(from int, kind EdgeKind) {
 	b.stack = append(b.stack, dangling{from, kind})
 }
 
-// finalize builds the grouped adjacency: Edges by source and by target,
-// the edge order within a node's Succs/Preds following Edges order.
+// finalize groups Edges by source, the edge order within a node's Succs
+// following Edges order.
 func (g *Graph) finalize() {
-	n := len(g.Nodes)
-	g.succOff, g.succs = GroupBy(n, g.Edges, func(e Edge) int { return e.From })
-	g.predOff, g.preds = GroupBy(n, g.Edges, func(e Edge) int { return e.To })
+	g.succOff, g.succs = GroupBy(len(g.Nodes), g.Edges, func(e Edge) int { return e.From })
 }
 
 // GroupBy sorts items by key — a node id in [0, n) — keeping the order of

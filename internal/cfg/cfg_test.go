@@ -2,8 +2,10 @@ package cfg
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/corpus"
@@ -424,6 +426,38 @@ func TestBuildAllCorpus(t *testing.T) {
 			}
 			checkStructure(t, p, g)
 		})
+	}
+}
+
+// TestPredsGroupEdgesByTarget holds the predecessor lists, built on the
+// first Preds call, to Edges grouped by To in Edges order, on Build and
+// BuildSkeleton of every corpus program. Several goroutines make the first
+// call at once, so the race detector covers the lazy build.
+func TestPredsGroupEdgesByTarget(t *testing.T) {
+	for name, p := range corpus.All() {
+		for _, build := range []func(*mpl.Program) (*Graph, error){Build, BuildSkeleton} {
+			g, err := build(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([][]Edge, len(g.Nodes))
+			for _, e := range g.Edges {
+				want[e.To] = append(want[e.To], e)
+			}
+			var wg sync.WaitGroup
+			for range 4 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for v := range g.Nodes {
+						if got := g.Preds(v); !slices.Equal(got, want[v]) {
+							t.Errorf("%s: Preds(%d) = %v, want %v", name, v, got, want[v])
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		}
 	}
 }
 

@@ -102,8 +102,8 @@ func Transform(p *mpl.Program, conf Config) (*Report, error) {
 	placed, err := place.Ensure(work, place.Options{
 		Match:         conf.Match,
 		PreserveLoops: conf.PreserveLoops,
-		// One arena per Transform: every fixpoint round re-carves its
-		// scratch from the same backing storage instead of allocating.
+		// One arena per Transform: the skeleton's closures live in it for
+		// the whole call, and noCross reuses it after the fixpoint.
 		Arena: &cfg.Arena{},
 		// work is already this call's private clone; Ensure may own it.
 		AssumeOwned: true,

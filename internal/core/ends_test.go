@@ -27,6 +27,28 @@ import (
 // not 0.
 type ceiling struct{ allocs, kb float64 }
 
+// pinCost logs what fn allocates per call, in objects and in KB
+// (MemStats.TotalAlloc over the runs), and fails t past max.
+func pinCost(t *testing.T, what string, max ceiling, fn func()) {
+	t.Helper()
+	const runs = 20
+	got := testing.AllocsPerRun(runs, fn)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	t.Logf("%-18s %4.0f allocs/call (ceiling %.0f) %6.1f KB/call (ceiling %.0f)", what, got, max.allocs, kb, max.kb)
+	if got > max.allocs {
+		t.Errorf("%s allocates %.0f times per call, ceiling %.0f", what, got, max.allocs)
+	}
+	if max.kb > 0 && kb > max.kb {
+		t.Errorf("%s allocates %.1f KB per call, ceiling %.0f", what, kb, max.kb)
+	}
+}
+
 // TestPipelineEndsAllocs pins what the ends allocate per call (DESIGN
 // decisions 26 and 31): they pay per program, not per token, node, CFG node
 // or checkpoint site, and the analyses behind Phase III build no graph the
@@ -42,18 +64,19 @@ func TestPipelineEndsAllocs(t *testing.T) {
 		parse, format, liveness, compile, clone, skeleton ceiling
 	}{
 		// Parse / Format / Compute / Compile / Clone / BuildSkeleton measure
-		// 62 / 1 / 12 / 23 / 12 / 9 allocs and — the last four — 4.4 / 22.2 /
-		// 12.5 / 23.2 KB per call. Before the liveness walk, expression
+		// 62 / 1 / 12 / 23 / 12 / 7 allocs and — the last four — 4.4 / 22.2 /
+		// 12.5 / 17.9 KB per call. Before the liveness walk, expression
 		// sharing and the frontier stack: 28 / 39 / 15 / 16 allocs and 36.0 /
 		// 53.8 / 20.9 / 26.6 KB; before the ends paid per program, 1,130 /
-		// 207 / 698 / 717 allocs for the first four.
+		// 207 / 698 / 717 allocs for the first four; before predecessor
+		// lists were built on demand, BuildSkeleton's 9 allocs and 23.2 KB.
 		{"GenerateLarge(1,6)", verify.GenerateLarge(1, 6),
-			ceiling{150, 0}, ceiling{12, 0}, ceiling{30, 8}, ceiling{50, 30}, ceiling{20, 16}, ceiling{20, 30}},
-		// 27 / 1 / 10 / 16 / 10 / 9 allocs, 0.9 / 2.4 / 1.0 / 2.1 KB;
+			ceiling{150, 0}, ceiling{12, 0}, ceiling{30, 8}, ceiling{50, 30}, ceiling{20, 16}, ceiling{10, 21}},
+		// 27 / 1 / 10 / 16 / 10 / 7 allocs, 0.9 / 2.4 / 1.0 / 1.8 KB;
 		// before: 26 / 32 / 13 / 16 allocs, 6.9 / 8.5 / 1.8 / 5.5 KB; and
-		// 121 / 21 / 88 / 98 allocs.
+		// 121 / 21 / 88 / 98 allocs; BuildSkeleton 9 allocs, 2.1 KB.
 		{"JacobiFig2(64)", corpus.JacobiFig2(64),
-			ceiling{40, 0}, ceiling{12, 0}, ceiling{25, 2}, ceiling{40, 4}, ceiling{20, 2}, ceiling{20, 4}},
+			ceiling{40, 0}, ceiling{12, 0}, ceiling{25, 2}, ceiling{40, 4}, ceiling{20, 2}, ceiling{10, 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -67,43 +90,24 @@ func TestPipelineEndsAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			placed := rep.Program
-			pin := func(what string, max ceiling, fn func()) {
-				t.Helper()
-				const runs = 20
-				got := testing.AllocsPerRun(runs, fn)
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				for range runs {
-					fn()
-				}
-				runtime.ReadMemStats(&after)
-				kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
-				t.Logf("%-18s %4.0f allocs/call (ceiling %.0f) %6.1f KB/call (ceiling %.0f)", what, got, max.allocs, kb, max.kb)
-				if got > max.allocs {
-					t.Errorf("%s allocates %.0f times per call, ceiling %.0f", what, got, max.allocs)
-				}
-				if max.kb > 0 && kb > max.kb {
-					t.Errorf("%s allocates %.1f KB per call, ceiling %.0f", what, kb, max.kb)
-				}
-			}
-			pin("mpl.Parse", tc.parse, func() {
+			pinCost(t, "mpl.Parse", tc.parse, func() {
 				if _, err := mpl.Parse(src); err != nil {
 					t.Fatal(err)
 				}
 			})
-			pin("mpl.Format", tc.format, func() { _ = mpl.Format(placed) })
-			pin("liveness.Compute", tc.liveness, func() {
+			pinCost(t, "mpl.Format", tc.format, func() { _ = mpl.Format(placed) })
+			pinCost(t, "liveness.Compute", tc.liveness, func() {
 				if _, err := liveness.Compute(placed); err != nil {
 					t.Fatal(err)
 				}
 			})
-			pin("sim.Compile", tc.compile, func() {
+			pinCost(t, "sim.Compile", tc.compile, func() {
 				if _, err := sim.Compile(placed); err != nil {
 					t.Fatal(err)
 				}
 			})
-			pin("mpl.Clone", tc.clone, func() { _ = mpl.Clone(parsed) })
-			pin("cfg.BuildSkeleton", tc.skeleton, func() {
+			pinCost(t, "mpl.Clone", tc.clone, func() { _ = mpl.Clone(parsed) })
+			pinCost(t, "cfg.BuildSkeleton", tc.skeleton, func() {
 				if _, err := cfg.BuildSkeleton(placed); err != nil {
 					t.Fatal(err)
 				}
@@ -114,26 +118,28 @@ func TestPipelineEndsAllocs(t *testing.T) {
 
 // TestTransformAllocs pins what core.Transform allocates on the two
 // programs the four runtime workloads of the benchmark compile once per
-// job, where the pipeline is a fixed share of the job that may only fall.
-// The ceilings are the counts before Phase III kept a skeleton (121 and
-// 129); it measures 106 and 116 since.
+// job, and on the analysis-large shape, where the pipeline is a fixed share
+// of the job that may only fall. Counts are exact; bytes are
+// MemStats.TotalAlloc over the runs. They measure 100 / 110 / 237 allocs and
+// 11.3 / 17.0 / 77.4 KB per call; the count ceilings are the counts before
+// Phase III kept a skeleton (121 and 129). Before Phase II–III allocated
+// only what it reads (predecessor lists on demand, data-flow records sized
+// by the program, no arena floor) they measured 99 / 110 / 237 allocs and
+// 15.0 / 21.8 / 93.6 KB, above the KB ceilings.
 func TestTransformAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		prog *mpl.Program
-		max  float64
+		max  ceiling
 	}{
-		{corpus.JacobiFig2(64), 121},
-		{corpus.Stencil2D(3, 2), 129},
+		{corpus.JacobiFig2(64), ceiling{121, 13}},
+		{corpus.Stencil2D(3, 2), ceiling{129, 19}},
+		{verify.GenerateLarge(1, 6), ceiling{260, 85}},
 	} {
-		got := testing.AllocsPerRun(20, func() {
+		pinCost(t, "core.Transform("+tc.prog.Name+")", tc.max, func() {
 			if _, err := core.Transform(tc.prog, core.DefaultConfig); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("core.Transform(%s): %.0f allocs/call (ceiling %.0f)", tc.prog.Name, got, tc.max)
-		if got > tc.max {
-			t.Errorf("core.Transform(%s) allocates %.0f times per call, ceiling %.0f", tc.prog.Name, got, tc.max)
-		}
 	}
 }
 

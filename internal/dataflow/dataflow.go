@@ -157,14 +157,15 @@ func (a *analyzer) release(b state) {
 
 // Analyze runs the analysis on a program.
 func Analyze(p *mpl.Program) *Result {
+	// Sized by the statements each map records: growing them bucket by
+	// bucket showed up in the transform profile.
+	comm, branches := countRecords(p.Body)
 	a := &analyzer{
 		consts:    make(map[string]int, len(p.Consts)),
 		constLits: make(map[string]mpl.Expr, len(p.Consts)),
 		res: &Result{
-			// Sized by statement count: growing the per-statement records
-			// bucket by bucket showed up in the transform profile.
-			Params:   make(map[int]attr.Param, p.StmtCount()),
-			Branches: make(map[int]BranchInfo, 8),
+			Params:   make(map[int]attr.Param, comm),
+			Branches: make(map[int]BranchInfo, branches),
 		},
 	}
 	for _, c := range p.Consts {
@@ -182,6 +183,26 @@ func Analyze(p *mpl.Program) *Result {
 	}
 	a.body(p.Body, init)
 	return a.res
+}
+
+// countRecords counts the statements of body that get a Params record
+// (send, recv, bcast, reduce) and those that get a Branches record (if,
+// while).
+func countRecords(body []mpl.Stmt) (comm, branches int) {
+	for _, st := range body {
+		switch n := st.(type) {
+		case *mpl.Send, *mpl.Recv, *mpl.Bcast, *mpl.Reduce:
+			comm++
+		case *mpl.If:
+			c1, b1 := countRecords(n.Then)
+			c2, b2 := countRecords(n.Else)
+			comm, branches = comm+c1+c2, branches+b1+b2+1
+		case *mpl.While:
+			c, b := countRecords(n.Body)
+			comm, branches = comm+c, branches+b+1
+		}
+	}
+	return comm, branches
 }
 
 // exprSize counts expression nodes (direct recursion; this runs after
