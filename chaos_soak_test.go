@@ -23,6 +23,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/mpl"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/storage/wal"
@@ -76,6 +77,71 @@ func TestChaosSoak(t *testing.T) {
 		totalPruneSaved                                         int64
 	)
 	kinds := map[obs.Kind]int{}
+	// soak runs one seed of p on procs processes, which must end in
+	// cleanVars; the fleet aggregates count it when counted.
+	soak := func(t *testing.T, seed int64, procs int, p *mpl.Program, cleanVars []map[string]int, counted bool) {
+		t.Parallel()
+		// Half the seeds run on the durable store.
+		inner := openTestStore(t, storeKinds[min(seed%4, 2)], 4, wal.Options{})
+		rates := chaos.DefaultRates(0.12)
+		if seed%2 == 1 {
+			// Rot-heavy profile: with a large fraction of snapshots damaged
+			// on disk, the recovery frontier itself is corrupt and selection
+			// must walk down the degradation ladder. (At the default rates
+			// a flipped checkpoint is usually shadowed by a newer clean
+			// instance before any crash probes it.)
+			rates = chaos.Rates{WriteError: 0.05, ReadError: 0.05, TornWrite: 0.05, BitFlip: 0.4}
+		}
+		rec := obs.NewRecorder()
+		cst := chaos.New(inner, seed, rates, rec)
+		crashes := chaos.CrashSchedule(seed, chaos.ScheduleConfig{
+			Nproc: procs, Lambda: 1.2, MaxIncarnations: 3, MaxEvents: 35,
+		})
+		// Every fifth seed runs the full-environment A/B lane: crash
+		// convergence must not depend on snapshots being pruned.
+		noPrune := seed%5 == 4
+		res, err := sim.Run(sim.Config{
+			Program:  p,
+			Nproc:    procs,
+			Store:    cst,
+			Crashes:  crashes,
+			Observer: rec,
+			NoPrune:  noPrune,
+			Jitter:   seed,
+			// Storage faults crash processes beyond the schedule; give
+			// recovery generous headroom.
+			MaxRestarts: len(crashes) + 25,
+			Timeout:     20 * time.Second,
+		})
+		if err != nil {
+			t.Fatalf("seed %d (%T): %v (schedule %v)", seed, inner, err, crashes)
+		}
+		if !reflect.DeepEqual(cleanVars, res.FinalVars) {
+			t.Fatalf("seed %d (%T): diverged under chaos\nclean: %v\nchaos: %v",
+				seed, inner, cleanVars, res.FinalVars)
+		}
+		if noPrune && res.Metrics.Custom[sim.MetricPruneBytesFull] != 0 {
+			t.Fatalf("seed %d: NoPrune run still recorded prune accounting: %v",
+				seed, res.Metrics.Custom)
+		}
+		if !counted {
+			if res.Restarts == 0 {
+				t.Errorf("seed %d on %d processes: no restart", seed, procs)
+			}
+			return
+		}
+		st := cst.Stats()
+		mu.Lock()
+		totalFaults += st.Total()
+		totalRetries += int64(res.Metrics.Custom[sim.MetricStoreRetries])
+		totalDegraded += int64(res.Metrics.Custom[sim.MetricRecoveryDegraded])
+		totalPruneSaved += int64(res.Metrics.Custom[sim.MetricPruneBytesSaved])
+		totalRestarts += int64(res.Restarts)
+		for _, e := range rec.Events() {
+			kinds[e.Kind]++
+		}
+		mu.Unlock()
+	}
 	// The per-seed runs are independent — every chaos decision is hashed
 	// from (seed, class, key, attempt), never from cross-seed state or
 	// scheduling — so they soak in parallel. Each seed's convergence check
@@ -86,65 +152,30 @@ func TestChaosSoak(t *testing.T) {
 	t.Run("seeds", func(t *testing.T) {
 		for seed := int64(0); seed < seeds; seed++ {
 			t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-				t.Parallel()
-				// Half the seeds run on the durable store.
-				inner := openTestStore(t, storeKinds[min(seed%4, 2)], 4, wal.Options{})
-				rates := chaos.DefaultRates(0.12)
-				if seed%2 == 1 {
-					// Rot-heavy profile: with a large fraction of snapshots damaged
-					// on disk, the recovery frontier itself is corrupt and selection
-					// must walk down the degradation ladder. (At the default rates
-					// a flipped checkpoint is usually shadowed by a newer clean
-					// instance before any crash probes it.)
-					rates = chaos.Rates{WriteError: 0.05, ReadError: 0.05, TornWrite: 0.05, BitFlip: 0.4}
-				}
-				rec := obs.NewRecorder()
-				cst := chaos.New(inner, seed, rates, rec)
-				crashes := chaos.CrashSchedule(seed, chaos.ScheduleConfig{
-					Nproc: n, Lambda: 1.2, MaxIncarnations: 3, MaxEvents: 35,
-				})
-				// Every fifth seed runs the full-environment A/B lane: crash
-				// convergence must not depend on snapshots being pruned.
-				noPrune := seed%5 == 4
-				p, cleanVars := prog, clean.FinalVars
 				if seed%3 == 2 {
-					p, cleanVars = progMW, cleanMW.FinalVars
+					soak(t, seed, n, progMW, cleanMW.FinalVars, true)
+				} else {
+					soak(t, seed, n, prog, clean.FinalVars, true)
 				}
-				res, err := sim.Run(sim.Config{
-					Program:  p,
-					Nproc:    n,
-					Store:    cst,
-					Crashes:  crashes,
-					Observer: rec,
-					NoPrune:  noPrune,
-					Jitter:   seed,
-					// Storage faults crash processes beyond the schedule; give
-					// recovery generous headroom.
-					MaxRestarts: len(crashes) + 25,
-					Timeout:     20 * time.Second,
-				})
+			})
+		}
+		// The same faults at 64 processes, whatever SOAK_SEEDS says: a
+		// Jacobi rank's row holds its neighbour, the master's all 63
+		// workers, the densest a sparse row gets. Each seed must restart
+		// (on the incremental store, the WAL, memory, the WAL).
+		// They stay out of the fleet aggregates, which the seeds above must
+		// earn.
+		for _, wide := range []struct {
+			name string
+			prog *mpl.Program
+			seed int64
+		}{{"jacobi", prog, 1}, {"jacobi", prog, 6}, {"masterworker", progMW, 0}, {"masterworker", progMW, 3}} {
+			t.Run(fmt.Sprintf("n64-%s-seed%d", wide.name, wide.seed), func(t *testing.T) {
+				clean, err := sim.Run(sim.Config{Program: wide.prog, Nproc: 64, Timeout: 20 * time.Second})
 				if err != nil {
-					t.Fatalf("seed %d (%T): %v (schedule %v)", seed, inner, err, crashes)
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(cleanVars, res.FinalVars) {
-					t.Fatalf("seed %d (%T): diverged under chaos\nclean: %v\nchaos: %v",
-						seed, inner, cleanVars, res.FinalVars)
-				}
-				if noPrune && res.Metrics.Custom[sim.MetricPruneBytesFull] != 0 {
-					t.Fatalf("seed %d: NoPrune run still recorded prune accounting: %v",
-						seed, res.Metrics.Custom)
-				}
-				st := cst.Stats()
-				mu.Lock()
-				totalFaults += st.Total()
-				totalRetries += int64(res.Metrics.Custom[sim.MetricStoreRetries])
-				totalDegraded += int64(res.Metrics.Custom[sim.MetricRecoveryDegraded])
-				totalPruneSaved += int64(res.Metrics.Custom[sim.MetricPruneBytesSaved])
-				totalRestarts += int64(res.Restarts)
-				for _, e := range rec.Events() {
-					kinds[e.Kind]++
-				}
-				mu.Unlock()
+				soak(t, wide.seed, 64, wide.prog, clean.FinalVars, false)
 			})
 		}
 	})

@@ -2,7 +2,6 @@ package recovery_test
 
 import (
 	"math/rand/v2"
-	"slices"
 	"sort"
 	"testing"
 
@@ -20,8 +19,8 @@ import (
 // FIFO channels the two must agree on every cut: each corpus program,
 // untransformed and transformed, runs on verify.Machine under several
 // schedules (the irregular program on 2 processes, the others on 4), every
-// checkpoint is given the SendSeqs and RecvSeqs its process
-// had counted at it in the trace, and every straight cut and random mixed
+// checkpoint is given the per-peer row its process had counted at it in the
+// trace, and every straight cut and random mixed
 // cuts must get from recovery the verdict trace.IsRecoveryLine gives on the
 // Machine's clocks.
 func TestCountersDecideCutsAsClocksDo(t *testing.T) {
@@ -125,9 +124,21 @@ func countersAt(tr *trace.Trace) []map[int]storage.Snapshot {
 			case trace.KindRecv:
 				recv[e.Peer]++
 			case trace.KindCheckpoint:
-				at[p][e.Seq] = storage.Snapshot{Proc: p, SendSeqs: slices.Clone(send), RecvSeqs: slices.Clone(recv)}
+				at[p][e.Seq] = storage.Snapshot{Proc: p, N: tr.N(), Peers: rowOf(send, recv)}
 			}
 		}
 	}
 	return at
+}
+
+// rowOf is the row of the per-peer counts sent and recvd, as wide as sent,
+// without the peers whose counts are both 0.
+func rowOf(sent, recvd []int) storage.Row {
+	var row storage.Row
+	for q := range sent {
+		if sent[q] != 0 || recvd[q] != 0 {
+			row = append(row, storage.PeerSeq{Peer: q, Sent: sent[q], Recvd: recvd[q]})
+		}
+	}
+	return row
 }

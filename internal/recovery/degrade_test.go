@@ -100,7 +100,7 @@ func TestStraightCutStopsAtRetiredInstances(t *testing.T) {
 		for idx := 1; idx <= 2; idx++ {
 			for inst := 0; inst < 6; inst++ {
 				s := storage.Snapshot{Proc: p, CFGIndex: idx, Instance: inst,
-					SendSeqs: pair(p, 10*inst+idx), RecvSeqs: make([]int, 2)}
+					N: 2, Peers: two(p, 10*inst+idx, 0)}
 				if err := st.Save(s); err != nil {
 					t.Fatal(err)
 				}
@@ -226,7 +226,7 @@ func TestStraightCutFallsBackOverCorruptDeltaChain(t *testing.T) {
 		t.Helper()
 		err := inc.Save(storage.Snapshot{
 			Proc: proc, CFGIndex: index, Instance: instance,
-			SendSeqs: pair(proc, msgs), RecvSeqs: pair(proc, msgs),
+			N: 2, Peers: two(proc, msgs, msgs),
 			Vars: map[string]int{"x": x, "c": 42},
 		})
 		if err != nil {
@@ -259,7 +259,7 @@ func TestStraightCutFallsBackOverCorruptDeltaChain(t *testing.T) {
 		t.Helper()
 		err := st.Save(storage.Snapshot{
 			Proc: proc, CFGIndex: index, Instance: instance,
-			SendSeqs: pair(proc, msgs), RecvSeqs: pair(proc, msgs),
+			N: 2, Peers: two(proc, msgs, msgs),
 			Vars: map[string]int{"x": x, "c": 42},
 		})
 		if err != nil {

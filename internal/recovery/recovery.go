@@ -58,34 +58,28 @@ type Line struct {
 }
 
 // Consistent reports whether no member of the full cut happened before
-// another (Definition 2.1), else a pair with cut[p] before cut[q]. On
-// reliable FIFO channels a causal path between members holds an orphan, and
-// vice versa: q received a message p had not yet sent at its checkpoint,
-// RecvSeqs_q[p] > SendSeqs_p[q] (a missing counter reads 0).
+// another (Definition 2.1), else the least pair (p, q) with cut[p] before
+// cut[q]. On reliable FIFO channels a causal path between members holds
+// an orphan, and vice versa: q received a message p had not yet sent at its
+// checkpoint, Recvd_q(p) > Sent_p(q). It walks each member's entries.
 func Consistent(cut []storage.Snapshot) (p, q int, ok bool) {
-	for p = range cut {
-		for q = range cut {
-			if p != q && at(cut[q].RecvSeqs, p) > at(cut[p].SendSeqs, q) {
-				return p, q, false
+	p, ok = len(cut), true
+	for r, s := range cut {
+		for _, e := range s.Peers {
+			if e.Peer < p && e.Peer != r && e.Recvd > cut[e.Peer].Peers.At(r).Sent {
+				p, q, ok = e.Peer, r, false
 			}
 		}
 	}
-	return 0, 0, true
-}
-
-func at(seqs []int, i int) int {
-	if i < len(seqs) {
-		return seqs[i]
-	}
-	return 0
+	return p, q, ok
 }
 
 // Progress is how far a snapshot's process had come, by its own counts:
 // messages sent and received, and checkpoints taken (its own included).
 func Progress(s storage.Snapshot) int {
 	sum := 0
-	for i := range max(len(s.SendSeqs), len(s.RecvSeqs)) {
-		sum += at(s.SendSeqs, i) + at(s.RecvSeqs, i)
+	for _, e := range s.Peers {
+		sum += e.Sent + e.Recvd
 	}
 	for _, c := range s.Instances {
 		sum += c

@@ -13,18 +13,20 @@ func save(t *testing.T, st storage.Store, proc, index, instance, sent, received 
 	t.Helper()
 	err := st.Save(storage.Snapshot{
 		Proc: proc, CFGIndex: index, Instance: instance,
-		SendSeqs: pair(proc, sent), RecvSeqs: pair(proc, received),
+		N: 2, Peers: two(proc, sent, received),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// pair is the 2-wide counter row of proc holding c for the other process.
-func pair(proc, c int) []int {
-	row := make([]int, 2)
-	row[1-proc] = c
-	return row
+// two is the row of proc, one of two processes, that had sent and received
+// the given numbers of messages to and from the other.
+func two(proc, sent, received int) storage.Row {
+	if sent == 0 && received == 0 {
+		return nil
+	}
+	return storage.Row{{Peer: 1 - proc, Sent: sent, Recvd: received}}
 }
 
 func TestStraightCutEmptyStore(t *testing.T) {
@@ -207,7 +209,7 @@ func TestLatestConsistentWalksInTime(t *testing.T) {
 		for _, h := range history {
 			err := st.Save(storage.Snapshot{
 				Proc: p, CFGIndex: h.index, Instance: h.instance,
-				SendSeqs: pair(p, h.seq), RecvSeqs: pair(p, h.seq),
+				N: 2, Peers: two(p, h.seq, h.seq),
 				Instances: h.instances,
 			})
 			if err != nil {

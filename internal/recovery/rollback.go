@@ -3,13 +3,14 @@ package recovery
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/storage"
 )
 
 // Rolled is the state a rollback leaves behind: stable storage holds
-// nothing newer than Line, whose members' SendSeqs and RecvSeqs say which
-// messages were in flight across it.
+// nothing newer than Line, whose members' Peers say which messages were in
+// flight across it.
 type Rolled struct {
 	// Line is the chosen recovery line; nil restarts from the initial state.
 	Line *Line
@@ -33,8 +34,9 @@ type Rolled struct {
 // (storage.Snapshot.Instances), so key k of p is doomed exactly when
 // k.Instance >= at.Instances[k.CFGIndex], and no other snapshot is loaded.
 // A line whose member lacks those counters is refused before the store is
-// touched: discarding by it would take the line itself. So is one with seqs
-// not n wide: short rows read as zeros re-inject delivered messages. This is
+// touched: discarding by it would take the line itself. So is one saved by
+// an application of another size, or with a peer not below n: a count read
+// as another process's, or as none, re-injects delivered messages. This is
 // the one place a restart checks that width.
 //
 // It needs no crashed incarnation in front of it: called on a populated
@@ -51,9 +53,9 @@ func Rollback(st storage.Store, n int, choose func(storage.Store, int) (*Line, e
 	}
 	if line != nil {
 		for _, at := range line.Snapshots {
-			if len(at.SendSeqs) != n || len(at.RecvSeqs) != n {
-				return nil, fmt.Errorf("recovery: line member %s carries seqs %d and %d wide, want %d",
-					at.Key(), len(at.SendSeqs), len(at.RecvSeqs), n)
+			if at.N != n || slices.ContainsFunc(at.Peers, func(e storage.PeerSeq) bool { return e.Peer < 0 || e.Peer >= n }) {
+				return nil, fmt.Errorf("recovery: line member %s carries a row of %d processes, peers %v, want %d",
+					at.Key(), at.N, at.Peers, n)
 			}
 			if at.Instances[at.CFGIndex] != at.Instance+1 {
 				return nil, fmt.Errorf("recovery: line member %s carries instance counter %d, want %d",

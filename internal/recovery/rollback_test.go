@@ -31,15 +31,15 @@ func rollbackStores(t *testing.T) map[string]storage.Store {
 }
 
 // channels reads the counts of every channel p→q at a rollback's line as
-// sim.Network.ResetForRecovery does: sent[p][q] is line[p].SendSeqs[q],
-// recvd[p][q] is line[q].RecvSeqs[p], and both are 0 from scratch.
+// sim.Network.ResetForRecovery does: sent[p][q] is line[p].Peers.At(q).Sent,
+// recvd[p][q] is line[q].Peers.At(p).Recvd, and both are 0 from scratch.
 func channels(rb *recovery.Rolled, n int) (sent, recvd [][]int) {
 	sent, recvd = make([][]int, n), make([][]int, n)
 	for p := range n {
 		sent[p], recvd[p] = make([]int, n), make([]int, n)
 		for q := range n {
 			if rb.Line != nil {
-				sent[p][q], recvd[p][q] = rb.Line.Snapshots[p].SendSeqs[q], rb.Line.Snapshots[q].RecvSeqs[p]
+				sent[p][q], recvd[p][q] = rb.Line.Snapshots[p].Peers.At(q).Sent, rb.Line.Snapshots[q].Peers.At(p).Recvd
 			}
 		}
 	}
@@ -121,8 +121,8 @@ func TestRollback(t *testing.T) {
 						instances[k.CFGIndex] = k.Instance + 1
 						s := storage.Snapshot{
 							Proc: p, CFGIndex: k.CFGIndex, Instance: k.Instance,
-							Vars:     map[string]int{"x": tick},
-							SendSeqs: []int{2 * tick, 3 * tick}, RecvSeqs: []int{tick, 2 * tick},
+							Vars: map[string]int{"x": tick},
+							N:    2, Peers: rowOf([]int{2 * tick, 3 * tick}, []int{tick, 2 * tick}),
 							Instances: instances,
 						}
 						into := inner
@@ -216,7 +216,7 @@ func TestLatestConsistentSkipsWhatFailsToLoad(t *testing.T) {
 					instances[k.CFGIndex] = k.Instance + 1
 					s := storage.Snapshot{
 						Proc: p, CFGIndex: k.CFGIndex, Instance: k.Instance,
-						SendSeqs: []int{2 * tick, 3 * tick}, RecvSeqs: []int{tick, 2 * tick},
+						N: 2, Peers: rowOf([]int{2 * tick, 3 * tick}, []int{tick, 2 * tick}),
 						Instances: instances,
 					}
 					into := inner
@@ -261,7 +261,7 @@ func TestRollbackKeepsTheChosenLine(t *testing.T) {
 					s := storage.Snapshot{
 						Proc: p, CFGIndex: 1, Instance: inst,
 						Vars: map[string]int{"x": inst}, Instances: map[int]int{1: inst + 1},
-						SendSeqs: []int{inst, inst}, RecvSeqs: []int{inst, inst},
+						N: 2, Peers: rowOf([]int{inst, inst}, []int{inst, inst}),
 					}
 					into := inner
 					if s.Key() == marked {
@@ -307,18 +307,38 @@ func TestRollbackRefusesLineWithoutCounters(t *testing.T) {
 	})
 }
 
-// A line member whose SendSeqs and RecvSeqs are narrower than the
-// application cannot rebuild its channels: read as zeros, the missing
-// columns would re-inject messages that were already delivered. Rollback
-// must refuse it before it scrubs or deletes anything.
+// A line member saved by an application narrower than the one restarting
+// cannot rebuild its channels: read as zeros, the peers it does not know
+// would re-inject messages that were already delivered. Rollback must refuse
+// it before it scrubs or deletes anything, and so a member whose row names a
+// peer the application does not have, which only a Recover hook can hand it.
 func TestRollbackRefusesLineOfNarrowSeqs(t *testing.T) {
-	refused(t, 4, 3, "seqs 3 and 3 wide, want 4", nil)
+	refused(t, 4, 3, "a row of 3 processes", nil)
+	st := storage.NewMemory()
+	for p := range 2 {
+		if err := st.Save(storage.Snapshot{Proc: p, CFGIndex: 1, Instances: map[int]int{1: 1}, N: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := recovery.Rollback(st, 2, func(st storage.Store, n int) (*recovery.Line, error) {
+		line, err := recovery.StraightCut(st, n)
+		if err == nil {
+			line.Snapshots[1].Peers = storage.Row{{Peer: 2, Recvd: 1}}
+		}
+		return line, err
+	})
+	if err == nil || !strings.Contains(err.Error(), "peers [{2 0 1}]") {
+		t.Fatalf("rollback to a line naming peer 2 of 2: %v", err)
+	}
+	if keys, _ := st.Keys(1); len(keys) != 1 {
+		t.Errorf("process 1 holds %v after the refusal", keys)
+	}
 }
 
-// refused saves three cuts of n processes, each member with width-wide
-// channel counters and edited by edit, and requires Rollback to refuse the
-// line with an error naming want and to leave every key of the store where
-// it was.
+// refused saves three cuts of n processes, each member saved by a
+// width-process application and edited by edit, and requires Rollback to
+// refuse the line with an error naming want and to leave every key of the
+// store where it was.
 func refused(t *testing.T, n, width int, want string, edit func(*storage.Snapshot)) {
 	t.Helper()
 	for kind, st := range rollbackStores(t) {
@@ -327,7 +347,7 @@ func refused(t *testing.T, n, width int, want string, edit func(*storage.Snapsho
 				for inst := 0; inst < 3; inst++ {
 					s := storage.Snapshot{
 						Proc: p, CFGIndex: 1, Instance: inst, Instances: map[int]int{1: inst + 1},
-						SendSeqs: make([]int, width), RecvSeqs: make([]int, width),
+						N: width,
 					}
 					if edit != nil {
 						edit(&s)
@@ -590,7 +610,7 @@ func TestRollbackOverWALDecodesOnlyTheLine(t *testing.T) {
 			saved += 3 // process 1 ran ahead of the last common cut
 		}
 		for inst := 0; inst < saved; inst++ {
-			// No SendSeqs: the WAL retires nothing and holds every save.
+			// No N: the WAL retires nothing and holds every save.
 			// The chosen line is given its channel counters below.
 			s := storage.Snapshot{
 				Proc: p, CFGIndex: 1, Instance: inst,
@@ -607,7 +627,7 @@ func TestRollbackOverWALDecodesOnlyTheLine(t *testing.T) {
 		line, err := recovery.StraightCut(st, n)
 		selected = st.(*bodyReads).n
 		for p := 0; err == nil && p < n; p++ {
-			line.Snapshots[p].SendSeqs, line.Snapshots[p].RecvSeqs = make([]int, n), make([]int, n)
+			line.Snapshots[p].N = n
 		}
 		return line, err
 	})
@@ -660,7 +680,7 @@ func TestStraightCutReadsEachMemberOnceAllocs(t *testing.T) {
 				for inst := 0; inst < saved[p]; inst++ {
 					s := storage.Snapshot{
 						Proc: p, CFGIndex: 1, Instance: inst,
-						SendSeqs: []int{inst, inst, inst, inst}, RecvSeqs: make([]int, n),
+						N: n, Peers: rowOf([]int{inst, inst, inst, inst}, make([]int, n)),
 						Instances: map[int]int{1: inst + 1},
 					}
 					if err := ws.Save(s); err != nil {

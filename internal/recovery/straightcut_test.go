@@ -49,13 +49,13 @@ func cutStore(t testing.TB, data []byte) (*corruptStore, int) {
 				if held&(1<<k) == 0 {
 					continue
 				}
-				send := make([]int, n)
-				for q := range send {
-					if q != p {
-						send[q] = k + at(idx)%4
+				var peers storage.Row
+				for q := range n {
+					if sent := k + at(idx)%4; q != p && sent != 0 {
+						peers = append(peers, storage.PeerSeq{Peer: q, Sent: sent})
 					}
 				}
-				s := storage.Snapshot{Proc: p, CFGIndex: idx, Instance: k, SendSeqs: send, RecvSeqs: make([]int, n)}
+				s := storage.Snapshot{Proc: p, CFGIndex: idx, Instance: k, N: n, Peers: peers}
 				if err := st.Save(s); err != nil {
 					t.Fatal(err)
 				}
@@ -191,13 +191,13 @@ func TestStraightCutOrderAndWidth(t *testing.T) {
 	const n = 3
 	type chk struct{ proc, index, instance, sent int }
 	snap := func(c chk) storage.Snapshot {
-		send := make([]int, n)
-		for q := range send {
-			if q != c.proc%n {
-				send[q] = c.sent
+		var peers storage.Row
+		for q := range n {
+			if q != c.proc%n && c.sent != 0 {
+				peers = append(peers, storage.PeerSeq{Peer: q, Sent: c.sent})
 			}
 		}
-		return storage.Snapshot{Proc: c.proc, CFGIndex: c.index, Instance: c.instance, SendSeqs: send, RecvSeqs: make([]int, n)}
+		return storage.Snapshot{Proc: c.proc, CFGIndex: c.index, Instance: c.instance, N: n, Peers: peers}
 	}
 	cut := func(index, instance, sent int) []chk {
 		return []chk{{0, index, instance, sent}, {1, index, instance, sent}, {2, index, instance, sent}}

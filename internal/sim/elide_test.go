@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -107,8 +108,13 @@ func TestRunRefusesInFlightOnQuietChannel(t *testing.T) {
 				if err != nil || line == nil {
 					return line, err
 				}
-				if bent = line.Snapshots[0].SendSeqs[1]; bent > 0 {
-					line.Snapshots[1].RecvSeqs[0] = bent - 1
+				if bent = line.Snapshots[0].Peers.At(1).Sent; bent > 0 {
+					row := &line.Snapshots[1].Peers
+					i, ok := row.Search(0)
+					if !ok {
+						*row = slices.Insert(*row, i, storage.PeerSeq{Peer: 0})
+					}
+					(*row)[i].Recvd = bent - 1
 				}
 				return line, nil
 			},

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -178,7 +179,7 @@ func TestInitRefillsInheritedMemory(t *testing.T) {
 	}
 	old := append([]*Proc(nil), procs...)
 	for p, pr := range old {
-		if pr.env.Vars["acc"] == 0 || len(pr.instances) == 0 || pr.sendSeq[(p+1)%n]+pr.recvSeq[(p+n-1)%n] == 0 {
+		if pr.env.Vars["acc"] == 0 || len(pr.instances) == 0 || pr.row.At((p+1)%n).Sent+pr.row.At((p+n-1)%n).Recvd == 0 {
 			t.Fatalf("process %d crashed with nothing to refill: vars %v instances %v", p, pr.env.Vars, pr.instances)
 		}
 	}
@@ -188,11 +189,12 @@ func TestInitRefillsInheritedMemory(t *testing.T) {
 	}
 	zeroVars := map[string]int{"acc": 0, "got": 0, "iter": 0}
 	for p, pr := range procs {
-		if pr == old[p] || pr.env != old[p].env || &pr.sendSeq[0] != &old[p].sendSeq[0] {
+		if pr == old[p] || pr.env != old[p].env || &pr.row[:1][0] != &old[p].row[:1][0] || &pr.chans[0] != &old[p].chans[0] {
 			t.Fatalf("process %d did not inherit its predecessor's memory", p)
 		}
-		if !reflect.DeepEqual(pr.sendSeq, make([]int, n)) || !reflect.DeepEqual(pr.recvSeq, make([]int, n)) {
-			t.Errorf("process %d starts with sequences %v / %v", p, pr.sendSeq, pr.recvSeq)
+		// The row starts empty; the channels stay cached.
+		if len(pr.row) != 0 || slices.ContainsFunc(pr.chans, func(c peerChans) bool { return c.out == nil && c.in == nil }) {
+			t.Errorf("process %d starts with row %v, channels %v", p, pr.row, pr.chans)
 		}
 		if len(pr.instances) != 0 || !reflect.DeepEqual(pr.env.Vars, zeroVars) {
 			t.Errorf("process %d starts with instances %v, variables %v", p, pr.instances, pr.env.Vars)

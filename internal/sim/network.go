@@ -47,13 +47,14 @@ const ctrlFrom = -1
 // reuses one backing array instead of abandoning a slice head per message.
 //
 // The log takes no lock. It has one writer, the sending process's goroutine
-// (Network.Send), and one other user, ResetForRecovery, which runs only after
+// (Network.send), and one other user, ResetForRecovery, which runs only after
 // run.wait has received every goroutine's exit: -race checks that claim on
 // every crash test.
 type channel struct {
-	from, to int           // from is ctrlFrom on a control channel
-	proto    *atomic.Int64 // &Network.proto[to]: push, popHeadLocked and reset keep it exact
-	next     *channel      // Network.created list
+	from, to int                     // from is ctrlFrom on a control channel
+	proto    *atomic.Int64           // &Network.inbox[to].proto: push, popHeadLocked and reset keep it exact
+	next     *channel                // Network.created list
+	nextIn   atomic.Pointer[channel] // the next of inbox[to]'s channels by sender
 
 	mu     sync.Mutex
 	cond   sync.Cond // L is &mu
@@ -61,7 +62,7 @@ type channel struct {
 	head   int // items[:head] are consumed
 	closed bool
 	// unlogged: the log numbers the channel's messages and holds no record
-	// of them (Network.SendUnlogged). A log holds all records or none.
+	// of them (Network.send, unlogged). A log holds all records or none.
 	unlogged bool
 	polls    int // Network.Poll calls; tests read it
 	// onDepth, when set, observes the queue depth after every push (the
@@ -186,16 +187,14 @@ func (ch *channel) reset(sendSeq, recvSeq int) error {
 // Network provides a FIFO application/marker channel between every pair of
 // processes and one control channel per process, each created when first
 // used and holding the log its contents are rebuilt from after a rollback.
+// It keeps nothing per pair of processes that never exchanged a message.
 type Network struct {
-	n int
-	// table holds process to's control channel at [to] and the in-band
-	// channel from→to at [(from+1)*n+to]; nil until first use.
-	table   []atomic.Pointer[channel]
-	created atomic.Pointer[channel] // every channel of table, newest first
+	n     int
+	inbox []inbox
+	// mu serialises creating a channel; reads take no lock.
+	mu      sync.Mutex
+	created atomic.Pointer[channel] // every channel, newest first
 	aborted atomic.Bool
-	// proto[to] counts the markers and control messages queued for process to
-	// on any channel: while it reads zero, to's poll would find nothing.
-	proto []atomic.Int64
 
 	// tr, when non-nil, is the hardened transport (Config.Net): every frame
 	// crosses lossy links with sequencing, acks, and retransmission before
@@ -203,58 +202,77 @@ type Network struct {
 	tr *transport
 }
 
+// inbox is one receiver's: proto counts the markers and control messages
+// queued for it (while zero, its poll would find nothing), and head starts
+// its channels, by sender, which a walk reads without a lock.
+type inbox struct {
+	proto atomic.Int64
+	head  atomic.Pointer[channel]
+}
+
 // NewNetwork creates the fully connected network for n processes.
 func NewNetwork(n int) *Network {
-	return &Network{n: n, table: make([]atomic.Pointer[channel], (n+1)*n), proto: make([]atomic.Int64, n)}
+	return &Network{n: n, inbox: make([]inbox, n)}
 }
 
 // peek returns the channel from→to, nil if nothing has used it yet.
 func (net *Network) peek(from, to int) *channel {
-	return net.table[(from+1)*net.n+to].Load()
+	for ch := net.inbox[to].head.Load(); ch != nil && ch.from <= from; ch = ch.nextIn.Load() {
+		if ch.from == from {
+			return ch
+		}
+	}
+	return nil
 }
 
-// channel returns the channel from→to, creating it on first use. A channel
+// channel returns the channel from→to, creating it on first use: linked in
+// after its successor is, so a reader sees it whole or not at all. A channel
 // created while Abort runs must not stay open: the creator publishes it and
 // only then reads the flag, Abort sets the flag and only then walks the list,
 // so either the walk reaches the channel or its creator closes it.
 func (net *Network) channel(from, to int) *channel {
-	slot := &net.table[(from+1)*net.n+to]
-	if ch := slot.Load(); ch != nil {
+	if ch := net.peek(from, to); ch != nil {
 		return ch
 	}
-	ch := &channel{from: from, to: to, proto: &net.proto[to]}
+	net.mu.Lock()
+	defer net.mu.Unlock()
+	at := &net.inbox[to].head
+	for ch := at.Load(); ch != nil && ch.from <= from; ch = at.Load() {
+		if ch.from == from {
+			return ch
+		}
+		at = &ch.nextIn
+	}
+	ch := &channel{from: from, to: to, proto: &net.inbox[to].proto, next: net.created.Load()}
 	ch.cond.L = &ch.mu
 	ch.log, ch.logHead[0].b = ch.logHead[:], ch.logFirst[:0]
-	if !slot.CompareAndSwap(nil, ch) {
-		return slot.Load()
-	}
-	for {
-		ch.next = net.created.Load()
-		if net.created.CompareAndSwap(ch.next, ch) {
-			break
-		}
-	}
+	ch.nextIn.Store(at.Load())
+	at.Store(ch)
+	net.created.Store(ch)
 	if net.aborted.Load() {
 		ch.abort()
 	}
 	return ch
 }
 
-// Send delivers an application message (asynchronous, FIFO) and logs it for
-// potential rollback re-injection. The log records the message before it
-// touches the (possibly lossy) transport: recovery reconstructs in-flight
-// messages from the log, never from the wire.
-func (net *Network) Send(m Message) {
-	net.channel(m.From, m.To).logAppend(&m)
-	net.SendMarker(m)
-}
-
-// SendUnlogged delivers an application message on a channel no recovery
-// line can have a message in flight on: the log numbers it and writes no
-// record. Every message of a channel is sent one way or the other.
-func (net *Network) SendUnlogged(m Message) {
-	net.channel(m.From, m.To).logNumber(m.Seq, true)
-	net.SendMarker(m)
+// send delivers an application message on ch, the channel m.From→m.To
+// (asynchronous, FIFO), and logs it for potential rollback re-injection. The
+// log records the message before it touches the (possibly lossy) transport:
+// recovery reconstructs in-flight messages from the log, never from the
+// wire. Unlogged, the channel is one no recovery line can have a message in
+// flight on: the log numbers the message and writes no record. Every
+// message of a channel is sent one way or the other.
+func (net *Network) send(ch *channel, m Message, unlogged bool) {
+	if unlogged {
+		ch.logNumber(m.Seq, true)
+	} else {
+		ch.logAppend(&m)
+	}
+	if net.tr != nil {
+		net.SendMarker(m)
+	} else {
+		ch.push(m)
+	}
 }
 
 // SendMarker delivers a message in band without logging it. Markers share
@@ -285,7 +303,7 @@ func (net *Network) Recv(from, to int) (Message, error) {
 }
 
 // quiet reports that no marker or control message is queued for process to.
-func (net *Network) quiet(to int) bool { return net.proto[to].Load() == 0 }
+func (net *Network) quiet(to int) bool { return net.inbox[to].proto.Load() == 0 }
 
 // Poll removes the head of channel (from, to) — not creating it — if it has
 // arrived by maxArrive virtual time (math.Inf(1) when accounting is off) and,
@@ -319,10 +337,11 @@ func (net *Network) Abort() {
 // ResetForRecovery reopens every channel at a recovery line, its members
 // indexed by process (nil: the initial state), with channel.reset: channel
 // p→q then holds the logged application messages with sequence numbers in
-// [line[q].RecvSeqs[p], line[p].SendSeqs[q]) — exactly those in flight at
-// the line. The members' rows are n wide: recovery.Rollback refuses a line
-// whose rows are not. It must not run beside a process of the network: see
-// channel. A line that counts a message the logs cannot rebuild is an error.
+// [line[q].Peers.At(p).Recvd, line[p].Peers.At(q).Sent) — exactly those in
+// flight at the line. The members' peers are below n: recovery.Rollback
+// refuses a line with one that is not. It must not run beside a process of
+// the network: see channel. A line that counts a message the logs cannot
+// rebuild is an error.
 func (net *Network) ResetForRecovery(line []storage.Snapshot) error {
 	// Invalidate the transport first: bumping link generations guarantees
 	// that frames still on the (chaos-delayed) wire and pending retransmit
@@ -333,16 +352,16 @@ func (net *Network) ResetForRecovery(line []storage.Snapshot) error {
 	}
 	net.aborted.Store(false)
 	for from, s := range line {
-		for to, sent := range s.SendSeqs {
-			if sent > 0 && net.peek(from, to) == nil {
-				return fmt.Errorf("sim: channel %d->%d: the recovery line has sent message #%d, and the channel never carried one", from, to, sent-1)
+		for _, e := range s.Peers {
+			if e.Sent > 0 && net.peek(from, e.Peer) == nil {
+				return fmt.Errorf("sim: channel %d->%d: the recovery line has sent message #%d, and the channel never carried one", from, e.Peer, e.Sent-1)
 			}
 		}
 	}
 	for ch := net.created.Load(); ch != nil; ch = ch.next {
 		sent, recvd := 0, 0 // from scratch, or a control channel, which logs nothing
 		if ch.from != ctrlFrom && line != nil {
-			sent, recvd = line[ch.from].SendSeqs[ch.to], line[ch.to].RecvSeqs[ch.from]
+			sent, recvd = line[ch.from].Peers.At(ch.to).Sent, line[ch.to].Peers.At(ch.from).Recvd
 		}
 		if err := ch.reset(sent, recvd); err != nil {
 			return err

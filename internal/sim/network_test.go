@@ -19,8 +19,13 @@ import (
 // (package sim_test) fills the table before any test runs.
 var BaselineProtocols = map[string]func() HooksFactory{}
 
+// Send and SendUnlogged are the runtime's send, logged and not, on the
+// channel m.From→m.To, for tests that drive a Network without processes.
+func (net *Network) Send(m Message)         { net.send(net.channel(m.From, m.To), m, false) }
+func (net *Network) SendUnlogged(m Message) { net.send(net.channel(m.From, m.To), m, true) }
+
 // auditProto recounts, for each destination, the markers and control messages
-// queued on its channels, and requires Network.proto to say the same. Only
+// queued on its channels, and requires its inbox.proto to say the same. Only
 // meaningful while no process runs.
 func auditProto(t *testing.T, where string, net *Network, wantZero bool) {
 	t.Helper()
@@ -33,7 +38,7 @@ func auditProto(t *testing.T, where string, net *Network, wantZero bool) {
 		}
 	}
 	for to := range recount {
-		got := net.proto[to].Load()
+		got := net.inbox[to].proto.Load()
 		if got != recount[to] {
 			t.Errorf("%s: process %d's counter reads %d, its queues hold %d markers and control messages", where, to, got, recount[to])
 		}

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"strconv"
 	stdtime "time"
 
@@ -65,10 +67,12 @@ type Proc struct {
 	env *mpl.Env
 	// pruned is the variable map of the last manifest-pruned checkpoint,
 	// refilled for the next one.
-	pruned    map[string]int
-	pc        int
-	sendSeq   []int
-	recvSeq   []int
+	pruned map[string]int
+	pc     int
+	// row counts, by peer, the messages the state has exchanged; chans
+	// caches, by peer, the channels of every peer touched in the run.
+	row       storage.Row
+	chans     []peerChans
 	instances map[int]int
 
 	steps      int
@@ -116,8 +120,6 @@ type Proc struct {
 func (p *Proc) init(input func(rank, i int) int) {
 	p.workLeft = -1
 	if p.env == nil {
-		p.sendSeq = make([]int, p.n)
-		p.recvSeq = make([]int, p.n)
 		p.instances = make(map[int]int)
 		// The closure holds the rank, not the Proc: it serves every incarnation.
 		var inputFn func(int) int
@@ -127,8 +129,7 @@ func (p *Proc) init(input func(rank, i int) int) {
 		}
 		p.env = &mpl.Env{Rank: p.rank, Nproc: p.n, Vars: make(map[string]int, len(p.code.Prog.Vars)), Consts: p.code.consts, Input: inputFn}
 	}
-	clear(p.sendSeq)
-	clear(p.recvSeq)
+	p.row = p.row[:0]
 	clear(p.instances)
 	clear(p.env.Vars) // a crash mid-reduce leaves reduceTmpVar behind
 	for _, name := range p.code.Prog.Vars {
@@ -173,8 +174,7 @@ func (p *Proc) restore(s storage.Snapshot) error {
 	for k, v := range s.Vars {
 		p.env.Vars[k] = v
 	}
-	copy(p.sendSeq, s.SendSeqs)
-	copy(p.recvSeq, s.RecvSeqs)
+	p.row = append(p.row, s.Peers...)
 	for k, v := range s.Instances {
 		p.instances[k] = v
 	}
@@ -284,8 +284,8 @@ func (p *Proc) takeCheckpoint(idx int, manifest []string, label string) error {
 		Instance:  instance,
 		Vars:      vars,
 		PC:        strconv.Itoa(p.resumePC()),
-		SendSeqs:  p.sendSeq,
-		RecvSeqs:  p.recvSeq,
+		N:         p.n,
+		Peers:     p.row,
 		Instances: p.instances,
 		VTime:     p.vtime,
 		Manifest:  manifest,
@@ -576,10 +576,39 @@ func (p *Proc) evalErr(in Instr, err error) error {
 	return fmt.Errorf("sim: process %d at pc %d (stmt #%d): %w", p.rank, p.pc, in.StmtID, err)
 }
 
+// peer returns q's entry in the row, added for a message it counts.
+func (p *Proc) peer(q int) *storage.PeerSeq {
+	i, ok := p.row.Search(q)
+	if !ok {
+		p.row = slices.Insert(p.row, i, storage.PeerSeq{Peer: q})
+	}
+	return &p.row[i]
+}
+
+// peerChans are the channels to and from peer, each looked up once a run.
+type peerChans struct {
+	peer    int
+	out, in *channel
+}
+
+// link returns q's entry in chans, which caches what the caller looks up.
+func (p *Proc) link(q int) *peerChans {
+	i, ok := slices.BinarySearchFunc(p.chans, q, func(c peerChans, q int) int { return cmp.Compare(c.peer, q) })
+	if !ok {
+		p.chans = slices.Insert(p.chans, i, peerChans{peer: q})
+	}
+	return &p.chans[i]
+}
+
 // sendApp sends one application message to dest.
 func (p *Proc) sendApp(dest, value int) error {
-	seq := p.sendSeq[dest]
-	p.sendSeq[dest] = seq + 1
+	e := p.peer(dest)
+	seq := e.Sent
+	e.Sent++
+	l := p.link(dest)
+	if l.out == nil {
+		l.out = p.net.channel(p.rank, dest)
+	}
 	arrive := p.chargeSend()
 	m := Message{
 		Kind:      MsgApp,
@@ -590,11 +619,7 @@ func (p *Proc) sendApp(dest, value int) error {
 		Piggyback: p.hooks.BeforeSend(p, dest),
 		ArriveV:   arrive,
 	}
-	if p.quiet&(1<<dest) != 0 {
-		p.net.SendUnlogged(m)
-	} else {
-		p.net.Send(m)
-	}
+	p.net.send(l.out, m, p.quiet&(1<<dest) != 0)
 	p.counters.IncAppMessages(1)
 	return p.record(trace.Event{
 		Kind: trace.KindSend,
@@ -608,8 +633,12 @@ func (p *Proc) sendApp(dest, value int) error {
 func (p *Proc) recvApp(src int, varName string) error {
 	p.midRecv = true
 	defer func() { p.midRecv = false }()
+	l := p.link(src)
+	if l.in == nil {
+		l.in = p.net.channel(src, p.rank)
+	}
 	for {
-		m, err := p.net.Recv(src, p.rank)
+		m, err := l.in.pop() // hooks send no application message: l stays src's
 		if err != nil {
 			return err
 		}
@@ -620,9 +649,9 @@ func (p *Proc) recvApp(src int, varName string) error {
 			}
 			continue
 		}
-		if m.Seq != p.recvSeq[src] {
+		if want := p.row.At(src).Recvd; m.Seq != want {
 			return fmt.Errorf("sim: process %d: FIFO violation from %d: seq %d, want %d",
-				p.rank, src, m.Seq, p.recvSeq[src])
+				p.rank, src, m.Seq, want)
 		}
 		// The message is not yet delivered: forced checkpoints taken here
 		// exclude it, and a restore re-executes this receive (the message
@@ -630,7 +659,7 @@ func (p *Proc) recvApp(src int, varName string) error {
 		if err := p.hooks.BeforeDeliver(p, m); err != nil {
 			return err
 		}
-		p.recvSeq[src] = m.Seq + 1
+		p.peer(src).Recvd = m.Seq + 1
 		p.env.Vars[varName] = m.Value
 		return p.record(trace.Event{
 			Kind: trace.KindRecv,

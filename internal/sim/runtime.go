@@ -310,11 +310,11 @@ func (r *run) emit(kind obs.Kind, inc int, vtime float64, format string, args ..
 // start builds incarnation inc's processes: fresh at the program start, or
 // restored from line, with the incarnation's crash triggers armed. Each
 // takes over the memory of its predecessor in prev, the incarnation that
-// just failed (nil at incarnation 0) — environment, sequence counters,
-// instance map — and init refills it. That is safe because wait returned
-// only after every goroutine of prev had reported in and rollback has read
-// their counters: nothing runs on that memory any more, stores, observers and
-// the send log were only ever lent it, and what init finds it
+// just failed (nil at incarnation 0) — environment, per-peer row and its
+// channels, instance map — and init refills it. That is safe because wait
+// returned only after every goroutine of prev had reported in and rollback
+// has read their counters: nothing runs on that memory any more, stores,
+// observers and the send log were only ever lent it, and what init finds it
 // overwrites, never trusts. Hooks and protocol state are built anew.
 func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64) ([]*Proc, error) {
 	cfg, n := &r.cfg, r.cfg.Nproc
@@ -345,7 +345,7 @@ func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64
 		}
 		if old != nil {
 			p.env, p.pruned = old.env, old.pruned
-			p.sendSeq, p.recvSeq, p.instances = old.sendSeq, old.recvSeq, old.instances
+			p.row, p.chans, p.instances = old.row, old.chans, old.instances
 		}
 		p.init(cfg.Input)
 		if line != nil {
@@ -473,7 +473,7 @@ func (r *run) rollback(inc int, procs []*Proc, restartV float64) (*recovery.Line
 	// process executed past the checkpoint it returns to (recovery.Progress).
 	lost := 0
 	for p, pr := range procs {
-		lost += recovery.Progress(storage.Snapshot{SendSeqs: pr.sendSeq, RecvSeqs: pr.recvSeq, Instances: pr.instances})
+		lost += recovery.Progress(storage.Snapshot{Peers: pr.row, Instances: pr.instances})
 		if line != nil {
 			lost -= recovery.Progress(line.Snapshots[p])
 		}

@@ -20,8 +20,9 @@ package sim
 //     partition is *detected* and converted into the runtime's ordinary
 //     crash→recovery path instead of deadlocking the incarnation.
 //
-// The transport lives strictly below the checkpoint protocol: application
-// sequence numbers, vector clocks, the sender-based message log, and
+// The transport lives strictly below the checkpoint protocol: what a
+// checkpoint keeps (the per-peer row of application message counts, the
+// instance counters and the environment), the sender-based message log, and
 // recovery-line selection never see retransmissions or duplicates, so the
 // layer cannot create cut-crossing messages. ResetForRecovery bumps a
 // per-link generation; frames and timers from a rolled-back incarnation

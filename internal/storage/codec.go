@@ -18,25 +18,29 @@ import (
 // inside an intact frame is not a snapshot, which callers report as
 // ErrCorrupt.
 //
-// Layout, version 1 (uv = unsigned LEB128 varint, sv = zig-zag varint,
+// Layout, version 2 (uv = unsigned LEB128 varint, sv = zig-zag varint,
 // str = uv byte count + bytes, len = uv holding 0 for a nil slice or map and
 // n+1 for one of n elements, so nil and empty both round-trip):
 //
-//	byte  version (1)
+//	byte  version (2)
 //	sv    Proc, CFGIndex, Instance
 //	len   Clock      then uv per component
 //	len   Vars       then (str name, sv value) per variable, names ascending
 //	str   PC
-//	len   SendSeqs   then sv per peer
-//	len   RecvSeqs   then sv per peer
+//	sv    N
+//	uv    entries    then (uv peer delta, sv sent, sv recvd) per Peers entry
 //	len   Instances  then (sv index, sv count) per entry, indexes ascending
 //	u64   VTime      IEEE-754 bits, big-endian
 //	len   Manifest   then str per name
 //
-// Names and indexes are sorted and every varint is minimal, so the bytes are
-// a deterministic function of the snapshot (the incremental store's checksum
-// depends on that) and exactly one body decodes to any given snapshot.
-const snapshotVersion = 1
+// A peer delta is the peer less the previous entry's (0 for the first). Version 1, read only, had instead two dense rows (len,
+// then sv per peer), sent and received: N is the wider's width.
+//
+// Names, indexes and peers ascend and every varint is minimal, so the bytes
+// are a deterministic function of the snapshot (the incremental store's
+// checksum depends on that) and exactly one body decodes to any given one
+// whose Peers are a Row.
+const snapshotVersion = 2
 
 // AppendSnapshot appends the body of s to dst and returns the extended
 // slice. It allocates nothing when dst has room and s holds at most
@@ -78,8 +82,13 @@ func appendVars(dst []byte, vars map[string]int) []byte {
 
 func appendTail(dst []byte, s Snapshot) []byte {
 	dst = appendString(dst, s.PC)
-	dst = appendInts(dst, s.SendSeqs)
-	dst = appendInts(dst, s.RecvSeqs)
+	dst = binary.AppendUvarint(binary.AppendVarint(dst, int64(s.N)), uint64(len(s.Peers)))
+	prev := 0
+	for _, e := range s.Peers {
+		dst = binary.AppendUvarint(dst, uint64(e.Peer-prev))
+		dst = binary.AppendVarint(binary.AppendVarint(dst, int64(e.Sent)), int64(e.Recvd))
+		prev = e.Peer
+	}
 
 	dst = appendLen(dst, len(s.Instances), s.Instances == nil)
 	var idxBuf [sortScratch]int
@@ -117,22 +126,15 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func appendInts(dst []byte, v []int) []byte {
-	dst = appendLen(dst, len(v), v == nil)
-	for _, x := range v {
-		dst = binary.AppendVarint(dst, int64(x))
-	}
-	return dst
-}
-
-// DecodeSnapshot inverts AppendSnapshot. The result shares no memory with
-// body, so the caller may reuse the buffer at once. Any body AppendSnapshot
-// could not have produced — another version byte, a truncated or over-long
-// body, a non-minimal varint, names or indexes out of order — is an error,
+// DecodeSnapshot inverts AppendSnapshot, and reads version 1 too. The result
+// shares no memory with body, so the caller may reuse the buffer at once.
+// Any body AppendSnapshot could not have produced — another version byte, a
+// truncated or over-long body, a non-minimal varint, names, indexes or peers
+// out of order, a peer not below N, an all-zero entry — is an error,
 // and every declared length is checked against the bytes that remain before
 // anything is allocated for it.
 func DecodeSnapshot(body []byte) (Snapshot, error) {
-	if len(body) == 0 || body[0] != snapshotVersion {
+	if len(body) == 0 || (body[0] != 1 && body[0] != snapshotVersion) {
 		return Snapshot{}, errors.New("storage: snapshot body: unknown version")
 	}
 	// One copy backs every string of the result.
@@ -158,8 +160,7 @@ func DecodeSnapshot(body []byte) (Snapshot, error) {
 		}
 	}
 	s.PC = d.str()
-	s.SendSeqs = d.ints()
-	s.RecvSeqs = d.ints()
+	s.N, s.Peers = d.row(body[0])
 	if n, ok := d.count(2); ok {
 		s.Instances = make(map[int]int, n)
 		prev := 0
@@ -190,31 +191,6 @@ func DecodeSnapshot(body []byte) (Snapshot, error) {
 		return Snapshot{}, d.err
 	}
 	return s, nil
-}
-
-// SendCount returns how many SendSeqs the snapshot body holds — the size of
-// the application that saved it — or 0 when the body does not decode as
-// far. It allocates nothing.
-func SendCount(body []byte) int {
-	d := decoder{rest: body}
-	if d.uvarint() != snapshotVersion {
-		return 0
-	}
-	for range 3 { // Proc, CFGIndex, Instance
-		d.int()
-	}
-	for n, _ := d.count(1); n > 0; n-- {
-		d.uvarint()
-	}
-	for n, _ := d.count(2); n > 0; n-- {
-		d.rest = d.rest[d.strLen():]
-		d.int()
-	}
-	d.rest = d.rest[d.strLen():]
-	if n, _ := d.count(1); d.err == nil {
-		return n
-	}
-	return 0
 }
 
 // decoder reads a body front to back. The first failure sticks: every later
@@ -278,14 +254,49 @@ func (d *decoder) strLen() int {
 	return int(n)
 }
 
-func (d *decoder) ints() []int {
-	n, ok := d.count(1)
-	if !ok {
-		return nil
+// row reads N and the entries, of version 2 in one allocation.
+func (d *decoder) row(version byte) (int, Row) {
+	var row Row
+	if version == 1 {
+		for recvd := range 2 {
+			n, _ := d.count(1)
+			for p := range n {
+				if p == len(row) {
+					row = append(row, PeerSeq{Peer: p})
+				}
+				if v := d.int(); recvd == 1 {
+					row[p].Recvd = v
+				} else {
+					row[p].Sent = v
+				}
+			}
+		}
+		n := len(row)
+		if row = slices.DeleteFunc(row, func(e PeerSeq) bool { return e.Sent|e.Recvd == 0 }); len(row) == 0 {
+			row = nil
+		}
+		return n, row
 	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = d.int()
+	n, k := d.int(), d.uvarint()
+	if k > uint64(len(d.rest)/3) {
+		d.fail("length exceeds body")
+	} else if k > 0 {
+		row = make(Row, k)
 	}
-	return v
+	prev := 0
+	for i := range row {
+		delta := d.uvarint()
+		switch {
+		case i > 0 && delta == 0:
+			d.fail("peer repeated")
+		case n <= prev || delta >= uint64(n-prev): // a delta that wraps is a peer below its predecessor
+			d.fail("peer not below N")
+		}
+		prev += int(delta)
+		row[i] = PeerSeq{Peer: prev, Sent: d.int(), Recvd: d.int()}
+		if d.err == nil && row[i].Sent|row[i].Recvd == 0 {
+			d.fail("all-zero peer entry")
+		}
+	}
+	return n, row
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
@@ -15,19 +16,21 @@ import (
 var (
 	goldenFull = Snapshot{
 		Proc: 1, CFGIndex: 2, Instance: 3,
-		Clock:    vclock.VC{4, 9, 0},
-		Vars:     map[string]int{"x": 7, "iter": 2, "y": -1},
-		PC:       "s12",
-		SendSeqs: []int{1, 0, 2}, RecvSeqs: []int{0, 0, 1},
+		Clock:     vclock.VC{4, 9, 0},
+		Vars:      map[string]int{"x": 7, "iter": 2, "y": -1},
+		PC:        "s12",
+		N:         3,
+		Peers:     Row{{0, 1, 0}, {2, 2, 1}},
 		Instances: map[int]int{1: 4, 2: 3},
 		VTime:     1.25,
 	}
 	goldenPruned = Snapshot{
 		Proc: 0, CFGIndex: 2, Instance: 4,
-		Clock:    vclock.VC{4, 9, 0},
-		Vars:     map[string]int{"iter": 2, "x": 7},
-		PC:       "s12",
-		SendSeqs: []int{1, 0, 2}, RecvSeqs: []int{0, 0, 1},
+		Clock:     vclock.VC{4, 9, 0},
+		Vars:      map[string]int{"iter": 2, "x": 7},
+		PC:        "s12",
+		N:         3,
+		Peers:     Row{{0, 1, 0}, {2, 2, 1}},
 		Instances: map[int]int{1: 4, 2: 3},
 		VTime:     1.25,
 		Manifest:  []string{"iter", "x"},
@@ -35,15 +38,21 @@ var (
 )
 
 // The snapshot body is a persistent format: its bytes are pinned, so a
-// change to them is a decision (a new version byte), not an accident.
+// change to them is a decision (a new version byte), not an accident. The
+// version 1 bytes of the same snapshots, which no encoder writes any more,
+// still decode to them.
 func TestEncodeSnapshotGolden(t *testing.T) {
 	tests := []struct {
-		name string
-		snap Snapshot
-		want string
+		name     string
+		snap     Snapshot
+		want, v1 string
 	}{
-		{"full", goldenFull, "01020406040409000404697465720401780e01790103733132040200040400000203020804063ff400000000000000"},
-		{"manifest-carrying", goldenPruned, "01000408040409000304697465720401780e03733132040200040400000203020804063ff40000000000000304697465720178"},
+		{"full", goldenFull,
+			"02020406040409000404697465720401780e01790103733132060200020002040203020804063ff400000000000000",
+			"01020406040409000404697465720401780e01790103733132040200040400000203020804063ff400000000000000"},
+		{"manifest-carrying", goldenPruned,
+			"02000408040409000304697465720401780e03733132060200020002040203020804063ff40000000000000304697465720178",
+			"01000408040409000304697465720401780e03733132040200040400000203020804063ff40000000000000304697465720178"},
 	}
 	for _, tt := range tests {
 		body := AppendSnapshot(nil, tt.snap)
@@ -53,6 +62,69 @@ func TestEncodeSnapshotGolden(t *testing.T) {
 		back, err := DecodeSnapshot(body)
 		if err != nil || !reflect.DeepEqual(back, tt.snap) {
 			t.Errorf("%s: round trip = %+v, %v", tt.name, back, err)
+		}
+		v1, _ := hex.DecodeString(tt.v1)
+		if back, err := DecodeSnapshot(v1); err != nil || !reflect.DeepEqual(back, tt.snap) {
+			t.Errorf("%s: version 1 body decodes to %+v, %v", tt.name, back, err)
+		}
+	}
+}
+
+// version1Bodies are bodies the encoder wrote before version 2: the shape
+// the runtime saves, with a clock as it saved it while it kept vector clocks,
+// and without one as it saved it since.
+var version1Bodies = map[string]string{
+	"clock-free": "0104020a000304697465720a017850013405000c000c05000c000a02020c000000000000000000",
+	"clocked":    "0104020a051f2834260304697465720a017850013405000c000c05000c000a02020c000000000000000000",
+}
+
+// A version 1 body reads as its version 2 re-encoding does: the dense rows
+// become the entries of the peers with a count, and their width N. Version 2
+// itself refuses every body a second encoding of the same snapshot could be —
+// a peer not below N, one repeated or out of order, an all-zero entry — so
+// the one body per snapshot that the encoder writes is the only one.
+func TestVersion1BodiesReadAsVersion2(t *testing.T) {
+	for name, h := range version1Bodies {
+		v1, _ := hex.DecodeString(h)
+		s, err := DecodeSnapshot(v1)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := (Row{{1, 6, 6}, {3, 6, 5}}); s.N != 4 || !reflect.DeepEqual(s.Peers, want) {
+			t.Errorf("%s: N %d, peers %v; want 4, %v", name, s.N, s.Peers, want)
+		}
+		v2 := AppendSnapshot(nil, s)
+		if back, err := DecodeSnapshot(v2); v2[0] != snapshotVersion || err != nil || !reflect.DeepEqual(back, s) {
+			t.Errorf("%s: version %d re-encoding decodes to %+v, %v; want %+v", name, v2[0], back, err, s)
+		}
+	}
+
+	// rowBody is the version 2 body of key 0/0/0 with nothing but N and
+	// entries, each (peer delta, sent, recvd), written as given.
+	rowBody := func(n int64, entries ...[3]int64) []byte {
+		body := []byte{snapshotVersion, 0, 0, 0, 0, 0, 0} // key, nil clock, nil vars, empty PC
+		body = binary.AppendVarint(body, n)
+		body = binary.AppendUvarint(body, uint64(len(entries)))
+		for _, e := range entries {
+			body = binary.AppendUvarint(body, uint64(e[0]))
+			body = binary.AppendVarint(binary.AppendVarint(body, e[1]), e[2])
+		}
+		return append(body, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0) // nil instances, VTime 0, nil manifest
+	}
+	if s, err := DecodeSnapshot(rowBody(4, [3]int64{0, 1, 0}, [3]int64{3, 0, 2})); err != nil || s.N != 4 || !reflect.DeepEqual(s.Peers, Row{{0, 1, 0}, {3, 0, 2}}) {
+		t.Fatalf("a well-formed row decodes to N %d, peers %v, %v", s.N, s.Peers, err)
+	}
+	for name, body := range map[string][]byte{
+		"peer not below N":      rowBody(4, [3]int64{4, 1, 0}),
+		"peer in a zero-N body": rowBody(0, [3]int64{0, 1, 0}),
+		"repeated peer":         rowBody(4, [3]int64{1, 1, 0}, [3]int64{0, 1, 0}),
+		"peer out of order":     rowBody(4, [3]int64{3, 1, 0}, [3]int64{-2, 1, 0}),
+		"all-zero entry":        rowBody(4, [3]int64{1, 0, 0}),
+		"out of order, encoded": AppendSnapshot(nil, Snapshot{N: 4, Peers: Row{{3, 1, 0}, {1, 1, 0}}}),
+		"peer of a negative N":  rowBody(-1, [3]int64{0, 1, 0}),
+	} {
+		if got, err := DecodeSnapshot(body); err == nil || !reflect.DeepEqual(got, Snapshot{}) {
+			t.Errorf("%s: decoded %+v, %v", name, got, err)
 		}
 	}
 }
@@ -70,14 +142,14 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}{
 		{"zero value: every slice and map nil", Snapshot{}},
 		{"every slice and map empty, 0-width clock", Snapshot{
-			Clock: vclock.VC{}, Vars: map[string]int{}, SendSeqs: []int{}, RecvSeqs: []int{},
-			Instances: map[int]int{}, Manifest: []string{},
+			Clock: vclock.VC{}, Vars: map[string]int{}, Instances: map[int]int{}, Manifest: []string{},
 		}},
+		{"two peers of 1024", Snapshot{N: 1024, Peers: Row{{Peer: 511, Sent: 3, Recvd: 3}, {Peer: 1023, Sent: 1}}}},
 		{"nil Vars under an empty manifest", Snapshot{Clock: vclock.VC{1}, Manifest: []string{}}},
 		{"negative values", Snapshot{
 			Proc: -1, CFGIndex: -2, Instance: -3,
-			Vars:     map[string]int{"a": math.MinInt64, "b": -1, "c": math.MaxInt64},
-			SendSeqs: []int{-5}, RecvSeqs: []int{math.MinInt64},
+			Vars: map[string]int{"a": math.MinInt64, "b": -1, "c": math.MaxInt64},
+			N:    1, Peers: Row{{Peer: 0, Sent: -5, Recvd: math.MinInt64}},
 			Instances: map[int]int{-7: -8, 0: 0, 7: 8},
 			VTime:     -0.5,
 		}},
@@ -168,7 +240,8 @@ func TestDecodeSnapshotBoundsAllocation(t *testing.T) {
 		append(head[:4:4], huge...),                                                   // clock
 		append(append(head[:4:4], 0), huge...),                                        // vars
 		append(append(head[:4:4], 0, 0), huge...),                                     // pc
-		append(append(head[:4:4], 0, 0, 0), huge...),                                  // sendSeqs
+		append(append(head[:4:4], 0, 0, 0), huge...),                                  // N
+		append(append(head[:4:4], 0, 0, 0, 4), huge...),                               // peer entries
 		append(append(head[:4:4], 0, 0, 0, 0, 0), huge...),                            // instances
 		append(append(head[:4:4], 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0), huge...), // manifest
 	}
@@ -227,13 +300,14 @@ func fuzzSnapshot(blob []byte, names string, shape uint8, vtime float64) Snapsho
 		}
 	}
 	if shape&4 != 0 {
-		s.SendSeqs = make([]int, n)
-		for i := range s.SendSeqs {
-			s.SendSeqs[i] = next()
-		}
+		s.N = n
 	}
 	if shape&8 != 0 {
-		s.RecvSeqs = []int{next()}
+		for p := range s.N {
+			if e := (PeerSeq{p, next(), next()}); e.Sent != 0 || e.Recvd != 0 {
+				s.Peers = append(s.Peers, e)
+			}
+		}
 	}
 	if shape&16 != 0 {
 		s.Instances = make(map[int]int, n)
@@ -253,7 +327,8 @@ func fuzzSnapshot(blob []byte, names string, shape uint8, vtime float64) Snapsho
 // FuzzSnapshotCodec holds the codec to its three promises on any input:
 // decode(encode(s)) == s for any snapshot; decoding arbitrary bytes never
 // panics and never allocates more than a constant factor of the body's
-// length; and a body that decodes is the one body its snapshot encodes to.
+// length; and a body that decodes is the one body its snapshot encodes to —
+// or, of version 1, one that decodes as its version 2 re-encoding does.
 // Run with `go test -fuzz FuzzSnapshotCodec ./internal/storage`; the
 // committed corpus under testdata/fuzz runs under plain `go test`.
 func FuzzSnapshotCodec(f *testing.F) {
@@ -262,16 +337,16 @@ func FuzzSnapshotCodec(f *testing.F) {
 	f.Add(AppendSnapshot(nil, Snapshot{}), "a", uint8(2), math.Inf(-1))
 	f.Add([]byte(`{"proc":1,"cfgIndex":2,"instance":3}`), "reduce$tmp", uint8(0x2a), -0.0)
 	f.Add([]byte{snapshotVersion, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}, "names", uint8(0x15), 1e300)
-	// A body as the runtime saves it, with a nil clock (one length byte), and
-	// the same checkpoint as the runtime saved it before, clock included:
-	// both are the one body format.
-	runtimeBody := Snapshot{
+	// A body as the runtime saves it, its row sparse, and the same
+	// checkpoint in version 1, with and without the clock it once carried.
+	f.Add(AppendSnapshot(nil, Snapshot{
 		Proc: 2, CFGIndex: 1, Instance: 5, Vars: map[string]int{"x": 40, "iter": 5}, PC: "4",
-		SendSeqs: []int{0, 6, 0, 6}, RecvSeqs: []int{0, 6, 0, 5}, Instances: map[int]int{1: 6},
+		N: 4, Peers: Row{{1, 6, 6}, {3, 6, 5}}, Instances: map[int]int{1: 6},
+	}), "iterx", uint8(0x31), 0.0)
+	for _, h := range []string{version1Bodies["clock-free"], version1Bodies["clocked"]} {
+		v1, _ := hex.DecodeString(h)
+		f.Add(v1, "iterx", uint8(0x31), 0.0)
 	}
-	f.Add(AppendSnapshot(nil, runtimeBody), "iterx", uint8(0x31), 0.0)
-	runtimeBody.Clock = vclock.VC{31, 40, 52, 38}
-	f.Add(AppendSnapshot(nil, runtimeBody), "iterx", uint8(0x31), 0.0)
 
 	f.Fuzz(func(t *testing.T, blob []byte, names string, shape uint8, vtime float64) {
 		if vtime != vtime {
@@ -282,9 +357,6 @@ func FuzzSnapshotCodec(f *testing.F) {
 		back, err := DecodeSnapshot(body)
 		if err != nil || !reflect.DeepEqual(back, s) {
 			t.Fatalf("decode(encode(s)) = %+v, %v\nwant %+v", back, err, s)
-		}
-		if n := SendCount(body); n != len(s.SendSeqs) {
-			t.Fatalf("SendCount = %d, the body holds %d SendSeqs", n, len(s.SendSeqs))
 		}
 
 		var before, after runtime.MemStats
@@ -300,12 +372,14 @@ func FuzzSnapshotCodec(f *testing.F) {
 			}
 			return
 		}
-		if again := AppendSnapshot(nil, got); !bytes.Equal(again, blob) {
+		again := AppendSnapshot(nil, got)
+		if blob[0] == snapshotVersion && !bytes.Equal(again, blob) {
 			t.Fatalf("encode(decode(b)) = %x\nb = %x", again, blob)
 		}
-		if n := SendCount(blob); n != len(got.SendSeqs) {
-			t.Fatalf("SendCount = %d, the body holds %d SendSeqs", n, len(got.SendSeqs))
+		if back, err := DecodeSnapshot(again); err != nil || !reflect.DeepEqual(back, got) {
+			t.Fatalf("version %d body: its re-encoding decodes to %+v, %v\nwant %+v", blob[0], back, err, got)
 		}
+
 	})
 }
 

@@ -21,8 +21,8 @@ func sampleSnap(proc, index, instance int) storage.Snapshot {
 		Clock:     vclock.VC{1, 2, 3},
 		Vars:      map[string]int{"x": 42, "iter": instance},
 		PC:        "stmt-7",
-		SendSeqs:  []int{0, 1, 2},
-		RecvSeqs:  []int{3, 4, 5},
+		N:         3,
+		Peers:     storage.Row{{Peer: 0, Recvd: 3}, {Peer: 1, Sent: 1, Recvd: 4}, {Peer: 2, Sent: 2, Recvd: 5}},
 		Instances: map[int]int{index: instance, 9: 1},
 	}
 }
@@ -217,7 +217,7 @@ func TestIndexesAllocs(t *testing.T) {
 			for _, keys := range []int{1_000, 10_000} {
 				st := kind.mk(t)
 				// One saver per (process, index), as a run saves: the WAL's
-				// group commit carries the set-up. No SendSeqs, or the
+				// group commit carries the set-up. No N, or the
 				// memory store would retire all but the newest cuts.
 				var wg sync.WaitGroup
 				for p := 0; p < procs; p++ {
@@ -227,7 +227,7 @@ func TestIndexesAllocs(t *testing.T) {
 							defer wg.Done()
 							for inst := 0; inst < keys/(procs*indexes); inst++ {
 								s := sampleSnap(p, idx, inst)
-								s.SendSeqs = nil
+								s.N, s.Peers = 0, nil
 								if err := st.Save(s); err != nil {
 									t.Error(err)
 									return

@@ -152,7 +152,12 @@ func (d *diffRun) save(proc int) {
 		}
 	}
 	if d.rng.Intn(3) > 0 {
-		s.SendSeqs, s.RecvSeqs = []int{d.rng.Intn(5), 0, d.rng.Intn(5)}, []int{}
+		s.N, s.Peers = 3, nil
+		for _, p := range []int{0, 2} {
+			if sent := d.rng.Intn(5); sent > 0 {
+				s.Peers = append(s.Peers, PeerSeq{Peer: p, Sent: sent})
+			}
+		}
 		s.Instances = map[int]int{index: s.Instance + 1, 7: d.rng.Intn(3)}
 	}
 	d.log = append(d.log, fmt.Sprintf("Save %s, %d vars (nil %v), manifest %v", s.Key(), len(s.Vars), s.Vars == nil, s.Manifest))

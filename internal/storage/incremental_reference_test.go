@@ -26,8 +26,7 @@ func refCloneWithVars(s Snapshot, vars map[string]int) Snapshot {
 	c := s
 	c.Clock = s.Clock.Clone()
 	c.Vars = vars
-	c.SendSeqs = slices.Clone(s.SendSeqs)
-	c.RecvSeqs = slices.Clone(s.RecvSeqs)
+	c.Peers = slices.Clone(s.Peers)
 	c.Instances = maps.Clone(s.Instances)
 	c.Manifest = slices.Clone(s.Manifest)
 	return c

@@ -99,7 +99,7 @@ func TestIndexesAgainstReference(t *testing.T) {
 							if saved[k] {
 								continue
 							}
-							// No SendSeqs: nothing retires, the store holds what was saved.
+							// No N: nothing retires, the store holds what was saved.
 							if err := st.Save(storage.Snapshot{Proc: k.Proc, CFGIndex: k.CFGIndex, Instance: k.Instance}); err != nil {
 								t.Fatal(err)
 							}

@@ -183,7 +183,7 @@ func retentionSnap(k Key, n, pad int) Snapshot {
 	return Snapshot{
 		Proc: k.Proc, CFGIndex: k.CFGIndex, Instance: k.Instance,
 		Vars: map[string]int{"k": k.Instance}, PC: strings.Repeat("p", pad),
-		SendSeqs: make([]int, n),
+		N: n,
 	}
 }
 
@@ -220,18 +220,17 @@ func refFront(held map[Key]bool, n, b, i int) (int, bool) {
 // [0, 3) and [3, 6)) and save under two CFG indexes; the first byte picks d,
 // how many complete cuts are kept, from 1 to 3. Each further byte pair is one
 // operation on (p, i): the runtime's next instance, an instance below 12 out
-// of order — with SendSeqs or, retiring nothing, without; a held key's is
+// of order — with N or, retiring nothing, without; a held key's is
 // refused and changes nothing — or a delete of the latest or of any
 // instance. Checked each time:
 //   - Keys, Latest and Get agree with the map: a retired key is never
 //     returned, a held one reads back as saved;
 //   - the ladder's promise: on an index no delete has touched, every
 //     instance saved from F_i − d + 1 up is held;
-//   - the pages' live counts add up to the keys held, and a free page holds
-//     none and is not the current one;
+//   - each page's live count is the number of held keys on it;
 //   - replay: saving the held keys again, in key order, into an empty store
 //     retires none of them, as a log's compacted segment replays — while
-//     every save carried SendSeqs (one without may leave the rule unapplied).
+//     every save carried N (one without may leave the rule unapplied).
 func FuzzKeyIndexRetention(f *testing.F) {
 	const n, blocks, indexes = 3, 2, 2
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -244,7 +243,7 @@ func FuzzKeyIndexRetention(f *testing.F) {
 		held := map[Key]bool{}       // what the rule leaves of saved
 		touched := map[[2]int]bool{} // (block, index) pairs a delete hit
 		next := map[[2]int]int{}     // (proc, index) -> the runtime's next instance
-		plain := false               // a save without SendSeqs happened
+		plain := false               // a save without N happened
 		for at := 1; at+1 < len(ops); at += 2 {
 			op, arg := int(ops[at]), int(ops[at+1])
 			p, i := arg%(n*blocks), arg/(n*blocks)%indexes
@@ -257,14 +256,14 @@ func FuzzKeyIndexRetention(f *testing.F) {
 			case 2: // a sparse or out-of-order save
 				s := retentionSnap(k, n, 20*op)
 				if op >= 128 && op%4 == 2 {
-					s.SendSeqs, plain = nil, true
+					s.N, plain = 0, true
 				}
 				err := m.save(s, d)
 				if held[k] != (err != nil) || (err != nil && !errors.Is(err, ErrDuplicate)) {
 					t.Fatalf("op %d: save %s: err %v, held %v", at, k, err, held[k])
 				}
 				saved[k], held[k] = true, true
-				if err != nil || s.SendSeqs == nil {
+				if err != nil || s.N == 0 {
 					break // a refused save changes nothing
 				}
 				if f, ok := refFront(held, n, p/n, i); ok {
@@ -352,17 +351,13 @@ func checkRetention(t *testing.T, m *Memory, saved, held map[Key]bool, touched m
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	live := 0
-	for _, l := range m.live {
-		live += l
-	}
-	if live != m.bodies.n {
-		t.Fatalf("pages count %d live bodies, the index holds %d", live, m.bodies.n)
-	}
-	for _, i := range m.free {
-		if m.live[i] != 0 || int(i) == m.cur {
-			t.Fatalf("free page %d holds %d bodies (current %d)", i, m.live[i], m.cur)
-		}
+	onPage := make([]int, len(m.pages))
+	m.bodies.RangeAll(func(_ Key, r bodyRef) bool {
+		onPage[r.page]++
+		return true
+	})
+	if !slices.Equal(onPage, m.live) {
+		t.Fatalf("pages hold %v bodies the index refers to and count %v", onPage, m.live)
 	}
 }
 

@@ -50,10 +50,11 @@ func lendingStores(t *testing.T) map[string]storage.Store {
 func lendSnap(instance int) storage.Snapshot {
 	return storage.Snapshot{
 		Proc: 1, CFGIndex: 2, Instance: instance,
-		Clock:    vclock.VC{3, uint64(instance + 1), 0, 7},
-		Vars:     map[string]int{"x": 10 + instance, "y": -4, "iter": instance},
-		PC:       "17",
-		SendSeqs: []int{instance, 0, 2, 1}, RecvSeqs: []int{0, instance, 1, 1},
+		Clock:     vclock.VC{3, uint64(instance + 1), 0, 7},
+		Vars:      map[string]int{"x": 10 + instance, "y": -4, "iter": instance},
+		PC:        "17",
+		N:         4,
+		Peers:     storage.Row{{Peer: 0, Sent: instance + 1}, {Peer: 1, Recvd: instance + 1}, {Peer: 2, Sent: 2, Recvd: 1}, {Peer: 3, Sent: 1, Recvd: 1}},
 		Instances: map[int]int{1: 5, 2: instance + 1},
 		VTime:     0.5 * float64(instance),
 		Manifest:  []string{"iter", "x", "y"},
@@ -70,8 +71,8 @@ func scribble(s storage.Snapshot) {
 	}
 	delete(s.Vars, "y")
 	s.Vars["intruder"] = 1
-	for i := range s.SendSeqs {
-		s.SendSeqs[i], s.RecvSeqs[i] = -1, -2
+	for i := range s.Peers {
+		s.Peers[i].Sent, s.Peers[i].Recvd = -1, -2
 	}
 	for k := range s.Instances {
 		s.Instances[k] = -3

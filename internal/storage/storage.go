@@ -34,11 +34,10 @@ type Snapshot struct {
 	Clock    vclock.VC      // carried by the codec; the runtime saves nil, no reader consults it
 	Vars     map[string]int // process variable state
 	PC       string         // resume label (statement id)
-	// SendSeqs / RecvSeqs record per-peer channel sequence numbers so that a
-	// restarted process resumes FIFO numbering correctly, and recovery
-	// decides a cut's consistency from them (recovery.Consistent).
-	SendSeqs []int
-	RecvSeqs []int
+	N        int            // the size of the application that saved it (0: none); retention reads it
+	// Peers counts the messages exchanged with each peer: a restarted process
+	// resumes FIFO numbering from it, and recovery.Consistent judges cuts by it.
+	Peers Row
 	// Instances records the per-index checkpoint instance counters at
 	// checkpoint time, so a restarted process numbers subsequent
 	// checkpoints correctly. The counters include this checkpoint:
@@ -55,6 +54,26 @@ type Snapshot struct {
 	// travels inside the snapshot, so it is covered by the same CRC as the
 	// payload it describes.
 	Manifest []string
+}
+
+// PeerSeq counts the messages a process had sent to Peer and received from it.
+type PeerSeq struct{ Peer, Sent, Recvd int }
+
+// Row is one process's PeerSeqs, sorted by Peer, none all zero. A peer it
+// does not hold reads 0 both ways.
+type Row []PeerSeq
+
+// Search returns where peer q's entry is, or would be inserted, in r.
+func (r Row) Search(q int) (int, bool) {
+	return slices.BinarySearchFunc(r, q, func(e PeerSeq, q int) int { return cmp.Compare(e.Peer, q) })
+}
+
+// At returns q's entry, a zero one when r holds none.
+func (r Row) At(q int) PeerSeq {
+	if i, ok := r.Search(q); ok {
+		return r[i]
+	}
+	return PeerSeq{Peer: q}
 }
 
 // Key names one checkpoint: Definition 2.3's (process, CFG checkpoint
@@ -98,9 +117,10 @@ type Store interface {
 	// Save borrows s: once it returns — with or without an error — the store
 	// holds no reference to any map or slice of s, having copied or
 	// serialised what it keeps, so the caller may go on mutating them (the
-	// runtime lends its live clock, sequence counters and environment). A
-	// wrapper forwards s synchronously and retains nothing. Reads return
-	// private copies: mutating a returned snapshot changes no later read.
+	// runtime lends its live per-peer row, instance counters and
+	// environment). A wrapper forwards s synchronously and retains nothing.
+	// Reads return private copies: mutating a returned snapshot changes no
+	// later read.
 	Save(s Snapshot) error
 	// Latest returns the snapshot with the highest instance for
 	// (proc, cfgIndex), or ErrNotFound.
@@ -294,26 +314,25 @@ func Indexes(st Store, n int) ([]int, error) {
 // with its input, so Store.Save's borrow contract holds by construction.
 // Every process's bodies share one list of pages, each body behind its
 // uvarint length, and the index holds where a body starts. A page is never
-// regrown, and is reused only once no body lives on it.
+// regrown; one with few bodies left is packed and reused (fresh).
 //
 // A save retires what lies below the newest retainCuts complete straight
-// cuts of its index, by KeyIndex.PutRetaining with n = len(SendSeqs)
-// (DESIGN decision 33). A snapshot without SendSeqs retires nothing.
+// cuts of its index, by KeyIndex.PutRetaining with the snapshot's N (DESIGN
+// decision 33). A snapshot with N = 0 retires nothing.
 type Memory struct {
 	mu     sync.Mutex
 	bodies KeyIndex[bodyRef]
 	pages  [][]byte
-	live   []int    // per page, the bodies the index refers to
-	cur    int      // the page that takes the next body that fits
-	free   []uint32 // pages no body lives on
-	buf    []byte   // scratch Save encodes into: a body's size picks its page
+	live   []int  // per page, the bodies the index refers to
+	cur    int    // the page that takes the next body that fits
+	buf    []byte // scratch Save encodes into: a body's size picks its page
 }
 
 // bodyRef is where a body's length prefix sits in Memory.pages.
 type bodyRef struct{ page, off uint32 }
 
 // memPage is the size of a Memory page; a larger body gets a page of its own.
-const memPage = 4 << 10
+const memPage = 1 << 10
 
 // arena is append-only memory for what a store or its index retains. Its
 // chunks are never regrown or recycled — append would move everything kept
@@ -384,34 +403,59 @@ func (m *Memory) save(s Snapshot, d int) error {
 	p := m.pages[m.cur]
 	m.pages[m.cur] = append(append(p, prefix[:w]...), m.buf...)
 	m.live[m.cur]++
-	m.bodies.putRetaining(k, bodyRef{uint32(m.cur), uint32(len(p))}, len(s.SendSeqs), d, m.unref)
+	m.bodies.putRetaining(k, bodyRef{uint32(m.cur), uint32(len(p))}, s.N, d, m.unref)
 	return nil
 }
 
-// fresh makes the current page one with room for need bytes: the page freed
-// last, or a new one (append would move every body kept before). The page it
-// leaves is freed if no body lives on it.
+// fresh makes the current page one with room for need bytes: the one pack
+// makes room on, else a new one (append would move every body kept before).
 func (m *Memory) fresh(need int) {
-	if len(m.pages) > 0 && m.live[m.cur] == 0 {
-		m.free = append(m.free, uint32(m.cur))
+	if len(m.pages) == 0 || !m.pack(need) {
+		m.cur = len(m.pages)
+		m.pages, m.live = append(m.pages, make([]byte, 0, max(memPage, need))), append(m.live, 0)
 	}
-	if n := len(m.free) - 1; n >= 0 {
-		m.cur, m.free = int(m.free[n]), m.free[:n]
-		if m.pages[m.cur] = m.pages[m.cur][:0]; cap(m.pages[m.cur]) < need {
-			m.pages[m.cur] = make([]byte, 0, max(memPage, need))
+}
+
+// pack makes the page with the fewest bodies current, moved to its front,
+// when they are at most half of those written on it and leave need bytes: a
+// straggler then costs its bytes, not a page. A body is live when the entry
+// of the key it starts with refers to it; moving it rewrites that entry.
+func (m *Memory) pack(need int) bool {
+	pg := slices.Index(m.live, slices.Min(m.live))
+	page := m.pages[pg]
+	ref := func(off int) (*bodyRef, int) { // the entry of the body at off, if live, and its size
+		n, w := binary.Uvarint(page[off:])
+		d := decoder{rest: page[off+w+1:]} // after the length prefix and the version byte
+		r, at, ok := m.bodies.find(Key{d.int(), d.int(), d.int()})
+		if ok && r.ents[at].val == (bodyRef{uint32(pg), uint32(off)}) {
+			return &r.ents[at].val, w + int(n)
 		}
-		return
+		return nil, w + int(n)
 	}
-	m.cur = len(m.pages)
-	m.pages, m.live = append(m.pages, make([]byte, 0, max(memPage, need))), append(m.live, 0)
+	written, size := 0, 0
+	for off := 0; off < len(page) && m.live[pg] > 0; written++ {
+		r, n := ref(off)
+		if off += n; r != nil {
+			size += n
+		}
+	}
+	if 2*m.live[pg] > written || cap(page)-size < need {
+		return false
+	}
+	for off, end := 0, 0; end < size; {
+		r, n := ref(off)
+		if r != nil {
+			r.off = uint32(end)
+			end += copy(page[end:], page[off:off+n])
+		}
+		off += n
+	}
+	m.pages[pg], m.cur = page[:size], pg
+	return true
 }
 
 // unref drops the index's reference to r's body.
-func (m *Memory) unref(_ Key, r bodyRef) {
-	if m.live[r.page]--; m.live[r.page] == 0 && int(r.page) != m.cur {
-		m.free = append(m.free, r.page)
-	}
-}
+func (m *Memory) unref(_ Key, r bodyRef) { m.live[r.page]-- }
 
 // read decodes the body r names, damaged in memory if it does not decode.
 func (m *Memory) read(k Key, r bodyRef) (Snapshot, error) {

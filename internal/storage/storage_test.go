@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -16,8 +17,8 @@ func sampleSnap(proc, index, instance int) Snapshot {
 		Clock:     vclock.VC{1, 2, 3},
 		Vars:      map[string]int{"x": 42, "iter": instance},
 		PC:        "stmt-7",
-		SendSeqs:  []int{0, 1, 2},
-		RecvSeqs:  []int{3, 4, 5},
+		N:         3,
+		Peers:     Row{{0, 0, 3}, {1, 1, 4}, {2, 2, 5}},
 		Instances: map[int]int{index: instance, 9: 1},
 	}
 }
@@ -42,19 +43,19 @@ func TestMemoryLen(t *testing.T) {
 	}
 }
 
-// Concurrent savers lose nothing. Their snapshots carry no SendSeqs, so the
-// store knows no application and retires nothing; with SendSeqs, the same
+// Concurrent savers lose nothing. Their snapshots carry no N, so the
+// store knows no application and retires nothing; with N, the same
 // saves over blocks of 4 workers keep the newest retainCuts of each worker's
 // instances.
 func TestMemoryConcurrentSaves(t *testing.T) {
 	const workers, saves = 8, 50
 	for _, tc := range []struct {
-		name     string
-		sendSeqs []int
-		want     int
+		name string
+		n    int
+		want int
 	}{
-		{"no application", nil, workers * saves},
-		{"blocks of 4", make([]int, 4), workers * retainCuts},
+		{"no application", 0, workers * saves},
+		{"blocks of 4", 4, workers * retainCuts},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := NewMemory()
@@ -64,7 +65,9 @@ func TestMemoryConcurrentSaves(t *testing.T) {
 					var err error
 					for i := 0; i < saves && err == nil; i++ {
 						s := sampleSnap(w, 1, i)
-						s.SendSeqs = tc.sendSeqs
+						if s.N = tc.n; s.N == 0 {
+							s.Peers = nil
+						}
 						err = m.Save(s)
 					}
 					done <- err
@@ -84,7 +87,7 @@ func TestMemoryConcurrentSaves(t *testing.T) {
 
 // A steady-state memory Save allocates nothing of its own: the body is
 // encoded into the store's scratch and copied onto the last page behind its
-// length. What is left is amortized — a 4 KB page per ~80 of these bodies and
+// length. What is left is amortized — a 1 KB page per ~20 of these bodies and
 // the index run's growth — and a page is never regrown: that would copy every
 // body saved before. Replay, which saves again the keys a rollback deleted
 // into runs that kept their room, reuses the pages the deletes emptied.
@@ -173,6 +176,46 @@ func BenchmarkMemorySave(b *testing.B) {
 		s.Instance = i
 		if err := m.Save(s); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// A page one straggler keeps alive is packed, not joined by a new page: the
+// straggler moves to the page's front, and it and the saves behind it read
+// back as saved.
+func TestMemoryPacksAStraggler(t *testing.T) {
+	m := NewMemory()
+	snap := func(i int) Snapshot {
+		s := sampleSnap(0, 1, i)
+		s.N, s.Peers = 0, nil // nothing retires: the deletes below decide what lives
+		return s
+	}
+	i := 0
+	for ; len(m.pages) < 2; i++ {
+		if err := m.Save(snap(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	straggler := i - 2 // the last body of page 0
+	for k := 0; k < straggler; k++ {
+		if err := m.Delete(0, 1, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ; m.cur == 1; i++ {
+		if err := m.Save(snap(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.pages) != 2 {
+		t.Fatalf("%d pages, want page 0 packed instead of a third", len(m.pages))
+	}
+	if r, _ := m.bodies.Get(Key{0, 1, straggler}); r != (bodyRef{0, 0}) {
+		t.Errorf("the straggler sits at %+v, want the front of page 0", r)
+	}
+	for k := straggler; k < i; k++ {
+		if got, err := m.Get(0, 1, k); err != nil || !reflect.DeepEqual(got, snap(k)) {
+			t.Fatalf("instance %d reads %+v, %v", k, got, err)
 		}
 	}
 }

@@ -79,7 +79,7 @@ func TestCrashAtRotationAndCompaction(t *testing.T) {
 }
 
 // runRetiringWorkload is runCrashWorkload for a two-process application
-// whose saves carry SendSeqs: processes 0 and 1 save instances of one index
+// whose saves carry N: processes 0 and 1 save instances of one index
 // in lockstep, so that F_1 moves on and each save retires what lies below
 // F_1 − 1, and the small segments rotate and compact the retired records
 // away. After the kill, the reopened log must hold nothing below its own
@@ -100,7 +100,7 @@ save:
 	for inst := 0; inst < 60; inst++ {
 		for p := range latest {
 			s := snap(p, 1, inst)
-			s.SendSeqs = []int{inst, inst}
+			s.N, s.Peers = 2, storage.Row{{Peer: 1 - p, Sent: inst + 1, Recvd: inst}}
 			if err := w.Save(s); errors.Is(err, ErrCrashed) {
 				break save
 			} else if err != nil {

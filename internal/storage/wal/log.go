@@ -17,7 +17,7 @@ import (
 type commitReq struct {
 	kind  byte // kindPut or kindTomb
 	key   storage.Key
-	n     int // a put's len(SendSeqs): the application size retention needs
+	n     int // a put's Snapshot.N: the application size retention needs
 	frame []byte
 	done  chan error // capacity 1: the ack never blocks the committer
 }
@@ -354,8 +354,8 @@ func (w *Store) recoverSegment(seg uint64, last bool) error {
 		}
 		switch ev.kind {
 		case kindPut:
-			body := data[ev.off+frameHeader+payloadHead : ev.off+int64(ev.size)]
-			w.index.PutRetaining(ev.key, loc{seg: seg, off: ev.off, size: ev.size}, storage.SendCount(body), w.retired)
+			s, _ := storage.DecodeSnapshot(data[ev.off+frameHeader+payloadHead : ev.off+int64(ev.size)])
+			w.index.PutRetaining(ev.key, loc{seg: seg, off: ev.off, size: ev.size}, s.N, w.retired)
 			delete(w.corrupt, ev.key)
 			w.recovered++
 		case kindTomb:

@@ -198,7 +198,7 @@ func (w *Store) Save(s storage.Snapshot) error {
 	// The body is encoded straight into the request's frame; s is not
 	// referenced past this line.
 	req := reqPool.Get().(*commitReq)
-	req.kind, req.key, req.n = kindPut, s.Key(), len(s.SendSeqs)
+	req.kind, req.key, req.n = kindPut, s.Key(), s.N
 	req.frame = finishFrame(storage.AppendSnapshot(beginFrame(req.frame[:0], kindPut, req.key), s), 0)
 	return w.submit(req)
 }

@@ -401,7 +401,7 @@ func TestCompactSealsTheActiveSegment(t *testing.T) {
 	save := func(p, inst int) {
 		t.Helper()
 		s := snap(p, 1, inst)
-		s.SendSeqs = []int{0, 0}
+		s.N = 2
 		if err := w.Save(s); err != nil {
 			t.Fatal(err)
 		}
@@ -441,7 +441,7 @@ func TestReplayRetiresAtADamagedRecord(t *testing.T) {
 	for inst := 0; inst < 3; inst++ {
 		for p := 0; p < 2; p++ {
 			s := snap(p, 1, inst)
-			s.SendSeqs = []int{0, 0}
+			s.N = 2
 			if err := w.Save(s); err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,7 @@ package repro_test
 //	NEVER missing and NEVER served with wrong contents. Acknowledged
 //	deletes stay deleted. Torn tails are never served.
 //
-// A retiring lane saves snapshots carrying SendSeqs, so the log retires
+// A retiring lane saves snapshots carrying N, so the log retires
 // below the newest two complete straight cuts under the same kills and
 // flips. There the ledger rule is: an acknowledged key the log retains is
 // served or honestly ErrCorrupt, a key retired before a crash is never
@@ -25,6 +25,7 @@ package repro_test
 // injector is hash-deterministic and the store serializes consults.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -63,19 +64,35 @@ func walSnap(k walKey, val int) storage.Snapshot {
 	return s
 }
 
-// The retiring lane: writer b saves, in lockstep, two CFG indexes in turn
-// on the laneN processes [laneBase+b·laneN, laneBase+b·laneN+laneN), each
-// snapshot carrying laneN SendSeqs. A key's value is a function of the key,
-// so a save that landed unacknowledged reads back as a later save expects.
-const laneBase, laneN, laneWriters, laneSteps = 8, 4, 2, 20
+// The retiring lane: one writer per block saves, in lockstep, two CFG
+// indexes in turn, steps times, on the block's width processes [first,
+// first+width), each snapshot carrying N = width and one ring neighbour in
+// its row. A block starts at a multiple of its width, as an application's
+// processes do (KeyIndex.PutRetaining). The widest block is as wide as the
+// chaos soak's widest run. A key's value is a function of the key, so a save
+// that landed unacknowledged reads back as a later save expects.
+var laneBlocks = []struct{ first, width, steps int }{{8, 4, 20}, {12, 4, 20}, {64, 64, 1}}
+
+const laneBase, laneEnd = 8, 128 // the lane's processes, 16–63 unused
 
 func laneVal(k walKey) int { return 1_000_000 + k.proc*100_000 + k.index*10_000 + k.instance }
 
+// laneBlock returns the first process and the width of p's lane block.
+func laneBlock(p int) (first, width int) {
+	for _, b := range laneBlocks {
+		if p >= b.first && p < b.first+b.width {
+			return b.first, b.width
+		}
+	}
+	panic(fmt.Sprintf("process %d is in no lane block", p))
+}
+
 // laneFront returns F of lane block first's index from latest, the highest
-// instance each process holds there, once all laneN hold one.
+// instance each process holds there, once all of the block hold one.
 func laneFront(latest func(p int) (int, bool), first int) (int, bool) {
 	f := 0
-	for p := first; p < first+laneN; p++ {
+	_, width := laneBlock(first)
+	for p := first; p < first+width; p++ {
 		inst, ok := latest(p)
 		if !ok {
 			return 0, false
@@ -123,7 +140,7 @@ func (l *walLedger) hold(k walKey) {
 	if i, found := slices.BinarySearch(l.held[pi], k.instance); !found {
 		l.held[pi] = slices.Insert(l.held[pi], i, k.instance)
 	}
-	first := k.proc / laneN * laneN
+	first, width := laneBlock(k.proc)
 	f, ok := laneFront(func(p int) (int, bool) {
 		insts := l.held[[2]int{p, k.index}]
 		if len(insts) == 0 {
@@ -134,7 +151,7 @@ func (l *walLedger) hold(k walKey) {
 	if !ok {
 		return
 	}
-	for p := first; p < first+laneN; p++ {
+	for p := first; p < first+width; p++ {
 		insts := l.held[[2]int{p, k.index}]
 		for len(insts) > 0 && insts[0] < f-1 {
 			rk := walKey{p, k.index, insts[0]}
@@ -162,14 +179,15 @@ func (l *walLedger) verify(t *testing.T, w *wal.Store, seed int64, round int) []
 	// The reopened log's own front of each lane block and index, from the
 	// keys it holds, quarantined ones included.
 	fronts := map[[2]int]int{}
-	var keys [laneN * laneWriters][]storage.Key
+	var keys [laneEnd - laneBase][]storage.Key
 	for i := range keys {
 		var err error
 		if keys[i], err = w.Keys(laneBase + i); err != nil {
 			t.Fatalf("seed %d round %d: Keys(%d): %v", seed, round, laneBase+i, err)
 		}
 	}
-	for first := laneBase; first < laneBase+len(keys); first += laneN {
+	for _, b := range laneBlocks {
+		first := b.first
 		for idx := 1; idx <= 2; idx++ {
 			f, ok := laneFront(func(p int) (int, bool) {
 				inst, ok := -1, false
@@ -186,7 +204,8 @@ func (l *walLedger) verify(t *testing.T, w *wal.Store, seed int64, round int) []
 		}
 	}
 	below := func(k walKey) bool {
-		f, ok := fronts[[2]int{k.proc / laneN * laneN, k.index}]
+		first, _ := laneBlock(k.proc)
+		f, ok := fronts[[2]int{first, k.index}]
 		return ok && k.instance < f-1
 	}
 	for _, ks := range keys {
@@ -402,18 +421,30 @@ func TestWALChaosSoak(t *testing.T) {
 						}
 					}(wr)
 				}
-				for b := 0; b < laneWriters; b++ {
+				for _, b := range laneBlocks {
 					wg.Add(1)
-					go func(first int) {
+					go func() {
 						defer wg.Done()
-						for step := 0; step < laneSteps; step++ {
+						for step := 0; step < b.steps; step++ {
 							idx := 1 + step%2
-							for p := first; p < first+laneN; p++ {
+							// Laggards first, so that a kill mid-step leaves
+							// the block's front where the next round resumes.
+							order := make([]int, b.width)
+							ledger.mu.Lock()
+							for i := range order {
+								order[i] = b.first + i
+							}
+							slices.SortStableFunc(order, func(a, c int) int {
+								return cmp.Compare(ledger.next[[2]int{a, idx}], ledger.next[[2]int{c, idx}])
+							})
+							ledger.mu.Unlock()
+							for _, p := range order {
 								ledger.mu.Lock()
 								k := walKey{p, idx, ledger.next[[2]int{p, idx}]}
 								ledger.mu.Unlock()
 								s := walSnap(k, laneVal(k))
-								s.SendSeqs = make([]int, laneN)
+								s.N = b.width
+								s.Peers = storage.Row{{Peer: (p - b.first + 1) % b.width, Sent: k.instance + 1}}
 								// A duplicate landed before a crash: the log
 								// holds the same bytes.
 								switch err := w.Save(s); {
@@ -429,7 +460,7 @@ func TestWALChaosSoak(t *testing.T) {
 								}
 							}
 						}
-					}(laneBase + b*laneN)
+					}()
 				}
 				wg.Wait()
 				st := inj.Stats()
@@ -453,7 +484,7 @@ func TestWALChaosSoak(t *testing.T) {
 			ledger.verify(t, w, seed, rounds)
 			// Recovery must also never SERVE damage through bulk reads:
 			// List either succeeds with verified records or fails ErrCorrupt.
-			for p := 0; p < laneBase+laneWriters*laneN; p++ {
+			for p := 0; p < laneEnd; p++ {
 				if _, err := w.List(p); err != nil && !errors.Is(err, storage.ErrCorrupt) {
 					t.Fatalf("seed %d: List(%d) after recovery: %v", seed, p, err)
 				}
