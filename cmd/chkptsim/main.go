@@ -21,8 +21,9 @@
 // -events-out and -trace-out too. The fault flags are seeded: the same
 // -seed gives the same crashes, storage faults and link faults. A network
 // fault flag runs the hardened transport (per-channel sequencing,
-// ack/retransmit with an adaptive RTO, heartbeat failure detection), whose
-// detector turns a partition's silence into an ordinary crash→recovery.
+// ack/retransmit with an adaptive RTO), whose links report a peer that
+// leaves their frames unacked too long, turning a partition's silence into
+// an ordinary crash→recovery.
 package main
 
 import (

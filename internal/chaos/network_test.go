@@ -12,7 +12,7 @@ func TestNetVerdictDeterministic(t *testing.T) {
 	a := NewNetwork(42, rates, nil, nil)
 	b := NewNetwork(42, rates, nil, nil)
 	for seq := 0; seq < 200; seq++ {
-		for _, class := range []sim.LinkClass{sim.LinkData, sim.LinkCtrl, sim.LinkAck, sim.LinkHeartbeat} {
+		for _, class := range []sim.LinkClass{sim.LinkData, sim.LinkCtrl, sim.LinkAck} {
 			va := a.Verdict(class, 0, 1, seq, 0)
 			vb := b.Verdict(class, 0, 1, seq, 0)
 			if va != vb {
@@ -24,7 +24,7 @@ func TestNetVerdictDeterministic(t *testing.T) {
 		t.Fatalf("stats diverged: %+v vs %+v", a.Stats(), b.Stats())
 	}
 	if a.Stats().Total() == 0 {
-		t.Fatal("30% rates injected nothing across 800 frames")
+		t.Fatal("30% rates injected nothing across 600 frames")
 	}
 }
 
@@ -106,7 +106,7 @@ func TestPartitionWindowAndHeal(t *testing.T) {
 		t.Fatalf("reverse direction dropped by a directed partition: %+v", v)
 	}
 	time.Sleep(60 * time.Millisecond)
-	v = c.Verdict(sim.LinkHeartbeat, 0, 1, 1, 0)
+	v = c.Verdict(sim.LinkCtrl, 0, 1, 1, 0)
 	if v.Drop {
 		t.Fatalf("frame after window still dropped: %+v", v)
 	}

@@ -68,8 +68,8 @@ const (
 	// Network-chaos kinds, from the link-level fault injector and the
 	// hardened transport.
 	KindNetFault // injected network fault (Tag: drop/dup/reorder/delay/partition)
-	KindSuspect  // heartbeat failure detector suspected a silent peer
-	KindBacklog  // a channel queue crossed the configured backlog watermark
+	KindSuspect  // a transport link suspected the peer leaving its frames unacked
+	KindBacklog  // a channel queue crossed the transport's backlog watermark
 	KindHeal     // a directed partition window closed (first frame through)
 	// Health kinds: the live telemetry aggregator (internal/telemetry)
 	// publishes its detector verdicts back into the stream, so the flight

@@ -25,9 +25,8 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 	net := NewNetwork(2)
 	counters := &metrics.Counters{}
 	net.harden(NetConfig{
-		DisableDetector: true,
-		RTOFloor:        100 * time.Millisecond, // quiet timers at bench speed
-		RTOCap:          time.Second,
+		RTOFloor: 100 * time.Millisecond, // quiet timers at bench speed
+		RTOCap:   time.Second,
 	}, counters, nil)
 	defer net.tr.reset()
 

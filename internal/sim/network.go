@@ -65,9 +65,10 @@ type channel struct {
 	// of them (Network.send, unlogged). A log holds all records or none.
 	unlogged bool
 	polls    int // Network.Poll calls; tests read it
-	// onDepth, when set, observes the queue depth after every push (the
-	// hardened transport's backlog watermark tap). Called outside mu.
-	onDepth func(depth int)
+	// lk is the hardened transport's link that feeds an in-band channel
+	// between two processes, set before the channel is published; nil on
+	// the reliable fabric.
+	lk *link
 
 	logLen   int        // messages the log has numbered, 0 … logLen-1
 	log      []logChunk // first ascending; starts as logHead
@@ -75,7 +76,8 @@ type channel struct {
 	logFirst [logInline]byte
 }
 
-func (ch *channel) push(m Message) {
+// push queues m and returns the queue's depth.
+func (ch *channel) push(m Message) int {
 	ch.mu.Lock()
 	ch.items = append(ch.items, m)
 	if m.Kind != MsgApp {
@@ -84,8 +86,15 @@ func (ch *channel) push(m Message) {
 	depth := len(ch.items) - ch.head
 	ch.mu.Unlock()
 	ch.cond.Signal()
-	if ch.onDepth != nil {
-		ch.onDepth(depth)
+	return depth
+}
+
+// carry puts m on the wire into ch: across its link when hardened.
+func (ch *channel) carry(m Message) {
+	if ch.lk != nil {
+		ch.lk.send(m)
+	} else {
+		ch.push(m)
 	}
 }
 
@@ -225,11 +234,12 @@ func (net *Network) peek(from, to int) *channel {
 	return nil
 }
 
-// channel returns the channel from→to, creating it on first use: linked in
-// after its successor is, so a reader sees it whole or not at all. A channel
-// created while Abort runs must not stay open: the creator publishes it and
-// only then reads the flag, Abort sets the flag and only then walks the list,
-// so either the walk reaches the channel or its creator closes it.
+// channel returns the channel from→to, creating it on first use, with its
+// data link on a hardened network: linked in after its successor is, so a
+// reader sees it whole or not at all. A channel created while Abort runs must
+// not stay open: the creator publishes it and only then reads the flag, Abort
+// sets the flag and only then walks the list, so either the walk reaches the
+// channel or its creator closes it.
 func (net *Network) channel(from, to int) *channel {
 	if ch := net.peek(from, to); ch != nil {
 		return ch
@@ -246,6 +256,9 @@ func (net *Network) channel(from, to int) *channel {
 	ch := &channel{from: from, to: to, proto: &net.inbox[to].proto, next: net.created.Load()}
 	ch.cond.L = &ch.mu
 	ch.log, ch.logHead[0].b = ch.logHead[:], ch.logFirst[:0]
+	if net.tr != nil && from != ctrlFrom && from != to {
+		ch.lk = net.tr.newLink(LinkData, from, to, ch)
+	}
 	ch.nextIn.Store(at.Load())
 	at.Store(ch)
 	net.created.Store(ch)
@@ -268,11 +281,7 @@ func (net *Network) send(ch *channel, m Message, unlogged bool) {
 	} else {
 		ch.logAppend(&m)
 	}
-	if net.tr != nil {
-		net.SendMarker(m)
-	} else {
-		ch.push(m)
-	}
+	ch.carry(m)
 }
 
 // SendMarker delivers a message in band without logging it. Markers share
@@ -280,17 +289,13 @@ func (net *Network) send(ch *channel, m Message, unlogged bool) {
 // application messages, so that the FIFO ordering the Chandy-Lamport
 // protocol depends on survives the transport.
 func (net *Network) SendMarker(m Message) {
-	if net.tr != nil && m.From != m.To {
-		net.tr.data[m.From][m.To].send(m)
-		return
-	}
-	net.channel(m.From, m.To).push(m)
+	net.channel(m.From, m.To).carry(m)
 }
 
 // SendCtrl delivers an out-of-band control message to m.To.
 func (net *Network) SendCtrl(m Message) {
 	if net.tr != nil && m.From != m.To && m.From >= 0 && m.From < net.n {
-		net.tr.ctrl[m.From][m.To].send(m)
+		net.tr.ctrlLink(m.From, m.To).send(m)
 		return
 	}
 	net.channel(ctrlFrom, m.To).push(m)

@@ -122,7 +122,7 @@ func TestQuietCounterTracksQueues(t *testing.T) {
 						r.plan[[2]int{0, 2}] = 18
 					}
 					if hardened {
-						r.net.harden(NetConfig{DisableDetector: true}, counters, nil)
+						r.net.harden(NetConfig{}, counters, nil)
 						t.Cleanup(r.net.tr.reset)
 					}
 					restarts := 0

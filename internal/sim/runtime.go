@@ -106,10 +106,10 @@ type Config struct {
 	// Net, when set, hardens the network: every message crosses a lossy
 	// link layer (optionally driven by a fault injector, Net.Chaos) with
 	// per-channel sequencing, duplicate suppression, ack/retransmit under
-	// a netestim-driven RTO, and a heartbeat failure detector that turns
-	// silent peers into ordinary crash→recovery. Nil keeps the legacy
-	// reliable in-process fabric, behaviourally identical to prior
-	// revisions.
+	// a netestim-driven RTO, and failure detection by the link a silent
+	// peer leaves unacked, which turns that silence into ordinary
+	// crash→recovery. Nil keeps the legacy reliable in-process fabric,
+	// behaviourally identical to prior revisions.
 	Net *NetConfig
 	// Timeout aborts a deadlocked incarnation (default 30s). Programs with
 	// mismatched sends/receives otherwise block forever.
@@ -360,7 +360,7 @@ func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64
 }
 
 // wait runs the processes of incarnation inc to their end. failure is the
-// process failure (injected crash, exhausted save, heartbeat suspicion)
+// process failure (injected crash, exhausted save, suspected peer)
 // that calls for a rollback; err ends the run.
 func (r *run) wait(inc int, procs []*Proc) (failure, err error) {
 	cfg, net := &r.cfg, r.net
@@ -368,12 +368,12 @@ func (r *run) wait(inc int, procs []*Proc) (failure, err error) {
 	for _, p := range procs {
 		go func() { errs <- p.run() }()
 	}
-	// The heartbeat failure detector (hardened networks only) converts
-	// a silently lost peer — an unhealed partition, total ack loss —
-	// into the same abort→recover path as an injected crash.
+	// On a hardened network a link whose frames go unacked too long
+	// reports its peer: a silently lost peer — an unhealed partition, total
+	// ack loss — takes the same abort→recover path as an injected crash.
 	var suspectErr atomic.Pointer[error]
-	stopDetector := net.startDetector(func(peer int, silence time.Duration) {
-		err := fmt.Errorf("heartbeat: process %d silent for %v: %w",
+	net.watch(func(peer int, silence time.Duration) {
+		err := fmt.Errorf("transport: process %d silent for %v: %w",
 			peer, silence.Round(time.Millisecond), ErrProcFailed)
 		if suspectErr.CompareAndSwap(nil, &err) {
 			cfg.Counters.Inc(MetricHBSuspects, 1)
@@ -421,7 +421,7 @@ func (r *run) wait(inc int, procs []*Proc) (failure, err error) {
 		}
 	}
 	watchdog.Stop()
-	stopDetector()
+	net.watch(nil)
 	if fatal != nil {
 		return nil, fatal
 	}
@@ -432,8 +432,8 @@ func (r *run) wait(inc int, procs []*Proc) (failure, err error) {
 		return nil, ErrCanceled
 	}
 	if susp := suspectErr.Load(); failure == nil && susp != nil {
-		// Every process exited with ErrAborted because the detector
-		// pulled the plug: the suspicion is the failure.
+		// Every process exited with ErrAborted because a link pulled the
+		// plug: the suspicion is the failure.
 		failure = *susp
 	}
 	if timedOut && failure == nil {

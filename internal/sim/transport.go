@@ -16,9 +16,14 @@ package sim
 //     the timeout being srtt + 4·rttvar from a per-link netestim.Estimator
 //     (RFC 6298 form) under capped exponential backoff with jitter, and
 //     Karn's rule: acks of retransmitted frames contribute no RTT samples;
-//   - heartbeat-based failure detection, so a peer silenced by an unhealed
-//     partition is *detected* and converted into the runtime's ordinary
-//     crash→recovery path instead of deadlocking the incarnation.
+//   - failure detection from that retransmission state: a link whose
+//     oldest unacked frame goes SuspectAfter without ack progress reports
+//     its peer, so a peer silenced by an unhealed partition is *detected*
+//     and converted into the runtime's ordinary crash→recovery path instead
+//     of deadlocking the incarnation.
+//
+// It keeps state only for pairs that talk: a link exists once its pair has
+// sent on it, so a process costs the transport its degree, not n.
 //
 // The transport lives strictly below the checkpoint protocol: what a
 // checkpoint keeps (the per-peer row of application message counts, the
@@ -57,9 +62,9 @@ const (
 	// MetricNetBacklogMax is the high-watermark of any delivery queue's
 	// depth (a gauge recorded via Counters.Max).
 	MetricNetBacklogMax = "net_backlog_max"
-	// MetricHBSuspects counts peers the heartbeat failure detector
-	// declared suspect (each suspicion aborts the incarnation into the
-	// ordinary crash→recovery path).
+	// MetricHBSuspects counts incarnations a link aborted by reporting its
+	// peer suspect after SuspectAfter without ack progress (each one goes
+	// the ordinary crash→recovery path).
 	MetricHBSuspects = "hb_suspects"
 	// MetricPartitionHealed counts partition windows observed to heal
 	// (first frame attempted on the link after the window closed).
@@ -68,15 +73,14 @@ const (
 
 // LinkClass identifies the traffic class of a transport frame. The fault
 // injector keys its decision streams on it, so ack loss is independent of
-// data loss and a heartbeat drop never correlates with a payload drop.
+// data loss.
 type LinkClass int
 
 // Frame classes carried by the transport.
 const (
-	LinkData      LinkClass = iota + 1 // in-band application + marker frames
-	LinkCtrl                           // out-of-band protocol control frames
-	LinkAck                            // transport acknowledgements
-	LinkHeartbeat                      // failure-detector heartbeats
+	LinkData LinkClass = iota + 1 // in-band application + marker frames
+	LinkCtrl                      // out-of-band protocol control frames
+	LinkAck                       // transport acknowledgements
 )
 
 // String names the class for events and diagnostics.
@@ -88,8 +92,6 @@ func (c LinkClass) String() string {
 		return "ctrl"
 	case LinkAck:
 		return "ack"
-	case LinkHeartbeat:
-		return "heartbeat"
 	default:
 		return fmt.Sprintf("class(%d)", int(c))
 	}
@@ -125,12 +127,11 @@ type LinkChaos interface {
 // Transport tuning defaults. Floors and caps are configurable bounds (the
 // RTO itself always comes from the per-link estimator, never a constant).
 const (
-	defaultHeartbeatEvery   = 5 * time.Millisecond
-	defaultSuspectAfter     = 40 * defaultHeartbeatEvery
-	defaultRTOFloor         = 2 * time.Millisecond
-	defaultRTOCap           = 200 * time.Millisecond
-	defaultBacklogWatermark = 1024
-	maxBackoffShift         = 6 // retransmit backoff doublings before the cap alone rules
+	defaultSuspectAfter = 200 * time.Millisecond
+	defaultRTOFloor     = 2 * time.Millisecond
+	defaultRTOCap       = 200 * time.Millisecond
+	backlogWatermark    = 1024 // queue depth past which a link publishes its backlog event
+	maxBackoffShift     = 6    // retransmit backoff doublings before the cap alone rules
 )
 
 // NetConfig enables the hardened transport on a run (sim.Config.Net). The
@@ -139,32 +140,20 @@ const (
 // transparent to golden tests.
 type NetConfig struct {
 	// Chaos is the link-level fault injector; nil hardens the transport
-	// over lossless links (acks, heartbeats, and sequencing still run).
+	// over lossless links (acks and sequencing still run).
 	Chaos LinkChaos
-	// HeartbeatEvery is the failure detector's probe interval.
-	HeartbeatEvery time.Duration
-	// SuspectAfter is how long a peer may stay silent — no heartbeat, no
-	// data, no ack — before the detector declares it suspect and aborts
-	// the incarnation into recovery.
+	// SuspectAfter is how long a link's oldest unacked frame may go
+	// without ack progress before the link reports its peer suspect, which
+	// aborts the incarnation into recovery.
 	SuspectAfter time.Duration
 	// RTOFloor bounds the retransmission timeout from below (guards
 	// against variance collapse on long-stable links).
 	RTOFloor time.Duration
 	// RTOCap bounds the backed-off retransmission timeout from above.
 	RTOCap time.Duration
-	// BacklogWatermark is the queue depth beyond which a backlog event is
-	// published (chaos-induced backlog made visible instead of silent
-	// memory growth).
-	BacklogWatermark int
-	// DisableDetector turns heartbeats and suspicion off (unit tests that
-	// want deterministic transport behaviour without liveness timers).
-	DisableDetector bool
 }
 
 func (c NetConfig) withDefaults() NetConfig {
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = defaultHeartbeatEvery
-	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = defaultSuspectAfter
 	}
@@ -177,23 +166,22 @@ func (c NetConfig) withDefaults() NetConfig {
 	if c.RTOCap < c.RTOFloor {
 		c.RTOCap = c.RTOFloor
 	}
-	if c.BacklogWatermark <= 0 {
-		c.BacklogWatermark = defaultBacklogWatermark
-	}
 	return c
 }
 
-// transport is the per-network state of the hardened delivery layer.
+// transport is the per-network state of the hardened delivery layer. It
+// keeps nothing per pair of processes: a data link lives on the channel it
+// feeds, created with it, and a control link is created by its first send.
 type transport struct {
 	net      *Network
 	cfg      NetConfig
 	counters *metrics.Counters
 	obsv     obs.Observer
 
-	data [][]*link // [from][to] in-band links (app + markers)
-	ctrl [][]*link // [from][to] out-of-band control links
-
-	det *detector
+	mu        sync.Mutex
+	ctrl      map[[2]int]*link                      // (from, to) → control link
+	onSuspect func(peer int, silence time.Duration) // the running incarnation's, nil between them
+	reports   sync.WaitGroup                        // onSuspect calls in progress
 }
 
 // frame is one in-flight transport-level message.
@@ -227,11 +215,6 @@ func putFrame(f *frame) {
 	framePool.Put(f)
 }
 
-// initialWindow is the preallocated capacity of each link's unacked
-// window; steady-state windows under the default chaos profiles stay well
-// below it, so the append path almost never grows the backing array.
-const initialWindow = 32
-
 // link is one directed, sequenced, acknowledged channel (from → to) of one
 // class. Sender state (unacked window, retransmit timer, RTT estimator)
 // and receiver state (resequencing buffer) live on the same struct because
@@ -243,7 +226,7 @@ type link struct {
 	to    int
 	dst   *channel // delivery queue: the in-band channel from→to, or to's control channel
 
-	est *netestim.Estimator // survives resets: RTT knowledge outlives incarnations
+	est netestim.Estimator // survives resets: RTT knowledge outlives incarnations
 
 	mu  sync.Mutex
 	gen int // incarnation epoch; stale frames/timers no-op
@@ -251,80 +234,54 @@ type link struct {
 	// Sender side.
 	nextSeq int
 	unacked []*frame
-	boShift uint // backoff doublings since the last ack progress (Karn)
+	since   time.Time // last ack progress, or the send that opened the window
+	boShift uint      // backoff doublings since the last ack progress (Karn)
 	timer   *time.Timer
 
 	// Receiver side.
-	expect   int
-	pending  map[int]Message
-	ackSends int // monotone attempt counter for this link's acks
+	expect     int
+	pending    map[int]Message // frames past expect; made by the first such frame
+	ackSends   int             // monotone attempt counter for this link's acks
+	backlogged bool            // dst crossed backlogWatermark: the one event is out
 }
 
 // harden installs the transport on a network. Must be called before any
-// process starts sending. It creates every channel: a link per pair needs
-// its delivery queue, and each queue its watermark tap.
+// channel is created; links appear as pairs start talking.
 func (net *Network) harden(cfg NetConfig, counters *metrics.Counters, obsv obs.Observer) {
-	cfg = cfg.withDefaults()
-	t := &transport{
-		net:      net,
-		cfg:      cfg,
-		counters: counters,
-		obsv:     obsv,
-	}
-	t.data = make([][]*link, net.n)
-	t.ctrl = make([][]*link, net.n)
-	for i := 0; i < net.n; i++ {
-		t.data[i] = make([]*link, net.n)
-		t.ctrl[i] = make([]*link, net.n)
-		net.channel(ctrlFrom, i).onDepth = t.depthWatcher(fmt.Sprintf("ctrl %d", i))
-	}
-	for i := 0; i < net.n; i++ {
-		for j := 0; j < net.n; j++ {
-			if i == j {
-				continue
-			}
-			ch := net.channel(i, j)
-			ch.onDepth = t.depthWatcher(fmt.Sprintf("chan %d->%d", i, j))
-			t.data[i][j] = t.newLink(LinkData, i, j, ch)
-			t.ctrl[i][j] = t.newLink(LinkCtrl, i, j, net.channel(ctrlFrom, j))
-		}
-	}
-	t.det = newDetector(t)
-	net.tr = t
+	net.tr = &transport{net: net, cfg: cfg.withDefaults(), counters: counters, obsv: obsv}
 }
 
 func (t *transport) newLink(class LinkClass, from, to int, dst *channel) *link {
-	est := &netestim.Estimator{}
-	est.SetRTOFloor(t.cfg.RTOFloor)
-	return &link{
-		t:       t,
-		class:   class,
-		from:    from,
-		to:      to,
-		dst:     dst,
-		est:     est,
-		unacked: make([]*frame, 0, initialWindow),
-		pending: make(map[int]Message, initialWindow),
-	}
+	lk := &link{t: t, class: class, from: from, to: to, dst: dst}
+	lk.est.SetRTOFloor(t.cfg.RTOFloor)
+	return lk
 }
 
-// depthWatcher returns the per-queue depth callback: a high-watermark gauge
-// plus a once-per-run backlog event when the configured watermark is
-// crossed.
-func (t *transport) depthWatcher(label string) func(int) {
-	var once sync.Once
-	return func(depth int) {
-		t.counters.Max(MetricNetBacklogMax, int64(depth))
-		if depth > t.cfg.BacklogWatermark {
-			once.Do(func() {
-				if t.obsv != nil {
-					t.obsv.OnEvent(obs.Event{
-						Kind: obs.KindBacklog, Proc: -1, Inc: -1,
-						Label: fmt.Sprintf("%s backlog %d exceeds watermark %d", label, depth, t.cfg.BacklogWatermark),
-					})
-				}
-			})
+// ctrlLink returns the control link from→to, creating it on first use.
+func (t *transport) ctrlLink(from, to int) *link {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	lk := t.ctrl[[2]int{from, to}]
+	if lk == nil {
+		if t.ctrl == nil {
+			t.ctrl = make(map[[2]int]*link)
 		}
+		lk = t.newLink(LinkCtrl, from, to, t.net.channel(ctrlFrom, to))
+		t.ctrl[[2]int{from, to}] = lk
+	}
+	return lk
+}
+
+// watch installs the callback a link reports a silent peer to; nil removes
+// it. Once watch returns, no report to the callback it replaced is running
+// or can start: a late one must not abort the next incarnation. A no-op on
+// an unhardened network.
+func (net *Network) watch(onSuspect func(peer int, silence time.Duration)) {
+	if t := net.tr; t != nil {
+		t.mu.Lock()
+		t.onSuspect = onSuspect
+		t.mu.Unlock()
+		t.reports.Wait()
 	}
 }
 
@@ -362,16 +319,16 @@ func (t *transport) jitter(d time.Duration) time.Duration {
 // message log, not from the wire — and when the run returns, so that
 // retransmit timers and delayed deliveries stop.
 func (t *transport) reset() {
-	for _, rows := range [][][]*link{t.data, t.ctrl} {
-		for _, row := range rows {
-			for _, lk := range row {
-				if lk != nil {
-					lk.reset()
-				}
-			}
+	for ch := t.net.created.Load(); ch != nil; ch = ch.next {
+		if ch.lk != nil {
+			ch.lk.reset()
 		}
 	}
-	t.det.reset()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, lk := range t.ctrl {
+		lk.reset()
+	}
 }
 
 func (lk *link) reset() {
@@ -381,6 +338,7 @@ func (lk *link) reset() {
 	for _, f := range lk.unacked {
 		putFrame(f)
 	}
+	clear(lk.unacked)
 	lk.unacked = lk.unacked[:0]
 	lk.boShift = 0
 	lk.expect = 0
@@ -401,6 +359,9 @@ func (lk *link) send(m Message) {
 	f := getFrame(seq, m)
 	f.attempts = 1
 	f.firstSend = time.Now()
+	if len(lk.unacked) == 0 {
+		lk.since = f.firstSend
+	}
 	lk.unacked = append(lk.unacked, f)
 	gen := lk.gen
 	if lk.timer == nil {
@@ -432,40 +393,55 @@ func (lk *link) transmit(gen, seq int, m Message, attempt int) {
 }
 
 // deliver is the receiver side: duplicate suppression, resequencing, and
-// in-order push into the destination queue, then a cumulative ack.
+// in-order push into the destination queue, then a cumulative ack. The
+// first push that leaves the queue deeper than backlogWatermark publishes
+// the link's one backlog event: chaos-induced backlog made visible instead
+// of silent memory growth.
 func (lk *link) deliver(gen, seq int, m Message) {
 	lk.mu.Lock()
 	if gen != lk.gen {
 		lk.mu.Unlock()
 		return
 	}
-	lk.t.heard(lk.from, lk.to)
-	if seq < lk.expect {
-		// Duplicate of an already-delivered frame (a dup verdict, or a
-		// retransmission racing its own ack): suppress, but re-ack so the
-		// sender stops retransmitting.
+	if seq != lk.expect {
+		// A duplicate of a delivered frame (a dup verdict, or a
+		// retransmission racing its own ack) is suppressed but re-acked so
+		// the sender stops retransmitting; one from the future waits.
+		_, dup := lk.pending[seq]
+		if seq > lk.expect && !dup {
+			if lk.pending == nil {
+				lk.pending = make(map[int]Message)
+			}
+			lk.pending[seq] = m
+		}
 		lk.mu.Unlock()
-		lk.sendAck(gen)
+		if !dup {
+			lk.sendAck(gen)
+		}
 		return
 	}
-	if _, dup := lk.pending[seq]; dup {
-		lk.mu.Unlock()
-		return
-	}
-	lk.pending[seq] = m
-	// Flush the in-order prefix while holding lk.mu: concurrent deliveries
-	// must not interleave their flushes, or resequenced frames would leak
-	// out of order into the queue.
-	for {
+	// Push the frame and the prefix it completes while holding lk.mu:
+	// concurrent deliveries must not interleave their pushes, or
+	// resequenced frames would leak out of order into the queue.
+	depth := lk.dst.push(m)
+	for lk.expect++; len(lk.pending) > 0; lk.expect++ {
 		next, ok := lk.pending[lk.expect]
 		if !ok {
 			break
 		}
 		delete(lk.pending, lk.expect)
-		lk.expect++
-		lk.dst.push(next)
+		depth = max(depth, lk.dst.push(next))
 	}
+	backlog := depth > backlogWatermark && !lk.backlogged
+	lk.backlogged = lk.backlogged || backlog
 	lk.mu.Unlock()
+	lk.t.counters.Max(MetricNetBacklogMax, int64(depth))
+	if backlog && lk.t.obsv != nil {
+		lk.t.obsv.OnEvent(obs.Event{
+			Kind: obs.KindBacklog, Proc: -1, Inc: -1,
+			Label: fmt.Sprintf("%s %d->%d backlog %d exceeds watermark %d", lk.class, lk.from, lk.to, depth, backlogWatermark),
+		})
+	}
 	lk.sendAck(gen)
 }
 
@@ -506,10 +482,9 @@ func (lk *link) ackArrive(gen, cum int) {
 		lk.mu.Unlock()
 		return
 	}
-	lk.t.heard(lk.to, lk.from)
-	// Slide the window in place: compacting the preallocated backing array
-	// (instead of reslicing its head away) keeps the capacity for the life
-	// of the link, and the acked frames go back to the pool.
+	// Slide the window in place: compacting the backing array (instead of
+	// reslicing its head away) keeps its capacity for the life of the
+	// link, and the acked frames go back to the pool.
 	acked := 0
 	for acked < len(lk.unacked) && lk.unacked[acked].seq <= cum {
 		f := lk.unacked[acked]
@@ -521,15 +496,11 @@ func (lk *link) ackArrive(gen, cum int) {
 		}
 		putFrame(f)
 	}
-	progress := acked > 0
-	if progress {
+	if acked > 0 {
 		n := copy(lk.unacked, lk.unacked[acked:])
-		for i := n; i < len(lk.unacked); i++ {
-			lk.unacked[i] = nil
-		}
+		clear(lk.unacked[n:])
 		lk.unacked = lk.unacked[:n]
-	}
-	if progress {
+		lk.since = now
 		lk.boShift = 0
 		if len(lk.unacked) == 0 {
 			if lk.timer != nil {
@@ -569,6 +540,9 @@ func (lk *link) armLocked(gen int) {
 }
 
 // onTimeout retransmits the oldest unacked frame with exponential backoff.
+// If that frame has gone SuspectAfter without ack progress, the link first
+// reports its peer suspect: a silent peer is found by the link waiting on
+// it (DESIGN decision 13).
 func (lk *link) onTimeout(gen int) {
 	lk.mu.Lock()
 	if gen != lk.gen || len(lk.unacked) == 0 {
@@ -584,9 +558,13 @@ func (lk *link) onTimeout(gen int) {
 	f := lk.unacked[0]
 	seq, m, attempt := f.seq, f.msg, f.attempts
 	f.attempts++
+	silence := time.Since(lk.since)
 	lk.armLocked(gen)
 	lk.mu.Unlock()
 
+	if silence > lk.t.cfg.SuspectAfter {
+		lk.t.suspect(lk.to, silence)
+	}
 	lk.t.counters.Inc(MetricNetRetransmits, 1)
 	if lk.t.obsv != nil {
 		lk.t.obsv.OnEvent(obs.Event{
@@ -597,160 +575,16 @@ func (lk *link) onTimeout(gen int) {
 	lk.transmit(gen, seq, m, attempt)
 }
 
-// heard records that process `to` received evidence that `from` is alive
-// (any delivered frame counts, not just heartbeats).
-func (t *transport) heard(from, to int) {
-	if t.det != nil {
-		t.det.heard(from, to)
+// suspect reports a silent peer to the running incarnation, if any.
+func (t *transport) suspect(peer int, silence time.Duration) {
+	t.mu.Lock()
+	report := t.onSuspect
+	if report != nil {
+		t.reports.Add(1)
 	}
-}
-
-// detector is the heartbeat failure detector: a network-level prober that
-// stands in for the per-node heartbeat daemons of a real deployment. Every
-// interval it pushes one heartbeat frame per directed pair through the
-// fault injector and checks each pair's silence against the suspicion
-// threshold. Suspicion is per incarnation (reset clears it).
-type detector struct {
-	t *transport
-
-	mu        sync.Mutex
-	lastHeard [][]time.Time // [observer][peer]
-	suspected []bool        // [peer], this incarnation
-	hbSeq     [][]int       // [from][to] heartbeat frame counter
-	stop      chan struct{} // non-nil while running
-}
-
-func newDetector(t *transport) *detector {
-	n := t.net.n
-	d := &detector{t: t}
-	d.lastHeard = make([][]time.Time, n)
-	d.hbSeq = make([][]int, n)
-	for i := 0; i < n; i++ {
-		d.lastHeard[i] = make([]time.Time, n)
-		d.hbSeq[i] = make([]int, n)
+	t.mu.Unlock()
+	if report != nil {
+		defer t.reports.Done()
+		report(peer, silence)
 	}
-	d.suspected = make([]bool, n)
-	return d
-}
-
-func (d *detector) heard(from, to int) {
-	d.mu.Lock()
-	d.lastHeard[to][from] = time.Now()
-	d.mu.Unlock()
-}
-
-func (d *detector) reset() {
-	d.mu.Lock()
-	for i := range d.suspected {
-		d.suspected[i] = false
-	}
-	d.mu.Unlock()
-}
-
-// start launches the probe/check loop for one incarnation. onSuspect is
-// called at most once per peer per incarnation, from the detector
-// goroutine. The returned stop function blocks until the loop exits.
-func (d *detector) start(onSuspect func(peer int, silence time.Duration)) (stop func()) {
-	d.mu.Lock()
-	now := time.Now()
-	n := d.t.net.n
-	for i := 0; i < n; i++ {
-		d.suspected[i] = false
-		for j := 0; j < n; j++ {
-			d.lastHeard[i][j] = now // grace period from incarnation start
-		}
-	}
-	stopCh := make(chan struct{})
-	d.stop = stopCh
-	d.mu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(d.t.cfg.HeartbeatEvery)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stopCh:
-				return
-			case <-ticker.C:
-				d.probe()
-				d.check(onSuspect)
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(stopCh)
-			<-done
-		})
-	}
-}
-
-// probe pushes one heartbeat per directed pair through the injector.
-// Heartbeats are pure liveness evidence: they carry no payload, enter no
-// queue, and are neither acked nor retransmitted.
-func (d *detector) probe() {
-	n := d.t.net.n
-	for p := 0; p < n; p++ {
-		for q := 0; q < n; q++ {
-			if p == q {
-				continue
-			}
-			d.mu.Lock()
-			seq := d.hbSeq[p][q]
-			d.hbSeq[p][q]++
-			d.mu.Unlock()
-			v := d.t.verdict(LinkHeartbeat, p, q, seq, 0)
-			if v.Drop {
-				continue
-			}
-			if v.Delay > 0 {
-				p, q := p, q
-				time.AfterFunc(v.Delay, func() { d.heard(p, q) })
-			} else {
-				d.heard(p, q)
-			}
-		}
-	}
-}
-
-// check declares suspect any peer some observer has not heard from within
-// the suspicion threshold.
-func (d *detector) check(onSuspect func(int, time.Duration)) {
-	now := time.Now()
-	n := d.t.net.n
-	type hit struct {
-		peer    int
-		silence time.Duration
-	}
-	var hits []hit
-	d.mu.Lock()
-	for o := 0; o < n; o++ {
-		for p := 0; p < n; p++ {
-			if o == p || d.suspected[p] {
-				continue
-			}
-			if silence := now.Sub(d.lastHeard[o][p]); silence > d.t.cfg.SuspectAfter {
-				d.suspected[p] = true
-				hits = append(hits, hit{p, silence})
-			}
-		}
-	}
-	d.mu.Unlock()
-	for _, h := range hits {
-		onSuspect(h.peer, h.silence)
-	}
-}
-
-// startDetector starts the heartbeat failure detector for one incarnation
-// (no-op when the network is not hardened or the detector is disabled).
-// The returned function stops it and must be called before the next
-// incarnation starts.
-func (net *Network) startDetector(onSuspect func(peer int, silence time.Duration)) (stop func()) {
-	if net.tr == nil || net.tr.cfg.DisableDetector {
-		return func() {}
-	}
-	return net.tr.det.start(onSuspect)
 }

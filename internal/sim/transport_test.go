@@ -54,13 +54,12 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
-// hardenedNet builds a 2-process hardened network for direct transport
-// tests (no runtime, no detector) and registers cleanup of its timers.
+// hardenedNet builds a hardened network for direct transport tests (no
+// runtime, so no suspect callback) and registers cleanup of its timers.
 func hardenedNet(t *testing.T, n int, cfg NetConfig, obsv obs.Observer) (*Network, *metrics.Counters) {
 	t.Helper()
 	net := NewNetwork(n)
 	counters := &metrics.Counters{}
-	cfg.DisableDetector = true
 	if cfg.RTOFloor == 0 {
 		cfg.RTOFloor = time.Millisecond
 	}
@@ -116,11 +115,10 @@ func TestTransportDeliversUnderFaults(t *testing.T) {
 	})
 	res := runOK(t, p, 3, func(c *Config) {
 		c.Net = &NetConfig{
-			Chaos:          lossy,
-			RTOFloor:       time.Millisecond,
-			RTOCap:         20 * time.Millisecond,
-			SuspectAfter:   2 * time.Second, // losses here are transient; never suspect
-			HeartbeatEvery: 5 * time.Millisecond,
+			Chaos:        lossy,
+			RTOFloor:     time.Millisecond,
+			RTOCap:       20 * time.Millisecond,
+			SuspectAfter: 2 * time.Second, // losses here are transient; never suspect
 		}
 	})
 	if !reflect.DeepEqual(clean.FinalVars, res.FinalVars) {
@@ -209,7 +207,7 @@ func TestKarnRuleNoSamplesFromRetransmits(t *testing.T) {
 	for seq := 0; seq < total; seq++ {
 		net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: seq, Value: seq})
 	}
-	lk := net.tr.data[0][1]
+	lk := net.channel(0, 1).lk
 	waitUntil(t, 5*time.Second, "all frames acked", func() bool {
 		lk.mu.Lock()
 		defer lk.mu.Unlock()
@@ -231,7 +229,7 @@ func TestKarnRuleNoSamplesFromRetransmits(t *testing.T) {
 	// Control: an unmolested link must take samples.
 	net2, _ := hardenedNet(t, 2, NetConfig{}, nil)
 	net2.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: 0, Value: 1})
-	lk2 := net2.tr.data[0][1]
+	lk2 := net2.channel(0, 1).lk
 	waitUntil(t, time.Second, "clean ack", func() bool {
 		lk2.mu.Lock()
 		defer lk2.mu.Unlock()
@@ -243,7 +241,7 @@ func TestKarnRuleNoSamplesFromRetransmits(t *testing.T) {
 }
 
 // TestDetectorConvertsPartitionToRecovery: a one-way partition silences a
-// peer; the heartbeat detector must convert that silence into the ordinary
+// peer; the link waiting on it must convert that silence into the ordinary
 // crash→recovery path, and once the partition heals the run must converge
 // to the fault-free final state.
 func TestDetectorConvertsPartitionToRecovery(t *testing.T) {
@@ -274,11 +272,10 @@ func TestDetectorConvertsPartitionToRecovery(t *testing.T) {
 	sink := &eventSink{}
 	res := runOK(t, p, 3, func(c *Config) {
 		c.Net = &NetConfig{
-			Chaos:          partition,
-			HeartbeatEvery: 2 * time.Millisecond,
-			SuspectAfter:   40 * time.Millisecond,
-			RTOFloor:       time.Millisecond,
-			RTOCap:         20 * time.Millisecond,
+			Chaos:        partition,
+			SuspectAfter: 40 * time.Millisecond,
+			RTOFloor:     time.Millisecond,
+			RTOCap:       20 * time.Millisecond,
 		}
 		c.MaxRestarts = 30
 		c.Observer = sink
@@ -304,12 +301,61 @@ func TestDetectorConvertsPartitionToRecovery(t *testing.T) {
 	}
 }
 
-// TestBacklogWatermark: flooding a channel past the configured watermark
-// must raise the high-watermark gauge and publish one backlog event.
+// TestPartitionBetweenSilentPairCostsNothing: a one-way partition between
+// two ranks that never exchange a message, open longer than SuspectAfter, is
+// never noticed. No link waits on the pair, so no peer is suspected, nothing
+// restarts, and the run ends as the clean one does. Delayed data frames
+// stretch the run past the window.
+func TestPartitionBetweenSilentPairCostsNothing(t *testing.T) {
+	p := corpus.JacobiFig1(50) // rank r talks to r-1 and r+1 only
+	clean := runOK(t, p, 4)
+	const suspectAfter, window = 50 * time.Millisecond, 150 * time.Millisecond
+	var pmu sync.Mutex
+	var epoch time.Time
+	partition := funcChaos(func(class LinkClass, from, to, seq, attempt int) Verdict {
+		pmu.Lock()
+		defer pmu.Unlock()
+		if epoch.IsZero() {
+			epoch = time.Now()
+		}
+		switch {
+		case from == 0 && to == 2 && time.Since(epoch) < window:
+			return Verdict{Drop: true, Partitioned: true}
+		case class == LinkData:
+			return Verdict{Delay: 4 * time.Millisecond}
+		}
+		return Verdict{}
+	})
+	sink := &eventSink{}
+	start := time.Now()
+	res := runOK(t, p, 4, func(c *Config) {
+		c.Net = &NetConfig{Chaos: partition, SuspectAfter: suspectAfter, RTOFloor: time.Millisecond, RTOCap: 20 * time.Millisecond}
+		c.MaxRestarts = 30
+		c.Observer = sink
+	})
+	if took := time.Since(start); took <= window {
+		t.Fatalf("the run took %v, no longer than the %v window: the test shows nothing", took, window)
+	}
+	if !reflect.DeepEqual(clean.FinalVars, res.FinalVars) {
+		t.Errorf("partitioned run diverged:\nclean: %v\ngot:   %v", clean.FinalVars, res.FinalVars)
+	}
+	if res.Restarts != 0 {
+		t.Errorf("restarts = %d, want 0", res.Restarts)
+	}
+	if got := res.Metrics.Custom[MetricHBSuspects]; got != 0 {
+		t.Errorf("%s = %d, want 0", MetricHBSuspects, got)
+	}
+	if kinds := sink.kinds(); kinds[obs.KindSuspect] != 0 {
+		t.Errorf("%d %s events, want none", kinds[obs.KindSuspect], obs.KindSuspect)
+	}
+}
+
+// TestBacklogWatermark: flooding a channel past the watermark must raise the
+// high-watermark gauge and publish one backlog event.
 func TestBacklogWatermark(t *testing.T) {
 	sink := &eventSink{}
-	net, counters := hardenedNet(t, 2, NetConfig{BacklogWatermark: 4}, sink)
-	const total = 12
+	net, counters := hardenedNet(t, 2, NetConfig{}, sink)
+	const total = backlogWatermark + 8
 	for seq := 0; seq < total; seq++ {
 		net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: seq, Value: seq})
 	}

@@ -4,9 +4,10 @@ package repro_test
 // Seeded runs over lossy links — multi-seed × {drop, dup, reorder,
 // partition-heal} — must all converge to the clean run's final state while
 // the repair machinery (resequencing, ack/retransmit with adaptive RTO,
-// heartbeat failure detection) visibly engages: frames dropped and
-// retransmitted, duplicates suppressed, reorders resequenced, partitions
-// suspected and healed, with matching observability events.
+// failure detection by the link a silent peer leaves unacked) visibly
+// engages: frames dropped and retransmitted, duplicates suppressed, reorders
+// resequenced, partitions suspected and healed, with matching observability
+// events. The loss profiles suspect no one.
 //
 // Under -short the per-profile seed matrix shrinks (which also sidesteps
 // the fleet-wide coverage assertions) instead of skipping outright; `make
@@ -134,10 +135,9 @@ func TestNetChaosSoak(t *testing.T) {
 						rec := obs.NewRecorder()
 						inj := chaos.NewNetwork(seed, prof.rates, prof.parts, rec)
 						netCfg := &sim.NetConfig{
-							Chaos:          inj,
-							HeartbeatEvery: 2 * time.Millisecond,
-							RTOFloor:       time.Millisecond,
-							RTOCap:         50 * time.Millisecond,
+							Chaos:    inj,
+							RTOFloor: time.Millisecond,
+							RTOCap:   50 * time.Millisecond,
 							// Loss profiles are transient: never suspect. The
 							// partition profile must suspect quickly so unhealed
 							// silence converts to recovery instead of a deadlock.
@@ -176,6 +176,11 @@ func TestNetChaosSoak(t *testing.T) {
 			})
 			if t.Failed() {
 				return
+			}
+			// Transient loss never silences a peer for SuspectAfter: no
+			// seed may suspect one, whatever the matrix's size.
+			if len(prof.parts) == 0 && totals[sim.MetricHBSuspects] != 0 {
+				t.Errorf("fleet %s = %d under transient loss, want 0: a live peer was suspected", sim.MetricHBSuspects, totals[sim.MetricHBSuspects])
 			}
 			if !checkFleet {
 				return

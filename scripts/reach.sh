@@ -103,7 +103,14 @@ done
 quiet "$SIM" -n 4 -transform -no-prune -seed 3 -crash-rate 2.5 -storage-fault-rate 0.3 "$PROG"
 # The uncoordinated walk over checkpoints that fail to load: it skips them.
 quiet "$SIM" -n 4 -transform -protocol uncoord -seed 4 -storage-fault-rate 0.3 -fail 1:9 -fail 2:14 "$PROG"
-quiet "$SIM" -n 4 -transform -seed 7 -net-fault-rate 0.2 -net-partition '0>1@0ms+120ms' "$PROG"
+# The partition outlasts the default SuspectAfter (200 ms): the link 0->1
+# reports rank 1 silent, and the run goes through suspect -> rollback.
+"$SIM" -n 4 -transform -seed 7 -net-fault-rate 0.2 -net-partition '0>1@0ms+400ms' "$PROG" >"$TMP/part.out" 2>&1 ||
+    { echo "reach: exit $? from: $SIM -net-partition" >&2; exit 1; }
+grep -q ' restarts=[1-9]' "$TMP/part.out" || { echo 'reach: chkptsim -net-partition restarted nothing' >&2; exit 1; }
+# SaS coordinates by control messages: over lossy links they take the
+# transport's control links.
+quiet "$SIM" -n 4 -transform -protocol sas -verify=false -vtime -seed 3 -net-fault-rate 0.05 "$PROG"
 quiet "$SIM" -n 4 -transform -vtime -fail 1:9 -trace-out "$TMP/t.json" -events-out "$TMP/e.jsonl" \
     -metrics-out "$TMP/m.jsonl" -cpuprofile "$TMP/c.pprof" -memprofile "$TMP/h.pprof" "$PROG"
 expect_exit 2 "$SIM" -n 4 -store bogus "$PROG"
