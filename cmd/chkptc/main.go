@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printReport(stderr, rep)
 	}
 	if *dotPath != "" {
-		dot, err := core.ExtendedDOT(rep.Program, cfg)
+		dot, err := core.ExtendedDOT(rep.Program)
 		if err != nil {
 			fmt.Fprintln(stderr, "chkptc:", err)
 			return 1

@@ -36,7 +36,7 @@ func main() {
 
 	fmt.Println()
 	fmt.Println("=== Figure 4: extended CFG of the Figure 2 program ===")
-	dot, err := core.ExtendedDOT(fig2, core.DefaultConfig)
+	dot, err := core.ExtendedDOT(fig2)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,11 +28,10 @@ import (
 )
 
 // Config configures the pipeline. Phase I always selects intervals with
-// the paper's cost constants (insert.DefaultCostModel), and Phase III's
-// fixpoint has place's default bound.
+// the paper's cost constants (insert.DefaultCostModel), Phase II matches
+// with match's default solver bounds, and Phase III's fixpoint has place's
+// default bound.
 type Config struct {
-	// Match configures Phase II (solver bounds, faithful one-to-one mode).
-	Match match.Options
 	// PreserveLoops enables the §3.3 loop optimization (DefaultConfig sets
 	// it).
 	PreserveLoops bool
@@ -100,7 +99,6 @@ func Transform(p *mpl.Program, conf Config) (*Report, error) {
 	}
 
 	placed, err := place.Ensure(work, place.Options{
-		Match:         conf.Match,
 		PreserveLoops: conf.PreserveLoops,
 		// One arena per Transform: the skeleton's closures live in it for
 		// the whole call, and noCross reuses it after the fixpoint.
@@ -122,17 +120,14 @@ func Transform(p *mpl.Program, conf Config) (*Report, error) {
 // An empty slice means every straight cut of checkpoints is a recovery
 // line in any execution (Theorem 3.2).
 func Verify(p *mpl.Program, conf Config) ([]place.Violation, error) {
-	violations, _, err := place.Check(p, place.Options{
-		Match:         conf.Match,
-		PreserveLoops: conf.PreserveLoops,
-	})
+	violations, _, err := place.Check(p, place.Options{PreserveLoops: conf.PreserveLoops})
 	return violations, err
 }
 
 // ExtendedDOT renders the extended CFG Ĝ of a program (control flow plus
 // message edges) in Graphviz dot syntax — the paper's Figure 4 view.
-func ExtendedDOT(p *mpl.Program, conf Config) (string, error) {
-	x, err := match.BuildExtended(p, conf.Match)
+func ExtendedDOT(p *mpl.Program) (string, error) {
+	x, err := match.BuildExtended(p, match.Options{})
 	if err != nil {
 		return "", err
 	}

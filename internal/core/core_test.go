@@ -80,7 +80,7 @@ func TestTransformSkipInsert(t *testing.T) {
 }
 
 func TestExtendedDOT(t *testing.T) {
-	dot, err := ExtendedDOT(corpus.JacobiFig2(2), DefaultConfig)
+	dot, err := ExtendedDOT(corpus.JacobiFig2(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,13 @@
 package sim
 
-// Microbenchmarks of the simulator's per-message hot path. These pin the
-// allocation cuts of the parallel sweep engine PR: frame pooling and
-// window compaction in the hardened transport, and the head-indexed
+// Microbenchmarks of the simulator's per-message hot path: the hardened
+// transport's round trip (frames held by value in a window compacted in
+// place, one timer per link re-armed with Reset) and the head-indexed
 // delivery queues. scripts/bench.sh records them into BENCH_simcore.json.
 
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/mpl"
@@ -18,16 +17,11 @@ import (
 // BenchmarkTransportRoundTrip measures one full hardened-transport cycle —
 // send through the (lossless) injector, receiver resequencing, delivery
 // into the queue, blocking receive, and the cumulative ack sliding the
-// sender's window — with allocations reported. Frame pooling and in-place
-// window compaction should hold allocs/op near the floor set by Message
-// copies.
+// sender's window — with allocations reported. It allocates nothing:
+// TestTransportRoundTripAllocs pins that.
 func BenchmarkTransportRoundTrip(b *testing.B) {
 	net := NewNetwork(2)
-	counters := &metrics.Counters{}
-	net.harden(NetConfig{
-		RTOFloor: 100 * time.Millisecond, // quiet timers at bench speed
-		RTOCap:   time.Second,
-	}, counters, nil)
+	net.harden(NetConfig{}, &metrics.Counters{}, nil)
 	defer net.tr.reset()
 
 	b.ReportAllocs()

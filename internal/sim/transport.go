@@ -29,9 +29,9 @@ package sim
 // checkpoint keeps (the per-peer row of application message counts, the
 // instance counters and the environment), the sender-based message log, and
 // recovery-line selection never see retransmissions or duplicates, so the
-// layer cannot create cut-crossing messages. ResetForRecovery bumps a
-// per-link generation; frames and timers from a rolled-back incarnation
-// are discarded on arrival.
+// layer cannot create cut-crossing messages. ResetForRecovery disarms each
+// link's timer and bumps its generation; frames from a rolled-back
+// incarnation are discarded on arrival.
 
 import (
 	"fmt"
@@ -124,49 +124,27 @@ type LinkChaos interface {
 	Verdict(class LinkClass, from, to, seq, attempt int) Verdict
 }
 
-// Transport tuning defaults. Floors and caps are configurable bounds (the
-// RTO itself always comes from the per-link estimator, never a constant).
+// Transport timing. The RTO itself always comes from the per-link
+// estimator; the floor and the cap only bound it.
 const (
-	defaultSuspectAfter = 200 * time.Millisecond
-	defaultRTOFloor     = 2 * time.Millisecond
-	defaultRTOCap       = 200 * time.Millisecond
-	backlogWatermark    = 1024 // queue depth past which a link publishes its backlog event
-	maxBackoffShift     = 6    // retransmit backoff doublings before the cap alone rules
+	// SuspectAfter is how long a link's oldest unacked frame may go without
+	// ack progress before the link reports its peer suspect, which aborts
+	// the incarnation into recovery.
+	SuspectAfter = 200 * time.Millisecond
+
+	rtoFloor         = 2 * time.Millisecond   // guards against variance collapse on long-stable links
+	rtoCap           = 200 * time.Millisecond // bounds the backed-off retransmission timeout
+	backlogWatermark = 1024                   // queue depth past which a link publishes its backlog event
+	maxBackoffShift  = 6                      // retransmit backoff doublings before the cap alone rules
 )
 
-// NetConfig enables the hardened transport on a run (sim.Config.Net). The
-// zero value of each field selects a sensible default; a nil *NetConfig on
-// the run config keeps the legacy reliable in-process fabric, byte-for-byte
-// transparent to golden tests.
+// NetConfig enables the hardened transport on a run (sim.Config.Net). A nil
+// *NetConfig on the run config keeps the legacy reliable in-process fabric,
+// byte-for-byte transparent to golden tests.
 type NetConfig struct {
 	// Chaos is the link-level fault injector; nil hardens the transport
 	// over lossless links (acks and sequencing still run).
 	Chaos LinkChaos
-	// SuspectAfter is how long a link's oldest unacked frame may go
-	// without ack progress before the link reports its peer suspect, which
-	// aborts the incarnation into recovery.
-	SuspectAfter time.Duration
-	// RTOFloor bounds the retransmission timeout from below (guards
-	// against variance collapse on long-stable links).
-	RTOFloor time.Duration
-	// RTOCap bounds the backed-off retransmission timeout from above.
-	RTOCap time.Duration
-}
-
-func (c NetConfig) withDefaults() NetConfig {
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = defaultSuspectAfter
-	}
-	if c.RTOFloor <= 0 {
-		c.RTOFloor = defaultRTOFloor
-	}
-	if c.RTOCap <= 0 {
-		c.RTOCap = defaultRTOCap
-	}
-	if c.RTOCap < c.RTOFloor {
-		c.RTOCap = c.RTOFloor
-	}
-	return c
 }
 
 // transport is the per-network state of the hardened delivery layer. It
@@ -174,7 +152,7 @@ func (c NetConfig) withDefaults() NetConfig {
 // feeds, created with it, and a control link is created by its first send.
 type transport struct {
 	net      *Network
-	cfg      NetConfig
+	chaos    LinkChaos
 	counters *metrics.Counters
 	obsv     obs.Observer
 
@@ -192,29 +170,6 @@ type frame struct {
 	attempts  int
 }
 
-// framePool recycles frames between ack and next send. Every message the
-// simulator moves allocates one frame on the hardened path, so under a
-// sweep this is a per-message allocation; pooling cuts it to near zero.
-// Frames are returned only after leaving the unacked window, and all
-// transmission paths work on copied (gen, seq, msg, attempt) values — a
-// recycled frame is never reachable from a timer or a delayed delivery.
-var framePool = sync.Pool{New: func() any { return new(frame) }}
-
-// getFrame takes a zeroed frame from the pool.
-func getFrame(seq int, m Message) *frame {
-	f := framePool.Get().(*frame)
-	f.seq = seq
-	f.msg = m
-	f.attempts = 0
-	return f
-}
-
-// putFrame clears payload references and recycles the frame.
-func putFrame(f *frame) {
-	f.msg = Message{}
-	framePool.Put(f)
-}
-
 // link is one directed, sequenced, acknowledged channel (from → to) of one
 // class. Sender state (unacked window, retransmit timer, RTT estimator)
 // and receiver state (resequencing buffer) live on the same struct because
@@ -229,14 +184,15 @@ type link struct {
 	est netestim.Estimator // survives resets: RTT knowledge outlives incarnations
 
 	mu  sync.Mutex
-	gen int // incarnation epoch; stale frames/timers no-op
+	gen int // incarnation epoch; stale frames no-op
 
 	// Sender side.
-	nextSeq int
-	unacked []*frame
-	since   time.Time // last ack progress, or the send that opened the window
-	boShift uint      // backoff doublings since the last ack progress (Karn)
-	timer   *time.Timer
+	nextSeq  int
+	unacked  []frame
+	since    time.Time   // last ack progress, or the send that opened the window
+	boShift  uint        // backoff doublings since the last ack progress (Karn)
+	timer    *time.Timer // the link's one timer: made by its first arm, re-armed with Reset
+	deadline time.Time   // when the armed timer is due; zero while disarmed
 
 	// Receiver side.
 	expect     int
@@ -248,12 +204,12 @@ type link struct {
 // harden installs the transport on a network. Must be called before any
 // channel is created; links appear as pairs start talking.
 func (net *Network) harden(cfg NetConfig, counters *metrics.Counters, obsv obs.Observer) {
-	net.tr = &transport{net: net, cfg: cfg.withDefaults(), counters: counters, obsv: obsv}
+	net.tr = &transport{net: net, chaos: cfg.Chaos, counters: counters, obsv: obsv}
 }
 
 func (t *transport) newLink(class LinkClass, from, to int, dst *channel) *link {
 	lk := &link{t: t, class: class, from: from, to: to, dst: dst}
-	lk.est.SetRTOFloor(t.cfg.RTOFloor)
+	lk.est.SetRTOFloor(rtoFloor)
 	return lk
 }
 
@@ -287,10 +243,10 @@ func (net *Network) watch(onSuspect func(peer int, silence time.Duration)) {
 
 // verdict consults the fault injector; a nil injector delivers everything.
 func (t *transport) verdict(class LinkClass, from, to, seq, attempt int) Verdict {
-	if t.cfg.Chaos == nil {
+	if t.chaos == nil {
 		return Verdict{}
 	}
-	v := t.cfg.Chaos.Verdict(class, from, to, seq, attempt)
+	v := t.chaos.Verdict(class, from, to, seq, attempt)
 	if v.Healed {
 		t.counters.Inc(MetricPartitionHealed, 1)
 	}
@@ -335,46 +291,39 @@ func (lk *link) reset() {
 	lk.mu.Lock()
 	lk.gen++
 	lk.nextSeq = 0
-	for _, f := range lk.unacked {
-		putFrame(f)
-	}
 	clear(lk.unacked)
 	lk.unacked = lk.unacked[:0]
 	lk.boShift = 0
 	lk.expect = 0
 	clear(lk.pending)
 	lk.ackSends = 0
-	if lk.timer != nil {
-		lk.timer.Stop()
-		lk.timer = nil
-	}
+	lk.disarmLocked()
 	lk.mu.Unlock()
 }
 
-// send enqueues one message for reliable in-order delivery.
+// send enqueues one message for reliable in-order delivery. A send that
+// opens the window arms the link's timer; the link's first one makes it.
 func (lk *link) send(m Message) {
+	now := time.Now()
 	lk.mu.Lock()
 	seq := lk.nextSeq
 	lk.nextSeq++
-	f := getFrame(seq, m)
-	f.attempts = 1
-	f.firstSend = time.Now()
-	if len(lk.unacked) == 0 {
-		lk.since = f.firstSend
-	}
-	lk.unacked = append(lk.unacked, f)
+	lk.unacked = append(lk.unacked, frame{seq: seq, msg: m, firstSend: now, attempts: 1})
 	gen := lk.gen
-	if lk.timer == nil {
-		lk.armLocked(gen)
+	if len(lk.unacked) == 1 {
+		lk.since = now
+		if lk.timer == nil {
+			lk.timer = time.AfterFunc(SuspectAfter, lk.onTimeout)
+		}
+		lk.armLocked(now)
 	}
 	lk.mu.Unlock()
 	lk.transmit(gen, seq, m, 0)
 }
 
 // transmit pushes one attempt of a frame through the fault injector. It
-// takes the frame's fields by value, never the frame itself: by the time a
-// delayed delivery or retransmission runs, the frame may have been acked
-// and recycled.
+// takes the frame's fields by value: by the time a delayed delivery or
+// retransmission runs, the frame may have left the window.
 func (lk *link) transmit(gen, seq int, m Message, attempt int) {
 	v := lk.t.verdict(lk.class, lk.from, lk.to, seq, attempt)
 	if v.Drop {
@@ -483,18 +432,14 @@ func (lk *link) ackArrive(gen, cum int) {
 		return
 	}
 	// Slide the window in place: compacting the backing array (instead of
-	// reslicing its head away) keeps its capacity for the life of the
-	// link, and the acked frames go back to the pool.
+	// reslicing its head away) keeps its capacity for the life of the link.
 	acked := 0
-	for acked < len(lk.unacked) && lk.unacked[acked].seq <= cum {
-		f := lk.unacked[acked]
-		acked++
-		if f.attempts == 1 {
+	for ; acked < len(lk.unacked) && lk.unacked[acked].seq <= cum; acked++ {
+		if f := &lk.unacked[acked]; f.attempts == 1 {
 			lk.est.Observe(now.Sub(f.firstSend))
 		} else {
 			lk.est.ObserveAmbiguous() // Karn: retransmitted exchange, no sample
 		}
-		putFrame(f)
 	}
 	if acked > 0 {
 		n := copy(lk.unacked, lk.unacked[acked:])
@@ -502,50 +447,49 @@ func (lk *link) ackArrive(gen, cum int) {
 		lk.unacked = lk.unacked[:n]
 		lk.since = now
 		lk.boShift = 0
-		if len(lk.unacked) == 0 {
-			if lk.timer != nil {
-				lk.timer.Stop()
-				lk.timer = nil
-			}
+		if n == 0 {
+			lk.disarmLocked()
 		} else {
-			lk.armLocked(gen)
+			lk.armLocked(now)
 		}
 	}
 	lk.mu.Unlock()
 }
 
-// rtoLocked derives the current retransmission timeout: the estimator's
-// RFC 6298 bound, doubled per backoff shift, capped by the configured
-// ceiling. Requires lk.mu.
-func (lk *link) rtoLocked() time.Duration {
-	rto, err := lk.est.RTO()
-	if err != nil {
-		rto = lk.t.cfg.RTOFloor // unreachable: the floor is always set
+// armLocked sets the link's timer for the earlier of the oldest unacked
+// frame's jittered, backed-off RTO and the moment its silence reaches
+// SuspectAfter: a silent peer is reported at SuspectAfter, not at the next
+// backoff fire. The RTO is the estimator's RFC 6298 bound, doubled per
+// backoff shift and capped. Requires lk.mu and a timer.
+func (lk *link) armLocked(now time.Time) {
+	rto, _ := lk.est.RTO() // never fails: the floor is set
+	d := lk.t.jitter(min(rto<<lk.boShift, rtoCap))
+	if suspect := lk.since.Add(SuspectAfter).Sub(now); suspect > 0 {
+		d = min(d, suspect)
 	}
-	rto <<= lk.boShift
-	if rto > lk.t.cfg.RTOCap || rto <= 0 {
-		rto = lk.t.cfg.RTOCap
-	}
-	return rto
+	lk.deadline = now.Add(d)
+	lk.timer.Reset(d)
 }
 
-// armLocked (re)arms the retransmit timer for the oldest unacked frame.
-// Requires lk.mu.
-func (lk *link) armLocked(gen int) {
+// disarmLocked stops the link's timer. A fire already under way finds no
+// deadline and does nothing. Requires lk.mu.
+func (lk *link) disarmLocked() {
 	if lk.timer != nil {
 		lk.timer.Stop()
 	}
-	d := lk.t.jitter(lk.rtoLocked())
-	lk.timer = time.AfterFunc(d, func() { lk.onTimeout(gen) })
+	lk.deadline = time.Time{}
 }
 
 // onTimeout retransmits the oldest unacked frame with exponential backoff.
 // If that frame has gone SuspectAfter without ack progress, the link first
 // reports its peer suspect: a silent peer is found by the link waiting on
-// it (DESIGN decision 13).
-func (lk *link) onTimeout(gen int) {
+// it (DESIGN decision 13). A fire before the armed deadline is stale — the
+// link was re-armed or disarmed while it waited for lk.mu — and does
+// nothing.
+func (lk *link) onTimeout() {
+	now := time.Now()
 	lk.mu.Lock()
-	if gen != lk.gen || len(lk.unacked) == 0 {
+	if lk.deadline.IsZero() || now.Before(lk.deadline) {
 		lk.mu.Unlock()
 		return
 	}
@@ -554,15 +498,16 @@ func (lk *link) onTimeout(gen int) {
 		lk.boShift++
 	}
 	// Copy the head frame's fields under the lock: once released, an ack
-	// may recycle the frame, so the retransmission must not touch it.
-	f := lk.unacked[0]
+	// may slide the window, so the retransmission must not touch it.
+	f := &lk.unacked[0]
 	seq, m, attempt := f.seq, f.msg, f.attempts
 	f.attempts++
-	silence := time.Since(lk.since)
-	lk.armLocked(gen)
+	gen := lk.gen
+	silence := now.Sub(lk.since)
+	lk.armLocked(now)
 	lk.mu.Unlock()
 
-	if silence > lk.t.cfg.SuspectAfter {
+	if silence >= SuspectAfter {
 		lk.t.suspect(lk.to, silence)
 	}
 	lk.t.counters.Inc(MetricNetRetransmits, 1)

@@ -60,9 +60,6 @@ func hardenedNet(t *testing.T, n int, cfg NetConfig, obsv obs.Observer) (*Networ
 	t.Helper()
 	net := NewNetwork(n)
 	counters := &metrics.Counters{}
-	if cfg.RTOFloor == 0 {
-		cfg.RTOFloor = time.Millisecond
-	}
 	net.harden(cfg, counters, obsv)
 	t.Cleanup(net.tr.reset)
 	return net, counters
@@ -114,12 +111,7 @@ func TestTransportDeliversUnderFaults(t *testing.T) {
 		return v
 	})
 	res := runOK(t, p, 3, func(c *Config) {
-		c.Net = &NetConfig{
-			Chaos:        lossy,
-			RTOFloor:     time.Millisecond,
-			RTOCap:       20 * time.Millisecond,
-			SuspectAfter: 2 * time.Second, // losses here are transient; never suspect
-		}
+		c.Net = &NetConfig{Chaos: lossy} // losses here are transient; never suspect
 	})
 	if !reflect.DeepEqual(clean.FinalVars, res.FinalVars) {
 		t.Errorf("lossy run diverged:\nclean: %v\ngot:   %v", clean.FinalVars, res.FinalVars)
@@ -201,7 +193,7 @@ func TestKarnRuleNoSamplesFromRetransmits(t *testing.T) {
 	dropFirst := funcChaos(func(class LinkClass, from, to, seq, attempt int) Verdict {
 		return Verdict{Drop: class == LinkData && attempt == 0}
 	})
-	net, counters := hardenedNet(t, 2, NetConfig{Chaos: dropFirst, RTOCap: 5 * time.Millisecond}, nil)
+	net, counters := hardenedNet(t, 2, NetConfig{Chaos: dropFirst}, nil)
 
 	const total = 5
 	for seq := 0; seq < total; seq++ {
@@ -248,7 +240,7 @@ func TestDetectorConvertsPartitionToRecovery(t *testing.T) {
 	p := corpus.JacobiFig1(3)
 	clean := runOK(t, p, 3)
 
-	const window = 150 * time.Millisecond
+	const window = 3 * SuspectAfter / 2
 	var pmu sync.Mutex
 	var epoch time.Time
 	healed := false
@@ -271,12 +263,7 @@ func TestDetectorConvertsPartitionToRecovery(t *testing.T) {
 	})
 	sink := &eventSink{}
 	res := runOK(t, p, 3, func(c *Config) {
-		c.Net = &NetConfig{
-			Chaos:        partition,
-			SuspectAfter: 40 * time.Millisecond,
-			RTOFloor:     time.Millisecond,
-			RTOCap:       20 * time.Millisecond,
-		}
+		c.Net = &NetConfig{Chaos: partition}
 		c.MaxRestarts = 30
 		c.Observer = sink
 	})
@@ -309,7 +296,7 @@ func TestDetectorConvertsPartitionToRecovery(t *testing.T) {
 func TestPartitionBetweenSilentPairCostsNothing(t *testing.T) {
 	p := corpus.JacobiFig1(50) // rank r talks to r-1 and r+1 only
 	clean := runOK(t, p, 4)
-	const suspectAfter, window = 50 * time.Millisecond, 150 * time.Millisecond
+	const window = 3 * SuspectAfter / 2
 	var pmu sync.Mutex
 	var epoch time.Time
 	partition := funcChaos(func(class LinkClass, from, to, seq, attempt int) Verdict {
@@ -322,14 +309,14 @@ func TestPartitionBetweenSilentPairCostsNothing(t *testing.T) {
 		case from == 0 && to == 2 && time.Since(epoch) < window:
 			return Verdict{Drop: true, Partitioned: true}
 		case class == LinkData:
-			return Verdict{Delay: 4 * time.Millisecond}
+			return Verdict{Delay: 8 * time.Millisecond}
 		}
 		return Verdict{}
 	})
 	sink := &eventSink{}
 	start := time.Now()
 	res := runOK(t, p, 4, func(c *Config) {
-		c.Net = &NetConfig{Chaos: partition, SuspectAfter: suspectAfter, RTOFloor: time.Millisecond, RTOCap: 20 * time.Millisecond}
+		c.Net = &NetConfig{Chaos: partition}
 		c.MaxRestarts = 30
 		c.Observer = sink
 	})
@@ -374,7 +361,7 @@ func TestRetransmitEventsTagged(t *testing.T) {
 		return Verdict{Drop: class == LinkData && seq == 0 && attempt == 0}
 	})
 	sink := &eventSink{}
-	net, _ := hardenedNet(t, 2, NetConfig{Chaos: dropFirst, RTOCap: 5 * time.Millisecond}, sink)
+	net, _ := hardenedNet(t, 2, NetConfig{Chaos: dropFirst}, sink)
 	net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: 0, Value: 7})
 	if m, err := net.Recv(0, 1); err != nil || m.Value != 7 {
 		t.Fatalf("Recv = %+v, %v", m, err)
@@ -416,7 +403,7 @@ func TestTransportCountersWired(t *testing.T) {
 				}
 				return Verdict{}
 			})
-			net, counters := hardenedNet(t, 2, NetConfig{Chaos: one, RTOCap: 5 * time.Millisecond}, nil)
+			net, counters := hardenedNet(t, 2, NetConfig{Chaos: one}, nil)
 			net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: 0, Value: 1})
 			if _, err := net.Recv(0, 1); err != nil {
 				t.Fatal(err)
@@ -425,5 +412,93 @@ func TestTransportCountersWired(t *testing.T) {
 				return counters.Snapshot().Custom[tc.metric] == 1
 			})
 		})
+	}
+}
+
+// TestTransportRoundTripAllocs pins BenchmarkTransportRoundTrip's path at
+// zero objects: a frame is a value in the link's window, and the link's one
+// timer is re-armed per message, not made again.
+func TestTransportRoundTripAllocs(t *testing.T) {
+	net, _ := hardenedNet(t, 2, NetConfig{}, nil)
+	seq := 0
+	roundTrip := func() {
+		net.Send(Message{Kind: MsgApp, From: 0, To: 1, Seq: seq, Value: seq})
+		seq++
+		if _, err := net.Recv(0, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // the link, its timer and its window's backing array
+	if got := testing.AllocsPerRun(1000, roundTrip); got != 0 {
+		t.Errorf("a lossless hardened round trip allocates %.2f objects, want 0", got)
+	}
+}
+
+// TestStaleTimerFireDoesNothing: a fire of a link's timer for a deadline a
+// re-arm has since moved retransmits nothing and backs nothing off; the
+// fire for the deadline the link armed does both.
+func TestStaleTimerFireDoesNothing(t *testing.T) {
+	silent := funcChaos(func(LinkClass, int, int, int, int) Verdict { return Verdict{Drop: true} })
+	net, counters := hardenedNet(t, 2, NetConfig{Chaos: silent}, nil)
+	net.Send(Message{Kind: MsgApp, From: 0, To: 1})
+	lk := net.channel(0, 1).lk
+	const shift = maxBackoffShift - 1 // the re-arm's RTO is 2 ms << 5: at least 48 ms out
+	lk.mu.Lock()
+	lk.boShift = shift
+	lk.armLocked(time.Now())
+	lk.mu.Unlock()
+
+	lk.onTimeout() // the fire for the deadline the send armed, arriving late
+	lk.mu.Lock()
+	got := lk.boShift
+	lk.mu.Unlock()
+	if got != shift {
+		t.Errorf("boShift = %d after a stale fire, want %d", got, shift)
+	}
+	for _, name := range []string{MetricNetRetransmits, MetricNetRTOExpired} {
+		if n := counters.Snapshot().Custom[name]; n != 0 {
+			t.Errorf("%s = %d after a stale fire, want 0", name, n)
+		}
+	}
+	waitUntil(t, time.Second, "the armed deadline's fire", func() bool {
+		return counters.Snapshot().Custom[MetricNetRetransmits] >= 1
+	})
+}
+
+// TestSilentPeerSuspectedAtSuspectAfter: a link whose peer stops acking
+// reports it, with the silence it saw, once its oldest frame has gone
+// SuspectAfter unacked. Each link has seen a 50 ms round trip, so its RTO
+// is 150 ms: the first fire (112–188 ms) comes before SuspectAfter and the
+// backed-off one after it would come at 262 ms or later. The slack covers
+// timer latency on a loaded machine.
+func TestSilentPeerSuspectedAtSuspectAfter(t *testing.T) {
+	const slack = 30 * time.Millisecond
+	silent := funcChaos(func(LinkClass, int, int, int, int) Verdict { return Verdict{Drop: true} })
+	net, _ := hardenedNet(t, 5, NetConfig{Chaos: silent}, nil)
+	var mu sync.Mutex
+	first := map[int]time.Duration{} // peer → silence at its first report
+	net.watch(func(peer int, silence time.Duration) {
+		mu.Lock()
+		defer mu.Unlock()
+		if _, ok := first[peer]; !ok {
+			first[peer] = silence
+		}
+	})
+	t.Cleanup(func() { net.watch(nil) })
+	for to := 1; to < 5; to++ {
+		net.channel(0, to).lk.est.Observe(50 * time.Millisecond) // RTO = 50 + 4·25 ms
+		net.Send(Message{Kind: MsgApp, From: 0, To: to})
+	}
+	waitUntil(t, 2*time.Second, "every silent peer reported", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(first) == 4
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	for peer, silence := range first {
+		if silence < SuspectAfter || silence > SuspectAfter+slack {
+			t.Errorf("peer %d reported after %v of silence, want %v to %v", peer, silence, SuspectAfter, SuspectAfter+slack)
+		}
 	}
 }

@@ -106,9 +106,10 @@ func TestNetChaosSoak(t *testing.T) {
 			// The window opens at the epoch: the program is small enough to
 			// finish in single-digit milliseconds, so a late-opening window
 			// would never bite. An immediate one forces the detector to
-			// convert the silence into restarts until the heal.
+			// convert the silence into restarts until the heal; at 1.5 ×
+			// SuspectAfter it outlasts every seed's first report.
 			parts: []chaos.Partition{
-				{From: 0, To: 1, Start: 0, Dur: 150 * time.Millisecond},
+				{From: 0, To: 1, Start: 0, Dur: 3 * sim.SuspectAfter / 2},
 			},
 			wantMetrics: []string{sim.MetricHBSuspects, sim.MetricPartitionHealed},
 		},
@@ -134,22 +135,10 @@ func TestNetChaosSoak(t *testing.T) {
 						t.Parallel()
 						rec := obs.NewRecorder()
 						inj := chaos.NewNetwork(seed, prof.rates, prof.parts, rec)
-						netCfg := &sim.NetConfig{
-							Chaos:    inj,
-							RTOFloor: time.Millisecond,
-							RTOCap:   50 * time.Millisecond,
-							// Loss profiles are transient: never suspect. The
-							// partition profile must suspect quickly so unhealed
-							// silence converts to recovery instead of a deadlock.
-							SuspectAfter: 2 * time.Second,
-						}
-						if len(prof.parts) > 0 {
-							netCfg.SuspectAfter = 30 * time.Millisecond
-						}
 						res, err := sim.Run(sim.Config{
 							Program:     prog,
 							Nproc:       n,
-							Net:         netCfg,
+							Net:         &sim.NetConfig{Chaos: inj},
 							Observer:    rec,
 							Jitter:      seed,
 							MaxRestarts: 40,

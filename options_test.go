@@ -13,7 +13,7 @@ import (
 // maxOptions bounds the exported fields of the library's config structs. An
 // option exists only while two non-test callers set it differently; a test
 // re-tunes a constant by its input or through a fake (DESIGN decision 19).
-const maxOptions = 53
+const maxOptions = 49
 
 // TestOptionSurface counts the exported fields of sim.Config, sim.NetConfig,
 // fleet.Config, fleet.BreakerConfig, telemetry.Config and core.Config, and

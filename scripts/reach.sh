@@ -103,8 +103,9 @@ done
 quiet "$SIM" -n 4 -transform -no-prune -seed 3 -crash-rate 2.5 -storage-fault-rate 0.3 "$PROG"
 # The uncoordinated walk over checkpoints that fail to load: it skips them.
 quiet "$SIM" -n 4 -transform -protocol uncoord -seed 4 -storage-fault-rate 0.3 -fail 1:9 -fail 2:14 "$PROG"
-# The partition outlasts the default SuspectAfter (200 ms): the link 0->1
-# reports rank 1 silent, and the run goes through suspect -> rollback.
+# The partition outlasts sim.SuspectAfter (200 ms): the link 0->1 reports
+# rank 1 silent at 200-201 ms, and the run goes through suspect -> rollback
+# (restarts=2 at seeds 1-3 and 7: the window outlasts a second detection).
 "$SIM" -n 4 -transform -seed 7 -net-fault-rate 0.2 -net-partition '0>1@0ms+400ms' "$PROG" >"$TMP/part.out" 2>&1 ||
     { echo "reach: exit $? from: $SIM -net-partition" >&2; exit 1; }
 grep -q ' restarts=[1-9]' "$TMP/part.out" || { echo 'reach: chkptsim -net-partition restarted nothing' >&2; exit 1; }
