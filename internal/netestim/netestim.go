@@ -37,9 +37,8 @@ type Estimator struct {
 var ErrNoSamples = errors.New("netestim: no samples observed yet")
 
 // Observe feeds one RTT sample. Following Karn's rule, callers must not
-// feed samples from ambiguous (retransmitted) exchanges; ObserveAmbiguous
-// exists to document such discards. Non-positive samples are ignored: a
-// zero RTT is always a measurement artifact.
+// feed samples from ambiguous (retransmitted) exchanges. Non-positive
+// samples are ignored: a zero RTT is always a measurement artifact.
 func (e *Estimator) Observe(sample time.Duration) {
 	if sample <= 0 {
 		return
@@ -58,13 +57,6 @@ func (e *Estimator) Observe(sample time.Duration) {
 		e.srtt = time.Duration((1-alpha)*float64(e.srtt) + alpha*float64(sample))
 	}
 	e.samples++
-}
-
-// ObserveAmbiguous records that a sample was discarded under Karn's rule.
-// It never changes the estimate.
-func (e *Estimator) ObserveAmbiguous() {
-	// Intentionally empty: the method exists so call sites show the
-	// discard decision explicitly.
 }
 
 // RTT returns the smoothed round-trip estimate.

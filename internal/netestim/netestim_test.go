@@ -61,7 +61,6 @@ func TestIgnoresNonPositiveSamples(t *testing.T) {
 		t.Fatalf("non-positive samples were accepted: RTT err = %v", err)
 	}
 	e.Observe(time.Millisecond)
-	e.ObserveAmbiguous()
 	if rtt, err := e.RTT(); err != nil || rtt != time.Millisecond {
 		t.Fatalf("RTT = %v, %v; want the one sample, 1ms", rtt, err)
 	}
@@ -92,8 +91,7 @@ func TestQuickEstimateWithinSampleRange(t *testing.T) {
 }
 
 // TestRTOTable pins the RTO accessor's RFC 6298 form across floor
-// configurations, Karn's rule under retransmission, and variance collapse
-// after long stability.
+// configurations and variance collapse after long stability.
 func TestRTOTable(t *testing.T) {
 	const ms = time.Millisecond
 	cases := []struct {
@@ -117,19 +115,6 @@ func TestRTOTable(t *testing.T) {
 		{
 			name: "first sample: srtt + 4*(srtt/2)",
 			feed: func(e *Estimator) { e.Observe(10 * ms) },
-			want: 30 * ms,
-		},
-		{
-			name:  "karn: ambiguous retransmitted exchanges never move the estimate",
-			floor: 1 * ms,
-			feed: func(e *Estimator) {
-				e.Observe(10 * ms)
-				for i := 0; i < 50; i++ {
-					// The wire saw 500 ms round trips on retransmitted
-					// frames; Karn's rule discards every one of them.
-					e.ObserveAmbiguous()
-				}
-			},
 			want: 30 * ms,
 		},
 		{

@@ -28,15 +28,11 @@ import (
 
 	"repro/internal/cfg"
 	"repro/internal/insert"
-	"repro/internal/match"
 	"repro/internal/mpl"
 )
 
 // Options configures Phase III.
 type Options struct {
-	// Match configures Phase II (the matcher runs once per call, on the
-	// program's skeleton).
-	Match match.Options
 	// PreserveLoops keeps checkpoints inside loops when every violating
 	// path crosses a loop boundary (back edge), recording an ordering
 	// constraint instead of moving.

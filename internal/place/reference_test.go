@@ -46,7 +46,7 @@ func refAnalyze(p *mpl.Program, df *dataflow.Result, opts Options) (*refAnalysis
 	if err != nil {
 		return nil, err
 	}
-	ext, err := match.Match(p, g, df, opts.Match)
+	ext, err := match.Match(p, g, df, match.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -68,10 +68,8 @@ func newSkeleton(p *mpl.Program, opts Options) (*skeleton, error) {
 	if err != nil {
 		return nil, err
 	}
-	mopts := opts.Match
-	mopts.Arena = opts.Arena
 	df := dataflow.Analyze(p)
-	ext, err := match.Match(p, g, df, mopts)
+	ext, err := match.Match(p, g, df, match.Options{Arena: opts.Arena})
 	if err != nil {
 		return nil, err
 	}

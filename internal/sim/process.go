@@ -288,7 +288,6 @@ func (p *Proc) takeCheckpoint(idx int, manifest []string, label string) error {
 		Peers:     p.row,
 		Instances: p.instances,
 		VTime:     p.vtime,
-		Manifest:  manifest,
 	}
 	saveStart := stdtime.Now()
 	if err := p.store.Save(snap); err != nil {

@@ -435,10 +435,9 @@ func (lk *link) ackArrive(gen, cum int) {
 	// reslicing its head away) keeps its capacity for the life of the link.
 	acked := 0
 	for ; acked < len(lk.unacked) && lk.unacked[acked].seq <= cum; acked++ {
+		// Karn: a retransmitted exchange gives no sample.
 		if f := &lk.unacked[acked]; f.attempts == 1 {
 			lk.est.Observe(now.Sub(f.firstSend))
-		} else {
-			lk.est.ObserveAmbiguous() // Karn: retransmitted exchange, no sample
 		}
 	}
 	if acked > 0 {

@@ -31,21 +31,26 @@ import (
 //	uv    entries    then (uv peer delta, sv sent, sv recvd) per Peers entry
 //	len   Instances  then (sv index, sv count) per entry, indexes ascending
 //	u64   VTime      IEEE-754 bits, big-endian
-//	len   Manifest   then str per name
+//	byte  0          the empty manifest run
 //
 // A peer delta is the peer less the previous entry's (0 for the first). Version 1, read only, had instead two dense rows (len,
 // then sv per peer), sent and received: N is the wider's width.
 //
+// Older bodies of both versions may end in a manifest instead, a len then a
+// str per name: the variables a pruned save kept. It is read and dropped.
+// The compiler's sim.Code.Manifests owns that list, and a restart needs none:
+// it zeroes every declared variable and overlays Vars.
+//
 // Names, indexes and peers ascend and every varint is minimal, so the bytes
 // are a deterministic function of the snapshot (the incremental store's
-// checksum depends on that) and exactly one body decodes to any given one
-// whose Peers are a Row.
+// checksum depends on that) and exactly one manifest-free body decodes to
+// any given one whose Peers are a Row.
 const snapshotVersion = 2
 
 // AppendSnapshot appends the body of s to dst and returns the extended
 // slice. It allocates nothing when dst has room and s holds at most
 // sortScratch variables and instance counters. The body is three runs — head
-// (version … Clock), variables, tail (PC … Manifest) — so that the
+// (version … Clock), variables, tail (PC … manifest run) — so that the
 // incremental store, which keeps variables apart from the rest, can put a
 // body together again around a reconstructed variable map.
 func AppendSnapshot(dst []byte, s Snapshot) []byte {
@@ -103,12 +108,7 @@ func appendTail(dst []byte, s Snapshot) []byte {
 	}
 
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(s.VTime))
-
-	dst = appendLen(dst, len(s.Manifest), s.Manifest == nil)
-	for _, name := range s.Manifest {
-		dst = appendString(dst, name)
-	}
-	return dst
+	return append(dst, 0) // no manifest
 }
 
 // sortScratch is how many map keys AppendSnapshot sorts on its own stack.
@@ -178,12 +178,7 @@ func DecodeSnapshot(body []byte) (Snapshot, error) {
 		s.VTime = math.Float64frombits(binary.BigEndian.Uint64(d.rest))
 		d.rest = d.rest[8:]
 	}
-	if n, ok := d.count(1); ok {
-		s.Manifest = make([]string, n)
-		for i := range s.Manifest {
-			s.Manifest[i] = d.str()
-		}
-	}
+	d.skipManifest()
 	if d.err == nil && len(d.rest) != 0 {
 		d.fail(fmt.Sprintf("%d trailing bytes", len(d.rest)))
 	}
@@ -242,6 +237,14 @@ func (d *decoder) str() string {
 	off := len(d.text) - len(d.rest)
 	d.rest = d.rest[n:]
 	return d.text[off : off+n]
+}
+
+// skipManifest reads the manifest run an older body may carry and drops it.
+func (d *decoder) skipManifest() {
+	n, _ := d.count(1)
+	for range n {
+		d.str()
+	}
 }
 
 // strLen reads a string's byte count, checked against what remains.

@@ -33,26 +33,33 @@ var (
 		Peers:     Row{{0, 1, 0}, {2, 2, 1}},
 		Instances: map[int]int{1: 4, 2: 3},
 		VTime:     1.25,
-		Manifest:  []string{"iter", "x"},
 	}
 )
 
+// manifestCarrying is goldenPruned as the encoder wrote it while a pruned
+// save named its live variables: version 2, ending in the manifest run
+// (iter, x) where the encoder now writes a single 0.
+const manifestCarrying = "02000408040409000304697465720401780e03733132060200020002040203020804063ff40000000000000304697465720178"
+
 // The snapshot body is a persistent format: its bytes are pinned, so a
 // change to them is a decision (a new version byte), not an accident. The
-// version 1 bytes of the same snapshots, which no encoder writes any more,
-// still decode to them.
+// older bodies of the same snapshots, which no encoder writes any more,
+// still decode to them and re-encode to their bytes: version 1's, and the
+// version 2 body a pruned save wrote while it carried its manifest, which
+// the decoder drops.
 func TestEncodeSnapshotGolden(t *testing.T) {
 	tests := []struct {
-		name     string
-		snap     Snapshot
-		want, v1 string
+		name  string
+		snap  Snapshot
+		want  string
+		older []string
 	}{
 		{"full", goldenFull,
 			"02020406040409000404697465720401780e01790103733132060200020002040203020804063ff400000000000000",
-			"01020406040409000404697465720401780e01790103733132040200040400000203020804063ff400000000000000"},
-		{"manifest-carrying", goldenPruned,
-			"02000408040409000304697465720401780e03733132060200020002040203020804063ff40000000000000304697465720178",
-			"01000408040409000304697465720401780e03733132040200040400000203020804063ff40000000000000304697465720178"},
+			[]string{"01020406040409000404697465720401780e01790103733132040200040400000203020804063ff400000000000000"}},
+		{"pruned", goldenPruned,
+			"02000408040409000304697465720401780e03733132060200020002040203020804063ff400000000000000",
+			[]string{"01000408040409000304697465720401780e03733132040200040400000203020804063ff40000000000000304697465720178", manifestCarrying}},
 	}
 	for _, tt := range tests {
 		body := AppendSnapshot(nil, tt.snap)
@@ -63,9 +70,14 @@ func TestEncodeSnapshotGolden(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(back, tt.snap) {
 			t.Errorf("%s: round trip = %+v, %v", tt.name, back, err)
 		}
-		v1, _ := hex.DecodeString(tt.v1)
-		if back, err := DecodeSnapshot(v1); err != nil || !reflect.DeepEqual(back, tt.snap) {
-			t.Errorf("%s: version 1 body decodes to %+v, %v", tt.name, back, err)
+		for _, h := range tt.older {
+			old, _ := hex.DecodeString(h)
+			back, err := DecodeSnapshot(old)
+			if err != nil || !reflect.DeepEqual(back, tt.snap) {
+				t.Errorf("%s: version %d body %s decodes to %+v, %v", tt.name, old[0], h, back, err)
+			} else if again := hex.EncodeToString(AppendSnapshot(nil, back)); again != tt.want {
+				t.Errorf("%s: version %d body %s re-encodes to %s", tt.name, old[0], h, again)
+			}
 		}
 	}
 }
@@ -142,10 +154,10 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}{
 		{"zero value: every slice and map nil", Snapshot{}},
 		{"every slice and map empty, 0-width clock", Snapshot{
-			Clock: vclock.VC{}, Vars: map[string]int{}, Instances: map[int]int{}, Manifest: []string{},
+			Clock: vclock.VC{}, Vars: map[string]int{}, Instances: map[int]int{},
 		}},
 		{"two peers of 1024", Snapshot{N: 1024, Peers: Row{{Peer: 511, Sent: 3, Recvd: 3}, {Peer: 1023, Sent: 1}}}},
-		{"nil Vars under an empty manifest", Snapshot{Clock: vclock.VC{1}, Manifest: []string{}}},
+		{"nil Vars beside a clock", Snapshot{Clock: vclock.VC{1}}},
 		{"negative values", Snapshot{
 			Proc: -1, CFGIndex: -2, Instance: -3,
 			Vars: map[string]int{"a": math.MinInt64, "b": -1, "c": math.MaxInt64},
@@ -158,11 +170,10 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 			Vars: many, Instances: manyInst, PC: "s300",
 		}},
 		{"names that are not identifiers", Snapshot{
-			Vars: map[string]int{"": 1, "reduce$tmp": 2, "\x00\xff": 3}, PC: "",
-			Manifest: []string{"", "é", "reduce$tmp"},
+			Vars: map[string]int{"": 1, "reduce$tmp": 2, "\x00\xff": 3}, PC: "é",
 		}},
 		{"full", goldenFull},
-		{"manifest-carrying", goldenPruned},
+		{"pruned", goldenPruned},
 	}
 	for _, tt := range tests {
 		body := AppendSnapshot(nil, tt.snap)
@@ -194,22 +205,23 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 
 // Every proper prefix of a body, a body with bytes after it, and a body of
 // another version fail to decode: an error and a zero Snapshot, never a
-// panic or a half-filled one.
+// panic or a half-filled one. That holds for a body that carries a manifest
+// too, cut inside its manifest run or before it.
 func TestDecodeSnapshotRejectsDamage(t *testing.T) {
-	for _, snap := range []Snapshot{goldenFull, goldenPruned, {}} {
-		body := AppendSnapshot(nil, snap)
+	carrying, _ := hex.DecodeString(manifestCarrying)
+	for i, body := range [][]byte{AppendSnapshot(nil, goldenFull), AppendSnapshot(nil, goldenPruned), AppendSnapshot(nil, Snapshot{}), carrying} {
 		for cut := 0; cut < len(body); cut++ {
 			if got, err := DecodeSnapshot(body[:cut]); err == nil || !reflect.DeepEqual(got, Snapshot{}) {
-				t.Fatalf("%v truncated to %d of %d bytes decoded: %+v, %v", snap.Key(), cut, len(body), got, err)
+				t.Fatalf("body %d truncated to %d of %d bytes decoded: %+v, %v", i, cut, len(body), got, err)
 			}
 		}
 		if got, err := DecodeSnapshot(append(body[:len(body):len(body)], 0)); err == nil || !reflect.DeepEqual(got, Snapshot{}) {
-			t.Errorf("%v with a trailing byte decoded: %+v, %v", snap.Key(), got, err)
+			t.Errorf("body %d with a trailing byte decoded: %+v, %v", i, got, err)
 		}
 		for _, version := range []byte{0, snapshotVersion + 1, '{'} {
 			bad := append([]byte{version}, body[1:]...)
 			if got, err := DecodeSnapshot(bad); err == nil || !reflect.DeepEqual(got, Snapshot{}) {
-				t.Errorf("%v with version byte %#x decoded: %+v, %v", snap.Key(), version, got, err)
+				t.Errorf("body %d with version byte %#x decoded: %+v, %v", i, version, got, err)
 			}
 		}
 	}
@@ -269,7 +281,8 @@ func TestAppendSnapshotIntoReusedBufferDoesNotAllocate(t *testing.T) {
 }
 
 // fuzzSnapshot builds a snapshot from fuzz inputs: blob feeds every number,
-// names every string, and shape decides which slices and maps are nil.
+// names every string, and shape's bits 1 to 16 decide which slices and maps
+// are nil; its other bits are unused.
 func fuzzSnapshot(blob []byte, names string, shape uint8, vtime float64) Snapshot {
 	next := func() int {
 		if len(blob) == 0 {
@@ -315,25 +328,32 @@ func fuzzSnapshot(blob []byte, names string, shape uint8, vtime float64) Snapsho
 			s.Instances[next()] = next()
 		}
 	}
-	if shape&32 != 0 {
-		s.Manifest = make([]string, n)
-		for i := range s.Manifest {
-			s.Manifest[i] = name()
-		}
-	}
 	return s
+}
+
+// sameSnapshot is reflect.DeepEqual but for VTime, which it compares by
+// its bits: a body can carry a NaN, and the codec keeps it bit for bit.
+func sameSnapshot(a, b Snapshot) bool {
+	if math.Float64bits(a.VTime) != math.Float64bits(b.VTime) {
+		return false
+	}
+	a.VTime, b.VTime = 0, 0
+	return reflect.DeepEqual(a, b)
 }
 
 // FuzzSnapshotCodec holds the codec to its three promises on any input:
 // decode(encode(s)) == s for any snapshot; decoding arbitrary bytes never
 // panics and never allocates more than a constant factor of the body's
-// length; and a body that decodes is the one body its snapshot encodes to —
-// or, of version 1, one that decodes as its version 2 re-encoding does.
+// length; and a body that decodes is the one body its snapshot encodes to
+// but for the manifest run an older encoder wrote — or, of version 1, one
+// that decodes as its version 2 re-encoding does.
 // Run with `go test -fuzz FuzzSnapshotCodec ./internal/storage`; the
 // committed corpus under testdata/fuzz runs under plain `go test`.
 func FuzzSnapshotCodec(f *testing.F) {
 	f.Add(AppendSnapshot(nil, goldenFull), "xiterys12", uint8(0xff), 1.25)
 	f.Add(AppendSnapshot(nil, goldenPruned), "", uint8(0), 0.0)
+	carrying, _ := hex.DecodeString(manifestCarrying)
+	f.Add(carrying, "iterx", uint8(2), 0.0)
 	f.Add(AppendSnapshot(nil, Snapshot{}), "a", uint8(2), math.Inf(-1))
 	f.Add([]byte(`{"proc":1,"cfgIndex":2,"instance":3}`), "reduce$tmp", uint8(0x2a), -0.0)
 	f.Add([]byte{snapshotVersion, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}, "names", uint8(0x15), 1e300)
@@ -373,10 +393,16 @@ func FuzzSnapshotCodec(f *testing.F) {
 			return
 		}
 		again := AppendSnapshot(nil, got)
-		if blob[0] == snapshotVersion && !bytes.Equal(again, blob) {
-			t.Fatalf("encode(decode(b)) = %x\nb = %x", again, blob)
+		if blob[0] == snapshotVersion {
+			// encode(decode(b)) is b with its manifest run, the last, emptied.
+			cut := min(len(again)-1, len(blob))
+			d := decoder{text: string(blob[cut:]), rest: blob[cut:]}
+			d.skipManifest()
+			if !bytes.Equal(again[:cut], blob[:cut]) || again[cut] != 0 || d.err != nil || len(d.rest) != 0 {
+				t.Fatalf("encode(decode(b)) = %x\nb = %x", again, blob)
+			}
 		}
-		if back, err := DecodeSnapshot(again); err != nil || !reflect.DeepEqual(back, got) {
+		if back, err := DecodeSnapshot(again); err != nil || !sameSnapshot(back, got) {
 			t.Fatalf("version %d body: its re-encoding decodes to %+v, %v\nwant %+v", blob[0], back, err, got)
 		}
 
@@ -386,7 +412,7 @@ func FuzzSnapshotCodec(f *testing.F) {
 var codecSink Snapshot
 
 // BenchmarkSnapshotCodec is the codec alone: encode into a reused buffer,
-// decode from a fixed body, for the full and the manifest-pruned shape of
+// decode from a fixed body, for the full and the liveness-pruned shape of
 // BenchmarkSaveBytesPruned.
 func BenchmarkSnapshotCodec(b *testing.B) {
 	full := Snapshot{
@@ -398,7 +424,6 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 		PC: "s1000000",
 	}
 	pruned := full
-	pruned.Manifest = []string{"acc", "halo_l", "halo_r", "iter"}
 	pruned.Vars = map[string]int{"acc": 1_000_000, "halo_l": 1_000_000, "halo_r": 1_000_001, "iter": 1_000_000}
 	for _, shape := range []struct {
 		name string

@@ -1,5 +1,7 @@
 package storage
 
+import "encoding/binary"
+
 // MemoryPageSize is the size of a Memory page, for tests that place bodies
 // against page boundaries.
 const MemoryPageSize = memPage
@@ -17,11 +19,18 @@ func MemoryPage(m *Memory, k Key) int {
 	return -1
 }
 
-// MemoryPages returns how many pages m has ever made.
-func MemoryPages(m *Memory) int {
+// MemoryKeptBytes returns the bytes of the bodies m's index refers to,
+// each behind its length prefix: what packing every page would keep.
+func MemoryKeptBytes(m *Memory) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.pages)
+	n := 0
+	m.bodies.RangeAll(func(_ Key, r bodyRef) bool {
+		size, w := binary.Uvarint(m.pages[r.page][r.off:])
+		n += w + int(size)
+		return true
+	})
+	return n
 }
 
 // MemoryRetaining is a Memory whose saves keep the newest D complete

@@ -80,7 +80,7 @@ type record struct {
 	// computed at save time and re-verified on every reconstruction.
 	crc uint32
 	// frame is the body without its variable run: head (version … Clock),
-	// of length head, then tail (PC … Manifest).
+	// of length head, then tail (PC … the empty manifest run).
 	frame []byte
 	head  int
 	// vars holds every variable of a full record and the changed or new

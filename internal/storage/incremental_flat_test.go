@@ -144,8 +144,8 @@ func (d *diffRun) save(proc int) {
 		s.Vars = map[string]int{}
 	case 2, 3, 4, 5:
 		// Pruned to the site's manifest, as takeCheckpoint does.
-		s.Manifest, s.Vars = diffSites[index], map[string]int{}
-		for _, name := range s.Manifest {
+		s.Vars = map[string]int{}
+		for _, name := range diffSites[index] {
 			if v, ok := d.env[proc][name]; ok {
 				s.Vars[name] = v
 			}
@@ -160,7 +160,7 @@ func (d *diffRun) save(proc int) {
 		}
 		s.Instances = map[int]int{index: s.Instance + 1, 7: d.rng.Intn(3)}
 	}
-	d.log = append(d.log, fmt.Sprintf("Save %s, %d vars (nil %v), manifest %v", s.Key(), len(s.Vars), s.Vars == nil, s.Manifest))
+	d.log = append(d.log, fmt.Sprintf("Save %s, %d vars (nil %v)", s.Key(), len(s.Vars), s.Vars == nil))
 	d.sameErr(d.flat.Save(s), d.ref.Save(s))
 }
 

@@ -28,7 +28,6 @@ func refCloneWithVars(s Snapshot, vars map[string]int) Snapshot {
 	c.Vars = vars
 	c.Peers = slices.Clone(s.Peers)
 	c.Instances = maps.Clone(s.Instances)
-	c.Manifest = slices.Clone(s.Manifest)
 	return c
 }
 

@@ -57,7 +57,6 @@ func lendSnap(instance int) storage.Snapshot {
 		Peers:     storage.Row{{Peer: 0, Sent: instance + 1}, {Peer: 1, Recvd: instance + 1}, {Peer: 2, Sent: 2, Recvd: 1}, {Peer: 3, Sent: 1, Recvd: 1}},
 		Instances: map[int]int{1: 5, 2: instance + 1},
 		VTime:     0.5 * float64(instance),
-		Manifest:  []string{"iter", "x", "y"},
 	}
 }
 
@@ -78,9 +77,6 @@ func scribble(s storage.Snapshot) {
 		s.Instances[k] = -3
 	}
 	s.Instances[99] = 1
-	for i := range s.Manifest {
-		s.Manifest[i] = "scribbled"
-	}
 }
 
 // Store.Save borrows its argument and reads return private copies: the

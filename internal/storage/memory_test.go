@@ -14,15 +14,13 @@ import (
 	"repro/internal/vclock"
 )
 
-// manyVars builds an environment of n variables and the manifest naming
-// them.
-func manyVars(n int) (map[string]int, []string) {
-	vars, manifest := make(map[string]int, n), make([]string, n)
-	for i := range manifest {
-		manifest[i] = fmt.Sprintf("variable_%05d", i)
-		vars[manifest[i]] = i - n/2
+// manyVars builds an environment of n variables.
+func manyVars(n int) map[string]int {
+	vars := make(map[string]int, n)
+	for i := range n {
+		vars[fmt.Sprintf("variable_%05d", i)] = i - n/2
 	}
-	return vars, manifest
+	return vars
 }
 
 // scribbleOver is scribble for any snapshot: the zero value has no map to
@@ -79,31 +77,31 @@ func TestMemoryRetainsExactlyWhatWasSaved(t *testing.T) {
 		page, next int // where it lands, and the neighbour saved after it
 	}
 	cases := map[string]shape{
-		"full": {func() storage.Snapshot {
+		"full": {func() storage.Snapshot { return lendSnap(0) }, 0, 0},
+		"pruned": {func() storage.Snapshot {
 			s := lendSnap(0)
-			s.Manifest = nil
+			delete(s.Vars, "y")
 			return s
 		}, 0, 0},
-		"pruned":     {func() storage.Snapshot { return lendSnap(0) }, 0, 0},
 		"zero value": {func() storage.Snapshot { return storage.Snapshot{} }, 0, 0},
 		"empty, not nil": {func() storage.Snapshot {
-			return storage.Snapshot{Clock: vclock.VC{}, Vars: map[string]int{}, Instances: map[int]int{}, Manifest: []string{}}
+			return storage.Snapshot{Clock: vclock.VC{}, Vars: map[string]int{}, Instances: map[int]int{}}
 		}, 0, 0},
 		"fills the room left": {func() storage.Snapshot { return framedAs(room) }, 0, 1},
 		// It leaves one byte less than the first neighbour took, and the
 		// neighbour after it is as large: that one starts a page too.
 		"one byte over the room": {func() storage.Snapshot { return framedAs(room + 1) }, 1, 2},
 		"a byte over a page":     {func() storage.Snapshot { return framedAs(page + 1) }, 1, 2},
-		// ~6 KB.
+		// ~3 KB.
 		"200 variables": {func() storage.Snapshot {
 			s := lendSnap(0)
-			s.Vars, s.Manifest = manyVars(200)
+			s.Vars = manyVars(200)
 			return s
 		}, 1, 2},
-		// ~90 KB: twenty pages' worth.
+		// ~50 KB: fifty pages' worth.
 		"larger than a page": {func() storage.Snapshot {
 			s := lendSnap(0)
-			s.Vars, s.Manifest = manyVars(3000)
+			s.Vars = manyVars(3000)
 			return s
 		}, 1, 2},
 	}

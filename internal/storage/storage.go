@@ -48,12 +48,6 @@ type Snapshot struct {
 	// VTime is the process's virtual clock at checkpoint time (0 when
 	// virtual-time accounting is off).
 	VTime float64
-	// Manifest, when non-nil, records that Vars was pruned to exactly these
-	// live variables (sorted); every other variable restores to its declared
-	// initial value. nil means a full, unpruned environment. The manifest
-	// travels inside the snapshot, so it is covered by the same CRC as the
-	// payload it describes.
-	Manifest []string
 }
 
 // PeerSeq counts the messages a process had sent to Peer and received from it.

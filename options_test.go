@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"os"
 	"reflect"
 	"testing"
 
@@ -31,5 +32,28 @@ func TestOptionSurface(t *testing.T) {
 	t.Logf("options %d", n)
 	if n > maxOptions {
 		t.Errorf("the config structs have %d exported fields, more than %d", n, maxOptions)
+	}
+}
+
+// docFiles are the documents ROADMAP's "Docs do not grow" rule holds to
+// maxDocBytes together; a PR that adds to them cuts as much elsewhere.
+var docFiles = []string{"DESIGN.md", "EXPERIMENTS.md", "TESTING.md", "README.md"}
+
+const maxDocBytes = 264032
+
+// TestDocsDoNotGrow fails when docFiles total more than maxDocBytes.
+// scripts/loc.sh prints the same total as "docs".
+func TestDocsDoNotGrow(t *testing.T) {
+	n := 0
+	for _, f := range docFiles {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += len(b)
+	}
+	t.Logf("docs %d", n)
+	if n > maxDocBytes {
+		t.Errorf("%v total %d bytes, more than %d", docFiles, n, maxDocBytes)
 	}
 }

@@ -60,12 +60,11 @@ func BenchmarkStoreAggregateSave(b *testing.B) {
 // process whose environment holds 12 variables of which only 4 are live at
 // the checkpoint site (the grid interior was folded into halos and
 // accumulators before the site). The pruned variant is exactly what
-// sim's runtime persists for an application checkpoint: manifest variables
-// only, with the manifest recorded inside the snapshot.
+// sim's runtime persists for an application checkpoint: the site's
+// manifest variables only.
 func pruneBenchSnap(proc, instance int, pruned bool) storage.Snapshot {
 	clk := vclock.New(4)
 	clk[0] = uint64(instance + 1)
-	manifest := []string{"acc", "halo_l", "halo_r", "iter"}
 	vars := map[string]int{
 		"acc": proc + instance, "halo_l": instance, "halo_r": instance + 1, "iter": instance,
 	}
@@ -75,7 +74,7 @@ func pruneBenchSnap(proc, instance int, pruned bool) storage.Snapshot {
 		PC:    fmt.Sprintf("s%d", instance),
 	}
 	if pruned {
-		s.Vars, s.Manifest = vars, manifest
+		s.Vars = vars
 		return s
 	}
 	for i := 0; i < 8; i++ {

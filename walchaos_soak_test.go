@@ -44,9 +44,9 @@ type walKey struct{ proc, index, instance int }
 // proc, ord/8 the index), so checks can recompute per-key lane choices.
 func walOrd(k walKey) int { return k.index*8 + k.proc }
 
-// walPruned selects the liveness-pruned lane: every third ordinal writes a
-// manifest-carrying snapshot, the shape the runtime persists for
-// application checkpoints.
+// walPruned selects the liveness-pruned lane: every third ordinal saves only
+// the live variable v, the shape the runtime persists for application
+// checkpoints; the full lane saves a dead variable beside it.
 func walPruned(ord int) bool { return ord%3 == 2 }
 
 func walSnap(k walKey, val int) storage.Snapshot {
@@ -58,8 +58,8 @@ func walSnap(k walKey, val int) storage.Snapshot {
 		Vars:  map[string]int{"v": val},
 		PC:    fmt.Sprintf("pc%d", val),
 	}
-	if walPruned(walOrd(k)) {
-		s.Manifest = []string{"v"}
+	if !walPruned(walOrd(k)) {
+		s.Vars["dead"] = -val
 	}
 	return s
 }
@@ -229,12 +229,16 @@ func (l *walLedger) verify(t *testing.T, w *wal.Store, seed int64, round int) []
 				t.Fatalf("seed %d round %d: acked save %v recovered with WRONG contents: got v=%d want %d",
 					seed, round, k, s.Vars["v"], want)
 			}
-			// Pruned-lane oracle: an acked pruned checkpoint must keep its
-			// manifest (it is inside the CRC'd payload) and every live
-			// variable — the v check above — across crash and reopen.
-			if pruned := walPruned(walOrd(k)); pruned != (len(s.Manifest) == 1 && s.Manifest[0] == "v") {
-				t.Fatalf("seed %d round %d: acked save %v recovered with manifest %v, pruned-lane=%v",
-					seed, round, k, s.Manifest, pruned)
+			// Pruned-lane oracle: an acked checkpoint keeps exactly the
+			// variables its lane saved — v alone when pruned, v and the
+			// dead one when full — across crash and reopen.
+			pruned, saved := walPruned(walOrd(k)), 2
+			if pruned {
+				saved = 1
+			}
+			if len(s.Vars) != saved || (!pruned && s.Vars["dead"] != -want) {
+				t.Fatalf("seed %d round %d: acked save %v recovered with variables %v, pruned-lane=%v",
+					seed, round, k, s.Vars, pruned)
 			}
 		case errors.Is(err, storage.ErrCorrupt):
 			// Acceptable only because flips model media rot of the body;
