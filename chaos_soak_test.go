@@ -97,16 +97,12 @@ func TestChaosSoak(t *testing.T) {
 		crashes := chaos.CrashSchedule(seed, chaos.ScheduleConfig{
 			Nproc: procs, Lambda: 1.2, MaxIncarnations: 3, MaxEvents: 35,
 		})
-		// Every fifth seed runs the full-environment A/B lane: crash
-		// convergence must not depend on snapshots being pruned.
-		noPrune := seed%5 == 4
 		res, err := sim.Run(sim.Config{
 			Program:  p,
 			Nproc:    procs,
 			Store:    cst,
 			Crashes:  crashes,
 			Observer: rec,
-			NoPrune:  noPrune,
 			Jitter:   seed,
 			// Storage faults crash processes beyond the schedule; give
 			// recovery generous headroom.
@@ -119,10 +115,6 @@ func TestChaosSoak(t *testing.T) {
 		if !reflect.DeepEqual(cleanVars, res.FinalVars) {
 			t.Fatalf("seed %d (%T): diverged under chaos\nclean: %v\nchaos: %v",
 				seed, inner, cleanVars, res.FinalVars)
-		}
-		if noPrune && res.Metrics.Custom[sim.MetricPruneBytesFull] != 0 {
-			t.Fatalf("seed %d: NoPrune run still recorded prune accounting: %v",
-				seed, res.Metrics.Custom)
 		}
 		if !counted {
 			if res.Restarts == 0 {

@@ -10,7 +10,7 @@
 //	           [-tenants 'batch:8:3,interactive::1']
 //	           [-seed 1] [-storage-fault-rate 0.05] [-crash-rate 0.5]
 //	           [-net-fault-rate 0.02] [-business-rate 0.01]
-//	           [-drain-after 0] [-store mem|wal:DIR] [-no-prune]
+//	           [-drain-after 0] [-store mem|wal:DIR]
 //	           [-events-out fleet.jsonl] [-telemetry-addr 127.0.0.1:9464]
 //	           [-telemetry-window 250ms] [-dash] [-q]
 //
@@ -107,7 +107,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal) (code i
 		NetFaultRate:     shared.NetFaultRate,
 		BusinessFailRate: bizRate,
 		Store:            r.Store.Store,
-		NoPrune:          shared.NoPrune,
 		Observer:         r.Observer,
 		// One Counters is every job's metrics sink and the aggregator's
 		// tap: the fleet-wide save / block distributions it shows are these.

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	chkptsim -n 4 [-protocol appl|sas|cl|cic|uncoord] [-transform] [-verify]
-//	         [-zigzag] [-vtime] [-store mem|incremental|wal:DIR] [-no-prune]
+//	         [-zigzag] [-vtime] [-store mem|incremental|wal:DIR]
 //	         [-fail proc:events] [-seed 1] [-crash-rate 1.2]
 //	         [-storage-fault-rate 0.1] [-net-fault-rate 0.1]
 //	         [-net-partition '0>1@100ms+300ms'] [-trace-out run.json]

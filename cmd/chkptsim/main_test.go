@@ -111,6 +111,32 @@ func TestRunWithFailureRecovers(t *testing.T) {
 	}
 }
 
+// A program whose only exchange is between ranks 18 and 19 is certified
+// by the analysis, which checks n ≤ 17, and wrong at n = 20: the run is
+// refused by name before it starts, not found inconsistent at its rollback.
+func TestRunRefusesUnprovedN(t *testing.T) {
+	path := writeTemp(t, `
+program far
+var x, y, iter
+proc {
+    x = rank + 1
+    iter = 0
+    while iter < 4 {
+        if rank == 18 { chkpt  send(19, x)  recv(19, y) }
+        else { if rank == 19 { recv(18, y)  send(18, x)  chkpt }
+               else { chkpt } }
+        x = x + y
+        iter = iter + 1
+    }
+}
+`)
+	var out, errb strings.Builder
+	code := run([]string{"-n", "20", "-transform", "-fail", "19:5", path}, &out, &errb)
+	if code == 0 || !strings.Contains(errb.String(), "outside the program's proof") || strings.Contains(errb.String(), "not consistent") {
+		t.Errorf("exit = %d, want non-zero with the refusal\n%s%s", code, out.String(), errb.String())
+	}
+}
+
 func TestProtocols(t *testing.T) {
 	safe := strings.Replace(fig2Src,
 		"recv(rank - 1, y)\n            send(rank - 1, x)\n            chkpt",

@@ -20,9 +20,12 @@
 // / skew into rank-parity branches) and each liveness manifest one live
 // variable at a time (prune-drop), and each send seen crossing a straight
 // cut one at a time (cross-clear: its messages lose their log records), and
-// requires the checker to catch the sabotage; a clean pass additionally
-// requires the delete, prune-drop and cross-clear detection rates to reach
-// 95%.
+// once the ranks its rank guards name, raised by 16 and run at the first n
+// that has them all (rank-shift: the runtime must refuse that n, or the
+// checker catch the run), and requires the checker to catch the sabotage;
+// a clean pass additionally requires the delete, prune-drop and
+// cross-clear detection rates to reach 95%, and every rank-shift mutant to
+// be refused or caught.
 //
 // Every counterexample line prints the generator sub-seed and schedule
 // needed to replay it deterministically; -replay regenerates one program
@@ -109,8 +112,12 @@ func report(res *verify.Result, mutate, verbose bool, stdout, stderr io.Writer) 
 	if mutate {
 		for _, kind := range verify.MutationKinds(res.Mutation) {
 			ks := res.Mutation[kind]
-			fmt.Fprintf(stdout, "mutation %-6s: %3d mutants, caught %3d (static %d, cut-contract %d, dynamic %d, runtime %d), rate %.1f%%\n",
-				kind, ks.Total, ks.Caught(), ks.CaughtStatic, ks.CaughtCut, ks.CaughtDynamic, ks.CaughtRuntime, 100*ks.Rate())
+			refused := ""
+			if kind == verify.MutRankShift {
+				refused = fmt.Sprintf("refused %d, ", ks.Refused)
+			}
+			fmt.Fprintf(stdout, "mutation %-6s: %3d mutants, caught %3d (%sstatic %d, cut-contract %d, dynamic %d, runtime %d), rate %.1f%%\n",
+				kind, ks.Total, ks.Caught(), refused, ks.CaughtStatic, ks.CaughtCut, ks.CaughtDynamic, ks.CaughtRuntime, 100*ks.Rate())
 			for _, esc := range ks.Escaped {
 				fmt.Fprintf(stdout, "  escaped: %s\n", esc)
 			}
@@ -124,6 +131,10 @@ func report(res *verify.Result, mutate, verbose bool, stdout, stderr io.Writer) 
 				fmt.Fprintf(stderr, "chkptverify: %s detection rate %.1f%% below the 95%% bar\n", kind, 100*ks.Rate())
 				code = 1
 			}
+		}
+		if ks := res.Mutation[verify.MutRankShift]; ks != nil && len(ks.Escaped) > 0 {
+			fmt.Fprintf(stderr, "chkptverify: %d rank-shift mutant(s) neither refused nor caught\n", len(ks.Escaped))
+			code = 1
 		}
 	}
 	if code == 0 {

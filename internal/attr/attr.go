@@ -145,25 +145,34 @@ func (s Solver) bounds() (int, int) {
 // attribute recvPath and source parameter src: ∃ n, ∃ p ≠ q with
 // sendPath(p), recvPath(q), dest(p) = q, src(q) = p. Wildcard parameters
 // impose no equation (the paper's irregular-pattern rule: match unless the
-// attributes contradict).
+// attributes contradict). A destination that evaluates at p names the one
+// receiver to test, so a regular send costs O(n) per n; only a wildcard or
+// erroring destination scans every receiver.
 func (s Solver) CanMatch(sendPath Predicate, dest Param, recvPath Predicate, src Param) bool {
 	lo, hi := s.bounds()
+	// feeds reports whether q may receive p's message at n.
+	feeds := func(p, q, n int) bool {
+		if q == p || !recvPath.HoldsAt(q, n) {
+			return false
+		}
+		sv, ok := src.EvalAt(q, n)
+		return !ok || sv == p
+	}
 	for n := lo; n <= hi; n++ {
 		for p := 0; p < n; p++ {
 			if !sendPath.HoldsAt(p, n) {
 				continue
 			}
-			for q := 0; q < n; q++ {
-				if q == p || !recvPath.HoldsAt(q, n) {
-					continue
+			if d, ok := dest.EvalAt(p, n); ok {
+				if d >= 0 && d < n && feeds(p, d, n) {
+					return true
 				}
-				if d, ok := dest.EvalAt(p, n); ok && d != q {
-					continue
+				continue
+			}
+			for q := range n {
+				if feeds(p, q, n) {
+					return true
 				}
-				if sv, ok := src.EvalAt(q, n); ok && sv != p {
-					continue
-				}
-				return true
 			}
 		}
 	}

@@ -61,7 +61,6 @@ func Closer(name string, stderr io.Writer, code *int) func(step func() error) {
 // flags only chkptsim declares.
 type Flags struct {
 	Store            string
-	NoPrune          bool
 	Seed             int64
 	StorageFaultRate float64
 	CrashRate        float64
@@ -79,7 +78,6 @@ type Flags struct {
 // Register declares the shared flags on fs.
 func (f *Flags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Store, "store", "mem", "stable storage: mem, incremental, or wal:DIR (the durable group-commit log rooted at DIR)")
-	fs.BoolVar(&f.NoPrune, "no-prune", false, "persist full variable environments instead of liveness-minimized checkpoint manifests")
 	fs.Int64Var(&f.Seed, "seed", 1, "seed for every injected fault, and for chkptfleet's arrivals, tenants and business verdicts (same seed, same run)")
 	Bounded(fs, &f.StorageFaultRate, "storage-fault-rate", 0, 1, "storage fault rate in [0,1]: transient errors, torn writes, bit flips, latency")
 	Bounded(fs, &f.CrashRate, "crash-rate", 0, math.Inf(1), "expected injected crashes per incarnation (Poisson): a seeded multi-process, multi-incarnation crash schedule")
@@ -203,13 +201,13 @@ func (r *Run) Close() error {
 }
 
 // Configure makes cfg a run of the flags: the opened store, chaos-wrapped
-// at -storage-fault-rate; Observer and Counters; -no-prune; and what
+// at -storage-fault-rate; Observer and Counters; and what
 // chaos.Arm sets from -seed: a crash schedule at -crash-rate over the first
 // three incarnations, lossy links at -net-fault-rate and parts, and the
 // restart headroom. Set cfg.Failures first: the headroom counts them.
 func (r *Run) Configure(cfg *sim.Config, parts []chaos.Partition) {
 	f := r.flags
-	cfg.Store, cfg.Observer, cfg.Counters, cfg.NoPrune = r.Store.Store, r.Observer, r.Counters, f.NoPrune
+	cfg.Store, cfg.Observer, cfg.Counters = r.Store.Store, r.Observer, r.Counters
 	if f.StorageFaultRate > 0 {
 		r.chaos = chaos.New(cfg.Store, f.Seed, chaos.DefaultRates(f.StorageFaultRate), r.Observer)
 		cfg.Store = r.chaos

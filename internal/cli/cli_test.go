@@ -116,7 +116,7 @@ func TestConfigureArmsFaults(t *testing.T) {
 		chaosStore bool
 	}{
 		{args: nil},
-		{args: []string{"-seed", "9", "-no-prune"}},
+		{args: []string{"-seed", "9"}},
 		{args: []string{"-storage-fault-rate", "0.2"}, chaosStore: true},
 		{args: []string{"-seed", "5", "-crash-rate", "2.5"}, crashRate: 2.5},
 		{args: []string{"-seed", "7", "-net-fault-rate", "0.1"}, netRate: 0.1, lossy: true},
@@ -164,8 +164,8 @@ func TestConfigureArmsFaults(t *testing.T) {
 		if cfg.MaxRestarts != wantMax {
 			t.Errorf("%v: MaxRestarts = %d, want %d", tt.args, cfg.MaxRestarts, wantMax)
 		}
-		if cfg.NoPrune != f.NoPrune || cfg.Counters != r.Counters {
-			t.Errorf("%v: NoPrune = %v, Counters shared = %v", tt.args, cfg.NoPrune, cfg.Counters == r.Counters)
+		if cfg.Counters != r.Counters {
+			t.Errorf("%v: Counters not shared", tt.args)
 		}
 	}
 }
@@ -178,7 +178,7 @@ func TestSharedFlagGroup(t *testing.T) {
 	new(Flags).Register(fs)
 	var names []string
 	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	want := "crash-rate dash events-out net-fault-rate no-prune seed storage-fault-rate store telemetry-addr telemetry-window"
+	want := "crash-rate dash events-out net-fault-rate seed storage-fault-rate store telemetry-addr telemetry-window"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("shared flags = %s\nwant %s", got, want)
 	}

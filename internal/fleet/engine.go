@@ -62,10 +62,6 @@ type Config struct {
 	BusinessFailRate float64
 	// Store is the shared backing store. Default: fresh in-memory store.
 	Store storage.Store
-	// NoPrune persists full variable environments instead of each job's
-	// liveness-minimized checkpoint manifests (the A/B lane for measuring
-	// what pruning saves fleet-wide).
-	NoPrune bool
 	// DrainTimeout bounds how long drain waits for in-flight jobs before
 	// cancel-parking them. Default 30s.
 	DrainTimeout time.Duration
@@ -377,7 +373,6 @@ func (e *Engine) runJob(code *sim.Code, jobID int, jobSeed int64, tenant string,
 		Code:     code,
 		Nproc:    cfg.Nproc,
 		Store:    ns,
-		NoPrune:  cfg.NoPrune,
 		Input:    func(rank, i int) int { return rank + i },
 		Jitter:   jobSeed | 1, // nonzero: every job explores its own schedule
 		Timeout:  cfg.JobTimeout,

@@ -10,8 +10,8 @@
 // Babaoglu [22] the paper cites): T_opt = sqrt(2·o/λ) for checkpoint
 // overhead o and failure rate λ. For a message-passing (rather than
 // serial) program the per-iteration cost model includes an estimated
-// message delay (§3.1's network-delay estimation), typically obtained from
-// a netestim.Estimator.
+// message delay (§3.1's network-delay estimation); DefaultCostModel fixes
+// it at 1 ms (ROADMAP 16 would measure it).
 package insert
 
 import (
@@ -20,7 +20,6 @@ import (
 	"math"
 
 	"repro/internal/mpl"
-	"repro/internal/netestim"
 )
 
 // CostModel assigns abstract execution costs to statements for interval
@@ -44,19 +43,6 @@ var DefaultCostModel = CostModel{
 	MessageDelay:       0.001,
 	CheckpointOverhead: 1.78,
 	FailureRate:        1.23e-6,
-}
-
-// CostModelFromEstimator builds a cost model whose message delay comes
-// from live RTT measurements (§3.1: "before applying this phase, we
-// estimate the message delay in the network"). The estimator must have
-// observed at least one sample.
-func CostModelFromEstimator(base CostModel, est *netestim.Estimator) (CostModel, error) {
-	delay, err := est.OneWayDelay()
-	if err != nil {
-		return CostModel{}, fmt.Errorf("insert: estimate message delay: %w", err)
-	}
-	base.MessageDelay = delay.Seconds()
-	return base, nil
 }
 
 // YoungInterval returns the first-order optimal checkpoint interval

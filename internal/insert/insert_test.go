@@ -3,12 +3,10 @@ package insert
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/cfg"
 	"repro/internal/corpus"
 	"repro/internal/mpl"
-	"repro/internal/netestim"
 )
 
 func mustParse(t *testing.T, src string) *mpl.Program {
@@ -355,25 +353,6 @@ func TestCoalesceKeepsSeparatedCheckpoints(t *testing.T) {
 	p := corpus.JacobiFig1(2)
 	if removed := Coalesce(p); removed != 0 {
 		t.Errorf("coalesce removed %d from a clean program", removed)
-	}
-}
-
-func TestCostModelFromEstimator(t *testing.T) {
-	var est netestim.Estimator
-	if _, err := CostModelFromEstimator(DefaultCostModel, &est); err == nil {
-		t.Fatal("empty estimator accepted")
-	}
-	est.Observe(20 * time.Millisecond)
-	cm, err := CostModelFromEstimator(DefaultCostModel, &est)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cm.MessageDelay-0.010) > 1e-9 {
-		t.Errorf("MessageDelay = %v, want 0.010 (RTT/2)", cm.MessageDelay)
-	}
-	// Other fields untouched.
-	if cm.CheckpointOverhead != DefaultCostModel.CheckpointOverhead {
-		t.Error("unrelated fields changed")
 	}
 }
 

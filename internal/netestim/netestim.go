@@ -1,8 +1,8 @@
-// Package netestim estimates network message delay from observed round-trip
-// times. The paper's Phase I (§3.1) uses such an estimate — citing Karn &
-// Partridge [12] and RTT-measurement studies [5] — to account for
-// message-passing cost when choosing the optimal checkpoint interval of a
-// message-passing (rather than serial) program.
+// Package netestim estimates a link's retransmission timeout from observed
+// round-trip times; the hardened transport (internal/sim) keeps one per
+// link. The paper's Phase I (§3.1) cites such an estimate — Karn &
+// Partridge [12] and RTT-measurement studies [5] — for the message delay of
+// its interval model; feeding it there is ROADMAP 16.
 //
 // The estimator is the classic Jacobson/Karels smoothed-RTT algorithm used
 // by TCP, with Karn's rule (samples from retransmitted exchanges are
@@ -12,7 +12,6 @@ package netestim
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 )
@@ -59,26 +58,6 @@ func (e *Estimator) Observe(sample time.Duration) {
 	e.samples++
 }
 
-// RTT returns the smoothed round-trip estimate.
-func (e *Estimator) RTT() (time.Duration, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.samples == 0 {
-		return 0, ErrNoSamples
-	}
-	return e.srtt, nil
-}
-
-// OneWayDelay returns the estimated one-way message delay (RTT/2), the
-// quantity Phase I's interval model consumes.
-func (e *Estimator) OneWayDelay() (time.Duration, error) {
-	rtt, err := e.RTT()
-	if err != nil {
-		return 0, err
-	}
-	return rtt / 2, nil
-}
-
 // RTO returns the retransmission timeout in RFC 6298 form:
 // max(floor, srtt + 4·rttvar). Before any sample arrives it returns the
 // configured floor (the conservative initial timeout the RFC prescribes);
@@ -110,33 +89,4 @@ func (e *Estimator) SetRTOFloor(d time.Duration) {
 		d = 0
 	}
 	e.floor = d
-}
-
-// LinearModel is the affine message-cost model the paper's §4 uses:
-// cost(bits) = Setup + PerBit·bits, with Setup = w_m and PerBit = w_b.
-type LinearModel struct {
-	Setup  time.Duration // w_m: per-message setup time
-	PerBit time.Duration // w_b: additional per-bit delay
-}
-
-// Cost returns the modeled delay of one message of the given size.
-func (m LinearModel) Cost(bits int) time.Duration {
-	return m.Setup + time.Duration(bits)*m.PerBit
-}
-
-// FitLinear fits a LinearModel from two (bits, delay) measurements by
-// solving the 2×2 system exactly. Measurements at the same size cannot
-// determine a slope.
-func FitLinear(bits1 int, d1 time.Duration, bits2 int, d2 time.Duration) (LinearModel, error) {
-	if bits1 == bits2 {
-		return LinearModel{}, fmt.Errorf("netestim: need distinct sizes to fit, both %d bits", bits1)
-	}
-	perBit := float64(d2-d1) / float64(bits2-bits1)
-	setup := float64(d1) - perBit*float64(bits1)
-	if perBit < 0 || setup < 0 {
-		return LinearModel{}, fmt.Errorf(
-			"netestim: measurements imply negative cost (setup=%v perBit=%v)",
-			time.Duration(setup), time.Duration(perBit))
-	}
-	return LinearModel{Setup: time.Duration(setup), PerBit: time.Duration(perBit)}, nil
 }

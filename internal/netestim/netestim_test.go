@@ -10,12 +10,6 @@ import (
 
 func TestNoSamples(t *testing.T) {
 	var e Estimator
-	if _, err := e.RTT(); !errors.Is(err, ErrNoSamples) {
-		t.Errorf("RTT err = %v, want ErrNoSamples", err)
-	}
-	if _, err := e.OneWayDelay(); !errors.Is(err, ErrNoSamples) {
-		t.Errorf("OneWayDelay err = %v, want ErrNoSamples", err)
-	}
 	if _, err := e.RTO(); !errors.Is(err, ErrNoSamples) {
 		t.Errorf("RTO err = %v, want ErrNoSamples", err)
 	}
@@ -24,17 +18,12 @@ func TestNoSamples(t *testing.T) {
 func TestFirstSampleInitializes(t *testing.T) {
 	var e Estimator
 	e.Observe(100 * time.Millisecond)
-	rtt, err := e.RTT()
-	if err != nil || rtt != 100*time.Millisecond {
-		t.Fatalf("RTT = %v, %v; want 100ms", rtt, err)
+	if e.srtt != 100*time.Millisecond {
+		t.Fatalf("srtt = %v, want 100ms", e.srtt)
 	}
-	ow, _ := e.OneWayDelay()
-	if ow != 50*time.Millisecond {
-		t.Fatalf("OneWayDelay = %v, want 50ms", ow)
-	}
-	rto, _ := e.RTO()
-	if rto != 300*time.Millisecond { // srtt + 4*(srtt/2)
-		t.Fatalf("RTO = %v, want 300ms", rto)
+	rto, err := e.RTO()
+	if err != nil || rto != 300*time.Millisecond { // srtt + 4*(srtt/2)
+		t.Fatalf("RTO = %v, %v; want 300ms", rto, err)
 	}
 }
 
@@ -43,9 +32,8 @@ func TestSmoothingConvergesToConstant(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		e.Observe(80 * time.Millisecond)
 	}
-	rtt, _ := e.RTT()
-	if rtt != 80*time.Millisecond {
-		t.Fatalf("constant input should converge exactly, got %v", rtt)
+	if e.srtt != 80*time.Millisecond {
+		t.Fatalf("constant input should converge exactly, got %v", e.srtt)
 	}
 	rto, _ := e.RTO()
 	if rto >= 90*time.Millisecond {
@@ -57,17 +45,21 @@ func TestIgnoresNonPositiveSamples(t *testing.T) {
 	var e Estimator
 	e.Observe(0)
 	e.Observe(-time.Second)
-	if _, err := e.RTT(); !errors.Is(err, ErrNoSamples) {
-		t.Fatalf("non-positive samples were accepted: RTT err = %v", err)
+	if _, err := e.RTO(); !errors.Is(err, ErrNoSamples) {
+		t.Fatalf("non-positive samples were accepted: RTO err = %v", err)
 	}
 	e.Observe(time.Millisecond)
-	if rtt, err := e.RTT(); err != nil || rtt != time.Millisecond {
-		t.Fatalf("RTT = %v, %v; want the one sample, 1ms", rtt, err)
+	if e.srtt != time.Millisecond {
+		t.Fatalf("srtt = %v, want the one sample, 1ms", e.srtt)
+	}
+	if rto, err := e.RTO(); err != nil || rto != 3*time.Millisecond {
+		t.Fatalf("RTO = %v, %v; want the one sample's, 3ms", rto, err)
 	}
 }
 
 func TestQuickEstimateWithinSampleRange(t *testing.T) {
-	// The smoothed RTT always stays within [min, max] of observed samples.
+	// The smoothed RTT always stays within [min, max] of observed samples,
+	// and the deviation below max(hi/2, hi-lo), which bounds the RTO.
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		var e Estimator
@@ -82,8 +74,8 @@ func TestQuickEstimateWithinSampleRange(t *testing.T) {
 			}
 			e.Observe(s)
 		}
-		rtt, err := e.RTT()
-		return err == nil && rtt >= lo && rtt <= hi
+		rto, err := e.RTO()
+		return err == nil && e.srtt >= lo && e.srtt <= hi && rto >= lo && rto <= hi+4*max(hi/2, hi-lo)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -174,65 +166,5 @@ func TestVarianceCollapseWithoutFloor(t *testing.T) {
 	}
 	if rto < 8*time.Millisecond {
 		t.Fatalf("RTO = %v fell below srtt", rto)
-	}
-}
-
-func TestLinearModelCost(t *testing.T) {
-	m := LinearModel{Setup: time.Millisecond, PerBit: time.Microsecond}
-	if got := m.Cost(8); got != time.Millisecond+8*time.Microsecond {
-		t.Fatalf("Cost(8) = %v", got)
-	}
-	if got := m.Cost(0); got != time.Millisecond {
-		t.Fatalf("Cost(0) = %v, want setup only", got)
-	}
-}
-
-func TestFitLinear(t *testing.T) {
-	want := LinearModel{Setup: 2 * time.Millisecond, PerBit: 3 * time.Microsecond}
-	got, err := FitLinear(100, want.Cost(100), 1000, want.Cost(1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Setup != want.Setup || got.PerBit != want.PerBit {
-		t.Fatalf("FitLinear = %+v, want %+v", got, want)
-	}
-}
-
-func TestFitLinearRejectsDegenerate(t *testing.T) {
-	if _, err := FitLinear(100, time.Second, 100, 2*time.Second); err == nil {
-		t.Error("same-size measurements accepted")
-	}
-	// Decreasing cost with size implies negative per-bit delay.
-	if _, err := FitLinear(100, 2*time.Second, 1000, time.Second); err == nil {
-		t.Error("negative slope accepted")
-	}
-}
-
-func TestQuickFitLinearRoundTrip(t *testing.T) {
-	f := func(setupMs, perBitNs uint16, b1, b2 uint8) bool {
-		if b1 == b2 {
-			return true
-		}
-		m := LinearModel{
-			Setup:  time.Duration(setupMs) * time.Millisecond,
-			PerBit: time.Duration(perBitNs) * time.Nanosecond,
-		}
-		got, err := FitLinear(int(b1), m.Cost(int(b1)), int(b2), m.Cost(int(b2)))
-		if err != nil {
-			return false
-		}
-		// Allow 1ns rounding slack from the float math.
-		dS := got.Setup - m.Setup
-		if dS < 0 {
-			dS = -dS
-		}
-		dP := got.PerBit - m.PerBit
-		if dP < 0 {
-			dP = -dP
-		}
-		return dS <= time.Nanosecond && dP <= time.Nanosecond
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

@@ -86,7 +86,7 @@ type Code struct {
 	// at that site (sorted), from the backward liveness pass. Keyed by
 	// statement id, not straight-cut index: two checkpoints in different
 	// if-arms can share an index yet have different per-arm live sets. The
-	// runtime persists only manifest variables unless pruning is disabled.
+	// runtime persists only manifest variables.
 	Manifests map[int][]string
 	// consts is the constants map every process of every run of it reads.
 	consts map[string]int

@@ -129,19 +129,22 @@ func TestRunRefusesInFlightOnQuietChannel(t *testing.T) {
 	}
 }
 
-// Elision stays inside the process counts the analysis proved. Only rank 20
-// sends, before its checkpoint, to rank 0, which receives after its own: at
-// every count of the solver's bound the send never runs, and at 32
-// processes its message is in flight across the straight cut when rank 0
-// crashes between its checkpoint and its receive. The message is logged
-// there, so the run recovers to the machine's state.
+// Elision stays inside the process counts the analysis proved. Only the
+// last rank sends, before its checkpoint, to rank 0, which receives after
+// its own: rank 31 exists at no count of the solver's bound, so nothing
+// there proves channel 31→0 quiet, and at 32 processes its message is in
+// flight across the straight cut when rank 0 crashes between its checkpoint
+// and its receive. The message is logged there, so the run recovers to the
+// machine's state. A sender only a rank past the bound reaches, rank 20,
+// would feed rank 0 at no count of the bound, and the run would be refused
+// (TestRunRefusesAnUnprovedN).
 func TestElisionStaysInTheProvedRange(t *testing.T) {
 	const n = 32
 	prog, err := mpl.Parse(`program past_the_bound
 var d, tok
 proc {
     d = rank + 1
-    if rank == 20 {
+    if rank == nproc - 1 {
         send(0, d)
     }
     chkpt
@@ -152,7 +155,7 @@ proc {
         send(rank - 1, tok)
     }
     if rank == 0 {
-        recv(20, d)
+        recv(nproc - 1, d)
     }
 }
 `)
@@ -172,7 +175,7 @@ proc {
 		t.Fatal(err)
 	}
 	// Rank 0's events: its checkpoint, then the token that comes back only
-	// once every rank has checkpointed; it crashes before receiving from 20.
+	// once every rank has checkpointed; it crashes before receiving from 31.
 	res, err := sim.Run(sim.Config{
 		Code: code, Nproc: n, Input: verify.DefaultInput, DisableTrace: true, Timeout: 20 * time.Second,
 		Failures: []sim.Failure{{Proc: 0, AfterEvents: 2}},

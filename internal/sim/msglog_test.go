@@ -115,20 +115,21 @@ func TestMessageRecordsAreStable(t *testing.T) {
 			return
 		}
 		rollbacks++
-		for ch := r.net.created.Load(); ch != nil; ch = ch.next {
+		r.net.each(func(ch *channel) error {
 			inflight += seen.check(t, fmt.Sprintf("channel %d->%d %s", ch.from, ch.to, where), ch.queued())
-		}
+			return nil
+		})
 	})
 	if rollbacks != 1 || inflight == 0 {
 		t.Fatalf("%d rollbacks with %d messages in flight at the line: the test exercises no re-injected message", rollbacks, inflight)
 	}
 	logs := 0
-	for ch := r.net.created.Load(); ch != nil; ch = ch.next {
+	r.net.each(func(ch *channel) error {
 		p, q := ch.from, ch.to
 		seen.check(t, fmt.Sprintf("log %d->%d", p, q), ch.logged(t))
 		if p-q != 1 && q-p != 1 {
 			t.Errorf("channel %d->%d exists: nothing was ever sent or received on it", p, q)
-			continue
+			return nil
 		}
 		if logs++; ch.logLen != iters {
 			t.Errorf("log %d->%d holds %d messages, want %d", p, q, ch.logLen, iters)
@@ -136,7 +137,8 @@ func TestMessageRecordsAreStable(t *testing.T) {
 		if chunks := len(ch.log); chunks < 3 {
 			t.Errorf("log %d->%d spans %d chunks, want >= 3", p, q, chunks)
 		}
-	}
+		return nil
+	})
 	if want := 2 * (n - 1); logs != want {
 		t.Errorf("%d channels were created, want the %d between neighbours", logs, want)
 	}

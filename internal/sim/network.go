@@ -53,7 +53,6 @@ const ctrlFrom = -1
 type channel struct {
 	from, to int                     // from is ctrlFrom on a control channel
 	proto    *atomic.Int64           // &Network.inbox[to].proto: push, popHeadLocked and reset keep it exact
-	next     *channel                // Network.created list
 	nextIn   atomic.Pointer[channel] // the next of inbox[to]'s channels by sender
 
 	mu     sync.Mutex
@@ -202,7 +201,6 @@ type Network struct {
 	inbox []inbox
 	// mu serialises creating a channel; reads take no lock.
 	mu      sync.Mutex
-	created atomic.Pointer[channel] // every channel, newest first
 	aborted atomic.Bool
 
 	// tr, when non-nil, is the hardened transport (Config.Net): every frame
@@ -213,7 +211,8 @@ type Network struct {
 
 // inbox is one receiver's: proto counts the markers and control messages
 // queued for it (while zero, its poll would find nothing), and head starts
-// its channels, by sender, which a walk reads without a lock.
+// its channels, by sender, which a walk reads without a lock. The inboxes'
+// lists are the one index of the network's channels.
 type inbox struct {
 	proto atomic.Int64
 	head  atomic.Pointer[channel]
@@ -222,6 +221,19 @@ type inbox struct {
 // NewNetwork creates the fully connected network for n processes.
 func NewNetwork(n int) *Network {
 	return &Network{n: n, inbox: make([]inbox, n)}
+}
+
+// each calls fn on every channel, receiver by receiver and by sender within
+// one, until fn returns an error, which it returns.
+func (net *Network) each(fn func(*channel) error) error {
+	for to := range net.inbox {
+		for ch := net.inbox[to].head.Load(); ch != nil; ch = ch.nextIn.Load() {
+			if err := fn(ch); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // peek returns the channel from→to, nil if nothing has used it yet.
@@ -237,9 +249,9 @@ func (net *Network) peek(from, to int) *channel {
 // channel returns the channel from→to, creating it on first use, with its
 // data link on a hardened network: linked in after its successor is, so a
 // reader sees it whole or not at all. A channel created while Abort runs must
-// not stay open: the creator publishes it and only then reads the flag, Abort
-// sets the flag and only then walks the list, so either the walk reaches the
-// channel or its creator closes it.
+// not stay open: the creator publishes it in its receiver's list and only
+// then reads the flag, Abort sets the flag and only then walks the lists, so
+// either the walk reaches the channel or its creator closes it.
 func (net *Network) channel(from, to int) *channel {
 	if ch := net.peek(from, to); ch != nil {
 		return ch
@@ -253,7 +265,7 @@ func (net *Network) channel(from, to int) *channel {
 		}
 		at = &ch.nextIn
 	}
-	ch := &channel{from: from, to: to, proto: &net.inbox[to].proto, next: net.created.Load()}
+	ch := &channel{from: from, to: to, proto: &net.inbox[to].proto}
 	ch.cond.L = &ch.mu
 	ch.log, ch.logHead[0].b = ch.logHead[:], ch.logFirst[:0]
 	if net.tr != nil && from != ctrlFrom && from != to {
@@ -261,7 +273,6 @@ func (net *Network) channel(from, to int) *channel {
 	}
 	ch.nextIn.Store(at.Load())
 	at.Store(ch)
-	net.created.Store(ch)
 	if net.aborted.Load() {
 		ch.abort()
 	}
@@ -334,9 +345,10 @@ func (net *Network) Poll(from, to int, maxArrive float64) (Message, bool) {
 // that blocks before the next ResetForRecovery.
 func (net *Network) Abort() {
 	net.aborted.Store(true)
-	for ch := net.created.Load(); ch != nil; ch = ch.next {
+	net.each(func(ch *channel) error {
 		ch.abort()
-	}
+		return nil
+	})
 }
 
 // ResetForRecovery reopens every channel at a recovery line, its members
@@ -363,14 +375,11 @@ func (net *Network) ResetForRecovery(line []storage.Snapshot) error {
 			}
 		}
 	}
-	for ch := net.created.Load(); ch != nil; ch = ch.next {
+	return net.each(func(ch *channel) error {
 		sent, recvd := 0, 0 // from scratch, or a control channel, which logs nothing
 		if ch.from != ctrlFrom && line != nil {
 			sent, recvd = line[ch.from].Peers.At(ch.to).Sent, line[ch.to].Peers.At(ch.from).Recvd
 		}
-		if err := ch.reset(sent, recvd); err != nil {
-			return err
-		}
-	}
-	return nil
+		return ch.reset(sent, recvd)
+	})
 }

@@ -30,13 +30,14 @@ func (net *Network) SendUnlogged(m Message) { net.send(net.channel(m.From, m.To)
 func auditProto(t *testing.T, where string, net *Network, wantZero bool) {
 	t.Helper()
 	recount := make([]int64, net.n)
-	for ch := net.created.Load(); ch != nil; ch = ch.next {
+	net.each(func(ch *channel) error {
 		for _, m := range ch.queued() {
 			if m.Kind != MsgApp {
 				recount[ch.to]++
 			}
 		}
-	}
+		return nil
+	})
 	for to := range recount {
 		got := net.inbox[to].proto.Load()
 		if got != recount[to] {
@@ -142,9 +143,10 @@ func TestQuietCounterTracksQueues(t *testing.T) {
 						}
 					}
 					polls := 0
-					for ch := r.net.created.Load(); ch != nil; ch = ch.next {
+					r.net.each(func(ch *channel) error {
 						polls += ch.polls
-					}
+						return nil
+					})
 					if proto.polls != (polls > 0) {
 						t.Errorf("%d polls reached a channel; protocol traffic: %v", polls, proto.polls)
 					}
@@ -241,7 +243,7 @@ func TestAbortReachesChannelsCreatedLater(t *testing.T) {
 			}
 		}
 		net.ResetForRecovery(nil)
-		for ch := net.created.Load(); ch != nil; ch = ch.next {
+		net.each(func(ch *channel) error {
 			if ch.from == ctrlFrom {
 				net.SendCtrl(Message{Kind: MsgCtrl, From: ctrlFrom, To: ch.to, Value: 7})
 			} else {
@@ -250,7 +252,8 @@ func TestAbortReachesChannelsCreatedLater(t *testing.T) {
 			if m, err := ch.pop(); err != nil || m.Value != 7 {
 				t.Fatalf("round %d: channel %d->%d after the reset: message %+v, err %v", round, ch.from, ch.to, m, err)
 			}
-		}
+			return nil
+		})
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 // (MetricPruneBytesSaved), and how many dead variables were excluded
 // (MetricPruneVarsDropped). The prune ratio is saved/full, computed at
 // export time (telemetry's chkptsim_prune_* families); full-env saves —
-// NoPrune runs and protocol-forced checkpoints — touch none of these.
+// protocol-forced checkpoints, sites without a manifest — touch none.
 const (
 	MetricPruneBytesFull   = "prune_bytes_full"
 	MetricPruneBytesSaved  = "prune_bytes_saved"
@@ -102,10 +102,6 @@ type Proc struct {
 	jittered bool
 	jitter   rand.PCG
 
-	// noPrune disables liveness-minimized checkpoint payloads: application
-	// checkpoints persist the full environment, reproducing the
-	// pre-pruning byte counts (Config.NoPrune, the A/B escape hatch).
-	noPrune bool
 	// quiet has bit q set when a message to q writes no send-log record:
 	// the run is the paper's protocol, whose recovery lines are straight
 	// cuts, and the program proves channel rank→q empty at every one of
@@ -226,21 +222,10 @@ func (p *Proc) emit(e obs.Event) {
 // straight-cut index: records the event and persists the snapshot.
 // Protocols call it for coordinated and forced checkpoints — which can land
 // at arbitrary program points where no liveness manifest is known, so they
-// always persist everything. Application chkpt statements go
-// through appCheckpoint, which prunes to the site's manifest.
+// always persist everything. Application chkpt statements prune to the
+// site's manifest (the OpChkpt case of exec).
 func (p *Proc) TakeCheckpoint(idx int) error {
 	return p.takeCheckpoint(idx, nil, chkptLabelPrefix+strconv.Itoa(idx))
-}
-
-// appCheckpoint takes the checkpoint for an application chkpt instruction,
-// pruned to the site's liveness manifest (unless pruning is disabled or the
-// site has no manifest).
-func (p *Proc) appCheckpoint(in Instr) error {
-	var manifest []string
-	if !p.noPrune {
-		manifest = p.code.Manifests[in.StmtID]
-	}
-	return p.takeCheckpoint(in.Index, manifest, in.Label)
 }
 
 // takeCheckpoint persists a snapshot holding exactly the manifest variables
@@ -545,7 +530,7 @@ func (p *Proc) run() error {
 				return err
 			}
 			if take {
-				if err := p.appCheckpoint(in); err != nil {
+				if err := p.takeCheckpoint(in.Index, p.code.Manifests[in.StmtID], in.Label); err != nil {
 					return err
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/attr"
 	"repro/internal/metrics"
 	"repro/internal/mpl"
 	"repro/internal/obs"
@@ -120,11 +121,6 @@ type Config struct {
 	// results of deterministic programs must not change — which is exactly
 	// what schedule-sweep tests assert. 0 disables jitter.
 	Jitter int64
-	// NoPrune disables liveness-minimized checkpoint payloads: application
-	// checkpoints persist the full variable environment instead of the
-	// per-site live-set manifest, reproducing pre-pruning byte counts. The
-	// A/B escape hatch behind the CLIs' -no-prune flags.
-	NoPrune bool
 }
 
 // Result reports a completed run.
@@ -227,6 +223,15 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Hooks == nil {
 		cfg.Hooks = NoProtocol
+	}
+	// The paper's protocol restarts from straight cuts, which Phase III
+	// proved recovery lines only for the process counts Phase II checked.
+	if cfg.Nproc > attr.DefaultSolver.MaxProcs {
+		if _, paper := cfg.Hooks(0, cfg.Nproc).(NoHooks); paper {
+			if err := CheckProof(code.Prog, cfg.Nproc); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if cfg.Store == nil {
 		cfg.Store = storage.NewMemory()
@@ -331,7 +336,7 @@ func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64
 			rank: rank, n: n, code: r.code, net: r.net, tr: tr, store: r.store,
 			counters: cfg.Counters, hooks: cfg.Hooks(rank, n), obsv: cfg.Observer, inc: inc,
 			maxSteps: stepBudget, failAfter: r.plan.at(inc, rank),
-			time: cfg.Time, noPrune: cfg.NoPrune,
+			time: cfg.Time,
 		}
 		// Under the paper's protocol every recovery line is a straight cut:
 		// a message on a channel the program proves empty at all of them

@@ -275,11 +275,12 @@ func (t *transport) jitter(d time.Duration) time.Duration {
 // message log, not from the wire — and when the run returns, so that
 // retransmit timers and delayed deliveries stop.
 func (t *transport) reset() {
-	for ch := t.net.created.Load(); ch != nil; ch = ch.next {
+	t.net.each(func(ch *channel) error {
 		if ch.lk != nil {
 			ch.lk.reset()
 		}
-	}
+		return nil
+	})
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, lk := range t.ctrl {

@@ -211,8 +211,10 @@ func TestKarnRuleNoSamplesFromRetransmits(t *testing.T) {
 			t.Fatalf("Recv = %+v, %v; want seq %d", m, err, want)
 		}
 	}
-	if rtt, err := lk.est.RTT(); !errors.Is(err, netestim.ErrNoSamples) {
-		t.Errorf("estimator took RTT samples from retransmitted exchanges (RTT %v); Karn forbids any", rtt)
+	// With no floor, RTO reports whether the estimator took any sample.
+	lk.est.SetRTOFloor(0)
+	if rto, err := lk.est.RTO(); !errors.Is(err, netestim.ErrNoSamples) {
+		t.Errorf("estimator took RTT samples from retransmitted exchanges (RTO %v); Karn forbids any", rto)
 	}
 	if got := counters.Snapshot().Custom[MetricNetRetransmits]; got < total {
 		t.Errorf("%s = %d, want >= %d", MetricNetRetransmits, got, total)
@@ -227,7 +229,8 @@ func TestKarnRuleNoSamplesFromRetransmits(t *testing.T) {
 		defer lk2.mu.Unlock()
 		return len(lk2.unacked) == 0
 	})
-	if _, err := lk2.est.RTT(); err != nil {
+	lk2.est.SetRTOFloor(0)
+	if _, err := lk2.est.RTO(); err != nil {
 		t.Error("clean link accumulated no RTT samples")
 	}
 }

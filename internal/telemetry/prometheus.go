@@ -225,8 +225,9 @@ func WriteProm(w io.Writer, s Snapshot) error {
 	// the payload reduction directly instead of digging it out of the
 	// generic counter tap. Names mirror sim.MetricPrune* (the string keys
 	// are the contract; telemetry stays below sim in the import graph).
-	// Omitted when pruning never fired — NoPrune runs, runs without a
-	// counters tap, or programs whose manifests keep every variable.
+	// Omitted when pruning never fired — runs whose checkpoints are all
+	// protocol-forced, runs without a counters tap, or programs whose
+	// manifests keep every variable.
 	if s.HasCounters {
 		if full := s.Counters.Custom["prune_bytes_full"]; full > 0 {
 			saved := s.Counters.Custom["prune_bytes_saved"]

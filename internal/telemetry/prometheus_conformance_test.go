@@ -486,7 +486,7 @@ func TestPromConformancePruneFamilies(t *testing.T) {
 		}
 	}
 
-	// A NoPrune run leaves prune_bytes_full at zero: no prune families.
+	// A run that never pruned leaves prune_bytes_full at zero: no prune families.
 	quiet := &metrics.Counters{}
 	quiet.IncAppMessages(1)
 	a2 := telemetry.New(telemetry.Config{Counters: quiet, Window: time.Hour})

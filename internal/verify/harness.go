@@ -58,6 +58,7 @@ func (c Counterexample) String() string {
 // KindStats aggregates mutation outcomes for one operator.
 type KindStats struct {
 	Total         int
+	Refused       int // the runtime refused the mutant's process count (sim.ErrUnprovedN)
 	CaughtStatic  int // checkpoint enumeration rejected the mutant
 	CaughtRuntime int // the mutant failed to execute (never expected)
 	CaughtCut     int // the straight-cut index contract changed
@@ -67,7 +68,7 @@ type KindStats struct {
 
 // Caught sums the detections.
 func (s *KindStats) Caught() int {
-	return s.CaughtStatic + s.CaughtRuntime + s.CaughtCut + s.CaughtDynamic
+	return s.Refused + s.CaughtStatic + s.CaughtRuntime + s.CaughtCut + s.CaughtDynamic
 }
 
 // Rate returns the detection rate in [0, 1] (1 for no mutants).
@@ -136,6 +137,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 				total.Mutation[kind] = tk
 			}
 			tk.Total += ks.Total
+			tk.Refused += ks.Refused
 			tk.CaughtStatic += ks.CaughtStatic
 			tk.CaughtRuntime += ks.CaughtRuntime
 			tk.CaughtCut += ks.CaughtCut
@@ -280,13 +282,14 @@ func verifyProgram(res *Result, sub int64, code *sim.Code, n int, opts Options, 
 }
 
 // runMutation sabotages the transformed program one checkpoint at a time
-// — plus, per checkpoint site, one live manifest variable at a time, and one
-// crossing channel's log at a time — and records how each mutant was (or
-// was not) caught.
+// — plus, per checkpoint site, one live manifest variable at a time, one
+// crossing channel's log at a time, and once its rank guards' ranks — and
+// records how each mutant was (or was not) caught.
 func runMutation(res *Result, sub int64, transformed *mpl.Program, code *sim.Code, profile map[int]map[string]bool, crossing map[Channel]bool, indexSets map[int]map[int]bool, opts Options) {
 	muts := AllMutants(transformed)
 	muts = append(muts, PruneDropMutants(code.Manifests, profile)...)
 	muts = append(muts, CrossClearMutants(transformed, crossing)...)
+	muts = append(muts, RankShiftMutants(transformed)...)
 	for _, mut := range muts {
 		ks := res.Mutation[mut.Kind]
 		if ks == nil {
@@ -300,10 +303,14 @@ func runMutation(res *Result, sub int64, transformed *mpl.Program, code *sim.Cod
 			outcome = classifyPruneDrop(mut, code, indexSets, opts)
 		case MutCrossClear:
 			outcome = classifyCrossClear(mut, opts)
+		case MutRankShift:
+			outcome = classifyRankShift(mut, opts)
 		default:
 			outcome = classifyMutant(mut, indexSets, opts)
 		}
 		switch outcome {
+		case "refused":
+			ks.Refused++
 		case "static":
 			ks.CaughtStatic++
 		case "runtime":
@@ -321,8 +328,8 @@ func runMutation(res *Result, sub int64, transformed *mpl.Program, code *sim.Cod
 
 // classifyMutant runs the detection ladder on one mutant: static
 // (enumeration rejects it), dynamic (an explored execution violates the
-// theorem), cut contract (the straight-cut index set changed), runtime
-// (execution failed outright), or "escaped".
+// theorem), cut contract (the straight-cut index set changed; a nil set
+// is no contract), runtime (execution failed outright), or "escaped".
 func classifyMutant(mut Mutant, indexSets map[int]map[int]bool, opts Options) string {
 	code, err := sim.Compile(mut.Prog)
 	if err != nil {
@@ -362,7 +369,7 @@ func classifyMutant(mut Mutant, indexSets map[int]map[int]bool, opts Options) st
 		if sawViolation {
 			return "dynamic" // strongest verdict: stop immediately
 		}
-		if sawMissing || !sameIndexSet(got, want) {
+		if sawMissing || want != nil && !sameIndexSet(got, want) {
 			outcome = "cut"
 		}
 	}
@@ -402,6 +409,16 @@ func classifyCrossClear(mut Mutant, opts Options) string {
 		return "static"
 	}
 	return restoreCatches(code, nil, modeFull, map[int]map[int]bool{mut.Channel.N: nil}, opts)
+}
+
+// classifyRankShift runs one rank-shift mutant at its process count N:
+// "refused" when the runtime's proof gate turns N away, else the trace
+// ladder's verdict there, with no cut contract (none was recorded at N).
+func classifyRankShift(mut Mutant, opts Options) string {
+	if errors.Is(sim.CheckProof(mut.Prog, mut.N), sim.ErrUnprovedN) {
+		return "refused"
+	}
+	return classifyMutant(mut, map[int]map[int]bool{mut.N: nil}, opts)
 }
 
 // restoreCatches explores code at every process count of indexSets with

@@ -38,7 +38,17 @@ const (
 	// execution is untouched; the restore-equivalence axis catches it,
 	// because the cut it crossed can no longer be rebuilt.
 	MutCrossClear
+	// MutRankShift renames every rank a rank guard (if rank == c) names
+	// to c + rankShift, in the guards and in the peers written as that
+	// literal, so the exchange they set up runs only among ranks past the
+	// process counts Phase II checks — the far.mpl shape (ROADMAP 24). It
+	// runs at the largest new constant + 2, where the runtime's proof gate
+	// must refuse it or the trace deciders catch it.
+	MutRankShift
 )
+
+// rankShift is what MutRankShift adds to a rank.
+const rankShift = 16
 
 // String names the kind.
 func (k MutationKind) String() string {
@@ -53,6 +63,8 @@ func (k MutationKind) String() string {
 		return "prune-drop"
 	case MutCrossClear:
 		return "cross-clear"
+	case MutRankShift:
+		return "rank-shift"
 	default:
 		return fmt.Sprintf("mutation(%d)", int(k))
 	}
@@ -74,6 +86,9 @@ type Mutant struct {
 	// A cross-clear mutant's Prog differs from the program in one channel
 	// of Quiet, at Channel.N processes only.
 	Channel Channel
+
+	// N is the process count a rank-shift mutant runs at.
+	N int
 }
 
 // Channel is channel From→To of a run of N processes.
@@ -259,6 +274,74 @@ func CrossClearMutants(p *mpl.Program, crossing map[Channel]bool) []Mutant {
 		})
 	}
 	return out
+}
+
+// rankConst returns c when e is rank == c or c == rank.
+func rankConst(e mpl.Expr) (int, bool) {
+	b, ok := e.(*mpl.Binary)
+	if !ok || b.Op != "==" {
+		return 0, false
+	}
+	l, r := b.L, b.R
+	if _, ok := r.(*mpl.Ident); ok {
+		l, r = r, l
+	}
+	id, isIdent := l.(*mpl.Ident)
+	c, isLit := r.(*mpl.IntLit)
+	if !isIdent || !isLit || id.Name != mpl.BuiltinRank {
+		return 0, false
+	}
+	return c.Value, true
+}
+
+// RankShiftMutants returns the rank-shift mutant of p, or none when no
+// rank guard names a rank: each guard's constant, and each send, recv,
+// bcast or reduce peer written as a constant some guard names, raised by
+// rankShift.
+func RankShiftMutants(p *mpl.Program) []Mutant {
+	var ranks []int
+	mpl.Walk(p.Body, func(s mpl.Stmt) bool {
+		if st, ok := s.(*mpl.If); ok {
+			if c, ok := rankConst(st.Cond); ok {
+				ranks = append(ranks, c)
+			}
+		}
+		return true
+	})
+	if len(ranks) == 0 {
+		return nil
+	}
+	slices.Sort(ranks)
+	ranks = slices.Compact(ranks)
+	shift := func(e mpl.Expr) mpl.Expr {
+		if c, ok := e.(*mpl.IntLit); ok && slices.Contains(ranks, c.Value) {
+			return mpl.Int(c.Value + rankShift)
+		}
+		return e
+	}
+	cp := mpl.Clone(p)
+	mpl.Walk(cp.Body, func(s mpl.Stmt) bool {
+		switch st := s.(type) {
+		case *mpl.If:
+			if c, ok := rankConst(st.Cond); ok {
+				st.Cond = mpl.Eq(mpl.Rank(), mpl.Int(c+rankShift))
+			}
+		case *mpl.Send:
+			st.Dest = shift(st.Dest)
+		case *mpl.Recv:
+			st.Src = shift(st.Src)
+		case *mpl.Bcast:
+			st.Root = shift(st.Root)
+		case *mpl.Reduce:
+			st.Root = shift(st.Root)
+		}
+		return true
+	})
+	n := ranks[len(ranks)-1] + rankShift + 2
+	return []Mutant{{
+		Prog: cp, Kind: MutRankShift, N: n,
+		Desc: fmt.Sprintf("raise ranks %v by %d, run at n=%d", ranks, rankShift, n),
+	}}
 }
 
 // cloneWithID copies a statement and assigns it a fresh id, for

@@ -41,10 +41,15 @@ for s in $SETS; do
     esac
 done
 
+TMP=$(mktemp -d)
+trap 'rm -rf "$TMP"' EXIT
 echo ">> building benchjson"
-go build -o /tmp/benchjson.$$ ./cmd/benchjson
-trap 'rm -f /tmp/benchjson.$$ /tmp/bench_out.$$' EXIT
+go build -o "$TMP/benchjson" ./cmd/benchjson
 
+# run_set runs one set into $TMP/<name>.out and queues its file. A set whose
+# go test fails (a benchmark that calls b.Fatal prints FAIL and exits
+# non-zero) stops the script before any BENCH file is rewritten.
+PENDING=""
 run_set() {
     name="$1" pattern="$2" out="$3"
     shift 3
@@ -53,10 +58,14 @@ run_set() {
     *) return 0 ;;
     esac
     echo ">> bench set $name (-bench '$pattern' -benchtime $BENCHTIME)"
-    go test -run '^$' -bench "$pattern" -benchmem -benchtime "$BENCHTIME" "$@" \
-        | tee /tmp/bench_out.$$
-    /tmp/benchjson.$$ -o "$out" < /tmp/bench_out.$$
-    echo ">> wrote $out"
+    status=0
+    go test -run '^$' -bench "$pattern" -benchmem -benchtime "$BENCHTIME" "$@" >"$TMP/$name.out" || status=$?
+    cat "$TMP/$name.out"
+    if [ "$status" -ne 0 ]; then
+        echo "bench.sh: set $name failed (go test exit $status); no BENCH file rewritten" >&2
+        exit 1
+    fi
+    PENDING="$PENDING $name=$out"
 }
 
 # Sweep engine: sharded Monte Carlo across worker counts, analytic figure
@@ -106,4 +115,8 @@ run_set store \
     BENCH_store.json \
     . ./internal/storage/
 
+for p in $PENDING; do
+    "$TMP/benchjson" -o "${p#*=}" <"$TMP/${p%%=*}.out"
+    echo ">> wrote ${p#*=}"
+done
 echo 'bench OK'

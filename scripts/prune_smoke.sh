@@ -1,14 +1,11 @@
 #!/bin/sh
-# Prune smoke: the liveness-minimized checkpointing A/B lane. Runs one
+# Prune smoke: liveness-minimized checkpointing end to end. Runs one
 # program whose checkpoint sites have a genuinely dead variable through
-# chkptsim twice — default (pruned) and -no-prune (full environments) —
-# under crash/recovery chaos, and asserts:
+# chkptsim twice — failure-free, and under injected crashes — and asserts:
 #
-#   1. both runs converge to the SAME final state (recovery from pruned
-#      checkpoints is equivalent to recovery from full ones);
-#   2. the pruned run reports nonzero bytes saved;
-#   3. the -no-prune run reports no prune accounting at all (the flag
-#      reproduces the old full-environment byte counts).
+#   1. the crashed run converges to the failure-free run's final state
+#      (recovery from pruned checkpoints restores what the program reads);
+#   2. the crashed run reports nonzero bytes saved.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -16,7 +13,7 @@ cd "$(dirname "$0")/.."
 SIM=/tmp/chkptsim_prune.$$
 PROG=/tmp/prune_smoke_prog.$$
 OUT_P=/tmp/prune_smoke_pruned.$$
-OUT_F=/tmp/prune_smoke_full.$$
+OUT_F=/tmp/prune_smoke_clean.$$
 trap 'rm -f "$SIM" "$PROG" "$OUT_P" "$OUT_F"' EXIT
 
 echo '>> building chkptsim'
@@ -48,34 +45,34 @@ proc {
 }
 MPL
 
-echo '>> pruned run (default) with injected failures'
+echo '>> failure-free run'
+"$SIM" -n 4 -transform "$PROG" > "$OUT_F"
+echo '>> run with injected failures'
 "$SIM" -n 4 -transform -fail 1:9 -fail 2:14 "$PROG" > "$OUT_P"
-echo '>> full run (-no-prune) with the same failures'
-"$SIM" -n 4 -transform -no-prune -fail 1:9 -fail 2:14 "$PROG" > "$OUT_F"
 
 if ! grep -q '^prune: .* saved of ' "$OUT_P"; then
-    echo 'pruned run reported no prune accounting:' >&2
+    echo 'crashed run reported no prune accounting:' >&2
     cat "$OUT_P" >&2
     exit 1
 fi
-if grep -q 'prune_bytes' "$OUT_P" && grep -q 'prune_bytes_saved=0 ' "$OUT_P"; then
-    echo 'pruned run saved zero bytes — the dead variable was not dropped:' >&2
+if grep -q 'prune_bytes_saved=0 ' "$OUT_P"; then
+    echo 'crashed run saved zero bytes — the dead variable was not dropped:' >&2
     cat "$OUT_P" >&2
     exit 1
 fi
-if grep -q 'prune_bytes\|^prune: ' "$OUT_F"; then
-    echo '-no-prune run still reported prune accounting:' >&2
-    cat "$OUT_F" >&2
+if ! grep -q 'restarts=[1-9]' "$OUT_P"; then
+    echo 'crashed run did not restart:' >&2
+    cat "$OUT_P" >&2
     exit 1
 fi
 
 # Final states must match line for line (both runs print sorted vars).
 STATE_P=$(grep '^  proc ' "$OUT_P")
 STATE_F=$(grep '^  proc ' "$OUT_F")
-if [ "$STATE_P" != "$STATE_F" ]; then
-    echo 'pruned and full runs diverged:' >&2
-    echo "pruned: $STATE_P" >&2
-    echo "full:   $STATE_F" >&2
+if [ -z "$STATE_F" ] || [ "$STATE_P" != "$STATE_F" ]; then
+    echo 'crashed run diverged from the failure-free run:' >&2
+    echo "crashed:      $STATE_P" >&2
+    echo "failure-free: $STATE_F" >&2
     exit 1
 fi
 

@@ -100,7 +100,7 @@ grep -q ' forced=[1-9]' "$TMP/cic.out" || { echo 'reach: chkptsim -protocol cic 
 for store in mem incremental "wal:$TMP/simlog"; do
     quiet "$SIM" -n 4 -transform -store "$store" -fail 1:9 -fail 2:14 "$PROG"
 done
-quiet "$SIM" -n 4 -transform -no-prune -seed 3 -crash-rate 2.5 -storage-fault-rate 0.3 "$PROG"
+quiet "$SIM" -n 4 -transform -seed 3 -crash-rate 2.5 -storage-fault-rate 0.3 "$PROG"
 # The uncoordinated walk over checkpoints that fail to load: it skips them.
 quiet "$SIM" -n 4 -transform -protocol uncoord -seed 4 -storage-fault-rate 0.3 -fail 1:9 -fail 2:14 "$PROG"
 # The partition outlasts sim.SuspectAfter (200 ms): the link 0->1 reports

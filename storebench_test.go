@@ -92,8 +92,7 @@ func pruneBenchSnap(proc, instance int, pruned bool) storage.Snapshot {
 // lent to every save, as the runtime lends its live state, every value
 // moved on since the last: allocs/op is the store's own, and 0 on the
 // memory store and the WAL is the contract. BENCH_store.json records the
-// results via scripts/bench.sh; `-no-prune` on the CLIs reproduces the
-// full-lane byte counts end to end.
+// results via scripts/bench.sh.
 func BenchmarkSaveBytesPruned(b *testing.B) {
 	for _, kind := range storeKinds {
 		for _, mode := range []string{"full", "pruned"} {
@@ -140,12 +139,15 @@ func BenchmarkStoreSingleSave(b *testing.B) {
 }
 
 // BenchmarkWALSelectLongLog measures what a rollback costs one job on a
-// long-lived shared log: select the recovery line of a 4-process job with
-// 64 checkpoints per process, scrub, and name what to discard (nothing —
-// the store is already at the line, so every iteration does the same work),
-// on a WAL that also holds `foreign` checkpoints of other jobs. The index
-// is per process, so the 64k figure must stay within 2× of the 1k one;
-// before it was, selection walked every key the log ever held.
+// long-lived shared log: select the recovery line of a 4-process job that
+// saved 64 checkpoints per process, scrub, and name what to discard
+// (nothing — the store is already at the line, so every iteration does the
+// same work), on a WAL that also took `foreign` saves of other jobs. Every
+// save carries a 4-process job's row (N = 4, no messages), what recovery
+// requires of a line member, so retention (DESIGN decision 33) keeps each
+// process's newest two cuts: the index stays small however many saves the
+// log took, and the 64k figure must stay within 2× of the 1k one; before
+// the index was per process, selection walked every key the log ever held.
 func BenchmarkWALSelectLongLog(b *testing.B) {
 	const nproc, each = 4, 64
 	for _, foreign := range []int{1 << 10, 64 << 10} {
@@ -153,7 +155,7 @@ func BenchmarkWALSelectLongLog(b *testing.B) {
 			ws := openTestStore(b, "wal", 0, wal.Options{})
 			save := func(proc, instance int) {
 				s := benchSnap(proc, instance)
-				s.Instances = map[int]int{1: instance + 1}
+				s.N, s.Instances = nproc, map[int]int{1: instance + 1}
 				if err := ws.Save(s); err != nil {
 					b.Error(err)
 				}
