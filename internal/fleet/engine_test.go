@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -196,8 +198,12 @@ func TestEngineBreakerOpensAndRecovers(t *testing.T) {
 // channels the program uses, and its four jitter generators are 16 bytes each
 // (240 objects and 51 KB per job when each job compiled for itself and seeded
 // math/rand sources; 102 and 14.5 KB when each job also snapshot the fleet's
-// counters and copied its final variables and the program's constants; 83
-// and 10.9 KB measured, 90 and 10.9 KB under -race).
+// counters and copied its final variables and the program's constants;
+// 82–86 and 9.8–10.5 KB while each process held an instance map, each
+// checkpoint refilled a second variable map and each incarnation built its
+// Procs one by one). Measured 70–72 objects and 7.5–8.9 KB. Not pinned under
+// -race, where sync.Pool drops at random: 81–85 and 9.9–10.7 KB there, 90
+// and 10.9 KB while processes held instance maps.
 func TestFleetJobAllocs(t *testing.T) {
 	const jobs = 32
 	batch := func() {
@@ -219,7 +225,10 @@ func TestFleetJobAllocs(t *testing.T) {
 	objects := float64(after.Mallocs-before.Mallocs) / jobs
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / jobs
 	t.Logf("a job allocates %.0f objects and %.1f KB", objects, kb)
-	if objects > 120 || kb > 13 {
-		t.Errorf("a job allocates %.0f objects and %.1f KB, want <= 120 and <= 13 KB", objects, kb)
+	if bi, _ := debug.ReadBuildInfo(); bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		return
+	}
+	if objects > 78 || kb > 9.5 {
+		t.Errorf("a job allocates %.0f objects and %.1f KB, want <= 78 and <= 9.5 KB", objects, kb)
 	}
 }

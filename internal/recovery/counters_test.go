@@ -2,6 +2,7 @@ package recovery_test
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -141,4 +142,15 @@ func rowOf(sent, recvd []int) storage.Row {
 		}
 	}
 	return row
+}
+
+// counted sets k's index to count k, in place as the runtime counts it, so
+// one Counts is lent to every save of a history.
+func counted(c storage.Counts, k storage.Key) storage.Counts {
+	i, ok := c.Search(k.CFGIndex)
+	if !ok {
+		c = slices.Insert(c, i, storage.Count{Index: k.CFGIndex})
+	}
+	c[i].N = k.Instance + 1
+	return c
 }

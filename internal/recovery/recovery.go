@@ -82,7 +82,7 @@ func Progress(s storage.Snapshot) int {
 		sum += e.Sent + e.Recvd
 	}
 	for _, c := range s.Instances {
-		sum += c
+		sum += c.N
 	}
 	return sum
 }

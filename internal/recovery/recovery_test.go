@@ -199,11 +199,11 @@ func TestLatestConsistentWalksInTime(t *testing.T) {
 	st := storage.NewMemory()
 	history := []struct {
 		index, instance, seq int
-		instances            map[int]int
+		instances            storage.Counts
 	}{
-		{1, 0, 0, map[int]int{1: 1}},
-		{2, 0, 1, map[int]int{1: 1, 2: 1}},
-		{1, 1, 2, map[int]int{1: 2, 2: 1}},
+		{1, 0, 0, storage.Counts{{Index: 1, N: 1}}},
+		{2, 0, 1, storage.Counts{{Index: 1, N: 1}, {Index: 2, N: 1}}},
+		{1, 1, 2, storage.Counts{{Index: 1, N: 2}, {Index: 2, N: 1}}},
 	}
 	for p := 0; p < 2; p++ {
 		for _, h := range history {

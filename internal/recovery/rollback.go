@@ -32,7 +32,7 @@ type Rolled struct {
 // "After the line" is read off the line itself: the member at of process p
 // carries p's per-index instance counters including its own checkpoint
 // (storage.Snapshot.Instances), so key k of p is doomed exactly when
-// k.Instance >= at.Instances[k.CFGIndex], and no other snapshot is loaded.
+// k.Instance >= at.Instances.At(k.CFGIndex), and no other snapshot is loaded.
 // A line whose member lacks those counters is refused before the store is
 // touched: discarding by it would take the line itself. So is one saved by
 // an application of another size, or with a peer not below n: a count read
@@ -57,9 +57,9 @@ func Rollback(st storage.Store, n int, choose func(storage.Store, int) (*Line, e
 				return nil, fmt.Errorf("recovery: line member %s carries a row of %d processes, peers %v, want %d",
 					at.Key(), at.N, at.Peers, n)
 			}
-			if at.Instances[at.CFGIndex] != at.Instance+1 {
+			if c := at.Instances.At(at.CFGIndex); c != at.Instance+1 {
 				return nil, fmt.Errorf("recovery: line member %s carries instance counter %d, want %d",
-					at.Key(), at.Instances[at.CFGIndex], at.Instance+1)
+					at.Key(), c, at.Instance+1)
 			}
 		}
 	}
@@ -68,7 +68,7 @@ func Rollback(st storage.Store, n int, choose func(storage.Store, int) (*Line, e
 		return nil, err
 	}
 	for p := 0; p < n; p++ {
-		var kept map[int]int // nil, without a line, keeps nothing
+		var kept storage.Counts // nil, without a line, keeps nothing
 		if line != nil {
 			kept = line.Snapshots[p].Instances
 		}
@@ -77,7 +77,7 @@ func Rollback(st storage.Store, n int, choose func(storage.Store, int) (*Line, e
 			return nil, err
 		}
 		for _, k := range keys {
-			if k.Instance >= kept[k.CFGIndex] {
+			if k.Instance >= kept.At(k.CFGIndex) {
 				if err := st.Delete(p, k.CFGIndex, k.Instance); err != nil {
 					return nil, err
 				}

@@ -116,9 +116,9 @@ func TestRollback(t *testing.T) {
 					}
 					// As in the runtime, the counters a snapshot carries count
 					// every save up to and including its own.
-					instances := map[int]int{}
+					var instances storage.Counts
 					for tick, k := range saved {
-						instances[k.CFGIndex] = k.Instance + 1
+						instances = counted(instances, k)
 						s := storage.Snapshot{
 							Proc: p, CFGIndex: k.CFGIndex, Instance: k.Instance,
 							Vars: map[string]int{"x": tick},
@@ -211,9 +211,9 @@ func TestLatestConsistentSkipsWhatFailsToLoad(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			st := chaos.New(inner, 1, chaos.Rates{BitFlip: 1}, nil)
 			for p := 0; p < 2; p++ {
-				instances := map[int]int{}
+				var instances storage.Counts
 				for tick, k := range history {
-					instances[k.CFGIndex] = k.Instance + 1
+					instances = counted(instances, k)
 					s := storage.Snapshot{
 						Proc: p, CFGIndex: k.CFGIndex, Instance: k.Instance,
 						N: 2, Peers: rowOf([]int{2 * tick, 3 * tick}, []int{tick, 2 * tick}),
@@ -260,7 +260,7 @@ func TestRollbackKeepsTheChosenLine(t *testing.T) {
 				for inst := 0; inst < 4; inst++ {
 					s := storage.Snapshot{
 						Proc: p, CFGIndex: 1, Instance: inst,
-						Vars: map[string]int{"x": inst}, Instances: map[int]int{1: inst + 1},
+						Vars: map[string]int{"x": inst}, Instances: storage.Counts{{Index: 1, N: inst + 1}},
 						N: 2, Peers: rowOf([]int{inst, inst}, []int{inst, inst}),
 					}
 					into := inner
@@ -316,7 +316,7 @@ func TestRollbackRefusesLineOfNarrowSeqs(t *testing.T) {
 	refused(t, 4, 3, "a row of 3 processes", nil)
 	st := storage.NewMemory()
 	for p := range 2 {
-		if err := st.Save(storage.Snapshot{Proc: p, CFGIndex: 1, Instances: map[int]int{1: 1}, N: 2}); err != nil {
+		if err := st.Save(storage.Snapshot{Proc: p, CFGIndex: 1, Instances: storage.Counts{{Index: 1, N: 1}}, N: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -346,7 +346,7 @@ func refused(t *testing.T, n, width int, want string, edit func(*storage.Snapsho
 			for p := 0; p < n; p++ {
 				for inst := 0; inst < 3; inst++ {
 					s := storage.Snapshot{
-						Proc: p, CFGIndex: 1, Instance: inst, Instances: map[int]int{1: inst + 1},
+						Proc: p, CFGIndex: 1, Instance: inst, Instances: storage.Counts{{Index: 1, N: inst + 1}},
 						N: width,
 					}
 					if edit != nil {
@@ -533,7 +533,7 @@ func TestDiscardByCountersMatchesDiscardByClock(t *testing.T) {
 							}
 						}
 						for _, k := range keys {
-							if line == nil || k.Instance >= line.Snapshots[p].Instances[k.CFGIndex] {
+							if line == nil || k.Instance >= line.Snapshots[p].Instances.At(k.CFGIndex) {
 								byCounters = append(byCounters, k)
 							}
 						}
@@ -614,7 +614,7 @@ func TestRollbackOverWALDecodesOnlyTheLine(t *testing.T) {
 			// The chosen line is given its channel counters below.
 			s := storage.Snapshot{
 				Proc: p, CFGIndex: 1, Instance: inst,
-				Vars: map[string]int{"x": inst}, Instances: map[int]int{1: inst + 1},
+				Vars: map[string]int{"x": inst}, Instances: storage.Counts{{Index: 1, N: inst + 1}},
 			}
 			if err := ws.Save(s); err != nil {
 				t.Fatal(err)
@@ -681,7 +681,7 @@ func TestStraightCutReadsEachMemberOnceAllocs(t *testing.T) {
 					s := storage.Snapshot{
 						Proc: p, CFGIndex: 1, Instance: inst,
 						N: n, Peers: rowOf([]int{inst, inst, inst, inst}, make([]int, n)),
-						Instances: map[int]int{1: inst + 1},
+						Instances: storage.Counts{{Index: 1, N: inst + 1}},
 					}
 					if err := ws.Save(s); err != nil {
 						t.Fatal(err)

@@ -58,7 +58,7 @@ func TestRecoverFromVersion1WAL(t *testing.T) {
 	}
 	for p, s := range rb.Line.Snapshots {
 		want := storage.Row{{Peer: p ^ 1, Sent: 7, Recvd: 7}}
-		if s.Instance != 7 || s.N != n || !reflect.DeepEqual(s.Peers, want) || s.Instances[1] != 8 || s.Vars["iter"] != 7 {
+		if s.Instance != 7 || s.N != n || !reflect.DeepEqual(s.Peers, want) || s.Instances.At(1) != 8 || s.Vars["iter"] != 7 {
 			t.Errorf("line member %d: %s, N %d, peers %v, instances %v, vars %v; want instance 7, N 4, peers %v",
 				p, s.Key(), s.N, s.Peers, s.Instances, s.Vars, want)
 		}
@@ -67,7 +67,7 @@ func TestRecoverFromVersion1WAL(t *testing.T) {
 
 	for p := range n {
 		s := rb.Line.Snapshots[p]
-		s.Instance, s.Instances = 8, map[int]int{1: 9}
+		s.Instance, s.Instances = 8, storage.Counts{{Index: 1, N: 9}}
 		s.Peers = storage.Row{{Peer: p ^ 1, Sent: 8, Recvd: 8}}
 		if err := ws.Save(s); err != nil {
 			t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/metrics"
+	"repro/internal/mpl"
 	"repro/internal/obs"
 	"repro/internal/recovery"
 	"repro/internal/storage"
@@ -151,8 +152,17 @@ func TestRestartFromScratchAfterInheritance(t *testing.T) {
 	}
 }
 
+// builtHooks tells the Hooks of one incarnation from another's.
+type builtHooks struct {
+	NoHooks
+	id int
+}
+
 // What init leaves of an inherited process, looked at directly: Run's loop
-// by hand, stopped between start and wait.
+// by hand, stopped between start and wait. Each process is its
+// predecessor's Proc, reset in place: the memory stays, and the hooks, the
+// event count, the incarnation and the crash trigger are the new
+// incarnation's.
 func TestInitRefillsInheritedMemory(t *testing.T) {
 	const n = 4
 	code, err := Compile(mustParseProg(t, accumulateSrc))
@@ -160,10 +170,11 @@ func TestInitRefillsInheritedMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	counters := &metrics.Counters{}
+	built := 0
 	r := &run{
 		cfg: Config{
-			Nproc: n, Hooks: NoProtocol, Timeout: 20 * time.Second,
-			Counters: counters, DisableTrace: true,
+			Nproc: n, Timeout: 20 * time.Second, Counters: counters, DisableTrace: true,
+			Hooks: func(int, int) Hooks { built++; return &builtHooks{id: built} },
 		},
 		code:  code,
 		plan:  crashPlan{{0, 3}: 11},
@@ -177,11 +188,23 @@ func TestInitRefillsInheritedMemory(t *testing.T) {
 	if failure, err := r.wait(0, procs); err != nil || failure == nil {
 		t.Fatalf("incarnation 0: failure %v, err %v; want the scheduled crash", failure, err)
 	}
+	type memory struct {
+		env       *mpl.Env
+		row       *storage.PeerSeq
+		chans     *peerChans
+		instances *storage.Count
+	}
 	old := append([]*Proc(nil), procs...)
+	oldHooks, oldMem := make([]Hooks, n), make([]memory, n)
 	for p, pr := range old {
 		if pr.env.Vars["acc"] == 0 || len(pr.instances) == 0 || pr.row.At((p+1)%n).Sent+pr.row.At((p+n-1)%n).Recvd == 0 {
 			t.Fatalf("process %d crashed with nothing to refill: vars %v instances %v", p, pr.env.Vars, pr.instances)
 		}
+		if pr.events == 0 || pr.inc != 0 || (p == 3) != (pr.failAfter == 11) {
+			t.Fatalf("process %d ran incarnation %d for %d events, crash trigger %d", p, pr.inc, pr.events, pr.failAfter)
+		}
+		oldHooks[p] = pr.hooks
+		oldMem[p] = memory{pr.env, &pr.row[:1][0], &pr.chans[0], &pr.instances[:1][0]}
 	}
 	// No line: every process starts over on what its predecessor left.
 	if procs, err = r.start(1, procs, nil, 0); err != nil {
@@ -189,18 +212,22 @@ func TestInitRefillsInheritedMemory(t *testing.T) {
 	}
 	zeroVars := map[string]int{"acc": 0, "got": 0, "iter": 0}
 	for p, pr := range procs {
-		if pr == old[p] || pr.env != old[p].env || &pr.row[:1][0] != &old[p].row[:1][0] || &pr.chans[0] != &old[p].chans[0] {
+		if pr != old[p] {
+			t.Fatalf("process %d is a new Proc, not its predecessor's", p)
+		}
+		if mem := (memory{pr.env, &pr.row[:1][0], &pr.chans[0], &pr.instances[:1][0]}); mem != oldMem[p] {
 			t.Fatalf("process %d did not inherit its predecessor's memory", p)
 		}
-		// The row starts empty; the channels stay cached.
+		// The row and the counters start empty; the channels stay cached.
 		if len(pr.row) != 0 || slices.ContainsFunc(pr.chans, func(c peerChans) bool { return c.out == nil && c.in == nil }) {
 			t.Errorf("process %d starts with row %v, channels %v", p, pr.row, pr.chans)
 		}
 		if len(pr.instances) != 0 || !reflect.DeepEqual(pr.env.Vars, zeroVars) {
 			t.Errorf("process %d starts with instances %v, variables %v", p, pr.instances, pr.env.Vars)
 		}
-		if pr.hooks == nil || pr.events != 0 || pr.inc != 1 {
-			t.Errorf("process %d: hooks %v, %d events, incarnation %d", p, pr.hooks, pr.events, pr.inc)
+		if pr.hooks == nil || pr.hooks == oldHooks[p] || pr.events != 0 || pr.inc != 1 || pr.failAfter != -1 {
+			t.Errorf("process %d: hooks %v (predecessor's %v), %d events, incarnation %d, crash trigger %d",
+				p, pr.hooks, oldHooks[p], pr.events, pr.inc, pr.failAfter)
 		}
 		// Every process of every run reads the one constants map Compile built.
 		if reflect.ValueOf(pr.env.Consts).UnsafePointer() != reflect.ValueOf(code.consts).UnsafePointer() || pr.env.Consts["MAXITER"] != 6 {
@@ -209,14 +236,16 @@ func TestInitRefillsInheritedMemory(t *testing.T) {
 	}
 }
 
-// One more crash costs one more incarnation: n Procs with their hooks, a
-// rollback, and the replay's own messages and saves — not n environments,
-// instance maps, clocks and sequence slices made again (174 objects before
-// incarnations inherited them). Measured 62 (83 while selection probed a
-// Latest frontier, 166 before that); the margin is for scheduling (how far
-// the others got before the crash decides how much is replayed). The whole
-// one-crash run is pinned beside it: 197 objects (356 while its network made
-// n² queues up front).
+// One more crash costs one more incarnation: n sets of hooks, a rollback,
+// and the replay's own messages and saves — not n Procs, environments,
+// instance counters, clocks and sequence slices made again (174 objects
+// before incarnations inherited them, 53 before they reused their Procs).
+// Measured 45 (83 while selection probed a Latest frontier, 166 before
+// that); the margin is for scheduling (how far the others got before the
+// crash decides how much is replayed). The whole one-crash run is pinned
+// beside it: 167 objects, 168 under -race (190 while each Proc held an
+// instance map and each incarnation built new Procs, 356 while its network
+// made n² queues up front).
 func TestRestartAllocsPerIncarnation(t *testing.T) {
 	prog := corpus.JacobiFig1(12)
 	run := func(crashes int) float64 {
@@ -237,7 +266,7 @@ func TestRestartAllocsPerIncarnation(t *testing.T) {
 	if marginal > 80 {
 		t.Errorf("an additional incarnation allocates %.1f objects, want <= 80", marginal)
 	}
-	if one > 325 {
-		t.Errorf("a run with one crash allocates %.0f objects, want <= 325", one)
+	if one > 180 {
+		t.Errorf("a run with one crash allocates %.0f objects, want <= 180", one)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand/v2"
 	"runtime"
@@ -65,15 +66,16 @@ type Proc struct {
 	inc      int          // incarnation this process belongs to
 
 	env *mpl.Env
-	// pruned is the variable map of the last manifest-pruned checkpoint,
-	// refilled for the next one.
+	// pruned is the variable map of the last checkpoint that dropped a
+	// variable, refilled for the next one.
 	pruned map[string]int
 	pc     int
 	// row counts, by peer, the messages the state has exchanged; chans
-	// caches, by peer, the channels of every peer touched in the run.
+	// caches, by peer, the channels of every peer touched in the run;
+	// instances counts, by CFG index, the checkpoints taken.
 	row       storage.Row
 	chans     []peerChans
-	instances map[int]int
+	instances storage.Counts
 
 	steps      int
 	maxSteps   int
@@ -116,7 +118,6 @@ type Proc struct {
 func (p *Proc) init(input func(rank, i int) int) {
 	p.workLeft = -1
 	if p.env == nil {
-		p.instances = make(map[int]int)
 		// The closure holds the rank, not the Proc: it serves every incarnation.
 		var inputFn func(int) int
 		if input != nil {
@@ -125,8 +126,7 @@ func (p *Proc) init(input func(rank, i int) int) {
 		}
 		p.env = &mpl.Env{Rank: p.rank, Nproc: p.n, Vars: make(map[string]int, len(p.code.Prog.Vars)), Consts: p.code.consts, Input: inputFn}
 	}
-	p.row = p.row[:0]
-	clear(p.instances)
+	p.row, p.instances = p.row[:0], p.instances[:0]
 	clear(p.env.Vars) // a crash mid-reduce leaves reduceTmpVar behind
 	for _, name := range p.code.Prog.Vars {
 		p.env.Vars[name] = 0
@@ -167,13 +167,9 @@ func (p *Proc) restore(s storage.Snapshot) error {
 		return fmt.Errorf("sim: bad snapshot pc %q: %w", s.PC, err)
 	}
 	p.pc = pc
-	for k, v := range s.Vars {
-		p.env.Vars[k] = v
-	}
+	maps.Copy(p.env.Vars, s.Vars)
 	p.row = append(p.row, s.Peers...)
-	for k, v := range s.Instances {
-		p.instances[k] = v
-	}
+	p.instances = append(p.instances, s.Instances...)
 	p.vtime = s.VTime
 	return nil
 }
@@ -232,11 +228,15 @@ func (p *Proc) TakeCheckpoint(idx int) error {
 // (nil manifest = the whole environment). Pruned variables restore to their
 // declared initial value — safe because liveness proved every path from
 // this site redefines them before any use. The snapshot lends the store the
-// process's live counters and variable map: Store.Save holds on to none of
-// them once it returns.
+// process's live row, counters and environment, or the pruned map where the
+// manifest drops a variable: Store.Save holds on to none once it returns.
 func (p *Proc) takeCheckpoint(idx int, manifest []string, label string) error {
-	instance := p.instances[idx]
-	p.instances[idx] = instance + 1
+	i, ok := p.instances.Search(idx)
+	if !ok {
+		p.instances = slices.Insert(p.instances, i, storage.Count{Index: idx})
+	}
+	instance := p.instances[i].N
+	p.instances[i].N++
 	if p.time != nil {
 		p.advance(p.time.CheckpointOverhead)
 	}
@@ -244,23 +244,28 @@ func (p *Proc) takeCheckpoint(idx int, manifest []string, label string) error {
 	vars := p.env.Vars
 	if manifest != nil {
 		fullBytes := 0
-		for k := range p.env.Vars {
+		for k := range vars {
 			fullBytes += len(k) + 8
 		}
-		if p.pruned == nil {
-			p.pruned = make(map[string]int, len(manifest))
-		}
-		clear(p.pruned)
-		vars = p.pruned
-		prunedBytes := 0
-		for _, name := range manifest {
-			if v, ok := p.env.Vars[name]; ok {
-				vars[name] = v
-				prunedBytes += len(name) + 8
+		keptBytes := fullBytes
+		// A manifest names declared variables, each once: one as long as the
+		// environment keeps them all, so the environment itself is lent.
+		if len(manifest) < len(vars) {
+			if p.pruned == nil {
+				p.pruned = make(map[string]int, len(manifest))
 			}
+			clear(p.pruned)
+			keptBytes = 0
+			for _, name := range manifest {
+				if v, ok := vars[name]; ok {
+					p.pruned[name] = v
+					keptBytes += len(name) + 8
+				}
+			}
+			vars = p.pruned
 		}
 		p.counters.Inc(MetricPruneBytesFull, fullBytes)
-		p.counters.Inc(MetricPruneBytesSaved, fullBytes-prunedBytes)
+		p.counters.Inc(MetricPruneBytesSaved, fullBytes-keptBytes)
 		p.counters.Inc(MetricPruneVarsDropped, len(p.env.Vars)-len(vars))
 	}
 	snap := storage.Snapshot{

@@ -313,30 +313,33 @@ func (r *run) emit(kind obs.Kind, inc int, vtime float64, format string, args ..
 }
 
 // start builds incarnation inc's processes: fresh at the program start, or
-// restored from line, with the incarnation's crash triggers armed. Each
-// takes over the memory of its predecessor in prev, the incarnation that
-// just failed (nil at incarnation 0) — environment, per-peer row and its
-// channels, instance map — and init refills it. That is safe because wait
-// returned only after every goroutine of prev had reported in and rollback
-// has read their counters: nothing runs on that memory any more, stores,
-// observers and the send log were only ever lent it, and what init finds it
-// overwrites, never trusts. Hooks and protocol state are built anew.
-func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64) ([]*Proc, error) {
+// restored from line, with the incarnation's crash triggers armed. Each is
+// its predecessor in procs (nil at incarnation 0) reset in place: hooks,
+// counts and configuration anew, its memory — environment, pruned map, row
+// and channels, instance counters — kept for init to refill. That is safe
+// because wait returned only after every goroutine of procs had reported in
+// and rollback has read their counters: nothing runs on a Proc any more,
+// stores, observers and the send log were only ever lent its memory, and
+// what init finds it overwrites, never trusts.
+func (r *run) start(inc int, procs []*Proc, line *recovery.Line, restartV float64) ([]*Proc, error) {
 	cfg, n := &r.cfg, r.cfg.Nproc
 	var tr *trace.Trace
 	if !cfg.DisableTrace {
 		tr = trace.NewTrace(n)
 	}
-	procs := prev
 	if procs == nil {
 		procs = make([]*Proc, n)
+		all := make([]Proc, n) // every incarnation's processes, in one allocation
+		for rank := range procs {
+			procs[rank] = &all[rank]
+		}
 	}
-	for rank, old := range procs {
-		p := &Proc{
+	for rank, p := range procs {
+		*p = Proc{
 			rank: rank, n: n, code: r.code, net: r.net, tr: tr, store: r.store,
 			counters: cfg.Counters, hooks: cfg.Hooks(rank, n), obsv: cfg.Observer, inc: inc,
-			maxSteps: stepBudget, failAfter: r.plan.at(inc, rank),
-			time: cfg.Time,
+			maxSteps: stepBudget, failAfter: r.plan.at(inc, rank), time: cfg.Time,
+			env: p.env, pruned: p.pruned, row: p.row, chans: p.chans, instances: p.instances,
 		}
 		// Under the paper's protocol every recovery line is a straight cut:
 		// a message on a channel the program proves empty at all of them
@@ -348,10 +351,6 @@ func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64
 			p.jittered = true
 			p.jitter.Seed(uint64(cfg.Jitter), uint64(rank)<<32|uint64(inc))
 		}
-		if old != nil {
-			p.env, p.pruned = old.env, old.pruned
-			p.row, p.chans, p.instances = old.row, old.chans, old.instances
-		}
 		p.init(cfg.Input)
 		if line != nil {
 			if err := p.restore(line.Snapshots[rank]); err != nil {
@@ -359,7 +358,6 @@ func (r *run) start(inc int, prev []*Proc, line *recovery.Line, restartV float64
 			}
 		}
 		p.vtime = max(p.vtime, restartV)
-		procs[rank] = p
 	}
 	return procs, nil
 }

@@ -44,15 +44,15 @@ import (
 // Names, indexes and peers ascend and every varint is minimal, so the bytes
 // are a deterministic function of the snapshot (the incremental store's
 // checksum depends on that) and exactly one manifest-free body decodes to
-// any given one whose Peers are a Row.
+// any given one whose Peers are a Row and whose Instances are Counts.
 const snapshotVersion = 2
 
 // AppendSnapshot appends the body of s to dst and returns the extended
 // slice. It allocates nothing when dst has room and s holds at most
-// sortScratch variables and instance counters. The body is three runs — head
-// (version … Clock), variables, tail (PC … manifest run) — so that the
-// incremental store, which keeps variables apart from the rest, can put a
-// body together again around a reconstructed variable map.
+// sortScratch variables. The body is three runs — head (version … Clock),
+// variables, tail (PC … manifest run) — so that the incremental store,
+// which keeps variables apart from the rest, can put a body together again
+// around a reconstructed variable map.
 func AppendSnapshot(dst []byte, s Snapshot) []byte {
 	return appendTail(appendVars(appendHead(dst, s), s.Vars), s)
 }
@@ -96,22 +96,15 @@ func appendTail(dst []byte, s Snapshot) []byte {
 	}
 
 	dst = appendLen(dst, len(s.Instances), s.Instances == nil)
-	var idxBuf [sortScratch]int
-	idxs := idxBuf[:0]
-	for idx := range s.Instances {
-		idxs = append(idxs, idx)
-	}
-	slices.Sort(idxs)
-	for _, idx := range idxs {
-		dst = binary.AppendVarint(dst, int64(idx))
-		dst = binary.AppendVarint(dst, int64(s.Instances[idx]))
+	for _, e := range s.Instances {
+		dst = binary.AppendVarint(binary.AppendVarint(dst, int64(e.Index)), int64(e.N))
 	}
 
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(s.VTime))
 	return append(dst, 0) // no manifest
 }
 
-// sortScratch is how many map keys AppendSnapshot sorts on its own stack.
+// sortScratch is how many variable names AppendSnapshot sorts on its own stack.
 const sortScratch = 32
 
 func appendLen(dst []byte, n int, isNil bool) []byte {
@@ -162,14 +155,11 @@ func DecodeSnapshot(body []byte) (Snapshot, error) {
 	s.PC = d.str()
 	s.N, s.Peers = d.row(body[0])
 	if n, ok := d.count(2); ok {
-		s.Instances = make(map[int]int, n)
-		prev := 0
-		for i := 0; i < n && d.err == nil; i++ {
-			idx := d.int()
-			if i > 0 && idx <= prev {
+		s.Instances = make(Counts, n)
+		for i := range s.Instances {
+			if s.Instances[i] = (Count{d.int(), d.int()}); i > 0 && s.Instances[i].Index <= s.Instances[i-1].Index {
 				d.fail("instance indexes out of order")
 			}
-			s.Instances[idx], prev = d.int(), idx
 		}
 	}
 	if len(d.rest) < 8 {

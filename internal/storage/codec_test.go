@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/vclock"
@@ -21,7 +22,7 @@ var (
 		PC:        "s12",
 		N:         3,
 		Peers:     Row{{0, 1, 0}, {2, 2, 1}},
-		Instances: map[int]int{1: 4, 2: 3},
+		Instances: Counts{{1, 4}, {2, 3}},
 		VTime:     1.25,
 	}
 	goldenPruned = Snapshot{
@@ -31,7 +32,7 @@ var (
 		PC:        "s12",
 		N:         3,
 		Peers:     Row{{0, 1, 0}, {2, 2, 1}},
-		Instances: map[int]int{1: 4, 2: 3},
+		Instances: Counts{{1, 4}, {2, 3}},
 		VTime:     1.25,
 	}
 )
@@ -143,10 +144,10 @@ func TestVersion1BodiesReadAsVersion2(t *testing.T) {
 
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	many := make(map[string]int, 200)
-	manyInst := make(map[int]int, 200)
+	manyInst := make(Counts, 200)
 	for i := 0; i < 200; i++ {
 		many[fmt.Sprintf("v%03d", i)] = i * i
-		manyInst[i-100] = i
+		manyInst[i] = Count{i - 100, i}
 	}
 	tests := []struct {
 		name string
@@ -154,7 +155,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}{
 		{"zero value: every slice and map nil", Snapshot{}},
 		{"every slice and map empty, 0-width clock", Snapshot{
-			Clock: vclock.VC{}, Vars: map[string]int{}, Instances: map[int]int{},
+			Clock: vclock.VC{}, Vars: map[string]int{}, Instances: Counts{},
 		}},
 		{"two peers of 1024", Snapshot{N: 1024, Peers: Row{{Peer: 511, Sent: 3, Recvd: 3}, {Peer: 1023, Sent: 1}}}},
 		{"nil Vars beside a clock", Snapshot{Clock: vclock.VC{1}}},
@@ -162,7 +163,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 			Proc: -1, CFGIndex: -2, Instance: -3,
 			Vars: map[string]int{"a": math.MinInt64, "b": -1, "c": math.MaxInt64},
 			N:    1, Peers: Row{{Peer: 0, Sent: -5, Recvd: math.MinInt64}},
-			Instances: map[int]int{-7: -8, 0: 0, 7: 8},
+			Instances: Counts{{-7, -8}, {0, 0}, {7, 8}},
 			VTime:     -0.5,
 		}},
 		{"more than 127 variables and instances", Snapshot{
@@ -241,6 +242,14 @@ func TestDecodeSnapshotRejectsDamage(t *testing.T) {
 			t.Errorf("%s: decoded", name)
 		}
 	}
+	for name, c := range map[string]Counts{
+		"instance index repeated":   {{1, 1}, {1, 2}},
+		"instance index descending": {{2, 1}, {1, 1}},
+	} {
+		if got, err := DecodeSnapshot(AppendSnapshot(nil, Snapshot{Instances: c})); err == nil || !reflect.DeepEqual(got, Snapshot{}) {
+			t.Errorf("%s: decoded to %+v, %v", name, got, err)
+		}
+	}
 }
 
 // A declared length is checked against the bytes that remain before
@@ -268,6 +277,20 @@ func TestDecodeSnapshotBoundsAllocation(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
 			t.Errorf("body %d (%d bytes): decode allocated %d bytes", i, len(body), got)
 		}
+	}
+	// An entry count the body can hold: one slice of that many, and no
+	// more, is made before the repeated index 0 refuses the body.
+	body := append(append(head[:4:4], 0, 0, 0, 0, 0), binary.AppendUvarint(nil, 1<<15+1)...)
+	body = append(body, make([]byte, 1<<16)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeSnapshot(body)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("a body of 2^15 repeated instance entries decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 10*uint64(len(body)) {
+		t.Errorf("a body of 2^15 instance entries (%d bytes): decode allocated %d bytes", len(body), got)
 	}
 }
 
@@ -323,9 +346,15 @@ func fuzzSnapshot(blob []byte, names string, shape uint8, vtime float64) Snapsho
 		}
 	}
 	if shape&16 != 0 {
-		s.Instances = make(map[int]int, n)
+		s.Instances = make(Counts, 0, n)
 		for i := 0; i < n; i++ {
-			s.Instances[next()] = next()
+			// A repeated index keeps its last count, as the map this was did.
+			c := Count{next(), next()}
+			if j, ok := s.Instances.Search(c.Index); ok {
+				s.Instances[j] = c
+			} else {
+				s.Instances = slices.Insert(s.Instances, j, c)
+			}
 		}
 	}
 	return s
@@ -361,11 +390,17 @@ func FuzzSnapshotCodec(f *testing.F) {
 	// checkpoint in version 1, with and without the clock it once carried.
 	f.Add(AppendSnapshot(nil, Snapshot{
 		Proc: 2, CFGIndex: 1, Instance: 5, Vars: map[string]int{"x": 40, "iter": 5}, PC: "4",
-		N: 4, Peers: Row{{1, 6, 6}, {3, 6, 5}}, Instances: map[int]int{1: 6},
+		N: 4, Peers: Row{{1, 6, 6}, {3, 6, 5}}, Instances: Counts{{1, 6}},
 	}), "iterx", uint8(0x31), 0.0)
 	for _, h := range []string{version1Bodies["clock-free"], version1Bodies["clocked"]} {
 		v1, _ := hex.DecodeString(h)
 		f.Add(v1, "iterx", uint8(0x31), 0.0)
+	}
+	// The instance counters: a nil and an empty row, several indexes, a zero
+	// and a negative count round-trip; a repeated and a descending index
+	// (bodies only an unsorted row encodes to) are refused.
+	for _, c := range []Counts{nil, {}, {{-3, 1}, {0, 2}, {5, 7}, {1 << 40, 3}}, {{1, 0}}, {{2, -4}}, {{1, 1}, {1, 2}}, {{2, 1}, {1, 1}}} {
+		f.Add(AppendSnapshot(nil, Snapshot{CFGIndex: 1, N: 2, Instances: c}), "", uint8(0x10), 0.0)
 	}
 
 	f.Fuzz(func(t *testing.T, blob []byte, names string, shape uint8, vtime float64) {

@@ -23,7 +23,7 @@ func sampleSnap(proc, index, instance int) storage.Snapshot {
 		PC:        "stmt-7",
 		N:         3,
 		Peers:     storage.Row{{Peer: 0, Recvd: 3}, {Peer: 1, Sent: 1, Recvd: 4}, {Peer: 2, Sent: 2, Recvd: 5}},
-		Instances: map[int]int{index: instance, 9: 1},
+		Instances: storage.Counts{{Index: index, N: instance}, {Index: 9, N: 1}}, // every index the tests save is below 9
 	}
 }
 

@@ -158,7 +158,7 @@ func (d *diffRun) save(proc int) {
 				s.Peers = append(s.Peers, PeerSeq{Peer: p, Sent: sent})
 			}
 		}
-		s.Instances = map[int]int{index: s.Instance + 1, 7: d.rng.Intn(3)}
+		s.Instances = Counts{{index, s.Instance + 1}, {7, d.rng.Intn(3)}}
 	}
 	d.log = append(d.log, fmt.Sprintf("Save %s, %d vars (nil %v)", s.Key(), len(s.Vars), s.Vars == nil))
 	d.sameErr(d.flat.Save(s), d.ref.Save(s))

@@ -27,7 +27,7 @@ func refCloneWithVars(s Snapshot, vars map[string]int) Snapshot {
 	c.Clock = s.Clock.Clone()
 	c.Vars = vars
 	c.Peers = slices.Clone(s.Peers)
-	c.Instances = maps.Clone(s.Instances)
+	c.Instances = slices.Clone(s.Instances)
 	return c
 }
 

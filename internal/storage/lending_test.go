@@ -55,7 +55,7 @@ func lendSnap(instance int) storage.Snapshot {
 		PC:        "17",
 		N:         4,
 		Peers:     storage.Row{{Peer: 0, Sent: instance + 1}, {Peer: 1, Recvd: instance + 1}, {Peer: 2, Sent: 2, Recvd: 1}, {Peer: 3, Sent: 1, Recvd: 1}},
-		Instances: map[int]int{1: 5, 2: instance + 1},
+		Instances: storage.Counts{{Index: 1, N: 5}, {Index: 2, N: instance + 1}},
 		VTime:     0.5 * float64(instance),
 	}
 }
@@ -73,10 +73,9 @@ func scribble(s storage.Snapshot) {
 	for i := range s.Peers {
 		s.Peers[i].Sent, s.Peers[i].Recvd = -1, -2
 	}
-	for k := range s.Instances {
-		s.Instances[k] = -3
+	for i := range s.Instances {
+		s.Instances[i] = storage.Count{Index: 99, N: -3}
 	}
-	s.Instances[99] = 1
 }
 
 // Store.Save borrows its argument and reads return private copies: the

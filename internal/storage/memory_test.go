@@ -85,7 +85,7 @@ func TestMemoryRetainsExactlyWhatWasSaved(t *testing.T) {
 		}, 0, 0},
 		"zero value": {func() storage.Snapshot { return storage.Snapshot{} }, 0, 0},
 		"empty, not nil": {func() storage.Snapshot {
-			return storage.Snapshot{Clock: vclock.VC{}, Vars: map[string]int{}, Instances: map[int]int{}}
+			return storage.Snapshot{Clock: vclock.VC{}, Vars: map[string]int{}, Instances: storage.Counts{}}
 		}, 0, 0},
 		"fills the room left": {func() storage.Snapshot { return framedAs(room) }, 0, 1},
 		// It leaves one byte less than the first neighbour took, and the
@@ -329,7 +329,7 @@ func TestMemoryJacobiSavesAllocs(t *testing.T) {
 			snaps = append(snaps, storage.Snapshot{
 				Proc: p, CFGIndex: 1, Instance: i, Clock: vclock.VC{uint64(3 * i), uint64(3*i + 1), uint64(3*i + 2), 9},
 				Vars: map[string]int{"iter": i, "x": 1000 + i, "y": -i}, PC: "stmt-7",
-				N: 4, Instances: map[int]int{1: i + 1},
+				N: 4, Instances: storage.Counts{{Index: 1, N: i + 1}},
 			})
 			if i > 0 {
 				snaps[len(snaps)-1].Peers = storage.Row{{Peer: 1, Sent: i, Recvd: i}}

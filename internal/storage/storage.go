@@ -41,10 +41,10 @@ type Snapshot struct {
 	// Instances records the per-index checkpoint instance counters at
 	// checkpoint time, so a restarted process numbers subsequent
 	// checkpoints correctly. The counters include this checkpoint:
-	// Instances[CFGIndex] == Instance+1. Rollback relies on that — a key
+	// Instances.At(CFGIndex) == Instance+1. Rollback relies on that — a key
 	// (i, k) of this process was saved after this snapshot exactly when
-	// k >= Instances[i] — and refuses a line whose member breaks it.
-	Instances map[int]int
+	// k >= Instances.At(i) — and refuses a line whose member breaks it.
+	Instances Counts
 	// VTime is the process's virtual clock at checkpoint time (0 when
 	// virtual-time accounting is off).
 	VTime float64
@@ -68,6 +68,28 @@ func (r Row) At(q int) PeerSeq {
 		return r[i]
 	}
 	return PeerSeq{Peer: q}
+}
+
+// Count is how many checkpoints a process has taken at one CFG index.
+type Count struct{ Index, N int }
+
+// Counts is one process's instance counters, sorted by Index, each index
+// once: a Save of any other order writes a body every read refuses as
+// corrupt. One it does not hold reads 0. Any index may appear: the baseline
+// protocols number forced checkpoints outside the program's enumeration.
+type Counts []Count
+
+// Search returns where index i's entry is, or would be inserted, in c.
+func (c Counts) Search(i int) (int, bool) {
+	return slices.BinarySearchFunc(c, i, func(e Count, i int) int { return cmp.Compare(e.Index, i) })
+}
+
+// At returns index i's count, 0 when c holds none.
+func (c Counts) At(i int) int {
+	if j, ok := c.Search(i); ok {
+		return c[j].N
+	}
+	return 0
 }
 
 // Key names one checkpoint: Definition 2.3's (process, CFG checkpoint
@@ -113,6 +135,8 @@ type Store interface {
 	// serialised what it keeps, so the caller may go on mutating them (the
 	// runtime lends its live per-peer row, instance counters and
 	// environment). A wrapper forwards s synchronously and retains nothing.
+	// s.Peers and s.Instances must be sorted (Row, Counts), or no read
+	// accepts the body.
 	// Reads return private copies: mutating a returned snapshot changes no
 	// later read.
 	Save(s Snapshot) error

@@ -19,7 +19,7 @@ func sampleSnap(proc, index, instance int) Snapshot {
 		PC:        "stmt-7",
 		N:         3,
 		Peers:     Row{{0, 0, 3}, {1, 1, 4}, {2, 2, 5}},
-		Instances: map[int]int{index: instance, 9: 1},
+		Instances: Counts{{index, instance}, {9, 1}}, // every index the tests save is below 9
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/core"
@@ -385,10 +386,7 @@ var errCaught = errors.New("verify: mutant caught")
 // sabotaged — DropVar is removed from site DropStmt's live set. Detection
 // must come from the restore-equivalence axis alone.
 func classifyPruneDrop(mut Mutant, code *sim.Code, indexSets map[int]map[int]bool, opts Options) string {
-	manifests := make(map[int][]string, len(code.Manifests))
-	for id, names := range code.Manifests {
-		manifests[id] = names
-	}
+	manifests := maps.Clone(code.Manifests)
 	dropped := make([]string, 0, len(code.Manifests[mut.DropStmt]))
 	for _, name := range code.Manifests[mut.DropStmt] {
 		if name != mut.DropVar {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 
 	"repro/internal/mpl"
 	"repro/internal/sim"
@@ -188,11 +189,7 @@ func (m *Machine) Schedule() []int {
 func (m *Machine) FinalVars() []map[string]int {
 	out := make([]map[string]int, m.n)
 	for p, ps := range m.procs {
-		vars := make(map[string]int, len(ps.env.Vars))
-		for k, v := range ps.env.Vars {
-			vars[k] = v
-		}
-		out[p] = vars
+		out[p] = maps.Clone(ps.env.Vars)
 	}
 	return out
 }
@@ -386,20 +383,12 @@ func (m *Machine) normalize(p int) error {
 				Label: fmt.Sprintf("C_%d", in.Index),
 			})
 			if m.logRestore {
-				vars := make(map[string]int, len(ps.env.Vars))
-				for k, v := range ps.env.Vars {
-					vars[k] = v
-				}
-				instances := make(map[int]int, len(ps.instances))
-				for k, v := range ps.instances {
-					instances[k] = v
-				}
 				rec := &chkptRecord{
 					index: in.Index, instance: instance, stmtID: in.StmtID,
-					pc: ps.pc + 1, vars: vars, clock: ps.clock.Clone(),
+					pc: ps.pc + 1, vars: maps.Clone(ps.env.Vars), clock: ps.clock.Clone(),
 					sendSeq:    append([]int(nil), ps.sendSeq...),
 					recvSeq:    append([]int(nil), ps.recvSeq...),
-					instances:  instances,
+					instances:  maps.Clone(ps.instances),
 					readFirst:  make(map[string]bool),
 					unresolved: make(map[string]bool),
 				}

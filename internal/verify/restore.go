@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/mpl"
@@ -208,13 +209,7 @@ func (m *Machine) restoredMachine(cut []*chkptRecord, pruned bool, manifests map
 				}
 			}
 		} else {
-			for k, v := range rec.vars {
-				env.Vars[k] = v
-			}
-		}
-		instances := make(map[int]int, len(rec.instances))
-		for k, v := range rec.instances {
-			instances[k] = v
+			maps.Copy(env.Vars, rec.vars)
 		}
 		rm.procs[p] = &procState{
 			pc:        rec.pc,
@@ -222,7 +217,7 @@ func (m *Machine) restoredMachine(cut []*chkptRecord, pruned bool, manifests map
 			clock:     rec.clock.Clone(),
 			sendSeq:   append([]int(nil), rec.sendSeq...),
 			recvSeq:   append([]int(nil), rec.recvSeq...),
-			instances: instances,
+			instances: maps.Clone(rec.instances),
 		}
 	}
 	// In-flight channel state: everything sender a had sent to receiver b

@@ -155,7 +155,7 @@ func BenchmarkWALSelectLongLog(b *testing.B) {
 			ws := openTestStore(b, "wal", 0, wal.Options{})
 			save := func(proc, instance int) {
 				s := benchSnap(proc, instance)
-				s.N, s.Instances = nproc, map[int]int{1: instance + 1}
+				s.N, s.Instances = nproc, storage.Counts{{Index: 1, N: instance + 1}}
 				if err := ws.Save(s); err != nil {
 					b.Error(err)
 				}
@@ -194,11 +194,15 @@ func BenchmarkWALSelectLongLog(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreLatestLongLog measures Latest on one process holding 1k or
-// 16k instances of one index, on every store kind. The index keeps each
-// (process, index) run in instance order and Latest reads its tail, so
-// ns/op must not grow with the instance count; before, every store walked
-// every key of the process.
+// BenchmarkStoreLatestLongLog measures Latest on one process that saved 1k
+// or 16k instances of one index, on every store kind. Each save carries what
+// a run's does, the job's size (a one-process job, N = 1) and its instance
+// counters, so the memory store and the WAL retire all but the newest two
+// keys (DESIGN decision 33) and the set-up checks that they hold exactly
+// those; Incremental, which retains everything, holds all of them. Either
+// way ns/op must not grow with the instance count: the index keeps each
+// (process, index) run in instance order and Latest reads its tail, where
+// before every store walked every key of the process.
 func BenchmarkStoreLatestLongLog(b *testing.B) {
 	for _, kind := range storeKinds {
 		for _, instances := range []int{1 << 10, 16 << 10} {
@@ -211,13 +215,27 @@ func BenchmarkStoreLatestLongLog(b *testing.B) {
 					go func() {
 						defer wg.Done()
 						for i := g; i < instances; i += 16 {
-							if err := st.Save(benchSnap(0, i)); err != nil {
+							s := benchSnap(0, i)
+							s.N, s.Instances = 1, storage.Counts{{Index: 1, N: i + 1}}
+							if err := st.Save(s); err != nil {
 								b.Error(err)
 							}
 						}
 					}()
 				}
 				wg.Wait()
+				keys, err := storage.Keys(st, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				held := instances
+				if kind != "incremental" {
+					held = 2
+				}
+				storage.SortKeys(keys)
+				if len(keys) != held || keys[0].Instance != instances-held {
+					b.Fatalf("process 0 holds %d keys, the oldest %v; want the newest %d", len(keys), keys[:min(1, len(keys))], held)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
