@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -fuzz FuzzIncrementalAgainstReference -fuzztime $(FUZZTIME) ./internal/storage
 	$(GO) test -fuzz FuzzLogRecord -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -fuzz FuzzStraightCutAgainstReference -fuzztime $(FUZZTIME) ./internal/recovery
+	$(GO) test -fuzz FuzzSketch -fuzztime $(FUZZTIME) ./internal/telemetry
 
 # telemetry runs the live-telemetry smoke: chkptsim serving /metrics on an
 # ephemeral port, scraped end-to-end by cmd/telemetryprobe.

@@ -19,12 +19,12 @@ import (
 // value is ready to use and all methods are safe for concurrent use.
 //
 // The fixed fields are plain atomics and everything named — custom
-// counters, gauges, distributions — lives in one sharded map with per-shard
-// RW locks, so the hot paths (every message send and every checkpoint save
-// in the simulator goes through one) never contend on a single mutex. Each
-// field is individually exact; a Snapshot taken while writers are active
-// may interleave fields from slightly different moments (the runtime only
-// snapshots at quiescent points, where the copy is exact).
+// counters, gauges, distributions — is a cell of one append-only list that
+// lookups walk without a lock, so the hot paths (every message send and
+// every checkpoint save in the simulator goes through one) take no lock and
+// a sink costs the names it records. Each field is individually exact; a
+// Snapshot taken while writers are active may interleave fields from
+// slightly different moments (the runtime snapshots at quiescent points).
 type Counters struct {
 	appMessages     atomic.Int64
 	ctrlMessages    atomic.Int64
@@ -35,71 +35,69 @@ type Counters struct {
 	restartedEvents atomic.Int64
 	blocked         atomic.Int64 // nanoseconds
 
-	named cellMap
+	named  atomic.Pointer[cell] // newest name first
+	insert sync.Mutex           // serialises new names only
 }
 
-// cellShards is the stripe count of the named-cell map. Small powers of
-// two beyond the typical core count stop cross-core updates of *different*
-// names from serializing on one lock.
-const cellShards = 16
-
-// cellKind separates the three namespaces sharing the map, so a counter, a
-// gauge and a distribution may carry the same name.
+// cellKind separates the three namespaces sharing the list, so a counter,
+// a gauge and a distribution may carry the same name.
 type cellKind uint8
 
 const (
 	kindCounter cellKind = iota
 	kindGauge
 	kindDist
-	numKinds
 )
 
-// cell is one named slot. Counters and gauges use n (a gauge stores its
-// float64 bits); distributions use dist, set once at creation.
+// cell is one named slot and list node. Counters and gauges use n (a gauge
+// stores its float64 bits), distributions dist; the rest is set before the
+// cell is published and never written again.
 type cell struct {
 	n    atomic.Int64
 	dist *Sketch
+	next *cell
+	name string
+	key  uint64 // keyOf(kind, name)
 }
 
-// cellMap is a (kind, name) → cell map striped across cellShards shards.
-// The common case (the name already exists) takes a shard read-lock; the
-// write-lock is only held to insert a new name. Each shard keys one plain
-// string map per kind: a struct key would cost the lookup the runtime's
-// string-map fast path, measured at +40% on Inc.
-type cellMap struct {
-	shards [cellShards]struct {
-		mu sync.RWMutex
-		m  [numKinds]map[string]*cell
+// keyOf packs the kind (low byte), a name's first and last byte and its
+// length: a walk compares names only where keys match, as names of one
+// family mostly differ at the end.
+func keyOf(kind cellKind, name string) uint64 {
+	k := uint64(kind) | uint64(len(name))<<24
+	if name != "" {
+		k |= uint64(name[0])<<8 | uint64(name[len(name)-1])<<16
 	}
+	return k
 }
 
-// get returns the cell for (kind, name), creating it on first use.
-func (c *cellMap) get(kind cellKind, name string) *cell {
-	h := uint32(2166136261) // FNV-1a
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
+// find walks the list from v to the cell of key and name, or nil.
+func find(v *cell, key uint64, name string) *cell {
+	for v != nil && (v.key != key || v.name != name) {
+		v = v.next
 	}
-	s := &c.shards[h%cellShards]
-	s.mu.RLock()
-	v := s.m[kind][name]
-	s.mu.RUnlock()
-	if v != nil {
+	return v
+}
+
+// lookup returns the cell for (kind, name), creating it on first use. A run
+// records a handful of names and a fleet batch ten: a walk beats a hash.
+func (c *Counters) lookup(kind cellKind, name string) *cell {
+	key := keyOf(kind, name)
+	if v := find(c.named.Load(), key, name); v != nil {
 		return v
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if v = s.m[kind][name]; v != nil {
+	c.insert.Lock()
+	defer c.insert.Unlock()
+	// Names join only under the lock: this walk sees a racing caller's.
+	head := c.named.Load()
+	if v := find(head, key, name); v != nil {
 		return v
 	}
-	if s.m[kind] == nil {
-		s.m[kind] = make(map[string]*cell)
-	}
-	v = new(cell)
+	v := &cell{next: head, name: name, key: key}
 	if kind == kindDist {
 		v.dist = NewSketch()
 	}
-	s.m[kind][name] = v
+	c.named.Store(v)
 	return v
 }
 
@@ -132,14 +130,14 @@ func (c *Counters) AddBlocked(d time.Duration) { c.blocked.Add(int64(d)) }
 
 // Inc bumps a named custom counter.
 func (c *Counters) Inc(name string, n int) {
-	c.named.get(kindCounter, name).n.Add(int64(n))
+	c.lookup(kindCounter, name).n.Add(int64(n))
 }
 
 // Max raises a named custom counter to v if v exceeds its current value —
 // a high-watermark gauge (queue depths, backlog peaks) exported through the
 // same custom-counter channel as Inc.
 func (c *Counters) Max(name string, v int64) {
-	n := &c.named.get(kindCounter, name).n
+	n := &c.lookup(kindCounter, name).n
 	for {
 		cur := n.Load()
 		if v <= cur || n.CompareAndSwap(cur, v) {
@@ -149,20 +147,18 @@ func (c *Counters) Max(name string, v int64) {
 }
 
 // SetGauge records the current value of a named gauge — a point-in-time
-// reading, not a total. The common case (the gauge exists) is a shard
-// read-lock plus one atomic store, cheap enough for instrumentation points
-// inside the runtime.
+// reading, not a total. On an existing gauge it is a lock-free walk plus
+// one atomic store, cheap enough for the runtime's instrumentation points.
 func (c *Counters) SetGauge(name string, v float64) {
-	c.named.get(kindGauge, name).n.Store(int64(math.Float64bits(v)))
+	c.lookup(kindGauge, name).n.Store(int64(math.Float64bits(v)))
 }
 
 // ObserveHist records one observation in the named distribution, creating
 // it with DefaultSketchBounds on first use. Distributions turn the totals
 // above into per-event shapes: how long each barrier stall was, not just
-// their sum. On an existing name this is a shard read-lock plus the
-// sketch's atomics, and allocates nothing.
+// their sum. It allocates only a bucket chunk's first touch.
 func (c *Counters) ObserveHist(name string, v float64) {
-	c.named.get(kindDist, name).dist.Observe(v)
+	c.lookup(kindDist, name).dist.Observe(v)
 }
 
 // Snapshot is an immutable copy of the counters.
@@ -194,30 +190,25 @@ func (c *Counters) Snapshot() Snapshot {
 		RestartedEvents: c.restartedEvents.Load(),
 		Blocked:         time.Duration(c.blocked.Load()),
 	}
-	for i := range c.named.shards {
-		sh := &c.named.shards[i]
-		sh.mu.RLock()
-		for name, v := range sh.m[kindCounter] {
-			if s.Custom == nil {
-				s.Custom = make(map[string]int64)
-			}
-			s.Custom[name] = v.n.Load()
+	for v := c.named.Load(); v != nil; v = v.next {
+		switch cellKind(v.key) {
+		case kindCounter:
+			put(&s.Custom, v.name, v.n.Load())
+		case kindGauge:
+			put(&s.Gauges, v.name, math.Float64frombits(uint64(v.n.Load())))
+		case kindDist:
+			put(&s.Hists, v.name, v.dist.Snapshot())
 		}
-		for name, v := range sh.m[kindGauge] {
-			if s.Gauges == nil {
-				s.Gauges = make(map[string]float64)
-			}
-			s.Gauges[name] = math.Float64frombits(uint64(v.n.Load()))
-		}
-		for name, v := range sh.m[kindDist] {
-			if s.Hists == nil {
-				s.Hists = make(map[string]SketchSnapshot)
-			}
-			s.Hists[name] = v.dist.Snapshot()
-		}
-		sh.mu.RUnlock()
 	}
 	return s
+}
+
+// put sets (*m)[k] = v, making the map on first use.
+func put[V any](m *map[string]V, k string, v V) {
+	if *m == nil {
+		*m = make(map[string]V)
+	}
+	(*m)[k] = v
 }
 
 // FixedCounter is one fixed counter under its export name.

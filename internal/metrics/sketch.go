@@ -10,20 +10,22 @@ import (
 // Sketch is the one distribution type: a fixed-bucket histogram over
 // log-spaced bounds with purely atomic state. Observations land in the
 // first bucket whose upper bound is >= the value; values above the last
-// bound land in an implicit overflow bucket. Observe is lock-free and
-// allocation-free, so both Counters.ObserveHist and the live telemetry
-// aggregator can feed it from the runtime's hot paths; quantiles are
-// estimated mid-run from the bucket CDF with linear interpolation inside
-// the winning bucket, without retaining raw samples.
+// bound land in an implicit overflow bucket. Buckets come in chunks made on
+// first touch (the runtime's distributions fill 2–3 of 12 decades), so
+// Observe is lock-free and allocation-free on a touched chunk; quantiles
+// are estimated from the bucket CDF with linear interpolation inside the
+// winning bucket, without retaining raw samples.
 //
 // The zero value is not usable; construct with NewSketch.
 type Sketch struct {
-	bounds []float64 // ascending upper bounds
-	counts []atomic.Int64
-	sum    atomic.Uint64 // float64 bits
-	min    atomic.Uint64 // float64 bits, +Inf when empty
-	max    atomic.Uint64 // float64 bits, -Inf when empty
+	bounds []float64                                // ascending upper bounds
+	chunks []atomic.Pointer[[chunkLen]atomic.Int64] // nil until a bucket in it counts
+	sum    atomic.Uint64                            // float64 bits
+	min    atomic.Uint64                            // float64 bits, +Inf when empty
+	max    atomic.Uint64                            // float64 bits, -Inf when empty
 }
+
+const chunkLen = 8 // buckets per chunk: a decade of the default bounds
 
 // DefaultSketchBounds is a log-spaced series, eight buckets per decade from
 // 1e-6 to 1e6 (97 bounds) — a ~15% worst-case relative quantile error over
@@ -41,39 +43,40 @@ func defaultSketchBounds() []float64 {
 	return b
 }
 
-// NewSketch creates a sketch with the given ascending upper bounds; with no
-// arguments it uses DefaultSketchBounds. It panics on unsorted bounds —
-// always a programming error, not input.
-func NewSketch(bounds ...float64) *Sketch {
-	if len(bounds) == 0 {
-		bounds = DefaultSketchBounds
-	} else {
-		// The sketch's bounds are immutable from here on (snapshots alias
-		// them), so a caller's slice is copied once.
-		bounds = append([]float64(nil), bounds...)
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic(fmt.Sprintf("metrics: sketch bounds not ascending at %d: %v", i, bounds))
-		}
-	}
-	s := &Sketch{
-		bounds: bounds,
-		counts: make([]atomic.Int64, len(bounds)+1),
-	}
+// NewSketch creates a sketch over DefaultSketchBounds.
+func NewSketch() *Sketch { return newSketch(DefaultSketchBounds) }
+
+// newSketch creates a sketch over ascending bounds, which it aliases.
+func newSketch(bounds []float64) *Sketch {
+	s := &Sketch{bounds: bounds, chunks: make([]atomic.Pointer[[chunkLen]atomic.Int64], len(bounds)/chunkLen+1)}
 	s.min.Store(math.Float64bits(math.Inf(1)))
 	s.max.Store(math.Float64bits(math.Inf(-1)))
 	return s
 }
 
-// Observe records one value. Lock-free, allocation-free. The bucket count
-// goes last: it is the only count there is, so a concurrent Snapshot that
-// counts an observation also sees extremes and a sum that include it.
+// Observe records one value, lock-free; it allocates only a chunk's first
+// touch. The bucket count goes last: it is the only count there is, so a
+// concurrent Snapshot that counts an observation also sees extremes and a
+// sum that include it.
 func (s *Sketch) Observe(v float64) {
 	addFloat(&s.sum, v)
 	minFloat(&s.min, v)
 	maxFloat(&s.max, v)
-	s.counts[sort.SearchFloat64s(s.bounds, v)].Add(1)
+	i := sort.SearchFloat64s(s.bounds, v)
+	p := &s.chunks[i/chunkLen]
+	if p.Load() == nil {
+		// Racers each make a chunk; the CAS keeps one, which all count into.
+		p.CompareAndSwap(nil, new([chunkLen]atomic.Int64))
+	}
+	p.Load()[i%chunkLen].Add(1)
+}
+
+// bucket returns bucket i's count: 0 in a chunk never made.
+func (s *Sketch) bucket(i int) int64 {
+	if c := s.chunks[i/chunkLen].Load(); c != nil {
+		return c[i%chunkLen].Load()
+	}
+	return 0
 }
 
 // addFloat atomically adds v to the float64 stored as bits in a.
@@ -114,12 +117,14 @@ func maxFloat(a *atomic.Uint64, v float64) {
 // caveat as Counters.Snapshot). An empty sketch reports Min = Max = 0: the
 // ±Inf sentinels never leave the type, so every snapshot is JSON-encodable.
 func (s *Sketch) Snapshot() SketchSnapshot {
-	out := SketchSnapshot{
-		Bounds: s.bounds,
-		Counts: make([]int64, len(s.counts)),
+	// Counts only grow: the last bucket found nonzero stays nonzero.
+	n := len(s.bounds) + 1
+	for n > 0 && s.bucket(n-1) == 0 {
+		n--
 	}
-	for i := range s.counts {
-		out.Counts[i] = s.counts[i].Load()
+	out := SketchSnapshot{Bounds: s.bounds, Counts: make([]int64, n)}
+	for i := range out.Counts {
+		out.Counts[i] = s.bucket(i)
 		out.Count += out.Counts[i]
 	}
 	if out.Count > 0 {
@@ -132,6 +137,7 @@ func (s *Sketch) Snapshot() SketchSnapshot {
 
 // SketchSnapshot is an immutable copy of a sketch — structurally a CDF: the
 // i-th count covers (Bounds[i-1], Bounds[i]], with a final overflow bucket.
+// Counts stops at the last nonzero bucket; a bucket past its end holds 0.
 type SketchSnapshot struct {
 	Bounds []float64 `json:"bounds,omitempty"`
 	Counts []int64   `json:"counts,omitempty"`

@@ -11,7 +11,7 @@ import (
 // TestHistogramBuckets pins bucket placement: a value lands in the first
 // bucket whose upper bound is >= it, values past the last bound overflow.
 func TestHistogramBuckets(t *testing.T) {
-	h := NewSketch(1, 10, 100)
+	h := newSketch([]float64{1, 10, 100})
 	for _, v := range []float64{0.5, 1, 2, 10, 99, 1000} {
 		h.Observe(v)
 	}
@@ -36,7 +36,7 @@ func TestHistogramBuckets(t *testing.T) {
 // TestHistogramQuantile pins the one quantile estimator: the bucket holding
 // the q-th observation, interpolated by rank, clamped to the observed range.
 func TestHistogramQuantile(t *testing.T) {
-	h := NewSketch(1, 2, 4, 8)
+	h := newSketch([]float64{1, 2, 4, 8})
 	for i := 0; i < 100; i++ {
 		h.Observe(1.5) // bucket (1,2]
 	}
@@ -123,7 +123,7 @@ func TestSketchEmptyAndExtremes(t *testing.T) {
 	}
 	// Values beyond both ends land in the open buckets and clamp to
 	// observed extremes.
-	s2 := NewSketch(1, 10)
+	s2 := newSketch([]float64{1, 10})
 	s2.Observe(0.001)
 	s2.Observe(5000)
 	snap2 := s2.Snapshot()
@@ -207,12 +207,48 @@ func TestHistogramConcurrent(t *testing.T) {
 }
 
 // TestObserveHistNoAllocs pins the save-path cost: observing into an
-// existing name is a shard read-lock plus atomics.
+// existing name is a lock-free walk plus atomics, and a value in a bucket
+// chunk nothing touched yet makes that one chunk.
 func TestObserveHistNoAllocs(t *testing.T) {
 	var c Counters
 	c.ObserveHist("lat", 1)
 	if n := testing.AllocsPerRun(100, func() { c.ObserveHist("lat", 2.5) }); n != 0 {
 		t.Errorf("ObserveHist on an existing name: %g allocs/op, want 0", n)
+	}
+	// Each call lands in a chunk of its own above the one 1 and 2.5 share;
+	// AllocsPerRun's warm-up call takes the first.
+	next := 7 * chunkLen
+	if n := testing.AllocsPerRun(4, func() {
+		c.ObserveHist("lat", DefaultSketchBounds[next])
+		next += chunkLen
+	}); n != 1 {
+		t.Errorf("ObserveHist into an untouched chunk: %g allocs/op, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.ObserveHist("lat", DefaultSketchBounds[7*chunkLen+1]) }); n != 0 {
+		t.Errorf("ObserveHist into a touched chunk: %g allocs/op, want 0", n)
+	}
+}
+
+// TestSketchFirstTouchConcurrent has goroutines race to make the same
+// chunks: every observation lands in a chunk no one has touched, so racers
+// meet at each one's CAS. Run under -race it also pins the chunk's
+// publication; either way, no observation may be lost.
+func TestSketchFirstTouchConcurrent(t *testing.T) {
+	const workers = 2
+	vals := []float64{-1, 1e7} // bucket 0 and the overflow bucket
+	for i := chunkLen; i < len(DefaultSketchBounds); i += chunkLen {
+		vals = append(vals, DefaultSketchBounds[i])
+	}
+	for round := 0; round < 1000; round++ {
+		s := NewSketch()
+		together(workers, func(int) {
+			for _, v := range vals {
+				s.Observe(v)
+			}
+		})
+		if got := s.Snapshot().Count; got != int64(workers*len(vals)) {
+			t.Fatalf("round %d: Count = %d, want %d", round, got, workers*len(vals))
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -232,6 +233,13 @@ func TestWriteMetricsJSONL(t *testing.T) {
 		case "histogram":
 			if m["name"] == "stall_v" && m["count"] != float64(2) {
 				t.Errorf("histogram line = %q", line)
+			}
+			// Every bound, and the counts up to the bucket of 1.5, the
+			// last that holds an observation.
+			bounds, counts := m["bounds"].([]any), m["counts"].([]any)
+			if last := sort.SearchFloat64s(metrics.DefaultSketchBounds, 1.5); len(bounds) != 97 ||
+				len(counts) != last+1 || counts[last] != float64(1) {
+				t.Errorf("histogram line has %d bounds and counts %v, want 97 and counts ending at bucket %d", len(bounds), counts, last)
 			}
 		case "timer":
 			if line != `{"type":"timer","name":"sim.run","count":1,"ns":3000000}` {

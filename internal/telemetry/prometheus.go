@@ -132,12 +132,12 @@ func addSketch(pw *promWriter, name, help string, s metrics.SketchSnapshot) {
 	f := pw.family(name, "histogram", help)
 	if s.Count > 0 {
 		var cum int64
-		for i, b := range s.Bounds {
-			if s.Counts[i] == 0 {
+		for i, c := range s.Counts[:min(len(s.Counts), len(s.Bounds))] {
+			if c == 0 {
 				continue
 			}
-			cum += s.Counts[i]
-			f.addSuffixed("_bucket", label("le", strconv.FormatFloat(b, 'g', -1, 64)), float64(cum))
+			cum += c
+			f.addSuffixed("_bucket", label("le", strconv.FormatFloat(s.Bounds[i], 'g', -1, 64)), float64(cum))
 		}
 		f.addSuffixed("_bucket", label("le", "+Inf"), float64(s.Count))
 	} else {

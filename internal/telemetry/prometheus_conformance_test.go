@@ -504,6 +504,53 @@ func TestPromConformancePruneFamilies(t *testing.T) {
 	}
 }
 
+// TestPromSketchExposition pins the histogram text of two sketches byte
+// for byte: one with values only in its lowest buckets and one that also
+// overflows the last bound. The text was rendered while every snapshot
+// copied all 98 buckets; a snapshot that stops at its last nonzero bucket
+// must render the same.
+func TestPromSketchExposition(t *testing.T) {
+	ctr := &metrics.Counters{}
+	for _, v := range []float64{0, 1e-6, 1e-6, 2e-6, 3.5e-5, 0.02, 5e7} {
+		ctr.ObserveHist("low_overflow", v)
+	}
+	for _, v := range []float64{0, 1e-6, 2e-6, 3.5e-5} {
+		ctr.ObserveHist("low_only", v)
+	}
+	var buf bytes.Buffer
+	if err := telemetry.WriteProm(&buf, telemetry.Snapshot{HasCounters: true, Counters: ctr.Snapshot()}); err != nil {
+		t.Fatal(err)
+	}
+	mustParseProm(t, buf.Bytes())
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(buf.String(), "\n") {
+		if strings.Contains(line, "chkptsim_hist_") {
+			got.WriteString(line)
+		}
+	}
+	const want = `# HELP chkptsim_hist_low_only Run histogram low_only sampled from the metrics tap.
+# TYPE chkptsim_hist_low_only histogram
+chkptsim_hist_low_only_bucket{le="1e-06"} 2
+chkptsim_hist_low_only_bucket{le="2.3713737056616552e-06"} 3
+chkptsim_hist_low_only_bucket{le="4.2169650342858216e-05"} 4
+chkptsim_hist_low_only_bucket{le="+Inf"} 4
+chkptsim_hist_low_only_sum 3.7999999999999995e-05
+chkptsim_hist_low_only_count 4
+# HELP chkptsim_hist_low_overflow Run histogram low_overflow sampled from the metrics tap.
+# TYPE chkptsim_hist_low_overflow histogram
+chkptsim_hist_low_overflow_bucket{le="1e-06"} 3
+chkptsim_hist_low_overflow_bucket{le="2.3713737056616552e-06"} 4
+chkptsim_hist_low_overflow_bucket{le="4.2169650342858216e-05"} 5
+chkptsim_hist_low_overflow_bucket{le="0.023713737056616554"} 6
+chkptsim_hist_low_overflow_bucket{le="+Inf"} 7
+chkptsim_hist_low_overflow_sum 5.0000000020039e+07
+chkptsim_hist_low_overflow_count 7
+`
+	if got.String() != want {
+		t.Errorf("histogram exposition:\n%s\nwant:\n%s", got.String(), want)
+	}
+}
+
 // TestPromNoCountersOmitsTapFamilies: without a tap the tap families must
 // not appear at all (no all-zero noise).
 func TestPromNoCountersOmitsTapFamilies(t *testing.T) {
