@@ -216,9 +216,7 @@ func BenchmarkPipelinePlace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range progs {
-			opts := place.DefaultOptions
-			opts.Arena = &cfg.Arena{}
-			if _, err := place.Ensure(p, opts); err != nil {
+			if _, err := place.Ensure(p, place.DefaultOptions); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -75,13 +75,13 @@ func (c Constraint) String() string {
 // taken).
 type Predicate []Constraint
 
-// And returns the predicate extended with one more constraint. The receiver
-// is not mutated.
-func (pr Predicate) And(c Constraint) Predicate {
-	out := make(Predicate, len(pr)+1)
-	copy(out, pr)
-	out[len(pr)] = c
-	return out
+// And returns the predicate extended with one more constraint, appended to
+// buf, and the grown buf to carve the next one from. The receiver is not
+// mutated, and no later And writes into the result.
+func (pr Predicate) And(buf []Constraint, c Constraint) (and Predicate, grown []Constraint) {
+	lo := len(buf)
+	buf = append(append(buf, pr...), c)
+	return buf[lo:len(buf):len(buf)], buf
 }
 
 // HoldsAt reports whether every constraint holds for the given process.

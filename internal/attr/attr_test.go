@@ -31,12 +31,16 @@ func TestPredicateHoldsAt(t *testing.T) {
 
 func TestPredicateAndDoesNotMutate(t *testing.T) {
 	p := Predicate{even()}
-	q := p.And(Constraint{Cond: mpl.Lt(mpl.Rank(), mpl.Int(4)), Want: true})
+	q, buf := p.And(nil, Constraint{Cond: mpl.Lt(mpl.Rank(), mpl.Int(4)), Want: true})
 	if len(p) != 1 || len(q) != 2 {
 		t.Fatalf("lens = %d, %d", len(p), len(q))
 	}
 	if !q.HoldsAt(2, 8) || q.HoldsAt(6, 8) {
 		t.Error("And result wrong")
+	}
+	// The next predicate carved from buf leaves q as it was.
+	if r, _ := p.And(buf, Constraint{Cond: mpl.Lt(mpl.Rank(), mpl.Int(4)), Want: false}); !r.HoldsAt(6, 8) || !q.HoldsAt(2, 8) || q.HoldsAt(6, 8) {
+		t.Error("a second And changed the first one's result")
 	}
 }
 

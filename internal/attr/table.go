@@ -2,6 +2,7 @@ package attr
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/mpl"
 )
@@ -66,13 +67,28 @@ func (t *Table) valRow(i int) []int8 {
 // whole of it costs four allocations. The result is nil when the bounds
 // exceed the table representation (callers fall back to CanMatch).
 func (s Solver) Tables(prs []Predicate, params []Param, nodes []int) []Table {
+	return s.TablesInto(&Batch{}, prs, params, nodes)
+}
+
+// Batch is the memory a batch of tables is built in. TablesInto reuses it
+// whole: the tables of the previous batch are gone.
+type Batch struct {
+	tables []Table
+	same   []int
+	hold   []uint64
+	val    []int8
+}
+
+// TablesInto is Tables building in b's memory.
+func (s Solver) TablesInto(b *Batch, prs []Predicate, params []Param, nodes []int) []Table {
 	lo, hi := s.bounds()
 	if hi > 64 || len(nodes) == 0 {
 		return nil
 	}
 	// same[i] / same[k+i] is the first entry with i's predicate / parameter.
 	k := len(nodes)
-	same := make([]int, 2*k)
+	b.same = slices.Grow(b.same[:0], 2*k)[:2*k]
+	same := b.same
 	npr, nparam := 0, 0
 	for i, node := range nodes {
 		j := 0
@@ -89,8 +105,11 @@ func (s Solver) Tables(prs []Predicate, params []Param, nodes []int) []Table {
 		}
 	}
 	rows, vals := tableSize(lo, hi)
-	hold, val := make([]uint64, npr*rows), make([]int8, nparam*vals)
-	ts := make([]Table, k)
+	b.hold = slices.Grow(b.hold[:0], npr*rows)[:npr*rows]
+	b.val = slices.Grow(b.val[:0], nparam*vals)[:nparam*vals]
+	b.tables = slices.Grow(b.tables[:0], k)[:k]
+	hold, val, ts := b.hold, b.val, b.tables
+	clear(hold)
 	for i, node := range nodes {
 		t := &ts[i]
 		t.lo, t.hi = lo, hi

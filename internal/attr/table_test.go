@@ -42,7 +42,7 @@ func randExpr(r *rand.Rand, depth int) mpl.Expr {
 func randPredicate(r *rand.Rand) Predicate {
 	var pr Predicate
 	for k := r.Intn(3); k > 0; k-- {
-		pr = pr.And(Constraint{Cond: randExpr(r, 2), Want: r.Intn(2) == 0})
+		pr, _ = pr.And(nil, Constraint{Cond: randExpr(r, 2), Want: r.Intn(2) == 0})
 	}
 	return pr
 }

@@ -1,11 +1,11 @@
 package cfg
 
-// Arena is a grow-only scratch allocator for the analysis pipeline. One
-// Transform allocates a single Arena and threads it through Phase III:
-// place.Ensure resets it when it starts, the skeleton's bitsets and causal
-// closures are carved from it and live for the whole call, and noCross
-// resets it once more after the fixpoint, for its own scratch. The
-// contract:
+// Arena is a grow-only scratch allocator for the analysis pipeline. Phase
+// III's pooled workspace holds one: each place.Ensure or place.Check call
+// resets it when it starts, the skeleton's bitsets and causal closures are
+// carved from it and live for the whole call, and noCross resets it once
+// more after the fixpoint, for its own scratch. The memory outlives the
+// call in the pool; what was carved from it does not. The contract:
 //
 //   - buffers handed out by Bits / Ints are valid until the next Reset,
 //     after which the arena reuses their storage;

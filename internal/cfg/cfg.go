@@ -134,6 +134,15 @@ type Graph struct {
 	// to read.
 	succs, preds     []Edge
 	succOff, predOff []int32
+	// Builder state, kept for BuildSkeletonInto to build the next graph in.
+	// Nodes are carved from one slab sized to the statement count (every
+	// statement yields exactly one node, plus entry/exit), so construction
+	// performs no per-node allocation. The frontier — the edges waiting for
+	// the next node in sequence — is the top of one stack: a body's frontier
+	// is stack[base:], and an if's then-frontier lies directly under its
+	// else-frontier, so the two are merged by leaving both where they are.
+	slab  []Node
+	stack []dangling
 
 	// Cached analyses. A Graph is immutable after Build, so the predecessor
 	// lists, dominator sets and the back edges derived from them are
@@ -154,22 +163,9 @@ func (g *Graph) Succs(id int) []Edge { return g.succs[g.succOff[id]:g.succOff[id
 // slice is shared — callers must not modify it.
 func (g *Graph) Preds(id int) []Edge {
 	g.predOnce.Do(func() {
-		g.predOff, g.preds = GroupBy(len(g.Nodes), g.Edges, func(e Edge) int { return e.To })
+		g.predOff, g.preds = GroupBy(g.predOff, g.preds, len(g.Nodes), g.Edges, func(e Edge) int { return e.To })
 	})
 	return g.preds[g.predOff[id]:g.predOff[id+1]]
-}
-
-// builder state for Build. Nodes are carved from one slab sized to the
-// statement count (every statement yields exactly one node, plus
-// entry/exit), so construction performs no per-node allocation. The
-// frontier — the edges waiting for the next node in sequence — is the top
-// of one stack: a body's frontier is stack[base:], and an if's
-// then-frontier lies directly under its else-frontier, so the two are
-// merged by leaving both where they are.
-type builder struct {
-	g     *Graph
-	slab  []Node
-	stack []dangling
 }
 
 // dangling is a (node, edge-kind) pair awaiting connection to the next
@@ -179,46 +175,48 @@ type dangling struct {
 	kind EdgeKind
 }
 
-func (b *builder) newNode(kind NodeKind, stmt mpl.Stmt) int {
-	id := len(b.g.Nodes)
-	b.slab = append(b.slab, Node{ID: id, Kind: kind, Stmt: stmt})
-	b.g.Nodes = append(b.g.Nodes, &b.slab[len(b.slab)-1])
+func (g *Graph) newNode(kind NodeKind, stmt mpl.Stmt) int {
+	id := len(g.Nodes)
+	g.slab = append(g.slab, Node{ID: id, Kind: kind, Stmt: stmt})
+	g.Nodes = append(g.Nodes, &g.slab[len(g.slab)-1])
 	return id
 }
 
 // connect closes every dangling edge of the frontier stack[base:] on node
 // to and pops them.
-func (b *builder) connect(base, to int, back bool) {
-	for _, d := range b.stack[base:] {
-		b.g.Edges = append(b.g.Edges, Edge{From: d.from, To: to, Kind: d.kind, Back: back})
+func (g *Graph) connect(base, to int, back bool) {
+	for _, d := range g.stack[base:] {
+		g.Edges = append(g.Edges, Edge{From: d.from, To: to, Kind: d.kind, Back: back})
 	}
-	b.stack = b.stack[:base]
+	g.stack = g.stack[:base]
 }
 
-func (b *builder) push(from int, kind EdgeKind) {
-	b.stack = append(b.stack, dangling{from, kind})
+func (g *Graph) push(from int, kind EdgeKind) {
+	g.stack = append(g.stack, dangling{from, kind})
 }
 
 // finalize groups Edges by source, the edge order within a node's Succs
 // following Edges order.
 func (g *Graph) finalize() {
-	g.succOff, g.succs = GroupBy(len(g.Nodes), g.Edges, func(e Edge) int { return e.From })
+	g.succOff, g.succs = GroupBy(g.succOff, g.succs, len(g.Nodes), g.Edges, func(e Edge) int { return e.From })
 }
 
 // GroupBy sorts items by key — a node id in [0, n) — keeping the order of
 // equal keys (a counting sort), and returns the groups' offsets: those with
-// key k are grouped[off[k]:off[k+1]].
-func GroupBy[T any](n int, items []T, key func(T) int) (off []int32, grouped []T) {
+// key k are grouped[off[k]:off[k+1]]. It builds them in the memory of off
+// and grouped when that is large enough (nil for none).
+func GroupBy[T any](off []int32, grouped []T, n int, items []T, key func(T) int) ([]int32, []T) {
 	// Counted two slots up, off[k+1] is where k's group starts; filling the
 	// groups advances each to its end, which is where off[k+1] has to point.
-	off = make([]int32, n+2)
+	off = reuse(off, n+2)[:n+2]
+	clear(off)
 	for _, it := range items {
 		off[key(it)+2]++
 	}
 	for i := 2; i < n+2; i++ {
 		off[i] += off[i-1]
 	}
-	grouped = make([]T, len(items))
+	grouped = reuse(grouped, len(items))[:len(items)]
 	for _, it := range items {
 		k := key(it) + 1
 		grouped[off[k]] = it
@@ -230,13 +228,40 @@ func GroupBy[T any](n int, items []T, key func(T) int) (off []int32, grouped []T
 // Build constructs the CFG of a program. Each statement yields exactly one
 // node; while and if statements yield branch nodes whose True edge enters
 // the body/then and whose False edge leaves the loop / enters the else.
-func Build(p *mpl.Program) (*Graph, error) { return build(p, false) }
+func Build(p *mpl.Program) (*Graph, error) { return new(Graph).build(p, false) }
 
 // BuildSkeleton is Build over the program with its checkpoint statements
 // left out: the part of the CFG that inserting, moving and removing
 // checkpoints cannot change. Nodes are numbered in program order, as in
 // Build.
-func BuildSkeleton(p *mpl.Program) (*Graph, error) { return build(p, true) }
+func BuildSkeleton(p *mpl.Program) (*Graph, error) { return new(Graph).build(p, true) }
+
+// reuse returns s emptied, with room for n elements: in s's memory when
+// that is large enough, else in a new array, s's contents not copied.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// BuildSkeletonInto is BuildSkeleton building into g's memory: whatever
+// graph g held is gone.
+func BuildSkeletonInto(p *mpl.Program, g *Graph) error {
+	_, err := g.build(p, true)
+	return err
+}
+
+// Reset empties g, keeping its memory for the next BuildSkeletonInto: it
+// drops every statement g refers to, so the memory keeps no program alive.
+func (g *Graph) Reset() {
+	clear(g.slab)
+	clear(g.Nodes)
+	*g = Graph{
+		Nodes: g.Nodes[:0], Edges: g.Edges[:0], slab: g.slab[:0], stack: g.stack[:0],
+		succs: g.succs, preds: g.preds, succOff: g.succOff, predOff: g.predOff,
+	}
+}
 
 // countNodes counts the statements of body that get a node.
 func countNodes(body []mpl.Stmt, skeleton bool) int {
@@ -257,82 +282,79 @@ func countNodes(body []mpl.Stmt, skeleton bool) int {
 	return n
 }
 
-func build(p *mpl.Program, skeleton bool) (*Graph, error) {
+// build builds p's graph in g's memory and returns g, or nil and the error.
+func (g *Graph) build(p *mpl.Program, skeleton bool) (*Graph, error) {
+	g.Reset()
 	nstmt := countNodes(p.Body, skeleton) + 2
-	b := &builder{
-		g: &Graph{
-			Nodes: make([]*Node, 0, nstmt),
-			Edges: make([]Edge, 0, nstmt+nstmt/2),
-		},
-		slab:  make([]Node, 0, nstmt),
-		stack: make([]dangling, 0, 16),
-	}
-	entry := b.newNode(KindEntry, nil)
-	b.g.Entry = entry
-	b.push(entry, EdgeSeq)
-
-	// buildBody adds body's nodes and edges; the frontier is stack[base:]
-	// on entry and on return.
-	var buildBody func(body []mpl.Stmt, base int) error
-	buildBody = func(body []mpl.Stmt, base int) error {
-		for _, s := range body {
-			var kind NodeKind
-			switch s.(type) {
-			case *mpl.Assign, *mpl.Work:
-				kind = KindCompute
-			case *mpl.Send:
-				kind = KindSend
-			case *mpl.Recv:
-				kind = KindRecv
-			case *mpl.Bcast:
-				kind = KindBcast
-			case *mpl.Reduce:
-				kind = KindReduce
-			case *mpl.Chkpt:
-				if skeleton {
-					continue
-				}
-				kind = KindChkpt
-			case *mpl.While, *mpl.If:
-				kind = KindBranch
-			default:
-				return fmt.Errorf("cfg: unknown statement type %T", s)
-			}
-			id := b.newNode(kind, s)
-			b.connect(base, id, false)
-			switch st := s.(type) {
-			case *mpl.While:
-				b.push(id, EdgeTrue)
-				if err := buildBody(st.Body, base); err != nil {
-					return err
-				}
-				// Backward edges to the loop header.
-				b.connect(base, id, true)
-				b.push(id, EdgeFalse)
-			case *mpl.If:
-				b.push(id, EdgeTrue)
-				if err := buildBody(st.Then, base); err != nil {
-					return err
-				}
-				b.push(id, EdgeFalse)
-				if err := buildBody(st.Else, len(b.stack)-1); err != nil {
-					return err
-				}
-			default:
-				b.push(id, EdgeSeq)
-			}
-		}
-		return nil
-	}
-
-	if err := buildBody(p.Body, 0); err != nil {
+	// Nodes point into the slab, which must not move while they are added.
+	g.slab = reuse(g.slab, nstmt)
+	g.Nodes = reuse(g.Nodes, nstmt)
+	g.Edges = reuse(g.Edges, nstmt+nstmt/2)
+	g.stack = reuse(g.stack, 16)
+	entry := g.newNode(KindEntry, nil)
+	g.Entry = entry
+	g.push(entry, EdgeSeq)
+	if err := g.buildBody(p.Body, 0, skeleton); err != nil {
 		return nil, err
 	}
-	exit := b.newNode(KindExit, nil)
-	b.g.Exit = exit
-	b.connect(0, exit, false)
-	b.g.finalize()
-	return b.g, nil
+	exit := g.newNode(KindExit, nil)
+	g.Exit = exit
+	g.connect(0, exit, false)
+	g.finalize()
+	return g, nil
+}
+
+// buildBody adds body's nodes and edges; the frontier is stack[base:] on
+// entry and on return.
+func (g *Graph) buildBody(body []mpl.Stmt, base int, skeleton bool) error {
+	for _, s := range body {
+		var kind NodeKind
+		switch s.(type) {
+		case *mpl.Assign, *mpl.Work:
+			kind = KindCompute
+		case *mpl.Send:
+			kind = KindSend
+		case *mpl.Recv:
+			kind = KindRecv
+		case *mpl.Bcast:
+			kind = KindBcast
+		case *mpl.Reduce:
+			kind = KindReduce
+		case *mpl.Chkpt:
+			if skeleton {
+				continue
+			}
+			kind = KindChkpt
+		case *mpl.While, *mpl.If:
+			kind = KindBranch
+		default:
+			return fmt.Errorf("cfg: unknown statement type %T", s)
+		}
+		id := g.newNode(kind, s)
+		g.connect(base, id, false)
+		switch st := s.(type) {
+		case *mpl.While:
+			g.push(id, EdgeTrue)
+			if err := g.buildBody(st.Body, base, skeleton); err != nil {
+				return err
+			}
+			// Backward edges to the loop header.
+			g.connect(base, id, true)
+			g.push(id, EdgeFalse)
+		case *mpl.If:
+			g.push(id, EdgeTrue)
+			if err := g.buildBody(st.Then, base, skeleton); err != nil {
+				return err
+			}
+			g.push(id, EdgeFalse)
+			if err := g.buildBody(st.Else, len(g.stack)-1, skeleton); err != nil {
+				return err
+			}
+		default:
+			g.push(id, EdgeSeq)
+		}
+	}
+	return nil
 }
 
 // Dominators computes the immediate-dominator-free dominator sets: dom[v]

@@ -98,11 +98,10 @@ func Transform(p *mpl.Program, conf Config) (*Report, error) {
 		rep.Phase1 = plan
 	}
 
+	// Phases II–III build in a workspace Ensure borrows from a pool and
+	// gives back before it returns; what the report holds is its own.
 	placed, err := place.Ensure(work, place.Options{
 		PreserveLoops: conf.PreserveLoops,
-		// One arena per Transform: the skeleton's closures live in it for
-		// the whole call, and noCross reuses it after the fixpoint.
-		Arena: &cfg.Arena{},
 		// work is already this call's private clone; Ensure may own it.
 		AssumeOwned: true,
 	})

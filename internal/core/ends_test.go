@@ -3,6 +3,7 @@ package core_test
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -28,24 +29,30 @@ import (
 type ceiling struct{ allocs, kb float64 }
 
 // pinCost logs what fn allocates per call, in objects and in KB
-// (MemStats.TotalAlloc over the runs), and fails t past max.
+// (MemStats.TotalAlloc over the runs), and fails t past max. Each is the
+// least of three windows: sync.Pool hands a goroutine that moved to another
+// processor a new workspace, and a collection empties the pool, so a window
+// may pay once for what the steady state does not.
 func pinCost(t *testing.T, what string, max ceiling, fn func()) {
 	t.Helper()
 	const runs = 20
-	got := testing.AllocsPerRun(runs, fn)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		fn()
+	got, kb := math.Inf(1), math.Inf(1)
+	for range 3 {
+		got = min(got, testing.AllocsPerRun(runs, fn))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		kb = min(kb, float64(after.TotalAlloc-before.TotalAlloc)/runs/1024)
 	}
-	runtime.ReadMemStats(&after)
-	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
-	t.Logf("%-18s %4.0f allocs/call (ceiling %.0f) %6.1f KB/call (ceiling %.0f)", what, got, max.allocs, kb, max.kb)
+	t.Logf("%-18s %4.0f allocs/call (ceiling %.0f) %6.2f KB/call (ceiling %.2f)", what, got, max.allocs, kb, max.kb)
 	if got > max.allocs {
 		t.Errorf("%s allocates %.0f times per call, ceiling %.0f", what, got, max.allocs)
 	}
 	if max.kb > 0 && kb > max.kb {
-		t.Errorf("%s allocates %.1f KB per call, ceiling %.0f", what, kb, max.kb)
+		t.Errorf("%s allocates %.2f KB per call, ceiling %.2f", what, kb, max.kb)
 	}
 }
 
@@ -119,21 +126,23 @@ func TestPipelineEndsAllocs(t *testing.T) {
 // TestTransformAllocs pins what core.Transform allocates on the two
 // programs the four runtime workloads of the benchmark compile once per
 // job, and on the analysis-large shape, where the pipeline is a fixed share
-// of the job that may only fall. Counts are exact; bytes are
-// MemStats.TotalAlloc over the runs. They measure 100 / 110 / 237 allocs and
-// 11.3 / 17.0 / 77.4 KB per call; the count ceilings are the counts before
-// Phase III kept a skeleton (121 and 129). Before Phase II–III allocated
-// only what it reads (predecessor lists on demand, data-flow records sized
-// by the program, no arena floor) they measured 99 / 110 / 237 allocs and
-// 15.0 / 21.8 / 93.6 KB, above the KB ceilings.
+// of the job that may only fall, and what core.Verify allocates on a
+// program it finds violations in. Counts are exact; bytes are
+// MemStats.TotalAlloc over the runs. They measure 28 / 39 / 117 / 5 allocs
+// and 2.4 / 3.7 / 17.4 / 0.13 KB per call, the ceilings about 10 % above.
+// Before Phases II–III built in a pooled workspace they measured 100 / 110
+// / 237 / 76 allocs and 11.3 / 17.0 / 77.4 / 7.9 KB.
 func TestTransformAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops a quarter of sync.Pool's puts; scripts/check.sh runs this without it")
+	}
 	for _, tc := range []struct {
 		prog *mpl.Program
 		max  ceiling
 	}{
-		{corpus.JacobiFig2(64), ceiling{121, 13}},
-		{corpus.Stencil2D(3, 2), ceiling{129, 19}},
-		{verify.GenerateLarge(1, 6), ceiling{260, 85}},
+		{corpus.JacobiFig2(64), ceiling{31, 2.7}},
+		{corpus.Stencil2D(3, 2), ceiling{43, 4.1}},
+		{verify.GenerateLarge(1, 6), ceiling{129, 19.2}},
 	} {
 		pinCost(t, "core.Transform("+tc.prog.Name+")", tc.max, func() {
 			if _, err := core.Transform(tc.prog, core.DefaultConfig); err != nil {
@@ -141,6 +150,12 @@ func TestTransformAllocs(t *testing.T) {
 			}
 		})
 	}
+	unsafe := corpus.JacobiFig2(64)
+	pinCost(t, "core.Verify("+unsafe.Name+")", ceiling{6, 0.15}, func() {
+		if violations, err := core.Verify(unsafe, core.DefaultConfig); err != nil || len(violations) == 0 {
+			t.Fatalf("Verify = %v, %v: want violations", violations, err)
+		}
+	})
 }
 
 // update rewrites testdata/pipeline.golden from the code under test. The

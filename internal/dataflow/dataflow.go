@@ -38,6 +38,8 @@ type Result struct {
 	Params map[int]attr.Param
 	// Branches maps if/while statement ids to branch information.
 	Branches map[int]BranchInfo
+
+	a analyzer // the analysis' memory, kept for AnalyzeInto
 }
 
 // maxExprSize bounds substituted expressions; larger results widen to ⊤.
@@ -109,9 +111,8 @@ func (s state) equal(o state) bool {
 
 // analyzer carries the program context and the accumulated records.
 type analyzer struct {
-	consts    map[string]int
 	constLits map[string]mpl.Expr // interned literal per constant
-	varIdx    map[string]int      // variable name -> state slot
+	vars      VarTable            // variable name -> state slot
 	pool      []state             // released state buffers for borrow
 	interned  map[internKey]mpl.Expr
 	res       *Result
@@ -157,32 +158,57 @@ func (a *analyzer) release(b state) {
 
 // Analyze runs the analysis on a program.
 func Analyze(p *mpl.Program) *Result {
+	r := &Result{}
+	AnalyzeInto(p, r)
+	return r
+}
+
+// AnalyzeInto is Analyze writing into r's memory: whatever r held is gone.
+func AnalyzeInto(p *mpl.Program, r *Result) {
+	r.Reset()
+	a := &r.a
 	// Sized by the statements each map records: growing them bucket by
 	// bucket showed up in the transform profile.
-	comm, branches := countRecords(p.Body)
-	a := &analyzer{
-		consts:    make(map[string]int, len(p.Consts)),
-		constLits: make(map[string]mpl.Expr, len(p.Consts)),
-		res: &Result{
-			Params:   make(map[int]attr.Param, comm),
-			Branches: make(map[int]BranchInfo, branches),
-		},
+	if r.Params == nil {
+		comm, branches := countRecords(p.Body)
+		r.Params = make(map[int]attr.Param, comm)
+		r.Branches = make(map[int]BranchInfo, branches)
 	}
+	if a.constLits == nil {
+		a.constLits = make(map[string]mpl.Expr, len(p.Consts))
+	}
+	a.res = r
 	for _, c := range p.Consts {
-		a.consts[c.Name] = c.Value
 		a.constLits[c.Name] = mpl.Int(c.Value)
 	}
-	// The shared VarTable covers declared variables plus undeclared
+	// The VarTable covers declared variables plus undeclared
 	// assignment/receive targets, so the dense state is total and reads of
 	// never-assigned names fall back to the implicit zero exactly as the
 	// sparse representation did.
-	a.varIdx = NewVarTable(p).Index
-	init := make(state, len(a.varIdx))
-	for i := range init {
-		init[i] = zeroLit
+	a.vars.fill(p)
+	init := a.borrow(nil)
+	for range a.vars.Names {
+		init = append(init, zeroLit)
 	}
 	a.body(p.Body, init)
-	return a.res
+	a.release(init)
+}
+
+// Reset empties r, keeping its memory for the next AnalyzeInto: it drops
+// every expression and name r refers to, so the memory keeps no program
+// alive.
+func (r *Result) Reset() {
+	a := &r.a
+	clear(r.Params)
+	clear(r.Branches)
+	clear(a.constLits)
+	clear(a.interned)
+	clear(a.vars.Index)
+	clear(a.vars.Names)
+	for _, s := range a.pool {
+		clear(s)
+	}
+	a.res = nil
 }
 
 // countRecords counts the statements of body that get a Params record
@@ -257,7 +283,7 @@ func (a *analyzer) subst(e mpl.Expr, s state) mpl.Expr {
 		if lit, ok := a.constLits[x.Name]; ok {
 			return lit // interned: abstract values are never mutated
 		}
-		if i, ok := a.varIdx[x.Name]; ok {
+		if i, ok := a.vars.Index[x.Name]; ok {
 			return s[i] // nil when ⊤
 		}
 		return zeroLit // never-assigned name: the implicit zero
@@ -386,20 +412,20 @@ func (a *analyzer) body(stmts []mpl.Stmt, s state) {
 func (a *analyzer) stmt(st mpl.Stmt, s state) {
 	switch n := st.(type) {
 	case *mpl.Assign:
-		s[a.varIdx[n.Name]] = a.resolve(n.X, s)
+		s[a.vars.Index[n.Name]] = a.resolve(n.X, s)
 	case *mpl.Work:
 		// No state change.
 	case *mpl.Send:
 		a.recordParam(n.ID(), a.resolve(n.Dest, s))
 	case *mpl.Recv:
 		a.recordParam(n.ID(), a.resolve(n.Src, s))
-		s[a.varIdx[n.Var]] = nil // received value is unknown
+		s[a.vars.Index[n.Var]] = nil // received value is unknown
 	case *mpl.Bcast:
 		a.recordParam(n.ID(), a.resolve(n.Root, s))
-		s[a.varIdx[n.Var]] = nil // root's value is unknown to the analysis
+		s[a.vars.Index[n.Var]] = nil // root's value is unknown to the analysis
 	case *mpl.Reduce:
 		a.recordParam(n.ID(), a.resolve(n.Root, s))
-		s[a.varIdx[n.Var]] = nil // the root's sum is unknown; conservatively widen all
+		s[a.vars.Index[n.Var]] = nil // the root's sum is unknown; conservatively widen all
 	case *mpl.Chkpt:
 		// No state change.
 	case *mpl.If:

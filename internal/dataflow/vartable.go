@@ -1,6 +1,10 @@
 package dataflow
 
-import "repro/internal/mpl"
+import (
+	"slices"
+
+	"repro/internal/mpl"
+)
 
 // VarTable is the dense variable indexing the analyses share: every
 // declared variable (in declaration order) plus every undeclared
@@ -19,12 +23,22 @@ type VarTable struct {
 
 // NewVarTable builds the table for a program.
 func NewVarTable(p *mpl.Program) *VarTable {
-	t := &VarTable{Index: make(map[string]int, len(p.Vars)), Names: make([]string, 0, len(p.Vars))}
+	t := &VarTable{}
+	t.fill(p)
+	return t
+}
+
+// fill builds the table for p in t's memory, whatever t held before.
+func (t *VarTable) fill(p *mpl.Program) {
+	if t.Index == nil {
+		t.Index = make(map[string]int, len(p.Vars))
+	}
+	clear(t.Index)
+	t.Names = slices.Grow(t.Names[:0], len(p.Vars))
 	for _, v := range p.Vars {
 		t.Slot(v)
 	}
 	t.collectTargets(p.Body)
-	return t
 }
 
 // Len returns the number of slots.

@@ -31,6 +31,7 @@ package match
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/attr"
 	"repro/internal/cfg"
@@ -68,10 +69,13 @@ type Extended struct {
 	// exceed the table representation.
 	tables []attr.Table
 	comm   []int
+	batch  attr.Batch        // the tables' memory
+	cons   []attr.Constraint // PathAttr's predicates are carved from it
 
 	arena *cfg.Arena   // optional scratch and closure-set source (may be nil)
 	reach []*reachSets // memoized per-source causal closures
-	bfs   *bfsScratch  // closureBFS's buffers, built on first use
+	spare []reachSets  // where reach's sets are carved from
+	bfs   bfsScratch   // closureBFS's buffers, carved on first use
 }
 
 // Options configures the matcher.
@@ -110,26 +114,26 @@ func BuildExtended(p *mpl.Program, opts Options) (*Extended, error) {
 // Match matches sends and receives on an already-built CFG using an
 // existing data-flow result.
 func Match(p *mpl.Program, g *cfg.Graph, df *dataflow.Result, opts Options) (*Extended, error) {
-	n := len(g.Nodes)
-	x := &Extended{
-		G:        g,
-		PathAttr: make([]attr.Predicate, n),
-		Params:   make([]attr.Param, n),
-		arena:    opts.Arena,
+	x := &Extended{}
+	if err := MatchInto(p, g, df, opts, x); err != nil {
+		return nil, err
 	}
+	return x, nil
+}
+
+// MatchInto is Match building Ĝ in x's memory: whatever x held is gone.
+func MatchInto(p *mpl.Program, g *cfg.Graph, df *dataflow.Result, opts Options, x *Extended) error {
+	x.Reset()
+	n := len(g.Nodes)
+	x.G, x.arena = g, opts.Arena
+	x.PathAttr = slices.Grow(x.PathAttr, n)[:n]
+	x.Params = slices.Grow(x.Params, n)[:n]
 	// Path attributes from the structured AST: every statement inherits
 	// the ID-dependent branch constraints of its enclosing conditionals.
 	// Nodes are in program order, so one walk fills them; a statement g has
 	// no node for (a checkpoint, when g is a skeleton) is passed over.
-	next := g.Entry + 1
-	walkAttrs(p.Body, nil, df, func(s mpl.Stmt, ctx attr.Predicate) {
-		if next < n && g.Nodes[next].Stmt != nil && g.Nodes[next].Stmt.ID() == s.ID() {
-			x.PathAttr[next] = ctx
-			next++
-		}
-	})
-	if next != g.Exit {
-		return nil, fmt.Errorf("match: graph has %d statement nodes, program %q matched %d", g.Exit-1, p.Name, next-1)
+	if next := x.walkAttrs(p.Body, nil, df, g.Entry+1); next != g.Exit {
+		return fmt.Errorf("match: graph has %d statement nodes, program %q matched %d", g.Exit-1, p.Name, next-1)
 	}
 	// Resolved parameters per node; sends then receives, in node order.
 	nsend, nrecv := 0, 0
@@ -141,15 +145,16 @@ func Match(p *mpl.Program, g *cfg.Graph, df *dataflow.Result, opts Options) (*Ex
 			nrecv++
 		}
 	}
-	comm := make([]int, nsend+nrecv)
-	x.Messages = make([]MessageEdge, 0, nrecv+8)
+	x.comm = slices.Grow(x.comm, nsend+nrecv)[:nsend+nrecv]
+	comm := x.comm
+	x.Messages = slices.Grow(x.Messages, nrecv+8)
 	sends, recvs := comm[:0:nsend], comm[nsend:nsend]
 	for _, nd := range g.Nodes {
 		switch nd.Kind {
 		case cfg.KindSend, cfg.KindRecv, cfg.KindBcast, cfg.KindReduce:
 			param, ok := df.Params[nd.Stmt.ID()]
 			if !ok {
-				return nil, fmt.Errorf("match: no resolved parameter for %s", nd.Label())
+				return fmt.Errorf("match: no resolved parameter for %s", nd.Label())
 			}
 			x.Params[nd.ID] = param
 			if nd.Kind == cfg.KindSend {
@@ -166,8 +171,8 @@ func Match(p *mpl.Program, g *cfg.Graph, df *dataflow.Result, opts Options) (*Ex
 	// representation, in which case canMatch falls back to the exact
 	// enumeration.
 	solver := opts.solver()
-	tables := solver.Tables(x.PathAttr, x.Params, comm)
-	x.tables, x.comm = tables, comm
+	tables := solver.TablesInto(&x.batch, x.PathAttr, x.Params, comm)
+	x.tables = tables
 	// canMatch takes positions in sends and recvs, not node ids.
 	canMatch := func(si, ri int) bool {
 		if tables != nil {
@@ -235,8 +240,24 @@ func Match(p *mpl.Program, g *cfg.Graph, df *dataflow.Result, opts Options) (*Ex
 		}
 	}
 
-	x.sendOff, x.bySend = cfg.GroupBy(n, x.Messages, func(m MessageEdge) int { return m.Send })
-	return x, nil
+	x.sendOff, x.bySend = cfg.GroupBy(x.sendOff, x.bySend, n, x.Messages, func(m MessageEdge) int { return m.Send })
+	return nil
+}
+
+// Reset empties x, keeping its memory for the next MatchInto: it drops the
+// graph, the arena and every expression x refers to, so the memory keeps no
+// program alive.
+func (x *Extended) Reset() {
+	clear(x.PathAttr)
+	clear(x.Params)
+	clear(x.cons)
+	clear(x.reach)
+	clear(x.spare)
+	*x = Extended{
+		Messages: x.Messages[:0], PathAttr: x.PathAttr[:0], Params: x.Params[:0],
+		sendOff: x.sendOff, bySend: x.bySend, comm: x.comm[:0], batch: x.batch,
+		cons: x.cons[:0], reach: x.reach[:0], spare: x.spare[:0],
+	}
 }
 
 func (x *Extended) addMessage(s, r int) {
@@ -263,26 +284,32 @@ func (x *Extended) MessageEdgesAsCFG() []cfg.Edge {
 	return out
 }
 
-// walkAttrs calls visit with every statement of body, in program order, and
-// the path attribute it executes under; ctx is the attribute of body itself.
-func walkAttrs(body []mpl.Stmt, ctx attr.Predicate, df *dataflow.Result, visit func(mpl.Stmt, attr.Predicate)) {
+// walkAttrs sets the path attribute of every statement of body that g has a
+// node for, in program order from node next on, and returns the node after
+// the last; ctx is the attribute of body itself.
+func (x *Extended) walkAttrs(body []mpl.Stmt, ctx attr.Predicate, df *dataflow.Result, next int) int {
+	nodes := x.G.Nodes
 	for _, s := range body {
-		visit(s, ctx)
+		if next < len(nodes) && nodes[next].Stmt != nil && nodes[next].Stmt.ID() == s.ID() {
+			x.PathAttr[next] = ctx
+			next++
+		}
 		switch st := s.(type) {
 		case *mpl.While:
 			inner := ctx
 			if bi := df.Branches[st.ID()]; bi.IDDependent {
-				inner = ctx.And(attr.Constraint{Cond: bi.Resolved, Want: true})
+				inner, x.cons = ctx.And(x.cons, attr.Constraint{Cond: bi.Resolved, Want: true})
 			}
-			walkAttrs(st.Body, inner, df, visit)
+			next = x.walkAttrs(st.Body, inner, df, next)
 		case *mpl.If:
 			thenCtx, elseCtx := ctx, ctx
 			if bi := df.Branches[st.ID()]; bi.IDDependent {
-				thenCtx = ctx.And(attr.Constraint{Cond: bi.Resolved, Want: true})
-				elseCtx = ctx.And(attr.Constraint{Cond: bi.Resolved, Want: false})
+				thenCtx, x.cons = ctx.And(x.cons, attr.Constraint{Cond: bi.Resolved, Want: true})
+				elseCtx, x.cons = ctx.And(x.cons, attr.Constraint{Cond: bi.Resolved, Want: false})
 			}
-			walkAttrs(st.Then, thenCtx, df, visit)
-			walkAttrs(st.Else, elseCtx, df, visit)
+			next = x.walkAttrs(st.Then, thenCtx, df, next)
+			next = x.walkAttrs(st.Else, elseCtx, df, next)
 		}
 	}
+	return next
 }

@@ -1,6 +1,10 @@
 package match
 
-import "repro/internal/cfg"
+import (
+	"slices"
+
+	"repro/internal/cfg"
+)
 
 // This file implements path search over the extended CFG Ĝ — the engine
 // behind Condition 1 and Algorithm 3.2 (§3.3). A *causal path* between two
@@ -40,15 +44,10 @@ type bfsScratch struct {
 	queue []int
 }
 
-func (x *Extended) newBFSScratch() *bfsScratch {
-	n := 2 * len(x.G.Nodes)
-	return &bfsScratch{seen: x.arena.Bits(n), queue: x.arena.Ints(n)}
-}
-
 // reachFor returns the memoized closure of source node a, computing it on
 // first use. Not safe for concurrent callers on a cache miss.
 func (x *Extended) reachFor(a int) *reachSets {
-	if x.reach == nil || x.reach[a] == nil {
+	if len(x.reach) == 0 || x.reach[a] == nil {
 		x.PrecomputeReach([]int{a})
 	}
 	return x.reach[a]
@@ -63,7 +62,7 @@ func (x *Extended) carveReach(rs *reachSets) *reachSets {
 
 // fillReach runs the two closure passes for one source.
 func (x *Extended) fillReach(a int, rs *reachSets) {
-	sc := x.bfs
+	sc := &x.bfs
 	sc.seen.Zero()
 	x.closureBFS(a, true, sc.seen, sc.queue, rs.any, rs.msg)
 	sc.seen.Zero()
@@ -135,10 +134,11 @@ func (x *Extended) ReachableExtended(a int, acyclic bool) cfg.Bitset {
 }
 
 // PrecomputeReach fills the closure cache for those of the given source
-// nodes it does not hold yet, in one allocation for all of their sets.
+// nodes it does not hold yet.
 func (x *Extended) PrecomputeReach(sources []int) {
-	if x.reach == nil {
-		x.reach = make([]*reachSets, len(x.G.Nodes))
+	n := len(x.G.Nodes)
+	if len(x.reach) == 0 {
+		x.reach = slices.Grow(x.reach, n)[:n]
 	}
 	missing := 0
 	for _, src := range sources {
@@ -149,14 +149,19 @@ func (x *Extended) PrecomputeReach(sources []int) {
 	if missing == 0 {
 		return
 	}
-	if x.bfs == nil {
-		x.bfs = x.newBFSScratch()
+	if x.bfs.queue == nil {
+		x.bfs = bfsScratch{seen: x.arena.Bits(2 * n), queue: x.arena.Ints(2 * n)}
 	}
-	slab := make([]reachSets, missing)
+	// The sets live in spare: carved from it while it has room, from a
+	// fresh array twice its size when it has none; what was carved before
+	// keeps the old one.
+	if cap(x.spare)-len(x.spare) < missing {
+		x.spare = make([]reachSets, 0, max(missing, 2*cap(x.spare)))
+	}
 	for _, src := range sources {
 		if x.reach[src] == nil {
-			x.reach[src] = x.carveReach(&slab[0])
-			slab = slab[1:]
+			x.spare = x.spare[:len(x.spare)+1]
+			x.reach[src] = x.carveReach(&x.spare[len(x.spare)-1])
 			x.fillReach(src, x.reach[src])
 		}
 	}

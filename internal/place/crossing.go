@@ -48,7 +48,7 @@ import (
 // a message in flight on, at each process count of the solver's bound —
 // nil when it proves none — and how many send statements some process runs
 // there and only ever on those channels. It is the skeleton's last use: it recycles the arena.
-func (sk *skeleton) noCross(p *mpl.Program, enum *cfg.Enumeration, nck int, arena *cfg.Arena) (quiet mpl.ChannelSet, quietSends int) {
+func (sk *skeleton) noCross(p *mpl.Program, enum *cfg.Enumeration, nck int) (quiet mpl.ChannelSet, quietSends int) {
 	g := sk.ext.G
 	// comm and tabs: the send nodes, then the receive nodes, and their tables.
 	comm, tabs := sk.ext.Tables()
@@ -75,6 +75,7 @@ func (sk *skeleton) noCross(p *mpl.Program, enum *cfg.Enumeration, nck int, aren
 	lo, hi := tabs[0].Bounds()
 	// The fixpoint is over and nothing reads its closures again: the scratch
 	// below reuses their memory.
+	arena := &sk.arena
 	arena.Reset()
 	w := crossWalk{
 		sk: sk, p: p, enum: enum, uniform: uniform, comm: comm, sends: sends,

@@ -24,6 +24,8 @@ package place
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 
 	"repro/internal/cfg"
@@ -40,8 +42,8 @@ type Options struct {
 	// MaxIterations bounds the move-reanalyze fixpoint. Zero means the
 	// default (100).
 	MaxIterations int
-	// Arena, when non-nil, supplies the call's scratch buffers and closure
-	// sets (reset once, when the call starts).
+	// Arena is not read: a call's scratch comes from a pooled workspace
+	// (skeleton). The field is kept for callers that still set it.
 	Arena *cfg.Arena
 	// AssumeOwned lets Ensure mutate the input program directly instead of
 	// cloning it first — for callers (like core.Transform) that already
@@ -220,20 +222,20 @@ func ensureTapped(p *mpl.Program, opts Options, tap func(*mpl.Program, *analysis
 	// so data flow, the CFG of the other statements, Phase II and the
 	// causal closures are computed once, here, and every round is a walk
 	// over the program and a scan over that (see skeleton).
-	opts.Arena.Reset()
-	sk, err := newSkeleton(prog, opts)
+	sk, err := newSkeleton(prog)
 	if err != nil {
 		return nil, err
 	}
-	cur := &analysis{}
-	round := func(prog *mpl.Program, a *analysis) error {
-		err := sk.analyze(prog, a, opts)
+	defer sk.release()
+	cur := &sk.cur
+	round := func() error {
+		err := sk.analyze(prog, cur, opts)
 		if err == nil && tap != nil {
-			tap(prog, a)
+			tap(prog, cur)
 		}
 		return err
 	}
-	if err := round(prog, cur); err != nil {
+	if err := round(); err != nil {
 		return nil, err
 	}
 	// Snapshot: the next round overwrites the slice.
@@ -243,10 +245,8 @@ func ensureTapped(p *mpl.Program, opts Options, tap func(*mpl.Program, *analysis
 		if iter >= opts.maxIter() {
 			// Return the partial transformation so callers can inspect the
 			// stuck state; the error still signals failure.
-			res.Program = prog
-			res.Orderings = dedupOrderings(cur.orderings)
-			res.Enumeration = &cur.enum
-			res.Residual = cur.violations
+			finish(res, prog, cur)
+			res.Residual = slices.Clone(cur.violations)
 			return res, fmt.Errorf("place: no fixpoint after %d iterations (%d violations remain)",
 				iter, len(cur.violations))
 		}
@@ -254,11 +254,9 @@ func ensureTapped(p *mpl.Program, opts Options, tap func(*mpl.Program, *analysis
 		if len(cur.violations) == 0 {
 			break
 		}
-		moves, err := sk.applyMoves(prog, cur, opts)
-		if err != nil {
+		if res.Moves, err = sk.applyMoves(res.Moves, prog, cur, opts); err != nil {
 			return nil, err
 		}
-		res.Moves = append(res.Moves, moves...)
 		if !opts.PreserveLoops {
 			// Base mode gathers all members of the violating index at one
 			// position; merge the resulting adjacent duplicates so the
@@ -272,7 +270,7 @@ func ensureTapped(p *mpl.Program, opts Options, tap func(*mpl.Program, *analysis
 		}
 		res.EqualizedStmts = append(res.EqualizedStmts, eq...)
 
-		if err := round(prog, cur); err != nil {
+		if err := round(); err != nil {
 			return nil, err
 		}
 	}
@@ -283,7 +281,7 @@ func ensureTapped(p *mpl.Program, opts Options, tap func(*mpl.Program, *analysis
 	// adjacent duplicates exist — the common case.
 	if hasAdjacentChkpts(prog.Body) {
 		removed, undo := insert.CoalesceUndoable(prog)
-		if err := round(prog, cur); err == nil && len(cur.violations) == 0 {
+		if err := round(); err == nil && len(cur.violations) == 0 {
 			res.CoalescedStmts = removed
 		} else {
 			undo()
@@ -293,11 +291,17 @@ func ensureTapped(p *mpl.Program, opts Options, tap func(*mpl.Program, *analysis
 		}
 	}
 
+	finish(res, prog, cur)
+	prog.Quiet, res.QuietSends = sk.noCross(prog, &cur.enum, len(cur.cks))
+	return res, nil
+}
+
+// finish copies the final round's program, orderings and enumeration into
+// res, out of the workspace.
+func finish(res *Result, prog *mpl.Program, cur *analysis) {
 	res.Program = prog
 	res.Orderings = dedupOrderings(cur.orderings)
-	res.Enumeration = &cur.enum
-	prog.Quiet, res.QuietSends = sk.noCross(prog, &cur.enum, len(cur.cks), opts.Arena)
-	return res, nil
+	res.Enumeration = &cfg.Enumeration{Index: maps.Clone(cur.enum.Index), Count: cur.enum.Count}
 }
 
 // dedupOrderings copies a round's orderings out of its reused buffer,
@@ -334,7 +338,7 @@ func dedupOrderings(in []Ordering) []Ordering {
 // checkpoint leaves its branch, equalization regrows it); gathering the
 // whole cut converges and is what the repeated application of Step 2
 // produces anyway once loop positions are all reachable via back edges.
-func (sk *skeleton) applyMoves(prog *mpl.Program, a *analysis, opts Options) ([]Move, error) {
+func (sk *skeleton) applyMoves(moves []Move, prog *mpl.Program, a *analysis, opts Options) ([]Move, error) {
 	from, to := a.firstFrom, a.firstTo
 	index := a.violations[0].Index
 
@@ -371,7 +375,6 @@ func (sk *skeleton) applyMoves(prog *mpl.Program, a *analysis, opts Options) ([]
 			continue
 		}
 		targetStmt := sk.chain[k].ID()
-		var moves []Move
 		for _, m := range movers {
 			ck := a.cks[m].stmt
 			if ck == targetStmt {
@@ -443,90 +446,80 @@ func hasAdjacentChkpts(body []mpl.Stmt) bool {
 // and reinserts it immediately before statement targetID. It returns the
 // moved statement's id.
 func moveChkptBefore(p *mpl.Program, chkptID, targetID int) (int, error) {
-	stmt, ok := removeStmt(p, chkptID)
-	if !ok {
+	var stmt mpl.Stmt
+	if p.Body = removeStmt(p.Body, chkptID, &stmt); stmt == nil {
 		return 0, fmt.Errorf("place: checkpoint statement #%d not found", chkptID)
 	}
 	ck, ok := stmt.(*mpl.Chkpt)
 	if !ok {
 		return 0, fmt.Errorf("place: statement #%d is %s, not a checkpoint", chkptID, mpl.DescribeStmt(stmt))
 	}
-	if !insertBefore(p, targetID, ck) {
+	var done bool
+	if p.Body = insertBefore(p.Body, targetID, ck, &done); !done {
 		return 0, fmt.Errorf("place: reinsertion target #%d not found", targetID)
 	}
 	return ck.ID(), nil
 }
 
-// removeStmt removes the statement with the given id from the program,
-// returning it.
-func removeStmt(p *mpl.Program, id int) (mpl.Stmt, bool) {
-	var removed mpl.Stmt
-	var fix func(body []mpl.Stmt) []mpl.Stmt
-	fix = func(body []mpl.Stmt) []mpl.Stmt {
-		out := body[:0]
-		for _, s := range body {
-			if s.ID() == id && removed == nil {
-				removed = s
-				continue
-			}
-			switch st := s.(type) {
-			case *mpl.While:
-				st.Body = fix(st.Body)
-			case *mpl.If:
-				st.Then = fix(st.Then)
-				st.Else = fix(st.Else)
-			}
-			out = append(out, s)
+// removeStmt removes the first statement with the given id from body and
+// the lists nested in it into *removed, unless *removed holds one already.
+func removeStmt(body []mpl.Stmt, id int, removed *mpl.Stmt) []mpl.Stmt {
+	out := body[:0]
+	for _, s := range body {
+		if s.ID() == id && *removed == nil {
+			*removed = s
+			continue
 		}
-		return out
+		switch st := s.(type) {
+		case *mpl.While:
+			st.Body = removeStmt(st.Body, id, removed)
+		case *mpl.If:
+			st.Then = removeStmt(st.Then, id, removed)
+			st.Else = removeStmt(st.Else, id, removed)
+		}
+		out = append(out, s)
 	}
-	p.Body = fix(p.Body)
-	return removed, removed != nil
+	return out
 }
 
-// insertBefore inserts stmt immediately before the statement with
-// targetID, wherever it lives.
-func insertBefore(p *mpl.Program, targetID int, stmt mpl.Stmt) bool {
-	done := false
-	var fix func(body []mpl.Stmt) []mpl.Stmt
-	fix = func(body []mpl.Stmt) []mpl.Stmt {
-		for i, s := range body {
-			if s.ID() == targetID && !done {
-				done = true
-				out := make([]mpl.Stmt, 0, len(body)+1)
-				out = append(out, body[:i]...)
-				out = append(out, stmt)
-				out = append(out, body[i:]...)
-				return out
-			}
-			switch st := s.(type) {
-			case *mpl.While:
-				st.Body = fix(st.Body)
-			case *mpl.If:
-				st.Then = fix(st.Then)
-				st.Else = fix(st.Else)
-			}
-			if done {
-				break
-			}
+// insertBefore inserts stmt immediately before the first statement with
+// targetID in body and the lists nested in it, unless *done says it is in.
+func insertBefore(body []mpl.Stmt, targetID int, stmt mpl.Stmt, done *bool) []mpl.Stmt {
+	for i, s := range body {
+		if s.ID() == targetID && !*done {
+			*done = true
+			out := make([]mpl.Stmt, 0, len(body)+1)
+			out = append(out, body[:i]...)
+			out = append(out, stmt)
+			out = append(out, body[i:]...)
+			return out
 		}
-		return body
+		switch st := s.(type) {
+		case *mpl.While:
+			st.Body = insertBefore(st.Body, targetID, stmt, done)
+		case *mpl.If:
+			st.Then = insertBefore(st.Then, targetID, stmt, done)
+			st.Else = insertBefore(st.Else, targetID, stmt, done)
+		}
+		if *done {
+			break
+		}
 	}
-	p.Body = fix(p.Body)
-	return done
+	return body
 }
 
 // Check runs Condition 1 on a program without transforming it, returning
 // the violations and loop-preserved orderings. It is the verification-only
 // entry point (e.g. for programs the user believes are already safe).
 func Check(p *mpl.Program, opts Options) (violations []Violation, orderings []Ordering, err error) {
-	sk, err := newSkeleton(p, opts)
+	sk, err := newSkeleton(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	a := &analysis{}
+	defer sk.release()
+	a := &sk.cur
 	if err := sk.analyze(p, a, opts); err != nil {
 		return nil, nil, err
 	}
-	return a.violations, dedupOrderings(a.orderings), nil
+	return slices.Clone(a.violations), dedupOrderings(a.orderings), nil
 }

@@ -1,8 +1,12 @@
 package place
 
 import (
+	"cmp"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cfg"
 	"repro/internal/corpus"
@@ -377,10 +381,11 @@ func TestSkeletonMismatchIsAnError(t *testing.T) {
 	}
 	for name, edit := range edits {
 		p := corpus.JacobiFig2(3)
-		sk, err := newSkeleton(p, DefaultOptions)
+		sk, err := newSkeleton(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer sk.release()
 		a := &analysis{}
 		if err := sk.analyze(p, a, DefaultOptions); err != nil {
 			t.Fatalf("unedited program: %v", err)
@@ -407,11 +412,12 @@ func TestRoundAllocs(t *testing.T) {
 	if _, err := insert.Equalize(p); err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{PreserveLoops: true, Arena: &cfg.Arena{}}
-	sk, err := newSkeleton(p, opts)
+	opts := Options{PreserveLoops: true}
+	sk, err := newSkeleton(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer sk.release()
 	a := &analysis{}
 	round := func() {
 		if err := sk.analyze(p, a, opts); err != nil {
@@ -426,7 +432,7 @@ func TestRoundAllocs(t *testing.T) {
 		t.Errorf("a repeated round allocates %.0f times, want 0", got)
 	}
 	moved := testing.AllocsPerRun(1, func() {
-		if _, err := sk.applyMoves(p, a, opts); err != nil {
+		if _, err := sk.applyMoves(nil, p, a, opts); err != nil {
 			t.Fatal(err)
 		}
 		round()
@@ -434,5 +440,104 @@ func TestRoundAllocs(t *testing.T) {
 	t.Logf("move + round: %.0f allocs", moved)
 	if moved > 8 {
 		t.Errorf("a move and the round after it allocate %.0f times, ceiling 8", moved)
+	}
+}
+
+// TestEnsureLendsNoResults: the partial result of a fixpoint cut short by
+// MaxIterations, its Residual and Enumeration included, and Check's
+// violations are copied out of the pooled workspace: calls that rebuild that
+// memory for a larger and a smaller program leave them as they were.
+func TestEnsureLendsNoResults(t *testing.T) {
+	progs := generatedPrograms(t)
+	var larger *mpl.Program
+	for _, p := range progs {
+		if larger == nil || p.MaxStmtID() > larger.MaxStmtID() {
+			larger = p
+		}
+	}
+	res, err := Ensure(progs["genlarge_1"], Options{PreserveLoops: true, MaxIterations: 1})
+	if err == nil || res == nil || len(res.Residual) == 0 {
+		t.Fatalf("result %+v, error %v: want a fixpoint cut short with violations left", res, err)
+	}
+	dump := func() string {
+		return fmt.Sprintf("%s\n%+v %+v %+v %v\nresidual %+v\nenum %v %d\n%d %d",
+			mpl.Format(res.Program), res.InitialViolations, res.Moves, res.Orderings, res.EqualizedStmts,
+			res.Residual, res.Enumeration.Index, res.Enumeration.Count, res.Iterations, res.CoalescedStmts)
+	}
+	before := dump()
+	unsafe := corpus.JacobiFig2(4)
+	violations, orderings, err := Check(unsafe, DefaultOptions)
+	if err != nil || len(violations) == 0 {
+		t.Fatalf("Check(%s) = %v, %v: want violations", unsafe.Name, violations, err)
+	}
+	checked := fmt.Sprintf("%+v %+v", violations, orderings)
+	for _, p := range []*mpl.Program{larger, corpus.JacobiFig2(2)} {
+		if _, err := Ensure(p, DefaultOptions); err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		Check(p, DefaultOptions) // it may refuse p, unequalized: the workspace goes back either way
+	}
+	if after := dump(); after != before {
+		t.Errorf("Ensure's result changed by later calls\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	if after := fmt.Sprintf("%+v %+v", violations, orderings); after != checked {
+		t.Errorf("Check's result changed by later calls: %s, was %s", after, checked)
+	}
+}
+
+// TestWorkspaceKeepsNoProgramAlive: a workspace back in the pool refers to
+// nothing of the program it was built for, whether Check read it or Ensure
+// moved its checkpoints (the dominator chains). A pooled value outlives the
+// next collection in the pool's victim cache, so a send statement, or a
+// receive's source expression (data flow and Ĝ resolve it to itself), that
+// the workspace still referred to would survive one; unreferenced, both are
+// finalized after it. (The expression is not the send's: a finalizer waits
+// for the objects that refer to its object to be freed first.)
+func TestWorkspaceKeepsNoProgramAlive(t *testing.T) {
+	for name, call := range map[string]func(p *mpl.Program) (*mpl.Program, error){
+		"Check": func(p *mpl.Program) (*mpl.Program, error) {
+			_, _, err := Check(p, DefaultOptions)
+			return p, err
+		},
+		"Ensure": func(p *mpl.Program) (*mpl.Program, error) {
+			res, err := Ensure(p, DefaultOptions)
+			if err == nil && len(res.Moves) == 0 {
+				err = fmt.Errorf("%s needs no move", p.Name)
+			}
+			return res.Program, err
+		},
+	} {
+		finalized := make(chan struct{}, 2)
+		func() {
+			p, err := call(corpus.JacobiFig2(4))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var send *mpl.Send
+			var recv *mpl.Recv
+			mpl.Walk(p.Body, func(s mpl.Stmt) bool {
+				switch st := s.(type) {
+				case *mpl.Send:
+					send = cmp.Or(send, st)
+				case *mpl.Recv:
+					recv = cmp.Or(recv, st)
+				}
+				return true
+			})
+			src, ok := recv.Src.(*mpl.Binary)
+			if !ok {
+				t.Fatalf("receive source %s is no binary expression", mpl.ExprString(recv.Src))
+			}
+			runtime.SetFinalizer(send, func(*mpl.Send) { finalized <- struct{}{} })
+			runtime.SetFinalizer(src, func(*mpl.Binary) { finalized <- struct{}{} })
+		}()
+		runtime.GC()
+		for i := range 2 {
+			select {
+			case <-finalized:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: %d of a send statement and a receive's source finalized after a collection, want both", name, i)
+			}
+		}
 	}
 }

@@ -367,7 +367,7 @@ func TestEnsureMatchesReference(t *testing.T) {
 		for _, opts := range []Options{
 			{PreserveLoops: true},
 			{PreserveLoops: false},
-			{PreserveLoops: true, MaxIterations: 2, Arena: &cfg.Arena{}},
+			{PreserveLoops: true, MaxIterations: 2},
 		} {
 			label := fmt.Sprintf("%s/preserve=%v/max=%d", name, opts.PreserveLoops, opts.MaxIterations)
 			var want, got []roundView

@@ -2,6 +2,8 @@ package place
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
@@ -11,19 +13,29 @@ import (
 
 // skeleton is the part of Ĝ that Phase III cannot change, built once per
 // call: the CFG of the non-checkpoint statements, its message edges, and —
-// memoised inside ext for as long as the skeleton lives — the causal
-// closure of every node a round asks about. Rounds only add, move or remove
-// checkpoint statements, which carry no assignments, branches, parameters
-// or message edges, so none of that depends on where the checkpoints are.
+// memoised inside ext for as long as the call lasts — the causal closure of
+// every node a round asks about. Rounds only add, move or remove checkpoint
+// statements, which carry no assignments, branches, parameters or message
+// edges, so none of that depends on where the checkpoints are.
 //
 // A checkpoint is then a position: the gap between skeleton statements it
 // sits in. Checkpoint nodes have one way out and no message edges, so
 // whatever Ĝ says about one follows from its gap — what is reachable from
 // it is what is reachable from the skeleton node behind the gap, and it is
 // reached from wherever a skeleton node flowing into the gap is.
+//
+// A skeleton is also the call's whole workspace, lent by a pool: its graph,
+// data flow, Ĝ, arena, gap layout and round buffers are rebuilt in the
+// memory the previous call left, and release clears every slot that refers
+// to a program before giving it back. The pool lends memory, never results:
+// nothing a call reads was written by another, and what a call returns is
+// copied out of the workspace first.
 type skeleton struct {
-	ext *match.Extended
-	df  *dataflow.Result
+	ext   match.Extended
+	df    dataflow.Result
+	g     cfg.Graph
+	arena cfg.Arena // the closures' bitsets, then noCross's scratch
+	cur   analysis  // the rounds' view, each overwriting the last
 	// nodeOf maps a statement id to its skeleton node; 0 (the entry, which
 	// is no statement's) for checkpoints and unknown ids.
 	nodeOf []int32
@@ -39,6 +51,8 @@ type skeleton struct {
 	next  int32      // place: the skeleton node the walk expects next
 	chain []mpl.Stmt // applyMoves: dominator chain scratch
 }
+
+var skeletons = sync.Pool{New: func() any { return new(skeleton) }}
 
 // gap is one position a checkpoint can take.
 type gap struct {
@@ -61,17 +75,38 @@ type ckpt struct {
 	gap   int32
 }
 
-// newSkeleton analyses data flow, builds the skeleton CFG of p, runs Phase
-// II on it and lays out the gaps.
-func newSkeleton(p *mpl.Program, opts Options) (*skeleton, error) {
-	g, err := cfg.BuildSkeleton(p)
-	if err != nil {
+// newSkeleton takes a workspace from the pool, and in it analyses data
+// flow, builds the skeleton CFG of p, runs Phase II on it and lays out the
+// gaps. The caller gives it back with release.
+func newSkeleton(p *mpl.Program) (*skeleton, error) {
+	sk := skeletons.Get().(*skeleton)
+	if err := sk.build(p); err != nil {
+		sk.release()
 		return nil, err
 	}
-	df := dataflow.Analyze(p)
-	ext, err := match.Match(p, g, df, match.Options{Arena: opts.Arena})
-	if err != nil {
-		return nil, err
+	return sk, nil
+}
+
+// release clears every slot of the workspace that refers to a program and
+// puts it back in the pool. Nothing may use sk afterwards.
+func (sk *skeleton) release() {
+	sk.ext.Reset()
+	sk.df.Reset()
+	sk.g.Reset()
+	clear(sk.chain[:cap(sk.chain)]) // DomChain leaves what it backed out of past the end
+	sk.chain = sk.chain[:0]
+	skeletons.Put(sk)
+}
+
+func (sk *skeleton) build(p *mpl.Program) error {
+	sk.arena.Reset()
+	g := &sk.g
+	if err := cfg.BuildSkeletonInto(p, g); err != nil {
+		return err
+	}
+	dataflow.AnalyzeInto(p, &sk.df)
+	if err := match.MatchInto(p, g, &sk.df, match.Options{Arena: &sk.arena}, &sk.ext); err != nil {
+		return err
 	}
 	n := len(g.Nodes)
 	ends := 0
@@ -83,15 +118,11 @@ func newSkeleton(p *mpl.Program, opts Options) (*skeleton, error) {
 			ends += 2
 		}
 	}
-	sk := &skeleton{
-		ext:    ext,
-		df:     df,
-		nodeOf: make([]int32, p.MaxStmtID()+1),
-		gaps:   make([]gap, n, n+ends),
-		endGap: make([]int32, n),
-		preds:  make([]int32, 0, 2*n),
-		next:   1,
-	}
+	sk.nodeOf = zeroed(sk.nodeOf, p.MaxStmtID()+1)
+	sk.gaps = slices.Grow(zeroed(sk.gaps, n), ends)
+	sk.endGap = zeroed(sk.endGap, n)
+	sk.preds = slices.Grow(sk.preds[:0], 2*n)
+	sk.next = 1
 	in := sk.layout(p.Body, sk.flow(int32(g.Entry)), int32(g.Exit))
 	sk.gaps[g.Exit] = gap{in: in, node: int32(g.Exit), outer: -1}
 	// The end of an if branch leads where the gap behind the if leads.
@@ -105,7 +136,15 @@ func newSkeleton(p *mpl.Program, opts Options) (*skeleton, error) {
 		}
 		sk.gaps[i].node, sk.gaps[i].back = sk.gaps[o].node, sk.gaps[o].back
 	}
-	return sk, nil
+	return nil
+}
+
+// zeroed returns s resized to n zero elements, in its own memory when that
+// is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // span is a range of skeleton.preds.
@@ -181,7 +220,7 @@ func (sk *skeleton) place(p *mpl.Program, a *analysis) error {
 	}
 	a.cks = a.cks[:0]
 	sk.next = 1
-	exit := int32(sk.ext.G.Exit)
+	exit := int32(sk.g.Exit)
 	if !sk.placeList(p.Body, a, exit) || sk.next != exit {
 		return fmt.Errorf("place: program %q is no longer its skeleton plus checkpoints (at skeleton node %d of %d)",
 			p.Name, sk.next, exit)

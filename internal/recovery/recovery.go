@@ -111,6 +111,12 @@ func StraightCut(st storage.Store, n int) (*Line, error) {
 	if err != nil {
 		return nil, err
 	}
+	return straightCut(st, n, cands)
+}
+
+// straightCut is StraightCut choosing among the candidates cands, ordered as
+// storage.StraightCuts orders them.
+func straightCut(st storage.Store, n int, cands []storage.Key) (*Line, error) {
 	// cut is the candidate being loaded; it becomes best by trading places
 	// with it, so selection allocates two cuts however many it tries.
 	var best, cut []storage.Snapshot

@@ -27,7 +27,9 @@ type Rolled struct {
 //     ErrNoRecoveryLine is not an error here: it selects the initial state.
 //  2. scrub, so damaged keys stop colliding with what replay regenerates;
 //  3. discard every checkpoint taken after the line — every checkpoint when
-//     there is no line — by key.
+//     there is no line — by key. Without choose, the keys are each
+//     process's as step 1 read them, less what step 2 quarantined; with
+//     it, they are read again after the scrub.
 //
 // "After the line" is read off the line itself: the member at of process p
 // carries p's per-index instance counters including its own checkpoint
@@ -42,10 +44,20 @@ type Rolled struct {
 // It needs no crashed incarnation in front of it: called on a populated
 // store it is the entry point of a cold-start resume.
 func Rollback(st storage.Store, n int, choose func(storage.Store, int) (*Line, error)) (*Rolled, error) {
+	var keys [][]storage.Key // read once for the choice and the discard, without choose
+	var line *Line
+	var err error
 	if choose == nil {
-		choose = StraightCut
+		keys = make([][]storage.Key, n)
+		for p := range keys {
+			if keys[p], err = storage.Keys(st, p); err != nil {
+				return nil, err
+			}
+		}
+		line, err = straightCut(st, n, storage.CommonKeys(keys))
+	} else {
+		line, err = choose(st, n)
 	}
-	line, err := choose(st, n)
 	if errors.Is(err, ErrNoRecoveryLine) {
 		line = nil
 	} else if err != nil {
@@ -72,15 +84,19 @@ func Rollback(st storage.Store, n int, choose func(storage.Store, int) (*Line, e
 		if line != nil {
 			kept = line.Snapshots[p].Instances
 		}
-		keys, err := storage.Keys(st, p)
-		if err != nil {
+		var held []storage.Key
+		if keys != nil {
+			held = keys[p]
+		} else if held, err = storage.Keys(st, p); err != nil {
 			return nil, err
 		}
-		for _, k := range keys {
-			if k.Instance >= kept.At(k.CFGIndex) {
-				if err := st.Delete(p, k.CFGIndex, k.Instance); err != nil {
-					return nil, err
-				}
+		for _, k := range held {
+			if k.Instance < kept.At(k.CFGIndex) || keys != nil && slices.ContainsFunc(out.Scrub.Quarantined,
+				func(q storage.SnapshotRef) bool { return q.Key == k }) {
+				continue // kept, or gone with the scrub after keys was read
+			}
+			if err := st.Delete(p, k.CFGIndex, k.Instance); err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -294,6 +294,74 @@ func TestRollbackKeepsTheChosenLine(t *testing.T) {
 	}
 }
 
+// deletes records the keys a rollback discards. It forwards Keys and Scrub,
+// which embedding the Store interface would hide.
+type deletes struct {
+	storage.Store
+	got []storage.Key
+}
+
+func (d *deletes) Delete(proc, cfgIndex, instance int) error {
+	d.got = append(d.got, storage.Key{Proc: proc, CFGIndex: cfgIndex, Instance: instance})
+	return d.Store.Delete(proc, cfgIndex, instance)
+}
+
+func (d *deletes) Keys(proc int) ([]storage.Key, error) { return storage.Keys(d.Store, proc) }
+
+func (d *deletes) Scrub() (storage.ScrubReport, error) { return storage.Scrub(d.Store) }
+
+// TestRollbackDiscardsFromKeysReadOnce: without a chooser, Rollback reads
+// each process's keys once, before the scrub, and discards from those
+// lists. The newest checkpoint of process 0 is damaged, so the line falls
+// back to the older cut and the scrub quarantines a key above it: the
+// discard skips that key and deletes exactly what a rollback that reads the
+// keys again after the scrub (the path a chooser takes) deletes.
+func TestRollbackDiscardsFromKeysReadOnce(t *testing.T) {
+	for _, kind := range []string{"memory", "incremental", "wal"} {
+		t.Run(kind, func(t *testing.T) {
+			marked := storage.Key{Proc: 0, CFGIndex: 1, Instance: 3}
+			var got [2][]storage.Key
+			for i, choose := range []func(storage.Store, int) (*recovery.Line, error){nil, recovery.StraightCut} {
+				inner := rollbackStores(t)[kind]
+				st := chaos.New(inner, 1, chaos.Rates{BitFlip: 1}, nil)
+				for p := 0; p < 2; p++ {
+					for inst := 0; inst < 4; inst++ {
+						s := storage.Snapshot{
+							Proc: p, CFGIndex: 1, Instance: inst,
+							Vars: map[string]int{"x": inst}, Instances: storage.Counts{{Index: 1, N: inst + 1}},
+							N: 2, Peers: rowOf([]int{inst, inst}, []int{inst, inst}),
+						}
+						into := inner
+						if s.Key() == marked {
+							into = st
+						}
+						if err := into.Save(s); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				d := &deletes{Store: st}
+				rb, err := recovery.Rollback(d, 2, choose)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rb.Line == nil || rb.Line.Snapshots[0].Instance != 2 {
+					t.Fatalf("line %+v, want the cut at instance 2", rb.Line)
+				}
+				if q := rb.Scrub.Quarantined; len(q) != 1 || q[0].Key != marked {
+					t.Fatalf("scrub %+v, want %s quarantined", rb.Scrub, marked)
+				}
+				storage.SortKeys(d.got)
+				got[i] = d.got
+			}
+			want := []storage.Key{{Proc: 1, CFGIndex: 1, Instance: 3}}
+			if !slices.Equal(got[0], want) || !slices.Equal(got[1], want) {
+				t.Errorf("deleted %v without a chooser, %v with StraightCut; want %v", got[0], got[1], want)
+			}
+		})
+	}
+}
+
 // A snapshot that does not carry its instance counters cannot say what was
 // saved after it. Rollback must refuse such a line before it scrubs or
 // deletes anything: by the discard rule it would doom the line itself.

@@ -289,17 +289,36 @@ func StraightCuts(st Store, n int) ([]Key, error) {
 		if err != nil {
 			return nil, err
 		}
-		slices.SortFunc(keys, newestFirst)
-		if p == 0 {
-			cuts = keys
-			continue
-		}
-		cuts = slices.DeleteFunc(cuts, func(c Key) bool {
-			_, held := slices.BinarySearchFunc(keys, c, newestFirst)
-			return !held
-		})
+		cuts = alsoIn(cuts, keys, p == 0)
 	}
 	return cuts, nil
+}
+
+// CommonKeys is StraightCuts over lists already read, keys[p] process p's.
+// It sorts each list in place by CFG index, newest instance first, and
+// returns a slice of its own.
+func CommonKeys(keys [][]Key) []Key {
+	var cuts []Key
+	for p, held := range keys {
+		if cuts = alsoIn(cuts, held, p == 0); p == 0 {
+			cuts = slices.Clone(cuts)
+		}
+	}
+	return cuts
+}
+
+// alsoIn sorts keys by CFG index, newest instance first, and keeps of cuts
+// those keys holds too. The first process's keys are all cuts yet: for it,
+// alsoIn returns keys.
+func alsoIn(cuts, keys []Key, first bool) []Key {
+	slices.SortFunc(keys, newestFirst)
+	if first {
+		return keys
+	}
+	return slices.DeleteFunc(cuts, func(c Key) bool {
+		_, held := slices.BinarySearchFunc(keys, c, newestFirst)
+		return !held
+	})
 }
 
 // newestFirst orders keys by CFG index, then newest instance first; it
