@@ -1,8 +1,8 @@
 package repro_test
 
 // Ablation studies for the design choices documented in DESIGN.md and
-// EXPERIMENTS.md: matching mode (one-to-one vs liberal), placement mode
-// (loop-preserving vs base Algorithm 3.2), and attribute-solver bounds.
+// EXPERIMENTS.md: placement mode (loop-preserving vs base Algorithm 3.2)
+// and attribute-solver bounds.
 
 import (
 	"testing"
@@ -16,28 +16,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/zigzag"
 )
-
-// BenchmarkAblationMatchingMode compares the paper's one-to-one matching
-// with the liberal all-pairs mode: edge counts and matcher cost. The
-// doubled exchange motif is where they diverge — liberal matching invents
-// FIFO-impossible cross-motif edges.
-func BenchmarkAblationMatchingMode(b *testing.B) {
-	prog := corpus.Random(3) // contains two identical exchange motifs
-	var faithfulEdges, liberalEdges int
-	for i := 0; i < b.N; i++ {
-		f, err := match.BuildExtended(prog, match.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		l, err := match.BuildExtended(prog, match.Options{Liberal: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		faithfulEdges, liberalEdges = len(f.Messages), len(l.Messages)
-	}
-	b.ReportMetric(float64(faithfulEdges), "edges(one-to-one)")
-	b.ReportMetric(float64(liberalEdges), "edges(liberal)")
-}
 
 // BenchmarkAblationPlacementMode compares loop-preserving placement with
 // base Algorithm 3.2 on the checkpoint granularity that survives: base

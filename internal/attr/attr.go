@@ -9,8 +9,8 @@
 // question: do there exist a process count n and two distinct ranks p, q
 // such that the sender's path attribute holds at p, the receiver's at q,
 // the send destination evaluates to q, and the receive source to p? The
-// Solver decides this by exact bounded enumeration over n, which is
-// complete for the modular-arithmetic rank patterns SPMD programs use.
+// Solver's tables enumerate n exhaustively over a bound, which is complete
+// for the modular-arithmetic rank patterns SPMD programs use.
 package attr
 
 import (
@@ -113,8 +113,8 @@ func (pr Predicate) String() string {
 	return strings.Join(parts, " && ")
 }
 
-// Solver decides attribute satisfiability by enumerating process counts in
-// [MinProcs, MaxProcs] and rank pairs within each. It is complete only
+// Solver enumerates the process counts in [MinProcs, MaxProcs] and the
+// ranks within each that matching considers. It is complete only
 // inside that range: a match that exists only at some n outside it is
 // missed. The default bound, n ≤ 17, covers the SPMD rank arithmetic the
 // corpus and generators use (parity, halves, ring neighbors, small
@@ -128,9 +128,9 @@ type Solver struct {
 // DefaultSolver is the solver with the standard bounds.
 var DefaultSolver = Solver{MinProcs: 2, MaxProcs: 17}
 
-// bounds returns the effective enumeration range.
-func (s Solver) bounds() (int, int) {
-	lo, hi := s.MinProcs, s.MaxProcs
+// Bounds returns the process counts the solver enumerates, lo ≤ n ≤ hi.
+func (s Solver) Bounds() (lo, hi int) {
+	lo, hi = s.MinProcs, s.MaxProcs
 	if lo < 1 {
 		lo = 2
 	}
@@ -138,45 +138,6 @@ func (s Solver) bounds() (int, int) {
 		hi = lo
 	}
 	return lo, hi
-}
-
-// CanMatch decides whether a send with path attribute sendPath and
-// destination parameter dest can deliver a message to a receive with path
-// attribute recvPath and source parameter src: ∃ n, ∃ p ≠ q with
-// sendPath(p), recvPath(q), dest(p) = q, src(q) = p. Wildcard parameters
-// impose no equation (the paper's irregular-pattern rule: match unless the
-// attributes contradict). A destination that evaluates at p names the one
-// receiver to test, so a regular send costs O(n) per n; only a wildcard or
-// erroring destination scans every receiver.
-func (s Solver) CanMatch(sendPath Predicate, dest Param, recvPath Predicate, src Param) bool {
-	lo, hi := s.bounds()
-	// feeds reports whether q may receive p's message at n.
-	feeds := func(p, q, n int) bool {
-		if q == p || !recvPath.HoldsAt(q, n) {
-			return false
-		}
-		sv, ok := src.EvalAt(q, n)
-		return !ok || sv == p
-	}
-	for n := lo; n <= hi; n++ {
-		for p := 0; p < n; p++ {
-			if !sendPath.HoldsAt(p, n) {
-				continue
-			}
-			if d, ok := dest.EvalAt(p, n); ok {
-				if d >= 0 && d < n && feeds(p, d, n) {
-					return true
-				}
-				continue
-			}
-			for q := range n {
-				if feeds(p, q, n) {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // Validate checks that predicate constraints and parameters are closed

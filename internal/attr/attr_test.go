@@ -154,7 +154,7 @@ func TestSolverBoundsDefaults(t *testing.T) {
 	if !s.CanMatch(nil, WildcardParam, nil, WildcardParam) {
 		t.Error("zero-value solver should work")
 	}
-	lo, hi := s.bounds()
+	lo, hi := s.Bounds()
 	if lo < 1 || hi < lo {
 		t.Errorf("bounds = %d, %d", lo, hi)
 	}
@@ -200,4 +200,40 @@ func BenchmarkCanMatch(b *testing.B) {
 			b.Fatal("match failed")
 		}
 	}
+}
+
+// CanMatch is the reference the attribute tables are held to: whether a
+// send with path attribute sendPath and destination dest can deliver a
+// message to a receive with path attribute recvPath and source src, ∃ n,
+// ∃ p ≠ q with sendPath(p), recvPath(q), dest(p) = q, src(q) = p, where a
+// wildcard or erroring parameter imposes no equation.
+func (s Solver) CanMatch(sendPath Predicate, dest Param, recvPath Predicate, src Param) bool {
+	lo, hi := s.Bounds()
+	// feeds reports whether q may receive p's message at n.
+	feeds := func(p, q, n int) bool {
+		if q == p || !recvPath.HoldsAt(q, n) {
+			return false
+		}
+		sv, ok := src.EvalAt(q, n)
+		return !ok || sv == p
+	}
+	for n := lo; n <= hi; n++ {
+		for p := 0; p < n; p++ {
+			if !sendPath.HoldsAt(p, n) {
+				continue
+			}
+			if d, ok := dest.EvalAt(p, n); ok {
+				if d >= 0 && d < n && feeds(p, d, n) {
+					return true
+				}
+				continue
+			}
+			for q := range n {
+				if feeds(p, q, n) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }

@@ -1,22 +1,16 @@
 package attr
 
 import (
-	"math/bits"
 	"slices"
 
 	"repro/internal/mpl"
 )
 
-// This file is the solver's memoized fast path. CanMatch enumerates
-// (n, p, q) triples and re-evaluates both path attributes and both
-// parameter expressions inside the innermost loop — a tree-walking Eval
-// per probe — and Phase II calls it once per send×receive pair.
-//
-// A Table precomputes, once per node, everything CanMatch ever asks about
-// it: a per-n bitmask of the ranks where the path attribute holds, and a
-// per-(n, rank) value table for the parameter. CanMatchTables then decides
-// a pair with pure bit iteration and array lookups — no Eval calls — and
-// is exactly equivalent to CanMatch (asserted by TestTableEquivalence).
+// This file is the solver's memoized form. A Table precomputes, once per
+// node, what Phase II asks about it: a per-n bitmask of the ranks where
+// the path attribute holds, and a per-(n, rank) value table for the
+// parameter, read with no Eval call. TestTableEquivalence holds the tables
+// to a test-side enumeration (CanMatch) that evaluates every probe.
 
 // Parameter values are stored as int8. A rank is in [0, 64) — hi ≤ 64 is
 // the representation's limit — so a value outside that range can equal no
@@ -24,7 +18,7 @@ import (
 //
 //	tableNoValue — no equation at this rank: wildcard parameters
 //	               everywhere, and ranks where evaluation errs (EvalAt
-//	               reports ok=false, which CanMatch treats as "no
+//	               reports ok=false, which matching treats as "no
 //	               constraint");
 //	tableNever   — the parameter evaluates, to something no rank equals
 //	               (rank-1 at rank 0, nproc, a large constant): an equation
@@ -58,18 +52,6 @@ func (t *Table) valRow(i int) []int8 {
 	return t.val[off : off+n]
 }
 
-// Tables precomputes one Table per entry of nodes, for the pair
-// (prs[nodes[i]], params[nodes[i]]) — the matcher's batch, one table per
-// communication node. Equal predicates share one set of hold masks and
-// equal parameters one set of value rows: the communication statements of
-// an SPMD program sit under a handful of rank guards and address a handful
-// of neighbours, so most of the batch is found, not evaluated, and the
-// whole of it costs four allocations. The result is nil when the bounds
-// exceed the table representation (callers fall back to CanMatch).
-func (s Solver) Tables(prs []Predicate, params []Param, nodes []int) []Table {
-	return s.TablesInto(&Batch{}, prs, params, nodes)
-}
-
 // Batch is the memory a batch of tables is built in. TablesInto reuses it
 // whole: the tables of the previous batch are gone.
 type Batch struct {
@@ -79,9 +61,16 @@ type Batch struct {
 	val    []int8
 }
 
-// TablesInto is Tables building in b's memory.
+// TablesInto precomputes, in b's memory, one Table per entry of nodes, for
+// the pair (prs[nodes[i]], params[nodes[i]]) — the matcher's batch, one
+// table per communication node. Equal predicates share one set of hold
+// masks and equal parameters one set of value rows: the communication
+// statements of an SPMD program sit under a handful of rank guards and
+// address a handful of neighbours, so most of the batch is found, not
+// evaluated. The result is nil when the bounds exceed the table
+// representation (callers evaluate instead).
 func (s Solver) TablesInto(b *Batch, prs []Predicate, params []Param, nodes []int) []Table {
-	lo, hi := s.bounds()
+	lo, hi := s.Bounds()
 	if hi > 64 || len(nodes) == 0 {
 		return nil
 	}
@@ -163,39 +152,6 @@ func (pr Predicate) Equal(o Predicate) bool {
 
 func equalParams(a, b Param) bool {
 	return a.Wildcard == b.Wildcard && mpl.EqualExpr(a.Expr, b.Expr)
-}
-
-// CanMatchTables is CanMatch over precomputed tables: ∃ n, ∃ p ≠ q with
-// send's attribute at p, recv's at q, send's parameter (the destination)
-// evaluating to q at p, and recv's parameter (the source) evaluating to p
-// at q — where a wildcard or erroring parameter imposes no equation. Both
-// tables must come from the same Solver bounds.
-func CanMatchTables(send, recv *Table) bool {
-	for i, sh := range send.hold {
-		rh := recv.hold[i]
-		if sh == 0 || rh == 0 {
-			continue
-		}
-		sv, rv := send.valRow(i), recv.valRow(i)
-		for sw := sh; sw != 0; sw &= sw - 1 {
-			p := bits.TrailingZeros64(sw)
-			d := sv[p]
-			for rw := rh; rw != 0; rw &= rw - 1 {
-				q := bits.TrailingZeros64(rw)
-				if q == p {
-					continue
-				}
-				if d != tableNoValue && d != int8(q) {
-					continue
-				}
-				if src := rv[q]; src != tableNoValue && src != int8(p) {
-					continue
-				}
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Bounds returns the process counts n the table covers, lo ≤ n ≤ hi.

@@ -1,6 +1,7 @@
 package attr
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -188,4 +189,42 @@ func TestTableWideBoundsFallback(t *testing.T) {
 	if table(Solver{MinProcs: 2, MaxProcs: 64}, nil, WildcardParam) == nil {
 		t.Error("Tables should accept MaxProcs = 64")
 	}
+}
+
+// CanMatchTables is CanMatch over precomputed tables: ∃ n, ∃ p ≠ q with
+// send's attribute at p, recv's at q, send's parameter (the destination)
+// evaluating to q at p, and recv's parameter (the source) evaluating to p
+// at q — where a wildcard or erroring parameter imposes no equation. Both
+// tables must come from the same Solver bounds.
+func CanMatchTables(send, recv *Table) bool {
+	for i, sh := range send.hold {
+		rh := recv.hold[i]
+		if sh == 0 || rh == 0 {
+			continue
+		}
+		sv, rv := send.valRow(i), recv.valRow(i)
+		for sw := sh; sw != 0; sw &= sw - 1 {
+			p := bits.TrailingZeros64(sw)
+			d := sv[p]
+			for rw := rh; rw != 0; rw &= rw - 1 {
+				q := bits.TrailingZeros64(rw)
+				if q == p {
+					continue
+				}
+				if d != tableNoValue && d != int8(q) {
+					continue
+				}
+				if src := rv[q]; src != tableNoValue && src != int8(p) {
+					continue
+				}
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Tables is TablesInto on a fresh Batch.
+func (s Solver) Tables(prs []Predicate, params []Param, nodes []int) []Table {
+	return s.TablesInto(&Batch{}, prs, params, nodes)
 }

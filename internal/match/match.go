@@ -2,27 +2,12 @@
 // receive node of a program's CFG with its candidate send node(s) and
 // adding message edges, producing the extended CFG Ĝ (Algorithm 3.1).
 //
-// A send can feed a receive when their path attributes (from ID-dependent
-// branches) and their destination/source parameters present no
-// contradiction — decided exactly by the attr.Solver over bounded process
-// counts. Irregular parameters (the paper's data-dependent patterns) match
-// liberally. Collective statements (bcast) reduce to send/receive pairs at
-// the same node, represented as a self message edge.
-//
-// The matcher follows the paper's DFS one-to-one rule by default: scanning
-// receives in program order, each regular (non-irregular) send is matched
-// at most once, mirroring Algorithm 3.1's "if the corresponding send node
-// has not yet been matched". This order-respecting pairing is what FIFO
-// channels produce at runtime; matching every compatible pair instead
-// (Options.Liberal) creates causally-impossible backward edges between
-// repeated identical patterns (a later send "feeding" an earlier receive),
-// which Phase III can neither satisfy nor repair. As a soundness net for
-// Lemma 3.1, any receive left unmatched after the one-to-one pass is
-// re-matched liberally against all compatible sends.
-//
-// Compatibility is decided through precomputed attr.Tables — one per
-// communication node, built once per Match call — so the send×receive
-// scan performs no expression evaluation (see internal/attr/table.go).
+// A send feeds a receive when, at some process count n of the solver's
+// range, the FIFO channel between their ranks pairs them (pairs.go). Path
+// attributes and destination/source parameters say which endpoints a rank
+// runs and on which channel; irregular (data-dependent) parameters match
+// liberally. A collective (bcast, reduce) is its own correspondent: a
+// self message edge.
 //
 // Nothing here looks at checkpoint statements, so g may equally be the
 // program's skeleton (cfg.BuildSkeleton): Phase III matches once on that
@@ -52,8 +37,9 @@ type Extended struct {
 	G        *cfg.Graph
 	Messages []MessageEdge
 	// PathAttr holds, indexed by CFG node id, the attribute (conjunction
-	// of ID-dependent branch constraints) of the control context the node
-	// executes under. Entry/exit nodes hold the nil ("true") predicate.
+	// of the resolved branch constraints, ID-dependent or over nproc alone)
+	// of the control context the node executes under. Entry/exit nodes
+	// hold the nil ("true") predicate.
 	PathAttr []attr.Predicate
 	// Params holds, indexed by CFG node id, the resolved parameter of
 	// send/recv/bcast/reduce nodes (the zero Param elsewhere).
@@ -69,8 +55,21 @@ type Extended struct {
 	// exceed the table representation.
 	tables []attr.Table
 	comm   []int
+	nsend  int
 	batch  attr.Batch        // the tables' memory
-	cons   []attr.Constraint // PathAttr's predicates are carved from it
+	cons   []attr.Constraint // the predicates are carved from it
+	lo, hi int               // the solver's process counts
+
+	// The pairing's facts per node: its innermost loop (0: none; loopUp[l]
+	// encloses loop l) and whether a data-dependent if encloses it. pairs
+	// has bit r*nsend+s when Ĝ pairs receive position r with send position
+	// s; the rest is the pass's scratch (pairs.go).
+	loopOf         []int32
+	loopUp         []int32
+	opaque         cfg.Bitset
+	pairs, into    cfg.Bitset
+	off            []int32
+	ents, chS, chR []uint64
 
 	arena *cfg.Arena   // optional scratch and closure-set source (may be nil)
 	reach []*reachSets // memoized per-source causal closures
@@ -83,10 +82,6 @@ type Options struct {
 	// Solver decides attribute satisfiability; the zero value uses
 	// attr.DefaultSolver.
 	Solver attr.Solver
-	// Liberal matches every compatible send/receive pair instead of the
-	// paper's one-to-one DFS rule. Useful for worst-case analyses; see the
-	// package comment for why it is not the default.
-	Liberal bool
 	// Arena, when non-nil, supplies the scratch buffers and closure sets of
 	// the path searches over the result. The Extended is then only valid
 	// until the arena's next Reset. A nil arena means plain allocation.
@@ -128,28 +123,29 @@ func MatchInto(p *mpl.Program, g *cfg.Graph, df *dataflow.Result, opts Options, 
 	x.G, x.arena = g, opts.Arena
 	x.PathAttr = slices.Grow(x.PathAttr, n)[:n]
 	x.Params = slices.Grow(x.Params, n)[:n]
+	x.loopOf = slices.Grow(x.loopOf, n)[:n]
+	x.opaque = zeroBits(x.opaque, n)
+	x.loopUp = append(x.loopUp, 0)
 	// Path attributes from the structured AST: every statement inherits
-	// the ID-dependent branch constraints of its enclosing conditionals.
+	// the resolved branch constraints of its enclosing conditionals.
 	// Nodes are in program order, so one walk fills them; a statement g has
 	// no node for (a checkpoint, when g is a skeleton) is passed over.
-	if next := x.walkAttrs(p.Body, nil, df, g.Entry+1); next != g.Exit {
+	if next := x.walkAttrs(p.Body, scope{}, df, g.Entry+1); next != g.Exit {
 		return fmt.Errorf("match: graph has %d statement nodes, program %q matched %d", g.Exit-1, p.Name, next-1)
 	}
-	// Resolved parameters per node; sends then receives, in node order.
-	nsend, nrecv := 0, 0
-	for _, nd := range g.Nodes {
-		switch nd.Kind {
-		case cfg.KindSend:
-			nsend++
-		case cfg.KindRecv:
-			nrecv++
+	// comm holds the sends, then the receives, each in node order.
+	x.comm = x.comm[:0]
+	for _, kind := range [2]cfg.NodeKind{cfg.KindSend, cfg.KindRecv} {
+		for _, nd := range g.Nodes {
+			if nd.Kind == kind {
+				x.comm = append(x.comm, nd.ID)
+			}
+		}
+		if kind == cfg.KindSend {
+			x.nsend = len(x.comm)
 		}
 	}
-	x.comm = slices.Grow(x.comm, nsend+nrecv)[:nsend+nrecv]
-	comm := x.comm
-	x.Messages = slices.Grow(x.Messages, nrecv+8)
-	sends, recvs := comm[:0:nsend], comm[nsend:nsend]
-	for _, nd := range g.Nodes {
+	for _, nd := range g.Nodes { // the resolved parameter of each communication node
 		switch nd.Kind {
 		case cfg.KindSend, cfg.KindRecv, cfg.KindBcast, cfg.KindReduce:
 			param, ok := df.Params[nd.Stmt.ID()]
@@ -157,83 +153,27 @@ func MatchInto(p *mpl.Program, g *cfg.Graph, df *dataflow.Result, opts Options, 
 				return fmt.Errorf("match: no resolved parameter for %s", nd.Label())
 			}
 			x.Params[nd.ID] = param
-			if nd.Kind == cfg.KindSend {
-				sends = append(sends, nd.ID)
-			} else if nd.Kind == cfg.KindRecv {
-				recvs = append(recvs, nd.ID)
-			}
 		}
 	}
 
-	// Precompute the per-node satisfiability tables, one per entry of comm;
-	// the pair scan below then runs without a single expression evaluation.
-	// There are none when the solver bounds exceed the table
-	// representation, in which case canMatch falls back to the exact
-	// enumeration.
-	solver := opts.solver()
-	tables := solver.TablesInto(&x.batch, x.PathAttr, x.Params, comm)
-	x.tables = tables
-	// canMatch takes positions in sends and recvs, not node ids.
-	canMatch := func(si, ri int) bool {
-		if tables != nil {
-			return attr.CanMatchTables(&tables[si], &tables[nsend+ri])
-		}
-		s, r := sends[si], recvs[ri]
-		return solver.CanMatch(x.PathAttr[s], x.Params[s], x.PathAttr[r], x.Params[r])
+	// The pairing reads endpoints off the attribute tables, one per entry
+	// of comm, or evaluates them when the bounds exceed the tables.
+	solver, nsend, nrecv := opts.solver(), x.nsend, len(x.comm)-x.nsend
+	x.tables = solver.TablesInto(&x.batch, x.PathAttr, x.Params, x.comm)
+	x.lo, x.hi = solver.Bounds()
+	x.pairs = zeroBits(x.pairs, nrecv*nsend)
+	for np := x.lo; np <= x.hi; np++ {
+		x.pairAt(np, x.pairs)
 	}
-
-	matchedSends := opts.Arena.Bits(n)
-
-	// Algorithm 3.1: scan receives (DFS order ≈ node id order for our
-	// structured builder), and for each, find candidate sends whose
-	// attributes do not contradict. Regular sends match at most once
-	// unless Liberal; irregular endpoints always match freely.
-	for ri, r := range recvs {
-		src := x.Params[r]
-		for si, s := range sends {
-			dest := x.Params[s]
-			if !canMatch(si, ri) {
-				continue
-			}
-			if !opts.Liberal && !dest.Wildcard && !src.Wildcard {
-				// Regular pair: one-to-one in program order on both sides.
-				if matchedSends.Has(s) {
-					continue
-				}
-				matchedSends.Set(s)
-				x.addMessage(s, r)
-				break
-			}
-			// Irregular endpoint (or Liberal): match every compatible pair.
-			matchedSends.Set(s)
-			x.addMessage(s, r)
+	x.Messages = slices.Grow(x.Messages, nrecv+8)
+	for k := range nrecv * nsend {
+		if x.pairs.Has(k) {
+			x.addMessage(x.comm[k%nsend], x.comm[nsend+k/nsend])
 		}
 	}
 
-	// Soundness fallback (Lemma 3.1 requires every receive to be matched
-	// with at least its true sender): re-match any receive the one-to-one
-	// pass left bare, ignoring the matched-once rule.
-	if !opts.Liberal {
-		matchedRecvs := opts.Arena.Bits(n)
-		for _, m := range x.Messages {
-			matchedRecvs.Set(m.Recv)
-		}
-		for ri, r := range recvs {
-			if matchedRecvs.Has(r) {
-				continue
-			}
-			for si, s := range sends {
-				if canMatch(si, ri) {
-					x.addMessage(s, r)
-				}
-			}
-		}
-	}
-
-	// Collectives: every bcast/reduce node is a matched send/recv pair
-	// with itself (bcast: root → all others; reduce: all others → root —
-	// either way the causality is between processes at the same
-	// statement).
+	// Collectives: a bcast or reduce is its own correspondent, the
+	// causality between processes at the same statement.
 	for _, nd := range g.Nodes {
 		if nd.Kind == cfg.KindBcast || nd.Kind == cfg.KindReduce {
 			x.addMessage(nd.ID, nd.ID)
@@ -257,6 +197,8 @@ func (x *Extended) Reset() {
 		Messages: x.Messages[:0], PathAttr: x.PathAttr[:0], Params: x.Params[:0],
 		sendOff: x.sendOff, bySend: x.bySend, comm: x.comm[:0], batch: x.batch,
 		cons: x.cons[:0], reach: x.reach[:0], spare: x.spare[:0],
+		loopOf: x.loopOf[:0], loopUp: x.loopUp[:0], opaque: x.opaque,
+		pairs: x.pairs, off: x.off, ents: x.ents, chS: x.chS, chR: x.chR,
 	}
 }
 
@@ -284,31 +226,47 @@ func (x *Extended) MessageEdgesAsCFG() []cfg.Edge {
 	return out
 }
 
-// walkAttrs sets the path attribute of every statement of body that g has a
-// node for, in program order from node next on, and returns the node after
-// the last; ctx is the attribute of body itself.
-func (x *Extended) walkAttrs(body []mpl.Stmt, ctx attr.Predicate, df *dataflow.Result, next int) int {
+// scope is what a statement inherits from the statements around it: its
+// path attribute, its innermost loop, and whether a data-dependent if
+// encloses it.
+type scope struct {
+	path   attr.Predicate
+	loop   int32
+	opaque bool
+}
+
+// walkAttrs sets the scope of every statement of body that g has a node
+// for, in program order from node next on, and returns the node after the
+// last; sc is the scope of body itself.
+func (x *Extended) walkAttrs(body []mpl.Stmt, sc scope, df *dataflow.Result, next int) int {
 	nodes := x.G.Nodes
 	for _, s := range body {
 		if next < len(nodes) && nodes[next].Stmt != nil && nodes[next].Stmt.ID() == s.ID() {
-			x.PathAttr[next] = ctx
+			x.PathAttr[next], x.loopOf[next] = sc.path, sc.loop
+			if sc.opaque {
+				x.opaque.Set(next)
+			}
 			next++
 		}
 		switch st := s.(type) {
 		case *mpl.While:
-			inner := ctx
-			if bi := df.Branches[st.ID()]; bi.IDDependent {
-				inner, x.cons = ctx.And(x.cons, attr.Constraint{Cond: bi.Resolved, Want: true})
+			inner := sc
+			inner.loop = int32(len(x.loopUp))
+			x.loopUp = append(x.loopUp, sc.loop)
+			if bi := df.Branches[st.ID()]; bi.Resolved != nil {
+				inner.path, x.cons = sc.path.And(x.cons, attr.Constraint{Cond: bi.Resolved, Want: true})
 			}
 			next = x.walkAttrs(st.Body, inner, df, next)
 		case *mpl.If:
-			thenCtx, elseCtx := ctx, ctx
-			if bi := df.Branches[st.ID()]; bi.IDDependent {
-				thenCtx, x.cons = ctx.And(x.cons, attr.Constraint{Cond: bi.Resolved, Want: true})
-				elseCtx, x.cons = ctx.And(x.cons, attr.Constraint{Cond: bi.Resolved, Want: false})
+			then, els := sc, sc
+			if bi := df.Branches[st.ID()]; bi.Resolved != nil {
+				then.path, x.cons = sc.path.And(x.cons, attr.Constraint{Cond: bi.Resolved, Want: true})
+				els.path, x.cons = sc.path.And(x.cons, attr.Constraint{Cond: bi.Resolved, Want: false})
+			} else {
+				then.opaque, els.opaque = true, true
 			}
-			next = x.walkAttrs(st.Then, thenCtx, df, next)
-			next = x.walkAttrs(st.Else, elseCtx, df, next)
+			next = x.walkAttrs(st.Then, then, df, next)
+			next = x.walkAttrs(st.Else, els, df, next)
 		}
 	}
 	return next

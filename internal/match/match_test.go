@@ -116,7 +116,7 @@ func TestMatchJacobiFig1(t *testing.T) {
 	}
 }
 
-func TestMatchIrregularIsLiberal(t *testing.T) {
+func TestMatchIrregularFeedsEveryReceive(t *testing.T) {
 	x := buildExt(t, corpus.Irregular(), Options{})
 	sends := nodesOf(x, cfg.KindSend)
 	recvs := nodesOf(x, cfg.KindRecv)
@@ -143,8 +143,8 @@ func TestMatchBcastSelfEdge(t *testing.T) {
 }
 
 func TestMatchFaithfulOneToOne(t *testing.T) {
-	// Two sends could both feed one receive; the default (paper-faithful)
-	// mode matches each regular send only once, in program order.
+	// Two sends could both feed one receive; the FIFO channel pairs each
+	// send with the receive in the same place of its order.
 	src := `
 program multi
 var x
@@ -163,10 +163,6 @@ proc {
 		t.Fatal(err)
 	}
 	faithful := buildExt(t, p, Options{})
-	liberal := buildExt(t, p, Options{Liberal: true})
-	if len(liberal.Messages) != 4 {
-		t.Errorf("liberal matches = %d, want 4 (all pairs)", len(liberal.Messages))
-	}
 	if len(faithful.Messages) != 2 {
 		t.Errorf("faithful matches = %d, want 2 (one per send)", len(faithful.Messages))
 	}
@@ -180,8 +176,8 @@ proc {
 
 func TestMatchNoFalseBackwardEdges(t *testing.T) {
 	// Two identical exchange motifs in sequence: FIFO order means motif
-	// 2's send can never feed motif 1's receive. The default matcher must
-	// not create such an edge (liberal mode does, by design).
+	// 2's send can never feed motif 1's receive. The matcher must not
+	// create such an edge.
 	src := `
 program twomotif
 var a, tmp
@@ -228,16 +224,12 @@ proc {
 	if len(x.Messages) != 4 {
 		t.Errorf("messages = %d, want 4 (one per send)", len(x.Messages))
 	}
-	liberal := buildExt(t, p, Options{Liberal: true})
-	if len(liberal.Messages) <= 4 {
-		t.Errorf("liberal should over-match: %d edges", len(liberal.Messages))
-	}
 }
 
-func TestMatchUnmatchedRecvFallback(t *testing.T) {
-	// One send statement feeds two different receive statements (the
-	// one-to-one pass would leave the second bare); the fallback must
-	// still match it so Lemma 3.1's guarantee holds.
+func TestMatchSecondRecvStaysBare(t *testing.T) {
+	// One send statement and two receive statements on one channel: the
+	// send's one message feeds the first receive, and the second waits
+	// forever, so no send is its correspondent.
 	src := `
 program fan
 var x
@@ -255,15 +247,9 @@ proc {
 		t.Fatal(err)
 	}
 	x := buildExt(t, p, Options{})
-	recvs := nodesOf(x, cfg.KindRecv)
-	inbound := map[int]int{}
-	for _, m := range x.Messages {
-		inbound[m.Recv]++
-	}
-	for _, r := range recvs {
-		if inbound[r] == 0 {
-			t.Errorf("recv node %d left unmatched", r)
-		}
+	sends, recvs := nodesOf(x, cfg.KindSend), nodesOf(x, cfg.KindRecv)
+	if len(x.Messages) != 1 || !hasEdge(x, sends[0], recvs[0]) {
+		t.Errorf("messages = %+v, want only %d -> %d", x.Messages, sends[0], recvs[0])
 	}
 }
 

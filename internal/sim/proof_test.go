@@ -103,10 +103,10 @@ func TestProofCoversTheCorpus(t *testing.T) {
 	}
 }
 
-// The gate compares send/receive pairs, not the edges Phase II's one-to-one
-// pass keeps: rank 0's receive from the last rank already has a sender the
-// checked range pairs, and at n = 21 rank 20's second send reaches it too,
-// which no count of [2, 17] allows.
+// The gate compares the pairs of FIFO channels, not compatible statements:
+// at n = 21 rank 20 is the last rank and sends rank 0 two messages, but
+// rank 0's one receive takes the first, which the checked range pairs too;
+// the second feeds nothing.
 func TestProofSeesASecondSender(t *testing.T) {
 	p := mustParseProg(t, `
 program second
@@ -118,10 +118,32 @@ proc {
     if rank == 0 { recv(nproc - 1, x) }
 }
 `)
-	if err := CheckProof(p, 21); !errors.Is(err, ErrUnprovedN) {
-		t.Errorf("n = 21: err = %v, want ErrUnprovedN", err)
+	for _, n := range []int{21, 32} {
+		if err := CheckProof(p, n); err != nil {
+			t.Errorf("n = %d: %v", n, err)
+		}
 	}
-	if err := CheckProof(p, 32); err != nil {
-		t.Errorf("n = 32, where rank 20 sends to no receive: %v", err)
+}
+
+// A send compatible with a receive at every n of the range, but paired
+// with it at none, is refused at the n where it is the receive's first:
+// below 20 rank 1's first send to rank 0 is the guarded one. Statement ids
+// count in post-order, so the second send is #4.
+func TestProofSeesAShiftedPair(t *testing.T) {
+	p := mustParseProg(t, `
+program shifted
+var d, tok
+proc {
+    d = rank
+    if rank == 1 {
+        if nproc < 20 { send(0, d) }
+        send(0, d)
+    }
+    if rank == 0 { recv(1, tok) }
+}
+`)
+	err := CheckProof(p, 20)
+	if !errors.Is(err, ErrUnprovedN) || !strings.Contains(err.Error(), "send->0 (#4) feeds recv<-1 (#6)") {
+		t.Errorf("n = 20: err = %v, want ErrUnprovedN naming the second send", err)
 	}
 }

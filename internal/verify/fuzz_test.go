@@ -1,9 +1,12 @@
 package verify
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
+	"repro/internal/mpl"
 	"repro/internal/sim"
 )
 
@@ -104,6 +107,95 @@ func FuzzLivenessPrune(f *testing.F) {
 			t.Fatalf("seed=%d nproc=%d: %v", seed, nproc, err)
 		}
 	})
+}
+
+// FuzzTransformSource is the source-level theorem fuzz: parse the input,
+// transform and compile it, explore its interleavings at n ∈ {2, 3, 4}
+// and at the highest rank a guard names plus 2, and require every straight
+// cut of every explored execution to be a recovery line. A refusal passes:
+// the transform's error, or the gate's ErrUnprovedN past the checked
+// range. So does input that is no program, and an exploration that ends in
+// a deadlock, an evaluation error or its instruction budget. The seeds are
+// the printed corpus and the witnesses a one-to-one matcher let through.
+// Run with `go test -fuzz FuzzTransformSource`; the seed corpus runs under
+// plain `go test`.
+func FuzzTransformSource(f *testing.F) {
+	for _, p := range corpus.All() {
+		f.Add(mpl.Format(p))
+	}
+	srcs := witnesses(f)
+	for _, name := range []string{"far", "gap", "gap2", "gap3"} {
+		f.Add(srcs[name])
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 4096 {
+			return
+		}
+		p, err := mpl.Parse(src)
+		if err != nil {
+			return
+		}
+		rep, err := core.Transform(p, core.DefaultConfig)
+		if err != nil {
+			return
+		}
+		code, err := sim.Compile(rep.Program)
+		if err != nil {
+			t.Fatalf("transformed program does not compile: %v", err)
+		}
+		ns := []int{2, 3, 4}
+		if top := topGuardedRank(p) + 2; top > 4 && top <= 24 {
+			ns = append(ns, top)
+		}
+		for _, n := range ns {
+			if errors.Is(sim.CheckProof(rep.Program, n), sim.ErrUnprovedN) {
+				continue
+			}
+			opts := ExploreOptions{Depth: 4, MaxSchedules: 16, Budget: 1 << 16}
+			Explore(code, n, DefaultInput, opts, func(m *Machine) error {
+				chk, err := CheckTrace(m.Trace())
+				if err != nil {
+					return err
+				}
+				for _, v := range chk.Violations {
+					t.Errorf("n=%d schedule=%v: %s", n, m.Schedule(), v)
+				}
+				return nil
+			})
+		}
+	})
+}
+
+// topGuardedRank returns the largest literal in a branch condition that
+// reads rank (0 when there is none).
+func topGuardedRank(p *mpl.Program) int {
+	top := 0
+	mpl.Walk(p.Body, func(s mpl.Stmt) bool {
+		var cond mpl.Expr
+		switch st := s.(type) {
+		case *mpl.If:
+			cond = st.Cond
+		case *mpl.While:
+			cond = st.Cond
+		default:
+			return true
+		}
+		rank, lit := false, 0
+		mpl.WalkExpr(cond, func(e mpl.Expr) bool {
+			switch x := e.(type) {
+			case *mpl.Ident:
+				rank = rank || x.Name == mpl.BuiltinRank
+			case *mpl.IntLit:
+				lit = max(lit, x.Value)
+			}
+			return true
+		})
+		if rank {
+			top = max(top, lit)
+		}
+		return true
+	})
+	return top
 }
 
 func abs(x int) int {
