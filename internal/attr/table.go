@@ -154,9 +154,6 @@ func equalParams(a, b Param) bool {
 	return a.Wildcard == b.Wildcard && mpl.EqualExpr(a.Expr, b.Expr)
 }
 
-// Bounds returns the process counts n the table covers, lo ≤ n ≤ hi.
-func (t *Table) Bounds() (lo, hi int) { return t.lo, t.hi }
-
 // Holds reports whether the node's path attribute holds at process p of n.
 func (t *Table) Holds(p, n int) bool { return t.hold[n-t.lo]&(1<<uint(p)) != 0 }
 

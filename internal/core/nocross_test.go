@@ -100,6 +100,12 @@ func TestTransformMarksChannelsThatCannotCross(t *testing.T) {
         recv(rank - 1, d)
         bcast(0, d)
         it = it + 1 }`), 1, nil},
+		// A guard on nproc alone takes the same arm in every iteration, and
+		// Phase II's path attributes say at which counts.
+		{"rank-free guard", body(`while it < 3 { chkpt
+        if nproc > 3 { send(rank + 1, d) }
+        if nproc > 3 { recv(rank - 1, d) }
+        it = it + 1 }`), 0, []ch{{0, 1}, {1, 2}, {2, 3}}},
 		// Only rank 20 sends, so no count of the bound runs the send: its
 		// channel is quiet nowhere, and the send counts as logged.
 		{"past the bound", body(`if rank == 20 { send(0, d) }

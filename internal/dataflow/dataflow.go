@@ -12,7 +12,7 @@
 // resolved destination/source parameter (a closed expression, or the
 // wildcard for the paper's irregular patterns), and per branch statement
 // whether its condition is ID-dependent together with the resolved
-// condition.
+// condition, and whether it has one value on every process.
 package dataflow
 
 import (
@@ -29,6 +29,11 @@ type BranchInfo struct {
 	// mentions rank — the paper's ID-dependent branches. Only these
 	// contribute path attributes.
 	IDDependent bool
+	// Uniform reports whether the condition has one value on every
+	// process: it reads no rank, no input and no variable that is
+	// received into, or assigned from such a value or under such a
+	// condition. A uniform loop runs equally often on every process.
+	Uniform bool
 }
 
 // Result holds the analysis outcome.
@@ -115,6 +120,7 @@ type analyzer struct {
 	vars      VarTable            // variable name -> state slot
 	pool      []state             // released state buffers for borrow
 	interned  map[internKey]mpl.Expr
+	varying   []bool // by slot: the variable may differ between processes
 	res       *Result
 }
 
@@ -192,6 +198,9 @@ func AnalyzeInto(p *mpl.Program, r *Result) {
 	}
 	a.body(p.Body, init)
 	a.release(init)
+	a.varying = append(a.varying[:0], make([]bool, len(a.vars.Names))...)
+	for a.taint(p.Body, false) {
+	}
 }
 
 // Reset empties r, keeping its memory for the next AnalyzeInto: it drops
@@ -461,5 +470,65 @@ func (a *analyzer) stmt(st mpl.Stmt, s state) {
 		a.release(cur)
 		a.release(iter)
 		a.release(next)
+	}
+}
+
+// taint is one pass of the fixpoint that finds the variables that may
+// differ between processes (varying): those received into, or assigned
+// from an expression that is not uniform or under a branch whose condition
+// is not. It reports whether the pass marked a new one, and sets every
+// branch's Uniform from what it knew then, so the last pass, which marks
+// none, leaves them right.
+func (a *analyzer) taint(body []mpl.Stmt, varying bool) (changed bool) {
+	mark := func(name string, varies bool) {
+		if i := a.vars.Index[name]; varies && !a.varying[i] {
+			a.varying[i], changed = true, true
+		}
+	}
+	branch := func(s mpl.Stmt, cond mpl.Expr) (varies bool) {
+		bi := a.res.Branches[s.ID()]
+		bi.Uniform = a.uniform(cond)
+		a.res.Branches[s.ID()] = bi
+		return varying || !bi.Uniform
+	}
+	for _, s := range body {
+		switch st := s.(type) {
+		case *mpl.Assign:
+			mark(st.Name, varying || !a.uniform(st.X))
+		case *mpl.Recv:
+			mark(st.Var, true)
+		case *mpl.Bcast:
+			mark(st.Var, true)
+		case *mpl.Reduce:
+			mark(st.Var, true)
+		case *mpl.While:
+			changed = a.taint(st.Body, branch(st, st.Cond)) || changed
+		case *mpl.If:
+			v := branch(st, st.Cond)
+			changed = a.taint(st.Then, v) || changed
+			changed = a.taint(st.Else, v) || changed
+		}
+	}
+	return changed
+}
+
+// uniform reports whether e has one value on every process: it reads no
+// rank, no input and no varying variable.
+func (a *analyzer) uniform(e mpl.Expr) bool {
+	switch x := e.(type) {
+	case *mpl.IntLit:
+		return true
+	case *mpl.Ident:
+		if x.Name == mpl.BuiltinRank {
+			return false
+		}
+		i, ok := a.vars.Index[x.Name]
+		return !ok || !a.varying[i] // a constant or nproc, or a variable
+	case *mpl.Unary:
+		return a.uniform(x.X)
+	case *mpl.Binary:
+		return a.uniform(x.L) && a.uniform(x.R)
+	default: // input(…)
+		return false
 	}
 }

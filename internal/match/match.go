@@ -60,16 +60,19 @@ type Extended struct {
 	cons   []attr.Constraint // the predicates are carved from it
 	lo, hi int               // the solver's process counts
 
-	// The pairing's facts per node: its innermost loop (0: none; loopUp[l]
-	// encloses loop l) and whether a data-dependent if encloses it. pairs
-	// has bit r*nsend+s when Ĝ pairs receive position r with send position
-	// s; the rest is the pass's scratch (pairs.go).
+	// The program's model, read by the pairing and Phase III's send-log
+	// rule: per node, its innermost loop (0: none; loopUp[l] encloses loop
+	// l) and whether a data-dependent if encloses it; the loops that are not
+	// uniform; the scope of each list a branch opens. pairs has bit
+	// r*nsend+s when Ĝ pairs receive position r with send position s; the
+	// rest is the pass's scratch (pairs.go).
 	loopOf         []int32
 	loopUp         []int32
-	opaque         cfg.Bitset
+	opaque, varies cfg.Bitset
+	arms           []scope
 	pairs, into    cfg.Bitset
 	off            []int32
-	ents, chS, chR []uint64
+	ents, chS, chR []Endpoint
 
 	arena *cfg.Arena   // optional scratch and closure-set source (may be nil)
 	reach []*reachSets // memoized per-source causal closures
@@ -124,7 +127,7 @@ func MatchInto(p *mpl.Program, g *cfg.Graph, df *dataflow.Result, opts Options, 
 	x.PathAttr = slices.Grow(x.PathAttr, n)[:n]
 	x.Params = slices.Grow(x.Params, n)[:n]
 	x.loopOf = slices.Grow(x.loopOf, n)[:n]
-	x.opaque = zeroBits(x.opaque, n)
+	x.opaque, x.varies = zeroBits(x.opaque, n), zeroBits(x.varies, n)
 	x.loopUp = append(x.loopUp, 0)
 	// Path attributes from the structured AST: every statement inherits
 	// the resolved branch constraints of its enclosing conditionals.
@@ -193,11 +196,12 @@ func (x *Extended) Reset() {
 	clear(x.cons)
 	clear(x.reach)
 	clear(x.spare)
+	clear(x.arms)
 	*x = Extended{
 		Messages: x.Messages[:0], PathAttr: x.PathAttr[:0], Params: x.Params[:0],
 		sendOff: x.sendOff, bySend: x.bySend, comm: x.comm[:0], batch: x.batch,
 		cons: x.cons[:0], reach: x.reach[:0], spare: x.spare[:0],
-		loopOf: x.loopOf[:0], loopUp: x.loopUp[:0], opaque: x.opaque,
+		loopOf: x.loopOf[:0], loopUp: x.loopUp[:0], opaque: x.opaque, varies: x.varies, arms: x.arms[:0],
 		pairs: x.pairs, off: x.off, ents: x.ents, chS: x.chS, chR: x.chR,
 	}
 }
@@ -206,11 +210,48 @@ func (x *Extended) addMessage(s, r int) {
 	x.Messages = append(x.Messages, MessageEdge{Send: s, Recv: r})
 }
 
-// Tables returns the send nodes, then the receive nodes, each in node
-// order, and beside them their attribute tables: path attribute and
-// parameter at every process of every count the solver enumerates. The
-// tables are nil when the bounds exceed the table representation.
-func (x *Extended) Tables() (nodes []int, tables []attr.Table) { return x.comm, x.tables }
+// Comm returns the send nodes, then the receive nodes, each in node order,
+// and how many are sends: an Endpoint's Pos indexes it.
+func (x *Extended) Comm() (nodes []int, sends int) { return x.comm, x.nsend }
+
+// Bounds returns the process counts the pairing ran over, lo ≤ n ≤ hi.
+func (x *Extended) Bounds() (lo, hi int) { return x.lo, x.hi }
+
+// Scope returns node v's innermost loop (0: none) and whether a
+// data-dependent if encloses it.
+func (x *Extended) Scope(v int) (loop int32, opaque bool) { return x.loopOf[v], x.opaque.Has(v) }
+
+// Arm returns the path attribute and the innermost loop of the k-th
+// statement list a branch opens, in program order: a while's body, an
+// if's then list and its else list.
+func (x *Extended) Arm(k int) (attr.Predicate, int32) { return x.arms[k].path, x.arms[k].loop }
+
+// Loops returns how many loops the program has, its body (loop 0)
+// included.
+func (x *Extended) Loops() int { return len(x.loopUp) }
+
+// Loop returns the loop directly around loop l > 0 and whether l's
+// condition is uniform.
+func (x *Extended) Loop(l int32) (up int32, uniform bool) { return x.loopUp[l], !x.varies.Has(int(l)) }
+
+// Holds sets hold[n−lo], for each n of Bounds, to the ranks where pr holds
+// at n. It reads the table of a communication node whose path attribute is
+// pr where there is one, and evaluates pr elsewhere.
+func (x *Extended) Holds(pr attr.Predicate, hold []uint64) {
+	i := slices.IndexFunc(x.comm, func(v int) bool { return x.PathAttr[v].Equal(pr) })
+	for n := x.lo; n <= x.hi; n++ {
+		hold[n-x.lo] = 0
+		for p := range n {
+			runs := i < 0 && pr.HoldsAt(p, n)
+			if i >= 0 {
+				runs, _, _ = x.endpoint(i, p, n)
+			}
+			if runs {
+				hold[n-x.lo] |= 1 << p
+			}
+		}
+	}
+}
 
 // msgFrom returns the message edges leaving send node s. The slice is
 // shared; callers must not modify it.
@@ -250,12 +291,16 @@ func (x *Extended) walkAttrs(body []mpl.Stmt, sc scope, df *dataflow.Result, nex
 		}
 		switch st := s.(type) {
 		case *mpl.While:
-			inner := sc
+			inner, bi := sc, df.Branches[st.ID()]
 			inner.loop = int32(len(x.loopUp))
 			x.loopUp = append(x.loopUp, sc.loop)
-			if bi := df.Branches[st.ID()]; bi.Resolved != nil {
+			if !bi.Uniform {
+				x.varies.Set(int(inner.loop))
+			}
+			if bi.Resolved != nil {
 				inner.path, x.cons = sc.path.And(x.cons, attr.Constraint{Cond: bi.Resolved, Want: true})
 			}
+			x.arms = append(x.arms, inner)
 			next = x.walkAttrs(st.Body, inner, df, next)
 		case *mpl.If:
 			then, els := sc, sc
@@ -265,6 +310,7 @@ func (x *Extended) walkAttrs(body []mpl.Stmt, sc scope, df *dataflow.Result, nex
 			} else {
 				then.opaque, els.opaque = true, true
 			}
+			x.arms = append(x.arms, then, els)
 			next = x.walkAttrs(st.Then, then, df, next)
 			next = x.walkAttrs(st.Else, els, df, next)
 		}

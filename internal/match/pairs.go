@@ -11,22 +11,27 @@ import (
 // n, the k-th send p executes to q feeds the k-th receive q posts from p,
 // both in program order, and Ĝ's message edges are these pairs over every
 // n of the solver's range. A while is one block of a channel's list; two
-// blocks pair only when they are the same loop and their contents pair
-// exactly, which assumes both ranks run it as often. Where order is
-// unknown — an endpoint under a data-dependent if, or blocks that do not
-// pair — the rest of the channel pairs as a cross product. An endpoint
+// blocks pair only when they are the same loop, its condition is uniform
+// (both ranks run it as often) and their contents pair exactly. Where
+// order is unknown — an endpoint under a data-dependent if, a loop that is
+// not uniform, or blocks that do not pair — the rest of the channel pairs
+// as a cross product. An endpoint
 // whose peer has no value at a rank (a wildcard, or an evaluation error)
 // is free: it is on every channel of its rank, and such a channel pairs
 // whole.
 
-// An entry of a rank's list is (peer+1)<<entPeer | comm position; peer+1
-// is 0 for a free endpoint.
+// An Endpoint is one entry of a rank's list: a send or receive the rank
+// runs, (peer+1)<<entPeer | its position in Comm, where peer+1 is 0 for a
+// free endpoint.
+type Endpoint uint64
+
 const (
 	entPeer = 24
 	entPos  = 1<<entPeer - 1
 )
 
-func posOf(e uint64) int { return int(e & entPos) }
+// Pos returns e's position in Comm.
+func (e Endpoint) Pos() int { return int(e & entPos) }
 
 // endpoint reports whether comm position i runs at process p of n and the
 // peer it names there (ok false: none): off the tables when they cover n,
@@ -49,36 +54,12 @@ func (x *Extended) endpoint(i, p, n int) (runs bool, peer int, ok bool) {
 // pairAt sets, in into, bit r*nsend+s for every send position s the pass
 // pairs with receive position r at process count n.
 func (x *Extended) pairAt(n int, into cfg.Bitset) {
-	// Each rank's list holds its sends, then its receives, each in node
-	// order; off[2p], off[2p+1] and off[2p+2] bound them. The last pass,
-	// at (len(off)-1)/2 processes, sizes this one's lists.
-	ents := x.ents[:0]
-	if last := (len(x.off) - 1) / 2; last > 0 {
-		ents = slices.Grow(ents, len(x.ents)*n/last)
-	}
-	x.off = slices.Grow(x.off[:0], 2*n+1)[:2*n+1]
-	off, free := x.off, false
-	for p := range n {
-		off[2*p], off[2*p+1] = int32(len(ents)), int32(len(ents))
-		for i := range x.comm {
-			switch runs, peer, ok := x.endpoint(i, p, n); {
-			case !runs:
-			case !ok:
-				ents, free = append(ents, uint64(i)), true
-			case peer >= 0 && peer < n && peer != p:
-				ents = append(ents, uint64(peer+1)<<entPeer|uint64(i))
-			}
-			if i < x.nsend {
-				off[2*p+1] = int32(len(ents))
-			}
-		}
-	}
-	off[2*n] = int32(len(ents))
-	x.ents, x.into = ents, into
+	free := x.Lists(n)
+	x.into = into
 	for p := range n {
 		sends := x.list(p, 0)
 		for k, e := range sends {
-			if e>>entPeer != 0 && !slices.ContainsFunc(sends[:k], func(d uint64) bool { return d>>entPeer == e>>entPeer }) {
+			if e>>entPeer != 0 && !slices.ContainsFunc(sends[:k], func(d Endpoint) bool { return d>>entPeer == e>>entPeer }) {
 				x.pairChannel(p, int(e>>entPeer)-1)
 			}
 		}
@@ -90,17 +71,52 @@ func (x *Extended) pairAt(n int, into cfg.Bitset) {
 	}
 }
 
+// Lists lists, for every rank at process count n, the sends and the
+// receives it runs there, and reports whether one of them is free: the
+// lists Channel reads until the next call.
+func (x *Extended) Lists(n int) (free bool) {
+	// Each rank's list holds its sends, then its receives, each in node
+	// order; off[2p], off[2p+1] and off[2p+2] bound them. The last pass,
+	// at (len(off)-1)/2 processes, sizes this one's lists.
+	ents := x.ents[:0]
+	if last := (len(x.off) - 1) / 2; last > 0 {
+		ents = slices.Grow(ents, len(x.ents)*n/last)
+	}
+	x.off = slices.Grow(x.off[:0], 2*n+1)[:2*n+1]
+	off := x.off
+	for p := range n {
+		off[2*p], off[2*p+1] = int32(len(ents)), int32(len(ents))
+		for i := range x.comm {
+			switch runs, peer, ok := x.endpoint(i, p, n); {
+			case !runs:
+			case !ok:
+				ents, free = append(ents, Endpoint(i)), true
+			case peer >= 0 && peer < n && peer != p:
+				ents = append(ents, Endpoint(peer+1)<<entPeer|Endpoint(i))
+			}
+			if i < x.nsend {
+				off[2*p+1] = int32(len(ents))
+			}
+		}
+	}
+	off[2*n] = int32(len(ents))
+	x.ents = ents
+	return free
+}
+
 // list returns rank p's sends (side 0) or receives (side 1).
-func (x *Extended) list(p, side int) []uint64 {
+func (x *Extended) list(p, side int) []Endpoint {
 	return x.ents[x.off[2*p+side]:x.off[2*p+side+1]]
 }
 
-func freeIn(l []uint64) bool {
-	return slices.ContainsFunc(l, func(e uint64) bool { return e>>entPeer == 0 })
+func freeIn(l []Endpoint) bool {
+	return slices.ContainsFunc(l, func(e Endpoint) bool { return e>>entPeer == 0 })
 }
 
-// pairChannel pairs the sends of p and the receives of q on channel p→q.
-func (x *Extended) pairChannel(p, q int) {
+// Channel returns channel p→q's sends and receives as the last Lists
+// listed them, each in FIFO order: the sends p runs to q and the receives
+// q runs from p, free ones included. Both are valid until its next call.
+func (x *Extended) Channel(p, q int) (sends, recvs []Endpoint) {
 	x.chS, x.chR = x.chS[:0], x.chR[:0]
 	for _, e := range x.list(p, 0) {
 		if e>>entPeer == 0 || int(e>>entPeer) == q+1 {
@@ -112,7 +128,12 @@ func (x *Extended) pairChannel(p, q int) {
 			x.chR = append(x.chR, e)
 		}
 	}
-	s, r := x.chS, x.chR
+	return x.chS, x.chR
+}
+
+// pairChannel pairs the sends of p and the receives of q on channel p→q.
+func (x *Extended) pairChannel(p, q int) {
+	s, r := x.Channel(p, q)
 	if len(s) == 1 && len(r) == 1 || freeIn(s) || freeIn(r) {
 		x.cross(s, r) // one pair, aligned or not, or a channel that pairs whole
 	} else if i, j, ok := x.align(s, r, 0); !ok {
@@ -122,13 +143,14 @@ func (x *Extended) pairChannel(p, q int) {
 
 // align pairs sends s with receives r in FIFO order, all inside loop ctx,
 // and returns how many of each it paired. ok is false where it stopped at
-// an endpoint under a data-dependent if or at blocks that do not pair;
-// inside a loop, an endpoint left over is a misalignment too.
-func (x *Extended) align(s, r []uint64, ctx int32) (i, j int, ok bool) {
+// an endpoint under a data-dependent if, at a loop that is not uniform or
+// at blocks that do not pair; inside a loop, an endpoint left over is a
+// misalignment too.
+func (x *Extended) align(s, r []Endpoint, ctx int32) (i, j int, ok bool) {
 	for i < len(s) && j < len(r) {
-		a, b := posOf(s[i]), posOf(r[j])
+		a, b := s[i].Pos(), r[j].Pos()
 		la := x.block(a, ctx)
-		if x.opaque.Has(x.comm[a]) || x.opaque.Has(x.comm[b]) || la != x.block(b, ctx) {
+		if x.opaque.Has(x.comm[a]) || x.opaque.Has(x.comm[b]) || la != x.block(b, ctx) || x.varies.Has(int(la)) {
 			return i, j, false
 		}
 		if la == ctx {
@@ -137,10 +159,10 @@ func (x *Extended) align(s, r []uint64, ctx int32) (i, j int, ok bool) {
 			continue
 		}
 		ie, je := i+1, j+1
-		for ie < len(s) && x.block(posOf(s[ie]), ctx) == la {
+		for ie < len(s) && x.block(s[ie].Pos(), ctx) == la {
 			ie++
 		}
-		for je < len(r) && x.block(posOf(r[je]), ctx) == la {
+		for je < len(r) && x.block(r[je].Pos(), ctx) == la {
 			je++
 		}
 		if di, dj, ok := x.align(s[i:ie], r[j:je], la); !ok || di != ie-i || dj != je-j {
@@ -162,10 +184,10 @@ func (x *Extended) block(i int, ctx int32) int32 {
 }
 
 // cross pairs every send of s with every receive of r.
-func (x *Extended) cross(s, r []uint64) {
+func (x *Extended) cross(s, r []Endpoint) {
 	for _, se := range s {
 		for _, re := range r {
-			x.into.Set((posOf(re)-x.nsend)*x.nsend + posOf(se))
+			x.into.Set((re.Pos()-x.nsend)*x.nsend + se.Pos())
 		}
 	}
 }

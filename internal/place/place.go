@@ -292,7 +292,7 @@ func ensureTapped(p *mpl.Program, opts Options, tap func(*mpl.Program, *analysis
 	}
 
 	finish(res, prog, cur)
-	prog.Quiet, res.QuietSends = sk.noCross(prog, &cur.enum, len(cur.cks))
+	prog.Quiet, res.QuietSends = sk.noCross(cur.cks)
 	return res, nil
 }
 

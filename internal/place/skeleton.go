@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/attr"
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/match"
@@ -66,6 +67,11 @@ type gap struct {
 	// if, which control passes through first and node and back are copied
 	// from once the layout is complete; −1 elsewhere.
 	outer int32
+	// What the send-log rule reads of a checkpoint there (crossing.go): the
+	// first skeleton node numbered after the gap, its innermost loop and
+	// its path attribute, from Ĝ's scopes.
+	pos, loop int32
+	guard     attr.Predicate
 }
 
 // ckpt is one checkpoint statement of the program a round looks at.
@@ -93,6 +99,7 @@ func (sk *skeleton) release() {
 	sk.ext.Reset()
 	sk.df.Reset()
 	sk.g.Reset()
+	clear(sk.gaps)                  // the guards
 	clear(sk.chain[:cap(sk.chain)]) // DomChain leaves what it backed out of past the end
 	sk.chain = sk.chain[:0]
 	skeletons.Put(sk)
@@ -124,7 +131,7 @@ func (sk *skeleton) build(p *mpl.Program) error {
 	sk.preds = slices.Grow(sk.preds[:0], 2*n)
 	sk.next = 1
 	in := sk.layout(p.Body, sk.flow(int32(g.Entry)), int32(g.Exit))
-	sk.gaps[g.Exit] = gap{in: in, node: int32(g.Exit), outer: -1}
+	sk.gaps[g.Exit] = gap{in: in, node: int32(g.Exit), outer: -1, pos: int32(g.Exit)}
 	// The end of an if branch leads where the gap behind the if leads.
 	for i := n; i < len(sk.gaps); i++ {
 		o := sk.gaps[i].outer
@@ -176,7 +183,8 @@ func (sk *skeleton) layout(body []mpl.Stmt, in span, end int32) span {
 		v := sk.next
 		sk.next++
 		sk.nodeOf[s.ID()] = v
-		sk.gaps[v] = gap{in: in, node: v, outer: -1}
+		loop, _ := sk.ext.Scope(int(v))
+		sk.gaps[v] = gap{in: in, node: v, outer: -1, pos: v, loop: loop, guard: sk.ext.PathAttr[v]}
 		if pending >= 0 {
 			sk.gaps[pending].outer, sk.gaps[pending+1].outer = v, v
 			pending = -1
@@ -187,13 +195,16 @@ func (sk *skeleton) layout(body []mpl.Stmt, in span, end int32) span {
 			sk.endGap[v] = e
 			sk.gaps = append(sk.gaps, gap{node: v, back: true, outer: -1})
 			sk.gaps[e].in = sk.layout(st.Body, sk.flow(v), e)
+			sk.scope(e)
 			in = sk.flow(v)
 		case *mpl.If:
 			e := int32(len(sk.gaps))
 			sk.endGap[v] = e
 			sk.gaps = append(sk.gaps, gap{}, gap{})
 			t := sk.layout(st.Then, sk.flow(v), e)
+			sk.scope(e)
 			f := sk.layout(st.Else, sk.flow(v), e+1)
+			sk.scope(e + 1)
 			sk.gaps[e].in, sk.gaps[e+1].in = t, f
 			// Behind the if, both branches' ends flow in.
 			in = sk.flow(sk.preds[t.lo:t.hi]...)
@@ -207,6 +218,15 @@ func (sk *skeleton) layout(body []mpl.Stmt, in span, end int32) span {
 		sk.gaps[pending].outer, sk.gaps[pending+1].outer = end, end
 	}
 	return in
+}
+
+// scope gives end gap e, laid out just now, what the send-log rule reads:
+// Ĝ numbers the statement lists branches open as the layout adds their
+// end gaps, in program order.
+func (sk *skeleton) scope(e int32) {
+	g := &sk.gaps[e]
+	g.pos = sk.next
+	g.guard, g.loop = sk.ext.Arm(int(e) - len(sk.g.Nodes))
 }
 
 // place puts every checkpoint statement of p, in program order, into a.cks

@@ -18,8 +18,8 @@ import (
 // witnesses returns the programs under testdata/witness, keyed by file
 // name without its extension: far (an exchange only n ≥ 20 reaches), the
 // gap programs, whose receives a one-to-one scan of statements gave a
-// decoy sender at every n, and loopgap, whose second message reaches a
-// receive in a loop.
+// decoy sender at every n, and loopgap and aligngap, whose second message
+// reaches a receive in a loop.
 func witnesses(t testing.TB) map[string]string {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join("testdata", "witness", "*.mpl"))
@@ -89,8 +89,20 @@ func TestGapWitnessesAreRepaired(t *testing.T) {
 // loopgap's second send feeds the receive's second iteration: Ĝ has that
 // edge, so base placement sees the violation and repairs it. (Preserve mode
 // still certifies the program; TESTING lists the escape.)
-func TestLoopgapEdgeAndBaseRepair(t *testing.T) {
-	p := parseWitness(t, witnesses(t)["loopgap"])
+func TestLoopgapEdgeAndBaseRepair(t *testing.T) { secondSendEdgeAndBaseRepair(t, "loopgap") }
+
+// aligngap's loop runs rank + 1 times, so rank 1 receives once more than
+// rank 0 sends in it, and the send after the loop feeds that extra
+// iteration. Pairing the two ranks' loops as if they ran equally often left
+// the edge out of Ĝ, and both modes certified the program; a loop whose
+// condition is not uniform now crosses the rest of the channel. (Preserve
+// mode still certifies it, as it does loopgap; TESTING lists the escape.)
+func TestAligngapEdgeAndBaseRepair(t *testing.T) { secondSendEdgeAndBaseRepair(t, "aligngap") }
+
+// secondSendEdgeAndBaseRepair requires Ĝ to pair both sends of witness name
+// with its one receive, and base mode to report a violation and repair it.
+func secondSendEdgeAndBaseRepair(t *testing.T, name string) {
+	p := parseWitness(t, witnesses(t)[name])
 	x, err := match.BuildExtended(p, match.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +132,7 @@ func TestLoopgapEdgeAndBaseRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recoversAt(t, "loopgap (base)", rep.Program, 2, 3, 5)
+	recoversAt(t, name+" (base)", rep.Program, 2, 3, 5)
 }
 
 // The oracle for Phase II's pairing (Lemma 3.1): on one schedule at n ∈
