@@ -218,13 +218,21 @@ func TestFleetJobAllocs(t *testing.T) {
 		}
 	}
 	batch() // warm the frame and request pools
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	batch()
-	runtime.ReadMemStats(&after)
-	objects := float64(after.Mallocs-before.Mallocs) / jobs
-	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / jobs
-	t.Logf("a job allocates %.0f objects and %.1f KB", objects, kb)
+	// A batch's bytes move with how its jobs' saves fall into group commits,
+	// collector or not: the steady state is the median of five batches.
+	var objs, kbs [5]float64
+	for i := range objs {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		batch()
+		runtime.ReadMemStats(&after)
+		objs[i] = float64(after.Mallocs-before.Mallocs) / jobs
+		kbs[i] = float64(after.TotalAlloc-before.TotalAlloc) / 1024 / jobs
+	}
+	slices.Sort(objs[:])
+	slices.Sort(kbs[:])
+	objects, kb := objs[2], kbs[2]
+	t.Logf("a job allocates %.0f objects and %.1f KB (medians of %.0f and %.1f)", objects, kb, objs, kbs)
 	if bi, _ := debug.ReadBuildInfo(); bi != nil && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
 		return
 	}
