@@ -167,6 +167,34 @@ proc {
 	}
 }
 
+// A loop is uniform when its condition has one value on every process:
+// a counter from constants is, while one seeded from rank (widened to ⊤,
+// so not ID-dependent either), a received bound, and a variable assigned
+// under a rank guard are not.
+func TestUniformBranches(t *testing.T) {
+	p := mustParse(t, `
+program uniform
+const N = 3
+var i, j, k, m, y
+proc {
+    i = 0
+    while i < N { i = i + 1 }
+    j = rank
+    while j < 10 { j = j + 1 }
+    recv(0, y)
+    while k < y { k = k + 1 }
+    if rank == 0 { m = 1 }
+    while m < 2 { m = m + 1 }
+}
+`)
+	r := Analyze(p)
+	for i, w := range findStmts[*mpl.While](p) {
+		if got := r.Branches[w.ID()].Uniform; got != (i == 0) {
+			t.Errorf("while #%d (%s): Uniform = %v, want %v", i, mpl.ExprString(w.Cond), got, i == 0)
+		}
+	}
+}
+
 func TestLoopInvariantStaysPrecise(t *testing.T) {
 	p := mustParse(t, `
 program inv
