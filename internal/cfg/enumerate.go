@@ -58,48 +58,66 @@ func EnumerateInto(p *mpl.Program, enum *Enumeration) error {
 	} else {
 		clear(enum.Index)
 	}
-	end, err := enumerateBody(p.Body, 0, enum)
-	if err != nil {
-		return err
+	end, bad := enumerateBody(p.Body, 0, enum)
+	if bad.at != nil {
+		return &AmbiguousError{
+			Stmt: bad.at,
+			Msg:  fmt.Sprintf("then-branch yields %d checkpoints, else-branch %d", bad.then, bad.els),
+		}
 	}
 	enum.Count = end
 	return nil
 }
 
+// Unbalanced returns the if statement Enumerate would report for body —
+// the first, in program order, whose branches carry different numbers of
+// checkpoints while every if inside it is balanced — and the two numbers;
+// nil when body's checkpoint enumeration is unambiguous.
+func Unbalanced(body []mpl.Stmt) (at *mpl.If, thenN, elseN int) {
+	_, bad := enumerateBody(body, 0, nil)
+	return bad.at, bad.then, bad.els
+}
+
+// imbalance is an if statement whose branches carry different numbers of
+// checkpoints.
+type imbalance struct {
+	at        *mpl.If
+	then, els int
+}
+
 // enumerateBody walks stmts assigning indexes starting after `seen`
-// checkpoints; it returns the total checkpoints seen after the body.
-func enumerateBody(body []mpl.Stmt, seen int, enum *Enumeration) (int, error) {
+// checkpoints (recording them when enum is non-nil); it returns the total
+// checkpoints seen after the body, or the first imbalance it meets.
+func enumerateBody(body []mpl.Stmt, seen int, enum *Enumeration) (int, imbalance) {
 	for _, s := range body {
 		switch st := s.(type) {
 		case *mpl.Chkpt:
 			seen++
-			enum.Index[st.ID()] = seen
+			if enum != nil {
+				enum.Index[st.ID()] = seen
+			}
 		case *mpl.While:
 			// The body's checkpoints are indexed once; iterations repeat
 			// the same indexes (Definition 2.3).
-			end, err := enumerateBody(st.Body, seen, enum)
-			if err != nil {
-				return 0, err
+			end, bad := enumerateBody(st.Body, seen, enum)
+			if bad.at != nil {
+				return 0, bad
 			}
 			seen = end
 		case *mpl.If:
-			thenEnd, err := enumerateBody(st.Then, seen, enum)
-			if err != nil {
-				return 0, err
+			thenEnd, bad := enumerateBody(st.Then, seen, enum)
+			if bad.at != nil {
+				return 0, bad
 			}
-			elseEnd, err := enumerateBody(st.Else, seen, enum)
-			if err != nil {
-				return 0, err
+			elseEnd, bad := enumerateBody(st.Else, seen, enum)
+			if bad.at != nil {
+				return 0, bad
 			}
 			if thenEnd != elseEnd {
-				return 0, &AmbiguousError{
-					Stmt: st,
-					Msg: fmt.Sprintf("then-branch yields %d checkpoints, else-branch %d",
-						thenEnd-seen, elseEnd-seen),
-				}
+				return 0, imbalance{st, thenEnd - seen, elseEnd - seen}
 			}
 			seen = thenEnd
 		}
 	}
-	return seen, nil
+	return seen, imbalance{}
 }

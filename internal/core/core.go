@@ -83,10 +83,9 @@ func (r *Report) SendsLogged() (logged, sends int) {
 }
 
 // Transform runs the three phases on a program. The input is not mutated.
+// It must be a checked program, as every constructor makes one: mpl.Parse,
+// mpl.Builder.Program and mpmd's merge run mpl.Check.
 func Transform(p *mpl.Program, conf Config) (*Report, error) {
-	if err := mpl.Check(p); err != nil {
-		return nil, fmt.Errorf("core: input program invalid: %w", err)
-	}
 	work := mpl.Clone(p)
 	rep := &Report{}
 

@@ -307,14 +307,8 @@ func (a *analyzer) subst(e mpl.Expr, s state) mpl.Expr {
 			return x // nothing substituted; share the original node
 		}
 		if lit, ok := inner.(*mpl.IntLit); ok {
-			switch x.Op {
-			case "-":
-				return a.intLit(-lit.Value)
-			case "!":
-				if lit.Value == 0 {
-					return a.intLit(1)
-				}
-				return a.intLit(0)
+			if v, ok := mpl.FoldUnary(x.Op, lit.Value); ok {
+				return a.intLit(v)
 			}
 		}
 		k := internKey{op: x.Op, l: inner}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cfg"
 	"repro/internal/mpl"
 )
 
@@ -200,18 +201,9 @@ func Equalize(p *mpl.Program) ([]int, error) {
 	var added []int
 	nextID := p.MaxStmtID() + 1
 	for round := 0; round < maxEqualizeRounds; round++ {
-		// Probe for imbalance directly instead of running cfg.Enumerate and
-		// parsing its error: the fixpoint rounds of Phase III call Equalize
-		// constantly, and the direct walk finds the same innermost-first
-		// offending if statement without building an enumeration map.
-		ifStmt := firstUnbalanced(p.Body)
+		ifStmt, thenN, elseN := cfg.Unbalanced(p.Body)
 		if ifStmt == nil {
 			return added, nil
-		}
-		thenN := countChkpts(ifStmt.Then)
-		elseN := countChkpts(ifStmt.Else)
-		if thenN == elseN {
-			return nil, fmt.Errorf("insert: equalization stuck at %s (counts already equal)", mpl.DescribeStmt(ifStmt))
 		}
 		deficit := thenN - elseN
 		lighter := &ifStmt.Else
@@ -227,55 +219,6 @@ func Equalize(p *mpl.Program) ([]int, error) {
 		}
 	}
 	return nil, errors.New("insert: equalization did not converge")
-}
-
-// firstUnbalanced finds the first if statement (innermost-first, in program
-// order — matching cfg.Enumerate's error detection order) whose branches
-// carry different checkpoint counts. Nil when every if is balanced, i.e.
-// checkpoint enumeration is unambiguous.
-func firstUnbalanced(body []mpl.Stmt) *mpl.If {
-	for _, s := range body {
-		switch st := s.(type) {
-		case *mpl.While:
-			if f := firstUnbalanced(st.Body); f != nil {
-				return f
-			}
-		case *mpl.If:
-			if f := firstUnbalanced(st.Then); f != nil {
-				return f
-			}
-			if f := firstUnbalanced(st.Else); f != nil {
-				return f
-			}
-			if countChkpts(st.Then) != countChkpts(st.Else) {
-				return st
-			}
-		}
-	}
-	return nil
-}
-
-// countChkpts counts checkpoint statements in a body, where loop bodies
-// count once and balanced if branches count once (mirroring enumeration).
-// For unbalanced branches it returns the maximum, which is what the
-// deficit computation needs.
-func countChkpts(body []mpl.Stmt) int {
-	n := 0
-	for _, s := range body {
-		switch st := s.(type) {
-		case *mpl.Chkpt:
-			n++
-		case *mpl.While:
-			n += countChkpts(st.Body)
-		case *mpl.If:
-			tn, en := countChkpts(st.Then), countChkpts(st.Else)
-			if en > tn {
-				tn = en
-			}
-			n += tn
-		}
-	}
-	return n
 }
 
 // Coalesce removes redundant immediately-adjacent checkpoint statements

@@ -62,10 +62,10 @@ type Extended struct {
 
 	// The program's model, read by the pairing and Phase III's send-log
 	// rule: per node, its innermost loop (0: none; loopUp[l] encloses loop
-	// l) and whether a data-dependent if encloses it; the loops that are not
-	// uniform; the scope of each list a branch opens. pairs has bit
-	// r*nsend+s when Ĝ pairs receive position r with send position s; the
-	// rest is the pass's scratch (pairs.go).
+	// l) and whether a data-dependent if encloses it; the loops that vary,
+	// not uniform or inside one that is not; the scope of each list a
+	// branch opens. pairs has bit r*nsend+s when Ĝ pairs receive position r
+	// with send position s; the rest is the pass's scratch (pairs.go).
 	loopOf         []int32
 	loopUp         []int32
 	opaque, varies cfg.Bitset
@@ -230,8 +230,9 @@ func (x *Extended) Arm(k int) (attr.Predicate, int32) { return x.arms[k].path, x
 // included.
 func (x *Extended) Loops() int { return len(x.loopUp) }
 
-// Loop returns the loop directly around loop l > 0 and whether l's
-// condition is uniform.
+// Loop returns the loop directly around loop l and whether l and every
+// loop around it have a uniform condition, so that every process entering
+// l runs it equally often. Loop(0), the body, is (0, true).
 func (x *Extended) Loop(l int32) (up int32, uniform bool) { return x.loopUp[l], !x.varies.Has(int(l)) }
 
 // Holds sets hold[n−lo], for each n of Bounds, to the ranks where pr holds
@@ -294,7 +295,7 @@ func (x *Extended) walkAttrs(body []mpl.Stmt, sc scope, df *dataflow.Result, nex
 			inner, bi := sc, df.Branches[st.ID()]
 			inner.loop = int32(len(x.loopUp))
 			x.loopUp = append(x.loopUp, sc.loop)
-			if !bi.Uniform {
+			if !bi.Uniform || x.varies.Has(int(sc.loop)) {
 				x.varies.Set(int(inner.loop))
 			}
 			if bi.Resolved != nil {

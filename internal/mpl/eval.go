@@ -51,8 +51,8 @@ func (e *EvalError) Error() string { return "mpl: eval: " + e.Msg }
 // ErrDivideByZero is wrapped by division/modulo-by-zero errors.
 var ErrDivideByZero = errors.New("division by zero")
 
-// Eval evaluates an expression in the environment. Comparison and logical
-// operators yield 0 or 1; && and || short-circuit.
+// Eval evaluates an expression in the environment: every operator computes
+// what FoldBinary and FoldUnary say, and && and || short-circuit.
 func Eval(e Expr, env *Env) (int, error) {
 	switch x := e.(type) {
 	case *IntLit:
@@ -91,101 +91,37 @@ func Eval(e Expr, env *Env) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		switch x.Op {
-		case "-":
-			return -v, nil
-		case "!":
-			if v == 0 {
-				return 1, nil
-			}
-			return 0, nil
-		default:
-			return 0, &EvalError{Msg: fmt.Sprintf("unknown unary operator %q", x.Op)}
+		if v, ok := FoldUnary(x.Op, v); ok {
+			return v, nil
 		}
+		return 0, &EvalError{Msg: fmt.Sprintf("unknown unary operator %q", x.Op)}
 	case *Binary:
 		l, err := Eval(x.L, env)
 		if err != nil {
 			return 0, err
 		}
-		// Short-circuit logical operators.
-		switch x.Op {
-		case "&&":
-			if l == 0 {
-				return 0, nil
-			}
-			r, err := Eval(x.R, env)
-			if err != nil {
-				return 0, err
-			}
-			return boolInt(r != 0), nil
-		case "||":
-			if l != 0 {
-				return 1, nil
-			}
-			r, err := Eval(x.R, env)
-			if err != nil {
-				return 0, err
-			}
-			return boolInt(r != 0), nil
+		// && and || short-circuit: the right operand is evaluated only
+		// when the left does not decide.
+		if x.Op == "&&" && l == 0 {
+			return 0, nil
+		}
+		if x.Op == "||" && l != 0 {
+			return 1, nil
 		}
 		r, err := Eval(x.R, env)
 		if err != nil {
 			return 0, err
 		}
-		switch x.Op {
-		case "+":
-			return l + r, nil
-		case "-":
-			return l - r, nil
-		case "*":
-			return l * r, nil
-		case "/":
-			if r == 0 {
-				return 0, &EvalError{Msg: fmt.Sprintf("%s: %s", ErrDivideByZero, ExprString(e))}
-			}
-			return l / r, nil
-		case "%":
-			if r == 0 {
-				return 0, &EvalError{Msg: fmt.Sprintf("%s: %s", ErrDivideByZero, ExprString(e))}
-			}
-			// Euclidean-style modulo: the result has the sign of the
-			// divisor's magnitude, i.e. always non-negative for positive
-			// divisors. SPMD rank arithmetic like (rank-1+n)%n and
-			// (rank-1)%n then agree, which matches programmer intent.
-			m := l % r
-			if m < 0 {
-				if r > 0 {
-					m += r
-				} else {
-					m -= r
-				}
-			}
-			return m, nil
-		case "==":
-			return boolInt(l == r), nil
-		case "!=":
-			return boolInt(l != r), nil
-		case "<":
-			return boolInt(l < r), nil
-		case "<=":
-			return boolInt(l <= r), nil
-		case ">":
-			return boolInt(l > r), nil
-		case ">=":
-			return boolInt(l >= r), nil
-		default:
-			return 0, &EvalError{Msg: fmt.Sprintf("unknown binary operator %q", x.Op)}
+		if v, ok := FoldBinary(x.Op, l, r); ok {
+			return v, nil
 		}
+		if binaryPrec(x.Op) == precMul { // / or % by zero
+			return 0, &EvalError{Msg: fmt.Sprintf("%s: %s", ErrDivideByZero, ExprString(e))}
+		}
+		return 0, &EvalError{Msg: fmt.Sprintf("unknown binary operator %q", x.Op)}
 	default:
 		return 0, &EvalError{Msg: fmt.Sprintf("unknown expression node %T", e)}
 	}
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Truthy evaluates a condition expression: nonzero means true.

@@ -54,7 +54,9 @@ func FuzzMPLParse(f *testing.F) {
 }
 
 // FuzzEval checks the evaluator never panics on checked programs: any
-// expression the checker admits either evaluates or returns an error.
+// expression the checker admits either evaluates or returns an error. Its
+// second property is TestQuickSimplifyEquivalence's on parsed input:
+// Simplify(e) evaluates to e's value, or fails too.
 func FuzzEval(f *testing.F) {
 	exprs := []string{
 		"1 + 2 * 3",
@@ -64,6 +66,10 @@ func FuzzEval(f *testing.F) {
 		"input(input(0))",
 		"a && b || !a",
 		"x < 3 == 1",
+		"(a - 8) % -3",
+		"-a % b * (0 - 5) % 3",
+		"b / x + 1",
+		"0 && a % x || x * (b / x)",
 	}
 	for _, e := range exprs {
 		f.Add(e, 3, 8)
@@ -81,9 +87,14 @@ func FuzzEval(f *testing.F) {
 			Input: func(i int) int { return i },
 		}
 		// Must not panic; errors are acceptable (division by zero).
-		v, err := Eval(p.Body[0].(*Assign).X, env)
+		e := p.Body[0].(*Assign).X
+		v, err := Eval(e, env)
 		if err != nil && !strings.Contains(err.Error(), "eval") {
 			t.Fatalf("unexpected error type: %v (value %d)", err, v)
+		}
+		s := Simplify(e)
+		if sv, serr := Eval(s, env); (err == nil) != (serr == nil) || err == nil && sv != v {
+			t.Fatalf("%s = %d (%v), simplified %s = %d (%v)", ExprString(e), v, err, ExprString(s), sv, serr)
 		}
 	})
 }

@@ -338,32 +338,11 @@ func (p *parser) parseOneStmt() (Stmt, error) {
 	}
 }
 
-// Binary operator precedence levels, lowest first; 0 is "not a binary
-// operator".
-const (
-	precOr = iota + 1
-	precAnd
-	precCmp
-	precAdd
-	precMul
-)
-
-var binPrec = [TokenNot + 1]int{
-	TokenOr:  precOr,
-	TokenAnd: precAnd,
-	TokenEq:  precCmp, TokenNeq: precCmp, TokenLt: precCmp, TokenLe: precCmp, TokenGt: precCmp, TokenGe: precCmp,
-	TokenPlus: precAdd, TokenMinus: precAdd,
-	TokenStar: precMul, TokenSlash: precMul, TokenPct: precMul,
-}
-
-// Expression grammar (precedence climbing, lowest first):
+// Expression grammar, by precedence climbing over binaryPrec's levels,
+// lowest first: a level is a chain of operands from the level above,
+// grouped to the left, or one operator at most where it does not chain.
 //
-//	or:    and ("||" and)*
-//	and:   cmp ("&&" cmp)*
-//	cmp:   add (("=="|"!="|"<"|"<="|">"|">=") add)?
-//	add:   mul (("+"|"-") mul)*
-//	mul:   unary (("*"|"/"|"%") unary)*
-//	unary: ("-"|"!") unary | primary
+//	unary:   ("-"|"!") unary | primary
 //	primary: INT | IDENT | IDENT "(" args ")" | "(" expr ")"
 func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(precOr) }
 
@@ -378,7 +357,7 @@ func (p *parser) parseBinary(prec int) (Expr, error) {
 		return nil, err
 	}
 	// Every operator of the chain puts l one level deeper in the tree.
-	for n := 1; binPrec[p.tok.Kind] == prec; n++ {
+	for n := 1; binaryPrec(p.tok.Text) == prec; n++ {
 		if p.depth+n > maxDepth {
 			return nil, p.errTooDeep()
 		}
@@ -389,8 +368,8 @@ func (p *parser) parseBinary(prec int) (Expr, error) {
 			return nil, err
 		}
 		l = newNode(&p.mem.binaries, Binary{Op: op, L: l, R: r})
-		if prec == precCmp {
-			break // comparisons do not chain
+		if !chains(prec) {
+			break
 		}
 	}
 	return l, nil

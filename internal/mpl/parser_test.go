@@ -308,6 +308,39 @@ proc {
 	}
 }
 
+// TestFormatRoundTripsEveryOperatorPair prints, for every pair of binary
+// operators, the tree nesting one as the left and as the right operand of
+// the other, and each with a unary operand and under a unary operator, and
+// parses the output back: it must be the same tree.
+func TestFormatRoundTripsEveryOperatorPair(t *testing.T) {
+	a, b, c := V("a"), V("b"), V("c")
+	var exprs []Expr
+	for _, outer := range binaryOpList {
+		for _, inner := range binaryOpList {
+			exprs = append(exprs,
+				&Binary{Op: outer, L: &Binary{Op: inner, L: a, R: b}, R: c},
+				&Binary{Op: outer, L: a, R: &Binary{Op: inner, L: b, R: c}})
+		}
+		for _, u := range []string{"-", "!"} {
+			exprs = append(exprs,
+				&Unary{Op: u, X: &Binary{Op: outer, L: a, R: b}},
+				&Binary{Op: outer, L: &Unary{Op: u, X: a}, R: &Unary{Op: u, X: b}})
+		}
+	}
+	for _, e := range exprs {
+		p := &Program{Name: "t", Vars: []string{"a", "b", "c", "x"}, Body: []Stmt{&Assign{Name: "x", X: e}}}
+		out := Format(p)
+		q, err := Parse(out)
+		if err != nil {
+			t.Errorf("%s does not reparse: %v", ExprString(e), err)
+			continue
+		}
+		if got := q.Body[0].(*Assign).X; !EqualExpr(got, e) || Format(q) != out {
+			t.Errorf("%s reparses as %s", ExprString(e), ExprString(got))
+		}
+	}
+}
+
 // TestFormatGoldens holds Parse and Format to bytes committed before either
 // was rewritten: each golden is what Format printed, at the commit before
 // the in-place lexer and the single-buffer printer, for a transformed

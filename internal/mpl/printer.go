@@ -143,26 +143,15 @@ func (pr *printer) stmt(s Stmt, depth int) {
 	}
 }
 
-// precedence levels for minimal parenthesization.
+// exprPrec is e's precedence level (ops.go).
 func exprPrec(e Expr) int {
 	switch x := e.(type) {
 	case *Binary:
-		switch x.Op {
-		case "||":
-			return 1
-		case "&&":
-			return 2
-		case "==", "!=", "<", "<=", ">", ">=":
-			return 3
-		case "+", "-":
-			return 4
-		default: // * / %
-			return 5
-		}
+		return binaryPrec(x.Op)
 	case *Unary:
-		return 6
+		return precUnary
 	default:
-		return 7
+		return precOperand
 	}
 }
 
@@ -199,8 +188,13 @@ func (pr *printer) expr(e Expr, parentPrec int) {
 		pr.expr(x.X, prec)
 	case *Binary:
 		// Left associative: the right child needs strictly higher precedence
-		// to avoid parens.
-		pr.expr(x.L, prec)
+		// to avoid parens, and so does the left where the level does not
+		// chain.
+		left := prec
+		if !chains(prec) {
+			left++
+		}
+		pr.expr(x.L, left)
 		pr.str(" ")
 		pr.str(x.Op)
 		pr.str(" ")

@@ -32,14 +32,8 @@ func Simplify(e Expr) Expr {
 	case *Unary:
 		inner := Simplify(x.X)
 		if lit, ok := inner.(*IntLit); ok {
-			switch x.Op {
-			case "-":
-				return &IntLit{Value: -lit.Value}
-			case "!":
-				if lit.Value == 0 {
-					return &IntLit{Value: 1}
-				}
-				return &IntLit{Value: 0}
+			if v, ok := FoldUnary(x.Op, lit.Value); ok {
+				return &IntLit{Value: v}
 			}
 		}
 		// --x = x
@@ -61,7 +55,7 @@ func Simplify(e Expr) Expr {
 		// Full constant folding (except when it would hide a division by
 		// zero — that error must survive to runtime).
 		if lOK && rOK {
-			if v, ok := foldBinary(x.Op, ll.Value, rl.Value); ok {
+			if v, ok := FoldBinary(x.Op, ll.Value, rl.Value); ok {
 				return &IntLit{Value: v}
 			}
 			if l == x.L && r == x.R {
@@ -71,10 +65,8 @@ func Simplify(e Expr) Expr {
 		}
 
 		// Identity eliminations that are safe for all values of the
-		// non-constant side. Additive/multiplicative identities only:
-		// x*0 is NOT folded (x could still fail to evaluate? No —
-		// expressions are total except division; x*0 where x contains a
-		// division could error. Keep x*0 unfolded for error preservation.)
+		// non-constant side. x*0 is not folded: x may divide by zero, and
+		// that error must survive.
 		switch x.Op {
 		case "+":
 			if lOK && ll.Value == 0 {
@@ -116,64 +108,5 @@ func Simplify(e Expr) Expr {
 		return &Binary{Op: x.Op, L: l, R: r}
 	default:
 		return e
-	}
-}
-
-// FoldBinary evaluates a constant binary operation; ok=false when folding
-// must not happen (division/modulo by zero must fail at runtime, not
-// vanish at analysis time). Exported so the data-flow analysis can fold
-// constant subexpressions during substitution instead of building a Binary
-// node Simplify would immediately collapse.
-func FoldBinary(op string, l, r int) (int, bool) {
-	return foldBinary(op, l, r)
-}
-
-// foldBinary evaluates a constant binary operation; ok=false when folding
-// must not happen (division/modulo by zero must fail at runtime, not
-// vanish at analysis time).
-func foldBinary(op string, l, r int) (int, bool) {
-	switch op {
-	case "+":
-		return l + r, true
-	case "-":
-		return l - r, true
-	case "*":
-		return l * r, true
-	case "/":
-		if r == 0 {
-			return 0, false
-		}
-		return l / r, true
-	case "%":
-		if r == 0 {
-			return 0, false
-		}
-		m := l % r
-		if m < 0 {
-			if r > 0 {
-				m += r
-			} else {
-				m -= r
-			}
-		}
-		return m, true
-	case "==":
-		return boolInt(l == r), true
-	case "!=":
-		return boolInt(l != r), true
-	case "<":
-		return boolInt(l < r), true
-	case "<=":
-		return boolInt(l <= r), true
-	case ">":
-		return boolInt(l > r), true
-	case ">=":
-		return boolInt(l >= r), true
-	case "&&":
-		return boolInt(l != 0 && r != 0), true
-	case "||":
-		return boolInt(l != 0 || r != 0), true
-	default:
-		return 0, false
 	}
 }

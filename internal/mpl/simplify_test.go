@@ -76,6 +76,9 @@ func TestSimplifyDoesNotEvaluateInput(t *testing.T) {
 	}
 }
 
+// binaryOpList is every binary operator of MPL.
+var binaryOpList = []string{"+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&&", "||"}
+
 // randomExpr builds a random expression over a small grammar.
 func randomExpr(r *rand.Rand, depth int) Expr {
 	if depth <= 0 || r.Intn(4) == 0 {
@@ -90,8 +93,7 @@ func randomExpr(r *rand.Rand, depth int) Expr {
 			return V("a")
 		}
 	}
-	ops := []string{"+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&&", "||"}
-	op := ops[r.Intn(len(ops))]
+	op := binaryOpList[r.Intn(len(binaryOpList))]
 	return &Binary{Op: op, L: randomExpr(r, depth-1), R: randomExpr(r, depth-1)}
 }
 

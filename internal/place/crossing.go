@@ -25,8 +25,8 @@ import (
 // checkpoints in their gaps. It holds when
 //
 //   - every loop holding a communication or a checkpoint runs as often on
-//     every process that enters it: its condition is uniform
-//     (dataflow.BranchInfo.Uniform);
+//     every process that enters it: its condition, and that of every loop
+//     around it, is uniform (match.Extended.Loop);
 //   - no data-dependent if holds a communication, so which of a loop
 //     body's communications a process executes is the same in every
 //     iteration and is its path attribute;
@@ -62,7 +62,8 @@ func (sk *skeleton) noCross(cks []ckpt) (quiet mpl.ChannelSet, quietSends int) {
 		}
 	}
 	for _, v := range comm {
-		if loop, opaque := x.Scope(v); opaque || x.Params[v].Wildcard || !uniform(x, loop) {
+		loop, opaque := x.Scope(v)
+		if _, uniform := x.Loop(loop); opaque || x.Params[v].Wildcard || !uniform {
 			return nil, 0
 		}
 	}
@@ -70,7 +71,7 @@ func (sk *skeleton) noCross(cks []ckpt) (quiet mpl.ChannelSet, quietSends int) {
 	// index i is then the same iteration on every process.
 	for a, c := range cks {
 		l := sk.gaps[c.gap].loop
-		if !uniform(x, l) || slices.ContainsFunc(cks[:a], func(d ckpt) bool { return d.index == c.index && sk.gaps[d.gap].loop != l }) {
+		if _, uniform := x.Loop(l); !uniform || slices.ContainsFunc(cks[:a], func(d ckpt) bool { return d.index == c.index && sk.gaps[d.gap].loop != l }) {
 			return nil, 0
 		}
 	}
@@ -145,17 +146,4 @@ func (sk *skeleton) noCross(cks []ckpt) (quiet mpl.ChannelSet, quietSends int) {
 		}
 	}
 	return quiet, executed.Count() - logged.Count()
-}
-
-// uniform reports whether loop l and every loop around it have a uniform
-// condition.
-func uniform(x *match.Extended, l int32) bool {
-	for l != 0 {
-		up, ok := x.Loop(l)
-		if !ok {
-			return false
-		}
-		l = up
-	}
-	return true
 }

@@ -55,7 +55,7 @@ proc {
 }
 MPL
 BOOM=$TMP/boom.mpl
-printf 'program boom\nvar x\nproc {\n    x = 1 / (rank - rank)\n}\n' > "$BOOM"
+printf 'program boom\nvar x\nproc {\n    x = -1 / (rank - rank)\n}\n' > "$BOOM"
 BAD=$TMP/bad.mpl
 printf 'program bad\nvar x\nproc {\n    x = = 1\n}\n' > "$BAD"
 DEEP=$TMP/deep.mpl
