@@ -30,7 +30,6 @@ import (
 	"repro/internal/markov"
 	"repro/internal/metrics"
 	"repro/internal/montecarlo"
-	"repro/internal/mpl"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/protocol"
@@ -209,7 +208,7 @@ func runEmpirical(stdout, stderr io.Writer, workUnits, workers int, o obs.Observ
 		float64(workUnits)/1000)
 	fmt.Fprintln(stdout, "# n  baseline(s)  appl-driven  SaS  C-L")
 	return sweep(stdout, stderr, workers, []int{2, 4, 8, 16}, func(n int) (string, error) {
-		prog, bare := jacobiWithWork(iters, workUnits, true), jacobiWithWork(iters, workUnits, false)
+		prog, bare := corpus.JacobiHeavy(iters, workUnits, true), corpus.JacobiHeavy(iters, workUnits, false)
 
 		code, err := sim.Compile(prog) // the three protocol runs share it
 		if err != nil {
@@ -262,30 +261,6 @@ func printHist(w io.Writer, n int, proto, name string, m metrics.Snapshot) {
 	fmt.Fprintf(w, "# hist n=%d %s %s %s\n", n, proto, name, h)
 	fmt.Fprintf(w, "# pXX n=%d %s %s p50=%.6g p95=%.6g p99=%.6g\n",
 		n, proto, name, h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))
-}
-
-// jacobiWithWork is the Figure 1 Jacobi exchange with a heavy per-iteration
-// computation so each checkpoint interval costs about the paper's T;
-// without chkpt it is the checkpoint-free baseline.
-func jacobiWithWork(iters, workUnits int, chkpt bool) *mpl.Program {
-	return mpl.NewBuilder("jacobi_heavy").
-		Const("MAXITER", iters).
-		Vars("x", "xl", "xr", "iter").
-		Assign("x", mpl.Add(mpl.Rank(), mpl.Int(1))).
-		Assign("iter", mpl.Int(0)).
-		While(mpl.Lt(mpl.V("iter"), mpl.V("MAXITER")), func(b *mpl.Builder) {
-			if chkpt {
-				b.Chkpt()
-			}
-			b.Work(mpl.Int(workUnits))
-			b.Send(mpl.Sub(mpl.Rank(), mpl.Int(1)), "x")
-			b.Send(mpl.Add(mpl.Rank(), mpl.Int(1)), "x")
-			b.Recv(mpl.Sub(mpl.Rank(), mpl.Int(1)), "xl")
-			b.Recv(mpl.Add(mpl.Rank(), mpl.Int(1)), "xr")
-			b.Assign("x", mpl.Div(mpl.Add(mpl.Add(mpl.V("x"), mpl.V("xl")), mpl.V("xr")), mpl.Int(3)))
-			b.Assign("iter", mpl.Add(mpl.V("iter"), mpl.Int(1)))
-		}).
-		MustProgram()
 }
 
 // runDomino contrasts the application-driven scheme with uncoordinated

@@ -152,8 +152,8 @@ func Validate(e mpl.Expr) error {
 				bad = n.Name
 				return false
 			}
-		case *mpl.Call:
-			bad = n.Name + "(...)"
+		case *mpl.Input:
+			bad = mpl.BuiltinInput + "(...)"
 			return false
 		}
 		return true

@@ -14,14 +14,30 @@ import "repro/internal/mpl"
 //
 // The neighbor exchange uses guarded-boundary semantics: sends/receives
 // with peers outside [0, nproc) are no-ops.
-func JacobiFig1(iters int) *mpl.Program {
-	return mpl.NewBuilder("jacobi_fig1").
+func JacobiFig1(iters int) *mpl.Program { return jacobi("jacobi_fig1", iters, true, nil) }
+
+// JacobiHeavy is JacobiFig1 with a heavy per-iteration computation,
+// work(workUnits) after the checkpoint, so each checkpoint interval costs
+// about the paper's T; without chkpt it is the checkpoint-free baseline.
+func JacobiHeavy(iters, workUnits int, chkpt bool) *mpl.Program {
+	return jacobi("jacobi_heavy", iters, chkpt, mpl.Int(workUnits))
+}
+
+// jacobi builds the Figure 1 exchange: a checkpoint at the top of the loop
+// when chkpt is set, then work(work) unless work is nil.
+func jacobi(name string, iters int, chkpt bool, work mpl.Expr) *mpl.Program {
+	return mpl.NewBuilder(name).
 		Const("MAXITER", iters).
 		Vars("x", "xl", "xr", "iter").
 		Assign("x", mpl.Add(mpl.Rank(), mpl.Int(1))).
 		Assign("iter", mpl.Int(0)).
 		While(mpl.Lt(mpl.V("iter"), mpl.V("MAXITER")), func(b *mpl.Builder) {
-			b.Chkpt()
+			if chkpt {
+				b.Chkpt()
+			}
+			if work != nil {
+				b.Work(work)
+			}
 			b.Send(mpl.Sub(mpl.Rank(), mpl.Int(1)), "x")
 			b.Send(mpl.Add(mpl.Rank(), mpl.Int(1)), "x")
 			b.Recv(mpl.Sub(mpl.Rank(), mpl.Int(1)), "xl")

@@ -1,6 +1,8 @@
 package corpus_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -43,5 +45,35 @@ func TestAllProgramsTransformAndRun(t *testing.T) {
 				t.Errorf("FinalVars diverged:\nbefore: %v\nafter:  %v", before.FinalVars, after.FinalVars)
 			}
 		})
+	}
+}
+
+// TestJacobiPinned holds the two programs the one Jacobi builder makes to
+// the bytes they printed when each had a builder of its own: JacobiFig1 at
+// 0–8 iterations, and chkptbench's runtime figure (4 iterations of 300000
+// work units, with and without its checkpoint).
+func TestJacobiPinned(t *testing.T) {
+	for _, g := range []struct {
+		name  string
+		progs []*mpl.Program
+		want  string
+	}{
+		{"JacobiFig1(0..8)", func() (ps []*mpl.Program) {
+			for iters := 0; iters <= 8; iters++ {
+				ps = append(ps, corpus.JacobiFig1(iters))
+			}
+			return ps
+		}(), "051b587eba18b93219e221d492f95339319e3eb328819268409d7a91aee29bb1"},
+		{"JacobiHeavy(4, 300000, chkpt and not)", []*mpl.Program{
+			corpus.JacobiHeavy(4, 300000, true), corpus.JacobiHeavy(4, 300000, false),
+		}, "857362731359ffa6a1d1bdcab4d6b2ca1060b9bd7add6f48784f8a7db1b075f5"},
+	} {
+		h := sha256.New()
+		for _, p := range g.progs {
+			h.Write([]byte(mpl.Format(p)))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != g.want {
+			t.Errorf("%s: sha256 %s, want %s", g.name, got, g.want)
+		}
 	}
 }

@@ -129,7 +129,7 @@ type analyzer struct {
 // shared program nodes, so the same substitution produces the same key on
 // every fixpoint iteration.
 type internKey struct {
-	op   string
+	op   mpl.Op
 	l, r mpl.Expr
 }
 
@@ -244,12 +244,8 @@ func countRecords(body []mpl.Stmt) (comm, branches int) {
 // every resolve and a WalkExpr closure here would allocate).
 func exprSize(e mpl.Expr) int {
 	switch x := e.(type) {
-	case *mpl.Call:
-		n := 1
-		for _, arg := range x.Args {
-			n += exprSize(arg)
-		}
-		return n
+	case *mpl.Input:
+		return 1 + exprSize(x.X)
 	case *mpl.Unary:
 		return 1 + exprSize(x.X)
 	case *mpl.Binary:
@@ -296,7 +292,7 @@ func (a *analyzer) subst(e mpl.Expr, s state) mpl.Expr {
 			return s[i] // nil when ⊤
 		}
 		return zeroLit // never-assigned name: the implicit zero
-	case *mpl.Call:
+	case *mpl.Input:
 		return nil // input(...) is irregular
 	case *mpl.Unary:
 		inner := a.subst(x.X, s)
@@ -389,13 +385,8 @@ func mentionsRank(e mpl.Expr) bool {
 	switch x := e.(type) {
 	case *mpl.Ident:
 		return x.Name == mpl.BuiltinRank
-	case *mpl.Call:
-		for _, arg := range x.Args {
-			if mentionsRank(arg) {
-				return true
-			}
-		}
-		return false
+	case *mpl.Input:
+		return mentionsRank(x.X)
 	case *mpl.Unary:
 		return mentionsRank(x.X)
 	case *mpl.Binary:

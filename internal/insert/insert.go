@@ -229,12 +229,16 @@ func Coalesce(p *mpl.Program) int { return coalesce(&p.Body, nil) }
 
 // CoalesceUndoable is Coalesce that can be taken back: undo restores every
 // statement list Coalesce shortened, provided nothing else has touched the
-// program in between.
+// program in between. With nothing removed it returns (0, nil) and
+// allocates nothing.
 func CoalesceUndoable(p *mpl.Program) (removed int, undo func()) {
 	var saved []savedList
-	removed = coalesce(&p.Body, &saved)
+	if removed = coalesce(&p.Body, &saved); removed == 0 {
+		return 0, nil
+	}
+	lists := saved // the closure captures a copy, so saved stays on the stack
 	return removed, func() {
-		for _, sv := range saved {
+		for _, sv := range lists {
 			*sv.list = append((*sv.list)[:0], sv.stmts...)
 		}
 	}

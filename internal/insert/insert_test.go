@@ -347,6 +347,17 @@ proc {
 		i++
 		return true
 	})
+
+	// With nothing to coalesce there is nothing to take back, and no
+	// allocation.
+	clean := corpus.JacobiFig1(2)
+	if n := testing.AllocsPerRun(10, func() {
+		if removed, undo := CoalesceUndoable(clean); removed != 0 || undo != nil {
+			t.Fatalf("a clean program: removed %d, undo %v; want 0 and nil", removed, undo != nil)
+		}
+	}); n != 0 {
+		t.Errorf("CoalesceUndoable of a clean program allocates %v times, want 0", n)
+	}
 }
 
 func TestCoalesceKeepsSeparatedCheckpoints(t *testing.T) {

@@ -243,10 +243,8 @@ func (w *walker) uses(live cfg.Bitset, e mpl.Expr) {
 	case *mpl.Binary:
 		w.uses(live, x.L)
 		w.uses(live, x.R)
-	case *mpl.Call:
-		for _, a := range x.Args {
-			w.uses(live, a)
-		}
+	case *mpl.Input:
+		w.uses(live, x.X)
 	}
 }
 

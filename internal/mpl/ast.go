@@ -191,28 +191,27 @@ type Ident struct {
 	Name string
 }
 
-// Call is a builtin call; the only builtin is input(i), whose value is
-// process input data — the paper's "irregular computation pattern".
-type Call struct {
-	Name string
-	Args []Expr
+// Input is input(x), MPL's one builtin function: process input data at
+// index x — the paper's "irregular computation pattern".
+type Input struct {
+	X Expr
 }
 
 // Unary is -x or !x.
 type Unary struct {
-	Op string
+	Op Op
 	X  Expr
 }
 
 // Binary is a binary operation.
 type Binary struct {
-	Op   string
+	Op   Op
 	L, R Expr
 }
 
 func (*IntLit) exprNode() {}
 func (*Ident) exprNode()  {}
-func (*Call) exprNode()   {}
+func (*Input) exprNode()  {}
 func (*Unary) exprNode()  {}
 func (*Binary) exprNode() {}
 
@@ -251,14 +250,10 @@ func WalkExpr(e Expr, fn func(Expr) bool) bool {
 	switch x := e.(type) {
 	case *Unary:
 		return WalkExpr(x.X, fn)
+	case *Input:
+		return WalkExpr(x.X, fn)
 	case *Binary:
 		return WalkExpr(x.L, fn) && WalkExpr(x.R, fn)
-	case *Call:
-		for _, a := range x.Args {
-			if !WalkExpr(a, fn) {
-				return false
-			}
-		}
 	}
 	return true
 }
@@ -276,17 +271,9 @@ func EqualExpr(a, b Expr) bool {
 	case *Ident:
 		y, ok := b.(*Ident)
 		return ok && x.Name == y.Name
-	case *Call:
-		y, ok := b.(*Call)
-		if !ok || x.Name != y.Name || len(x.Args) != len(y.Args) {
-			return false
-		}
-		for i := range x.Args {
-			if !EqualExpr(x.Args[i], y.Args[i]) {
-				return false
-			}
-		}
-		return true
+	case *Input:
+		y, ok := b.(*Input)
+		return ok && EqualExpr(x.X, y.X)
 	case *Unary:
 		y, ok := b.(*Unary)
 		return ok && x.Op == y.Op && EqualExpr(x.X, y.X)

@@ -19,33 +19,33 @@ func Rank() Expr { return &Ident{Name: BuiltinRank} }
 func Nproc() Expr { return &Ident{Name: BuiltinNproc} }
 
 // InputAt returns input(i), an irregular (data-dependent) expression.
-func InputAt(i Expr) Expr { return &Call{Name: BuiltinInput, Args: []Expr{i}} }
+func InputAt(i Expr) Expr { return &Input{X: i} }
 
 // Binary expression helpers.
 
 // Add returns l + r.
-func Add(l, r Expr) Expr { return &Binary{Op: "+", L: l, R: r} }
+func Add(l, r Expr) Expr { return &Binary{Op: OpAdd, L: l, R: r} }
 
 // Sub returns l - r.
-func Sub(l, r Expr) Expr { return &Binary{Op: "-", L: l, R: r} }
+func Sub(l, r Expr) Expr { return &Binary{Op: OpSub, L: l, R: r} }
 
 // Mul returns l * r.
-func Mul(l, r Expr) Expr { return &Binary{Op: "*", L: l, R: r} }
+func Mul(l, r Expr) Expr { return &Binary{Op: OpMul, L: l, R: r} }
 
 // Div returns l / r.
-func Div(l, r Expr) Expr { return &Binary{Op: "/", L: l, R: r} }
+func Div(l, r Expr) Expr { return &Binary{Op: OpDiv, L: l, R: r} }
 
 // Mod returns l % r.
-func Mod(l, r Expr) Expr { return &Binary{Op: "%", L: l, R: r} }
+func Mod(l, r Expr) Expr { return &Binary{Op: OpMod, L: l, R: r} }
 
 // Eq returns l == r.
-func Eq(l, r Expr) Expr { return &Binary{Op: "==", L: l, R: r} }
+func Eq(l, r Expr) Expr { return &Binary{Op: OpEq, L: l, R: r} }
 
 // Neq returns l != r.
-func Neq(l, r Expr) Expr { return &Binary{Op: "!=", L: l, R: r} }
+func Neq(l, r Expr) Expr { return &Binary{Op: OpNe, L: l, R: r} }
 
 // Lt returns l < r.
-func Lt(l, r Expr) Expr { return &Binary{Op: "<", L: l, R: r} }
+func Lt(l, r Expr) Expr { return &Binary{Op: OpLt, L: l, R: r} }
 
 // Builder accumulates a program body with automatically assigned statement
 // IDs. Obtain one from NewBuilder, add declarations and statements, and
@@ -206,7 +206,7 @@ func Clone(p *Program) *Program {
 }
 
 // nodeMem is the memory a program's AST lives in: one chunk per concrete
-// node type, plus the chunks block bodies and call arguments are cut from.
+// node type, plus the chunk block bodies are cut from.
 // Clone sizes the statement chunks exactly with a counting pass (it shares
 // expressions, so it leaves the others empty); the parser cannot know the
 // counts and lets cut grow them. Either way a chunk is append-only
@@ -225,11 +225,10 @@ type nodeMem struct {
 	ifs      []If
 	intLits  []IntLit
 	idents   []Ident
-	calls    []Call
+	inputs   []Input
 	unaries  []Unary
 	binaries []Binary
 	stmts    []Stmt // block bodies
-	exprs    []Expr // call arguments
 }
 
 // Chunk sizes when cut has to grow one: small programs pay for a handful
@@ -343,12 +342,8 @@ func CloneExpr(e Expr) Expr {
 		return &IntLit{Value: x.Value}
 	case *Ident:
 		return &Ident{Name: x.Name}
-	case *Call:
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = CloneExpr(a)
-		}
-		return &Call{Name: x.Name, Args: args}
+	case *Input:
+		return &Input{X: CloneExpr(x.X)}
 	case *Unary:
 		return &Unary{Op: x.Op, X: CloneExpr(x.X)}
 	case *Binary:

@@ -32,15 +32,8 @@ func (c *checker) expr(pos Pos, e Expr) {
 		if _, ok := c.declared[n.Name]; !ok {
 			c.errs = append(c.errs, &CheckError{Pos: pos, Msg: fmt.Sprintf("undeclared identifier %q", n.Name)})
 		}
-	case *Call:
-		if n.Name != BuiltinInput {
-			c.errs = append(c.errs, &CheckError{Pos: pos, Msg: fmt.Sprintf("unknown builtin %q", n.Name)})
-		} else if len(n.Args) != 1 {
-			c.errs = append(c.errs, &CheckError{Pos: pos, Msg: fmt.Sprintf("input takes 1 argument, got %d", len(n.Args))})
-		}
-		for _, arg := range n.Args {
-			c.expr(pos, arg)
-		}
+	case *Input:
+		c.expr(pos, n.X)
 	case *Unary:
 		c.expr(pos, n.X)
 	case *Binary:
@@ -93,7 +86,6 @@ func (c *checker) stmt(s Stmt) bool {
 //   - the builtins rank/nproc and declared constants are never assigned or
 //     used as message buffers;
 //   - no name is declared twice (across vars, consts, and builtins);
-//   - calls name the input builtin with exactly one argument;
 //   - statement IDs are unique.
 func Check(p *Program) error {
 	c := &checker{

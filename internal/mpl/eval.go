@@ -16,7 +16,7 @@ type Env struct {
 	// Consts holds program constants, only read: environments may share it.
 	Consts map[string]int
 	// Input returns process input data for index i. A nil Input makes any
-	// input(...) call an evaluation error.
+	// input(...) an evaluation error.
 	Input func(i int) int
 }
 
@@ -71,17 +71,11 @@ func Eval(e Expr, env *Env) (int, error) {
 			return v, nil
 		}
 		return 0, &EvalError{Msg: fmt.Sprintf("unknown identifier %q", x.Name)}
-	case *Call:
-		if x.Name != BuiltinInput {
-			return 0, &EvalError{Msg: fmt.Sprintf("unknown builtin %q", x.Name)}
-		}
-		if len(x.Args) != 1 {
-			return 0, &EvalError{Msg: fmt.Sprintf("input takes 1 argument, got %d", len(x.Args))}
-		}
+	case *Input:
 		if env.Input == nil {
 			return 0, &EvalError{Msg: "no input data bound"}
 		}
-		i, err := Eval(x.Args[0], env)
+		i, err := Eval(x.X, env)
 		if err != nil {
 			return 0, err
 		}
@@ -102,10 +96,10 @@ func Eval(e Expr, env *Env) (int, error) {
 		}
 		// && and || short-circuit: the right operand is evaluated only
 		// when the left does not decide.
-		if x.Op == "&&" && l == 0 {
+		if x.Op == OpAnd && l == 0 {
 			return 0, nil
 		}
-		if x.Op == "||" && l != 0 {
+		if x.Op == OpOr && l != 0 {
 			return 1, nil
 		}
 		r, err := Eval(x.R, env)

@@ -96,6 +96,18 @@ func (l *lexer) next() (Token, error) {
 	}
 
 	l.advance(r, w)
+	if r < utf8.RuneSelf {
+		// An operator: the two-byte one r starts when its second byte
+		// follows, else the one r spells.
+		op := opIndex[0][r]
+		if two := opIndex[1][r]; two != 0 && l.off < len(l.src) && l.src[l.off] == ops[two].text[1] {
+			l.advance(rune(l.src[l.off]), 1)
+			op = two
+		}
+		if op != 0 {
+			return Token{Kind: TokenOp, Op: op, Text: l.src[start:l.off], Pos: pos}, nil
+		}
+	}
 	kind := TokenKind(0)
 	switch r {
 	case '{':
@@ -108,41 +120,11 @@ func (l *lexer) next() (Token, error) {
 		kind = TokenRParen
 	case ',':
 		kind = TokenComma
-	case '+':
-		kind = TokenPlus
-	case '-':
-		kind = TokenMinus
-	case '*':
-		kind = TokenStar
-	case '/':
-		kind = TokenSlash
-	case '%':
-		kind = TokenPct
 	case '=':
-		kind = l.two('=', TokenEq, TokenAssign)
-	case '!':
-		kind = l.two('=', TokenNeq, TokenNot)
-	case '<':
-		kind = l.two('=', TokenLe, TokenLt)
-	case '>':
-		kind = l.two('=', TokenGe, TokenGt)
-	case '&':
-		kind = l.two('&', TokenAnd, 0)
-	case '|':
-		kind = l.two('|', TokenOr, 0)
+		kind = TokenAssign
 	}
 	if kind == 0 {
 		return Token{}, &SyntaxError{Pos: pos, Msg: fmt.Sprintf("unexpected character %q", string(r))}
 	}
 	return Token{Kind: kind, Text: l.src[start:l.off], Pos: pos}, nil
-}
-
-// two resolves a one-or-two-character operator whose first character has
-// been consumed: yes when second follows (and is consumed), else no.
-func (l *lexer) two(second rune, yes, no TokenKind) TokenKind {
-	if r, w := l.peek(); w > 0 && r == second {
-		l.advance(r, w)
-		return yes
-	}
-	return no
 }

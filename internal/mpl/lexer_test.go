@@ -109,60 +109,59 @@ func (l *refLexer) next() (Token, error) {
 		return Token{Kind: TokenInt, Text: string(l.src[start:l.off]), Pos: pos}, nil
 	}
 
-	two := func(second rune, yes, no TokenKind, yesText, noText string) (Token, error) {
+	tok := func(kind TokenKind, op Op, text string) Token {
+		return Token{Kind: kind, Op: op, Text: text, Pos: pos}
+	}
+	one := func(t Token) (Token, error) {
+		l.advance()
+		return t, nil
+	}
+	// two lexes second after r as the operator yes, and r alone as no,
+	// which is an error when it is the zero token.
+	two := func(second rune, yes Op, yesText string, no Token) (Token, error) {
 		l.advance()
 		if l.peek() == second {
 			l.advance()
-			return Token{Kind: yes, Text: yesText, Pos: pos}, nil
+			return tok(TokenOp, yes, yesText), nil
 		}
-		if no == 0 {
+		if no.Kind == 0 {
 			return Token{}, l.errorf(pos, "unexpected character %q", string(r))
 		}
-		return Token{Kind: no, Text: noText, Pos: pos}, nil
+		return no, nil
 	}
 	switch r {
 	case '{':
-		l.advance()
-		return Token{Kind: TokenLBrace, Text: "{", Pos: pos}, nil
+		return one(tok(TokenLBrace, 0, "{"))
 	case '}':
-		l.advance()
-		return Token{Kind: TokenRBrace, Text: "}", Pos: pos}, nil
+		return one(tok(TokenRBrace, 0, "}"))
 	case '(':
-		l.advance()
-		return Token{Kind: TokenLParen, Text: "(", Pos: pos}, nil
+		return one(tok(TokenLParen, 0, "("))
 	case ')':
-		l.advance()
-		return Token{Kind: TokenRParen, Text: ")", Pos: pos}, nil
+		return one(tok(TokenRParen, 0, ")"))
 	case ',':
-		l.advance()
-		return Token{Kind: TokenComma, Text: ",", Pos: pos}, nil
+		return one(tok(TokenComma, 0, ","))
 	case '+':
-		l.advance()
-		return Token{Kind: TokenPlus, Text: "+", Pos: pos}, nil
+		return one(tok(TokenOp, OpAdd, "+"))
 	case '-':
-		l.advance()
-		return Token{Kind: TokenMinus, Text: "-", Pos: pos}, nil
+		return one(tok(TokenOp, OpSub, "-"))
 	case '*':
-		l.advance()
-		return Token{Kind: TokenStar, Text: "*", Pos: pos}, nil
+		return one(tok(TokenOp, OpMul, "*"))
 	case '/':
-		l.advance()
-		return Token{Kind: TokenSlash, Text: "/", Pos: pos}, nil
+		return one(tok(TokenOp, OpDiv, "/"))
 	case '%':
-		l.advance()
-		return Token{Kind: TokenPct, Text: "%", Pos: pos}, nil
+		return one(tok(TokenOp, OpMod, "%"))
 	case '=':
-		return two('=', TokenEq, TokenAssign, "==", "=")
+		return two('=', OpEq, "==", tok(TokenAssign, 0, "="))
 	case '!':
-		return two('=', TokenNeq, TokenNot, "!=", "!")
+		return two('=', OpNe, "!=", tok(TokenOp, OpNot, "!"))
 	case '<':
-		return two('=', TokenLe, TokenLt, "<=", "<")
+		return two('=', OpLe, "<=", tok(TokenOp, OpLt, "<"))
 	case '>':
-		return two('=', TokenGe, TokenGt, ">=", ">")
+		return two('=', OpGe, ">=", tok(TokenOp, OpGt, ">"))
 	case '&':
-		return two('&', TokenAnd, 0, "&&", "")
+		return two('&', OpAnd, "&&", Token{})
 	case '|':
-		return two('|', TokenOr, 0, "||", "")
+		return two('|', OpOr, "||", Token{})
 	default:
 		return Token{}, l.errorf(pos, "unexpected character %q", string(r))
 	}
@@ -269,7 +268,7 @@ func TestLexBasicTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []TokenKind{TokenIdent, TokenAssign, TokenInt, TokenPlus, TokenIdent, TokenEOF}
+	want := []TokenKind{TokenIdent, TokenAssign, TokenInt, TokenOp, TokenIdent, TokenEOF}
 	got := kinds(toks)
 	if len(got) != len(want) {
 		t.Fatalf("got %d tokens, want %d: %v", len(got), len(want), toks)
@@ -281,22 +280,30 @@ func TestLexBasicTokens(t *testing.T) {
 	}
 }
 
+// TestLexOperators lexes each operator's spelling, alone and between two
+// names with no space, to exactly that operator, and the punctuation to its
+// kinds.
 func TestLexOperators(t *testing.T) {
-	src := "== != < <= > >= && || ! % * / ( ) { } ,"
-	toks, err := lexAll(src)
+	for op := OpAdd; op < opCount; op++ {
+		for _, src := range []string{op.String(), "a" + op.String() + "b"} {
+			toks, err := lexAll(src)
+			if err != nil {
+				t.Errorf("lexing %q: %v", src, err)
+				continue
+			}
+			i := (len(toks) - 1) / 2 // the operator: 2 tokens alone, 4 between names
+			if len(toks) != 2 && len(toks) != 4 || toks[i].Kind != TokenOp || toks[i].Op != op || toks[i].Text != op.String() {
+				t.Errorf("lexing %q: %v, want the one operator %q", src, toks, op)
+			}
+		}
+	}
+	toks, err := lexAll("( ) { } , =")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []TokenKind{
-		TokenEq, TokenNeq, TokenLt, TokenLe, TokenGt, TokenGe,
-		TokenAnd, TokenOr, TokenNot, TokenPct, TokenStar, TokenSlash,
-		TokenLParen, TokenRParen, TokenLBrace, TokenRBrace, TokenComma, TokenEOF,
-	}
-	got := kinds(toks)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("token %d = %v (%q), want kind %v", i, got[i], toks[i].Text, want[i])
-		}
+	want := []TokenKind{TokenLParen, TokenRParen, TokenLBrace, TokenRBrace, TokenComma, TokenAssign, TokenEOF}
+	if got := kinds(toks); !reflect.DeepEqual(got, want) {
+		t.Errorf("punctuation lexes to %v, want %v", got, want)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // maxDepth bounds how deep Parse lets statements, unary operators,
-// parentheses and call arguments nest, and how long an operator chain may
+// parentheses and input arguments nest, and how long an operator chain may
 // grow at any one level. The parser and every walker behind it (Format,
 // Clone, cfg, Eval) recurse per level of the tree, and a Go stack overflow
 // is fatal, not an error — so hostile input is refused here. Real programs
@@ -47,7 +47,6 @@ type parser struct {
 
 	mem   nodeMem
 	stmts []Stmt // statements of the open blocks, innermost last
-	args  []Expr // arguments of the open calls, innermost last
 }
 
 func (p *parser) advance() {
@@ -141,7 +140,7 @@ func (p *parser) parseProgram() (*Program, error) {
 				return nil, err
 			}
 			neg := false
-			if p.tok.Kind == TokenMinus {
+			if p.tok.Op == OpSub {
 				neg = true
 				p.advance()
 			}
@@ -183,20 +182,6 @@ func (p *parser) parseProgram() (*Program, error) {
 	}
 }
 
-// copyOut moves the top of a parser stack — one block's statements, one
-// call's arguments — into an exactly-sized cut of *chunk and pops it. An
-// empty list stays nil.
-func copyOut[T any](chunk *[]T, stack *[]T, mark int) []T {
-	top := (*stack)[mark:]
-	*stack = (*stack)[:mark]
-	if len(top) == 0 {
-		return nil
-	}
-	out := cut(chunk, len(top))
-	copy(out, top)
-	return out
-}
-
 func (p *parser) parseBlock() ([]Stmt, error) {
 	if _, err := p.expect(TokenLBrace, `"{"`); err != nil {
 		return nil, err
@@ -213,7 +198,16 @@ func (p *parser) parseBlock() ([]Stmt, error) {
 		p.stmts = append(p.stmts, s)
 	}
 	p.advance() // consume }
-	return copyOut(&p.mem.stmts, &p.stmts, mark), nil
+	// Move the block's statements off the stack into an exactly-sized cut.
+	// An empty block stays nil.
+	top := p.stmts[mark:]
+	p.stmts = p.stmts[:mark]
+	if len(top) == 0 {
+		return nil, nil
+	}
+	out := cut(&p.mem.stmts, len(top))
+	copy(out, top)
+	return out, nil
 }
 
 // parseStmt parses one statement, one nesting level down.
@@ -343,7 +337,7 @@ func (p *parser) parseOneStmt() (Stmt, error) {
 // grouped to the left, or one operator at most where it does not chain.
 //
 //	unary:   ("-"|"!") unary | primary
-//	primary: INT | IDENT | IDENT "(" args ")" | "(" expr ")"
+//	primary: INT | IDENT | "input" "(" expr ")" | "(" expr ")"
 func (p *parser) parseExpr() (Expr, error) { return p.parseBinary(precOr) }
 
 // parseBinary parses the grammar level whose operators have precedence
@@ -357,11 +351,11 @@ func (p *parser) parseBinary(prec int) (Expr, error) {
 		return nil, err
 	}
 	// Every operator of the chain puts l one level deeper in the tree.
-	for n := 1; binaryPrec(p.tok.Text) == prec; n++ {
+	for n := 1; binaryPrec(p.tok.Op) == prec; n++ {
 		if p.depth+n > maxDepth {
 			return nil, p.errTooDeep()
 		}
-		op := p.tok.Text
+		op := p.tok.Op
 		p.advance()
 		r, err := p.parseBinary(prec + 1)
 		if err != nil {
@@ -376,16 +370,16 @@ func (p *parser) parseBinary(prec int) (Expr, error) {
 }
 
 // parseUnary parses a unary expression, one nesting level down: every
-// cycle of the expression grammar (operators, parentheses, call arguments)
-// passes through here.
+// cycle of the expression grammar (operators, parentheses, input's
+// argument) passes through here.
 func (p *parser) parseUnary() (Expr, error) {
 	if err := p.enter(); err != nil {
 		return nil, err
 	}
 	var x Expr
 	var err error
-	if p.tok.Kind == TokenMinus || p.tok.Kind == TokenNot {
-		op := p.tok.Text
+	if ops[p.tok.Op].unary {
+		op := p.tok.Op
 		p.advance()
 		if x, err = p.parseUnary(); err == nil {
 			x = newNode(&p.mem.unaries, Unary{Op: op, X: x})
@@ -411,25 +405,24 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if p.tok.Kind != TokenLParen {
 			return newNode(&p.mem.idents, Ident{Name: t.Text}), nil
 		}
+		if t.Text != BuiltinInput {
+			return nil, &SyntaxError{Pos: t.Pos, Msg: fmt.Sprintf("unknown builtin %q", t.Text)}
+		}
 		p.advance()
-		mark := len(p.args)
-		if p.tok.Kind != TokenRParen {
-			for {
-				a, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				p.args = append(p.args, a)
-				if p.tok.Kind != TokenComma {
-					break
-				}
-				p.advance()
-			}
+		if p.tok.Kind == TokenRParen {
+			return nil, p.errorf("input takes 1 argument")
+		}
+		x, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		if p.tok.Kind == TokenComma {
+			return nil, p.errorf("input takes 1 argument")
 		}
 		if _, err := p.expect(TokenRParen, `")"`); err != nil {
 			return nil, err
 		}
-		return newNode(&p.mem.calls, Call{Name: t.Text, Args: copyOut(&p.mem.exprs, &p.args, mark)}), nil
+		return newNode(&p.mem.inputs, Input{X: x}), nil
 	case TokenLParen:
 		p.advance()
 		x, err := p.parseExpr()

@@ -216,6 +216,8 @@ func TestParseErrors(t *testing.T) {
 		{"bad integer constant", "program p\nconst K = 99999999999999999999\nvar x\nproc { }", `bad integer "99999999999999999999"`, "2:11"},
 		{"bad integer before lexical error", "program p\nvar x\nproc { x = 99999999999999999999 $ }", "bad integer", "3:12"},
 		{"non-ASCII digit", "program p\nvar x\nproc { x = ٣ }", `bad integer "٣"`, "3:12"},
+		// input, MPL's one builtin, takes exactly one argument.
+		{"input without argument", "program p\nvar x\nproc { x = input() }", "input takes 1 argument", "3:18"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -321,7 +323,7 @@ func TestFormatRoundTripsEveryOperatorPair(t *testing.T) {
 				&Binary{Op: outer, L: &Binary{Op: inner, L: a, R: b}, R: c},
 				&Binary{Op: outer, L: a, R: &Binary{Op: inner, L: b, R: c}})
 		}
-		for _, u := range []string{"-", "!"} {
+		for _, u := range unaryOpList {
 			exprs = append(exprs,
 				&Unary{Op: u, X: &Binary{Op: outer, L: a, R: b}},
 				&Binary{Op: outer, L: &Unary{Op: u, X: a}, R: &Unary{Op: u, X: b}})

@@ -173,18 +173,12 @@ func (pr *printer) expr(e Expr, parentPrec int) {
 		pr.int(x.Value)
 	case *Ident:
 		pr.str(x.Name)
-	case *Call:
-		pr.str(x.Name)
-		pr.str("(")
-		for i, a := range x.Args {
-			if i > 0 {
-				pr.str(", ")
-			}
-			pr.expr(a, 0)
-		}
+	case *Input:
+		pr.str(BuiltinInput + "(")
+		pr.expr(x.X, 0)
 		pr.str(")")
 	case *Unary:
-		pr.str(x.Op)
+		pr.str(x.Op.String())
 		pr.expr(x.X, prec)
 	case *Binary:
 		// Left associative: the right child needs strictly higher precedence
@@ -196,7 +190,7 @@ func (pr *printer) expr(e Expr, parentPrec int) {
 		}
 		pr.expr(x.L, left)
 		pr.str(" ")
-		pr.str(x.Op)
+		pr.str(x.Op.String())
 		pr.str(" ")
 		pr.expr(x.R, prec+1)
 	}

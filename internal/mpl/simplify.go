@@ -18,17 +18,11 @@ func Simplify(e Expr) Expr {
 		return nil
 	case *IntLit, *Ident:
 		return e
-	case *Call:
-		changed := false
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = Simplify(a)
-			changed = changed || args[i] != a
+	case *Input:
+		if inner := Simplify(x.X); inner != x.X {
+			return &Input{X: inner}
 		}
-		if !changed {
-			return x
-		}
-		return &Call{Name: x.Name, Args: args}
+		return x
 	case *Unary:
 		inner := Simplify(x.X)
 		if lit, ok := inner.(*IntLit); ok {
@@ -37,8 +31,8 @@ func Simplify(e Expr) Expr {
 			}
 		}
 		// --x = x
-		if x.Op == "-" {
-			if u, ok := inner.(*Unary); ok && u.Op == "-" {
+		if x.Op == OpSub {
+			if u, ok := inner.(*Unary); ok && u.Op == OpSub {
 				return u.X
 			}
 		}
@@ -68,36 +62,36 @@ func Simplify(e Expr) Expr {
 		// non-constant side. x*0 is not folded: x may divide by zero, and
 		// that error must survive.
 		switch x.Op {
-		case "+":
+		case OpAdd:
 			if lOK && ll.Value == 0 {
 				return r
 			}
 			if rOK && rl.Value == 0 {
 				return l
 			}
-		case "-":
+		case OpSub:
 			if rOK && rl.Value == 0 {
 				return l
 			}
-		case "*":
+		case OpMul:
 			if lOK && ll.Value == 1 {
 				return r
 			}
 			if rOK && rl.Value == 1 {
 				return l
 			}
-		case "/":
+		case OpDiv:
 			if rOK && rl.Value == 1 {
 				return l
 			}
-		case "&&":
+		case OpAnd:
 			// true && x = (x != 0) — not representable without changing
 			// the 0/1 normalization of x; only fold the short-circuit
 			// side: 0 && x = 0 (x never evaluated at runtime either).
 			if lOK && ll.Value == 0 {
 				return &IntLit{Value: 0}
 			}
-		case "||":
+		case OpOr:
 			if lOK && ll.Value != 0 {
 				return &IntLit{Value: 1}
 			}

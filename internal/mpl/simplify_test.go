@@ -76,8 +76,19 @@ func TestSimplifyDoesNotEvaluateInput(t *testing.T) {
 	}
 }
 
-// binaryOpList is every binary operator of MPL.
-var binaryOpList = []string{"+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&&", "||"}
+// binaryOpList and unaryOpList are MPL's binary and prefix operators,
+// read off the operator table so that no test can leave one out.
+var binaryOpList, unaryOpList = func() (binary, unary []Op) {
+	for op := OpAdd; op < opCount; op++ {
+		if binaryPrec(op) > 0 {
+			binary = append(binary, op)
+		}
+		if ops[op].unary {
+			unary = append(unary, op)
+		}
+	}
+	return binary, unary
+}()
 
 // randomExpr builds a random expression over a small grammar.
 func randomExpr(r *rand.Rand, depth int) Expr {

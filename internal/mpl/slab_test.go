@@ -184,7 +184,7 @@ func TestSlabSafety(t *testing.T) {
 	// Rewrite one statement node and one expression node.
 	a := p.Body[g2*stmtsPerGroup+offAssign].(*mpl.Assign)
 	a.Name = "y"
-	a.X.(*mpl.Binary).L.(*mpl.Unary).Op = "!"
+	a.X.(*mpl.Binary).L.(*mpl.Unary).Op = mpl.OpNot
 	requireSame(t, "rewrite a parsed node", describeAll(p), want, g1*stmtsPerGroup+offWhile, g2*stmtsPerGroup+offAssign)
 	if got := describe(a); !strings.Contains(got, "y = !input(17) + !y") {
 		t.Errorf("rewritten assignment reads %q", got)

@@ -25,27 +25,14 @@ const (
 	TokenIdent
 	TokenInt
 	TokenKeyword
-	// Punctuation and operators.
+	TokenOp // an operator of the table in ops.go, named by Token.Op
+	// Punctuation.
 	TokenLBrace // {
 	TokenRBrace // }
 	TokenLParen // (
 	TokenRParen // )
 	TokenComma  // ,
 	TokenAssign // =
-	TokenPlus   // +
-	TokenMinus  // -
-	TokenStar   // *
-	TokenSlash  // /
-	TokenPct    // %
-	TokenEq     // ==
-	TokenNeq    // !=
-	TokenLt     // <
-	TokenLe     // <=
-	TokenGt     // >
-	TokenGe     // >=
-	TokenAnd    // &&
-	TokenOr     // ||
-	TokenNot    // !
 )
 
 // Keywords of the language.
@@ -86,18 +73,15 @@ func (p Pos) String() string {
 // Token is one lexical token.
 type Token struct {
 	Kind TokenKind
+	Op   Op // the operator of a TokenOp, else none
 	Text string
 	Pos  Pos
 }
 
 // String renders the token for error messages.
 func (t Token) String() string {
-	switch t.Kind {
-	case TokenEOF:
+	if t.Kind == TokenEOF {
 		return "end of input"
-	case TokenIdent, TokenInt, TokenKeyword:
-		return fmt.Sprintf("%q", t.Text)
-	default:
-		return fmt.Sprintf("%q", t.Text)
 	}
+	return fmt.Sprintf("%q", t.Text)
 }

@@ -277,10 +277,9 @@ func ensureTapped(p *mpl.Program, opts Options, tap func(*mpl.Program, *analysis
 
 	// Cleanup: coalescing adjacent duplicate checkpoints must not
 	// reintroduce violations or imbalance (which the round's enumeration
-	// refuses): coalesce, look, and take it back if it did. Skipped when no
-	// adjacent duplicates exist — the common case.
-	if hasAdjacentChkpts(prog.Body) {
-		removed, undo := insert.CoalesceUndoable(prog)
+	// refuses): coalesce, look, and take it back if it did. No round when
+	// nothing was removed — the common case.
+	if removed, undo := insert.CoalesceUndoable(prog); removed > 0 {
 		if err := round(); err == nil && len(cur.violations) == 0 {
 			res.CoalescedStmts = removed
 		} else {
@@ -412,34 +411,6 @@ func moveReason(index, moved, from, target int) string {
 	b = append(b, "; moved before stmt #"...)
 	b = strconv.AppendInt(b, int64(target), 10)
 	return string(b)
-}
-
-// hasAdjacentChkpts reports whether any statement list of the program
-// contains two immediately-adjacent checkpoint statements — the (cheap)
-// precondition for insert.Coalesce to have any effect.
-func hasAdjacentChkpts(body []mpl.Stmt) bool {
-	prevChkpt := false
-	for _, s := range body {
-		if _, ok := s.(*mpl.Chkpt); ok {
-			if prevChkpt {
-				return true
-			}
-			prevChkpt = true
-			continue
-		}
-		prevChkpt = false
-		switch st := s.(type) {
-		case *mpl.While:
-			if hasAdjacentChkpts(st.Body) {
-				return true
-			}
-		case *mpl.If:
-			if hasAdjacentChkpts(st.Then) || hasAdjacentChkpts(st.Else) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // moveChkptBefore removes the checkpoint statement chkptID from its block

@@ -23,8 +23,8 @@ import (
 // cfg.Build of the whole program, checkpoints included, an uncached
 // match.Match on it, one closure BFS per checkpoint node, and the
 // dominator chain from Graph.Dominators(). It shares with Ensure only the
-// statement surgery (moveChkptBefore, moveReason, hasAdjacentChkpts), which
-// is not what changed.
+// statement surgery (moveChkptBefore, moveReason), which is not what
+// changed.
 
 // refAnalysis is one reference round.
 type refAnalysis struct {
@@ -139,14 +139,12 @@ func refEnsure(p *mpl.Program, opts Options, tap func(*mpl.Program, []Violation,
 			return nil, err
 		}
 	}
-	if hasAdjacentChkpts(prog.Body) {
-		cleaned := mpl.Clone(prog)
-		if removed := insert.Coalesce(cleaned); removed > 0 {
-			if eq, err := insert.Equalize(cleaned); err == nil && len(eq) == 0 {
-				if after, err := round(cleaned); err == nil && len(after.violations) == 0 {
-					prog, cur = cleaned, after
-					res.CoalescedStmts = removed
-				}
+	cleaned := mpl.Clone(prog)
+	if removed := insert.Coalesce(cleaned); removed > 0 {
+		if eq, err := insert.Equalize(cleaned); err == nil && len(eq) == 0 {
+			if after, err := round(cleaned); err == nil && len(after.violations) == 0 {
+				prog, cur = cleaned, after
+				res.CoalescedStmts = removed
 			}
 		}
 	}

@@ -279,7 +279,7 @@ func CrossClearMutants(p *mpl.Program, crossing map[Channel]bool) []Mutant {
 // rankConst returns c when e is rank == c or c == rank.
 func rankConst(e mpl.Expr) (int, bool) {
 	b, ok := e.(*mpl.Binary)
-	if !ok || b.Op != "==" {
+	if !ok || b.Op != mpl.OpEq {
 		return 0, false
 	}
 	l, r := b.L, b.R
