@@ -82,14 +82,17 @@ func (r *Report) SendsLogged() (logged, sends int) {
 	return sends - r.Phase3.QuietSends, sends
 }
 
-// Transform runs the three phases on a program. The input is not mutated.
-// It must be a checked program, as every constructor makes one: mpl.Parse,
-// mpl.Builder.Program and mpmd's merge run mpl.Check.
+// Transform runs the three phases on a program. The input is not mutated:
+// the phases edit by path copying (mpl.Edit), so the report's program
+// shares every statement and block they left as it was, and Consts and
+// Vars, with the input. The input must be a checked program, as every
+// constructor makes one: mpl.Parse, mpl.Builder.Program and mpmd's merge
+// run mpl.Check.
 func Transform(p *mpl.Program, conf Config) (*Report, error) {
-	work := mpl.Clone(p)
 	rep := &Report{}
-
+	work := p
 	if !conf.SkipInsert {
+		work = &mpl.Program{Name: p.Name, Consts: p.Consts, Vars: p.Vars, Body: p.Body}
 		plan, err := insert.InsertCheckpoints(work, insert.DefaultCostModel)
 		if err != nil {
 			return nil, fmt.Errorf("core: phase I: %w", err)
@@ -99,11 +102,7 @@ func Transform(p *mpl.Program, conf Config) (*Report, error) {
 
 	// Phases II–III build in a workspace Ensure borrows from a pool and
 	// gives back before it returns; what the report holds is its own.
-	placed, err := place.Ensure(work, place.Options{
-		PreserveLoops: conf.PreserveLoops,
-		// work is already this call's private clone; Ensure may own it.
-		AssumeOwned: true,
-	})
+	placed, err := place.Ensure(work, place.Options{PreserveLoops: conf.PreserveLoops})
 	if err != nil {
 		return nil, fmt.Errorf("core: phase III: %w", err)
 	}

@@ -75,7 +75,9 @@ func TestTransformLendsNoResults(t *testing.T) {
 
 // TestTransformConcurrent runs Transform over the corpus from 8 goroutines,
 // each in its own order, and holds every report to the serial one: the
-// pool hands a workspace to one call at a time. CI runs it under -race.
+// pool hands a workspace to one call at a time. Then all 8 transform one
+// input at once, which every output shares statements with (mpl.Edit):
+// under -race, as CI runs it, a write into a shared node is a race.
 func TestTransformConcurrent(t *testing.T) {
 	all := corpus.All()
 	names := sortedNames(all)
@@ -106,4 +108,30 @@ func TestTransformConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+
+	for _, shared := range []*mpl.Program{verify.GenerateLarge(1, 6), corpus.JacobiFig2(4)} {
+		rep, err := core.Transform(shared, core.DefaultConfig)
+		if err != nil {
+			t.Fatalf("%s: %v", shared.Name, err)
+		}
+		serial := dump(rep)
+		start := make(chan struct{})
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				rep, err := core.Transform(shared, core.DefaultConfig)
+				if err != nil {
+					t.Errorf("goroutine %d, shared %s: %v", g, shared.Name, err)
+					return
+				}
+				if got := dump(rep); got != serial {
+					t.Errorf("goroutine %d, shared %s: report differs from the serial one\ngot:\n%s\nwant:\n%s", g, shared.Name, got, serial)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
 }

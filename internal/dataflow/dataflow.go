@@ -201,6 +201,7 @@ func AnalyzeInto(p *mpl.Program, r *Result) {
 	a.varying = append(a.varying[:0], make([]bool, len(a.vars.Names))...)
 	for a.taint(p.Body, false) {
 	}
+	a.markUniform(p.Body)
 }
 
 // Reset empties r, keeping its memory for the next AnalyzeInto: it drops
@@ -461,20 +462,12 @@ func (a *analyzer) stmt(st mpl.Stmt, s state) {
 // taint is one pass of the fixpoint that finds the variables that may
 // differ between processes (varying): those received into, or assigned
 // from an expression that is not uniform or under a branch whose condition
-// is not. It reports whether the pass marked a new one, and sets every
-// branch's Uniform from what it knew then, so the last pass, which marks
-// none, leaves them right.
+// is not. It reports whether the pass marked a new one.
 func (a *analyzer) taint(body []mpl.Stmt, varying bool) (changed bool) {
 	mark := func(name string, varies bool) {
 		if i := a.vars.Index[name]; varies && !a.varying[i] {
 			a.varying[i], changed = true, true
 		}
-	}
-	branch := func(s mpl.Stmt, cond mpl.Expr) (varies bool) {
-		bi := a.res.Branches[s.ID()]
-		bi.Uniform = a.uniform(cond)
-		a.res.Branches[s.ID()] = bi
-		return varying || !bi.Uniform
 	}
 	for _, s := range body {
 		switch st := s.(type) {
@@ -487,14 +480,34 @@ func (a *analyzer) taint(body []mpl.Stmt, varying bool) (changed bool) {
 		case *mpl.Reduce:
 			mark(st.Var, true)
 		case *mpl.While:
-			changed = a.taint(st.Body, branch(st, st.Cond)) || changed
+			changed = a.taint(st.Body, varying || !a.uniform(st.Cond)) || changed
 		case *mpl.If:
-			v := branch(st, st.Cond)
+			v := varying || !a.uniform(st.Cond)
 			changed = a.taint(st.Then, v) || changed
 			changed = a.taint(st.Else, v) || changed
 		}
 	}
 	return changed
+}
+
+// markUniform sets every branch's Uniform once the fixpoint has found
+// every varying variable.
+func (a *analyzer) markUniform(body []mpl.Stmt) {
+	mpl.Walk(body, func(s mpl.Stmt) bool {
+		var cond mpl.Expr
+		switch st := s.(type) {
+		case *mpl.While:
+			cond = st.Cond
+		case *mpl.If:
+			cond = st.Cond
+		default:
+			return true
+		}
+		bi := a.res.Branches[s.ID()]
+		bi.Uniform = a.uniform(cond)
+		a.res.Branches[s.ID()] = bi
+		return true
+	})
 }
 
 // uniform reports whether e has one value on every process: it reads no

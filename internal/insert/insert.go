@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cfg"
 	"repro/internal/mpl"
@@ -113,8 +114,9 @@ type Plan struct {
 // one at the top of each outermost loop body (the paper's canonical
 // placement, Figure 1), or one at the start of the program when it is
 // loop-free. Programs that already contain checkpoints are returned
-// unchanged except for equalization (Phase I is optional, §3.1). The input
-// program is mutated.
+// unchanged except for equalization (Phase I is optional, §3.1). The
+// program's Body is replaced by an edited copy (mpl.Edit): whatever else
+// shares its statements is left as it was.
 func InsertCheckpoints(p *mpl.Program, cm CostModel) (*Plan, error) {
 	plan := &Plan{}
 	tOpt, err := YoungInterval(cm.CheckpointOverhead, cm.FailureRate)
@@ -132,35 +134,27 @@ func InsertCheckpoints(p *mpl.Program, cm CostModel) (*Plan, error) {
 		return true
 	})
 
-	nextID := p.MaxStmtID() + 1
+	// The first outermost loop: its body, checkpoint included, is what
+	// one iteration costs.
+	first := slices.IndexFunc(p.Body, func(s mpl.Stmt) bool { _, ok := s.(*mpl.While); return ok })
 	if !hasChkpt {
-		var loops []*mpl.While
-		for _, s := range p.Body { // outermost loops only
-			if w, ok := s.(*mpl.While); ok {
-				loops = append(loops, w)
-			}
-		}
-		if len(loops) > 0 {
-			for _, w := range loops {
-				ck := &mpl.Chkpt{StmtBase: mpl.StmtBase{StmtID: nextID}}
-				nextID++
-				w.Body = append([]mpl.Stmt{ck}, w.Body...)
-				plan.Inserted = append(plan.Inserted, ck.ID())
-			}
-			plan.IterationCost = EstimateBodyCost(loops[0].Body, cm)
-		} else {
-			ck := &mpl.Chkpt{StmtBase: mpl.StmtBase{StmtID: nextID}}
-			nextID++
-			p.Body = append([]mpl.Stmt{ck}, p.Body...)
-			plan.Inserted = append(plan.Inserted, ck.ID())
-		}
-	} else {
+		e := p.Edit()
+		defer e.Close()
+		nextID := p.MaxStmtID() + 1
 		for _, s := range p.Body {
-			if w, ok := s.(*mpl.While); ok {
-				plan.IterationCost = EstimateBodyCost(w.Body, cm)
-				break
+			if _, ok := s.(*mpl.While); ok {
+				e.Insert(mpl.Block{Owner: s.ID()}, 0, e.Chkpt(nextID))
+				plan.Inserted = append(plan.Inserted, nextID)
+				nextID++
 			}
 		}
+		if first < 0 {
+			e.Insert(mpl.Block{Owner: mpl.TopLevel}, 0, e.Chkpt(nextID))
+			plan.Inserted = append(plan.Inserted, nextID)
+		}
+	}
+	if first >= 0 {
+		plan.IterationCost = EstimateBodyCost(p.Body[first].(*mpl.While).Body, cm)
 	}
 
 	if plan.IterationCost > 0 {
@@ -189,8 +183,8 @@ const maxEqualizeRounds = 1000
 // Equalize repairs checkpoint-count imbalances between if branches by
 // prepending checkpoint statements to the lighter branch, until every path
 // carries the same number of checkpoints (checkpoint enumeration becomes
-// unambiguous). It returns the ids of the added statements. The program is
-// mutated.
+// unambiguous). It returns the ids of the added statements. The program's
+// Body is replaced by an edited copy, as InsertCheckpoints's is.
 //
 // Prepending (rather than appending) matters for Phase III convergence: a
 // checkpoint at the very start of a branch can only be reached causally
@@ -198,87 +192,91 @@ const maxEqualizeRounds = 1000
 // cannot sit downstream of a message and re-trigger the movement that
 // emptied the branch in the first place.
 func Equalize(p *mpl.Program) ([]int, error) {
+	ifStmt, thenN, elseN := cfg.Unbalanced(p.Body)
+	if ifStmt == nil {
+		return nil, nil
+	}
+	e := p.Edit()
+	defer e.Close()
 	var added []int
 	nextID := p.MaxStmtID() + 1
-	for round := 0; round < maxEqualizeRounds; round++ {
-		ifStmt, thenN, elseN := cfg.Unbalanced(p.Body)
-		if ifStmt == nil {
-			return added, nil
+	for round := 0; ifStmt != nil; round++ {
+		if round == maxEqualizeRounds {
+			return nil, errors.New("insert: equalization did not converge")
 		}
-		deficit := thenN - elseN
-		lighter := &ifStmt.Else
-		if deficit < 0 {
-			deficit = -deficit
-			lighter = &ifStmt.Then
-		}
-		for i := 0; i < deficit; i++ {
-			ck := &mpl.Chkpt{StmtBase: mpl.StmtBase{StmtID: nextID}}
+		lighter := mpl.Block{Owner: ifStmt.ID(), Else: thenN > elseN}
+		for range max(thenN-elseN, elseN-thenN) {
+			e.Insert(lighter, 0, e.Chkpt(nextID))
+			added = append(added, nextID)
 			nextID++
-			*lighter = append([]mpl.Stmt{ck}, *lighter...)
-			added = append(added, ck.ID())
 		}
+		ifStmt, thenN, elseN = cfg.Unbalanced(p.Body)
 	}
-	return nil, errors.New("insert: equalization did not converge")
+	return added, nil
 }
 
 // Coalesce removes redundant immediately-adjacent checkpoint statements
 // (two chkpts with no intervening statement), which checkpoint movement
-// can produce. It returns the number of statements removed. The program is
-// mutated.
-func Coalesce(p *mpl.Program) int { return coalesce(&p.Body, nil) }
+// can produce. It returns the number of statements removed. The program's
+// Body is replaced by an edited copy, as InsertCheckpoints's is.
+func Coalesce(p *mpl.Program) int {
+	removed, _ := coalesce(p, false)
+	return removed
+}
 
-// CoalesceUndoable is Coalesce that can be taken back: undo restores every
-// statement list Coalesce shortened, provided nothing else has touched the
-// program in between. With nothing removed it returns (0, nil) and
-// allocates nothing.
-func CoalesceUndoable(p *mpl.Program) (removed int, undo func()) {
-	var saved []savedList
-	if removed = coalesce(&p.Body, &saved); removed == 0 {
+// CoalesceUndoable is Coalesce that can be taken back: undo puts every
+// removed statement back where it was, provided nothing else has touched
+// the program in between; the lists it shortened, and the While and If
+// nodes above them, stay the edit's copies. With nothing removed it
+// returns (0, nil) and allocates nothing.
+func CoalesceUndoable(p *mpl.Program) (removed int, undo func()) { return coalesce(p, true) }
+
+// dup is a checkpoint statement that directly follows statement after, a
+// checkpoint too, in its list.
+type dup struct {
+	after int
+	ck    mpl.Stmt
+}
+
+func coalesce(p *mpl.Program, undoable bool) (int, func()) {
+	dups := redundant(nil, p.Body)
+	if len(dups) == 0 {
 		return 0, nil
 	}
-	lists := saved // the closure captures a copy, so saved stays on the stack
-	return removed, func() {
-		for _, sv := range lists {
-			*sv.list = append((*sv.list)[:0], sv.stmts...)
+	e := p.Edit()
+	defer e.Close()
+	for _, d := range dups {
+		e.Remove(d.ck.ID())
+	}
+	if !undoable {
+		return len(dups), nil
+	}
+	return len(dups), func() {
+		e := p.Edit()
+		defer e.Close()
+		for _, d := range dups { // in program order: a run's first is back before its second
+			b, i, _ := e.Locate(d.after)
+			e.Insert(b, i+1, d.ck)
 		}
 	}
 }
 
-// savedList is a statement list as it was before coalesce shortened it.
-type savedList struct {
-	list  *[]mpl.Stmt
-	stmts []mpl.Stmt
-}
-
-// coalesce compacts *list in place. The removed statements stay in the
-// backing array past the new length only until something overwrites them,
-// so with saved non-nil each list is copied before its first removal.
-func coalesce(list *[]mpl.Stmt, saved *[]savedList) int {
-	body := *list
-	removed := 0
-	out := body[:0]
-	prevChkpt := false
+// redundant appends to dups, in program order, every checkpoint of body
+// and the lists nested in it that directly follows another.
+func redundant(dups []dup, body []mpl.Stmt) []dup {
 	for i, s := range body {
-		if _, ok := s.(*mpl.Chkpt); ok {
-			if prevChkpt {
-				if saved != nil && len(out) == i { // nothing removed from this list yet
-					*saved = append(*saved, savedList{list, append([]mpl.Stmt(nil), body...)})
+		switch st := s.(type) {
+		case *mpl.Chkpt:
+			if i > 0 {
+				if prev, ok := body[i-1].(*mpl.Chkpt); ok {
+					dups = append(dups, dup{prev.ID(), st})
 				}
-				removed++
-				continue
 			}
-			prevChkpt = true
-		} else {
-			prevChkpt = false
-			switch st := s.(type) {
-			case *mpl.While:
-				removed += coalesce(&st.Body, saved)
-			case *mpl.If:
-				removed += coalesce(&st.Then, saved) + coalesce(&st.Else, saved)
-			}
+		case *mpl.While:
+			dups = redundant(dups, st.Body)
+		case *mpl.If:
+			dups = redundant(redundant(dups, st.Then), st.Else)
 		}
-		out = append(out, s)
 	}
-	*list = out
-	return removed
+	return dups
 }

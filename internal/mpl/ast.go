@@ -15,6 +15,8 @@ type Program struct {
 	// for them. Format does not print it; a program that did not come out
 	// of Transform has none, and every send is logged.
 	Quiet ChannelSet
+
+	edit *Edit // the memory of the program's edits (edit.go)
 }
 
 // ChannelSet is a set of channels from→to of a run of n processes, one bit
@@ -72,7 +74,10 @@ type Const struct {
 
 // Stmt is a program statement. Every statement carries a unique ID assigned
 // at parse (or build) time; the transformation phases address statements by
-// ID when moving checkpoints, and the runtime uses IDs as resume labels.
+// ID when moving checkpoints, and the runtime uses IDs as resume labels. A
+// statement, and the statement lists of a While or If, are immutable once
+// built, as expressions are: an Edit changes a program by copying what it
+// changes.
 type Stmt interface {
 	stmtNode()
 	// ID returns the statement's unique id within its program.

@@ -178,9 +178,8 @@ func (b *Builder) MustProgram() *Program {
 //
 // The copy is slab-allocated: a counting pre-pass sizes one typed slab per
 // concrete statement type, so cloning costs one allocation per statement
-// TYPE (plus the body backing array) instead of one per statement — the
-// difference between ~constant and ~program-sized allocation counts in
-// Phase III, which clones per Transform.
+// TYPE (plus the body backing array) instead of one per statement. The
+// transformation phases do not clone: they edit (Edit).
 func Clone(p *Program) *Program {
 	var n nodeCount
 	n.body(p.Body)

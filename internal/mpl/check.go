@@ -17,6 +17,10 @@ func (e *CheckError) Error() string {
 	return fmt.Sprintf("mpl: %s: %s", e.Pos, e.Msg)
 }
 
+// builtinFunc is the kind Check declares input, MPL's one builtin function,
+// as: a name no declaration may take and no expression may read bare.
+const builtinFunc = "builtin function"
+
 // checker carries Check's state. Methods instead of closures: Check runs
 // at every pipeline entry, and the per-call escaping closures (plus
 // unsized map growth) were measurable in the transform benchmark.
@@ -29,8 +33,11 @@ type checker struct {
 func (c *checker) expr(pos Pos, e Expr) {
 	switch n := e.(type) {
 	case *Ident:
-		if _, ok := c.declared[n.Name]; !ok {
+		switch kind, ok := c.declared[n.Name]; {
+		case !ok:
 			c.errs = append(c.errs, &CheckError{Pos: pos, Msg: fmt.Sprintf("undeclared identifier %q", n.Name)})
+		case kind == builtinFunc:
+			c.errs = append(c.errs, &CheckError{Pos: pos, Msg: fmt.Sprintf("%q is a %s: call it as %s(i)", n.Name, kind, n.Name)})
 		}
 	case *Input:
 		c.expr(pos, n.X)
@@ -84,7 +91,8 @@ func (c *checker) stmt(s Stmt) bool {
 //   - every referenced identifier is a declared variable, constant, or
 //     builtin;
 //   - the builtins rank/nproc and declared constants are never assigned or
-//     used as message buffers;
+//     used as message buffers, and the builtin function input is only
+//     called;
 //   - no name is declared twice (across vars, consts, and builtins);
 //   - statement IDs are unique.
 func Check(p *Program) error {
@@ -94,6 +102,7 @@ func Check(p *Program) error {
 	}
 	c.declared[BuiltinRank] = "builtin"
 	c.declared[BuiltinNproc] = "builtin"
+	c.declared[BuiltinInput] = builtinFunc
 	for _, cst := range p.Consts {
 		if kind, ok := c.declared[cst.Name]; ok {
 			c.errs = append(c.errs, &CheckError{Msg: fmt.Sprintf("constant %q redeclares %s", cst.Name, kind)})

@@ -20,6 +20,7 @@ var parseFuzzSeeds = []string{
 	"program \xff\nproc { }",
 	"program p\nproc { while 1 { } }",
 	"program p # comment\nproc { } # trailing",
+	"program p\nvar input, x\nproc { input = 3\nx = input + input(input) }",
 	// Deep nesting: blocks, parentheses and unary operators together.
 	"program p\nvar x\nproc { " + strings.Repeat("while 1 { ", 40) + "x = " + strings.Repeat("-(", 200) + "1" +
 		strings.Repeat(")", 200) + strings.Repeat(" }", 40) + " }",

@@ -218,6 +218,8 @@ func TestParseErrors(t *testing.T) {
 		{"non-ASCII digit", "program p\nvar x\nproc { x = ٣ }", `bad integer "٣"`, "3:12"},
 		// input, MPL's one builtin, takes exactly one argument.
 		{"input without argument", "program p\nvar x\nproc { x = input() }", "input takes 1 argument", "3:18"},
+		// Its name is reserved, as rank and nproc are.
+		{"input redeclared", "program p\nvar input, x\nproc { input = 3\nx = input + input(input) }", `variable "input" redeclares builtin function`, ""},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -254,6 +256,7 @@ func TestCheckErrors(t *testing.T) {
 		{"assign to const", "program p\nconst K = 1\nproc { K = 2 }", "must be a variable"},
 		{"send const buffer", "program p\nconst K = 1\nvar x\nproc { send(0, K) }", "must be a variable"},
 		{"redeclare builtin", "program p\nvar rank\nproc { }", "redeclares builtin"},
+		{"read input bare", "program p\nvar x\nproc { x = input + 1 }", `"input" is a builtin function`},
 		{"redeclare const", "program p\nconst K = 1\nvar K\nproc { }", "redeclares constant"},
 		{"bad builtin", "program p\nvar x\nproc { x = foo(1) }", `unknown builtin "foo"`},
 		{"input arity", "program p\nvar x\nproc { x = input(1, 2) }", "input takes 1 argument"},

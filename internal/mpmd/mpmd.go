@@ -127,6 +127,8 @@ func setStmtID(s mpl.Stmt, id int) {
 		st.StmtID = id
 	case *mpl.Bcast:
 		st.StmtID = id
+	case *mpl.Reduce:
+		st.StmtID = id
 	case *mpl.Chkpt:
 		st.StmtID = id
 	case *mpl.While:

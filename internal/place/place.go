@@ -45,10 +45,6 @@ type Options struct {
 	// Arena is not read: a call's scratch comes from a pooled workspace
 	// (skeleton). The field is kept for callers that still set it.
 	Arena *cfg.Arena
-	// AssumeOwned lets Ensure mutate the input program directly instead of
-	// cloning it first — for callers (like core.Transform) that already
-	// work on a private copy.
-	AssumeOwned bool
 }
 
 // DefaultOptions enables the loop-preservation optimization.
@@ -90,9 +86,9 @@ type Ordering struct {
 
 // Result reports the transformation.
 type Result struct {
-	// Program is the transformed program: a copy, the input left as it
-	// was — unless Options.AssumeOwned, under which it is the input itself,
-	// transformed in place.
+	// Program is the transformed program. It shares with the input every
+	// statement and block Phase III left as it was (mpl.Edit); the input
+	// is not changed.
 	Program *mpl.Program
 	// InitialViolations are the Condition-1 breaches of the input program
 	// (empty when the program was already safe).
@@ -204,10 +200,9 @@ func Ensure(p *mpl.Program, opts Options) (*Result, error) { return ensureTapped
 // as the round saw it and the round's findings — for the test that holds
 // each round, not only the result, to the rebuild-every-round reference.
 func ensureTapped(p *mpl.Program, opts Options, tap func(*mpl.Program, *analysis)) (*Result, error) {
-	prog := p
-	if !opts.AssumeOwned {
-		prog = mpl.Clone(p)
-	}
+	prog := &mpl.Program{Name: p.Name, Consts: p.Consts, Vars: p.Vars, Body: p.Body}
+	e := prog.Edit() // one edit for the call: a block is copied once
+	defer e.Close()
 	res := &Result{}
 
 	eq, err := insert.Equalize(prog)
@@ -414,69 +409,25 @@ func moveReason(index, moved, from, target int) string {
 }
 
 // moveChkptBefore removes the checkpoint statement chkptID from its block
-// and reinserts it immediately before statement targetID. It returns the
-// moved statement's id.
+// and reinserts it immediately before statement targetID, editing p as
+// mpl.Edit does. It returns the moved statement's id.
 func moveChkptBefore(p *mpl.Program, chkptID, targetID int) (int, error) {
-	var stmt mpl.Stmt
-	if p.Body = removeStmt(p.Body, chkptID, &stmt); stmt == nil {
+	e := p.Edit()
+	defer e.Close()
+	stmt := e.Remove(chkptID)
+	if stmt == nil {
 		return 0, fmt.Errorf("place: checkpoint statement #%d not found", chkptID)
 	}
 	ck, ok := stmt.(*mpl.Chkpt)
 	if !ok {
 		return 0, fmt.Errorf("place: statement #%d is %s, not a checkpoint", chkptID, mpl.DescribeStmt(stmt))
 	}
-	var done bool
-	if p.Body = insertBefore(p.Body, targetID, ck, &done); !done {
+	b, i, ok := e.Locate(targetID)
+	if !ok {
 		return 0, fmt.Errorf("place: reinsertion target #%d not found", targetID)
 	}
+	e.Insert(b, i, ck)
 	return ck.ID(), nil
-}
-
-// removeStmt removes the first statement with the given id from body and
-// the lists nested in it into *removed, unless *removed holds one already.
-func removeStmt(body []mpl.Stmt, id int, removed *mpl.Stmt) []mpl.Stmt {
-	out := body[:0]
-	for _, s := range body {
-		if s.ID() == id && *removed == nil {
-			*removed = s
-			continue
-		}
-		switch st := s.(type) {
-		case *mpl.While:
-			st.Body = removeStmt(st.Body, id, removed)
-		case *mpl.If:
-			st.Then = removeStmt(st.Then, id, removed)
-			st.Else = removeStmt(st.Else, id, removed)
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
-// insertBefore inserts stmt immediately before the first statement with
-// targetID in body and the lists nested in it, unless *done says it is in.
-func insertBefore(body []mpl.Stmt, targetID int, stmt mpl.Stmt, done *bool) []mpl.Stmt {
-	for i, s := range body {
-		if s.ID() == targetID && !*done {
-			*done = true
-			out := make([]mpl.Stmt, 0, len(body)+1)
-			out = append(out, body[:i]...)
-			out = append(out, stmt)
-			out = append(out, body[i:]...)
-			return out
-		}
-		switch st := s.(type) {
-		case *mpl.While:
-			st.Body = insertBefore(st.Body, targetID, stmt, done)
-		case *mpl.If:
-			st.Then = insertBefore(st.Then, targetID, stmt, done)
-			st.Else = insertBefore(st.Else, targetID, stmt, done)
-		}
-		if *done {
-			break
-		}
-	}
-	return body
 }
 
 // Check runs Condition 1 on a program without transforming it, returning

@@ -110,7 +110,8 @@ func FuzzLivenessPrune(f *testing.F) {
 }
 
 // FuzzTransformSource is the source-level theorem fuzz: parse the input,
-// transform and compile it, explore its interleavings at n ∈ {2, 3, 4}
+// transform it — which must leave the parsed program printing as before —
+// and compile it, explore its interleavings at n ∈ {2, 3, 4}
 // and at the highest rank a guard names plus 2, and require every straight
 // cut of every explored execution to be a recovery line. A refusal passes:
 // the transform's error, or the gate's ErrUnprovedN past the checked
@@ -135,7 +136,11 @@ func FuzzTransformSource(f *testing.F) {
 		if err != nil {
 			return
 		}
+		before := mpl.Format(p)
 		rep, err := core.Transform(p, core.DefaultConfig)
+		if after := mpl.Format(p); after != before {
+			t.Fatalf("Transform changed its input, which its output shares statements with\nbefore:\n%s\nafter:\n%s", before, after)
+		}
 		if err != nil {
 			return
 		}

@@ -39,7 +39,7 @@ func TestOptionSurface(t *testing.T) {
 // maxDocBytes together; a PR that adds to them cuts as much elsewhere.
 var docFiles = []string{"DESIGN.md", "EXPERIMENTS.md", "TESTING.md", "README.md"}
 
-const maxDocBytes = 262068
+const maxDocBytes = 262017
 
 // TestDocsDoNotGrow fails when docFiles total more than maxDocBytes.
 // scripts/loc.sh prints the same total as "docs".
