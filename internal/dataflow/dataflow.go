@@ -90,19 +90,15 @@ func (a *analyzer) intLit(v int) mpl.Expr {
 	return mpl.Int(v)
 }
 
-// sameAbstract compares abstract values. Equality is defined by rendering
-// (two values are the same when they print the same), but the common cases
-// — shared nodes and structurally identical trees — are decided without
-// allocating the strings; only structurally different trees that might
-// still print alike (e.g. associativity regroupings) pay for ExprString.
+// sameAbstract compares abstract values structurally (mpl.EqualExpr): the
+// same node, or trees of one shape, operators, names and literals. Two
+// values that differ in structure are different values, even where they
+// would print alike; no value is rendered inside the fixpoint.
 func sameAbstract(a, b mpl.Expr) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
-	if mpl.EqualExpr(a, b) {
-		return true
-	}
-	return mpl.ExprString(a) == mpl.ExprString(b)
+	return mpl.EqualExpr(a, b)
 }
 
 func (s state) equal(o state) bool {

@@ -73,15 +73,11 @@ func (e *Edit) Chkpt(id int) *Chkpt {
 // Insert puts s at position i of block b. It reports false when the
 // program has no statement b.Owner, and panics when that has no such list.
 func (e *Edit) Insert(b Block, i int, s Stmt) bool {
-	list := e.open(b)
+	list := e.open(b, 1)
 	if list == nil {
 		return false
 	}
-	l := *list
-	if len(l) == cap(l) {
-		l = e.copyBlock(l, 1)
-	}
-	l = l[:len(l)+1]
+	l := (*list)[:len(*list)+1]
 	copy(l[i+1:], l[i:])
 	l[i] = s
 	*list = l
@@ -96,7 +92,7 @@ func (e *Edit) Remove(id int) Stmt {
 	}
 	n := len(e.path) - 1
 	i := int(e.path[n].i)
-	list := e.block(e.path[:n])
+	list := e.block(e.path[:n], 0)
 	l := *list
 	s := l[i]
 	copy(l[i:], l[i+1:])
@@ -122,29 +118,31 @@ func (e *Edit) Locate(id int) (b Block, i int, ok bool) {
 	return b, int(e.path[n].i), true
 }
 
-// open returns block b made this edit's own, or nil when the program has
-// no statement b.Owner.
-func (e *Edit) open(b Block) *[]Stmt {
+// open returns block b made this edit's own with room for more statements
+// at its end, or nil when the program has no statement b.Owner.
+func (e *Edit) open(b Block, more int) *[]Stmt {
 	if b.Owner == TopLevel {
-		return e.block(nil)
+		return e.block(nil, more)
 	}
 	if !e.locate(b.Owner) {
 		return nil
 	}
 	e.path[len(e.path)-1].els = b.Else
-	return e.block(e.path)
+	return e.block(e.path, more)
 }
 
-// block returns the list steps lead to, made this edit's own with every
-// list and node on the way there: one that is not yet is copied, and the
-// copy put where the original was.
-func (e *Edit) block(steps []step) *[]Stmt {
+// block returns the list steps lead to, with room for more statements at
+// its end, made this edit's own with every list and node on the way there:
+// one that is not yet is copied, and the copy put where the original was.
+// The lists a call copies are cut from the chunk together.
+func (e *Edit) block(steps []step, more int) *[]Stmt {
+	e.reserve(e.copies(steps, more))
 	list := &e.p.Body
 	if bit := blockBit(TopLevel, false); !e.owns(bit) {
-		*list = e.copyBlock(*list, 0)
+		*list = e.copyBlock(*list, roomAt(0, steps, more))
 		e.mark(bit)
 	}
-	for _, st := range steps {
+	for k, st := range steps {
 		s := (*list)[st.i]
 		bit := blockBit(s.ID(), st.els)
 		if !e.owns(bit) {
@@ -155,12 +153,43 @@ func (e *Edit) block(steps []step) *[]Stmt {
 				(*list)[st.i] = s
 			}
 			l := arm(s, st.els)
-			*l = e.copyBlock(*l, 0)
+			*l = e.copyBlock(*l, roomAt(k+1, steps, more))
 			e.mark(bit)
 		}
 		list = arm(s, st.els)
 	}
+	if l := *list; cap(l)-len(l) < more {
+		*list = e.copyBlock(l, more) // a copy this edit has filled
+	}
 	return list
+}
+
+// roomAt is the room block gives the k-th list on the path steps lead
+// along: more for the last, none for those above it.
+func roomAt(k int, steps []step, more int) int {
+	if k == len(steps) {
+		return more
+	}
+	return 0
+}
+
+// copies returns how many list slots block(steps, more) cuts.
+func (e *Edit) copies(steps []step, more int) int {
+	n := 0
+	list := e.p.Body
+	owned := e.owns(blockBit(TopLevel, false))
+	for _, st := range steps {
+		if !owned {
+			n += len(list)
+		}
+		s := list[st.i]
+		owned = e.owns(blockBit(s.ID(), st.els))
+		list = *arm(s, st.els)
+	}
+	if !owned || cap(list)-len(list) < more {
+		n += len(list) + more
+	}
+	return n
 }
 
 // arm returns the list of s a step goes on in: a While's body, an If's
@@ -203,6 +232,13 @@ func (e *Edit) copyBlock(list []Stmt, more int) []Stmt {
 	out := cut(&e.stmts, len(list)+more)[:len(list)]
 	copy(out, list)
 	return out
+}
+
+// reserve makes room for n list slots in the chunk copies are cut from.
+func (e *Edit) reserve(n int) {
+	if cap(e.stmts)-len(e.stmts) < n {
+		e.stmts = make([]Stmt, 0, n)
+	}
 }
 
 // blockBit numbers the lists of statement id: 2(id+1) and 2(id+1)+1 for

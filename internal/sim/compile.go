@@ -22,7 +22,7 @@ import (
 )
 
 // OpCode enumerates instruction kinds.
-type OpCode int
+type OpCode uint8
 
 // Instruction opcodes.
 const (
@@ -66,15 +66,16 @@ func (o OpCode) String() string {
 	}
 }
 
-// Instr is one compiled instruction.
+// Instr is one compiled instruction: 40 bytes, so a program's instructions
+// cost half what they did with machine-word fields and a label per
+// instruction.
 type Instr struct {
 	Op     OpCode
-	StmtID int      // originating statement (-1 for synthetic jumps/halt)
-	Var    string   // assign target / message buffer
+	StmtID int32    // originating statement (-1 for synthetic jumps/halt)
+	Var    int32    // assign target / message buffer: a slot of Code.Vars
 	Expr   mpl.Expr // assign value, work amount, peer expression, or branch condition
-	Target int      // jump / branch-false target pc
-	Index  int      // chkpt: straight-cut index i
-	Label  string   // assign, chkpt: the event label ("x=", "C_2"), set by Compile
+	Target int32    // jump / branch-false target pc
+	Index  int32    // chkpt: straight-cut index i
 }
 
 // Code is a compiled program.
@@ -82,6 +83,10 @@ type Code struct {
 	Prog   *mpl.Program
 	Instrs []Instr
 	Enum   *cfg.Enumeration
+	// Vars names the variable slots instructions address: Prog.Vars in
+	// declaration order, then any undeclared assignment or receive target
+	// (a hand-built program that skipped mpl.Check may have one).
+	Vars []string
 	// Manifests maps each checkpoint statement's id to the variables live
 	// at that site (sorted), from the backward liveness pass. Keyed by
 	// statement id, not straight-cut index: two checkpoints in different
@@ -90,6 +95,9 @@ type Code struct {
 	Manifests map[int][]string
 	// consts is the constants map every process of every run of it reads.
 	consts map[string]int
+	// assignLabels[slot] ("x=") and chkptLabels[index] ("C_2") are the
+	// event labels, built once so the runtime builds no string per event.
+	assignLabels, chkptLabels []string
 }
 
 // Compile lowers a program to instructions. The checkpoint enumeration
@@ -103,51 +111,47 @@ func Compile(p *mpl.Program) (*Code, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	c := &Code{Prog: p, Enum: enum, Manifests: live.Live, consts: make(map[string]int, len(p.Consts))}
+	c := &Code{Prog: p, Enum: enum, Vars: live.Table.Names, Manifests: live.Live, consts: make(map[string]int, len(p.Consts))}
 	for _, k := range p.Consts {
 		c.consts[k.Name] = k.Value
 	}
 	c.Instrs = make([]Instr, 0, instrCount(p.Body)+1) // +1: the halt
-	if err := c.compileBody(p.Body); err != nil {
+	if err := c.compileBody(p.Body, live.Table.Index); err != nil {
 		return nil, err
 	}
 	c.emit(Instr{Op: OpHalt, StmtID: -1})
-	c.labelInstrs()
+	c.buildLabels()
 	return c, nil
 }
 
 // chkptLabelPrefix starts the event label of a checkpoint: "C_<index>".
 const chkptLabelPrefix = "C_"
 
-// labelInstrs sets Label on every assign and chkpt instruction, so the
-// runtime builds no string per executed event. All labels are cut from one
-// string: compiling pays one allocation for them, however many there are.
-func (c *Code) labelInstrs() {
+// buildLabels fills the label tables: one per variable slot and one per
+// checkpoint index (index 0 unused). Both are cut from one slice and every
+// label from one string, so compiling pays two allocations for them however
+// many there are.
+func (c *Code) buildLabels() {
 	size := 0
-	for _, in := range c.Instrs {
-		switch in.Op {
-		case OpAssign:
-			size += len(in.Var) + 1
-		case OpChkpt:
-			size += len(chkptLabelPrefix) + 20 // room for any int
-		}
+	for _, v := range c.Vars {
+		size += len(v) + 1
 	}
+	size += c.Enum.Count * (len(chkptLabelPrefix) + 20) // room for any int
 	var b strings.Builder
 	b.Grow(size)
-	for i := range c.Instrs {
-		in := &c.Instrs[i]
+	labels := make([]string, len(c.Vars)+c.Enum.Count+1)
+	c.assignLabels, c.chkptLabels = labels[:len(c.Vars)], labels[len(c.Vars):]
+	for slot, v := range c.Vars {
 		start := b.Len()
-		switch in.Op {
-		case OpAssign:
-			b.WriteString(in.Var)
-			b.WriteByte('=')
-		case OpChkpt:
-			b.WriteString(chkptLabelPrefix)
-			b.WriteString(strconv.Itoa(in.Index))
-		default:
-			continue
-		}
-		in.Label = b.String()[start:]
+		b.WriteString(v)
+		b.WriteByte('=')
+		c.assignLabels[slot] = b.String()[start:]
+	}
+	for i := 1; i <= c.Enum.Count; i++ {
+		start := b.Len()
+		b.WriteString(chkptLabelPrefix)
+		b.WriteString(strconv.Itoa(i))
+		c.chkptLabels[i] = b.String()[start:]
 	}
 }
 
@@ -173,48 +177,52 @@ func (c *Code) emit(i Instr) int {
 	return len(c.Instrs) - 1
 }
 
-func (c *Code) compileBody(body []mpl.Stmt) error {
+// here is the pc the next emitted instruction gets.
+func (c *Code) here() int32 { return int32(len(c.Instrs)) }
+
+func (c *Code) compileBody(body []mpl.Stmt, slots map[string]int) error {
 	for _, s := range body {
+		id := int32(s.ID())
 		switch st := s.(type) {
 		case *mpl.Assign:
-			c.emit(Instr{Op: OpAssign, StmtID: st.ID(), Var: st.Name, Expr: st.X})
+			c.emit(Instr{Op: OpAssign, StmtID: id, Var: int32(slots[st.Name]), Expr: st.X})
 		case *mpl.Work:
-			c.emit(Instr{Op: OpWork, StmtID: st.ID(), Expr: st.Amount})
+			c.emit(Instr{Op: OpWork, StmtID: id, Expr: st.Amount})
 		case *mpl.Send:
-			c.emit(Instr{Op: OpSend, StmtID: st.ID(), Var: st.Var, Expr: st.Dest})
+			c.emit(Instr{Op: OpSend, StmtID: id, Var: int32(slots[st.Var]), Expr: st.Dest})
 		case *mpl.Recv:
-			c.emit(Instr{Op: OpRecv, StmtID: st.ID(), Var: st.Var, Expr: st.Src})
+			c.emit(Instr{Op: OpRecv, StmtID: id, Var: int32(slots[st.Var]), Expr: st.Src})
 		case *mpl.Bcast:
-			c.emit(Instr{Op: OpBcast, StmtID: st.ID(), Var: st.Var, Expr: st.Root})
+			c.emit(Instr{Op: OpBcast, StmtID: id, Var: int32(slots[st.Var]), Expr: st.Root})
 		case *mpl.Reduce:
-			c.emit(Instr{Op: OpReduce, StmtID: st.ID(), Var: st.Var, Expr: st.Root})
+			c.emit(Instr{Op: OpReduce, StmtID: id, Var: int32(slots[st.Var]), Expr: st.Root})
 		case *mpl.Chkpt:
 			idx, ok := c.Enum.Index[st.ID()]
 			if !ok {
 				return fmt.Errorf("sim: checkpoint statement #%d not enumerated", st.ID())
 			}
-			c.emit(Instr{Op: OpChkpt, StmtID: st.ID(), Index: idx})
+			c.emit(Instr{Op: OpChkpt, StmtID: id, Index: int32(idx)})
 		case *mpl.While:
-			top := c.emit(Instr{Op: OpBranchFalse, StmtID: st.ID(), Expr: st.Cond})
-			if err := c.compileBody(st.Body); err != nil {
+			top := c.emit(Instr{Op: OpBranchFalse, StmtID: id, Expr: st.Cond})
+			if err := c.compileBody(st.Body, slots); err != nil {
 				return err
 			}
-			c.emit(Instr{Op: OpJump, StmtID: -1, Target: top})
-			c.Instrs[top].Target = len(c.Instrs)
+			c.emit(Instr{Op: OpJump, StmtID: -1, Target: int32(top)})
+			c.Instrs[top].Target = c.here()
 		case *mpl.If:
-			br := c.emit(Instr{Op: OpBranchFalse, StmtID: st.ID(), Expr: st.Cond})
-			if err := c.compileBody(st.Then); err != nil {
+			br := c.emit(Instr{Op: OpBranchFalse, StmtID: id, Expr: st.Cond})
+			if err := c.compileBody(st.Then, slots); err != nil {
 				return err
 			}
 			if len(st.Else) > 0 {
 				jmp := c.emit(Instr{Op: OpJump, StmtID: -1})
-				c.Instrs[br].Target = len(c.Instrs)
-				if err := c.compileBody(st.Else); err != nil {
+				c.Instrs[br].Target = c.here()
+				if err := c.compileBody(st.Else, slots); err != nil {
 					return err
 				}
-				c.Instrs[jmp].Target = len(c.Instrs)
+				c.Instrs[jmp].Target = c.here()
 			} else {
-				c.Instrs[br].Target = len(c.Instrs)
+				c.Instrs[br].Target = c.here()
 			}
 		default:
 			return fmt.Errorf("sim: unknown statement type %T", s)

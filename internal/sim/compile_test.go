@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/corpus"
 	"repro/internal/mpl"
@@ -166,6 +169,14 @@ func TestCompileRejectsUndeclaredSendVar(t *testing.T) {
 	}
 }
 
+// TestInstrLayout pins an instruction at 40 bytes: the instruction array is
+// most of what Compile allocates.
+func TestInstrLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Instr{}); size > 40 {
+		t.Errorf("sim.Instr is %d bytes, want at most 40", size)
+	}
+}
+
 func TestCompileWholeCorpus(t *testing.T) {
 	for name, p := range corpus.All() {
 		t.Run(name, func(t *testing.T) {
@@ -177,10 +188,21 @@ func TestCompileWholeCorpus(t *testing.T) {
 			for pc, in := range code.Instrs {
 				switch in.Op {
 				case OpJump, OpBranchFalse:
-					if in.Target < 0 || in.Target >= len(code.Instrs) {
+					if in.Target < 0 || int(in.Target) >= len(code.Instrs) {
 						t.Errorf("instr %d target %d out of range", pc, in.Target)
 					}
+				case OpAssign:
+					if got := code.assignLabels[in.Var]; got != code.Vars[in.Var]+"=" {
+						t.Errorf("instr %d assigns %s under label %q", pc, code.Vars[in.Var], got)
+					}
+				case OpChkpt:
+					if got := code.chkptLabels[in.Index]; got != fmt.Sprintf("C_%d", in.Index) {
+						t.Errorf("instr %d checkpoints %d under label %q", pc, in.Index, got)
+					}
 				}
+			}
+			if !slices.Equal(code.Vars[:len(p.Vars)], p.Vars) {
+				t.Errorf("variable slots %v do not start with the declared %v", code.Vars, p.Vars)
 			}
 			if code.Instrs[len(code.Instrs)-1].Op != OpHalt {
 				t.Error("program does not end in halt")

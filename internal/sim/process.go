@@ -414,11 +414,11 @@ func (p *Proc) run() error {
 			if err != nil {
 				return p.evalErr(in, err)
 			}
-			p.env.Vars[in.Var] = v
+			p.env.Vars[p.code.Vars[in.Var]] = v
 			if p.time != nil {
 				p.advance(p.time.Compute)
 			}
-			if err := p.record(trace.Event{Kind: trace.KindCompute, Label: in.Label}); err != nil {
+			if err := p.record(trace.Event{Kind: trace.KindCompute, Label: p.code.assignLabels[in.Var]}); err != nil {
 				return err
 			}
 			p.pc++
@@ -458,7 +458,7 @@ func (p *Proc) run() error {
 				return p.evalErr(in, err)
 			}
 			if dest >= 0 && dest < p.n && dest != p.rank {
-				if err := p.sendApp(dest, p.env.Vars[in.Var]); err != nil {
+				if err := p.sendApp(dest, p.env.Vars[p.code.Vars[in.Var]]); err != nil {
 					return err
 				}
 			}
@@ -469,7 +469,7 @@ func (p *Proc) run() error {
 				return p.evalErr(in, err)
 			}
 			if src >= 0 && src < p.n && src != p.rank {
-				if err := p.recvApp(src, in.Var); err != nil {
+				if err := p.recvApp(src, p.code.Vars[in.Var]); err != nil {
 					return err
 				}
 			}
@@ -483,7 +483,7 @@ func (p *Proc) run() error {
 				return fmt.Errorf("sim: process %d: bcast root %d out of range", p.rank, root)
 			}
 			if p.rank == root {
-				val := p.env.Vars[in.Var]
+				val := p.env.Vars[p.code.Vars[in.Var]]
 				for q := 0; q < p.n; q++ {
 					if q == p.rank {
 						continue
@@ -493,7 +493,7 @@ func (p *Proc) run() error {
 					}
 				}
 			} else {
-				if err := p.recvApp(root, in.Var); err != nil {
+				if err := p.recvApp(root, p.code.Vars[in.Var]); err != nil {
 					return err
 				}
 			}
@@ -511,7 +511,8 @@ func (p *Proc) run() error {
 				// accumulate into the root's own value. The temp buffer
 				// name contains '$' so it can never collide with a
 				// program identifier.
-				sum := p.env.Vars[in.Var]
+				name := p.code.Vars[in.Var]
+				sum := p.env.Vars[name]
 				for q := 0; q < p.n; q++ {
 					if q == p.rank {
 						continue
@@ -522,26 +523,26 @@ func (p *Proc) run() error {
 					sum += p.env.Vars[reduceTmpVar]
 				}
 				delete(p.env.Vars, reduceTmpVar)
-				p.env.Vars[in.Var] = sum
+				p.env.Vars[name] = sum
 			} else {
-				if err := p.sendApp(root, p.env.Vars[in.Var]); err != nil {
+				if err := p.sendApp(root, p.env.Vars[p.code.Vars[in.Var]]); err != nil {
 					return err
 				}
 			}
 			p.pc++
 		case OpChkpt:
-			take, err := p.hooks.AtChkptStmt(p, in.Index)
+			take, err := p.hooks.AtChkptStmt(p, int(in.Index))
 			if err != nil {
 				return err
 			}
 			if take {
-				if err := p.takeCheckpoint(in.Index, p.code.Manifests[in.StmtID], in.Label); err != nil {
+				if err := p.takeCheckpoint(int(in.Index), p.code.Manifests[int(in.StmtID)], p.code.chkptLabels[in.Index]); err != nil {
 					return err
 				}
 			}
 			p.pc++
 		case OpJump:
-			p.pc = in.Target
+			p.pc = int(in.Target)
 		case OpBranchFalse:
 			ok, err := mpl.Truthy(in.Expr, p.env)
 			if err != nil {
@@ -550,7 +551,7 @@ func (p *Proc) run() error {
 			if ok {
 				p.pc++
 			} else {
-				p.pc = in.Target
+				p.pc = int(in.Target)
 			}
 		case OpHalt:
 			p.emit(obs.Event{Kind: obs.KindHalt})

@@ -255,8 +255,9 @@ func (m *Machine) Step(p int) error {
 	switch ps.park.kind {
 	case parkSend:
 		dest := ps.park.peer
-		m.touchRead(p, in.Var)
-		value := ps.env.Vars[in.Var] // send/bcast/reduce all transmit Var
+		name := m.code.Vars[in.Var]
+		m.touchRead(p, name)
+		value := ps.env.Vars[name] // send/bcast/reduce all transmit Var
 		seq := ps.sendSeq[dest]
 		ps.sendSeq[dest] = seq + 1
 		ps.clock.Tick(p)
@@ -281,8 +282,9 @@ func (m *Machine) Step(p int) error {
 		ps.recvSeq[src] = mg.seq + 1
 		switch in.Op {
 		case sim.OpRecv, sim.OpBcast:
-			m.touchWrite(p, in.Var)
-			ps.env.Vars[in.Var] = mg.value
+			name := m.code.Vars[in.Var]
+			m.touchWrite(p, name)
+			ps.env.Vars[name] = mg.value
 		case sim.OpReduce:
 			ps.acc += mg.value
 		}
@@ -321,8 +323,9 @@ func (m *Machine) advanceAfterLeg(p int, in sim.Instr) error {
 		ps.sub++
 		if ps.sub >= m.n-1 {
 			if in.Op == sim.OpReduce {
-				m.touchRead(p, in.Var) // root folds its own contribution in
-				ps.env.Vars[in.Var] += ps.acc
+				name := m.code.Vars[in.Var]
+				m.touchRead(p, name) // root folds its own contribution in
+				ps.env.Vars[name] += ps.acc
 				ps.acc = 0
 			}
 			ps.sub = 0
@@ -349,8 +352,9 @@ func (m *Machine) normalize(p int) error {
 			if err != nil {
 				return m.evalErr(p, in, err)
 			}
-			m.touchWrite(p, in.Var)
-			ps.env.Vars[in.Var] = v
+			name := m.code.Vars[in.Var]
+			m.touchWrite(p, name)
+			ps.env.Vars[name] = v
 			ps.pc++
 		case sim.OpWork:
 			m.touchExprReads(p, in.Expr)
@@ -359,7 +363,7 @@ func (m *Machine) normalize(p int) error {
 			}
 			ps.pc++
 		case sim.OpJump:
-			ps.pc = in.Target
+			ps.pc = int(in.Target)
 		case sim.OpBranchFalse:
 			m.touchExprReads(p, in.Expr)
 			ok, err := mpl.Truthy(in.Expr, ps.env)
@@ -369,22 +373,23 @@ func (m *Machine) normalize(p int) error {
 			if ok {
 				ps.pc++
 			} else {
-				ps.pc = in.Target
+				ps.pc = int(in.Target)
 			}
 		case sim.OpChkpt:
 			// Checkpoints involve no interaction: they are local events
 			// taken eagerly, exactly like the application-driven protocol.
-			instance := ps.instances[in.Index]
-			ps.instances[in.Index] = instance + 1
+			index := int(in.Index)
+			instance := ps.instances[index]
+			ps.instances[index] = instance + 1
 			ps.clock.Tick(p)
 			m.tr.Append(trace.Event{
 				Proc: p, Kind: trace.KindCheckpoint, Clock: ps.clock,
-				Chkpt: trace.Checkpoint{CFGIndex: in.Index, Instance: instance},
-				Label: fmt.Sprintf("C_%d", in.Index),
+				Chkpt: trace.Checkpoint{CFGIndex: index, Instance: instance},
+				Label: fmt.Sprintf("C_%d", index),
 			})
 			if m.logRestore {
 				rec := &chkptRecord{
-					index: in.Index, instance: instance, stmtID: in.StmtID,
+					index: index, instance: instance, stmtID: int(in.StmtID),
 					pc: ps.pc + 1, vars: maps.Clone(ps.env.Vars), clock: ps.clock.Clone(),
 					sendSeq:    append([]int(nil), ps.sendSeq...),
 					recvSeq:    append([]int(nil), ps.recvSeq...),
@@ -392,7 +397,7 @@ func (m *Machine) normalize(p int) error {
 					readFirst:  make(map[string]bool),
 					unresolved: make(map[string]bool),
 				}
-				for _, name := range m.code.Manifests[in.StmtID] {
+				for _, name := range m.code.Manifests[int(in.StmtID)] {
 					rec.unresolved[name] = true
 				}
 				m.chkpts[p] = append(m.chkpts[p], rec)

@@ -212,11 +212,11 @@ func deliveredPairs(t *testing.T, code *sim.Code, n int) [][2]int {
 		in := code.Instrs[ps.pc]
 		switch {
 		case ps.park.kind == parkSend && in.Op == sim.OpSend:
-			sentBy[msgKey{p, ps.park.peer, ps.sendSeq[ps.park.peer]}] = in.StmtID
+			sentBy[msgKey{p, ps.park.peer, ps.sendSeq[ps.park.peer]}] = int(in.StmtID)
 		case ps.park.kind == parkRecv && in.Op == sim.OpRecv:
 			src := ps.park.peer
 			if s, ok := sentBy[msgKey{src, p, m.chans[src][p][0].seq}]; ok {
-				out = append(out, [2]int{s, in.StmtID})
+				out = append(out, [2]int{s, int(in.StmtID)})
 			}
 		}
 		if err := m.Step(p); err != nil {
