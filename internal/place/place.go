@@ -14,11 +14,13 @@
 //
 // With Options.PreserveLoops (the paper's end-of-§3.3 optimization, on by
 // default in DefaultOptions) a violating pair whose every causal path
-// traverses a backward control edge is NOT moved: such causality only
-// crosses loop iterations, so under Definition 2.3's latest-instance
-// straight cuts the recovery line is preserved provided checkpoint
-// completion follows message order; the pair is recorded as an ordering
-// constraint instead. The simulator verifies this empirically.
+// traverses a backward control edge is NOT moved when that causality can
+// only link one iteration of a loop to a later one on every process alike:
+// both checkpoints lie in a uniform loop L, their innermost common one, and
+// no causal path leaves L through its exit and reaches the later
+// checkpoint without a backward edge (preserved). The pair is recorded as
+// an ordering instead. Every other such pair is a violation, and its
+// straight cut is gathered as in base mode.
 package place
 
 import (
@@ -35,9 +37,9 @@ import (
 
 // Options configures Phase III.
 type Options struct {
-	// PreserveLoops keeps checkpoints inside loops when every violating
-	// path crosses a loop boundary (back edge), recording an ordering
-	// constraint instead of moving.
+	// PreserveLoops keeps checkpoints inside a uniform loop when every
+	// violating path crosses a backward edge and none leaves the loop
+	// and comes back without one, recording an ordering instead of moving.
 	PreserveLoops bool
 	// MaxIterations bounds the move-reanalyze fixpoint. Zero means the
 	// default (100).
@@ -76,8 +78,12 @@ type Move struct {
 	Reason     string // human-readable description
 }
 
-// Ordering is a loop-preserved pair: causality between the two checkpoint
-// statements exists only across loop iterations.
+// Ordering is a loop-preserved pair: every causal path between the two
+// checkpoint statements crosses a backward edge, both lie in a uniform
+// loop, their innermost common one, and no causal path leaves that loop
+// and reaches the later one without a backward edge. So the causality
+// runs from one iteration of the loop to a later one, and every process
+// runs the loop equally often.
 type Ordering struct {
 	Index       int
 	EarlierStmt int // the upstream checkpoint (C_i^A)
@@ -173,7 +179,7 @@ func (sk *skeleton) analyze(p *mpl.Program, a *analysis, opts Options) error {
 				if !reaches {
 					continue
 				}
-				if opts.PreserveLoops && !acyclic {
+				if opts.PreserveLoops && !acyclic && sk.preserved(from, to) {
 					a.orderings = append(a.orderings, Ordering{
 						Index: i, EarlierStmt: from.stmt, LaterStmt: to.stmt,
 					})
@@ -249,10 +255,11 @@ func ensureTapped(p *mpl.Program, opts Options, tap func(*mpl.Program, *analysis
 		if len(cur.violations) == 0 {
 			break
 		}
-		if res.Moves, err = sk.applyMoves(res.Moves, prog, cur, opts); err != nil {
+		gather := gathers(cur.violations[0], opts)
+		if res.Moves, err = sk.applyMoves(res.Moves, prog, cur, gather); err != nil {
 			return nil, err
 		}
-		if !opts.PreserveLoops {
+		if gather {
 			// Base mode gathers all members of the violating index at one
 			// position; merge the resulting adjacent duplicates so the
 			// index collapses to a single statement.
@@ -314,25 +321,32 @@ func dedupOrderings(in []Ordering) []Ordering {
 	return out
 }
 
+// gathers reports whether applyMoves gathers v's straight cut: in base
+// mode, and for a violation every causal path of which crosses a backward
+// edge, which moving one checkpoint by acyclic reach cannot repair.
+func gathers(v Violation, opts Options) bool { return !opts.PreserveLoops || v.ViaBackEdge }
+
 // applyMoves performs Algorithm 3.2 Step 2 for the first violation.
 //
-// In PreserveLoops mode (the default) only the downstream checkpoint
-// C_i^B moves, and "no path from C_i^A to a in Ĝ" uses acyclic
-// (back-edge-free) reachability — the notion that matches the mode's
-// violation definition, since cross-iteration causality is tolerated and
-// recorded as an ordering. The movement lands exactly before the point
+// For a violation with an acyclic witness in PreserveLoops mode (the
+// default) only the downstream checkpoint C_i^B moves, and "no path from
+// C_i^A to a in Ĝ" uses acyclic (back-edge-free) reachability — the notion
+// that matches the mode's violation definition, since cross-iteration
+// causality within a loop is tolerated and recorded as an ordering. The
+// movement lands exactly before the point
 // where the witness path γ enters C_i^B's dominator chain (the paper's "b
 // is the first node of the path ⟨ENTRY,…,C_B⟩ that is in γ"), because every
 // deeper chain edge has an upstream endpoint the violator can reach.
 //
-// In base mode all members of the violating straight cut S_i gather at one
-// position chosen with full (cyclic) reachability from every member; the
-// caller coalesces the resulting adjacent duplicates. Moving one member at
+// With gather (base mode, or a violation only backward edges witness) all
+// members of the violating straight cut S_i gather at one position chosen
+// with full (cyclic) reachability from every member; the caller coalesces
+// the resulting adjacent duplicates. Moving one member at
 // a time in base mode can livelock against re-equalization (the moved
 // checkpoint leaves its branch, equalization regrows it); gathering the
 // whole cut converges and is what the repeated application of Step 2
 // produces anyway once loop positions are all reachable via back edges.
-func (sk *skeleton) applyMoves(moves []Move, prog *mpl.Program, a *analysis, opts Options) ([]Move, error) {
+func (sk *skeleton) applyMoves(moves []Move, prog *mpl.Program, a *analysis, gather bool) ([]Move, error) {
 	from, to := a.firstFrom, a.firstTo
 	index := a.violations[0].Index
 
@@ -340,7 +354,7 @@ func (sk *skeleton) applyMoves(moves []Move, prog *mpl.Program, a *analysis, opt
 	// whose reach decides where to: positions in cks.
 	movers := []int{to}
 	sources := []int{from}
-	if !opts.PreserveLoops {
+	if gather {
 		movers = movers[:0]
 		for i, c := range a.cks {
 			if c.index == index {
@@ -351,7 +365,7 @@ func (sk *skeleton) applyMoves(moves []Move, prog *mpl.Program, a *analysis, opt
 	}
 	reached := func(s mpl.Stmt) bool {
 		for _, src := range sources {
-			if sk.reaches(a, &a.cks[src], s, opts.PreserveLoops) {
+			if sk.reaches(a, &a.cks[src], s, !gather) {
 				return true
 			}
 		}

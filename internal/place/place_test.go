@@ -432,7 +432,7 @@ func TestRoundAllocs(t *testing.T) {
 		t.Errorf("a repeated round allocates %.0f times, want 0", got)
 	}
 	moved := testing.AllocsPerRun(1, func() {
-		if _, err := sk.applyMoves(nil, p, a, opts); err != nil {
+		if _, err := sk.applyMoves(nil, p, a, gathers(a.violations[0], opts)); err != nil {
 			t.Fatal(err)
 		}
 		round()

@@ -48,6 +48,9 @@ type skeleton struct {
 	gaps   []gap
 	endGap []int32
 	preds  []int32 // backing of every gap's pred list
+	// whiles[l] is the while node of loop l (Ĝ numbers loops in program
+	// order, as the skeleton numbers nodes); whiles[0], the body's, is 0.
+	whiles []int32
 
 	next  int32      // place: the skeleton node the walk expects next
 	chain []mpl.Stmt // applyMoves: dominator chain scratch
@@ -117,10 +120,12 @@ func (sk *skeleton) build(p *mpl.Program) error {
 	}
 	n := len(g.Nodes)
 	ends := 0
+	sk.whiles = append(sk.whiles[:0], 0)
 	for _, nd := range g.Nodes {
 		switch nd.Stmt.(type) {
 		case *mpl.While:
 			ends++
+			sk.whiles = append(sk.whiles, int32(nd.ID))
 		case *mpl.If:
 			ends += 2
 		}
@@ -298,6 +303,32 @@ func (sk *skeleton) causal(from, to *ckpt) (reaches, acyclic bool) {
 		}
 	}
 	return reaches, false
+}
+
+// preserved reports whether a pair every causal path of which crosses a
+// backward edge may stay as it is, an Ordering: both checkpoints lie in a
+// uniform loop L, their innermost common one (Ĝ's loop facts), and no
+// causal path leaves L through its exit and reaches to without a backward
+// edge. A path from inside L reaches the exit by control alone, so that is
+// whether to's gap is reached from the exit without a backward edge.
+func (sk *skeleton) preserved(from, to *ckpt) bool {
+	l := sk.ext.CommonUniformLoop(sk.gaps[from.gap].loop, sk.gaps[to.gap].loop)
+	if l == 0 {
+		return false
+	}
+	exit := -1
+	for _, e := range sk.g.Succs(int(sk.whiles[l])) {
+		if e.Kind == cfg.EdgeFalse {
+			exit = e.To
+		}
+	}
+	beyond := sk.ext.ReachableExtended(exit, true)
+	for _, u := range sk.into(to.gap) {
+		if beyond.Has(int(u)) {
+			return false
+		}
+	}
+	return true
 }
 
 // reaches reports whether control and message edges of Ĝ lead from
