@@ -22,10 +22,14 @@
 // cut one at a time (cross-clear: its messages lose their log records), and
 // once the ranks its rank guards name, raised by 16 and run at the first n
 // that has them all (rank-shift: the runtime must refuse that n, or the
-// checker catch the run), and requires the checker to catch the sabotage;
-// a clean pass additionally requires the delete, prune-drop and
-// cross-clear detection rates to reach 95%, and every rank-shift mutant to
-// be refused or caught.
+// checker catch the run), and per uniform loop holding a checkpoint once
+// its exit and once its trip count (loop-exit: a send behind the loop feeds
+// a receive in it; trip-shift: odd ranks run it once more; Phase III's
+// check must report the violation, or the checker catch the run), and
+// requires the checker to catch the sabotage; a clean pass additionally
+// requires the delete, prune-drop and cross-clear detection rates to reach
+// 95%, and every rank-shift, loop-exit and trip-shift mutant to be refused
+// or caught.
 //
 // Every counterexample line prints the generator sub-seed and schedule
 // needed to replay it deterministically; -replay regenerates one program
@@ -113,7 +117,7 @@ func report(res *verify.Result, mutate, verbose bool, stdout, stderr io.Writer) 
 		for _, kind := range verify.MutationKinds(res.Mutation) {
 			ks := res.Mutation[kind]
 			refused := ""
-			if kind == verify.MutRankShift {
+			if kind == verify.MutRankShift || kind == verify.MutLoopExit || kind == verify.MutTripShift {
 				refused = fmt.Sprintf("refused %d, ", ks.Refused)
 			}
 			fmt.Fprintf(stdout, "mutation %-6s: %3d mutants, caught %3d (%sstatic %d, cut-contract %d, dynamic %d, runtime %d), rate %.1f%%\n",
@@ -132,9 +136,11 @@ func report(res *verify.Result, mutate, verbose bool, stdout, stderr io.Writer) 
 				code = 1
 			}
 		}
-		if ks := res.Mutation[verify.MutRankShift]; ks != nil && len(ks.Escaped) > 0 {
-			fmt.Fprintf(stderr, "chkptverify: %d rank-shift mutant(s) neither refused nor caught\n", len(ks.Escaped))
-			code = 1
+		for _, kind := range []verify.MutationKind{verify.MutRankShift, verify.MutLoopExit, verify.MutTripShift} {
+			if ks := res.Mutation[kind]; ks != nil && len(ks.Escaped) > 0 {
+				fmt.Fprintf(stderr, "chkptverify: %d %s mutant(s) neither refused nor caught\n", len(ks.Escaped), kind)
+				code = 1
+			}
 		}
 	}
 	if code == 0 {

@@ -59,7 +59,7 @@ func refAnalyze(p *mpl.Program, df *dataflow.Result, opts Options) (*refAnalysis
 				}
 				needsBack := ext.CausalNeedsBack(from, to)
 				fromStmt, toStmt := g.Nodes[from].Stmt.ID(), g.Nodes[to].Stmt.ID()
-				if opts.PreserveLoops && needsBack {
+				if opts.PreserveLoops && needsBack && refPreserved(ext, from, to) {
 					a.orderings = append(a.orderings, Ordering{Index: i, EarlierStmt: fromStmt, LaterStmt: toStmt})
 					continue
 				}
@@ -71,6 +71,48 @@ func refAnalyze(p *mpl.Program, df *dataflow.Result, opts Options) (*refAnalysis
 		}
 	}
 	return a, nil
+}
+
+// refPreserved is the loop rule on the whole CFG: checkpoint nodes from and
+// to have an innermost common loop that is uniform, or one around it is,
+// and to is not reached from that loop's exit without a backward edge.
+func refPreserved(ext *match.Extended, from, to int) bool {
+	lf, _ := ext.Scope(from)
+	lt, _ := ext.Scope(to)
+	around := map[int32]bool{}
+	for l := lf; ; l, _ = ext.Loop(l) {
+		around[l] = true
+		if l == 0 {
+			break
+		}
+	}
+	l := lt
+	for !around[l] {
+		l, _ = ext.Loop(l)
+	}
+	for {
+		up, uniform := ext.Loop(l)
+		if uniform {
+			break
+		}
+		l = up
+	}
+	if l == 0 {
+		return false
+	}
+	// Loops are numbered in program order from 1, as the nodes are.
+	var whiles []int
+	for _, n := range ext.G.Nodes {
+		if _, ok := n.Stmt.(*mpl.While); ok {
+			whiles = append(whiles, n.ID)
+		}
+	}
+	for _, e := range ext.G.Succs(whiles[l-1]) {
+		if e.Kind == cfg.EdgeFalse {
+			return !ext.ReachableExtended(e.To, true).Has(to)
+		}
+	}
+	panic("reference: a while node without a false edge")
 }
 
 // enumerateGraph applies an Enumeration to a graph, returning for each
@@ -122,12 +164,13 @@ func refEnsure(p *mpl.Program, opts Options, tap func(*mpl.Program, []Violation,
 		if len(cur.violations) == 0 {
 			break
 		}
-		moves, err := refApplyMoves(prog, cur, opts)
+		gather := !opts.PreserveLoops || cur.violations[0].ViaBackEdge
+		moves, err := refApplyMoves(prog, cur, gather)
 		if err != nil {
 			return nil, err
 		}
 		res.Moves = append(res.Moves, moves...)
-		if !opts.PreserveLoops {
+		if gather {
 			res.CoalescedStmts += insert.Coalesce(prog)
 		}
 		eq, err := insert.Equalize(prog)
@@ -166,12 +209,12 @@ func refDedupOrderings(in []Ordering) []Ordering {
 	return out
 }
 
-func refApplyMoves(prog *mpl.Program, a *refAnalysis, opts Options) ([]Move, error) {
+func refApplyMoves(prog *mpl.Program, a *refAnalysis, gather bool) ([]Move, error) {
 	g := a.ext.G
 	index := a.violations[0].Index
 	var moveStmts []int
 	reach := cfg.NewBitset(len(g.Nodes))
-	if opts.PreserveLoops {
+	if !gather {
 		moveStmts = []int{g.Nodes[a.firstTo].Stmt.ID()}
 		reach.UnionWith(a.ext.ReachableExtended(a.firstFrom, true))
 	} else {
@@ -261,8 +304,52 @@ func generatedPrograms(t *testing.T) map[string]*mpl.Program {
 // handWritten are programs whose checkpoints sit in the gaps the generators
 // rarely produce: behind an if whose message arrives through the else
 // branch, at the end of an if branch that ends a while body, alone in a
-// while body, two to a gap, behind an if inside an if branch.
+// while body, two to a gap, behind an if inside an if branch; and pairs
+// only backward edges link: loopgap and aligngap's shapes, the first inside
+// an outer loop, and a ring in nested uniform loops.
 var handWritten = []string{`
+program loopgap_nested
+var d, tok, i, j
+proc {
+    j = 0
+    while j < 2 {
+        i = 0
+        if rank == 0 { send(1, d) }
+        while i < 2 {
+            if rank == 1 { recv(0, tok) }
+            chkpt
+            i = i + 1
+        }
+        if rank == 0 { send(1, d) }
+        j = j + 1
+    }
+}`, `
+program aligngap
+var d, tok, i
+proc {
+    i = 0
+    while i < rank + 1 {
+        if rank == 0 { send(1, d) }
+        if rank == 1 { recv(0, tok) }
+        i = i + 1
+    }
+    if rank == 0 { chkpt  send(1, d) } else { chkpt }
+}`, `
+program nested_ring
+var d, tok, i, j
+proc {
+    j = 0
+    while j < 2 {
+        i = 0
+        while i < 2 {
+            chkpt
+            send((rank + 1) % nproc, d)
+            recv((rank + nproc - 1) % nproc, tok)
+            i = i + 1
+        }
+        j = j + 1
+    }
+}`, `
 program selfpair_else
 var a, tmp
 proc {

@@ -110,14 +110,15 @@ func FuzzLivenessPrune(f *testing.F) {
 }
 
 // FuzzTransformSource is the source-level theorem fuzz: parse the input,
-// transform it — which must leave the parsed program printing as before —
-// and compile it, explore its interleavings at n ∈ {2, 3, 4}
+// transform it in both loop modes — which must leave the parsed program
+// printing as before — and compile it, explore its interleavings at n ∈ {2, 3, 4}
 // and at the highest rank a guard names plus 2, and require every straight
 // cut of every explored execution to be a recovery line. A refusal passes:
 // the transform's error, or the gate's ErrUnprovedN past the checked
 // range. So does input that is no program, and an exploration that ends in
 // a deadlock, an evaluation error or its instruction budget. The seeds are
-// the printed corpus and the witnesses a one-to-one matcher let through.
+// the printed corpus, the witnesses a one-to-one matcher let through and
+// the two the loop optimization once certified.
 // Run with `go test -fuzz FuzzTransformSource`; the seed corpus runs under
 // plain `go test`.
 func FuzzTransformSource(f *testing.F) {
@@ -125,7 +126,7 @@ func FuzzTransformSource(f *testing.F) {
 		f.Add(mpl.Format(p))
 	}
 	srcs := witnesses(f)
-	for _, name := range []string{"far", "gap", "gap2", "gap3"} {
+	for _, name := range []string{"far", "gap", "gap2", "gap3", "loopgap", "aligngap"} {
 		f.Add(srcs[name])
 	}
 	f.Fuzz(func(t *testing.T, src string) {
@@ -136,37 +137,39 @@ func FuzzTransformSource(f *testing.F) {
 		if err != nil {
 			return
 		}
-		before := mpl.Format(p)
-		rep, err := core.Transform(p, core.DefaultConfig)
-		if after := mpl.Format(p); after != before {
-			t.Fatalf("Transform changed its input, which its output shares statements with\nbefore:\n%s\nafter:\n%s", before, after)
-		}
-		if err != nil {
-			return
-		}
-		code, err := sim.Compile(rep.Program)
-		if err != nil {
-			t.Fatalf("transformed program does not compile: %v", err)
-		}
 		ns := []int{2, 3, 4}
 		if top := topGuardedRank(p) + 2; top > 4 && top <= 24 {
 			ns = append(ns, top)
 		}
-		for _, n := range ns {
-			if errors.Is(sim.CheckProof(rep.Program, n), sim.ErrUnprovedN) {
+		before := mpl.Format(p)
+		for _, conf := range []core.Config{core.DefaultConfig, {PreserveLoops: false}} {
+			rep, err := core.Transform(p, conf)
+			if after := mpl.Format(p); after != before {
+				t.Fatalf("Transform changed its input, which its output shares statements with\nbefore:\n%s\nafter:\n%s", before, after)
+			}
+			if err != nil {
 				continue
 			}
-			opts := ExploreOptions{Depth: 4, MaxSchedules: 16, Budget: 1 << 16}
-			Explore(code, n, DefaultInput, opts, func(m *Machine) error {
-				chk, err := CheckTrace(m.Trace())
-				if err != nil {
-					return err
+			code, err := sim.Compile(rep.Program)
+			if err != nil {
+				t.Fatalf("PreserveLoops %v: transformed program does not compile: %v", conf.PreserveLoops, err)
+			}
+			for _, n := range ns {
+				if errors.Is(sim.CheckProof(rep.Program, n), sim.ErrUnprovedN) {
+					continue
 				}
-				for _, v := range chk.Violations {
-					t.Errorf("n=%d schedule=%v: %s", n, m.Schedule(), v)
-				}
-				return nil
-			})
+				opts := ExploreOptions{Depth: 4, MaxSchedules: 16, Budget: 1 << 16}
+				Explore(code, n, DefaultInput, opts, func(m *Machine) error {
+					chk, err := CheckTrace(m.Trace())
+					if err != nil {
+						return err
+					}
+					for _, v := range chk.Violations {
+						t.Errorf("PreserveLoops %v, n=%d schedule=%v: %s", conf.PreserveLoops, n, m.Schedule(), v)
+					}
+					return nil
+				})
+			}
 		}
 	})
 }

@@ -284,13 +284,16 @@ func verifyProgram(res *Result, sub int64, code *sim.Code, n int, opts Options, 
 
 // runMutation sabotages the transformed program one checkpoint at a time
 // — plus, per checkpoint site, one live manifest variable at a time, one
-// crossing channel's log at a time, and once its rank guards' ranks — and
+// crossing channel's log at a time, once its rank guards' ranks, and per
+// uniform loop holding a checkpoint its exit and its trip count — and
 // records how each mutant was (or was not) caught.
 func runMutation(res *Result, sub int64, transformed *mpl.Program, code *sim.Code, profile map[int]map[string]bool, crossing map[Channel]bool, indexSets map[int]map[int]bool, opts Options) {
 	muts := AllMutants(transformed)
 	muts = append(muts, PruneDropMutants(code.Manifests, profile)...)
 	muts = append(muts, CrossClearMutants(transformed, crossing)...)
 	muts = append(muts, RankShiftMutants(transformed)...)
+	muts = append(muts, LoopExitMutants(transformed)...)
+	muts = append(muts, TripShiftMutants(transformed)...)
 	for _, mut := range muts {
 		ks := res.Mutation[mut.Kind]
 		if ks == nil {
@@ -306,6 +309,8 @@ func runMutation(res *Result, sub int64, transformed *mpl.Program, code *sim.Cod
 			outcome = classifyCrossClear(mut, opts)
 		case MutRankShift:
 			outcome = classifyRankShift(mut, opts)
+		case MutLoopExit, MutTripShift:
+			outcome = classifyLoopMutant(mut, indexSets, opts)
 		default:
 			outcome = classifyMutant(mut, indexSets, opts)
 		}
@@ -417,6 +422,22 @@ func classifyRankShift(mut Mutant, opts Options) string {
 		return "refused"
 	}
 	return classifyMutant(mut, map[int]map[int]bool{mut.N: nil}, opts)
+}
+
+// classifyLoopMutant runs a loop operator's mutant past Phase III's
+// Condition 1 in DefaultConfig's loop mode first, which must not let the
+// loop rule keep a pair the mutation broke: "static" when it reports a
+// violation, "refused" when it refuses the program; else the trace
+// ladder's verdict.
+func classifyLoopMutant(mut Mutant, indexSets map[int]map[int]bool, opts Options) string {
+	violations, err := core.Verify(mut.Prog, core.DefaultConfig)
+	switch {
+	case err != nil:
+		return "refused"
+	case len(violations) > 0:
+		return "static"
+	}
+	return classifyMutant(mut, indexSets, opts)
 }
 
 // restoreCatches explores code at every process count of indexSets with

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/dataflow"
 	"repro/internal/mpl"
 )
 
@@ -45,6 +46,17 @@ const (
 	// runs at the largest new constant + 2, where the runtime's proof gate
 	// must refuse it or the trace deciders catch it.
 	MutRankShift
+	// MutLoopExit adds, right behind a uniform loop that holds a
+	// checkpoint in its body, a send from rank 0 that feeds a receive rank
+	// 1 runs once inside the loop, in front of that checkpoint — loopgap's
+	// shape: the path leaves the loop through its exit and comes back by a
+	// message. Rank 1's first iteration then waits for rank 0's last, so
+	// rank 0's latest checkpoint happens before rank 1's.
+	MutLoopExit
+	// MutTripShift raises the bound of a uniform loop that holds a
+	// checkpoint in its body by rank % 2 — aligngap's shape: odd ranks run
+	// it once more, so its iterations no longer align across processes.
+	MutTripShift
 )
 
 // rankShift is what MutRankShift adds to a rank.
@@ -65,6 +77,10 @@ func (k MutationKind) String() string {
 		return "cross-clear"
 	case MutRankShift:
 		return "rank-shift"
+	case MutLoopExit:
+		return "loop-exit"
+	case MutTripShift:
+		return "trip-shift"
 	default:
 		return fmt.Sprintf("mutation(%d)", int(k))
 	}
@@ -342,6 +358,115 @@ func RankShiftMutants(p *mpl.Program) []Mutant {
 		Prog: cp, Kind: MutRankShift, N: n,
 		Desc: fmt.Sprintf("raise ranks %v by %d, run at n=%d", ranks, rankShift, n),
 	}}
+}
+
+// uniformLoops returns the location of every while statement of p that
+// runs equally often on every process — its condition and every enclosing
+// while's are uniform — and holds a checkpoint in its own body, in body
+// order: (*slot.list)[slot.pos] is the *mpl.While.
+func uniformLoops(p *mpl.Program) []bodySlot {
+	df := dataflow.Analyze(p)
+	var out []bodySlot
+	var walk func(list *[]mpl.Stmt, uniform bool)
+	walk = func(list *[]mpl.Stmt, uniform bool) {
+		for pos, s := range *list {
+			switch st := s.(type) {
+			case *mpl.While:
+				u := uniform && df.Branches[st.ID()].Uniform
+				if u && slices.ContainsFunc(st.Body, func(s mpl.Stmt) bool { _, ok := s.(*mpl.Chkpt); return ok }) {
+					out = append(out, bodySlot{list: list, pos: pos})
+				}
+				walk(&st.Body, u)
+			case *mpl.If:
+				walk(&st.Then, uniform)
+				walk(&st.Else, uniform)
+			}
+		}
+	}
+	walk(&p.Body, true)
+	return out
+}
+
+// freshVar declares a variable of p named after base that p does not use.
+func freshVar(p *mpl.Program, base string) string {
+	name := base
+	for slices.Contains(p.Vars, name) {
+		name += "_"
+	}
+	p.Vars = append(p.Vars, name)
+	return name
+}
+
+// LoopExitMutants returns one mutant per uniform loop holding a checkpoint
+// (uniformLoops): with flag and tok fresh variables, the loop becomes
+//
+//	flag = 0
+//	while … { …; if rank == 1 { if flag == 0 { recv(0, tok) } }; flag = 1; chkpt; … }
+//	if rank == 0 { send(1, tok) }
+//
+// with the receive in front of the body's first checkpoint. The mutant's
+// channels are no longer the ones the send-log rule proved quiet, so it
+// has no Quiet.
+func LoopExitMutants(p *mpl.Program) []Mutant {
+	n := len(uniformLoops(p))
+	out := make([]Mutant, 0, n)
+	for site := 0; site < n; site++ {
+		cp := mpl.Clone(p)
+		cp.Quiet = nil
+		s := uniformLoops(cp)[site]
+		w := (*s.list)[s.pos].(*mpl.While)
+		flag, tok := freshVar(cp, "exitflag"), freshVar(cp, "exittok")
+		id := cp.MaxStmtID()
+		next := func() mpl.StmtBase { id++; return mpl.StmtBase{StmtID: id} }
+		k := slices.IndexFunc(w.Body, func(s mpl.Stmt) bool { _, ok := s.(*mpl.Chkpt); return ok })
+		recv := &mpl.If{StmtBase: next(), Cond: mpl.Eq(mpl.Rank(), mpl.Int(1)), Then: []mpl.Stmt{
+			&mpl.If{StmtBase: next(), Cond: mpl.Eq(mpl.V(flag), mpl.Int(0)), Then: []mpl.Stmt{
+				&mpl.Recv{StmtBase: next(), Src: mpl.Int(0), Var: tok},
+			}},
+		}}
+		w.Body = slices.Concat(w.Body[:k:k], []mpl.Stmt{recv, &mpl.Assign{StmtBase: next(), Name: flag, X: mpl.Int(1)}}, w.Body[k:])
+		reset := &mpl.Assign{StmtBase: next(), Name: flag, X: mpl.Int(0)}
+		send := &mpl.If{StmtBase: next(), Cond: mpl.Eq(mpl.Rank(), mpl.Int(0)), Then: []mpl.Stmt{
+			&mpl.Send{StmtBase: next(), Dest: mpl.Int(1), Var: tok},
+		}}
+		list := *s.list
+		*s.list = slices.Concat(list[:s.pos:s.pos], []mpl.Stmt{reset, w, send}, list[s.pos+1:])
+		out = append(out, Mutant{
+			Prog: cp, Kind: MutLoopExit, Site: site,
+			Desc: fmt.Sprintf("send behind loop #%d into a receive in front of its checkpoint (loop %d)", w.ID(), site),
+		})
+	}
+	return out
+}
+
+// TripShiftMutants returns one mutant per uniform loop holding a checkpoint
+// (uniformLoops) whose condition compares with <, <=, > or >=: its bound,
+// the side the counter runs toward, raised by rank % 2.
+func TripShiftMutants(p *mpl.Program) []Mutant {
+	n := len(uniformLoops(p))
+	var out []Mutant
+	for site := 0; site < n; site++ {
+		cp := mpl.Clone(p)
+		w := func() *mpl.While { s := uniformLoops(cp)[site]; return (*s.list)[s.pos].(*mpl.While) }()
+		c, ok := w.Cond.(*mpl.Binary)
+		if !ok {
+			continue
+		}
+		shift := func(e mpl.Expr) mpl.Expr { return mpl.Add(e, mpl.Mod(mpl.Rank(), mpl.Int(2))) }
+		switch c.Op {
+		case mpl.OpLt, mpl.OpLe:
+			w.Cond = &mpl.Binary{Op: c.Op, L: c.L, R: shift(c.R)}
+		case mpl.OpGt, mpl.OpGe:
+			w.Cond = &mpl.Binary{Op: c.Op, L: shift(c.L), R: c.R}
+		default:
+			continue
+		}
+		out = append(out, Mutant{
+			Prog: cp, Kind: MutTripShift, Site: site,
+			Desc: fmt.Sprintf("raise loop #%d's bound by rank %% 2 (loop %d)", w.ID(), site),
+		})
+	}
+	return out
 }
 
 // cloneWithID copies a statement and assigns it a fresh id, for

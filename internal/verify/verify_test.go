@@ -263,76 +263,62 @@ func TestMutationModeCatchesSabotage(t *testing.T) {
 	if skew != nil && skew.Total > 0 && skew.CaughtDynamic == 0 {
 		t.Errorf("no skew mutant was caught DYNAMICALLY (total %d): the Figure 2 path is untested", skew.Total)
 	}
-	if shift := res.Mutation[MutRankShift]; shift != nil && len(shift.Escaped) > 0 {
-		t.Errorf("rank-shift mutants neither refused nor caught: %v", shift.Escaped)
+	for _, kind := range []MutationKind{MutRankShift, MutLoopExit, MutTripShift} {
+		if ks := res.Mutation[kind]; ks != nil && len(ks.Escaped) > 0 {
+			t.Errorf("%s mutants neither refused nor caught: %v", kind, ks.Escaped)
+		}
 	}
 }
 
-// A rank-shift mutant moves the ranks its guards name past the process
-// counts Phase II checks: far's twin (ROADMAP 24), an exchange between
-// ranks 2 and 3, becomes far itself, on ranks 18 and 19. The mutant of the
-// transformed twin, whose repair holds at no n past 17, runs at n = 21,
-// where the runtime refuses it; the original is untouched.
-func TestRankShiftMutantsNeverPass(t *testing.T) {
-	const twin = `
-program twin
-var x, y, iter
+// The loop operators rebuild loopgap's and aligngap's shapes inside a
+// program the transform certified, a uniform loop holding a checkpoint
+// whose ring orders each iteration's checkpoints after the last's: each
+// mutant leaves the original as it was, and Phase III's check reports it.
+// A loop-exit mutant is unsafe at run time too, where no other message
+// runs: rank 1's first iteration waits for rank 0 to leave the loop.
+func TestLoopMutantsAreReported(t *testing.T) {
+	const src = `
+program looped
+var x, i
 proc {
-    x = rank + 1
-    iter = 0
-    while iter < 4 {
-        if rank == 2 { chkpt  send(3, x)  recv(3, y) }
-        else { if rank == 3 { recv(2, y)  send(2, x)  chkpt }
-               else { chkpt } }
-        x = x + y
-        iter = iter + 1
+    i = 0
+    while i < 2 {
+        chkpt
+        x = x + 1
+        send((rank + 1) % nproc, x)
+        recv((rank + nproc - 1) % nproc, x)
+        i = i + 1
     }
 }
 `
-	parse := func(src string) *mpl.Program {
+	transform := func(src string) *mpl.Program {
 		p, err := mpl.Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p
+		rep, err := core.Transform(p, core.DefaultConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Program
 	}
-	far := parse(strings.NewReplacer("2", "18", "3", "19").Replace(twin))
-	if muts := RankShiftMutants(parse(twin)); len(muts) != 1 || mpl.Format(muts[0].Prog) != mpl.Format(far) {
-		t.Fatalf("the twin's mutants are not far: %+v", muts)
+	p := transform(src)
+	orig := mpl.Format(p)
+	exits, shifts := LoopExitMutants(p), TripShiftMutants(p)
+	if len(exits) != 1 || len(shifts) != 1 {
+		t.Fatalf("%d loop-exit and %d trip-shift mutants, want one of each", len(exits), len(shifts))
 	}
-	rep, err := core.Transform(parse(twin), core.DefaultConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := mpl.Format(rep.Program)
-	muts := RankShiftMutants(rep.Program)
-	if len(muts) != 1 || muts[0].N != 21 {
-		t.Fatalf("want 1 mutant, run at n = 21: %+v", muts)
-	}
-	if mpl.Format(rep.Program) != orig {
+	if mpl.Format(p) != orig {
 		t.Fatal("mutation aliased the original program")
 	}
-	if out := classifyRankShift(muts[0], Options{Depth: 2, MaxSchedules: 8}); out != "refused" {
-		t.Errorf("%s: verdict %q, want refused", muts[0].Desc, out)
-	}
-}
-
-func TestMutantsAreStructurallyDistinct(t *testing.T) {
-	rep, err := core.Transform(Generate(3), core.DefaultConfig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := mpl.Format(rep.Program)
-	muts := AllMutants(rep.Program)
-	if len(muts) == 0 {
-		t.Fatal("no mutants for a transformed program")
-	}
-	for _, mu := range muts {
-		if mpl.Format(mu.Prog) == orig {
-			t.Errorf("%s: mutant identical to original", mu.Desc)
+	for _, mut := range append(exits, shifts...) {
+		if out := classifyLoopMutant(mut, nil, Options{Depth: 2, MaxSchedules: 8}); out != "static" {
+			t.Errorf("%s: verdict %q, want static\n%s", mut.Desc, out, mpl.Format(mut.Prog))
 		}
-		if mpl.Format(rep.Program) != orig {
-			t.Fatalf("%s: mutation aliased the original program", mu.Desc)
-		}
+	}
+	quiet := transform(strings.NewReplacer("send((rank + 1) % nproc, x)", "", "recv((rank + nproc - 1) % nproc, x)", "").Replace(src))
+	exit := LoopExitMutants(quiet)[0]
+	if out := classifyMutant(exit, map[int]map[int]bool{2: nil, 3: nil}, Options{Depth: 2, MaxSchedules: 8}); out != "dynamic" {
+		t.Errorf("%s: the trace ladder says %q, want dynamic", exit.Desc, out)
 	}
 }

@@ -87,20 +87,23 @@ func TestGapWitnessesAreRepaired(t *testing.T) {
 }
 
 // loopgap's second send feeds the receive's second iteration: Ĝ has that
-// edge, so base placement sees the violation and repairs it. (Preserve mode
-// still certifies the program; TESTING lists the escape.)
+// edge, so base placement sees the violation and repairs it. So does
+// preserve mode: the path leaves the checkpoint's loop through its exit and
+// comes back by a message.
 func TestLoopgapEdgeAndBaseRepair(t *testing.T) { secondSendEdgeAndBaseRepair(t, "loopgap") }
 
 // aligngap's loop runs rank + 1 times, so rank 1 receives once more than
 // rank 0 sends in it, and the send after the loop feeds that extra
 // iteration. Pairing the two ranks' loops as if they ran equally often left
 // the edge out of Ĝ, and both modes certified the program; a loop whose
-// condition is not uniform now crosses the rest of the channel. (Preserve
-// mode still certifies it, as it does loopgap; TESTING lists the escape.)
+// condition is not uniform now crosses the rest of the channel. Preserve
+// mode repairs it too: the backward edge its path needs is a loop's that
+// holds neither checkpoint.
 func TestAligngapEdgeAndBaseRepair(t *testing.T) { secondSendEdgeAndBaseRepair(t, "aligngap") }
 
 // secondSendEdgeAndBaseRepair requires Ĝ to pair both sends of witness name
-// with its one receive, and base mode to report a violation and repair it.
+// with its one receive, and base mode and DefaultConfig each to report a
+// violation and repair it.
 func secondSendEdgeAndBaseRepair(t *testing.T, name string) {
 	p := parseWitness(t, witnesses(t)[name])
 	x, err := match.BuildExtended(p, match.Options{})
@@ -124,15 +127,19 @@ func secondSendEdgeAndBaseRepair(t *testing.T, name string) {
 			t.Errorf("message %d = %+v, want %d -> %d", i, m, sends[i], recvs[0])
 		}
 	}
-	base := core.Config{PreserveLoops: false}
-	if violations, err := core.Verify(p, base); err != nil || len(violations) == 0 {
-		t.Errorf("base Verify = %v, %v; want a violation", violations, err)
+	for _, mode := range []struct {
+		label string
+		conf  core.Config
+	}{{"base", core.Config{PreserveLoops: false}}, {"default", core.DefaultConfig}} {
+		if violations, err := core.Verify(p, mode.conf); err != nil || len(violations) == 0 {
+			t.Errorf("%s Verify = %v, %v; want a violation", mode.label, violations, err)
+		}
+		rep, err := core.Transform(p, mode.conf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recoversAt(t, name+" ("+mode.label+")", rep.Program, 2, 3, 5)
 	}
-	rep, err := core.Transform(p, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recoversAt(t, name+" (base)", rep.Program, 2, 3, 5)
 }
 
 // The oracle for Phase II's pairing (Lemma 3.1): on one schedule at n ∈
