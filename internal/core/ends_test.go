@@ -71,15 +71,16 @@ func TestPipelineEndsAllocs(t *testing.T) {
 		parse, format, liveness, compile, clone, skeleton ceiling
 	}{
 		// Parse / Format / Compute / Compile / Clone / BuildSkeleton measure
-		// 62 / 1 / 12 / 23 / 12 / 7 allocs and — the last four — 4.4 / 22.2 /
-		// 12.5 / 17.9 KB per call. Before the liveness walk, expression
+		// 62 / 1 / 12 / 24 / 12 / 6 allocs and — the last four — 4.4 / 14.5 /
+		// 12.6 / 17.6 KB per call. With 80-byte instructions Compile took
+		// 22.2 KB. Before the liveness walk, expression
 		// sharing and the frontier stack: 28 / 39 / 15 / 16 allocs and 36.0 /
 		// 53.8 / 20.9 / 26.6 KB; before the ends paid per program, 1,130 /
 		// 207 / 698 / 717 allocs for the first four; before predecessor
 		// lists were built on demand, BuildSkeleton's 9 allocs and 23.2 KB.
 		{"GenerateLarge(1,6)", verify.GenerateLarge(1, 6),
-			ceiling{150, 0}, ceiling{12, 0}, ceiling{30, 8}, ceiling{50, 30}, ceiling{20, 16}, ceiling{10, 21}},
-		// 27 / 1 / 10 / 16 / 10 / 7 allocs, 0.9 / 2.4 / 1.0 / 1.8 KB;
+			ceiling{150, 0}, ceiling{12, 0}, ceiling{30, 8}, ceiling{50, 18}, ceiling{20, 16}, ceiling{10, 21}},
+		// 27 / 1 / 10 / 18 / 10 / 6 allocs, 0.9 / 2.2 / 1.0 / 1.5 KB;
 		// before: 26 / 32 / 13 / 16 allocs, 6.9 / 8.5 / 1.8 / 5.5 KB; and
 		// 121 / 21 / 88 / 98 allocs; BuildSkeleton 9 allocs, 2.1 KB.
 		{"JacobiFig2(64)", corpus.JacobiFig2(64),
@@ -128,9 +129,11 @@ func TestPipelineEndsAllocs(t *testing.T) {
 // job, and on the analysis-large shape, where the pipeline is a fixed share
 // of the job that may only fall, and what core.Verify allocates on a
 // program it finds violations in. Counts are exact; bytes are
-// MemStats.TotalAlloc over the runs. They measure 22 / 27 / 108 / 5 allocs
-// and 1.8 / 1.8 / 6.8 / 0.13 KB per call, the ceilings about 10 % above.
-// Before the transform shared what it leaves as it was with its input
+// MemStats.TotalAlloc over the runs. They measure 19 / 25 / 28 / 3 allocs
+// and 1.70 / 1.76 / 5.0 / 0.12 KB per call, the ceilings about 10 % above.
+// Before abstract values compared structurally (no ExprString in the
+// fixpoint) and edits cut their copies per path, 22 / 27 / 108 allocs and
+// 1.8 / 1.8 / 6.8 KB. Before the transform shared what it leaves as it was with its input
 // (mpl.Edit) they measured 28 / 39 / 117 allocs and 2.4 / 3.7 / 17.4 KB;
 // before Phases II–III built in a pooled workspace, 100 / 110 / 237 / 76
 // allocs and 11.3 / 17.0 / 77.4 / 7.9 KB.
@@ -142,9 +145,9 @@ func TestTransformAllocs(t *testing.T) {
 		prog *mpl.Program
 		max  ceiling
 	}{
-		{corpus.JacobiFig2(64), ceiling{24, 1.95}},
-		{corpus.Stencil2D(3, 2), ceiling{30, 1.95}},
-		{verify.GenerateLarge(1, 6), ceiling{119, 7.5}},
+		{corpus.JacobiFig2(64), ceiling{21, 1.87}},
+		{corpus.Stencil2D(3, 2), ceiling{28, 1.94}},
+		{verify.GenerateLarge(1, 6), ceiling{31, 5.5}},
 	} {
 		pinCost(t, "core.Transform("+tc.prog.Name+")", tc.max, func() {
 			if _, err := core.Transform(tc.prog, core.DefaultConfig); err != nil {

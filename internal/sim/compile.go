@@ -98,20 +98,22 @@ type Code struct {
 	// assignLabels[slot] ("x=") and chkptLabels[index] ("C_2") are the
 	// event labels, built once so the runtime builds no string per event.
 	assignLabels, chkptLabels []string
+	enum                      cfg.Enumeration // what Enum points at
 }
 
 // Compile lowers a program to instructions. The checkpoint enumeration
 // must be unambiguous (run Phase I equalization first if needed).
 func Compile(p *mpl.Program) (*Code, error) {
-	enum, err := cfg.Enumerate(p)
-	if err != nil {
+	c := &Code{Prog: p}
+	if err := cfg.EnumerateInto(p, &c.enum); err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 	live, err := liveness.Compute(p)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	c := &Code{Prog: p, Enum: enum, Vars: live.Table.Names, Manifests: live.Live, consts: make(map[string]int, len(p.Consts))}
+	c.Enum, c.Vars, c.Manifests = &c.enum, live.Table.Names, live.Live
+	c.consts = make(map[string]int, len(p.Consts))
 	for _, k := range p.Consts {
 		c.consts[k.Name] = k.Value
 	}

@@ -1,8 +1,11 @@
 package repro_test
 
 import (
+	"bufio"
 	"os"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -55,5 +58,50 @@ func TestDocsDoNotGrow(t *testing.T) {
 	t.Logf("docs %d", n)
 	if n > maxDocBytes {
 		t.Errorf("%v total %d bytes, more than %d", docFiles, n, maxDocBytes)
+	}
+}
+
+// A CHANGES.md entry — its "- PR N" line and the FOUND and MENDED lines
+// under it — from PR firstCappedEntry on is at most maxEntryBytes long:
+// the log says what was done and found, and the diff says the rest.
+const (
+	firstCappedEntry = 56
+	maxEntryBytes    = 2500
+)
+
+// TestChangesEntriesStayShort fails on a CHANGES.md entry from PR
+// firstCappedEntry on that is longer than maxEntryBytes.
+func TestChangesEntriesStayShort(t *testing.T) {
+	f, err := os.Open("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	entries := map[int]int{} // PR number → bytes
+	pr := -1
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		if rest, ok := strings.CutPrefix(line, "- PR "); ok {
+			digits := strings.IndexFunc(rest, func(r rune) bool { return r < '0' || r > '9' })
+			if digits < 0 {
+				digits = len(rest)
+			}
+			n, err := strconv.Atoi(rest[:digits])
+			if err != nil {
+				t.Fatalf("CHANGES.md: an entry without a PR number: %.40q", line)
+			}
+			pr = n
+		}
+		entries[pr] += len(line) + 1
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for n, size := range entries {
+		if n >= firstCappedEntry && size > maxEntryBytes {
+			t.Errorf("CHANGES.md: the PR %d entry is %d bytes, more than %d", n, size, maxEntryBytes)
+		}
 	}
 }
