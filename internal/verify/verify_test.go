@@ -270,6 +270,75 @@ func TestMutationModeCatchesSabotage(t *testing.T) {
 	}
 }
 
+// A rank-shift mutant moves the ranks its guards name past the process
+// counts Phase II checks: far's twin (ROADMAP 24), an exchange between
+// ranks 2 and 3, becomes far itself, on ranks 18 and 19. The mutant of the
+// transformed twin, whose repair holds at no n past 17, runs at n = 21,
+// where the runtime refuses it; the original is untouched.
+func TestRankShiftMutantsNeverPass(t *testing.T) {
+	const twin = `
+program twin
+var x, y, iter
+proc {
+    x = rank + 1
+    iter = 0
+    while iter < 4 {
+        if rank == 2 { chkpt  send(3, x)  recv(3, y) }
+        else { if rank == 3 { recv(2, y)  send(2, x)  chkpt }
+               else { chkpt } }
+        x = x + y
+        iter = iter + 1
+    }
+}
+`
+	parse := func(src string) *mpl.Program {
+		p, err := mpl.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	far := parse(strings.NewReplacer("2", "18", "3", "19").Replace(twin))
+	if muts := RankShiftMutants(parse(twin)); len(muts) != 1 || mpl.Format(muts[0].Prog) != mpl.Format(far) {
+		t.Fatalf("the twin's mutants are not far: %+v", muts)
+	}
+	rep, err := core.Transform(parse(twin), core.DefaultConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := mpl.Format(rep.Program)
+	muts := RankShiftMutants(rep.Program)
+	if len(muts) != 1 || muts[0].N != 21 {
+		t.Fatalf("want 1 mutant, run at n = 21: %+v", muts)
+	}
+	if mpl.Format(rep.Program) != orig {
+		t.Fatal("mutation aliased the original program")
+	}
+	if out := classifyRankShift(muts[0], Options{Depth: 2, MaxSchedules: 8}); out != "refused" {
+		t.Errorf("%s: verdict %q, want refused", muts[0].Desc, out)
+	}
+}
+
+func TestMutantsAreStructurallyDistinct(t *testing.T) {
+	rep, err := core.Transform(Generate(3), core.DefaultConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := mpl.Format(rep.Program)
+	muts := AllMutants(rep.Program)
+	if len(muts) == 0 {
+		t.Fatal("no mutants for a transformed program")
+	}
+	for _, mu := range muts {
+		if mpl.Format(mu.Prog) == orig {
+			t.Errorf("%s: mutant identical to original", mu.Desc)
+		}
+		if mpl.Format(rep.Program) != orig {
+			t.Fatalf("%s: mutation aliased the original program", mu.Desc)
+		}
+	}
+}
+
 // The loop operators rebuild loopgap's and aligngap's shapes inside a
 // program the transform certified, a uniform loop holding a checkpoint
 // whose ring orders each iteration's checkpoints after the last's: each
