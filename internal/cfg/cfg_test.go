@@ -259,8 +259,8 @@ func TestDominators(t *testing.T) {
 
 func TestEnumerateJacobiFig1(t *testing.T) {
 	p := corpus.JacobiFig1(2)
-	enum, err := Enumerate(p)
-	if err != nil {
+	enum := new(Enumeration)
+	if err := EnumerateInto(p, enum); err != nil {
 		t.Fatal(err)
 	}
 	if enum.Count != 1 {
@@ -278,8 +278,8 @@ func TestEnumerateJacobiFig1(t *testing.T) {
 
 func TestEnumerateJacobiFig2BothBranchesIndex1(t *testing.T) {
 	p := corpus.JacobiFig2(2)
-	enum, err := Enumerate(p)
-	if err != nil {
+	enum := new(Enumeration)
+	if err := EnumerateInto(p, enum); err != nil {
 		t.Fatal(err)
 	}
 	if enum.Count != 1 {
@@ -317,8 +317,8 @@ proc {
     chkpt
 }
 `)
-	enum, err := Enumerate(p)
-	if err != nil {
+	enum := new(Enumeration)
+	if err := EnumerateInto(p, enum); err != nil {
 		t.Fatal(err)
 	}
 	if enum.Count != 4 {
@@ -350,7 +350,7 @@ proc {
     chkpt
 }
 `)
-	_, err := Enumerate(p)
+	err := EnumerateInto(p, new(Enumeration))
 	if err == nil {
 		t.Fatal("ambiguous program accepted")
 	}
@@ -373,8 +373,8 @@ func asAmbiguous(err error, target **AmbiguousError) bool {
 
 func TestEnumerateEqualBranches(t *testing.T) {
 	p := corpus.PipelineStages(1)
-	enum, err := Enumerate(p)
-	if err != nil {
+	enum := new(Enumeration)
+	if err := EnumerateInto(p, enum); err != nil {
 		t.Fatal(err)
 	}
 	if enum.Count != 1 || len(enum.Index) != 2 {

@@ -37,21 +37,13 @@ type Enumeration struct {
 	Count int
 }
 
-// Enumerate assigns checkpoint indexes to every chkpt statement of the
-// program. It fails with *AmbiguousError when two paths disagree — i.e.
-// when an if statement's branches contain different numbers of checkpoints
-// (Phase I must equalize first).
-func Enumerate(p *mpl.Program) (*Enumeration, error) {
-	enum := &Enumeration{}
-	if err := EnumerateInto(p, enum); err != nil {
-		return nil, err
-	}
-	return enum, nil
-}
-
-// EnumerateInto is Enumerate writing into an existing Enumeration,
-// reusing its map storage — for callers (Phase III's fixpoint) that
-// re-enumerate the same program many times.
+// EnumerateInto assigns checkpoint indexes to every chkpt statement of the
+// program, in enum's memory: whatever it held is gone, and its map storage
+// is reused — for callers (Phase III's fixpoint) that re-enumerate the same
+// program many times, and sim.Compile, which keeps it in its Code. It fails
+// with *AmbiguousError when two paths disagree — i.e. when an if
+// statement's branches contain different numbers of checkpoints (Phase I
+// must equalize first).
 func EnumerateInto(p *mpl.Program, enum *Enumeration) error {
 	if enum.Index == nil {
 		enum.Index = make(map[int]int)

@@ -55,8 +55,8 @@ func FuzzCFGBuild(f *testing.F) {
 			t.Fatal("entry does not dominate exit")
 		}
 		checkStructure(t, p, g)
-		enum, err := Enumerate(p)
-		if err != nil {
+		enum := new(Enumeration)
+		if err := EnumerateInto(p, enum); err != nil {
 			var amb *AmbiguousError
 			if !errors.As(err, &amb) {
 				t.Fatalf("Enumerate failed without an ambiguity: %v", err)

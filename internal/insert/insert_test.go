@@ -104,7 +104,7 @@ proc {
 		t.Error("optimal interval missing")
 	}
 	// The result must enumerate cleanly.
-	if _, err := cfg.Enumerate(p); err != nil {
+	if err := cfg.EnumerateInto(p, new(cfg.Enumeration)); err != nil {
 		t.Errorf("inserted program does not enumerate: %v", err)
 	}
 }
@@ -167,7 +167,7 @@ proc {
 	if len(plan.Inserted) != 2 {
 		t.Fatalf("inserted = %v, want one per loop", plan.Inserted)
 	}
-	if _, err := cfg.Enumerate(p); err != nil {
+	if err := cfg.EnumerateInto(p, new(cfg.Enumeration)); err != nil {
 		t.Errorf("enumeration failed: %v", err)
 	}
 }
@@ -190,8 +190,8 @@ proc {
 	if len(added) != 1 {
 		t.Fatalf("added = %v, want 1", added)
 	}
-	enum, err := cfg.Enumerate(p)
-	if err != nil {
+	enum := new(cfg.Enumeration)
+	if err := cfg.EnumerateInto(p, enum); err != nil {
 		t.Fatalf("still ambiguous: %v", err)
 	}
 	if enum.Count != 1 {
@@ -231,7 +231,7 @@ proc {
 	if len(added) != 3 {
 		t.Errorf("added = %d checkpoints, want 3", len(added))
 	}
-	if _, err := cfg.Enumerate(p); err != nil {
+	if err := cfg.EnumerateInto(p, new(cfg.Enumeration)); err != nil {
 		t.Errorf("still ambiguous: %v", err)
 	}
 }

@@ -138,7 +138,7 @@ func TestJacobiFig2BaseMode(t *testing.T) {
 	if res.CoalescedStmts == 0 {
 		t.Error("expected coalescing of gathered checkpoints")
 	}
-	if _, err := cfg.Enumerate(res.Program); err != nil {
+	if err := cfg.EnumerateInto(res.Program, new(cfg.Enumeration)); err != nil {
 		t.Errorf("base-mode result does not enumerate: %v", err)
 	}
 	// Base mode leaves no orderings: every causal pair was eliminated.
@@ -195,7 +195,7 @@ func TestAllCorpusConverges(t *testing.T) {
 					t.Errorf("residual violations: %+v\nprogram:\n%s",
 						violations, mpl.Format(res.Program))
 				}
-				if _, err := cfg.Enumerate(res.Program); err != nil {
+				if err := cfg.EnumerateInto(res.Program, new(cfg.Enumeration)); err != nil {
 					t.Errorf("result does not enumerate: %v", err)
 				}
 				// The transformed program must still parse/check after

@@ -38,8 +38,8 @@ type refAnalysis struct {
 }
 
 func refAnalyze(p *mpl.Program, df *dataflow.Result, opts Options) (*refAnalysis, error) {
-	enum, err := cfg.Enumerate(p)
-	if err != nil {
+	enum := new(cfg.Enumeration)
+	if err := cfg.EnumerateInto(p, enum); err != nil {
 		return nil, fmt.Errorf("place: %w", err)
 	}
 	g, err := cfg.Build(p)
