@@ -235,33 +235,6 @@ func (x *Extended) Loops() int { return len(x.loopUp) }
 // l runs it equally often. Loop(0), the body, is (0, true).
 func (x *Extended) Loop(l int32) (up int32, uniform bool) { return x.loopUp[l], !x.varies.Has(int(l)) }
 
-// CommonUniformLoop returns the innermost loop enclosing both loop a and
-// loop b (each encloses itself) that is uniform, as Loop says; 0, the
-// body, when no loop is.
-func (x *Extended) CommonUniformLoop(a, b int32) int32 {
-	depth := func(l int32) int {
-		d := 0
-		for ; l != 0; l = x.loopUp[l] {
-			d++
-		}
-		return d
-	}
-	da, db := depth(a), depth(b)
-	for ; da > db; da-- {
-		a = x.loopUp[a]
-	}
-	for ; db > da; db-- {
-		b = x.loopUp[b]
-	}
-	for a != b {
-		a, b = x.loopUp[a], x.loopUp[b]
-	}
-	for x.varies.Has(int(a)) {
-		a = x.loopUp[a]
-	}
-	return a
-}
-
 // Holds sets hold[n−lo], for each n of Bounds, to the ranks where pr holds
 // at n. It reads the table of a communication node whose path attribute is
 // pr where there is one, and evaluates pr elsewhere.

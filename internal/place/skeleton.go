@@ -312,7 +312,7 @@ func (sk *skeleton) causal(from, to *ckpt) (reaches, acyclic bool) {
 // edge. A path from inside L reaches the exit by control alone, so that is
 // whether to's gap is reached from the exit without a backward edge.
 func (sk *skeleton) preserved(from, to *ckpt) bool {
-	l := sk.ext.CommonUniformLoop(sk.gaps[from.gap].loop, sk.gaps[to.gap].loop)
+	l := sk.commonUniformLoop(sk.gaps[from.gap].loop, sk.gaps[to.gap].loop)
 	if l == 0 {
 		return false
 	}
@@ -329,6 +329,38 @@ func (sk *skeleton) preserved(from, to *ckpt) bool {
 		}
 	}
 	return true
+}
+
+// commonUniformLoop returns the innermost loop enclosing both loop a and
+// loop b (each encloses itself) that Ĝ's Loop calls uniform; 0, the body,
+// when no loop is.
+func (sk *skeleton) commonUniformLoop(a, b int32) int32 {
+	depth := func(l int32) (d int) {
+		for ; l != 0; l, _ = sk.ext.Loop(l) {
+			d++
+		}
+		return d
+	}
+	for da, db := depth(a), depth(b); da != db; {
+		if da > db {
+			a, _ = sk.ext.Loop(a)
+			da--
+		} else {
+			b, _ = sk.ext.Loop(b)
+			db--
+		}
+	}
+	for a != b {
+		a, _ = sk.ext.Loop(a)
+		b, _ = sk.ext.Loop(b)
+	}
+	for {
+		up, uniform := sk.ext.Loop(a)
+		if uniform {
+			return a
+		}
+		a = up
+	}
 }
 
 // reaches reports whether control and message edges of Ĝ lead from

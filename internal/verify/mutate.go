@@ -50,8 +50,9 @@ const (
 	// checkpoint in its body, a send from rank 0 that feeds a receive rank
 	// 1 runs once inside the loop, in front of that checkpoint — loopgap's
 	// shape: the path leaves the loop through its exit and comes back by a
-	// message. Rank 1's first iteration then waits for rank 0's last, so
-	// rank 0's latest checkpoint happens before rank 1's.
+	// message. Where no other message runs from rank 0 to rank 1, rank 1's
+	// first iteration waits for rank 0's last, so rank 0's latest
+	// checkpoint happens before rank 1's.
 	MutLoopExit
 	// MutTripShift raises the bound of a uniform loop that holds a
 	// checkpoint in its body by rank % 2 — aligngap's shape: odd ranks run
@@ -447,7 +448,8 @@ func TripShiftMutants(p *mpl.Program) []Mutant {
 	var out []Mutant
 	for site := 0; site < n; site++ {
 		cp := mpl.Clone(p)
-		w := func() *mpl.While { s := uniformLoops(cp)[site]; return (*s.list)[s.pos].(*mpl.While) }()
+		s := uniformLoops(cp)[site]
+		w := (*s.list)[s.pos].(*mpl.While)
 		c, ok := w.Cond.(*mpl.Binary)
 		if !ok {
 			continue
