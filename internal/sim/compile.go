@@ -66,9 +66,9 @@ func (o OpCode) String() string {
 	}
 }
 
-// Instr is one compiled instruction: 40 bytes, so a program's instructions
-// cost half what they did with machine-word fields and a label per
-// instruction.
+// Instr is one compiled instruction. Its fields are narrow and it holds no
+// name or label, only a slot, so it is 40 bytes (TestInstrLayout): the
+// instructions are most of what Compile allocates.
 type Instr struct {
 	Op     OpCode
 	StmtID int32    // originating statement (-1 for synthetic jumps/halt)
