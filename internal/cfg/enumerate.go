@@ -61,7 +61,7 @@ func EnumerateInto(p *mpl.Program, enum *Enumeration) error {
 	return nil
 }
 
-// Unbalanced returns the if statement Enumerate would report for body —
+// Unbalanced returns the if statement EnumerateInto would report for body —
 // the first, in program order, whose branches carry different numbers of
 // checkpoints while every if inside it is balanced — and the two numbers;
 // nil when body's checkpoint enumeration is unambiguous.

@@ -59,7 +59,7 @@ func FuzzCFGBuild(f *testing.F) {
 		if err := EnumerateInto(p, enum); err != nil {
 			var amb *AmbiguousError
 			if !errors.As(err, &amb) {
-				t.Fatalf("Enumerate failed without an ambiguity: %v", err)
+				t.Fatalf("EnumerateInto failed without an ambiguity: %v", err)
 			}
 			return
 		}

@@ -61,10 +61,12 @@ const maxExprSize = 64
 type state []mpl.Expr
 
 // join merges two states in place into s: variables whose abstract values
-// differ become ⊤.
+// differ become ⊤. Abstract values compare structurally (mpl.EqualExpr, ⊤
+// only to ⊤): two that differ in structure are different values, even where
+// they would print alike, so no value is rendered inside the fixpoint.
 func (s state) join(o state) {
 	for i, v := range o {
-		if !sameAbstract(s[i], v) {
+		if !mpl.EqualExpr(s[i], v) {
 			s[i] = nil
 		}
 	}
@@ -90,20 +92,9 @@ func (a *analyzer) intLit(v int) mpl.Expr {
 	return mpl.Int(v)
 }
 
-// sameAbstract compares abstract values structurally (mpl.EqualExpr): the
-// same node, or trees of one shape, operators, names and literals. Two
-// values that differ in structure are different values, even where they
-// would print alike; no value is rendered inside the fixpoint.
-func sameAbstract(a, b mpl.Expr) bool {
-	if a == nil || b == nil {
-		return a == nil && b == nil
-	}
-	return mpl.EqualExpr(a, b)
-}
-
 func (s state) equal(o state) bool {
 	for i := range s {
-		if !sameAbstract(s[i], o[i]) {
+		if !mpl.EqualExpr(s[i], o[i]) {
 			return false
 		}
 	}
@@ -358,7 +349,7 @@ func (a *analyzer) recordParam(id int, resolved mpl.Expr) {
 		a.res.Params[id] = newParam
 		return
 	}
-	if old.Wildcard || newParam.Wildcard || !sameAbstract(old.Expr, newParam.Expr) {
+	if old.Wildcard || newParam.Wildcard || !mpl.EqualExpr(old.Expr, newParam.Expr) {
 		a.res.Params[id] = attr.WildcardParam
 	}
 }
@@ -370,7 +361,7 @@ func (a *analyzer) recordBranch(id int, resolved mpl.Expr) {
 		a.res.Branches[id] = nb
 		return
 	}
-	if old.Resolved == nil || resolved == nil || !sameAbstract(old.Resolved, resolved) {
+	if old.Resolved == nil || resolved == nil || !mpl.EqualExpr(old.Resolved, resolved) {
 		a.res.Branches[id] = BranchInfo{}
 	}
 }

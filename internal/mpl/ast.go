@@ -264,7 +264,8 @@ func WalkExpr(e Expr, fn func(Expr) bool) bool {
 }
 
 // EqualExpr reports whether a and b are the same expression: the same node,
-// or trees of the same shape, operators, names and literal values.
+// or trees of the same shape, operators, names and literal values. A nil
+// expression equals only nil.
 func EqualExpr(a, b Expr) bool {
 	if a == b {
 		return true

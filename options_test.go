@@ -42,7 +42,7 @@ func TestOptionSurface(t *testing.T) {
 // maxDocBytes together; a PR that adds to them cuts as much elsewhere.
 var docFiles = []string{"DESIGN.md", "EXPERIMENTS.md", "TESTING.md", "README.md"}
 
-const maxDocBytes = 262017
+const maxDocBytes = 261717
 
 // TestDocsDoNotGrow fails when docFiles total more than maxDocBytes.
 // scripts/loc.sh prints the same total as "docs".
