@@ -157,6 +157,10 @@ func (c *Code) buildLabels() {
 	}
 }
 
+// ChkptLabel returns the event label of straight-cut index i ("C_2"),
+// from the table Compile built.
+func (c *Code) ChkptLabel(i int) string { return c.chkptLabels[i] }
+
 // instrCount returns how many instructions compileBody emits for body.
 func instrCount(body []mpl.Stmt) int {
 	n := len(body)

@@ -385,7 +385,7 @@ func (m *Machine) normalize(p int) error {
 			m.tr.Append(trace.Event{
 				Proc: p, Kind: trace.KindCheckpoint, Clock: ps.clock,
 				Chkpt: trace.Checkpoint{CFGIndex: index, Instance: instance},
-				Label: fmt.Sprintf("C_%d", index),
+				Label: m.code.ChkptLabel(index),
 			})
 			if m.logRestore {
 				rec := &chkptRecord{
