@@ -12,7 +12,6 @@ import (
 	"log"
 	"reflect"
 
-	"repro/internal/attr"
 	"repro/internal/core"
 	"repro/internal/mpl"
 	"repro/internal/mpmd"
@@ -63,7 +62,7 @@ func main() {
 	merged, err := mpmd.Merge("masterworker", []mpmd.Role{
 		{Name: "master", Guard: mpl.Eq(mpl.Rank(), mpl.Int(0)), Program: master},
 		{Name: "worker", Guard: mpl.Neq(mpl.Rank(), mpl.Int(0)), Program: worker},
-	}, attr.DefaultSolver)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

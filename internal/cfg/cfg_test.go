@@ -504,23 +504,14 @@ func checkStructure(t *testing.T, p *mpl.Program, g *Graph) {
 	}
 
 	bare := mpl.Clone(p)
-	var strip func(body []mpl.Stmt) []mpl.Stmt
-	strip = func(body []mpl.Stmt) []mpl.Stmt {
-		out := body[:0]
-		for _, s := range body {
-			switch st := s.(type) {
-			case *mpl.Chkpt:
-				continue
-			case *mpl.While:
-				st.Body = strip(st.Body)
-			case *mpl.If:
-				st.Then, st.Else = strip(st.Then), strip(st.Else)
-			}
-			out = append(out, s)
+	e := bare.Edit()
+	mpl.Walk(p.Body, func(s mpl.Stmt) bool {
+		if _, ok := s.(*mpl.Chkpt); ok {
+			e.Remove(s.ID())
 		}
-		return out
-	}
-	bare.Body = strip(bare.Body)
+		return true
+	})
+	e.Close()
 	want, err := Build(bare)
 	if err != nil {
 		t.Fatal(err)

@@ -53,18 +53,16 @@ type Report struct {
 	// Phase3 is the placement result, including initial violations, moves,
 	// and loop-preserved orderings.
 	Phase3 *place.Result
-	// Enumeration maps checkpoint statement ids to straight-cut indexes in
-	// the final program.
-	Enumeration *cfg.Enumeration
 }
 
 // CheckpointCount returns the number of straight-cut indexes of the final
-// program.
+// program, enumerating it (cfg.EnumerateInto).
 func (r *Report) CheckpointCount() int {
-	if r.Enumeration == nil {
+	var enum cfg.Enumeration
+	if cfg.EnumerateInto(r.Program, &enum) != nil {
 		return 0
 	}
-	return r.Enumeration.Count
+	return enum.Count
 }
 
 // SendsLogged returns how many of the final program's send statements may
@@ -108,7 +106,6 @@ func Transform(p *mpl.Program, conf Config) (*Report, error) {
 	}
 	rep.Phase3 = placed
 	rep.Program = placed.Program
-	rep.Enumeration = placed.Enumeration
 	return rep, nil
 }
 

@@ -71,20 +71,21 @@ func TestPipelineEndsAllocs(t *testing.T) {
 		parse, format, liveness, compile, clone, skeleton ceiling
 	}{
 		// Parse / Format / Compute / Compile / Clone / BuildSkeleton measure
-		// 62 / 1 / 12 / 24 / 12 / 6 allocs and — the last four — 4.4 / 14.5 /
-		// 12.6 / 17.6 KB per call. With 80-byte instructions Compile took
-		// 22.2 KB. Before the liveness walk, expression
+		// 62 / 1 / 12 / 24 / 1 / 6 allocs and — the last four — 4.4 / 14.5 /
+		// 0.1 / 17.6 KB per call. With 80-byte instructions Compile took
+		// 22.2 KB; while Clone copied statements, it took 12 / 12.6. Before the liveness walk, expression
 		// sharing and the frontier stack: 28 / 39 / 15 / 16 allocs and 36.0 /
 		// 53.8 / 20.9 / 26.6 KB; before the ends paid per program, 1,130 /
 		// 207 / 698 / 717 allocs for the first four; before predecessor
 		// lists were built on demand, BuildSkeleton's 9 allocs and 23.2 KB.
 		{"GenerateLarge(1,6)", verify.GenerateLarge(1, 6),
-			ceiling{150, 0}, ceiling{12, 0}, ceiling{30, 8}, ceiling{50, 18}, ceiling{20, 16}, ceiling{10, 21}},
-		// 27 / 1 / 10 / 18 / 10 / 6 allocs, 0.9 / 2.2 / 1.0 / 1.5 KB;
+			ceiling{150, 0}, ceiling{12, 0}, ceiling{30, 8}, ceiling{50, 18}, ceiling{4, 0.5}, ceiling{10, 21}},
+		// 27 / 1 / 10 / 18 / 2 / 6 allocs, 0.9 / 2.2 / 0.1 / 1.5 KB (Clone
+		// 10 allocs / 1.0 KB while it copied statements);
 		// before: 26 / 32 / 13 / 16 allocs, 6.9 / 8.5 / 1.8 / 5.5 KB; and
 		// 121 / 21 / 88 / 98 allocs; BuildSkeleton 9 allocs, 2.1 KB.
 		{"JacobiFig2(64)", corpus.JacobiFig2(64),
-			ceiling{40, 0}, ceiling{12, 0}, ceiling{25, 2}, ceiling{40, 4}, ceiling{20, 2}, ceiling{10, 2}},
+			ceiling{40, 0}, ceiling{12, 0}, ceiling{25, 2}, ceiling{40, 4}, ceiling{4, 0.5}, ceiling{10, 2}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -129,9 +130,10 @@ func TestPipelineEndsAllocs(t *testing.T) {
 // job, and on the analysis-large shape, where the pipeline is a fixed share
 // of the job that may only fall, and what core.Verify allocates on a
 // program it finds violations in. Counts are exact; bytes are
-// MemStats.TotalAlloc over the runs. They measure 19 / 25 / 28 / 3 allocs
-// and 1.70 / 1.76 / 5.0 / 0.12 KB per call, the ceilings about 10 % above.
-// Before abstract values compared structurally (no ExprString in the
+// MemStats.TotalAlloc over the runs. They measure 16 / 18 / 23 / 3 allocs
+// and 1.49 / 1.36 / 4.3 / 0.12 KB per call, the ceilings about 10 % above.
+// While the result carried a copy of the enumeration, 19 / 25 / 28 allocs
+// and 1.70 / 1.76 / 5.0 KB. Before abstract values compared structurally (no ExprString in the
 // fixpoint) and edits cut their copies per path, 22 / 27 / 108 allocs and
 // 1.8 / 1.8 / 6.8 KB. Before the transform shared what it leaves as it was with its input
 // (mpl.Edit) they measured 28 / 39 / 117 allocs and 2.4 / 3.7 / 17.4 KB;
@@ -145,9 +147,9 @@ func TestTransformAllocs(t *testing.T) {
 		prog *mpl.Program
 		max  ceiling
 	}{
-		{corpus.JacobiFig2(64), ceiling{21, 1.87}},
-		{corpus.Stencil2D(3, 2), ceiling{28, 1.94}},
-		{verify.GenerateLarge(1, 6), ceiling{31, 5.5}},
+		{corpus.JacobiFig2(64), ceiling{18, 1.65}},
+		{corpus.Stencil2D(3, 2), ceiling{20, 1.5}},
+		{verify.GenerateLarge(1, 6), ceiling{26, 4.8}},
 	} {
 		pinCost(t, "core.Transform("+tc.prog.Name+")", tc.max, func() {
 			if _, err := core.Transform(tc.prog, core.DefaultConfig); err != nil {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/attr"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/insert"
@@ -324,9 +323,71 @@ func TestOutputEditsLeaveInput(t *testing.T) {
 		if _, err := mpmd.Merge("merged", []mpmd.Role{
 			{Name: "first", Guard: mpl.Eq(mpl.Rank(), mpl.Int(0)), Program: q},
 			{Name: "rest", Guard: rest, Program: q},
-		}, attr.DefaultSolver); err != nil {
+		}); err != nil {
 			t.Fatalf("%s: mpmd.Merge: %v", name, err)
 		}
 		check("mpmd.Merge")
+	}
+}
+
+// TestMutantsLeaveTheirInput: verify's mutation operators, run over
+// transformed programs, leave the program they mutate as it was — its text
+// and every statement, field by field — and a delete mutant shares with it
+// every top-level statement that does not hold the deleted checkpoint
+// (the operators edit a Clone, mpl.Edit). Prune-drop mutants carry no
+// program.
+func TestMutantsLeaveTheirInput(t *testing.T) {
+	progs := corpus.All()
+	for seed := int64(1); seed <= 200; seed++ {
+		progs[fmt.Sprintf("gen_%d", seed)] = verify.Generate(seed)
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		progs[fmt.Sprintf("large_%d", seed)] = verify.GenerateLarge(seed, 6)
+	}
+	crossing := map[verify.Channel]bool{{N: 2, From: 0, To: 1}: true, {N: 3, From: 2, To: 0}: true}
+	size := func(s mpl.Stmt) int { // statements in s, s included; 0 for none
+		n := 0
+		if s != nil {
+			mpl.Walk([]mpl.Stmt{s}, func(mpl.Stmt) bool { n++; return true })
+		}
+		return n
+	}
+	deletes := 0
+	for name, p := range progs {
+		rep, err := core.Transform(p, core.DefaultConfig)
+		if err != nil {
+			continue
+		}
+		q := rep.Program
+		before := snap(q)
+		mutants := verify.AllMutants(q)
+		mutants = append(mutants, verify.CrossClearMutants(q, crossing)...)
+		mutants = append(mutants, verify.RankShiftMutants(q)...)
+		mutants = append(mutants, verify.LoopExitMutants(q)...)
+		mutants = append(mutants, verify.TripShiftMutants(q)...)
+		if d := before.diff(snap(q)); d != "" {
+			t.Fatalf("%s: %d mutants changed the program they mutate: %s", name, len(mutants), d)
+		}
+		for _, m := range mutants {
+			if m.Kind != verify.MutDelete {
+				continue
+			}
+			deletes++
+			kept := map[int]mpl.Stmt{}
+			for _, s := range m.Prog.Body {
+				kept[s.ID()] = s
+			}
+			for _, s := range q.Body {
+				if size(s) != size(kept[s.ID()]) {
+					continue // it holds the deleted checkpoint, or is it
+				}
+				if kept[s.ID()] != s {
+					t.Fatalf("%s: %s: top-level %s is a copy", name, m.Desc, mpl.DescribeStmt(s))
+				}
+			}
+		}
+	}
+	if deletes == 0 {
+		t.Fatal("no delete mutants")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/mpl"
@@ -15,13 +16,15 @@ import (
 // This file holds Transform and Verify to DESIGN decision 17's pool rule:
 // the workspace Phases II–III borrow is lent memory, never results.
 
-// dump renders everything a report holds, the transformed program
-// included, so that two dumps differ when any of it changed.
+// dump renders everything a report holds, the transformed program and its
+// enumeration included, so that two dumps differ when any of it changed.
 func dump(rep *core.Report) string {
 	ph := rep.Phase3
-	return fmt.Sprintf("%s\nquiet %v\nphase1 %+v\ninitial %+v\nmoves %+v\norderings %+v\nequalized %v\nresidual %+v\nenum %v %v\n%d %d %d",
+	enum := new(cfg.Enumeration)
+	err := cfg.EnumerateInto(rep.Program, enum)
+	return fmt.Sprintf("%s\nquiet %v\nphase1 %+v\ninitial %+v\nmoves %+v\norderings %+v\nequalized %v\nresidual %+v\nenum %v %v %v\n%d %d %d",
 		mpl.Format(rep.Program), rep.Program.Quiet, rep.Phase1, ph.InitialViolations, ph.Moves, ph.Orderings,
-		ph.EqualizedStmts, ph.Residual, rep.Enumeration.Index, rep.Enumeration.Count,
+		ph.EqualizedStmts, ph.Residual, enum.Index, enum.Count, err,
 		ph.CoalescedStmts, ph.Iterations, ph.QuietSends)
 }
 

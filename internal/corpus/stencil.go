@@ -36,16 +36,16 @@ func stencil(name string, width, iters int, skewed bool) *mpl.Program {
 	exchange := func(b *mpl.Builder) {
 		// Horizontal: async sends first, then receives; guards match the
 		// mirrored condition on the peer.
-		b.If(mpl.CloneExpr(hasLeft), func(b *mpl.Builder) {
+		b.If(hasLeft, func(b *mpl.Builder) {
 			b.Send(mpl.Sub(mpl.Rank(), mpl.Int(1)), "u")
 		})
-		b.If(mpl.CloneExpr(hasRight), func(b *mpl.Builder) {
+		b.If(hasRight, func(b *mpl.Builder) {
 			b.Send(mpl.Add(mpl.Rank(), mpl.Int(1)), "u")
 		})
-		b.If(mpl.CloneExpr(hasLeft), func(b *mpl.Builder) {
+		b.If(hasLeft, func(b *mpl.Builder) {
 			b.Recv(mpl.Sub(mpl.Rank(), mpl.Int(1)), "ul")
 		})
-		b.If(mpl.CloneExpr(hasRight), func(b *mpl.Builder) {
+		b.If(hasRight, func(b *mpl.Builder) {
 			b.Recv(mpl.Add(mpl.Rank(), mpl.Int(1)), "ur")
 		})
 		// Vertical: guarded-boundary no-ops at the top and bottom rows.
@@ -66,7 +66,7 @@ func stencil(name string, width, iters int, skewed bool) *mpl.Program {
 			// Figure 2's defect on the grid: even columns checkpoint
 			// before exchanging, odd columns after (balanced counts, both
 			// branches carry the exchange).
-			b.IfElse(mpl.CloneExpr(evenCol),
+			b.IfElse(evenCol,
 				func(b *mpl.Builder) {
 					b.Chkpt()
 					exchange(b)

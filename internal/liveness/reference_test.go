@@ -179,6 +179,7 @@ func referencePrograms(t *testing.T) map[string]*mpl.Program {
 func killAtEnd(p *mpl.Program) *mpl.Program {
 	q := mpl.Clone(p)
 	id := q.MaxStmtID()
+	q.Body = slices.Clip(q.Body) // shared with p: the appends must not write its spare capacity
 	for _, v := range q.Vars {
 		id++
 		q.Body = append(q.Body, &mpl.Assign{StmtBase: mpl.StmtBase{StmtID: id}, Name: v, X: mpl.Int(0)})

@@ -4,7 +4,7 @@ import "slices"
 
 // This file provides the programmatic construction API used by examples,
 // tests, and the transformation phases: expression helpers, a statement
-// Builder, and cloning.
+// Builder, Clone and Renumber.
 
 // Int returns an integer literal expression.
 func Int(v int) Expr { return &IntLit{Value: v} }
@@ -169,49 +169,66 @@ func (b *Builder) MustProgram() *Program {
 	return p
 }
 
-// Clone returns a copy of the program's statements and blocks, sharing its
-// expressions. Statement IDs are preserved. Statements and blocks of the
-// clone are its own: inserting, moving or deleting statements, or pointing
-// a field of a cloned statement at another expression, never reaches the
-// original. Expression nodes are immutable — no code writes a field of
-// one after it is built — so original and clone read the same nodes.
-//
-// The copy is slab-allocated: a counting pre-pass sizes one typed slab per
-// concrete statement type, so cloning costs one allocation per statement
-// TYPE (plus the body backing array) instead of one per statement. The
-// transformation phases do not clone: they edit (Edit).
+// Clone returns a new Program with the original's name, its own copies of
+// Consts, Vars and Quiet, and the original's Body. Statements and blocks
+// are immutable once built, as expressions are, so the two share them: an
+// Edit of the clone copies what it changes (path copying) and leaves the
+// original as it was.
 func Clone(p *Program) *Program {
-	var n nodeCount
-	n.body(p.Body)
-	m := nodeMem{
-		assigns: make([]Assign, 0, n.assigns),
-		works:   make([]Work, 0, n.works),
-		sends:   make([]Send, 0, n.sends),
-		recvs:   make([]Recv, 0, n.recvs),
-		bcasts:  make([]Bcast, 0, n.bcasts),
-		reduces: make([]Reduce, 0, n.reduces),
-		chkpts:  make([]Chkpt, 0, n.chkpts),
-		whiles:  make([]While, 0, n.whiles),
-		ifs:     make([]If, 0, n.ifs),
-		stmts:   make([]Stmt, 0, n.stmtSlots),
-	}
 	return &Program{
 		Name:   p.Name,
 		Consts: append([]Const(nil), p.Consts...),
 		Vars:   append([]string(nil), p.Vars...),
-		Body:   m.cloneBody(p.Body),
+		Body:   p.Body,
 		Quiet:  slices.Clone(p.Quiet),
 	}
 }
 
-// nodeMem is the memory a program's AST lives in: one chunk per concrete
-// node type, plus the chunk block bodies are cut from.
-// Clone sizes the statement chunks exactly with a counting pass (it shares
-// expressions, so it leaves the others empty); the parser cannot know the
-// counts and lets cut grow them. Either way a chunk is append-only
-// and never regrown — a full one is replaced by a fresh one — so a node
-// pointer or body slice handed out stays valid for as long as anything
-// refers to it, and nothing needs to say when a program is done with.
+// Renumber returns a copy of body whose statements are new nodes, numbered
+// from *next on in walk order, with the originals' expressions and
+// positions; *next ends one past the last id it gave. It is how a
+// statement is copied under a new id: an MPMD merge renumbers each role, a
+// skew mutant copies two statements into a second branch.
+func Renumber(body []Stmt, next *int) []Stmt {
+	if body == nil {
+		return nil
+	}
+	out := make([]Stmt, len(body))
+	for i, s := range body {
+		b := StmtBase{StmtID: *next, SrcPos: s.Pos()}
+		*next++
+		switch st := s.(type) {
+		case *Assign:
+			out[i] = &Assign{StmtBase: b, Name: st.Name, X: st.X}
+		case *Work:
+			out[i] = &Work{StmtBase: b, Amount: st.Amount}
+		case *Send:
+			out[i] = &Send{StmtBase: b, Dest: st.Dest, Var: st.Var}
+		case *Recv:
+			out[i] = &Recv{StmtBase: b, Src: st.Src, Var: st.Var}
+		case *Bcast:
+			out[i] = &Bcast{StmtBase: b, Root: st.Root, Var: st.Var}
+		case *Reduce:
+			out[i] = &Reduce{StmtBase: b, Root: st.Root, Var: st.Var}
+		case *Chkpt:
+			out[i] = &Chkpt{StmtBase: b}
+		case *While:
+			out[i] = &While{StmtBase: b, Cond: st.Cond, Body: Renumber(st.Body, next)}
+		case *If:
+			then := Renumber(st.Then, next)
+			out[i] = &If{StmtBase: b, Cond: st.Cond, Then: then, Else: Renumber(st.Else, next)}
+		}
+	}
+	return out
+}
+
+// nodeMem is the memory a parsed program's AST lives in: one chunk per
+// concrete node type, plus the chunk block bodies are cut from. The parser
+// cannot know the counts ahead and lets cut grow them. A chunk is
+// append-only and never regrown — a full one is replaced by a fresh one —
+// so a node pointer or body slice handed out stays valid for as long as
+// anything refers to it, and nothing needs to say when a program is done
+// with.
 type nodeMem struct {
 	assigns  []Assign
 	works    []Work
@@ -256,98 +273,4 @@ func newNode[T any](chunk *[]T, v T) *T {
 	p := &cut(chunk, 1)[0]
 	*p = v
 	return p
-}
-
-// nodeCount is Clone's counting pass: how many statements of each type, and
-// how many body slots, a program has.
-type nodeCount struct {
-	assigns, works, sends, recvs, bcasts, reduces, chkpts, whiles, ifs int
-	stmtSlots                                                          int
-}
-
-func (n *nodeCount) body(body []Stmt) {
-	n.stmtSlots += len(body)
-	for _, s := range body {
-		switch st := s.(type) {
-		case *Assign:
-			n.assigns++
-		case *Work:
-			n.works++
-		case *Send:
-			n.sends++
-		case *Recv:
-			n.recvs++
-		case *Bcast:
-			n.bcasts++
-		case *Reduce:
-			n.reduces++
-		case *Chkpt:
-			n.chkpts++
-		case *While:
-			n.whiles++
-			n.body(st.Body)
-		case *If:
-			n.ifs++
-			n.body(st.Then)
-			n.body(st.Else)
-		default:
-			panic("mpl: Clone: unknown statement type")
-		}
-	}
-}
-
-func (m *nodeMem) cloneBody(body []Stmt) []Stmt {
-	if body == nil {
-		return nil
-	}
-	out := cut(&m.stmts, len(body))
-	for i, s := range body {
-		out[i] = m.cloneStmt(s)
-	}
-	return out
-}
-
-func (m *nodeMem) cloneStmt(s Stmt) Stmt {
-	switch st := s.(type) {
-	case *Assign:
-		return newNode(&m.assigns, *st)
-	case *Work:
-		return newNode(&m.works, *st)
-	case *Send:
-		return newNode(&m.sends, *st)
-	case *Recv:
-		return newNode(&m.recvs, *st)
-	case *Bcast:
-		return newNode(&m.bcasts, *st)
-	case *Reduce:
-		return newNode(&m.reduces, *st)
-	case *Chkpt:
-		return newNode(&m.chkpts, *st)
-	case *While:
-		return newNode(&m.whiles, While{StmtBase: st.StmtBase, Cond: st.Cond, Body: m.cloneBody(st.Body)})
-	case *If:
-		return newNode(&m.ifs, If{StmtBase: st.StmtBase, Cond: st.Cond, Then: m.cloneBody(st.Then), Else: m.cloneBody(st.Else)})
-	default:
-		panic("mpl: Clone: unknown statement type")
-	}
-}
-
-// CloneExpr deep-copies an expression.
-func CloneExpr(e Expr) Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *IntLit:
-		return &IntLit{Value: x.Value}
-	case *Ident:
-		return &Ident{Name: x.Name}
-	case *Input:
-		return &Input{X: CloneExpr(x.X)}
-	case *Unary:
-		return &Unary{Op: x.Op, X: CloneExpr(x.X)}
-	case *Binary:
-		return &Binary{Op: x.Op, L: CloneExpr(x.L), R: CloneExpr(x.R)}
-	default:
-		panic("mpl: CloneExpr: unknown expression type")
-	}
 }

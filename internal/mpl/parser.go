@@ -8,7 +8,7 @@ import (
 // maxDepth bounds how deep Parse lets statements, unary operators,
 // parentheses and input arguments nest, and how long an operator chain may
 // grow at any one level. The parser and every walker behind it (Format,
-// Clone, cfg, Eval) recurse per level of the tree, and a Go stack overflow
+// cfg, Eval) recurse per level of the tree, and a Go stack overflow
 // is fatal, not an error — so hostile input is refused here. Real programs
 // nest less than 20 deep; 10,000 levels is about 10 MB of parser stack.
 const maxDepth = 10000

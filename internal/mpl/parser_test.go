@@ -361,29 +361,34 @@ func TestFormatGoldens(t *testing.T) {
 		if got := Format(p); got != golden {
 			t.Errorf("%s: Format(Parse(golden)) differs from the golden\ngot:\n%s\nwant:\n%s", name, got, golden)
 		}
-		if got := Format(Clone(p)); got != golden {
-			t.Errorf("%s: Format(Clone(Parse(golden))) differs from the golden", name)
-		}
 	}
 }
 
-// TestCloneIsDeep checks that Clone is deep down to the statements: a
-// clone's statements are its own, so pointing one of their expression
-// fields elsewhere leaves the original reading what it read. (Expression
-// nodes are shared and immutable; TestCloneSharesExpressions pins that.)
-func TestCloneIsDeep(t *testing.T) {
+// TestCloneEditLeavesOriginal checks that an edit of a clone leaves the
+// original: the clone's loop, replaced through an Edit by one with another
+// condition, changes in the clone only. (The two share every statement
+// and expression the edit did not copy; TestCloneSharesExpressions pins
+// that.)
+func TestCloneEditLeavesOriginal(t *testing.T) {
 	p, err := Parse(jacobiSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := Clone(p)
-	// Point the clone's loop condition at a new expression.
-	c.Body[1].(*While).Cond = Int(0)
+	w := c.Body[1].(*While)
+	e := c.Edit()
+	b, i, _ := e.Locate(w.ID())
+	e.Remove(w.ID())
+	e.Insert(b, i, &While{StmtBase: w.StmtBase, Cond: Int(0), Body: w.Body})
+	e.Close()
+	if ExprString(c.Body[1].(*While).Cond) != "0" {
+		t.Error("the edit did not reach the clone")
+	}
 	if ExprString(p.Body[1].(*While).Cond) != "iter < MAXITER" {
 		t.Error("clone aliased original condition")
 	}
 	// IDs must be preserved.
-	if c.Body[0].ID() != p.Body[0].ID() {
+	if c.Body[0].ID() != p.Body[0].ID() || c.Body[1].ID() != p.Body[1].ID() {
 		t.Error("clone changed statement ids")
 	}
 	if Format(Clone(p)) != Format(p) {
@@ -432,7 +437,7 @@ func TestParseDepthLimit(t *testing.T) {
 				t.Fatalf("n = %d (the limit) rejected: %v", sh.limit, err)
 			}
 			if sh.walk {
-				x := Clone(p).Body[0].(*Assign).X
+				x := p.Body[0].(*Assign).X
 				if _, err := Eval(x, &Env{Nproc: 1}); err != nil {
 					t.Errorf("Eval at the limit: %v", err)
 				}

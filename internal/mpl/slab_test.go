@@ -3,19 +3,20 @@ package mpl_test
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/insert"
 	"repro/internal/mpl"
 )
 
-// Slab safety. A parsed or cloned program's nodes are cut from shared
-// chunks and its block bodies from one shared []Stmt (DESIGN decision 26),
-// so the hazards are the ones sharing always has: a body whose spare
-// capacity is a sibling's storage, and a chunk that is reused while nodes
-// in it are live. This test does to a parsed program what the transforms do
-// — append to a body, rewrite a node, Clone, run Phase I on the clone — and
-// requires that nothing else moves.
+// Slab safety. A parsed program's nodes are cut from shared chunks and its
+// block bodies from one shared []Stmt (DESIGN decision 26), so the hazards
+// are the ones sharing always has: a body whose spare capacity is a
+// sibling's storage, and a chunk that is reused while nodes in it are live.
+// This test appends to a parsed body and rewrites a parsed node, then
+// clones the program and edits the clone as the transforms do — an Edit,
+// Phase I — and requires that nothing else moves.
 
 // stmtsPerGroup is the number of top-level statements slabSource emits per
 // group; the offsets name them.
@@ -85,70 +86,31 @@ func requireSame(t *testing.T, what string, got, want []string, changed ...int) 
 	}
 }
 
-// stmtParts returns a statement's expression fields and nested blocks.
-func stmtParts(s mpl.Stmt) (exprs []mpl.Expr, blocks [][]mpl.Stmt) {
-	switch st := s.(type) {
-	case *mpl.Assign:
-		return []mpl.Expr{st.X}, nil
-	case *mpl.Work:
-		return []mpl.Expr{st.Amount}, nil
-	case *mpl.Send:
-		return []mpl.Expr{st.Dest}, nil
-	case *mpl.Recv:
-		return []mpl.Expr{st.Src}, nil
-	case *mpl.Bcast:
-		return []mpl.Expr{st.Root}, nil
-	case *mpl.Reduce:
-		return []mpl.Expr{st.Root}, nil
-	case *mpl.While:
-		return []mpl.Expr{st.Cond}, [][]mpl.Stmt{st.Body}
-	case *mpl.If:
-		return []mpl.Expr{st.Cond}, [][]mpl.Stmt{st.Then, st.Else}
-	}
-	return nil, nil
-}
-
-// TestCloneSharesExpressions pins what Clone copies: every statement and
-// every non-empty block of the clone is new memory, with the original's id,
-// and every expression field points at the original's node — expressions
-// are immutable, so nothing is gained by copying them.
+// TestCloneSharesExpressions pins what Clone copies: the header. The
+// clone's Consts, Vars and Quiet are its own; its Body is the original's,
+// and so is every block, statement and expression under it — statements
+// and blocks are immutable once built, as expressions are, so nothing is
+// gained by copying them.
 func TestCloneSharesExpressions(t *testing.T) {
 	p, err := mpl.Parse(slabSource(5))
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.Quiet.Add(2, 0, 1)
 	c := mpl.Clone(p)
-	stmts, exprs := 0, 0
-	var compare func(orig, clone []mpl.Stmt)
-	compare = func(orig, clone []mpl.Stmt) {
-		if len(orig) != len(clone) || (orig == nil) != (clone == nil) {
-			t.Fatalf("block of %d statements cloned as %d", len(orig), len(clone))
-		}
-		if len(orig) > 0 && &orig[0] == &clone[0] {
-			t.Errorf("block at #%d is shared with the original", orig[0].ID())
-		}
-		for i, o := range orig {
-			k := clone[i]
-			stmts++
-			if o == k || o.ID() != k.ID() {
-				t.Errorf("%s cloned as %s (the same node: %v)", mpl.DescribeStmt(o), mpl.DescribeStmt(k), o == k)
-			}
-			oe, ob := stmtParts(o)
-			ke, kb := stmtParts(k)
-			for j := range oe {
-				exprs++
-				if oe[j] != ke[j] {
-					t.Errorf("%s: expression %d copied, not shared", mpl.DescribeStmt(o), j)
-				}
-			}
-			for j := range ob {
-				compare(ob[j], kb[j])
-			}
-		}
+	if fmt.Sprint(c.Name, c.Consts, c.Vars, c.Quiet) != fmt.Sprint(p.Name, p.Consts, p.Vars, p.Quiet) {
+		t.Fatalf("clone's header %q %v %v %v, original's %q %v %v %v", c.Name, c.Consts, c.Vars, c.Quiet, p.Name, p.Consts, p.Vars, p.Quiet)
 	}
-	compare(p.Body, c.Body)
-	if want := p.StmtCount(); stmts != want || exprs == 0 {
-		t.Errorf("compared %d statements and %d expressions, program has %d statements", stmts, exprs, want)
+	if &c.Vars[0] == &p.Vars[0] || &c.Quiet[0] == &p.Quiet[0] {
+		t.Error("the clone's Vars or Quiet is the original's")
+	}
+	c.Vars[0] = "z"
+	c.Quiet.Add(2, 1, 0)
+	if p.Vars[0] != "x" || p.Quiet.Has(2, 1, 0) {
+		t.Error("a write to the clone's Vars or Quiet reached the original")
+	}
+	if len(c.Body) != len(p.Body) || &c.Body[0] != &p.Body[0] {
+		t.Error("the clone's Body is a copy")
 	}
 }
 
@@ -190,15 +152,17 @@ func TestSlabSafety(t *testing.T) {
 		t.Errorf("rewritten assignment reads %q", got)
 	}
 
-	// Clone, then do to the clone what the pipeline does: an in-place
-	// append and Phase I (which equalizes every group's if). The parsed
-	// program must not notice, and in the clone only the statements
-	// written to may differ.
+	// Clone, then do to the clone what the pipeline does: an insert
+	// through an Edit and Phase I (which equalizes every group's if). The
+	// parsed program must not notice, and in the clone only the statements
+	// edited may differ.
 	mutated := describeAll(p)
 	c := mpl.Clone(p)
 	requireSame(t, "clone", describeAll(c), mutated)
 	cw := c.Body[g2*stmtsPerGroup+offWhile].(*mpl.While)
-	cw.Body = append(cw.Body, &mpl.Chkpt{StmtBase: mpl.StmtBase{StmtID: 100001}})
+	e := c.Edit()
+	e.Insert(mpl.Block{Owner: cw.ID()}, len(cw.Body), e.Chkpt(100001))
+	e.Close()
 	plan, err := insert.InsertCheckpoints(c, insert.DefaultCostModel)
 	if err != nil {
 		t.Fatal(err)
@@ -212,4 +176,53 @@ func TestSlabSafety(t *testing.T) {
 	}
 	requireSame(t, "clone after append and Phase I", describeAll(c), mutated, changed...)
 	requireSame(t, "parsed program after its clone was rewritten", describeAll(p), mutated)
+}
+
+// TestCloneEditsConcurrent: eight goroutines clone one parsed program and
+// edit their clones at once — a checkpoint put at the front of every while
+// body and then list, and one assignment taken out — and each gets what
+// it edited. Run under -race, no edit writes what the clones share; the
+// parsed program prints as before.
+func TestCloneEditsConcurrent(t *testing.T) {
+	const workers = 8
+	p, err := mpl.Parse(slabSource(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mpl.Format(p)
+	var owners []int
+	mpl.Walk(p.Body, func(s mpl.Stmt) bool {
+		switch s.(type) {
+		case *mpl.While, *mpl.If:
+			owners = append(owners, s.ID())
+		}
+		return true
+	})
+	counts := make([]int, workers)
+	var wg sync.WaitGroup
+	for g := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := mpl.Clone(p)
+			e := c.Edit()
+			next := c.MaxStmtID() + 1
+			for _, id := range owners {
+				e.Insert(mpl.Block{Owner: id}, 0, e.Chkpt(next))
+				next++
+			}
+			e.Remove(p.Body[g*stmtsPerGroup+offAssign].ID())
+			e.Close()
+			counts[g] = c.StmtCount()
+		}()
+	}
+	wg.Wait()
+	if mpl.Format(p) != want {
+		t.Error("the parsed program changed under its clones' edits")
+	}
+	for g, n := range counts {
+		if want := p.StmtCount() + len(owners) - 1; n != want {
+			t.Errorf("clone %d has %d statements, want %d", g, n, want)
+		}
+	}
 }

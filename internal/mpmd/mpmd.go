@@ -38,10 +38,11 @@ var ErrOverlap = errors.New("mpmd: role guards overlap")
 var ErrUncovered = errors.New("mpmd: some ranks match no role")
 
 // Merge combines MPMD roles into a single SPMD program named name. It
-// verifies with the attribute solver that the guards are pairwise disjoint
-// and jointly cover every rank for every process count within the solver's
-// bounds.
-func Merge(name string, roles []Role, solver attr.Solver) (*mpl.Program, error) {
+// verifies that the guards are pairwise disjoint and jointly cover every
+// rank for every process count within attr.DefaultSolver's bounds, the
+// ones Phase II matches over. The merged program shares the roles'
+// expressions, their guards included; its statements are new.
+func Merge(name string, roles []Role) (*mpl.Program, error) {
 	if len(roles) == 0 {
 		return nil, errors.New("mpmd: no roles")
 	}
@@ -53,11 +54,12 @@ func Merge(name string, roles []Role, solver attr.Solver) (*mpl.Program, error) 
 			return nil, fmt.Errorf("mpmd: role %q: %w", r.Name, err)
 		}
 	}
-	if err := checkPartition(roles, solver); err != nil {
+	if err := checkPartition(roles); err != nil {
 		return nil, err
 	}
 
-	merged := &mpl.Program{Name: name}
+	var consts []mpl.Const
+	var vars []string
 	seenConst := make(map[string]int)
 	seenVar := make(map[string]bool)
 	for _, r := range roles {
@@ -70,78 +72,42 @@ func Merge(name string, roles []Role, solver attr.Solver) (*mpl.Program, error) 
 				continue
 			}
 			seenConst[c.Name] = c.Value
-			merged.Consts = append(merged.Consts, c)
+			consts = append(consts, c)
 		}
 		for _, v := range r.Program.Vars {
 			if !seenVar[v] {
 				seenVar[v] = true
-				merged.Vars = append(merged.Vars, v)
+				vars = append(vars, v)
 			}
 		}
 	}
 
-	// Build the guard chain: if g1 { body1 } else if g2 { body2 } ... The
-	// final role still gets an explicit guard so the analysis sees its
-	// attribute (coverage was verified above, so the final else is dead).
-	nextID := 0
-	assignIDs := func(body []mpl.Stmt) {
-		mpl.Walk(body, func(s mpl.Stmt) bool {
-			setStmtID(s, nextID)
-			nextID++
-			return true
-		})
-	}
-	var chain []mpl.Stmt
-	tail := &chain
-	for _, r := range roles {
-		body := mpl.Clone(r.Program).Body
-		assignIDs(body)
-		guard := mpl.CloneExpr(r.Guard)
-		ifStmt := &mpl.If{
-			StmtBase: mpl.StmtBase{StmtID: nextID},
-			Cond:     guard,
-			Then:     body,
-		}
-		nextID++
-		*tail = append(*tail, ifStmt)
-		tail = &ifStmt.Else
-	}
-	merged.Body = chain
+	merged := &mpl.Program{Name: name, Consts: consts, Vars: vars, Body: chain(roles, new(int))}
 	if err := mpl.Check(merged); err != nil {
 		return nil, fmt.Errorf("mpmd: merged program invalid: %w", err)
 	}
 	return merged, nil
 }
 
-// setStmtID rewrites a statement's id (the merged program needs globally
-// unique ids across roles).
-func setStmtID(s mpl.Stmt, id int) {
-	switch st := s.(type) {
-	case *mpl.Assign:
-		st.StmtID = id
-	case *mpl.Work:
-		st.StmtID = id
-	case *mpl.Send:
-		st.StmtID = id
-	case *mpl.Recv:
-		st.StmtID = id
-	case *mpl.Bcast:
-		st.StmtID = id
-	case *mpl.Reduce:
-		st.StmtID = id
-	case *mpl.Chkpt:
-		st.StmtID = id
-	case *mpl.While:
-		st.StmtID = id
-	case *mpl.If:
-		st.StmtID = id
+// chain returns the guard chain of roles: if g1 { body1 } else if g2 {
+// body2 } ... The final role still gets an explicit guard so the analysis
+// sees its attribute (Merge verified coverage, so the final else is dead).
+// Ids run from *next on through the roles in order, each body's before its
+// guard's.
+func chain(roles []Role, next *int) []mpl.Stmt {
+	if len(roles) == 0 {
+		return nil
 	}
+	body := mpl.Renumber(roles[0].Program.Body, next)
+	id := *next
+	*next++
+	return []mpl.Stmt{&mpl.If{StmtBase: mpl.StmtBase{StmtID: id}, Cond: roles[0].Guard, Then: body, Else: chain(roles[1:], next)}}
 }
 
 // checkPartition verifies disjointness and coverage of the role guards
-// over the solver's process-count bounds.
-func checkPartition(roles []Role, solver attr.Solver) error {
-	lo, hi := solverBounds(solver)
+// over the default solver's process-count bounds.
+func checkPartition(roles []Role) error {
+	lo, hi := attr.DefaultSolver.Bounds()
 	for n := lo; n <= hi; n++ {
 		for rank := 0; rank < n; rank++ {
 			matches := 0
@@ -162,15 +128,4 @@ func checkPartition(roles []Role, solver attr.Solver) error {
 		}
 	}
 	return nil
-}
-
-func solverBounds(s attr.Solver) (int, int) {
-	lo, hi := s.MinProcs, s.MaxProcs
-	if lo < 1 {
-		lo = 2
-	}
-	if hi < lo {
-		hi = 17
-	}
-	return lo, hi
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/attr"
 	"repro/internal/core"
 	"repro/internal/mpl"
 	"repro/internal/sim"
@@ -64,7 +63,7 @@ proc {
 }
 
 func TestMergeProducesValidSPMD(t *testing.T) {
-	merged, err := Merge("mw", []Role{masterRole(t), workerRole(t)}, attr.DefaultSolver)
+	merged, err := Merge("mw", []Role{masterRole(t), workerRole(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +104,7 @@ func TestMergeProducesValidSPMD(t *testing.T) {
 }
 
 func TestMergedProgramTransformsAndRuns(t *testing.T) {
-	merged, err := Merge("mw", []Role{masterRole(t), workerRole(t)}, attr.DefaultSolver)
+	merged, err := Merge("mw", []Role{masterRole(t), workerRole(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +149,7 @@ func TestMergedProgramTransformsAndRuns(t *testing.T) {
 func TestMergeRejectsOverlap(t *testing.T) {
 	a, b := masterRole(t), workerRole(t)
 	b.Guard = mpl.Lt(mpl.Rank(), mpl.Int(2)) // overlaps rank 0
-	_, err := Merge("bad", []Role{a, b}, attr.DefaultSolver)
+	_, err := Merge("bad", []Role{a, b})
 	if !errors.Is(err, ErrOverlap) {
 		t.Fatalf("err = %v, want ErrOverlap", err)
 	}
@@ -160,7 +159,7 @@ func TestMergeRejectsUncovered(t *testing.T) {
 	a := masterRole(t)
 	b := workerRole(t)
 	b.Guard = mpl.Eq(mpl.Rank(), mpl.Int(1)) // ranks >= 2 uncovered
-	_, err := Merge("bad", []Role{a, b}, attr.DefaultSolver)
+	_, err := Merge("bad", []Role{a, b})
 	if !errors.Is(err, ErrUncovered) {
 		t.Fatalf("err = %v, want ErrUncovered", err)
 	}
@@ -170,7 +169,7 @@ func TestMergeRejectsConflictingConsts(t *testing.T) {
 	a, b := masterRole(t), workerRole(t)
 	a.Program.Consts = append(a.Program.Consts, mpl.Const{Name: "K", Value: 1})
 	b.Program.Consts = append(b.Program.Consts, mpl.Const{Name: "K", Value: 2})
-	_, err := Merge("bad", []Role{a, b}, attr.DefaultSolver)
+	_, err := Merge("bad", []Role{a, b})
 	if err == nil || !strings.Contains(err.Error(), "conflicting values") {
 		t.Fatalf("err = %v", err)
 	}
@@ -179,14 +178,14 @@ func TestMergeRejectsConflictingConsts(t *testing.T) {
 func TestMergeRejectsUnclosedGuard(t *testing.T) {
 	a := masterRole(t)
 	a.Guard = mpl.Eq(mpl.V("task"), mpl.Int(0)) // not closed over rank/nproc
-	_, err := Merge("bad", []Role{a, workerRole(t)}, attr.DefaultSolver)
+	_, err := Merge("bad", []Role{a, workerRole(t)})
 	if err == nil {
 		t.Fatal("unclosed guard accepted")
 	}
 }
 
 func TestMergeRejectsEmpty(t *testing.T) {
-	if _, err := Merge("empty", nil, attr.DefaultSolver); err == nil {
+	if _, err := Merge("empty", nil); err == nil {
 		t.Fatal("empty role set accepted")
 	}
 }
@@ -236,7 +235,7 @@ proc {
     chkpt
 }`),
 	}
-	merged, err := Merge("pipeline3", []Role{head, middle, tailR}, attr.DefaultSolver)
+	merged, err := Merge("pipeline3", []Role{head, middle, tailR})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ package place
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 
@@ -109,8 +108,6 @@ type Result struct {
 	CoalescedStmts int
 	// Iterations is the number of fixpoint rounds executed.
 	Iterations int
-	// Enumeration is the final checkpoint enumeration.
-	Enumeration *cfg.Enumeration
 	// Residual holds the violations remaining when the fixpoint failed
 	// (empty on success).
 	Residual []Violation
@@ -297,12 +294,11 @@ func ensureTapped(p *mpl.Program, opts Options, tap func(*mpl.Program, *analysis
 	return res, nil
 }
 
-// finish copies the final round's program, orderings and enumeration into
-// res, out of the workspace.
+// finish copies the final round's program and orderings into res, out of
+// the workspace.
 func finish(res *Result, prog *mpl.Program, cur *analysis) {
 	res.Program = prog
 	res.Orderings = dedupOrderings(cur.orderings)
-	res.Enumeration = &cfg.Enumeration{Index: maps.Clone(cur.enum.Index), Count: cur.enum.Count}
 }
 
 // dedupOrderings copies a round's orderings out of its reused buffer,

@@ -444,7 +444,7 @@ func TestRoundAllocs(t *testing.T) {
 }
 
 // TestEnsureLendsNoResults: the partial result of a fixpoint cut short by
-// MaxIterations, its Residual and Enumeration included, and Check's
+// MaxIterations, its Residual and its program's enumeration included, and Check's
 // violations are copied out of the pooled workspace: calls that rebuild that
 // memory for a larger and a smaller program leave them as they were.
 func TestEnsureLendsNoResults(t *testing.T) {
@@ -460,9 +460,11 @@ func TestEnsureLendsNoResults(t *testing.T) {
 		t.Fatalf("result %+v, error %v: want a fixpoint cut short with violations left", res, err)
 	}
 	dump := func() string {
-		return fmt.Sprintf("%s\n%+v %+v %+v %v\nresidual %+v\nenum %v %d\n%d %d",
+		enum := new(cfg.Enumeration)
+		err := cfg.EnumerateInto(res.Program, enum)
+		return fmt.Sprintf("%s\n%+v %+v %+v %v\nresidual %+v\nenum %v %d %v\n%d %d",
 			mpl.Format(res.Program), res.InitialViolations, res.Moves, res.Orderings, res.EqualizedStmts,
-			res.Residual, res.Enumeration.Index, res.Enumeration.Count, res.Iterations, res.CoalescedStmts)
+			res.Residual, enum.Index, enum.Count, err, res.Iterations, res.CoalescedStmts)
 	}
 	before := dump()
 	unsafe := corpus.JacobiFig2(4)

@@ -155,7 +155,6 @@ func refEnsure(p *mpl.Program, opts Options, tap func(*mpl.Program, []Violation,
 		if iter >= opts.maxIter() {
 			res.Program = prog
 			res.Orderings = refDedupOrderings(cur.orderings)
-			res.Enumeration = cur.enum
 			res.Residual = cur.violations
 			return res, fmt.Errorf("place: no fixpoint after %d iterations (%d violations remain)",
 				iter, len(cur.violations))
@@ -193,7 +192,6 @@ func refEnsure(p *mpl.Program, opts Options, tap func(*mpl.Program, []Violation,
 	}
 	res.Program = prog
 	res.Orderings = refDedupOrderings(cur.orderings)
-	res.Enumeration = cur.enum
 	return res, nil
 }
 
@@ -482,6 +480,11 @@ func TestEnsureMatchesReference(t *testing.T) {
 			}
 			if g, w := mpl.Format(gotRes.Program), mpl.Format(wantRes.Program); g != w {
 				t.Fatalf("%s: program differs\ngot:\n%s\nwant:\n%s", label, g, w)
+			}
+			gotEnum, wantEnum := new(cfg.Enumeration), new(cfg.Enumeration)
+			gotErr, wantErr = cfg.EnumerateInto(gotRes.Program, gotEnum), cfg.EnumerateInto(wantRes.Program, wantEnum)
+			if !reflect.DeepEqual(gotEnum, wantEnum) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: enumeration %v (%v), reference %v (%v)", label, gotEnum, gotErr, wantEnum, wantErr)
 			}
 			gotRes.Program, wantRes.Program = nil, nil
 			// QuietSends is not Phase III's: core's and verify's elision tests hold it.

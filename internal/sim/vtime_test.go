@@ -114,27 +114,20 @@ func TestVTimeCheckpointOverheadMeasurable(t *testing.T) {
 	}
 }
 
-// stripCheckpoints removes all chkpt statements in place.
+// stripCheckpoints removes all chkpt statements, through an edit of p.
 func stripCheckpoints(p *mpl.Program) {
-	var fix func(body []mpl.Stmt) []mpl.Stmt
-	fix = func(body []mpl.Stmt) []mpl.Stmt {
-		out := body[:0]
-		for _, s := range body {
-			if _, ok := s.(*mpl.Chkpt); ok {
-				continue
-			}
-			switch st := s.(type) {
-			case *mpl.While:
-				st.Body = fix(st.Body)
-			case *mpl.If:
-				st.Then = fix(st.Then)
-				st.Else = fix(st.Else)
-			}
-			out = append(out, s)
+	var ids []int
+	mpl.Walk(p.Body, func(s mpl.Stmt) bool {
+		if _, ok := s.(*mpl.Chkpt); ok {
+			ids = append(ids, s.ID())
 		}
-		return out
+		return true
+	})
+	e := p.Edit()
+	for _, id := range ids {
+		e.Remove(id)
 	}
-	p.Body = fix(p.Body)
+	e.Close()
 }
 
 // TestFailureUnderTimePaysForRecovery: a crash halfway through a priced run

@@ -179,42 +179,36 @@ func genMotif(b *mpl.Builder, r *rand.Rand) {
 	})
 }
 
-// bodySlot addresses one insertion point: position pos of *list.
-type bodySlot struct {
-	list *[]mpl.Stmt
-	pos  int
-}
-
 // insertionSlots collects the statement-list insertion points of the
-// program, top-level and nested, EXCEPT inside one-sided (else-less) if
-// branches that communicate: a checkpoint wedged between the sends and
-// receives of a single-rank guard is outside Phase III's repair set (its
-// mover cannot relocate a checkpoint across the guard boundary), so
-// sprinkling one there would make the generator emit untransformable
-// programs rather than hard ones.
-func insertionSlots(p *mpl.Program) []bodySlot {
-	var out []bodySlot
-	var walk func(list *[]mpl.Stmt)
-	walk = func(list *[]mpl.Stmt) {
-		for pos := 0; pos <= len(*list); pos++ {
-			out = append(out, bodySlot{list: list, pos: pos})
+// program as sites (block and position; no list), top-level and nested,
+// EXCEPT inside one-sided (else-less) if branches that communicate: a
+// checkpoint wedged between the sends and receives of a single-rank guard
+// is outside Phase III's repair set (its mover cannot relocate a
+// checkpoint across the guard boundary), so sprinkling one there would
+// make the generator emit untransformable programs rather than hard ones.
+func insertionSlots(p *mpl.Program) []site {
+	var out []site
+	var walk func(list []mpl.Stmt, b mpl.Block)
+	walk = func(list []mpl.Stmt, b mpl.Block) {
+		for pos := 0; pos <= len(list); pos++ {
+			out = append(out, site{block: b, pos: pos})
 		}
-		for _, s := range *list {
+		for _, s := range list {
 			switch st := s.(type) {
 			case *mpl.While:
-				walk(&st.Body)
+				walk(st.Body, mpl.Block{Owner: st.ID()})
 			case *mpl.If:
 				if len(st.Else) == 0 && containsComm(st.Then) {
 					continue
 				}
-				walk(&st.Then)
+				walk(st.Then, mpl.Block{Owner: st.ID()})
 				if len(st.Else) > 0 {
-					walk(&st.Else)
+					walk(st.Else, mpl.Block{Owner: st.ID(), Else: true})
 				}
 			}
 		}
 	}
-	walk(&p.Body)
+	walk(p.Body, mpl.Block{Owner: mpl.TopLevel})
 	return out
 }
 
@@ -232,17 +226,13 @@ func containsComm(body []mpl.Stmt) bool {
 	return found
 }
 
-// insertRandomChkpt splices a fresh checkpoint statement into a random
-// insertion slot, mutating p in place.
+// insertRandomChkpt inserts a fresh checkpoint statement at a random
+// insertion slot of p, through an edit of p.
 func insertRandomChkpt(p *mpl.Program, r *rand.Rand) {
 	slots := insertionSlots(p)
 	s := slots[r.Intn(len(slots))]
-	insertStmt(s, &mpl.Chkpt{StmtBase: mpl.StmtBase{StmtID: p.MaxStmtID() + 1}})
-}
-
-// insertStmt splices st into the slot.
-func insertStmt(s bodySlot, st mpl.Stmt) {
-	list := *s.list
-	list = append(list[:s.pos:s.pos], append([]mpl.Stmt{st}, list[s.pos:]...)...)
-	*s.list = list
+	id := p.MaxStmtID() + 1
+	e := p.Edit()
+	e.Insert(s.block, s.pos, e.Chkpt(id))
+	e.Close()
 }

@@ -111,29 +111,56 @@ type Mutant struct {
 // Channel is channel From→To of a run of N processes.
 type Channel struct{ N, From, To int }
 
-// chkptSites returns the location of every checkpoint statement, in body
-// order: (*slot.list)[slot.pos] is the *mpl.Chkpt.
-func chkptSites(p *mpl.Program) []bodySlot {
-	var out []bodySlot
-	var walk func(list *[]mpl.Stmt)
-	walk = func(list *[]mpl.Stmt) {
-		for pos := range *list {
-			if _, ok := (*list)[pos].(*mpl.Chkpt); ok {
-				out = append(out, bodySlot{list: list, pos: pos})
+// site is where a statement sits in the program its walk read: its block,
+// that block's list, and its position there.
+type site struct {
+	block mpl.Block
+	list  []mpl.Stmt
+	pos   int
+}
+
+// chkptSites returns the site of every checkpoint statement, each list's
+// own before those of the lists nested in it: list[pos] is the *mpl.Chkpt.
+func chkptSites(p *mpl.Program) []site {
+	var out []site
+	var walk func(list []mpl.Stmt, b mpl.Block)
+	walk = func(list []mpl.Stmt, b mpl.Block) {
+		for pos, s := range list {
+			if _, ok := s.(*mpl.Chkpt); ok {
+				out = append(out, site{block: b, list: list, pos: pos})
 			}
 		}
-		for _, s := range *list {
+		for _, s := range list {
 			switch st := s.(type) {
 			case *mpl.While:
-				walk(&st.Body)
+				walk(st.Body, mpl.Block{Owner: st.ID()})
 			case *mpl.If:
-				walk(&st.Then)
-				walk(&st.Else)
+				walk(st.Then, mpl.Block{Owner: st.ID()})
+				walk(st.Else, mpl.Block{Owner: st.ID(), Else: true})
 			}
 		}
 	}
-	walk(&p.Body)
+	walk(p.Body, mpl.Block{Owner: mpl.TopLevel})
 	return out
+}
+
+// edited returns a Clone of p that fn edits. The clone shares every
+// statement and list the edit leaves as it was with p, which stays as it
+// was (mpl.Edit copies what it changes).
+func edited(p *mpl.Program, fn func(e *mpl.Edit)) *mpl.Program {
+	cp := mpl.Clone(p)
+	e := cp.Edit()
+	fn(e)
+	e.Close()
+	return cp
+}
+
+// replace puts s in the place of the statement with its id in the program
+// e edits.
+func replace(e *mpl.Edit, s mpl.Stmt) {
+	b, i, _ := e.Locate(s.ID())
+	e.Remove(s.ID())
+	e.Insert(b, i, s)
 }
 
 // isComm reports whether s is a communication statement.
@@ -148,16 +175,13 @@ func isComm(s mpl.Stmt) bool {
 // DeleteMutants returns one mutant per checkpoint statement, each with
 // that single checkpoint removed.
 func DeleteMutants(p *mpl.Program) []Mutant {
-	n := len(chkptSites(p))
-	out := make([]Mutant, 0, n)
-	for site := 0; site < n; site++ {
-		cp := mpl.Clone(p)
-		s := chkptSites(cp)[site]
-		id := (*s.list)[s.pos].ID()
-		*s.list = append((*s.list)[:s.pos], (*s.list)[s.pos+1:]...)
+	sites := chkptSites(p)
+	out := make([]Mutant, 0, len(sites))
+	for i, s := range sites {
+		id := s.list[s.pos].ID()
 		out = append(out, Mutant{
-			Prog: cp, Kind: MutDelete, Site: site,
-			Desc: fmt.Sprintf("delete checkpoint stmt #%d (site %d)", id, site),
+			Prog: edited(p, func(e *mpl.Edit) { e.Remove(id) }), Kind: MutDelete, Site: i,
+			Desc: fmt.Sprintf("delete checkpoint stmt #%d (site %d)", id, i),
 		})
 	}
 	return out
@@ -167,26 +191,21 @@ func DeleteMutants(p *mpl.Program) []Mutant {
 // statement as an immediate neighbour, with the two swapped (preferring
 // the following neighbour).
 func MoveMutants(p *mpl.Program) []Mutant {
-	n := len(chkptSites(p))
 	var out []Mutant
-	for site := 0; site < n; site++ {
-		cp := mpl.Clone(p)
-		s := chkptSites(cp)[site]
-		list := *s.list
+	for i, s := range chkptSites(p) {
 		other := -1
-		if s.pos+1 < len(list) && isComm(list[s.pos+1]) {
+		if s.pos+1 < len(s.list) && isComm(s.list[s.pos+1]) {
 			other = s.pos + 1
-		} else if s.pos > 0 && isComm(list[s.pos-1]) {
+		} else if s.pos > 0 && isComm(s.list[s.pos-1]) {
 			other = s.pos - 1
 		}
 		if other < 0 {
 			continue
 		}
-		id := list[s.pos].ID()
-		list[s.pos], list[other] = list[other], list[s.pos]
+		id := s.list[s.pos].ID()
 		out = append(out, Mutant{
-			Prog: cp, Kind: MutMove, Site: site,
-			Desc: fmt.Sprintf("move checkpoint stmt #%d across %T (site %d)", id, list[s.pos], site),
+			Prog: edited(p, func(e *mpl.Edit) { e.Insert(s.block, other, e.Remove(id)) }), Kind: MutMove, Site: i,
+			Desc: fmt.Sprintf("move checkpoint stmt #%d across %T (site %d)", id, s.list[other], i),
 		})
 	}
 	return out
@@ -200,31 +219,28 @@ func MoveMutants(p *mpl.Program) []Mutant {
 // so the checkpoint lands on opposite sides of the communication on even
 // and odd ranks — Figure 2 reconstructed inside a verified program.
 func SkewMutants(p *mpl.Program) []Mutant {
-	n := len(chkptSites(p))
+	nextID := p.MaxStmtID() + 1
 	var out []Mutant
-	for site := 0; site < n; site++ {
-		cp := mpl.Clone(p)
-		s := chkptSites(cp)[site]
-		list := *s.list
-		if s.pos+1 >= len(list) || !isComm(list[s.pos+1]) {
+	for i, s := range chkptSites(p) {
+		if s.pos+1 >= len(s.list) || !isComm(s.list[s.pos+1]) {
 			continue
 		}
-		ck, comm := list[s.pos], list[s.pos+1]
-		nextID := cp.MaxStmtID() + 1
+		ck, comm := s.list[s.pos], s.list[s.pos+1]
+		copyID := nextID + 1
 		ifStmt := &mpl.If{
 			StmtBase: mpl.StmtBase{StmtID: nextID},
 			Cond:     mpl.Eq(mpl.Mod(mpl.Rank(), mpl.Int(2)), mpl.Int(0)),
 			Then:     []mpl.Stmt{ck, comm},
-			Else: []mpl.Stmt{
-				cloneWithID(comm, nextID+1),
-				cloneWithID(ck, nextID+2),
-			},
+			Else:     mpl.Renumber([]mpl.Stmt{comm, ck}, &copyID),
 		}
-		rest := append([]mpl.Stmt{ifStmt}, list[s.pos+2:]...)
-		*s.list = append(list[:s.pos:s.pos], rest...)
 		out = append(out, Mutant{
-			Prog: cp, Kind: MutSkew, Site: site,
-			Desc: fmt.Sprintf("skew checkpoint stmt #%d around %T into rank-parity branches (site %d)", ck.ID(), comm, site),
+			Prog: edited(p, func(e *mpl.Edit) {
+				e.Remove(ck.ID())
+				e.Remove(comm.ID())
+				e.Insert(s.block, s.pos, ifStmt)
+			}),
+			Kind: MutSkew, Site: i,
+			Desc: fmt.Sprintf("skew checkpoint stmt #%d around %T into rank-parity branches (site %d)", ck.ID(), comm, i),
 		})
 	}
 	return out
@@ -336,23 +352,34 @@ func RankShiftMutants(p *mpl.Program) []Mutant {
 		}
 		return e
 	}
-	cp := mpl.Clone(p)
-	mpl.Walk(cp.Body, func(s mpl.Stmt) bool {
-		switch st := s.(type) {
-		case *mpl.If:
-			if c, ok := rankConst(st.Cond); ok {
-				st.Cond = mpl.Eq(mpl.Rank(), mpl.Int(c+rankShift))
+	// The walk meets an if before the statements in its lists, so the new
+	// if takes lists the edit has not changed yet.
+	cp := edited(p, func(e *mpl.Edit) {
+		mpl.Walk(p.Body, func(s mpl.Stmt) bool {
+			switch st := s.(type) {
+			case *mpl.If:
+				if c, ok := rankConst(st.Cond); ok {
+					replace(e, &mpl.If{StmtBase: st.StmtBase, Cond: mpl.Eq(mpl.Rank(), mpl.Int(c+rankShift)), Then: st.Then, Else: st.Else})
+				}
+			case *mpl.Send:
+				if d := shift(st.Dest); d != st.Dest {
+					replace(e, &mpl.Send{StmtBase: st.StmtBase, Dest: d, Var: st.Var})
+				}
+			case *mpl.Recv:
+				if src := shift(st.Src); src != st.Src {
+					replace(e, &mpl.Recv{StmtBase: st.StmtBase, Src: src, Var: st.Var})
+				}
+			case *mpl.Bcast:
+				if root := shift(st.Root); root != st.Root {
+					replace(e, &mpl.Bcast{StmtBase: st.StmtBase, Root: root, Var: st.Var})
+				}
+			case *mpl.Reduce:
+				if root := shift(st.Root); root != st.Root {
+					replace(e, &mpl.Reduce{StmtBase: st.StmtBase, Root: root, Var: st.Var})
+				}
 			}
-		case *mpl.Send:
-			st.Dest = shift(st.Dest)
-		case *mpl.Recv:
-			st.Src = shift(st.Src)
-		case *mpl.Bcast:
-			st.Root = shift(st.Root)
-		case *mpl.Reduce:
-			st.Root = shift(st.Root)
-		}
-		return true
+			return true
+		})
 	})
 	n := ranks[len(ranks)-1] + rankShift + 2
 	return []Mutant{{
@@ -361,40 +388,39 @@ func RankShiftMutants(p *mpl.Program) []Mutant {
 	}}
 }
 
-// uniformLoops returns the location of every while statement of p that
-// runs equally often on every process — its condition and every enclosing
+// uniformLoops returns the site of every while statement of p that runs
+// equally often on every process — its condition and every enclosing
 // while's are uniform — and holds a checkpoint in its own body, in body
-// order: (*slot.list)[slot.pos] is the *mpl.While.
-func uniformLoops(p *mpl.Program) []bodySlot {
+// order: list[pos] is the *mpl.While.
+func uniformLoops(p *mpl.Program) []site {
 	df := dataflow.Analyze(p)
-	var out []bodySlot
-	var walk func(list *[]mpl.Stmt, uniform bool)
-	walk = func(list *[]mpl.Stmt, uniform bool) {
-		for pos, s := range *list {
+	var out []site
+	var walk func(list []mpl.Stmt, b mpl.Block, uniform bool)
+	walk = func(list []mpl.Stmt, b mpl.Block, uniform bool) {
+		for pos, s := range list {
 			switch st := s.(type) {
 			case *mpl.While:
 				u := uniform && df.Branches[st.ID()].Uniform
 				if u && slices.ContainsFunc(st.Body, func(s mpl.Stmt) bool { _, ok := s.(*mpl.Chkpt); return ok }) {
-					out = append(out, bodySlot{list: list, pos: pos})
+					out = append(out, site{block: b, list: list, pos: pos})
 				}
-				walk(&st.Body, u)
+				walk(st.Body, mpl.Block{Owner: st.ID()}, u)
 			case *mpl.If:
-				walk(&st.Then, uniform)
-				walk(&st.Else, uniform)
+				walk(st.Then, mpl.Block{Owner: st.ID()}, uniform)
+				walk(st.Else, mpl.Block{Owner: st.ID(), Else: true}, uniform)
 			}
 		}
 	}
-	walk(&p.Body, true)
+	walk(p.Body, mpl.Block{Owner: mpl.TopLevel}, true)
 	return out
 }
 
-// freshVar declares a variable of p named after base that p does not use.
+// freshVar returns a variable name after base that p does not declare.
 func freshVar(p *mpl.Program, base string) string {
 	name := base
 	for slices.Contains(p.Vars, name) {
 		name += "_"
 	}
-	p.Vars = append(p.Vars, name)
 	return name
 }
 
@@ -409,15 +435,13 @@ func freshVar(p *mpl.Program, base string) string {
 // channels are no longer the ones the send-log rule proved quiet, so it
 // has no Quiet.
 func LoopExitMutants(p *mpl.Program) []Mutant {
-	n := len(uniformLoops(p))
-	out := make([]Mutant, 0, n)
-	for site := 0; site < n; site++ {
-		cp := mpl.Clone(p)
-		cp.Quiet = nil
-		s := uniformLoops(cp)[site]
-		w := (*s.list)[s.pos].(*mpl.While)
-		flag, tok := freshVar(cp, "exitflag"), freshVar(cp, "exittok")
-		id := cp.MaxStmtID()
+	loops := uniformLoops(p)
+	out := make([]Mutant, 0, len(loops))
+	flag, tok := freshVar(p, "exitflag"), freshVar(p, "exittok")
+	maxID := p.MaxStmtID()
+	for i, s := range loops {
+		w := s.list[s.pos].(*mpl.While)
+		id := maxID
 		next := func() mpl.StmtBase { id++; return mpl.StmtBase{StmtID: id} }
 		k := slices.IndexFunc(w.Body, func(s mpl.Stmt) bool { _, ok := s.(*mpl.Chkpt); return ok })
 		recv := &mpl.If{StmtBase: next(), Cond: mpl.Eq(mpl.Rank(), mpl.Int(1)), Then: []mpl.Stmt{
@@ -425,16 +449,23 @@ func LoopExitMutants(p *mpl.Program) []Mutant {
 				&mpl.Recv{StmtBase: next(), Src: mpl.Int(0), Var: tok},
 			}},
 		}}
-		w.Body = slices.Concat(w.Body[:k:k], []mpl.Stmt{recv, &mpl.Assign{StmtBase: next(), Name: flag, X: mpl.Int(1)}}, w.Body[k:])
+		set := &mpl.Assign{StmtBase: next(), Name: flag, X: mpl.Int(1)}
 		reset := &mpl.Assign{StmtBase: next(), Name: flag, X: mpl.Int(0)}
 		send := &mpl.If{StmtBase: next(), Cond: mpl.Eq(mpl.Rank(), mpl.Int(0)), Then: []mpl.Stmt{
 			&mpl.Send{StmtBase: next(), Dest: mpl.Int(1), Var: tok},
 		}}
-		list := *s.list
-		*s.list = slices.Concat(list[:s.pos:s.pos], []mpl.Stmt{reset, w, send}, list[s.pos+1:])
+		cp := edited(p, func(e *mpl.Edit) {
+			body := mpl.Block{Owner: w.ID()}
+			e.Insert(body, k, set)
+			e.Insert(body, k, recv)
+			e.Insert(s.block, s.pos+1, send)
+			e.Insert(s.block, s.pos, reset)
+		})
+		cp.Vars = append(cp.Vars, flag, tok)
+		cp.Quiet = nil
 		out = append(out, Mutant{
-			Prog: cp, Kind: MutLoopExit, Site: site,
-			Desc: fmt.Sprintf("send behind loop #%d into a receive in front of its checkpoint (loop %d)", w.ID(), site),
+			Prog: cp, Kind: MutLoopExit, Site: i,
+			Desc: fmt.Sprintf("send behind loop #%d into a receive in front of its checkpoint (loop %d)", w.ID(), i),
 		})
 	}
 	return out
@@ -444,56 +475,28 @@ func LoopExitMutants(p *mpl.Program) []Mutant {
 // (uniformLoops) whose condition compares with <, <=, > or >=: its bound,
 // the side the counter runs toward, raised by rank % 2.
 func TripShiftMutants(p *mpl.Program) []Mutant {
-	n := len(uniformLoops(p))
 	var out []Mutant
-	for site := 0; site < n; site++ {
-		cp := mpl.Clone(p)
-		s := uniformLoops(cp)[site]
-		w := (*s.list)[s.pos].(*mpl.While)
+	for i, s := range uniformLoops(p) {
+		w := s.list[s.pos].(*mpl.While)
 		c, ok := w.Cond.(*mpl.Binary)
 		if !ok {
 			continue
 		}
 		shift := func(e mpl.Expr) mpl.Expr { return mpl.Add(e, mpl.Mod(mpl.Rank(), mpl.Int(2))) }
+		var cond mpl.Expr
 		switch c.Op {
 		case mpl.OpLt, mpl.OpLe:
-			w.Cond = &mpl.Binary{Op: c.Op, L: c.L, R: shift(c.R)}
+			cond = &mpl.Binary{Op: c.Op, L: c.L, R: shift(c.R)}
 		case mpl.OpGt, mpl.OpGe:
-			w.Cond = &mpl.Binary{Op: c.Op, L: shift(c.L), R: c.R}
+			cond = &mpl.Binary{Op: c.Op, L: shift(c.L), R: c.R}
 		default:
 			continue
 		}
 		out = append(out, Mutant{
-			Prog: cp, Kind: MutTripShift, Site: site,
-			Desc: fmt.Sprintf("raise loop #%d's bound by rank %% 2 (loop %d)", w.ID(), site),
+			Prog: edited(p, func(e *mpl.Edit) { replace(e, &mpl.While{StmtBase: w.StmtBase, Cond: cond, Body: w.Body}) }),
+			Kind: MutTripShift, Site: i,
+			Desc: fmt.Sprintf("raise loop #%d's bound by rank %% 2 (loop %d)", w.ID(), i),
 		})
 	}
 	return out
-}
-
-// cloneWithID copies a statement and assigns it a fresh id, for
-// duplicating statements into a second branch.
-func cloneWithID(s mpl.Stmt, id int) mpl.Stmt {
-	cp := cloneOne(s)
-	switch st := cp.(type) {
-	case *mpl.Send:
-		st.StmtID = id
-	case *mpl.Recv:
-		st.StmtID = id
-	case *mpl.Bcast:
-		st.StmtID = id
-	case *mpl.Reduce:
-		st.StmtID = id
-	case *mpl.Chkpt:
-		st.StmtID = id
-	default:
-		panic(fmt.Sprintf("verify: cloneWithID: unexpected statement %T", cp))
-	}
-	return cp
-}
-
-// cloneOne copies one statement via a throwaway program clone.
-func cloneOne(s mpl.Stmt) mpl.Stmt {
-	tmp := &mpl.Program{Body: []mpl.Stmt{s}}
-	return mpl.Clone(tmp).Body[0]
 }
